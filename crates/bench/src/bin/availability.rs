@@ -45,34 +45,6 @@ const CLIENTS: usize = 2;
 /// The storage site the bench crashes.
 const VICTIM: usize = 0;
 
-fn arg_after(flag: &str, default: u64) -> u64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} wants a number"));
-        }
-    }
-    default
-}
-
-fn arg_list(flag: &str, default: &[u64]) -> Vec<u64> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            let raw = args.next().unwrap_or_else(|| panic!("{flag} wants a list"));
-            return raw
-                .split(',')
-                .filter_map(|v| v.trim().parse().ok())
-                .filter(|&ms| ms > 0)
-                .collect();
-        }
-    }
-    default.to_vec()
-}
-
 fn at_ms(ms: u64) -> SimTime {
     SimTime::from_nanos(ms * 1_000_000)
 }
@@ -372,11 +344,14 @@ enum HaOut {
 }
 
 fn main() {
-    let mb = arg_after("--mb", 48);
-    let crash_ms = arg_after("--crash-ms", 100);
-    let grid_ms = arg_list("--grid-ms", &[50, 150, 400, 800]);
-    let threads = arg_after("--threads", slice_sim::default_threads() as u64) as usize;
-    let shards = arg_after("--shards", 1) as usize;
+    let args = slice_bench::BenchArgs::from_env(
+        "usage: availability [--mb N] [--crash-ms T] [--grid-ms A,B,...] [--threads T] \
+         [--shards S] [--json-out]",
+    );
+    let mb = args.num("--mb", 48);
+    let crash_ms = args.num("--crash-ms", 100);
+    let grid_ms = args.list("--grid-ms", &[50, 150, 400, 800]);
+    let (threads, shards) = (args.threads(), args.shards(1));
     let bytes_per_client = mb * 1024 * 1024;
     let deadline = at_ms(600_000);
 

@@ -32,37 +32,17 @@
 
 use slice_check::sweep_reconf;
 
-fn arg_after(flag: &str, default: u64) -> u64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} wants a number"));
-        }
-    }
-    default
-}
-
-fn arg_path(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return Some(args.next().unwrap_or_else(|| panic!("{flag} wants a path")));
-        }
-    }
-    None
-}
-
 fn main() {
-    let n_seeds = arg_after("--seeds", 8);
-    let n_schedules = arg_after("--schedules", 4) as usize;
-    let threads = arg_after("--threads", slice_sim::default_threads() as u64) as usize;
-    let shards = arg_after("--shards", 1) as usize;
-    let chaos = std::env::args().any(|a| a == "--chaos");
-    let coded = std::env::args().any(|a| a == "--coded");
-    let reconf = std::env::args().any(|a| a == "--reconf");
+    let args = slice_bench::BenchArgs::from_env(
+        "usage: checker [--seeds N] [--schedules M] [--chaos] [--coded] [--reconf] \
+         [--threads T] [--shards S] [--json-out] [--report-out FILE]",
+    );
+    let n_seeds = args.num("--seeds", 8);
+    let n_schedules = args.num("--schedules", 4) as usize;
+    let (threads, shards) = (args.threads(), args.shards(1));
+    let chaos = args.flag("--chaos");
+    let coded = args.flag("--coded");
+    let reconf = args.flag("--reconf");
     let seeds: Vec<u64> = (1..=n_seeds).collect();
 
     println!(
@@ -101,7 +81,7 @@ fn main() {
         }
     }
     println!("{}", report.json);
-    if let Some(path) = arg_path("--report-out") {
+    if let Some(path) = args.opt::<String>("--report-out") {
         std::fs::write(&path, &report.json).unwrap_or_else(|e| panic!("write report {path}: {e}"));
         eprintln!("wrote {path}");
     }

@@ -35,19 +35,6 @@ const NODES: usize = 6;
 /// The storage site crashed for the degraded pass.
 const VICTIM: usize = 0;
 
-fn arg_after(flag: &str, default: u64) -> u64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} wants a number"));
-        }
-    }
-    default
-}
-
 fn ms_of(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1e6
 }
@@ -232,9 +219,11 @@ fn run_cell(layout: Layout, bytes: u64, shards: usize) -> CellOut {
 }
 
 fn main() {
-    let mb = arg_after("--mb", 24);
-    let threads = arg_after("--threads", slice_sim::default_threads() as u64) as usize;
-    let shards = arg_after("--shards", 1) as usize;
+    let args = slice_bench::BenchArgs::from_env(
+        "usage: ec [--mb N] [--threads T] [--shards S] [--json-out]",
+    );
+    let mb = args.num("--mb", 24);
+    let (threads, shards) = (args.threads(), args.shards(1));
     let bytes = mb * 1024 * 1024;
 
     let layouts = vec![Layout::Mirror, Layout::Coded(4, 2), Layout::Coded(6, 4)];

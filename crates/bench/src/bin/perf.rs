@@ -314,30 +314,13 @@ fn check_counters(text: &str, measured: &[(&str, u64)], untar_wall_s: f64) -> Ve
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let full = args.iter().any(|a| a == "--full");
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .expect("--threads wants a number")
-        })
-        .unwrap_or_else(slice_sim::default_threads);
-    let shards = args
-        .iter()
-        .position(|a| a == "--shards")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .expect("--shards wants a number")
-        })
-        .unwrap_or_else(|| slice_sim::default_threads().min(4));
-    let check_ref = args
-        .iter()
-        .position(|a| a == "--check")
-        .map(|i| args.get(i + 1).expect("--check needs a file").clone());
+    let args = slice_bench::BenchArgs::from_env(
+        "usage: perf [--full] [--threads T] [--shards S] [--check <reference-file>]",
+    );
+    let full = args.flag("--full");
+    let threads = args.threads();
+    let shards = args.shards(slice_sim::default_threads().min(4));
+    let check_ref = args.opt::<String>("--check");
     let files: u64 = if full { 36_000 } else { 3_600 };
     let bulk_bytes: u64 = if full { 256 << 20 } else { 32 << 20 };
 

@@ -47,19 +47,6 @@ const JOINER: usize = 4;
 /// The founding site that is drained and retired.
 const RETIREE: usize = 1;
 
-fn arg_after(flag: &str, default: u64) -> u64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} wants a number"));
-        }
-    }
-    default
-}
-
 fn ms_of(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1e6
 }
@@ -332,10 +319,12 @@ enum Out {
 }
 
 fn main() {
-    let mb = arg_after("--mb", 24);
-    let reads = arg_after("--reads", 3);
-    let threads = arg_after("--threads", slice_sim::default_threads() as u64) as usize;
-    let shards = arg_after("--shards", 1) as usize;
+    let args = slice_bench::BenchArgs::from_env(
+        "usage: reconfigure [--mb N] [--reads R] [--threads T] [--shards S] [--json-out]",
+    );
+    let mb = args.num("--mb", 24);
+    let reads = args.num("--reads", 3);
+    let (threads, shards) = (args.threads(), args.shards(1));
     let bytes_per_client = mb * 1024 * 1024;
     let deadline = SimTime::ZERO + SimDuration::from_secs(600);
 

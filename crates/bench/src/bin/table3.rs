@@ -17,19 +17,10 @@
 //! µproxy.
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     // Workers replay disjoint slices of the file range through private
     // µproxies; packet counts are thread-count-invariant, the ns timers
     // are host measurements either way.
-    let threads = argv
-        .iter()
-        .position(|a| a == "--threads")
-        .map(|i| {
-            argv.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .expect("--threads wants a number")
-        })
-        .unwrap_or_else(slice_sim::default_threads);
+    let threads = slice_bench::BenchArgs::from_env("usage: table3 [--threads T]").threads();
     let ph = slice_bench::run_uproxy_phases_par(350_000, threads);
     let total_ns = ph.intercept_ns + ph.decode_ns + ph.rewrite_ns + ph.soft_ns;
     let per_packet = |ns: u64| ns as f64 / ph.packets as f64;

@@ -706,19 +706,19 @@ impl SliceEnsemble {
             counters.push((format!("{p}.multisite_ops"), srv.multisite_ops()));
             counters.push((format!("{p}.misdirected"), srv.misdirected()));
             counters.push((format!("{p}.name_cells"), srv.name_cells() as u64));
-            let (appends, bytes, syncs) = srv.wal_stats();
+            let (appends, batches, bytes) = srv.wal_stats();
             counters.push((format!("{p}.wal.appends"), appends));
+            counters.push((format!("{p}.wal.batches"), batches));
             counters.push((format!("{p}.wal.bytes"), bytes));
-            counters.push((format!("{p}.wal.syncs"), syncs));
         }
         for (i, &s) in self.sfs.iter().enumerate() {
             let srv = &self.engine.actor::<crate::actors::SmallFileActor>(s).server;
             let p = format!("smallfile.{i}");
             counters.push((format!("{p}.served"), srv.served()));
             gauges.push((format!("{p}.cache_hit_ratio"), srv.cache_hit_ratio()));
-            let (zones, spills) = srv.alloc_stats();
-            counters.push((format!("{p}.alloc.zones"), zones));
-            counters.push((format!("{p}.alloc.spills"), spills));
+            let (allocated, free) = srv.alloc_stats();
+            counters.push((format!("{p}.alloc.allocated_bytes"), allocated));
+            counters.push((format!("{p}.alloc.free_bytes"), free));
         }
         for (i, &s) in self.storage.iter().enumerate() {
             let node = &self.engine.actor::<crate::actors::StorageActor>(s).node;
@@ -758,10 +758,10 @@ impl SliceEnsemble {
                 format!("{p}.drains_done"),
                 coord.reconf_history().len() as u64,
             ));
-            let (appends, bytes, syncs) = coord.wal_stats();
+            let (appends, batches, bytes) = coord.wal_stats();
             counters.push((format!("{p}.wal.appends"), appends));
+            counters.push((format!("{p}.wal.batches"), batches));
             counters.push((format!("{p}.wal.bytes"), bytes));
-            counters.push((format!("{p}.wal.syncs"), syncs));
         }
 
         // µproxies fold themselves (they own their own counter names).

@@ -17,6 +17,7 @@
 //! host supplies.
 
 use slice_ec::{Codec, CodedLayout};
+use slice_nfsproto::ByteBuf;
 use slice_sim::FxHashMap;
 
 use slice_sim::time::{SimDuration, SimTime};
@@ -64,9 +65,13 @@ impl SiteState {
     }
 }
 
-/// `origin` value in [`IntentKind::Migration`] for migrations not tied to
-/// a drain (replica widening, join rebalance).
+/// `origin` of a range queued by a degraded write or a truncate: a
+/// repair, not a migration.
 const NO_ORIGIN: u32 = u32::MAX;
+
+/// `origin` of a migration no drain waits on (replica widening, join
+/// rebalance).
+const NO_DRAIN: u32 = u32::MAX - 1;
 
 /// Placement policy recorded per file in the coordinator's maps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,9 +127,11 @@ pub enum IntentKind {
         /// New size.
         size: u64,
     },
-    /// A mirrored write completed at reduced redundancy: the participant
-    /// site missed `[offset, offset+len)` of `obj` and must be
-    /// resynchronized from `sources` before it may serve reads again.
+    /// The participant site is owed `[offset, offset+len)` of `obj` and
+    /// must be brought up to date from `sources` before it may serve
+    /// reads: a write completed at reduced redundancy, a truncate left
+    /// stale parity, or a planned migration (widening, join rebalance,
+    /// drain) assigned it the range.
     DirtyRange {
         /// Object id.
         obj: u64,
@@ -132,23 +139,10 @@ pub enum IntentKind {
         offset: u64,
         /// Byte length.
         len: u64,
-        /// Live replica sites holding the bytes.
+        /// Sites holding the bytes.
         sources: Vec<u32>,
-    },
-    /// A reconfiguration copy: like [`IntentKind::DirtyRange`] but created
-    /// by a planned migration (widening, join rebalance, drain) rather
-    /// than a degraded write. `origin` names the draining site whose
-    /// retirement waits on this range ([`NO_ORIGIN`] otherwise).
-    Migration {
-        /// Object id.
-        obj: u64,
-        /// Byte offset.
-        offset: u64,
-        /// Byte length.
-        len: u64,
-        /// Replica sites holding the bytes.
-        sources: Vec<u32>,
-        /// Draining site this migration empties, or [`NO_ORIGIN`].
+        /// Draining site whose retirement waits on this range, `NO_DRAIN`
+        /// for any other migration, `NO_ORIGIN` for a repair.
         origin: u32,
     },
     /// A block-map entry pinned by a migration, overriding the
@@ -222,7 +216,6 @@ struct PendingFanout {
     requester: u64,
     req_id: u64,
     waiting: Vec<u32>,
-    intent: u64,
     is_remove: bool,
 }
 
@@ -240,7 +233,7 @@ const RESYNC_RETRY: SimDuration = SimDuration::from_secs(2);
 /// forever.
 const RESYNC_MAX_ATTEMPTS: u32 = 30;
 
-/// One range a down site missed, queued for copy-back.
+/// One range a site is owed, queued for copy-back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirtyRange {
     /// WAL record id (completion records reference it).
@@ -253,35 +246,68 @@ pub struct DirtyRange {
     pub len: u64,
     /// Live replica sites holding the bytes.
     pub sources: Vec<u32>,
+    /// See [`IntentKind::DirtyRange`].
+    origin: u32,
 }
 
-/// An in-flight coded rebuild: k survivor shard windows are gathered,
-/// decoded, and re-encoded into the recovering site's shard.
+impl DirtyRange {
+    /// True when the range covers any of `[lo, hi)` of `obj`.
+    fn overlaps(&self, obj: u64, lo: u64, hi: u64) -> bool {
+        self.obj == obj && self.offset < hi && lo < self.offset + self.len
+    }
+
+    fn kind(&self) -> IntentKind {
+        IntentKind::DirtyRange {
+            obj: self.obj,
+            offset: self.offset,
+            len: self.len,
+            sources: self.sources.clone(),
+            origin: self.origin,
+        }
+    }
+}
+
+/// The read half of one repair: windows are gathered from `legs` and
+/// transformed into the bytes the target is owed.
 #[derive(Debug, Clone)]
-struct ShardRebuild {
+struct Gather {
     range: DirtyRange,
-    /// Source legs `(site, shard index, object offset)` — k of them.
+    /// Source legs `(site, shard index, object offset)`: one replica of a
+    /// mirror, k survivor shards of a code.
     legs: Vec<(u32, u32, u64)>,
     /// Windows gathered so far, keyed by source site.
-    got: FxHashMap<u32, slice_nfsproto::ByteBuf>,
-    n: u32,
-    k: u32,
-    /// The recovering site's shard index within the stripe.
-    target_idx: u32,
+    got: FxHashMap<u32, ByteBuf>,
+    /// `(n, k, target shard index)` when the transform is a Reed–Solomon
+    /// reconstruct; `None` (mirroring, the k = 1 case) forwards the
+    /// source's bytes untouched.
+    code: Option<(u32, u32, u32)>,
+}
+
+impl Gather {
+    /// Whether a window of `obj` at `offset` read from `site` belongs to
+    /// this gather. A mirror takes it from any recorded source — a late
+    /// answer from one a retry rotated away from holds the same bytes; a
+    /// code takes only a planned leg that has not answered yet.
+    fn expects(&self, site: u32, obj: u64, offset: u64) -> bool {
+        self.range.obj == obj
+            && match self.code {
+                None => offset == self.range.offset && self.range.sources.contains(&site),
+                Some(_) => {
+                    !self.got.contains_key(&site)
+                        && self.legs.iter().any(|&(s, _, o)| s == site && o == offset)
+                }
+            }
+    }
 }
 
 #[derive(Debug, Clone)]
-#[allow(clippy::enum_variant_names)]
 enum ResyncStage {
-    /// Waiting for the surviving mirror to return the bytes.
-    AwaitData(DirtyRange),
-    /// Waiting for k survivor shard windows of a coded stripe; decoding
-    /// them rebuilds the recovering site's shard (data or parity).
-    AwaitShards(ShardRebuild),
-    /// Waiting for the recovering site to make the bytes durable. The
-    /// stash is a shared window: retransmitting the apply leg clones a
-    /// refcount, not the payload.
-    AwaitApply(DirtyRange, slice_nfsproto::ByteBuf),
+    /// Waiting for the source windows.
+    Gather(Gather),
+    /// Waiting for the target to make the bytes durable. The stash is a
+    /// shared window: retransmitting the apply leg clones a refcount, not
+    /// the payload.
+    Apply(DirtyRange, ByteBuf),
 }
 
 #[derive(Debug, Clone)]
@@ -490,9 +516,14 @@ pub struct Coordinator {
     gave_up: std::collections::BTreeSet<u32>,
     /// Requesters parked on a site probe, per site.
     site_probes: FxHashMap<u32, Vec<u64>>,
-    /// Durable times of acknowledged MarkDirty ops, for idempotent
-    /// re-acks of retransmissions.
-    marks_acked: FxHashMap<u64, SimTime>,
+    /// Acknowledged MarkDirty ops by `(requester, op_id)` — every client
+    /// numbers its xids from 1, so the op id alone is ambiguous — with
+    /// their durable time (for idempotent re-acks of retransmissions) and
+    /// the ranges they logged that are still open.
+    marks_acked: FxHashMap<(u64, u64), (SimTime, usize)>,
+    /// Open range id -> the mark that logged it; the mark is forgotten
+    /// when its last range completes, which bounds `marks_acked`.
+    range_mark: FxHashMap<u64, (u64, u64)>,
     /// Resync start/done events awaiting pickup by the hosting actor.
     resync_events: Vec<ResyncEvent>,
     /// Completed resyncs: `(site, started, finished, bytes)`.
@@ -507,10 +538,6 @@ pub struct Coordinator {
     pins: FxHashMap<u64, std::collections::BTreeMap<u64, (u64, Vec<u32>)>>,
     /// In-flight planned drains, keyed by draining site.
     drains: FxHashMap<u32, DrainInfo>,
-    /// Migration range id -> draining site whose retirement waits on it.
-    drain_waiting: FxHashMap<u64, u32>,
-    /// Ids of all outstanding migration ranges (widen + join + drain).
-    migration_ranges: std::collections::BTreeSet<u64>,
     /// Bytes copied by completed migration ranges.
     migrated_bytes: u64,
     /// Completed drains: `(site, started, retired, bytes migrated)`.
@@ -536,14 +563,13 @@ impl Coordinator {
             gave_up: std::collections::BTreeSet::new(),
             site_probes: FxHashMap::default(),
             marks_acked: FxHashMap::default(),
+            range_mark: FxHashMap::default(),
             resync_events: Vec::new(),
             resync_history: Vec::new(),
             site_state: vec![SiteState::Active; storage_sites as usize],
             initial_state: vec![SiteState::Active; storage_sites as usize],
             pins: FxHashMap::default(),
             drains: FxHashMap::default(),
-            drain_waiting: FxHashMap::default(),
-            migration_ranges: std::collections::BTreeSet::new(),
             migrated_bytes: 0,
             reconf_history: Vec::new(),
         }
@@ -592,7 +618,8 @@ impl Coordinator {
 
     /// Outstanding migration ranges (widen + rebalance + drain copies).
     pub fn migrations_pending(&self) -> usize {
-        self.migration_ranges.len()
+        let open = self.dirty_log.values().flatten();
+        open.filter(|r| r.origin != NO_ORIGIN).count()
     }
 
     /// Bytes copied by completed migration ranges.
@@ -613,14 +640,12 @@ impl Coordinator {
     /// Every durable pin: `(file, block, sites)`, sorted by file then
     /// block (for the drain oracle and deterministic audits).
     pub fn pinned_entries_dump(&self) -> Vec<(u64, u64, Vec<u32>)> {
-        let mut files: Vec<u64> = self.pins.keys().copied().collect();
-        files.sort_unstable();
-        let mut out = Vec::new();
-        for f in files {
-            for (&b, (_, sites)) in &self.pins[&f] {
-                out.push((f, b, sites.clone()));
-            }
-        }
+        let mut out: Vec<_> = self
+            .pins
+            .iter()
+            .flat_map(|(&f, p)| p.iter().map(move |(&b, (_, sites))| (f, b, sites.clone())))
+            .collect();
+        out.sort_unstable_by_key(|&(f, b, _)| (f, b));
         out
     }
 
@@ -727,17 +752,29 @@ impl Coordinator {
 
     /// A sorted snapshot of the block maps for structural checking.
     pub fn block_map_dump(&self) -> BlockMapDump {
-        let mut out: Vec<_> = self
-            .maps
-            .iter()
-            .map(|(&file, (placement, map))| {
-                let mut blocks: Vec<_> = map.iter().map(|(&b, s)| (b, s.clone())).collect();
-                blocks.sort_unstable_by_key(|&(b, _)| b);
-                (file, *placement, blocks)
-            })
+        self.mapped_files()
+            .into_iter()
+            .map(|file| (file, self.maps[&file].0, self.entries(file)))
+            .collect()
+    }
+
+    /// Files with a materialized block map, sorted.
+    fn mapped_files(&self) -> Vec<u64> {
+        let mut files: Vec<u64> = self.maps.keys().copied().collect();
+        files.sort_unstable();
+        files
+    }
+
+    /// `file`'s materialized map entries `(block, sites)`, sorted by block.
+    fn entries(&self, file: u64) -> Vec<(u64, Vec<u32>)> {
+        let map = self.maps.get(&file).map(|(_, m)| m);
+        let mut blocks: Vec<_> = map
+            .into_iter()
+            .flatten()
+            .map(|(&b, s)| (b, s.clone()))
             .collect();
-        out.sort_unstable_by_key(|&(f, _, _)| f);
-        out
+        blocks.sort_unstable_by_key(|&(b, _)| b);
+        blocks
     }
 
     /// The deterministic assignment of one block over `active` sites
@@ -792,6 +829,69 @@ impl Coordinator {
         entry
     }
 
+    fn next_id(&mut self) -> u64 {
+        let id = self.next_intent;
+        self.next_intent += 1;
+        id
+    }
+
+    /// Appends one record to the WAL and returns its durable time. An
+    /// opening record is 64 bytes, a completion 32.
+    fn log(
+        &mut self,
+        now: SimTime,
+        id: u64,
+        kind: IntentKind,
+        participants: Vec<u32>,
+        completion: bool,
+    ) -> SimTime {
+        let record = IntentRecord {
+            id,
+            kind,
+            participants,
+            is_completion: completion,
+        };
+        self.wal
+            .append(now, record, if completion { 32 } else { 64 })
+    }
+
+    /// Tracks an open intention until its completion or a probe resolves
+    /// it.
+    fn pend(
+        &mut self,
+        now: SimTime,
+        id: u64,
+        kind: IntentKind,
+        participants: Vec<u32>,
+        last_probe: Option<SimTime>,
+    ) {
+        let intent = PendingIntent {
+            kind,
+            participants,
+            logged_at: now,
+            probe_results: FxHashMap::default(),
+            last_probe,
+        };
+        self.pending.insert(id, intent);
+    }
+
+    /// Logs and tracks a new intention; returns its id and durable time.
+    fn open_intent(
+        &mut self,
+        now: SimTime,
+        kind: IntentKind,
+        participants: Vec<u32>,
+    ) -> (u64, SimTime) {
+        let id = self.next_id();
+        let durable = self.log(now, id, kind.clone(), participants.clone(), false);
+        self.pend(now, id, kind, participants, None);
+        (id, durable)
+    }
+
+    fn reply(to: u64, reply: CoordReply, at: SimTime) -> Vec<CoordAction> {
+        vec![CoordAction::Reply { to, reply, at }]
+    }
+
     /// Handles a request from `requester` (an opaque host token); returns
     /// dispatch actions.
     pub fn handle(&mut self, now: SimTime, requester: u64, msg: CoordMsg) -> Vec<CoordAction> {
@@ -801,48 +901,14 @@ impl Coordinator {
                 kind,
                 participants,
             } => {
-                let id = self.next_intent;
-                self.next_intent += 1;
-                let durable = self.wal.append(
-                    now,
-                    IntentRecord {
-                        id,
-                        kind: kind.clone(),
-                        participants: participants.clone(),
-                        is_completion: false,
-                    },
-                    64,
-                );
-                self.pending.insert(
-                    id,
-                    PendingIntent {
-                        kind,
-                        participants,
-                        logged_at: now,
-                        probe_results: FxHashMap::default(),
-                        last_probe: None,
-                    },
-                );
-                vec![CoordAction::Reply {
-                    to: requester,
-                    reply: CoordReply::IntentAck { op_id, intent: id },
-                    at: durable,
-                }]
+                let (intent, durable) = self.open_intent(now, kind, participants);
+                Self::reply(requester, CoordReply::IntentAck { op_id, intent }, durable)
             }
             CoordMsg::CompleteIntent { intent } => {
                 if let Some(p) = self.pending.remove(&intent) {
                     // Completion records are logged asynchronously; their
                     // durability does not gate anything.
-                    self.wal.append(
-                        now,
-                        IntentRecord {
-                            id: intent,
-                            kind: p.kind,
-                            participants: p.participants,
-                            is_completion: true,
-                        },
-                        32,
-                    );
+                    self.log(now, intent, p.kind, p.participants, true);
                     self.resolved.push((intent, IntentOutcome::Completed));
                 }
                 vec![]
@@ -862,11 +928,11 @@ impl Coordinator {
                     first_block..first_block + u64::from(count),
                     map,
                 );
-                // Mirrored replicas with an open dirty/migration range
-                // over the block are "warming": a pinned migration target
-                // has no bytes until resync copies them, so reads must
-                // not rotate onto it yet. Coded placements repair per
-                // shard through degraded reads instead.
+                // Mirrored replicas with an open range over the block are
+                // "warming": a pinned migration target has no bytes until
+                // the repair copies them, so reads must not rotate onto
+                // it yet. Coded placements repair per shard through
+                // degraded reads instead.
                 let warming: Vec<Vec<u32>> = if matches!(placement, Placement::Coded { .. }) {
                     vec![Vec::new(); sites.len()]
                 } else {
@@ -878,9 +944,7 @@ impl Coordinator {
                                 .dirty_log
                                 .iter()
                                 .filter(|(_, ranges)| {
-                                    ranges.iter().any(|r| {
-                                        r.obj == file && r.offset < hi && r.offset + r.len > lo
-                                    })
+                                    ranges.iter().any(|r| r.overlaps(file, lo, hi))
                                 })
                                 .map(|(&site, _)| site)
                                 .collect();
@@ -889,31 +953,27 @@ impl Coordinator {
                         })
                         .collect()
                 };
-                vec![CoordAction::Reply {
-                    to: requester,
-                    reply: CoordReply::MapFragment {
-                        file,
-                        first_block,
-                        sites,
-                        warming,
-                    },
-                    at: now,
-                }]
+                let fragment = CoordReply::MapFragment {
+                    file,
+                    first_block,
+                    sites,
+                    warming,
+                };
+                Self::reply(requester, fragment, now)
             }
             CoordMsg::SetPlacement { file, placement } => {
                 self.file_map(file).0 = placement;
-                vec![CoordAction::Reply {
-                    to: requester,
-                    reply: CoordReply::PlacementSet { file },
-                    at: now,
-                }]
+                Self::reply(requester, CoordReply::PlacementSet { file }, now)
             }
             CoordMsg::RemoveFile { req_id, file } => {
-                self.fanout(now, requester, req_id, file, true, None)
+                self.fanout(now, requester, req_id, IntentKind::Remove { obj: file })
             }
-            CoordMsg::TruncateFile { req_id, file, size } => {
-                self.fanout(now, requester, req_id, file, false, Some(size))
-            }
+            CoordMsg::TruncateFile { req_id, file, size } => self.fanout(
+                now,
+                requester,
+                req_id,
+                IntentKind::Truncate { obj: file, size },
+            ),
             CoordMsg::MarkDirty {
                 op_id,
                 obj,
@@ -922,17 +982,15 @@ impl Coordinator {
                 missed,
                 sources,
             } => {
+                let mark = (requester, op_id);
                 // Retransmission of an already-durable mark: re-ack
                 // without duplicating the ranges.
-                if let Some(&at) = self.marks_acked.get(&op_id) {
-                    return vec![CoordAction::Reply {
-                        to: requester,
-                        reply: CoordReply::DirtyAck { op_id },
-                        at: at.max(now),
-                    }];
+                if let Some(&(at, _)) = self.marks_acked.get(&mark) {
+                    return Self::reply(requester, CoordReply::DirtyAck { op_id }, at.max(now));
                 }
                 let coded = matches!(self.placement_of(obj), Placement::Coded { .. });
                 let mut durable = now;
+                let mut logged = 0;
                 for &site in &missed {
                     // A retired site never returns: queuing copy-back for
                     // it would leak soft state forever.
@@ -949,49 +1007,22 @@ impl Coordinator {
                         vec![(offset, len, sources.clone())]
                     };
                     for (w_off, w_len, srcs) in windows {
-                        let id = self.next_intent;
-                        self.next_intent += 1;
-                        durable = self.wal.append(
-                            now,
-                            IntentRecord {
-                                id,
-                                kind: IntentKind::DirtyRange {
-                                    obj,
-                                    offset: w_off,
-                                    len: w_len,
-                                    sources: srcs.clone(),
-                                },
-                                participants: vec![site],
-                                is_completion: false,
-                            },
-                            64,
-                        );
-                        self.dirty_log.entry(site).or_default().push(DirtyRange {
-                            id,
-                            obj,
-                            offset: w_off,
-                            len: w_len,
-                            sources: srcs,
-                        });
-                        // The site is dirty again: any shelved resync
-                        // must restart once the node is back.
-                        self.gave_up.remove(&site);
+                        let (id, at) =
+                            self.queue_range(now, site, obj, w_off, w_len, srcs, NO_ORIGIN);
+                        durable = at;
+                        self.range_mark.insert(id, mark);
+                        logged += 1;
                     }
                 }
-                self.marks_acked.insert(op_id, durable);
-                vec![CoordAction::Reply {
-                    to: requester,
-                    reply: CoordReply::DirtyAck { op_id },
-                    at: durable,
-                }]
+                if logged > 0 {
+                    self.marks_acked.insert(mark, (durable, logged));
+                }
+                Self::reply(requester, CoordReply::DirtyAck { op_id }, durable)
             }
             CoordMsg::ProbeSite { site } => {
                 if self.site_is_dirty(site) {
-                    return vec![CoordAction::Reply {
-                        to: requester,
-                        reply: CoordReply::SiteProbe { site, clean: false },
-                        at: now,
-                    }];
+                    let unclean = CoordReply::SiteProbe { site, clean: false };
+                    return Self::reply(requester, unclean, now);
                 }
                 // Clean on the books — but only the node itself can prove
                 // it is alive. Park the requester; the probe reply (if
@@ -1095,50 +1126,42 @@ impl Coordinator {
         }
         let data_sites: Vec<u32> = sites[..k as usize].to_vec();
         for p in k..n {
-            let site = sites[p as usize];
             let offset = layout.shard_obj_offset(stripe, p, 0);
             let len = layout.shard_size();
-            let id = self.next_intent;
-            self.next_intent += 1;
-            self.wal.append(
+            let sources = data_sites.clone();
+            self.queue_range(
                 now,
-                IntentRecord {
-                    id,
-                    kind: IntentKind::DirtyRange {
-                        obj: file,
-                        offset,
-                        len,
-                        sources: data_sites.clone(),
-                    },
-                    participants: vec![site],
-                    is_completion: false,
-                },
-                64,
-            );
-            self.dirty_log.entry(site).or_default().push(DirtyRange {
-                id,
-                obj: file,
+                sites[p as usize],
+                file,
                 offset,
                 len,
-                sources: data_sites.clone(),
-            });
-            self.gave_up.remove(&site);
+                sources,
+                NO_ORIGIN,
+            );
         }
     }
 
-    /// Plans a coded rebuild of `range` for recovering site `target`:
-    /// resolves the stripe geometry and picks k live source shards,
-    /// rotated by `rotation` so retries route around a dead source.
-    /// `None` means the range cannot be rebuilt (the site left the
-    /// stripe, or too few sources survive) and should be drained.
-    fn shard_rebuild(
-        &mut self,
-        target: u32,
-        range: &DirtyRange,
-        rotation: u32,
-    ) -> Option<ShardRebuild> {
-        let Placement::Coded { n, k } = self.placement_of(range.obj) else {
+    /// Plans the gather of `range` for `target`: which windows to read
+    /// from which sources, rotated by `rotation` so retries route around
+    /// a dead source. A mirror reads the range itself from one recorded
+    /// source; a code resolves the stripe geometry and reads the matching
+    /// window of k survivor shards. `None` means the range cannot be
+    /// repaired (no source recorded, the site left the stripe, or too few
+    /// survivors) and should be drained.
+    fn plan_gather(&mut self, target: u32, range: &DirtyRange, rotation: u32) -> Option<Gather> {
+        if range.sources.is_empty() {
             return None;
+        }
+        let mut gather = Gather {
+            range: range.clone(),
+            legs: Vec::new(),
+            got: FxHashMap::default(),
+            code: None,
+        };
+        let Placement::Coded { n, k } = self.placement_of(range.obj) else {
+            let source = range.sources[rotation as usize % range.sources.len()];
+            gather.legs.push((source, 0, range.offset));
+            return Some(gather);
         };
         let layout = CodedLayout::new(n, k, self.stripe_unit);
         let stripe = range.offset / self.stripe_unit;
@@ -1159,26 +1182,22 @@ impl Coordinator {
         if eligible.len() < k as usize {
             return None;
         }
-        let legs = (0..k as usize)
+        gather.legs = (0..k as usize)
             .map(|i| {
                 let (site, idx) = eligible[(rotation as usize + i) % eligible.len()];
                 (site, idx, layout.shard_obj_offset(stripe, idx, pos))
             })
             .collect();
-        Some(ShardRebuild {
-            range: range.clone(),
-            legs,
-            got: FxHashMap::default(),
-            n,
-            k,
-            target_idx,
-        })
+        gather.code = Some((n, k, target_idx));
+        Some(gather)
     }
 
-    /// Logs one migration range and queues it on the target's dirty log
-    /// (the copy rides the ordinary resync path). Returns the record id.
+    /// Logs that `target` is owed `[offset, offset+len)` of `obj` and
+    /// queues the range on its dirty log: every repair and every
+    /// migration copy enters the engine here. Returns the record id and
+    /// its durable time.
     #[allow(clippy::too_many_arguments)]
-    fn queue_migration(
+    fn queue_range(
         &mut self,
         now: SimTime,
         target: u32,
@@ -1187,95 +1206,54 @@ impl Coordinator {
         len: u64,
         sources: Vec<u32>,
         origin: u32,
-    ) -> u64 {
-        let id = self.next_intent;
-        self.next_intent += 1;
-        self.wal.append(
-            now,
-            IntentRecord {
-                id,
-                kind: IntentKind::Migration {
-                    obj,
-                    offset,
-                    len,
-                    sources: sources.clone(),
-                    origin,
-                },
-                participants: vec![target],
-                is_completion: false,
-            },
-            64,
-        );
-        self.dirty_log.entry(target).or_default().push(DirtyRange {
-            id,
+    ) -> (u64, SimTime) {
+        let range = DirtyRange {
+            id: self.next_id(),
             obj,
             offset,
             len,
             sources,
-        });
-        self.migration_ranges.insert(id);
-        if origin != NO_ORIGIN {
-            self.drain_waiting.insert(id, origin);
-        }
+            origin,
+        };
+        let durable = self.log(now, range.id, range.kind(), vec![target], false);
+        let id = range.id;
+        self.dirty_log.entry(target).or_default().push(range);
+        // The site is dirty again: any shelved resync must restart once
+        // the node is back.
         self.gave_up.remove(&target);
-        id
+        (id, durable)
     }
 
     /// Durably pins `file`'s `block` entry to `sites`, completing any
     /// previous pin of the same block so replay keeps only the newest.
     fn pin_entry(&mut self, now: SimTime, file: u64, block: u64, sites: Vec<u32>) {
-        let id = self.next_intent;
-        self.next_intent += 1;
-        if let Some((old_id, old_sites)) = self
-            .pins
-            .entry(file)
-            .or_default()
-            .insert(block, (id, sites.clone()))
-        {
-            self.wal.append(
-                now,
-                IntentRecord {
-                    id: old_id,
-                    kind: IntentKind::MapPin {
-                        file,
-                        block,
-                        sites: old_sites,
-                    },
-                    participants: vec![],
-                    is_completion: true,
-                },
-                32,
-            );
+        let id = self.next_id();
+        let pins = self.pins.entry(file).or_default();
+        if let Some((old_id, old_sites)) = pins.insert(block, (id, sites.clone())) {
+            let old = IntentKind::MapPin {
+                file,
+                block,
+                sites: old_sites,
+            };
+            self.log(now, old_id, old, vec![], true);
         }
-        self.wal.append(
+        self.log(
             now,
-            IntentRecord {
-                id,
-                kind: IntentKind::MapPin { file, block, sites },
-                participants: vec![],
-                is_completion: false,
-            },
-            64,
+            id,
+            IntentKind::MapPin { file, block, sites },
+            vec![],
+            false,
         );
     }
 
     fn log_site_change(&mut self, now: SimTime, site: u32, state: SiteState, objs: Vec<u64>) {
-        let id = self.next_intent;
-        self.next_intent += 1;
-        self.wal.append(
-            now,
-            IntentRecord {
-                id,
-                kind: IntentKind::SiteChange {
-                    site,
-                    state: state.to_u8(),
-                    objs,
-                },
-                participants: vec![],
-                is_completion: false,
-            },
-            64,
-        );
+        let id = self.next_id();
+        let kind = IntentKind::SiteChange {
+            site,
+            state: state.to_u8(),
+            objs,
+        };
+        self.log(now, id, kind, vec![], false);
         self.site_state[site as usize] = state;
     }
 
@@ -1285,63 +1263,67 @@ impl Coordinator {
     /// changes — otherwise a coordinator crash would rebuild them
     /// differently and strand the bytes.
     fn pin_all_entries(&mut self, now: SimTime) {
-        let mut files: Vec<u64> = self.maps.keys().copied().collect();
-        files.sort_unstable();
-        for file in files {
-            let mut blocks: Vec<(u64, Vec<u32>)> = self.maps[&file]
-                .1
-                .iter()
-                .map(|(&b, s)| (b, s.clone()))
-                .collect();
-            blocks.sort_unstable_by_key(|&(b, _)| b);
-            for (block, sites) in blocks {
-                if self.pins.get(&file).is_some_and(|p| p.contains_key(&block)) {
-                    continue;
+        for file in self.mapped_files() {
+            for (block, sites) in self.entries(file) {
+                if !self.pins.get(&file).is_some_and(|p| p.contains_key(&block)) {
+                    self.pin_entry(now, file, block, sites);
                 }
-                self.pin_entry(now, file, block, sites);
             }
         }
     }
 
+    /// Re-points `file`'s `block` entry at `new_sites` (pinned, so a
+    /// recovered coordinator keeps it) and queues the copy of the block
+    /// from `sources` to `copy_to`. The bytes flow through the ordinary
+    /// repair path, so readers pick up the new replica only after the log
+    /// drains.
+    #[allow(clippy::too_many_arguments)]
+    fn repoint(
+        &mut self,
+        now: SimTime,
+        file: u64,
+        block: u64,
+        new_sites: Vec<u32>,
+        copy_to: u32,
+        sources: Vec<u32>,
+        origin: u32,
+    ) {
+        self.pin_entry(now, file, block, new_sites.clone());
+        if let Some((_, map)) = self.maps.get_mut(&file) {
+            map.insert(block, new_sites);
+        }
+        let unit = self.stripe_unit;
+        self.queue_range(now, copy_to, file, block * unit, unit, sources, origin);
+    }
+
+    /// An active site not yet holding `block`, rotated across the
+    /// candidates by block so re-pointed load spreads instead of piling
+    /// on one site.
+    fn spare_site(active: &[u32], holders: &[u32], block: u64) -> Option<u32> {
+        let spare: Vec<u32> = active
+            .iter()
+            .copied()
+            .filter(|s| !holders.contains(s))
+            .collect();
+        (!spare.is_empty()).then(|| spare[(block % spare.len() as u64) as usize])
+    }
+
     /// Widens every mirrored block entry of `file` by one replica on an
-    /// active site (demand-driven replication of a hot file): the entry
-    /// is pinned with the extra site immediately and the bytes flow to it
-    /// through the dirty-region resync path, so readers pick up the new
-    /// replica only after the log drains. Returns ranges queued.
+    /// active site (demand-driven replication of a hot file). Returns
+    /// ranges queued.
     pub fn widen_file(&mut self, now: SimTime, file: u64) -> usize {
         if !matches!(self.placement_of(file), Placement::Mirrored { .. }) {
             return 0;
         }
         let active = self.assignable_sites();
-        let blocks: Vec<(u64, Vec<u32>)> = match self.maps.get(&file) {
-            Some((_, map)) => {
-                let mut v: Vec<_> = map.iter().map(|(&b, s)| (b, s.clone())).collect();
-                v.sort_unstable_by_key(|&(b, _)| b);
-                v
-            }
-            None => return 0,
-        };
-        let unit = self.stripe_unit;
         let mut queued = 0;
-        for (block, old) in blocks {
-            let candidates: Vec<u32> = active
-                .iter()
-                .copied()
-                .filter(|s| !old.contains(s))
-                .collect();
-            if candidates.is_empty() {
+        for (block, old) in self.entries(file) {
+            let Some(target) = Self::spare_site(&active, &old, block) else {
                 continue;
-            }
-            // Rotate the extra replica across candidates by block so the
-            // widened load spreads instead of piling on one site.
-            let target = candidates[(block % candidates.len() as u64) as usize];
+            };
             let mut sites = old.clone();
             sites.push(target);
-            self.pin_entry(now, file, block, sites.clone());
-            if let Some((_, map)) = self.maps.get_mut(&file) {
-                map.insert(block, sites);
-            }
-            self.queue_migration(now, target, file, block * unit, unit, old, NO_ORIGIN);
+            self.repoint(now, file, block, sites, target, old, NO_DRAIN);
             queued += 1;
         }
         queued
@@ -1349,61 +1331,42 @@ impl Coordinator {
 
     /// Joins a standby `site` and rebalances: mirrored entries whose
     /// fresh assignment over the widened active set lands on the new site
-    /// move one replica onto it (pinned, bytes copied online through the
-    /// resync path; the surviving old replica keeps serving reads until
-    /// the log drains). Returns ranges queued.
+    /// move one replica onto it (the surviving old replica keeps serving
+    /// reads until the log drains). Returns ranges queued.
     pub fn join_site(&mut self, now: SimTime, site: u32) -> usize {
-        if self
-            .site_state
-            .get(site as usize)
-            .is_none_or(|&s| s != SiteState::Standby)
-        {
+        if self.site_state.get(site as usize) != Some(&SiteState::Standby) {
             return 0;
         }
         // Entries pinned before the join (widen/drain placements) are
         // deliberate and stay put; `pin_all_entries` below pins the rest
         // only for crash durability of the old assignment.
-        let pre_pinned: FxHashMap<u64, std::collections::BTreeSet<u64>> = self
-            .pins
-            .iter()
-            .map(|(&f, p)| (f, p.keys().copied().collect()))
+        let pre_pinned: std::collections::BTreeSet<(u64, u64)> = self
+            .pinned_entries_dump()
+            .into_iter()
+            .map(|(f, b, _)| (f, b))
             .collect();
         self.pin_all_entries(now);
         self.log_site_change(now, site, SiteState::Active, vec![]);
         let active = self.assignable_sites();
-        let unit = self.stripe_unit;
-        let mut files: Vec<u64> = self.maps.keys().copied().collect();
-        files.sort_unstable();
         let mut queued = 0;
-        for file in files {
-            let (placement, map) = self.maps.get(&file).expect("listed file");
-            let placement = *placement;
+        for file in self.mapped_files() {
+            let placement = self.maps[&file].0;
             if !matches!(placement, Placement::Mirrored { .. }) {
                 continue;
             }
-            let mut blocks: Vec<(u64, Vec<u32>)> =
-                map.iter().map(|(&b, s)| (b, s.clone())).collect();
-            blocks.sort_unstable_by_key(|&(b, _)| b);
-            for (block, old) in blocks {
+            for (block, old) in self.entries(file) {
                 if old.len() < 2
                     || old.contains(&site)
-                    || pre_pinned.get(&file).is_some_and(|p| p.contains(&block))
+                    || pre_pinned.contains(&(file, block))
+                    || !Self::compute_sites(placement, &active, file, block).contains(&site)
                 {
-                    continue;
-                }
-                let fresh = Self::compute_sites(placement, &active, file, block);
-                if !fresh.contains(&site) {
                     continue;
                 }
                 // Move the last replica; the first keeps serving reads
                 // while the new one syncs.
                 let mut sites = old.clone();
                 *sites.last_mut().expect("non-empty entry") = site;
-                self.pin_entry(now, file, block, sites.clone());
-                if let Some((_, map)) = self.maps.get_mut(&file) {
-                    map.insert(block, sites);
-                }
-                self.queue_migration(now, site, file, block * unit, unit, old, NO_ORIGIN);
+                self.repoint(now, file, block, sites, site, old, NO_DRAIN);
                 queued += 1;
             }
         }
@@ -1412,95 +1375,61 @@ impl Coordinator {
 
     /// Starts a planned drain of `site` (migrate-then-retire, distinct
     /// from a crash): every non-coded map entry referencing it is
-    /// re-pointed at a replacement site, the bytes are copied online
-    /// through the resync path (the draining site stays live and serves
-    /// as first source), and when the last migration completes the site
-    /// retires — its mapped objects are removed and its per-site soft
-    /// state purged. Returns `(ranges queued, immediate actions)`; the
-    /// actions are non-empty only when nothing referenced the site and it
-    /// retires on the spot.
+    /// re-pointed at a replacement site (the draining site stays live and
+    /// serves as first source), and when the last migration completes the
+    /// site retires — its mapped objects are removed and its per-site
+    /// soft state purged. Returns `(ranges queued, immediate actions)`;
+    /// the actions are non-empty only when nothing referenced the site
+    /// and it retires on the spot.
     pub fn drain_site(&mut self, now: SimTime, site: u32) -> (usize, Vec<CoordAction>) {
-        if self
-            .site_state
-            .get(site as usize)
-            .is_none_or(|&s| s != SiteState::Active)
-        {
+        if self.site_state.get(site as usize) != Some(&SiteState::Active) {
             return (0, vec![]);
         }
         self.pin_all_entries(now);
-        let mut files: Vec<u64> = self.maps.keys().copied().collect();
-        files.sort_unstable();
-        let mut objs = std::collections::BTreeSet::new();
         let mut moves: Vec<(u64, u64, Vec<u32>)> = Vec::new();
-        for &file in &files {
-            let (placement, map) = self.maps.get(&file).expect("listed file");
-            if matches!(placement, Placement::Coded { .. }) {
-                continue;
-            }
-            let mut blocks: Vec<(u64, Vec<u32>)> = map
-                .iter()
-                .filter(|(_, s)| s.contains(&site))
-                .map(|(&b, s)| (b, s.clone()))
-                .collect();
-            if blocks.is_empty() {
-                continue;
-            }
-            objs.insert(file);
-            blocks.sort_unstable_by_key(|&(b, _)| b);
-            for (b, old) in blocks {
-                moves.push((file, b, old));
+        for file in self.mapped_files() {
+            if !matches!(self.maps[&file].0, Placement::Coded { .. }) {
+                let held = self.entries(file).into_iter();
+                moves.extend(
+                    held.filter(|(_, s)| s.contains(&site))
+                        .map(|(b, s)| (file, b, s)),
+                );
             }
         }
+        let objs: std::collections::BTreeSet<u64> = moves.iter().map(|&(f, _, _)| f).collect();
         self.log_site_change(
             now,
             site,
             SiteState::Draining,
             objs.iter().copied().collect(),
         );
-        self.drains.insert(
-            site,
-            DrainInfo {
-                started: now,
-                pending: 0,
-                objs,
-                bytes: 0,
-            },
-        );
+        let mut info = DrainInfo {
+            started: now,
+            pending: 0,
+            objs,
+            bytes: 0,
+        };
         let active = self.assignable_sites();
-        let unit = self.stripe_unit;
-        let mut queued = 0;
         for (file, block, old) in moves {
-            let candidates: Vec<u32> = active
-                .iter()
-                .copied()
-                .filter(|s| !old.contains(s))
-                .collect();
-            if candidates.is_empty() {
-                // No replacement capacity: the entry keeps referencing the
-                // site and the drain stays open (visible via gauges).
+            // No replacement capacity: the entry keeps referencing the
+            // site and the drain stays open (visible via gauges).
+            let Some(replacement) = Self::spare_site(&active, &old, block) else {
                 continue;
-            }
-            let replacement = candidates[(block % candidates.len() as u64) as usize];
-            let fresh: Vec<u32> = old
-                .iter()
-                .map(|&s| if s == site { replacement } else { s })
-                .collect();
-            self.pin_entry(now, file, block, fresh.clone());
-            if let Some((_, map)) = self.maps.get_mut(&file) {
-                map.insert(block, fresh);
-            }
+            };
+            let swap = |&s: &u32| if s == site { replacement } else { s };
+            let fresh: Vec<u32> = old.iter().map(swap).collect();
             // The draining site is alive and authoritative: it leads the
             // source list.
             let sources: Vec<u32> = std::iter::once(site)
                 .chain(old.iter().copied().filter(|&s| s != site))
                 .collect();
-            self.queue_migration(now, replacement, file, block * unit, unit, sources, site);
-            queued += 1;
+            self.repoint(now, file, block, fresh, replacement, sources, site);
+            info.pending += 1;
         }
-        self.drains.get_mut(&site).expect("just inserted").pending = queued;
+        let queued = info.pending;
+        self.drains.insert(site, info);
         if queued == 0 {
-            let actions = self.finish_drain(now, site);
-            (0, actions)
+            (0, self.finish_drain(now, site))
         } else {
             (queued, vec![])
         }
@@ -1531,23 +1460,8 @@ impl Coordinator {
         for r in self.dirty_log.remove(&site).unwrap_or_default() {
             // Ranges still queued *for* the retired site are moot; complete
             // them durably so they cannot replay.
-            self.migration_ranges.remove(&r.id);
-            self.drain_waiting.remove(&r.id);
-            self.wal.append(
-                now,
-                IntentRecord {
-                    id: r.id,
-                    kind: IntentKind::DirtyRange {
-                        obj: r.obj,
-                        offset: r.offset,
-                        len: r.len,
-                        sources: r.sources.clone(),
-                    },
-                    participants: vec![site],
-                    is_completion: true,
-                },
-                32,
-            );
+            self.forget_mark(r.id);
+            self.log(now, r.id, r.kind(), vec![site], true);
         }
         self.resync.remove(&site);
         self.gave_up.remove(&site);
@@ -1581,11 +1495,8 @@ impl Coordinator {
                 s != target
                     && !self.is_retired(s)
                     && !self.dirty_log.get(&s).is_some_and(|rs| {
-                        rs.iter().any(|r| {
-                            r.obj == range.obj
-                                && r.offset < range.offset + range.len
-                                && range.offset < r.offset + r.len
-                        })
+                        let (lo, hi) = (range.offset, range.offset + range.len);
+                        rs.iter().any(|r| r.overlaps(range.obj, lo, hi))
                     })
             })
             .collect();
@@ -1596,17 +1507,30 @@ impl Coordinator {
         }
     }
 
+    /// The control legs that carry out (or re-issue) a remove or truncate
+    /// intention on `sites`.
+    fn ctl_legs(kind: &IntentKind, sites: &[u32]) -> Vec<CoordAction> {
+        let ctl = match *kind {
+            IntentKind::Remove { obj } => StorageCtl::Remove { obj },
+            IntentKind::Truncate { obj, size } => StorageCtl::Truncate { obj, size },
+            _ => return vec![],
+        };
+        let leg = |&site| CoordAction::SendCtl {
+            site,
+            ctl: ctl.clone(),
+        };
+        sites.iter().map(leg).collect()
+    }
+
+    /// Starts an atomic remove or truncate (`kind`) of a file on every
+    /// site that may hold its data.
     fn fanout(
         &mut self,
         now: SimTime,
         requester: u64,
         req_id: u64,
-        file: u64,
-        is_remove: bool,
-        size: Option<u64>,
+        kind: IntentKind,
     ) -> Vec<CoordAction> {
-        let id = self.next_intent;
-        self.next_intent += 1;
         // Standby sites never held data and retired sites are gone; a
         // fan-out waiting on either would wedge for nothing.
         let participants: Vec<u32> = (0..self.storage_sites)
@@ -1617,77 +1541,34 @@ impl Coordinator {
                 )
             })
             .collect();
+        let (file, is_remove) = match kind {
+            IntentKind::Remove { obj } => (obj, true),
+            IntentKind::Truncate { obj, .. } => (obj, false),
+            _ => unreachable!("fan-outs are removes and truncates"),
+        };
         if is_remove {
             // The file's pinned entries die with it (durably: a recovered
             // coordinator must not resurrect the map of a removed file).
-            if let Some(pinned) = self.pins.remove(&file) {
-                for (block, (pin_id, sites)) in pinned {
-                    self.wal.append(
-                        now,
-                        IntentRecord {
-                            id: pin_id,
-                            kind: IntentKind::MapPin { file, block, sites },
-                            participants: vec![],
-                            is_completion: true,
-                        },
-                        32,
-                    );
-                }
+            for (block, (pin_id, sites)) in self.pins.remove(&file).unwrap_or_default() {
+                self.log(
+                    now,
+                    pin_id,
+                    IntentKind::MapPin { file, block, sites },
+                    vec![],
+                    true,
+                );
             }
         }
-        let kind = if is_remove {
-            IntentKind::Remove { obj: file }
-        } else {
-            IntentKind::Truncate {
-                obj: file,
-                size: size.unwrap_or(0),
-            }
+        let (id, _) = self.open_intent(now, kind.clone(), participants.clone());
+        let fanout = PendingFanout {
+            requester,
+            req_id,
+            waiting: participants.clone(),
+            is_remove,
         };
-        self.wal.append(
-            now,
-            IntentRecord {
-                id,
-                kind: kind.clone(),
-                participants: participants.clone(),
-                is_completion: false,
-            },
-            64,
-        );
-        self.pending.insert(
-            id,
-            PendingIntent {
-                kind,
-                participants: participants.clone(),
-                logged_at: now,
-                probe_results: FxHashMap::default(),
-                last_probe: None,
-            },
-        );
-        self.fanouts.insert(
-            id,
-            PendingFanout {
-                requester,
-                req_id,
-                waiting: participants.clone(),
-                intent: id,
-                is_remove,
-            },
-        );
+        self.fanouts.insert(id, fanout);
         self.maps.remove(&file);
-        participants
-            .into_iter()
-            .map(|site| CoordAction::SendCtl {
-                site,
-                ctl: if is_remove {
-                    StorageCtl::Remove { obj: file }
-                } else {
-                    StorageCtl::Truncate {
-                        obj: file,
-                        size: size.unwrap_or(0),
-                    }
-                },
-            })
-            .collect()
+        Self::ctl_legs(&kind, &participants)
     }
 
     /// Handles a control reply from storage site `site`.
@@ -1714,32 +1595,26 @@ impl Coordinator {
                         break;
                     }
                 }
-                if let Some(id) = finished {
-                    let f = self.fanouts.remove(&id).expect("finished fanout");
-                    // A completed truncate of a coded file leaves stale
-                    // parity in the boundary stripe; queue its rebuild
-                    // now that every site holds the clipped data.
-                    let trunc = match self.pending.get(&f.intent).map(|p| &p.kind) {
-                        Some(&IntentKind::Truncate { obj, size }) => Some((obj, size)),
-                        _ => None,
-                    };
-                    if let Some((obj, size)) = trunc {
-                        self.queue_truncate_parity_rebuild(now, obj, size);
-                    }
-                    let mut actions =
-                        self.handle(now, 0, CoordMsg::CompleteIntent { intent: f.intent });
-                    actions.push(CoordAction::Reply {
-                        to: f.requester,
-                        reply: if f.is_remove {
-                            CoordReply::RemoveDone { req_id: f.req_id }
-                        } else {
-                            CoordReply::TruncateDone { req_id: f.req_id }
-                        },
-                        at: now,
-                    });
-                    return actions;
+                let Some(id) = finished else {
+                    return vec![];
+                };
+                let f = self.fanouts.remove(&id).expect("finished fanout");
+                // A completed truncate of a coded file leaves stale
+                // parity in the boundary stripe; queue its rebuild
+                // now that every site holds the clipped data.
+                if let Some(&IntentKind::Truncate { obj, size }) =
+                    self.pending.get(&id).map(|p| &p.kind)
+                {
+                    self.queue_truncate_parity_rebuild(now, obj, size);
                 }
-                vec![]
+                let mut actions = self.handle(now, 0, CoordMsg::CompleteIntent { intent: id });
+                let done = if f.is_remove {
+                    CoordReply::RemoveDone { req_id: f.req_id }
+                } else {
+                    CoordReply::TruncateDone { req_id: f.req_id }
+                };
+                actions.extend(Self::reply(f.requester, done, now));
+                actions
             }
             StorageCtlReply::ProbeResult { intent, .. } if intent >= SITE_PROBE_BASE => {
                 // A site-liveness probe answered: the node is up. Report
@@ -1750,11 +1625,7 @@ impl Coordinator {
                     .remove(&s)
                     .unwrap_or_default()
                     .into_iter()
-                    .map(|to| CoordAction::Reply {
-                        to,
-                        reply: CoordReply::SiteProbe { site: s, clean },
-                        at: now,
-                    })
+                    .flat_map(|to| Self::reply(to, CoordReply::SiteProbe { site: s, clean }, now))
                     .collect()
             }
             StorageCtlReply::ProbeResult { intent, completed } => {
@@ -1762,172 +1633,111 @@ impl Coordinator {
                     return vec![];
                 };
                 p.probe_results.insert(site, completed);
-                if p.probe_results.len() == p.participants.len() {
-                    let p = self.pending.remove(&intent).expect("probed intent");
-                    let done = p.probe_results.values().filter(|&&c| c).count();
-                    let outcome = if done == p.participants.len() {
-                        IntentOutcome::ProbedComplete
-                    } else if done == 0 {
-                        IntentOutcome::Aborted
-                    } else {
-                        IntentOutcome::Repaired
-                    };
-                    self.resolved.push((intent, outcome));
-                    self.wal.append(
-                        now,
-                        IntentRecord {
-                            id: intent,
-                            kind: p.kind.clone(),
-                            participants: p.participants.clone(),
-                            is_completion: true,
-                        },
-                        32,
-                    );
-                    // A probed truncate that (partially) happened clips
-                    // coded data shards: rebuild the boundary stripe's
-                    // parity unless no site truncated at all.
-                    if let IntentKind::Truncate { obj, size } = &p.kind {
-                        if outcome != IntentOutcome::Aborted {
-                            self.queue_truncate_parity_rebuild(now, *obj, *size);
-                        }
-                    }
-                    // Repair for remove/truncate: re-issue to every site
-                    // (idempotent); writes are resolved by NFS V3
-                    // uncommitted-write semantics.
-                    if outcome == IntentOutcome::Repaired {
-                        match &p.kind {
-                            IntentKind::Remove { obj } => {
-                                return p
-                                    .participants
-                                    .iter()
-                                    .map(|&site| CoordAction::SendCtl {
-                                        site,
-                                        ctl: StorageCtl::Remove { obj: *obj },
-                                    })
-                                    .collect();
-                            }
-                            IntentKind::Truncate { obj, size } => {
-                                return p
-                                    .participants
-                                    .iter()
-                                    .map(|&site| CoordAction::SendCtl {
-                                        site,
-                                        ctl: StorageCtl::Truncate {
-                                            obj: *obj,
-                                            size: *size,
-                                        },
-                                    })
-                                    .collect();
-                            }
-                            _ => {}
-                        }
+                if p.probe_results.len() < p.participants.len() {
+                    return vec![];
+                }
+                let p = self.pending.remove(&intent).expect("probed intent");
+                let done = p.probe_results.values().filter(|&&c| c).count();
+                let outcome = if done == p.participants.len() {
+                    IntentOutcome::ProbedComplete
+                } else if done == 0 {
+                    IntentOutcome::Aborted
+                } else {
+                    IntentOutcome::Repaired
+                };
+                self.resolved.push((intent, outcome));
+                self.log(now, intent, p.kind.clone(), p.participants.clone(), true);
+                // A probed truncate that (partially) happened clips
+                // coded data shards: rebuild the boundary stripe's
+                // parity unless no site truncated at all.
+                if let IntentKind::Truncate { obj, size } = p.kind {
+                    if outcome != IntentOutcome::Aborted {
+                        self.queue_truncate_parity_rebuild(now, obj, size);
                     }
                 }
-                vec![]
+                // Repair for remove/truncate: re-issue to every site
+                // (idempotent); writes are resolved by NFS V3
+                // uncommitted-write semantics.
+                if outcome == IntentOutcome::Repaired {
+                    Self::ctl_legs(&p.kind, &p.participants)
+                } else {
+                    vec![]
+                }
             }
             StorageCtlReply::ResyncData { obj, offset, data } => {
-                // `site` is the surviving source; find the job awaiting
-                // these bytes (sorted for determinism).
+                // `site` is a source; find the job gathering this window
+                // (sorted for determinism).
                 let mut targets: Vec<u32> = self.resync.keys().copied().collect();
                 targets.sort_unstable();
-                for target in targets {
-                    let job = self.resync.get_mut(&target).expect("listed job");
-                    let hit = matches!(
-                        &job.stage,
-                        Some(ResyncStage::AwaitData(r))
-                            if r.obj == obj && r.offset == offset && r.sources.contains(&site)
-                    );
-                    if hit {
-                        let Some(ResyncStage::AwaitData(range)) = job.stage.take() else {
-                            unreachable!("matched above");
-                        };
-                        job.stage = Some(ResyncStage::AwaitApply(range, data.clone()));
-                        job.last_attempt = now;
-                        job.attempts = 0;
-                        return vec![CoordAction::SendCtl {
-                            site: target,
-                            ctl: StorageCtl::ResyncWrite { obj, offset, data },
-                        }];
-                    }
-                }
-                // Coded path: a rebuild gathering survivor shard windows
-                // may expect this `(site, offset)` leg.
-                let mut targets: Vec<u32> = self.resync.keys().copied().collect();
-                targets.sort_unstable();
-                for target in targets {
-                    let job = self.resync.get_mut(&target).expect("listed job");
-                    let hit = matches!(
-                        &job.stage,
-                        Some(ResyncStage::AwaitShards(sr))
-                            if sr.range.obj == obj && !sr.got.contains_key(&site)
-                                && sr.legs.iter().any(|&(s, _, o)| s == site && o == offset)
-                    );
-                    if !hit {
-                        continue;
-                    }
-                    let Some(ResyncStage::AwaitShards(mut sr)) = job.stage.take() else {
-                        unreachable!("matched above");
-                    };
-                    // Short reads are holes: pad to the window — zeros
-                    // are exactly what the code sees for never-written
-                    // bytes.
-                    let mut bytes = data.to_vec();
-                    bytes.resize(sr.range.len as usize, 0);
-                    sr.got.insert(site, bytes.into());
-                    if sr.got.len() < sr.k as usize {
-                        job.stage = Some(ResyncStage::AwaitShards(sr));
-                        return vec![];
-                    }
-                    // All k windows present: decode the stripe and
-                    // regenerate the recovering site's shard.
-                    let mut slots: Vec<Option<&[u8]>> = vec![None; sr.n as usize];
-                    for &(s, idx, _) in &sr.legs {
-                        if let Some(b) = sr.got.get(&s) {
-                            slots[idx as usize] = Some(&b[..]);
+                let gathering = |t: &u32| {
+                    matches!(&self.resync[t].stage,
+                        Some(ResyncStage::Gather(g)) if g.expects(site, obj, offset))
+                };
+                let Some(target) = targets.into_iter().find(gathering) else {
+                    return vec![];
+                };
+                let job = self.resync.get_mut(&target).expect("listed job");
+                let Some(ResyncStage::Gather(mut g)) = job.stage.take() else {
+                    unreachable!("matched above");
+                };
+                let bytes = match g.code {
+                    // Identity transform: the source's window goes to the
+                    // target as it came, short reads included.
+                    None => Some(data),
+                    Some((n, k, target_idx)) => {
+                        // Short reads are holes: pad to the window — zeros
+                        // are exactly what the code sees for never-written
+                        // bytes.
+                        let mut window = data.to_vec();
+                        window.resize(g.range.len as usize, 0);
+                        g.got.insert(site, window.into());
+                        if g.got.len() < k as usize {
+                            job.stage = Some(ResyncStage::Gather(g));
+                            return vec![];
                         }
-                    }
-                    let codec = Codec::new(sr.n as usize, sr.k as usize);
-                    let rebuilt = codec.reconstruct_shard(&slots, sr.target_idx as usize);
-                    let range = sr.range.clone();
-                    match rebuilt {
-                        Some(shard) => {
-                            let buf: slice_nfsproto::ByteBuf = shard.into();
-                            job.stage = Some(ResyncStage::AwaitApply(range.clone(), buf.clone()));
-                            job.last_attempt = now;
-                            job.attempts = 0;
-                            return vec![CoordAction::SendCtl {
-                                site: target,
-                                ctl: StorageCtl::ResyncWrite {
-                                    obj,
-                                    offset: range.offset,
-                                    data: buf,
-                                },
-                            }];
+                        // All k windows present: decode the stripe and
+                        // regenerate the target's shard.
+                        let mut slots: Vec<Option<&[u8]>> = vec![None; n as usize];
+                        for &(s, idx, _) in &g.legs {
+                            slots[idx as usize] = g.got.get(&s).map(|b| &b[..]);
                         }
-                        None => {
-                            // Unreachable for a Cauchy code with k
-                            // distinct shards; drain defensively rather
-                            // than wedge the queue.
-                            job.stage = None;
-                            let mut acts = self.complete_range(now, target, &range);
-                            acts.extend(self.advance_resync(now, target));
-                            return acts;
-                        }
+                        Codec::new(n as usize, k as usize)
+                            .reconstruct_shard(&slots, target_idx as usize)
+                            .map(ByteBuf::from)
                     }
-                }
-                vec![]
+                };
+                let Some(bytes) = bytes else {
+                    // Unreachable for a Cauchy code with k distinct
+                    // shards; drain defensively rather than wedge the
+                    // queue.
+                    let mut acts = self.complete_range(now, target, &g.range);
+                    acts.extend(self.advance_resync(now, target));
+                    return acts;
+                };
+                let write = StorageCtl::ResyncWrite {
+                    obj,
+                    offset: g.range.offset,
+                    data: bytes.clone(),
+                };
+                job.stage = Some(ResyncStage::Apply(g.range, bytes));
+                job.last_attempt = now;
+                job.attempts = 0;
+                vec![CoordAction::SendCtl {
+                    site: target,
+                    ctl: write,
+                }]
             }
             StorageCtlReply::ResyncApplied { obj, offset } => {
                 // `site` is the recovering target.
                 let hit = matches!(
                     self.resync.get(&site).and_then(|j| j.stage.as_ref()),
-                    Some(ResyncStage::AwaitApply(r, _)) if r.obj == obj && r.offset == offset
+                    Some(ResyncStage::Apply(r, _)) if r.obj == obj && r.offset == offset
                 );
                 if !hit {
                     return vec![];
                 }
                 let job = self.resync.get_mut(&site).expect("checked");
-                let Some(ResyncStage::AwaitApply(range, _)) = job.stage.take() else {
+                let Some(ResyncStage::Apply(range, _)) = job.stage.take() else {
                     unreachable!("matched above");
                 };
                 job.bytes += range.len;
@@ -1938,81 +1748,66 @@ impl Coordinator {
         }
     }
 
-    /// Logs a durable completion for a resynced range, drops it from the
+    /// Drops range `id` from the mark that logged it, and the mark with
+    /// its last open range.
+    fn forget_mark(&mut self, id: u64) {
+        if let Some(mark) = self.range_mark.remove(&id) {
+            let open = self
+                .marks_acked
+                .get_mut(&mark)
+                .expect("mark of an open range");
+            open.1 -= 1;
+            if open.1 == 0 {
+                self.marks_acked.remove(&mark);
+            }
+        }
+    }
+
+    /// Logs a durable completion for a repaired range, drops it from the
     /// dirty log, and settles any migration/drain bookkeeping riding on
     /// it (retiring the origin site when its last migration lands).
     fn complete_range(&mut self, now: SimTime, site: u32, range: &DirtyRange) -> Vec<CoordAction> {
-        self.wal.append(
-            now,
-            IntentRecord {
-                id: range.id,
-                kind: IntentKind::DirtyRange {
-                    obj: range.obj,
-                    offset: range.offset,
-                    len: range.len,
-                    sources: range.sources.clone(),
-                },
-                participants: vec![site],
-                is_completion: true,
-            },
-            32,
-        );
+        self.log(now, range.id, range.kind(), vec![site], true);
         if let Some(v) = self.dirty_log.get_mut(&site) {
             v.retain(|r| r.id != range.id);
             if v.is_empty() {
                 self.dirty_log.remove(&site);
             }
         }
-        let mut actions = Vec::new();
-        if self.migration_ranges.remove(&range.id) {
-            self.migrated_bytes += range.len;
-            if let Some(origin) = self.drain_waiting.remove(&range.id) {
-                if let Some(info) = self.drains.get_mut(&origin) {
-                    info.bytes += range.len;
-                    info.pending = info.pending.saturating_sub(1);
-                    if info.pending == 0 {
-                        actions = self.finish_drain(now, origin);
-                    }
-                }
+        self.forget_mark(range.id);
+        if range.origin == NO_ORIGIN {
+            return vec![];
+        }
+        self.migrated_bytes += range.len;
+        if let Some(info) = self.drains.get_mut(&range.origin) {
+            info.bytes += range.len;
+            info.pending = info.pending.saturating_sub(1);
+            if info.pending == 0 {
+                return self.finish_drain(now, range.origin);
             }
         }
-        actions
+        vec![]
     }
 
     /// The current in-flight legs of `site`'s resync, for (re)sending.
     fn resync_leg(&self, site: u32) -> Vec<CoordAction> {
-        let Some(job) = self.resync.get(&site) else {
-            return vec![];
-        };
-        match job.stage.as_ref() {
+        match self.resync.get(&site).and_then(|job| job.stage.as_ref()) {
             None => vec![],
-            Some(ResyncStage::AwaitData(r)) => {
-                // Rotate over sources on retries in case one died too.
-                let src = r.sources[job.attempts as usize % r.sources.len()];
-                vec![CoordAction::SendCtl {
-                    site: src,
-                    ctl: StorageCtl::ResyncRead {
-                        obj: r.obj,
-                        offset: r.offset,
-                        len: r.len,
-                    },
-                }]
-            }
-            // Re-read only the survivor windows still missing.
-            Some(ResyncStage::AwaitShards(sr)) => sr
+            // Read only the source windows still missing.
+            Some(ResyncStage::Gather(g)) => g
                 .legs
                 .iter()
-                .filter(|(s, _, _)| !sr.got.contains_key(s))
-                .map(|&(src, _, off)| CoordAction::SendCtl {
+                .filter(|(s, _, _)| !g.got.contains_key(s))
+                .map(|&(src, _, offset)| CoordAction::SendCtl {
                     site: src,
                     ctl: StorageCtl::ResyncRead {
-                        obj: sr.range.obj,
-                        offset: off,
-                        len: sr.range.len,
+                        obj: g.range.obj,
+                        offset,
+                        len: g.range.len,
                     },
                 })
                 .collect(),
-            Some(ResyncStage::AwaitApply(r, data)) => vec![CoordAction::SendCtl {
+            Some(ResyncStage::Apply(r, data)) => vec![CoordAction::SendCtl {
                 site,
                 ctl: StorageCtl::ResyncWrite {
                     obj: r.obj,
@@ -2024,54 +1819,40 @@ impl Coordinator {
     }
 
     /// Pulls the next range off `site`'s resync queue (finishing the job
-    /// when it drains) and emits the read leg for it.
+    /// when it drains) and emits the read legs for it.
     fn advance_resync(&mut self, now: SimTime, site: u32) -> Vec<CoordAction> {
         let mut actions = Vec::new();
         loop {
-            let popped = match self.resync.get_mut(&site) {
-                Some(job) => job.queue.pop_front(),
-                None => return actions,
+            let Some(job) = self.resync.get_mut(&site) else {
+                return actions;
             };
-            match popped {
-                Some(range) if range.sources.is_empty() => {
-                    // No live source recorded: nothing can be copied, so
-                    // drain the record rather than stall forever.
-                    actions.extend(self.complete_range(now, site, &range));
-                }
-                Some(range) => {
-                    let stage = if let Placement::Coded { .. } = self.placement_of(range.obj) {
-                        match self.shard_rebuild(site, &range, 0) {
-                            Some(sr) => ResyncStage::AwaitShards(sr),
-                            None => {
-                                // Unrebuildable (site left the stripe,
-                                // too few sources): drain rather than
-                                // stall forever.
-                                actions.extend(self.complete_range(now, site, &range));
-                                continue;
-                            }
-                        }
-                    } else {
-                        // Re-derive the source set from the current block
-                        // map: a rebalance between the mark and this copy
-                        // can move the live replicas.
-                        let sources = self.map_sources(site, &range);
-                        ResyncStage::AwaitData(DirtyRange { sources, ..range })
-                    };
-                    let job = self.resync.get_mut(&site).expect("present");
-                    job.stage = Some(stage);
-                    job.last_attempt = now;
-                    job.attempts = 0;
-                    actions.extend(self.resync_leg(site));
-                    return actions;
-                }
-                None => {
-                    let job = self.resync.remove(&site).expect("present");
-                    self.resync_history
-                        .push((site, job.started, now, job.bytes));
-                    self.resync_events.push((site, true, now, job.bytes));
-                    return actions;
-                }
+            let Some(mut range) = job.queue.pop_front() else {
+                let job = self.resync.remove(&site).expect("present");
+                self.resync_history
+                    .push((site, job.started, now, job.bytes));
+                self.resync_events.push((site, true, now, job.bytes));
+                return actions;
+            };
+            // A mirror re-derives its sources from the current block map
+            // (a rebalance between the mark and this copy can move the
+            // live replicas); a code plans from its stripe's site list.
+            let coded = matches!(self.placement_of(range.obj), Placement::Coded { .. });
+            if !coded && !range.sources.is_empty() {
+                range.sources = self.map_sources(site, &range);
             }
+            let Some(gather) = self.plan_gather(site, &range, 0) else {
+                // Nothing can be copied (no live source recorded, the
+                // site left the stripe, too few survivors): drain the
+                // record rather than stall forever.
+                actions.extend(self.complete_range(now, site, &range));
+                continue;
+            };
+            let job = self.resync.get_mut(&site).expect("present");
+            job.stage = Some(ResyncStage::Gather(gather));
+            job.last_attempt = now;
+            job.attempts = 0;
+            actions.extend(self.resync_leg(site));
+            return actions;
         }
     }
 
@@ -2087,23 +1868,15 @@ impl Coordinator {
             .collect();
         dirty_sites.sort_unstable();
         for site in dirty_sites {
-            let queue: std::collections::VecDeque<DirtyRange> = self
-                .dirty_log
-                .get(&site)
-                .cloned()
-                .unwrap_or_default()
-                .into();
-            self.resync.insert(
-                site,
-                ResyncJob {
-                    queue,
-                    stage: None,
-                    bytes: 0,
-                    started: now,
-                    last_attempt: now,
-                    attempts: 0,
-                },
-            );
+            let job = ResyncJob {
+                queue: self.dirty_log[&site].clone().into(),
+                stage: None,
+                bytes: 0,
+                started: now,
+                last_attempt: now,
+                attempts: 0,
+            };
+            self.resync.insert(site, job);
             self.resync_events.push((site, false, now, 0));
             actions.extend(self.advance_resync(now, site));
         }
@@ -2123,17 +1896,13 @@ impl Coordinator {
                 continue;
             }
             job.last_attempt = now;
-            // A coded rebuild retries with a rotated source set (one of
-            // the k chosen survivors may itself have died) and regathers
-            // every window.
-            let rotate = match &job.stage {
-                Some(ResyncStage::AwaitShards(sr)) => Some((sr.range.clone(), job.attempts)),
-                _ => None,
-            };
-            if let Some((range, attempts)) = rotate {
-                if let Some(fresh) = self.shard_rebuild(site, &range, attempts) {
+            // A stalled gather retries with a rotated source set (a chosen
+            // source may itself have died) and regathers every window.
+            if let Some(ResyncStage::Gather(g)) = &job.stage {
+                let (range, attempts) = (g.range.clone(), job.attempts);
+                if let Some(fresh) = self.plan_gather(site, &range, attempts) {
                     let job = self.resync.get_mut(&site).expect("listed job");
-                    job.stage = Some(ResyncStage::AwaitShards(fresh));
+                    job.stage = Some(ResyncStage::Gather(fresh));
                 }
             }
             actions.extend(self.resync_leg(site));
@@ -2173,11 +1942,10 @@ impl Coordinator {
         self.gave_up.clear();
         self.site_probes.clear();
         self.marks_acked.clear();
+        self.range_mark.clear();
         self.resync_events.clear();
         self.pins.clear();
         self.drains.clear();
-        self.drain_waiting.clear();
-        self.migration_ranges.clear();
         self.site_state = self.initial_state.clone();
         std::mem::replace(&mut self.wal, Wal::new(WalParams::default()))
     }
@@ -2205,33 +1973,14 @@ impl Coordinator {
         let mut records: Vec<(u64, IntentRecord)> = open.into_iter().collect();
         records.sort_unstable_by_key(|&(id, _)| id);
         for (id, r) in records {
-            // Dirty-range records rebuild the dirty-region log; they are
-            // resynced by the sweep, not probed like intentions.
-            if let IntentKind::DirtyRange {
-                obj,
-                offset,
-                len,
-                ref sources,
-            } = r.kind
-            {
-                let site = r.participants.first().copied().unwrap_or(0);
-                self.dirty_log.entry(site).or_default().push(DirtyRange {
-                    id,
-                    obj,
-                    offset,
-                    len,
-                    sources: sources.clone(),
-                });
-                continue;
-            }
-            // Reconfiguration records replay into soft state directly;
-            // none of them involve a storage-side intention to probe.
             match r.kind {
-                IntentKind::Migration {
+                // Queued ranges rebuild the dirty log; they are repaired
+                // by the sweep, not probed like intentions.
+                IntentKind::DirtyRange {
                     obj,
                     offset,
                     len,
-                    ref sources,
+                    sources,
                     origin,
                 } => {
                     let site = r.participants.first().copied().unwrap_or(0);
@@ -2240,70 +1989,48 @@ impl Coordinator {
                         obj,
                         offset,
                         len,
-                        sources: sources.clone(),
+                        sources,
+                        origin,
                     });
-                    self.migration_ranges.insert(id);
-                    if origin != NO_ORIGIN {
-                        self.drain_waiting.insert(id, origin);
-                    }
-                    continue;
                 }
-                IntentKind::MapPin {
-                    file,
-                    block,
-                    ref sites,
-                } => {
+                // Reconfiguration records replay into soft state directly;
+                // none of them involve a storage-side intention to probe.
+                IntentKind::MapPin { file, block, sites } => {
                     self.pins
                         .entry(file)
                         .or_default()
-                        .insert(block, (id, sites.clone()));
-                    continue;
+                        .insert(block, (id, sites));
                 }
-                IntentKind::SiteChange {
-                    site,
-                    state,
-                    ref objs,
-                } => {
+                IntentKind::SiteChange { site, state, objs } => {
                     let state = SiteState::from_u8(state);
                     if let Some(slot) = self.site_state.get_mut(site as usize) {
                         *slot = state;
                     }
                     match state {
                         SiteState::Draining => {
-                            self.drains.insert(
-                                site,
-                                DrainInfo {
-                                    started: now,
-                                    pending: 0,
-                                    objs: objs.iter().copied().collect(),
-                                    bytes: 0,
-                                },
-                            );
+                            let info = DrainInfo {
+                                started: now,
+                                pending: 0,
+                                objs: objs.into_iter().collect(),
+                                bytes: 0,
+                            };
+                            self.drains.insert(site, info);
                         }
                         SiteState::Retired => {
                             self.drains.remove(&site);
                         }
                         _ => {}
                     }
-                    continue;
                 }
-                _ => {}
-            }
-            self.pending.insert(
-                id,
-                PendingIntent {
-                    kind: r.kind,
-                    participants: r.participants.clone(),
-                    logged_at: now,
-                    probe_results: FxHashMap::default(),
-                    last_probe: Some(now),
-                },
-            );
-            for site in r.participants {
-                actions.push(CoordAction::SendCtl {
-                    site,
-                    ctl: StorageCtl::Probe { intent: id },
-                });
+                kind => {
+                    self.pend(now, id, kind, r.participants.clone(), Some(now));
+                    for site in r.participants {
+                        actions.push(CoordAction::SendCtl {
+                            site,
+                            ctl: StorageCtl::Probe { intent: id },
+                        });
+                    }
+                }
             }
         }
         // Recount each replayed drain's pending migrations; a drain whose
@@ -2311,11 +2038,11 @@ impl Coordinator {
         let mut draining: Vec<u32> = self.drains.keys().copied().collect();
         draining.sort_unstable();
         for site in draining {
-            let pending = self.drain_waiting.values().filter(|&&o| o == site).count();
+            let open = self.dirty_log.values().flatten();
+            let pending = open.filter(|r| r.origin == site).count();
             self.drains.get_mut(&site).expect("listed drain").pending = pending;
             if pending == 0 {
-                let acts = self.finish_drain(now, site);
-                actions.extend(acts);
+                actions.extend(self.finish_drain(now, site));
             }
         }
         actions
@@ -2582,6 +2309,31 @@ mod tests {
             }
         ));
         assert_eq!(c.dirty_ranges(), 1);
+    }
+
+    /// Every client numbers its xids from 1: two requesters' marks with
+    /// the same `op_id` are different writes and both must be logged. The
+    /// ack table empties as the ranges complete.
+    #[test]
+    fn marks_are_keyed_by_requester_and_forgotten_on_completion() {
+        let mut c = Coordinator::new(4);
+        for (requester, obj) in [(7, 5), (8, 6)] {
+            let mark = CoordMsg::MarkDirty {
+                op_id: 99,
+                obj,
+                offset: 0,
+                len: 100,
+                missed: vec![2],
+                sources: vec![1],
+            };
+            c.handle(t(0), requester, mark.clone());
+            c.handle(t(1), requester, mark);
+        }
+        assert_eq!(c.dirty_log_dump(), vec![(2, 5, 0, 100), (2, 6, 0, 100)]);
+        assert_eq!(c.marks_acked.len(), 2);
+        pump_to_quiescence(&mut c, 1000);
+        assert_eq!(c.dirty_ranges(), 0);
+        assert!(c.marks_acked.is_empty() && c.range_mark.is_empty());
     }
 
     #[test]
@@ -2935,35 +2687,42 @@ mod tests {
     /// answering the coordinator's control legs; returns the non-resync
     /// actions it emitted along the way (e.g. retirement removals).
     fn pump_to_quiescence(c: &mut Coordinator, start_ms: u64) -> Vec<CoordAction> {
+        pump_with(c, start_ms, |_, _| {})
+    }
+
+    /// [`pump_to_quiescence`], calling `each_step(c, now_ms)` after every
+    /// control reply the coordinator digests.
+    fn pump_with(
+        c: &mut Coordinator,
+        start_ms: u64,
+        mut each_step: impl FnMut(&Coordinator, u64),
+    ) -> Vec<CoordAction> {
         let mut extra = Vec::new();
         let mut ms = start_ms;
         for _ in 0..200 {
             ms += 2100;
             let mut queue = c.check_timeouts(t(ms));
+            each_step(c, ms);
             while let Some(act) = queue.pop() {
-                match act {
+                let (site, reply) = match act {
                     CoordAction::SendCtl {
                         site,
                         ctl: StorageCtl::ResyncRead { obj, offset, len },
-                    } => queue.extend(c.handle_ctl_reply(
-                        t(ms),
-                        site,
-                        StorageCtlReply::ResyncData {
-                            obj,
-                            offset,
-                            data: vec![1u8; len as usize].into(),
-                        },
-                    )),
+                    } => {
+                        let data = vec![1u8; len as usize].into();
+                        (site, StorageCtlReply::ResyncData { obj, offset, data })
+                    }
                     CoordAction::SendCtl {
                         site,
                         ctl: StorageCtl::ResyncWrite { obj, offset, .. },
-                    } => queue.extend(c.handle_ctl_reply(
-                        t(ms),
-                        site,
-                        StorageCtlReply::ResyncApplied { obj, offset },
-                    )),
-                    other => extra.push(other),
-                }
+                    } => (site, StorageCtlReply::ResyncApplied { obj, offset }),
+                    other => {
+                        extra.push(other);
+                        continue;
+                    }
+                };
+                queue.extend(c.handle_ctl_reply(t(ms), site, reply));
+                each_step(c, ms);
             }
             if c.dirty_ranges() == 0 && !c.needs_sweep() {
                 break;
@@ -2971,6 +2730,113 @@ mod tests {
         }
         assert_eq!(c.dirty_ranges(), 0, "pump must converge");
         extra
+    }
+
+    /// Every way a range enters the engine — a degraded write, a
+    /// truncate's stale parity, a drain migration — runs the same job on
+    /// every placement: queued under an opening WAL record, gathered,
+    /// transformed, applied, completed under the matching record. A
+    /// coordinator crash at any step recovers the same dirty log.
+    #[test]
+    fn every_range_source_runs_the_one_repair_job() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Source {
+            DegradedWrite,
+            TruncateParity,
+            Drain,
+        }
+        let mirror = Placement::Mirrored { copies: 2 };
+        let cases = [
+            (mirror, Source::DegradedWrite, 1, 8),
+            (mirror, Source::Drain, 1, 8),
+            (Placement::Coded { n: 4, k: 2 }, Source::DegradedWrite, 1, 4),
+            (
+                Placement::Coded { n: 4, k: 2 },
+                Source::TruncateParity,
+                2,
+                8,
+            ),
+            (Placement::Coded { n: 6, k: 4 }, Source::DegradedWrite, 1, 2),
+            (
+                Placement::Coded { n: 6, k: 4 },
+                Source::TruncateParity,
+                2,
+                4,
+            ),
+        ];
+        for (placement, source, ranges, bytes) in cases {
+            let case = format!("{placement:?} {source:?}");
+            let blank = || {
+                let mut c = Coordinator::new(6);
+                c.set_default_placement(placement);
+                c.set_stripe_unit(8);
+                c
+            };
+            let mut c = blank();
+            let map = CoordMsg::MapGet {
+                file: 10,
+                first_block: 0,
+                count: 1,
+            };
+            c.handle(t(0), 1, map);
+            let sites = c.block_map_dump()[0].2[0].1.clone();
+            match source {
+                Source::DegradedWrite => {
+                    let mark = CoordMsg::MarkDirty {
+                        op_id: 1,
+                        obj: 10,
+                        offset: 0,
+                        len: 8,
+                        missed: vec![sites[0]],
+                        sources: sites[1..].to_vec(),
+                    };
+                    c.handle(t(1), 7, mark);
+                }
+                Source::TruncateParity => {
+                    let truncate = CoordMsg::TruncateFile {
+                        req_id: 1,
+                        file: 10,
+                        size: 3,
+                    };
+                    for act in c.handle(t(1), 7, truncate) {
+                        if let CoordAction::SendCtl { site, .. } = act {
+                            c.handle_ctl_reply(t(2), site, StorageCtlReply::Done);
+                        }
+                    }
+                }
+                Source::Drain => assert_eq!(c.drain_site(t(1), sites[0]).0, 1, "{case}"),
+            }
+            let queued = c.dirty_log_dump();
+            assert_eq!(queued.len(), ranges, "{case}: ranges queued");
+            assert_eq!(queued.iter().map(|r| r.3).sum::<u64>(), bytes, "{case}");
+
+            pump_with(&mut c, 10, |c, ms| {
+                let mut recovered = blank();
+                recovered.recover(t(ms), c.wal.clone(), t(ms + 1000));
+                assert_eq!(recovered.dirty_log_dump(), c.dirty_log_dump(), "{case}");
+            });
+            assert_eq!(c.resync_bytes(), bytes, "{case}: every range was copied");
+            let migrated = if source == Source::Drain { bytes } else { 0 };
+            assert_eq!(c.migrated_bytes(), migrated, "{case}");
+            assert_eq!(c.is_retired(sites[0]), source == Source::Drain, "{case}");
+
+            // Each range record opens once and completes once, in order.
+            let mut open = std::collections::BTreeSet::new();
+            let mut completed = 0;
+            for r in c.wal.recover(t(1_000_000)) {
+                if !matches!(r.kind, IntentKind::DirtyRange { .. }) {
+                    continue;
+                }
+                if r.is_completion {
+                    assert!(open.remove(&r.id), "{case}: completion without an open");
+                    completed += 1;
+                } else {
+                    assert!(open.insert(r.id), "{case}: range opened twice");
+                }
+            }
+            assert!(open.is_empty(), "{case}: ranges left open in the WAL");
+            assert_eq!(completed, ranges, "{case}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::time::Instant;
 use slice_hashes::{fnv1a, name_fingerprint};
 use slice_nfsproto::{
     decode_call, decode_reply, encode_call, AuthUnix, Fhandle, NfsProc, NfsRequest, NfsStatus,
-    NfsTime, Packet, Sattr3, SetTime, SockAddr, REPLY_ATTR_OFFSET,
+    NfsTime, Packet, Sattr3, SetTime, SockAddr, StableHow, REPLY_ATTR_OFFSET,
 };
 use slice_sim::{SimDuration, SimTime};
 use slice_storage::{CoordMsg, CoordReply, IntentKind};
@@ -323,6 +323,36 @@ struct PendingReq {
     push: Option<(u64, u64)>,
     /// Set on internal legs of an erasure-coded op: (parent xid, role).
     coded: Option<(u32, CodedLegRole)>,
+}
+
+impl PendingReq {
+    /// A request in flight with one reply expected, to be forwarded to
+    /// `client_src`. Callers adjust the record for fan-outs, merges and
+    /// µproxy-owned requests before filing it.
+    fn new(
+        proc: NfsProc,
+        fh: Option<u32>,
+        offset: u64,
+        len: u32,
+        class: Class,
+        client_src: SockAddr,
+    ) -> Self {
+        Self {
+            proc,
+            fh,
+            offset,
+            len,
+            class,
+            remaining: 1,
+            absorb: false,
+            client_src,
+            intent: None,
+            awaiting: Vec::new(),
+            merge: None,
+            push: None,
+            coded: None,
+        }
+    }
 }
 
 /// Real-time cost accounting for the four µproxy phases (Table 3).
@@ -773,7 +803,7 @@ impl Uproxy {
     }
 
     fn strike(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, site: u32) {
-        if self.retired.get(site as usize).copied().unwrap_or(false) {
+        if self.site_retired(site) {
             return;
         }
         let Some(h) = self.health.get_mut(site as usize) else {
@@ -882,10 +912,9 @@ impl Uproxy {
 
     /// Static striping/placement function: replica site list for one
     /// stripe of a file (must agree with the coordinator's map policy).
-    fn static_sites(&self, file: u64, offset: u64, mirrored: bool) -> Vec<u32> {
+    fn static_sites(&self, file: u64, stripe: u64, mirrored: bool) -> Vec<u32> {
         let n = self.cfg.storage_sites.len() as u64;
         let base = fnv1a(&file.to_le_bytes()) % n;
-        let stripe = offset / self.cfg.stripe_unit;
         let first = ((base + stripe % n) % n) as u32;
         if mirrored {
             (0..self.cfg.mirror_copies.min(n as u32))
@@ -896,34 +925,38 @@ impl Uproxy {
         }
     }
 
-    /// Resolves the storage sites for a bulk I/O request, consulting the
-    /// block-map cache when dynamic placement is enabled. `None` means the
-    /// request must wait for a map fragment (a `MapGet` was emitted).
-    fn storage_sites_for(
+    /// The placement of `blocks` of `fh`'s bulk region: one replica-site
+    /// list per block, from the block-map cache under dynamic placement
+    /// and the static function otherwise. A block missing from the cache
+    /// yields `Err(block)` after a `MapGet` for the 16-block fragment
+    /// around it went out; the request must wait for that fragment.
+    fn block_sites(
         &mut self,
         out: &mut Vec<ProxyOut>,
         fh: &Fhandle,
-        offset: u64,
-    ) -> Option<Vec<u32>> {
+        blocks: std::ops::RangeInclusive<u64>,
+    ) -> Result<Vec<Vec<u32>>, u64> {
         let file = fh.file_id();
-        if self.cfg.use_block_maps && fh.is_mapped() {
-            let block = offset / self.cfg.stripe_unit;
-            if let Some(sites) = self.map_cache.get(&(file, block)) {
-                return Some(sites.clone());
-            }
-            // Fetch a fragment of 16 blocks around the miss.
-            let first = block - block % 16;
+        if !(self.cfg.use_block_maps && fh.is_mapped()) {
+            let mirrored = fh.is_mirrored();
+            return Ok(blocks
+                .map(|b| self.static_sites(file, b, mirrored))
+                .collect());
+        }
+        let cached: Result<_, u64> = blocks
+            .map(|b| self.map_cache.get(&(file, b)).cloned().ok_or(b))
+            .collect();
+        if let Err(block) = cached {
             out.push(ProxyOut::Coord {
-                site: (fnv1a(&file.to_le_bytes()) % u64::from(self.cfg.coord_sites.max(1))) as u32,
+                site: self.coord_site(file),
                 msg: CoordMsg::MapGet {
                     file,
-                    first_block: first,
+                    first_block: block - block % 16,
                     count: 16,
                 },
             });
-            return None;
         }
-        Some(self.static_sites(file, offset, fh.is_mirrored()))
+        cached
     }
 
     fn coord_site(&self, file: u64) -> u32 {
@@ -932,6 +965,24 @@ impl Uproxy {
 
     fn nfs_time(now: SimTime) -> NfsTime {
         NfsTime::from_nanos(now.as_nanos())
+    }
+
+    /// Sends the client a reply the µproxy assembled itself (merged,
+    /// reconstructed or size-corrected) instead of rewriting one in place.
+    fn reply_to_client(
+        &mut self,
+        out: &mut Vec<ProxyOut>,
+        xid: u32,
+        client: SockAddr,
+        reply: &slice_nfsproto::NfsReply,
+    ) {
+        let p = Packet::new(
+            self.cfg.virtual_addr,
+            client,
+            slice_nfsproto::encode_reply(xid, reply),
+        );
+        self.replies_routed += 1;
+        out.push(ProxyOut::Client(p));
     }
 
     /// Generates an attribute write-back: a µproxy-initiated SETATTR to
@@ -951,25 +1002,12 @@ impl Uproxy {
         let payload = encode_call(xid, &self.cred, &req);
         let dest = self.dir_dest(entry.fh.home_site());
         let pkt = Packet::new(self.cfg.client_addr, dest, payload);
-        let fhid = self.fhs.intern(&entry.fh);
-        self.pending.insert(
-            xid,
-            PendingReq {
-                proc: NfsProc::Setattr,
-                fh: Some(fhid),
-                offset: 0,
-                len: 0,
-                class: Class::Dir,
-                remaining: 1,
-                absorb: true,
-                client_src: self.cfg.client_addr,
-                intent: None,
-                awaiting: Vec::new(),
-                merge: None,
-                push: Some((entry.fh.file_id(), entry.version)),
-                coded: None,
-            },
-        );
+        let fhid = Some(self.fhs.intern(&entry.fh));
+        let own = self.cfg.client_addr;
+        let mut rec = PendingReq::new(NfsProc::Setattr, fhid, 0, 0, Class::Dir, own);
+        rec.absorb = true;
+        rec.push = Some((entry.fh.file_id(), entry.version));
+        self.pending.insert(xid, rec);
         self.initiated += 1;
         out.push(ProxyOut::Net(pkt));
     }
@@ -1025,282 +1063,22 @@ impl Uproxy {
         }
         let client_src = pkt.src;
         // Phase 4 pieces are timed inside; phase 3 around the rewrites.
-        match &req {
-            // Erasure-coded layouts intercept all bulk (and straddling)
-            // I/O on mapped files: the µproxy stripes it into shard legs.
+        match req {
             NfsRequest::Read { fh, offset, count }
-                if self.coded_geom(fh).is_some()
-                    && self.coded_touches_bulk(*offset, u64::from(*count)) =>
+                if self.reaches_bulk(&fh, offset, u64::from(count)) =>
             {
-                let (fh, offset, count) = (*fh, *offset, *count);
-                let t4 = self.phase_start();
-                self.coded_read(now, out, pkt, xid, fh, offset, count);
-                self.phases.soft_ns += Self::elapsed_ns(t4);
+                self.route_bulk(now, out, pkt, xid, fh, offset, count, None);
             }
             NfsRequest::Write {
                 fh,
                 offset,
                 data,
                 stable,
-            } if self.coded_geom(fh).is_some()
-                && self.coded_touches_bulk(*offset, data.len() as u64) =>
-            {
-                let (fh, offset, stable) = (*fh, *offset, *stable);
-                let data = data.clone();
-                let t4 = self.phase_start();
-                self.coded_write(now, out, pkt, xid, fh, offset, data, stable);
-                self.phases.soft_ns += Self::elapsed_ns(t4);
+            } if self.reaches_bulk(&fh, offset, data.len() as u64) => {
+                let len = data.len() as u32;
+                self.route_bulk(now, out, pkt, xid, fh, offset, len, Some((data, stable)));
             }
-            // I/O that straddles the threshold offset is split: the head
-            // belongs to a small-file server, the tail to the storage
-            // array. The halves share the xid; replies are reassembled.
-            NfsRequest::Read { fh, offset, count }
-                if self.straddles(fh, *offset, u64::from(*count)) =>
-            {
-                let split = self.cfg.threshold;
-                let low = NfsRequest::Read {
-                    fh: *fh,
-                    offset: *offset,
-                    count: (split - offset) as u32,
-                };
-                let high_len = (offset + u64::from(*count) - split) as u32;
-                let high = NfsRequest::Read {
-                    fh: *fh,
-                    offset: split,
-                    count: high_len,
-                };
-                let t_soft = self.phase_start();
-                let sites = self.storage_sites_for(out, fh, split);
-                self.phases.soft_ns += Self::elapsed_ns(t_soft);
-                let Some(sites) = sites else {
-                    let block = split / self.cfg.stripe_unit;
-                    self.map_waiters
-                        .entry((fh.file_id(), block))
-                        .or_default()
-                        .push(pkt);
-                    return;
-                };
-                let site = self.pick_read_site(out, fh.file_id(), &sites, split, xid);
-                let t3 = self.phase_start();
-                let low_pkt = Packet::new(
-                    client_src,
-                    self.sf_dest(fh.file_id()),
-                    encode_call(xid, &self.cred, &low),
-                );
-                let high_pkt = Packet::new(
-                    client_src,
-                    self.cfg.storage_sites[site as usize],
-                    encode_call(xid, &self.cred, &high),
-                );
-                self.phases.rewrite_ns += Self::elapsed_ns(t3);
-                self.initiated += 2;
-                out.push(ProxyOut::Net(low_pkt));
-                out.push(ProxyOut::Net(high_pkt));
-                let t4 = self.phase_start();
-                let fhid = self.fhs.intern(fh);
-                self.pending.insert(
-                    xid,
-                    PendingReq {
-                        proc: NfsProc::Read,
-                        fh: Some(fhid),
-                        offset: *offset,
-                        len: *count,
-                        class: Class::Storage,
-                        remaining: 2,
-                        absorb: false,
-                        client_src,
-                        intent: None,
-                        awaiting: vec![site],
-                        merge: Some(MergeState::Read {
-                            split,
-                            low: None,
-                            high: None,
-                        }),
-                        push: None,
-                        coded: None,
-                    },
-                );
-                self.phases.soft_ns += Self::elapsed_ns(t4);
-            }
-            NfsRequest::Write {
-                fh,
-                offset,
-                data,
-                stable,
-            } if self.straddles(fh, *offset, data.len() as u64) => {
-                let split = self.cfg.threshold;
-                let cut = (split - offset) as usize;
-                let low = NfsRequest::Write {
-                    fh: *fh,
-                    offset: *offset,
-                    stable: *stable,
-                    data: data[..cut].to_vec(),
-                };
-                let high = NfsRequest::Write {
-                    fh: *fh,
-                    offset: split,
-                    stable: *stable,
-                    data: data[cut..].to_vec(),
-                };
-                let t_soft = self.phase_start();
-                let sites = self.storage_sites_for(out, fh, split);
-                self.phases.soft_ns += Self::elapsed_ns(t_soft);
-                let Some(sites) = sites else {
-                    let block = split / self.cfg.stripe_unit;
-                    self.map_waiters
-                        .entry((fh.file_id(), block))
-                        .or_default()
-                        .push(pkt);
-                    return;
-                };
-                let high_len = (data.len() - cut) as u64;
-                let Some(sites) =
-                    self.degrade_gate(out, &pkt, xid, fh.file_id(), split, high_len, sites)
-                else {
-                    return;
-                };
-                let t3 = self.phase_start();
-                let low_pkt = Packet::new(
-                    client_src,
-                    self.sf_dest(fh.file_id()),
-                    encode_call(xid, &self.cred, &low),
-                );
-                out.push(ProxyOut::Net(low_pkt));
-                for site in &sites {
-                    let p = Packet::new(
-                        client_src,
-                        self.cfg.storage_sites[*site as usize],
-                        encode_call(xid, &self.cred, &high),
-                    );
-                    out.push(ProxyOut::Net(p));
-                }
-                self.phases.rewrite_ns += Self::elapsed_ns(t3);
-                self.initiated += 1 + sites.len() as u64;
-                let t4 = self.phase_start();
-                let fhid = self.fhs.intern(fh);
-                self.pending.insert(
-                    xid,
-                    PendingReq {
-                        proc: NfsProc::Write,
-                        fh: Some(fhid),
-                        offset: *offset,
-                        len: data.len() as u32,
-                        class: Class::Storage,
-                        remaining: 1 + sites.len() as u32,
-                        absorb: false,
-                        client_src,
-                        intent: None,
-                        awaiting: sites.clone(),
-                        merge: Some(MergeState::Write {
-                            total: data.len() as u32,
-                        }),
-                        push: None,
-                        coded: None,
-                    },
-                );
-                self.phases.soft_ns += Self::elapsed_ns(t4);
-            }
-            NfsRequest::Read { fh, offset, count } if self.is_bulk(fh, *offset) => {
-                let t_soft = self.phase_start();
-                let sites = self.storage_sites_for(out, fh, *offset);
-                self.phases.soft_ns += Self::elapsed_ns(t_soft);
-                let Some(sites) = sites else {
-                    let block = *offset / self.cfg.stripe_unit;
-                    self.map_waiters
-                        .entry((fh.file_id(), block))
-                        .or_default()
-                        .push(pkt);
-                    return;
-                };
-                // Mirrored reads alternate between the mirrors to balance
-                // load: replica choice flips every full placement rotation,
-                // so each node serves half of the blocks it stores and the
-                // rest of its prefetched data goes unused (Table 2).
-                let site = self.pick_read_site(out, fh.file_id(), &sites, *offset, xid);
-                let t3 = self.phase_start();
-                let mut p = pkt;
-                p.rewrite_dst(self.cfg.storage_sites[site as usize]);
-                self.phases.rewrite_ns += Self::elapsed_ns(t3);
-                let t4 = self.phase_start();
-                let fhid = self.fhs.intern(fh);
-                self.pending.insert(
-                    xid,
-                    PendingReq {
-                        proc: NfsProc::Read,
-                        fh: Some(fhid),
-                        offset: *offset,
-                        len: *count,
-                        class: Class::Storage,
-                        remaining: 1,
-                        absorb: false,
-                        client_src,
-                        intent: None,
-                        awaiting: vec![site],
-                        merge: None,
-                        push: None,
-                        coded: None,
-                    },
-                );
-                self.phases.soft_ns += Self::elapsed_ns(t4);
-                out.push(ProxyOut::Net(p));
-            }
-            NfsRequest::Write {
-                fh, offset, data, ..
-            } if self.is_bulk(fh, *offset) => {
-                let t_soft = self.phase_start();
-                let sites = self.storage_sites_for(out, fh, *offset);
-                self.phases.soft_ns += Self::elapsed_ns(t_soft);
-                let Some(sites) = sites else {
-                    let block = *offset / self.cfg.stripe_unit;
-                    self.map_waiters
-                        .entry((fh.file_id(), block))
-                        .or_default()
-                        .push(pkt);
-                    return;
-                };
-                let Some(sites) = self.degrade_gate(
-                    out,
-                    &pkt,
-                    xid,
-                    fh.file_id(),
-                    *offset,
-                    data.len() as u64,
-                    sites,
-                ) else {
-                    return;
-                };
-                let t3 = self.phase_start();
-                // Mirrored writes go to every replica (µproxy duplicates
-                // the packet).
-                for site in &sites {
-                    let mut p = pkt.clone();
-                    p.rewrite_dst(self.cfg.storage_sites[*site as usize]);
-                    out.push(ProxyOut::Net(p));
-                }
-                self.phases.rewrite_ns += Self::elapsed_ns(t3);
-                let t4 = self.phase_start();
-                let fhid = self.fhs.intern(fh);
-                self.pending.insert(
-                    xid,
-                    PendingReq {
-                        proc: NfsProc::Write,
-                        fh: Some(fhid),
-                        offset: *offset,
-                        len: data.len() as u32,
-                        class: Class::Storage,
-                        remaining: sites.len() as u32,
-                        absorb: false,
-                        client_src,
-                        intent: None,
-                        awaiting: sites.clone(),
-                        merge: None,
-                        push: None,
-                        coded: None,
-                    },
-                );
-                self.phases.soft_ns += Self::elapsed_ns(t4);
-            }
-            NfsRequest::Commit { fh, .. } if self.commit_is_multisite(fh) => {
+            NfsRequest::Commit { fh, .. } if self.commit_is_multisite(&fh) => {
                 // Push modified attributes back on commit (paper §4.1).
                 let t4 = self.phase_start();
                 let dirty = self.attrs.take_dirty(fh.file_id());
@@ -1321,13 +1099,13 @@ impl Uproxy {
                         },
                     });
                 } else {
-                    self.fanout_commit(out, pkt, xid, *fh, None);
+                    self.fanout_commit(out, pkt, xid, fh, None);
                 }
             }
             other => {
                 // Name-space, attribute, and small-file traffic.
-                let dest = self.name_dest(other);
-                let (class, fh, offset, len) = match other {
+                let dest = self.name_dest(&other);
+                let (class, fh, offset, len) = match &other {
                     NfsRequest::Read { fh, offset, count } => {
                         (Class::SmallFile, Some(*fh), *offset, *count)
                     }
@@ -1352,45 +1130,153 @@ impl Uproxy {
                 self.phases.rewrite_ns += Self::elapsed_ns(t3);
                 let t4 = self.phase_start();
                 let fhid = fh.map(|f| self.fhs.intern(&f));
-                self.pending.insert(
-                    xid,
-                    PendingReq {
-                        proc: other.proc(),
-                        fh: fhid,
-                        offset,
-                        len,
-                        class,
-                        remaining: 1,
-                        absorb: false,
-                        client_src,
-                        intent: None,
-                        awaiting: Vec::new(),
-                        merge: None,
-                        push: None,
-                        coded: None,
-                    },
-                );
+                let rec = PendingReq::new(other.proc(), fhid, offset, len, class, client_src);
+                self.pending.insert(xid, rec);
                 self.phases.soft_ns += Self::elapsed_ns(t4);
                 out.push(ProxyOut::Net(p));
             }
         }
     }
 
-    fn is_bulk(&self, fh: &Fhandle, offset: u64) -> bool {
-        if fh.is_dir() || fh.is_symlink() {
-            return false;
-        }
-        self.cfg.sf_sites.is_empty() || offset >= self.cfg.threshold
+    /// True when a READ or WRITE of `[offset, offset+len)` reaches the
+    /// bulk region the storage array serves: everything when there are no
+    /// small-file servers, otherwise whatever lies at or above the
+    /// threshold offset.
+    fn reaches_bulk(&self, fh: &Fhandle, offset: u64, len: u64) -> bool {
+        let threshold = self.cfg.threshold;
+        !fh.is_dir()
+            && !fh.is_symlink()
+            && (self.cfg.sf_sites.is_empty() || offset >= threshold || offset + len > threshold)
     }
 
-    /// True when an I/O range crosses the threshold offset and therefore
-    /// spans the small-file/bulk split.
-    fn straddles(&self, fh: &Fhandle, offset: u64, len: u64) -> bool {
-        !self.cfg.sf_sites.is_empty()
-            && !fh.is_dir()
-            && !fh.is_symlink()
-            && offset < self.cfg.threshold
-            && offset + len > self.cfg.threshold
+    /// Routes a READ (`write == None`) or WRITE that reaches the bulk
+    /// region. The placement decides everything: the bytes below the
+    /// threshold (if any) form a head for the small-file server, and the
+    /// block map names the storage sites of the rest — one replica of a
+    /// mirror for a read, every live replica for a write, shard legs for
+    /// a coded stripe.
+    ///
+    /// Plain and mirrored legs carry the client's xid and, unless the
+    /// request straddles the threshold, are the client's own packet
+    /// re-addressed in place: the payload is neither copied nor
+    /// re-encoded. A straddling request is re-encoded as head + tail and
+    /// the replies are reassembled under the shared xid.
+    #[allow(clippy::too_many_arguments)]
+    fn route_bulk(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<ProxyOut>,
+        pkt: Packet,
+        xid: u32,
+        fh: Fhandle,
+        offset: u64,
+        len: u32,
+        write: Option<(Vec<u8>, StableHow)>,
+    ) {
+        let (file, client_src) = (fh.file_id(), pkt.src);
+        let end = offset + u64::from(len);
+        let lo = if self.cfg.sf_sites.is_empty() {
+            offset
+        } else {
+            offset.max(self.cfg.threshold)
+        };
+        let t_soft = self.phase_start();
+        let geom = self.coded_geom(&fh).filter(|_| len > 0);
+        let blocks = match &geom {
+            Some(g) => {
+                // A client retransmission of the parent xid restarts the op.
+                self.abort_coded(now, out, xid);
+                g.stripe_of(lo)..=g.stripe_of(end - 1)
+            }
+            None => lo / self.cfg.stripe_unit..=lo / self.cfg.stripe_unit,
+        };
+        let mut site_lists = match self.block_sites(out, &fh, blocks) {
+            Ok(lists) => lists,
+            Err(block) => {
+                self.map_waiters.entry((file, block)).or_default().push(pkt);
+                return;
+            }
+        };
+        if let Some(geom) = geom {
+            self.coded_route(
+                now, out, pkt, xid, fh, offset, len, lo, write, site_lists, geom,
+            );
+            self.phases.soft_ns += Self::elapsed_ns(t_soft);
+            return;
+        }
+        self.phases.soft_ns += Self::elapsed_ns(t_soft);
+        let sites = site_lists.pop().expect("one block");
+        let targets = match &write {
+            None => vec![self.pick_read_site(out, file, &sites, lo, xid)],
+            Some(_) => match self.degrade_gate(out, &pkt, xid, file, lo, end - lo, sites) {
+                Some(live) => live,
+                None => return,
+            },
+        };
+        let t3 = self.phase_start();
+        let proc = if write.is_some() {
+            NfsProc::Write
+        } else {
+            NfsProc::Read
+        };
+        let mut merge = None;
+        if lo > offset {
+            let cut = (lo - offset) as usize;
+            let (head, tail) = match write {
+                Some((data, stable)) => {
+                    merge = Some(MergeState::Write { total: len });
+                    let part = |offset, data: &[u8]| NfsRequest::Write {
+                        fh,
+                        offset,
+                        stable,
+                        data: data.to_vec(),
+                    };
+                    (part(offset, &data[..cut]), part(lo, &data[cut..]))
+                }
+                None => {
+                    merge = Some(MergeState::Read {
+                        split: lo,
+                        low: None,
+                        high: None,
+                    });
+                    let part = |offset, count| NfsRequest::Read { fh, offset, count };
+                    (part(offset, cut as u32), part(lo, (end - lo) as u32))
+                }
+            };
+            let head = encode_call(xid, &self.cred, &head);
+            out.push(ProxyOut::Net(Packet::new(
+                client_src,
+                self.sf_dest(file),
+                head,
+            )));
+            for &site in &targets {
+                let tail = encode_call(xid, &self.cred, &tail);
+                let dst = self.cfg.storage_sites[site as usize];
+                out.push(ProxyOut::Net(Packet::new(client_src, dst, tail)));
+            }
+            self.initiated += 1 + targets.len() as u64;
+        } else if write.is_some() {
+            // Mirrored writes go to every replica (µproxy duplicates the
+            // packet).
+            for &site in &targets {
+                let mut p = pkt.clone();
+                p.rewrite_dst(self.cfg.storage_sites[site as usize]);
+                out.push(ProxyOut::Net(p));
+            }
+        } else {
+            let mut p = pkt;
+            p.rewrite_dst(self.cfg.storage_sites[targets[0] as usize]);
+            out.push(ProxyOut::Net(p));
+        }
+        self.phases.rewrite_ns += Self::elapsed_ns(t3);
+        let t4 = self.phase_start();
+        let fhid = Some(self.fhs.intern(&fh));
+        let mut rec = PendingReq::new(proc, fhid, offset, len, Class::Storage, client_src);
+        rec.remaining = targets.len() as u32 + u32::from(lo > offset);
+        rec.awaiting = targets;
+        rec.merge = merge;
+        self.pending.insert(xid, rec);
+        self.phases.soft_ns += Self::elapsed_ns(t4);
     }
 
     /// Replica choice for a mirrored read: alternate between the mirrors
@@ -1409,44 +1295,33 @@ impl Uproxy {
         offset: u64,
         xid: u32,
     ) -> u32 {
-        let block = offset / self.cfg.stripe_unit;
-        let warming = self
-            .warming_cache
-            .get(&(file, block))
-            .cloned()
-            .unwrap_or_default();
+        let stripe = offset / self.cfg.stripe_unit;
         let idx = if sites.len() > 1 {
-            let stripe = offset / self.cfg.stripe_unit;
-            let rotation = stripe / self.cfg.storage_sites.len() as u64;
             self.mirror_rr += 1;
+            let rotation = stripe / self.cfg.storage_sites.len() as u64;
             (rotation % sites.len() as u64) as usize
         } else {
             0
         };
         let preferred = sites[idx];
-        if !self.health[preferred as usize].suspected
-            && !self.site_retired(preferred)
-            && !warming.contains(&preferred)
-        {
-            return preferred;
-        }
-        for k in 1..sites.len() {
-            let cand = sites[(idx + k) % sites.len()];
-            if !self.health[cand as usize].suspected
-                && !self.site_retired(cand)
-                && !warming.contains(&cand)
-            {
-                self.read_failovers += 1;
-                out.push(ProxyOut::Trace(slice_obs::EventKind::ReadFailover {
-                    site: preferred as usize,
-                    xid: u64::from(xid),
-                }));
-                return cand;
-            }
-        }
+        let warming = self.warming_cache.get(&(file, stripe));
+        let usable = |s: u32| {
+            !self.health[s as usize].suspected
+                && !self.site_retired(s)
+                && !warming.is_some_and(|w| w.contains(&s))
+        };
+        let mut in_rotation = (0..sites.len()).map(|k| sites[(idx + k) % sites.len()]);
         // Every mirror suspected: route to the rotation choice anyway so
         // retransmissions keep exercising (and eventually clearing) it.
-        preferred
+        let chosen = in_rotation.find(|&s| usable(s)).unwrap_or(preferred);
+        if chosen != preferred {
+            self.read_failovers += 1;
+            out.push(ProxyOut::Trace(slice_obs::EventKind::ReadFailover {
+                site: preferred as usize,
+                xid: u64::from(xid),
+            }));
+        }
+        chosen
     }
 
     /// A commit is multisite when the file plausibly has data on storage
@@ -1498,25 +1373,12 @@ impl Uproxy {
             out.push(ProxyOut::Net(p));
             n += 1;
         }
-        let fhid = self.fhs.intern(&fh);
-        self.pending.insert(
-            xid,
-            PendingReq {
-                proc: NfsProc::Commit,
-                fh: Some(fhid),
-                offset: 0,
-                len: 0,
-                class: Class::Storage,
-                remaining: n,
-                absorb: false,
-                client_src,
-                intent,
-                awaiting,
-                merge: None,
-                push: None,
-                coded: None,
-            },
-        );
+        let fhid = Some(self.fhs.intern(&fh));
+        let mut rec = PendingReq::new(NfsProc::Commit, fhid, 0, 0, Class::Storage, client_src);
+        rec.remaining = n;
+        rec.intent = intent;
+        rec.awaiting = awaiting;
+        self.pending.insert(xid, rec);
     }
 
     /// Destination for non-bulk requests per the name-space policy.
@@ -1807,14 +1669,8 @@ impl Uproxy {
                         merged.body = slice_nfsproto::ReplyBody::Read { data, eof };
                     }
                 }
-                let p = Packet::new(
-                    self.cfg.virtual_addr,
-                    rec.client_src,
-                    slice_nfsproto::encode_reply(xid, &merged),
-                );
+                self.reply_to_client(&mut out, xid, rec.client_src, &merged);
                 self.phases.rewrite_ns += Self::elapsed_ns(t3);
-                self.replies_routed += 1;
-                out.push(ProxyOut::Client(p));
                 return out;
             }
         }
@@ -1839,14 +1695,8 @@ impl Uproxy {
                                 data.resize(expected, 0);
                                 *eof = rec.offset + expected as u64 >= attr.size;
                             }
-                            let p = Packet::new(
-                                self.cfg.virtual_addr,
-                                rec.client_src,
-                                slice_nfsproto::encode_reply(xid, &fixed),
-                            );
+                            self.reply_to_client(&mut out, xid, rec.client_src, &fixed);
                             self.phases.rewrite_ns += Self::elapsed_ns(t3);
-                            self.replies_routed += 1;
-                            out.push(ProxyOut::Client(p));
                             return out;
                         }
                     }

@@ -36,7 +36,7 @@
 
 use super::*;
 use slice_ec::{Codec, CodedLayout};
-use slice_nfsproto::{encode_reply, NfsReply, ReplyBody, StableHow};
+use slice_nfsproto::{NfsReply, ReplyBody};
 
 /// What a coded leg's reply means to its parent op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +109,9 @@ pub(crate) struct CodedOp {
 
 /// A planned leg, computed before any state is mutated.
 struct LegPlan {
-    site: u32,
+    /// Storage site, or `None` for the file's small-file server (the
+    /// below-threshold head of a straddling request).
+    site: Option<u32>,
     req: NfsRequest,
     role: CodedLegRole,
 }
@@ -122,56 +124,6 @@ impl Uproxy {
             return None;
         }
         Some(CodedLayout::new(n, k, self.cfg.stripe_unit))
-    }
-
-    /// True when `[offset, offset+len)` reaches the coded bulk region.
-    pub(crate) fn coded_touches_bulk(&self, offset: u64, len: u64) -> bool {
-        len > 0 && (self.cfg.sf_sites.is_empty() || offset + len > self.cfg.threshold)
-    }
-
-    /// The bulk sub-range of a request (at or above the threshold).
-    fn bulk_range(&self, offset: u64, len: u64) -> (u64, u64) {
-        let lo = if self.cfg.sf_sites.is_empty() {
-            offset
-        } else {
-            offset.max(self.cfg.threshold)
-        };
-        (lo, offset + len)
-    }
-
-    /// Placement sites for every stripe in `[first, last]`, or `None`
-    /// after emitting a `MapGet` and parking the packet on the miss.
-    fn coded_sites(
-        &mut self,
-        out: &mut Vec<ProxyOut>,
-        fh: &Fhandle,
-        pkt: &Packet,
-        first: u64,
-        last: u64,
-    ) -> Option<Vec<Vec<u32>>> {
-        let file = fh.file_id();
-        let mut all = Vec::new();
-        for b in first..=last {
-            match self.map_cache.get(&(file, b)) {
-                Some(s) => all.push(s.clone()),
-                None => {
-                    out.push(ProxyOut::Coord {
-                        site: self.coord_site(file),
-                        msg: CoordMsg::MapGet {
-                            file,
-                            first_block: b - b % 16,
-                            count: 16,
-                        },
-                    });
-                    self.map_waiters
-                        .entry((file, b))
-                        .or_default()
-                        .push(pkt.clone());
-                    return None;
-                }
-            }
-        }
-        Some(all)
     }
 
     /// Takes the per-(file, stripe) locks for `xid`, or parks the packet
@@ -234,92 +186,52 @@ impl Uproxy {
         self.unlock_stripes(now, out, xid);
     }
 
-    /// Issues one storage leg of a coded op.
+    /// Issues one leg of a coded op under a µproxy-owned xid.
     fn send_leg(&mut self, out: &mut Vec<ProxyOut>, parent: u32, fh: Fhandle, plan: &LegPlan) {
         let xid = self.next_own_xid;
         self.next_own_xid = self.next_own_xid.wrapping_add(1);
-        let payload = encode_call(xid, &self.cred, &plan.req);
-        let pkt = Packet::new(
-            self.cfg.client_addr,
-            self.cfg.storage_sites[plan.site as usize],
-            payload,
-        );
+        let (dst, class) = match plan.site {
+            Some(site) => (self.cfg.storage_sites[site as usize], Class::Storage),
+            None => (self.sf_dest(fh.file_id()), Class::SmallFile),
+        };
+        let own = self.cfg.client_addr;
+        let pkt = Packet::new(own, dst, encode_call(xid, &self.cred, &plan.req));
         let (proc, offset, len) = match &plan.req {
             NfsRequest::Read { offset, count, .. } => (NfsProc::Read, *offset, *count),
             NfsRequest::Write { offset, data, .. } => (NfsProc::Write, *offset, data.len() as u32),
             _ => unreachable!("coded legs are reads and writes"),
         };
-        let fhid = self.fhs.intern(&fh);
-        self.pending.insert(
-            xid,
-            PendingReq {
-                proc,
-                fh: Some(fhid),
-                offset,
-                len,
-                class: Class::Storage,
-                remaining: 1,
-                absorb: false,
-                client_src: self.cfg.client_addr,
-                intent: None,
-                awaiting: vec![plan.site],
-                merge: None,
-                push: None,
-                coded: Some((parent, plan.role)),
-            },
-        );
+        let fhid = Some(self.fhs.intern(&fh));
+        let mut rec = PendingReq::new(proc, fhid, offset, len, class, own);
+        rec.awaiting = plan.site.into_iter().collect();
+        rec.coded = Some((parent, plan.role));
+        self.pending.insert(xid, rec);
         self.initiated += 1;
         if let Some(op) = self.coded_ops.get_mut(&parent) {
-            op.outstanding += 1;
-            op.awaiting.push(plan.site);
+            match plan.site {
+                Some(site) => {
+                    op.outstanding += 1;
+                    op.awaiting.push(site);
+                }
+                None => op.sf_outstanding = true,
+            }
             op.leg_xids.push(xid);
         }
         out.push(ProxyOut::Net(pkt));
     }
 
-    /// Issues the below-threshold half of a straddling coded request to
-    /// its small-file server.
-    fn send_sf_leg(&mut self, out: &mut Vec<ProxyOut>, parent: u32, fh: Fhandle, req: &NfsRequest) {
-        let xid = self.next_own_xid;
-        self.next_own_xid = self.next_own_xid.wrapping_add(1);
-        let payload = encode_call(xid, &self.cred, req);
-        let pkt = Packet::new(self.cfg.client_addr, self.sf_dest(fh.file_id()), payload);
-        let (proc, offset, len) = match req {
-            NfsRequest::Read { offset, count, .. } => (NfsProc::Read, *offset, *count),
-            NfsRequest::Write { offset, data, .. } => (NfsProc::Write, *offset, data.len() as u32),
-            _ => unreachable!("sf legs are reads and writes"),
-        };
-        let fhid = self.fhs.intern(&fh);
-        self.pending.insert(
-            xid,
-            PendingReq {
-                proc,
-                fh: Some(fhid),
-                offset,
-                len,
-                class: Class::SmallFile,
-                remaining: 1,
-                absorb: false,
-                client_src: self.cfg.client_addr,
-                intent: None,
-                awaiting: Vec::new(),
-                merge: None,
-                push: None,
-                coded: Some((parent, CodedLegRole::SmallFile)),
-            },
-        );
-        self.initiated += 1;
-        if let Some(op) = self.coded_ops.get_mut(&parent) {
-            op.sf_outstanding = true;
-            op.leg_xids.push(xid);
-        }
-        out.push(ProxyOut::Net(pkt));
-    }
-
-    /// Routes a coded bulk/straddling WRITE: stripes the payload into
-    /// (n,k) shard legs, read-modify-writing partial stripes.
+    /// Routes the coded part `[blo, offset+len)` of a READ (`write ==
+    /// None`) or WRITE over the stripes whose placements `site_lists`
+    /// names, as µproxy-owned shard legs:
+    ///
+    /// * a read takes per-shard legs at natural offsets, or — when a
+    ///   needed shard's site is suspected and k others are not — gathers
+    ///   k survivor windows and reconstructs through parity;
+    /// * a write stripes the payload into (n,k) shard legs, first
+    ///   gathering and decoding the old contents of partial stripes
+    ///   (read-modify-write).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn coded_write(
+    pub(crate) fn coded_route(
         &mut self,
         now: SimTime,
         out: &mut Vec<ProxyOut>,
@@ -327,134 +239,203 @@ impl Uproxy {
         xid: u32,
         fh: Fhandle,
         offset: u64,
-        data: Vec<u8>,
-        stable: StableHow,
+        len: u32,
+        blo: u64,
+        write: Option<(Vec<u8>, StableHow)>,
+        site_lists: Vec<Vec<u32>>,
+        geom: CodedLayout,
     ) {
-        let geom = self.coded_geom(&fh).expect("guarded by route_call");
-        let (n, k) = (geom.n as usize, geom.k as usize);
-        // A client retransmission of the parent xid restarts the op.
-        self.abort_coded(now, out, xid);
-        let (blo, bhi) = self.bulk_range(offset, data.len() as u64);
-        let (first, last) = (geom.stripe_of(blo), geom.stripe_of(bhi - 1));
-        let Some(site_lists) = self.coded_sites(out, &fh, &pkt, first, last) else {
-            return;
-        };
+        let k = geom.k as usize;
         let file = fh.file_id();
-        let stripe_ids: Vec<u64> = (first..=last).collect();
-        if !self.lock_stripes(file, &stripe_ids, xid, &pkt) {
-            return;
-        }
-        let mut union: Vec<u32> = Vec::new();
-        for sl in &site_lists {
-            for &s in sl {
+        let bhi = offset + u64::from(len);
+        let blen = bhi - blo;
+        let first = geom.stripe_of(blo);
+        let is_write = write.is_some();
+        // The sites the op may route to. A write takes every stripe lock
+        // first (its parity update reads shards it does not overwrite)
+        // and degrades to the DirtyAck-approved live set.
+        let live: Vec<u32> = if is_write {
+            let ids: Vec<u64> = (first..first + site_lists.len() as u64).collect();
+            if !self.lock_stripes(file, &ids, xid, &pkt) {
+                return;
+            }
+            let mut union: Vec<u32> = Vec::new();
+            for &s in site_lists.iter().flatten() {
                 if !union.contains(&s) {
                     union.push(s);
                 }
             }
-        }
-        // With fewer than k live shards in some stripe there is nothing to
-        // degrade to: route everywhere so retransmissions keep probing.
-        let fallback = site_lists.iter().any(|sl| {
-            let live = sl
-                .iter()
-                .filter(|&&s| !self.health[s as usize].suspected)
-                .count();
-            live < k
-        });
-        let live = if fallback {
-            union
+            // With fewer than k live shards in some stripe there is
+            // nothing to degrade to: route everywhere so retransmissions
+            // keep probing.
+            let fallback = site_lists.iter().any(|sl| {
+                sl.iter()
+                    .filter(|&&s| !self.health[s as usize].suspected)
+                    .count()
+                    < k
+            });
+            if fallback {
+                union
+            } else {
+                match self.degrade_gate(out, &pkt, xid, file, blo, blen, union) {
+                    Some(live) => live,
+                    // Parked awaiting DirtyAck; locks stay held so no
+                    // other write can slip in ahead of the logged ranges.
+                    None => return,
+                }
+            }
         } else {
-            match self.degrade_gate(out, &pkt, xid, file, blo, bhi - blo, union) {
-                Some(l) => l,
-                // Parked awaiting DirtyAck; locks stay held so no other
-                // write can slip in ahead of the logged ranges.
-                None => return,
+            site_lists.iter().flatten().copied().collect()
+        };
+        // Plan each stripe before mutating op state. A gather reads the
+        // hull window from the first k usable shards.
+        let usable = |site: u32| {
+            if is_write {
+                live.contains(&site)
+            } else {
+                !self.health[site as usize].suspected
             }
         };
-        let blen = bhi - blo;
         let mut stripes = Vec::new();
-        for (i, &s) in stripe_ids.iter().enumerate() {
-            let full = blo <= s * geom.stripe_unit && bhi >= (s + 1) * geom.stripe_unit;
-            let (lo, hi) = geom.parity_window(s, blo, blen);
-            stripes.push(CodedStripe {
-                s,
-                sites: site_lists[i].clone(),
-                lo,
-                hi,
-                gather: !full && k > 1,
-                got: vec![None; n],
-            });
-        }
-        self.coded_writes += 1;
-        let needs_gather = stripes.iter().any(|st| st.gather);
-        // Plan the gather legs before mutating op state: the hull window
-        // of the first k live shards of each partial stripe.
         let mut plans = Vec::new();
-        for (i, st) in stripes.iter().enumerate() {
-            if !st.gather {
-                continue;
-            }
-            let wlen = (st.hi - st.lo) as u32;
-            let mut picked = 0;
-            for (idx, &site) in st.sites.iter().enumerate() {
-                if picked == k {
-                    break;
-                }
-                if !live.contains(&site) {
-                    continue;
-                }
-                plans.push(LegPlan {
-                    site,
+        let mut failovers = Vec::new();
+        for (i, sites) in site_lists.into_iter().enumerate() {
+            let s = first + i as u64;
+            let (lo, hi) = geom.parity_window(s, blo, blen);
+            let needed: Vec<(u32, u64, u64)> = (0..geom.k)
+                .filter_map(|j| {
+                    let (a, b) = geom.data_window(s, j, blo, blen);
+                    (a < b).then_some((j, a, b))
+                })
+                .collect();
+            let gather = if is_write {
+                let full = blo <= s * geom.stripe_unit && bhi >= (s + 1) * geom.stripe_unit;
+                !full && k > 1
+            } else {
+                let lost = needed
+                    .iter()
+                    .map(|&(j, _, _)| sites[j as usize])
+                    .find(|&x| !usable(x));
+                let survivors = sites.iter().filter(|&&x| usable(x)).count();
+                let lost = lost.filter(|_| survivors >= k);
+                failovers.extend(lost);
+                lost.is_some()
+            };
+            if gather {
+                let picked = sites.iter().enumerate().filter(|&(_, &x)| usable(x));
+                plans.extend(picked.take(k).map(|(idx, &site)| LegPlan {
+                    site: Some(site),
                     req: NfsRequest::Read {
                         fh,
-                        offset: geom.shard_obj_offset(st.s, idx as u32, st.lo),
-                        count: wlen,
+                        offset: geom.shard_obj_offset(s, idx as u32, lo),
+                        count: (hi - lo) as u32,
                     },
                     role: CodedLegRole::Gather {
                         stripe: i as u32,
                         shard: idx as u32,
                     },
-                });
-                picked += 1;
+                }));
+            } else if !is_write {
+                // Clean (or <k survivors: route to the suspected shard
+                // anyway so retransmissions keep probing it).
+                plans.extend(needed.iter().map(|&(j, a, b)| LegPlan {
+                    site: Some(sites[j as usize]),
+                    req: NfsRequest::Read {
+                        fh,
+                        offset: geom.shard_obj_offset(s, j, a),
+                        count: (b - a) as u32,
+                    },
+                    role: CodedLegRole::Data {
+                        stripe: i as u32,
+                        shard: j,
+                    },
+                }));
+            }
+            stripes.push(CodedStripe {
+                s,
+                sites,
+                lo,
+                hi,
+                gather,
+                got: vec![None; geom.n as usize],
+            });
+        }
+        let gathering: Vec<u64> = stripes
+            .iter()
+            .filter(|st| st.gather)
+            .map(|st| st.s)
+            .collect();
+        if is_write {
+            self.coded_writes += 1;
+        } else {
+            // Decoding mixes windows of several shards: hold the stripe
+            // locks so a concurrent read-modify-write cannot tear the
+            // reconstruction.
+            if !gathering.is_empty() && !self.lock_stripes(file, &gathering, xid, &pkt) {
+                return;
+            }
+            self.coded_reads += 1;
+            self.ec_degraded_reads += failovers.len() as u64;
+            for site in failovers {
+                self.read_failovers += 1;
+                out.push(ProxyOut::Trace(slice_obs::EventKind::ReadFailover {
+                    site: site as usize,
+                    xid: u64::from(xid),
+                }));
             }
         }
-        let low = (blo > offset).then(|| NfsRequest::Write {
+        let (data, stable) = write.unwrap_or((Vec::new(), StableHow::Unstable));
+        if blo > offset {
+            let cut = (blo - offset) as usize;
+            let head = if is_write {
+                NfsRequest::Write {
+                    fh,
+                    offset,
+                    stable,
+                    data: data[..cut].to_vec(),
+                }
+            } else {
+                NfsRequest::Read {
+                    fh,
+                    offset,
+                    count: cut as u32,
+                }
+            };
+            plans.insert(
+                0,
+                LegPlan {
+                    site: None,
+                    req: head,
+                    role: CodedLegRole::SmallFile,
+                },
+            );
+        }
+        let op = CodedOp {
             fh,
             offset,
+            len,
+            blo,
+            bhi,
+            write: is_write,
             stable,
-            data: data[..(blo - offset) as usize].to_vec(),
-        });
-        self.coded_ops.insert(
-            xid,
-            CodedOp {
-                fh,
-                offset,
-                len: data.len() as u32,
-                blo,
-                bhi,
-                write: true,
-                stable,
-                data,
-                client_src: pkt.src,
-                stripes,
-                live,
-                outstanding: 0,
-                awaiting: Vec::new(),
-                leg_xids: Vec::new(),
-                sf_data: None,
-                sf_outstanding: false,
-                template: None,
-                reads: Vec::new(),
-                phase: 0,
-            },
-        );
-        if let Some(low) = low {
-            self.send_sf_leg(out, xid, fh, &low);
-        }
+            data,
+            client_src: pkt.src,
+            stripes,
+            live,
+            outstanding: 0,
+            awaiting: Vec::new(),
+            leg_xids: Vec::new(),
+            sf_data: None,
+            sf_outstanding: false,
+            template: None,
+            reads: Vec::new(),
+            phase: u8::from(!is_write),
+        };
+        self.coded_ops.insert(xid, op);
         for plan in &plans {
             self.send_leg(out, xid, fh, plan);
         }
-        if !needs_gather {
+        if is_write && gathering.is_empty() {
             self.coded_write_phase1(now, out, xid);
         }
     }
@@ -463,39 +444,29 @@ impl Uproxy {
     /// overlays the client bytes on the (decoded or direct) old data,
     /// re-encodes parity, and writes every touched live shard window.
     fn coded_write_phase1(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, xid: u32) {
-        let (fh, offset, blo, bhi, stable, live, stripes, data) = {
-            let Some(op) = self.coded_ops.get_mut(&xid) else {
-                return;
-            };
-            op.phase = 1;
-            (
-                op.fh,
-                op.offset,
-                op.blo,
-                op.bhi,
-                op.stable,
-                op.live.clone(),
-                op.stripes.clone(),
-                std::mem::take(&mut op.data),
-            )
+        let Some(op) = self.coded_ops.get_mut(&xid) else {
+            return;
         };
+        op.phase = 1;
+        let data = std::mem::take(&mut op.data);
+        let op = &self.coded_ops[&xid];
+        let (fh, offset, blo, bhi, stable) = (op.fh, op.offset, op.blo, op.bhi, op.stable);
         let geom = self.coded_geom(&fh).expect("op exists only when coded");
         let (n, k) = (geom.n as usize, geom.k as usize);
         let codec = Codec::new(n, k);
         let blen = bhi - blo;
         let mut plans = Vec::new();
-        for st in &stripes {
+        let mut torn = false;
+        for st in &op.stripes {
             let wlen = (st.hi - st.lo) as usize;
             // Old data windows over the hull, one per data shard.
             let mut datw: Vec<Vec<u8>> = if st.gather {
                 let slots: Vec<Option<&[u8]>> = st.got.iter().map(|g| g.as_deref()).collect();
                 match codec.decode(&slots) {
                     Some(w) => w,
-                    // Unreachable with k gathered windows; drop the op and
-                    // let the client's retransmission restart it.
                     None => {
-                        self.abort_coded(now, out, xid);
-                        return;
+                        torn = true;
+                        break;
                     }
                 }
             } else if blo <= st.s * geom.stripe_unit && bhi >= (st.s + 1) * geom.stripe_unit {
@@ -523,202 +494,42 @@ impl Uproxy {
                 }
             }
             let refs: Vec<&[u8]> = datw.iter().map(|w| w.as_slice()).collect();
-            for p in 0..(n - k) {
-                let site = st.sites[k + p];
-                if !live.contains(&site) {
-                    continue;
-                }
+            // One write leg per touched window of a live shard.
+            let live = |idx: usize| op.live.contains(&st.sites[idx]);
+            let mut leg = |idx: usize, pos: u64, data: Vec<u8>| {
                 plans.push(LegPlan {
-                    site,
+                    site: Some(st.sites[idx]),
                     req: NfsRequest::Write {
                         fh,
-                        offset: geom.shard_obj_offset(st.s, (k + p) as u32, st.lo),
+                        offset: geom.shard_obj_offset(st.s, idx as u32, pos),
                         stable,
-                        data: codec.parity_row(p, &refs),
+                        data,
                     },
                     role: CodedLegRole::WriteAck,
-                });
-            }
-            for (j, w) in datw.iter().enumerate() {
-                let (a, b) = geom.data_window(st.s, j as u32, blo, blen);
-                if a < b && live.contains(&st.sites[j]) {
-                    plans.push(LegPlan {
-                        site: st.sites[j],
-                        req: NfsRequest::Write {
-                            fh,
-                            offset: geom.shard_obj_offset(st.s, j as u32, a),
-                            stable,
-                            data: w[(a - st.lo) as usize..(b - st.lo) as usize].to_vec(),
-                        },
-                        role: CodedLegRole::WriteAck,
-                    });
-                }
-            }
-        }
-        for plan in &plans {
-            self.send_leg(out, xid, fh, plan);
-        }
-        let done = self
-            .coded_ops
-            .get(&xid)
-            .is_some_and(|op| op.outstanding == 0 && !op.sf_outstanding);
-        if done {
-            self.coded_finish(now, out, xid);
-        }
-    }
-
-    /// Routes a coded bulk/straddling READ: per-shard legs at natural
-    /// offsets, reconstructing through parity when a needed site is
-    /// suspected.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn coded_read(
-        &mut self,
-        now: SimTime,
-        out: &mut Vec<ProxyOut>,
-        pkt: Packet,
-        xid: u32,
-        fh: Fhandle,
-        offset: u64,
-        count: u32,
-    ) {
-        let geom = self.coded_geom(&fh).expect("guarded by route_call");
-        let k = geom.k as usize;
-        self.abort_coded(now, out, xid);
-        let (blo, bhi) = self.bulk_range(offset, u64::from(count));
-        let (first, last) = (geom.stripe_of(blo), geom.stripe_of(bhi - 1));
-        let Some(site_lists) = self.coded_sites(out, &fh, &pkt, first, last) else {
-            return;
-        };
-        let file = fh.file_id();
-        let blen = bhi - blo;
-        // Plan each stripe: clean per-shard legs, or a gather-and-decode
-        // when a needed shard's site is suspected and k survivors exist.
-        let mut stripes = Vec::new();
-        let mut plans = Vec::new();
-        let mut gather_stripes = Vec::new();
-        let mut failovers = Vec::new();
-        for (i, s) in (first..=last).enumerate() {
-            let sites = &site_lists[i];
-            let live: Vec<u32> = sites
-                .iter()
-                .copied()
-                .filter(|&x| !self.health[x as usize].suspected)
-                .collect();
-            let mut needed = Vec::new();
-            for j in 0..k as u32 {
-                let (a, b) = geom.data_window(s, j, blo, blen);
-                if a < b {
-                    needed.push((j, a, b));
-                }
-            }
-            let degraded_site = needed
-                .iter()
-                .find(|&&(j, _, _)| !live.contains(&sites[j as usize]))
-                .map(|&(j, _, _)| sites[j as usize]);
-            let gather = degraded_site.is_some() && live.len() >= k;
-            let (lo, hi) = geom.parity_window(s, blo, blen);
-            if gather {
-                let wlen = (hi - lo) as u32;
-                let mut picked = 0;
-                for (idx, &site) in sites.iter().enumerate() {
-                    if picked == k {
-                        break;
-                    }
-                    if !live.contains(&site) {
-                        continue;
-                    }
-                    plans.push(LegPlan {
-                        site,
-                        req: NfsRequest::Read {
-                            fh,
-                            offset: geom.shard_obj_offset(s, idx as u32, lo),
-                            count: wlen,
-                        },
-                        role: CodedLegRole::Gather {
-                            stripe: i as u32,
-                            shard: idx as u32,
-                        },
-                    });
-                    picked += 1;
-                }
-                gather_stripes.push(s);
-                failovers.push(degraded_site.unwrap_or_default());
-            } else {
-                // Clean (or <k survivors: route to the suspected shard
-                // anyway so retransmissions keep probing it).
-                for &(j, a, b) in &needed {
-                    plans.push(LegPlan {
-                        site: sites[j as usize],
-                        req: NfsRequest::Read {
-                            fh,
-                            offset: geom.shard_obj_offset(s, j, a),
-                            count: (b - a) as u32,
-                        },
-                        role: CodedLegRole::Data {
-                            stripe: i as u32,
-                            shard: j,
-                        },
-                    });
-                }
-            }
-            stripes.push(CodedStripe {
-                s,
-                sites: sites.clone(),
-                lo,
-                hi,
-                gather,
-                got: vec![None; geom.n as usize],
-            });
-        }
-        // Decoding mixes windows of several shards: hold the stripe locks
-        // so a concurrent read-modify-write cannot tear the reconstruction.
-        if !gather_stripes.is_empty() && !self.lock_stripes(file, &gather_stripes, xid, &pkt) {
-            return;
-        }
-        self.coded_reads += 1;
-        self.ec_degraded_reads += failovers.len() as u64;
-        for site in failovers {
-            self.read_failovers += 1;
-            out.push(ProxyOut::Trace(slice_obs::EventKind::ReadFailover {
-                site: site as usize,
-                xid: u64::from(xid),
-            }));
-        }
-        let live_union: Vec<u32> = site_lists.iter().flatten().copied().collect();
-        self.coded_ops.insert(
-            xid,
-            CodedOp {
-                fh,
-                offset,
-                len: count,
-                blo,
-                bhi,
-                write: false,
-                stable: StableHow::Unstable,
-                data: Vec::new(),
-                client_src: pkt.src,
-                stripes,
-                live: live_union,
-                outstanding: 0,
-                awaiting: Vec::new(),
-                leg_xids: Vec::new(),
-                sf_data: None,
-                sf_outstanding: false,
-                template: None,
-                reads: Vec::new(),
-                phase: 1,
-            },
-        );
-        if blo > offset {
-            let low = NfsRequest::Read {
-                fh,
-                offset,
-                count: (blo - offset) as u32,
+                })
             };
-            self.send_sf_leg(out, xid, fh, &low);
+            for p in (0..n - k).filter(|&p| live(k + p)) {
+                leg(k + p, st.lo, codec.parity_row(p, &refs));
+            }
+            for (j, w) in datw.iter().enumerate().filter(|&(j, _)| live(j)) {
+                let (a, b) = geom.data_window(st.s, j as u32, blo, blen);
+                if a < b {
+                    leg(j, a, w[(a - st.lo) as usize..(b - st.lo) as usize].to_vec());
+                }
+            }
+        }
+        if torn {
+            // Unreachable with k gathered windows; drop the op and let the
+            // client's retransmission restart it.
+            self.abort_coded(now, out, xid);
+            return;
         }
         for plan in &plans {
             self.send_leg(out, xid, fh, plan);
+        }
+        let op = &self.coded_ops[&xid];
+        if op.outstanding == 0 && !op.sf_outstanding {
+            self.coded_finish(now, out, xid);
         }
     }
 
@@ -758,15 +569,8 @@ impl Uproxy {
                 NfsProc::Read
             };
             let client = op.client_src;
-            let status = reply.status;
             self.abort_coded(now, out, parent);
-            let p = Packet::new(
-                self.cfg.virtual_addr,
-                client,
-                encode_reply(parent, &NfsReply::error(proc, status)),
-            );
-            self.replies_routed += 1;
-            out.push(ProxyOut::Client(p));
+            self.reply_to_client(out, parent, client, &NfsReply::error(proc, reply.status));
             return;
         }
         match role {
@@ -905,13 +709,7 @@ impl Uproxy {
         if let Some(attr) = self.attrs.get(op.fh.file_id()) {
             reply.attr = Some(attr);
         }
-        let p = Packet::new(
-            self.cfg.virtual_addr,
-            op.client_src,
-            encode_reply(xid, &reply),
-        );
-        self.replies_routed += 1;
-        out.push(ProxyOut::Client(p));
+        self.reply_to_client(out, xid, op.client_src, &reply);
         for e in evicted {
             self.push_attrs(out, &e);
         }

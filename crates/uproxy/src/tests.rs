@@ -1034,3 +1034,65 @@ fn hot_trackers_count_and_age_out() {
     );
     assert_eq!(u.hot_files(1), vec![(9, 1)], "stale window must age out");
 }
+
+/// `(dst, checksum, FNV-1a of the payload)` of every packet the µproxy
+/// emits for `req`, in emission order.
+fn emitted(c: &ProxyConfig, xid: u32, req: &NfsRequest) -> Vec<(SockAddr, u16, u64)> {
+    let mut u = Uproxy::new(c.clone());
+    let out = u.outbound(t(0), call_pkt(c, xid, req));
+    net_pkts(&out)
+        .into_iter()
+        .inspect(|p| assert!(p.verify() && p.src == c.client_addr))
+        .map(|p| (p.dst, p.checksum, slice_hashes::fnv1a(&p.payload)))
+        .collect()
+}
+
+/// Pins the bulk planner's legs byte for byte (destination, checksum,
+/// payload digest — reference values from commit 6f849b5). A straddling
+/// request is re-encoded as head + tail (one tail per replica for a
+/// write); a non-straddling one is the client's own packet re-addressed
+/// in place.
+#[test]
+fn bulk_planner_emits_golden_mirrored_legs() {
+    let c = cfg();
+    let (sf, node) = (c.sf_sites[0], |i: usize| c.storage_sites[i]);
+    let mirrored = fh(80, FH_FLAG_MIRRORED);
+    let data: Vec<u8> = (0..32 * 1024).map(|i| (i % 251) as u8).collect();
+    let write = |offset| NfsRequest::Write {
+        fh: mirrored,
+        offset,
+        stable: StableHow::FileSync,
+        data: data.clone(),
+    };
+    let read = |offset| NfsRequest::Read {
+        fh: mirrored,
+        offset,
+        count: 32 * 1024,
+    };
+    assert_eq!(
+        emitted(&c, 11, &write(48 * 1024)),
+        vec![
+            (sf, 28603, 0x8a2c_b102_cd4f_2787),
+            (node(2), 18150, 0xe5bd_25f3_8347_2e55),
+            (node(3), 18149, 0xe5bd_25f3_8347_2e55),
+        ]
+    );
+    assert_eq!(
+        emitted(&c, 12, &write(128 * 1024)),
+        vec![
+            (node(3), 7875, 0x8858_738c_f633_55f6),
+            (node(0), 7878, 0x8858_738c_f633_55f6),
+        ]
+    );
+    assert_eq!(
+        emitted(&c, 13, &read(48 * 1024)),
+        vec![
+            (sf, 31991, 0x8288_fe13_ea28_69a5),
+            (node(2), 11509, 0x2fb4_a8bc_0f1a_d60a),
+        ]
+    );
+    assert_eq!(
+        emitted(&c, 14, &read(128 * 1024)),
+        vec![(node(3), 4613, 0xdedf_da2c_ff6a_d3b8)]
+    );
+}

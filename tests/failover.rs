@@ -553,6 +553,45 @@ fn degraded_write_resyncs_and_recovered_mirror_serves_reads() {
     assert!(after > before, "the recovered mirror must serve reads");
 }
 
+/// Two mirrored writers in lockstep issue degraded writes with equal RPC
+/// xids (every client numbers from 1). Both clients' missed ranges must
+/// reach the dirty log, or the recovered mirror keeps stale bytes forever.
+#[test]
+fn lockstep_writers_with_equal_xids_both_resync() {
+    use slice::core::actors::CoordActor;
+    use slice::workloads::BulkIo;
+
+    let cfg = SliceConfig {
+        clients: 2,
+        ..Default::default()
+    };
+    let total = 8 * 1024 * 1024u64;
+    let writers: Vec<Box<dyn slice::core::Workload>> = vec![
+        Box::new(BulkIo::writer("lock0", total, true)),
+        Box::new(BulkIo::writer("lock1", total, true)),
+    ];
+    let mut ens = SliceEnsemble::build(&cfg, writers);
+    ens.start();
+    ens.engine
+        .run_until(ens.engine.now() + SimDuration::from_millis(50));
+    ens.engine.fail_node(ens.storage[0]);
+    ens.run_to_completion(deadline());
+    assert!((0..2).all(|i| ens.client(i).finished()));
+
+    ens.recover_storage_node(0);
+    ens.engine
+        .run_until(ens.engine.now() + SimDuration::from_secs(30));
+    for &c in &ens.coords {
+        let coord = &ens.engine.actor::<CoordActor>(c).coord;
+        assert_eq!(coord.dirty_ranges(), 0, "resync must drain the log");
+    }
+    let violations = slice::check::state::check_mirror_convergence(&ens);
+    assert!(
+        violations.is_empty(),
+        "both writers' mirrors must converge: {violations:?}"
+    );
+}
+
 /// The chaos schedule pool (datagram duplication, bounded reordering,
 /// storage/coordinator crashes, loss) passes every oracle, and two
 /// processes produce identical outcomes.

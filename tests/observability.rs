@@ -129,6 +129,13 @@ fn registry_folds_component_stats() {
     // Phase timing is off in simulation: zeros, deterministically.
     assert_eq!(reg.counter("client.0.uproxy.phase.intercept_ns"), 0);
     assert!(reg.counter("client.0.uproxy.phase.packets") > 0);
+    // WAL exports carry what their names say: group commit folds appends
+    // into batches, and every record has a size.
+    for p in ["dirsvc.0", "coord.0"] {
+        let wal = |k: &str| reg.counter(&format!("{p}.wal.{k}"));
+        assert!(wal("batches") > 0, "{p} must have logged");
+        assert!(wal("batches") <= wal("appends") && wal("appends") <= wal("bytes"));
+    }
     // Completed-op latencies landed in the histogram.
     let h = reg
         .histogram("client.op_latency_ns")

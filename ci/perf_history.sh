@@ -1,0 +1,63 @@
+#!/usr/bin/env bash
+# The committed performance trajectory: one JSON row per PR in
+# ci/perf_history.jsonl (ROADMAP item 1).
+#
+#   ci/perf_history.sh <result-set-dir> [commit]
+#       appends one row built from a `benchmark/run.sh --out <dir>` result
+#       set: the commit (default: HEAD's short hash), the date, the host's
+#       core count, the seed, and per workload the six end-to-end values
+#       plus the three counts that say the simulated work did not change
+#       (sim.engine.events, sim.net.packets, sim.net.bytes)
+#   ci/perf_history.sh --check
+#       verifies that every line of the history parses as JSON and holds
+#       every required key (CI runs this)
+#
+# Host-clock values (setup_s, host_s, host_peak_rss_mb) depend on the
+# machine: compare rows only where `nproc` and the runner match, and
+# treat them as a curve, not a gate. The sim_* values and the counts are
+# exact for a given seed on any machine.
+set -euo pipefail
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+history="$root/ci/perf_history.jsonl"
+
+if [ "${1:-}" = "--check" ]; then
+    exec python3 - "$history" <<'EOF'
+import json, sys
+
+WORKLOADS = ["untar_meta", "bulk_mirror", "sfs_mix", "repair_mix"]
+VALUES = ["setup_s", "host_s", "host_peak_rss_mb", "sim_ops_per_s", "sim_op_mean_ms",
+          "sim_op_p99_ms", "sim.engine.events", "sim.net.packets", "sim.net.bytes"]
+rows = 0
+for n, line in enumerate(open(sys.argv[1]), 1):
+    row = json.loads(line)
+    for key in ["commit", "date", "nproc", "seed", "workloads"]:
+        assert key in row, f"line {n}: no {key!r}"
+    for w in WORKLOADS:
+        for v in VALUES:
+            assert isinstance(row["workloads"][w][v], (int, float)), f"line {n}: {w}.{v}"
+    rows += 1
+assert rows > 0, "empty history"
+print(f"perf_history: {rows} rows ok")
+EOF
+fi
+
+set_dir="${1:?usage: ci/perf_history.sh <result-set-dir> [commit] | --check}"
+commit="${2:-$(git -C "$root" rev-parse --short HEAD)}"
+
+python3 - "$set_dir" "$commit" "$(date -u +%F)" >>"$history" <<'EOF'
+import json, sys
+
+set_dir, commit, date = sys.argv[1:4]
+row = {"commit": commit, "date": date, "nproc": None, "seed": None, "workloads": {}}
+value = lambda m: m["value"] if isinstance(m, dict) else m
+for w in ["untar_meta", "bulk_mirror", "sfs_mix", "repair_mix"]:
+    r = json.load(open(f"{set_dir}/result-{w}.json"))
+    row["nproc"], row["seed"] = r["nproc"], r["seed"]
+    out = {k: value(v) for k, v in r["end_to_end"].items()}
+    for k in ["sim.engine.events", "sim.net.packets", "sim.net.bytes"]:
+        out[k] = value(r["per_layer"][k])
+    row["workloads"][w] = out
+print(json.dumps(row, separators=(",", ":")))
+EOF
+tail -n 1 "$history"

@@ -47,6 +47,17 @@ struct PhaseReport {
     totals: EngineTotals,
 }
 
+/// Runs `f` and returns its result with the `ByteBuf` copy counters
+/// (shallow clones, deep copies, deep-copied bytes) it moved. The
+/// counters are thread-local and a simulation run stays on the thread
+/// that starts it, so the before/after delta is that run's own.
+fn with_payload_delta<T>(f: impl FnOnce() -> T) -> (T, [u64; 3]) {
+    let (s0, d0, b0) = slice_nfsproto::bytes::local_clone_stats();
+    let out = f();
+    let (s1, d1, b1) = slice_nfsproto::bytes::local_clone_stats();
+    (out, [s1 - s0, d1 - d0, b1 - b0])
+}
+
 /// One cell of the fig3 grid: `dirs == None` is the N-MFS baseline.
 #[derive(Clone, Copy)]
 struct Cell {
@@ -58,7 +69,7 @@ struct Cell {
 /// fanned out over the slice-par pool. Cells are independent runs;
 /// totals are folded in cell order (they are sums and maxes, so the
 /// result is thread-count-invariant).
-fn untar_phase(files: u64, threads: usize) -> PhaseReport {
+fn untar_phase(files: u64, threads: usize) -> (PhaseReport, [u64; 3]) {
     let start = Instant::now();
     let mut cells = Vec::new();
     for &procs in &[1usize, 2, 4, 8, 16] {
@@ -70,36 +81,45 @@ fn untar_phase(files: u64, threads: usize) -> PhaseReport {
             });
         }
     }
-    let per_cell = slice_sim::run_indexed(threads, cells, |_, cell| match cell.dirs {
-        None => slice_bench::run_untar_mfs_stats(cell.procs, files, 1).1,
-        Some(dirs) => {
-            let p_millis = (1000 / dirs as u32).max(1);
-            let policy = EnsemblePolicy::MkdirSwitching {
-                redirect_millis: p_millis,
-            };
-            slice_bench::run_untar_slice_stats(cell.procs, dirs, files, policy, 1).1
-        }
+    let per_cell = slice_sim::run_indexed(threads, cells, |_, cell| {
+        with_payload_delta(|| match cell.dirs {
+            None => slice_bench::run_untar_mfs_stats(cell.procs, files, 1).1,
+            Some(dirs) => {
+                let p_millis = (1000 / dirs as u32).max(1);
+                let policy = EnsemblePolicy::MkdirSwitching {
+                    redirect_millis: p_millis,
+                };
+                slice_bench::run_untar_slice_stats(cell.procs, dirs, files, policy, 1).1
+            }
+        })
     });
     let mut totals = EngineTotals::default();
-    for t in per_cell {
+    let mut payload = [0; 3];
+    for (t, p) in per_cell {
         totals.absorb(t);
+        for (sum, n) in payload.iter_mut().zip(p) {
+            *sum += n;
+        }
     }
-    PhaseReport {
+    let report = PhaseReport {
         wall_s: start.elapsed().as_secs_f64(),
         totals,
-    }
+    };
+    (report, payload)
 }
 
 /// Saturating mirrored bulk I/O: 16 writers then 16 readers, so the run
 /// exercises mirrored-write duplication (the payload-sharing fast path)
 /// at full load.
-fn bulk_phase(bytes_per_client: u64) -> PhaseReport {
+fn bulk_phase(bytes_per_client: u64) -> (PhaseReport, [u64; 3]) {
     let start = Instant::now();
-    let (_w, _r, totals) = slice_bench::run_bulk_stats(16, bytes_per_client, true, 1);
-    PhaseReport {
+    let ((_w, _r, totals), payload) =
+        with_payload_delta(|| slice_bench::run_bulk_stats(16, bytes_per_client, true, 1));
+    let report = PhaseReport {
         wall_s: start.elapsed().as_secs_f64(),
         totals,
-    }
+    };
+    (report, payload)
 }
 
 /// Shard scaling: the grid's biggest untar cell (16 processes, Slice-4)
@@ -324,11 +344,10 @@ fn main() {
     let files: u64 = if full { 36_000 } else { 3_600 };
     let bulk_bytes: u64 = if full { 256 << 20 } else { 32 << 20 };
 
-    slice_nfsproto::bytes::reset_clone_stats();
     slice_sim::pool::reset_alloc_stats();
-    let untar = untar_phase(files, threads);
-    let bulk = bulk_phase(bulk_bytes);
-    let (shallow, deep, deep_bytes) = slice_nfsproto::bytes::clone_stats();
+    let (untar, untar_payload) = untar_phase(files, threads);
+    let (bulk, bulk_payload) = bulk_phase(bulk_bytes);
+    let [shallow, deep, deep_bytes] = [0, 1, 2].map(|i| untar_payload[i] + bulk_payload[i]);
     let (pool_hits, pool_misses, recycled_bytes) = slice_sim::pool::alloc_stats();
     let (map_entries, dirty_ranges, soft_entries, suspected_sites, live_peak) =
         live_state_phase(bulk_bytes / 4, 1);

@@ -11,8 +11,8 @@ use std::any::Any;
 
 use slice_dirsvc::{DirAction, DirServer};
 use slice_nfsproto::{
-    decode_call, decode_reply, encode_reply, Fhandle, NfsProc, NfsRequest, Packet, ReplyBody,
-    SockAddr, StableHow,
+    decode_call, encode_reply, view_call, view_reply, BodyView, CallView, Fhandle, NfsProc,
+    NfsRequest, Packet, ReplyView, SockAddr, StableHow,
 };
 use slice_sim::{Actor, Ctx, EventKind, NodeId, SimDuration, SimTime, Subsystem, START_TAG};
 use slice_smallfile::{SfAction, SfCtl, SmallFileServer};
@@ -179,21 +179,41 @@ impl Actor<Wire> for StorageActor {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire>, from: NodeId, msg: Wire) {
         match msg {
             Wire::Udp(pkt) => {
-                let Ok((hdr, req)) = decode_call(&pkt.payload) else {
+                // WRITE data stays in the packet: the node borrows it, and
+                // a metadata-only store never reads it.
+                let Ok((hdr, call)) = view_call(&pkt.payload) else {
                     return;
                 };
                 if self.charge_cpu {
-                    let bytes = match &req {
-                        NfsRequest::Write { data, .. } => data.len(),
-                        NfsRequest::Read { count, .. } => *count as usize,
-                        _ => 0,
+                    let bytes = match &call {
+                        CallView::Write { data, .. } => data.len(),
+                        CallView::Other(NfsRequest::Read { count, .. }) => *count as usize,
+                        CallView::Other(_) => 0,
                     };
                     ctx.use_cpu(
                         calib::STORAGE_REQ_CPU + payload_cpu(bytes, calib::STORAGE_CPU_PER_4K),
                     );
                 }
                 let seeks_before = self.node.disk_seeks();
-                let (done, reply) = self.node.handle_nfs(ctx.now(), &req);
+                let (done, reply) = match call {
+                    CallView::Write {
+                        fh,
+                        offset,
+                        stable,
+                        data,
+                    } => {
+                        let data = &pkt.payload[data];
+                        let (done, reply) = self.node.write(ctx.now(), &fh, offset, stable, data);
+                        (done, encode_reply(hdr.xid, &reply))
+                    }
+                    CallView::Other(NfsRequest::Read { fh, offset, count }) => self
+                        .node
+                        .read_encoded(ctx.now(), hdr.xid, &fh, offset, count),
+                    CallView::Other(req) => {
+                        let (done, reply) = self.node.handle_nfs(ctx.now(), &req);
+                        (done, encode_reply(hdr.xid, &reply))
+                    }
+                };
                 let (seeks, seek_ns) = self.node.disk_seeks();
                 if seeks > seeks_before.0 {
                     ctx.trace(
@@ -204,14 +224,9 @@ impl Actor<Wire> for StorageActor {
                         },
                     );
                 }
-                let out = Packet::new(self.addr, pkt.src, encode_reply(hdr.xid, &reply));
+                let out = Packet::new(self.addr, pkt.src, reply);
                 if let Some(node) = self.router.try_node_of(pkt.src) {
                     self.deferred.send_at(ctx, done, node, Wire::Udp(out));
-                }
-                // The decoded WRITE payload is dead once applied; recycle
-                // it rather than dropping it on the allocator.
-                if let NfsRequest::Write { data, .. } = req {
-                    slice_sim::pool::give(data);
                 }
             }
             Wire::Ctl(ctl) => {
@@ -607,15 +622,20 @@ impl Actor<Wire> for SmallFileActor {
                     let Some((tag, is_read)) = self.backing.remove(&xid) else {
                         return;
                     };
-                    let data = if is_read {
-                        decode_reply(&pkt.payload, NfsProc::Read)
-                            .ok()
-                            .and_then(|(_, r)| match r.body {
-                                ReplyBody::Read { data, .. } => Some(data),
-                                _ => None,
-                            })
+                    // Only a retaining server keeps the bytes a backing
+                    // read fetched; otherwise they stay in the packet.
+                    let data = if is_read && self.server.retains_data() {
+                        match view_reply(&pkt.payload, NfsProc::Read) {
+                            Ok((
+                                _,
+                                ReplyView {
+                                    body: BodyView::Read { data, .. },
+                                    ..
+                                },
+                            )) => Some(pkt.payload[data].to_vec()),
+                            _ => None,
+                        }
                     } else {
-                        let _ = decode_reply(&pkt.payload, NfsProc::Write);
                         None
                     };
                     if tag != 0 {

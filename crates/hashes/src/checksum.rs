@@ -37,15 +37,36 @@ pub fn inet_checksum_parts(parts: &[&[u8]]) -> u16 {
     !fold(sum as u32)
 }
 
+/// Bytes summed per iteration of the wide kernel: eight 32-bit lanes.
+const WIDE_BLOCK: usize = 32;
+
 /// Ones-complement sum of `data` as a 32-bit accumulator (not folded).
 ///
-/// Accumulates eight bytes per iteration (RFC 1071 §2: the sum may be
-/// computed over any larger word size and folded back down), which is
-/// what keeps full-checksum computation off the profile even though every
-/// simulated packet is summed once at build time.
+/// The bulk of the buffer is summed as *native-endian* 32-bit lanes into
+/// eight independent accumulators, one 32-byte block per iteration, so
+/// the loop carries no serial dependency and the compiler vectorises it.
+/// The ones-complement sum is byte-order independent (RFC 1071 §2(B)):
+/// summing byte-swapped words yields the byte-swapped sum, so the lanes
+/// are folded to 16 bits and swapped once at the end. The tail shorter
+/// than a block is summed big-endian; a block is an even number of bytes,
+/// so the 16-bit word grid is the same in both.
 fn raw_sum(data: &[u8]) -> u32 {
-    let mut sum: u64 = 0;
-    let mut chunks8 = data.chunks_exact(8);
+    let mut blocks = data.chunks_exact(WIDE_BLOCK);
+    let mut lanes = [0u64; WIDE_BLOCK / 4];
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+            *lane += u64::from(u32::from_ne_bytes(word.try_into().expect("4-byte lane")));
+        }
+    }
+    // A u64 lane of u32 addends cannot overflow below 2^32 blocks
+    // (128 GiB). Fold lanes to 32 bits, then to the 16-bit native-endian
+    // sum, whose in-memory bytes are the big-endian sum's.
+    let mut wide: u64 = lanes.iter().map(|&l| (l & 0xffff_ffff) + (l >> 32)).sum();
+    while wide > 0xffff_ffff {
+        wide = (wide & 0xffff_ffff) + (wide >> 32);
+    }
+    let mut sum = u64::from(u16::from_be_bytes(fold(wide as u32).to_ne_bytes()));
+    let mut chunks8 = blocks.remainder().chunks_exact(8);
     for c in &mut chunks8 {
         let x = u64::from_be_bytes(c.try_into().expect("8-byte chunk"));
         sum += (x >> 32) + (x & 0xffff_ffff);
@@ -57,8 +78,6 @@ fn raw_sum(data: &[u8]) -> u32 {
     if let [last] = chunks2.remainder() {
         sum += u64::from(u16::from_be_bytes([*last, 0]));
     }
-    // Fold the 64-bit accumulator of 32-bit groups down to the 32-bit
-    // accumulator of 16-bit words the callers expect.
     while sum > 0xffff_ffff {
         sum = (sum & 0xffff_ffff) + (sum >> 32);
     }
@@ -116,6 +135,64 @@ mod tests {
         // so the checksum field is !0xddf2 = 0x220d.
         let data = [0x00u8, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
         assert_eq!(inet_checksum(&data), !0xddf2);
+    }
+
+    /// RFC 1071 verbatim: big-endian 16-bit words, a trailing odd byte
+    /// padded with zero, end-around carry, complement.
+    fn reference_checksum(data: &[u8]) -> u16 {
+        let mut sum: u32 = 0;
+        for pair in data.chunks(2) {
+            let word = u16::from_be_bytes([pair[0], *pair.get(1).unwrap_or(&0)]);
+            sum += u32::from(word);
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    fn seeded_bytes(n: usize) -> Vec<u8> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn wide_kernel_matches_reference_at_every_length_and_alignment() {
+        let buf = seeded_bytes(4_100 + 8);
+        for start in 0..8 {
+            for len in 0..=4_100 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    inet_checksum(data),
+                    reference_checksum(data),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        // Saturated lanes: every carry path taken.
+        let ones = vec![0xffu8; 70_000];
+        assert_eq!(inet_checksum(&ones), reference_checksum(&ones));
+    }
+
+    #[test]
+    fn parts_match_the_concatenation() {
+        let buf = seeded_bytes(2_048);
+        for head in (0..=96).step_by(2) {
+            for tail in [0, 1, 2, 31, 32, 33, 64, 1_001] {
+                let (a, b) = (&buf[..head], &buf[head..head + tail]);
+                let joined = [a, b].concat();
+                assert_eq!(
+                    inet_checksum_parts(&[a, b]),
+                    reference_checksum(&joined),
+                    "head {head} tail {tail}"
+                );
+            }
+        }
     }
 
     #[test]

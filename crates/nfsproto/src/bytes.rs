@@ -10,23 +10,15 @@
 //! copy-on-write escape hatch that only copies when the buffer is
 //! actually shared.
 //!
-//! Copy traffic is counted twice over: in process-wide relaxed atomics
-//! (exact totals under any threading; see [`clone_stats`]) and in
-//! thread-local counters (see [`local_clone_stats`]) that attribute
-//! copies to an individual simulation run. Under `slice-par` each
-//! scenario builds, runs, and is harvested on a single worker thread, so
-//! a before/after delta of the thread-local counters is that scenario's
-//! own copy traffic; the global atomics remain the cross-check that no
-//! traffic escaped attribution.
+//! Copy traffic is counted in thread-local counters (see
+//! [`local_clone_stats`]): no atomic on the clone path, and a run's own
+//! traffic is a before/after delta on the thread that runs it. Under
+//! `slice-par` each scenario builds, runs, and is harvested on a single
+//! worker thread, so concurrent scenarios never see each other's copies.
 
 use std::cell::Cell;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-static SHALLOW_CLONES: AtomicU64 = AtomicU64::new(0);
-static DEEP_COPIES: AtomicU64 = AtomicU64::new(0);
-static DEEP_COPY_BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static TL_SHALLOW_CLONES: Cell<u64> = const { Cell::new(0) };
@@ -36,32 +28,20 @@ thread_local! {
 
 #[inline]
 fn count_shallow() {
-    SHALLOW_CLONES.fetch_add(1, Ordering::Relaxed);
     TL_SHALLOW_CLONES.with(|c| c.set(c.get() + 1));
 }
 
 #[inline]
 fn count_deep(bytes: u64) {
-    DEEP_COPIES.fetch_add(1, Ordering::Relaxed);
-    DEEP_COPY_BYTES.fetch_add(bytes, Ordering::Relaxed);
     TL_DEEP_COPIES.with(|c| c.set(c.get() + 1));
     TL_DEEP_COPY_BYTES.with(|c| c.set(c.get() + bytes));
 }
 
-/// Snapshot of process-wide payload copy counters: `(shallow clones,
+/// Snapshot of this thread's payload copy counters: `(shallow clones,
 /// deep copies, deep-copied bytes)`. Shallow clones are refcount bumps
-/// (mirrored-write duplication, retransmission stash); deep copies are
-/// copy-on-write faults taken when a shared buffer was mutated.
-pub fn clone_stats() -> (u64, u64, u64) {
-    (
-        SHALLOW_CLONES.load(Ordering::Relaxed),
-        DEEP_COPIES.load(Ordering::Relaxed),
-        DEEP_COPY_BYTES.load(Ordering::Relaxed),
-    )
-}
-
-/// Snapshot of this thread's payload copy counters, same shape as
-/// [`clone_stats`]. Monotonic for the thread's lifetime; callers take
+/// (mirrored-write duplication, retransmission stash, payload windows);
+/// deep copies are copy-on-write faults taken when a shared buffer was
+/// mutated. Monotonic for the thread's lifetime; callers take
 /// before/after deltas to attribute copy traffic to one simulation run
 /// (valid because a run executes entirely on one thread).
 pub fn local_clone_stats() -> (u64, u64, u64) {
@@ -70,16 +50,6 @@ pub fn local_clone_stats() -> (u64, u64, u64) {
         TL_DEEP_COPIES.with(Cell::get),
         TL_DEEP_COPY_BYTES.with(Cell::get),
     )
-}
-
-/// Resets the process-wide copy counters (benchmark phase boundaries).
-/// The thread-local counters are deliberately left alone: they are
-/// delta-sampled, never reset, so concurrent runs cannot clobber each
-/// other's baselines.
-pub fn reset_clone_stats() {
-    SHALLOW_CLONES.store(0, Ordering::Relaxed);
-    DEEP_COPIES.store(0, Ordering::Relaxed);
-    DEEP_COPY_BYTES.store(0, Ordering::Relaxed);
 }
 
 /// An immutable shared byte buffer with an `(offset, len)` window.

@@ -30,8 +30,9 @@ pub use attr::{
 pub use bytes::ByteBuf;
 pub use fh::{Fhandle, FH_FLAG_DIR, FH_FLAG_MAPPED, FH_FLAG_MIRRORED, FH_FLAG_SYMLINK, FH_SIZE};
 pub use msg::{
-    decode_call, decode_call_args, decode_reply, encode_call, encode_reply, DirEntry, DirEntryPlus,
-    NfsProc, NfsReply, NfsRequest, ReplyBody, StableHow, REPLY_ATTR_OFFSET, REPLY_STATUS_OFFSET,
+    decode_call, decode_reply, encode_call, encode_read_reply, encode_reply, view_call, view_reply,
+    BodyView, CallView, DirEntry, DirEntryPlus, NfsProc, NfsReply, NfsRequest, ReplyBody,
+    ReplyView, StableHow, REPLY_ATTR_OFFSET, REPLY_STATUS_OFFSET,
 };
 pub use packet::{Packet, SockAddr, UDP_IP_HEADER_BYTES};
 pub use rpc::{peek_xid_type, AuthUnix, CallHeader, MSG_CALL, MSG_REPLY, NFS_PROGRAM, NFS_V3};

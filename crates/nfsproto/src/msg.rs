@@ -21,6 +21,7 @@ use crate::rpc::{
     CallHeader,
 };
 use slice_xdr::{XdrDecoder, XdrEncoder, XdrError};
+use std::ops::Range;
 
 /// NFS V3 procedure numbers (RFC 1813).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -504,6 +505,128 @@ impl NfsReply {
     }
 }
 
+/// A call decoded with WRITE's file data left where it lies in the packet
+/// payload. A forwarder or a metadata-only server handles a 32 KiB WRITE
+/// from this without touching its data bytes; [`decode_call`] is this
+/// plus one copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CallView {
+    /// WRITE: the arguments, and where in the payload the data is.
+    Write {
+        /// Target file.
+        fh: Fhandle,
+        /// Byte offset.
+        offset: u64,
+        /// Stability requirement.
+        stable: StableHow,
+        /// The data's byte range within the call payload.
+        data: Range<usize>,
+    },
+    /// Any other call, decoded in full.
+    Other(NfsRequest),
+}
+
+impl CallView {
+    /// The procedure this call invokes.
+    pub fn proc(&self) -> NfsProc {
+        match self {
+            CallView::Write { .. } => NfsProc::Write,
+            CallView::Other(req) => req.proc(),
+        }
+    }
+
+    /// Materializes the request, copying WRITE data out of `payload` (the
+    /// buffer this view was parsed from). The copy is exact-size and off
+    /// the allocator, not the pool: a server that takes the request keeps
+    /// or drops the data, and never hands the buffer back.
+    #[inline]
+    pub fn into_request(self, payload: &[u8]) -> NfsRequest {
+        match self {
+            CallView::Write {
+                fh,
+                offset,
+                stable,
+                data,
+            } => NfsRequest::Write {
+                fh,
+                offset,
+                stable,
+                data: payload[data].to_vec(),
+            },
+            CallView::Other(req) => req,
+        }
+    }
+}
+
+/// A reply's procedure-specific results with READ's file data left where
+/// it lies in the packet payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BodyView {
+    /// READ: the flags, and where in the payload the data is.
+    Read {
+        /// The data's byte range within the reply payload.
+        data: Range<usize>,
+        /// True if the read reached end of file.
+        eof: bool,
+    },
+    /// Any other body, decoded in full.
+    Other(ReplyBody),
+}
+
+/// A reply decoded with READ's file data left in the packet payload: the
+/// counterpart of [`CallView`]. [`decode_reply`] is this plus one copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplyView {
+    /// The procedure this reply answers.
+    pub proc: NfsProc,
+    /// Status code.
+    pub status: NfsStatus,
+    /// Post-op attributes of the target object.
+    pub attr: Option<Fattr3>,
+    /// Procedure-specific results.
+    pub body: BodyView,
+}
+
+impl ReplyView {
+    /// Materializes the reply, copying READ data out of `payload` (the
+    /// buffer this view was parsed from).
+    #[inline]
+    pub fn into_reply(self, payload: &[u8]) -> NfsReply {
+        NfsReply {
+            proc: self.proc,
+            status: self.status,
+            attr: self.attr,
+            body: match self.body {
+                BodyView::Read { data, eof } => ReplyBody::Read {
+                    data: pooled_copy(&payload[data]),
+                    eof,
+                },
+                BodyView::Other(body) => body,
+            },
+        }
+    }
+}
+
+/// Reads a variable-length opaque whose length must equal the separately
+/// declared `count`, returning its byte range within the decoder's
+/// buffer. Every check [`XdrDecoder::get_opaque`] makes (length bound,
+/// truncation, zero padding) has passed before a range exists.
+fn get_counted_opaque(
+    d: &mut XdrDecoder<'_>,
+    count: u32,
+    what: &'static str,
+) -> Result<Range<usize>, XdrError> {
+    let len = d.get_opaque()?.len();
+    if len != count as usize {
+        return Err(XdrError::InvalidValue { what, value: count });
+    }
+    // The cursor sits past the padding; the data began one length word
+    // after where the opaque did.
+    let padded = len.div_ceil(4) * 4;
+    let start = d.position() - padded;
+    Ok(start..start + len)
+}
+
 /// Byte offset of the reply's status word from the start of the RPC reply
 /// payload; the post-op attr flag follows at `REPLY_ATTR_OFFSET`.
 pub const REPLY_STATUS_OFFSET: usize = 24;
@@ -530,21 +653,38 @@ fn get_opt_attr(dec: &mut XdrDecoder<'_>) -> Result<Option<Fattr3>, XdrError> {
     }
 }
 
-/// Copies an opaque field out of the wire buffer into a pool-recycled
-/// `Vec`, so decode-side data extraction reuses freed payload buffers
-/// instead of hitting the allocator per packet.
+/// Copies READ data out of the wire buffer into a pool-recycled `Vec`:
+/// the client that takes delivery gives the buffer back when the
+/// operation completes, so the next reply reuses it.
 fn pooled_copy(s: &[u8]) -> Vec<u8> {
     let mut v = slice_sim::pool::take(s.len());
     v.extend_from_slice(s);
     v
 }
 
+/// Buffer the encoders ask the pool for beyond a message's bulk part
+/// (file data, directory entries): covers the RPC and NFS headers,
+/// attributes and padding, so a 32 KiB WRITE or READ reply or a full
+/// READDIR page is built in the one pooled buffer it was given. A buffer
+/// that regrows leaves its size class, and the class it was taken from
+/// never gets it back.
+const ENCODE_HEADROOM: usize = 256;
+/// Encoded bytes of a READDIR entry besides its name: follow flag,
+/// fileid, name length and padding, cookie.
+const DIRENT_BOUND: usize = 4 + 8 + 4 + 3 + 8;
+/// The same for READDIRPLUS, which adds optional attributes and handle.
+const DIRENT_PLUS_BOUND: usize = DIRENT_BOUND + 4 + 84 + 4 + 4 + crate::fh::FH_SIZE;
+
 /// Encodes a complete RPC call packet payload for `req`. The encoder
 /// writes into a pool-recycled buffer; the resulting `Vec` typically
 /// becomes a packet payload whose `ByteBuf` returns it to the pool when
 /// the last reference drops.
 pub fn encode_call(xid: u32, cred: &AuthUnix, req: &NfsRequest) -> Vec<u8> {
-    let mut e = XdrEncoder::from_vec(slice_sim::pool::take(256));
+    let bulk = match req {
+        NfsRequest::Write { data, .. } => data.len(),
+        _ => 0,
+    };
+    let mut e = XdrEncoder::from_vec(slice_sim::pool::take(ENCODE_HEADROOM + bulk));
     encode_call_header(&mut e, xid, req.proc() as u32, cred);
     use NfsRequest::*;
     match req {
@@ -653,17 +793,27 @@ pub fn encode_call(xid: u32, cred: &AuthUnix, req: &NfsRequest) -> Vec<u8> {
 
 /// Decodes a complete RPC call packet payload.
 pub fn decode_call(payload: &[u8]) -> Result<(CallHeader, NfsRequest), XdrError> {
+    let (hdr, call) = view_call(payload)?;
+    Ok((hdr, call.into_request(payload)))
+}
+
+/// Decodes a complete RPC call packet payload, leaving WRITE data in
+/// place (see [`CallView`]). Accepts and rejects exactly what
+/// [`decode_call`] does.
+#[inline]
+pub fn view_call(payload: &[u8]) -> Result<(CallHeader, CallView), XdrError> {
     let mut d = XdrDecoder::new(payload);
     let hdr = decode_call_header(&mut d)?;
     let proc = NfsProc::from_u32(hdr.proc)?;
-    let req = decode_call_args(&mut d, proc)?;
-    Ok((hdr, req))
+    let call = view_call_args(&mut d, proc)?;
+    Ok((hdr, call))
 }
 
 /// Decodes just the procedure arguments, given an already-parsed header.
-pub fn decode_call_args(d: &mut XdrDecoder<'_>, proc: NfsProc) -> Result<NfsRequest, XdrError> {
+#[inline]
+fn view_call_args(d: &mut XdrDecoder<'_>, proc: NfsProc) -> Result<CallView, XdrError> {
     use NfsProc as P;
-    Ok(match proc {
+    Ok(CallView::Other(match proc {
         P::Null => NfsRequest::Null,
         P::Getattr => NfsRequest::Getattr {
             fh: Fhandle::decode(d)?,
@@ -699,19 +849,13 @@ pub fn decode_call_args(d: &mut XdrDecoder<'_>, proc: NfsProc) -> Result<NfsRequ
             let offset = d.get_u64()?;
             let count = d.get_u32()?;
             let stable = StableHow::from_u32(d.get_u32()?)?;
-            let data = pooled_copy(d.get_opaque()?);
-            if data.len() != count as usize {
-                return Err(XdrError::InvalidValue {
-                    what: "write count",
-                    value: count,
-                });
-            }
-            NfsRequest::Write {
+            let data = get_counted_opaque(d, count, "write count")?;
+            return Ok(CallView::Write {
                 fh,
                 offset,
                 stable,
                 data,
-            }
+            });
         }
         P::Create => {
             let dir = Fhandle::decode(d)?;
@@ -777,13 +921,24 @@ pub fn decode_call_args(d: &mut XdrDecoder<'_>, proc: NfsProc) -> Result<NfsRequ
             offset: d.get_u64()?,
             count: d.get_u32()?,
         },
-    })
+    }))
 }
 
 /// Encodes a complete RPC reply packet payload (into a pool-recycled
 /// buffer, like [`encode_call`]).
 pub fn encode_reply(xid: u32, reply: &NfsReply) -> Vec<u8> {
-    let mut e = XdrEncoder::from_vec(slice_sim::pool::take(256));
+    let bulk = match &reply.body {
+        ReplyBody::Read { data, .. } => data.len(),
+        ReplyBody::Readdir { entries, .. } => {
+            entries.iter().map(|e| DIRENT_BOUND + e.name.len()).sum()
+        }
+        ReplyBody::Readdirplus { entries, .. } => entries
+            .iter()
+            .map(|e| DIRENT_PLUS_BOUND + e.entry.name.len())
+            .sum(),
+        _ => 0,
+    };
+    let mut e = XdrEncoder::from_vec(slice_sim::pool::take(ENCODE_HEADROOM + bulk));
     encode_reply_header(&mut e, xid);
     debug_assert_eq!(e.len(), REPLY_STATUS_OFFSET);
     e.put_u32(reply.status as u32);
@@ -875,14 +1030,51 @@ pub fn encode_reply(xid: u32, reply: &NfsReply) -> Vec<u8> {
     e.into_bytes()
 }
 
+/// Encodes a successful READ reply whose `len` data bytes are produced in
+/// place: `fill` receives them zeroed, inside the packet payload, and
+/// overwrites what its store holds. Byte-identical to [`encode_reply`] of
+/// the same reply, minus the staging `Vec` and the copy out of it.
+pub fn encode_read_reply(
+    xid: u32,
+    attr: &Fattr3,
+    eof: bool,
+    len: usize,
+    fill: impl FnOnce(&mut [u8]),
+) -> Vec<u8> {
+    let mut e = XdrEncoder::from_vec(slice_sim::pool::take(ENCODE_HEADROOM + len));
+    encode_reply_header(&mut e, xid);
+    e.put_u32(NfsStatus::Ok as u32);
+    e.put_bool(true);
+    attr.encode(&mut e);
+    e.put_u32(len as u32);
+    e.put_bool(eof);
+    fill(e.put_opaque_zeroed(len));
+    e.into_bytes()
+}
+
 /// Decodes a complete RPC reply packet payload. The caller supplies the
 /// procedure it is expecting (from its pending-request record, exactly as
 /// the µproxy and client do).
 pub fn decode_reply(payload: &[u8], proc: NfsProc) -> Result<(u32, NfsReply), XdrError> {
+    let (xid, reply) = view_reply(payload, proc)?;
+    Ok((xid, reply.into_reply(payload)))
+}
+
+/// Decodes a complete RPC reply packet payload, leaving READ data in
+/// place (see [`ReplyView`]). Accepts and rejects exactly what
+/// [`decode_reply`] does.
+#[inline]
+pub fn view_reply(payload: &[u8], proc: NfsProc) -> Result<(u32, ReplyView), XdrError> {
     let mut d = XdrDecoder::new(payload);
     let xid = decode_reply_header(&mut d)?;
     let status = NfsStatus::from_u32(d.get_u32()?)?;
     let attr = get_opt_attr(&mut d)?;
+    let view = |body| ReplyView {
+        proc,
+        status,
+        attr,
+        body,
+    };
     use NfsProc as P;
     let body = if !status.is_ok() {
         ReplyBody::None
@@ -902,14 +1094,8 @@ pub fn decode_reply(payload: &[u8], proc: NfsProc) -> Result<(u32, NfsReply), Xd
             P::Read => {
                 let count = d.get_u32()?;
                 let eof = d.get_bool()?;
-                let data = pooled_copy(d.get_opaque()?);
-                if data.len() != count as usize {
-                    return Err(XdrError::InvalidValue {
-                        what: "read count",
-                        value: count,
-                    });
-                }
-                ReplyBody::Read { data, eof }
+                let data = get_counted_opaque(&mut d, count, "read count")?;
+                return Ok((xid, view(BodyView::Read { data, eof })));
             }
             P::Write => ReplyBody::Write {
                 count: d.get_u32()?,
@@ -978,15 +1164,7 @@ pub fn decode_reply(payload: &[u8], proc: NfsProc) -> Result<(u32, NfsReply), Xd
             P::Commit => ReplyBody::Commit { verf: d.get_u64()? },
         }
     };
-    Ok((
-        xid,
-        NfsReply {
-            proc,
-            status,
-            attr,
-            body,
-        },
-    ))
+    Ok((xid, view(BodyView::Other(body))))
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 //! number of cases from a pinned seed, so failures replay exactly.
 
 use slice_nfsproto::{
-    decode_call, decode_reply, encode_call, encode_reply, AuthUnix, Fattr3, Fhandle, FileType,
-    NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, Sattr3, SockAddr,
-    StableHow,
+    decode_call, decode_reply, encode_call, encode_reply, view_call, view_reply, AuthUnix,
+    BodyView, CallView, Fattr3, Fhandle, FileType, NfsProc, NfsReply, NfsRequest, NfsStatus,
+    NfsTime, Packet, ReplyBody, Sattr3, SockAddr, StableHow,
 };
 use slice_sim::Rng;
 
@@ -157,6 +157,117 @@ fn reply_decoder_total() {
         if let Ok(proc) = NfsProc::from_u32(p) {
             let _ = decode_reply(&bytes, proc);
         }
+    }
+}
+
+/// Every prefix of `wire`, and `wire` with each of its first 256 bytes
+/// set to each of a few values: the malformed inputs the lazy parsers
+/// must judge exactly as the materializing decoders do.
+fn mangled(wire: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let cuts = (0..wire.len().min(400))
+        .chain(wire.len().saturating_sub(8)..=wire.len())
+        .map(|cut| wire[..cut].to_vec());
+    let flips = (0..wire.len().min(256)).flat_map(move |i| {
+        [0x00, 0x01, 0x7f, 0x80, 0xff].into_iter().map(move |v| {
+            let mut m = wire.to_vec();
+            m[i] = if m[i] == v { v ^ 0x55 } else { v };
+            m
+        })
+    });
+    cuts.chain(flips)
+}
+
+/// The range-returning WRITE parser accepts and rejects exactly what
+/// `decode_call` does, with equal fields, and never hands out a range
+/// outside the payload — a malformed WRITE can be dropped, not forwarded.
+#[test]
+fn lazy_write_parse_agrees_with_decode_call() {
+    let mut rng = Rng::seed_from_u64(0x4e46_5307);
+    for len in [0usize, 1, 2, 3, 4, 1021, 32 * 1024] {
+        let req = NfsRequest::Write {
+            fh: random_fh(&mut rng),
+            offset: rng.gen(),
+            stable: StableHow::FileSync,
+            data: (0..len).map(|_| rng.gen::<u8>()).collect(),
+        };
+        let wire = encode_call(rng.gen(), &AuthUnix::default(), &req);
+        let mut accepted = 0;
+        for m in mangled(&wire) {
+            match (view_call(&m), decode_call(&m)) {
+                (Ok((vh, view)), Ok((dh, decoded))) => {
+                    accepted += 1;
+                    assert_eq!(vh, dh);
+                    if let (
+                        CallView::Write {
+                            fh,
+                            offset,
+                            stable,
+                            data,
+                        },
+                        NfsRequest::Write {
+                            fh: dfh,
+                            offset: doffset,
+                            stable: dstable,
+                            data: ddata,
+                        },
+                    ) = (&view, &decoded)
+                    {
+                        assert_eq!((fh, offset, stable), (dfh, doffset, dstable));
+                        assert_eq!(&m[data.clone()], &ddata[..]);
+                    }
+                    assert_eq!(view.into_request(&m), decoded);
+                }
+                (Err(v), Err(d)) => assert_eq!(v, d),
+                (v, d) => panic!("parsers disagree: view {v:?}, decode {d:?}"),
+            }
+        }
+        assert!(accepted > 0, "the unmangled call must be among the cases");
+    }
+}
+
+/// The same for the READ-result layout and `decode_reply`.
+#[test]
+fn lazy_read_parse_agrees_with_decode_reply() {
+    let mut rng = Rng::seed_from_u64(0x4e46_5308);
+    for len in [0usize, 1, 2, 3, 4, 1021, 32 * 1024] {
+        let reply = NfsReply {
+            proc: NfsProc::Read,
+            status: NfsStatus::Ok,
+            attr: Some(random_attr(&mut rng)),
+            body: ReplyBody::Read {
+                data: (0..len).map(|_| rng.gen::<u8>()).collect(),
+                eof: len % 2 == 0,
+            },
+        };
+        let wire = encode_reply(rng.gen(), &reply);
+        let mut accepted = 0;
+        for m in mangled(&wire) {
+            match (
+                view_reply(&m, NfsProc::Read),
+                decode_reply(&m, NfsProc::Read),
+            ) {
+                (Ok((vx, view)), Ok((dx, decoded))) => {
+                    accepted += 1;
+                    assert_eq!(vx, dx);
+                    assert_eq!((view.status, view.attr), (decoded.status, decoded.attr));
+                    if let (
+                        BodyView::Read { data, eof },
+                        ReplyBody::Read {
+                            data: ddata,
+                            eof: deof,
+                        },
+                    ) = (&view.body, &decoded.body)
+                    {
+                        assert_eq!(eof, deof);
+                        assert_eq!(&m[data.clone()], &ddata[..]);
+                    }
+                    assert_eq!(view.into_reply(&m), decoded);
+                }
+                (Err(v), Err(d)) => assert_eq!(v, d),
+                (v, d) => panic!("parsers disagree: view {v:?}, decode {d:?}"),
+            }
+        }
+        assert!(accepted > 0, "the unmangled reply must be among the cases");
     }
 }
 

@@ -22,11 +22,11 @@
 //!   thread-local (`RefCell`, no atomics on the reuse path); only the
 //!   statistics counters are shared atomics, updated with relaxed
 //!   ordering.
-//! * **Bounded memory.** Each class holds at most [`PER_CLASS_CAP`]
-//!   buffers per thread; overflow is simply dropped to the allocator.
-//!   A million-packet churn therefore holds at most
-//!   `classes x cap x class_size` bytes per thread (see the bounded
-//!   memory test).
+//! * **Bounded memory.** Each class holds at most [`class_cap`] buffers
+//!   per thread; overflow is simply dropped to the allocator. A
+//!   million-packet churn therefore holds at most the sum over classes
+//!   of `cap x class_size` bytes per thread, under 10 MiB (see the
+//!   bounded memory test).
 //!
 //! `set_enabled(false)` turns the pool into a plain allocator (no
 //! recycling, no counting) so determinism tests can byte-compare runs
@@ -43,8 +43,17 @@ const MIN_SHIFT: u32 = 6;
 /// plus headers. Larger buffers go straight to the allocator.
 const MAX_SHIFT: u32 = 16;
 const CLASSES: usize = (MAX_SHIFT - MIN_SHIFT + 1) as usize;
-/// Per-thread, per-class buffer cap; overflow is dropped.
-pub const PER_CLASS_CAP: usize = 64;
+/// Fewest buffers a class parks per thread before dropping overflow.
+const MIN_CLASS_CAP: usize = 64;
+/// Bytes a small class may park beyond that floor: header-sized buffers
+/// are live by the hundred (every queued disk op holds its encoded
+/// reply), and a cap of 64 would drop and re-allocate them on each burst.
+const SMALL_CLASS_BYTES: usize = 256 << 10;
+
+/// Per-thread buffer cap of class `class`; overflow is dropped.
+pub fn class_cap(class: usize) -> usize {
+    (SMALL_CLASS_BYTES >> (class as u32 + MIN_SHIFT)).max(MIN_CLASS_CAP)
+}
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 static POOL_HITS: AtomicU64 = AtomicU64::new(0);
@@ -66,14 +75,11 @@ fn class_up(cap: usize) -> Option<usize> {
     (shift <= MAX_SHIFT).then_some((shift - MIN_SHIFT) as usize)
 }
 
-/// Largest class index whose buffer size is covered by `cap`, or `None`
-/// when `cap` is below the smallest class.
-fn class_down(cap: usize) -> Option<usize> {
-    if cap < (1 << MIN_SHIFT) {
-        return None;
-    }
-    let shift = (usize::BITS - 1 - cap.leading_zeros()).min(MAX_SHIFT);
-    Some((shift - MIN_SHIFT) as usize)
+/// The class whose buffers are exactly `cap` bytes, if there is one.
+fn class_of(cap: usize) -> Option<usize> {
+    let shift = cap.trailing_zeros();
+    (cap.is_power_of_two() && (MIN_SHIFT..=MAX_SHIFT).contains(&shift))
+        .then(|| (shift - MIN_SHIFT) as usize)
 }
 
 /// Returns an empty `Vec<u8>` with at least `min_capacity` capacity,
@@ -101,28 +107,31 @@ pub fn take(min_capacity: usize) -> Vec<u8> {
         None => {
             POOL_MISSES.fetch_add(1, Ordering::Relaxed);
             // Round up to the class size so the buffer re-enters the
-            // same class on release regardless of what it held.
+            // same class on release.
             Vec::with_capacity(1 << (class as u32 + MIN_SHIFT))
         }
     }
 }
 
-/// Releases a buffer back to this thread's free list. Buffers outside
-/// the class range, or arriving when the class is full, fall through to
-/// the allocator. The buffer is cleared before parking: recycled bytes
-/// are never observable.
+/// Releases a buffer back to this thread's free list. Only a buffer of
+/// exactly a class's size parks — what `take` hands out, or an equal
+/// allocation — so a class holds interchangeable buffers and the pool's
+/// counters depend on how many were parked, never on which. Any other
+/// capacity, or a buffer arriving when its class is full, falls through
+/// to the allocator. The buffer is cleared before parking: recycled
+/// bytes are never observable.
 pub fn give(mut v: Vec<u8>) {
     if !enabled_with_env() {
         return;
     }
-    let Some(class) = class_down(v.capacity()) else {
+    let Some(class) = class_of(v.capacity()) else {
         return;
     };
     let cap = v.capacity() as u64;
     let parked = POOL
         .try_with(|p| {
             let list = &mut p.borrow_mut()[class];
-            if list.len() >= PER_CLASS_CAP {
+            if list.len() >= class_cap(class) {
                 return false;
             }
             v.clear();
@@ -197,10 +206,11 @@ mod tests {
         assert_eq!(class_up(256), Some(2));
         assert_eq!(class_up(1 << 16), Some(CLASSES - 1));
         assert_eq!(class_up((1 << 16) + 1), None);
-        assert_eq!(class_down(63), None);
-        assert_eq!(class_down(64), Some(0));
-        assert_eq!(class_down(127), Some(0));
-        assert_eq!(class_down(1 << 20), Some(CLASSES - 1));
+        assert_eq!(class_of(63), None);
+        assert_eq!(class_of(64), Some(0));
+        assert_eq!(class_of(127), None);
+        assert_eq!(class_of(1 << 16), Some(CLASSES - 1));
+        assert_eq!(class_of(1 << 20), None);
     }
 
     /// Serializes tests that depend on (or toggle) the process-global
@@ -245,7 +255,7 @@ mod tests {
         }
         let after = held_bytes();
         assert!(
-            after.saturating_sub(before) <= (PER_CLASS_CAP as u64 + 1) * 1024,
+            after.saturating_sub(before) <= (class_cap(4) as u64 + 1) * 1024,
             "pool held {} -> {} bytes, cap violated",
             before,
             after
@@ -272,7 +282,7 @@ mod tests {
         let (hits, misses, _) = alloc_stats();
         // Worst-case bound: every class full on this thread.
         let max_held: u64 = (0..CLASSES as u32)
-            .map(|c| (PER_CLASS_CAP as u64) << (c + MIN_SHIFT))
+            .map(|c| (class_cap(c as usize) as u64) << (c + MIN_SHIFT))
             .sum();
         let held = held_bytes().saturating_sub(before);
         assert!(

@@ -251,6 +251,11 @@ impl SmallFileServer {
         self.verf
     }
 
+    /// Whether block contents are retained (else only residency is).
+    pub fn retains_data(&self) -> bool {
+        self.config.retain_data
+    }
+
     /// The map record for `file`, if any (tests/inspection).
     pub fn map_of(&self, file: u64) -> Option<&MapRecord> {
         self.maps.get(&file)

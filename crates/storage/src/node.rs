@@ -17,10 +17,11 @@
 use slice_sim::FxHashMap;
 
 use slice_nfsproto::{
-    ByteBuf, Fattr3, Fhandle, FileType, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime,
-    ReplyBody, StableHow,
+    encode_read_reply, ByteBuf, Fattr3, Fhandle, FileType, NfsProc, NfsReply, NfsRequest,
+    NfsStatus, NfsTime, ReplyBody, StableHow,
 };
 use slice_sim::{DiskArray, DiskParams, LruCache, SimTime};
+use std::ops::RangeInclusive;
 
 use crate::object::ObjectStore;
 
@@ -155,17 +156,10 @@ struct PhysMap {
 
 impl PhysMap {
     fn phys_of(&mut self, logical: u64) -> u64 {
-        if let Some(&p) = self.by_logical.get(&logical) {
-            return p;
-        }
-        let p = self.order.len() as u64;
-        self.order.push(logical);
-        self.by_logical.insert(logical, p);
-        p
-    }
-
-    fn logical_at(&self, phys: u64) -> Option<u64> {
-        self.order.get(phys as usize).copied()
+        *self.by_logical.entry(logical).or_insert_with(|| {
+            self.order.push(logical);
+            self.order.len() as u64 - 1
+        })
     }
 }
 
@@ -299,6 +293,20 @@ impl StorageNode {
         offset / STORAGE_BLOCK
     }
 
+    /// Marks `key` resident. A block evicted to make room takes any
+    /// prefetch completion time it had with it.
+    fn admit(
+        cache: &mut LruCache<(u64, u64)>,
+        ready_at: &mut FxHashMap<(u64, u64), SimTime>,
+        key: (u64, u64),
+    ) {
+        cache.insert_with(key, STORAGE_BLOCK, |victim| {
+            if !ready_at.is_empty() {
+                ready_at.remove(&victim);
+            }
+        });
+    }
+
     /// Reads blocks through the cache; returns the completion time.
     /// Disk positions come from the object's physical allocation map, and
     /// sequential prefetch follows *physical* order — the next blocks on
@@ -307,9 +315,10 @@ impl StorageNode {
         let mut done = now;
         let first = Self::block_of(offset);
         let last = Self::block_of(offset + len.max(1) as u64 - 1);
+        let phys_map = self.phys.entry(obj).or_default();
         let mut last_phys = 0;
         for b in first..=last {
-            let phys = self.phys.entry(obj).or_default().phys_of(b);
+            let phys = phys_map.phys_of(b);
             last_phys = phys;
             if self.cache.get(&(obj, b)) {
                 // Resident, but a prefetch in flight must finish first.
@@ -330,9 +339,7 @@ impl StorageNode {
                 false,
             );
             done = done.max(t);
-            for victim in self.cache.insert((obj, b), STORAGE_BLOCK) {
-                self.ready_at.remove(&victim);
-            }
+            Self::admit(&mut self.cache, &mut self.ready_at, (obj, b));
         }
         // Sequential prefetch up to PREFETCH_BYTES beyond the access, in
         // physical order.
@@ -340,15 +347,9 @@ impl StorageNode {
         let sequential = stream.next_expected == offset || offset == 0;
         stream.next_expected = offset + len as u64;
         if sequential {
-            let pf_blocks = PREFETCH_BYTES / STORAGE_BLOCK;
-            for i in 1..=pf_blocks {
-                let Some(logical) = self
-                    .phys
-                    .get(&obj)
-                    .and_then(|m| m.logical_at(last_phys + i))
-                else {
-                    break;
-                };
+            let pf_blocks = (PREFETCH_BYTES / STORAGE_BLOCK) as usize;
+            let ahead = phys_map.order.iter().enumerate();
+            for (phys, &logical) in ahead.skip(last_phys as usize + 1).take(pf_blocks) {
                 if self.cache.contains(&(obj, logical)) {
                     continue;
                 }
@@ -357,14 +358,12 @@ impl StorageNode {
                 let t = self.disks.submit(
                     now,
                     obj,
-                    (last_phys + i) * STORAGE_BLOCK,
+                    phys as u64 * STORAGE_BLOCK,
                     STORAGE_BLOCK as usize,
                     false,
                 );
                 self.ready_at.insert((obj, logical), t);
-                for victim in self.cache.insert((obj, logical), STORAGE_BLOCK) {
-                    self.ready_at.remove(&victim);
-                }
+                Self::admit(&mut self.cache, &mut self.ready_at, (obj, logical));
             }
         }
         done
@@ -373,13 +372,20 @@ impl StorageNode {
     /// Flushes dirty logical blocks of `obj` to their physical positions
     /// (write clustering lays them out in allocation order); returns the
     /// completion time of the flush.
-    fn flush_blocks(&mut self, now: SimTime, obj: u64, blocks: &[u64]) -> SimTime {
-        if blocks.is_empty() {
+    fn flush_blocks(
+        &mut self,
+        now: SimTime,
+        obj: u64,
+        blocks: impl IntoIterator<Item = u64>,
+    ) -> SimTime {
+        let mut blocks = blocks.into_iter().peekable();
+        if blocks.peek().is_none() {
             return *self.last_flush_done.get(&obj).unwrap_or(&now);
         }
+        let phys_map = self.phys.entry(obj).or_default();
         let mut done = now;
-        for &b in blocks {
-            let phys = self.phys.entry(obj).or_default().phys_of(b);
+        for b in blocks {
+            let phys = phys_map.phys_of(b);
             let t = self
                 .disks
                 .submit(now, obj, phys * STORAGE_BLOCK, STORAGE_BLOCK as usize, true);
@@ -390,20 +396,114 @@ impl StorageNode {
         done
     }
 
+    /// Stores `data` at `offset` of `obj` and makes its blocks resident;
+    /// returns the block range written. A write supersedes any prefetch
+    /// of those blocks still in flight.
+    fn store_blocks(&mut self, obj: u64, offset: u64, data: &[u8]) -> RangeInclusive<u64> {
+        self.writes += 1;
+        self.store.write(obj, offset, data);
+        let blocks = Self::block_of(offset)..=Self::block_of(offset + data.len().max(1) as u64 - 1);
+        for b in blocks.clone() {
+            if !self.ready_at.is_empty() {
+                self.ready_at.remove(&(obj, b));
+            }
+            Self::admit(&mut self.cache, &mut self.ready_at, (obj, b));
+        }
+        blocks
+    }
+
+    /// Runs a READ of `count` bytes at `offset` through the cache and
+    /// disk model; returns the completion time, the object, and how many
+    /// bytes of the range exist locally.
+    fn timed_object_read(
+        &mut self,
+        now: SimTime,
+        fh: &Fhandle,
+        offset: u64,
+        count: u32,
+    ) -> (SimTime, u64, usize) {
+        self.reads += 1;
+        let obj = Self::object_of(fh);
+        // An object-based device returns only bytes that exist
+        // locally; the µproxy reconciles short reads against the
+        // authoritative file size from its attribute cache.
+        let local = self.store.size(obj);
+        let avail = local.saturating_sub(offset).min(u64::from(count)) as usize;
+        let done = self.timed_read(now, obj, offset, avail.max(1));
+        (done, obj, avail)
+    }
+
+    /// Serves a READ as the encoded payload of its reply to `xid`: the
+    /// data is read straight into the packet being built, so the sender
+    /// touches each byte once.
+    pub fn read_encoded(
+        &mut self,
+        now: SimTime,
+        xid: u32,
+        fh: &Fhandle,
+        offset: u64,
+        count: u32,
+    ) -> (SimTime, Vec<u8>) {
+        let (done, obj, avail) = self.timed_object_read(now, fh, offset, count);
+        let attr = self.attr_for(obj, now);
+        let eof = offset + avail as u64 >= attr.size;
+        let store = &mut self.store;
+        let payload = encode_read_reply(xid, &attr, eof, avail, |buf| {
+            store.read_into(obj, offset, buf)
+        });
+        (done, payload)
+    }
+
+    /// Serves a WRITE of `data` at `offset`. The bytes are borrowed: a
+    /// metadata-only store never copies them, a retaining store keeps its
+    /// own exact-size copy, so the caller may pass a window of the packet
+    /// the request arrived in.
+    pub fn write(
+        &mut self,
+        now: SimTime,
+        fh: &Fhandle,
+        offset: u64,
+        stable: StableHow,
+        data: &[u8],
+    ) -> (SimTime, NfsReply) {
+        let obj = Self::object_of(fh);
+        let blocks = self.store_blocks(obj, offset, data);
+        let done = match stable {
+            StableHow::Unstable => {
+                let dirty = self.dirty.entry(obj).or_default();
+                dirty.extend(blocks);
+                if dirty.len() as u64 * STORAGE_BLOCK >= CLUSTER_BYTES {
+                    let batch = std::mem::take(dirty);
+                    // Background cluster flush; does not delay the
+                    // reply.
+                    self.flush_blocks(now, obj, batch);
+                }
+                now
+            }
+            StableHow::DataSync | StableHow::FileSync => self.flush_blocks(now, obj, blocks),
+        };
+        (
+            done,
+            NfsReply {
+                proc: NfsProc::Write,
+                status: NfsStatus::Ok,
+                attr: Some(self.attr_for(obj, now)),
+                body: ReplyBody::Write {
+                    count: data.len() as u32,
+                    committed: stable,
+                    verf: self.verf,
+                },
+            },
+        )
+    }
+
     /// Serves an NFS request addressed to this storage node; returns the
     /// completion time and the reply. Only I/O procedures are meaningful
     /// here — anything else is a µproxy misroute and returns `NOTSUPP`.
     pub fn handle_nfs(&mut self, now: SimTime, req: &NfsRequest) -> (SimTime, NfsReply) {
         match req {
             NfsRequest::Read { fh, offset, count } => {
-                self.reads += 1;
-                let obj = Self::object_of(fh);
-                // An object-based device returns only bytes that exist
-                // locally; the µproxy reconciles short reads against the
-                // authoritative file size from its attribute cache.
-                let local = self.store.size(obj);
-                let avail = local.saturating_sub(*offset).min(u64::from(*count)) as usize;
-                let done = self.timed_read(now, obj, *offset, avail.max(1));
+                let (done, obj, avail) = self.timed_object_read(now, fh, *offset, *count);
                 let (data, eof) = self.store.read(obj, *offset, avail);
                 (
                     done,
@@ -420,59 +520,11 @@ impl StorageNode {
                 offset,
                 stable,
                 data,
-            } => {
-                self.writes += 1;
-                let obj = Self::object_of(fh);
-                self.store.write(obj, *offset, data);
-                for b in
-                    Self::block_of(*offset)..=Self::block_of(offset + data.len().max(1) as u64 - 1)
-                {
-                    self.ready_at.remove(&(obj, b));
-                    for victim in self.cache.insert((obj, b), STORAGE_BLOCK) {
-                        self.ready_at.remove(&victim);
-                    }
-                }
-                let first = Self::block_of(*offset);
-                let last = Self::block_of(offset + data.len().max(1) as u64 - 1);
-                let blocks: Vec<u64> = (first..=last).collect();
-                let done = match stable {
-                    StableHow::Unstable => {
-                        let dirty = self.dirty.entry(obj).or_default();
-                        dirty.extend_from_slice(&blocks);
-                        if dirty.len() as u64 * STORAGE_BLOCK >= CLUSTER_BYTES {
-                            let batch = std::mem::take(self.dirty.get_mut(&obj).expect("present"));
-                            // Background cluster flush; does not delay the
-                            // reply.
-                            self.flush_blocks(now, obj, &batch);
-                        }
-                        now
-                    }
-                    StableHow::DataSync | StableHow::FileSync => {
-                        self.flush_blocks(now, obj, &blocks)
-                    }
-                };
-                let committed = match stable {
-                    StableHow::Unstable => StableHow::Unstable,
-                    other => *other,
-                };
-                (
-                    done,
-                    NfsReply {
-                        proc: NfsProc::Write,
-                        status: NfsStatus::Ok,
-                        attr: Some(self.attr_for(obj, now)),
-                        body: ReplyBody::Write {
-                            count: data.len() as u32,
-                            committed,
-                            verf: self.verf,
-                        },
-                    },
-                )
-            }
+            } => self.write(now, fh, *offset, *stable, data),
             NfsRequest::Commit { fh, .. } => {
                 let obj = Self::object_of(fh);
                 let dirty = self.dirty.remove(&obj).unwrap_or_default();
-                let done = self.flush_blocks(now, obj, &dirty).max(now);
+                let done = self.flush_blocks(now, obj, dirty).max(now);
                 (
                     done,
                     NfsReply {
@@ -530,18 +582,8 @@ impl StorageNode {
                 )
             }
             StorageCtl::ResyncWrite { obj, offset, data } => {
-                self.writes += 1;
-                self.store.write(*obj, *offset, data);
-                let first = Self::block_of(*offset);
-                let last = Self::block_of(offset + data.len().max(1) as u64 - 1);
-                for b in first..=last {
-                    self.ready_at.remove(&(*obj, b));
-                    for victim in self.cache.insert((*obj, b), STORAGE_BLOCK) {
-                        self.ready_at.remove(&victim);
-                    }
-                }
-                let blocks: Vec<u64> = (first..=last).collect();
-                let done = self.flush_blocks(now, *obj, &blocks);
+                let blocks = self.store_blocks(*obj, *offset, data);
+                let done = self.flush_blocks(now, *obj, blocks);
                 (
                     done,
                     StorageCtlReply::ResyncApplied {
@@ -705,6 +747,45 @@ mod tests {
             "prefetched block waits only for streaming: {}",
             d1 - d0
         );
+    }
+
+    #[test]
+    fn encoded_read_matches_the_decoded_path() {
+        // Two nodes fed the same history; one answers through
+        // `handle_nfs` + `encode_reply`, the other encodes in place.
+        let (mut a, mut b) = (node(), node());
+        for n in [&mut a, &mut b] {
+            for (offset, byte) in [(0u64, 1u8), (40_000, 2), (100_000, 3)] {
+                let w = NfsRequest::Write {
+                    fh: fh(6),
+                    offset,
+                    stable: StableHow::FileSync,
+                    data: vec![byte; 20_000],
+                };
+                n.handle_nfs(t0(), &w);
+            }
+        }
+        // Inside an extent, across a hole, up to and past the local end.
+        for (xid, (offset, count)) in [(0, 100), (10_000, 50_000), (90_000, 40_000), (200_000, 8)]
+            .into_iter()
+            .enumerate()
+        {
+            let req = NfsRequest::Read {
+                fh: fh(6),
+                offset,
+                count,
+            };
+            let (done_a, reply) = a.handle_nfs(t0(), &req);
+            let (done_b, payload) = b.read_encoded(t0(), xid as u32, &fh(6), offset, count);
+            assert_eq!(done_a, done_b, "read at {offset}");
+            assert_eq!(
+                payload,
+                slice_nfsproto::encode_reply(xid as u32, &reply),
+                "read at {offset}"
+            );
+        }
+        assert_eq!(a.op_counts(), b.op_counts());
+        assert_eq!(a.store().io_stats(), b.store().io_stats());
     }
 
     #[test]

@@ -105,28 +105,40 @@ impl StorageObject {
         self.size = self.size.max(offset + len);
     }
 
+    /// The extents overlapping `[offset, end)`, in offset order. Seeks to
+    /// the one extent that can straddle `offset` (the last starting at or
+    /// before it) and walks forward, so the cost is the extents visited
+    /// plus a tree descent, whatever lies below `offset`.
+    fn overlapping(&self, offset: u64, end: u64) -> impl Iterator<Item = (u64, &Extent)> {
+        let first = match self.extents.range(..=offset).next_back() {
+            Some((&s, ext)) if s + ext.len > offset => s,
+            _ => offset,
+        };
+        self.extents.range(first..end).map(|(&s, ext)| (s, ext))
+    }
+
     /// Reads `len` bytes at `offset`; holes read as zeros. Does not
     /// touch the store's I/O accounting (audit/oracle use).
     pub fn read(&self, offset: u64, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
-        let end = offset + len as u64;
-        for (&s, ext) in self.extents.range(..end) {
-            let e_end = s + ext.len;
-            if e_end <= offset {
-                continue;
-            }
+        self.read_into(offset, &mut out);
+        out
+    }
+
+    /// Copies the stored bytes of `[offset, offset + out.len())` over
+    /// `out`; bytes in holes (and everything in metadata-only mode) are
+    /// left as the caller set them.
+    pub fn read_into(&self, offset: u64, out: &mut [u8]) {
+        let end = offset + out.len() as u64;
+        for (s, ext) in self.overlapping(offset, end) {
             let copy_start = s.max(offset);
-            let copy_end = e_end.min(end);
-            if copy_start >= copy_end {
-                continue;
-            }
+            let copy_end = (s + ext.len).min(end);
             if let Some(data) = &ext.data {
                 let src = &data[(copy_start - s) as usize..(copy_end - s) as usize];
                 out[(copy_start - offset) as usize..(copy_end - offset) as usize]
                     .copy_from_slice(src);
             }
         }
-        out
     }
 
     fn truncate(&mut self, size: u64, retain: bool) {
@@ -210,13 +222,17 @@ impl ObjectStore {
     /// zeros. Returns `(data, local_eof)` where `local_eof` is true when
     /// the range reaches or passes the object's local size.
     pub fn read(&mut self, id: u64, offset: u64, len: usize) -> (Vec<u8>, bool) {
-        self.bytes_read += len as u64;
-        match self.objects.get(&id) {
-            Some(obj) => {
-                let eof = offset + len as u64 >= obj.size;
-                (obj.read(offset, len), eof)
-            }
-            None => (vec![0u8; len], true),
+        let mut out = vec![0u8; len];
+        self.read_into(id, offset, &mut out);
+        (out, offset + len as u64 >= self.size(id))
+    }
+
+    /// [`read`](Self::read) into a caller-supplied, already zeroed buffer
+    /// (a reply being encoded).
+    pub fn read_into(&mut self, id: u64, offset: u64, out: &mut [u8]) {
+        self.bytes_read += out.len() as u64;
+        if let Some(obj) = self.objects.get(&id) {
+            obj.read_into(offset, out);
         }
     }
 
@@ -358,6 +374,76 @@ mod tests {
         }
         let (data, _) = s.read(1, 0, 4096);
         assert_eq!(data, model);
+    }
+
+    /// Random writes, overwrites and truncates, then random sub-range
+    /// reads (mid-extent, in holes, past EOF), against a flat byte model.
+    fn check_against_flat_model(retain: bool, seed: u64) {
+        let mut rng = slice_sim::Rng::seed_from_u64(seed);
+        let mut obj = StorageObject::default();
+        let mut model: Vec<u8> = Vec::new();
+        // Bytes covered by an extent: what `bytes_used` must report.
+        let mut covered: Vec<bool> = Vec::new();
+        for step in 0..2_000 {
+            if rng.gen_range(0..10u32) == 0 {
+                let size = rng.gen_range(0..6_000u64);
+                obj.truncate(size, retain);
+                model.resize(size as usize, 0);
+                covered.resize(size as usize, false);
+            } else {
+                let off = rng.gen_range(0..5_000usize);
+                let len = rng.gen_range(0..300usize);
+                let chunk: Vec<u8> = (0..len).map(|i| (step + i) as u8 | 1).collect();
+                obj.write(off as u64, &chunk, retain);
+                if len > 0 {
+                    let size = model.len().max(off + len);
+                    model.resize(size, 0);
+                    covered.resize(size, false);
+                    model[off..off + len].copy_from_slice(&chunk);
+                    covered[off..off + len].fill(true);
+                }
+            }
+            assert_eq!(obj.size(), model.len() as u64, "size at step {step}");
+            let used = covered.iter().filter(|&&c| c).count() as u64;
+            assert_eq!(obj.bytes_used(), used, "bytes_used at step {step}");
+            for _ in 0..4 {
+                let off = rng.gen_range(0..6_500usize);
+                let len = rng.gen_range(0..700usize);
+                let want: Vec<u8> = (off..off + len)
+                    .map(|p| match model.get(p) {
+                        Some(&b) if retain => b,
+                        _ => 0,
+                    })
+                    .collect();
+                assert_eq!(
+                    obj.read(off as u64, len),
+                    want,
+                    "read {off}+{len} at {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn random_ops_match_flat_model() {
+        check_against_flat_model(true, 7);
+        check_against_flat_model(true, 8);
+        check_against_flat_model(false, 9);
+    }
+
+    #[test]
+    fn tail_read_visits_only_the_extents_it_overlaps() {
+        // 10,000 adjacent 32 KiB extents; a read never walks the prefix.
+        const EXT: u64 = 32 * 1024;
+        let mut obj = StorageObject::default();
+        for i in 0..10_000u64 {
+            obj.write(i * EXT, &[0u8; EXT as usize], false);
+        }
+        let tail = 9_999 * EXT;
+        assert_eq!(obj.overlapping(tail, tail + EXT).count(), 1);
+        assert_eq!(obj.overlapping(tail - EXT / 2, tail + EXT / 2).count(), 2);
+        assert_eq!(obj.overlapping(tail + 100, tail + 200).count(), 1);
+        assert_eq!(obj.overlapping(tail + EXT, tail + 2 * EXT).count(), 0);
     }
 
     #[test]

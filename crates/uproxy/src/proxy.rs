@@ -21,12 +21,14 @@ use std::time::Instant;
 
 use slice_hashes::{fnv1a, name_fingerprint};
 use slice_nfsproto::{
-    decode_call, decode_reply, encode_call, AuthUnix, Fhandle, NfsProc, NfsRequest, NfsStatus,
-    NfsTime, Packet, Sattr3, SetTime, SockAddr, StableHow, REPLY_ATTR_OFFSET,
+    encode_call, view_call, view_reply, AuthUnix, BodyView, ByteBuf, CallView, Fhandle, NfsProc,
+    NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, Sattr3, SetTime, SockAddr,
+    StableHow, REPLY_ATTR_OFFSET,
 };
 use slice_sim::{SimDuration, SimTime};
 use slice_storage::{CoordMsg, CoordReply, IntentKind};
 use slice_xdr::XdrEncoder;
+use std::ops::Range;
 
 use crate::attrcache::AttrCache;
 use crate::tables::RoutingTable;
@@ -264,11 +266,12 @@ enum Class {
 enum MergeState {
     /// A split write: the merged reply must report the full byte count.
     Write { total: u32 },
-    /// A split read: data halves arrive separately and are reassembled.
+    /// A split read: data halves arrive separately (each kept as a window
+    /// of the reply packet it came in) and are reassembled.
     Read {
         split: u64,
-        low: Option<Vec<u8>>,
-        high: Option<Vec<u8>>,
+        low: Option<ByteBuf>,
+        high: Option<ByteBuf>,
     },
 }
 
@@ -974,7 +977,7 @@ impl Uproxy {
         out: &mut Vec<ProxyOut>,
         xid: u32,
         client: SockAddr,
-        reply: &slice_nfsproto::NfsReply,
+        reply: &NfsReply,
     ) {
         let p = Packet::new(
             self.cfg.virtual_addr,
@@ -1025,15 +1028,16 @@ impl Uproxy {
         }
         let t1 = self.phase_start();
         self.phases.intercept_ns += Self::between_ns(t0, t1);
-        // Phase 2: decode.
-        let decoded = decode_call(&pkt.payload);
+        // Phase 2: decode — headers and arguments only; WRITE data is
+        // located, not read.
+        let decoded = view_call(&pkt.payload);
         let t2 = self.phase_start();
         self.phases.decode_ns += Self::between_ns(t1, t2);
-        let Ok((hdr, req)) = decoded else {
+        let Ok((hdr, call)) = decoded else {
             // Undecodable packet: drop; RPC retransmission recovers.
             return out;
         };
-        self.route_call(now, &mut out, pkt, hdr.xid, req);
+        self.route_call(now, &mut out, pkt, hdr.xid, call);
         out
     }
 
@@ -1043,33 +1047,35 @@ impl Uproxy {
         out: &mut Vec<ProxyOut>,
         pkt: Packet,
         xid: u32,
-        req: NfsRequest,
+        call: CallView,
     ) {
         self.requests_routed += 1;
         // Hot-set tracking for demand-driven replication: data ops count
         // against the file, name ops against the parent directory.
-        match &req {
-            NfsRequest::Read { fh, .. } | NfsRequest::Write { fh, .. } => {
+        match &call {
+            CallView::Write { fh, .. } | CallView::Other(NfsRequest::Read { fh, .. }) => {
                 self.hot_data.note(now, fh.file_id());
             }
-            NfsRequest::Lookup { dir, .. }
-            | NfsRequest::Create { dir, .. }
-            | NfsRequest::Mkdir { dir, .. }
-            | NfsRequest::Remove { dir, .. }
-            | NfsRequest::Rmdir { dir, .. } => {
+            CallView::Other(
+                NfsRequest::Lookup { dir, .. }
+                | NfsRequest::Create { dir, .. }
+                | NfsRequest::Mkdir { dir, .. }
+                | NfsRequest::Remove { dir, .. }
+                | NfsRequest::Rmdir { dir, .. },
+            ) => {
                 self.hot_name.note(now, dir.file_id());
             }
-            _ => {}
+            CallView::Other(_) => {}
         }
         let client_src = pkt.src;
         // Phase 4 pieces are timed inside; phase 3 around the rewrites.
-        match req {
-            NfsRequest::Read { fh, offset, count }
+        match call {
+            CallView::Other(NfsRequest::Read { fh, offset, count })
                 if self.reaches_bulk(&fh, offset, u64::from(count)) =>
             {
                 self.route_bulk(now, out, pkt, xid, fh, offset, count, None);
             }
-            NfsRequest::Write {
+            CallView::Write {
                 fh,
                 offset,
                 data,
@@ -1078,7 +1084,7 @@ impl Uproxy {
                 let len = data.len() as u32;
                 self.route_bulk(now, out, pkt, xid, fh, offset, len, Some((data, stable)));
             }
-            NfsRequest::Commit { fh, .. } if self.commit_is_multisite(&fh) => {
+            CallView::Other(NfsRequest::Commit { fh, .. }) if self.commit_is_multisite(&fh) => {
                 // Push modified attributes back on commit (paper §4.1).
                 let t4 = self.phase_start();
                 let dirty = self.attrs.take_dirty(fh.file_id());
@@ -1104,19 +1110,31 @@ impl Uproxy {
             }
             other => {
                 // Name-space, attribute, and small-file traffic.
-                let dest = self.name_dest(&other);
-                let (class, fh, offset, len) = match &other {
-                    NfsRequest::Read { fh, offset, count } => {
-                        (Class::SmallFile, Some(*fh), *offset, *count)
-                    }
-                    NfsRequest::Write {
+                let (dest, class, fh, offset, len) = match &other {
+                    CallView::Write {
                         fh, offset, data, ..
-                    } => (Class::SmallFile, Some(*fh), *offset, data.len() as u32),
-                    NfsRequest::Commit { fh, .. } => (Class::SmallFile, Some(*fh), 0, 0),
-                    req => (Class::Dir, req.primary_fh().copied(), 0, 0),
+                    } => (
+                        self.sf_dest(fh.file_id()),
+                        Class::SmallFile,
+                        Some(*fh),
+                        *offset,
+                        data.len() as u32,
+                    ),
+                    CallView::Other(req) => {
+                        let dest = self.name_dest(req);
+                        match req {
+                            NfsRequest::Read { fh, offset, count } => {
+                                (dest, Class::SmallFile, Some(*fh), *offset, *count)
+                            }
+                            NfsRequest::Commit { fh, .. } => {
+                                (dest, Class::SmallFile, Some(*fh), 0, 0)
+                            }
+                            req => (dest, Class::Dir, req.primary_fh().copied(), 0, 0),
+                        }
+                    }
                 };
                 // Commit below threshold still flushes cached attributes.
-                if matches!(other, NfsRequest::Commit { .. }) {
+                if other.proc() == NfsProc::Commit {
                     let t4 = self.phase_start();
                     let dirty = fh.and_then(|f| self.attrs.take_dirty(f.file_id()));
                     self.phases.soft_ns += Self::elapsed_ns(t4);
@@ -1149,12 +1167,13 @@ impl Uproxy {
             && (self.cfg.sf_sites.is_empty() || offset >= threshold || offset + len > threshold)
     }
 
-    /// Routes a READ (`write == None`) or WRITE that reaches the bulk
-    /// region. The placement decides everything: the bytes below the
-    /// threshold (if any) form a head for the small-file server, and the
-    /// block map names the storage sites of the rest — one replica of a
-    /// mirror for a read, every live replica for a write, shard legs for
-    /// a coded stripe.
+    /// Routes a READ (`write == None`) or WRITE (its data's range within
+    /// `pkt.payload`, and its stability) that reaches the bulk region.
+    /// The placement decides everything: the bytes below the threshold
+    /// (if any) form a head for the small-file server, and the block map
+    /// names the storage sites of the rest — one replica of a mirror for
+    /// a read, every live replica for a write, shard legs for a coded
+    /// stripe.
     ///
     /// Plain and mirrored legs carry the client's xid and, unless the
     /// request straddles the threshold, are the client's own packet
@@ -1171,7 +1190,7 @@ impl Uproxy {
         fh: Fhandle,
         offset: u64,
         len: u32,
-        write: Option<(Vec<u8>, StableHow)>,
+        write: Option<(Range<usize>, StableHow)>,
     ) {
         let (file, client_src) = (fh.file_id(), pkt.src);
         let end = offset + u64::from(len);
@@ -1198,6 +1217,9 @@ impl Uproxy {
             }
         };
         if let Some(geom) = geom {
+            // Shard legs are cut from a window of the client's packet.
+            let write =
+                write.map(|(data, stable)| (pkt.payload.slice(data.start, data.len()), stable));
             self.coded_route(
                 now, out, pkt, xid, fh, offset, len, lo, write, site_lists, geom,
             );
@@ -1224,6 +1246,7 @@ impl Uproxy {
             let cut = (lo - offset) as usize;
             let (head, tail) = match write {
                 Some((data, stable)) => {
+                    let data = &pkt.payload[data];
                     merge = Some(MergeState::Write { total: len });
                     let part = |offset, data: &[u8]| NfsRequest::Write {
                         fh,
@@ -1469,9 +1492,10 @@ impl Uproxy {
             out.push(ProxyOut::Client(p));
             return out;
         };
-        // Phase 2: decode the reply.
+        // Phase 2: decode the reply — status, attributes and results;
+        // READ data is located, not read.
         let t2 = self.phase_start();
-        let reply = decode_reply(&pkt.payload, rec_proc).ok().map(|(_, r)| r);
+        let reply = view_reply(&pkt.payload, rec_proc).ok().map(|(_, r)| r);
         self.phases.decode_ns += Self::elapsed_ns(t2);
         // Failure-suspicion bookkeeping: any reply from a storage site
         // resets its strike count — but suspicion itself clears only via
@@ -1501,6 +1525,7 @@ impl Uproxy {
             let t4 = self.phase_start();
             self.pending.remove(&xid);
             self.absorbed += 1;
+            let reply = reply.map(|r| (r, &pkt.payload));
             self.coded_leg_reply(now, &mut out, parent, role, src_site, reply);
             self.phases.soft_ns += Self::elapsed_ns(t4);
             return out;
@@ -1516,14 +1541,13 @@ impl Uproxy {
             // Split reads: stash this half's data for reassembly. The
             // source address says which half answered.
             if let Some(MergeState::Read { low, high, .. }) = &mut r.merge {
-                if let Some(slice_nfsproto::ReplyBody::Read { data, .. }) =
-                    reply.as_ref().map(|rp| &rp.body)
-                {
-                    if self.cfg.sf_sites.contains(&pkt.src) {
-                        low.get_or_insert_with(|| data.clone());
+                if let Some(BodyView::Read { data, .. }) = reply.as_ref().map(|rp| &rp.body) {
+                    let half = if self.cfg.sf_sites.contains(&pkt.src) {
+                        low
                     } else {
-                        high.get_or_insert_with(|| data.clone());
-                    }
+                        high
+                    };
+                    half.get_or_insert_with(|| pkt.payload.slice(data.start, data.len()));
                 }
             }
             r.remaining
@@ -1562,8 +1586,8 @@ impl Uproxy {
                         // from lookup/create bodies.
                         if let Some(attr) = reply.attr {
                             let fh = match &reply.body {
-                                slice_nfsproto::ReplyBody::Lookup { fh, .. } => Some(*fh),
-                                slice_nfsproto::ReplyBody::Create { fh: Some(fh) } => Some(*fh),
+                                BodyView::Other(ReplyBody::Lookup { fh, .. }) => Some(*fh),
+                                BodyView::Other(ReplyBody::Create { fh: Some(fh) }) => Some(*fh),
                                 _ => rec_fh,
                             };
                             if let Some(fh) = fh {
@@ -1636,19 +1660,21 @@ impl Uproxy {
         if let Some(merge) = &rec.merge {
             if let (Some(reply), Some(fh)) = (&reply, rec_fh) {
                 let t3 = self.phase_start();
-                let mut merged = reply.clone();
-                if let Some(attr) = self.attrs.get(fh.file_id()) {
-                    merged.attr = Some(attr);
-                }
-                match merge {
-                    MergeState::Write { total } => {
-                        if let slice_nfsproto::ReplyBody::Write { count, .. } = &mut merged.body {
-                            *count = *total;
-                        }
-                    }
+                let attr = self.attrs.get(fh.file_id()).or(reply.attr);
+                let body = match merge {
+                    MergeState::Write { total } => match &reply.body {
+                        BodyView::Other(ReplyBody::Write {
+                            committed, verf, ..
+                        }) => ReplyBody::Write {
+                            count: *total,
+                            committed: *committed,
+                            verf: *verf,
+                        },
+                        // An error reply carries no results to merge.
+                        _ => ReplyBody::None,
+                    },
                     MergeState::Read { split, low, high } => {
-                        let size = merged
-                            .attr
+                        let size = attr
                             .map(|a| a.size)
                             .unwrap_or(rec.offset + u64::from(rec.len));
                         let expected =
@@ -1666,9 +1692,15 @@ impl Uproxy {
                             }
                         }
                         let eof = rec.offset + expected as u64 >= size;
-                        merged.body = slice_nfsproto::ReplyBody::Read { data, eof };
+                        ReplyBody::Read { data, eof }
                     }
-                }
+                };
+                let merged = NfsReply {
+                    proc: reply.proc,
+                    status: reply.status,
+                    attr,
+                    body,
+                };
                 self.reply_to_client(&mut out, xid, rec.client_src, &merged);
                 self.phases.rewrite_ns += Self::elapsed_ns(t3);
                 return out;
@@ -1682,19 +1714,24 @@ impl Uproxy {
         if rec.proc == NfsProc::Read {
             if let (Some(reply), Some(fh)) = (&reply, rec_fh) {
                 if reply.status.is_ok() {
-                    if let (Some(attr), slice_nfsproto::ReplyBody::Read { data, .. }) =
+                    if let (Some(attr), BodyView::Read { data, .. }) =
                         (self.attrs.get(fh.file_id()), &reply.body)
                     {
                         let expected =
                             attr.size.saturating_sub(rec.offset).min(u64::from(rec.len)) as usize;
                         if data.len() != expected {
                             let t3 = self.phase_start();
-                            let mut fixed = reply.clone();
-                            fixed.attr = Some(attr);
-                            if let slice_nfsproto::ReplyBody::Read { data, eof } = &mut fixed.body {
-                                data.resize(expected, 0);
-                                *eof = rec.offset + expected as u64 >= attr.size;
-                            }
+                            let mut data = pkt.payload[data.clone()].to_vec();
+                            data.resize(expected, 0);
+                            let fixed = NfsReply {
+                                proc: NfsProc::Read,
+                                status: reply.status,
+                                attr: Some(attr),
+                                body: ReplyBody::Read {
+                                    data,
+                                    eof: rec.offset + expected as u64 >= attr.size,
+                                },
+                            };
                             self.reply_to_client(&mut out, xid, rec.client_src, &fixed);
                             self.phases.rewrite_ns += Self::elapsed_ns(t3);
                             return out;
@@ -1746,9 +1783,10 @@ impl Uproxy {
             CoordReply::IntentAck { op_id, intent } => {
                 if let Some(pkt) = self.intent_waiters.remove(&op_id) {
                     let xid = op_id as u32;
-                    let fh = decode_call(&pkt.payload)
-                        .ok()
-                        .and_then(|(_, req)| req.primary_fh().copied());
+                    let fh = match view_call(&pkt.payload) {
+                        Ok((_, CallView::Other(req))) => req.primary_fh().copied(),
+                        _ => None,
+                    };
                     if let Some(fh) = fh {
                         let site = self.coord_site(fh.file_id());
                         self.fanout_commit(&mut out, pkt, xid, fh, Some((site, intent)));

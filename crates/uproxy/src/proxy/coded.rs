@@ -36,7 +36,7 @@
 
 use super::*;
 use slice_ec::{Codec, CodedLayout};
-use slice_nfsproto::{NfsReply, ReplyBody};
+use slice_nfsproto::ReplyView;
 
 /// What a coded leg's reply means to its parent op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,8 +65,9 @@ struct CodedStripe {
     /// True when survivor windows must be gathered and decoded (partial
     /// write, or degraded read of this stripe).
     gather: bool,
-    /// Gathered survivor windows by shard index, zero-padded to hull len.
-    got: Vec<Option<Vec<u8>>>,
+    /// Gathered survivor windows by shard index, zero-padded to hull len
+    /// (a full-length window stays a view of the packet it arrived in).
+    got: Vec<Option<ByteBuf>>,
 }
 
 /// A client request in flight as coded shard legs.
@@ -81,8 +82,9 @@ pub(crate) struct CodedOp {
     bhi: u64,
     write: bool,
     stable: StableHow,
-    /// Client write payload, indexed from `offset` (empty for reads).
-    data: Vec<u8>,
+    /// Client write payload, indexed from `offset` (empty for reads): a
+    /// window of the client's packet.
+    data: ByteBuf,
     client_src: SockAddr,
     stripes: Vec<CodedStripe>,
     /// Sites this op routes to: the DirtyAck-approved live set when
@@ -96,13 +98,13 @@ pub(crate) struct CodedOp {
     /// Every leg xid issued (removed from `pending` on abort).
     leg_xids: Vec<u32>,
     /// Below-threshold read data from the straddle low half.
-    sf_data: Option<Vec<u8>>,
+    sf_data: Option<ByteBuf>,
     sf_outstanding: bool,
     /// First WRITE-leg reply: template for the merged client reply (its
     /// verifier stands in for the fan-out, as with mirrored writes).
     template: Option<NfsReply>,
     /// Clean read windows collected: (stripe, shard, bytes).
-    reads: Vec<(u32, u32, Vec<u8>)>,
+    reads: Vec<(u32, u32, ByteBuf)>,
     /// 0 = gathering survivor windows, 1 = final shard writes.
     phase: u8,
 }
@@ -241,7 +243,7 @@ impl Uproxy {
         offset: u64,
         len: u32,
         blo: u64,
-        write: Option<(Vec<u8>, StableHow)>,
+        write: Option<(ByteBuf, StableHow)>,
         site_lists: Vec<Vec<u32>>,
         geom: CodedLayout,
     ) {
@@ -384,7 +386,7 @@ impl Uproxy {
                 }));
             }
         }
-        let (data, stable) = write.unwrap_or((Vec::new(), StableHow::Unstable));
+        let (data, stable) = write.unwrap_or((ByteBuf::new(), StableHow::Unstable));
         if blo > offset {
             let cut = (blo - offset) as usize;
             let head = if is_write {
@@ -533,7 +535,8 @@ impl Uproxy {
         }
     }
 
-    /// Absorbs one coded leg's reply and advances the parent op.
+    /// Absorbs one coded leg's reply (with the packet payload it was
+    /// parsed from) and advances the parent op.
     pub(crate) fn coded_leg_reply(
         &mut self,
         now: SimTime,
@@ -541,7 +544,7 @@ impl Uproxy {
         parent: u32,
         role: CodedLegRole,
         src_site: Option<u32>,
-        reply: Option<NfsReply>,
+        reply: Option<(ReplyView, &ByteBuf)>,
     ) {
         let Some(op) = self.coded_ops.get_mut(&parent) else {
             return;
@@ -555,7 +558,7 @@ impl Uproxy {
             CodedLegRole::SmallFile => op.sf_outstanding = false,
             _ => op.outstanding = op.outstanding.saturating_sub(1),
         }
-        let Some(reply) = reply else {
+        let Some((reply, payload)) = reply else {
             // Undecodable leg reply: drop the op; retransmission restarts.
             self.abort_coded(now, out, parent);
             return;
@@ -573,32 +576,39 @@ impl Uproxy {
             self.reply_to_client(out, parent, client, &NfsReply::error(proc, reply.status));
             return;
         }
+        // READ data stays in the leg's reply packet; the op keeps windows.
+        let read_window = match &reply.body {
+            BodyView::Read { data, .. } => Some(payload.slice(data.start, data.len())),
+            BodyView::Other(_) => None,
+        };
         match role {
             CodedLegRole::SmallFile => {
-                if let ReplyBody::Read { data, .. } = &reply.body {
-                    op.sf_data = Some(data.clone());
+                if read_window.is_some() {
+                    op.sf_data = read_window;
                 }
             }
             CodedLegRole::Gather { stripe, shard } => {
                 let st = &mut op.stripes[stripe as usize];
                 let wlen = (st.hi - st.lo) as usize;
-                let mut bytes = match reply.body {
-                    ReplyBody::Read { data, .. } => data,
-                    _ => Vec::new(),
-                };
+                let window = read_window.unwrap_or_default();
                 // Short reads are holes or truncated tails: zeros under
                 // the linear code.
-                bytes.resize(wlen, 0);
-                st.got[shard as usize] = Some(bytes);
+                st.got[shard as usize] = Some(if window.len() == wlen {
+                    window
+                } else {
+                    let mut bytes = window.to_vec();
+                    bytes.resize(wlen, 0);
+                    bytes.into()
+                });
             }
             CodedLegRole::Data { stripe, shard } => {
-                if let ReplyBody::Read { data, .. } = reply.body {
-                    op.reads.push((stripe, shard, data));
+                if let Some(window) = read_window {
+                    op.reads.push((stripe, shard, window));
                 }
             }
             CodedLegRole::WriteAck => {
                 if op.template.is_none() {
-                    op.template = Some(reply);
+                    op.template = Some(reply.into_reply(payload));
                 }
             }
         }
@@ -665,7 +675,7 @@ impl Uproxy {
                         rebuilt.push((
                             i as u32,
                             j as u32,
-                            w[(a - st.lo) as usize..(b - st.lo) as usize].to_vec(),
+                            w[(a - st.lo) as usize..(b - st.lo) as usize].into(),
                         ));
                     }
                 }

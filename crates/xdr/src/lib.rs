@@ -176,6 +176,17 @@ impl XdrEncoder {
         self.put_opaque_fixed(data);
     }
 
+    /// Appends `len` bytes of variable-length opaque data as zeros (length
+    /// prefix + padding) and returns them for the caller to fill in
+    /// place, so data produced by a reader need not be staged in a
+    /// buffer of its own first.
+    pub fn put_opaque_zeroed(&mut self, len: usize) -> &mut [u8] {
+        self.put_u32(len as u32);
+        let start = self.buf.len();
+        self.buf.resize(start + len + pad_len(len), 0);
+        &mut self.buf[start..start + len]
+    }
+
     /// Appends a string as variable-length opaque UTF-8.
     pub fn put_string(&mut self, s: &str) {
         self.put_opaque(s.as_bytes());
@@ -358,6 +369,18 @@ mod tests {
             let mut d = XdrDecoder::new(&b);
             assert_eq!(d.get_opaque().unwrap(), &data[..]);
             assert!(d.is_empty());
+        }
+    }
+
+    #[test]
+    fn zeroed_opaque_filled_in_place_matches_put_opaque() {
+        for len in [0usize, 1, 3, 4, 5, 33] {
+            let data: Vec<u8> = (0..len).map(|i| i as u8 + 1).collect();
+            let mut staged = XdrEncoder::new();
+            staged.put_opaque(&data);
+            let mut in_place = XdrEncoder::new();
+            in_place.put_opaque_zeroed(len).copy_from_slice(&data);
+            assert_eq!(in_place.as_bytes(), staged.as_bytes(), "len {len}");
         }
     }
 

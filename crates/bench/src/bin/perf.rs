@@ -9,8 +9,9 @@
 //! the deterministic counters are identical at any thread count.
 //!
 //! Every PR gets a trajectory point; CI's `perf-smoke` job fails when any
-//! *deterministic* counter (packets, bytes, events, payload copies)
-//! regresses against the committed reference (`ci/perf_reference.txt`).
+//! *deterministic* counter (packets, bytes, events, heap entries, inline
+//! dispatches, payload copies) regresses against the committed reference
+//! (`ci/perf_reference.txt`).
 //! Wall-clock is machine-dependent — it would flake on slower CI runners
 //! — so it is reported but never gated on.
 //!
@@ -28,9 +29,10 @@
 //!   `--shards 1` skips the phase.
 //! * `--check <file>` — exit nonzero if a deterministic counter exceeds
 //!   its reference value by more than 25% (plus a small absolute slack so
-//!   near-zero references don't gate on noise-sized drifts). Lines are
-//!   `<name> <value>`; `#` starts a comment; a `wall_s` entry is
-//!   informational only.
+//!   near-zero references don't gate on noise-sized drifts) — or, for the
+//!   `*.inline_handlers` counters, where *fewer* is the regression, falls
+//!   short of it by as much. Lines are `<name> <value>`; `#` starts a
+//!   comment; a `wall_s` entry is informational only.
 
 use slice_bench::EngineTotals;
 use slice_core::EnsemblePolicy;
@@ -273,6 +275,11 @@ fn fold_phase(reg: &mut slice_obs::Registry, name: &str, ph: &PhaseReport) {
     reg.set(&format!("perf.{name}.packets"), ph.totals.packets);
     reg.set(&format!("perf.{name}.bytes"), ph.totals.bytes);
     reg.set(&format!("perf.{name}.events"), ph.totals.events);
+    reg.set(&format!("perf.{name}.heap_pushes"), ph.totals.heap_pushes);
+    reg.set(
+        &format!("perf.{name}.inline_handlers"),
+        ph.totals.inline_dispatches,
+    );
     reg.set(
         &format!("perf.{name}.peak_live_events"),
         ph.totals.peak_live_events as u64,
@@ -322,6 +329,19 @@ fn check_counters(text: &str, measured: &[(&str, u64)], untar_wall_s: f64) -> Ve
             failures.push(format!("reference names unknown counter {name}"));
             continue;
         };
+        if name.ends_with(".inline_handlers") {
+            // The one counter where less is worse: a change that disables
+            // the inline path drives it to zero. No absolute slack — both
+            // phases run the serial engine, where the count is exact.
+            let floor = (reference as f64 * (1.0 - PERF_TOLERANCE)) as u64;
+            if got < floor {
+                failures.push(format!(
+                    "{name} = {got} falls short of reference {reference} by more than {:.0}% (floor {floor})",
+                    PERF_TOLERANCE * 100.0
+                ));
+            }
+            continue;
+        }
         let limit = (reference as f64 * (1.0 + PERF_TOLERANCE)) as u64 + PERF_ABS_SLACK;
         if got > limit {
             failures.push(format!(
@@ -365,11 +385,14 @@ fn main() {
     );
     for (name, ph) in [("untar", &untar), ("bulk", &bulk)] {
         println!(
-            "  {name:>6}: {:>7.3}s wall | {:>12} packets ({:>9.0}/host-s) | {:>12} events | peak live {}",
+            "  {name:>6}: {:>7.3}s wall | {:>12} packets ({:>9.0}/host-s) | {:>12} events \
+             ({} heap entries, {} handlers inline) | peak live {}",
             ph.wall_s,
             ph.totals.packets,
             ph.totals.packets as f64 / ph.wall_s.max(1e-9),
             ph.totals.events,
+            ph.totals.heap_pushes,
+            ph.totals.inline_dispatches,
             ph.totals.peak_live_events,
         );
     }
@@ -445,9 +468,13 @@ fn main() {
             ("untar.packets", untar.totals.packets),
             ("untar.bytes", untar.totals.bytes),
             ("untar.events", untar.totals.events),
+            ("untar.heap_pushes", untar.totals.heap_pushes),
+            ("untar.inline_handlers", untar.totals.inline_dispatches),
             ("bulk.packets", bulk.totals.packets),
             ("bulk.bytes", bulk.totals.bytes),
             ("bulk.events", bulk.totals.events),
+            ("bulk.heap_pushes", bulk.totals.heap_pushes),
+            ("bulk.inline_handlers", bulk.totals.inline_dispatches),
             ("payload.shallow_clones", shallow),
             ("payload.deep_copies", deep),
             ("payload.deep_copy_bytes", deep_bytes),

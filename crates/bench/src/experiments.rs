@@ -240,8 +240,12 @@ pub struct EngineTotals {
     pub packets: u64,
     /// Payload bytes handed to the network model.
     pub bytes: u64,
-    /// Events executed.
+    /// Logical events executed.
     pub events: u64,
+    /// Physical heap entries pushed (at most one per logical event).
+    pub heap_pushes: u64,
+    /// Handlers dispatched inline, without a heap entry for their `Process`.
+    pub inline_dispatches: u64,
     /// High-water mark of concurrently live events in the slab.
     pub peak_live_events: usize,
     /// Time windows executed (serial + barrier-synchronized parallel).
@@ -258,6 +262,8 @@ impl EngineTotals {
             packets: engine.packets_sent(),
             bytes: engine.bytes_sent(),
             events: engine.events_executed(),
+            heap_pushes: engine.heap_pushes(),
+            inline_dispatches: engine.inline_dispatches(),
             peak_live_events: engine.peak_live_events(),
             windows: engine.shard_windows(),
             barrier_rounds: engine.shard_barrier_rounds(),
@@ -269,6 +275,8 @@ impl EngineTotals {
         self.packets += other.packets;
         self.bytes += other.bytes;
         self.events += other.events;
+        self.heap_pushes += other.heap_pushes;
+        self.inline_dispatches += other.inline_dispatches;
         self.peak_live_events = self.peak_live_events.max(other.peak_live_events);
         self.windows += other.windows;
         self.barrier_rounds += other.barrier_rounds;

@@ -69,14 +69,28 @@ fn payload_cpu(bytes: usize, per_4k: SimDuration) -> SimDuration {
 /// retransmission that almost never comes. The decoded form shares
 /// nothing with the wire path, so the packet the server actually sends is
 /// the payload's sole owner and the µproxy patches it in place.
+///
+/// Completed replies live in a FIFO ring of [`DRC_CAPACITY`] entries; the
+/// hash table only maps a key to "in progress" or to its ring position.
+/// A ~200-byte `NfsReply` therefore never sits in a hash bucket: the
+/// table's buckets are 16 bytes and stay cache-resident, and `complete`
+/// writes the reply once, sequentially, into the ring.
 #[derive(Debug)]
 pub struct ReplyCache {
     /// One map holds both phases of an entry's life (in progress, then
     /// done): the admit/complete pair on every request costs one hash
-    /// lookup each instead of crossing a separate set and map.
-    entries: FxHashMap<(u32, u16, u32), DrcEntry>,
-    order: std::collections::VecDeque<(u32, u16, u32)>,
+    /// lookup each instead of crossing a separate set and map. The value
+    /// is [`IN_PROGRESS`] or the entry's index in `ring`.
+    index: FxHashMap<DrcKey, u32>,
+    /// Completed replies, oldest at `oldest` once the ring is full.
+    ring: Vec<(DrcKey, slice_nfsproto::NfsReply)>,
+    oldest: usize,
 }
+
+type DrcKey = (u32, u16, u32);
+
+/// `index` value of a request still being served.
+const IN_PROGRESS: u32 = u32::MAX;
 
 impl Default for ReplyCache {
     fn default() -> Self {
@@ -86,16 +100,11 @@ impl Default for ReplyCache {
         // rehashes in place every ~capacity/2 requests just to reclaim
         // tombstones; 4x slack makes that reclaim ~8x rarer.
         ReplyCache {
-            entries: FxHashMap::with_capacity_and_hasher(DRC_CAPACITY * 4, Default::default()),
-            order: std::collections::VecDeque::with_capacity(DRC_CAPACITY + 1),
+            index: FxHashMap::with_capacity_and_hasher(DRC_CAPACITY * 4, Default::default()),
+            ring: Vec::new(),
+            oldest: 0,
         }
     }
-}
-
-#[derive(Debug)]
-enum DrcEntry {
-    InProgress,
-    Done(slice_nfsproto::NfsReply),
 }
 
 /// DRC capacity (completed entries).
@@ -113,42 +122,51 @@ pub enum DrcCheck {
 }
 
 impl ReplyCache {
-    fn key(src: SockAddr, xid: u32) -> (u32, u16, u32) {
+    fn key(src: SockAddr, xid: u32) -> DrcKey {
         (src.ip, src.port, xid)
     }
 
     /// Checks an incoming call and registers it as in progress when fresh.
     pub fn admit(&mut self, src: SockAddr, xid: u32) -> DrcCheck {
-        match self.entries.entry(Self::key(src, xid)) {
-            std::collections::hash_map::Entry::Occupied(e) => match e.get() {
-                DrcEntry::InProgress => DrcCheck::InProgress,
-                DrcEntry::Done(reply) => DrcCheck::Replay(reply.clone()),
+        match self.index.entry(Self::key(src, xid)) {
+            std::collections::hash_map::Entry::Occupied(e) => match *e.get() {
+                IN_PROGRESS => DrcCheck::InProgress,
+                at => DrcCheck::Replay(self.ring[at as usize].1.clone()),
             },
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(DrcEntry::InProgress);
+                e.insert(IN_PROGRESS);
                 DrcCheck::Fresh
             }
         }
     }
 
-    /// Records the reply for a completed request.
-    pub fn complete(&mut self, dst: SockAddr, xid: u32, reply: &slice_nfsproto::NfsReply) {
+    /// Records the reply for a completed request, evicting the oldest
+    /// completed entry once [`DRC_CAPACITY`] are held. Completing a key
+    /// that is already complete overwrites its reply in place and keeps
+    /// its age.
+    pub fn complete(&mut self, dst: SockAddr, xid: u32, reply: slice_nfsproto::NfsReply) {
         let key = Self::key(dst, xid);
-        let prev = self.entries.insert(key, DrcEntry::Done(reply.clone()));
-        if !matches!(prev, Some(DrcEntry::Done(_))) {
-            self.order.push_back(key);
-            if self.order.len() > DRC_CAPACITY {
-                if let Some(old) = self.order.pop_front() {
-                    self.entries.remove(&old);
-                }
+        match self.index.get(&key) {
+            Some(&at) if at != IN_PROGRESS => self.ring[at as usize].1 = reply,
+            _ if self.ring.len() < DRC_CAPACITY => {
+                self.index.insert(key, self.ring.len() as u32);
+                self.ring.push((key, reply));
+            }
+            _ => {
+                let at = self.oldest;
+                self.oldest = (at + 1) % DRC_CAPACITY;
+                let evicted = std::mem::replace(&mut self.ring[at], (key, reply));
+                self.index.remove(&evicted.0);
+                self.index.insert(key, at as u32);
             }
         }
     }
 
     /// Drops everything (server restart: the DRC is volatile).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+        self.index.clear();
+        self.ring.clear();
+        self.oldest = 0;
     }
 }
 
@@ -331,11 +349,11 @@ impl DirActor {
                     let Some((dst, xid)) = self.tokens.remove(&token) else {
                         continue;
                     };
-                    // Stash the decoded reply before encoding: the sent
+                    // Stash the decoded reply, not the packet: the sent
                     // packet keeps sole ownership of its payload, so the
                     // µproxy's attribute patch mutates it in place.
-                    self.drc.complete(dst, xid, &reply);
                     let pkt = Packet::new(self.addr, dst, encode_reply(xid, &reply));
+                    self.drc.complete(dst, xid, reply);
                     if let Some(node) = self.router.try_node_of(dst) {
                         self.deferred.send_at(ctx, at, node, Wire::Udp(pkt));
                     }
@@ -840,5 +858,134 @@ impl Actor<Wire> for CoordActor {
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use slice_nfsproto::{NfsReply, NfsStatus, ReplyBody};
+    use slice_sim::Rng;
+
+    /// The DRC's rules, spelled out naively: completed entries in arrival
+    /// order with a linear search, in-progress keys beside them.
+    #[derive(Default)]
+    struct NaiveDrc {
+        in_progress: Vec<DrcKey>,
+        done: Vec<(DrcKey, u32)>,
+    }
+
+    /// What an operation on the naive model answers: `Replay` carries the
+    /// mask that identifies the stashed reply.
+    #[derive(Debug, PartialEq)]
+    enum Expect {
+        Fresh,
+        InProgress,
+        Replay(u32),
+    }
+
+    impl NaiveDrc {
+        fn admit(&mut self, key: DrcKey) -> Expect {
+            if self.in_progress.contains(&key) {
+                Expect::InProgress
+            } else if let Some((_, mask)) = self.done.iter().find(|(k, _)| *k == key) {
+                Expect::Replay(*mask)
+            } else {
+                self.in_progress.push(key);
+                Expect::Fresh
+            }
+        }
+
+        /// Returns `(re-completed, evicted)` for the coverage counts.
+        fn complete(&mut self, key: DrcKey, mask: u32) -> (bool, bool) {
+            if let Some(entry) = self.done.iter_mut().find(|(k, _)| *k == key) {
+                entry.1 = mask;
+                return (true, false);
+            }
+            self.in_progress.retain(|k| *k != key);
+            self.done.push((key, mask));
+            let evict = self.done.len() > DRC_CAPACITY;
+            if evict {
+                self.done.remove(0);
+            }
+            (false, evict)
+        }
+    }
+
+    fn reply(mask: u32) -> NfsReply {
+        NfsReply {
+            proc: NfsProc::Access,
+            status: NfsStatus::Ok,
+            attr: None,
+            body: ReplyBody::Access { mask },
+        }
+    }
+
+    #[test]
+    fn reply_cache_matches_the_naive_model() {
+        // A key pool a little larger than the capacity: most admits are
+        // retransmissions, and a completion of a key outside the ring
+        // evicts at capacity.
+        const POOL: u32 = DRC_CAPACITY as u32 + 300;
+        const STEPS: u32 = 200_000;
+        let mut rng = Rng::seed_from_u64(0xd5c);
+        let mut drc = ReplyCache::default();
+        let mut model = NaiveDrc::default();
+        let (mut replays, mut in_progress, mut recompletes, mut evictions) = (0u32, 0, 0, 0);
+        for step in 0..STEPS {
+            let n = rng.gen_range(0..POOL);
+            let addr = SockAddr::new(0x0a00_0100 + n % 7, 700 + (n % 3) as u16);
+            let (xid, key) = (n, (addr.ip, addr.port, n));
+            match rng.gen_range(0..100u32) {
+                0..=54 => {
+                    let got = admit(&mut drc, addr, xid);
+                    assert_eq!(got, model.admit(key), "step {step}: admit {key:?}");
+                    match got {
+                        Expect::Replay(_) => replays += 1,
+                        Expect::InProgress => in_progress += 1,
+                        Expect::Fresh => {}
+                    }
+                }
+                55..=98 => {
+                    drc.complete(addr, xid, reply(step));
+                    let (again, evicted) = model.complete(key, step);
+                    recompletes += u32::from(again);
+                    evictions += u32::from(evicted);
+                }
+                _ if rng.gen_range(0..500u32) == 0 => {
+                    drc.clear();
+                    model = NaiveDrc::default();
+                }
+                _ => {}
+            }
+        }
+        // Every rule was exercised, not just compared.
+        assert!(replays > 10_000, "{replays} replays");
+        assert!(in_progress > 1_000, "{in_progress} in-progress hits");
+        assert!(recompletes > 10_000, "{recompletes} re-completions");
+        assert!(evictions > 1_000, "{evictions} evictions at capacity");
+        // And what is left answers as the model does, key by key.
+        for n in 0..POOL {
+            let addr = SockAddr::new(0x0a00_0100 + n % 7, 700 + (n % 3) as u16);
+            let got = admit(&mut drc, addr, n);
+            assert_eq!(
+                got,
+                model.admit((addr.ip, addr.port, n)),
+                "final sweep, key {n}"
+            );
+        }
+    }
+
+    /// Admits on the real cache and reads the answer back in the model's
+    /// terms; a replayed reply must be one this test stashed, intact.
+    fn admit(drc: &mut ReplyCache, addr: SockAddr, xid: u32) -> Expect {
+        match drc.admit(addr, xid) {
+            DrcCheck::Fresh => Expect::Fresh,
+            DrcCheck::InProgress => Expect::InProgress,
+            DrcCheck::Replay(r) => match r.body {
+                ReplyBody::Access { mask } if r == reply(mask) => Expect::Replay(mask),
+                _ => panic!("not a reply this test stashed: {r:?}"),
+            },
+        }
     }
 }

@@ -288,8 +288,8 @@ impl Actor<Wire> for BaselineActor {
         let token = self.next_token;
         self.next_token += 1;
         let (done, reply) = self.fs.handle(ctx.now(), token, &req);
-        self.drc.complete(pkt.src, hdr.xid, &reply);
         let out = Packet::new(self.addr, pkt.src, encode_reply(hdr.xid, &reply));
+        self.drc.complete(pkt.src, hdr.xid, reply);
         let Some(node) = self.router.try_node_of(pkt.src) else {
             return;
         };

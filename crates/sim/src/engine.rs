@@ -37,14 +37,60 @@
 //! * **RNG.** Every node draws from its own [`Rng::stream`]; loss and
 //!   duplication are drawn from the *sender's* stream, reorder jitter from
 //!   the *receiver's*, always during that node's own dispatches.
-//! * **Contention points.** Each destination's switch port is charged in
-//!   [`Event::SwitchArrive`] order (a receiver-side event), not in send
-//!   order, so port queueing resolves identically however sends interleave
-//!   across shards.
+//! * **Contention points.** Each destination's switch port is charged when
+//!   the packet dispatches at its port (a receiver-side event), not in
+//!   send order, so port queueing resolves identically however sends
+//!   interleave across shards.
 //!
 //! The clock `now` advances only when an event *dispatches* (cancelled
 //! timers surfacing from the heap do not count), so `Engine::now` and
 //! [`Engine::events_executed`] are also shard-invariant.
+//!
+//! # Logical events and physical heap entries
+//!
+//! A message hop is three *logical* events: the packet reaches the
+//! receiver's switch port (key stamped by the sender), lands on the
+//! receiver (key stamped by the receiver at the port), and is served by
+//! the receiver's CPU (`Process`, stamped by the receiver at the
+//! landing). Each has a `(time, src, seq)` key, each draws a seq, each
+//! counts in [`Engine::events_executed`] — that sequence is the
+//! simulation, and it is the same at every shard count. What the engine
+//! *physically* does for a hop is less:
+//!
+//! * **One slot.** The message is written into a slab slot once, by
+//!   `transmit`, and read out once, by the handler that consumes it. The
+//!   port stage re-stages that slot in place and pushes only the 24-byte
+//!   key of the landing; the landing puts the *slot index* on the node's
+//!   queue. One move in, one move out, whatever the message's size.
+//! * **The port stage stays a logical event.** It cannot be folded into
+//!   the send: the landing's key is stamped from the *receiver's* seq
+//!   counter (and reorder jitter from the receiver's RNG stream) at the
+//!   instant the packet reaches the port, interleaved with the receiver's
+//!   own handlers' draws. Only dispatching an event on the receiver's
+//!   shard at that instant reproduces the interleaving; computing the
+//!   port charge at send time would need the receiver's state from
+//!   another shard, in send order — which is shard-layout-dependent.
+//! * **`Process` runs inline when it would pop next.** When a landing or
+//!   a timer fire finds the node up, with no `Process` pending and the
+//!   CPU idle, it stamps the `Process` key `K = (now, node, seq)` exactly
+//!   as before. If no pending key orders before `K`, the heap would hand
+//!   `K` straight back: the handler runs on the spot and the `Process` is
+//!   counted as dispatched, with no slot and no heap entry. "No pending
+//!   key orders before `K`" is one comparison against the heap top —
+//!   every key not yet in this shard's heap (another shard's outbox, a
+//!   mailbox) is timed at or after the window's end, hence after `now`.
+//!   Otherwise `K` is pushed as it always was. The fallback is what keeps
+//!   this exact rather than nearly so: a timer the same node stamped
+//!   between the packet's port stage and its landing, due in the very
+//!   nanosecond of the landing, has a key below `K`; it must fire (and
+//!   join the queue) before the packet's handler runs, even if that
+//!   handler then cancels it (`tests/engine_equivalence.rs` builds the
+//!   case). Driver-time work ([`Engine::recover_node`]) always goes
+//!   through the heap, so it is counted inside the next run.
+//!
+//! [`Engine::heap_pushes`] and [`Engine::inline_dispatches`] count the
+//! physical side. They are deterministic for a given shard layout but not
+//! shard-invariant: which keys share a heap decides what runs inline.
 //!
 //! # Crash semantics
 //!
@@ -52,10 +98,13 @@
 //! and armed timers ([`Event::TimerFire`]) carry the incarnation they were
 //! created under and are silently discarded if it no longer matches — a
 //! timer armed before a crash can never fire into a recovered node's new
-//! life. In-flight network packets ([`Event::Arrive`]) carry no incarnation:
-//! the wire does not know the host rebooted, so a packet that arrives while
-//! the node is down is lost, and one that arrives after recovery is
-//! delivered.
+//! life. In-flight network packets ([`Packet`]) carry no incarnation:
+//! the wire does not know the host rebooted, so a packet that lands while
+//! the node is down is lost (and its slot freed on the spot), and one
+//! that lands after recovery is delivered. Packets already parked on the
+//! node's queue die with the crash: [`Engine::fail_node`] frees their
+//! slots as it clears the queue, so a drained engine holds no slot,
+//! whatever crashed along the way.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -150,28 +199,20 @@ pub trait Actor<M>: Send + 'static {
 /// Timer tag delivered by [`Engine::kick`]; actors treat it as "start".
 pub const START_TAG: u64 = u64::MAX;
 
-enum QueueItem<M> {
-    Message { from: NodeId, msg: M },
-    Timer { tag: u64 },
+/// One unit of work waiting for a node's CPU.
+enum QueueItem {
+    /// A packet that has landed: the slab slot it has been parked in since
+    /// [`ShardCore::transmit`] (the message is taken out by its handler).
+    Packet(u32),
+    Timer {
+        tag: u64,
+    },
     Restart,
 }
 
-enum Event<M> {
-    /// A message finishes its network journey and joins the node's queue.
-    /// Deliberately incarnation-free: packets on the wire survive a crash
-    /// of their destination (they are simply lost if it is still down).
-    Arrive { to: NodeId, from: NodeId, msg: M },
-    /// A message reaches the switch egress port toward `to`; port
-    /// serialization is charged here, on the *receiver's* shard, so port
-    /// contention resolves in arrival order regardless of shard layout.
-    /// `size` is the wire size the sender already computed, so the
-    /// receiver's port charge needs no second walk of the message.
-    SwitchArrive {
-        to: NodeId,
-        from: NodeId,
-        msg: M,
-        size: u32,
-    },
+/// A message-free logical event waiting in the heap.
+#[derive(Clone, Copy)]
+enum Event {
     /// The node's CPU is free to process the next queued item. Discarded
     /// if the node's incarnation no longer matches (crashed since).
     Process { node: NodeId, epoch: u32 },
@@ -180,14 +221,35 @@ enum Event<M> {
     TimerFire { node: NodeId, tag: u64, epoch: u32 },
 }
 
-impl<M> Event<M> {
-    /// The node whose shard must dispatch this event.
-    fn dest(&self) -> NodeId {
-        match *self {
-            Event::Arrive { to, .. } | Event::SwitchArrive { to, .. } => to,
-            Event::Process { node, .. } | Event::TimerFire { node, .. } => node,
-        }
-    }
+/// Where a [`Packet`] is on its way from the sender's NIC to the
+/// receiver's handler. The first two stages are logical events with a
+/// heap key each; the third is a place in the receiver's CPU queue.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Stage {
+    /// Reaching the switch egress port toward `to`; port serialization is
+    /// charged when this dispatches, on the *receiver's* shard, so port
+    /// contention resolves in arrival order regardless of shard layout.
+    AtPort,
+    /// Past the port (or sent host-internally), about to join the
+    /// receiver's queue.
+    Landing,
+    /// On the receiver's queue, or being handed to its handler.
+    Parked,
+}
+
+/// A message in flight, parked in one slab slot from `transmit` until its
+/// handler consumes it: each stage re-stages the slot in place and pushes
+/// a 24-byte key, so a hop moves the message once in and once out.
+/// Deliberately incarnation-free: packets on the wire survive a crash of
+/// their destination (they are simply lost if it is still down).
+struct Packet<M> {
+    to: NodeId,
+    from: NodeId,
+    /// The wire size the sender already computed, so the receiver's port
+    /// charge needs no second walk of the message.
+    size: u32,
+    stage: Stage,
+    msg: M,
 }
 
 /// Min-heap key: the event payload itself lives in the slab, so the heap
@@ -229,11 +291,17 @@ const HEAP_ARITY: usize = 4;
 /// slab, so this only shuffles small keys).
 struct EventHeap {
     keys: Vec<HeapKey>,
+    /// Lifetime pushes — the *physical* heap entries paid for (a logical
+    /// event dispatched inline never becomes one).
+    pushes: u64,
 }
 
 impl EventHeap {
     fn new() -> Self {
-        EventHeap { keys: Vec::new() }
+        EventHeap {
+            keys: Vec::new(),
+            pushes: 0,
+        }
     }
 
     fn peek(&self) -> Option<&HeapKey> {
@@ -241,6 +309,7 @@ impl EventHeap {
     }
 
     fn push(&mut self, key: HeapKey) {
+        self.pushes += 1;
         self.keys.push(key);
         self.sift_up(self.keys.len() - 1);
     }
@@ -324,13 +393,36 @@ enum SlotState<M> {
     /// handler invocation.
     Armed { cancelled: bool },
     /// In the heap, waiting to pop.
-    Scheduled { event: Event<M>, cancelled: bool },
+    Scheduled { event: Event, cancelled: bool },
+    /// A message between its sender's NIC and its receiver's handler: in
+    /// the heap while [`Stage::AtPort`] or [`Stage::Landing`], on the
+    /// receiver's queue once [`Stage::Parked`].
+    Packet(Packet<M>),
+}
+
+impl<M> SlotState<M> {
+    /// The node whose shard must dispatch this pending event.
+    fn dest(&self) -> NodeId {
+        match self {
+            SlotState::Packet(p) => p.to,
+            SlotState::Scheduled {
+                event: Event::Process { node, .. } | Event::TimerFire { node, .. },
+                ..
+            } => *node,
+            SlotState::Free | SlotState::Armed { .. } => unreachable!("slot holds no event"),
+        }
+    }
 }
 
 /// Slab of pending events: O(1) insert, O(1) cancel (flag the slot), O(1)
 /// free on pop. Slots are recycled through a free list, so long runs with
 /// heavy timer re-arming stay at the high-water mark of *concurrently
 /// live* events instead of accumulating tombstones.
+///
+/// `live` counts *logical pending events* — heap entries that will
+/// dispatch, plus armed timers. A parked packet still holds its slot but
+/// is no longer pending (its `Process` is), so it is not live: the gauge
+/// means what it meant when every stage had a slot of its own.
 struct EventSlab<M> {
     slots: Vec<EventSlot<M>>,
     free: Vec<u32>,
@@ -348,7 +440,8 @@ impl<M> EventSlab<M> {
         }
     }
 
-    fn alloc(&mut self, state: SlotState<M>) -> u32 {
+    /// Takes a slot for a new pending event.
+    fn schedule(&mut self, state: SlotState<M>) -> u32 {
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
         if let Some(slot) = self.free.pop() {
@@ -361,16 +454,44 @@ impl<M> EventSlab<M> {
         }
     }
 
-    /// Frees `slot` and returns its state; the generation bump invalidates
-    /// any outstanding [`TimerId`] pointing at it.
-    fn take(&mut self, slot: u32) -> SlotState<M> {
+    /// Frees the slot of a pending event that dispatched or was cancelled.
+    fn retire(&mut self, slot: u32) {
+        self.live -= 1;
+        self.free(slot);
+    }
+
+    /// Frees `slot`, dropping what it held in place (no 150-byte move out
+    /// of the slab just to drop a timer).
+    fn free(&mut self, slot: u32) {
         let s = &mut self.slots[slot as usize];
-        let state = std::mem::replace(&mut s.state, SlotState::Free);
+        debug_assert!(!matches!(s.state, SlotState::Free), "double free");
+        s.state = SlotState::Free;
+        self.recycle(slot);
+    }
+
+    /// Frees `slot` and hands back what it held — the one move out of the
+    /// slab a message makes.
+    fn release(&mut self, slot: u32) -> SlotState<M> {
+        let state = std::mem::replace(&mut self.slots[slot as usize].state, SlotState::Free);
         debug_assert!(!matches!(state, SlotState::Free), "double free");
+        self.recycle(slot);
+        state
+    }
+
+    /// Puts a just-emptied slot on the free list; the generation bump
+    /// invalidates any outstanding [`TimerId`] pointing at it.
+    fn recycle(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
         s.gen = s.gen.wrapping_add(1);
         self.free.push(slot);
-        self.live -= 1;
-        state
+    }
+
+    /// Frees the slot behind a queue item that will never be served (its
+    /// node crashed, or was down when the packet landed).
+    fn discard(&mut self, item: QueueItem) {
+        if let QueueItem::Packet(slot) = item {
+            self.free(slot);
+        }
     }
 
     fn gen_of(&self, slot: u32) -> u32 {
@@ -378,9 +499,9 @@ impl<M> EventSlab<M> {
     }
 }
 
-struct NodeState<M> {
+struct NodeState {
     name: String,
-    queue: VecDeque<QueueItem<M>>,
+    queue: VecDeque<QueueItem>,
     /// True when a `Process` event is in flight for this node.
     process_scheduled: bool,
     /// CPU is busy (serving) until this instant.
@@ -416,8 +537,8 @@ pub struct NodeStats {
     pub messages_handled: u64,
 }
 
-/// A cross-shard event in flight: a [`Event::SwitchArrive`] bound for a
-/// node on another shard, key preserved verbatim so the destination heap
+/// A cross-shard event in flight: a packet at [`Stage::AtPort`] bound for
+/// a node on another shard, key preserved verbatim so the destination heap
 /// orders it exactly as a single-shard run would.
 pub(crate) struct Cross<M> {
     pub(crate) time: SimTime,
@@ -426,7 +547,7 @@ pub(crate) struct Cross<M> {
     pub(crate) to: NodeId,
     pub(crate) from: NodeId,
     pub(crate) msg: M,
-    /// Sender-computed wire size (see [`Event::SwitchArrive`]).
+    /// Sender-computed wire size (see [`Packet::size`]).
     pub(crate) size: u32,
 }
 
@@ -440,7 +561,7 @@ pub(crate) struct ShardCore<M> {
     events: EventHeap,
     slab: EventSlab<M>,
     /// Full-length: `nodes[i]` is `Some` iff node `i` lives on this shard.
-    nodes: Vec<Option<NodeState<M>>>,
+    nodes: Vec<Option<NodeState>>,
     /// Owning shard of every node (replicated to each shard for routing).
     owner: Vec<u32>,
     net: NetConfig,
@@ -448,8 +569,13 @@ pub(crate) struct ShardCore<M> {
     packets_dropped: u64,
     packets_duplicated: u64,
     bytes_sent: u64,
-    /// Events dispatched (cancelled pops excluded) — shard-invariant.
+    /// Logical events dispatched (cancelled pops excluded; a `Process`
+    /// run inline counts exactly as one popped from the heap would) —
+    /// shard-invariant.
     dispatched: u64,
+    /// `Process` events that ran straight from the arrival or timer fire
+    /// that stamped them, without a heap entry (see the module docs).
+    inline_dispatches: u64,
     /// Cancelled timers whose keys are still in the heap; when they
     /// outnumber live entries the heap is compacted (see
     /// [`EventHeap::compact`]).
@@ -488,6 +614,7 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
             packets_duplicated: 0,
             bytes_sent: 0,
             dispatched: 0,
+            inline_dispatches: 0,
             cancelled_in_heap: 0,
             obs: Obs::new(),
             outbox: (0..shards).map(|_| Vec::new()).collect(),
@@ -496,13 +623,13 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
         }
     }
 
-    fn node(&self, id: NodeId) -> &NodeState<M> {
+    fn node(&self, id: NodeId) -> &NodeState {
         self.nodes[id.idx()]
             .as_ref()
             .expect("node not on this shard")
     }
 
-    fn node_mut(&mut self, id: NodeId) -> &mut NodeState<M> {
+    fn node_mut(&mut self, id: NodeId) -> &mut NodeState {
         self.nodes[id.idx()]
             .as_mut()
             .expect("node not on this shard")
@@ -516,21 +643,24 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
         seq
     }
 
-    /// Schedules `event` at `time`, keyed by `src`'s next sequence number.
-    fn push_from(&mut self, time: SimTime, src: NodeId, event: Event<M>) {
+    /// Schedules a pending event at `time`, keyed by `src`'s next sequence
+    /// number.
+    fn schedule(&mut self, time: SimTime, src: NodeId, state: SlotState<M>) {
+        let seq = self.next_seq(src);
+        self.schedule_keyed(time, src.0, seq, state);
+    }
+
+    /// Schedules a pending event under a key that is already drawn.
+    fn schedule_keyed(&mut self, time: SimTime, src: u32, seq: u64, state: SlotState<M>) {
         debug_assert_eq!(
-            self.owner[event.dest().idx()],
+            self.owner[state.dest().idx()],
             self.id,
             "event routed to wrong shard"
         );
-        let seq = self.next_seq(src);
-        let slot = self.slab.alloc(SlotState::Scheduled {
-            event,
-            cancelled: false,
-        });
+        let slot = self.slab.schedule(state);
         self.events.push(HeapKey {
             time,
-            src: src.0,
+            src,
             seq,
             slot,
         });
@@ -539,21 +669,14 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
     /// Enqueues a cross-shard event under its original key.
     pub(crate) fn push_cross(&mut self, c: Cross<M>) {
         debug_assert!(c.time >= self.now, "cross-shard event from the past");
-        let slot = self.slab.alloc(SlotState::Scheduled {
-            event: Event::SwitchArrive {
-                to: c.to,
-                from: c.from,
-                msg: c.msg,
-                size: c.size,
-            },
-            cancelled: false,
+        let packet = SlotState::Packet(Packet {
+            to: c.to,
+            from: c.from,
+            size: c.size,
+            stage: Stage::AtPort,
+            msg: c.msg,
         });
-        self.events.push(HeapKey {
-            time: c.time,
-            src: c.src,
-            seq: c.seq,
-            slot,
-        });
+        self.schedule_keyed(c.time, c.src, c.seq, packet);
     }
 
     /// Compacts the heap once cancelled entries outnumber live ones, so
@@ -574,7 +697,7 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
                 }
             );
             if dead {
-                slab.take(k.slot);
+                slab.retire(k.slot);
             }
             !dead
         });
@@ -585,7 +708,8 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
     /// schedules the switch-arrival on the destination's shard. `depart`
     /// is when the first bit may leave the source NIC. Loss and
     /// duplication draw from the *sender's* RNG stream; the switch egress
-    /// port is charged later, by [`Event::SwitchArrive`] on the receiver.
+    /// port is charged later, when the packet dispatches at
+    /// [`Stage::AtPort`] on the receiver.
     fn transmit(&mut self, from: NodeId, to: NodeId, msg: M, depart: SimTime) {
         self.packets_sent += 1;
         let size = msg.wire_size();
@@ -649,53 +773,48 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
         let dst_shard = self.owner[to.idx()];
         let mut msg = Some(msg);
         for copy in 0..copies {
-            let m = if copy + 1 == copies {
+            let msg = if copy + 1 == copies {
                 msg.take().expect("copy accounting")
             } else {
                 msg.as_ref().expect("copy accounting").clone()
             };
-            let seq = self.next_seq(from);
+            let size = size as u32;
             if dst_shard == self.id {
-                let slot = self.slab.alloc(SlotState::Scheduled {
-                    event: Event::SwitchArrive {
-                        to,
-                        from,
-                        msg: m,
-                        size: size as u32,
-                    },
-                    cancelled: false,
-                });
-                self.events.push(HeapKey {
-                    time: at_switch,
-                    src: from.0,
-                    seq,
-                    slot,
-                });
+                let packet = Packet {
+                    to,
+                    from,
+                    size,
+                    stage: Stage::AtPort,
+                    msg,
+                };
+                self.schedule(at_switch, from, SlotState::Packet(packet));
             } else {
                 // The destination shard reacts to this arrival no earlier
                 // than `at_switch`, and its reaction reaches us no earlier
                 // than `at_switch + lookahead`. Under a widened window this
                 // shard must therefore not run past that point.
                 self.window_cap = self.window_cap.min(at_switch + self.lookahead);
+                let seq = self.next_seq(from);
                 self.outbox[dst_shard as usize].push(Cross {
                     time: at_switch,
                     src: from.0,
                     seq,
                     to,
                     from,
-                    msg: m,
-                    size: size as u32,
+                    msg,
+                    size,
                 });
             }
         }
     }
 
-    /// Receiver half of the network path: serialization on the switch
-    /// egress port toward `to` (charged in arrival order), propagation,
-    /// and optional bounded-reorder jitter from the *receiver's* stream.
-    fn switch_deliver(&mut self, to: NodeId, from: NodeId, msg: M, size: u32) {
+    /// Receiver half of the network path, run when the packet in `slot`
+    /// dispatches at its switch port: serialization on the egress port
+    /// toward `to` (charged in arrival order), propagation, and optional
+    /// bounded-reorder jitter from the *receiver's* stream. The packet
+    /// stays where it is; only the key of its landing goes into the heap.
+    fn switch_deliver(&mut self, slot: u32, to: NodeId, size: u32, datagram: bool) {
         let tx = self.net.tx_time(size as usize);
-        let datagram = msg.datagram();
         let prop = self.net.prop_delay;
         let window = self.net.reorder_window.as_nanos();
         let now = self.now;
@@ -709,34 +828,47 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
             // lets packets overtake each other by at most the window.
             arrive += SimDuration::from_nanos(n.rng.gen_range(0..window));
         }
-        self.push_from(arrive, to, Event::Arrive { to, from, msg });
+        let seq = n.seq;
+        n.seq += 1;
+        self.events.push(HeapKey {
+            time: arrive,
+            src: to.0,
+            seq,
+            slot,
+        });
     }
 
-    fn enqueue_local(&mut self, to: NodeId, item: QueueItem<M>, at: SimTime) {
-        let epoch = {
-            let n = self.node(to);
-            if !n.up {
-                return;
-            }
-            n.incarnation
-        };
-        let n = self.node_mut(to);
-        n.queue.push_back(item);
-        if !n.process_scheduled {
-            n.process_scheduled = true;
-            let when = n.busy_until.max(at);
-            self.push_from(when, to, Event::Process { node: to, epoch });
-        }
-    }
-
-    /// Dispatches a timer-fire: discarded if the node crashed since the
-    /// arm (incarnation mismatch) — the fix for the stale-timer leak.
-    fn timer_fire(&mut self, node: NodeId, tag: u64, epoch: u32) {
-        if self.node(node).incarnation != epoch {
-            return;
-        }
+    /// Stamps the `Process` event that will serve `node`'s queue: draws its
+    /// seq and returns its key (slot unset) and the incarnation it belongs
+    /// to. The caller either pushes it ([`ShardCore::push_process`]) or,
+    /// when it would be the very next key to pop, runs it on the spot.
+    fn stamp_process(&mut self, node: NodeId) -> (HeapKey, u32) {
         let now = self.now;
-        self.enqueue_local(node, QueueItem::Timer { tag }, now);
+        let n = self.node_mut(node);
+        let key = HeapKey {
+            time: n.busy_until.max(now),
+            src: node.0,
+            seq: n.seq,
+            slot: u32::MAX,
+        };
+        n.seq += 1;
+        (key, n.incarnation)
+    }
+
+    /// Puts a stamped `Process` into the heap.
+    fn push_process(&mut self, key: HeapKey, epoch: u32) {
+        let node = NodeId(key.src);
+        self.node_mut(node).process_scheduled = true;
+        let event = Event::Process { node, epoch };
+        self.schedule_keyed(
+            key.time,
+            key.src,
+            key.seq,
+            SlotState::Scheduled {
+                event,
+                cancelled: false,
+            },
+        );
     }
 }
 
@@ -799,7 +931,10 @@ impl<'a, M: MessageSize + Clone + Send + 'static> Ctx<'a, M> {
         // Allocate the slab slot now so the returned id is valid for
         // cancellation immediately, even though the fire event is only
         // scheduled when this handler's outputs flush.
-        let slot = self.core.slab.alloc(SlotState::Armed { cancelled: false });
+        let slot = self
+            .core
+            .slab
+            .schedule(SlotState::Armed { cancelled: false });
         let id = TimerId {
             slot,
             gen: self.core.slab.gen_of(slot),
@@ -826,7 +961,9 @@ impl<'a, M: MessageSize + Clone + Send + 'static> Ctx<'a, M> {
                     self.core.maybe_compact();
                 }
             }
-            SlotState::Free => {}
+            // Unreachable past the generation check: a live `TimerId`
+            // names an armed or scheduled timer.
+            SlotState::Free | SlotState::Packet(_) => {}
         }
     }
 
@@ -858,9 +995,6 @@ pub(crate) struct Shard<M> {
     core: ShardCore<M>,
     /// Full-length: `actors[i]` is `Some` iff node `i` lives here.
     actors: Vec<Option<Box<dyn Actor<M>>>>,
-    /// Reusable buffer for same-timestamp dispatch runs; draining a run
-    /// in one pass avoids re-descending the heap between every pop.
-    batch: Vec<HeapKey>,
     /// Reusable output buffer loaned to [`Ctx`] per handler invocation,
     /// so dispatch does not allocate a fresh `Vec` per event.
     scratch_outputs: Vec<Output<M>>,
@@ -871,7 +1005,6 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
         Shard {
             core: ShardCore::new(id, shards, net),
             actors: Vec::new(),
-            batch: Vec::new(),
             scratch_outputs: Vec::new(),
         }
     }
@@ -900,111 +1033,119 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
         // binding under adaptively widened windows); a cap left over
         // from an earlier window must not carry forward.
         self.core.window_cap = SimTime::from_nanos(u64::MAX);
-        let mut n = 0;
-        let mut batch = std::mem::take(&mut self.batch);
-        loop {
-            let eff = bound.min(self.core.window_cap);
-            let t = match self.core.events.peek() {
-                Some(k) if k.time < eff => k.time,
-                _ => break,
-            };
-            // Drain the whole same-timestamp run in one pass. Pops at
-            // equal time are the common case under synchronized clients,
-            // and batching keeps the heap descent per run, not per event.
-            batch.clear();
-            while let Some(k) = self.core.events.peek() {
-                if k.time != t {
-                    break;
-                }
-                batch.push(*k);
-                self.core.events.pop();
+        let before = self.core.dispatched;
+        while let Some(&key) = self.core.events.peek() {
+            if key.time >= bound.min(self.core.window_cap) {
+                break;
             }
-            for &entry in &batch {
-                // Handlers can schedule same-timestamp events that order
-                // (by src, seq) before a later batch entry; the serial
-                // loop would pop those first, so merge them in to keep
-                // dispatch order exactly identical.
-                loop {
-                    let top = match self.core.events.peek() {
-                        Some(k) if k.time == t && *k < entry => *k,
-                        _ => break,
-                    };
-                    self.core.events.pop();
-                    if self.dispatch(top) {
-                        n += 1;
-                    }
-                }
-                if self.dispatch(entry) {
-                    n += 1;
-                }
-            }
+            self.core.events.pop();
+            self.dispatch(key);
         }
-        self.batch = batch;
-        n
+        self.core.dispatched - before
     }
 
-    /// Frees the slot, skips cancelled entries, advances the clock, and
-    /// runs one event. Returns whether anything actually dispatched.
-    fn dispatch(&mut self, key: HeapKey) -> bool {
-        // Freeing the slot here is what makes cancellation O(1)
-        // overall: a cancelled entry is reclaimed the moment it
-        // surfaces, and the generation bump turns any still-held
-        // TimerId into a rejected stale cancel.
-        let (event, cancelled) = match self.core.slab.take(key.slot) {
-            SlotState::Scheduled { event, cancelled } => (event, cancelled),
-            _ => unreachable!("heap key points at unscheduled slot"),
-        };
-        if cancelled {
-            // The key may sit in the dispatch batch (outside the heap)
-            // when its cancel lands; a compaction in between walks only
-            // the heap and zeroes the counter, so saturate rather than
-            // underflow.
-            self.core.cancelled_in_heap = self.core.cancelled_in_heap.saturating_sub(1);
-            return false;
+    /// Runs the logical event behind a popped key: skips it if cancelled,
+    /// else advances the clock and counts it.
+    fn dispatch(&mut self, key: HeapKey) {
+        let core = &mut self.core;
+        let state = &mut core.slab.slots[key.slot as usize].state;
+        if matches!(
+            state,
+            SlotState::Scheduled {
+                cancelled: true,
+                ..
+            }
+        ) {
+            // Freeing the slot here is what makes cancellation O(1)
+            // overall: a cancelled entry is reclaimed the moment it
+            // surfaces, and the generation bump turns any still-held
+            // TimerId into a rejected stale cancel.
+            core.slab.retire(key.slot);
+            core.cancelled_in_heap -= 1;
+            return;
         }
-        debug_assert!(key.time >= self.core.now, "time went backwards");
-        self.core.now = key.time;
-        self.core.dispatched += 1;
-        match event {
-            Event::Arrive { to, from, msg } => {
-                let now = self.core.now;
-                self.core
-                    .enqueue_local(to, QueueItem::Message { from, msg }, now);
+        debug_assert!(key.time >= core.now, "time went backwards");
+        core.now = key.time;
+        core.dispatched += 1;
+        match state {
+            SlotState::Packet(p) if p.stage == Stage::AtPort => {
+                p.stage = Stage::Landing;
+                let (to, size, datagram) = (p.to, p.size, p.msg.datagram());
+                core.switch_deliver(key.slot, to, size, datagram);
             }
-            Event::SwitchArrive {
-                to,
-                from,
-                msg,
-                size,
-            } => {
-                self.core.switch_deliver(to, from, msg, size);
+            SlotState::Packet(p) => {
+                debug_assert_eq!(p.stage, Stage::Landing);
+                // The landing is dispatched; what is pending from here on
+                // is the `Process` that will serve the queue.
+                p.stage = Stage::Parked;
+                let to = p.to;
+                core.slab.live -= 1;
+                self.deliver(to, QueueItem::Packet(key.slot));
             }
-            Event::TimerFire { node, tag, epoch } => {
-                self.core.timer_fire(node, tag, epoch);
+            &mut SlotState::Scheduled { event, .. } => {
+                core.slab.retire(key.slot);
+                match event {
+                    Event::TimerFire { node, tag, epoch } => {
+                        // Discarded if the node crashed since the arm.
+                        if core.node(node).incarnation == epoch {
+                            self.deliver(node, QueueItem::Timer { tag });
+                        }
+                    }
+                    Event::Process { node, epoch } => self.process(node, epoch),
+                }
             }
-            Event::Process { node, epoch } => {
-                self.process(node, epoch);
+            SlotState::Free | SlotState::Armed { .. } => {
+                unreachable!("heap key points at unscheduled slot")
             }
         }
-        true
+    }
+
+    /// A landed packet or a fired timer reaches `to`'s CPU queue. This is
+    /// where a `Process` is stamped when none is pending — and where it is
+    /// run inline, without a heap entry, when the node is idle and the
+    /// stamped key would be the very next to pop (module docs, "Logical
+    /// events and physical heap entries").
+    fn deliver(&mut self, to: NodeId, item: QueueItem) {
+        let core = &mut self.core;
+        let n = core.node_mut(to);
+        if !n.up {
+            core.slab.discard(item);
+            return;
+        }
+        if n.process_scheduled {
+            n.queue.push_back(item);
+            return;
+        }
+        debug_assert!(n.queue.is_empty(), "queued work with no Process pending");
+        let (key, epoch) = core.stamp_process(to);
+        if key.time == core.now && core.events.peek().is_none_or(|top| key < *top) {
+            core.dispatched += 1;
+            core.inline_dispatches += 1;
+            self.run(to, item);
+        } else {
+            core.node_mut(to).queue.push_back(item);
+            core.push_process(key, epoch);
+        }
     }
 
     fn process(&mut self, node: NodeId, epoch: u32) {
-        let item = {
-            let n = self.core.node_mut(node);
-            if n.incarnation != epoch {
-                // Scheduled before a crash: the queue entry it pointed at
-                // died with the old incarnation (fail_node cleared both
-                // the queue and the process_scheduled flag).
-                return;
-            }
-            debug_assert!(n.up, "live-incarnation Process on a down node");
-            n.process_scheduled = false;
-            match n.queue.pop_front() {
-                Some(item) => item,
-                None => return,
-            }
-        };
+        let n = self.core.node_mut(node);
+        if n.incarnation != epoch {
+            // Scheduled before a crash: the queue entry it pointed at
+            // died with the old incarnation (fail_node cleared both
+            // the queue and the process_scheduled flag).
+            return;
+        }
+        debug_assert!(n.up, "live-incarnation Process on a down node");
+        n.process_scheduled = false;
+        if let Some(item) = n.queue.pop_front() {
+            self.run(node, item);
+        }
+    }
+
+    /// Runs `node`'s handler for `item` at the current instant, flushes
+    /// its outputs, and schedules the `Process` for whatever else waits.
+    fn run(&mut self, node: NodeId, item: QueueItem) {
         let mut actor = self.actors[node.idx()].take().expect("actor reentrancy");
         let mut ctx = Ctx {
             core: &mut self.core,
@@ -1013,7 +1154,15 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
             outputs: std::mem::take(&mut self.scratch_outputs),
         };
         match item {
-            QueueItem::Message { from, msg } => actor.on_message(&mut ctx, from, msg),
+            QueueItem::Packet(slot) => match ctx.core.slab.release(slot) {
+                SlotState::Packet(Packet {
+                    from, msg, stage, ..
+                }) => {
+                    debug_assert_eq!(stage, Stage::Parked, "slot reused under a queue item");
+                    actor.on_message(&mut ctx, from, msg);
+                }
+                _ => unreachable!("queue item points at a slot without a packet"),
+            },
             QueueItem::Timer { tag } => actor.on_timer(&mut ctx, tag),
             QueueItem::Restart => actor.on_restart(&mut ctx),
         }
@@ -1039,15 +1188,14 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
                         self.core.id,
                         "send_local requires co-sharded nodes"
                     );
-                    self.core.push_from(
-                        done,
-                        node,
-                        Event::Arrive {
-                            to,
-                            from: node,
-                            msg,
-                        },
-                    );
+                    let packet = Packet {
+                        to,
+                        from: node,
+                        size: 0,
+                        stage: Stage::Landing,
+                        msg,
+                    };
+                    self.core.schedule(done, node, SlotState::Packet(packet));
                 }
                 Output::Timer { delay, tag, slot } => {
                     // The slot was allocated in set_timer; a cancel issued
@@ -1056,7 +1204,7 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
                         self.core.slab.slots[slot as usize].state,
                         SlotState::Armed { cancelled: true }
                     ) {
-                        self.core.slab.take(slot);
+                        self.core.slab.retire(slot);
                         continue;
                     }
                     self.core.slab.slots[slot as usize].state = SlotState::Scheduled {
@@ -1076,11 +1224,9 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
         // Hand the (now empty) buffer back for the next invocation.
         self.scratch_outputs = outputs;
         // Serve the next queued item once the CPU frees up.
-        let more = !self.core.node(node).queue.is_empty();
-        if more {
-            self.core.node_mut(node).process_scheduled = true;
-            self.core
-                .push_from(done, node, Event::Process { node, epoch });
+        if !self.core.node(node).queue.is_empty() {
+            let (key, epoch) = self.core.stamp_process(node);
+            self.core.push_process(key, epoch);
         }
     }
 }
@@ -1210,23 +1356,22 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
         // preserved verbatim. No handler has run yet, so no timers can be
         // armed or cancelled and no TimerId can be outstanding.
         while let Some(key) = core.events.pop() {
-            match core.slab.take(key.slot) {
-                SlotState::Scheduled { event, cancelled } => {
-                    debug_assert!(!cancelled, "cancelled event before any dispatch");
-                    let sid = assignment[event.dest().idx()] as usize;
-                    let slot = new_shards[sid].core.slab.alloc(SlotState::Scheduled {
-                        event,
-                        cancelled: false,
-                    });
-                    new_shards[sid].core.events.push(HeapKey {
-                        time: key.time,
-                        src: key.src,
-                        seq: key.seq,
-                        slot,
-                    });
-                }
-                _ => unreachable!("heap key points at unscheduled slot"),
-            }
+            core.slab.live -= 1;
+            let state = core.slab.release(key.slot);
+            debug_assert!(
+                !matches!(
+                    state,
+                    SlotState::Scheduled {
+                        cancelled: true,
+                        ..
+                    }
+                ),
+                "cancelled event before any dispatch"
+            );
+            let sid = assignment[state.dest().idx()] as usize;
+            new_shards[sid]
+                .core
+                .schedule_keyed(key.time, key.src, key.seq, state);
         }
         assert_eq!(core.slab.live, 0, "armed timers cannot survive resharding");
         self.owner = assignment.to_vec();
@@ -1290,14 +1435,17 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
     pub fn kick(&mut self, node: NodeId) {
         let now = self.now;
         let core = &mut self.shards[self.owner[node.idx()] as usize].core;
-        let epoch = core.node(node).incarnation;
-        core.push_from(
+        let event = Event::TimerFire {
+            node,
+            tag: START_TAG,
+            epoch: core.node(node).incarnation,
+        };
+        core.schedule(
             now,
             node,
-            Event::TimerFire {
-                node,
-                tag: START_TAG,
-                epoch,
+            SlotState::Scheduled {
+                event,
+                cancelled: false,
             },
         );
     }
@@ -1310,18 +1458,24 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
     }
 
     /// Crashes `node`: volatile state is dropped via [`Actor::on_fail`],
-    /// queued work is lost, and the incarnation bump invalidates every
-    /// armed timer and in-flight `Process` — they are discarded when they
-    /// surface instead of firing into the node's next life.
+    /// queued work is lost (the slots of packets parked on the queue are
+    /// freed), and the incarnation bump invalidates every armed timer and
+    /// in-flight `Process` — they are discarded when they surface instead
+    /// of firing into the node's next life.
     pub fn fail_node(&mut self, node: NodeId) {
         let now = self.now;
         let shard = &mut self.shards[self.owner[node.idx()] as usize];
         {
-            let n = shard.core.node_mut(node);
+            let core = &mut shard.core;
+            let n = core.nodes[node.idx()]
+                .as_mut()
+                .expect("node not on this shard");
             n.up = false;
             n.incarnation = n.incarnation.wrapping_add(1);
             n.process_scheduled = false;
-            n.queue.clear();
+            for item in n.queue.drain(..) {
+                core.slab.discard(item);
+            }
         }
         if let Some(actor) = shard.actors[node.idx()].as_mut() {
             actor.on_fail(now);
@@ -1338,12 +1492,16 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
     pub fn recover_node(&mut self, node: NodeId) {
         let now = self.now;
         let core = &mut self.shards[self.owner[node.idx()] as usize].core;
-        {
-            let n = core.node_mut(node);
-            n.up = true;
-            n.busy_until = now;
+        let n = core.node_mut(node);
+        n.up = true;
+        n.busy_until = now;
+        n.queue.push_back(QueueItem::Restart);
+        // Driver time: the hook always goes through the heap, so it runs
+        // (and is counted) inside the next run, never here.
+        if !n.process_scheduled {
+            let (key, epoch) = core.stamp_process(node);
+            core.push_process(key, epoch);
         }
-        core.enqueue_local(node, QueueItem::Restart, now);
         self.shards[0].core.obs.record(
             now.as_nanos(),
             Subsystem::Engine,
@@ -1538,6 +1696,22 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
     /// identical at any shard count.
     pub fn events_executed(&self) -> u64 {
         self.shards.iter().map(|s| s.core.dispatched).sum()
+    }
+
+    /// Physical heap entries pushed since creation. At most one per
+    /// logical event; fewer where a `Process` ran inline. Deterministic for
+    /// a given shard layout, but — unlike [`Engine::events_executed`] —
+    /// not shard-invariant: which keys share a heap decides what runs
+    /// inline.
+    pub fn heap_pushes(&self) -> u64 {
+        self.shards.iter().map(|s| s.core.events.pushes).sum()
+    }
+
+    /// Handlers run straight from the arrival or timer fire that stamped
+    /// their `Process`, without a heap entry (same caveat as
+    /// [`Engine::heap_pushes`]).
+    pub fn inline_dispatches(&self) -> u64 {
+        self.shards.iter().map(|s| s.core.inline_dispatches).sum()
     }
 
     /// Time windows executed across the engine's lifetime: serial
@@ -2047,39 +2221,50 @@ mod tests {
         assert_eq!(s.fired, vec![2], "recycled slot survived stale cancel");
     }
 
+    /// Nothing pending and every slab slot back on the free list: what a
+    /// drained engine must look like, whatever crashed along the way.
+    fn assert_drained(eng: &Engine<Vec<u8>>) {
+        assert_eq!(eng.live_events(), 0, "pending events after the drain");
+        assert_eq!(
+            eng.event_slab_free(),
+            eng.event_slab_slots(),
+            "a slab slot leaked"
+        );
+    }
+
     #[test]
     fn rearm_reuses_slots_and_memory_stays_bounded() {
         // One million re-armed + cancelled timers: the slab must stay at
         // the concurrency high-water mark (a handful of slots), not
         // accumulate a tombstone per cancel as the old cancelled-set did.
         const ROUNDS: u64 = 1_000_000;
-        let mut eng = Engine::new(net(), 1);
-        let node = eng.add_node(
-            "rearm",
-            Box::new(Rearmer {
-                rounds: ROUNDS,
-                fired: 0,
-                cancelled_fires: 0,
-                last: None,
-            }),
-        );
-        eng.kick(node);
-        eng.run_until_idle(u64::MAX);
-        let r: &Rearmer = eng.actor(node);
-        assert_eq!(r.fired, ROUNDS);
-        assert_eq!(r.cancelled_fires, 0);
-        assert!(
-            eng.event_slab_slots() <= 16,
-            "slab grew to {} slots over {} cancels — tombstones leak",
-            eng.event_slab_slots(),
-            ROUNDS
-        );
-        assert_eq!(
-            eng.event_slab_free(),
-            eng.event_slab_slots(),
-            "all slots recycled at quiescence"
-        );
-        assert!(eng.peak_live_events() <= 16);
+        for shards in [1, 2] {
+            let mut eng = Engine::new(net(), 1);
+            let node = eng.add_node(
+                "rearm",
+                Box::new(Rearmer {
+                    rounds: ROUNDS,
+                    fired: 0,
+                    cancelled_fires: 0,
+                    last: None,
+                }),
+            );
+            eng.add_node("idle", Box::new(Armer { fired: vec![] }));
+            eng.set_shards(shards, &[0, shards as u32 - 1]);
+            eng.kick(node);
+            eng.run_until_idle(u64::MAX);
+            let r: &Rearmer = eng.actor(node);
+            assert_eq!(r.fired, ROUNDS);
+            assert_eq!(r.cancelled_fires, 0);
+            assert!(
+                eng.event_slab_slots() <= 16,
+                "slab grew to {} slots over {} cancels — tombstones leak",
+                eng.event_slab_slots(),
+                ROUNDS
+            );
+            assert_drained(&eng);
+            assert!(eng.peak_live_events() <= 16);
+        }
     }
 
     #[test]
@@ -2218,6 +2403,8 @@ mod tests {
         eng.fail_node(echo);
         eng.run_until_idle(10_000);
         assert_eq!(eng.actor::<Echo>(echo).seen.len(), 0);
+        // The packet that landed on the down node gave its slot back.
+        assert_drained(&eng);
         eng.recover_node(echo);
         eng.run_until_idle(10_000);
         assert_eq!(eng.actor::<Echo>(echo).seen.len(), 0);
@@ -2225,44 +2412,55 @@ mod tests {
 
     #[test]
     fn queued_local_work_dies_with_the_incarnation() {
-        // Two messages queue behind a slow handler; the crash hits while
-        // the second is still queued. The stale Process event must not
-        // resurrect it, and the node must serve new work after recovery.
-        let mut eng = Engine::new(net(), 1);
-        let echo = eng.add_node(
-            "echo",
-            Box::new(Echo {
-                service: SimDuration::from_millis(1),
-                seen: vec![],
-            }),
-        );
-        let src = eng.add_node(
-            "src",
-            Box::new(Pinger {
-                peer: echo,
-                count: 0,
-                replies: vec![],
-            }),
-        );
-        eng.inject(src, echo, vec![1]);
-        eng.inject(src, echo, vec![2]);
-        // First message is handled (~7 µs) and occupies the CPU for 1 ms;
-        // the second sits in the queue at the 500 µs mark.
-        eng.run_until(SimTime::from_nanos(500_000));
-        assert_eq!(eng.actor::<Echo>(echo).seen.len(), 1);
-        eng.fail_node(echo);
-        eng.recover_node(echo);
-        eng.run_until_idle(10_000);
-        assert_eq!(
-            eng.actor::<Echo>(echo).seen.len(),
-            1,
-            "queued work must die with the crash"
-        );
-        eng.inject(src, echo, vec![3]);
-        eng.run_until_idle(10_000);
-        let seen = &eng.actor::<Echo>(echo).seen;
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[1].1, vec![3]);
+        // Three messages queue behind a slow handler; the crash hits while
+        // two are still parked on the queue. The stale Process event must
+        // not resurrect them, their slab slots must come back, and the
+        // node must serve new work after recovery.
+        for shards in [1, 2] {
+            let mut eng = Engine::new(net(), 1);
+            let echo = eng.add_node(
+                "echo",
+                Box::new(Echo {
+                    service: SimDuration::from_millis(1),
+                    seen: vec![],
+                }),
+            );
+            let src = eng.add_node(
+                "src",
+                Box::new(Pinger {
+                    peer: echo,
+                    count: 0,
+                    replies: vec![],
+                }),
+            );
+            eng.set_shards(shards, &[0, shards as u32 - 1]);
+            for i in 1..=3 {
+                eng.inject(src, echo, vec![i]);
+            }
+            // First message is handled (~7 µs) and occupies the CPU for
+            // 1 ms; the others sit in the queue at the 500 µs mark.
+            eng.run_until(SimTime::from_nanos(500_000));
+            assert_eq!(eng.actor::<Echo>(echo).seen.len(), 1);
+            assert!(
+                eng.event_slab_free() + 2 < eng.event_slab_slots(),
+                "the parked packets hold their slots"
+            );
+            eng.fail_node(echo);
+            eng.recover_node(echo);
+            eng.run_until_idle(10_000);
+            assert_eq!(
+                eng.actor::<Echo>(echo).seen.len(),
+                1,
+                "queued work must die with the crash"
+            );
+            assert_drained(&eng);
+            eng.inject(src, echo, vec![9]);
+            eng.run_until_idle(10_000);
+            let seen = &eng.actor::<Echo>(echo).seen;
+            assert_eq!(seen.len(), 2);
+            assert_eq!(seen[1].1, vec![9]);
+            assert_drained(&eng);
+        }
     }
 
     /// Builds `pairs` independent echo/pinger pairs and returns the engine plus

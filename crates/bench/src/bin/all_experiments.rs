@@ -8,16 +8,16 @@ use slice_core::EnsemblePolicy;
 use slice_sim::Series;
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
+    let full = slice_bench::BenchArgs::from_env("usage: all_experiments [--full]").flag("--full");
     let t0 = std::time::Instant::now();
 
     // ---------------- Table 2 ----------------
     println!("=== Table 2: bulk I/O bandwidth (MB/s) ===");
     let bytes: u64 = if full { (125 << 20) * 10 } else { 512 << 20 };
-    let (w1, r1) = slice_bench::run_bulk(1, bytes, false);
-    let (w1m, r1m) = slice_bench::run_bulk(1, bytes, true);
-    let (ws, rs) = slice_bench::run_bulk(16, bytes, false);
-    let (wsm, rsm) = slice_bench::run_bulk(16, bytes, true);
+    let (w1, r1, _) = slice_bench::run_bulk(1, bytes, false, 1);
+    let (w1m, r1m, _) = slice_bench::run_bulk(1, bytes, true, 1);
+    let (ws, rs, _) = slice_bench::run_bulk(16, bytes, false, 1);
+    let (wsm, rsm, _) = slice_bench::run_bulk(16, bytes, true, 1);
     println!(
         "{:>16} {:>9} {:>9} {:>11} {:>11}",
         "", "measured", "paper", "meas(sat)", "paper(sat)"
@@ -57,7 +57,7 @@ fn main() {
 
     // ---------------- Table 3 ----------------
     println!("\n=== Table 3: µproxy CPU phases ===");
-    let ph = slice_bench::run_uproxy_phases(140_000);
+    let ph = slice_bench::run_uproxy_phases(140_000, 1);
     let total = (ph.intercept_ns + ph.decode_ns + ph.rewrite_ns + ph.soft_ns) as f64;
     let rows = [
         ("interception", ph.intercept_ns, 0.7),
@@ -87,7 +87,7 @@ fn main() {
         all.push(Series::new(format!("Slice-{n}")));
     }
     for procs in [1usize, 2, 4, 8, 16] {
-        all[0].push(procs as f64, slice_bench::run_untar_mfs(procs, files));
+        all[0].push(procs as f64, slice_bench::run_untar_mfs(procs, files, 1).0);
         for (i, dirs) in [1usize, 2, 4].into_iter().enumerate() {
             let p = (1000 / dirs as u32).max(1);
             all[i + 1].push(
@@ -97,7 +97,9 @@ fn main() {
                     dirs,
                     files,
                     EnsemblePolicy::MkdirSwitching { redirect_millis: p },
-                ),
+                    1,
+                )
+                .0,
             );
         }
     }
@@ -121,7 +123,9 @@ fn main() {
                     EnsemblePolicy::MkdirSwitching {
                         redirect_millis: 1000 - aff,
                     },
-                ),
+                    1,
+                )
+                .0,
             );
         }
     }

@@ -34,7 +34,7 @@
 //! time-synchronized shards; the report is byte-identical at any S —
 //! crash/recovery injection is shard-aware.
 
-use slice_bench::{maybe_write_json, obs_doc};
+use slice_bench::obs_doc;
 use slice_core::actors::{CoordActor, StorageActor};
 use slice_core::ensemble::{SliceConfig, SliceEnsemble};
 use slice_core::Workload;
@@ -514,8 +514,7 @@ fn main() {
             reg.set_gauge(&format!("{tag}.client_timeouts"), g.timeouts as f64);
         }
     });
-    println!("{json}");
-    maybe_write_json("availability", &json);
+    args.emit("availability", &json);
 
     // The availability contract: no client-visible failures, failover
     // within five retransmission timeouts, and a drained dirty log.

@@ -30,7 +30,7 @@
 //! report plus informational host-timing gauges. Exits nonzero if any
 //! run violated any oracle.
 
-use slice_check::sweep_reconf;
+use slice_check::{sweep, ExploreOpts};
 
 fn main() {
     let args = slice_bench::BenchArgs::from_env(
@@ -39,31 +39,34 @@ fn main() {
     );
     let n_seeds = args.num("--seeds", 8);
     let n_schedules = args.num("--schedules", 4) as usize;
-    let (threads, shards) = (args.threads(), args.shards(1));
-    let chaos = args.flag("--chaos");
-    let coded = args.flag("--coded");
-    let reconf = args.flag("--reconf");
+    let opts = ExploreOpts {
+        chaos: args.flag("--chaos"),
+        coded: args.flag("--coded"),
+        reconf: args.flag("--reconf"),
+        shards: args.shards(1),
+        threads: args.threads(),
+    };
     let seeds: Vec<u64> = (1..=n_seeds).collect();
 
     println!(
         "checker: sweeping {} seeds x {} {} schedules (+1 reference each) on {} thread{}, {} shard{}{}{}",
         seeds.len(),
         n_schedules,
-        if reconf {
+        if opts.reconf {
             "reconf"
-        } else if chaos {
+        } else if opts.chaos {
             "chaos"
         } else {
             "standard"
         },
-        threads,
-        if threads == 1 { "" } else { "s" },
-        shards,
-        if shards == 1 { "" } else { "s" },
-        if coded { ", coded (4,2)" } else { "" },
-        if reconf { ", standby site 4" } else { "" }
+        opts.threads,
+        if opts.threads == 1 { "" } else { "s" },
+        opts.shards,
+        if opts.shards == 1 { "" } else { "s" },
+        if opts.coded { ", coded (4,2)" } else { "" },
+        if opts.reconf { ", standby site 4" } else { "" }
     );
-    let report = sweep_reconf(&seeds, n_schedules, chaos, threads, shards, coded, reconf);
+    let report = sweep(&seeds, n_schedules, &opts);
     println!(
         "checker: {} runs, {} client-visible ops checked, {} failing",
         report.runs,
@@ -85,19 +88,21 @@ fn main() {
         std::fs::write(&path, &report.json).unwrap_or_else(|e| panic!("write report {path}: {e}"));
         eprintln!("wrote {path}");
     }
-    slice_bench::maybe_write_json(
-        if reconf {
+    // What `--json-out` saves is not what stdout ends with: the file adds
+    // the informational host-timing gauges.
+    if args.flag("--json-out") {
+        let name = if opts.reconf {
             "checker_reconf"
         } else {
-            match (chaos, coded) {
+            match (opts.chaos, opts.coded) {
                 (false, false) => "checker",
                 (true, false) => "checker_chaos",
                 (false, true) => "checker_coded",
                 (true, true) => "checker_chaos_coded",
             }
-        },
-        &report.timed_json,
-    );
+        };
+        slice_bench::write_json(name, &report.timed_json);
+    }
     if !report.passed() {
         std::process::exit(1);
     }

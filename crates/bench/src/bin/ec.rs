@@ -24,7 +24,7 @@
 //! Usage: `ec [--mb N] [--threads T] [--shards S] [--json-out]`
 //! (defaults: 24 MiB, T = available parallelism, 1 shard).
 
-use slice_bench::{maybe_write_json, obs_doc};
+use slice_bench::obs_doc;
 use slice_core::actors::{CoordActor, StorageActor};
 use slice_core::ensemble::{SliceConfig, SliceEnsemble};
 use slice_sim::{SimDuration, SimTime};
@@ -269,8 +269,7 @@ fn main() {
             reg.set_gauge(&format!("ec.{tag}.client_timeouts"), c.timeouts as f64);
         }
     });
-    println!("{json}");
-    maybe_write_json("ec", &json);
+    args.emit("ec", &json);
 
     for c in &cells {
         assert_eq!(

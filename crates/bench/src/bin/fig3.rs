@@ -52,11 +52,11 @@ fn main() {
         }
     }
     let latencies = slice_sim::run_indexed(threads, cells.clone(), |_, (procs, dirs)| match dirs {
-        None => slice_bench::run_untar_mfs_stats(procs, files, shards).0,
+        None => slice_bench::run_untar_mfs(procs, files, shards).0,
         Some(dirs) => {
             // The paper uses p = 1/N for mkdir switching.
             let p_millis = (1000 / dirs as u32).max(1);
-            slice_bench::run_untar_slice_stats(
+            slice_bench::run_untar_slice(
                 procs,
                 dirs,
                 files,
@@ -95,6 +95,5 @@ fn main() {
     println!("lines flatten with more directory servers (each ~6000 ops/s).");
     // Machine-readable output: the slice-obs JSON snapshot of the figure.
     let json = slice_bench::series_obs_json("fig3", &all);
-    println!("{json}");
-    slice_bench::maybe_write_json("fig3", &json);
+    args.emit("fig3", &json);
 }

@@ -15,9 +15,8 @@ use slice_core::EnsemblePolicy;
 use slice_sim::Series;
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let full = argv.iter().any(|a| a == "--full");
-    let fine = argv.iter().any(|a| a == "--fine");
+    let args = slice_bench::BenchArgs::from_env("usage: fig4 [--full] [--fine]");
+    let (full, fine) = (args.flag("--full"), args.flag("--fine"));
     let files: u64 = if full { 36_000 } else { 2_400 };
     let affinities: &[u32] = if fine {
         &[
@@ -40,7 +39,9 @@ fn main() {
                 EnsemblePolicy::MkdirSwitching {
                     redirect_millis: p_millis,
                 },
-            );
+                1,
+            )
+            .0;
             series[i].push(aff as f64 / 10.0, lat);
         }
     }

@@ -85,13 +85,13 @@ fn untar_phase(files: u64, threads: usize) -> (PhaseReport, [u64; 3]) {
     }
     let per_cell = slice_sim::run_indexed(threads, cells, |_, cell| {
         with_payload_delta(|| match cell.dirs {
-            None => slice_bench::run_untar_mfs_stats(cell.procs, files, 1).1,
+            None => slice_bench::run_untar_mfs(cell.procs, files, 1).1,
             Some(dirs) => {
                 let p_millis = (1000 / dirs as u32).max(1);
                 let policy = EnsemblePolicy::MkdirSwitching {
                     redirect_millis: p_millis,
                 };
-                slice_bench::run_untar_slice_stats(cell.procs, dirs, files, policy, 1).1
+                slice_bench::run_untar_slice(cell.procs, dirs, files, policy, 1).1
             }
         })
     });
@@ -116,7 +116,7 @@ fn untar_phase(files: u64, threads: usize) -> (PhaseReport, [u64; 3]) {
 fn bulk_phase(bytes_per_client: u64) -> (PhaseReport, [u64; 3]) {
     let start = Instant::now();
     let ((_w, _r, totals), payload) =
-        with_payload_delta(|| slice_bench::run_bulk_stats(16, bytes_per_client, true, 1));
+        with_payload_delta(|| slice_bench::run_bulk(16, bytes_per_client, true, 1));
     let report = PhaseReport {
         wall_s: start.elapsed().as_secs_f64(),
         totals,
@@ -139,10 +139,10 @@ fn shard_scaling_phase(files: u64, shards: usize) -> (PhaseReport, PhaseReport) 
         redirect_millis: 250,
     };
     let start = Instant::now();
-    let (lat1, t1) = slice_bench::run_untar_slice_stats(16, 4, files, policy, 1);
+    let (lat1, t1) = slice_bench::run_untar_slice(16, 4, files, policy, 1);
     let wall1 = start.elapsed().as_secs_f64();
     let start = Instant::now();
-    let (lat_n, tn) = slice_bench::run_untar_slice_stats(16, 4, files, policy, shards);
+    let (lat_n, tn) = slice_bench::run_untar_slice(16, 4, files, policy, shards);
     let wall_n = start.elapsed().as_secs_f64();
     assert_eq!(lat1, lat_n, "sharded untar latency diverged from serial");
     assert_eq!(
@@ -233,8 +233,8 @@ fn live_state_phase(bytes_per_client: u64, shards: usize) -> (u64, u64, u64, u64
 /// one-lookahead-per-window count (which would exceed the event count
 /// here, since bulk RPC legs span many lookaheads).
 fn shard_window_phase(bytes_per_client: u64, shards: usize) -> (EngineTotals, EngineTotals) {
-    let (_, _, t1) = slice_bench::run_bulk_stats(4, bytes_per_client, true, 1);
-    let (_, _, tn) = slice_bench::run_bulk_stats(4, bytes_per_client, true, shards);
+    let (_, _, t1) = slice_bench::run_bulk(4, bytes_per_client, true, 1);
+    let (_, _, tn) = slice_bench::run_bulk(4, bytes_per_client, true, shards);
     assert_eq!(
         (t1.packets, t1.bytes, t1.events),
         (tn.packets, tn.bytes, tn.events),

@@ -30,7 +30,7 @@
 //! [--json-out]` (defaults: 24 MiB per client, 3 hot read passes,
 //! threads = available parallelism, 1 shard).
 
-use slice_bench::{maybe_write_json, obs_doc};
+use slice_bench::obs_doc;
 use slice_core::actors::CoordActor;
 use slice_core::ensemble::{SliceConfig, SliceEnsemble};
 use slice_core::Workload;
@@ -402,8 +402,7 @@ fn main() {
         reg.set_gauge("reconfigure.baseline_write_done_ms", ms_of(base.write_done));
         reg.set_gauge("reconfigure.baseline_p99_us", base.p99_us);
     });
-    println!("{json}");
-    maybe_write_json("reconfigure", &json);
+    args.emit("reconfigure", &json);
 
     // The reconfiguration contract: no client-visible failures, every
     // migration intent drained, and the retiree's soft state purged.

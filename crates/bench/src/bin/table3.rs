@@ -12,16 +12,16 @@
 //! packets/s, and each phase's share of the µproxy total next to the
 //! paper's shares.
 //!
-//! Usage: `table3 [--threads T]` — the replayed file range is split over
-//! T workers (default: available parallelism), each with a private
-//! µproxy.
+//! Usage: `table3 [--threads T] [--json-out]` — the replayed file range
+//! is split over T workers (default: available parallelism), each with a
+//! private µproxy.
 
 fn main() {
     // Workers replay disjoint slices of the file range through private
     // µproxies; packet counts are thread-count-invariant, the ns timers
     // are host measurements either way.
-    let threads = slice_bench::BenchArgs::from_env("usage: table3 [--threads T]").threads();
-    let ph = slice_bench::run_uproxy_phases_par(350_000, threads);
+    let args = slice_bench::BenchArgs::from_env("usage: table3 [--threads T] [--json-out]");
+    let ph = slice_bench::run_uproxy_phases(350_000, args.threads());
     let total_ns = ph.intercept_ns + ph.decode_ns + ph.rewrite_ns + ph.soft_ns;
     let per_packet = |ns: u64| ns as f64 / ph.packets as f64;
     let cpu_pct = |ns: u64| per_packet(ns) * 6250.0 / 1e9 * 100.0;
@@ -62,6 +62,5 @@ fn main() {
     );
     // Machine-readable output: the slice-obs JSON snapshot of the table.
     let json = slice_bench::phases_obs_json("table3", &ph);
-    println!("{json}");
-    slice_bench::maybe_write_json("table3", &json);
+    args.emit("table3", &json);
 }

@@ -2,7 +2,8 @@
 //! bench binaries and the calibration tests.
 
 use slice_core::{
-    BaselineEnsemble, BaselineKind, EnsemblePolicy, SliceConfig, SliceEnsemble, Workload,
+    BaselineEnsemble, BaselineKind, ClientActor, EnsemblePolicy, SliceConfig, SliceEnsemble,
+    Workload,
 };
 use slice_nfsproto::{encode_call, encode_reply, AuthUnix, Packet};
 use slice_sim::{Series, SimDuration, SimTime};
@@ -40,16 +41,9 @@ impl BulkResult {
 
 /// Runs the Table 2 bulk I/O experiment: `clients` writers (then readers)
 /// of `bytes_per_client`, mirrored or not. Returns (write, read) aggregate
-/// bandwidth.
-pub fn run_bulk(clients: usize, bytes_per_client: u64, mirrored: bool) -> (BulkResult, BulkResult) {
-    let (w, r, _) = run_bulk_stats(clients, bytes_per_client, mirrored, 1);
-    (w, r)
-}
-
-/// [`run_bulk`] variant that also harvests engine totals. `shards`
-/// partitions the engine across worker threads; all counters are
-/// shard-count-invariant.
-pub fn run_bulk_stats(
+/// bandwidth and the engine totals. `shards` partitions the engine across
+/// worker threads; results and counters are shard-count-invariant.
+pub fn run_bulk(
     clients: usize,
     bytes_per_client: u64,
     mirrored: bool,
@@ -72,19 +66,19 @@ pub fn run_bulk_stats(
     let mut ens = SliceEnsemble::build(&cfg, writers);
     ens.start();
     ens.run_to_completion(deadline_secs(3600));
-    let mut write_secs: f64 = 0.0;
-    for i in 0..clients {
-        let w = ens
-            .client(i)
-            .workload()
-            .expect("workload")
-            .as_any()
-            .downcast_ref::<BulkIo>()
-            .expect("bulk");
-        assert!(w.finished(), "writer {i} incomplete");
-        write_secs = write_secs.max(bytes_per_client as f64 / w.bandwidth().expect("bw"));
-    }
-    let write_bw = clients as f64 * bytes_per_client as f64 / write_secs;
+    // Aggregate bandwidth of a finished pass: all bytes over the slowest
+    // client's time.
+    let aggregate_bw = |ens: &SliceEnsemble, pass: &str| {
+        let mut secs: f64 = 0.0;
+        for i in 0..clients {
+            let w = ens.client(i).workload().expect("workload").as_any();
+            let io = w.downcast_ref::<BulkIo>().expect("bulk");
+            assert!(io.finished(), "{pass} {i} incomplete");
+            secs = secs.max(bytes_per_client as f64 / io.bandwidth().expect("bw"));
+        }
+        clients as f64 * bytes_per_client as f64 / secs
+    };
+    let write_bw = aggregate_bw(&ens, "writer");
     // Read phase on the same ensemble (server caches hold only the tail of
     // each file, as after a real dd write pass).
     for i in 0..clients {
@@ -97,19 +91,7 @@ pub fn run_bulk_stats(
         ens.engine.kick(c);
     }
     ens.run_to_completion(deadline_secs(7200));
-    let mut read_secs: f64 = 0.0;
-    for i in 0..clients {
-        let r = ens
-            .client(i)
-            .workload()
-            .expect("workload")
-            .as_any()
-            .downcast_ref::<BulkIo>()
-            .expect("bulk");
-        assert!(r.finished(), "reader {i} incomplete");
-        read_secs = read_secs.max(bytes_per_client as f64 / r.bandwidth().expect("bw"));
-    }
-    let read_bw = clients as f64 * bytes_per_client as f64 / read_secs;
+    let read_bw = aggregate_bw(&ens, "reader");
     (
         BulkResult {
             bandwidth_bps: write_bw,
@@ -122,17 +104,13 @@ pub fn run_bulk_stats(
 }
 
 /// Table 3: replay an untar-shaped packet stream through a real µproxy and
-/// report measured CPU fractions at the paper's 6250 packets/second rate.
-pub fn run_uproxy_phases(pairs: usize) -> PhaseStats {
-    run_uproxy_phases_par(pairs, 1)
-}
-
-/// Parallel Table 3: splits the file range across workers, each replaying
-/// its slice through a private µproxy (disjoint file ids, its own xid
-/// stream), then sums the phase timers in range order. Packet counts are
-/// thread-count-invariant; the nanosecond timers are host measurements
-/// and vary run to run regardless of threads.
-pub fn run_uproxy_phases_par(pairs: usize, threads: usize) -> PhaseStats {
+/// report its measured per-phase CPU cost. Splits the file range across
+/// `threads` workers, each replaying its slice through a private µproxy
+/// (disjoint file ids, its own xid stream), then sums the phase timers in
+/// range order. Packet counts are thread-count-invariant; the nanosecond
+/// timers are host measurements and vary run to run regardless of
+/// threads.
+pub fn run_uproxy_phases(pairs: usize, threads: usize) -> PhaseStats {
     let files = pairs / 7;
     let workers = threads.clamp(1, files.max(1));
     let per = files.div_ceil(workers);
@@ -248,9 +226,9 @@ pub struct EngineTotals {
     pub inline_dispatches: u64,
     /// High-water mark of concurrently live events in the slab.
     pub peak_live_events: usize,
-    /// Time windows executed (serial + barrier-synchronized parallel).
+    /// Time windows executed.
     pub windows: u64,
-    /// Barrier crossings paid by the parallel window loop.
+    /// Barrier crossings paid by the window loop (none on one shard).
     pub barrier_rounds: u64,
 }
 
@@ -285,20 +263,10 @@ impl EngineTotals {
 
 /// Figure 3 / Figure 4: untar latency per process.
 ///
-/// Returns the mean elapsed seconds per process.
-pub fn run_untar_slice(
-    processes: usize,
-    dir_servers: usize,
-    files_per_process: u64,
-    policy: EnsemblePolicy,
-) -> f64 {
-    run_untar_slice_stats(processes, dir_servers, files_per_process, policy, 1).0
-}
-
-/// [`run_untar_slice`] variant that also harvests engine totals.
+/// Returns the mean elapsed seconds per process and the engine totals.
 /// `shards` partitions the engine across worker threads; results and
 /// counters are shard-count-invariant.
-pub fn run_untar_slice_stats(
+pub fn run_untar_slice(
     processes: usize,
     dir_servers: usize,
     files_per_process: u64,
@@ -318,32 +286,31 @@ pub fn run_untar_slice_stats(
     let mut ens = SliceEnsemble::build(&cfg, workloads);
     ens.start();
     ens.run_to_completion(deadline_secs(36_000));
-    let mut total = 0.0;
-    for i in 0..processes {
-        let u = ens
-            .client(i)
-            .workload()
-            .expect("workload")
-            .as_any()
-            .downcast_ref::<Untar>()
-            .expect("untar");
-        total += u
-            .elapsed()
-            .unwrap_or_else(|| panic!("process {i} unfinished"))
-            .as_secs_f64();
-    }
-    (total / processes as f64, EngineTotals::harvest(&ens.engine))
+    let mean = mean_untar_secs(processes, |i| ens.client(i));
+    (mean, EngineTotals::harvest(&ens.engine))
 }
 
-/// Figure 3 baseline: untar against the MFS memory file server.
-pub fn run_untar_mfs(processes: usize, files_per_process: u64) -> f64 {
-    run_untar_mfs_stats(processes, files_per_process, 1).0
+/// Mean elapsed seconds of the finished `Untar` workloads on clients
+/// `0..processes`.
+fn mean_untar_secs<'a>(processes: usize, client: impl Fn(usize) -> &'a ClientActor) -> f64 {
+    let total: f64 = (0..processes)
+        .map(|i| {
+            let w = client(i).workload().expect("workload").as_any();
+            let u = w.downcast_ref::<Untar>().expect("untar");
+            let took = u
+                .elapsed()
+                .unwrap_or_else(|| panic!("process {i} unfinished"));
+            took.as_secs_f64()
+        })
+        .sum();
+    total / processes as f64
 }
 
-/// [`run_untar_mfs`] variant that also harvests engine totals. `shards`
+/// Figure 3 baseline: untar against the MFS memory file server. Returns
+/// the mean elapsed seconds per process and the engine totals. `shards`
 /// partitions the engine across worker threads (server on shard 0,
 /// clients round-robin); results are shard-count-invariant.
-pub fn run_untar_mfs_stats(
+pub fn run_untar_mfs(
     processes: usize,
     files_per_process: u64,
     shards: usize,
@@ -355,21 +322,8 @@ pub fn run_untar_mfs_stats(
     ens.set_shards(shards);
     ens.start();
     ens.run_to_completion(deadline_secs(36_000));
-    let mut total = 0.0;
-    for i in 0..processes {
-        let u = ens
-            .client(i)
-            .workload()
-            .expect("workload")
-            .as_any()
-            .downcast_ref::<Untar>()
-            .expect("untar");
-        total += u
-            .elapsed()
-            .unwrap_or_else(|| panic!("process {i} unfinished"))
-            .as_secs_f64();
-    }
-    (total / processes as f64, EngineTotals::harvest(&ens.engine))
+    let mean = mean_untar_secs(processes, |i| ens.client(i));
+    (mean, EngineTotals::harvest(&ens.engine))
 }
 
 /// Result of one SPECsfs-like run.
@@ -535,19 +489,10 @@ pub fn repo_root() -> std::path::PathBuf {
     std::path::PathBuf::from(".")
 }
 
-/// Writes `json` to `BENCH_<name>.json` at the repository root when the
-/// invoking binary was passed `--json-out`; otherwise does nothing. The
-/// snapshot files are gitignored run artifacts consumed by plotting and
-/// regression tooling.
-pub fn maybe_write_json(name: &str, json: &str) {
-    if !std::env::args().any(|a| a == "--json-out") {
-        return;
-    }
-    write_json(name, json);
-}
-
-/// Unconditionally writes `json` to `BENCH_<name>.json` at the repository
-/// root (resolved at runtime; see [`repo_root`]).
+/// Writes `json` to `BENCH_<name>.json` at the repository root (resolved
+/// at runtime; see [`repo_root`]). The snapshot files are gitignored run
+/// artifacts consumed by plotting and regression tooling. Most binaries
+/// write theirs through [`crate::BenchArgs::emit`], under `--json-out`.
 pub fn write_json(name: &str, json: &str) {
     let file = repo_root().join(format!("BENCH_{name}.json"));
     std::fs::write(&file, json).unwrap_or_else(|e| panic!("write {}: {e}", file.display()));

@@ -5,10 +5,9 @@
 pub mod experiments;
 
 pub use experiments::{
-    bench_config, maybe_write_json, obs_doc, phases_obs_json, print_series, repo_root, run_bulk,
-    run_bulk_stats, run_sfs_baseline, run_sfs_slice, run_untar_mfs, run_untar_mfs_stats,
-    run_untar_slice, run_untar_slice_stats, run_uproxy_phases, run_uproxy_phases_par,
-    series_obs_json, write_json, BulkResult, EngineTotals, SfsResult,
+    bench_config, obs_doc, phases_obs_json, print_series, repo_root, run_bulk, run_sfs_baseline,
+    run_sfs_slice, run_untar_mfs, run_untar_slice, run_uproxy_phases, series_obs_json, write_json,
+    BulkResult, EngineTotals, SfsResult,
 };
 
 /// A bench binary's command line: `--switch` flags and `--name VALUE`
@@ -72,5 +71,15 @@ impl BenchArgs {
     /// `--shards S`: engine shards per ensemble, or `default`.
     pub fn shards(&self, default: usize) -> usize {
         self.opt("--shards").unwrap_or(default)
+    }
+
+    /// Ends a binary's stdout with its report — the slice-obs JSON
+    /// document `json` — and, under `--json-out`, also saves it as
+    /// `BENCH_<name>.json` at the repository root.
+    pub fn emit(&self, name: &str, json: &str) {
+        println!("{json}");
+        if self.flag("--json-out") {
+            write_json(name, json);
+        }
     }
 }

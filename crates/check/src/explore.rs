@@ -532,11 +532,59 @@ enum Act {
     WidenHot,
 }
 
+/// How the explorer runs: which ensemble each run is built on, which
+/// schedule pool a sweep draws from, and how much of the host it uses.
+/// The default is the plain explorer — mirrored placement, the standard
+/// crash/loss pool, one engine shard, one sweep thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExploreOpts {
+    /// Sweeps draw from [`chaos_schedules`] (duplication and reordering
+    /// windows, stacked storage crashes) instead of
+    /// [`standard_schedules`]; with `coded`, from
+    /// [`coded_chaos_schedules`].
+    pub chaos: bool,
+    /// Every mapped file is erasure-coded as (4,2) instead of mirrored, so
+    /// the same scenarios and fault schedules exercise striped writes,
+    /// degraded reads, and shard rebuilds — vetted by the
+    /// coded-reconstruction oracle.
+    pub coded: bool,
+    /// The reconfiguration ensemble: a fifth storage site starts in
+    /// standby, `JoinStorage`/`DrainStorage`/`WidenHot` injections are
+    /// honored, sweeps draw from [`reconf_schedules`], and the drain
+    /// oracle ([`crate::state::check_drained`]) runs over every drained
+    /// site at quiescence.
+    pub reconf: bool,
+    /// Engine shards per run. Every outcome — each oracle verdict, the
+    /// finish time, the final namespace snapshot, a sweep's report — is
+    /// shard-count-invariant; CI sweeps `--shards 1` against `--shards 4`
+    /// and `cmp`s the reports to prove it.
+    pub shards: usize,
+    /// Sweep worker threads: each seed's reference run and schedule
+    /// replays execute as one independent task (every run builds a fresh
+    /// ensemble, so tasks share nothing). Combining `threads > 1` with
+    /// `shards > 1` oversubscribes the host and is only useful for
+    /// cross-checking determinism.
+    pub threads: usize,
+}
+
+impl Default for ExploreOpts {
+    fn default() -> Self {
+        ExploreOpts {
+            chaos: false,
+            coded: false,
+            reconf: false,
+            shards: 1,
+            threads: 1,
+        }
+    }
+}
+
 /// The ensemble every schedule runs against: one recorded client, two
 /// directory sites (so reconfig/multisite paths are live), the default
 /// four storage nodes with block maps on, and data retention for the
 /// structural oracles.
-fn explorer_config(seed: u64, shards: usize, coded: bool, reconf: bool) -> SliceConfig {
+fn explorer_config(seed: u64, opts: &ExploreOpts) -> SliceConfig {
+    let (coded, reconf) = (opts.coded, opts.reconf);
     SliceConfig {
         clients: 1,
         dir_servers: 2,
@@ -553,71 +601,25 @@ fn explorer_config(seed: u64, shards: usize, coded: bool, reconf: bool) -> Slice
         active_storage: reconf.then_some(4),
         mapped_mirror: reconf && !coded,
         seed,
-        shards,
+        shards: opts.shards,
         ..SliceConfig::default()
     }
 }
 
-/// Runs `scenario` under `schedule` in a fresh ensemble and applies every
-/// oracle: expected per-op status (with NFS retransmission tolerances),
-/// register-model linearizability, structural invariants (strict object
-/// backing on crash-free runs), and — when a crash-free `reference`
-/// snapshot is supplied — WAL-replay namespace equivalence.
+/// Runs `scenario` under `schedule` in a fresh ensemble (the one `opts`
+/// selects) and applies every oracle: expected per-op status (with NFS
+/// retransmission tolerances), register-model linearizability, structural
+/// invariants (strict object backing on crash-free runs), and — when a
+/// crash-free `reference` snapshot is supplied — WAL-replay namespace
+/// equivalence.
 pub fn run_schedule(
     seed: u64,
     scenario: &Scenario,
     schedule: &Schedule,
     reference: Option<&VolumeSnapshot>,
+    opts: &ExploreOpts,
 ) -> RunOutcome {
-    run_schedule_sharded(seed, scenario, schedule, reference, 1)
-}
-
-/// [`run_schedule`] with the ensemble's engine partitioned across
-/// `shards` time-synchronized shards. The outcome — every oracle
-/// verdict, the finish time, the final namespace snapshot — is
-/// shard-count-invariant; CI sweeps `--shards 1` against `--shards 4`
-/// and `cmp`s the reports to prove it.
-pub fn run_schedule_sharded(
-    seed: u64,
-    scenario: &Scenario,
-    schedule: &Schedule,
-    reference: Option<&VolumeSnapshot>,
-    shards: usize,
-) -> RunOutcome {
-    run_schedule_coded(seed, scenario, schedule, reference, shards, false)
-}
-
-/// [`run_schedule_sharded`] with a placement choice: `coded` runs the
-/// ensemble with every mapped file erasure-coded as (4,2) instead of
-/// mirrored, so the same scenarios and fault schedules exercise striped
-/// writes, degraded reads, and shard rebuilds — vetted by the
-/// coded-reconstruction oracle.
-pub fn run_schedule_coded(
-    seed: u64,
-    scenario: &Scenario,
-    schedule: &Schedule,
-    reference: Option<&VolumeSnapshot>,
-    shards: usize,
-    coded: bool,
-) -> RunOutcome {
-    run_schedule_reconf(seed, scenario, schedule, reference, shards, coded, false)
-}
-
-/// [`run_schedule_coded`] against the reconfiguration ensemble: a fifth
-/// storage site starts in standby, `JoinStorage`/`DrainStorage`/`WidenHot`
-/// injections are honored, and the drain oracle
-/// ([`crate::state::check_drained`]) runs over every drained site at
-/// quiescence.
-pub fn run_schedule_reconf(
-    seed: u64,
-    scenario: &Scenario,
-    schedule: &Schedule,
-    reference: Option<&VolumeSnapshot>,
-    shards: usize,
-    coded: bool,
-    reconf: bool,
-) -> RunOutcome {
-    let cfg = explorer_config(seed, shards, coded, reconf);
+    let cfg = explorer_config(seed, opts);
     let mut ens = SliceEnsemble::build(&cfg, vec![Box::new(DriverWorkload::new(scenario.clone()))]);
     ens.start();
 
@@ -952,7 +954,7 @@ pub fn coded_chaos_schedules(seed: u64, m: usize, horizon_ms: u64) -> Vec<Schedu
 /// standby fifth site, planned drains, hot-set widening, and — the
 /// rebalance-mid-crash case — a node or coordinator crash landing while
 /// migrations are in flight. Only meaningful against the reconf ensemble
-/// ([`run_schedule_reconf`] with `reconf = true`); every schedule with a
+/// ([`ExploreOpts::reconf`]); every schedule with a
 /// drain is vetted by the drain oracle at quiescence.
 pub fn reconf_schedules(seed: u64, m: usize, horizon_ms: u64) -> Vec<Schedule> {
     let mut rng = Rng::seed_from_u64(seed.wrapping_mul(0x8f9a_6c44_0b1e_77d3) ^ 0x1d7a2);
@@ -1072,21 +1074,6 @@ impl SweepReport {
     }
 }
 
-/// Sweeps `seeds` × `schedules_per_seed`: for each seed, generate a
-/// scenario, run it crash-free to establish the reference namespace, then
-/// replay it under each fault schedule and compare. The report's JSON is
-/// a deterministic function of the inputs.
-pub fn sweep(seeds: &[u64], schedules_per_seed: usize) -> SweepReport {
-    sweep_with(seeds, schedules_per_seed, false)
-}
-
-/// [`sweep`] with a schedule-pool choice: `chaos` swaps
-/// [`standard_schedules`] for [`chaos_schedules`] (duplication and
-/// reordering windows, stacked storage crashes).
-pub fn sweep_with(seeds: &[u64], schedules_per_seed: usize, chaos: bool) -> SweepReport {
-    sweep_with_threads(seeds, schedules_per_seed, chaos, 1)
-}
-
 /// Everything one seed's portion of the sweep produced, harvested on a
 /// worker thread and merged on the caller's thread in seed order.
 struct SeedOutcome {
@@ -1097,86 +1084,20 @@ struct SeedOutcome {
     failures: Vec<SweepFailure>,
 }
 
-/// [`sweep_with`] fanned out over the slice-par runtime: each seed's
-/// reference run and schedule replays execute as one independent task
-/// (every run builds a fresh ensemble, so tasks share nothing), and the
-/// per-seed outcomes are folded into the report strictly in seed order.
-/// The exported JSON is byte-identical for any `threads`, including the
-/// sequential `threads == 1` path, because the folded counters are sums
-/// of per-seed values that do not depend on scheduling.
-pub fn sweep_with_threads(
-    seeds: &[u64],
-    schedules_per_seed: usize,
-    chaos: bool,
-    threads: usize,
-) -> SweepReport {
-    sweep_sharded(seeds, schedules_per_seed, chaos, threads, 1)
-}
-
-/// [`sweep_with_threads`] with each run's engine partitioned across
-/// `shards` shards. The deterministic report is shard-count-invariant,
-/// so `shards` only changes how much of the host each individual run
-/// uses; combining `threads > 1` with `shards > 1` oversubscribes the
-/// host and is only useful for cross-checking determinism.
-pub fn sweep_sharded(
-    seeds: &[u64],
-    schedules_per_seed: usize,
-    chaos: bool,
-    threads: usize,
-    shards: usize,
-) -> SweepReport {
-    sweep_coded(seeds, schedules_per_seed, chaos, threads, shards, false)
-}
-
-/// [`sweep_sharded`] with a placement choice: `coded` runs every ensemble
-/// with (4,2) erasure coding for mapped files (see [`run_schedule_coded`])
-/// and — when `chaos` is also set — widens the schedule pool with stacked
-/// storage crashes ([`coded_chaos_schedules`]).
-pub fn sweep_coded(
-    seeds: &[u64],
-    schedules_per_seed: usize,
-    chaos: bool,
-    threads: usize,
-    shards: usize,
-    coded: bool,
-) -> SweepReport {
-    sweep_reconf(
-        seeds,
-        schedules_per_seed,
-        chaos,
-        threads,
-        shards,
-        coded,
-        false,
-    )
-}
-
-/// [`sweep_coded`] with a reconfiguration choice: `reconf` runs every
-/// ensemble with a fifth standby storage site (see [`run_schedule_reconf`])
-/// and swaps the schedule pool for [`reconf_schedules`] — joins, planned
-/// drains, hot-set widening, and rebalance-mid-crash stacks — with the
-/// drain oracle vetting every drained site at quiescence.
-pub fn sweep_reconf(
-    seeds: &[u64],
-    schedules_per_seed: usize,
-    chaos: bool,
-    threads: usize,
-    shards: usize,
-    coded: bool,
-    reconf: bool,
-) -> SweepReport {
+/// Sweeps `seeds` × `schedules_per_seed`: for each seed, generate a
+/// scenario, run it crash-free to establish the reference namespace, then
+/// replay it under each fault schedule of the pool `opts` selects and
+/// compare. Seeds fan out over the slice-par runtime and the per-seed
+/// outcomes are folded into the report strictly in seed order: the
+/// report's JSON is a deterministic function of the seeds and the
+/// ensemble, byte-identical for any `opts.threads` and `opts.shards`,
+/// because the folded counters are sums of per-seed values that do not
+/// depend on scheduling.
+pub fn sweep(seeds: &[u64], schedules_per_seed: usize, opts: &ExploreOpts) -> SweepReport {
     let start = std::time::Instant::now();
-    let outcomes = slice_sim::par::run_indexed(threads, seeds.to_vec(), |_, seed| {
+    let outcomes = slice_sim::par::run_indexed(opts.threads, seeds.to_vec(), |_, seed| {
         let scenario = generate_scenario(seed, 96);
-        let reference = run_schedule_reconf(
-            seed,
-            &scenario,
-            &Schedule::default(),
-            None,
-            shards,
-            coded,
-            reconf,
-        );
+        let reference = run_schedule(seed, &scenario, &Schedule::default(), None, opts);
         let mut o = SeedOutcome {
             runs: 1,
             ops_checked: reference.completed_ops,
@@ -1194,25 +1115,17 @@ pub fn sweep_reconf(
         }
 
         let horizon_ms = reference.finish.as_nanos() / 1_000_000;
-        let schedules = if reconf {
+        let schedules = if opts.reconf {
             reconf_schedules(seed, schedules_per_seed, horizon_ms)
-        } else if chaos && coded {
+        } else if opts.chaos && opts.coded {
             coded_chaos_schedules(seed, schedules_per_seed, horizon_ms)
-        } else if chaos {
+        } else if opts.chaos {
             chaos_schedules(seed, schedules_per_seed, horizon_ms)
         } else {
             standard_schedules(seed, schedules_per_seed, horizon_ms)
         };
         for (j, sched) in schedules.iter().enumerate() {
-            let out = run_schedule_reconf(
-                seed,
-                &scenario,
-                sched,
-                Some(&reference.snapshot),
-                shards,
-                coded,
-                reconf,
-            );
+            let out = run_schedule(seed, &scenario, sched, Some(&reference.snapshot), opts);
             o.runs += 1;
             o.ops_checked += out.completed_ops;
             o.violations += out.violations.len() as u64;
@@ -1261,7 +1174,8 @@ pub fn sweep_reconf(
     // deterministic document above stays byte-comparable.
     let wall_s = start.elapsed().as_secs_f64();
     obs.registry.set_gauge("checker.wall_s", wall_s);
-    obs.registry.set_gauge("checker.threads", threads as f64);
+    obs.registry
+        .set_gauge("checker.threads", opts.threads as f64);
     if wall_s > 0.0 {
         obs.registry
             .set_gauge("checker.runs_per_host_s", runs as f64 / wall_s);
@@ -1281,31 +1195,15 @@ pub fn sweep_reconf(
 /// loop), then by dropping single events, re-running the oracles after
 /// each candidate. Returns the smallest schedule that still fails (or the
 /// input unchanged if it does not fail at all). Bounded at ~32 runs.
-/// Candidate probes fan out over the slice-par pool at the host's
-/// available parallelism; see [`minimize_with_threads`].
+///
+/// Each shrinking step's candidate schedules are independent runs, so
+/// they probe concurrently over `run_indexed` on `threads` workers
+/// ([`slice_sim::default_threads`] is the host's parallelism); the serial
+/// scan order decides which failing candidate is adopted and how much of
+/// the budget each step charges, so the result is identical to the
+/// sequential algorithm at any `threads` — probes the serial loop would
+/// never have reached are computed speculatively but never consulted.
 pub fn minimize(
-    seed: u64,
-    scenario: &Scenario,
-    schedule: &Schedule,
-    reference: &VolumeSnapshot,
-) -> Schedule {
-    minimize_with_threads(
-        seed,
-        scenario,
-        schedule,
-        reference,
-        slice_sim::default_threads(),
-    )
-}
-
-/// [`minimize`] with an explicit probe-pool width. Each shrinking step's
-/// candidate schedules are independent runs, so they probe concurrently
-/// over `run_indexed`; the serial scan order decides which failing
-/// candidate is adopted and how much of the ~32-run budget each step
-/// charges, so the result is identical to the sequential algorithm at
-/// any `threads` — probes the serial loop would never have reached are
-/// computed speculatively but never consulted.
-pub fn minimize_with_threads(
     seed: u64,
     scenario: &Scenario,
     schedule: &Schedule,
@@ -1313,7 +1211,7 @@ pub fn minimize_with_threads(
     threads: usize,
 ) -> Schedule {
     let fails = |s: &Schedule| {
-        !run_schedule(seed, scenario, s, Some(reference))
+        !run_schedule(seed, scenario, s, Some(reference), &ExploreOpts::default())
             .violations
             .is_empty()
     };
@@ -1422,9 +1320,13 @@ mod tests {
                 },
             ],
         };
-        let serial = run_schedule(13, &scenario, &schedule, None);
+        let serial = run_schedule(13, &scenario, &schedule, None, &ExploreOpts::default());
         for shards in [2usize, 4] {
-            let sharded = run_schedule_sharded(13, &scenario, &schedule, None, shards);
+            let opts = ExploreOpts {
+                shards,
+                ..ExploreOpts::default()
+            };
+            let sharded = run_schedule(13, &scenario, &schedule, None, &opts);
             assert_eq!(serial.finish, sharded.finish, "shards={shards}");
             assert_eq!(serial.stalled, sharded.stalled, "shards={shards}");
             assert_eq!(
@@ -1442,7 +1344,13 @@ mod tests {
     #[test]
     fn clean_run_passes_all_oracles() {
         let scenario = generate_scenario(11, 40);
-        let out = run_schedule(11, &scenario, &Schedule::default(), None);
+        let out = run_schedule(
+            11,
+            &scenario,
+            &Schedule::default(),
+            None,
+            &ExploreOpts::default(),
+        );
         assert!(!out.stalled);
         assert!(
             out.violations.is_empty(),
@@ -1475,8 +1383,11 @@ mod tests {
     #[test]
     fn join_then_drain_passes_drain_oracle() {
         let scenario = generate_scenario(17, 40);
-        let reference =
-            run_schedule_reconf(17, &scenario, &Schedule::default(), None, 1, false, true);
+        let reconf = ExploreOpts {
+            reconf: true,
+            ..ExploreOpts::default()
+        };
+        let reference = run_schedule(17, &scenario, &Schedule::default(), None, &reconf);
         assert!(
             reference.violations.is_empty(),
             "reconf reference run violated: {:?}",
@@ -1494,15 +1405,7 @@ mod tests {
                 },
             ],
         };
-        let out = run_schedule_reconf(
-            17,
-            &scenario,
-            &schedule,
-            Some(&reference.snapshot),
-            1,
-            false,
-            true,
-        );
+        let out = run_schedule(17, &scenario, &schedule, Some(&reference.snapshot), &reconf);
         assert!(!out.stalled, "join+drain schedule stalled");
         assert!(
             out.violations.is_empty(),
@@ -1530,8 +1433,15 @@ mod tests {
                 },
             ],
         };
-        let serial = run_schedule_reconf(19, &scenario, &schedule, None, 1, false, true);
-        let sharded = run_schedule_reconf(19, &scenario, &schedule, None, 2, false, true);
+        let run = |shards| {
+            let opts = ExploreOpts {
+                reconf: true,
+                shards,
+                ..ExploreOpts::default()
+            };
+            run_schedule(19, &scenario, &schedule, None, &opts)
+        };
+        let (serial, sharded) = (run(1), run(2));
         assert_eq!(serial.finish, sharded.finish);
         assert_eq!(serial.completed_ops, sharded.completed_ops);
         assert_eq!(serial.violations, sharded.violations);

@@ -30,11 +30,9 @@ pub mod oracle;
 pub mod state;
 
 pub use explore::{
-    chaos_schedules, coded_chaos_schedules, generate_scenario, minimize, minimize_with_threads,
-    reconf_schedules, run_schedule, run_schedule_coded, run_schedule_reconf, run_schedule_sharded,
-    standard_schedules, sweep, sweep_coded, sweep_reconf, sweep_sharded, sweep_with,
-    sweep_with_threads, DriverWorkload, GenOp, Injection, RunOutcome, Scenario, Schedule,
-    ScheduleEvent, SweepFailure, SweepReport,
+    chaos_schedules, coded_chaos_schedules, generate_scenario, minimize, reconf_schedules,
+    run_schedule, standard_schedules, sweep, DriverWorkload, ExploreOpts, GenOp, Injection,
+    RunOutcome, Scenario, Schedule, ScheduleEvent, SweepFailure, SweepReport,
 };
 pub use oracle::{check_histories, OracleStats};
 pub use state::{

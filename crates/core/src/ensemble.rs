@@ -21,6 +21,28 @@ use crate::wire::{AddrPlan, Router, Wire};
 /// quiescence oracles run.
 const DRAIN_HORIZON: SimDuration = SimDuration::from_secs(10);
 
+/// The one stepping loop behind [`SliceEnsemble::run_to_completion`]
+/// (which documents it) and [`BaselineEnsemble::run_to_completion`].
+fn run_to_completion(engine: &mut Engine<Wire>, clients: &[NodeId], deadline: SimTime) -> SimTime {
+    let second = SimDuration::from_secs(1);
+    loop {
+        engine.run_until((engine.now() + second).min(deadline));
+        if clients
+            .iter()
+            .all(|&c| engine.actor::<ClientActor>(c).finished())
+        {
+            let drain_cap = engine.now() + DRAIN_HORIZON;
+            while engine.live_events() > 0 && engine.now() < drain_cap {
+                engine.run_until((engine.now() + second).min(drain_cap));
+            }
+            return engine.now();
+        }
+        if engine.now() >= deadline || engine.live_events() == 0 {
+            return engine.now();
+        }
+    }
+}
+
 /// Name-space policy for a whole ensemble.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnsemblePolicy {
@@ -457,9 +479,9 @@ impl SliceEnsemble {
     /// time.
     ///
     /// Advances in whole simulated seconds of *unbudgeted* run
-    /// ([`slice_sim::Engine::run_until`]): an unbudgeted run lets the
-    /// serial engine cover each step with a single window and the sharded
-    /// engine widen windows adaptively, while the between-step check
+    /// ([`slice_sim::Engine::run_until`]): adaptive widening makes each
+    /// step a single window on a one-shard engine and as few as the
+    /// traffic allows on a sharded one, while the between-step check
     /// keeps idle background timers from being simulated all the way to a
     /// distant deadline. Once the clients finish, the drain keeps
     /// stepping until the event queue empties so callers observe
@@ -472,25 +494,7 @@ impl SliceEnsemble {
     /// flushes it. Step boundaries — and therefore the returned finish
     /// time — are shard-count-invariant.
     pub fn run_to_completion(&mut self, deadline: SimTime) -> SimTime {
-        loop {
-            let step = (self.engine.now() + SimDuration::from_secs(1)).min(deadline);
-            self.engine.run_until(step);
-            let done = self
-                .clients
-                .iter()
-                .all(|&c| self.engine.actor::<ClientActor>(c).finished());
-            if done {
-                let drain_cap = self.engine.now() + DRAIN_HORIZON;
-                while self.engine.live_events() > 0 && self.engine.now() < drain_cap {
-                    let step = (self.engine.now() + SimDuration::from_secs(1)).min(drain_cap);
-                    self.engine.run_until(step);
-                }
-                return self.engine.now();
-            }
-            if self.engine.now() >= deadline || self.engine.live_events() == 0 {
-                return self.engine.now();
-            }
-        }
+        run_to_completion(&mut self.engine, &self.clients, deadline)
     }
 
     /// Client actor access.
@@ -942,27 +946,9 @@ impl BaselineEnsemble {
 
     /// Runs until every workload finishes (plus a time-capped drain of
     /// trailing background work) or `deadline` passes. Same stepping
-    /// scheme as [`SliceEnsemble::run_to_completion`].
+    /// loop as [`SliceEnsemble::run_to_completion`].
     pub fn run_to_completion(&mut self, deadline: SimTime) -> SimTime {
-        loop {
-            let step = (self.engine.now() + SimDuration::from_secs(1)).min(deadline);
-            self.engine.run_until(step);
-            let done = self
-                .clients
-                .iter()
-                .all(|&c| self.engine.actor::<ClientActor>(c).finished());
-            if done {
-                let drain_cap = self.engine.now() + DRAIN_HORIZON;
-                while self.engine.live_events() > 0 && self.engine.now() < drain_cap {
-                    let step = (self.engine.now() + SimDuration::from_secs(1)).min(drain_cap);
-                    self.engine.run_until(step);
-                }
-                return self.engine.now();
-            }
-            if self.engine.now() >= deadline || self.engine.live_events() == 0 {
-                return self.engine.now();
-            }
-        }
+        run_to_completion(&mut self.engine, &self.clients, deadline)
     }
 
     /// Client actor access.

@@ -24,6 +24,12 @@
 //! messages are exchanged at window barriers (see [`crate::shard`]) and
 //! merged in deterministic key order.
 //!
+//! There is no separate serial engine. An engine that was never
+//! partitioned is the one-shard case of that same window loop: nothing to
+//! wait for at the barrier, nothing to exchange, and — because a lone
+//! shard is always the single *active* one — adaptive widening gives an
+//! unbudgeted run one window that reaches its horizon.
+//!
 //! # Determinism
 //!
 //! Simulation output is byte-identical at any shard count, including one.
@@ -245,9 +251,6 @@ enum Stage {
 struct Packet<M> {
     to: NodeId,
     from: NodeId,
-    /// The wire size the sender already computed, so the receiver's port
-    /// charge needs no second walk of the message.
-    size: u32,
     stage: Stage,
     msg: M,
 }
@@ -547,8 +550,6 @@ pub(crate) struct Cross<M> {
     pub(crate) to: NodeId,
     pub(crate) from: NodeId,
     pub(crate) msg: M,
-    /// Sender-computed wire size (see [`Packet::size`]).
-    pub(crate) size: u32,
 }
 
 /// The event-owning half of a shard: clock, heap, slab, node states, and
@@ -672,7 +673,6 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
         let packet = SlotState::Packet(Packet {
             to: c.to,
             from: c.from,
-            size: c.size,
             stage: Stage::AtPort,
             msg: c.msg,
         });
@@ -778,12 +778,10 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
             } else {
                 msg.as_ref().expect("copy accounting").clone()
             };
-            let size = size as u32;
             if dst_shard == self.id {
                 let packet = Packet {
                     to,
                     from,
-                    size,
                     stage: Stage::AtPort,
                     msg,
                 };
@@ -802,7 +800,6 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
                     to,
                     from,
                     msg,
-                    size,
                 });
             }
         }
@@ -813,8 +810,8 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
     /// toward `to` (charged in arrival order), propagation, and optional
     /// bounded-reorder jitter from the *receiver's* stream. The packet
     /// stays where it is; only the key of its landing goes into the heap.
-    fn switch_deliver(&mut self, slot: u32, to: NodeId, size: u32, datagram: bool) {
-        let tx = self.net.tx_time(size as usize);
+    fn switch_deliver(&mut self, slot: u32, to: NodeId, size: usize, datagram: bool) {
+        let tx = self.net.tx_time(size);
         let prop = self.net.prop_delay;
         let window = self.net.reorder_window.as_nanos();
         let now = self.now;
@@ -1070,7 +1067,7 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
         match state {
             SlotState::Packet(p) if p.stage == Stage::AtPort => {
                 p.stage = Stage::Landing;
-                let (to, size, datagram) = (p.to, p.size, p.msg.datagram());
+                let (to, size, datagram) = (p.to, p.msg.wire_size(), p.msg.datagram());
                 core.switch_deliver(key.slot, to, size, datagram);
             }
             SlotState::Packet(p) => {
@@ -1191,7 +1188,6 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
                     let packet = Packet {
                         to,
                         from: node,
-                        size: 0,
                         stage: Stage::Landing,
                         msg,
                     };
@@ -1245,13 +1241,12 @@ pub struct Engine<M> {
     /// the end of each parallel run (see [`Engine::set_payload_probe`]).
     payload_probe: Option<shard::Probe>,
     worker_payload: (u64, u64, u64),
-    /// Persistent worker threads for shards `1..n`, created on the first
-    /// parallel run. Keeping them across runs makes short budgeted runs
-    /// (driver probe loops, stepped schedules) cost a channel hand-off
+    /// The window loop's shared state and its persistent worker threads
+    /// for shards `1..n`, created on the first run (so it is sized for
+    /// the partitioned engine). Keeping the workers across runs makes
+    /// short budgeted runs (driver probe loops) cost a channel hand-off
     /// instead of a thread spawn and join per call.
     pool: Option<shard::WorkerPool<M>>,
-    /// Windows executed on the serial (single-shard) path.
-    serial_windows: u64,
 }
 
 impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
@@ -1259,6 +1254,9 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
     /// seed. Call [`Engine::set_shards`] after adding nodes to partition it.
     pub fn new(net: NetConfig, seed: u64) -> Self {
         let lookahead = net.min_hop_latency();
+        // A window is `[w0, w0 + lookahead)`: a zero lookahead would make
+        // every window empty and the run loop spin on the first event.
+        assert!(lookahead > SimDuration::ZERO, "zero-latency network");
         Engine {
             shards: vec![Shard::new(0, 1, net)],
             owner: Vec::new(),
@@ -1268,7 +1266,6 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
             payload_probe: None,
             worker_payload: (0, 0, 0),
             pool: None,
-            serial_windows: 0,
         }
     }
 
@@ -1521,9 +1518,6 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
     /// runs) before the next windowed run starts.
     fn flush_driver_outboxes(&mut self) {
         let n = self.shards.len();
-        if n == 1 {
-            return;
-        }
         for src in 0..n {
             for dst in 0..n {
                 if dst == src {
@@ -1538,71 +1532,34 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
     }
 
     /// Shared body of [`Engine::run_until_idle`] and [`Engine::run_until`]:
-    /// runs lookahead-wide windows until idle, the dispatch budget is
-    /// spent, or the horizon passes `until`. The budget is checked between
-    /// windows only (never mid-window), at *every* shard count — that
-    /// window granularity is what keeps a budgeted run identical at any
-    /// `--shards`.
+    /// runs the window loop ([`crate::shard`]) until idle, the dispatch
+    /// budget is spent, or the horizon passes `until`. The budget is
+    /// checked between lookahead-wide windows only (never mid-window), at
+    /// *every* shard count — that window granularity is what keeps a
+    /// budgeted run identical at any `--shards`.
     fn run_bounded(&mut self, limit: u64, until: Option<SimTime>) -> u64 {
         self.flush_driver_outboxes();
-        let total = if self.shards.len() == 1 {
-            let shard = &mut self.shards[0];
-            if limit == u64::MAX {
-                // Unbudgeted serial run: no barrier to synchronize with
-                // and no budget to check between windows, so one window
-                // spanning the whole horizon dispatches the identical
-                // event sequence without per-window peek/bound work.
-                let bound = match until {
-                    Some(t) => t + SimDuration::from_nanos(1),
-                    None => SimTime::from_nanos(u64::MAX),
-                };
-                self.serial_windows += 1;
-                shard.run_window(bound)
-            } else {
-                let mut total = 0u64;
-                while total < limit {
-                    let Some(w0) = shard.next_time() else { break };
-                    if let Some(t) = until {
-                        if w0 > t {
-                            break;
-                        }
-                    }
-                    let mut w1 = w0 + self.lookahead;
-                    if let Some(t) = until {
-                        let cap = t + SimDuration::from_nanos(1);
-                        if w1 > cap {
-                            w1 = cap;
-                        }
-                    }
-                    self.serial_windows += 1;
-                    total += shard.run_window(w1);
-                }
-                total
-            }
-        } else {
-            if self.pool.is_none() {
-                self.pool = Some(shard::WorkerPool::new(self.shards.len(), self.lookahead));
-            }
-            let pool = self.pool.as_mut().expect("pool just ensured");
-            let (total, payload) =
-                pool.run(&mut self.shards, limit, until, self.payload_probe.as_ref());
-            self.worker_payload.0 += payload.0;
-            self.worker_payload.1 += payload.1;
-            self.worker_payload.2 += payload.2;
-            // Fold per-shard sinks into the engine-wide one (shard 0),
-            // preserving each shard's trace configuration for the next run.
-            let (root, rest) = self.shards.split_first_mut().expect("shards");
-            let mut batches = Vec::with_capacity(rest.len());
-            for s in rest.iter_mut() {
-                root.core
-                    .obs
-                    .registry
-                    .absorb(std::mem::take(&mut s.core.obs.registry));
-                batches.push(s.core.obs.trace.take_events());
-            }
-            root.core.obs.trace.absorb_sorted(batches);
-            total
-        };
+        let (n, lookahead) = (self.shards.len(), self.lookahead);
+        let pool = self
+            .pool
+            .get_or_insert_with(|| shard::WorkerPool::new(n, lookahead));
+        let (total, payload) =
+            pool.run(&mut self.shards, limit, until, self.payload_probe.as_ref());
+        self.worker_payload.0 += payload.0;
+        self.worker_payload.1 += payload.1;
+        self.worker_payload.2 += payload.2;
+        // Fold per-shard sinks into the engine-wide one (shard 0),
+        // preserving each shard's trace configuration for the next run.
+        let (root, rest) = self.shards.split_first_mut().expect("shards");
+        let mut batches = Vec::with_capacity(rest.len());
+        for s in rest.iter_mut() {
+            root.core
+                .obs
+                .registry
+                .absorb(std::mem::take(&mut s.core.obs.registry));
+            batches.push(s.core.obs.trace.take_events());
+        }
+        root.core.obs.trace.absorb_sorted(batches);
         // All remaining events sit at or beyond the last window bound, so
         // aligning every shard's clock to the global maximum preserves the
         // no-event-in-the-past invariant and gives driver-time operations
@@ -1714,16 +1671,16 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
         self.shards.iter().map(|s| s.core.inline_dispatches).sum()
     }
 
-    /// Time windows executed across the engine's lifetime: serial
-    /// single-shard windows plus barrier-synchronized parallel ones.
-    /// Adaptive widening shows up here as fewer windows for the same
-    /// number of dispatched events.
+    /// Time windows executed across the engine's lifetime, at any shard
+    /// count. Adaptive widening shows up here as fewer windows for the
+    /// same number of dispatched events: an unbudgeted run of a one-shard
+    /// engine is one window.
     pub fn shard_windows(&self) -> u64 {
-        self.serial_windows + self.pool.as_ref().map_or(0, |p| p.windows())
+        self.pool.as_ref().map_or(0, |p| p.windows())
     }
 
-    /// Barrier crossings paid by the parallel window loop (zero for
-    /// serial runs).
+    /// Barrier crossings paid by the window loop (zero on a one-shard
+    /// engine, whose barrier has nobody to wait for).
     pub fn shard_barrier_rounds(&self) -> u64 {
         self.pool.as_ref().map_or(0, |p| p.barrier_rounds())
     }
@@ -2667,16 +2624,13 @@ mod tests {
             (b.0, 0u64, b, 3u8),
             (a.0, 3u64, a, 1u8),
         ] {
-            let msg = vec![tagbyte];
-            let size = msg.wire_size() as u32;
             eng.shards[0].push_cross(Cross {
                 time: t,
                 src,
                 seq,
                 to: echo,
                 from,
-                msg,
-                size,
+                msg: vec![tagbyte],
             });
         }
         eng.run_until_idle(10_000);

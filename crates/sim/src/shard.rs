@@ -1,7 +1,15 @@
-//! Parallel window runner for the sharded engine.
+//! The engine's one window loop.
 //!
-//! A [`WorkerPool`] drives every [`Shard`] on its own OS thread through a
-//! sequence of lock-step *windows*. Each iteration:
+//! Every run — `run_until`, `run_until_idle`, at any shard count — is
+//! [`WorkerPool::run`] driving each [`Shard`] through [`run_shard`], a
+//! sequence of lock-step *windows*. A serial engine is the one-shard case
+//! of the same loop, not a path beside it: its pool spawns no thread, its
+//! barrier has one participant and returns at once, it has no mailboxes
+//! to exchange, and the adaptive-widening rule below — a lone active
+//! shard may run to the others' earliest event, of which there are none —
+//! is what makes an unbudgeted serial `run_until` a single window to the
+//! horizon. With several shards each runs on its own OS thread. Each
+//! iteration:
 //!
 //! 1. every shard publishes its earliest pending event time; a barrier
 //!    makes all publications visible;
@@ -17,12 +25,18 @@
 //!    its own mailboxes in source order. Keys travel with the events, so
 //!    the destination heap orders them exactly as a serial run would.
 //!
+//! A *budgeted* run (`run_until_idle(n)`) keeps every window at the
+//! conservative lookahead width and checks the budget between windows
+//! only, so it stops after the same event count at any shard count. Its
+//! callers are probe loops that step the ensemble a few events at a time
+//! and inspect it in between: the `availability` and `reconfigure`
+//! benches, `bench/tests/failover.rs`, this crate's tests and the
+//! benchmark's `budgeted_ns_per_event` probe.
+//!
 //! The pool's worker threads are *persistent*: a run hands each worker its
 //! shard over a channel and receives it back when the run completes.
-//! Drivers that interleave short budgeted runs with direct engine access
-//! (`run_until_idle(64)` probe loops, stepped schedules) would otherwise
-//! pay a thread spawn and join per call, which dwarfs the windows
-//! themselves.
+//! Those probe loops would otherwise pay a thread spawn and join per
+//! call, which dwarfs the windows themselves.
 //!
 //! The barrier is a sense-reversing spin barrier: windows are microseconds
 //! of simulated time and often tens of microseconds of real work, so a
@@ -77,6 +91,9 @@ impl SpinBarrier {
     ///
     /// `me` is the caller's participant index, naming its parking slot.
     pub(crate) fn wait(&self, me: usize, local_sense: &mut bool) {
+        if self.n == 1 {
+            return;
+        }
         *local_sense = !*local_sense;
         let target = *local_sense;
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
@@ -135,11 +152,11 @@ struct Shared<M> {
     mins: Vec<AtomicU64>,
     counts: Vec<AtomicU64>,
     mailboxes: Vec<Vec<Mutex<Vec<Cross<M>>>>>,
-    /// Lifetime window-loop iterations (counted by shard 0); reported at
-    /// pool drop when `SLICE_SHARD_STATS` is set.
+    /// Lifetime windows executed (counted by shard 0).
     windows: AtomicU64,
     /// Lifetime barrier crossings (counted by shard 0): two per executed
-    /// window plus one for the terminating round of each run.
+    /// window plus one for the terminating round of each run; none when
+    /// the barrier has a single participant.
     barrier_rounds: AtomicU64,
 }
 
@@ -186,17 +203,16 @@ fn run_shard<M: MessageSize + Clone + Send + 'static>(
     // `limit`, making it break while the fast shard waits at the second
     // barrier forever.)
     let mut my_done: u64 = 0;
+    // Shard 0 keeps the pool's statistics; a lone shard crosses no barrier.
+    let count_rounds = me == 0 && nshards > 1;
     loop {
-        if me == 0 {
-            shared.windows.fetch_add(1, Ordering::Relaxed);
-        }
         mins[me].store(
             shard.next_time().map_or(u64::MAX, |t| t.as_nanos()),
             Ordering::Relaxed,
         );
         counts[me].store(my_done, Ordering::Relaxed);
         shared.barrier.wait(me, sense);
-        if me == 0 {
+        if count_rounds {
             shared.barrier_rounds.fetch_add(1, Ordering::Relaxed);
         }
         // Every shard computes the same w0 and the same stop decision from
@@ -211,6 +227,9 @@ fn run_shard<M: MessageSize + Clone + Send + 'static>(
         if w0 == u64::MAX || done >= limit || w0 > until_ns {
             break;
         }
+        if me == 0 {
+            shared.windows.fetch_add(1, Ordering::Relaxed);
+        }
         let conservative = w0.saturating_add(lookahead.as_nanos());
         let mut w1 = conservative;
         // Adaptive widening: when exactly one shard has work inside the
@@ -221,7 +240,9 @@ fn run_shard<M: MessageSize + Clone + Send + 'static>(
         // Safety rests on the dynamic cap inside run_window: the moment
         // the active shard deposits a cross-shard event at time `t` it
         // stops before `t + lookahead`, i.e. before any reaction to that
-        // deposit could reach it. Budgeted runs keep the conservative
+        // deposit could reach it. On a one-shard engine the lone shard is
+        // always the active one and `others_min` is the end of time: the
+        // whole run is one window. Budgeted runs keep the conservative
         // width so the budget is spent at the same window granularity at
         // every shard count.
         if limit == u64::MAX {
@@ -255,7 +276,7 @@ fn run_shard<M: MessageSize + Clone + Send + 'static>(
             }
         }
         shared.barrier.wait(me, sense);
-        if me == 0 {
+        if count_rounds {
             shared.barrier_rounds.fetch_add(1, Ordering::Relaxed);
         }
         for src in 0..nshards {
@@ -270,9 +291,9 @@ fn run_shard<M: MessageSize + Clone + Send + 'static>(
     }
 }
 
-/// Persistent worker threads for an engine's shards `1..n`; shard 0 always
-/// runs on the calling thread. Created on the first parallel run and kept
-/// for the engine's lifetime.
+/// Persistent worker threads for an engine's shards `1..n` (none on a
+/// one-shard engine); shard 0 always runs on the calling thread. Created
+/// on the first run and kept for the engine's lifetime.
 pub(crate) struct WorkerPool<M> {
     n: usize,
     lookahead: SimDuration,
@@ -282,13 +303,11 @@ pub(crate) struct WorkerPool<M> {
     done_rx: Receiver<Done<M>>,
     /// Shard 0's barrier sense, persisted across runs like the workers'.
     caller_sense: bool,
-    runs: u64,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl<M: MessageSize + Clone + Send + 'static> WorkerPool<M> {
     pub(crate) fn new(n: usize, lookahead: SimDuration) -> Self {
-        debug_assert!(n > 1, "worker pool needs at least two shards");
         let shared = Arc::new(Shared {
             barrier: SpinBarrier::new(n),
             mins: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
@@ -342,12 +361,11 @@ impl<M: MessageSize + Clone + Send + 'static> WorkerPool<M> {
             job_tx,
             done_rx,
             caller_sense: false,
-            runs: 0,
             handles,
         }
     }
 
-    /// Runs all shards in parallel until idle, the dispatch budget `limit`
+    /// Runs all shards in lock-step until idle, the dispatch budget `limit`
     /// is spent, or the horizon passes `until`. Shards `1..n` are handed
     /// to the pool's workers and collected back before returning; `shards`
     /// is restored to its original order. Returns the number of events
@@ -360,7 +378,6 @@ impl<M: MessageSize + Clone + Send + 'static> WorkerPool<M> {
         probe: Option<&Probe>,
     ) -> (u64, (u64, u64, u64)) {
         debug_assert_eq!(shards.len(), self.n, "pool sized for this engine");
-        self.runs += 1;
         let until_ns = until.map_or(u64::MAX, |t| t.as_nanos());
         for c in &self.shared.counts {
             c.store(0, Ordering::Relaxed);
@@ -423,13 +440,6 @@ impl<M> Drop for WorkerPool<M> {
         self.job_tx.clear();
         for h in self.handles.drain(..) {
             let _ = h.join();
-        }
-        if std::env::var_os("SLICE_SHARD_STATS").is_some() {
-            eprintln!(
-                "shard pool: {} runs, {} windows",
-                self.runs,
-                self.shared.windows.load(Ordering::Relaxed)
-            );
         }
     }
 }

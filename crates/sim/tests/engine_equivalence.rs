@@ -102,7 +102,7 @@ impl Actor<Vec<u8>> for Mixer {
                 if let Some(id) = self.last_timer.take() {
                     ctx.cancel_timer(id);
                 }
-                self.forward(ctx, ttl - 1, r % 2 == 0);
+                self.forward(ctx, ttl - 1, r.is_multiple_of(2));
             }
             _ => {
                 // Two timers due in the same nanosecond; the first to fire
@@ -162,9 +162,14 @@ fn fnv(hash: &mut u64, word: u64) {
     }
 }
 
+/// What the driver sees after one run call: the call's return value (0
+/// for `run_until`), then `Engine::now()` and `events_executed()`.
+type Checkpoint = (u64, u64, u64);
+
 /// Runs the mixed scenario; returns the hash of every node's handler
-/// trace plus the final logical event count and clock, and the engine.
-fn run_mixed(shards: usize) -> (u64, u64, u64, Engine<Vec<u8>>) {
+/// trace plus the final logical event count and clock, the driver's
+/// checkpoints, and the engine.
+fn run_mixed(shards: usize) -> (u64, u64, u64, Vec<Checkpoint>, Engine<Vec<u8>>) {
     let mut net = NetConfig::gigabit();
     net.loss_prob = 0.05;
     net.dup_prob = 0.05;
@@ -179,23 +184,52 @@ fn run_mixed(shards: usize) -> (u64, u64, u64, Engine<Vec<u8>>) {
     for i in 0..NODES {
         eng.kick(NodeId(i));
     }
+    let mut steps: Vec<Checkpoint> = Vec::new();
+    let mut mark = |eng: &Engine<Vec<u8>>, ret: u64| {
+        steps.push((ret, eng.now().as_nanos(), eng.events_executed()));
+    };
     let at = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
     eng.run_until(at(150));
+    mark(&eng, 0);
+    if shards == 1 {
+        // The lone shard is always the one active shard: widening hands
+        // it the whole busy interval as a single window.
+        assert_eq!(eng.shard_windows(), 1, "serial run_until is one window");
+    }
     // Node 3 dies with work queued behind its CPU and packets in flight
-    // toward it; some land while it is down, some after it is back.
+    // toward it; some land while it is down, some after it is back. The
+    // injects are driver-time sends, cross-shard at 2 and 4 shards.
     eng.fail_node(NodeId(3));
     eng.inject(NodeId(0), NodeId(3), vec![5; 40]);
     eng.run_until(at(220));
+    mark(&eng, 0);
     eng.recover_node(NodeId(3));
     eng.inject(NodeId(1), NodeId(3), vec![9; 40]);
     eng.set_loss_prob(0.0);
     for _ in 0..8 {
-        eng.run_until_idle(64);
+        let n = eng.run_until_idle(64);
+        mark(&eng, n);
     }
     eng.fail_node(NodeId(6));
     eng.recover_node(NodeId(6));
     eng.set_loss_prob(0.02);
-    eng.run_until_idle(u64::MAX);
+    // A budgeted probe loop to the end: it must stop after the same
+    // event counts, at the same instants, at every shard count.
+    loop {
+        let n = eng.run_until_idle(64);
+        mark(&eng, n);
+        if n == 0 {
+            break;
+        }
+    }
+    let (events, now) = (eng.events_executed(), eng.now().as_nanos());
+    // Nothing is pending: running on executes no window, only moves the
+    // clock; and only a barrier with someone to wait for is ever crossed.
+    let windows = eng.shard_windows();
+    eng.run_until(eng.now() + SimDuration::from_millis(1));
+    assert_eq!(eng.shard_windows(), windows, "an idle run counted a window");
+    assert_eq!(eng.now().as_nanos(), now + 1_000_000);
+    assert_eq!(eng.shard_barrier_rounds() == 0, shards == 1);
 
     let mut hash = 0xcbf2_9ce4_8422_2325;
     let mut handled = 0u64;
@@ -208,8 +242,7 @@ fn run_mixed(shards: usize) -> (u64, u64, u64, Engine<Vec<u8>>) {
         }
     }
     assert!(handled > 2_000, "scenario too small: {handled} handlers");
-    let (events, now) = (eng.events_executed(), eng.now().as_nanos());
-    (hash, events, now, eng)
+    (hash, events, now, steps, eng)
 }
 
 /// Captured at `bb5ec86`: `(trace hash, events_executed, now)`.
@@ -217,12 +250,19 @@ const MIXED_AT_PARENT: (u64, u64, u64) = (0xb881_30ab_0eec_96bd, 18_019, 3_865_3
 
 #[test]
 fn mixed_scenario_matches_the_parent_engine_at_every_shard_count() {
+    let mut serial_steps: Option<Vec<Checkpoint>> = None;
     for shards in [1, 2, 4] {
-        let (hash, events, now, eng) = run_mixed(shards);
+        let (hash, events, now, steps, eng) = run_mixed(shards);
         assert_eq!(
             (hash, events, now),
             MIXED_AT_PARENT,
             "logical event sequence moved at {shards} shard(s)"
+        );
+        assert!(steps.len() > 20, "probe loop too short to compare");
+        assert_eq!(
+            &steps,
+            serial_steps.get_or_insert_with(|| steps.clone()),
+            "the driver's view between runs moved at {shards} shard(s)"
         );
         assert_eq!(eng.live_events(), 0, "drained at {shards} shard(s)");
         assert_eq!(

@@ -14,7 +14,8 @@
 //! Per-packet work is accounted in four phases matching the paper's
 //! Table 3: interception, decode, redirect/rewrite, and soft-state
 //! maintenance; [`Uproxy::phase_stats`] reports real measured CPU
-//! nanoseconds per phase.
+//! nanoseconds per phase, split by one lap stopwatch (`PhaseClock`) so
+//! no nanosecond of a packet's handling is charged to two phases.
 
 use slice_sim::FxHashMap;
 use std::time::Instant;
@@ -22,8 +23,8 @@ use std::time::Instant;
 use slice_hashes::{fnv1a, name_fingerprint};
 use slice_nfsproto::{
     encode_call, view_call, view_reply, AuthUnix, BodyView, ByteBuf, CallView, Fhandle, NfsProc,
-    NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, Sattr3, SetTime, SockAddr,
-    StableHow, REPLY_ATTR_OFFSET,
+    NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, ReplyView, Sattr3, SetTime,
+    SockAddr, StableHow, REPLY_ATTR_OFFSET,
 };
 use slice_sim::{SimDuration, SimTime};
 use slice_storage::{CoordMsg, CoordReply, IntentKind};
@@ -100,9 +101,9 @@ pub struct ProxyConfig {
     pub hot_window: SimDuration,
     /// Measure real per-phase CPU cost with `Instant::now` (Table 3
     /// benchmarking). Off by default: wall-clock reads are nondeterminism
-    /// smuggled into an otherwise seeded simulation, and they cost two
-    /// syscall-ish timer reads per phase on the packet path. When off,
-    /// [`Uproxy::phase_stats`] reports zeros.
+    /// smuggled into an otherwise seeded simulation, and they cost one
+    /// syscall-ish timer read per phase boundary on the packet path. When
+    /// off, [`Uproxy::phase_stats`] reports zeros.
     pub measure_phases: bool,
 }
 
@@ -275,41 +276,10 @@ enum MergeState {
     },
 }
 
-/// Interner for the 24-byte file handles stashed per pending request:
-/// in-flight requests overwhelmingly target a small working set of files,
-/// so each distinct handle is stored once and pending records carry a
-/// 4-byte index.
-#[derive(Debug, Default)]
-struct FhInterner {
-    ids: FxHashMap<Fhandle, u32>,
-    handles: Vec<Fhandle>,
-}
-
-impl FhInterner {
-    fn intern(&mut self, fh: &Fhandle) -> u32 {
-        if let Some(&id) = self.ids.get(fh) {
-            return id;
-        }
-        let id = self.handles.len() as u32;
-        self.handles.push(*fh);
-        self.ids.insert(*fh, id);
-        id
-    }
-
-    fn get(&self, id: u32) -> Fhandle {
-        self.handles[id as usize]
-    }
-
-    fn len(&self) -> usize {
-        self.handles.len()
-    }
-}
-
 #[derive(Debug, Clone)]
 struct PendingReq {
     proc: NfsProc,
-    /// Interned handle id (see [`FhInterner`]), not the handle itself.
-    fh: Option<u32>,
+    fh: Option<Fhandle>,
     offset: u64,
     len: u32,
     class: Class,
@@ -334,7 +304,7 @@ impl PendingReq {
     /// µproxy-owned requests before filing it.
     fn new(
         proc: NfsProc,
-        fh: Option<u32>,
+        fh: Option<Fhandle>,
         offset: u64,
         len: u32,
         class: Class,
@@ -384,6 +354,53 @@ impl PhaseStats {
     }
 }
 
+/// Lifetime event counts, reported through [`Uproxy::export_metrics`] and
+/// the `*_stats` accessors.
+#[derive(Debug, Default)]
+struct Counters {
+    stale_table_bounces: u64,
+    requests_routed: u64,
+    replies_routed: u64,
+    absorbed: u64,
+    initiated: u64,
+    read_failovers: u64,
+    degraded_writes: u64,
+    degraded_bytes: u64,
+    probes_sent: u64,
+    coded_reads: u64,
+    coded_writes: u64,
+    ec_degraded_reads: u64,
+    ec_reconstructions: u64,
+    ec_reconstructed_bytes: u64,
+}
+
+/// Lap stopwatch behind [`PhaseStats`]. A packet's handling starts it;
+/// each phase boundary then charges the time since the previous mark to
+/// the phase that just ended, so every nanosecond between a packet's
+/// first and last lap lands in exactly one bucket, at one clock read per
+/// boundary. Never started — every lap a no-op — unless
+/// [`ProxyConfig::measure_phases`] is on.
+#[derive(Debug, Default)]
+struct PhaseClock {
+    last: Option<Instant>,
+}
+
+impl PhaseClock {
+    fn start(&mut self, measure: bool) {
+        if measure {
+            self.last = Some(Instant::now());
+        }
+    }
+
+    fn lap(&mut self, bucket: &mut u64) {
+        if let Some(last) = self.last {
+            let now = Instant::now();
+            *bucket += (now - last).as_nanos() as u64;
+            self.last = Some(now);
+        }
+    }
+}
+
 /// The µproxy state machine.
 #[derive(Debug)]
 pub struct Uproxy {
@@ -391,8 +408,6 @@ pub struct Uproxy {
     dir_table: RoutingTable,
     sf_table: RoutingTable,
     pending: FxHashMap<u32, PendingReq>,
-    /// Interned file handles referenced by pending records.
-    fhs: FhInterner,
     attrs: AttrCache,
     /// Cached block-map fragments: (file, block) -> replica sites.
     map_cache: FxHashMap<(u64, u64), Vec<u32>>,
@@ -433,21 +448,9 @@ pub struct Uproxy {
     mirror_rr: u64,
     next_own_xid: u32,
     cred: AuthUnix,
+    clock: PhaseClock,
     phases: PhaseStats,
-    stale_table_bounces: u64,
-    requests_routed: u64,
-    replies_routed: u64,
-    absorbed: u64,
-    initiated: u64,
-    read_failovers: u64,
-    degraded_writes: u64,
-    degraded_bytes: u64,
-    probes_sent: u64,
-    coded_reads: u64,
-    coded_writes: u64,
-    ec_degraded_reads: u64,
-    ec_reconstructions: u64,
-    ec_reconstructed_bytes: u64,
+    stats: Counters,
 }
 
 impl Uproxy {
@@ -459,7 +462,6 @@ impl Uproxy {
             dir_table: RoutingTable::balanced(64, dirs),
             sf_table: RoutingTable::balanced(64, sfs),
             pending: FxHashMap::default(),
-            fhs: FhInterner::default(),
             attrs: AttrCache::new(cfg.attr_cache_entries),
             map_cache: FxHashMap::default(),
             warming_cache: FxHashMap::default(),
@@ -484,21 +486,9 @@ impl Uproxy {
                 machine: "uproxy".into(),
                 ..Default::default()
             },
+            clock: PhaseClock::default(),
             phases: PhaseStats::default(),
-            stale_table_bounces: 0,
-            requests_routed: 0,
-            replies_routed: 0,
-            absorbed: 0,
-            initiated: 0,
-            read_failovers: 0,
-            degraded_writes: 0,
-            degraded_bytes: 0,
-            probes_sent: 0,
-            coded_reads: 0,
-            coded_writes: 0,
-            ec_degraded_reads: 0,
-            ec_reconstructions: 0,
-            ec_reconstructed_bytes: 0,
+            stats: Counters::default(),
             cfg,
         }
     }
@@ -515,35 +505,13 @@ impl Uproxy {
         &self.cfg
     }
 
-    /// Starts a phase timer, or `None` when phase measurement is off.
-    #[inline]
-    fn phase_start(&self) -> Option<Instant> {
-        self.cfg.measure_phases.then(Instant::now)
-    }
-
-    /// Nanoseconds since a phase timer started (0 when measurement is
-    /// off).
-    #[inline]
-    fn elapsed_ns(t: Option<Instant>) -> u64 {
-        t.map_or(0, |t| t.elapsed().as_nanos() as u64)
-    }
-
-    /// Nanoseconds between two phase marks (0 when measurement is off).
-    #[inline]
-    fn between_ns(a: Option<Instant>, b: Option<Instant>) -> u64 {
-        match (a, b) {
-            (Some(a), Some(b)) => (b - a).as_nanos() as u64,
-            _ => 0,
-        }
-    }
-
     /// (requests routed, replies routed, absorbed, initiated).
     pub fn traffic_stats(&self) -> (u64, u64, u64, u64) {
         (
-            self.requests_routed,
-            self.replies_routed,
-            self.absorbed,
-            self.initiated,
+            self.stats.requests_routed,
+            self.stats.replies_routed,
+            self.stats.absorbed,
+            self.stats.initiated,
         )
     }
 
@@ -555,11 +523,11 @@ impl Uproxy {
         let set = |reg: &mut slice_obs::Registry, k: &str, v: u64| {
             reg.set(&format!("{prefix}.{k}"), v);
         };
-        set(reg, "requests_routed", self.requests_routed);
-        set(reg, "replies_routed", self.replies_routed);
-        set(reg, "absorbed", self.absorbed);
-        set(reg, "initiated", self.initiated);
-        set(reg, "stale_table_bounces", self.stale_table_bounces);
+        set(reg, "requests_routed", self.stats.requests_routed);
+        set(reg, "replies_routed", self.stats.replies_routed);
+        set(reg, "absorbed", self.stats.absorbed);
+        set(reg, "initiated", self.stats.initiated);
+        set(reg, "stale_table_bounces", self.stats.stale_table_bounces);
         let (hits, misses) = self.attrs.stats();
         set(reg, "attr_cache.hits", hits);
         set(reg, "attr_cache.misses", misses);
@@ -570,17 +538,20 @@ impl Uproxy {
             "ha.suspected_sites",
             self.suspected_sites().len() as u64,
         );
-        set(reg, "ha.read_failovers", self.read_failovers);
-        set(reg, "ha.degraded_writes", self.degraded_writes);
-        set(reg, "ha.degraded_bytes", self.degraded_bytes);
-        set(reg, "ha.probes_sent", self.probes_sent);
-        set(reg, "ec.coded_reads", self.coded_reads);
-        set(reg, "ec.coded_writes", self.coded_writes);
-        set(reg, "ec.degraded_reads", self.ec_degraded_reads);
-        set(reg, "ec.reconstructions", self.ec_reconstructions);
-        set(reg, "ec.reconstructed_bytes", self.ec_reconstructed_bytes);
+        set(reg, "ha.read_failovers", self.stats.read_failovers);
+        set(reg, "ha.degraded_writes", self.stats.degraded_writes);
+        set(reg, "ha.degraded_bytes", self.stats.degraded_bytes);
+        set(reg, "ha.probes_sent", self.stats.probes_sent);
+        set(reg, "ec.coded_reads", self.stats.coded_reads);
+        set(reg, "ec.coded_writes", self.stats.coded_writes);
+        set(reg, "ec.degraded_reads", self.stats.ec_degraded_reads);
+        set(reg, "ec.reconstructions", self.stats.ec_reconstructions);
+        set(
+            reg,
+            "ec.reconstructed_bytes",
+            self.stats.ec_reconstructed_bytes,
+        );
         set(reg, "soft_state.entries", self.soft_state_entries() as u64);
-        set(reg, "soft_state.interned_fhs", self.fhs.len() as u64);
         set(reg, "reconf.map_epoch", self.map_epoch);
         set(
             reg,
@@ -635,7 +606,7 @@ impl Uproxy {
 
     /// Misdirected-request bounces observed (stale-table detections).
     pub fn stale_table_bounces(&self) -> u64 {
-        self.stale_table_bounces
+        self.stats.stale_table_bounces
     }
 
     /// The directory table's current generation.
@@ -649,28 +620,62 @@ impl Uproxy {
     }
 
     /// Drops all soft state (the µproxy is "free to discard its state ...
-    /// without compromising correctness").
+    /// without compromising correctness"). The destructuring is
+    /// exhaustive on purpose, here and in [`Uproxy::soft_state_entries`]:
+    /// a new field does not compile until both say what they do with it.
     pub fn lose_state(&mut self) {
-        self.pending.clear();
-        self.attrs.clear();
-        self.map_cache.clear();
-        self.warming_cache.clear();
-        self.map_waiters.clear();
-        self.intent_waiters.clear();
-        self.degrade_pending.clear();
-        self.degrade_ok.clear();
-        self.coded_ops.clear();
-        self.stripe_locks.clear();
-        self.coded_waiters.clear();
+        let Self {
+            // Configuration and what the reconfiguration plane loads
+            // (`retired`, like the routing tables, is not inferred from
+            // traffic) survive.
+            cfg,
+            dir_table: _,
+            sf_table: _,
+            retired: _,
+            map_epoch: _,
+            cred: _,
+            pending,
+            attrs,
+            map_cache,
+            warming_cache,
+            map_waiters,
+            intent_waiters,
+            health,
+            hot_data,
+            hot_name,
+            degrade_pending,
+            degrade_ok,
+            coded_ops,
+            stripe_locks,
+            coded_waiters,
+            // Cursors keep counting: a fresh µproxy-owned xid must not
+            // match a reply still in flight to a forgotten one.
+            mirror_rr: _,
+            next_own_xid: _,
+            // Measurements and lifetime statistics, not state.
+            suspicion_log: _,
+            clock: _,
+            phases: _,
+            stats: _,
+        } = self;
+        pending.clear();
+        attrs.clear();
+        map_cache.clear();
+        warming_cache.clear();
+        map_waiters.clear();
+        intent_waiters.clear();
+        degrade_pending.clear();
+        degrade_ok.clear();
+        coded_ops.clear();
+        stripe_locks.clear();
+        coded_waiters.clear();
         // Suspicion is a hint; rebuilt from observed retransmissions.
-        for h in &mut self.health {
+        for h in health {
             *h = SiteHealth::new();
         }
         // Hot-set counters are observations; rebuilt from traffic.
-        self.hot_data = HotTracker::new(self.cfg.hot_window);
-        self.hot_name = HotTracker::new(self.cfg.hot_window);
-        // `retired` survives: like the routing tables it is loaded from
-        // the reconfiguration plane, not inferred from traffic.
+        *hot_data = HotTracker::new(cfg.hot_window);
+        *hot_name = HotTracker::new(cfg.hot_window);
     }
 
     /// Removes a drained site from every routing decision: it is never
@@ -746,38 +751,68 @@ impl Uproxy {
     /// reconstructed bytes) for the erasure-coded layout.
     pub fn ec_stats(&self) -> (u64, u64, u64, u64, u64) {
         (
-            self.coded_reads,
-            self.coded_writes,
-            self.ec_degraded_reads,
-            self.ec_reconstructions,
-            self.ec_reconstructed_bytes,
+            self.stats.coded_reads,
+            self.stats.coded_writes,
+            self.stats.ec_degraded_reads,
+            self.stats.ec_reconstructions,
+            self.stats.ec_reconstructed_bytes,
         )
     }
 
     /// Total soft-state entries currently held (pending requests, block-map
     /// fragments, cached attributes, parked packets, coded ops): the
-    /// µproxy's live working-set size for capacity benchmarks.
+    /// µproxy's live working-set size for capacity benchmarks. The
+    /// per-site suspicion table and the hot-set window are fixed-size or
+    /// self-expiring and reported on their own (`ha.*`, `reconf.*`).
     pub fn soft_state_entries(&self) -> usize {
-        self.pending.len()
-            + self.map_cache.len()
-            + self.warming_cache.len()
-            + self.attrs.len()
-            + self.map_waiters.values().map(Vec::len).sum::<usize>()
-            + self.intent_waiters.len()
-            + self.degrade_pending.len()
-            + self.degrade_ok.len()
-            + self.coded_ops.len()
-            + self.coded_waiters.len()
-            + self.stripe_locks.len()
+        let Self {
+            cfg: _,
+            dir_table: _,
+            sf_table: _,
+            retired: _,
+            map_epoch: _,
+            cred: _,
+            pending,
+            attrs,
+            map_cache,
+            warming_cache,
+            map_waiters,
+            intent_waiters,
+            health: _,
+            hot_data: _,
+            hot_name: _,
+            degrade_pending,
+            degrade_ok,
+            coded_ops,
+            stripe_locks,
+            coded_waiters,
+            mirror_rr: _,
+            next_own_xid: _,
+            suspicion_log: _,
+            clock: _,
+            phases: _,
+            stats: _,
+        } = self;
+        pending.len()
+            + map_cache.len()
+            + warming_cache.len()
+            + attrs.len()
+            + map_waiters.values().map(Vec::len).sum::<usize>()
+            + intent_waiters.len()
+            + degrade_pending.len()
+            + degrade_ok.len()
+            + coded_ops.len()
+            + coded_waiters.len()
+            + stripe_locks.len()
     }
 
     /// (read failovers, degraded writes, degraded bytes, probes sent).
     pub fn ha_stats(&self) -> (u64, u64, u64, u64) {
         (
-            self.read_failovers,
-            self.degraded_writes,
-            self.degraded_bytes,
-            self.probes_sent,
+            self.stats.read_failovers,
+            self.stats.degraded_writes,
+            self.stats.degraded_bytes,
+            self.stats.probes_sent,
         )
     }
 
@@ -984,7 +1019,7 @@ impl Uproxy {
             client,
             slice_nfsproto::encode_reply(xid, reply),
         );
-        self.replies_routed += 1;
+        self.stats.replies_routed += 1;
         out.push(ProxyOut::Client(p));
     }
 
@@ -1005,13 +1040,12 @@ impl Uproxy {
         let payload = encode_call(xid, &self.cred, &req);
         let dest = self.dir_dest(entry.fh.home_site());
         let pkt = Packet::new(self.cfg.client_addr, dest, payload);
-        let fhid = Some(self.fhs.intern(&entry.fh));
         let own = self.cfg.client_addr;
-        let mut rec = PendingReq::new(NfsProc::Setattr, fhid, 0, 0, Class::Dir, own);
+        let mut rec = PendingReq::new(NfsProc::Setattr, Some(entry.fh), 0, 0, Class::Dir, own);
         rec.absorb = true;
         rec.push = Some((entry.fh.file_id(), entry.version));
         self.pending.insert(xid, rec);
-        self.initiated += 1;
+        self.stats.initiated += 1;
         out.push(ProxyOut::Net(pkt));
     }
 
@@ -1019,20 +1053,18 @@ impl Uproxy {
     pub fn outbound(&mut self, now: SimTime, pkt: Packet) -> Vec<ProxyOut> {
         let mut out = Vec::new();
         // Phase 1: interception.
-        let t0 = self.phase_start();
+        self.clock.start(self.cfg.measure_phases);
         self.phases.packets += 1;
-        if pkt.dst != self.cfg.virtual_addr {
-            self.phases.intercept_ns += Self::elapsed_ns(t0);
+        let ours = pkt.dst == self.cfg.virtual_addr;
+        self.clock.lap(&mut self.phases.intercept_ns);
+        if !ours {
             out.push(ProxyOut::Net(pkt));
             return out;
         }
-        let t1 = self.phase_start();
-        self.phases.intercept_ns += Self::between_ns(t0, t1);
         // Phase 2: decode — headers and arguments only; WRITE data is
         // located, not read.
         let decoded = view_call(&pkt.payload);
-        let t2 = self.phase_start();
-        self.phases.decode_ns += Self::between_ns(t1, t2);
+        self.clock.lap(&mut self.phases.decode_ns);
         let Ok((hdr, call)) = decoded else {
             // Undecodable packet: drop; RPC retransmission recovers.
             return out;
@@ -1049,7 +1081,7 @@ impl Uproxy {
         xid: u32,
         call: CallView,
     ) {
-        self.requests_routed += 1;
+        self.stats.requests_routed += 1;
         // Hot-set tracking for demand-driven replication: data ops count
         // against the file, name ops against the parent directory.
         match &call {
@@ -1067,8 +1099,10 @@ impl Uproxy {
             }
             CallView::Other(_) => {}
         }
+        self.clock.lap(&mut self.phases.soft_ns);
         let client_src = pkt.src;
-        // Phase 4 pieces are timed inside; phase 3 around the rewrites.
+        // From here the routing decision and the rewrite are phase 3, the
+        // tables consulted and filed on the way phase 4.
         match call {
             CallView::Other(NfsRequest::Read { fh, offset, count })
                 if self.reaches_bulk(&fh, offset, u64::from(count)) =>
@@ -1086,9 +1120,8 @@ impl Uproxy {
             }
             CallView::Other(NfsRequest::Commit { fh, .. }) if self.commit_is_multisite(&fh) => {
                 // Push modified attributes back on commit (paper §4.1).
-                let t4 = self.phase_start();
                 let dirty = self.attrs.take_dirty(fh.file_id());
-                self.phases.soft_ns += Self::elapsed_ns(t4);
+                self.clock.lap(&mut self.phases.soft_ns);
                 if let Some(e) = dirty {
                     self.push_attrs(out, &e);
                 }
@@ -1135,22 +1168,19 @@ impl Uproxy {
                 };
                 // Commit below threshold still flushes cached attributes.
                 if other.proc() == NfsProc::Commit {
-                    let t4 = self.phase_start();
+                    self.clock.lap(&mut self.phases.rewrite_ns);
                     let dirty = fh.and_then(|f| self.attrs.take_dirty(f.file_id()));
-                    self.phases.soft_ns += Self::elapsed_ns(t4);
+                    self.clock.lap(&mut self.phases.soft_ns);
                     if let Some(e) = dirty {
                         self.push_attrs(out, &e);
                     }
                 }
-                let t3 = self.phase_start();
                 let mut p = pkt;
                 p.rewrite_dst(dest);
-                self.phases.rewrite_ns += Self::elapsed_ns(t3);
-                let t4 = self.phase_start();
-                let fhid = fh.map(|f| self.fhs.intern(&f));
-                let rec = PendingReq::new(other.proc(), fhid, offset, len, class, client_src);
+                self.clock.lap(&mut self.phases.rewrite_ns);
+                let rec = PendingReq::new(other.proc(), fh, offset, len, class, client_src);
                 self.pending.insert(xid, rec);
-                self.phases.soft_ns += Self::elapsed_ns(t4);
+                self.clock.lap(&mut self.phases.soft_ns);
                 out.push(ProxyOut::Net(p));
             }
         }
@@ -1199,7 +1229,6 @@ impl Uproxy {
         } else {
             offset.max(self.cfg.threshold)
         };
-        let t_soft = self.phase_start();
         let geom = self.coded_geom(&fh).filter(|_| len > 0);
         let blocks = match &geom {
             Some(g) => {
@@ -1223,10 +1252,10 @@ impl Uproxy {
             self.coded_route(
                 now, out, pkt, xid, fh, offset, len, lo, write, site_lists, geom,
             );
-            self.phases.soft_ns += Self::elapsed_ns(t_soft);
+            self.clock.lap(&mut self.phases.soft_ns);
             return;
         }
-        self.phases.soft_ns += Self::elapsed_ns(t_soft);
+        self.clock.lap(&mut self.phases.soft_ns);
         let sites = site_lists.pop().expect("one block");
         let targets = match &write {
             None => vec![self.pick_read_site(out, file, &sites, lo, xid)],
@@ -1235,7 +1264,6 @@ impl Uproxy {
                 None => return,
             },
         };
-        let t3 = self.phase_start();
         let proc = if write.is_some() {
             NfsProc::Write
         } else {
@@ -1277,7 +1305,7 @@ impl Uproxy {
                 let dst = self.cfg.storage_sites[site as usize];
                 out.push(ProxyOut::Net(Packet::new(client_src, dst, tail)));
             }
-            self.initiated += 1 + targets.len() as u64;
+            self.stats.initiated += 1 + targets.len() as u64;
         } else if write.is_some() {
             // Mirrored writes go to every replica (µproxy duplicates the
             // packet).
@@ -1291,15 +1319,13 @@ impl Uproxy {
             p.rewrite_dst(self.cfg.storage_sites[targets[0] as usize]);
             out.push(ProxyOut::Net(p));
         }
-        self.phases.rewrite_ns += Self::elapsed_ns(t3);
-        let t4 = self.phase_start();
-        let fhid = Some(self.fhs.intern(&fh));
-        let mut rec = PendingReq::new(proc, fhid, offset, len, Class::Storage, client_src);
+        self.clock.lap(&mut self.phases.rewrite_ns);
+        let mut rec = PendingReq::new(proc, Some(fh), offset, len, Class::Storage, client_src);
         rec.remaining = targets.len() as u32 + u32::from(lo > offset);
         rec.awaiting = targets;
         rec.merge = merge;
         self.pending.insert(xid, rec);
-        self.phases.soft_ns += Self::elapsed_ns(t4);
+        self.clock.lap(&mut self.phases.soft_ns);
     }
 
     /// Replica choice for a mirrored read: alternate between the mirrors
@@ -1338,7 +1364,7 @@ impl Uproxy {
         // retransmissions keep exercising (and eventually clearing) it.
         let chosen = in_rotation.find(|&s| usable(s)).unwrap_or(preferred);
         if chosen != preferred {
-            self.read_failovers += 1;
+            self.stats.read_failovers += 1;
             out.push(ProxyOut::Trace(slice_obs::EventKind::ReadFailover {
                 site: preferred as usize,
                 xid: u64::from(xid),
@@ -1396,8 +1422,7 @@ impl Uproxy {
             out.push(ProxyOut::Net(p));
             n += 1;
         }
-        let fhid = Some(self.fhs.intern(&fh));
-        let mut rec = PendingReq::new(NfsProc::Commit, fhid, 0, 0, Class::Storage, client_src);
+        let mut rec = PendingReq::new(NfsProc::Commit, Some(fh), 0, 0, Class::Storage, client_src);
         rec.remaining = n;
         rec.intent = intent;
         rec.awaiting = awaiting;
@@ -1462,41 +1487,65 @@ impl Uproxy {
         }
     }
 
-    /// Processes a server-to-client packet.
+    /// Processes a server-to-client packet in three stages cut at the
+    /// phase boundaries: `pair` the reply with its pending record and
+    /// decode it, `account` for it in the soft state, and `finalize` what
+    /// the client receives. A stage that consumes the reply (forwarded
+    /// unmatched, absorbed, bounced) ends the packet there.
     pub fn inbound(&mut self, now: SimTime, pkt: Packet) -> Vec<ProxyOut> {
         let mut out = Vec::new();
-        // Phase 1: interception — pair the reply with its pending record.
-        let t0 = self.phase_start();
+        self.clock.start(self.cfg.measure_phases);
         self.phases.packets += 1;
+        let Some((pkt, xid, reply, src_site)) = self.pair(now, &mut out, pkt) else {
+            return out;
+        };
+        let Some((rec, attr_file)) = self.account(now, &mut out, &pkt, xid, &reply, src_site)
+        else {
+            return out;
+        };
+        self.finalize(&mut out, pkt, xid, &rec, &reply, attr_file);
+        out
+    }
+
+    /// Phases 1 and 2 of a reply: find its pending record (a reply that
+    /// has none goes straight up to the client), decode it, credit its
+    /// source site's health, and hand an erasure-coded op's internal leg
+    /// to that op. Returns the packet, its xid, the decoded reply and the
+    /// storage site it came from.
+    fn pair(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<ProxyOut>,
+        pkt: Packet,
+    ) -> Option<(Packet, u32, Option<ReplyView>, Option<u32>)> {
+        // Phase 1: interception — pair the reply with its pending record.
         let xid = slice_nfsproto::peek_xid_type(&pkt.payload)
             .map(|(x, _)| x)
             .ok();
         // Only `proc` and `coded` are needed before the record is
-        // re-fetched below; cloning the whole record here would deep-copy
-        // its awaiting list and any stashed split-read data per reply.
+        // re-fetched in `account`; cloning the whole record here would
+        // deep-copy its awaiting list and any stashed split-read data per
+        // reply.
         let pending = xid.and_then(|x| self.pending.get(&x).map(|r| (r.proc, r.coded)));
-        let t1 = self.phase_start();
-        self.phases.intercept_ns += Self::between_ns(t0, t1);
+        self.clock.lap(&mut self.phases.intercept_ns);
         let Some(xid) = xid else {
             out.push(ProxyOut::Client(pkt));
-            return out;
+            return None;
         };
         let Some((rec_proc, rec_coded)) = pending else {
             // Lost soft state: restore the virtual source so the client's
             // RPC layer can still match (it will usually have timed out
             // and retransmitted already).
             let mut p = pkt;
-            let t3 = self.phase_start();
             p.rewrite_src(self.cfg.virtual_addr);
-            self.phases.rewrite_ns += Self::elapsed_ns(t3);
+            self.clock.lap(&mut self.phases.rewrite_ns);
             out.push(ProxyOut::Client(p));
-            return out;
+            return None;
         };
         // Phase 2: decode the reply — status, attributes and results;
         // READ data is located, not read.
-        let t2 = self.phase_start();
         let reply = view_reply(&pkt.payload, rec_proc).ok().map(|(_, r)| r);
-        self.phases.decode_ns += Self::elapsed_ns(t2);
+        self.clock.lap(&mut self.phases.decode_ns);
         // Failure-suspicion bookkeeping: any reply from a storage site
         // resets its strike count — but suspicion itself clears only via
         // a coordinator-verified probe, because an alive-looking site may
@@ -1513,25 +1562,39 @@ impl Uproxy {
                 .as_ref()
                 .is_some_and(|r| r.status == NfsStatus::JukeBox);
             if juke {
-                self.strike(now, &mut out, s);
+                self.strike(now, out, s);
             } else if !self.health[s as usize].suspected {
                 self.health[s as usize].strikes = 0;
             }
         }
         // Internal legs of an erasure-coded op are absorbed here and
         // drive the parent op's state machine instead of the generic
-        // bookkeeping below.
+        // bookkeeping in `account`.
         if let Some((parent, role)) = rec_coded {
-            let t4 = self.phase_start();
             self.pending.remove(&xid);
-            self.absorbed += 1;
+            self.stats.absorbed += 1;
             let reply = reply.map(|r| (r, &pkt.payload));
-            self.coded_leg_reply(now, &mut out, parent, role, src_site, reply);
-            self.phases.soft_ns += Self::elapsed_ns(t4);
-            return out;
+            self.coded_leg_reply(now, out, parent, role, src_site, reply);
+            self.clock.lap(&mut self.phases.soft_ns);
+            return None;
         }
-        // Phase 4: soft state — multi-reply bookkeeping + attribute cache.
-        let t4 = self.phase_start();
+        Some((pkt, xid, reply, src_site))
+    }
+
+    /// Phase 4 of a reply — multi-reply bookkeeping and the attribute
+    /// cache. Returns the completed request's record and the file whose
+    /// attribute block rides in the reply, or `None` when the reply is
+    /// absorbed: not the last of a fan-out, a stale-table bounce, or the
+    /// answer to a µproxy-initiated write-back.
+    fn account(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<ProxyOut>,
+        pkt: &Packet,
+        xid: u32,
+        reply: &Option<ReplyView>,
+        src_site: Option<u32>,
+    ) -> Option<(PendingReq, Option<Fhandle>)> {
         let remaining = {
             let r = self.pending.get_mut(&xid).expect("checked pending");
             r.remaining = r.remaining.saturating_sub(1);
@@ -1553,32 +1616,31 @@ impl Uproxy {
             r.remaining
         };
         if remaining > 0 {
-            self.absorbed += 1;
-            self.phases.soft_ns += Self::elapsed_ns(t4);
-            return out; // merge: forward only the final reply
+            self.stats.absorbed += 1;
+            self.clock.lap(&mut self.phases.soft_ns);
+            return None; // merge: forward only the final reply
         }
         let rec = self.pending.remove(&xid).expect("checked pending");
-        let rec_fh = rec.fh.map(|id| self.fhs.get(id));
         self.degrade_ok.remove(&xid);
         // A JUKEBOX bounce from a directory server marks this µproxy's
         // routing table stale: ask the host to refresh it and absorb the
         // reply — the client's RPC retransmission will re-route the
         // request through the fresh table.
         if rec.class == Class::Dir && !rec.absorb {
-            if let Some(r) = &reply {
+            if let Some(r) = reply {
                 if r.status == slice_nfsproto::NfsStatus::JukeBox {
-                    self.stale_table_bounces += 1;
+                    self.stats.stale_table_bounces += 1;
                     out.push(ProxyOut::NeedDirTable);
-                    self.phases.soft_ns += Self::elapsed_ns(t4);
-                    return out;
+                    self.clock.lap(&mut self.phases.soft_ns);
+                    return None;
                 }
             }
         }
         let mut evicted = Vec::new();
         // The file whose attribute block rides in this reply (for lookup
         // and create replies that is the *child*, not the request target).
-        let mut attr_file = rec_fh;
-        if let Some(reply) = &reply {
+        let mut attr_file = rec.fh;
+        if let Some(reply) = reply {
             if reply.status.is_ok() {
                 match rec.class {
                     Class::Dir => {
@@ -1588,7 +1650,7 @@ impl Uproxy {
                             let fh = match &reply.body {
                                 BodyView::Other(ReplyBody::Lookup { fh, .. }) => Some(*fh),
                                 BodyView::Other(ReplyBody::Create { fh: Some(fh) }) => Some(*fh),
-                                _ => rec_fh,
+                                _ => rec.fh,
                             };
                             if let Some(fh) = fh {
                                 attr_file = Some(fh);
@@ -1604,7 +1666,7 @@ impl Uproxy {
                         }
                     }
                     Class::Storage | Class::SmallFile => {
-                        if let Some(fh) = rec_fh {
+                        if let Some(fh) = rec.fh {
                             let t = Self::nfs_time(now);
                             match rec.proc {
                                 NfsProc::Read => {
@@ -1632,12 +1694,12 @@ impl Uproxy {
                 msg: CoordMsg::CompleteIntent { intent },
             });
         }
-        self.phases.soft_ns += Self::elapsed_ns(t4);
+        self.clock.lap(&mut self.phases.soft_ns);
         for e in evicted {
-            self.push_attrs(&mut out, &e);
+            self.push_attrs(out, &e);
         }
         if rec.absorb {
-            self.absorbed += 1;
+            self.stats.absorbed += 1;
             // A confirmed attribute write-back cleans the cache entry
             // (unless a newer local modification raced with the push). A
             // permanent failure — the home site no longer knows the file —
@@ -1654,12 +1716,27 @@ impl Uproxy {
                     _ => {}
                 }
             }
-            return out;
+            return None;
         }
+        Some((rec, attr_file))
+    }
+
+    /// Phase 3 of a reply: what the client receives for its completed
+    /// request — a reply the µproxy re-initiates (the merge of a split
+    /// request, a READ corrected to the global file size) or the server's
+    /// own packet rewritten in place.
+    fn finalize(
+        &mut self,
+        out: &mut Vec<ProxyOut>,
+        pkt: Packet,
+        xid: u32,
+        rec: &PendingReq,
+        reply: &Option<ReplyView>,
+        attr_file: Option<Fhandle>,
+    ) {
         // Finalize split requests by re-initiating a merged reply.
         if let Some(merge) = &rec.merge {
-            if let (Some(reply), Some(fh)) = (&reply, rec_fh) {
-                let t3 = self.phase_start();
+            if let (Some(reply), Some(fh)) = (reply, rec.fh) {
                 let attr = self.attrs.get(fh.file_id()).or(reply.attr);
                 let body = match merge {
                     MergeState::Write { total } => match &reply.body {
@@ -1701,9 +1778,9 @@ impl Uproxy {
                     attr,
                     body,
                 };
-                self.reply_to_client(&mut out, xid, rec.client_src, &merged);
-                self.phases.rewrite_ns += Self::elapsed_ns(t3);
-                return out;
+                self.reply_to_client(out, xid, rec.client_src, &merged);
+                self.clock.lap(&mut self.phases.rewrite_ns);
+                return;
             }
         }
         // Reads must reflect the *global* file size the µproxy tracks:
@@ -1712,7 +1789,7 @@ impl Uproxy {
         // zero-extended here, and a read past EOF is truncated. This is a
         // reply the µproxy re-initiates rather than rewrites in place.
         if rec.proc == NfsProc::Read {
-            if let (Some(reply), Some(fh)) = (&reply, rec_fh) {
+            if let (Some(reply), Some(fh)) = (reply, rec.fh) {
                 if reply.status.is_ok() {
                     if let (Some(attr), BodyView::Read { data, .. }) =
                         (self.attrs.get(fh.file_id()), &reply.body)
@@ -1720,7 +1797,6 @@ impl Uproxy {
                         let expected =
                             attr.size.saturating_sub(rec.offset).min(u64::from(rec.len)) as usize;
                         if data.len() != expected {
-                            let t3 = self.phase_start();
                             let mut data = pkt.payload[data.clone()].to_vec();
                             data.resize(expected, 0);
                             let fixed = NfsReply {
@@ -1732,17 +1808,16 @@ impl Uproxy {
                                     eof: rec.offset + expected as u64 >= attr.size,
                                 },
                             };
-                            self.reply_to_client(&mut out, xid, rec.client_src, &fixed);
-                            self.phases.rewrite_ns += Self::elapsed_ns(t3);
-                            return out;
+                            self.reply_to_client(out, xid, rec.client_src, &fixed);
+                            self.clock.lap(&mut self.phases.rewrite_ns);
+                            return;
                         }
                     }
                 }
             }
         }
-        // Phase 3: rewrite — restore the virtual source and patch the
+        // Rewrite in place — restore the virtual source and patch the
         // attribute block with the authoritative cached attributes.
-        let t3 = self.phase_start();
         let mut p = pkt;
         p.rewrite_src(self.cfg.virtual_addr);
         {
@@ -1766,14 +1841,11 @@ impl Uproxy {
                 }
             }
         }
-        self.phases.rewrite_ns += Self::elapsed_ns(t3);
-        self.replies_routed += 1;
+        self.stats.replies_routed += 1;
         // Restore the original client destination.
-        let t3b = self.phase_start();
         p.rewrite_dst(rec.client_src);
-        self.phases.rewrite_ns += Self::elapsed_ns(t3b);
+        self.clock.lap(&mut self.phases.rewrite_ns);
         out.push(ProxyOut::Client(p));
-        out
     }
 
     /// Handles a coordinator reply (intent acks and map fragments).
@@ -1836,8 +1908,8 @@ impl Uproxy {
                 {
                     self.degrade_ok.insert(op_id as u32, live);
                     for site in missed {
-                        self.degraded_writes += 1;
-                        self.degraded_bytes += bytes;
+                        self.stats.degraded_writes += 1;
+                        self.stats.degraded_bytes += bytes;
                         out.push(ProxyOut::Trace(slice_obs::EventKind::DegradedWrite {
                             site: site as usize,
                             bytes,
@@ -1899,7 +1971,7 @@ impl Uproxy {
                     h.probe_at = now + self.cfg.probe_interval;
                     h.awaiting_votes = self.cfg.coord_sites;
                     h.clean_votes = 0;
-                    self.probes_sent += 1;
+                    self.stats.probes_sent += 1;
                     for c in 0..self.cfg.coord_sites {
                         out.push(ProxyOut::Coord {
                             site: c,

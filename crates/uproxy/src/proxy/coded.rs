@@ -171,6 +171,9 @@ impl Uproxy {
             }
         }
         self.coded_waiters = rest;
+        // Each released request restarts the phase clock as a packet of its
+        // own; what the releasing packet has spent so far is lock upkeep.
+        self.clock.lap(&mut self.phases.soft_ns);
         for p in release {
             let mut more = self.outbound(now, p);
             out.append(&mut more);
@@ -203,12 +206,11 @@ impl Uproxy {
             NfsRequest::Write { offset, data, .. } => (NfsProc::Write, *offset, data.len() as u32),
             _ => unreachable!("coded legs are reads and writes"),
         };
-        let fhid = Some(self.fhs.intern(&fh));
-        let mut rec = PendingReq::new(proc, fhid, offset, len, class, own);
+        let mut rec = PendingReq::new(proc, Some(fh), offset, len, class, own);
         rec.awaiting = plan.site.into_iter().collect();
         rec.coded = Some((parent, plan.role));
         self.pending.insert(xid, rec);
-        self.initiated += 1;
+        self.stats.initiated += 1;
         if let Some(op) = self.coded_ops.get_mut(&parent) {
             match plan.site {
                 Some(site) => {
@@ -368,7 +370,7 @@ impl Uproxy {
             .map(|st| st.s)
             .collect();
         if is_write {
-            self.coded_writes += 1;
+            self.stats.coded_writes += 1;
         } else {
             // Decoding mixes windows of several shards: hold the stripe
             // locks so a concurrent read-modify-write cannot tear the
@@ -376,10 +378,10 @@ impl Uproxy {
             if !gathering.is_empty() && !self.lock_stripes(file, &gathering, xid, &pkt) {
                 return;
             }
-            self.coded_reads += 1;
-            self.ec_degraded_reads += failovers.len() as u64;
+            self.stats.coded_reads += 1;
+            self.stats.ec_degraded_reads += failovers.len() as u64;
             for site in failovers {
-                self.read_failovers += 1;
+                self.stats.read_failovers += 1;
                 out.push(ProxyOut::Trace(slice_obs::EventKind::ReadFailover {
                     site: site as usize,
                     xid: u64::from(xid),
@@ -667,11 +669,11 @@ impl Uproxy {
                     self.abort_coded(now, out, xid);
                     return;
                 };
-                self.ec_reconstructions += 1;
+                self.stats.ec_reconstructions += 1;
                 for (j, w) in datw.iter().enumerate() {
                     let (a, b) = geom.data_window(st.s, j as u32, op.blo, blen);
                     if a < b {
-                        self.ec_reconstructed_bytes += b - a;
+                        self.stats.ec_reconstructed_bytes += b - a;
                         rebuilt.push((
                             i as u32,
                             j as u32,

@@ -655,21 +655,260 @@ fn tick_writes_back_stale_attrs() {
     assert!(c.dir_sites.contains(&net_pkts(&out)[0].dst));
 }
 
+/// A mixed replay — lookups, bulk reads and writes, each answered — with
+/// the wall time spent inside the µproxy's two packet entry points.
+fn timed_replay(u: &mut Uproxy, c: &ProxyConfig) -> std::time::Duration {
+    let mut wall = std::time::Duration::ZERO;
+    for i in 0..60u32 {
+        let f = fh(500 + u64::from(i % 7), 0);
+        let (req, body) = match i % 3 {
+            0 => (
+                NfsRequest::Lookup {
+                    dir: Fhandle::root(),
+                    name: format!("n{i}"),
+                },
+                ReplyBody::Lookup {
+                    fh: f,
+                    dir_attr: None,
+                },
+            ),
+            1 => (
+                NfsRequest::Write {
+                    fh: f,
+                    offset: 128 * 1024,
+                    stable: StableHow::Unstable,
+                    data: vec![7u8; 4096],
+                },
+                ReplyBody::Write {
+                    count: 4096,
+                    committed: StableHow::Unstable,
+                    verf: 1,
+                },
+            ),
+            _ => (
+                NfsRequest::Read {
+                    fh: f,
+                    offset: 128 * 1024,
+                    count: 4096,
+                },
+                ReplyBody::Read {
+                    data: vec![7u8; 4096],
+                    eof: true,
+                },
+            ),
+        };
+        let pkt = call_pkt(c, i, &req);
+        let started = std::time::Instant::now();
+        let out = u.outbound(t(u64::from(i)), pkt);
+        wall += started.elapsed();
+        let reply = NfsReply {
+            proc: req.proc(),
+            status: NfsStatus::Ok,
+            attr: Some(Fattr3::new(
+                FileType::Regular,
+                f.file_id(),
+                0o644,
+                NfsTime::default(),
+            )),
+            body,
+        };
+        for dst in net_pkts(&out).iter().map(|p| p.dst).collect::<Vec<_>>() {
+            let pkt = reply_pkt(dst, c.client_addr, i, &reply);
+            let started = std::time::Instant::now();
+            u.inbound(t(u64::from(i)), pkt);
+            wall += started.elapsed();
+        }
+    }
+    wall
+}
+
 #[test]
 fn phase_stats_accumulate() {
     let mut c = cfg();
     c.measure_phases = true;
     let mut u = Uproxy::new(c.clone());
-    for i in 0..50u32 {
-        let req = NfsRequest::Lookup {
-            dir: Fhandle::root(),
-            name: format!("n{i}"),
-        };
-        u.outbound(t(u64::from(i)), call_pkt(&c, i, &req));
-    }
+    let wall = timed_replay(&mut u, &c);
     let ph = u.phase_stats();
-    assert_eq!(ph.packets, 50);
-    assert!(ph.decode_ns > 0, "decode must be measured");
+    assert!(ph.packets >= 120, "requests and replies both count");
+    for (phase, ns) in [
+        ("intercept", ph.intercept_ns),
+        ("decode", ph.decode_ns),
+        ("rewrite", ph.rewrite_ns),
+        ("soft", ph.soft_ns),
+    ] {
+        assert!(ns > 0, "{phase} must be measured");
+    }
+    // One lap stopwatch: no nanosecond is charged to two phases.
+    let charged = ph.intercept_ns + ph.decode_ns + ph.rewrite_ns + ph.soft_ns;
+    assert!(
+        u128::from(charged) <= wall.as_nanos(),
+        "phases sum to {charged} ns of {} ns spent in the µproxy",
+        wall.as_nanos()
+    );
+    // Off (the default): no clock is read, packets still count.
+    c.measure_phases = false;
+    let mut u = Uproxy::new(c.clone());
+    timed_replay(&mut u, &c);
+    let off = u.phase_stats();
+    assert_eq!(off.packets, ph.packets);
+    assert_eq!(
+        (off.intercept_ns, off.decode_ns, off.rewrite_ns, off.soft_ns),
+        (0, 0, 0, 0)
+    );
+}
+
+/// The paper's µproxy is "free to discard its state": every table that
+/// holds per-request or cached state must be reachable from
+/// `lose_state()` and counted by `soft_state_entries()`.
+#[test]
+fn lose_state_empties_every_waiting_table() {
+    let mut c = cfg();
+    c.use_block_maps = true;
+    c.coded = Some((4, 2));
+    let mut u = Uproxy::new(c.clone());
+    let mut held = 0;
+    let mut grew = |u: &Uproxy, what: &str| {
+        let now = u.soft_state_entries();
+        assert!(now > held, "{what} holds no soft state");
+        held = now;
+    };
+    let mapped = |id| Fhandle::new(id, 0, slice_nfsproto::FH_FLAG_MAPPED, 0, 0);
+    let write = |fh, offset, len: usize| NfsRequest::Write {
+        fh,
+        offset,
+        stable: StableHow::Unstable,
+        data: vec![1u8; len],
+    };
+    // map_waiters: a mapped file whose fragment is not cached.
+    u.outbound(t(0), call_pkt(&c, 1, &write(mapped(90), 128 * 1024, 512)));
+    grew(&u, "a request parked on a map fetch");
+    // coded_ops + stripe_locks + pending legs: a partial-stripe write
+    // gathers the old contents first; a second write to the stripe waits
+    // for the lock (coded_waiters).
+    let sites: Vec<Vec<u32>> = (0..16).map(|_| vec![0, 1, 2, 3]).collect();
+    u.coord_reply(
+        t(1),
+        CoordReply::MapFragment {
+            file: 91,
+            first_block: 0,
+            warming: vec![Vec::new(); sites.len()],
+            sites,
+        },
+    );
+    let out = u.outbound(t(2), call_pkt(&c, 2, &write(mapped(91), 128 * 1024, 512)));
+    assert!(!net_pkts(&out).is_empty(), "gather legs went out");
+    grew(&u, "a coded op mid-gather");
+    let out = u.outbound(t(3), call_pkt(&c, 3, &write(mapped(91), 129 * 1024, 512)));
+    assert!(net_pkts(&out).is_empty(), "the stripe is locked");
+    grew(&u, "a coded request parked on a stripe lock");
+    // A straddling read with one half answered (MergeState::Read).
+    let plain = fh(92, 0);
+    let req = NfsRequest::Read {
+        fh: plain,
+        offset: 60 * 1024,
+        count: 8 * 1024,
+    };
+    let out = u.outbound(t(4), call_pkt(&c, 4, &req));
+    let head = net_pkts(&out)
+        .iter()
+        .map(|p| p.dst)
+        .find(|d| c.sf_sites.contains(d))
+        .expect("head leg to the small-file server");
+    grew(&u, "a split read");
+    let attr = Fattr3::new(FileType::Regular, 92, 0o644, NfsTime::default());
+    let half = NfsReply {
+        proc: NfsProc::Read,
+        status: NfsStatus::Ok,
+        attr: Some(attr),
+        body: ReplyBody::Read {
+            data: vec![2u8; 4096],
+            eof: false,
+        },
+    };
+    let back = u.inbound(t(5), reply_pkt(head, c.client_addr, 4, &half));
+    assert!(back.is_empty(), "half a merge is absorbed");
+    // intent_waiters: a commit of a file the attribute cache knows to be
+    // large waits for the coordinator's intent ack.
+    let out = u.outbound(t(6), call_pkt(&c, 5, &write(plain, 256 * 1024, 8192)));
+    let sdst = net_pkts(&out)[0].dst;
+    let wrote = NfsReply {
+        proc: NfsProc::Write,
+        status: NfsStatus::Ok,
+        attr: Some(attr),
+        body: ReplyBody::Write {
+            count: 8192,
+            committed: StableHow::Unstable,
+            verf: 1,
+        },
+    };
+    u.inbound(t(7), reply_pkt(sdst, c.client_addr, 5, &wrote));
+    grew(&u, "a cached attribute");
+    let commit = NfsRequest::Commit {
+        fh: plain,
+        offset: 0,
+        count: 0,
+    };
+    let out = u.outbound(t(8), call_pkt(&c, 6, &commit));
+    assert!(out.iter().any(|o| matches!(
+        o,
+        ProxyOut::Coord {
+            msg: CoordMsg::BeginIntent { .. },
+            ..
+        }
+    )));
+    grew(&u, "a commit parked on its intent");
+    // degrade_pending: a mirrored write whose replica set includes a
+    // suspected site waits for the coordinator's dirty-region ack.
+    let mirrored = fh(93, FH_FLAG_MIRRORED);
+    let read = NfsRequest::Read {
+        fh: mirrored,
+        offset: 128 * 1024,
+        count: 1024,
+    };
+    u.outbound(t(9), call_pkt(&c, 7, &read));
+    u.note_retransmit(t(100), 7);
+    u.note_retransmit(t(200), 7);
+    assert_eq!(u.suspected_sites().len(), 1);
+    grew(&u, "a pending read");
+    let out = u.outbound(t(300), call_pkt(&c, 8, &write(mirrored, 128 * 1024, 512)));
+    assert!(out.iter().any(|o| matches!(
+        o,
+        ProxyOut::Coord {
+            msg: CoordMsg::MarkDirty { .. },
+            ..
+        }
+    )));
+    grew(&u, "a write parked on a dirty-region ack");
+
+    u.lose_state();
+    assert_eq!(u.soft_state_entries(), 0, "a table survived lose_state()");
+    assert!(
+        u.suspected_sites().is_empty(),
+        "suspicion is soft state too"
+    );
+}
+
+/// What a request leaves behind once it is answered is bounded by the
+/// attribute cache, however many distinct files a client touches.
+#[test]
+fn soft_state_is_bounded_by_the_attribute_cache() {
+    let c = cfg();
+    let mut u = Uproxy::new(c.clone());
+    for i in 0..10_000u32 {
+        let f = fh(1_000 + u64::from(i), 0);
+        let out = u.outbound(t(0), call_pkt(&c, i, &NfsRequest::Getattr { fh: f }));
+        let dst = net_pkts(&out)[0].dst;
+        let attr = Fattr3::new(FileType::Regular, f.file_id(), 0o644, NfsTime::default());
+        let reply = NfsReply::ok(NfsProc::Getattr, attr);
+        let back = u.inbound(t(0), reply_pkt(dst, c.client_addr, i, &reply));
+        assert!(matches!(back[..], [ProxyOut::Client(_)]));
+    }
+    assert!(u.soft_state_entries() > 0, "attributes are cached");
+    assert!(
+        u.soft_state_entries() <= c.attr_cache_entries,
+        "{} entries left behind by 10,000 answered requests",
+        u.soft_state_entries()
+    );
 }
 
 #[test]

@@ -8,7 +8,7 @@ mod common;
 use common::deadline;
 use slice::check::{
     check_histories, check_structural, check_structural_strict, generate_scenario, run_schedule,
-    standard_schedules, sweep, DriverWorkload, Injection, Schedule, ScheduleEvent,
+    standard_schedules, sweep, DriverWorkload, ExploreOpts, Injection, Schedule, ScheduleEvent,
 };
 use slice::core::actors::{DirActor, StorageActor};
 use slice::core::{OpHistory, SliceConfig, SliceEnsemble};
@@ -20,18 +20,19 @@ use slice::workloads::{ScriptWorkload, Step};
 
 #[test]
 fn clean_sweep_passes_and_is_deterministic() {
-    let a = sweep(&[5], 1);
+    let a = sweep(&[5], 1, &ExploreOpts::default());
     assert!(a.passed(), "clean sweep failed: {:?}", a.failures);
     assert!(a.ops_checked > 0, "sweep checked nothing");
-    let b = sweep(&[5], 1);
+    let b = sweep(&[5], 1, &ExploreOpts::default());
     assert_eq!(a.json, b.json, "identical sweeps must be byte-identical");
 }
 
 #[test]
 fn crash_schedule_converges_to_crash_free_reference() {
     let seed = 12;
+    let plain = ExploreOpts::default();
     let scenario = generate_scenario(seed, 64);
-    let reference = run_schedule(seed, &scenario, &Schedule::default(), None);
+    let reference = run_schedule(seed, &scenario, &Schedule::default(), None, &plain);
     assert!(
         reference.violations.is_empty(),
         "reference run: {:?}",
@@ -39,7 +40,7 @@ fn crash_schedule_converges_to_crash_free_reference() {
     );
     let horizon = reference.finish.as_nanos() / 1_000_000;
     for (i, schedule) in standard_schedules(seed, 2, horizon).iter().enumerate() {
-        let out = run_schedule(seed, &scenario, schedule, Some(&reference.snapshot));
+        let out = run_schedule(seed, &scenario, schedule, Some(&reference.snapshot), &plain);
         assert!(
             out.violations.is_empty(),
             "schedule {i} ({}): {:?}",
@@ -74,7 +75,7 @@ fn explorer_exercises_crash_machinery() {
             },
         ],
     };
-    let out = run_schedule(seed, &scenario, &schedule, None);
+    let out = run_schedule(seed, &scenario, &schedule, None, &ExploreOpts::default());
     assert!(!out.stalled, "run stalled under injected faults");
     assert!(out.violations.is_empty(), "{:?}", out.violations);
     assert!(out.completed_ops > 0);

@@ -597,10 +597,11 @@ fn lockstep_writers_with_equal_xids_both_resync() {
 /// processes produce identical outcomes.
 #[test]
 fn chaos_schedules_pass_oracles_deterministically() {
-    use slice::check::{chaos_schedules, generate_scenario, run_schedule, Schedule};
+    use slice::check::{chaos_schedules, generate_scenario, run_schedule, ExploreOpts, Schedule};
+    let plain = ExploreOpts::default();
     let run = || {
         let scenario = generate_scenario(21, 48);
-        let reference = run_schedule(21, &scenario, &Schedule::default(), None);
+        let reference = run_schedule(21, &scenario, &Schedule::default(), None, &plain);
         assert!(
             reference.violations.is_empty(),
             "reference run violated: {:?}",
@@ -609,7 +610,7 @@ fn chaos_schedules_pass_oracles_deterministically() {
         let horizon_ms = reference.finish.as_nanos() / 1_000_000;
         let mut outcomes = Vec::new();
         for sched in chaos_schedules(21, 5, horizon_ms) {
-            let out = run_schedule(21, &scenario, &sched, Some(&reference.snapshot));
+            let out = run_schedule(21, &scenario, &sched, Some(&reference.snapshot), &plain);
             assert!(
                 out.violations.is_empty(),
                 "{}: {:?}",
@@ -658,10 +659,11 @@ fn run_is_deterministic() {
 #[test]
 fn mid_flight_crash_windows_pass_oracles_at_any_shard_count() {
     use slice::check::{
-        generate_scenario, run_schedule, run_schedule_sharded, Injection, Schedule, ScheduleEvent,
+        generate_scenario, run_schedule, ExploreOpts, Injection, Schedule, ScheduleEvent,
     };
+    let plain = ExploreOpts::default();
     let scenario = generate_scenario(33, 48);
-    let reference = run_schedule(33, &scenario, &Schedule::default(), None);
+    let reference = run_schedule(33, &scenario, &Schedule::default(), None, &plain);
     assert!(
         reference.violations.is_empty(),
         "reference run violated: {:?}",
@@ -694,7 +696,7 @@ fn mid_flight_crash_windows_pass_oracles_at_any_shard_count() {
             },
         ],
     };
-    let serial = run_schedule(33, &scenario, &schedule, Some(&reference.snapshot));
+    let serial = run_schedule(33, &scenario, &schedule, Some(&reference.snapshot), &plain);
     assert!(
         serial.violations.is_empty(),
         "crash-window run violated: {:?}",
@@ -702,8 +704,8 @@ fn mid_flight_crash_windows_pass_oracles_at_any_shard_count() {
     );
     assert!(!serial.stalled, "crash-window run stalled");
     for shards in [2usize, 3] {
-        let sharded =
-            run_schedule_sharded(33, &scenario, &schedule, Some(&reference.snapshot), shards);
+        let opts = ExploreOpts { shards, ..plain };
+        let sharded = run_schedule(33, &scenario, &schedule, Some(&reference.snapshot), &opts);
         assert_eq!(serial.finish, sharded.finish, "shards={shards}");
         assert_eq!(
             serial.completed_ops, sharded.completed_ops,

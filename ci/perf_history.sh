@@ -5,9 +5,11 @@
 #   ci/perf_history.sh <result-set-dir> [commit]
 #       appends one row built from a `benchmark/run.sh --out <dir>` result
 #       set: the commit (default: HEAD's short hash), the date, the host's
-#       core count, the seed, and per workload the six end-to-end values
-#       plus the three counts that say the simulated work did not change
-#       (sim.engine.events, sim.net.packets, sim.net.bytes)
+#       core count, the seed, the working tree's `ci/loc.sh` total (code
+#       size rides the same trajectory as host_s), and per workload the
+#       six end-to-end values plus the three counts that say the simulated
+#       work did not change (sim.engine.events, sim.net.packets,
+#       sim.net.bytes)
 #   ci/perf_history.sh --check
 #       verifies that every line of the history parses as JSON and holds
 #       every required key (CI runs this)
@@ -33,6 +35,8 @@ for n, line in enumerate(open(sys.argv[1]), 1):
     row = json.loads(line)
     for key in ["commit", "date", "nproc", "seed", "workloads"]:
         assert key in row, f"line {n}: no {key!r}"
+    # The first four rows were appended before rows carried a line count.
+    assert n <= 4 or isinstance(row.get("loc"), int), f"line {n}: no 'loc'"
     for w in WORKLOADS:
         for v in VALUES:
             assert isinstance(row["workloads"][w][v], (int, float)), f"line {n}: {w}.{v}"
@@ -45,11 +49,14 @@ fi
 set_dir="${1:?usage: ci/perf_history.sh <result-set-dir> [commit] | --check}"
 commit="${2:-$(git -C "$root" rev-parse --short HEAD)}"
 
-python3 - "$set_dir" "$commit" "$(date -u +%F)" >>"$history" <<'EOF'
+loc="$("$root/ci/loc.sh" | awk 'END { print $1 }')"
+
+python3 - "$set_dir" "$commit" "$(date -u +%F)" "$loc" >>"$history" <<'EOF'
 import json, sys
 
-set_dir, commit, date = sys.argv[1:4]
-row = {"commit": commit, "date": date, "nproc": None, "seed": None, "workloads": {}}
+set_dir, commit, date, loc = sys.argv[1:5]
+row = {"commit": commit, "date": date, "nproc": None, "seed": None, "loc": int(loc),
+       "workloads": {}}
 value = lambda m: m["value"] if isinstance(m, dict) else m
 for w in ["untar_meta", "bulk_mirror", "sfs_mix", "repair_mix"]:
     r = json.load(open(f"{set_dir}/result-{w}.json"))

@@ -14,10 +14,10 @@ fn main() {
     // ---------------- Table 2 ----------------
     println!("=== Table 2: bulk I/O bandwidth (MB/s) ===");
     let bytes: u64 = if full { (125 << 20) * 10 } else { 512 << 20 };
-    let (w1, r1, _) = slice_bench::run_bulk(1, bytes, false, 1);
-    let (w1m, r1m, _) = slice_bench::run_bulk(1, bytes, true, 1);
-    let (ws, rs, _) = slice_bench::run_bulk(16, bytes, false, 1);
-    let (wsm, rsm, _) = slice_bench::run_bulk(16, bytes, true, 1);
+    let (w1, r1, _) = slice_bench::run_bulk(1, bytes, false);
+    let (w1m, r1m, _) = slice_bench::run_bulk(1, bytes, true);
+    let (ws, rs, _) = slice_bench::run_bulk(16, bytes, false);
+    let (wsm, rsm, _) = slice_bench::run_bulk(16, bytes, true);
     println!(
         "{:>16} {:>9} {:>9} {:>11} {:>11}",
         "", "measured", "paper", "meas(sat)", "paper(sat)"
@@ -87,7 +87,7 @@ fn main() {
         all.push(Series::new(format!("Slice-{n}")));
     }
     for procs in [1usize, 2, 4, 8, 16] {
-        all[0].push(procs as f64, slice_bench::run_untar_mfs(procs, files, 1).0);
+        all[0].push(procs as f64, slice_bench::run_untar_mfs(procs, files).0);
         for (i, dirs) in [1usize, 2, 4].into_iter().enumerate() {
             let p = (1000 / dirs as u32).max(1);
             all[i + 1].push(
@@ -97,7 +97,6 @@ fn main() {
                     dirs,
                     files,
                     EnsemblePolicy::MkdirSwitching { redirect_millis: p },
-                    1,
                 )
                 .0,
             );
@@ -123,7 +122,6 @@ fn main() {
                     EnsemblePolicy::MkdirSwitching {
                         redirect_millis: 1000 - aff,
                     },
-                    1,
                 )
                 .0,
             );

@@ -23,16 +23,14 @@
 //! completion-time comparison gauges.
 //!
 //! Usage: `availability [--mb N] [--crash-ms T] [--grid-ms A,B,...]
-//! [--threads T] [--shards S] [--json-out]` (defaults: 48 MiB per client,
+//! [--threads T] [--json-out]` (defaults: 48 MiB per client,
 //! crash at 100 ms, grid 50,150,400,800 ms, threads = available
-//! parallelism, 1 shard). Besides the primary `--crash-ms` point, the
+//! parallelism). Besides the primary `--crash-ms` point, the
 //! bench replays the crash timeline at every `--grid-ms` instant and
 //! emits the degraded-window curve — how failover time, degraded writes,
 //! and their latency cost vary with where in the write stream the crash
 //! lands — as `availability.grid.<ms>.*` gauges (`--grid-ms 0` disables
-//! the grid). `--shards S` partitions each ensemble's engine across S
-//! time-synchronized shards; the report is byte-identical at any S —
-//! crash/recovery injection is shard-aware.
+//! the grid).
 
 use slice_bench::obs_doc;
 use slice_core::actors::{CoordActor, StorageActor};
@@ -53,7 +51,7 @@ fn ms_of(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1e6
 }
 
-fn ha_config(shards: usize) -> SliceConfig {
+fn ha_config() -> SliceConfig {
     SliceConfig {
         clients: CLIENTS,
         retain_data: true,
@@ -61,7 +59,6 @@ fn ha_config(shards: usize) -> SliceConfig {
         // Fast probe cadence so the recovered mirror rejoins within the
         // final read pass.
         probe_interval_ms: 500,
-        shards,
         ..SliceConfig::default()
     }
 }
@@ -143,8 +140,8 @@ struct BaselineOut {
 }
 
 /// Uncrashed run of the same mirrored write workload.
-fn run_clean_baseline(bytes_per_client: u64, deadline: SimTime, shards: usize) -> BaselineOut {
-    let mut ens = SliceEnsemble::build(&ha_config(shards), build_writers(bytes_per_client));
+fn run_clean_baseline(bytes_per_client: u64, deadline: SimTime) -> BaselineOut {
+    let mut ens = SliceEnsemble::build(&ha_config(), build_writers(bytes_per_client));
     ens.start();
     run_phase(&mut ens, deadline);
     for i in 0..CLIENTS {
@@ -168,13 +165,8 @@ fn run_clean_baseline(bytes_per_client: u64, deadline: SimTime, shards: usize) -
 }
 
 /// The full four-phase crash/degrade/resync/rejoin timeline.
-fn run_crash_timeline(
-    bytes_per_client: u64,
-    crash_ms: u64,
-    deadline: SimTime,
-    shards: usize,
-) -> CrashOut {
-    let mut ens = SliceEnsemble::build(&ha_config(shards), build_writers(bytes_per_client));
+fn run_crash_timeline(bytes_per_client: u64, crash_ms: u64, deadline: SimTime) -> CrashOut {
+    let mut ens = SliceEnsemble::build(&ha_config(), build_writers(bytes_per_client));
     ens.start();
 
     // Phase 1: crash the victim mid-write; writers finish degraded.
@@ -346,12 +338,12 @@ enum HaOut {
 fn main() {
     let args = slice_bench::BenchArgs::from_env(
         "usage: availability [--mb N] [--crash-ms T] [--grid-ms A,B,...] [--threads T] \
-         [--shards S] [--json-out]",
+         [--json-out]",
     );
     let mb = args.num("--mb", 48);
     let crash_ms = args.num("--crash-ms", 100);
     let grid_ms = args.list("--grid-ms", &[50, 150, 400, 800]);
-    let (threads, shards) = (args.threads(), args.shards(1));
+    let threads = args.threads();
     let bytes_per_client = mb * 1024 * 1024;
     let deadline = at_ms(600_000);
 
@@ -362,12 +354,11 @@ fn main() {
             bytes_per_client,
             crash_ms,
             deadline,
-            shards,
         ))),
-        HaTask::Baseline => HaOut::Baseline(run_clean_baseline(bytes_per_client, deadline, shards)),
+        HaTask::Baseline => HaOut::Baseline(run_clean_baseline(bytes_per_client, deadline)),
         HaTask::Grid(ms) => HaOut::Grid(
             ms,
-            Box::new(run_crash_timeline(bytes_per_client, ms, deadline, shards)),
+            Box::new(run_crash_timeline(bytes_per_client, ms, deadline)),
         ),
     });
     let mut outs = outs.into_iter();

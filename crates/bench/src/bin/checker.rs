@@ -10,8 +10,8 @@
 //! namespace equivalence against the reference run.
 //!
 //! Usage: `checker [--seeds N] [--schedules M] [--chaos] [--coded]
-//! [--reconf] [--threads T] [--shards S] [--json-out] [--report-out FILE]`
-//! (defaults: 8 seeds × 4 schedules, T = available parallelism, 1 shard).
+//! [--reconf] [--threads T] [--json-out] [--report-out FILE]`
+//! (defaults: 8 seeds × 4 schedules, T = available parallelism).
 //! `--chaos` swaps the standard schedule pool for the chaos pool
 //! (datagram duplication and reordering windows, stacked storage
 //! crashes). `--coded` runs every ensemble with (4,2) erasure coding for
@@ -23,19 +23,17 @@
 //! proves no chunk is stranded and no map entry orphaned after removal.
 //! Seeds fan out over the slice-par worker pool; the printed
 //! report is byte-identical for identical arguments at *any* thread
-//! count *and* any `--shards` value (each run's engine is partitioned
-//! across S time-synchronized shards). `--report-out` writes that
-//! deterministic report to a file (CI `cmp`s it across thread and shard
-//! counts); `--json-out` writes `BENCH_checker[_chaos].json`, the same
-//! report plus informational host-timing gauges. Exits nonzero if any
-//! run violated any oracle.
+//! count. `--report-out` writes that deterministic report to a file (CI
+//! `cmp`s it across thread counts); `--json-out` writes
+//! `BENCH_checker[_chaos].json`, the same report plus informational
+//! host-timing gauges. Exits nonzero if any run violated any oracle.
 
 use slice_check::{sweep, ExploreOpts};
 
 fn main() {
     let args = slice_bench::BenchArgs::from_env(
         "usage: checker [--seeds N] [--schedules M] [--chaos] [--coded] [--reconf] \
-         [--threads T] [--shards S] [--json-out] [--report-out FILE]",
+         [--threads T] [--json-out] [--report-out FILE]",
     );
     let n_seeds = args.num("--seeds", 8);
     let n_schedules = args.num("--schedules", 4) as usize;
@@ -43,13 +41,12 @@ fn main() {
         chaos: args.flag("--chaos"),
         coded: args.flag("--coded"),
         reconf: args.flag("--reconf"),
-        shards: args.shards(1),
         threads: args.threads(),
     };
     let seeds: Vec<u64> = (1..=n_seeds).collect();
 
     println!(
-        "checker: sweeping {} seeds x {} {} schedules (+1 reference each) on {} thread{}, {} shard{}{}{}",
+        "checker: sweeping {} seeds x {} {} schedules (+1 reference each) on {} thread{}{}{}",
         seeds.len(),
         n_schedules,
         if opts.reconf {
@@ -61,8 +58,6 @@ fn main() {
         },
         opts.threads,
         if opts.threads == 1 { "" } else { "s" },
-        opts.shards,
-        if opts.shards == 1 { "" } else { "s" },
         if opts.coded { ", coded (4,2)" } else { "" },
         if opts.reconf { ", standby site 4" } else { "" }
     );

@@ -19,10 +19,10 @@
 //! The three cells are independent ensembles and fan out over the
 //! slice-par pool. Deterministic: every gauge derives from simulated
 //! state, so the report is byte-identical for identical `--mb` at any
-//! `--threads` or `--shards`.
+//! `--threads`.
 //!
-//! Usage: `ec [--mb N] [--threads T] [--shards S] [--json-out]`
-//! (defaults: 24 MiB, T = available parallelism, 1 shard).
+//! Usage: `ec [--mb N] [--threads T] [--json-out]`
+//! (defaults: 24 MiB, T = available parallelism).
 
 use slice_bench::obs_doc;
 use slice_core::actors::{CoordActor, StorageActor};
@@ -95,7 +95,7 @@ fn mean_read_us(ens: &SliceEnsemble, from: usize) -> f64 {
 
 /// Clean write → clean read pass → crash → degraded read pass →
 /// recover → resync, all on one ensemble.
-fn run_cell(layout: Layout, bytes: u64, shards: usize) -> CellOut {
+fn run_cell(layout: Layout, bytes: u64) -> CellOut {
     let cfg = SliceConfig {
         clients: 1,
         storage_nodes: NODES,
@@ -108,7 +108,6 @@ fn run_cell(layout: Layout, bytes: u64, shards: usize) -> CellOut {
             Layout::Coded(n, k) => Some((n, k)),
         },
         probe_interval_ms: 500,
-        shards,
         ..SliceConfig::default()
     };
     let deadline = SimTime::ZERO + SimDuration::from_secs(600);
@@ -219,15 +218,13 @@ fn run_cell(layout: Layout, bytes: u64, shards: usize) -> CellOut {
 }
 
 fn main() {
-    let args = slice_bench::BenchArgs::from_env(
-        "usage: ec [--mb N] [--threads T] [--shards S] [--json-out]",
-    );
+    let args = slice_bench::BenchArgs::from_env("usage: ec [--mb N] [--threads T] [--json-out]");
     let mb = args.num("--mb", 24);
-    let (threads, shards) = (args.threads(), args.shards(1));
+    let threads = args.threads();
     let bytes = mb * 1024 * 1024;
 
     let layouts = vec![Layout::Mirror, Layout::Coded(4, 2), Layout::Coded(6, 4)];
-    let cells = slice_sim::run_indexed(threads, layouts, |_, l| run_cell(l, bytes, shards));
+    let cells = slice_sim::run_indexed(threads, layouts, |_, l| run_cell(l, bytes));
 
     println!("ec: {mb} MiB bulk ablation on {NODES} storage nodes, site {VICTIM} crashed for the degraded pass");
     for c in &cells {

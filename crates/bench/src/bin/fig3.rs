@@ -6,7 +6,7 @@
 //! (no logging) but its single CPU saturates quickly; Slice-N scales with
 //! more directory servers, each saturating near 6000 ops/s.
 //!
-//! Usage: `fig3 [--full | --files N] [--threads T] [--shards S] [--fine]` —
+//! Usage: `fig3 [--full | --files N] [--threads T] [--fine]` —
 //! default creates 3,600 files/dirs per process (a documented 1/10 scale
 //! of the paper's 36,000); `--full` runs the paper's size, and
 //! `--files N` sets an explicit per-process count (used by the
@@ -14,21 +14,18 @@
 //! are independent simulations and fan out over the slice-par worker pool
 //! (`--threads`, default available parallelism); series are rebuilt in
 //! grid order, so the printed table and JSON are byte-identical at any
-//! thread count. `--shards S` (default 1) partitions each cell's engine
-//! across S time-synchronized shards; every number is
-//! shard-count-invariant, so the output is byte-identical at any S —
-//! CI compares `--shards 1` against `--shards 4` to prove it.
+//! thread count.
 
 use slice_core::EnsemblePolicy;
 use slice_sim::Series;
 
 fn main() {
     let args = slice_bench::BenchArgs::from_env(
-        "usage: fig3 [--full | --files N] [--threads T] [--shards S] [--fine] [--json-out]",
+        "usage: fig3 [--full | --files N] [--threads T] [--fine] [--json-out]",
     );
     let default_files = if args.flag("--full") { 36_000 } else { 3_600 };
     let files = args.num("--files", default_files);
-    let (threads, shards) = (args.threads(), args.shards(1));
+    let threads = args.threads();
     // `--fine` doubles the sweep resolution (intermediate process counts
     // and a Slice-3 series) for smoother published curves; the default
     // grid stays the paper's, so existing baselines remain comparable.
@@ -52,7 +49,7 @@ fn main() {
         }
     }
     let latencies = slice_sim::run_indexed(threads, cells.clone(), |_, (procs, dirs)| match dirs {
-        None => slice_bench::run_untar_mfs(procs, files, shards).0,
+        None => slice_bench::run_untar_mfs(procs, files).0,
         Some(dirs) => {
             // The paper uses p = 1/N for mkdir switching.
             let p_millis = (1000 / dirs as u32).max(1);
@@ -63,7 +60,6 @@ fn main() {
                 EnsemblePolicy::MkdirSwitching {
                     redirect_millis: p_millis,
                 },
-                shards,
             )
             .0
         }

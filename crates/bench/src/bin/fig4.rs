@@ -39,7 +39,6 @@ fn main() {
                 EnsemblePolicy::MkdirSwitching {
                     redirect_millis: p_millis,
                 },
-                1,
             )
             .0;
             series[i].push(aff as f64 / 10.0, lat);

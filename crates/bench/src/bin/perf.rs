@@ -15,18 +15,12 @@
 //! Wall-clock is machine-dependent — it would flake on slower CI runners
 //! — so it is reported but never gated on.
 //!
-//! Usage: `perf [--full] [--threads T] [--shards S] [--check <reference-file>]`
+//! Usage: `perf [--full] [--threads T] [--check <reference-file>]`
 //!
 //! * `--full` — paper-scale untar (36,000 files/process) and 256 MB bulk
 //!   files instead of the 1/10-scale defaults.
 //! * `--threads T` — worker threads for the untar grid (default: available
 //!   parallelism).
-//! * `--shards S` — shard count for the shard-scaling phase (default:
-//!   available parallelism capped at 4). The phase times the grid's
-//!   biggest untar cell serially and again across S engine shards,
-//!   asserts the deterministic counters match exactly, and reports
-//!   informational `perf.shard_scaling.*` wall-clock/speedup gauges.
-//!   `--shards 1` skips the phase.
 //! * `--check <file>` — exit nonzero if a deterministic counter exceeds
 //!   its reference value by more than 25% (plus a small absolute slack so
 //!   near-zero references don't gate on noise-sized drifts) — or, for the
@@ -85,13 +79,13 @@ fn untar_phase(files: u64, threads: usize) -> (PhaseReport, [u64; 3]) {
     }
     let per_cell = slice_sim::run_indexed(threads, cells, |_, cell| {
         with_payload_delta(|| match cell.dirs {
-            None => slice_bench::run_untar_mfs(cell.procs, files, 1).1,
+            None => slice_bench::run_untar_mfs(cell.procs, files).1,
             Some(dirs) => {
                 let p_millis = (1000 / dirs as u32).max(1);
                 let policy = EnsemblePolicy::MkdirSwitching {
                     redirect_millis: p_millis,
                 };
-                slice_bench::run_untar_slice(cell.procs, dirs, files, policy, 1).1
+                slice_bench::run_untar_slice(cell.procs, dirs, files, policy).1
             }
         })
     });
@@ -116,50 +110,12 @@ fn untar_phase(files: u64, threads: usize) -> (PhaseReport, [u64; 3]) {
 fn bulk_phase(bytes_per_client: u64) -> (PhaseReport, [u64; 3]) {
     let start = Instant::now();
     let ((_w, _r, totals), payload) =
-        with_payload_delta(|| slice_bench::run_bulk(16, bytes_per_client, true, 1));
+        with_payload_delta(|| slice_bench::run_bulk(16, bytes_per_client, true));
     let report = PhaseReport {
         wall_s: start.elapsed().as_secs_f64(),
         totals,
     };
     (report, payload)
-}
-
-/// Shard scaling: the grid's biggest untar cell (16 processes, Slice-4)
-/// run serially and again across `shards` engine shards. The
-/// deterministic counters must match exactly — sharding is supposed to
-/// change wall-clock only — so any divergence panics here rather than
-/// shipping a bogus baseline. Wall-clock and speedup are informational
-/// gauges (machine-dependent, never gated), so the cell is capped at
-/// 600 files: the equality check does not need full scale, and a host
-/// with fewer cores than shards pays two scheduler round-trips per
-/// window (see DESIGN.md §12's cost model).
-fn shard_scaling_phase(files: u64, shards: usize) -> (PhaseReport, PhaseReport) {
-    let files = files.min(600);
-    let policy = EnsemblePolicy::MkdirSwitching {
-        redirect_millis: 250,
-    };
-    let start = Instant::now();
-    let (lat1, t1) = slice_bench::run_untar_slice(16, 4, files, policy, 1);
-    let wall1 = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let (lat_n, tn) = slice_bench::run_untar_slice(16, 4, files, policy, shards);
-    let wall_n = start.elapsed().as_secs_f64();
-    assert_eq!(lat1, lat_n, "sharded untar latency diverged from serial");
-    assert_eq!(
-        (t1.packets, t1.bytes, t1.events),
-        (tn.packets, tn.bytes, tn.events),
-        "sharded untar counters diverged from serial"
-    );
-    (
-        PhaseReport {
-            wall_s: wall1,
-            totals: t1,
-        },
-        PhaseReport {
-            wall_s: wall_n,
-            totals: tn,
-        },
-    )
 }
 
 /// Live-state sizes at the end of a mapped mirrored bulk run: coordinator
@@ -169,7 +125,7 @@ fn shard_scaling_phase(files: u64, shards: usize) -> (PhaseReport, PhaseReport) 
 /// the simulator's working-set gauges for capacity planning, and the
 /// leak canaries for the per-site soft state that planned removal must
 /// purge. All are deterministic.
-fn live_state_phase(bytes_per_client: u64, shards: usize) -> (u64, u64, u64, u64, u64) {
+fn live_state_phase(bytes_per_client: u64) -> (u64, u64, u64, u64, u64) {
     use slice_core::actors::CoordActor;
     use slice_core::ensemble::{SliceConfig, SliceEnsemble};
     use slice_core::Workload;
@@ -178,7 +134,6 @@ fn live_state_phase(bytes_per_client: u64, shards: usize) -> (u64, u64, u64, u64
     let cfg = SliceConfig {
         clients: CLIENTS,
         use_block_maps: true,
-        shards,
         ..SliceConfig::default()
     };
     let writers: Vec<Box<dyn Workload>> = (0..CLIENTS)
@@ -223,36 +178,6 @@ fn live_state_phase(bytes_per_client: u64, shards: usize) -> (u64, u64, u64, u64
         suspected as u64,
         ens.engine.peak_live_events() as u64,
     )
-}
-
-/// Window-efficiency probe: a small mirrored bulk run serially and again
-/// across `shards`. The deterministic counters must match; the window
-/// counts must show the allocation-free window machinery at work — the
-/// serial engine covers each driver step with one window, and the sharded
-/// engine's adaptive widening keeps windows well below the conservative
-/// one-lookahead-per-window count (which would exceed the event count
-/// here, since bulk RPC legs span many lookaheads).
-fn shard_window_phase(bytes_per_client: u64, shards: usize) -> (EngineTotals, EngineTotals) {
-    let (_, _, t1) = slice_bench::run_bulk(4, bytes_per_client, true, 1);
-    let (_, _, tn) = slice_bench::run_bulk(4, bytes_per_client, true, shards);
-    assert_eq!(
-        (t1.packets, t1.bytes, t1.events),
-        (tn.packets, tn.bytes, tn.events),
-        "sharded bulk counters diverged from serial"
-    );
-    assert!(
-        t1.windows < t1.events,
-        "serial bulk windows ({}) did not shrink below events ({})",
-        t1.windows,
-        t1.events
-    );
-    assert!(
-        tn.windows < tn.events,
-        "sharded bulk windows ({}) did not shrink below events ({})",
-        tn.windows,
-        tn.events
-    );
-    (t1, tn)
 }
 
 /// Peak resident set in kilobytes from `/proc/self/status` (`VmHWM`).
@@ -331,8 +256,8 @@ fn check_counters(text: &str, measured: &[(&str, u64)], untar_wall_s: f64) -> Ve
         };
         if name.ends_with(".inline_handlers") {
             // The one counter where less is worse: a change that disables
-            // the inline path drives it to zero. No absolute slack — both
-            // phases run the serial engine, where the count is exact.
+            // the inline path drives it to zero. No absolute slack: the
+            // count is exact.
             let floor = (reference as f64 * (1.0 - PERF_TOLERANCE)) as u64;
             if got < floor {
                 failures.push(format!(
@@ -355,11 +280,10 @@ fn check_counters(text: &str, measured: &[(&str, u64)], untar_wall_s: f64) -> Ve
 
 fn main() {
     let args = slice_bench::BenchArgs::from_env(
-        "usage: perf [--full] [--threads T] [--shards S] [--check <reference-file>]",
+        "usage: perf [--full] [--threads T] [--check <reference-file>]",
     );
     let full = args.flag("--full");
     let threads = args.threads();
-    let shards = args.shards(slice_sim::default_threads().min(4));
     let check_ref = args.opt::<String>("--check");
     let files: u64 = if full { 36_000 } else { 3_600 };
     let bulk_bytes: u64 = if full { 256 << 20 } else { 32 << 20 };
@@ -370,9 +294,7 @@ fn main() {
     let [shallow, deep, deep_bytes] = [0, 1, 2].map(|i| untar_payload[i] + bulk_payload[i]);
     let (pool_hits, pool_misses, recycled_bytes) = slice_sim::pool::alloc_stats();
     let (map_entries, dirty_ranges, soft_entries, suspected_sites, live_peak) =
-        live_state_phase(bulk_bytes / 4, 1);
-    let scaling = (shards > 1).then(|| shard_scaling_phase(files, shards));
-    let windows = shard_window_phase(bulk_bytes / 8, shards.max(2));
+        live_state_phase(bulk_bytes / 4);
 
     println!(
         "perf: hot-path wall-clock baseline ({}, {threads} thread{})",
@@ -403,25 +325,9 @@ fn main() {
         slice_sim::pool::held_bytes()
     );
     println!(
-        "  windows: bulk serial {} ({} events), at {} shards {} windows / {} barrier rounds",
-        windows.0.windows,
-        windows.0.events,
-        shards.max(2),
-        windows.1.windows,
-        windows.1.barrier_rounds,
-    );
-    println!(
         "  live state: {map_entries} coordinator map entries, {soft_entries} uproxy soft-state \
          entries, {live_peak} peak live events (mapped bulk)"
     );
-    if let Some((serial, sharded)) = &scaling {
-        println!(
-            "  shard scaling (16-proc Slice-4 untar): {:.3}s serial vs {:.3}s at {shards} shards ({:.2}x)",
-            serial.wall_s,
-            sharded.wall_s,
-            serial.wall_s / sharded.wall_s.max(1e-9),
-        );
-    }
 
     let json = slice_bench::obs_doc(|reg| {
         fold_phase(reg, "untar", &untar);
@@ -433,12 +339,6 @@ fn main() {
         reg.set("perf.alloc.pool_misses", pool_misses);
         reg.set("perf.alloc.recycled_bytes", recycled_bytes);
         reg.set("perf.alloc.pool_held_bytes", slice_sim::pool::held_bytes());
-        reg.set("perf.shard.windows", windows.1.windows);
-        reg.set("perf.shard.barrier_rounds", windows.1.barrier_rounds);
-        reg.set_gauge(
-            "perf.shard.events_per_window",
-            windows.1.events as f64 / (windows.1.windows.max(1)) as f64,
-        );
         reg.set("perf.live_state.peak_rss_kb", peak_rss_kb());
         reg.set("perf.live_state.coord_map_entries", map_entries);
         reg.set("perf.live_state.coord_dirty_ranges", dirty_ranges);
@@ -447,16 +347,6 @@ fn main() {
         reg.set("perf.live_state.peak_live_events", live_peak);
         reg.set_gauge("perf.threads", threads as f64);
         reg.set_gauge("perf.total.wall_s", untar.wall_s + bulk.wall_s);
-        if let Some((serial, sharded)) = &scaling {
-            reg.set_gauge("perf.shard_scaling.shards", shards as f64);
-            reg.set_gauge("perf.shard_scaling.serial_wall_s", serial.wall_s);
-            reg.set_gauge("perf.shard_scaling.sharded_wall_s", sharded.wall_s);
-            reg.set_gauge(
-                "perf.shard_scaling.speedup",
-                serial.wall_s / sharded.wall_s.max(1e-9),
-            );
-            reg.set("perf.shard_scaling.events", sharded.totals.events);
-        }
     });
     println!("{json}");
     slice_bench::write_json("perf", &json);
@@ -481,8 +371,6 @@ fn main() {
             ("alloc.pool_hits", pool_hits),
             ("alloc.pool_misses", pool_misses),
             ("alloc.recycled_bytes", recycled_bytes),
-            ("shard.windows", windows.1.windows),
-            ("shard.barrier_rounds", windows.1.barrier_rounds),
         ];
         let failures = check_counters(&text, &measured, untar.wall_s);
         if !failures.is_empty() {

@@ -24,11 +24,11 @@
 //! live-soft-state counts after retirement. A clean baseline run (no
 //! reconfiguration, same workload) executes in parallel on slice-par
 //! for the comparison gauges. Deterministic: identical arguments yield
-//! a byte-identical report at any `--threads` or `--shards`.
+//! a byte-identical report at any `--threads`.
 //!
-//! Usage: `reconfigure [--mb N] [--reads R] [--threads T] [--shards S]
-//! [--json-out]` (defaults: 24 MiB per client, 3 hot read passes,
-//! threads = available parallelism, 1 shard).
+//! Usage: `reconfigure [--mb N] [--reads R] [--threads T] [--json-out]`
+//! (defaults: 24 MiB per client, 3 hot read passes, threads = available
+//! parallelism).
 
 use slice_bench::obs_doc;
 use slice_core::actors::CoordActor;
@@ -51,7 +51,7 @@ fn ms_of(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1e6
 }
 
-fn reconf_config(shards: usize) -> SliceConfig {
+fn reconf_config() -> SliceConfig {
     SliceConfig {
         clients: CLIENTS,
         storage_nodes: STORAGE,
@@ -67,7 +67,6 @@ fn reconf_config(shards: usize) -> SliceConfig {
         // Wide hot window so the detection pass and the widened read
         // passes land in the same sliding window.
         hot_window_ms: 600_000,
-        shards,
         ..SliceConfig::default()
     }
 }
@@ -172,8 +171,8 @@ struct BaselineOut {
     p99_us: f64,
 }
 
-fn run_baseline(bytes_per_client: u64, deadline: SimTime, shards: usize) -> BaselineOut {
-    let mut ens = SliceEnsemble::build(&reconf_config(shards), build_writers(bytes_per_client));
+fn run_baseline(bytes_per_client: u64, deadline: SimTime) -> BaselineOut {
+    let mut ens = SliceEnsemble::build(&reconf_config(), build_writers(bytes_per_client));
     ens.start();
     run_phase(&mut ens, deadline);
     let write_done = ens.engine.now();
@@ -188,13 +187,8 @@ fn run_baseline(bytes_per_client: u64, deadline: SimTime, shards: usize) -> Base
     }
 }
 
-fn run_reconf_timeline(
-    bytes_per_client: u64,
-    reads: u64,
-    deadline: SimTime,
-    shards: usize,
-) -> ReconfOut {
-    let mut ens = SliceEnsemble::build(&reconf_config(shards), build_writers(bytes_per_client));
+fn run_reconf_timeline(bytes_per_client: u64, reads: u64, deadline: SimTime) -> ReconfOut {
+    let mut ens = SliceEnsemble::build(&reconf_config(), build_writers(bytes_per_client));
     ens.start();
 
     // Phase 0: write the data set mirrored across the four active sites.
@@ -320,11 +314,11 @@ enum Out {
 
 fn main() {
     let args = slice_bench::BenchArgs::from_env(
-        "usage: reconfigure [--mb N] [--reads R] [--threads T] [--shards S] [--json-out]",
+        "usage: reconfigure [--mb N] [--reads R] [--threads T] [--json-out]",
     );
     let mb = args.num("--mb", 24);
     let reads = args.num("--reads", 3);
-    let (threads, shards) = (args.threads(), args.shards(1));
+    let threads = args.threads();
     let bytes_per_client = mb * 1024 * 1024;
     let deadline = SimTime::ZERO + SimDuration::from_secs(600);
 
@@ -337,9 +331,8 @@ fn main() {
                     bytes_per_client,
                     reads,
                     deadline,
-                    shards,
                 ))),
-                Task::Baseline => Out::Baseline(run_baseline(bytes_per_client, deadline, shards)),
+                Task::Baseline => Out::Baseline(run_baseline(bytes_per_client, deadline)),
             },
         );
     let mut outs = outs.into_iter();

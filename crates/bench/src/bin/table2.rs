@@ -28,10 +28,10 @@ fn main() {
         ("write-mirrored", true, true, 32.2, 251.0),
     ];
     // Run each (mirrored x clients) combination once; reuse for rows.
-    let (w1, r1, _) = slice_bench::run_bulk(1, bytes, false, 1);
-    let (w1m, r1m, _) = slice_bench::run_bulk(1, bytes, true, 1);
-    let (ws, rs, _) = slice_bench::run_bulk(sat_clients, bytes, false, 1);
-    let (wsm, rsm, _) = slice_bench::run_bulk(sat_clients, bytes, true, 1);
+    let (w1, r1, _) = slice_bench::run_bulk(1, bytes, false);
+    let (w1m, r1m, _) = slice_bench::run_bulk(1, bytes, true);
+    let (ws, rs, _) = slice_bench::run_bulk(sat_clients, bytes, false);
+    let (wsm, rsm, _) = slice_bench::run_bulk(sat_clients, bytes, true);
     for (name, mirrored, is_write, paper_single, paper_sat) in rows {
         let (single, sat) = match (mirrored, is_write) {
             (false, false) => (r1.mbs(), rs.mbs()),

@@ -41,17 +41,14 @@ impl BulkResult {
 
 /// Runs the Table 2 bulk I/O experiment: `clients` writers (then readers)
 /// of `bytes_per_client`, mirrored or not. Returns (write, read) aggregate
-/// bandwidth and the engine totals. `shards` partitions the engine across
-/// worker threads; results and counters are shard-count-invariant.
+/// bandwidth and the engine totals.
 pub fn run_bulk(
     clients: usize,
     bytes_per_client: u64,
     mirrored: bool,
-    shards: usize,
 ) -> (BulkResult, BulkResult, EngineTotals) {
     let cfg = SliceConfig {
         clients,
-        shards,
         ..bench_config()
     };
     let writers: Vec<Box<dyn slice_core::Workload>> = (0..clients)
@@ -226,16 +223,10 @@ pub struct EngineTotals {
     pub inline_dispatches: u64,
     /// High-water mark of concurrently live events in the slab.
     pub peak_live_events: usize,
-    /// Time windows executed.
-    pub windows: u64,
-    /// Barrier crossings paid by the window loop (none on one shard).
-    pub barrier_rounds: u64,
 }
 
 impl EngineTotals {
-    fn harvest<M: slice_sim::MessageSize + Clone + Send + 'static>(
-        engine: &slice_sim::Engine<M>,
-    ) -> Self {
+    fn harvest<M: slice_sim::MessageSize + Clone + 'static>(engine: &slice_sim::Engine<M>) -> Self {
         EngineTotals {
             packets: engine.packets_sent(),
             bytes: engine.bytes_sent(),
@@ -243,8 +234,6 @@ impl EngineTotals {
             heap_pushes: engine.heap_pushes(),
             inline_dispatches: engine.inline_dispatches(),
             peak_live_events: engine.peak_live_events(),
-            windows: engine.shard_windows(),
-            barrier_rounds: engine.shard_barrier_rounds(),
         }
     }
 
@@ -256,28 +245,22 @@ impl EngineTotals {
         self.heap_pushes += other.heap_pushes;
         self.inline_dispatches += other.inline_dispatches;
         self.peak_live_events = self.peak_live_events.max(other.peak_live_events);
-        self.windows += other.windows;
-        self.barrier_rounds += other.barrier_rounds;
     }
 }
 
 /// Figure 3 / Figure 4: untar latency per process.
 ///
 /// Returns the mean elapsed seconds per process and the engine totals.
-/// `shards` partitions the engine across worker threads; results and
-/// counters are shard-count-invariant.
 pub fn run_untar_slice(
     processes: usize,
     dir_servers: usize,
     files_per_process: u64,
     policy: EnsemblePolicy,
-    shards: usize,
 ) -> (f64, EngineTotals) {
     let cfg = SliceConfig {
         clients: processes,
         dir_servers,
         policy,
-        shards,
         ..bench_config()
     };
     let workloads: Vec<Box<dyn slice_core::Workload>> = (0..processes)
@@ -307,19 +290,12 @@ fn mean_untar_secs<'a>(processes: usize, client: impl Fn(usize) -> &'a ClientAct
 }
 
 /// Figure 3 baseline: untar against the MFS memory file server. Returns
-/// the mean elapsed seconds per process and the engine totals. `shards`
-/// partitions the engine across worker threads (server on shard 0,
-/// clients round-robin); results are shard-count-invariant.
-pub fn run_untar_mfs(
-    processes: usize,
-    files_per_process: u64,
-    shards: usize,
-) -> (f64, EngineTotals) {
+/// the mean elapsed seconds per process and the engine totals.
+pub fn run_untar_mfs(processes: usize, files_per_process: u64) -> (f64, EngineTotals) {
     let workloads: Vec<Box<dyn slice_core::Workload>> = (0..processes)
         .map(|i| Box::new(Untar::new(i as u64, files_per_process)) as Box<dyn slice_core::Workload>)
         .collect();
     let mut ens = BaselineEnsemble::build(BaselineKind::Mfs, 8, false, true, 42, workloads);
-    ens.set_shards(shards);
     ens.start();
     ens.run_to_completion(deadline_secs(36_000));
     let mean = mean_untar_secs(processes, |i| ens.client(i));

@@ -12,8 +12,9 @@ pub use experiments::{
 
 /// A bench binary's command line: `--switch` flags and `--name VALUE`
 /// options, looked up by name. Every binary shares one rule for a bad
-/// line: an option whose value is missing or does not parse prints the
-/// binary's usage line and exits with status 2.
+/// line: an option the usage line does not name, or one whose value is
+/// missing or does not parse, prints the usage line and exits with
+/// status 2.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     argv: Vec<String>,
@@ -22,10 +23,24 @@ pub struct BenchArgs {
 
 impl BenchArgs {
     /// Captures the process arguments; `usage` is the line printed for a
-    /// malformed option.
+    /// bad command line, and the `--names` it mentions are the options
+    /// the binary accepts: any other `--…` argument (a typo, an option
+    /// from a stale script) is refused instead of silently running with
+    /// defaults.
     pub fn from_env(usage: &'static str) -> Self {
-        let argv = std::env::args().skip(1).collect();
-        BenchArgs { argv, usage }
+        let args = BenchArgs {
+            argv: std::env::args().skip(1).collect(),
+            usage,
+        };
+        let named = |arg: &str| {
+            usage
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .any(|word| word == arg)
+        };
+        if args.argv.iter().any(|a| a.starts_with("--") && !named(a)) {
+            args.bad_usage();
+        }
+        args
     }
 
     fn bad_usage(&self) -> ! {
@@ -66,11 +81,6 @@ impl BenchArgs {
     pub fn threads(&self) -> usize {
         self.opt("--threads")
             .unwrap_or_else(slice_sim::default_threads)
-    }
-
-    /// `--shards S`: engine shards per ensemble, or `default`.
-    pub fn shards(&self, default: usize) -> usize {
-        self.opt("--shards").unwrap_or(default)
     }
 
     /// Ends a binary's stdout with its report — the slice-obs JSON

@@ -48,38 +48,39 @@ fn fig3_is_byte_identical_across_processes() {
     assert_eq!(ja, jb, "obs JSON differs across processes");
 }
 
-/// The sharded engine's determinism contract at figure scale: the whole
-/// fig3 grid — every cell an N-MFS or Slice ensemble partitioned across
-/// S time-synchronized shards — must print byte-identical output at any
-/// shard count, because every counter and latency is merged in the same
-/// deterministic (time, src, seq) order regardless of which thread ran
-/// which node.
-#[test]
-fn fig3_is_byte_identical_across_shard_counts() {
-    let serial = run_fig3(&["--shards", "1"]);
-    for shards in ["2", "4"] {
-        let sharded = run_fig3(&["--shards", shards]);
-        assert!(
-            serial == sharded,
-            "fig3 stdout differs between --shards 1 and --shards {shards}:\n--- shards 1\n{serial}\n--- shards {shards}\n{sharded}"
-        );
-    }
-}
-
 /// The payload pool's determinism contract (DESIGN.md §15): recycling
 /// backing stores is capacity-only bookkeeping, so the entire fig3 grid
-/// must print byte-identical output with pooling on and off, at every
-/// shard count. `SLICE_POOL=off` turns the spawned binary's pool into a
-/// plain allocator.
+/// must print byte-identical output with pooling on and off.
+/// `SLICE_POOL=off` turns the spawned binary's pool into a plain
+/// allocator.
 #[test]
 fn fig3_is_byte_identical_with_pooling_off() {
     let pooled = run_fig3(&[]);
-    for shards in ["1", "2", "4"] {
-        let unpooled = run_fig3_env(&["--shards", shards], &[("SLICE_POOL", "off")]);
+    let unpooled = run_fig3_env(&[], &[("SLICE_POOL", "off")]);
+    assert!(
+        pooled == unpooled,
+        "fig3 stdout differs between pooling on and SLICE_POOL=off:\n--- pooled\n{pooled}\n--- unpooled\n{unpooled}"
+    );
+}
+
+/// A command line is input from outside the program: an option the
+/// binary does not read — a typo, or the `--shards` of a script written
+/// before the sharded engine was deleted — must stop the run with the
+/// usage line and status 2, not run on defaults and say nothing.
+#[test]
+fn unknown_options_are_refused_with_usage_and_status_2() {
+    for bad in [&["--shards", "4"][..], &["--thread", "4"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig3"))
+            .args(["--files", "100"])
+            .args(bad)
+            .output()
+            .expect("spawn fig3");
+        assert_eq!(out.status.code(), Some(2), "fig3 {bad:?} was not refused");
         assert!(
-            pooled == unpooled,
-            "fig3 stdout differs between pooling on and SLICE_POOL=off --shards {shards}:\n--- pooled\n{pooled}\n--- unpooled\n{unpooled}"
+            String::from_utf8_lossy(&out.stderr).starts_with("usage: fig3"),
+            "fig3 {bad:?} did not print its usage line"
         );
+        assert!(out.stdout.is_empty(), "fig3 {bad:?} ran anyway");
     }
 }
 
@@ -118,27 +119,12 @@ fn reconfigure_is_byte_identical_across_thread_counts() {
     );
 }
 
-/// Same contract across engine shard counts: every ensemble in the bench
-/// partitioned across 2 time-synchronized shards must reproduce the
-/// serial timeline exactly — reconfiguration actions (join, drain,
-/// widen) are injected shard-aware.
-#[test]
-fn reconfigure_is_byte_identical_across_shard_counts() {
-    let serial = run_reconfigure(&["--shards", "1"]);
-    let sharded = run_reconfigure(&["--shards", "2"]);
-    assert!(
-        serial == sharded,
-        "reconfigure stdout differs between --shards 1 and --shards 2:\n--- shards 1\n{serial}\n--- shards 2\n{sharded}"
-    );
-}
-
 /// Same contract for the consistency checker under the chaos pool: the
 /// deterministic sweep report (crash, loss, duplication, reordering
-/// injections included) is identical whether each run's engine is serial
-/// or sharded.
+/// injections included) is identical at any thread count.
 #[test]
-fn chaos_checker_report_is_shard_count_invariant() {
-    let run = |shards: &str| {
+fn chaos_checker_report_is_thread_count_invariant() {
+    let run = |threads: &str| {
         let out = Command::new(env!("CARGO_BIN_EXE_checker"))
             .args([
                 "--seeds",
@@ -147,20 +133,18 @@ fn chaos_checker_report_is_shard_count_invariant() {
                 "3",
                 "--chaos",
                 "--threads",
-                "2",
-                "--shards",
-                shards,
+                threads,
             ])
             .output()
             .expect("spawn checker");
         assert!(
             out.status.success(),
-            "checker --shards {shards} failed: {}",
+            "checker --threads {threads} failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         let stdout = String::from_utf8(out.stdout).expect("checker stdout is UTF-8");
         // Compare the deterministic JSON report line, not the banner
-        // (which names the shard count).
+        // (which names the thread count).
         stdout
             .lines()
             .rev()
@@ -168,10 +152,9 @@ fn chaos_checker_report_is_shard_count_invariant() {
             .expect("checker stdout lost its report JSON line")
             .to_string()
     };
-    let serial = run("1");
-    let sharded = run("4");
     assert_eq!(
-        serial, sharded,
-        "chaos sweep report differs between --shards 1 and --shards 4"
+        run("1"),
+        run("2"),
+        "chaos sweep report differs between --threads 1 and --threads 2"
     );
 }

@@ -535,7 +535,7 @@ enum Act {
 /// How the explorer runs: which ensemble each run is built on, which
 /// schedule pool a sweep draws from, and how much of the host it uses.
 /// The default is the plain explorer — mirrored placement, the standard
-/// crash/loss pool, one engine shard, one sweep thread.
+/// crash/loss pool, one sweep thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreOpts {
     /// Sweeps draw from [`chaos_schedules`] (duplication and reordering
@@ -554,16 +554,9 @@ pub struct ExploreOpts {
     /// oracle ([`crate::state::check_drained`]) runs over every drained
     /// site at quiescence.
     pub reconf: bool,
-    /// Engine shards per run. Every outcome — each oracle verdict, the
-    /// finish time, the final namespace snapshot, a sweep's report — is
-    /// shard-count-invariant; CI sweeps `--shards 1` against `--shards 4`
-    /// and `cmp`s the reports to prove it.
-    pub shards: usize,
     /// Sweep worker threads: each seed's reference run and schedule
     /// replays execute as one independent task (every run builds a fresh
-    /// ensemble, so tasks share nothing). Combining `threads > 1` with
-    /// `shards > 1` oversubscribes the host and is only useful for
-    /// cross-checking determinism.
+    /// ensemble, so tasks share nothing).
     pub threads: usize,
 }
 
@@ -573,7 +566,6 @@ impl Default for ExploreOpts {
             chaos: false,
             coded: false,
             reconf: false,
-            shards: 1,
             threads: 1,
         }
     }
@@ -601,7 +593,6 @@ fn explorer_config(seed: u64, opts: &ExploreOpts) -> SliceConfig {
         active_storage: reconf.then_some(4),
         mapped_mirror: reconf && !coded,
         seed,
-        shards: opts.shards,
         ..SliceConfig::default()
     }
 }
@@ -1090,8 +1081,7 @@ struct SeedOutcome {
 /// compare. Seeds fan out over the slice-par runtime and the per-seed
 /// outcomes are folded into the report strictly in seed order: the
 /// report's JSON is a deterministic function of the seeds and the
-/// ensemble, byte-identical for any `opts.threads` and `opts.shards`,
-/// because the folded counters are sums of per-seed values that do not
+/// ensemble, byte-identical for any `opts.threads`, because the folded counters are sums of per-seed values that do not
 /// depend on scheduling.
 pub fn sweep(seeds: &[u64], schedules_per_seed: usize, opts: &ExploreOpts) -> SweepReport {
     let start = std::time::Instant::now();
@@ -1300,7 +1290,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_schedule_run_matches_serial() {
+    fn schedule_run_is_repeatable() {
         let scenario = generate_scenario(13, 40);
         let schedule = Schedule {
             events: vec![
@@ -1320,25 +1310,16 @@ mod tests {
                 },
             ],
         };
-        let serial = run_schedule(13, &scenario, &schedule, None, &ExploreOpts::default());
-        for shards in [2usize, 4] {
-            let opts = ExploreOpts {
-                shards,
-                ..ExploreOpts::default()
-            };
-            let sharded = run_schedule(13, &scenario, &schedule, None, &opts);
-            assert_eq!(serial.finish, sharded.finish, "shards={shards}");
-            assert_eq!(serial.stalled, sharded.stalled, "shards={shards}");
-            assert_eq!(
-                serial.completed_ops, sharded.completed_ops,
-                "shards={shards}"
-            );
-            assert_eq!(serial.violations, sharded.violations, "shards={shards}");
-            assert!(
-                crate::state::snapshot_diff(&serial.snapshot, &sharded.snapshot).is_empty(),
-                "shards={shards}: final namespace diverged"
-            );
-        }
+        let run = || run_schedule(13, &scenario, &schedule, None, &ExploreOpts::default());
+        let (first, again) = (run(), run());
+        assert_eq!(first.finish, again.finish);
+        assert_eq!(first.stalled, again.stalled);
+        assert_eq!(first.completed_ops, again.completed_ops);
+        assert_eq!(first.violations, again.violations);
+        assert!(
+            crate::state::snapshot_diff(&first.snapshot, &again.snapshot).is_empty(),
+            "final namespace diverged between two runs of one schedule"
+        );
     }
 
     #[test]
@@ -1415,7 +1396,7 @@ mod tests {
     }
 
     #[test]
-    fn reconf_run_is_shard_invariant() {
+    fn reconf_run_is_repeatable() {
         let scenario = generate_scenario(19, 40);
         let schedule = Schedule {
             events: vec![
@@ -1433,21 +1414,18 @@ mod tests {
                 },
             ],
         };
-        let run = |shards| {
-            let opts = ExploreOpts {
-                reconf: true,
-                shards,
-                ..ExploreOpts::default()
-            };
-            run_schedule(19, &scenario, &schedule, None, &opts)
+        let opts = ExploreOpts {
+            reconf: true,
+            ..ExploreOpts::default()
         };
-        let (serial, sharded) = (run(1), run(2));
-        assert_eq!(serial.finish, sharded.finish);
-        assert_eq!(serial.completed_ops, sharded.completed_ops);
-        assert_eq!(serial.violations, sharded.violations);
+        let run = || run_schedule(19, &scenario, &schedule, None, &opts);
+        let (first, again) = (run(), run());
+        assert_eq!(first.finish, again.finish);
+        assert_eq!(first.completed_ops, again.completed_ops);
+        assert_eq!(first.violations, again.violations);
         assert!(
-            crate::state::snapshot_diff(&serial.snapshot, &sharded.snapshot).is_empty(),
-            "final namespace diverged across shard counts"
+            crate::state::snapshot_diff(&first.snapshot, &again.snapshot).is_empty(),
+            "final namespace diverged between two runs of one schedule"
         );
     }
 }

@@ -37,7 +37,7 @@ const TICK_INTERVAL: SimDuration = SimDuration::from_millis(500);
 const MAX_RETRIES: u32 = 30;
 
 /// A workload driving one client.
-pub trait Workload: Send + 'static {
+pub trait Workload: 'static {
     /// Called once at simulation start; issue initial operations here.
     fn start(&mut self, io: &mut ClientIo<'_, '_>);
 

@@ -68,17 +68,6 @@ impl Obs {
     pub fn export_json(&self, now_ns: u64) -> String {
         export(now_ns, &self.registry, &self.trace)
     }
-
-    /// Folds another `Obs` into this one, consuming it: registry planes
-    /// merge per [`Registry::absorb`], trace events interleave by
-    /// timestamp per [`Trace::absorb_sorted`].
-    ///
-    /// The sharded sim engine calls this after every parallel window run
-    /// to fold per-shard sinks into the root sink deterministically.
-    pub fn absorb(&mut self, mut other: Obs) {
-        self.registry.absorb(std::mem::take(&mut other.registry));
-        self.trace.absorb_sorted(vec![other.trace.take_events()]);
-    }
 }
 
 #[cfg(test)]

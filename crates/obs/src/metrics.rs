@@ -97,24 +97,6 @@ impl Histogram {
         }
     }
 
-    /// Merges another histogram's samples into this one bucket-by-bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms were created with different bounds.
-    pub fn absorb(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different bounds"
-        );
-        for (c, &o) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *c += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
     /// Approximate quantile: the upper bound of the bucket containing the
     /// `q`-th sample (the exact max for the overflow bucket). 0 when
     /// empty.
@@ -229,29 +211,6 @@ impl Registry {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
-
-    /// Merges another registry into this one, consuming it: counters add,
-    /// gauges overwrite (last writer wins, so callers should absorb in a
-    /// deterministic order), histograms merge bucket-wise.
-    ///
-    /// Used by the sharded sim engine to fold per-shard registries into
-    /// the root registry after a parallel window run.
-    pub fn absorb(&mut self, other: Registry) {
-        for (name, v) in other.counters {
-            *self.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, v) in other.gauges {
-            self.gauges.insert(name, v);
-        }
-        for (name, h) in other.histograms {
-            match self.histograms.get_mut(&name) {
-                Some(mine) => mine.absorb(&h),
-                None => {
-                    self.histograms.insert(name, h);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -331,41 +290,6 @@ mod tests {
         assert_eq!(b[0], 1_000);
         assert!(*b.last().unwrap() > 30_000_000_000);
         assert!(b.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn absorb_merges_all_planes() {
-        let mut a = Registry::new();
-        a.add("ops", 3);
-        a.set_gauge("util", 0.25);
-        a.observe_with("lat", &[10, 100], 5);
-
-        let mut b = Registry::new();
-        b.add("ops", 4);
-        b.add("errs", 1);
-        b.set_gauge("util", 0.75);
-        b.observe_with("lat", &[10, 100], 50);
-        b.observe_with("sz", &[8], 9);
-
-        a.absorb(b);
-        assert_eq!(a.counter("ops"), 7);
-        assert_eq!(a.counter("errs"), 1);
-        assert_eq!(a.gauge("util"), Some(0.75));
-        let h = a.histogram("lat").unwrap();
-        assert_eq!(h.counts(), &[1, 1, 0]);
-        assert_eq!(h.sum(), 55);
-        assert_eq!(h.max(), 50);
-        assert_eq!(a.histogram("sz").unwrap().count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bounds")]
-    fn absorb_rejects_mismatched_bounds() {
-        let mut a = Registry::new();
-        a.observe_with("h", &[1], 0);
-        let mut b = Registry::new();
-        b.observe_with("h", &[2], 0);
-        a.absorb(b);
     }
 
     #[test]

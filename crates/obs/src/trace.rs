@@ -246,40 +246,6 @@ impl Trace {
         self.ring.iter()
     }
 
-    /// Drains and returns the retained events, oldest first (the
-    /// recorded/evicted totals are left untouched).
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        self.ring.drain(..).collect()
-    }
-
-    /// Merges batches of already time-sorted events into this ring.
-    ///
-    /// Events are interleaved by `at_ns` with a stable tie-break: at equal
-    /// timestamps this ring's own events come first, then batches in the
-    /// order given. The ring then re-evicts down to capacity (oldest
-    /// first), counting merged events as recorded and overflow as evicted.
-    ///
-    /// Used by the sharded sim engine to fold per-shard traces — each
-    /// time-ordered on its own — into the root trace deterministically.
-    pub fn absorb_sorted(&mut self, batches: Vec<Vec<TraceEvent>>) {
-        let extra: usize = batches.iter().map(|b| b.len()).sum();
-        if extra == 0 {
-            return;
-        }
-        let mut merged: Vec<TraceEvent> = Vec::with_capacity(self.ring.len() + extra);
-        merged.extend(self.ring.drain(..));
-        for batch in batches {
-            merged.extend(batch);
-        }
-        // Stable sort: equal timestamps keep source order (self, then
-        // batches in index order).
-        merged.sort_by_key(|e| e.at_ns);
-        self.recorded += extra as u64;
-        let drop = merged.len().saturating_sub(self.capacity);
-        self.evicted += drop as u64;
-        self.ring.extend(merged.into_iter().skip(drop));
-    }
-
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
         self.ring.len()
@@ -333,49 +299,6 @@ mod tests {
         assert!(!t.is_enabled(Subsystem::Disk));
         t.enable(Subsystem::Disk);
         assert!(t.is_enabled(Subsystem::Disk));
-    }
-
-    #[test]
-    fn absorb_sorted_interleaves_by_time_then_source() {
-        let ev = |at: u64, node: usize| TraceEvent {
-            at_ns: at,
-            subsystem: Subsystem::Engine,
-            kind: EventKind::Crash { node },
-        };
-        let mut t = Trace::with_capacity(8);
-        t.record(1, Subsystem::Engine, EventKind::Crash { node: 0 });
-        t.record(5, Subsystem::Engine, EventKind::Crash { node: 1 });
-        t.absorb_sorted(vec![vec![ev(1, 10), ev(3, 11)], vec![ev(1, 20), ev(6, 21)]]);
-        let got: Vec<(u64, usize)> = t
-            .events()
-            .map(|e| match e.kind {
-                EventKind::Crash { node } => (e.at_ns, node),
-                _ => unreachable!(),
-            })
-            .collect();
-        // Ties at t=1 resolve: own ring first, then batch 0, then batch 1.
-        assert_eq!(
-            got,
-            vec![(1, 0), (1, 10), (1, 20), (3, 11), (5, 1), (6, 21)]
-        );
-        assert_eq!(t.recorded(), 6);
-        assert_eq!(t.evicted(), 0);
-    }
-
-    #[test]
-    fn absorb_sorted_respects_capacity() {
-        let ev = |at: u64| TraceEvent {
-            at_ns: at,
-            subsystem: Subsystem::Engine,
-            kind: EventKind::Crash { node: 9 },
-        };
-        let mut t = Trace::with_capacity(2);
-        t.record(1, Subsystem::Engine, EventKind::Crash { node: 0 });
-        t.absorb_sorted(vec![vec![ev(2), ev(3)]]);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.evicted(), 1);
-        let ts: Vec<u64> = t.events().map(|e| e.at_ns).collect();
-        assert_eq!(ts, vec![2, 3]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Discrete-event engine: nodes, CPU service queues, timers, and the
-//! switched-LAN network model — shardable across OS threads.
+//! switched-LAN network model.
 //!
 //! Every Slice component (client + embedded µproxy, storage node, directory
 //! server, small-file server, baseline NFS/MFS servers) is an [`Actor`]
@@ -11,46 +11,40 @@
 //! server pegging its CPU, a client NFS stack topping out below 40 MB/s —
 //! emerge from the model rather than being painted on.
 //!
-//! # Sharding
+//! # One core, one thread
 //!
-//! The engine partitions its nodes into [`Shard`]s, each owning a disjoint
-//! subset of nodes together with their pending events (its own slab + 4-ary
-//! heap). Shards advance in lock-step *windows*: every shard runs all events
-//! strictly before a common bound `w1 = w0 + lookahead`, where `w0` is the
-//! global minimum pending-event time and the lookahead is the network's
-//! [`NetConfig::min_hop_latency`] — no event executed inside a window can
-//! affect another shard earlier than the window's end, so shards never see
-//! a straggler from the past (conservative parallel DES). Cross-shard
-//! messages are exchanged at window barriers (see [`crate::shard`]) and
-//! merged in deterministic key order.
-//!
-//! There is no separate serial engine. An engine that was never
-//! partitioned is the one-shard case of that same window loop: nothing to
-//! wait for at the barrier, nothing to exchange, and — because a lone
-//! shard is always the single *active* one — adaptive widening gives an
-//! unbudgeted run one window that reaches its horizon.
+//! An engine is one event core — a slab of pending events and a 4-ary
+//! heap of their keys — driven by the calling thread. An ensemble is
+//! never split across threads: the paper's testbed is one switch, so
+//! every node pair is the same [`NetConfig::min_hop_latency`] apart, and
+//! request routing spreads every client over every server, so no
+//! partition keeps hops local (DESIGN.md §12 has the measurements). What
+//! scales across cores is the *grid* of independent ensembles a figure
+//! is made of ([`crate::par`]).
 //!
 //! # Determinism
 //!
-//! Simulation output is byte-identical at any shard count, including one.
-//! Three rules make that hold:
+//! Simulation output is a pure function of the seed and the topology,
+//! independent of how handlers happen to interleave. Three rules make
+//! that hold:
 //!
 //! * **Keys.** Every event is keyed `(time, src, seq)` where `src` is the
 //!   node whose per-node `seq` counter stamped it. A node's events are
 //!   created only while dispatching that node's own events (or at driver
-//!   time, which is serial), so its seq subsequence — and therefore every
-//!   key — is independent of shard layout.
+//!   time), so its seq subsequence — and therefore every key — depends
+//!   on that node's history alone.
 //! * **RNG.** Every node draws from its own [`Rng::stream`]; loss and
 //!   duplication are drawn from the *sender's* stream, reorder jitter from
 //!   the *receiver's*, always during that node's own dispatches.
 //! * **Contention points.** Each destination's switch port is charged when
 //!   the packet dispatches at its port (a receiver-side event), not in
-//!   send order, so port queueing resolves identically however sends
-//!   interleave across shards.
+//!   send order, so port queueing resolves in arrival order however the
+//!   sends were issued.
 //!
 //! The clock `now` advances only when an event *dispatches* (cancelled
 //! timers surfacing from the heap do not count), so `Engine::now` and
-//! [`Engine::events_executed`] are also shard-invariant.
+//! [`Engine::events_executed`] do not depend on when a cancelled entry
+//! happens to surface.
 //!
 //! # Logical events and physical heap entries
 //!
@@ -60,8 +54,7 @@
 //! the receiver's CPU (`Process`, stamped by the receiver at the
 //! landing). Each has a `(time, src, seq)` key, each draws a seq, each
 //! counts in [`Engine::events_executed`] — that sequence is the
-//! simulation, and it is the same at every shard count. What the engine
-//! *physically* does for a hop is less:
+//! simulation. What the engine *physically* does for a hop is less:
 //!
 //! * **One slot.** The message is written into a slab slot once, by
 //!   `transmit`, and read out once, by the handler that consumes it. The
@@ -72,19 +65,17 @@
 //!   the send: the landing's key is stamped from the *receiver's* seq
 //!   counter (and reorder jitter from the receiver's RNG stream) at the
 //!   instant the packet reaches the port, interleaved with the receiver's
-//!   own handlers' draws. Only dispatching an event on the receiver's
-//!   shard at that instant reproduces the interleaving; computing the
-//!   port charge at send time would need the receiver's state from
-//!   another shard, in send order — which is shard-layout-dependent.
+//!   own handlers' draws. Only dispatching an event at that instant
+//!   reproduces the interleaving; charging the port at send time would
+//!   make those draws in *send* order, ahead of everything the receiver
+//!   does before the packet arrives — a different simulation.
 //! * **`Process` runs inline when it would pop next.** When a landing or
 //!   a timer fire finds the node up, with no `Process` pending and the
 //!   CPU idle, it stamps the `Process` key `K = (now, node, seq)` exactly
 //!   as before. If no pending key orders before `K`, the heap would hand
 //!   `K` straight back: the handler runs on the spot and the `Process` is
 //!   counted as dispatched, with no slot and no heap entry. "No pending
-//!   key orders before `K`" is one comparison against the heap top —
-//!   every key not yet in this shard's heap (another shard's outbox, a
-//!   mailbox) is timed at or after the window's end, hence after `now`.
+//!   key orders before `K`" is one comparison against the heap top.
 //!   Otherwise `K` is pushed as it always was. The fallback is what keeps
 //!   this exact rather than nearly so: a timer the same node stamped
 //!   between the packet's port stage and its landing, due in the very
@@ -95,8 +86,7 @@
 //!   through the heap, so it is counted inside the next run.
 //!
 //! [`Engine::heap_pushes`] and [`Engine::inline_dispatches`] count the
-//! physical side. They are deterministic for a given shard layout but not
-//! shard-invariant: which keys share a heap decides what runs inline.
+//! physical side.
 //!
 //! # Crash semantics
 //!
@@ -114,13 +104,11 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use slice_obs::{EventKind, Obs, Subsystem};
 
 use crate::net::NetConfig;
 use crate::rng::Rng;
-use crate::shard;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a node (one actor) in the simulation.
@@ -172,9 +160,8 @@ impl MessageSize for Vec<u8> {
 /// Handlers run to completion at a single instant; the CPU time they declare
 /// with [`Ctx::use_cpu`] delays their *outputs* and any queued work behind
 /// them. Implementors must also provide `Any` access so test and experiment
-/// harnesses can inspect actor state after a run. Actors must be `Send`:
-/// the sharded engine moves them to worker threads for parallel windows.
-pub trait Actor<M>: Send + 'static {
+/// harnesses can inspect actor state after a run.
+pub trait Actor<M>: 'static {
     /// Handles a message delivered from `from`.
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: M);
 
@@ -208,7 +195,7 @@ pub const START_TAG: u64 = u64::MAX;
 /// One unit of work waiting for a node's CPU.
 enum QueueItem {
     /// A packet that has landed: the slab slot it has been parked in since
-    /// [`ShardCore::transmit`] (the message is taken out by its handler).
+    /// [`Core::transmit`] (the message is taken out by its handler).
     Packet(u32),
     Timer {
         tag: u64,
@@ -233,8 +220,8 @@ enum Event {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Stage {
     /// Reaching the switch egress port toward `to`; port serialization is
-    /// charged when this dispatches, on the *receiver's* shard, so port
-    /// contention resolves in arrival order regardless of shard layout.
+    /// charged when this dispatches, so port contention resolves in
+    /// arrival order.
     AtPort,
     /// Past the port (or sent host-internally), about to join the
     /// receiver's queue.
@@ -257,8 +244,8 @@ struct Packet<M> {
 
 /// Min-heap key: the event payload itself lives in the slab, so the heap
 /// only shuffles small keys. Ordering is `(time, src, seq)` — `src` is the
-/// node whose counter issued `seq`, making the total order identical at
-/// any shard count. Ties on one node break FIFO by `seq`.
+/// node whose counter issued `seq`, so the total order depends on each
+/// node's own history only. Ties on one node break FIFO by `seq`.
 #[derive(Clone, Copy)]
 struct HeapKey {
     time: SimTime,
@@ -403,20 +390,6 @@ enum SlotState<M> {
     Packet(Packet<M>),
 }
 
-impl<M> SlotState<M> {
-    /// The node whose shard must dispatch this pending event.
-    fn dest(&self) -> NodeId {
-        match self {
-            SlotState::Packet(p) => p.to,
-            SlotState::Scheduled {
-                event: Event::Process { node, .. } | Event::TimerFire { node, .. },
-                ..
-            } => *node,
-            SlotState::Free | SlotState::Armed { .. } => unreachable!("slot holds no event"),
-        }
-    }
-}
-
 /// Slab of pending events: O(1) insert, O(1) cancel (flag the slot), O(1)
 /// free on pop. Slots are recycled through a free list, so long runs with
 /// heavy timer re-arming stay at the high-water mark of *concurrently
@@ -512,15 +485,13 @@ struct NodeState {
     /// Egress link occupied until this instant.
     egress_free: SimTime,
     /// Switch egress port toward this node occupied until this instant.
-    /// Lives on the receiver so only its owning shard ever touches it.
     switch_port_free: SimTime,
     up: bool,
     /// Bumped on every crash; events carrying an older incarnation are
     /// discarded when they surface.
     incarnation: u32,
-    /// Issues this node's event sequence numbers (heap tie-break); the
-    /// draw order is shard-invariant because all draws happen while
-    /// dispatching this node's own events.
+    /// Issues this node's event sequence numbers (heap tie-break); all
+    /// draws happen while dispatching this node's own events.
     seq: u64,
     /// This node's private RNG stream.
     rng: Rng,
@@ -540,39 +511,21 @@ pub struct NodeStats {
     pub messages_handled: u64,
 }
 
-/// A cross-shard event in flight: a packet at [`Stage::AtPort`] bound for
-/// a node on another shard, key preserved verbatim so the destination heap
-/// orders it exactly as a single-shard run would.
-pub(crate) struct Cross<M> {
-    pub(crate) time: SimTime,
-    pub(crate) src: u32,
-    pub(crate) seq: u64,
-    pub(crate) to: NodeId,
-    pub(crate) from: NodeId,
-    pub(crate) msg: M,
-}
-
-/// The event-owning half of a shard: clock, heap, slab, node states, and
-/// counters. Split from the actors so a handler (which borrows its actor
-/// mutably) can still reach the engine through [`Ctx`].
-pub(crate) struct ShardCore<M> {
-    /// This shard's index in the engine.
-    id: u32,
+/// The event-owning half of the engine: clock, heap, slab, node states,
+/// and counters. Split from the actors so a handler (which borrows its
+/// actor mutably) can still reach the engine through [`Ctx`].
+struct Core<M> {
     now: SimTime,
     events: EventHeap,
     slab: EventSlab<M>,
-    /// Full-length: `nodes[i]` is `Some` iff node `i` lives on this shard.
-    nodes: Vec<Option<NodeState>>,
-    /// Owning shard of every node (replicated to each shard for routing).
-    owner: Vec<u32>,
+    nodes: Vec<NodeState>,
     net: NetConfig,
     packets_sent: u64,
     packets_dropped: u64,
     packets_duplicated: u64,
     bytes_sent: u64,
     /// Logical events dispatched (cancelled pops excluded; a `Process`
-    /// run inline counts exactly as one popped from the heap would) —
-    /// shard-invariant.
+    /// run inline counts exactly as one popped from the heap would).
     dispatched: u64,
     /// `Process` events that ran straight from the arrival or timer fire
     /// that stamped them, without a heap entry (see the module docs).
@@ -582,58 +535,15 @@ pub(crate) struct ShardCore<M> {
     /// [`EventHeap::compact`]).
     cancelled_in_heap: usize,
     obs: Obs,
-    /// Outgoing cross-shard events, one bucket per destination shard,
-    /// drained at window barriers.
-    outbox: Vec<Vec<Cross<M>>>,
-    /// The conservative window width (min network hop latency), cached
-    /// here so cross-shard deposits can tighten `window_cap`.
-    lookahead: SimDuration,
-    /// Dynamic bound for the window in progress. Reset to `MAX` at
-    /// window start; a cross-shard deposit arriving at the destination
-    /// at `t` tightens it to `t + lookahead` — the earliest instant the
-    /// receiver's reaction could influence this shard. Windows wider
-    /// than the conservative lookahead (see the adaptive widening in
-    /// `shard.rs`) stay safe because the run loop stops at this cap;
-    /// for lookahead-wide windows the cap is provably past the window
-    /// end and never binds.
-    window_cap: SimTime,
 }
 
-impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
-    fn new(id: u32, shards: usize, net: NetConfig) -> Self {
-        let lookahead = net.min_hop_latency();
-        ShardCore {
-            id,
-            now: SimTime::ZERO,
-            events: EventHeap::new(),
-            slab: EventSlab::new(),
-            nodes: Vec::new(),
-            owner: Vec::new(),
-            net,
-            packets_sent: 0,
-            packets_dropped: 0,
-            packets_duplicated: 0,
-            bytes_sent: 0,
-            dispatched: 0,
-            inline_dispatches: 0,
-            cancelled_in_heap: 0,
-            obs: Obs::new(),
-            outbox: (0..shards).map(|_| Vec::new()).collect(),
-            lookahead,
-            window_cap: SimTime::from_nanos(u64::MAX),
-        }
-    }
-
+impl<M: MessageSize + Clone + 'static> Core<M> {
     fn node(&self, id: NodeId) -> &NodeState {
-        self.nodes[id.idx()]
-            .as_ref()
-            .expect("node not on this shard")
+        &self.nodes[id.idx()]
     }
 
     fn node_mut(&mut self, id: NodeId) -> &mut NodeState {
-        self.nodes[id.idx()]
-            .as_mut()
-            .expect("node not on this shard")
+        &mut self.nodes[id.idx()]
     }
 
     /// Draws the next sequence number from `src`'s counter.
@@ -653,11 +563,6 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
 
     /// Schedules a pending event under a key that is already drawn.
     fn schedule_keyed(&mut self, time: SimTime, src: u32, seq: u64, state: SlotState<M>) {
-        debug_assert_eq!(
-            self.owner[state.dest().idx()],
-            self.id,
-            "event routed to wrong shard"
-        );
         let slot = self.slab.schedule(state);
         self.events.push(HeapKey {
             time,
@@ -665,18 +570,6 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
             seq,
             slot,
         });
-    }
-
-    /// Enqueues a cross-shard event under its original key.
-    pub(crate) fn push_cross(&mut self, c: Cross<M>) {
-        debug_assert!(c.time >= self.now, "cross-shard event from the past");
-        let packet = SlotState::Packet(Packet {
-            to: c.to,
-            from: c.from,
-            stage: Stage::AtPort,
-            msg: c.msg,
-        });
-        self.schedule_keyed(c.time, c.src, c.seq, packet);
     }
 
     /// Compacts the heap once cancelled entries outnumber live ones, so
@@ -705,7 +598,7 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
     }
 
     /// Models the sender half of the network path (NIC serialization) and
-    /// schedules the switch-arrival on the destination's shard. `depart`
+    /// schedules the arrival at the destination's switch port. `depart`
     /// is when the first bit may leave the source NIC. Loss and
     /// duplication draw from the *sender's* RNG stream; the switch egress
     /// port is charged later, when the packet dispatches at
@@ -770,7 +663,6 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
         } else {
             1
         };
-        let dst_shard = self.owner[to.idx()];
         let mut msg = Some(msg);
         for copy in 0..copies {
             let msg = if copy + 1 == copies {
@@ -778,30 +670,13 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
             } else {
                 msg.as_ref().expect("copy accounting").clone()
             };
-            if dst_shard == self.id {
-                let packet = Packet {
-                    to,
-                    from,
-                    stage: Stage::AtPort,
-                    msg,
-                };
-                self.schedule(at_switch, from, SlotState::Packet(packet));
-            } else {
-                // The destination shard reacts to this arrival no earlier
-                // than `at_switch`, and its reaction reaches us no earlier
-                // than `at_switch + lookahead`. Under a widened window this
-                // shard must therefore not run past that point.
-                self.window_cap = self.window_cap.min(at_switch + self.lookahead);
-                let seq = self.next_seq(from);
-                self.outbox[dst_shard as usize].push(Cross {
-                    time: at_switch,
-                    src: from.0,
-                    seq,
-                    to,
-                    from,
-                    msg,
-                });
-            }
+            let packet = Packet {
+                to,
+                from,
+                stage: Stage::AtPort,
+                msg,
+            };
+            self.schedule(at_switch, from, SlotState::Packet(packet));
         }
     }
 
@@ -837,7 +712,7 @@ impl<M: MessageSize + Clone + Send + 'static> ShardCore<M> {
 
     /// Stamps the `Process` event that will serve `node`'s queue: draws its
     /// seq and returns its key (slot unset) and the incarnation it belongs
-    /// to. The caller either pushes it ([`ShardCore::push_process`]) or,
+    /// to. The caller either pushes it ([`Core::push_process`]) or,
     /// when it would be the very next key to pop, runs it on the spot.
     fn stamp_process(&mut self, node: NodeId) -> (HeapKey, u32) {
         let now = self.now;
@@ -888,13 +763,13 @@ enum Output<M> {
 
 /// Handler-side view of the engine: clock, RNG, sends, timers, CPU charge.
 pub struct Ctx<'a, M> {
-    core: &'a mut ShardCore<M>,
+    core: &'a mut Core<M>,
     node: NodeId,
     cpu_used: SimDuration,
     outputs: Vec<Output<M>>,
 }
 
-impl<'a, M: MessageSize + Clone + Send + 'static> Ctx<'a, M> {
+impl<'a, M: MessageSize + Clone + 'static> Ctx<'a, M> {
     /// Current simulated time (the instant this handler runs).
     pub fn now(&self) -> SimTime {
         self.core.now
@@ -917,8 +792,7 @@ impl<'a, M: MessageSize + Clone + Send + 'static> Ctx<'a, M> {
     }
 
     /// Delivers `msg` to `to` bypassing the network (host-internal path,
-    /// e.g. a coordinator co-located with a storage node). The two nodes
-    /// must live on the same shard.
+    /// e.g. a coordinator co-located with a storage node).
     pub fn send_local(&mut self, to: NodeId, msg: M) {
         self.outputs.push(Output::SendLocal { to, msg });
     }
@@ -970,10 +844,8 @@ impl<'a, M: MessageSize + Clone + Send + 'static> Ctx<'a, M> {
         &mut self.core.node_mut(self.node).rng
     }
 
-    /// This shard's observability sink. Handlers record trace events
+    /// The engine's observability sink. Handlers record trace events
     /// and registry updates here; timestamps are the simulated clock.
-    /// Per-shard sinks are folded into the engine-wide sink after every
-    /// run, so driver-side readers see one merged view.
     pub fn obs(&mut self) -> &mut Obs {
         &mut self.core.obs
     }
@@ -986,53 +858,179 @@ impl<'a, M: MessageSize + Clone + Send + 'static> Ctx<'a, M> {
     }
 }
 
-/// One shard: a disjoint subset of nodes, their pending events, and their
-/// actors. With one shard the engine is exactly the serial simulator.
-pub(crate) struct Shard<M> {
-    core: ShardCore<M>,
-    /// Full-length: `actors[i]` is `Some` iff node `i` lives here.
-    actors: Vec<Option<Box<dyn Actor<M>>>>,
+/// The discrete-event simulator: one event core and the actors it drives,
+/// run by the calling thread.
+pub struct Engine<M> {
+    core: Core<M>,
+    /// `actors[i]` runs on node `i`.
+    actors: Vec<Box<dyn Actor<M>>>,
     /// Reusable output buffer loaned to [`Ctx`] per handler invocation,
     /// so dispatch does not allocate a fresh `Vec` per event.
     scratch_outputs: Vec<Output<M>>,
+    seed: u64,
+    /// Width of a budgeted run's windows
+    /// ([`NetConfig::min_hop_latency`]).
+    lookahead: SimDuration,
+    /// Lifetime windows executed ([`Engine::shard_windows`]).
+    windows: u64,
 }
 
-impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
-    fn new(id: u32, shards: usize, net: NetConfig) -> Self {
-        Shard {
-            core: ShardCore::new(id, shards, net),
+impl<M: MessageSize + Clone + 'static> Engine<M> {
+    /// Creates an engine with the given network model and RNG seed.
+    pub fn new(net: NetConfig, seed: u64) -> Self {
+        let lookahead = net.min_hop_latency();
+        // A budgeted window is `[w0, w0 + lookahead)`: a zero lookahead
+        // would make every window empty and the run loop spin on the
+        // first event.
+        assert!(lookahead > SimDuration::ZERO, "zero-latency network");
+        Engine {
+            core: Core {
+                now: SimTime::ZERO,
+                events: EventHeap::new(),
+                slab: EventSlab::new(),
+                nodes: Vec::new(),
+                net,
+                packets_sent: 0,
+                packets_dropped: 0,
+                packets_duplicated: 0,
+                bytes_sent: 0,
+                dispatched: 0,
+                inline_dispatches: 0,
+                cancelled_in_heap: 0,
+                obs: Obs::new(),
+            },
             actors: Vec::new(),
             scratch_outputs: Vec::new(),
+            seed,
+            lookahead,
+            windows: 0,
         }
     }
 
-    /// Earliest pending event time, cancelled entries included (they only
-    /// make the window conservative, never unsafe).
-    pub(crate) fn next_time(&self) -> Option<SimTime> {
-        self.core.events.peek().map(|k| k.time)
+    /// Adds a node running `actor`; returns its id.
+    pub fn add_node(&mut self, name: &str, actor: Box<dyn Actor<M>>) -> NodeId {
+        let id = NodeId(self.actors.len() as u32);
+        self.core.nodes.push(NodeState {
+            name: name.to_string(),
+            queue: VecDeque::new(),
+            process_scheduled: false,
+            busy_until: SimTime::ZERO,
+            egress_free: SimTime::ZERO,
+            switch_port_free: SimTime::ZERO,
+            up: true,
+            incarnation: 0,
+            seq: 0,
+            rng: Rng::stream(self.seed, u64::from(id.0)),
+            cpu_busy: SimDuration::ZERO,
+            messages_handled: 0,
+        });
+        self.actors.push(actor);
+        id
     }
 
-    /// Takes the outgoing cross-shard batch for `dst`.
-    pub(crate) fn drain_outbox(&mut self, dst: usize) -> Vec<Cross<M>> {
-        std::mem::take(&mut self.core.outbox[dst])
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.core.now
     }
 
-    /// Enqueues a cross-shard event under its original key.
-    pub(crate) fn push_cross(&mut self, c: Cross<M>) {
-        self.core.push_cross(c);
+    /// Network loss probability control (failure injection).
+    pub fn set_loss_prob(&mut self, p: f64) {
+        self.core.net.loss_prob = p;
+    }
+
+    /// Network duplication probability control (failure injection).
+    pub fn set_dup_prob(&mut self, p: f64) {
+        self.core.net.dup_prob = p;
+    }
+
+    /// Bounded-reordering window control (failure injection); `ZERO`
+    /// restores in-order delivery.
+    pub fn set_reorder_window(&mut self, w: SimDuration) {
+        self.core.net.reorder_window = w;
+    }
+
+    /// Delivers `on_timer(START_TAG)` to `node` at the current time;
+    /// conventionally starts workload generators.
+    pub fn kick(&mut self, node: NodeId) {
+        let core = &mut self.core;
+        let event = Event::TimerFire {
+            node,
+            tag: START_TAG,
+            epoch: core.node(node).incarnation,
+        };
+        core.schedule(
+            core.now,
+            node,
+            SlotState::Scheduled {
+                event,
+                cancelled: false,
+            },
+        );
+    }
+
+    /// Injects a message from outside the simulation.
+    pub fn inject(&mut self, from: NodeId, to: NodeId, msg: M) {
+        let now = self.core.now;
+        self.core.transmit(from, to, msg, now);
+    }
+
+    /// Crashes `node`: volatile state is dropped via [`Actor::on_fail`],
+    /// queued work is lost (the slots of packets parked on the queue are
+    /// freed), and the incarnation bump invalidates every armed timer and
+    /// in-flight `Process` — they are discarded when they surface instead
+    /// of firing into the node's next life.
+    pub fn fail_node(&mut self, node: NodeId) {
+        let core = &mut self.core;
+        let now = core.now;
+        let n = &mut core.nodes[node.idx()];
+        n.up = false;
+        n.incarnation = n.incarnation.wrapping_add(1);
+        n.process_scheduled = false;
+        for item in n.queue.drain(..) {
+            core.slab.discard(item);
+        }
+        self.actors[node.idx()].on_fail(now);
+        core.obs.record(
+            now.as_nanos(),
+            Subsystem::Engine,
+            EventKind::Crash { node: node.idx() },
+        );
+    }
+
+    /// Restarts a failed node; the actor's [`Actor::on_restart`] hook runs
+    /// (as a queued item) so it can begin recovery.
+    pub fn recover_node(&mut self, node: NodeId) {
+        let core = &mut self.core;
+        let now = core.now;
+        let n = core.node_mut(node);
+        n.up = true;
+        n.busy_until = now;
+        n.queue.push_back(QueueItem::Restart);
+        // Driver time: the hook always goes through the heap, so it runs
+        // (and is counted) inside the next run, never here.
+        if !n.process_scheduled {
+            let (key, epoch) = core.stamp_process(node);
+            core.push_process(key, epoch);
+        }
+        core.obs.record(
+            now.as_nanos(),
+            Subsystem::Engine,
+            EventKind::Recover { node: node.idx() },
+        );
+    }
+
+    /// True if the node is currently up.
+    pub fn is_up(&self, node: NodeId) -> bool {
+        self.core.node(node).up
     }
 
     /// Runs every event strictly before `bound`; returns how many
     /// dispatched. The clock advances only on dispatched events, so it is
     /// independent of when cancelled entries happen to surface.
-    pub(crate) fn run_window(&mut self, bound: SimTime) -> u64 {
-        // Deposits made during this window may tighten the cap (only
-        // binding under adaptively widened windows); a cap left over
-        // from an earlier window must not carry forward.
-        self.core.window_cap = SimTime::from_nanos(u64::MAX);
+    fn run_window(&mut self, bound: SimTime) -> u64 {
         let before = self.core.dispatched;
         while let Some(&key) = self.core.events.peek() {
-            if key.time >= bound.min(self.core.window_cap) {
+            if key.time >= bound {
                 break;
             }
             self.core.events.pop();
@@ -1143,7 +1141,7 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
     /// Runs `node`'s handler for `item` at the current instant, flushes
     /// its outputs, and schedules the `Process` for whatever else waits.
     fn run(&mut self, node: NodeId, item: QueueItem) {
-        let mut actor = self.actors[node.idx()].take().expect("actor reentrancy");
+        let actor = &mut self.actors[node.idx()];
         let mut ctx = Ctx {
             core: &mut self.core,
             node,
@@ -1164,9 +1162,7 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
             QueueItem::Restart => actor.on_restart(&mut ctx),
         }
         let cpu = ctx.cpu_used;
-        let mut outputs = std::mem::take(&mut ctx.outputs);
-        drop(ctx);
-        self.actors[node.idx()] = Some(actor);
+        let mut outputs = ctx.outputs;
 
         let done = self.core.now + cpu;
         let epoch = {
@@ -1180,11 +1176,6 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
             match out {
                 Output::Send { to, msg } => self.core.transmit(node, to, msg, done),
                 Output::SendLocal { to, msg } => {
-                    assert_eq!(
-                        self.core.owner[to.idx()],
-                        self.core.id,
-                        "send_local requires co-sharded nodes"
-                    );
                     let packet = Packet {
                         to,
                         from: node,
@@ -1225,357 +1216,38 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
             self.core.push_process(key, epoch);
         }
     }
-}
-
-/// The discrete-event simulator: one or more time-synchronized [`Shard`]s.
-pub struct Engine<M> {
-    shards: Vec<Shard<M>>,
-    /// Owning shard of every node.
-    owner: Vec<u32>,
-    now: SimTime,
-    seed: u64,
-    /// Conservative window width: no event can cross shards faster than
-    /// this ([`NetConfig::min_hop_latency`]).
-    lookahead: SimDuration,
-    /// Harvests thread-local payload statistics from worker threads at
-    /// the end of each parallel run (see [`Engine::set_payload_probe`]).
-    payload_probe: Option<shard::Probe>,
-    worker_payload: (u64, u64, u64),
-    /// The window loop's shared state and its persistent worker threads
-    /// for shards `1..n`, created on the first run (so it is sized for
-    /// the partitioned engine). Keeping the workers across runs makes
-    /// short budgeted runs (driver probe loops) cost a channel hand-off
-    /// instead of a thread spawn and join per call.
-    pool: Option<shard::WorkerPool<M>>,
-}
-
-impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
-    /// Creates a single-shard engine with the given network model and RNG
-    /// seed. Call [`Engine::set_shards`] after adding nodes to partition it.
-    pub fn new(net: NetConfig, seed: u64) -> Self {
-        let lookahead = net.min_hop_latency();
-        // A window is `[w0, w0 + lookahead)`: a zero lookahead would make
-        // every window empty and the run loop spin on the first event.
-        assert!(lookahead > SimDuration::ZERO, "zero-latency network");
-        Engine {
-            shards: vec![Shard::new(0, 1, net)],
-            owner: Vec::new(),
-            now: SimTime::ZERO,
-            seed,
-            lookahead,
-            payload_probe: None,
-            worker_payload: (0, 0, 0),
-            pool: None,
-        }
-    }
-
-    /// Adds a node running `actor`; returns its id. Nodes are always added
-    /// to an unsharded engine (shard 0) and distributed by
-    /// [`Engine::set_shards`].
-    pub fn add_node(&mut self, name: &str, actor: Box<dyn Actor<M>>) -> NodeId {
-        assert_eq!(self.shards.len(), 1, "add_node after set_shards");
-        let id = NodeId(self.owner.len() as u32);
-        let shard = &mut self.shards[0];
-        shard.core.nodes.push(Some(NodeState {
-            name: name.to_string(),
-            queue: VecDeque::new(),
-            process_scheduled: false,
-            busy_until: SimTime::ZERO,
-            egress_free: SimTime::ZERO,
-            switch_port_free: SimTime::ZERO,
-            up: true,
-            incarnation: 0,
-            seq: 0,
-            rng: Rng::stream(self.seed, u64::from(id.0)),
-            cpu_busy: SimDuration::ZERO,
-            messages_handled: 0,
-        }));
-        shard.core.owner.push(0);
-        shard.actors.push(Some(actor));
-        self.owner.push(0);
-        id
-    }
-
-    /// Partitions the engine into `shards` shards; `assignment[i]` is the
-    /// shard owning node `i`. Must be called before any event dispatches
-    /// (typically right after topology construction); pending start events
-    /// migrate with their keys intact, so the run is byte-identical to an
-    /// unsharded one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice, after events have run, or with an
-    /// out-of-range assignment.
-    pub fn set_shards(&mut self, shards: usize, assignment: &[u32]) {
-        assert_eq!(self.shards.len(), 1, "set_shards may only be called once");
-        assert!(shards >= 1, "need at least one shard");
-        assert_eq!(assignment.len(), self.owner.len(), "one entry per node");
-        assert!(
-            assignment.iter().all(|&s| (s as usize) < shards),
-            "assignment out of range"
-        );
-        assert_eq!(
-            self.shards[0].core.dispatched, 0,
-            "set_shards after events ran"
-        );
-        if shards == 1 {
-            return;
-        }
-        let old = self.shards.pop().expect("one shard");
-        let Shard {
-            mut core,
-            mut actors,
-            ..
-        } = old;
-        let nnodes = assignment.len();
-        let mut new_shards: Vec<Shard<M>> = (0..shards)
-            .map(|sid| {
-                let mut s = Shard::new(sid as u32, shards, core.net.clone());
-                s.core.nodes = (0..nnodes).map(|_| None).collect();
-                s.core.owner = assignment.to_vec();
-                s.actors = (0..nnodes).map(|_| None).collect();
-                s
-            })
-            .collect();
-        // Shard 0 inherits the engine-wide sink and any driver-time
-        // counters accumulated before partitioning.
-        new_shards[0].core.obs = std::mem::take(&mut core.obs);
-        new_shards[0].core.packets_sent = core.packets_sent;
-        new_shards[0].core.packets_dropped = core.packets_dropped;
-        new_shards[0].core.packets_duplicated = core.packets_duplicated;
-        new_shards[0].core.bytes_sent = core.bytes_sent;
-        for (i, (node, actor)) in core.nodes.drain(..).zip(actors.drain(..)).enumerate() {
-            let sid = assignment[i] as usize;
-            new_shards[sid].core.nodes[i] = node;
-            new_shards[sid].actors[i] = actor;
-        }
-        // Migrate pending start events (kicks, injects) with their keys
-        // preserved verbatim. No handler has run yet, so no timers can be
-        // armed or cancelled and no TimerId can be outstanding.
-        while let Some(key) = core.events.pop() {
-            core.slab.live -= 1;
-            let state = core.slab.release(key.slot);
-            debug_assert!(
-                !matches!(
-                    state,
-                    SlotState::Scheduled {
-                        cancelled: true,
-                        ..
-                    }
-                ),
-                "cancelled event before any dispatch"
-            );
-            let sid = assignment[state.dest().idx()] as usize;
-            new_shards[sid]
-                .core
-                .schedule_keyed(key.time, key.src, key.seq, state);
-        }
-        assert_eq!(core.slab.live, 0, "armed timers cannot survive resharding");
-        self.owner = assignment.to_vec();
-        self.shards = new_shards;
-    }
-
-    /// Number of shards (1 unless [`Engine::set_shards`] partitioned it).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The conservative window width used for parallel runs.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    /// Installs a probe that reads the calling thread's payload statistics
-    /// (shallow clones, deep copies, deep-copied bytes); the engine calls
-    /// it on each worker thread after a parallel run and accumulates the
-    /// result into [`Engine::worker_payload`], so thread-local counters
-    /// from shard workers are not lost.
-    pub fn set_payload_probe(&mut self, probe: Arc<dyn Fn() -> (u64, u64, u64) + Send + Sync>) {
-        self.payload_probe = Some(probe);
-    }
-
-    /// Payload statistics harvested from worker threads so far.
-    pub fn worker_payload(&self) -> (u64, u64, u64) {
-        self.worker_payload
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Network loss probability control (failure injection).
-    pub fn set_loss_prob(&mut self, p: f64) {
-        for s in &mut self.shards {
-            s.core.net.loss_prob = p;
-        }
-    }
-
-    /// Network duplication probability control (failure injection).
-    pub fn set_dup_prob(&mut self, p: f64) {
-        for s in &mut self.shards {
-            s.core.net.dup_prob = p;
-        }
-    }
-
-    /// Bounded-reordering window control (failure injection); `ZERO`
-    /// restores in-order delivery. Jitter is applied on the receiver side
-    /// of the switch, so this never affects the cross-shard lookahead.
-    pub fn set_reorder_window(&mut self, w: SimDuration) {
-        for s in &mut self.shards {
-            s.core.net.reorder_window = w;
-        }
-    }
-
-    /// Delivers `on_timer(START_TAG)` to `node` at the current time;
-    /// conventionally starts workload generators.
-    pub fn kick(&mut self, node: NodeId) {
-        let now = self.now;
-        let core = &mut self.shards[self.owner[node.idx()] as usize].core;
-        let event = Event::TimerFire {
-            node,
-            tag: START_TAG,
-            epoch: core.node(node).incarnation,
-        };
-        core.schedule(
-            now,
-            node,
-            SlotState::Scheduled {
-                event,
-                cancelled: false,
-            },
-        );
-    }
-
-    /// Injects a message from outside the simulation.
-    pub fn inject(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let now = self.now;
-        let core = &mut self.shards[self.owner[from.idx()] as usize].core;
-        core.transmit(from, to, msg, now);
-    }
-
-    /// Crashes `node`: volatile state is dropped via [`Actor::on_fail`],
-    /// queued work is lost (the slots of packets parked on the queue are
-    /// freed), and the incarnation bump invalidates every armed timer and
-    /// in-flight `Process` — they are discarded when they surface instead
-    /// of firing into the node's next life.
-    pub fn fail_node(&mut self, node: NodeId) {
-        let now = self.now;
-        let shard = &mut self.shards[self.owner[node.idx()] as usize];
-        {
-            let core = &mut shard.core;
-            let n = core.nodes[node.idx()]
-                .as_mut()
-                .expect("node not on this shard");
-            n.up = false;
-            n.incarnation = n.incarnation.wrapping_add(1);
-            n.process_scheduled = false;
-            for item in n.queue.drain(..) {
-                core.slab.discard(item);
-            }
-        }
-        if let Some(actor) = shard.actors[node.idx()].as_mut() {
-            actor.on_fail(now);
-        }
-        self.shards[0].core.obs.record(
-            now.as_nanos(),
-            Subsystem::Engine,
-            EventKind::Crash { node: node.idx() },
-        );
-    }
-
-    /// Restarts a failed node; the actor's [`Actor::on_restart`] hook runs
-    /// (as a queued item) so it can begin recovery.
-    pub fn recover_node(&mut self, node: NodeId) {
-        let now = self.now;
-        let core = &mut self.shards[self.owner[node.idx()] as usize].core;
-        let n = core.node_mut(node);
-        n.up = true;
-        n.busy_until = now;
-        n.queue.push_back(QueueItem::Restart);
-        // Driver time: the hook always goes through the heap, so it runs
-        // (and is counted) inside the next run, never here.
-        if !n.process_scheduled {
-            let (key, epoch) = core.stamp_process(node);
-            core.push_process(key, epoch);
-        }
-        self.shards[0].core.obs.record(
-            now.as_nanos(),
-            Subsystem::Engine,
-            EventKind::Recover { node: node.idx() },
-        );
-    }
-
-    /// True if the node is currently up.
-    pub fn is_up(&self, node: NodeId) -> bool {
-        self.shards[self.owner[node.idx()] as usize]
-            .core
-            .node(node)
-            .up
-    }
-
-    /// Delivers driver-time cross-shard sends ([`Engine::inject`] between
-    /// runs) before the next windowed run starts.
-    fn flush_driver_outboxes(&mut self) {
-        let n = self.shards.len();
-        for src in 0..n {
-            for dst in 0..n {
-                if dst == src {
-                    continue;
-                }
-                let batch = self.shards[src].drain_outbox(dst);
-                for c in batch {
-                    self.shards[dst].push_cross(c);
-                }
-            }
-        }
-    }
 
     /// Shared body of [`Engine::run_until_idle`] and [`Engine::run_until`]:
-    /// runs the window loop ([`crate::shard`]) until idle, the dispatch
-    /// budget is spent, or the horizon passes `until`. The budget is
-    /// checked between lookahead-wide windows only (never mid-window), at
-    /// *every* shard count — that window granularity is what keeps a
-    /// budgeted run identical at any `--shards`.
+    /// runs events in *windows* until idle, the dispatch budget is spent,
+    /// or the horizon passes `until`. An unbudgeted run is one window that
+    /// reaches its horizon. A budgeted run steps in lookahead-wide windows
+    /// and checks the budget between them, never inside one, for one
+    /// reason only: the probe loops built on it (`availability`,
+    /// `reconfigure`, the failover tests, the benchmark's budgeted probe)
+    /// stop and sample at those window edges, so their committed outputs
+    /// and `sim.engine.windows` stay byte-identical. An exact budget would
+    /// be shorter and would move where they sample.
     fn run_bounded(&mut self, limit: u64, until: Option<SimTime>) -> u64 {
-        self.flush_driver_outboxes();
-        let (n, lookahead) = (self.shards.len(), self.lookahead);
-        let pool = self
-            .pool
-            .get_or_insert_with(|| shard::WorkerPool::new(n, lookahead));
-        let (total, payload) =
-            pool.run(&mut self.shards, limit, until, self.payload_probe.as_ref());
-        self.worker_payload.0 += payload.0;
-        self.worker_payload.1 += payload.1;
-        self.worker_payload.2 += payload.2;
-        // Fold per-shard sinks into the engine-wide one (shard 0),
-        // preserving each shard's trace configuration for the next run.
-        let (root, rest) = self.shards.split_first_mut().expect("shards");
-        let mut batches = Vec::with_capacity(rest.len());
-        for s in rest.iter_mut() {
-            root.core
-                .obs
-                .registry
-                .absorb(std::mem::take(&mut s.core.obs.registry));
-            batches.push(s.core.obs.trace.take_events());
-        }
-        root.core.obs.trace.absorb_sorted(batches);
-        // All remaining events sit at or beyond the last window bound, so
-        // aligning every shard's clock to the global maximum preserves the
-        // no-event-in-the-past invariant and gives driver-time operations
-        // (kick, inject, fail) one consistent timestamp.
-        let mut now = self.now;
-        for s in &self.shards {
-            now = now.max(s.core.now);
+        let horizon = until.map_or(u64::MAX, |t| t.as_nanos().saturating_add(1));
+        let mut done = 0;
+        // Cancelled entries count as pending here: they only make a
+        // window start early, never skip an event.
+        while let Some(w0) = self.core.events.peek().map(|k| k.time.as_nanos()) {
+            if done >= limit || w0 >= horizon {
+                break;
+            }
+            self.windows += 1;
+            let w1 = if limit == u64::MAX {
+                horizon
+            } else {
+                horizon.min(w0.saturating_add(self.lookahead.as_nanos()))
+            };
+            done += self.run_window(SimTime::from_nanos(w1));
         }
         if let Some(t) = until {
-            now = now.max(t);
+            self.core.now = self.core.now.max(t);
         }
-        self.now = now;
-        for s in &mut self.shards {
-            s.core.now = now;
-        }
-        total
+        done
     }
 
     /// Runs until the event queue drains or at least `limit` events
@@ -1597,9 +1269,7 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
     ///
     /// Panics if the node id is out of range or the type does not match.
     pub fn actor<T: Actor<M>>(&self, node: NodeId) -> &T {
-        self.shards[self.owner[node.idx()] as usize].actors[node.idx()]
-            .as_ref()
-            .expect("actor checked out")
+        self.actors[node.idx()]
             .as_any()
             .downcast_ref::<T>()
             .expect("actor type mismatch")
@@ -1611,9 +1281,7 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
     ///
     /// Panics if the node id is out of range or the type does not match.
     pub fn actor_mut<T: Actor<M>>(&mut self, node: NodeId) -> &mut T {
-        self.shards[self.owner[node.idx()] as usize].actors[node.idx()]
-            .as_mut()
-            .expect("actor checked out")
+        self.actors[node.idx()]
             .as_any_mut()
             .downcast_mut::<T>()
             .expect("actor type mismatch")
@@ -1621,7 +1289,7 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
 
     /// Per-node statistics.
     pub fn node_stats(&self, node: NodeId) -> NodeStats {
-        let n = self.shards[self.owner[node.idx()] as usize].core.node(node);
+        let n = self.core.node(node);
         NodeStats {
             name: n.name.clone(),
             cpu_busy: n.cpu_busy,
@@ -1631,94 +1299,86 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
 
     /// Total packets handed to the network model.
     pub fn packets_sent(&self) -> u64 {
-        self.shards.iter().map(|s| s.core.packets_sent).sum()
+        self.core.packets_sent
     }
 
     /// Packets dropped by loss injection.
     pub fn packets_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.core.packets_dropped).sum()
+        self.core.packets_dropped
     }
 
     /// Packets delivered twice by duplication injection.
     pub fn packets_duplicated(&self) -> u64 {
-        self.shards.iter().map(|s| s.core.packets_duplicated).sum()
+        self.core.packets_duplicated
     }
 
     /// Total payload bytes handed to the network model.
     pub fn bytes_sent(&self) -> u64 {
-        self.shards.iter().map(|s| s.core.bytes_sent).sum()
+        self.core.bytes_sent
     }
 
-    /// Events dispatched since creation (cancelled pops excluded) —
-    /// identical at any shard count.
+    /// Logical events dispatched since creation (cancelled pops excluded).
     pub fn events_executed(&self) -> u64 {
-        self.shards.iter().map(|s| s.core.dispatched).sum()
+        self.core.dispatched
     }
 
     /// Physical heap entries pushed since creation. At most one per
-    /// logical event; fewer where a `Process` ran inline. Deterministic for
-    /// a given shard layout, but — unlike [`Engine::events_executed`] —
-    /// not shard-invariant: which keys share a heap decides what runs
-    /// inline.
+    /// logical event; fewer where a `Process` ran inline.
     pub fn heap_pushes(&self) -> u64 {
-        self.shards.iter().map(|s| s.core.events.pushes).sum()
+        self.core.events.pushes
     }
 
     /// Handlers run straight from the arrival or timer fire that stamped
-    /// their `Process`, without a heap entry (same caveat as
-    /// [`Engine::heap_pushes`]).
+    /// their `Process`, without a heap entry.
     pub fn inline_dispatches(&self) -> u64 {
-        self.shards.iter().map(|s| s.core.inline_dispatches).sum()
+        self.core.inline_dispatches
     }
 
-    /// Time windows executed across the engine's lifetime, at any shard
-    /// count. Adaptive widening shows up here as fewer windows for the
-    /// same number of dispatched events: an unbudgeted run of a one-shard
-    /// engine is one window.
+    /// Windows executed across the engine's lifetime: one per unbudgeted
+    /// run that found work, one per lookahead-wide step of a budgeted run.
+    /// (The name is the benchmark's: it reads this as
+    /// `sim.engine.windows`.)
     pub fn shard_windows(&self) -> u64 {
-        self.pool.as_ref().map_or(0, |p| p.windows())
+        self.windows
     }
 
-    /// Barrier crossings paid by the window loop (zero on a one-shard
-    /// engine, whose barrier has nobody to wait for).
+    /// Always zero: one core has no barrier to cross. Kept because the
+    /// benchmark reads it as `sim.shard.barrier_rounds`.
     pub fn shard_barrier_rounds(&self) -> u64 {
-        self.pool.as_ref().map_or(0, |p| p.barrier_rounds())
+        0
     }
 
-    /// Events currently live in the slabs (scheduled or armed).
+    /// Events currently live in the slab (scheduled or armed).
     pub fn live_events(&self) -> usize {
-        self.shards.iter().map(|s| s.core.slab.live).sum()
+        self.core.slab.live
     }
 
-    /// High-water mark of concurrently live events. With multiple shards
-    /// this sums per-shard peaks, which may overstate the true concurrent
-    /// peak (the shards need not peak at the same instant).
+    /// High-water mark of concurrently live events.
     pub fn peak_live_events(&self) -> usize {
-        self.shards.iter().map(|s| s.core.slab.peak_live).sum()
+        self.core.slab.peak_live
     }
 
     /// Total slab slots ever allocated (peak capacity). Long runs that
     /// arm and cancel millions of timers stay at the concurrency
     /// high-water mark; growth here would mean a slot leak.
     pub fn event_slab_slots(&self) -> usize {
-        self.shards.iter().map(|s| s.core.slab.slots.len()).sum()
+        self.core.slab.slots.len()
     }
 
     /// Current free-list length (recyclable slots).
     pub fn event_slab_free(&self) -> usize {
-        self.shards.iter().map(|s| s.core.slab.free.len()).sum()
+        self.core.slab.free.len()
     }
 
-    /// The engine-wide observability sink (shard 0's; per-shard sinks are
-    /// folded into it after every run).
+    /// The engine's observability sink.
     pub fn obs(&self) -> &Obs {
-        &self.shards[0].core.obs
+        &self.core.obs
     }
 
     /// Mutable access to the observability sink (for configuring trace
     /// flags or folding external statistics before export).
     pub fn obs_mut(&mut self) -> &mut Obs {
-        &mut self.shards[0].core.obs
+        &mut self.core.obs
     }
 
     /// Folds engine-level statistics into the registry with absolute
@@ -1726,40 +1386,27 @@ impl<M: MessageSize + Clone + Send + 'static> Engine<M> {
     /// then returns the snapshot JSON stamped with the current sim time.
     pub fn export_obs_json(&mut self) -> String {
         self.fold_engine_metrics();
-        let now_ns = self.now.as_nanos();
-        self.shards[0].core.obs.export_json(now_ns)
+        self.core.obs.export_json(self.core.now.as_nanos())
     }
 
     /// Folds engine counters (packets, bytes, events, per-node CPU) into
     /// the registry without exporting.
     pub fn fold_engine_metrics(&mut self) {
-        let events_executed = self.events_executed();
-        let peak_live = self.peak_live_events();
-        let packets_sent = self.packets_sent();
-        let packets_dropped = self.packets_dropped();
-        let packets_duplicated = self.packets_duplicated();
-        let bytes_sent = self.bytes_sent();
-        let elapsed = self.now.as_secs_f64();
-        let mut rows = Vec::with_capacity(self.owner.len());
-        for i in 0..self.owner.len() {
-            let n = self.shards[self.owner[i] as usize]
-                .core
-                .node(NodeId(i as u32));
-            rows.push((n.name.clone(), n.messages_handled, n.cpu_busy));
-        }
-        let reg = &mut self.shards[0].core.obs.registry;
-        reg.set("engine.events_executed", events_executed);
-        reg.set("engine.peak_live_events", peak_live as u64);
-        reg.set("net.packets_sent", packets_sent);
-        reg.set("net.packets_dropped", packets_dropped);
-        reg.set("net.packets_duplicated", packets_duplicated);
-        reg.set("net.bytes_sent", bytes_sent);
-        for (i, (name, handled, cpu_busy)) in rows.into_iter().enumerate() {
-            let prefix = format!("node.{i}.{name}");
-            reg.set(&format!("{prefix}.messages_handled"), handled);
-            reg.set(&format!("{prefix}.cpu_busy_ns"), cpu_busy.as_nanos());
+        let core = &mut self.core;
+        let elapsed = core.now.as_secs_f64();
+        let reg = &mut core.obs.registry;
+        reg.set("engine.events_executed", core.dispatched);
+        reg.set("engine.peak_live_events", core.slab.peak_live as u64);
+        reg.set("net.packets_sent", core.packets_sent);
+        reg.set("net.packets_dropped", core.packets_dropped);
+        reg.set("net.packets_duplicated", core.packets_duplicated);
+        reg.set("net.bytes_sent", core.bytes_sent);
+        for (i, n) in core.nodes.iter().enumerate() {
+            let prefix = format!("node.{i}.{}", n.name);
+            reg.set(&format!("{prefix}.messages_handled"), n.messages_handled);
+            reg.set(&format!("{prefix}.cpu_busy_ns"), n.cpu_busy.as_nanos());
             if elapsed > 0.0 {
-                let util = cpu_busy.as_nanos() as f64 / 1e9 / elapsed;
+                let util = n.cpu_busy.as_nanos() as f64 / 1e9 / elapsed;
                 reg.set_gauge(&format!("{prefix}.cpu_utilization"), util);
             }
         }
@@ -2018,10 +1665,12 @@ mod tests {
             }),
         );
         eng.fail_node(echo);
+        assert!(!eng.is_up(echo));
         eng.kick(pinger);
         eng.run_until_idle(10_000);
         assert_eq!(eng.actor::<Pinger>(pinger).replies.len(), 0);
         eng.recover_node(echo);
+        assert!(eng.is_up(echo));
         eng.inject(pinger, echo, vec![9]);
         eng.run_until_idle(10_000);
         assert_eq!(eng.actor::<Echo>(echo).seen.len(), 1);
@@ -2195,33 +1844,29 @@ mod tests {
         // the concurrency high-water mark (a handful of slots), not
         // accumulate a tombstone per cancel as the old cancelled-set did.
         const ROUNDS: u64 = 1_000_000;
-        for shards in [1, 2] {
-            let mut eng = Engine::new(net(), 1);
-            let node = eng.add_node(
-                "rearm",
-                Box::new(Rearmer {
-                    rounds: ROUNDS,
-                    fired: 0,
-                    cancelled_fires: 0,
-                    last: None,
-                }),
-            );
-            eng.add_node("idle", Box::new(Armer { fired: vec![] }));
-            eng.set_shards(shards, &[0, shards as u32 - 1]);
-            eng.kick(node);
-            eng.run_until_idle(u64::MAX);
-            let r: &Rearmer = eng.actor(node);
-            assert_eq!(r.fired, ROUNDS);
-            assert_eq!(r.cancelled_fires, 0);
-            assert!(
-                eng.event_slab_slots() <= 16,
-                "slab grew to {} slots over {} cancels — tombstones leak",
-                eng.event_slab_slots(),
-                ROUNDS
-            );
-            assert_drained(&eng);
-            assert!(eng.peak_live_events() <= 16);
-        }
+        let mut eng = Engine::new(net(), 1);
+        let node = eng.add_node(
+            "rearm",
+            Box::new(Rearmer {
+                rounds: ROUNDS,
+                fired: 0,
+                cancelled_fires: 0,
+                last: None,
+            }),
+        );
+        eng.kick(node);
+        eng.run_until_idle(u64::MAX);
+        let r: &Rearmer = eng.actor(node);
+        assert_eq!(r.fired, ROUNDS);
+        assert_eq!(r.cancelled_fires, 0);
+        assert!(
+            eng.event_slab_slots() <= 16,
+            "slab grew to {} slots over {} cancels — tombstones leak",
+            eng.event_slab_slots(),
+            ROUNDS
+        );
+        assert_drained(&eng);
+        assert!(eng.peak_live_events() <= 16);
     }
 
     #[test]
@@ -2373,291 +2018,47 @@ mod tests {
         // two are still parked on the queue. The stale Process event must
         // not resurrect them, their slab slots must come back, and the
         // node must serve new work after recovery.
-        for shards in [1, 2] {
-            let mut eng = Engine::new(net(), 1);
-            let echo = eng.add_node(
-                "echo",
-                Box::new(Echo {
-                    service: SimDuration::from_millis(1),
-                    seen: vec![],
-                }),
-            );
-            let src = eng.add_node(
-                "src",
-                Box::new(Pinger {
-                    peer: echo,
-                    count: 0,
-                    replies: vec![],
-                }),
-            );
-            eng.set_shards(shards, &[0, shards as u32 - 1]);
-            for i in 1..=3 {
-                eng.inject(src, echo, vec![i]);
-            }
-            // First message is handled (~7 µs) and occupies the CPU for
-            // 1 ms; the others sit in the queue at the 500 µs mark.
-            eng.run_until(SimTime::from_nanos(500_000));
-            assert_eq!(eng.actor::<Echo>(echo).seen.len(), 1);
-            assert!(
-                eng.event_slab_free() + 2 < eng.event_slab_slots(),
-                "the parked packets hold their slots"
-            );
-            eng.fail_node(echo);
-            eng.recover_node(echo);
-            eng.run_until_idle(10_000);
-            assert_eq!(
-                eng.actor::<Echo>(echo).seen.len(),
-                1,
-                "queued work must die with the crash"
-            );
-            assert_drained(&eng);
-            eng.inject(src, echo, vec![9]);
-            eng.run_until_idle(10_000);
-            let seen = &eng.actor::<Echo>(echo).seen;
-            assert_eq!(seen.len(), 2);
-            assert_eq!(seen[1].1, vec![9]);
-            assert_drained(&eng);
-        }
-    }
-
-    /// Builds `pairs` independent echo/pinger pairs and returns the engine plus
-    /// the node ids, optionally partitioned across `shards` shards with
-    /// echoes and pingers interleaved round-robin.
-    fn sharded_pairs(
-        pairs: usize,
-        shards: usize,
-        seed: u64,
-    ) -> (Engine<Vec<u8>>, Vec<NodeId>, Vec<NodeId>) {
-        let mut eng = Engine::new(net(), seed);
-        let mut echoes = Vec::new();
-        let mut pingers = Vec::new();
-        for i in 0..pairs {
-            let echo = eng.add_node(
-                &format!("echo{i}"),
-                Box::new(Echo {
-                    service: SimDuration::from_micros(5),
-                    seen: vec![],
-                }),
-            );
-            echoes.push(echo);
-            pingers.push(eng.add_node(
-                &format!("pinger{i}"),
-                Box::new(Pinger {
-                    peer: echo,
-                    count: 8,
-                    replies: vec![],
-                }),
-            ));
-        }
-        let assignment: Vec<u32> = (0..2 * pairs).map(|i| (i % shards) as u32).collect();
-        eng.set_shards(shards, &assignment);
-        for &p in &pingers {
-            eng.kick(p);
-        }
-        (eng, echoes, pingers)
-    }
-
-    #[test]
-    fn sharded_run_matches_serial_exactly() {
-        // The same scenario at 1, 2, and 3 shards must produce identical
-        // timings, counters, and final clock — the cross-shard pairs make
-        // every ping/reply a cross-shard event at S > 1.
-        let run = |shards: usize| {
-            let (mut eng, echoes, pingers) = sharded_pairs(4, shards, 77);
-            eng.run_until_idle(u64::MAX);
-            let replies: Vec<Vec<SimTime>> = pingers
-                .iter()
-                .map(|&p| eng.actor::<Pinger>(p).replies.clone())
-                .collect();
-            let seen: Vec<Vec<(SimTime, Vec<u8>)>> = echoes
-                .iter()
-                .map(|&e| eng.actor::<Echo>(e).seen.clone())
-                .collect();
-            (
-                replies,
-                seen,
-                eng.now(),
-                eng.packets_sent(),
-                eng.bytes_sent(),
-                eng.events_executed(),
-            )
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(2), "2 shards diverged from serial");
-        assert_eq!(serial, run(3), "3 shards diverged from serial");
-    }
-
-    /// Adaptive widening: when only one shard has events below the
-    /// conservative horizon (the other is idle), the active shard's
-    /// window extends to the idle shard's published minimum — here
-    /// infinity — so a sparse millisecond-spaced timer chain runs in a
-    /// handful of windows instead of one per hop-latency lookahead.
-    #[test]
-    fn lone_active_shard_widens_past_conservative_lookahead() {
-        struct Chain {
-            fires: u64,
-        }
-        impl Actor<Vec<u8>> for Chain {
-            fn on_message(&mut self, _c: &mut Ctx<'_, Vec<u8>>, _f: NodeId, _m: Vec<u8>) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Vec<u8>>, _tag: u64) {
-                self.fires += 1;
-                if self.fires < 100 {
-                    ctx.set_timer(SimDuration::from_millis(1), 1);
-                }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let mut eng: Engine<Vec<u8>> = Engine::new(net(), 3);
-        let chain = eng.add_node("chain", Box::new(Chain { fires: 0 }));
-        eng.add_node(
-            "idle",
-            Box::new(Echo {
-                service: SimDuration::ZERO,
-                seen: vec![],
-            }),
-        );
-        eng.set_shards(2, &[0, 1]);
-        eng.kick(chain);
-        eng.run_until(SimTime::from_nanos(200_000_000));
-        assert_eq!(eng.actor::<Chain>(chain).fires, 100);
-        // 100 ms of 1 ms-spaced timers with a ~µs lookahead would cost
-        // tens of thousands of conservative windows; widening must
-        // collapse that by orders of magnitude.
-        let windows = eng.shard_windows();
-        assert!(
-            windows < 100,
-            "expected widened windows, got {windows} for 100 timer fires"
-        );
-        assert!(eng.shard_barrier_rounds() > 0, "pool never ran a round");
-    }
-
-    #[test]
-    fn sharded_run_matches_serial_with_fault_injection() {
-        // Loss, duplication, and reordering draw from per-node streams, so
-        // they too must be shard-invariant.
-        let run = |shards: usize| {
-            let mut cfg = net();
-            cfg.loss_prob = 0.2;
-            cfg.dup_prob = 0.2;
-            cfg.reorder_window = SimDuration::from_micros(50);
-            let mut eng = Engine::new(cfg, 1234);
-            let mut nodes = Vec::new();
-            for i in 0..6 {
-                let echo = eng.add_node(
-                    &format!("echo{i}"),
-                    Box::new(Echo {
-                        service: SimDuration::from_micros(3),
-                        seen: vec![],
-                    }),
-                );
-                nodes.push(echo);
-            }
-            let pinger = eng.add_node(
-                "pinger",
-                Box::new(Pinger {
-                    peer: nodes[0],
-                    count: 12,
-                    replies: vec![],
-                }),
-            );
-            let assignment: Vec<u32> = (0..7).map(|i| (i % shards) as u32).collect();
-            eng.set_shards(shards, &assignment);
-            eng.kick(pinger);
-            eng.run_until_idle(u64::MAX);
-            let seen: Vec<usize> = nodes
-                .iter()
-                .map(|&e| eng.actor::<Echo>(e).seen.len())
-                .collect();
-            (
-                seen,
-                eng.now(),
-                eng.packets_sent(),
-                eng.packets_dropped(),
-                eng.packets_duplicated(),
-                eng.events_executed(),
-            )
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(2), "fault injection diverged at 2 shards");
-        assert_eq!(serial, run(4), "fault injection diverged at 4 shards");
-    }
-
-    #[test]
-    fn cross_shard_events_merge_in_key_order() {
-        // Cross-shard batches arriving out of order must still dispatch in
-        // global (time, src, seq) order on the destination shard.
-        let mut eng = Engine::new(net(), 5);
+        let mut eng = Engine::new(net(), 1);
         let echo = eng.add_node(
             "echo",
             Box::new(Echo {
-                service: SimDuration::ZERO,
+                service: SimDuration::from_millis(1),
                 seen: vec![],
             }),
         );
-        let a = eng.add_node(
-            "a",
+        let src = eng.add_node(
+            "src",
             Box::new(Pinger {
                 peer: echo,
                 count: 0,
                 replies: vec![],
             }),
         );
-        let b = eng.add_node(
-            "b",
-            Box::new(Pinger {
-                peer: echo,
-                count: 0,
-                replies: vec![],
-            }),
-        );
-        eng.set_shards(2, &[0, 1, 1]);
-        let t = SimTime::from_nanos(10_000);
-        // Shuffled injection order; expected dispatch order is
-        // (t, a, 3) < (t, a, 5) < (t, b, 0).
-        for (src, seq, from, tagbyte) in [
-            (a.0, 5u64, a, 2u8),
-            (b.0, 0u64, b, 3u8),
-            (a.0, 3u64, a, 1u8),
-        ] {
-            eng.shards[0].push_cross(Cross {
-                time: t,
-                src,
-                seq,
-                to: echo,
-                from,
-                msg: vec![tagbyte],
-            });
+        for i in 1..=3 {
+            eng.inject(src, echo, vec![i]);
         }
+        // First message is handled (~7 µs) and occupies the CPU for
+        // 1 ms; the others sit in the queue at the 500 µs mark.
+        eng.run_until(SimTime::from_nanos(500_000));
+        assert_eq!(eng.actor::<Echo>(echo).seen.len(), 1);
+        assert!(
+            eng.event_slab_free() + 2 < eng.event_slab_slots(),
+            "the parked packets hold their slots"
+        );
+        eng.fail_node(echo);
+        eng.recover_node(echo);
         eng.run_until_idle(10_000);
-        let order: Vec<u8> = eng
-            .actor::<Echo>(echo)
-            .seen
-            .iter()
-            .map(|(_, m)| m[0])
-            .collect();
-        assert_eq!(order, vec![1, 2, 3], "merge broke (time, src, seq) order");
-    }
-
-    #[test]
-    fn sharded_fail_and_recover_route_to_owner() {
-        let (mut eng, echoes, pingers) = sharded_pairs(2, 2, 9);
-        eng.run_until_idle(u64::MAX);
-        let before = eng.actor::<Echo>(echoes[1]).seen.len();
-        assert_eq!(before, 8);
-        eng.fail_node(echoes[1]);
-        assert!(!eng.is_up(echoes[1]));
-        eng.inject(pingers[1], echoes[1], vec![9]);
+        assert_eq!(
+            eng.actor::<Echo>(echo).seen.len(),
+            1,
+            "queued work must die with the crash"
+        );
+        assert_drained(&eng);
+        eng.inject(src, echo, vec![9]);
         eng.run_until_idle(10_000);
-        assert_eq!(eng.actor::<Echo>(echoes[1]).seen.len(), before);
-        eng.recover_node(echoes[1]);
-        assert!(eng.is_up(echoes[1]));
-        eng.inject(pingers[1], echoes[1], vec![9]);
-        eng.run_until_idle(10_000);
-        assert_eq!(eng.actor::<Echo>(echoes[1]).seen.len(), before + 1);
+        let seen = &eng.actor::<Echo>(echo).seen;
+        assert_eq!(seen.len(), 2);
+        assert_eq!(seen[1].1, vec![9]);
+        assert_drained(&eng);
     }
 }

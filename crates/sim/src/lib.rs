@@ -27,7 +27,6 @@ pub mod net;
 pub mod par;
 pub mod pool;
 pub mod rng;
-pub(crate) mod shard;
 pub mod stats;
 pub mod time;
 

@@ -61,11 +61,11 @@ impl NetConfig {
     /// egress port of any other node: one empty frame of sender-side
     /// serialization plus propagation and switch forwarding.
     ///
-    /// This is the conservative lookahead of the sharded engine: no event
-    /// executed now on one node can affect another node's switch port
-    /// earlier than `now + min_hop_latency()`, so shards may safely run
-    /// ahead of each other by one such window. Always strictly positive
-    /// (an empty message still occupies a frame of overhead).
+    /// No event executed now on one node can affect another node's switch
+    /// port earlier than `now + min_hop_latency()`. The star topology
+    /// makes it the same for every node pair; the engine uses it as the
+    /// width of a budgeted run's windows. Always strictly positive (an
+    /// empty message still occupies a frame of overhead).
     pub fn min_hop_latency(&self) -> SimDuration {
         self.tx_time(0) + self.prop_delay + self.switch_latency
     }

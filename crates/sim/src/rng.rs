@@ -46,7 +46,7 @@ impl Rng {
     /// Creates the `stream`-th decorrelated generator derived from one
     /// root `seed`.
     ///
-    /// Used for per-node RNG streams in the sharded engine: every node
+    /// Used for the engine's per-node RNG streams: every node
     /// draws from its own stream, so loss/dup/reorder/jitter draws do not
     /// depend on the global order in which other nodes' events execute.
     /// The derivation folds the stream id through SplitMix64 twice so

@@ -59,7 +59,6 @@ impl Mixer {
         let mut msg = vec![0u8; len];
         msg[0] = ttl;
         if local {
-            // The partner is co-sharded at every shard count (see `run`).
             ctx.send_local(NodeId(self.me ^ 1), msg);
         } else {
             let to = self.peer(ctx);
@@ -169,7 +168,7 @@ type Checkpoint = (u64, u64, u64);
 /// Runs the mixed scenario; returns the hash of every node's handler
 /// trace plus the final logical event count and clock, the driver's
 /// checkpoints, and the engine.
-fn run_mixed(shards: usize) -> (u64, u64, u64, Vec<Checkpoint>, Engine<Vec<u8>>) {
+fn run_mixed() -> (u64, u64, u64, Vec<Checkpoint>, Engine<Vec<u8>>) {
     let mut net = NetConfig::gigabit();
     net.loss_prob = 0.05;
     net.dup_prob = 0.05;
@@ -178,9 +177,6 @@ fn run_mixed(shards: usize) -> (u64, u64, u64, Vec<Checkpoint>, Engine<Vec<u8>>)
     for i in 0..NODES {
         eng.add_node(&format!("mix{i}"), Box::new(Mixer::new(i)));
     }
-    // `send_local` partners (i, i ^ 1) share a shard.
-    let assignment: Vec<u32> = (0..NODES).map(|i| (i / 2) % shards as u32).collect();
-    eng.set_shards(shards, &assignment);
     for i in 0..NODES {
         eng.kick(NodeId(i));
     }
@@ -191,14 +187,10 @@ fn run_mixed(shards: usize) -> (u64, u64, u64, Vec<Checkpoint>, Engine<Vec<u8>>)
     let at = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
     eng.run_until(at(150));
     mark(&eng, 0);
-    if shards == 1 {
-        // The lone shard is always the one active shard: widening hands
-        // it the whole busy interval as a single window.
-        assert_eq!(eng.shard_windows(), 1, "serial run_until is one window");
-    }
+    // An unbudgeted run takes the whole busy interval as a single window.
+    assert_eq!(eng.shard_windows(), 1, "run_until is one window");
     // Node 3 dies with work queued behind its CPU and packets in flight
-    // toward it; some land while it is down, some after it is back. The
-    // injects are driver-time sends, cross-shard at 2 and 4 shards.
+    // toward it; some land while it is down, some after it is back.
     eng.fail_node(NodeId(3));
     eng.inject(NodeId(0), NodeId(3), vec![5; 40]);
     eng.run_until(at(220));
@@ -213,8 +205,8 @@ fn run_mixed(shards: usize) -> (u64, u64, u64, Vec<Checkpoint>, Engine<Vec<u8>>)
     eng.fail_node(NodeId(6));
     eng.recover_node(NodeId(6));
     eng.set_loss_prob(0.02);
-    // A budgeted probe loop to the end: it must stop after the same
-    // event counts, at the same instants, at every shard count.
+    // A budgeted probe loop to the end: where it stops — after which
+    // event counts, at which instants — is pinned by `STEPS_AT_PARENT`.
     loop {
         let n = eng.run_until_idle(64);
         mark(&eng, n);
@@ -224,12 +216,13 @@ fn run_mixed(shards: usize) -> (u64, u64, u64, Vec<Checkpoint>, Engine<Vec<u8>>)
     }
     let (events, now) = (eng.events_executed(), eng.now().as_nanos());
     // Nothing is pending: running on executes no window, only moves the
-    // clock; and only a barrier with someone to wait for is ever crossed.
+    // clock.
     let windows = eng.shard_windows();
+    assert_eq!(windows, WINDOWS_AT_PARENT);
     eng.run_until(eng.now() + SimDuration::from_millis(1));
     assert_eq!(eng.shard_windows(), windows, "an idle run counted a window");
     assert_eq!(eng.now().as_nanos(), now + 1_000_000);
-    assert_eq!(eng.shard_barrier_rounds() == 0, shards == 1);
+    assert_eq!(eng.shard_barrier_rounds(), 0);
 
     let mut hash = 0xcbf2_9ce4_8422_2325;
     let mut handled = 0u64;
@@ -248,29 +241,68 @@ fn run_mixed(shards: usize) -> (u64, u64, u64, Vec<Checkpoint>, Engine<Vec<u8>>)
 /// Captured at `bb5ec86`: `(trace hash, events_executed, now)`.
 const MIXED_AT_PARENT: (u64, u64, u64) = (0xb881_30ab_0eec_96bd, 18_019, 3_865_308);
 
+/// What the driver saw at `ecc66a5` (the last engine with a multi-shard
+/// window loop, which returned these same values at 1, 2 and 4 shards):
+/// the first 25 checkpoints — the two `run_until` calls, the eight
+/// budgeted steps after node 3 recovers, the first fifteen of the final
+/// probe loop — then the length and FNV hash of all of them, and the
+/// lifetime window count.
+const STEPS_AT_PARENT: [Checkpoint; 25] = [
+    (0, 150_000, 703),
+    (0, 220_000, 1_011),
+    (110, 231_188, 1_121),
+    (73, 243_136, 1_194),
+    (64, 254_864, 1_258),
+    (80, 266_864, 1_338),
+    (92, 284_448, 1_430),
+    (97, 302_216, 1_527),
+    (96, 314_066, 1_623),
+    (87, 331_308, 1_710),
+    (68, 342_528, 1_778),
+    (90, 359_930, 1_868),
+    (96, 377_296, 1_964),
+    (66, 388_930, 2_030),
+    (82, 406_431, 2_112),
+    (74, 418_802, 2_186),
+    (85, 429_546, 2_271),
+    (87, 442_050, 2_358),
+    (79, 459_528, 2_437),
+    (90, 476_930, 2_527),
+    (71, 494_528, 2_598),
+    (85, 505_946, 2_683),
+    (76, 517_584, 2_759),
+    (83, 535_308, 2_842),
+    (67, 546_479, 2_909),
+];
+const ALL_STEPS_AT_PARENT: (usize, u64) = (219, 0x6f80_bc96_73ac_fe37);
+const WINDOWS_AT_PARENT: u64 = 611;
+
 #[test]
-fn mixed_scenario_matches_the_parent_engine_at_every_shard_count() {
-    let mut serial_steps: Option<Vec<Checkpoint>> = None;
-    for shards in [1, 2, 4] {
-        let (hash, events, now, steps, eng) = run_mixed(shards);
-        assert_eq!(
-            (hash, events, now),
-            MIXED_AT_PARENT,
-            "logical event sequence moved at {shards} shard(s)"
-        );
-        assert!(steps.len() > 20, "probe loop too short to compare");
-        assert_eq!(
-            &steps,
-            serial_steps.get_or_insert_with(|| steps.clone()),
-            "the driver's view between runs moved at {shards} shard(s)"
-        );
-        assert_eq!(eng.live_events(), 0, "drained at {shards} shard(s)");
-        assert_eq!(
-            eng.event_slab_free(),
-            eng.event_slab_slots(),
-            "slot leaked at {shards} shard(s)"
-        );
+fn mixed_scenario_matches_the_parent_engine() {
+    let (hash, events, now, steps, eng) = run_mixed();
+    assert_eq!(
+        (hash, events, now),
+        MIXED_AT_PARENT,
+        "logical event sequence moved"
+    );
+    assert_eq!(
+        steps[..STEPS_AT_PARENT.len()],
+        STEPS_AT_PARENT,
+        "the driver's view between runs moved"
+    );
+    let mut steps_hash = 0xcbf2_9ce4_8422_2325;
+    for &(ret, now, events) in &steps {
+        fnv(&mut steps_hash, ret);
+        fnv(&mut steps_hash, now);
+        fnv(&mut steps_hash, events);
     }
+    assert_eq!(
+        (steps.len(), steps_hash),
+        ALL_STEPS_AT_PARENT,
+        "a later probe step moved"
+    );
+    assert_eq!(eng.live_events(), 0, "drained");
+    assert_eq!(eng.event_slab_free(), eng.event_slab_slots(), "slot leaked");
 }
 
 /// Kicked while a big packet is crossing its switch port: the kick arms

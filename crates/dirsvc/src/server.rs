@@ -88,8 +88,6 @@ pub enum DirAction {
     DataRemove {
         /// File id.
         file: u64,
-        /// Handle flags (mirroring etc.).
-        flags: u8,
     },
     /// Truncate a file's data.
     DataTruncate {
@@ -97,8 +95,6 @@ pub enum DirAction {
         file: u64,
         /// New size.
         size: u64,
-        /// Handle flags.
-        flags: u8,
     },
 }
 
@@ -114,14 +110,13 @@ enum PendingKind {
         file: u64,
         undo: Option<(u64, u32, i32)>,
     },
-    /// Remove awaiting a remote LinkDelta; a zero nlink triggers data
-    /// removal.
-    Remove { file: u64, flags: u8 },
-    /// Rmdir awaiting a remote RemoveDirIfEmpty; local name cell is only
-    /// unbound on success.
+    /// Rmdir awaiting a remote RemoveDirIfEmpty; only on success is the
+    /// local name cell unbound and the parent `dir` (at `home`) told.
     Rmdir {
         key: u64,
-        parent_update: Option<(u64, NfsTime)>,
+        dir: u64,
+        home: u32,
+        mtime: NfsTime,
     },
     /// Rename awaiting a remote InsertEntry; local source unbound on
     /// success, displaced child unlinked and the destination directory's
@@ -537,11 +532,7 @@ impl DirServer {
                             // mean the stored extents already agree.
                             let push_back = matches!(attr.mtime, SetTime::Client(_));
                             if !push_back || sz < old_size {
-                                actions.push(DirAction::DataTruncate {
-                                    file,
-                                    size: sz,
-                                    flags: fh.flags(),
-                                });
+                                actions.push(DirAction::DataTruncate { file, size: sz });
                             }
                         }
                         self.ops_served += 1;
@@ -1055,12 +1046,8 @@ impl DirServer {
                         dir: child.file,
                     },
                 });
-                // Defer all local mutations to the ack.
-                let parent_update = if dir.home_site() == self.config.site {
-                    Some((dir.file_id(), t))
-                } else {
-                    None
-                };
+                // Defer every mutation, here and at the parent's home, to
+                // the ack: the directory may turn out not to be empty.
                 let reply = NfsReply {
                     proc,
                     status: NfsStatus::Ok,
@@ -1073,27 +1060,14 @@ impl DirServer {
                     reply,
                     now,
                     waits,
-                    PendingKind::Rmdir { key, parent_update },
+                    PendingKind::Rmdir {
+                        key,
+                        dir: dir.file_id(),
+                        home: dir.home_site(),
+                        mtime: t,
+                    },
                     now,
                 );
-                // Remote parent update, if the parent lives elsewhere too.
-                if dir.home_site() != self.config.site {
-                    let op2 = self.fresh_op();
-                    self.peer_ops += 1;
-                    // Parent update rides after success; to keep the
-                    // protocol simple it is sent optimistically and the
-                    // (rare) NotEmpty failure leaves a benign mtime bump.
-                    actions.push(DirAction::Peer {
-                        site: dir.home_site(),
-                        msg: PeerMsg::ParentUpdate {
-                            op: op2,
-                            dir: dir.file_id(),
-                            entry_delta: -1,
-                            nlink_delta: -1,
-                            mtime: t,
-                        },
-                    });
-                }
                 return;
             }
         }
@@ -1119,7 +1093,6 @@ impl DirServer {
             });
         }
         // Child link count (files and links only; rmdir retired the cell).
-        let mut kind = PendingKind::Generic;
         if !is_rmdir {
             if child.home == self.config.site {
                 let gone = {
@@ -1133,10 +1106,7 @@ impl DirServer {
                 };
                 if gone {
                     durable = durable.max(self.log_del_attr(now, child.file));
-                    actions.push(DirAction::DataRemove {
-                        file: child.file,
-                        flags: child.flags,
-                    });
+                    actions.push(DirAction::DataRemove { file: child.file });
                 } else if self.attrs.contains_key(&child.file) {
                     durable = durable.max(self.log_put_attr(now, child.file));
                 }
@@ -1153,10 +1123,6 @@ impl DirServer {
                         ctime: t,
                     },
                 });
-                kind = PendingKind::Remove {
-                    file: child.file,
-                    flags: child.flags,
-                };
             }
         }
         let reply = NfsReply {
@@ -1165,7 +1131,15 @@ impl DirServer {
             attr: self.attrs.get(&dir.file_id()).map(|c| c.attr),
             body: ReplyBody::None,
         };
-        self.finish(actions, token, reply, durable, waits, kind, now);
+        self.finish(
+            actions,
+            token,
+            reply,
+            durable,
+            waits,
+            PendingKind::Generic,
+            now,
+        );
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1359,10 +1333,7 @@ impl DirServer {
             };
             if gone {
                 *durable = (*durable).max(self.log_del_attr(now, child.file));
-                actions.push(DirAction::DataRemove {
-                    file: child.file,
-                    flags: child.flags,
-                });
+                actions.push(DirAction::DataRemove { file: child.file });
             } else if self.attrs.contains_key(&child.file) {
                 *durable = (*durable).max(self.log_put_attr(now, child.file));
             }
@@ -1621,7 +1592,12 @@ impl DirServer {
                         cell.attr.ctime = ctime;
                         let attr = cell.attr;
                         if attr.nlink == 0 {
+                            // The owner is the one site that sees the last
+                            // link go, whatever the requester was doing
+                            // (remove, rename-over) and whether or not it
+                            // survives to read the ack.
                             self.log_del_attr(now, file);
+                            actions.push(DirAction::DataRemove { file });
                         } else {
                             self.log_put_attr(now, file);
                         }
@@ -1744,14 +1720,19 @@ impl DirServer {
                     });
                     return actions;
                 }
-                let (status, info) = match self.attrs.get(&dir) {
-                    Some(cell) if cell.entry_count == 0 => {
+                // A cell that is already gone counts as empty, as it does
+                // when the rmdir runs at the directory's own site: an
+                // earlier attempt retired it and crashed before the name
+                // was unbound, and refusing would leave that name bound
+                // for ever.
+                let status = match self.attrs.get(&dir) {
+                    Some(cell) if cell.entry_count != 0 => NfsStatus::NotEmpty,
+                    _ => {
                         self.log_del_attr(now, dir);
-                        (NfsStatus::Ok, PeerInfo::None)
+                        NfsStatus::Ok
                     }
-                    Some(_) => (NfsStatus::NotEmpty, PeerInfo::None),
-                    None => (NfsStatus::Stale, PeerInfo::None),
                 };
+                let info = PeerInfo::None;
                 self.note_applied(now, op, status, info.clone());
                 actions.push(DirAction::Peer {
                     site: from_site,
@@ -1826,20 +1807,34 @@ impl DirServer {
                     }
                 }
             }
-            (PendingKind::Remove { file, flags }, PeerInfo::Attr { attr, .. }, NfsStatus::Ok)
-                if attr.nlink == 0 =>
-            {
-                actions.push(DirAction::DataRemove {
-                    file: *file,
-                    flags: *flags,
-                });
-            }
-            (PendingKind::Rmdir { key, parent_update }, _, NfsStatus::Ok) => {
-                let key = *key;
-                let parent_update = *parent_update;
+            (
+                PendingKind::Rmdir {
+                    key,
+                    dir,
+                    home,
+                    mtime,
+                },
+                _,
+                NfsStatus::Ok,
+            ) => {
+                let (key, dir, home, mtime) = (*key, *dir, *home, *mtime);
                 self.log_del_name(now, key);
-                if let Some((dir, mtime)) = parent_update {
+                // The reply need not wait on the parent's bookkeeping.
+                if home == self.config.site {
                     self.apply_parent_update(now, dir, -1, -1, mtime);
+                } else {
+                    let op2 = self.fresh_op();
+                    self.peer_ops += 1;
+                    actions.push(DirAction::Peer {
+                        site: home,
+                        msg: PeerMsg::ParentUpdate {
+                            op: op2,
+                            dir,
+                            entry_delta: -1,
+                            nlink_delta: -1,
+                            mtime,
+                        },
+                    });
                 }
             }
             (PendingKind::Rmdir { .. }, _, s) if s != NfsStatus::Ok => {

@@ -50,10 +50,8 @@ impl Cluster {
                     let more = self.sites[site as usize].handle_peer(now, from_site, msg);
                     self.dispatch(now, site, more);
                 }
-                DirAction::DataRemove { file, .. } => self.data_removes.push(file),
-                DirAction::DataTruncate { file, size, .. } => {
-                    self.data_truncates.push((file, size))
-                }
+                DirAction::DataRemove { file } => self.data_removes.push(file),
+                DirAction::DataTruncate { file, size } => self.data_truncates.push((file, size)),
             }
         }
     }
@@ -644,6 +642,132 @@ fn name_hashing_remove_crosses_sites_for_linkcount() {
     assert!(c.sites[fh.home_site() as usize]
         .attr_of(fh.file_id())
         .is_none());
+}
+
+#[test]
+fn cross_site_rename_over_existing_removes_displaced_data() {
+    // The rename runs at the source name's site; the displaced child's
+    // name and attribute cells both live at the target name's site, so
+    // the last link goes through InsertEntry and then LinkDelta.
+    let mut c = Cluster::new(4, NamePolicy::NameHashing);
+    let root = Fhandle::root();
+    let site_of = |c: &Cluster, name: &str| {
+        c.route_site(&NfsRequest::Lookup {
+            dir: root,
+            name: name.into(),
+        })
+    };
+    let src = "src0";
+    let dst = (0..)
+        .map(|i| format!("dst{i}"))
+        .find(|d| site_of(&c, d) != site_of(&c, src))
+        .unwrap();
+    let moved = c.create(t(1), &root, src);
+    let victim = c.create(t(2), &root, &dst);
+    assert_ne!(victim.home_site(), site_of(&c, src));
+    let reply = c.auto(
+        t(3),
+        1,
+        NfsRequest::Rename {
+            from_dir: root,
+            from_name: src.into(),
+            to_dir: root,
+            to_name: dst.clone(),
+        },
+    );
+    assert_eq!(reply.status, NfsStatus::Ok);
+    assert_eq!(c.data_removes, vec![victim.file_id()]);
+    assert!(c.sites[victim.home_site() as usize]
+        .attr_of(victim.file_id())
+        .is_none());
+    match c.lookup(t(4), &root, &dst).body {
+        ReplyBody::Lookup { fh, .. } => assert_eq!(fh.file_id(), moved.file_id()),
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+#[test]
+fn remote_rmdir_of_nonempty_dir_leaves_parent_alone() {
+    // After a slot migration a directory's name entry can sit on a site
+    // that is neither the directory's home nor its parent's: rmdir then
+    // asks the one and updates the other, and must not do the second
+    // before the first said yes.
+    let mut c = Cluster::new(4, NamePolicy::NameHashing);
+    let root = Fhandle::root();
+    let name = (0..)
+        .map(|i| format!("dir{i}"))
+        .find(|n| {
+            c.route_site(&NfsRequest::Lookup {
+                dir: root,
+                name: n.clone(),
+            }) != 0
+        })
+        .unwrap();
+    let d = c.mkdir(t(1), &root, &name);
+    c.create(t(2), &d, "inner");
+    let from = d.home_site();
+    let to = (1..4).find(|&s| s != from).unwrap();
+    let map: Vec<u32> = c.sites[0]
+        .slot_map()
+        .iter()
+        .map(|&s| if s == from { to } else { s })
+        .collect();
+    for s in &mut c.sites {
+        s.set_slot_map(map.clone());
+    }
+    let moved = c.sites[from as usize].export_entries(t(3));
+    c.sites[to as usize].import_entries(t(3), moved);
+    let rmdir = NfsRequest::Rmdir {
+        dir: root,
+        name: name.clone(),
+    };
+    let before = c.sites[0].dump_attr_cells()[0].clone();
+    assert_eq!(
+        c.run(t(4), to, 1, rmdir.clone()).status,
+        NfsStatus::NotEmpty
+    );
+    assert_eq!(c.sites[0].dump_attr_cells()[0], before);
+    // "inner" hashes somewhere under the new map; ask every site.
+    let remove = NfsRequest::Remove {
+        dir: d,
+        name: "inner".into(),
+    };
+    let removed =
+        (0..4).any(|s| c.run(t(5), s, 2 + u64::from(s), remove.clone()).status == NfsStatus::Ok);
+    assert!(removed);
+    assert_eq!(c.run(t(6), to, 9, rmdir).status, NfsStatus::Ok);
+    let root_cell = &c.sites[0].dump_attr_cells()[0].1;
+    assert_eq!((root_cell.entry_count, root_cell.attr.nlink), (0, 2));
+}
+
+#[test]
+fn rmdir_heals_a_name_whose_remote_cell_is_gone() {
+    // An orphan directory's home site loses the cell (it crashed before
+    // the record was durable) while the name entry at the parent's site
+    // survives: rmdir must still unbind the name, as it does when name
+    // and cell share a site.
+    let mut c = Cluster::new(2, NamePolicy::MkdirSwitching);
+    let root = Fhandle::root();
+    let mkdir = NfsRequest::Mkdir {
+        dir: root,
+        name: "orphan".into(),
+        attr: Sattr3::default(),
+    };
+    assert_eq!(c.run(t(1), 1, 1, mkdir).status, NfsStatus::Ok);
+    let wal = c.sites[1].crash();
+    c.sites[1].recover(wal, t(1));
+    assert_eq!(c.sites[1].attr_cells(), 0);
+    let reply = c.auto(
+        t(2),
+        2,
+        NfsRequest::Rmdir {
+            dir: root,
+            name: "orphan".into(),
+        },
+    );
+    assert_eq!(reply.status, NfsStatus::Ok);
+    assert_eq!(c.lookup(t(3), &root, "orphan").status, NfsStatus::NoEnt);
+    assert_eq!(c.sites[0].attr_of(1).unwrap().nlink, 2);
 }
 
 #[test]

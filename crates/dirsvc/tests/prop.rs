@@ -1,19 +1,35 @@
 //! Model-based randomized test: a multi-site directory service, driven
 //! with random operation sequences under both distribution policies, must
-//! always agree with a flat in-memory model of the name space.
+//! always agree with a flat in-memory model of the name space and of every
+//! file's link count — including which files lost their last link and had
+//! their data removed, exactly once.
+//!
+//! The twelve names live in the root and in one work directory per extra
+//! site (created through a redirected mkdir, so its attribute cell and its
+//! name entry sit on different sites): renames and links cross
+//! directories, and so sites, under either policy. Half way through, one
+//! site crashes and replays its log and two peer operations that were
+//! already applied are delivered again; none of that may show.
+//!
+//! The harness also folds every action the servers emit into a hash
+//! ([`Cluster::fingerprint`]); `action_stream_is_pinned` holds one fixed
+//! sequence per policy to a committed value, so a change to the order of
+//! peer op ids, WAL appends or actions is a reviewed change.
 //!
 //! Driven by the in-tree seeded PRNG (`slice_sim::Rng`) instead of
 //! proptest so the workspace tests offline; each property runs a fixed
 //! number of cases from a pinned seed, so failures replay exactly.
 
-use slice_dirsvc::{DirAction, DirServer, DirServerConfig, NamePolicy};
-use slice_hashes::{default_site_of, name_fingerprint};
+use slice_dirsvc::{DirAction, DirServer, DirServerConfig, NamePolicy, PeerMsg};
+use slice_hashes::fnv::FNV_OFFSET;
+use slice_hashes::{default_site_of, fnv1a_continue, name_fingerprint};
 use slice_nfsproto::{Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3};
 use slice_sim::time::{SimDuration, SimTime};
 use slice_sim::FxHashMap;
 use slice_sim::Rng;
 
 const CASES: usize = 64;
+const NAMES: usize = 12;
 
 #[derive(Debug, Clone)]
 enum ModelOp {
@@ -47,6 +63,13 @@ struct Cluster {
     policy: NamePolicy,
     replies: Vec<(u64, NfsReply)>,
     next_token: u64,
+    now: SimTime,
+    /// Files whose data the service asked to remove, in dispatch order.
+    data_removes: Vec<u64>,
+    /// Every mutating peer op as delivered: `(from, to, message)`.
+    delivered: Vec<(u32, u32, PeerMsg)>,
+    /// FNV-1a over the `Debug` text of every action, in dispatch order.
+    stream: u64,
 }
 
 impl Cluster {
@@ -67,18 +90,27 @@ impl Cluster {
             policy,
             replies: Vec::new(),
             next_token: 1,
+            now: SimTime::ZERO,
+            data_removes: Vec::new(),
+            delivered: Vec::new(),
+            stream: FNV_OFFSET,
         }
     }
 
-    fn dispatch(&mut self, now: SimTime, from: u32, actions: Vec<DirAction>) {
+    fn dispatch(&mut self, from: u32, actions: Vec<DirAction>) {
         for a in actions {
+            self.stream = fnv1a_continue(self.stream, format!("{a:?}").as_bytes());
             match a {
                 DirAction::Reply { token, reply, .. } => self.replies.push((token, reply)),
                 DirAction::Peer { site, msg } => {
-                    let more = self.sites[site as usize].handle_peer(now, from, msg);
-                    self.dispatch(now, site, more);
+                    if !matches!(msg, PeerMsg::Ack { .. } | PeerMsg::GetAttr { .. }) {
+                        self.delivered.push((from, site, msg.clone()));
+                    }
+                    let more = self.sites[site as usize].handle_peer(self.now, from, msg);
+                    self.dispatch(site, more);
                 }
-                _ => {}
+                DirAction::DataRemove { file } => self.data_removes.push(file),
+                DirAction::DataTruncate { .. } => {}
             }
         }
     }
@@ -92,11 +124,29 @@ impl Cluster {
         }
     }
 
-    fn run(&mut self, now: SimTime, req: NfsRequest) -> NfsReply {
+    /// Serves `req` at `site`, `step` after the previous request.
+    fn run_at(&mut self, site: u32, step: SimDuration, req: NfsRequest) -> NfsReply {
+        self.now += step;
+        let token = self.next_token;
+        self.next_token += 1;
+        let actions = self.sites[site as usize].handle_nfs(self.now, token, &req);
+        self.dispatch(site, actions);
+        let pos = self
+            .replies
+            .iter()
+            .position(|(t, _)| *t == token)
+            .expect("reply must arrive synchronously in the test harness");
+        self.replies.remove(pos).1
+    }
+
+    /// Routes like the µproxy would.
+    fn run(&mut self, req: NfsRequest) -> NfsReply {
         let site = match &req {
             NfsRequest::Lookup { dir, name }
             | NfsRequest::Create { dir, name, .. }
+            | NfsRequest::Mkdir { dir, name, .. }
             | NfsRequest::Remove { dir, name }
+            | NfsRequest::Rmdir { dir, name }
             | NfsRequest::Link { dir, name, .. } => self.site_for(dir, name),
             NfsRequest::Rename {
                 from_dir,
@@ -105,77 +155,192 @@ impl Cluster {
             } => self.site_for(from_dir, from_name),
             _ => 0,
         };
-        let token = self.next_token;
-        self.next_token += 1;
-        let actions = self.sites[site as usize].handle_nfs(now, token, &req);
-        self.dispatch(now, site, actions);
-        let pos = self
-            .replies
-            .iter()
-            .position(|(t, _)| *t == token)
-            .expect("reply must arrive synchronously in the test harness");
-        self.replies.remove(pos).1
+        self.run_at(site, SimDuration::from_millis(20), req)
+    }
+
+    /// A mkdir under the root that mkdir switching redirects to `site`.
+    fn mkdir_at(&mut self, site: u32, name: &str) -> NfsReply {
+        let req = NfsRequest::Mkdir {
+            dir: Fhandle::root(),
+            name: name.into(),
+            attr: Sattr3::default(),
+        };
+        match self.policy {
+            NamePolicy::MkdirSwitching => self.run_at(site, SimDuration::from_millis(20), req),
+            NamePolicy::NameHashing => self.run(req),
+        }
+    }
+
+    /// Walks `dir` page by page (four entries each), chaining across
+    /// sites under name hashing, and returns the names seen.
+    fn list(&mut self, dir: Fhandle, plus: bool) -> Vec<String> {
+        let mut names = Vec::new();
+        let mut cookie = 0u64;
+        loop {
+            let site = match self.policy {
+                NamePolicy::MkdirSwitching => dir.home_site(),
+                NamePolicy::NameHashing => (cookie >> 56) as u32,
+            };
+            let req = if plus {
+                NfsRequest::Readdirplus {
+                    dir,
+                    cookie,
+                    cookieverf: 0,
+                    dircount: 128,
+                    maxcount: 128,
+                }
+            } else {
+                NfsRequest::Readdir {
+                    dir,
+                    cookie,
+                    cookieverf: 0,
+                    count: 128,
+                }
+            };
+            let (page, eof): (Vec<_>, bool) =
+                match self.run_at(site, SimDuration::from_millis(1), req).body {
+                    ReplyBody::Readdir { entries, eof, .. } => (entries, eof),
+                    ReplyBody::Readdirplus { entries, eof, .. } => {
+                        (entries.into_iter().map(|e| e.entry).collect(), eof)
+                    }
+                    other => panic!("unexpected readdir body {other:?}"),
+                };
+            assert!(eof || !page.is_empty(), "page neither ends nor continues");
+            for e in page {
+                cookie = e.cookie;
+                if !e.name.is_empty() {
+                    names.push(e.name);
+                }
+            }
+            if eof {
+                names.sort();
+                return names;
+            }
+        }
+    }
+
+    /// Crashes the last site, replays its log (every record is durable by
+    /// now), and delivers two applied peer ops a second time: the first
+    /// one the crashed site ever served, answered from its replayed table,
+    /// and the last one any other site served, answered from a live one.
+    fn crash_and_resend(&mut self) {
+        self.now += SimDuration::from_millis(20);
+        let last = self.sites.len() - 1;
+        let wal = self.sites[last].crash();
+        self.sites[last].recover(wal, self.now);
+        let to_crashed = self.delivered.iter().find(|d| d.1 == last as u32);
+        let to_live = self.delivered.iter().rev().find(|d| d.1 != last as u32);
+        let again: Vec<_> = to_crashed.into_iter().chain(to_live).cloned().collect();
+        for (from, to, msg) in again {
+            let acks = self.sites[to as usize].handle_peer(self.now, from, msg);
+            self.dispatch(to, acks);
+        }
+    }
+
+    /// The action stream, then each site's log statistics and cells.
+    fn fingerprint(&self) -> u64 {
+        self.sites.iter().fold(self.stream, |h, s| {
+            let text = format!(
+                "{:?}{:?}{:?}",
+                s.wal_stats(),
+                s.dump_name_cells(),
+                s.dump_attr_cells()
+            );
+            fnv1a_continue(h, text.as_bytes())
+        })
     }
 }
 
-fn check_model(policy: NamePolicy, sites: u32, ops: Vec<ModelOp>) {
-    let names: Vec<String> = (0..12).map(|i| format!("n{i}")).collect();
+/// What the service must agree with.
+#[derive(Default)]
+struct Model {
+    /// Name -> file id of the bound child.
+    names: FxHashMap<String, u64>,
+    /// File id -> live links.
+    nlink: FxHashMap<u64, u32>,
+    /// Files whose last link went.
+    gone: Vec<u64>,
+}
+
+impl Model {
+    fn unlink(&mut self, id: u64) {
+        let n = self.nlink.get_mut(&id).expect("linked file is live");
+        *n -= 1;
+        if *n == 0 {
+            self.nlink.remove(&id);
+            self.gone.push(id);
+        }
+    }
+}
+
+fn check_model(policy: NamePolicy, sites: u32, ops: Vec<ModelOp>) -> u64 {
+    let names: Vec<String> = (0..NAMES).map(|i| format!("n{i}")).collect();
     let mut cluster = Cluster::new(sites, policy);
-    // Model: name -> file id of the bound child.
-    let mut model: FxHashMap<String, u64> = FxHashMap::default();
+    let mut model = Model::default();
     let mut fh_of: FxHashMap<u64, Fhandle> = FxHashMap::default();
     let root = Fhandle::root();
-    let mut now = SimTime::ZERO;
-    for op in ops {
-        now += SimDuration::from_millis(20);
+    // One work directory per extra site; a second mkdir of the same name
+    // from another site loses to the first (the EXIST rollback).
+    let mut dirs = vec![root];
+    for site in 1..sites {
+        let name = format!("w{site}");
+        let reply = cluster.mkdir_at(site, &name);
+        assert_eq!(reply.status, NfsStatus::Ok, "mkdir {name}");
+        if let ReplyBody::Create { fh: Some(fh) } = reply.body {
+            dirs.push(fh);
+        }
+        let reply = cluster.mkdir_at(site - 1, &name);
+        assert_eq!(reply.status, NfsStatus::Exist, "second mkdir {name}");
+    }
+    let dir_of = |name_ix: usize| dirs[name_ix % dirs.len()];
+    let crash_at = ops.len() / 2;
+    for (i, op) in ops.into_iter().enumerate() {
+        if i == crash_at {
+            cluster.crash_and_resend();
+        }
         match op {
             ModelOp::Create { name_ix } => {
                 let name = &names[name_ix];
-                let reply = cluster.run(
-                    now,
-                    NfsRequest::Create {
-                        dir: root,
-                        name: name.clone(),
-                        attr: Sattr3::default(),
-                    },
-                );
-                if model.contains_key(name) {
+                let reply = cluster.run(NfsRequest::Create {
+                    dir: dir_of(name_ix),
+                    name: name.clone(),
+                    attr: Sattr3::default(),
+                });
+                if model.names.contains_key(name) {
                     assert_eq!(reply.status, NfsStatus::Exist, "create {}", name);
                 } else {
                     assert_eq!(reply.status, NfsStatus::Ok, "create {}", name);
                     if let ReplyBody::Create { fh: Some(fh) } = reply.body {
-                        model.insert(name.clone(), fh.file_id());
+                        model.names.insert(name.clone(), fh.file_id());
+                        model.nlink.insert(fh.file_id(), 1);
                         fh_of.insert(fh.file_id(), fh);
                     }
                 }
             }
             ModelOp::Remove { name_ix } => {
                 let name = &names[name_ix];
-                let reply = cluster.run(
-                    now,
-                    NfsRequest::Remove {
-                        dir: root,
-                        name: name.clone(),
-                    },
-                );
-                if model.remove(name).is_some() {
+                let reply = cluster.run(NfsRequest::Remove {
+                    dir: dir_of(name_ix),
+                    name: name.clone(),
+                });
+                if let Some(id) = model.names.remove(name) {
                     assert_eq!(reply.status, NfsStatus::Ok, "remove {}", name);
+                    model.unlink(id);
                 } else {
                     assert_eq!(reply.status, NfsStatus::NoEnt, "remove {}", name);
                 }
             }
             ModelOp::Lookup { name_ix } => {
                 let name = &names[name_ix];
-                let reply = cluster.run(
-                    now,
-                    NfsRequest::Lookup {
-                        dir: root,
-                        name: name.clone(),
-                    },
-                );
-                match model.get(name) {
+                let reply = cluster.run(NfsRequest::Lookup {
+                    dir: dir_of(name_ix),
+                    name: name.clone(),
+                });
+                match model.names.get(name) {
                     Some(&id) => {
                         assert_eq!(reply.status, NfsStatus::Ok, "lookup {}", name);
+                        let nlink = reply.attr.map(|a| a.nlink);
+                        assert_eq!(nlink, Some(model.nlink[&id]), "lookup {} nlink", name);
                         if let ReplyBody::Lookup { fh, .. } = reply.body {
                             assert_eq!(fh.file_id(), id, "lookup {} id", name);
                         }
@@ -189,19 +354,18 @@ fn check_model(policy: NamePolicy, sites: u32, ops: Vec<ModelOp>) {
                 if from == to {
                     continue;
                 }
-                let reply = cluster.run(
-                    now,
-                    NfsRequest::Rename {
-                        from_dir: root,
-                        from_name: from.clone(),
-                        to_dir: root,
-                        to_name: to.clone(),
-                    },
-                );
-                match model.remove(from) {
+                let reply = cluster.run(NfsRequest::Rename {
+                    from_dir: dir_of(from_ix),
+                    from_name: from.clone(),
+                    to_dir: dir_of(to_ix),
+                    to_name: to.clone(),
+                });
+                match model.names.remove(from) {
                     Some(id) => {
                         assert_eq!(reply.status, NfsStatus::Ok, "rename {}->{}", from, to);
-                        model.insert(to.clone(), id);
+                        if let Some(displaced) = model.names.insert(to.clone(), id) {
+                            model.unlink(displaced);
+                        }
                     }
                     None => {
                         assert_eq!(reply.status, NfsStatus::NoEnt, "rename {}->{}", from, to)
@@ -211,37 +375,32 @@ fn check_model(policy: NamePolicy, sites: u32, ops: Vec<ModelOp>) {
             ModelOp::Link { from_ix, to_ix } => {
                 let from = &names[from_ix];
                 let to = &names[to_ix];
-                let Some(&id) = model.get(from) else { continue };
-                let fh = fh_of[&id];
-                let reply = cluster.run(
-                    now,
-                    NfsRequest::Link {
-                        fh,
-                        dir: root,
-                        name: to.clone(),
-                    },
-                );
-                if model.contains_key(to) {
+                let Some(&id) = model.names.get(from) else {
+                    continue;
+                };
+                let reply = cluster.run(NfsRequest::Link {
+                    fh: fh_of[&id],
+                    dir: dir_of(to_ix),
+                    name: to.clone(),
+                });
+                if model.names.contains_key(to) {
                     assert_eq!(reply.status, NfsStatus::Exist, "link {}", to);
                 } else {
                     assert_eq!(reply.status, NfsStatus::Ok, "link {}", to);
-                    model.insert(to.clone(), id);
+                    model.names.insert(to.clone(), id);
+                    *model.nlink.get_mut(&id).unwrap() += 1;
                 }
             }
         }
     }
     // Final sweep: the distributed service agrees with the model on every
-    // name, and the root's live-entry count matches.
-    for name in &names {
-        now += SimDuration::from_millis(1);
-        let reply = cluster.run(
-            now,
-            NfsRequest::Lookup {
-                dir: root,
-                name: name.clone(),
-            },
-        );
-        match model.get(name) {
+    // name ...
+    for (name_ix, name) in names.iter().enumerate() {
+        let reply = cluster.run(NfsRequest::Lookup {
+            dir: dir_of(name_ix),
+            name: name.clone(),
+        });
+        match model.names.get(name) {
             Some(&id) => {
                 assert_eq!(reply.status, NfsStatus::Ok);
                 if let ReplyBody::Lookup { fh, .. } = reply.body {
@@ -251,8 +410,79 @@ fn check_model(policy: NamePolicy, sites: u32, ops: Vec<ModelOp>) {
             None => assert_eq!(reply.status, NfsStatus::NoEnt),
         }
     }
+    for (d, dir) in dirs.iter().enumerate() {
+        let mut want: Vec<String> = (0..NAMES)
+            .filter(|i| i % dirs.len() == d && model.names.contains_key(&names[*i]))
+            .map(|i| names[i].clone())
+            .collect();
+        if d == 0 {
+            want.extend((1..dirs.len()).map(|w| format!("w{w}")));
+        }
+        want.sort();
+        assert_eq!(cluster.list(*dir, d % 2 == 1), want, "readdir of dir {d}");
+        assert_eq!(
+            cluster.list(*dir, d % 2 == 0),
+            want,
+            "readdirplus of dir {d}"
+        );
+    }
     let total_cells: usize = cluster.sites.iter().map(|s| s.name_cells()).sum();
-    assert_eq!(total_cells, model.len(), "cell count vs model");
+    assert_eq!(
+        total_cells,
+        model.names.len() + dirs.len() - 1,
+        "cell count vs model"
+    );
+    // ... every file whose last link went had its data removed, once, and
+    // has no attribute cell; every live file has one, with the model's
+    // link count ...
+    let mut removed = cluster.data_removes.clone();
+    removed.sort_unstable();
+    model.gone.sort_unstable();
+    assert_eq!(removed, model.gone, "data removes vs last links gone");
+    let mut cells: Vec<(u64, u32)> = cluster
+        .sites
+        .iter()
+        .flat_map(|s| s.dump_attr_cells())
+        .filter(|(_, c)| fh_of.contains_key(&c.attr.fileid))
+        .map(|(file, c)| (file, c.attr.nlink))
+        .collect();
+    cells.sort_unstable();
+    let mut live: Vec<(u64, u32)> = model.nlink.iter().map(|(&f, &n)| (f, n)).collect();
+    live.sort_unstable();
+    assert_eq!(cells, live, "attribute cells vs live link counts");
+    // ... and every directory's live-entry count is right: a work
+    // directory can be removed exactly when the model has emptied it.
+    let fingerprint = cluster.fingerprint();
+    for d in 1..dirs.len() {
+        let name = format!("w{d}");
+        let occupied =
+            (0..NAMES).any(|i| i % dirs.len() == d && model.names.contains_key(&names[i]));
+        let rmdir = NfsRequest::Rmdir {
+            dir: root,
+            name: name.clone(),
+        };
+        if occupied {
+            let reply = cluster.run(rmdir.clone());
+            assert_eq!(reply.status, NfsStatus::NotEmpty, "rmdir {name}");
+            for i in (0..NAMES).filter(|i| i % dirs.len() == d) {
+                cluster.run(NfsRequest::Remove {
+                    dir: dirs[d],
+                    name: names[i].clone(),
+                });
+            }
+        }
+        assert_eq!(cluster.run(rmdir).status, NfsStatus::Ok, "rmdir {name}");
+    }
+    let root_cell = &cluster.sites[0].dump_attr_cells()[0].1;
+    let in_root =
+        (0..NAMES).filter(|i| i % dirs.len() == 0 && model.names.contains_key(&names[*i]));
+    assert_eq!(
+        root_cell.entry_count as usize,
+        in_root.count(),
+        "root entries"
+    );
+    assert_eq!(root_cell.attr.nlink, 2, "root links after every rmdir");
+    fnv1a_continue(fingerprint, &cluster.fingerprint().to_le_bytes())
 }
 
 fn run_policy(policy: NamePolicy, seed: u64) {
@@ -260,7 +490,7 @@ fn run_policy(policy: NamePolicy, seed: u64) {
     for _ in 0..CASES {
         let sites = rng.gen_range(1u32..5);
         let nops = rng.gen_range(1usize..80);
-        let ops: Vec<ModelOp> = (0..nops).map(|_| random_op(&mut rng, 12)).collect();
+        let ops: Vec<ModelOp> = (0..nops).map(|_| random_op(&mut rng, NAMES)).collect();
         check_model(policy, sites, ops);
     }
 }
@@ -273,4 +503,23 @@ fn name_hashing_matches_model() {
 #[test]
 fn mkdir_switching_matches_model() {
     run_policy(NamePolicy::MkdirSwitching, 0x4449_5202);
+}
+
+/// One 400-op sequence over four sites per policy, held to the value it
+/// had when the `DataRemove` rule moved to the cell's owner (PR 17). The
+/// hash covers every action in order (so peer op ids, reply gates and
+/// therefore WAL append order), each site's WAL statistics and its final
+/// cells. A refactor must not move it; a behaviour change re-pins it and
+/// says why.
+#[test]
+fn action_stream_is_pinned() {
+    for (policy, pinned) in [
+        (NamePolicy::NameHashing, 0x7163_2b0c_3523_a1cf_u64),
+        (NamePolicy::MkdirSwitching, 0xe932_7fe0_cd03_0c98),
+    ] {
+        let mut rng = Rng::seed_from_u64(0x4449_5203);
+        let ops: Vec<ModelOp> = (0..400).map(|_| random_op(&mut rng, NAMES)).collect();
+        let got = check_model(policy, 4, ops);
+        assert_eq!(got, pinned, "{policy:?}: action stream is {got:#018x}");
+    }
 }

@@ -12,7 +12,10 @@
 #       sim.net.bytes)
 #   ci/perf_history.sh --check
 #       verifies that every line of the history parses as JSON and holds
-#       every required key (CI runs this)
+#       every required key, and that the last row's `loc` is what
+#       `ci/loc.sh` measures on this tree — a row appended before the
+#       last edit, or edited by hand, fails where it is committed (CI
+#       runs this)
 #
 # Host-clock values (setup_s, host_s, host_peak_rss_mb) depend on the
 # machine: compare rows only where `nproc` and the runner match, and
@@ -23,8 +26,10 @@ set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 history="$root/ci/perf_history.jsonl"
 
+loc="$("$root/ci/loc.sh" | awk 'END { print $1 }')"
+
 if [ "${1:-}" = "--check" ]; then
-    exec python3 - "$history" <<'EOF'
+    exec python3 - "$history" "$loc" <<'EOF'
 import json, sys
 
 WORKLOADS = ["untar_meta", "bulk_mirror", "sfs_mix", "repair_mix"]
@@ -42,14 +47,16 @@ for n, line in enumerate(open(sys.argv[1]), 1):
             assert isinstance(row["workloads"][w][v], (int, float)), f"line {n}: {w}.{v}"
     rows += 1
 assert rows > 0, "empty history"
-print(f"perf_history: {rows} rows ok")
+measured = int(sys.argv[2])
+assert row["loc"] == measured, (
+    f"last row ({row['commit']}) says loc {row['loc']}, ci/loc.sh measures {measured}: "
+    "append this change's row with ci/perf_history.sh <result-set-dir>")
+print(f"perf_history: {rows} rows ok, loc {measured}")
 EOF
 fi
 
 set_dir="${1:?usage: ci/perf_history.sh <result-set-dir> [commit] | --check}"
 commit="${2:-$(git -C "$root" rev-parse --short HEAD)}"
-
-loc="$("$root/ci/loc.sh" | awk 'END { print $1 }')"
 
 python3 - "$set_dir" "$commit" "$(date -u +%F)" "$loc" >>"$history" <<'EOF'
 import json, sys

@@ -23,13 +23,13 @@ use crate::wire::{Router, Wire};
 
 /// Schedules messages for future instants via timers.
 #[derive(Debug, Default)]
-struct DeferredSender {
+pub(crate) struct DeferredSender {
     stash: FxHashMap<u64, (NodeId, Wire)>,
     next_tag: u64,
 }
 
 impl DeferredSender {
-    fn send_at(&mut self, ctx: &mut Ctx<'_, Wire>, at: SimTime, to: NodeId, msg: Wire) {
+    pub(crate) fn send_at(&mut self, ctx: &mut Ctx<'_, Wire>, at: SimTime, to: NodeId, msg: Wire) {
         if at <= ctx.now() {
             ctx.send(to, msg);
         } else {
@@ -41,7 +41,7 @@ impl DeferredSender {
     }
 
     /// Fires a deferred send; returns true if the tag belonged to us.
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64) -> bool {
+    pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64) -> bool {
         if let Some((to, msg)) = self.stash.remove(&tag) {
             ctx.send(to, msg);
             true
@@ -342,6 +342,25 @@ impl DirActor {
         slice_hashes::bucket_of(slice_hashes::fnv1a(&file.to_le_bytes()), 64) % self.sf_nodes.len()
     }
 
+    /// Fans a name-space operation's effect on `file`'s data out to the
+    /// block-service coordinator and the file's small-file server.
+    fn data_effect(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        file: u64,
+        coord: impl FnOnce(u64) -> slice_storage::CoordMsg,
+        sf: SfCtl,
+    ) {
+        let req_id = self.next_req_id;
+        self.next_req_id += 1;
+        if let Some(node) = self.coord_node {
+            ctx.send(node, Wire::Coord(coord(req_id)));
+        }
+        if !self.sf_nodes.is_empty() {
+            ctx.send(self.sf_nodes[self.sf_index(file)], Wire::SfCtl(sf));
+        }
+    }
+
     fn dispatch(&mut self, ctx: &mut Ctx<'_, Wire>, actions: Vec<DirAction>) {
         for action in actions {
             match action {
@@ -368,38 +387,18 @@ impl DirActor {
                         },
                     );
                 }
-                DirAction::DataRemove { file, .. } => {
-                    let req_id = self.next_req_id;
-                    self.next_req_id += 1;
-                    if let Some(coord) = self.coord_node {
-                        ctx.send(
-                            coord,
-                            Wire::Coord(slice_storage::CoordMsg::RemoveFile { req_id, file }),
-                        );
-                    }
-                    if !self.sf_nodes.is_empty() {
-                        let node = self.sf_nodes[self.sf_index(file)];
-                        ctx.send(node, Wire::SfCtl(SfCtl::Remove { file }));
-                    }
-                }
-                DirAction::DataTruncate { file, size, .. } => {
-                    let req_id = self.next_req_id;
-                    self.next_req_id += 1;
-                    if let Some(coord) = self.coord_node {
-                        ctx.send(
-                            coord,
-                            Wire::Coord(slice_storage::CoordMsg::TruncateFile {
-                                req_id,
-                                file,
-                                size,
-                            }),
-                        );
-                    }
-                    if !self.sf_nodes.is_empty() {
-                        let node = self.sf_nodes[self.sf_index(file)];
-                        ctx.send(node, Wire::SfCtl(SfCtl::Truncate { file, size }));
-                    }
-                }
+                DirAction::DataRemove { file } => self.data_effect(
+                    ctx,
+                    file,
+                    |req_id| slice_storage::CoordMsg::RemoveFile { req_id, file },
+                    SfCtl::Remove { file },
+                ),
+                DirAction::DataTruncate { file, size } => self.data_effect(
+                    ctx,
+                    file,
+                    |req_id| slice_storage::CoordMsg::TruncateFile { req_id, file, size },
+                    SfCtl::Truncate { file, size },
+                ),
             }
         }
     }

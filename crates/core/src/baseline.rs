@@ -14,10 +14,10 @@ use slice_dirsvc::{DirAction, DirServer, DirServerConfig, NamePolicy};
 use slice_nfsproto::{
     decode_call, encode_reply, NfsReply, NfsRequest, Packet, ReplyBody, SockAddr,
 };
-use slice_sim::{Actor, Ctx, DiskArray, FxHashMap, LruCache, NodeId, SimTime};
+use slice_sim::{Actor, Ctx, DiskArray, LruCache, NodeId, SimTime};
 use slice_storage::{StorageNode, StorageNodeConfig};
 
-use crate::actors::{DrcCheck, ReplyCache};
+use crate::actors::{DeferredSender, DrcCheck, ReplyCache};
 use crate::calib;
 use crate::wire::{Router, Wire};
 
@@ -93,18 +93,22 @@ impl MonoFs {
         &self.dir
     }
 
+    /// The data path's answer to `req`. A memory filesystem pays no disk
+    /// time, only the CPU the actor charges.
+    fn data_io(&mut self, now: SimTime, req: &NfsRequest) -> (SimTime, NfsReply) {
+        let (done, reply) = self.data.handle_nfs(now, req);
+        match self.kind {
+            BaselineKind::NfsFfs => (done, reply),
+            BaselineKind::Mfs => (now, reply),
+        }
+    }
+
     /// Serves one request, returning the completion time and reply.
     pub fn handle(&mut self, now: SimTime, token: u64, req: &NfsRequest) -> (SimTime, NfsReply) {
         self.ops += 1;
         match req {
             NfsRequest::Read { fh, offset, count } => {
-                let (done, mut reply) = match self.kind {
-                    BaselineKind::NfsFfs => self.data.handle_nfs(now, req),
-                    BaselineKind::Mfs => {
-                        let (_, r) = self.data.handle_nfs(now, req);
-                        (now, r)
-                    }
-                };
+                let (done, mut reply) = self.data_io(now, req);
                 self.dir
                     .apply_io(now, fh.file_id(), offset + u64::from(*count), false);
                 reply.attr = self.dir.attr_of(fh.file_id()).copied().or(reply.attr);
@@ -121,28 +125,13 @@ impl MonoFs {
             NfsRequest::Write {
                 fh, offset, data, ..
             } => {
-                let (done, mut reply) = match self.kind {
-                    BaselineKind::NfsFfs => self.data.handle_nfs(now, req),
-                    BaselineKind::Mfs => {
-                        let (_, r) = self.data.handle_nfs(now, req);
-                        (now, r)
-                    }
-                };
+                let (done, mut reply) = self.data_io(now, req);
                 self.dir
                     .apply_io(now, fh.file_id(), offset + data.len() as u64, true);
                 reply.attr = self.dir.attr_of(fh.file_id()).copied().or(reply.attr);
                 (done, reply)
             }
-            NfsRequest::Commit { .. } => {
-                let (done, reply) = match self.kind {
-                    BaselineKind::NfsFfs => self.data.handle_nfs(now, req),
-                    BaselineKind::Mfs => {
-                        let (_, r) = self.data.handle_nfs(now, req);
-                        (now, r)
-                    }
-                };
-                (done, reply)
-            }
+            NfsRequest::Commit { .. } => self.data_io(now, req),
             other => {
                 // Cold FFS metadata: a miss costs a directory-block read
                 // plus an inode read on the shared arms.
@@ -175,11 +164,11 @@ impl MonoFs {
                         DirAction::Reply { reply, at, .. } => {
                             reply_out = Some((at, reply));
                         }
-                        DirAction::DataRemove { file, .. } => {
+                        DirAction::DataRemove { file } => {
                             self.data
                                 .handle_ctl(now, &slice_storage::StorageCtl::Remove { obj: file });
                         }
-                        DirAction::DataTruncate { file, size, .. } => {
+                        DirAction::DataTruncate { file, size } => {
                             self.data.handle_ctl(
                                 now,
                                 &slice_storage::StorageCtl::Truncate { obj: file, size },
@@ -231,8 +220,7 @@ pub struct BaselineActor {
     pub fs: MonoFs,
     addr: SockAddr,
     router: Router,
-    deferred: FxHashMap<u64, (NodeId, Wire)>,
-    next_tag: u64,
+    deferred: DeferredSender,
     next_token: u64,
     charge_cpu: bool,
     drc: ReplyCache,
@@ -245,8 +233,7 @@ impl BaselineActor {
             fs,
             addr,
             router,
-            deferred: FxHashMap::default(),
-            next_tag: 1,
+            deferred: DeferredSender::default(),
             next_token: 1,
             charge_cpu,
             drc: ReplyCache::default(),
@@ -290,23 +277,13 @@ impl Actor<Wire> for BaselineActor {
         let (done, reply) = self.fs.handle(ctx.now(), token, &req);
         let out = Packet::new(self.addr, pkt.src, encode_reply(hdr.xid, &reply));
         self.drc.complete(pkt.src, hdr.xid, reply);
-        let Some(node) = self.router.try_node_of(pkt.src) else {
-            return;
-        };
-        if done <= ctx.now() {
-            ctx.send(node, Wire::Udp(out));
-        } else {
-            let tag = self.next_tag;
-            self.next_tag += 1;
-            self.deferred.insert(tag, (node, Wire::Udp(out)));
-            ctx.set_timer(done - ctx.now(), tag);
+        if let Some(node) = self.router.try_node_of(pkt.src) {
+            self.deferred.send_at(ctx, done, node, Wire::Udp(out));
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64) {
-        if let Some((node, msg)) = self.deferred.remove(&tag) {
-            ctx.send(node, msg);
-        }
+        self.deferred.on_timer(ctx, tag);
     }
 
     fn as_any(&self) -> &dyn Any {

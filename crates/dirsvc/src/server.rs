@@ -98,34 +98,45 @@ pub enum DirAction {
     },
 }
 
-#[derive(Debug, Clone)]
+/// A directory's attribute cell: its file id and the site that owns it
+/// (the directory-side twin of [`ChildRef`]).
+#[derive(Debug, Clone, Copy)]
+struct DirRef {
+    file: u64,
+    home: u32,
+}
+
+impl DirRef {
+    fn of(fh: &Fhandle) -> Self {
+        DirRef {
+            file: fh.file_id(),
+            home: fh.home_site(),
+        }
+    }
+}
+
+/// What a parked request does with the acks it waits for.
+#[derive(Debug)]
 enum PendingKind {
-    /// Waiting for a remote GetAttr to fill the reply's attributes.
+    /// A remote GetAttr or LinkDelta fills the reply's attributes.
     FillAttr,
-    /// Create/mkdir/symlink/link that inserted locally but awaits remote
-    /// parent update / entry insert; on EXIST the local attr cell must be
-    /// retired and any optimistic parent update `(dir, home, nlink_delta)`
-    /// taken back.
+    /// Create/mkdir/symlink whose entry is inserted remotely; on EXIST the
+    /// local attr cell is retired and any update of the parent made before
+    /// the answer was known, `(parent, nlink_delta)`, is taken back.
     Create {
         file: u64,
-        undo: Option<(u64, u32, i32)>,
+        undo: Option<(DirRef, i32)>,
     },
     /// Rmdir awaiting a remote RemoveDirIfEmpty; only on success is the
-    /// local name cell unbound and the parent `dir` (at `home`) told.
+    /// local name cell unbound and the parent told.
     Rmdir {
         key: u64,
-        dir: u64,
-        home: u32,
+        parent: DirRef,
         mtime: NfsTime,
     },
-    /// Rename awaiting a remote InsertEntry; local source unbound on
-    /// success, displaced child unlinked and the destination directory's
-    /// optimistic entry increment retracted.
-    Rename {
-        from_key: u64,
-        to_dir: u64,
-        to_home: u32,
-    },
+    /// Rename awaiting a remote InsertEntry; on success the local source
+    /// is unbound and whatever the insert displaced is dealt with.
+    Rename { from_key: u64, to: DirRef },
     /// Nothing special; reply once acks arrive.
     Generic,
 }
@@ -138,6 +149,38 @@ struct Pending {
     reply: NfsReply,
     kind: PendingKind,
     not_before: SimTime,
+}
+
+/// What one client request or peer message accumulates on its way through
+/// the server.
+struct Req {
+    /// Whom a reply goes to (a parked request's, once an ack resumes it).
+    token: u64,
+    now: SimTime,
+    /// `now` on this site's clock.
+    t: NfsTime,
+    actions: Vec<DirAction>,
+    /// Peer ops asked so far that the reply must wait for.
+    waits: FxHashSet<u64>,
+    /// When the WAL records the reply answers for are durable.
+    durable: SimTime,
+}
+
+impl Req {
+    /// The reply may not leave before `durable`.
+    fn gate(&mut self, durable: SimTime) {
+        self.durable = self.durable.max(durable);
+    }
+}
+
+/// A success reply with no body.
+fn ok_reply(proc: NfsProc, attr: Option<Fattr3>) -> NfsReply {
+    NfsReply {
+        proc,
+        status: NfsStatus::Ok,
+        attr,
+        body: ReplyBody::None,
+    }
 }
 
 /// The directory server state machine for one site.
@@ -189,18 +232,7 @@ impl DirServer {
             misdirected: 0,
             config,
         };
-        if s.config.site == 0 {
-            let attr = Fattr3::new(FileType::Directory, 1, 0o755, NfsTime::default());
-            s.attrs.insert(
-                1,
-                AttrCell {
-                    attr,
-                    entry_count: 0,
-                    symlink: None,
-                    key: 0,
-                },
-            );
-        }
+        s.plant_root();
         s
     }
 
@@ -261,15 +293,7 @@ impl DirServer {
     /// entry count is deliberately left stale — this models corruption,
     /// not a clean remove.
     pub fn forget_name(&mut self, key: u64) -> bool {
-        match self.names.remove(&key) {
-            Some(cell) => {
-                if let Some(ix) = self.dir_index.get_mut(&cell.parent) {
-                    ix.remove(&key);
-                }
-                true
-            }
-            None => false,
-        }
+        self.unbind(key).is_some()
     }
 
     /// Applies the attribute effects of a data I/O (size growth, modify
@@ -301,17 +325,27 @@ impl DirServer {
         op
     }
 
-    fn fresh_file(&mut self) -> u64 {
-        let f = self.next_file;
-        self.next_file += 1;
-        f
+    /// Site owning the logical slot `key` falls in.
+    fn slot_site(&self, key: u64) -> u32 {
+        self.slot_map[bucket_of(key, LOGICAL_SLOTS)]
     }
 
     /// Site that should hold the name entry for `(dir, name)`.
     fn entry_site(&self, dir: &Fhandle, key: u64) -> u32 {
         match self.config.policy {
             NamePolicy::MkdirSwitching => dir.home_site(),
-            NamePolicy::NameHashing => self.slot_map[bucket_of(key, LOGICAL_SLOTS)],
+            NamePolicy::NameHashing => self.slot_site(key),
+        }
+    }
+
+    /// Refuses a key-routed request that does not belong at this site
+    /// under the current slot map (the µproxy holds a stale table).
+    fn check_owner(&self, key: u64) -> Result<(), NfsStatus> {
+        match self.config.policy {
+            NamePolicy::NameHashing if self.slot_site(key) != self.config.site => {
+                Err(NfsStatus::JukeBox)
+            }
+            _ => Ok(()),
         }
     }
 
@@ -345,16 +379,16 @@ impl DirServer {
             .names
             .keys()
             .copied()
-            .filter(|&k| self.slot_map[bucket_of(k, LOGICAL_SLOTS)] != self.config.site)
+            .filter(|&k| self.slot_site(k) != self.config.site)
             .collect();
-        let mut out = Vec::with_capacity(moving.len());
-        for key in moving {
-            if let Some(cell) = self.names.get(&key).cloned() {
+        moving
+            .into_iter()
+            .map(|key| {
+                let cell = self.names[&key].clone();
                 self.log_del_name(now, key);
-                out.push((key, cell));
-            }
-        }
-        out
+                (key, cell)
+            })
+            .collect()
     }
 
     /// Installs migrated name cells at their new home, logging the binds.
@@ -364,29 +398,45 @@ impl DirServer {
         }
     }
 
-    /// True when a key-routed request belongs at this site under the
-    /// current slot map.
-    fn owns_key(&self, key: u64) -> bool {
-        match self.config.policy {
-            NamePolicy::MkdirSwitching => true,
-            NamePolicy::NameHashing => {
-                self.slot_map[bucket_of(key, LOGICAL_SLOTS)] == self.config.site
-            }
+    // Cells in memory. `bind`/`unbind`/`plant_root` are the only writers of
+    // `names` and `dir_index`; the live path logs around them, replay and
+    // fault injection call them bare.
+
+    fn bind(&mut self, key: u64, cell: NameCell) {
+        self.dir_index.entry(cell.parent).or_default().insert(key);
+        self.names.insert(key, cell);
+    }
+
+    fn unbind(&mut self, key: u64) -> Option<NameCell> {
+        let cell = self.names.remove(&key)?;
+        if let Some(ix) = self.dir_index.get_mut(&cell.parent) {
+            ix.remove(&key);
+        }
+        Some(cell)
+    }
+
+    /// The volume root's attribute cell lives at site 0 from the start.
+    fn plant_root(&mut self) {
+        if self.config.site == 0 {
+            self.attrs.entry(1).or_insert_with(|| AttrCell {
+                attr: Fattr3::new(FileType::Directory, 1, 0o755, NfsTime::default()),
+                entry_count: 0,
+                symlink: None,
+                key: 0,
+            });
         }
     }
 
+    // Cells in the log. Each returns when its record is durable; the
+    // order of appends is the order of durability.
+
     fn log_put_name(&mut self, now: SimTime, key: u64, cell: NameCell) -> SimTime {
-        self.names.insert(key, cell.clone());
-        self.dir_index.entry(cell.parent).or_default().insert(key);
+        self.bind(key, cell.clone());
         self.wal.append(now, DirLog::PutName { key, cell }, 96)
     }
 
     fn log_del_name(&mut self, now: SimTime, key: u64) -> SimTime {
-        if let Some(cell) = self.names.remove(&key) {
-            if let Some(ix) = self.dir_index.get_mut(&cell.parent) {
-                ix.remove(&key);
-            }
-        }
+        self.unbind(key);
         self.wal.append(now, DirLog::DelName { key }, 16)
     }
 
@@ -427,270 +477,261 @@ impl DirServer {
         attr.ctime = now;
     }
 
-    /// Applies a parent update locally (mtime, entry count, nlink).
-    fn apply_parent_update(
-        &mut self,
-        now: SimTime,
-        dir: u64,
-        entry_delta: i32,
-        nlink_delta: i32,
-        mtime: NfsTime,
-    ) {
-        if let Some(cell) = self.attrs.get_mut(&dir) {
-            cell.entry_count = cell.entry_count.saturating_add_signed(entry_delta);
-            cell.attr.nlink = cell.attr.nlink.saturating_add_signed(nlink_delta);
-            cell.attr.mtime = mtime;
-            cell.attr.ctime = mtime;
-            self.log_put_attr(now, dir);
+    // The four ways out of a request. Every completion goes through
+    // `reply` or `bounce`, every peer send through `ask`.
+
+    fn begin(&self, now: SimTime, token: u64) -> Req {
+        Req {
+            token,
+            now,
+            t: self.now_time(now),
+            actions: Vec::new(),
+            waits: FxHashSet::default(),
+            durable: now,
         }
     }
 
-    /// Builds a reply gated on `at`, or parks it pending peer acks.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &mut self,
-        actions: &mut Vec<DirAction>,
-        token: u64,
-        reply: NfsReply,
-        at: SimTime,
-        waits: FxHashSet<u64>,
-        kind: PendingKind,
-        now: SimTime,
-    ) {
-        if waits.is_empty() {
-            self.ops_served += 1;
-            actions.push(DirAction::Reply { token, reply, at });
-            return;
+    /// Completes the request with `reply`, sent no earlier than `at`.
+    #[inline]
+    fn reply(&mut self, rq: &mut Req, reply: NfsReply, at: SimTime) {
+        self.ops_served += 1;
+        rq.actions.push(DirAction::Reply {
+            token: rq.token,
+            reply,
+            at,
+        });
+    }
+
+    /// Sends a misdirected request back for the µproxy to refresh its
+    /// table and retry: it was not served, and is not counted as served.
+    #[inline]
+    fn bounce(&mut self, rq: &mut Req, proc: NfsProc) {
+        self.misdirected += 1;
+        rq.actions.push(DirAction::Reply {
+            token: rq.token,
+            reply: NfsReply::error(proc, NfsStatus::JukeBox),
+            at: rq.now,
+        });
+    }
+
+    /// Sends `site` the peer message `msg` builds around a fresh op id and
+    /// returns the id, which the caller waits for — or does not.
+    fn ask(&mut self, rq: &mut Req, site: u32, msg: impl FnOnce(u64) -> PeerMsg) -> u64 {
+        let op = self.fresh_op();
+        self.peer_ops += 1;
+        rq.actions.push(DirAction::Peer { site, msg: msg(op) });
+        op
+    }
+
+    /// Replies now, gated on the WAL, or parks the reply until every peer
+    /// op in `rq.waits` is acknowledged.
+    fn finish(&mut self, rq: &mut Req, reply: NfsReply, kind: PendingKind) {
+        if rq.waits.is_empty() {
+            return self.reply(rq, reply, rq.durable);
         }
         self.multisite_ops += 1;
         let txid = self.next_tx;
         self.next_tx += 1;
-        self.wal.append(now, DirLog::Intent { txid }, 24);
+        self.wal.append(rq.now, DirLog::Intent { txid }, 24);
         let id = self.fresh_op();
-        for &w in &waits {
+        for &w in &rq.waits {
             self.wait_to_pending.insert(w, id);
         }
         self.pending.insert(
             id,
             Pending {
-                token,
+                token: rq.token,
                 txid,
-                waits,
+                waits: std::mem::take(&mut rq.waits),
                 reply,
                 kind,
-                not_before: at,
+                not_before: rq.durable,
             },
         );
     }
 
+    // One function per cell mutation that can cross sites. The request
+    // path and `apply_peer` both call these, so "the cell lives here" and
+    // "the cell lives there" cannot drift apart.
+
+    /// Adjusts a directory's live-entry count, link count and times: here
+    /// if its cell is ours, else by asking its home. Returns the op to
+    /// wait for, if one was sent. The reply is never gated on this
+    /// record's durability.
+    fn parent_update(
+        &mut self,
+        rq: &mut Req,
+        parent: DirRef,
+        entry_delta: i32,
+        nlink_delta: i32,
+        mtime: NfsTime,
+    ) -> Option<u64> {
+        let dir = parent.file;
+        if parent.home != self.config.site {
+            return Some(self.ask(rq, parent.home, |op| PeerMsg::ParentUpdate {
+                op,
+                dir,
+                entry_delta,
+                nlink_delta,
+                mtime,
+            }));
+        }
+        if let Some(cell) = self.attrs.get_mut(&dir) {
+            cell.entry_count = cell.entry_count.saturating_add_signed(entry_delta);
+            cell.attr.nlink = cell.attr.nlink.saturating_add_signed(nlink_delta);
+            cell.attr.mtime = mtime;
+            cell.attr.ctime = mtime;
+            self.log_put_attr(rq.now, dir);
+        }
+        None
+    }
+
+    /// Adds `delta` links to `child`: here if its attribute cell is ours
+    /// (returning the new attributes), else by asking its home and
+    /// waiting.
+    fn link_delta(&mut self, rq: &mut Req, child: &ChildRef, delta: i32) -> Option<Fattr3> {
+        if child.home == self.config.site {
+            return self.apply_link_delta(rq, child.file, delta, rq.t);
+        }
+        let (file, ctime) = (child.file, rq.t);
+        let op = self.ask(rq, child.home, |op| PeerMsg::LinkDelta {
+            op,
+            file,
+            delta,
+            ctime,
+        });
+        rq.waits.insert(op);
+        None
+    }
+
+    /// Applies a link delta to a cell of ours. The owner is the one site
+    /// that sees the last link go — whatever the requester was doing
+    /// (remove, rename over) and whether or not it lives to read the ack —
+    /// so it is the owner that retires the cell and has the data removed.
+    fn apply_link_delta(
+        &mut self,
+        rq: &mut Req,
+        file: u64,
+        delta: i32,
+        ctime: NfsTime,
+    ) -> Option<Fattr3> {
+        let cell = self.attrs.get_mut(&file)?;
+        cell.attr.nlink = cell.attr.nlink.saturating_add_signed(delta);
+        cell.attr.ctime = ctime;
+        let attr = cell.attr;
+        let durable = if attr.nlink == 0 {
+            rq.actions.push(DirAction::DataRemove { file });
+            self.log_del_attr(rq.now, file)
+        } else {
+            self.log_put_attr(rq.now, file)
+        };
+        rq.gate(durable);
+        Some(attr)
+    }
+
+    /// Binds `key` to `cell`, returning the child it displaced; without
+    /// `replace` an existing binding refuses the insert.
+    fn insert_entry(
+        &mut self,
+        rq: &mut Req,
+        key: u64,
+        cell: NameCell,
+        replace: bool,
+    ) -> Result<Option<ChildRef>, NfsStatus> {
+        let existing = self.names.get(&key).map(|c| c.child);
+        if existing.is_some() && !replace {
+            return Err(NfsStatus::Exist);
+        }
+        rq.gate(self.log_put_name(rq.now, key, cell));
+        Ok(existing)
+    }
+
+    /// Retires directory `dir`'s attribute cell unless it has entries. A
+    /// cell that is already gone counts as empty: an earlier attempt
+    /// retired it and crashed before the name was unbound, and refusing
+    /// would leave that name bound for ever.
+    fn remove_dir_if_empty(&mut self, rq: &mut Req, dir: u64) -> Result<(), NfsStatus> {
+        if self.attrs.get(&dir).is_some_and(|c| c.entry_count != 0) {
+            return Err(NfsStatus::NotEmpty);
+        }
+        self.log_del_attr(rq.now, dir);
+        Ok(())
+    }
+
+    /// A rename's insert into `to_dir` displaced `old`: the directory's
+    /// entry increment was one too many (its net change is zero; a
+    /// displaced directory also takes its `..` link with it), and `old`
+    /// loses a link — wherever either cell lives.
+    fn displace(&mut self, rq: &mut Req, to_dir: DirRef, old: &ChildRef) {
+        let nlink_delta = -i32::from(old.flags & FH_FLAG_DIR != 0);
+        let op = self.parent_update(rq, to_dir, -1, nlink_delta, rq.t);
+        rq.waits.extend(op);
+        self.link_delta(rq, old, -1);
+    }
+
     /// Serves a client NFS request routed to this site.
     pub fn handle_nfs(&mut self, now: SimTime, token: u64, req: &NfsRequest) -> Vec<DirAction> {
-        let mut actions = Vec::new();
-        let t = self.now_time(now);
-        match req {
-            NfsRequest::Null => {
-                self.ops_served += 1;
-                actions.push(DirAction::Reply {
-                    token,
-                    reply: NfsReply {
-                        proc: NfsProc::Null,
-                        status: NfsStatus::Ok,
-                        attr: None,
-                        body: ReplyBody::None,
-                    },
-                    at: now,
-                });
-            }
-            NfsRequest::Getattr { fh } => {
-                self.ops_served += 1;
-                let reply = match self.attrs.get(&fh.file_id()) {
-                    Some(cell) => NfsReply::ok(NfsProc::Getattr, cell.attr),
-                    None => NfsReply::error(NfsProc::Getattr, NfsStatus::Stale),
-                };
-                actions.push(DirAction::Reply {
-                    token,
-                    reply,
-                    at: now,
-                });
-            }
-            NfsRequest::Setattr { fh, attr } => {
-                let file = fh.file_id();
-                match self.attrs.get_mut(&file) {
-                    Some(cell) => {
-                        let old_size = cell.attr.size;
-                        Self::apply_sattr(&mut cell.attr, attr, t);
-                        let new_attr = cell.attr;
-                        let durable = self.log_put_attr(now, file);
-                        if let Some(sz) = attr.size {
-                            // µproxy attribute write-backs carry explicit
-                            // timestamps and may report a size smaller than
-                            // data another client already wrote — only a
-                            // genuine shrink may clamp the data plane. A
-                            // client truncate (no client mtime) must always
-                            // propagate: our own size here can lag behind
-                            // the data plane, so `sz == old_size` does not
-                            // mean the stored extents already agree.
-                            let push_back = matches!(attr.mtime, SetTime::Client(_));
-                            if !push_back || sz < old_size {
-                                actions.push(DirAction::DataTruncate { file, size: sz });
-                            }
-                        }
-                        self.ops_served += 1;
-                        actions.push(DirAction::Reply {
-                            token,
-                            reply: NfsReply::ok(NfsProc::Setattr, new_attr),
-                            at: durable,
-                        });
-                    }
-                    None => {
-                        self.ops_served += 1;
-                        actions.push(DirAction::Reply {
-                            token,
-                            reply: NfsReply::error(NfsProc::Setattr, NfsStatus::Stale),
-                            at: now,
-                        });
-                    }
-                }
-            }
-            NfsRequest::Lookup { dir, name } => {
-                let key = name_fingerprint(&dir.0, name.as_bytes());
-                if !self.owns_key(key) {
-                    self.misdirected += 1;
-                    actions.push(DirAction::Reply {
-                        token,
-                        reply: NfsReply::error(NfsProc::Lookup, NfsStatus::JukeBox),
-                        at: now,
-                    });
-                    return actions;
-                }
-                let dir_attr = self.attrs.get(&dir.file_id()).map(|c| c.attr);
-                match self.names.get(&key).cloned() {
-                    None => {
-                        self.ops_served += 1;
-                        let mut reply = NfsReply::error(NfsProc::Lookup, NfsStatus::NoEnt);
-                        reply.attr = dir_attr;
-                        actions.push(DirAction::Reply {
-                            token,
-                            reply,
-                            at: now,
-                        });
-                    }
-                    Some(cell) => {
-                        let child = cell.child;
-                        if let Some(attr_cell) = self.attrs.get(&child.file) {
-                            self.ops_served += 1;
-                            let reply = NfsReply {
-                                proc: NfsProc::Lookup,
-                                status: NfsStatus::Ok,
-                                attr: Some(attr_cell.attr),
-                                body: ReplyBody::Lookup {
-                                    fh: child.fhandle(),
-                                    dir_attr,
-                                },
-                            };
-                            actions.push(DirAction::Reply {
-                                token,
-                                reply,
-                                at: now,
-                            });
-                        } else {
-                            // Cross-site link: fetch attributes from the
-                            // child's home site.
-                            let op = self.fresh_op();
-                            self.peer_ops += 1;
-                            actions.push(DirAction::Peer {
-                                site: child.home,
-                                msg: PeerMsg::GetAttr {
-                                    op,
-                                    file: child.file,
-                                },
-                            });
-                            let reply = NfsReply {
-                                proc: NfsProc::Lookup,
-                                status: NfsStatus::Ok,
-                                attr: None,
-                                body: ReplyBody::Lookup {
-                                    fh: child.fhandle(),
-                                    dir_attr,
-                                },
-                            };
-                            let mut waits = FxHashSet::default();
-                            waits.insert(op);
-                            self.finish(
-                                &mut actions,
-                                token,
-                                reply,
-                                now,
-                                waits,
-                                PendingKind::FillAttr,
-                                now,
-                            );
-                        }
-                    }
-                }
-            }
-            NfsRequest::Access { fh, mask } => {
-                self.ops_served += 1;
-                let reply = match self.attrs.get(&fh.file_id()) {
-                    Some(cell) => NfsReply {
-                        proc: NfsProc::Access,
-                        status: NfsStatus::Ok,
-                        attr: Some(cell.attr),
-                        body: ReplyBody::Access { mask: mask & 0x3f },
-                    },
-                    None => NfsReply::error(NfsProc::Access, NfsStatus::Stale),
-                };
-                actions.push(DirAction::Reply {
-                    token,
-                    reply,
-                    at: now,
-                });
-            }
+        let mut rq = self.begin(now, token);
+        match self.serve(&mut rq, req) {
+            Ok(()) => {}
+            Err(NfsStatus::JukeBox) => self.bounce(&mut rq, req.proc()),
+            Err(status) => self.reply(&mut rq, NfsReply::error(req.proc(), status), now),
+        }
+        rq.actions
+    }
+
+    /// Serves `req` to a reply or a parked reply; an `Err` is a refusal
+    /// that touched nothing.
+    fn serve(&mut self, rq: &mut Req, req: &NfsRequest) -> Result<(), NfsStatus> {
+        let attr_cell = |fh: &Fhandle| self.attrs.get(&fh.file_id()).ok_or(NfsStatus::Stale);
+        let reply = match req {
+            NfsRequest::Null => ok_reply(NfsProc::Null, None),
+            NfsRequest::Getattr { fh } => NfsReply::ok(NfsProc::Getattr, attr_cell(fh)?.attr),
+            NfsRequest::Access { fh, mask } => NfsReply {
+                proc: NfsProc::Access,
+                status: NfsStatus::Ok,
+                attr: Some(attr_cell(fh)?.attr),
+                body: ReplyBody::Access { mask: mask & 0x3f },
+            },
             NfsRequest::Readlink { fh } => {
-                self.ops_served += 1;
-                let reply = match self.attrs.get(&fh.file_id()) {
-                    Some(cell) => match &cell.symlink {
-                        Some(target) => NfsReply {
-                            proc: NfsProc::Readlink,
-                            status: NfsStatus::Ok,
-                            attr: Some(cell.attr),
-                            body: ReplyBody::Readlink {
-                                target: target.clone(),
-                            },
-                        },
-                        None => NfsReply::error(NfsProc::Readlink, NfsStatus::Inval),
+                let cell = attr_cell(fh)?;
+                NfsReply {
+                    proc: NfsProc::Readlink,
+                    status: NfsStatus::Ok,
+                    attr: Some(cell.attr),
+                    body: ReplyBody::Readlink {
+                        target: cell.symlink.clone().ok_or(NfsStatus::Inval)?,
                     },
-                    None => NfsReply::error(NfsProc::Readlink, NfsStatus::Stale),
-                };
-                actions.push(DirAction::Reply {
-                    token,
-                    reply,
-                    at: now,
-                });
+                }
             }
+            NfsRequest::Fsstat { fh } => NfsReply {
+                proc: NfsProc::Fsstat,
+                status: NfsStatus::Ok,
+                attr: attr_cell(fh).ok().map(|c| c.attr),
+                body: ReplyBody::Fsstat {
+                    tbytes: 1 << 42,
+                    fbytes: 1 << 41,
+                    abytes: 1 << 41,
+                    tfiles: 1 << 24,
+                    ffiles: (1 << 24) - self.attrs.len() as u64,
+                },
+            },
+            NfsRequest::Readdir {
+                dir, cookie, count, ..
+            } => self.readdir(dir, *cookie, *count, false),
+            NfsRequest::Readdirplus {
+                dir,
+                cookie,
+                maxcount,
+                ..
+            } => self.readdir(dir, *cookie, *maxcount, true),
+            NfsRequest::Setattr { fh, attr } => return self.setattr(rq, fh, attr),
+            NfsRequest::Lookup { dir, name } => return self.lookup(rq, dir, name),
             NfsRequest::Create { dir, name, attr } => {
-                self.create_like(
-                    &mut actions,
-                    now,
-                    token,
-                    dir,
-                    name,
-                    attr,
-                    FileType::Regular,
-                    None,
-                );
+                return self.create_like(rq, dir, name, attr, FileType::Regular, None);
             }
             NfsRequest::Mkdir { dir, name, attr } => {
-                self.create_like(
-                    &mut actions,
-                    now,
-                    token,
-                    dir,
-                    name,
-                    attr,
-                    FileType::Directory,
-                    None,
-                );
+                return self.create_like(rq, dir, name, attr, FileType::Directory, None);
             }
             NfsRequest::Symlink {
                 dir,
@@ -698,156 +739,117 @@ impl DirServer {
                 target,
                 attr,
             } => {
-                self.create_like(
-                    &mut actions,
-                    now,
-                    token,
-                    dir,
-                    name,
-                    attr,
-                    FileType::Symlink,
-                    Some(target.clone()),
-                );
+                let target = Some(target.clone());
+                return self.create_like(rq, dir, name, attr, FileType::Symlink, target);
             }
-            NfsRequest::Remove { dir, name } => {
-                self.remove_like(&mut actions, now, token, dir, name, false);
-            }
-            NfsRequest::Rmdir { dir, name } => {
-                self.remove_like(&mut actions, now, token, dir, name, true);
-            }
+            NfsRequest::Remove { dir, name } => return self.remove_like(rq, dir, name, false),
+            NfsRequest::Rmdir { dir, name } => return self.remove_like(rq, dir, name, true),
             NfsRequest::Rename {
                 from_dir,
                 from_name,
                 to_dir,
                 to_name,
-            } => {
-                self.rename(
-                    &mut actions,
-                    now,
-                    token,
-                    from_dir,
-                    from_name,
-                    to_dir,
-                    to_name,
-                );
-            }
-            NfsRequest::Link { fh, dir, name } => {
-                self.link(&mut actions, now, token, fh, dir, name);
-            }
-            NfsRequest::Readdir {
-                dir, cookie, count, ..
-            } => {
-                self.ops_served += 1;
-                let reply = self.readdir(dir, *cookie, *count, false);
-                actions.push(DirAction::Reply {
-                    token,
-                    reply,
-                    at: now,
-                });
-            }
-            NfsRequest::Readdirplus {
-                dir,
-                cookie,
-                maxcount,
-                ..
-            } => {
-                self.ops_served += 1;
-                let reply = self.readdir(dir, *cookie, *maxcount, true);
-                actions.push(DirAction::Reply {
-                    token,
-                    reply,
-                    at: now,
-                });
-            }
-            NfsRequest::Fsstat { fh } => {
-                self.ops_served += 1;
-                let attr = self.attrs.get(&fh.file_id()).map(|c| c.attr);
-                let reply = NfsReply {
-                    proc: NfsProc::Fsstat,
-                    status: NfsStatus::Ok,
-                    attr,
-                    body: ReplyBody::Fsstat {
-                        tbytes: 1 << 42,
-                        fbytes: 1 << 41,
-                        abytes: 1 << 41,
-                        tfiles: 1 << 24,
-                        ffiles: (1 << 24) - self.attrs.len() as u64,
-                    },
-                };
-                actions.push(DirAction::Reply {
-                    token,
-                    reply,
-                    at: now,
-                });
-            }
-            other => {
-                self.ops_served += 1;
-                actions.push(DirAction::Reply {
-                    token,
-                    reply: NfsReply::error(other.proc(), NfsStatus::NotSupp),
-                    at: now,
-                });
-            }
-        }
-        actions
+            } => return self.rename(rq, from_dir, from_name, to_dir, to_name),
+            NfsRequest::Link { fh, dir, name } => return self.link(rq, fh, dir, name),
+            _ => return Err(NfsStatus::NotSupp),
+        };
+        self.reply(rq, reply, rq.durable);
+        Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    fn setattr(&mut self, rq: &mut Req, fh: &Fhandle, sattr: &Sattr3) -> Result<(), NfsStatus> {
+        let file = fh.file_id();
+        let cell = self.attrs.get_mut(&file).ok_or(NfsStatus::Stale)?;
+        let old_size = cell.attr.size;
+        Self::apply_sattr(&mut cell.attr, sattr, rq.t);
+        let new_attr = cell.attr;
+        rq.gate(self.log_put_attr(rq.now, file));
+        if let Some(size) = sattr.size {
+            // µproxy attribute write-backs carry explicit timestamps and
+            // may report a size smaller than data another client already
+            // wrote — only a genuine shrink may clamp the data plane. A
+            // client truncate (no client mtime) must always propagate: our
+            // own size here can lag behind the data plane, so
+            // `size == old_size` does not mean the stored extents already
+            // agree.
+            let push_back = matches!(sattr.mtime, SetTime::Client(_));
+            if !push_back || size < old_size {
+                rq.actions.push(DirAction::DataTruncate { file, size });
+            }
+        }
+        self.reply(rq, NfsReply::ok(NfsProc::Setattr, new_attr), rq.durable);
+        Ok(())
+    }
+
+    fn lookup(&mut self, rq: &mut Req, dir: &Fhandle, name: &str) -> Result<(), NfsStatus> {
+        let key = name_fingerprint(&dir.0, name.as_bytes());
+        self.check_owner(key)?;
+        let dir_attr = self.attrs.get(&dir.file_id()).map(|c| c.attr);
+        let Some(cell) = self.names.get(&key) else {
+            let reply = NfsReply {
+                proc: NfsProc::Lookup,
+                status: NfsStatus::NoEnt,
+                attr: dir_attr,
+                body: ReplyBody::None,
+            };
+            self.reply(rq, reply, rq.now);
+            return Ok(());
+        };
+        let child = cell.child;
+        let attr = self.attrs.get(&child.file).map(|c| c.attr);
+        if attr.is_none() {
+            // Cross-site link: fetch attributes from the child's home site.
+            let file = child.file;
+            let op = self.ask(rq, child.home, |op| PeerMsg::GetAttr { op, file });
+            rq.waits.insert(op);
+        }
+        let reply = NfsReply {
+            proc: NfsProc::Lookup,
+            status: NfsStatus::Ok,
+            attr,
+            body: ReplyBody::Lookup {
+                fh: child.fhandle(),
+                dir_attr,
+            },
+        };
+        self.finish(rq, reply, PendingKind::FillAttr);
+        Ok(())
+    }
+
     fn create_like(
         &mut self,
-        actions: &mut Vec<DirAction>,
-        now: SimTime,
-        token: u64,
+        rq: &mut Req,
         dir: &Fhandle,
         name: &str,
         sattr: &Sattr3,
         ftype: FileType,
         symlink: Option<String>,
-    ) {
-        let t = self.now_time(now);
+    ) -> Result<(), NfsStatus> {
+        let here = self.config.site;
         let key = name_fingerprint(&dir.0, name.as_bytes());
         let entry_site = self.entry_site(dir, key);
-        let proc = match ftype {
-            FileType::Regular => NfsProc::Create,
-            FileType::Directory => NfsProc::Mkdir,
-            FileType::Symlink => NfsProc::Symlink,
-        };
-        // Under name hashing a create arriving at a non-owner site (other
-        // than a deliberate mkdir-switch redirect) means the µproxy holds
-        // a stale table.
-        if self.config.policy == NamePolicy::NameHashing && !self.owns_key(key) {
-            self.misdirected += 1;
-            actions.push(DirAction::Reply {
-                token,
-                reply: NfsReply::error(proc, NfsStatus::JukeBox),
-                at: now,
-            });
-            return;
-        }
-
+        // Under name hashing a create arriving at a non-owner site means
+        // the µproxy holds a stale table; under mkdir switching it is a
+        // deliberate redirect.
+        self.check_owner(key)?;
         // Local duplicate check when the entry belongs here.
-        if entry_site == self.config.site && self.names.contains_key(&key) {
-            self.ops_served += 1;
-            actions.push(DirAction::Reply {
-                token,
-                reply: NfsReply::error(proc, NfsStatus::Exist),
-                at: now,
-            });
-            return;
+        if entry_site == here && self.names.contains_key(&key) {
+            return Err(NfsStatus::Exist);
         }
         // Mint the object locally: fixed placement binds it to this site.
-        let file = self.fresh_file();
-        let mut attr = Fattr3::new(ftype, file, sattr.mode.unwrap_or(0o644), t);
-        Self::apply_sattr(&mut attr, sattr, t);
+        let file = self.next_file;
+        self.next_file += 1;
+        let mut attr = Fattr3::new(ftype, file, sattr.mode.unwrap_or(0o644), rq.t);
+        Self::apply_sattr(&mut attr, sattr, rq.t);
         attr.nlink = if ftype == FileType::Directory { 2 } else { 1 };
+        let (mut flags, proc) = match ftype {
+            FileType::Directory => (FH_FLAG_DIR, NfsProc::Mkdir),
+            FileType::Symlink => (FH_FLAG_SYMLINK, NfsProc::Symlink),
+            FileType::Regular => (0, NfsProc::Create),
+        };
         // Per-file policy bits ride in the create mode above the POSIX
         // bit range: bit 16 requests mirrored striping (paper §3.1 allows
         // per-file selection of the mirroring policy).
-        let mut flags = match ftype {
-            FileType::Directory => FH_FLAG_DIR,
-            FileType::Symlink => FH_FLAG_SYMLINK,
-            FileType::Regular => 0,
-        };
         if sattr.mode.unwrap_or(0) & (1 << 16) != 0 && ftype == FileType::Regular {
             flags |= slice_nfsproto::FH_FLAG_MIRRORED;
         }
@@ -861,678 +863,271 @@ impl DirServer {
         attr.mode &= 0o7777;
         let child = ChildRef {
             file,
-            home: self.config.site,
+            home: here,
             flags,
             gen: 0,
             key,
         };
-        self.attrs.insert(
-            file,
-            AttrCell {
-                attr,
-                entry_count: 0,
-                symlink,
-                key,
-            },
-        );
-        let mut durable = self.log_put_attr(now, file);
-        let mut waits = FxHashSet::default();
+        let cell = AttrCell {
+            attr,
+            entry_count: 0,
+            symlink,
+            key,
+        };
+        self.attrs.insert(file, cell);
+        rq.gate(self.log_put_attr(rq.now, file));
+        let parent = DirRef::of(dir);
         let nlink_delta = i32::from(ftype == FileType::Directory);
-        // Parent update applied before the remote insert is acknowledged;
-        // must be taken back if the insert answers EXIST.
-        let mut undo = None;
-        if entry_site == self.config.site {
-            durable = durable.max(self.log_put_name(
-                now,
-                key,
-                NameCell {
-                    parent: dir.file_id(),
-                    name: name.to_string(),
-                    child,
-                },
-            ));
-            if dir.home_site() == self.config.site {
-                self.apply_parent_update(now, dir.file_id(), 1, nlink_delta, t);
-            } else {
-                let op = self.fresh_op();
-                self.peer_ops += 1;
-                waits.insert(op);
-                actions.push(DirAction::Peer {
-                    site: dir.home_site(),
-                    msg: PeerMsg::ParentUpdate {
-                        op,
-                        dir: dir.file_id(),
-                        entry_delta: 1,
-                        nlink_delta,
-                        mtime: t,
-                    },
-                });
-            }
+        // An entry site that doubles as the parent's home folds the
+        // parent update into the insert: it applies both or neither.
+        let folded = entry_site != here && parent.home == entry_site;
+        if entry_site == here {
+            let cell = NameCell {
+                parent: parent.file,
+                name: name.to_string(),
+                child,
+            };
+            rq.gate(self.log_put_name(rq.now, key, cell));
         } else {
             // Orphan create (mkdir switching redirect): the entry lives at
             // the parent's home site.
-            let op = self.fresh_op();
-            self.peer_ops += 1;
-            waits.insert(op);
-            actions.push(DirAction::Peer {
-                site: entry_site,
-                msg: PeerMsg::InsertEntry {
-                    op,
-                    key,
-                    parent: dir.file_id(),
-                    name: name.to_string(),
-                    child,
-                    replace: false,
-                },
+            let op = self.ask(rq, entry_site, |op| PeerMsg::InsertEntry {
+                op,
+                key,
+                parent: parent.file,
+                name: name.to_string(),
+                child,
+                replace: false,
             });
-            if dir.home_site() == self.config.site {
-                self.apply_parent_update(now, dir.file_id(), 1, nlink_delta, t);
-                undo = Some((dir.file_id(), self.config.site, nlink_delta));
-            } else if dir.home_site() != entry_site {
-                let op2 = self.fresh_op();
-                self.peer_ops += 1;
-                waits.insert(op2);
-                actions.push(DirAction::Peer {
-                    site: dir.home_site(),
-                    msg: PeerMsg::ParentUpdate {
-                        op: op2,
-                        dir: dir.file_id(),
-                        entry_delta: 1,
-                        nlink_delta,
-                        mtime: t,
-                    },
-                });
-                undo = Some((dir.file_id(), dir.home_site(), nlink_delta));
-            } else {
-                // Entry site doubles as the parent's home: fold the parent
-                // update into the insert (the peer applies both only when
-                // the insert succeeds, so no undo is needed).
-            }
+            rq.waits.insert(op);
         }
+        if !folded {
+            let op = self.parent_update(rq, parent, 1, nlink_delta, rq.t);
+            rq.waits.extend(op);
+        }
+        // A parent update made before a remote insert is acknowledged
+        // must be taken back if the insert answers EXIST.
+        let undo = (entry_site != here && !folded).then_some((parent, nlink_delta));
         let reply = NfsReply {
             proc,
             status: NfsStatus::Ok,
-            attr: Some(self.attrs.get(&file).expect("created").attr),
+            attr: Some(attr),
             body: ReplyBody::Create {
                 fh: Some(child.fhandle()),
             },
         };
-        self.finish(
-            actions,
-            token,
-            reply,
-            durable,
-            waits,
-            PendingKind::Create { file, undo },
-            now,
-        );
+        self.finish(rq, reply, PendingKind::Create { file, undo });
+        Ok(())
     }
 
     fn remove_like(
         &mut self,
-        actions: &mut Vec<DirAction>,
-        now: SimTime,
-        token: u64,
+        rq: &mut Req,
         dir: &Fhandle,
         name: &str,
         is_rmdir: bool,
-    ) {
-        let t = self.now_time(now);
+    ) -> Result<(), NfsStatus> {
         let key = name_fingerprint(&dir.0, name.as_bytes());
+        self.check_owner(key)?;
+        let child = self.names.get(&key).ok_or(NfsStatus::NoEnt)?.child;
+        if is_rmdir != (child.flags & FH_FLAG_DIR != 0) {
+            return Err(if is_rmdir {
+                NfsStatus::NotDir
+            } else {
+                NfsStatus::IsDir
+            });
+        }
+        let parent = DirRef::of(dir);
+        let kind = if is_rmdir && child.home != self.config.site {
+            // Defer every mutation, here and at the parent's home, to the
+            // ack: the directory may turn out not to be empty.
+            let file = child.file;
+            let op = self.ask(rq, child.home, |op| PeerMsg::RemoveDirIfEmpty {
+                op,
+                dir: file,
+            });
+            rq.waits.insert(op);
+            PendingKind::Rmdir {
+                key,
+                parent,
+                mtime: rq.t,
+            }
+        } else {
+            if is_rmdir {
+                self.remove_dir_if_empty(rq, child.file)?;
+            }
+            rq.gate(self.log_del_name(rq.now, key));
+            let op = self.parent_update(rq, parent, -1, -i32::from(is_rmdir), rq.t);
+            rq.waits.extend(op);
+            // Child link count (files and links only; rmdir retired the
+            // cell).
+            if !is_rmdir {
+                self.link_delta(rq, &child, -1);
+            }
+            PendingKind::Generic
+        };
         let proc = if is_rmdir {
             NfsProc::Rmdir
         } else {
             NfsProc::Remove
         };
-        if !self.owns_key(key) {
-            self.misdirected += 1;
-            actions.push(DirAction::Reply {
-                token,
-                reply: NfsReply::error(proc, NfsStatus::JukeBox),
-                at: now,
-            });
-            return;
-        }
-        let Some(cell) = self.names.get(&key).cloned() else {
-            self.ops_served += 1;
-            actions.push(DirAction::Reply {
-                token,
-                reply: NfsReply::error(proc, NfsStatus::NoEnt),
-                at: now,
-            });
-            return;
-        };
-        let child = cell.child;
-        if is_rmdir != (child.flags & FH_FLAG_DIR != 0) {
-            self.ops_served += 1;
-            let status = if is_rmdir {
-                NfsStatus::NotDir
-            } else {
-                NfsStatus::IsDir
-            };
-            actions.push(DirAction::Reply {
-                token,
-                reply: NfsReply::error(proc, status),
-                at: now,
-            });
-            return;
-        }
-        let mut waits = FxHashSet::default();
-        if is_rmdir {
-            if child.home == self.config.site {
-                let empty = self
-                    .attrs
-                    .get(&child.file)
-                    .map(|c| c.entry_count == 0)
-                    .unwrap_or(true);
-                if !empty {
-                    self.ops_served += 1;
-                    actions.push(DirAction::Reply {
-                        token,
-                        reply: NfsReply::error(proc, NfsStatus::NotEmpty),
-                        at: now,
-                    });
-                    return;
-                }
-                self.log_del_attr(now, child.file);
-            } else {
-                let op = self.fresh_op();
-                self.peer_ops += 1;
-                waits.insert(op);
-                actions.push(DirAction::Peer {
-                    site: child.home,
-                    msg: PeerMsg::RemoveDirIfEmpty {
-                        op,
-                        dir: child.file,
-                    },
-                });
-                // Defer every mutation, here and at the parent's home, to
-                // the ack: the directory may turn out not to be empty.
-                let reply = NfsReply {
-                    proc,
-                    status: NfsStatus::Ok,
-                    attr: self.attrs.get(&dir.file_id()).map(|c| c.attr),
-                    body: ReplyBody::None,
-                };
-                self.finish(
-                    actions,
-                    token,
-                    reply,
-                    now,
-                    waits,
-                    PendingKind::Rmdir {
-                        key,
-                        dir: dir.file_id(),
-                        home: dir.home_site(),
-                        mtime: t,
-                    },
-                    now,
-                );
-                return;
-            }
-        }
-        // Unbind the local name cell.
-        let mut durable = self.log_del_name(now, key);
-        // Parent bookkeeping.
-        let nlink_delta = if is_rmdir { -1 } else { 0 };
-        if dir.home_site() == self.config.site {
-            self.apply_parent_update(now, dir.file_id(), -1, nlink_delta, t);
-        } else {
-            let op = self.fresh_op();
-            self.peer_ops += 1;
-            waits.insert(op);
-            actions.push(DirAction::Peer {
-                site: dir.home_site(),
-                msg: PeerMsg::ParentUpdate {
-                    op,
-                    dir: dir.file_id(),
-                    entry_delta: -1,
-                    nlink_delta,
-                    mtime: t,
-                },
-            });
-        }
-        // Child link count (files and links only; rmdir retired the cell).
-        if !is_rmdir {
-            if child.home == self.config.site {
-                let gone = {
-                    if let Some(cellref) = self.attrs.get_mut(&child.file) {
-                        cellref.attr.nlink = cellref.attr.nlink.saturating_sub(1);
-                        cellref.attr.ctime = t;
-                        cellref.attr.nlink == 0
-                    } else {
-                        false
-                    }
-                };
-                if gone {
-                    durable = durable.max(self.log_del_attr(now, child.file));
-                    actions.push(DirAction::DataRemove { file: child.file });
-                } else if self.attrs.contains_key(&child.file) {
-                    durable = durable.max(self.log_put_attr(now, child.file));
-                }
-            } else {
-                let op = self.fresh_op();
-                self.peer_ops += 1;
-                waits.insert(op);
-                actions.push(DirAction::Peer {
-                    site: child.home,
-                    msg: PeerMsg::LinkDelta {
-                        op,
-                        file: child.file,
-                        delta: -1,
-                        ctime: t,
-                    },
-                });
-            }
-        }
-        let reply = NfsReply {
-            proc,
-            status: NfsStatus::Ok,
-            attr: self.attrs.get(&dir.file_id()).map(|c| c.attr),
-            body: ReplyBody::None,
-        };
-        self.finish(
-            actions,
-            token,
-            reply,
-            durable,
-            waits,
-            PendingKind::Generic,
-            now,
-        );
+        let reply = ok_reply(proc, self.attr_of(parent.file).copied());
+        self.finish(rq, reply, kind);
+        Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn rename(
         &mut self,
-        actions: &mut Vec<DirAction>,
-        now: SimTime,
-        token: u64,
+        rq: &mut Req,
         from_dir: &Fhandle,
         from_name: &str,
         to_dir: &Fhandle,
         to_name: &str,
-    ) {
-        let t = self.now_time(now);
+    ) -> Result<(), NfsStatus> {
+        let here = self.config.site;
         let from_key = name_fingerprint(&from_dir.0, from_name.as_bytes());
         let to_key = name_fingerprint(&to_dir.0, to_name.as_bytes());
-        let Some(cell) = self.names.get(&from_key).cloned() else {
-            self.ops_served += 1;
-            actions.push(DirAction::Reply {
-                token,
-                reply: NfsReply::error(NfsProc::Rename, NfsStatus::NoEnt),
-                at: now,
-            });
-            return;
-        };
-        // Renaming a name onto itself is a POSIX no-op; without this
-        // check the source unbind would destroy the freshly (re)bound
-        // destination cell, since both share one key.
+        let child = self.names.get(&from_key).ok_or(NfsStatus::NoEnt)?.child;
+        let (from, to) = (DirRef::of(from_dir), DirRef::of(to_dir));
+        // Renaming a name onto itself is a POSIX no-op, and must return
+        // before touching anything: the source unbind would destroy the
+        // freshly (re)bound destination cell, since both share one key.
         if from_key == to_key {
-            self.ops_served += 1;
-            actions.push(DirAction::Reply {
-                token,
-                reply: NfsReply {
-                    proc: NfsProc::Rename,
-                    status: NfsStatus::Ok,
-                    attr: self.attrs.get(&from_dir.file_id()).map(|c| c.attr),
-                    body: ReplyBody::None,
-                },
-                at: now,
-            });
-            return;
+            let reply = ok_reply(NfsProc::Rename, self.attr_of(from.file).copied());
+            self.reply(rq, reply, rq.now);
+            return Ok(());
         }
-        let child = cell.child;
-        let is_dir = child.flags & FH_FLAG_DIR != 0;
         let dest_site = self.entry_site(to_dir, to_key);
-        let mut waits = FxHashSet::default();
-        let mut durable = now;
-        let mut replaced: Option<ChildRef> = None;
-        if dest_site == self.config.site {
-            // Local insert (replacing any existing binding).
-            replaced = self.names.get(&to_key).map(|c| c.child);
-            durable = durable.max(self.log_put_name(
-                now,
-                to_key,
-                NameCell {
-                    parent: to_dir.file_id(),
-                    name: to_name.to_string(),
-                    child,
-                },
-            ));
-            durable = durable.max(self.log_del_name(now, from_key));
-        } else {
-            self.peer_ops += 1;
-            let op = self.fresh_op();
-            waits.insert(op);
-            actions.push(DirAction::Peer {
-                site: dest_site,
-                msg: PeerMsg::InsertEntry {
-                    op,
-                    key: to_key,
-                    parent: to_dir.file_id(),
-                    name: to_name.to_string(),
-                    child,
-                    replace: true,
-                },
-            });
-        }
-        // Parent updates: entry moves from one directory to the other.
-        let nlink_delta = i32::from(is_dir);
-        if from_dir.file_id() != to_dir.file_id() {
-            for (dirfh, ed, nd) in [(from_dir, -1, -nlink_delta), (to_dir, 1, nlink_delta)] {
-                if dirfh.home_site() == self.config.site {
-                    self.apply_parent_update(now, dirfh.file_id(), ed, nd, t);
-                } else {
-                    let op = self.fresh_op();
-                    self.peer_ops += 1;
-                    waits.insert(op);
-                    actions.push(DirAction::Peer {
-                        site: dirfh.home_site(),
-                        msg: PeerMsg::ParentUpdate {
-                            op,
-                            dir: dirfh.file_id(),
-                            entry_delta: ed,
-                            nlink_delta: nd,
-                            mtime: t,
-                        },
-                    });
-                }
-            }
-        } else if from_dir.home_site() == self.config.site {
-            self.apply_parent_update(now, from_dir.file_id(), 0, 0, t);
-        }
-        // A displaced local child loses a link, and the destination
-        // directory's optimistic entry increment was one too many (the
-        // insert replaced a binding instead of adding one).
-        if let Some(old) = replaced {
-            self.retract_dest_entry(
-                actions,
-                now,
-                &mut waits,
-                to_dir.file_id(),
-                to_dir.home_site(),
-                &old,
-                t,
-            );
-            self.unlink_child(actions, now, &mut waits, &mut durable, old, t);
-        }
-        let reply = NfsReply {
-            proc: NfsProc::Rename,
-            status: NfsStatus::Ok,
-            attr: self.attrs.get(&from_dir.file_id()).map(|c| c.attr),
-            body: ReplyBody::None,
-        };
-        let kind = if dest_site == self.config.site {
-            PendingKind::Generic
-        } else {
-            PendingKind::Rename {
-                from_key,
-                to_dir: to_dir.file_id(),
-                to_home: to_dir.home_site(),
-            }
-        };
-        self.finish(actions, token, reply, durable, waits, kind, now);
-    }
-
-    /// Takes back the optimistic destination entry-count increment of a
-    /// rename whose insert displaced an existing binding (the directory's
-    /// net entry change is zero), wherever the destination directory's
-    /// attribute cell lives. If the displaced child was a directory the
-    /// parent also loses its `..` link.
-    #[allow(clippy::too_many_arguments)]
-    fn retract_dest_entry(
-        &mut self,
-        actions: &mut Vec<DirAction>,
-        now: SimTime,
-        waits: &mut FxHashSet<u64>,
-        to_dir: u64,
-        to_home: u32,
-        old: &ChildRef,
-        t: NfsTime,
-    ) {
-        let nd = -i32::from(old.flags & FH_FLAG_DIR != 0);
-        if to_home == self.config.site {
-            self.apply_parent_update(now, to_dir, -1, nd, t);
-        } else {
-            let op = self.fresh_op();
-            self.peer_ops += 1;
-            waits.insert(op);
-            actions.push(DirAction::Peer {
-                site: to_home,
-                msg: PeerMsg::ParentUpdate {
-                    op,
-                    dir: to_dir,
-                    entry_delta: -1,
-                    nlink_delta: nd,
-                    mtime: t,
-                },
-            });
-        }
-    }
-
-    /// Drops one link from `child`, wherever its attribute cell lives.
-    fn unlink_child(
-        &mut self,
-        actions: &mut Vec<DirAction>,
-        now: SimTime,
-        waits: &mut FxHashSet<u64>,
-        durable: &mut SimTime,
-        child: ChildRef,
-        t: NfsTime,
-    ) {
-        if child.home == self.config.site {
-            let gone = {
-                if let Some(cell) = self.attrs.get_mut(&child.file) {
-                    cell.attr.nlink = cell.attr.nlink.saturating_sub(1);
-                    cell.attr.ctime = t;
-                    cell.attr.nlink == 0
-                } else {
-                    false
-                }
+        let (kind, displaced) = if dest_site == here {
+            let cell = NameCell {
+                parent: to.file,
+                name: to_name.to_string(),
+                child,
             };
-            if gone {
-                *durable = (*durable).max(self.log_del_attr(now, child.file));
-                actions.push(DirAction::DataRemove { file: child.file });
-            } else if self.attrs.contains_key(&child.file) {
-                *durable = (*durable).max(self.log_put_attr(now, child.file));
-            }
+            let displaced = self.insert_entry(rq, to_key, cell, true)?;
+            rq.gate(self.log_del_name(rq.now, from_key));
+            (PendingKind::Generic, displaced)
         } else {
-            let op = self.fresh_op();
-            self.peer_ops += 1;
-            waits.insert(op);
-            actions.push(DirAction::Peer {
-                site: child.home,
-                msg: PeerMsg::LinkDelta {
-                    op,
-                    file: child.file,
-                    delta: -1,
-                    ctime: t,
-                },
+            // The source is unbound, and a displaced child dealt with,
+            // when the destination's site has answered.
+            let op = self.ask(rq, dest_site, |op| PeerMsg::InsertEntry {
+                op,
+                key: to_key,
+                parent: to.file,
+                name: to_name.to_string(),
+                child,
+                replace: true,
             });
+            rq.waits.insert(op);
+            (PendingKind::Rename { from_key, to }, None)
+        };
+        // Parent updates: the entry moves from one directory to the other.
+        let nlink_delta = i32::from(child.flags & FH_FLAG_DIR != 0);
+        if from.file != to.file {
+            for (dir, ed, nd) in [(from, -1, -nlink_delta), (to, 1, nlink_delta)] {
+                let op = self.parent_update(rq, dir, ed, nd, rq.t);
+                rq.waits.extend(op);
+            }
+        } else if from.home == here {
+            self.parent_update(rq, from, 0, 0, rq.t);
         }
+        if let Some(old) = displaced {
+            self.displace(rq, to, &old);
+        }
+        let reply = ok_reply(NfsProc::Rename, self.attr_of(from.file).copied());
+        self.finish(rq, reply, kind);
+        Ok(())
     }
 
     fn link(
         &mut self,
-        actions: &mut Vec<DirAction>,
-        now: SimTime,
-        token: u64,
+        rq: &mut Req,
         fh: &Fhandle,
         dir: &Fhandle,
         name: &str,
-    ) {
-        let t = self.now_time(now);
+    ) -> Result<(), NfsStatus> {
         let key = name_fingerprint(&dir.0, name.as_bytes());
-        if self.names.contains_key(&key) {
-            self.ops_served += 1;
-            actions.push(DirAction::Reply {
-                token,
-                reply: NfsReply::error(NfsProc::Link, NfsStatus::Exist),
-                at: now,
-            });
-            return;
-        }
         let child = ChildRef::from_fhandle(fh);
-        let mut durable = self.log_put_name(
-            now,
-            key,
-            NameCell {
-                parent: dir.file_id(),
-                name: name.to_string(),
-                child,
-            },
-        );
-        let mut waits = FxHashSet::default();
-        // Bump the target's link count.
-        let mut reply_attr = None;
-        if child.home == self.config.site {
-            if let Some(cell) = self.attrs.get_mut(&child.file) {
-                cell.attr.nlink += 1;
-                cell.attr.ctime = t;
-                reply_attr = Some(cell.attr);
-            }
-            if reply_attr.is_some() {
-                durable = durable.max(self.log_put_attr(now, child.file));
-            }
-        } else {
-            let op = self.fresh_op();
-            self.peer_ops += 1;
-            waits.insert(op);
-            actions.push(DirAction::Peer {
-                site: child.home,
-                msg: PeerMsg::LinkDelta {
-                    op,
-                    file: child.file,
-                    delta: 1,
-                    ctime: t,
-                },
-            });
-        }
-        // Parent mtime/entry count.
-        if dir.home_site() == self.config.site {
-            self.apply_parent_update(now, dir.file_id(), 1, 0, t);
-        } else {
-            let op = self.fresh_op();
-            self.peer_ops += 1;
-            waits.insert(op);
-            actions.push(DirAction::Peer {
-                site: dir.home_site(),
-                msg: PeerMsg::ParentUpdate {
-                    op,
-                    dir: dir.file_id(),
-                    entry_delta: 1,
-                    nlink_delta: 0,
-                    mtime: t,
-                },
-            });
-        }
-        let reply = NfsReply {
-            proc: NfsProc::Link,
-            status: NfsStatus::Ok,
-            attr: reply_attr,
-            body: ReplyBody::None,
+        let cell = NameCell {
+            parent: dir.file_id(),
+            name: name.to_string(),
+            child,
         };
-        let kind = if reply_attr.is_none() {
+        self.insert_entry(rq, key, cell, false)?;
+        // Bump the target's link count, then the parent's entry count.
+        let attr = self.link_delta(rq, &child, 1);
+        let op = self.parent_update(rq, DirRef::of(dir), 1, 0, rq.t);
+        rq.waits.extend(op);
+        let reply = ok_reply(NfsProc::Link, attr);
+        let kind = if attr.is_none() {
             PendingKind::FillAttr
         } else {
             PendingKind::Generic
         };
-        self.finish(actions, token, reply, durable, waits, kind, now);
+        self.finish(rq, reply, kind);
+        Ok(())
     }
 
-    fn readdir(&mut self, dir: &Fhandle, cookie: u64, count: u32, plus: bool) -> NfsReply {
-        let site_from_cookie = (cookie >> 56) as u32;
+    /// One page of `dir`'s local entries from `cookie` on. A cookie is the
+    /// site being listed (top byte) and how many of its entries are done;
+    /// under name hashing the listing chains from site to site.
+    fn readdir(&self, dir: &Fhandle, cookie: u64, count: u32, plus: bool) -> NfsReply {
+        let site = (cookie >> 56) as u32;
         let skip = (cookie & ((1 << 56) - 1)) as usize;
-        let dir_attr = self.attrs.get(&dir.file_id()).map(|c| c.attr);
-        let keys: Vec<u64> = self
-            .dir_index
-            .get(&dir.file_id())
-            .map(|ix| ix.iter().copied().collect())
-            .unwrap_or_default();
         let budget = (count as usize / 32).clamp(4, 256);
-        let mut entries = Vec::new();
-        let mut entries_plus = Vec::new();
-        let mut idx = skip;
-        while idx < keys.len() && entries.len() + entries_plus.len() < budget {
-            let cell = &self.names[&keys[idx]];
-            idx += 1;
-            let next_cookie = (u64::from(site_from_cookie) << 56) | idx as u64;
-            let entry = DirEntry {
-                fileid: cell.child.file,
-                name: cell.name.clone(),
-                cookie: next_cookie,
-            };
-            if plus {
-                let attr = self.attrs.get(&cell.child.file).map(|c| c.attr);
-                entries_plus.push(DirEntryPlus {
-                    entry,
-                    attr,
-                    fh: Some(cell.child.fhandle()),
-                });
-            } else {
-                entries.push(entry);
-            }
-        }
-        let local_done = idx >= keys.len();
-        let (eof, chain_cookie) = if !local_done {
-            (false, None)
-        } else {
-            match self.config.policy {
-                NamePolicy::MkdirSwitching => (true, None),
-                NamePolicy::NameHashing => {
-                    let next_site = site_from_cookie + 1;
-                    if next_site >= self.config.sites {
-                        (true, None)
-                    } else {
-                        (false, Some(u64::from(next_site) << 56))
-                    }
-                }
-            }
-        };
-        // When chaining to the next site, the final entry's cookie must
-        // point there; append a synthetic continuation by patching the last
-        // entry (or, if no entries fit, return an empty page whose resume
-        // point is the next site).
-        if let Some(next) = chain_cookie {
-            if plus {
-                if let Some(last) = entries_plus.last_mut() {
-                    last.entry.cookie = next;
-                }
-            } else if let Some(last) = entries.last_mut() {
-                last.cookie = next;
-            }
-            if entries.is_empty() && entries_plus.is_empty() {
-                // Empty local page: signal continuation via a marker entry
-                // the µproxy strips (name "" never appears otherwise).
-                if plus {
-                    entries_plus.push(DirEntryPlus {
-                        entry: DirEntry {
-                            fileid: 0,
-                            name: String::new(),
-                            cookie: next,
-                        },
-                        attr: None,
-                        fh: None,
-                    });
-                } else {
-                    entries.push(DirEntry {
+        let index = self.dir_index.get(&dir.file_id());
+        let mut page: Vec<(DirEntry, Option<ChildRef>)> = index
+            .into_iter()
+            .flatten()
+            .skip(skip)
+            .take(budget)
+            .zip(skip + 1..)
+            .map(|(key, done)| {
+                let cell = &self.names[key];
+                let entry = DirEntry {
+                    fileid: cell.child.file,
+                    name: cell.name.clone(),
+                    cookie: (u64::from(site) << 56) | done as u64,
+                };
+                (entry, Some(cell.child))
+            })
+            .collect();
+        let local_done = skip + page.len() >= index.map_or(0, |ix| ix.len());
+        let chain = local_done
+            && self.config.policy == NamePolicy::NameHashing
+            && site + 1 < self.config.sites;
+        if chain {
+            // The page's last cookie must point at the next site; a page
+            // with no entries says so through a marker entry the µproxy
+            // strips (name "" never appears otherwise).
+            let next = u64::from(site + 1) << 56;
+            match page.last_mut() {
+                Some((last, _)) => last.cookie = next,
+                None => {
+                    let marker = DirEntry {
                         fileid: 0,
                         name: String::new(),
                         cookie: next,
-                    });
+                    };
+                    page.push((marker, None));
                 }
             }
         }
+        let eof = local_done && !chain;
         let body = if plus {
+            let entries = page.into_iter().map(|(entry, child)| DirEntryPlus {
+                entry,
+                attr: child.and_then(|c| self.attrs.get(&c.file).map(|c| c.attr)),
+                fh: child.map(|c| c.fhandle()),
+            });
             ReplyBody::Readdirplus {
-                entries: entries_plus,
+                entries: entries.collect(),
                 cookieverf: 1,
                 eof,
             }
         } else {
             ReplyBody::Readdir {
-                entries,
+                entries: page.into_iter().map(|(entry, _)| entry).collect(),
                 cookieverf: 1,
                 eof,
             }
@@ -1544,405 +1139,234 @@ impl DirServer {
                 NfsProc::Readdir
             },
             status: NfsStatus::Ok,
-            attr: dir_attr,
+            attr: self.attrs.get(&dir.file_id()).map(|c| c.attr),
             body,
         }
     }
 
     /// Serves a peer-protocol message (including acks for our own ops).
     pub fn handle_peer(&mut self, now: SimTime, from_site: u32, msg: PeerMsg) -> Vec<DirAction> {
-        let mut actions = Vec::new();
-        let t = self.now_time(now);
-        match msg {
+        let mut rq = self.begin(now, 0);
+        let (op, mutates) = match msg {
             PeerMsg::Ack { op, status, info } => {
-                self.process_ack(&mut actions, now, op, status, info);
+                self.process_ack(&mut rq, op, status, info);
+                return rq.actions;
             }
-            PeerMsg::GetAttr { op, file } => {
-                let (status, info) = match self.attrs.get(&file) {
-                    Some(cell) => (
-                        NfsStatus::Ok,
-                        PeerInfo::Attr {
-                            attr: cell.attr,
-                            symlink: cell.symlink.clone(),
-                        },
-                    ),
-                    None => (NfsStatus::Stale, PeerInfo::None),
-                };
-                actions.push(DirAction::Peer {
-                    site: from_site,
-                    msg: PeerMsg::Ack { op, status, info },
-                });
-            }
-            PeerMsg::LinkDelta {
-                op,
-                file,
-                delta,
-                ctime,
-            } => {
-                if let Some((status, info)) = self.applied_peer.get(&op).cloned() {
-                    actions.push(DirAction::Peer {
-                        site: from_site,
-                        msg: PeerMsg::Ack { op, status, info },
-                    });
-                    return actions;
+            PeerMsg::GetAttr { op, .. } => (op, false),
+            PeerMsg::LinkDelta { op, .. }
+            | PeerMsg::ParentUpdate { op, .. }
+            | PeerMsg::InsertEntry { op, .. }
+            | PeerMsg::RemoveDirIfEmpty { op, .. } => (op, true),
+        };
+        // A mutating op that is delivered again is answered from the
+        // table, not applied again.
+        let (status, info) = match self.applied_peer.get(&op) {
+            Some(done) => done.clone(),
+            None => {
+                let done = self.apply_peer(&mut rq, msg);
+                if mutates {
+                    self.applied_peer.insert(op, done.clone());
+                    self.wal.append(now, DirLog::AppliedPeer { op }, 16);
                 }
-                let (status, info) = match self.attrs.get_mut(&file) {
-                    Some(cell) => {
-                        cell.attr.nlink = cell.attr.nlink.saturating_add_signed(delta);
-                        cell.attr.ctime = ctime;
-                        let attr = cell.attr;
-                        if attr.nlink == 0 {
-                            // The owner is the one site that sees the last
-                            // link go, whatever the requester was doing
-                            // (remove, rename-over) and whether or not it
-                            // survives to read the ack.
-                            self.log_del_attr(now, file);
-                            actions.push(DirAction::DataRemove { file });
-                        } else {
-                            self.log_put_attr(now, file);
-                        }
-                        (
-                            NfsStatus::Ok,
-                            PeerInfo::Attr {
-                                attr,
-                                symlink: None,
-                            },
-                        )
-                    }
-                    None => (NfsStatus::Stale, PeerInfo::None),
-                };
-                self.note_applied(now, op, status, info.clone());
-                actions.push(DirAction::Peer {
-                    site: from_site,
-                    msg: PeerMsg::Ack { op, status, info },
-                });
+                done
             }
+        };
+        rq.actions.push(DirAction::Peer {
+            site: from_site,
+            msg: PeerMsg::Ack { op, status, info },
+        });
+        rq.actions
+    }
+
+    /// Applies a peer's request to cells of ours: the same functions the
+    /// request path calls when the cell is local.
+    fn apply_peer(&mut self, rq: &mut Req, msg: PeerMsg) -> (NfsStatus, PeerInfo) {
+        let home = self.config.site;
+        match msg {
+            PeerMsg::Ack { .. } => unreachable!("acks are folded, not applied"),
+            PeerMsg::GetAttr { file, .. } => match self.attrs.get(&file) {
+                Some(cell) => {
+                    let symlink = cell.symlink.clone();
+                    let attr = cell.attr;
+                    (NfsStatus::Ok, PeerInfo::Attr { attr, symlink })
+                }
+                None => (NfsStatus::Stale, PeerInfo::None),
+            },
+            PeerMsg::LinkDelta {
+                file, delta, ctime, ..
+            } => match self.apply_link_delta(rq, file, delta, ctime) {
+                Some(attr) => (
+                    NfsStatus::Ok,
+                    PeerInfo::Attr {
+                        attr,
+                        symlink: None,
+                    },
+                ),
+                None => (NfsStatus::Stale, PeerInfo::None),
+            },
             PeerMsg::ParentUpdate {
-                op,
                 dir,
                 entry_delta,
                 nlink_delta,
                 mtime,
+                ..
             } => {
-                if let Some((status, info)) = self.applied_peer.get(&op).cloned() {
-                    actions.push(DirAction::Peer {
-                        site: from_site,
-                        msg: PeerMsg::Ack { op, status, info },
-                    });
-                    return actions;
-                }
-                self.apply_parent_update(now, dir, entry_delta, nlink_delta, mtime);
-                self.note_applied(now, op, NfsStatus::Ok, PeerInfo::None);
-                actions.push(DirAction::Peer {
-                    site: from_site,
-                    msg: PeerMsg::Ack {
-                        op,
-                        status: NfsStatus::Ok,
-                        info: PeerInfo::None,
-                    },
-                });
+                let ours = DirRef { file: dir, home };
+                self.parent_update(rq, ours, entry_delta, nlink_delta, mtime);
+                (NfsStatus::Ok, PeerInfo::None)
             }
             PeerMsg::InsertEntry {
-                op,
                 key,
                 parent,
                 name,
                 child,
                 replace,
+                ..
             } => {
-                if let Some((status, info)) = self.applied_peer.get(&op).cloned() {
-                    actions.push(DirAction::Peer {
-                        site: from_site,
-                        msg: PeerMsg::Ack { op, status, info },
-                    });
-                    return actions;
-                }
-                let existing = self.names.get(&key).map(|c| c.child);
-                let (status, info) = if existing.is_some() && !replace {
-                    (NfsStatus::Exist, PeerInfo::None)
-                } else {
-                    self.log_put_name(
-                        now,
-                        key,
-                        NameCell {
-                            parent,
-                            name,
-                            child,
-                        },
-                    );
-                    // The entry site may double as the parent's home; apply
-                    // the parent update locally in that case. Renames
-                    // (`replace`) always send an explicit ParentUpdate, so
-                    // folding one in here would double-count the entry.
-                    if !replace && self.attrs.contains_key(&parent) {
-                        self.apply_parent_update(
-                            now,
-                            parent,
-                            1,
-                            i32::from(child.flags & FH_FLAG_DIR != 0),
-                            t,
-                        );
-                    }
-                    (NfsStatus::Ok, PeerInfo::Replaced { child: existing })
+                let cell = NameCell {
+                    parent,
+                    name,
+                    child,
                 };
-                self.note_applied(now, op, status, info.clone());
-                actions.push(DirAction::Peer {
-                    site: from_site,
-                    msg: PeerMsg::Ack { op, status, info },
-                });
+                match self.insert_entry(rq, key, cell, replace) {
+                    Err(status) => (status, PeerInfo::None),
+                    Ok(displaced) => {
+                        // The entry site may double as the parent's home:
+                        // a create folds its parent update into the insert.
+                        // Renames (`replace`) always send an explicit
+                        // ParentUpdate, so folding one in here would
+                        // double-count the entry.
+                        if !replace && self.attrs.contains_key(&parent) {
+                            let ours = DirRef { file: parent, home };
+                            let nlink_delta = i32::from(child.flags & FH_FLAG_DIR != 0);
+                            self.parent_update(rq, ours, 1, nlink_delta, rq.t);
+                        }
+                        (NfsStatus::Ok, PeerInfo::Replaced { child: displaced })
+                    }
+                }
             }
-            PeerMsg::RemoveEntry { op, key } => {
-                if let Some((status, info)) = self.applied_peer.get(&op).cloned() {
-                    actions.push(DirAction::Peer {
-                        site: from_site,
-                        msg: PeerMsg::Ack { op, status, info },
-                    });
-                    return actions;
-                }
-                let (status, info) = match self.names.get(&key).map(|c| c.child) {
-                    Some(child) => {
-                        self.log_del_name(now, key);
-                        (NfsStatus::Ok, PeerInfo::Removed { child })
-                    }
-                    None => (NfsStatus::NoEnt, PeerInfo::None),
-                };
-                self.note_applied(now, op, status, info.clone());
-                actions.push(DirAction::Peer {
-                    site: from_site,
-                    msg: PeerMsg::Ack { op, status, info },
-                });
-            }
-            PeerMsg::RemoveDirIfEmpty { op, dir } => {
-                if let Some((status, info)) = self.applied_peer.get(&op).cloned() {
-                    actions.push(DirAction::Peer {
-                        site: from_site,
-                        msg: PeerMsg::Ack { op, status, info },
-                    });
-                    return actions;
-                }
-                // A cell that is already gone counts as empty, as it does
-                // when the rmdir runs at the directory's own site: an
-                // earlier attempt retired it and crashed before the name
-                // was unbound, and refusing would leave that name bound
-                // for ever.
-                let status = match self.attrs.get(&dir) {
-                    Some(cell) if cell.entry_count != 0 => NfsStatus::NotEmpty,
-                    _ => {
-                        self.log_del_attr(now, dir);
-                        NfsStatus::Ok
-                    }
-                };
-                let info = PeerInfo::None;
-                self.note_applied(now, op, status, info.clone());
-                actions.push(DirAction::Peer {
-                    site: from_site,
-                    msg: PeerMsg::Ack { op, status, info },
-                });
+            PeerMsg::RemoveDirIfEmpty { dir, .. } => {
+                let status = self.remove_dir_if_empty(rq, dir).err();
+                (status.unwrap_or(NfsStatus::Ok), PeerInfo::None)
             }
         }
-        actions
     }
 
-    fn note_applied(&mut self, now: SimTime, op: u64, status: NfsStatus, info: PeerInfo) {
-        self.applied_peer.insert(op, (status, info));
-        self.wal.append(now, DirLog::AppliedPeer { op }, 16);
-    }
-
-    fn process_ack(
-        &mut self,
-        actions: &mut Vec<DirAction>,
-        now: SimTime,
-        op: u64,
-        status: NfsStatus,
-        info: PeerInfo,
-    ) {
+    /// Folds the ack of peer op `op` into the request parked on it, and
+    /// replies once nothing is left to wait for.
+    fn process_ack(&mut self, rq: &mut Req, op: u64, status: NfsStatus, info: PeerInfo) {
         let Some(pid) = self.wait_to_pending.remove(&op) else {
             return;
         };
-        let t = self.now_time(now);
-        let kind = {
-            let Some(pending) = self.pending.get_mut(&pid) else {
-                return;
-            };
-            pending.waits.remove(&op);
-            pending.kind.clone()
+        let Some(mut p) = self.pending.remove(&pid) else {
+            return;
         };
-        // Fold the ack into the pending reply per kind.
-        match (&kind, &info, status) {
+        p.waits.remove(&op);
+        match (&p.kind, info, status) {
             (PendingKind::FillAttr, PeerInfo::Attr { attr, .. }, NfsStatus::Ok) => {
-                let p = self.pending.get_mut(&pid).expect("pending present");
-                p.reply.attr = Some(*attr);
+                p.reply.attr = Some(attr);
             }
-            (PendingKind::FillAttr, _, s) if s != NfsStatus::Ok => {
-                let p = self.pending.get_mut(&pid).expect("pending present");
-                p.reply = NfsReply::error(p.reply.proc, s);
+            (&PendingKind::Create { file, undo }, _, NfsStatus::Exist) => {
+                p.reply = NfsReply::error(p.reply.proc, NfsStatus::Exist);
+                self.log_del_attr(rq.now, file);
+                // Sent and not waited for when the parent is remote: the
+                // reply need not wait on pure bookkeeping.
+                if let Some((parent, nlink_delta)) = undo {
+                    self.parent_update(rq, parent, -1, -nlink_delta, rq.t);
+                }
             }
-            (PendingKind::Create { file, undo }, _, NfsStatus::Exist) => {
-                let file = *file;
-                let undo = *undo;
-                {
-                    let p = self.pending.get_mut(&pid).expect("pending present");
-                    p.reply = NfsReply::error(p.reply.proc, NfsStatus::Exist);
-                }
-                self.log_del_attr(now, file);
-                // The optimistic parent update assumed the insert would
-                // succeed; take it back (fire-and-forget when remote — the
-                // reply need not wait on pure bookkeeping).
-                if let Some((dir, home, nd)) = undo {
-                    if home == self.config.site {
-                        self.apply_parent_update(now, dir, -1, -nd, t);
-                    } else {
-                        let op2 = self.fresh_op();
-                        self.peer_ops += 1;
-                        actions.push(DirAction::Peer {
-                            site: home,
-                            msg: PeerMsg::ParentUpdate {
-                                op: op2,
-                                dir,
-                                entry_delta: -1,
-                                nlink_delta: -nd,
-                                mtime: t,
-                            },
-                        });
-                    }
-                }
+            (&PendingKind::Rmdir { key, parent, mtime }, _, NfsStatus::Ok) => {
+                self.log_del_name(rq.now, key);
+                // Not waited for either.
+                self.parent_update(rq, parent, -1, -1, mtime);
+            }
+            (PendingKind::FillAttr | PendingKind::Rmdir { .. }, _, refused)
+                if refused != NfsStatus::Ok =>
+            {
+                p.reply = NfsReply::error(p.reply.proc, refused);
             }
             (
-                PendingKind::Rmdir {
-                    key,
-                    dir,
-                    home,
-                    mtime,
-                },
-                _,
-                NfsStatus::Ok,
-            ) => {
-                let (key, dir, home, mtime) = (*key, *dir, *home, *mtime);
-                self.log_del_name(now, key);
-                // The reply need not wait on the parent's bookkeeping.
-                if home == self.config.site {
-                    self.apply_parent_update(now, dir, -1, -1, mtime);
-                } else {
-                    let op2 = self.fresh_op();
-                    self.peer_ops += 1;
-                    actions.push(DirAction::Peer {
-                        site: home,
-                        msg: PeerMsg::ParentUpdate {
-                            op: op2,
-                            dir,
-                            entry_delta: -1,
-                            nlink_delta: -1,
-                            mtime,
-                        },
-                    });
-                }
-            }
-            (PendingKind::Rmdir { .. }, _, s) if s != NfsStatus::Ok => {
-                let p = self.pending.get_mut(&pid).expect("pending present");
-                p.reply = NfsReply::error(p.reply.proc, s);
-            }
-            (
-                PendingKind::Rename {
-                    from_key,
-                    to_dir,
-                    to_home,
-                },
+                &PendingKind::Rename { from_key, to },
                 PeerInfo::Replaced { child },
                 NfsStatus::Ok,
             ) => {
-                let from_key = *from_key;
-                let (to_dir, to_home) = (*to_dir, *to_home);
-                let child = *child;
-                self.log_del_name(now, from_key);
+                self.log_del_name(rq.now, from_key);
                 if let Some(old) = child {
-                    let mut extra_waits = FxHashSet::default();
-                    let mut durable = now;
-                    self.retract_dest_entry(
-                        actions,
-                        now,
-                        &mut extra_waits,
-                        to_dir,
-                        to_home,
-                        &old,
-                        t,
-                    );
-                    self.unlink_child(actions, now, &mut extra_waits, &mut durable, old, t);
-                    if !extra_waits.is_empty() {
-                        for &w in &extra_waits {
-                            self.wait_to_pending.insert(w, pid);
-                        }
-                        self.pending
-                            .get_mut(&pid)
-                            .expect("pending")
-                            .waits
-                            .extend(extra_waits);
-                    }
+                    self.displace(rq, to, &old);
                 }
             }
             _ => {}
         }
-        let finished = self
-            .pending
-            .get(&pid)
-            .map(|p| p.waits.is_empty())
-            .unwrap_or(false);
-        if finished {
-            let p = self.pending.remove(&pid).expect("pending present");
-            let durable = self
-                .wal
-                .append(now, DirLog::IntentDone { txid: p.txid }, 16);
-            self.ops_served += 1;
-            actions.push(DirAction::Reply {
-                token: p.token,
-                reply: p.reply,
-                at: p.not_before.max(durable),
-            });
+        // Peer ops asked while folding join the wait.
+        for &w in &rq.waits {
+            self.wait_to_pending.insert(w, pid);
         }
+        p.waits.extend(rq.waits.drain());
+        if !p.waits.is_empty() {
+            self.pending.insert(pid, p);
+            return;
+        }
+        let done = DirLog::IntentDone { txid: p.txid };
+        let durable = self.wal.append(rq.now, done, 16);
+        rq.token = p.token;
+        self.reply(rq, p.reply, p.not_before.max(durable));
     }
 
     /// Simulates a crash: volatile state is lost; the WAL (in shared
     /// network storage) survives and is returned for the recovering
-    /// instance.
+    /// instance. Every field is named, so one added to `DirServer` has to
+    /// be given a fate here before the crate compiles.
     pub fn crash(&mut self) -> Wal<DirLog> {
-        self.names.clear();
-        self.attrs.clear();
-        self.dir_index.clear();
-        self.applied_peer.clear();
-        self.pending.clear();
-        self.wait_to_pending.clear();
-        std::mem::replace(&mut self.wal, Wal::new(WalParams::default()))
+        let DirServer {
+            // Cells: memory only, rebuilt by replaying the log.
+            names,
+            attrs,
+            dir_index,
+            // Rebuilt from the log's `AppliedPeer` records.
+            applied_peer,
+            // Parked requests die with the process: clients retransmit,
+            // and an ack that finds nothing parked is dropped.
+            pending,
+            wait_to_pending,
+            wal,
+            // Set by whoever built or reconfigured the server, who still
+            // holds it.
+            config: _,
+            slot_map: _,
+            // Ids that must never repeat — a peer's `applied_peer` would
+            // swallow a new op as an old one, a handle would name two
+            // files: modelled as surviving (`recover` also raises
+            // `next_file` past every replayed cell).
+            next_file: _,
+            next_op: _,
+            next_tx: _,
+            // Statistics of the run, not of the process.
+            ops_served: _,
+            peer_ops: _,
+            multisite_ops: _,
+            misdirected: _,
+        } = self;
+        names.clear();
+        attrs.clear();
+        dir_index.clear();
+        applied_peer.clear();
+        pending.clear();
+        wait_to_pending.clear();
+        std::mem::replace(wal, Wal::new(WalParams::default()))
     }
 
-    /// Rebuilds cells by replaying the durable WAL prefix. In-flight
-    /// multisite operations at crash time are dropped (clients retransmit;
-    /// peers deduplicate by op id).
+    /// Rebuilds cells by replaying the durable WAL prefix, without logging
+    /// again. In-flight multisite operations at crash time are dropped
+    /// (clients retransmit; peers deduplicate by op id).
     pub fn recover(&mut self, wal: Wal<DirLog>, crash_time: SimTime) {
         let records = wal.recover(crash_time);
         self.wal = wal;
-        if self.config.site == 0 && !self.attrs.contains_key(&1) {
-            let attr = Fattr3::new(FileType::Directory, 1, 0o755, NfsTime::default());
-            self.attrs.insert(
-                1,
-                AttrCell {
-                    attr,
-                    entry_count: 0,
-                    symlink: None,
-                    key: 0,
-                },
-            );
-        }
+        self.plant_root();
         for rec in records {
             match rec {
-                DirLog::PutName { key, cell } => {
-                    self.dir_index.entry(cell.parent).or_default().insert(key);
-                    self.names.insert(key, cell);
-                }
+                DirLog::PutName { key, cell } => self.bind(key, cell),
                 DirLog::DelName { key } => {
-                    if let Some(cell) = self.names.remove(&key) {
-                        if let Some(ix) = self.dir_index.get_mut(&cell.parent) {
-                            ix.remove(&key);
-                        }
-                    }
+                    self.unbind(key);
                 }
                 DirLog::PutAttr { file, cell } => {
                     self.next_file = self.next_file.max(file + 1);
@@ -1958,5 +1382,70 @@ impl DirServer {
                 DirLog::Intent { .. } | DirLog::IntentDone { .. } => {}
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod crash_guard {
+    use super::*;
+    use slice_sim::time::SimDuration;
+
+    /// The tables behind `crash`'s destructuring, by size.
+    fn volatile(s: &DirServer) -> [usize; 6] {
+        [
+            s.pending.len(),
+            s.wait_to_pending.len(),
+            s.applied_peer.len(),
+            s.names.len(),
+            s.attrs.len(),
+            s.dir_index.len(),
+        ]
+    }
+
+    #[test]
+    fn crash_empties_every_volatile_table() {
+        let mut s = DirServer::new(DirServerConfig {
+            site: 1,
+            sites: 2,
+            ..Default::default()
+        });
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        // A redirected mkdir parks on the root's home site ...
+        let mkdir = NfsRequest::Mkdir {
+            dir: Fhandle::root(),
+            name: "orphan".into(),
+            attr: Sattr3::default(),
+        };
+        let orphan = match &s.handle_nfs(at(1), 7, &mkdir)[..] {
+            [DirAction::Peer {
+                msg: PeerMsg::InsertEntry { child, .. },
+                ..
+            }] => child.fhandle(),
+            other => panic!("unexpected {other:?}"),
+        };
+        // ... a create under it binds a name here, and a peer's op leaves
+        // its mark.
+        let create = NfsRequest::Create {
+            dir: orphan,
+            name: "kid".into(),
+            attr: Sattr3::default(),
+        };
+        s.handle_nfs(at(2), 8, &create);
+        let touch = PeerMsg::LinkDelta {
+            op: 99,
+            file: orphan.file_id(),
+            delta: 1,
+            ctime: NfsTime::default(),
+        };
+        s.handle_peer(at(3), 0, touch);
+        assert_eq!(volatile(&s), [1, 1, 1, 1, 2, 1]);
+        let wal = s.crash();
+        assert_eq!(volatile(&s), [0; 6], "nothing volatile survives a crash");
+        s.recover(wal, at(100));
+        assert_eq!(
+            volatile(&s),
+            [0, 0, 1, 1, 2, 1],
+            "parked requests stay lost"
+        );
     }
 }

@@ -104,6 +104,14 @@ impl Cluster {
         }
     }
 
+    /// The site a name under the root routes to.
+    fn name_site(&self, name: &str) -> u32 {
+        self.route_site(&NfsRequest::Lookup {
+            dir: Fhandle::root(),
+            name: name.into(),
+        })
+    }
+
     fn auto(&mut self, now: SimTime, token: u64, req: NfsRequest) -> NfsReply {
         let site = self.route_site(&req);
         self.run(now, site, token, req)
@@ -651,20 +659,14 @@ fn cross_site_rename_over_existing_removes_displaced_data() {
     // the last link goes through InsertEntry and then LinkDelta.
     let mut c = Cluster::new(4, NamePolicy::NameHashing);
     let root = Fhandle::root();
-    let site_of = |c: &Cluster, name: &str| {
-        c.route_site(&NfsRequest::Lookup {
-            dir: root,
-            name: name.into(),
-        })
-    };
     let src = "src0";
     let dst = (0..)
         .map(|i| format!("dst{i}"))
-        .find(|d| site_of(&c, d) != site_of(&c, src))
+        .find(|d| c.name_site(d) != c.name_site(src))
         .unwrap();
     let moved = c.create(t(1), &root, src);
     let victim = c.create(t(2), &root, &dst);
-    assert_ne!(victim.home_site(), site_of(&c, src));
+    assert_ne!(victim.home_site(), c.name_site(src));
     let reply = c.auto(
         t(3),
         1,
@@ -696,12 +698,7 @@ fn remote_rmdir_of_nonempty_dir_leaves_parent_alone() {
     let root = Fhandle::root();
     let name = (0..)
         .map(|i| format!("dir{i}"))
-        .find(|n| {
-            c.route_site(&NfsRequest::Lookup {
-                dir: root,
-                name: n.clone(),
-            }) != 0
-        })
+        .find(|n| c.name_site(n) != 0)
         .unwrap();
     let d = c.mkdir(t(1), &root, &name);
     c.create(t(2), &d, "inner");

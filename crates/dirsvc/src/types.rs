@@ -83,7 +83,9 @@ pub enum PeerMsg {
         /// Target file.
         file: u64,
     },
-    /// Adjust a remote object's link count; reports the new count.
+    /// Adjust a remote object's link count; reports the new attributes. The
+    /// owner retires the cell and has the data removed when the count
+    /// reaches zero.
     LinkDelta {
         /// Op id.
         op: u64,
@@ -124,13 +126,6 @@ pub enum PeerMsg {
         /// being replaced (create/mkdir/link); rename replaces.
         replace: bool,
     },
-    /// Remove a name entry on the remote site; reports the unbound child.
-    RemoveEntry {
-        /// Op id.
-        op: u64,
-        /// Cell key.
-        key: u64,
-    },
     /// Check a remote directory for emptiness and, if empty, retire its
     /// attribute cell (rmdir of an orphan directory).
     RemoveDirIfEmpty {
@@ -162,20 +157,10 @@ pub enum PeerInfo {
         /// Symlink target if the object is a symlink.
         symlink: Option<String>,
     },
-    /// New link count after a delta.
-    Nlink {
-        /// The count.
-        nlink: u32,
-    },
     /// Child displaced by an insert (rename over an existing name).
     Replaced {
         /// The displaced child, if any.
         child: Option<ChildRef>,
-    },
-    /// Child unbound by a remove.
-    Removed {
-        /// The child that was bound.
-        child: ChildRef,
     },
 }
 

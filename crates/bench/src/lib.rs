@@ -2,6 +2,8 @@
 //! table and figure (see the `src/bin` binaries). Per-layer host-cost
 //! probes live in the repository's `benchmark/` package.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 
 pub use experiments::{

@@ -25,6 +25,8 @@
 //! Everything here is deterministic: the same seed produces byte-identical
 //! reports, so a failing schedule is a reproducible artifact, not a flake.
 
+#![forbid(unsafe_code)]
+
 pub mod explore;
 pub mod oracle;
 pub mod state;

@@ -12,6 +12,8 @@
 //! * [`baseline`] — the monolithic NFS and MFS comparison servers;
 //! * [`ensemble`] — builders for Slice and baseline deployments.
 
+#![forbid(unsafe_code)]
+
 pub mod actors;
 pub mod baseline;
 pub mod calib;

@@ -7,6 +7,8 @@
 //! write-ahead intent logging, and recover by replaying their logs
 //! (§3.3, §4.3).
 
+#![forbid(unsafe_code)]
+
 pub mod server;
 pub mod types;
 

@@ -19,7 +19,9 @@
 //! (never-written regions read as zeros) are self-consistent: zero data
 //! encodes to zero parity.
 
-#![forbid(unsafe_code)]
+// The workspace's one `unsafe` block is the call into the AVX2 kernel in
+// `xor_scaled`; every other crate root says `forbid` (DESIGN.md §13).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 /// GF(2^8) log/antilog tables for the AES-adjacent polynomial 0x11d.
@@ -62,9 +64,31 @@ pub fn gf_inv(a: u8) -> u8 {
 }
 
 /// `dst ^= c * src`, element-wise — the inner loop of encode and decode.
+///
+/// Panics if the lengths differ: a shorter `src` would leave stale parity
+/// behind the bytes it did cover. On an x86-64 host with AVX2 the work is
+/// done by `xor_scaled_avx2`; everywhere else, and as the reference the
+/// tests hold the kernel to, by `xor_scaled_scalar`. Same field, same
+/// products: the bytes written do not depend on the host.
 #[inline]
+#[allow(unsafe_code)]
 pub fn xor_scaled(dst: &mut [u8], c: u8, src: &[u8]) {
-    debug_assert_eq!(dst.len(), src.len());
+    assert_eq!(dst.len(), src.len(), "xor_scaled operands differ in length");
+    #[cfg(target_arch = "x86_64")]
+    if c != 0 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `xor_scaled_avx2` is a safe function whose only
+        // requirement on its caller is the `avx2` target feature, and the
+        // run-time detection on the line above has just confirmed this CPU
+        // has it. It takes two slices and touches memory only through them.
+        unsafe { xor_scaled_avx2(dst, c, src) };
+        return;
+    }
+    xor_scaled_scalar(dst, c, src);
+}
+
+/// The portable log/exp loop: the only path on a host without AVX2, and
+/// the definition of the right answer on one with it.
+fn xor_scaled_scalar(dst: &mut [u8], c: u8, src: &[u8]) {
     if c == 0 {
         return;
     }
@@ -80,6 +104,62 @@ pub fn xor_scaled(dst: &mut [u8], c: u8, src: &[u8]) {
         if s != 0 {
             *d ^= exp[lc + log[s as usize] as usize];
         }
+    }
+}
+
+/// The split-nibble kernel (ISA-L; Plank et al., "Screaming Fast Galois
+/// Field Arithmetic Using Intel SIMD Instructions"). Multiplication by a
+/// constant is linear over GF(2), so `c·s = c·(s & 0x0f) ^ c·(s & 0xf0)`:
+/// two 16-entry tables per coefficient, each small enough for `vpshufb`
+/// to look up 32 bytes at a time. No table outlives the call.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn xor_scaled_avx2(dst: &mut [u8], c: u8, src: &[u8]) {
+    use std::arch::x86_64::{
+        __m256i, _mm256_and_si256, _mm256_extract_epi64, _mm256_set1_epi8, _mm256_set_epi64x,
+        _mm256_shuffle_epi8, _mm256_srli_epi64, _mm256_xor_si256,
+    };
+
+    // Lane moves spelled with safe integer intrinsics; LLVM folds each
+    // into one unaligned `vmovdqu`.
+    #[target_feature(enable = "avx2")]
+    fn load(b: &[u8]) -> __m256i {
+        let q = |i: usize| i64::from_le_bytes(b[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        _mm256_set_epi64x(q(3), q(2), q(1), q(0))
+    }
+    #[target_feature(enable = "avx2")]
+    fn store(b: &mut [u8], v: __m256i) {
+        b[0..8].copy_from_slice(&_mm256_extract_epi64::<0>(v).to_le_bytes());
+        b[8..16].copy_from_slice(&_mm256_extract_epi64::<1>(v).to_le_bytes());
+        b[16..24].copy_from_slice(&_mm256_extract_epi64::<2>(v).to_le_bytes());
+        b[24..32].copy_from_slice(&_mm256_extract_epi64::<3>(v).to_le_bytes());
+    }
+
+    // `vpshufb` indexes within each 128-bit half, so both halves carry
+    // the same 16 products.
+    let mut lo = [0u8; 32];
+    let mut hi = [0u8; 32];
+    for i in 0..16 {
+        lo[i] = gf_mul(c, i as u8);
+        lo[i + 16] = lo[i];
+        hi[i] = gf_mul(c, (i as u8) << 4);
+        hi[i + 16] = hi[i];
+    }
+    let (lo, hi) = (load(&lo), load(&hi));
+    let nibble = _mm256_set1_epi8(0x0f);
+
+    let mut d32 = dst.chunks_exact_mut(32);
+    let mut s32 = src.chunks_exact(32);
+    for (d, s) in d32.by_ref().zip(s32.by_ref()) {
+        let s = load(s);
+        let low = _mm256_and_si256(s, nibble);
+        let high = _mm256_and_si256(_mm256_srli_epi64::<4>(s), nibble);
+        let product = _mm256_xor_si256(_mm256_shuffle_epi8(lo, low), _mm256_shuffle_epi8(hi, high));
+        let sum = _mm256_xor_si256(load(d), product);
+        store(d, sum);
+    }
+    for (d, &s) in d32.into_remainder().iter_mut().zip(s32.remainder()) {
+        *d ^= gf_mul(c, s);
     }
 }
 
@@ -146,8 +226,12 @@ impl Codec {
     }
 
     /// Incrementally folds a data-shard change into one parity shard:
-    /// `parity ^= C[p][j] · (old ^ new)` — the window update a partial
-    /// write applies without touching the other k−1 data shards.
+    /// `parity ^= C[p][j] · (old ^ new)`, without the other k−1 data
+    /// shards. Nothing in the stack calls it: the µproxy's partial write
+    /// gathers k windows, decodes and re-encodes (`coded_write_phase1`),
+    /// and moving it to delta parity would change the simulated leg
+    /// pattern (DESIGN.md §13). It is kept as the arithmetic identity the
+    /// tests and the benchmark's probe exercise.
     pub fn update_parity(&self, parity: &mut [u8], p: usize, j: usize, old: &[u8], new: &[u8]) {
         assert_eq!(old.len(), new.len());
         assert_eq!(parity.len(), new.len());
@@ -392,6 +476,69 @@ mod tests {
             for b in [5u8, 17, 130, 255] {
                 assert_eq!(gf_mul(a, b), gf_mul(b, a));
             }
+        }
+    }
+
+    /// `xor_scaled` against the scalar loop. On a host without AVX2 (or
+    /// not x86-64) `xor_scaled` *is* the scalar loop and this compares the
+    /// reference with itself; it still runs, so the suite is the same
+    /// everywhere.
+    #[test]
+    fn xor_scaled_matches_scalar_reference_on_this_host() {
+        let mut lens: Vec<usize> = (0..=97).collect();
+        lens.extend([4095, 4096, 4097, 32768]);
+        let src = pattern(7, 32768 + 3);
+        let acc = pattern(8, 32768 + 3);
+        // Sub-slice starts 0..4 misalign each operand against the 32-byte
+        // step; the non-zero `acc` checks accumulation.
+        for &len in &lens {
+            for doff in 0..4 {
+                for soff in 0..4 {
+                    let s = &src[soff..soff + len];
+                    for c in 0..=255u8 {
+                        let mut got = acc[doff..doff + len].to_vec();
+                        let mut want = got.clone();
+                        xor_scaled(&mut got, c, s);
+                        xor_scaled_scalar(&mut want, c, s);
+                        assert_eq!(got, want, "c={c} len={len} doff={doff} soff={soff}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn xor_scaled_rejects_unequal_lengths() {
+        // Also in release builds (CI runs this crate with `--release`):
+        // zipping to the shorter slice would leave stale parity behind.
+        xor_scaled(&mut [0u8; 64], 3, &[0u8; 63]);
+    }
+
+    fn fnv1a(shards: &[Vec<u8>]) -> u64 {
+        shards
+            .iter()
+            .flatten()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// Parity bytes pinned to the values the byte-at-a-time loop produced
+    /// at 3a56c1e, before any SIMD path existed. A kernel that is wrong
+    /// but linear still round-trips through its own decode (and through
+    /// the oracles, which share this `Codec`); it cannot reproduce these.
+    #[test]
+    fn encode_output_is_pinned_to_history() {
+        for (n, k, len, want) in [
+            (4, 2, 32768, 0xf63a_6821_8d84_5dae_u64),
+            (4, 2, 177, 0x49d0_7009_e9a0_7544),
+            (6, 4, 32768, 0x116a_3bd3_63b4_d0c9),
+            (6, 4, 177, 0xb680_f0ac_59b0_0b72),
+        ] {
+            let codec = Codec::new(n, k);
+            let got = fnv1a(&shards_for(&codec, len)[k..]);
+            assert_eq!(got, want, "({n},{k}) len {len}: parity hash {got:#018x}");
         }
     }
 

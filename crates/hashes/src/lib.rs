@@ -8,6 +8,8 @@
 //! * [`checksum`] — the Internet checksum with RFC 1624 incremental update,
 //!   used by the µproxy's differential packet rewriting.
 
+#![forbid(unsafe_code)]
+
 pub mod checksum;
 pub mod fnv;
 pub mod md5;

@@ -16,6 +16,8 @@
 //! * [`packet`] — simulated UDP datagrams whose checksums are maintained
 //!   incrementally under rewriting.
 
+#![forbid(unsafe_code)]
+
 pub mod attr;
 pub mod bytes;
 pub mod fh;

@@ -21,6 +21,8 @@
 //! nothing about the simulator), so the sim engine, the server classes,
 //! and the µproxy can all depend on it without cycles.
 
+#![forbid(unsafe_code)]
+
 mod json;
 mod metrics;
 mod trace;

@@ -19,6 +19,8 @@
 //! Everything is deterministic under a fixed seed: the event queue breaks
 //! ties by insertion order and all randomness flows from one seeded RNG.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod disk;
 pub mod engine;

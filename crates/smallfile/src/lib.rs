@@ -12,6 +12,8 @@
 //! * [`server`] — the asynchronous server state machine (map records,
 //!   buffer cache, backing I/O to the storage array, WAL + recovery).
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod server;
 

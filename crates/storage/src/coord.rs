@@ -1687,10 +1687,17 @@ impl Coordinator {
                     Some((n, k, target_idx)) => {
                         // Short reads are holes: pad to the window — zeros
                         // are exactly what the code sees for never-written
-                        // bytes.
-                        let mut window = data.to_vec();
-                        window.resize(g.range.len as usize, 0);
-                        g.got.insert(site, window.into());
+                        // bytes. A full-length window stays the buffer it
+                        // arrived in.
+                        let wlen = g.range.len as usize;
+                        let window = if data.len() == wlen {
+                            data
+                        } else {
+                            let mut bytes = data.to_vec();
+                            bytes.resize(wlen, 0);
+                            bytes.into()
+                        };
+                        g.got.insert(site, window);
                         if g.got.len() < k as usize {
                             job.stage = Some(ResyncStage::Gather(g));
                             return vec![];

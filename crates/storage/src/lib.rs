@@ -14,6 +14,8 @@
 //! * [`coord`] — the block-service coordinator: per-file block maps and
 //!   the intention-logging protocol for multisite atomicity.
 
+#![forbid(unsafe_code)]
+
 pub mod coord;
 pub mod node;
 pub mod object;

@@ -14,6 +14,8 @@
 //! * [`proxy`] — the packet filter state machine with per-phase cost
 //!   accounting (Table 3).
 
+#![forbid(unsafe_code)]
+
 pub mod attrcache;
 pub mod proxy;
 pub mod tables;

@@ -8,6 +8,8 @@
 //! * [`specsfs`] — a SPECsfs97-like self-scaling mixed workload
 //!   (Figures 5 and 6).
 
+#![forbid(unsafe_code)]
+
 pub mod bigdir;
 pub mod bulk;
 pub mod script;

@@ -10,6 +10,8 @@
 //!
 //! All quantities are big-endian and padded to 4-byte alignment, per XDR.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// Errors produced while decoding an XDR stream.

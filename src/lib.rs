@@ -37,6 +37,8 @@
 //! # let _ = wl;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use slice_check as check;
 pub use slice_core as core;
 pub use slice_dirsvc as dirsvc;

@@ -43,6 +43,22 @@ fn fh(id: u64, flags: u8) -> Fhandle {
     Fhandle::new(id, 0, flags, 0, 0)
 }
 
+/// The xid a forwarded or µproxy-built call packet travels under: a
+/// server answers under that xid, whatever the client's was.
+fn xid_of(p: &Packet) -> u32 {
+    slice_nfsproto::peek_xid_type(&p.payload)
+        .expect("rpc header")
+        .0
+}
+
+/// The xid of a reply delivered to the client.
+fn client_xid(out: &[ProxyOut]) -> Option<u32> {
+    out.iter().find_map(|o| match o {
+        ProxyOut::Client(p) => Some(xid_of(p)),
+        _ => None,
+    })
+}
+
 fn net_pkts(out: &[ProxyOut]) -> Vec<&Packet> {
     out.iter()
         .filter_map(|o| match o {
@@ -810,9 +826,9 @@ fn lose_state_empties_every_waiting_table() {
     };
     let out = u.outbound(t(4), call_pkt(&c, 4, &req));
     let head = net_pkts(&out)
-        .iter()
-        .map(|p| p.dst)
-        .find(|d| c.sf_sites.contains(d))
+        .into_iter()
+        .find(|p| c.sf_sites.contains(&p.dst))
+        .cloned()
         .expect("head leg to the small-file server");
     grew(&u, "a split read");
     let attr = Fattr3::new(FileType::Regular, 92, 0o644, NfsTime::default());
@@ -825,7 +841,10 @@ fn lose_state_empties_every_waiting_table() {
             eof: false,
         },
     };
-    let back = u.inbound(t(5), reply_pkt(head, c.client_addr, 4, &half));
+    let back = u.inbound(
+        t(5),
+        reply_pkt(head.dst, c.client_addr, xid_of(&head), &half),
+    );
     assert!(back.is_empty(), "half a merge is absorbed");
     // intent_waiters: a commit of a file the attribute cache knows to be
     // large waits for the coordinator's intent ack.
@@ -879,9 +898,18 @@ fn lose_state_empties_every_waiting_table() {
         }
     )));
     grew(&u, "a write parked on a dirty-region ack");
+    // A second commit pushes the same attribute version again: a retry.
+    u.outbound(t(301), call_pkt(&c, 9, &commit));
+    let (stats, retries) = (u.attr_cache_stats(), u.push_retries());
+    assert!(stats.0 > 0 && retries == 1, "{stats:?}, {retries} retries");
 
     u.lose_state();
     assert_eq!(u.soft_state_entries(), 0, "a table survived lose_state()");
+    assert_eq!(
+        (u.attr_cache_stats(), u.push_retries()),
+        (stats, retries),
+        "lifetime statistics are not state: the client subtracts from them"
+    );
     assert!(
         u.suspected_sites().is_empty(),
         "suspicion is soft state too"
@@ -974,13 +1002,19 @@ fn straddling_write_splits_and_merges() {
     };
     let r1 = u.inbound(
         t(1),
-        reply_pkt(low.dst, c.client_addr, 11, &half_reply(16 * 1024)),
+        reply_pkt(low.dst, c.client_addr, xid_of(low), &half_reply(16 * 1024)),
     );
     assert!(r1.iter().all(|o| !matches!(o, ProxyOut::Client(_))));
     let r2 = u.inbound(
         t(2),
-        reply_pkt(high.dst, c.client_addr, 11, &half_reply(16 * 1024)),
+        reply_pkt(
+            high.dst,
+            c.client_addr,
+            xid_of(high),
+            &half_reply(16 * 1024),
+        ),
     );
+    assert_eq!(client_xid(&r2), Some(11), "merged under the client's xid");
     let merged = r2
         .iter()
         .find_map(|o| match o {
@@ -1026,7 +1060,10 @@ fn straddling_read_splits_and_reassembles() {
         },
     };
     for p in &wpkts {
-        u.inbound(t(1), reply_pkt(p.dst, c.client_addr, 20, &half_wreply));
+        u.inbound(
+            t(1),
+            reply_pkt(p.dst, c.client_addr, xid_of(p), &half_wreply),
+        );
     }
     // Now a straddling read: the halves return distinct patterns and the
     // client must see them joined in order.
@@ -1057,8 +1094,13 @@ fn straddling_read_splits_and_reassembles() {
             )),
             body: ReplyBody::Read { data, eof: false },
         };
-        final_out = u.inbound(t(3), reply_pkt(p.dst, c.client_addr, 21, &reply));
+        final_out = u.inbound(t(3), reply_pkt(p.dst, c.client_addr, xid_of(p), &reply));
     }
+    assert_eq!(
+        client_xid(&final_out),
+        Some(21),
+        "merged under the client's xid"
+    );
     let merged = final_out
         .iter()
         .find_map(|o| match o {
@@ -1274,23 +1316,49 @@ fn hot_trackers_count_and_age_out() {
     assert_eq!(u.hot_files(1), vec![(9, 1)], "stale window must age out");
 }
 
-/// `(dst, checksum, FNV-1a of the payload)` of every packet the µproxy
-/// emits for `req`, in emission order.
-fn emitted(c: &ProxyConfig, xid: u32, req: &NfsRequest) -> Vec<(SockAddr, u16, u64)> {
+/// Every packet a fresh µproxy emits for `req`, in emission order.
+fn emitted(c: &ProxyConfig, xid: u32, req: &NfsRequest) -> (Uproxy, Vec<Packet>) {
     let mut u = Uproxy::new(c.clone());
     let out = u.outbound(t(0), call_pkt(c, xid, req));
-    net_pkts(&out)
-        .into_iter()
-        .inspect(|p| assert!(p.verify() && p.src == c.client_addr))
+    let pkts: Vec<Packet> = net_pkts(&out).into_iter().cloned().collect();
+    assert!(pkts.iter().all(|p| p.verify() && p.src == c.client_addr));
+    (u, pkts)
+}
+
+/// `(dst, checksum, FNV-1a of the payload)` per packet: every byte.
+fn digests(pkts: &[Packet]) -> Vec<(SockAddr, u16, u64)> {
+    pkts.iter()
         .map(|p| (p.dst, p.checksum, slice_hashes::fnv1a(&p.payload)))
         .collect()
 }
 
+/// `(dst, length, FNV-1a of the payload after its xid word)` per packet:
+/// everything but the xid (and the checksum that covers it).
+fn bodies(pkts: &[Packet]) -> Vec<(SockAddr, usize, u64)> {
+    pkts.iter()
+        .map(|p| (p.dst, p.payload.len(), slice_hashes::fnv1a(&p.payload[4..])))
+        .collect()
+}
+
+/// Answers every leg under the xid it was sent with; the one reply the
+/// client gets must carry the client's xid.
+fn answer_legs(c: &ProxyConfig, u: &mut Uproxy, pkts: &[Packet], xid: u32, reply: &NfsReply) {
+    let mut delivered = Vec::new();
+    for p in pkts {
+        let back = u.inbound(t(1), reply_pkt(p.dst, c.client_addr, xid_of(p), reply));
+        delivered.extend(client_xid(&back));
+    }
+    assert_eq!(delivered, vec![xid], "one reply, under the client's xid");
+}
+
 /// Pins the bulk planner's legs byte for byte (destination, checksum,
-/// payload digest — reference values from commit 6f849b5). A straddling
-/// request is re-encoded as head + tail (one tail per replica for a
-/// write); a non-straddling one is the client's own packet re-addressed
-/// in place.
+/// payload digest — reference values from commit 6f849b5). A
+/// non-straddling request (xids 12, 14) is the client's own packet
+/// re-addressed in place. A straddling one (11, 13) is re-encoded as a
+/// head and a tail (one tail per replica for a write); for those, `bodies`
+/// pins everything but the xid word as well (reference values from commit
+/// 901b509), so a change of the xid the legs travel under shows up in the
+/// full digests and nowhere else.
 #[test]
 fn bulk_planner_emits_golden_mirrored_legs() {
     let c = cfg();
@@ -1308,8 +1376,30 @@ fn bulk_planner_emits_golden_mirrored_legs() {
         offset,
         count: 32 * 1024,
     };
+    let attr = Fattr3::new(FileType::Regular, 80, 0o644, NfsTime::default());
+    let wrote = NfsReply {
+        proc: NfsProc::Write,
+        status: NfsStatus::Ok,
+        attr: Some(attr),
+        body: ReplyBody::Write {
+            count: 16 * 1024,
+            committed: StableHow::FileSync,
+            verf: 1,
+        },
+    };
+    let got = NfsReply {
+        proc: NfsProc::Read,
+        status: NfsStatus::Ok,
+        attr: Some(attr),
+        body: ReplyBody::Read {
+            data: vec![5u8; 16 * 1024],
+            eof: false,
+        },
+    };
+
+    let (mut u, pkts) = emitted(&c, 11, &write(48 * 1024));
     assert_eq!(
-        emitted(&c, 11, &write(48 * 1024)),
+        digests(&pkts),
         vec![
             (sf, 28603, 0x8a2c_b102_cd4f_2787),
             (node(2), 18150, 0xe5bd_25f3_8347_2e55),
@@ -1317,21 +1407,42 @@ fn bulk_planner_emits_golden_mirrored_legs() {
         ]
     );
     assert_eq!(
-        emitted(&c, 12, &write(128 * 1024)),
+        bodies(&pkts),
+        vec![
+            (sf, 16524, 0x58c1_679e_24c1_b3ca),
+            (node(2), 16524, 0x95bb_6f6a_d833_1678),
+            (node(3), 16524, 0x95bb_6f6a_d833_1678),
+        ]
+    );
+    answer_legs(&c, &mut u, &pkts, 11, &wrote);
+
+    assert_eq!(
+        digests(&emitted(&c, 12, &write(128 * 1024)).1),
         vec![
             (node(3), 7875, 0x8858_738c_f633_55f6),
             (node(0), 7878, 0x8858_738c_f633_55f6),
         ]
     );
+
+    let (mut u, pkts) = emitted(&c, 13, &read(48 * 1024));
     assert_eq!(
-        emitted(&c, 13, &read(48 * 1024)),
+        digests(&pkts),
         vec![
             (sf, 31991, 0x8288_fe13_ea28_69a5),
             (node(2), 11509, 0x2fb4_a8bc_0f1a_d60a),
         ]
     );
     assert_eq!(
-        emitted(&c, 14, &read(128 * 1024)),
+        bodies(&pkts),
+        vec![
+            (sf, 132, 0x9ad6_0fd3_fca6_1ef2),
+            (node(2), 132, 0xf110_652b_da96_db8d)
+        ]
+    );
+    answer_legs(&c, &mut u, &pkts, 13, &got);
+
+    assert_eq!(
+        digests(&emitted(&c, 14, &read(128 * 1024)).1),
         vec![(node(3), 4613, 0xdedf_da2c_ff6a_d3b8)]
     );
 }

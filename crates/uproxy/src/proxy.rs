@@ -1052,14 +1052,29 @@ impl Uproxy {
     /// Processes a client-to-server packet.
     pub fn outbound(&mut self, now: SimTime, pkt: Packet) -> Vec<ProxyOut> {
         let mut out = Vec::new();
+        self.phases.packets += 1;
+        self.admit(now, &mut out, pkt, true);
+        out
+    }
+
+    /// Intercepts, decodes and routes one request packet. `fresh` is false
+    /// when a parked packet is re-admitted (its map fragment, dirty-region
+    /// ack or stripe lock arrived): it was counted — as a packet, as a
+    /// routed request and in the hot-set window — when the client sent it.
+    pub(crate) fn admit(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<ProxyOut>,
+        pkt: Packet,
+        fresh: bool,
+    ) {
         // Phase 1: interception.
         self.clock.start(self.cfg.measure_phases);
-        self.phases.packets += 1;
         let ours = pkt.dst == self.cfg.virtual_addr;
         self.clock.lap(&mut self.phases.intercept_ns);
         if !ours {
             out.push(ProxyOut::Net(pkt));
-            return out;
+            return;
         }
         // Phase 2: decode — headers and arguments only; WRITE data is
         // located, not read.
@@ -1067,10 +1082,31 @@ impl Uproxy {
         self.clock.lap(&mut self.phases.decode_ns);
         let Ok((hdr, call)) = decoded else {
             // Undecodable packet: drop; RPC retransmission recovers.
-            return out;
+            return;
         };
-        self.route_call(now, &mut out, pkt, hdr.xid, call);
-        out
+        if fresh {
+            self.stats.requests_routed += 1;
+            // Hot-set tracking for demand-driven replication: data ops
+            // count against the file, name ops against the parent
+            // directory.
+            match &call {
+                CallView::Write { fh, .. } | CallView::Other(NfsRequest::Read { fh, .. }) => {
+                    self.hot_data.note(now, fh.file_id());
+                }
+                CallView::Other(
+                    NfsRequest::Lookup { dir, .. }
+                    | NfsRequest::Create { dir, .. }
+                    | NfsRequest::Mkdir { dir, .. }
+                    | NfsRequest::Remove { dir, .. }
+                    | NfsRequest::Rmdir { dir, .. },
+                ) => {
+                    self.hot_name.note(now, dir.file_id());
+                }
+                CallView::Other(_) => {}
+            }
+        }
+        self.clock.lap(&mut self.phases.soft_ns);
+        self.route_call(now, out, pkt, hdr.xid, call);
     }
 
     fn route_call(
@@ -1081,25 +1117,6 @@ impl Uproxy {
         xid: u32,
         call: CallView,
     ) {
-        self.stats.requests_routed += 1;
-        // Hot-set tracking for demand-driven replication: data ops count
-        // against the file, name ops against the parent directory.
-        match &call {
-            CallView::Write { fh, .. } | CallView::Other(NfsRequest::Read { fh, .. }) => {
-                self.hot_data.note(now, fh.file_id());
-            }
-            CallView::Other(
-                NfsRequest::Lookup { dir, .. }
-                | NfsRequest::Create { dir, .. }
-                | NfsRequest::Mkdir { dir, .. }
-                | NfsRequest::Remove { dir, .. }
-                | NfsRequest::Rmdir { dir, .. },
-            ) => {
-                self.hot_name.note(now, dir.file_id());
-            }
-            CallView::Other(_) => {}
-        }
-        self.clock.lap(&mut self.phases.soft_ns);
         let client_src = pkt.src;
         // From here the routing decision and the rewrite are phase 3, the
         // tables consulted and filed on the way phase 4.
@@ -1894,8 +1911,7 @@ impl Uproxy {
                     .collect();
                 for k in keys {
                     for pkt in self.map_waiters.remove(&k).unwrap_or_default() {
-                        let mut more = self.outbound(now, pkt);
-                        out.append(&mut more);
+                        self.admit(now, &mut out, pkt, false);
                     }
                 }
             }
@@ -1915,8 +1931,7 @@ impl Uproxy {
                             bytes,
                         }));
                     }
-                    let mut more = self.outbound(now, pkt);
-                    out.append(&mut more);
+                    self.admit(now, &mut out, pkt, false);
                 }
             }
             CoordReply::SiteProbe { site, clean } => {

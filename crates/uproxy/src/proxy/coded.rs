@@ -175,8 +175,7 @@ impl Uproxy {
         // own; what the releasing packet has spent so far is lock upkeep.
         self.clock.lap(&mut self.phases.soft_ns);
         for p in release {
-            let mut more = self.outbound(now, p);
-            out.append(&mut more);
+            self.admit(now, out, p, false);
         }
     }
 

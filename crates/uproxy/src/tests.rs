@@ -620,6 +620,11 @@ fn block_map_routing_parks_and_releases() {
     let pkts = net_pkts(&out);
     assert_eq!(pkts.len(), 1);
     assert_eq!(pkts[0].dst, c.storage_sites[2]);
+    // The client sent one request: parking and re-admitting it counts it
+    // once, as a packet, as a routed request and in the hot-set window.
+    assert_eq!(u.traffic_stats().0, 1, "requests routed");
+    assert_eq!(u.phase_stats().packets, 1);
+    assert_eq!(u.hot_files(1), vec![(90, 1)]);
     // Next read on a covered block routes immediately.
     let req = NfsRequest::Read {
         fh: mapped,

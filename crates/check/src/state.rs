@@ -80,7 +80,7 @@ pub fn check_mirror_convergence(ens: &SliceEnsemble) -> Vec<Violation> {
         return v;
     };
     let stripe_unit = proxy.config().stripe_unit.max(1);
-    let copies = u64::from(proxy.config().mirror_copies).clamp(1, n);
+    let copies = u64::from(slice_core::MIRROR_COPIES).clamp(1, n);
     let start = if ens.sfs.is_empty() {
         0
     } else {

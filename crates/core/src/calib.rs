@@ -104,9 +104,6 @@ pub fn disk_params() -> DiskParams {
     DiskParams::cheetah()
 }
 
-/// µproxy attribute write-back interval (the de-facto three-second window).
-pub const ATTR_WRITEBACK: SimDuration = SimDuration::from_secs(3);
-
 #[cfg(test)]
 mod tests {
     use super::*;

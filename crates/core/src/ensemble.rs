@@ -16,7 +16,7 @@ use crate::wire::{AddrPlan, Router, Wire};
 
 /// How far past client completion `run_to_completion` keeps stepping to
 /// drain background work when the event queue never empties (liveness
-/// probes re-arm forever). Must exceed [`calib::ATTR_WRITEBACK`] plus
+/// probes re-arm forever). Must exceed [`slice_uproxy::ATTR_WRITEBACK`] plus
 /// one maintenance tick so every dirty attribute flushes before the
 /// quiescence oracles run.
 const DRAIN_HORIZON: SimDuration = SimDuration::from_secs(10);
@@ -309,13 +309,9 @@ impl SliceEnsemble {
                 name_policy,
                 threshold: slice_smallfile::SF_THRESHOLD,
                 stripe_unit: cfg.stripe_unit,
-                mirror_copies: 2,
                 coded: cfg.coded,
                 use_block_maps,
                 use_intents: cfg.use_intents,
-                attr_cache_entries: 4096,
-                writeback_interval: calib::ATTR_WRITEBACK,
-                suspect_after: 2,
                 probe_interval: SimDuration::from_millis(cfg.probe_interval_ms.max(1)),
                 hot_window: SimDuration::from_millis(cfg.hot_window_ms.max(1)),
                 // Wall-clock phase timing would inject nondeterminism
@@ -620,20 +616,10 @@ impl SliceEnsemble {
     /// Files whose data-op count over the sliding hot window reaches
     /// `min`, merged across every client µproxy; hottest first.
     pub fn hot_files(&self, min: u64) -> Vec<(u64, u64)> {
-        self.merge_hot(min, |p| p.hot_files(1))
-    }
-
-    /// Directories whose name-op count over the sliding hot window
-    /// reaches `min`, merged across every client µproxy; hottest first.
-    pub fn hot_dirs(&self, min: u64) -> Vec<(u64, u64)> {
-        self.merge_hot(min, |p| p.hot_dirs(1))
-    }
-
-    fn merge_hot(&self, min: u64, f: impl Fn(&Uproxy) -> Vec<(u64, u64)>) -> Vec<(u64, u64)> {
         let mut merged: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
         for &c in &self.clients {
             if let Some(p) = self.engine.actor::<ClientActor>(c).proxy() {
-                for (id, n) in f(p) {
+                for (id, n) in p.hot_files(1) {
                     *merged.entry(id).or_insert(0) += n;
                 }
             }

@@ -26,4 +26,7 @@ pub use baseline::{BaselineActor, BaselineKind, MonoFs};
 pub use client::{ClientActor, ClientConfig, ClientIo, ClientStats, Workload};
 pub use ensemble::{BaselineEnsemble, EnsemblePolicy, SliceConfig, SliceEnsemble};
 pub use history::{OpHistory, OpRecord, CHUNK_BYTES};
+/// The static placement's replication degree, for auditors that recompute
+/// it (`slice-check` reaches the µproxy through this crate).
+pub use slice_uproxy::MIRROR_COPIES;
 pub use wire::{AddrPlan, Router, Wire};

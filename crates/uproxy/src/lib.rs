@@ -21,7 +21,10 @@ pub mod proxy;
 pub mod tables;
 
 pub use attrcache::{AttrCache, CachedAttr};
-pub use proxy::{PhaseStats, ProxyConfig, ProxyNamePolicy, ProxyOut, Uproxy};
+pub use proxy::{
+    PhaseStats, ProxyConfig, ProxyNamePolicy, ProxyOut, Uproxy, ATTR_CACHE_ENTRIES, ATTR_WRITEBACK,
+    MIRROR_COPIES, SUSPECT_AFTER,
+};
 pub use tables::RoutingTable;
 
 #[cfg(test)]

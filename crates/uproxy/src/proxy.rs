@@ -20,7 +20,7 @@
 use slice_sim::FxHashMap;
 use std::time::Instant;
 
-use slice_hashes::{fnv1a, name_fingerprint};
+use slice_hashes::{bucket_of, fnv1a, name_fingerprint};
 use slice_nfsproto::{
     encode_call, view_call, view_reply, AuthUnix, BodyView, ByteBuf, CallView, Fhandle, NfsProc,
     NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, ReplyView, Sattr3, SetTime,
@@ -35,7 +35,18 @@ use crate::attrcache::AttrCache;
 use crate::tables::RoutingTable;
 
 mod coded;
-use coded::{CodedLegRole, CodedOp};
+use coded::{LegOp, LegRole};
+
+/// Replication degree of a mirrored file under static placement.
+pub const MIRROR_COPIES: u32 = 2;
+/// Attribute cache capacity (entries).
+pub const ATTR_CACHE_ENTRIES: usize = 4096;
+/// Dirty attributes older than this are pushed back on [`Uproxy::tick`]
+/// (the de-facto three-second window).
+pub const ATTR_WRITEBACK: SimDuration = SimDuration::from_secs(3);
+/// Retransmission strikes before a storage site is suspected down and
+/// removed from the mirrored-read rotation.
+pub const SUSPECT_AFTER: u32 = 2;
 
 /// Name-space routing policy at the µproxy (paper §3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,8 +83,6 @@ pub struct ProxyConfig {
     pub threshold: u64,
     /// Stripe unit for static placement.
     pub stripe_unit: u64,
-    /// Replication degree for mirrored files.
-    pub mirror_copies: u32,
     /// Erasure-coded layout `(n, k)` for mapped files' bulk regions.
     /// `None` keeps the mirrored/striped layouts. Requires
     /// [`ProxyConfig::use_block_maps`] and a coordinator running the same
@@ -84,20 +93,11 @@ pub struct ProxyConfig {
     pub use_block_maps: bool,
     /// Wrap multisite commits in coordinator intentions.
     pub use_intents: bool,
-    /// Attribute cache capacity (entries).
-    pub attr_cache_entries: usize,
-    /// Dirty attributes older than this are pushed back on
-    /// [`Uproxy::tick`].
-    pub writeback_interval: SimDuration,
-    /// Retransmission strikes before a storage site is suspected down
-    /// and removed from the mirrored-read rotation.
-    pub suspect_after: u32,
     /// Interval between liveness probes of a suspected site (also the
     /// probe retry deadline when a coordinator does not answer).
     pub probe_interval: SimDuration,
-    /// Sliding window for hot-set detection: per-file data-op and
-    /// per-directory name-op counts are kept over roughly the last
-    /// window (two half-window buckets).
+    /// Sliding window for hot-set detection: per-file data-op counts are
+    /// kept over roughly the last window (two half-window buckets).
     pub hot_window: SimDuration,
     /// Measure real per-phase CPU cost with `Instant::now` (Table 3
     /// benchmarking). Off by default: wall-clock reads are nondeterminism
@@ -123,13 +123,9 @@ impl ProxyConfig {
             name_policy: ProxyNamePolicy::MkdirSwitching { redirect_millis: 0 },
             threshold: 64 * 1024,
             stripe_unit: 64 * 1024,
-            mirror_copies: 2,
             coded: None,
             use_block_maps: false,
             use_intents: true,
-            attr_cache_entries: 4096,
-            writeback_interval: SimDuration::from_secs(3),
-            suspect_after: 2,
             probe_interval: SimDuration::from_secs(2),
             hot_window: SimDuration::from_secs(10),
             measure_phases: false,
@@ -261,19 +257,23 @@ enum Class {
     Storage,
 }
 
-/// Reassembly state for requests the µproxy split at the threshold
-/// offset (one part served below the threshold, one above).
-#[derive(Debug, Clone)]
-enum MergeState {
-    /// A split write: the merged reply must report the full byte count.
-    Write { total: u32 },
-    /// A split read: data halves arrive separately (each kept as a window
-    /// of the reply packet it came in) and are reassembled.
-    Read {
-        split: u64,
-        low: Option<ByteBuf>,
-        high: Option<ByteBuf>,
-    },
+/// What a pending record is: whose request it tracks and what its last
+/// reply is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pending {
+    /// The client's own packet(s), re-addressed in place under the
+    /// client's xid: the last reply is rewritten in place and sent up.
+    Forward,
+    /// A commit fan-out guarded by a coordinator intention, which the last
+    /// reply completes before it is sent up like any forward.
+    Commit { coord: u32, intent: u64 },
+    /// A µproxy-initiated attribute write-back, absorbed on reply: the
+    /// cache entry is cleaned only when this push of `version` is
+    /// acknowledged.
+    Push { file: u64, version: u64 },
+    /// A leg of the leg op filed under the client's xid `parent`, absorbed
+    /// into it.
+    Leg { parent: u32, role: LegRole },
 }
 
 #[derive(Debug, Clone)]
@@ -283,24 +283,18 @@ struct PendingReq {
     offset: u64,
     len: u32,
     class: Class,
+    /// Replies still expected (more than one for a fan-out).
     remaining: u32,
-    absorb: bool,
     client_src: SockAddr,
-    intent: Option<(u32, u64)>,
     /// Storage site indices still owed a reply for this request; a
-    /// client retransmission strikes exactly these sites.
+    /// client retransmission strikes exactly these.
     awaiting: Vec<u32>,
-    merge: Option<MergeState>,
-    /// (file, attr version) for µproxy-initiated attribute write-backs:
-    /// the entry is cleaned only when this push is acknowledged.
-    push: Option<(u64, u64)>,
-    /// Set on internal legs of an erasure-coded op: (parent xid, role).
-    coded: Option<(u32, CodedLegRole)>,
+    kind: Pending,
 }
 
 impl PendingReq {
-    /// A request in flight with one reply expected, to be forwarded to
-    /// `client_src`. Callers adjust the record for fan-outs, merges and
+    /// A forwarded request in flight with one reply expected, to be sent
+    /// up to `client_src`. Callers adjust the record for fan-outs and
     /// µproxy-owned requests before filing it.
     fn new(
         proc: NfsProc,
@@ -317,14 +311,72 @@ impl PendingReq {
             len,
             class,
             remaining: 1,
-            absorb: false,
             client_src,
-            intent: None,
             awaiting: Vec::new(),
-            merge: None,
-            push: None,
-            coded: None,
+            kind: Pending::Forward,
         }
+    }
+}
+
+/// A READ or WRITE that reaches the bulk region, as [`Uproxy::route_bulk`]
+/// and the planners under it see it.
+#[derive(Debug, Clone, Copy)]
+struct BulkCall {
+    xid: u32,
+    fh: Fhandle,
+    /// The client's range.
+    offset: u64,
+    len: u32,
+    /// Where the bulk part starts: `offset`, or the threshold when the
+    /// request straddles it (the bytes below go to the small-file server).
+    lo: u64,
+    client_src: SockAddr,
+}
+
+impl BulkCall {
+    fn end(&self) -> u64 {
+        self.offset + u64::from(self.len)
+    }
+}
+
+/// A reply on its way in, as the stages of [`Uproxy::inbound`] share it.
+struct Inbound {
+    pkt: Packet,
+    xid: u32,
+    /// `None` when the payload does not decode as a reply to the request.
+    reply: Option<ReplyView>,
+    /// The storage site that sent it, if one did.
+    src_site: Option<u32>,
+}
+
+/// How many bytes a READ of `[offset, offset + len)` returns from a file
+/// of `size` bytes.
+fn read_len(offset: u64, len: u32, size: u64) -> usize {
+    size.saturating_sub(offset).min(u64::from(len)) as usize
+}
+
+/// The body of a READ of `[offset, offset + len)` the µproxy assembles
+/// itself: every window `(file offset, bytes)` laid over zeros, against
+/// the global file `size`. Servers know only their local extent, so a hole
+/// or a short tail reads as zeros and whatever lies past EOF is clipped.
+fn read_body<'a>(
+    offset: u64,
+    len: u32,
+    size: u64,
+    windows: impl IntoIterator<Item = (u64, &'a [u8])>,
+) -> ReplyBody {
+    let expected = read_len(offset, len, size);
+    let mut data = vec![0u8; expected];
+    for (pos, bytes) in windows {
+        let start = (pos - offset) as usize;
+        if start < expected {
+            let n = bytes.len().min(expected - start);
+            data[start..start + n].copy_from_slice(&bytes[..n]);
+        }
+    }
+    ReplyBody::Read {
+        data,
+        eof: offset + expected as u64 >= size,
     }
 }
 
@@ -401,14 +453,16 @@ impl PhaseClock {
     }
 }
 
-/// The µproxy state machine.
+/// Everything the µproxy learned from traffic and is "free to discard"
+/// (paper §3). A table is soft state if and only if it is a field here:
+/// [`Uproxy::lose_state`] replaces the whole value and
+/// [`Uproxy::soft_state_entries`] destructures it, so a new table does not
+/// compile until the latter says how it is counted. (The attribute cache
+/// sits beside it only because its hit/miss/push-retry counters are
+/// lifetime statistics that must outlive a clear.)
 #[derive(Debug)]
-pub struct Uproxy {
-    cfg: ProxyConfig,
-    dir_table: RoutingTable,
-    sf_table: RoutingTable,
+struct Soft {
     pending: FxHashMap<u32, PendingReq>,
-    attrs: AttrCache,
     /// Cached block-map fragments: (file, block) -> replica sites.
     map_cache: FxHashMap<(u64, u64), Vec<u32>>,
     /// Replicas still owed a resync/migration copy per the coordinator's
@@ -419,33 +473,63 @@ pub struct Uproxy {
     map_waiters: FxHashMap<(u64, u64), Vec<Packet>>,
     /// Commit packets parked on an intent ack, keyed by xid.
     intent_waiters: FxHashMap<u64, Packet>,
-    /// Failure-suspicion table, one entry per storage site.
+    /// Failure-suspicion table, one entry per storage site: a hint,
+    /// rebuilt from observed retransmissions.
     health: Vec<SiteHealth>,
+    /// Per-file data-op counts over a sliding window (hot-set detection).
+    hot_data: HotTracker,
+    /// Mirrored writes parked on a coordinator dirty-region ack.
+    degrade_pending: FxHashMap<u32, ParkedWrite>,
+    /// Writes cleared to proceed at reduced redundancy: xid -> live
+    /// replica set approved by the coordinator's DirtyAck.
+    degrade_ok: FxHashMap<u32, Vec<u32>>,
+    /// Requests in flight as leg ops, keyed by the client's (parent) xid.
+    ops: FxHashMap<u32, LegOp>,
+    /// Per-(file, stripe) exclusive locks held by coded ops that gather
+    /// and decode (read-modify-write serialization).
+    stripe_locks: FxHashMap<(u64, u64), u32>,
+    /// Coded requests parked on a stripe lock, in arrival order.
+    coded_waiters: Vec<((u64, u64), Packet)>,
+}
+
+impl Soft {
+    fn new(cfg: &ProxyConfig) -> Self {
+        Soft {
+            pending: FxHashMap::default(),
+            map_cache: FxHashMap::default(),
+            warming_cache: FxHashMap::default(),
+            map_waiters: FxHashMap::default(),
+            intent_waiters: FxHashMap::default(),
+            health: vec![SiteHealth::new(); cfg.storage_sites.len()],
+            hot_data: HotTracker::new(cfg.hot_window),
+            degrade_pending: FxHashMap::default(),
+            degrade_ok: FxHashMap::default(),
+            ops: FxHashMap::default(),
+            stripe_locks: FxHashMap::default(),
+            coded_waiters: Vec::new(),
+        }
+    }
+}
+
+/// The µproxy state machine.
+#[derive(Debug)]
+pub struct Uproxy {
+    cfg: ProxyConfig,
+    /// Loaded by the reconfiguration plane, like `retired` and
+    /// `map_epoch`: not inferred from traffic, so it survives a state loss.
+    dir_table: RoutingTable,
+    soft: Soft,
+    attrs: AttrCache,
     /// Sites removed by a planned drain: never routed to, never struck,
     /// never probed — their suspicion soft state is purged for good.
     retired: Vec<bool>,
     /// Routing-table epoch: bumped on every reconfiguration flush so
     /// observers can tell when new block-map entries took effect.
     map_epoch: u64,
-    /// Per-file data-op counts over a sliding window (hot-set detection).
-    hot_data: HotTracker,
-    /// Per-directory name-op counts over a sliding window.
-    hot_name: HotTracker,
-    /// Mirrored writes parked on a coordinator dirty-region ack.
-    degrade_pending: FxHashMap<u32, ParkedWrite>,
-    /// Writes cleared to proceed at reduced redundancy: xid -> live
-    /// replica set approved by the coordinator's DirtyAck.
-    degrade_ok: FxHashMap<u32, Vec<u32>>,
     /// Suspicion transitions `(when, site, suspected)` for benchmarks.
     suspicion_log: Vec<(SimTime, u32, bool)>,
-    /// Erasure-coded ops in flight, keyed by the client's (parent) xid.
-    coded_ops: FxHashMap<u32, CodedOp>,
-    /// Per-(file, stripe) exclusive locks held by coded ops that gather
-    /// and decode (read-modify-write serialization).
-    stripe_locks: FxHashMap<(u64, u64), u32>,
-    /// Coded requests parked on a stripe lock, in arrival order.
-    coded_waiters: Vec<((u64, u64), Packet)>,
-    mirror_rr: u64,
+    /// Keeps counting across a state loss: a fresh µproxy-owned xid must
+    /// not match a reply still in flight to a forgotten one.
     next_own_xid: u32,
     cred: AuthUnix,
     clock: PhaseClock,
@@ -457,30 +541,13 @@ impl Uproxy {
     /// Creates a µproxy from `cfg`.
     pub fn new(cfg: ProxyConfig) -> Self {
         let dirs = cfg.dir_sites.len().max(1) as u32;
-        let sfs = cfg.sf_sites.len().max(1) as u32;
         Uproxy {
             dir_table: RoutingTable::balanced(64, dirs),
-            sf_table: RoutingTable::balanced(64, sfs),
-            pending: FxHashMap::default(),
-            attrs: AttrCache::new(cfg.attr_cache_entries),
-            map_cache: FxHashMap::default(),
-            warming_cache: FxHashMap::default(),
-            map_waiters: FxHashMap::default(),
-            intent_waiters: FxHashMap::default(),
-            health: (0..cfg.storage_sites.len())
-                .map(|_| SiteHealth::new())
-                .collect(),
+            soft: Soft::new(&cfg),
+            attrs: AttrCache::new(ATTR_CACHE_ENTRIES),
             retired: vec![false; cfg.storage_sites.len()],
             map_epoch: 0,
-            hot_data: HotTracker::new(cfg.hot_window),
-            hot_name: HotTracker::new(cfg.hot_window),
-            degrade_pending: FxHashMap::default(),
-            degrade_ok: FxHashMap::default(),
             suspicion_log: Vec::new(),
-            coded_ops: FxHashMap::default(),
-            stripe_locks: FxHashMap::default(),
-            coded_waiters: Vec::new(),
-            mirror_rr: 0,
             next_own_xid: 0x8000_0000,
             cred: AuthUnix {
                 machine: "uproxy".into(),
@@ -561,7 +628,7 @@ impl Uproxy {
         set(
             reg,
             "reconf.hot_tracked",
-            (self.hot_data.entries() + self.hot_name.entries()) as u64,
+            self.soft.hot_data.entries() as u64,
         );
         set(reg, "phase.packets", self.phases.packets);
         set(reg, "phase.intercept_ns", self.phases.intercept_ns);
@@ -573,11 +640,6 @@ impl Uproxy {
     /// Attribute-cache (hits, misses) since creation.
     pub fn attr_cache_stats(&self) -> (u64, u64) {
         self.attrs.stats()
-    }
-
-    /// Current attributes the µproxy would report for `file`.
-    pub fn cached_attr(&mut self, file: u64) -> Option<slice_nfsproto::Fattr3> {
-        self.attrs.get(file)
     }
 
     /// True while any cached attribute awaits a write-back
@@ -614,68 +676,13 @@ impl Uproxy {
         self.dir_table.generation()
     }
 
-    /// Replaces the small-file routing table.
-    pub fn load_sf_table(&mut self, table: RoutingTable) {
-        self.sf_table = table;
-    }
-
     /// Drops all soft state (the µproxy is "free to discard its state ...
-    /// without compromising correctness"). The destructuring is
-    /// exhaustive on purpose, here and in [`Uproxy::soft_state_entries`]:
-    /// a new field does not compile until both say what they do with it.
+    /// without compromising correctness"). Configuration, what the
+    /// reconfiguration plane loaded, the xid cursor, measurements and
+    /// lifetime statistics are not soft state and survive.
     pub fn lose_state(&mut self) {
-        let Self {
-            // Configuration and what the reconfiguration plane loads
-            // (`retired`, like the routing tables, is not inferred from
-            // traffic) survive.
-            cfg,
-            dir_table: _,
-            sf_table: _,
-            retired: _,
-            map_epoch: _,
-            cred: _,
-            pending,
-            attrs,
-            map_cache,
-            warming_cache,
-            map_waiters,
-            intent_waiters,
-            health,
-            hot_data,
-            hot_name,
-            degrade_pending,
-            degrade_ok,
-            coded_ops,
-            stripe_locks,
-            coded_waiters,
-            // Cursors keep counting: a fresh µproxy-owned xid must not
-            // match a reply still in flight to a forgotten one.
-            mirror_rr: _,
-            next_own_xid: _,
-            // Measurements and lifetime statistics, not state.
-            suspicion_log: _,
-            clock: _,
-            phases: _,
-            stats: _,
-        } = self;
-        pending.clear();
-        attrs.clear();
-        map_cache.clear();
-        warming_cache.clear();
-        map_waiters.clear();
-        intent_waiters.clear();
-        degrade_pending.clear();
-        degrade_ok.clear();
-        coded_ops.clear();
-        stripe_locks.clear();
-        coded_waiters.clear();
-        // Suspicion is a hint; rebuilt from observed retransmissions.
-        for h in health {
-            *h = SiteHealth::new();
-        }
-        // Hot-set counters are observations; rebuilt from traffic.
-        *hot_data = HotTracker::new(cfg.hot_window);
-        *hot_name = HotTracker::new(cfg.hot_window);
+        self.soft = Soft::new(&self.cfg);
+        self.attrs.clear();
     }
 
     /// Removes a drained site from every routing decision: it is never
@@ -687,7 +694,7 @@ impl Uproxy {
             return;
         };
         *flag = true;
-        let h = &mut self.health[site as usize];
+        let h = &mut self.soft.health[site as usize];
         if h.suspected {
             self.suspicion_log.push((now, site, false));
         }
@@ -710,8 +717,8 @@ impl Uproxy {
     /// replica sets. The paper's tables-are-hints rule makes this safe
     /// at any time.
     pub fn flush_map_cache(&mut self) {
-        self.map_cache.clear();
-        self.warming_cache.clear();
+        self.soft.map_cache.clear();
+        self.soft.warming_cache.clear();
         self.map_epoch += 1;
     }
 
@@ -723,18 +730,13 @@ impl Uproxy {
     /// Files with at least `min` data operations over the sliding hot
     /// window, hottest first.
     pub fn hot_files(&self, min: u64) -> Vec<(u64, u64)> {
-        self.hot_data.hot(min)
-    }
-
-    /// Directories with at least `min` name operations over the sliding
-    /// hot window, hottest first.
-    pub fn hot_dirs(&self, min: u64) -> Vec<(u64, u64)> {
-        self.hot_name.hot(min)
+        self.soft.hot_data.hot(min)
     }
 
     /// Storage sites currently suspected down.
     pub fn suspected_sites(&self) -> Vec<u32> {
-        self.health
+        self.soft
+            .health
             .iter()
             .enumerate()
             .filter(|(_, h)| h.suspected)
@@ -760,48 +762,34 @@ impl Uproxy {
     }
 
     /// Total soft-state entries currently held (pending requests, block-map
-    /// fragments, cached attributes, parked packets, coded ops): the
+    /// fragments, cached attributes, parked packets, leg ops): the
     /// µproxy's live working-set size for capacity benchmarks. The
     /// per-site suspicion table and the hot-set window are fixed-size or
     /// self-expiring and reported on their own (`ha.*`, `reconf.*`).
     pub fn soft_state_entries(&self) -> usize {
-        let Self {
-            cfg: _,
-            dir_table: _,
-            sf_table: _,
-            retired: _,
-            map_epoch: _,
-            cred: _,
+        let Soft {
             pending,
-            attrs,
             map_cache,
             warming_cache,
             map_waiters,
             intent_waiters,
             health: _,
             hot_data: _,
-            hot_name: _,
             degrade_pending,
             degrade_ok,
-            coded_ops,
+            ops,
             stripe_locks,
             coded_waiters,
-            mirror_rr: _,
-            next_own_xid: _,
-            suspicion_log: _,
-            clock: _,
-            phases: _,
-            stats: _,
-        } = self;
+        } = &self.soft;
         pending.len()
             + map_cache.len()
             + warming_cache.len()
-            + attrs.len()
+            + self.attrs.len()
             + map_waiters.values().map(Vec::len).sum::<usize>()
             + intent_waiters.len()
             + degrade_pending.len()
             + degrade_ok.len()
-            + coded_ops.len()
+            + ops.len()
             + coded_waiters.len()
             + stripe_locks.len()
     }
@@ -822,16 +810,11 @@ impl Uproxy {
     /// all of them, being interposed on the packet path).
     pub fn note_retransmit(&mut self, now: SimTime, xid: u32) -> Vec<ProxyOut> {
         let mut out = Vec::new();
-        // A coded op's storage legs carry internal xids; the client only
+        // A leg op's storage legs carry µproxy-owned xids; the client only
         // retransmits the parent, so strike the legs' sites here.
-        if let Some(op) = self.coded_ops.get(&xid) {
-            for site in op.awaiting.clone() {
-                self.strike(now, &mut out, site);
-            }
-            return out;
-        }
-        let awaiting = match self.pending.get(&xid) {
-            Some(r) if r.class == Class::Storage => r.awaiting.clone(),
+        let awaiting = match (self.soft.ops.get(&xid), self.soft.pending.get(&xid)) {
+            (Some(op), _) => op.awaiting.clone(),
+            (None, Some(r)) if r.class == Class::Storage => r.awaiting.clone(),
             _ => return out,
         };
         for site in awaiting {
@@ -844,11 +827,11 @@ impl Uproxy {
         if self.site_retired(site) {
             return;
         }
-        let Some(h) = self.health.get_mut(site as usize) else {
+        let Some(h) = self.soft.health.get_mut(site as usize) else {
             return;
         };
         h.strikes += 1;
-        if !h.suspected && h.strikes >= self.cfg.suspect_after {
+        if !h.suspected && h.strikes >= SUSPECT_AFTER {
             h.suspected = true;
             h.probe_at = now + self.cfg.probe_interval;
             h.awaiting_votes = 0;
@@ -866,7 +849,7 @@ impl Uproxy {
         let mut live = Vec::new();
         let mut missed = Vec::new();
         for &s in sites {
-            if self.site_retired(s) || self.health.get(s as usize).is_some_and(|h| h.suspected) {
+            if self.site_retired(s) || self.suspected(s) {
                 missed.push(s);
             } else {
                 live.push(s);
@@ -894,38 +877,43 @@ impl Uproxy {
         self.retired.get(site as usize).copied().unwrap_or(false)
     }
 
-    /// Degraded-write gate. A mirrored write whose replica set includes
-    /// suspected sites must not complete before the coordinator has
-    /// durably logged the skipped mirror's (file, range): otherwise a
-    /// crash forgets which regions diverged and resync cannot restore
-    /// redundancy. Returns the replica set to fan out to, or `None` when
-    /// the packet was parked awaiting the coordinator's `DirtyAck`.
-    #[allow(clippy::too_many_arguments)]
+    fn suspected(&self, site: u32) -> bool {
+        self.soft
+            .health
+            .get(site as usize)
+            .is_some_and(|h| h.suspected)
+    }
+
+    /// Degraded-write gate. A write whose replica set includes suspected
+    /// sites must not complete before the coordinator has durably logged
+    /// the skipped sites' (file, bulk range): otherwise a crash forgets
+    /// which regions diverged and resync cannot restore redundancy.
+    /// Returns the replica set to fan out to, or `None` when the packet
+    /// was parked awaiting the coordinator's `DirtyAck`.
     fn degrade_gate(
         &mut self,
         out: &mut Vec<ProxyOut>,
         pkt: &Packet,
-        xid: u32,
-        file: u64,
-        offset: u64,
-        len: u64,
+        call: &BulkCall,
         sites: Vec<u32>,
     ) -> Option<Vec<u32>> {
-        if let Some(live) = self.degrade_ok.get(&xid) {
+        if let Some(live) = self.soft.degrade_ok.get(&call.xid) {
             return Some(live.clone());
         }
         let (live, missed) = self.partition_live(&sites);
         if missed.is_empty() || self.cfg.coord_sites == 0 {
             return Some(sites);
         }
-        self.degrade_pending
-            .insert(xid, (pkt.clone(), live.clone(), missed.clone(), len));
+        let (file, len) = (call.fh.file_id(), call.end() - call.lo);
+        self.soft
+            .degrade_pending
+            .insert(call.xid, (pkt.clone(), live.clone(), missed.clone(), len));
         out.push(ProxyOut::Coord {
             site: self.coord_site(file),
             msg: CoordMsg::MarkDirty {
-                op_id: u64::from(xid),
+                op_id: u64::from(call.xid),
                 obj: file,
-                offset,
+                offset: call.lo,
                 len,
                 missed,
                 sources: live,
@@ -943,9 +931,11 @@ impl Uproxy {
         self.cfg.dir_sites[self.dir_table.route(key) as usize % self.cfg.dir_sites.len()]
     }
 
+    /// A file's small-file server: 64 logical slots spread round-robin,
+    /// the fixed table `DirActor::sf_index` assumes as well.
     fn sf_dest(&self, file: u64) -> SockAddr {
-        let key = fnv1a(&file.to_le_bytes());
-        self.cfg.sf_sites[self.sf_table.route(key) as usize % self.cfg.sf_sites.len()]
+        let slot = bucket_of(fnv1a(&file.to_le_bytes()), 64);
+        self.cfg.sf_sites[slot % self.cfg.sf_sites.len()]
     }
 
     /// Static striping/placement function: replica site list for one
@@ -955,7 +945,7 @@ impl Uproxy {
         let base = fnv1a(&file.to_le_bytes()) % n;
         let first = ((base + stripe % n) % n) as u32;
         if mirrored {
-            (0..self.cfg.mirror_copies.min(n as u32))
+            (0..MIRROR_COPIES.min(n as u32))
                 .map(|c| (first + c) % n as u32)
                 .collect()
         } else {
@@ -982,7 +972,7 @@ impl Uproxy {
                 .collect());
         }
         let cached: Result<_, u64> = blocks
-            .map(|b| self.map_cache.get(&(file, b)).cloned().ok_or(b))
+            .map(|b| self.soft.map_cache.get(&(file, b)).cloned().ok_or(b))
             .collect();
         if let Err(block) = cached {
             out.push(ProxyOut::Coord {
@@ -1005,8 +995,9 @@ impl Uproxy {
         NfsTime::from_nanos(now.as_nanos())
     }
 
-    /// Sends the client a reply the µproxy assembled itself (merged,
-    /// reconstructed or size-corrected) instead of rewriting one in place.
+    /// Sends the client a reply the µproxy assembled itself (a leg op's,
+    /// or a READ corrected to the global size) instead of rewriting one in
+    /// place.
     fn reply_to_client(
         &mut self,
         out: &mut Vec<ProxyOut>,
@@ -1042,9 +1033,11 @@ impl Uproxy {
         let pkt = Packet::new(self.cfg.client_addr, dest, payload);
         let own = self.cfg.client_addr;
         let mut rec = PendingReq::new(NfsProc::Setattr, Some(entry.fh), 0, 0, Class::Dir, own);
-        rec.absorb = true;
-        rec.push = Some((entry.fh.file_id(), entry.version));
-        self.pending.insert(xid, rec);
+        rec.kind = Pending::Push {
+            file: entry.fh.file_id(),
+            version: entry.version,
+        };
+        self.soft.pending.insert(xid, rec);
         self.stats.initiated += 1;
         out.push(ProxyOut::Net(pkt));
     }
@@ -1087,22 +1080,10 @@ impl Uproxy {
         if fresh {
             self.stats.requests_routed += 1;
             // Hot-set tracking for demand-driven replication: data ops
-            // count against the file, name ops against the parent
-            // directory.
-            match &call {
-                CallView::Write { fh, .. } | CallView::Other(NfsRequest::Read { fh, .. }) => {
-                    self.hot_data.note(now, fh.file_id());
-                }
-                CallView::Other(
-                    NfsRequest::Lookup { dir, .. }
-                    | NfsRequest::Create { dir, .. }
-                    | NfsRequest::Mkdir { dir, .. }
-                    | NfsRequest::Remove { dir, .. }
-                    | NfsRequest::Rmdir { dir, .. },
-                ) => {
-                    self.hot_name.note(now, dir.file_id());
-                }
-                CallView::Other(_) => {}
+            // count against the file.
+            if let CallView::Write { fh, .. } | CallView::Other(NfsRequest::Read { fh, .. }) = &call
+            {
+                self.soft.hot_data.note(now, fh.file_id());
             }
         }
         self.clock.lap(&mut self.phases.soft_ns);
@@ -1124,7 +1105,8 @@ impl Uproxy {
             CallView::Other(NfsRequest::Read { fh, offset, count })
                 if self.reaches_bulk(&fh, offset, u64::from(count)) =>
             {
-                self.route_bulk(now, out, pkt, xid, fh, offset, count, None);
+                let call = self.bulk_call(xid, &pkt, fh, offset, count);
+                self.route_bulk(now, out, pkt, call, None);
             }
             CallView::Write {
                 fh,
@@ -1132,8 +1114,8 @@ impl Uproxy {
                 data,
                 stable,
             } if self.reaches_bulk(&fh, offset, data.len() as u64) => {
-                let len = data.len() as u32;
-                self.route_bulk(now, out, pkt, xid, fh, offset, len, Some((data, stable)));
+                let call = self.bulk_call(xid, &pkt, fh, offset, data.len() as u32);
+                self.route_bulk(now, out, pkt, call, Some((data, stable)));
             }
             CallView::Other(NfsRequest::Commit { fh, .. }) if self.commit_is_multisite(&fh) => {
                 // Push modified attributes back on commit (paper §4.1).
@@ -1145,7 +1127,7 @@ impl Uproxy {
                 if self.cfg.use_intents && self.cfg.coord_sites > 0 {
                     // Intention first; the commit fans out on the ack.
                     let site = self.coord_site(fh.file_id());
-                    self.intent_waiters.insert(u64::from(xid), pkt);
+                    self.soft.intent_waiters.insert(u64::from(xid), pkt);
                     out.push(ProxyOut::Coord {
                         site,
                         msg: CoordMsg::BeginIntent {
@@ -1155,7 +1137,7 @@ impl Uproxy {
                         },
                     });
                 } else {
-                    self.fanout_commit(out, pkt, xid, fh, None);
+                    self.fanout_commit(out, pkt, xid, fh, Pending::Forward);
                 }
             }
             other => {
@@ -1196,7 +1178,7 @@ impl Uproxy {
                 p.rewrite_dst(dest);
                 self.clock.lap(&mut self.phases.rewrite_ns);
                 let rec = PendingReq::new(other.proc(), fh, offset, len, class, client_src);
-                self.pending.insert(xid, rec);
+                self.soft.pending.insert(xid, rec);
                 self.clock.lap(&mut self.phases.soft_ns);
                 out.push(ProxyOut::Net(p));
             }
@@ -1214,61 +1196,77 @@ impl Uproxy {
             && (self.cfg.sf_sites.is_empty() || offset >= threshold || offset + len > threshold)
     }
 
-    /// Routes a READ (`write == None`) or WRITE (its data's range within
-    /// `pkt.payload`, and its stability) that reaches the bulk region.
-    /// The placement decides everything: the bytes below the threshold
-    /// (if any) form a head for the small-file server, and the block map
-    /// names the storage sites of the rest — one replica of a mirror for
-    /// a read, every live replica for a write, shard legs for a coded
-    /// stripe.
-    ///
-    /// Plain and mirrored legs carry the client's xid and, unless the
-    /// request straddles the threshold, are the client's own packet
-    /// re-addressed in place: the payload is neither copied nor
-    /// re-encoded. A straddling request is re-encoded as head + tail and
-    /// the replies are reassembled under the shared xid.
-    #[allow(clippy::too_many_arguments)]
-    fn route_bulk(
-        &mut self,
-        now: SimTime,
-        out: &mut Vec<ProxyOut>,
-        pkt: Packet,
-        xid: u32,
-        fh: Fhandle,
-        offset: u64,
-        len: u32,
-        write: Option<(Range<usize>, StableHow)>,
-    ) {
-        let (file, client_src) = (fh.file_id(), pkt.src);
-        let end = offset + u64::from(len);
+    fn bulk_call(&self, xid: u32, pkt: &Packet, fh: Fhandle, offset: u64, len: u32) -> BulkCall {
         let lo = if self.cfg.sf_sites.is_empty() {
             offset
         } else {
             offset.max(self.cfg.threshold)
         };
-        let geom = self.coded_geom(&fh).filter(|_| len > 0);
+        BulkCall {
+            xid,
+            fh,
+            offset,
+            len,
+            lo,
+            client_src: pkt.src,
+        }
+    }
+
+    /// Routes a READ (`write == None`) or WRITE (its data's range within
+    /// `pkt.payload`, and its stability) that reaches the bulk region.
+    /// The placement decides everything: the block map names the storage
+    /// sites — one replica of a mirror for a read, every live replica for
+    /// a write, shard sites for a coded stripe.
+    ///
+    /// A request one placement entry serves whole is *forwarded*: the
+    /// client's own packet re-addressed in place under the client's xid
+    /// (one copy per replica for a mirrored write), its payload neither
+    /// copied nor re-encoded, the last reply rewritten in place. A request
+    /// that must be cut — at the threshold, or into coded shards — is
+    /// served as a leg op (`proxy/coded.rs`): legs the µproxy encodes under
+    /// xids of its own, and one reply assembled from theirs.
+    fn route_bulk(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<ProxyOut>,
+        pkt: Packet,
+        call: BulkCall,
+        write: Option<(Range<usize>, StableHow)>,
+    ) {
+        let BulkCall {
+            xid,
+            fh,
+            offset,
+            lo,
+            ..
+        } = call;
+        let file = fh.file_id();
+        let geom = self.coded_geom(&fh).filter(|_| call.len > 0);
+        if geom.is_some() || lo > offset {
+            // A client retransmission of the parent xid restarts the op.
+            self.abort_op(now, out, xid);
+        }
         let blocks = match &geom {
-            Some(g) => {
-                // A client retransmission of the parent xid restarts the op.
-                self.abort_coded(now, out, xid);
-                g.stripe_of(lo)..=g.stripe_of(end - 1)
-            }
+            Some(g) => g.stripe_of(lo)..=g.stripe_of(call.end() - 1),
             None => lo / self.cfg.stripe_unit..=lo / self.cfg.stripe_unit,
         };
         let mut site_lists = match self.block_sites(out, &fh, blocks) {
             Ok(lists) => lists,
             Err(block) => {
-                self.map_waiters.entry((file, block)).or_default().push(pkt);
+                self.soft
+                    .map_waiters
+                    .entry((file, block))
+                    .or_default()
+                    .push(pkt);
                 return;
             }
         };
         if let Some(geom) = geom {
-            // Shard legs are cut from a window of the client's packet.
-            let write =
-                write.map(|(data, stable)| (pkt.payload.slice(data.start, data.len()), stable));
-            self.coded_route(
-                now, out, pkt, xid, fh, offset, len, lo, write, site_lists, geom,
-            );
+            let planned = self.coded_plan(out, &pkt, &call, write.is_some(), site_lists, geom);
+            if let Some((stripes, live, plans)) = planned {
+                let op = LegOp::new(&pkt, call, write, stripes, live);
+                self.start_op(now, out, op, plans);
+            }
             self.clock.lap(&mut self.phases.soft_ns);
             return;
         }
@@ -1276,54 +1274,21 @@ impl Uproxy {
         let sites = site_lists.pop().expect("one block");
         let targets = match &write {
             None => vec![self.pick_read_site(out, file, &sites, lo, xid)],
-            Some(_) => match self.degrade_gate(out, &pkt, xid, file, lo, end - lo, sites) {
+            Some(_) => match self.degrade_gate(out, &pkt, &call, sites) {
                 Some(live) => live,
                 None => return,
             },
         };
-        let proc = if write.is_some() {
-            NfsProc::Write
-        } else {
-            NfsProc::Read
-        };
-        let mut merge = None;
         if lo > offset {
-            let cut = (lo - offset) as usize;
-            let (head, tail) = match write {
-                Some((data, stable)) => {
-                    let data = &pkt.payload[data];
-                    merge = Some(MergeState::Write { total: len });
-                    let part = |offset, data: &[u8]| NfsRequest::Write {
-                        fh,
-                        offset,
-                        stable,
-                        data: data.to_vec(),
-                    };
-                    (part(offset, &data[..cut]), part(lo, &data[cut..]))
-                }
-                None => {
-                    merge = Some(MergeState::Read {
-                        split: lo,
-                        low: None,
-                        high: None,
-                    });
-                    let part = |offset, count| NfsRequest::Read { fh, offset, count };
-                    (part(offset, cut as u32), part(lo, (end - lo) as u32))
-                }
-            };
-            let head = encode_call(xid, &self.cred, &head);
-            out.push(ProxyOut::Net(Packet::new(
-                client_src,
-                self.sf_dest(file),
-                head,
-            )));
-            for &site in &targets {
-                let tail = encode_call(xid, &self.cred, &tail);
-                let dst = self.cfg.storage_sites[site as usize];
-                out.push(ProxyOut::Net(Packet::new(client_src, dst, tail)));
-            }
-            self.stats.initiated += 1 + targets.len() as u64;
-        } else if write.is_some() {
+            // The threshold split: the bytes above go to every target, the
+            // bytes below to the small-file server (`start_op`'s head leg).
+            let op = LegOp::new(&pkt, call, write, Vec::new(), targets);
+            let plans = op.bulk_legs();
+            self.start_op(now, out, op, plans);
+            self.clock.lap(&mut self.phases.soft_ns);
+            return;
+        }
+        let proc = if write.is_some() {
             // Mirrored writes go to every replica (µproxy duplicates the
             // packet).
             for &site in &targets {
@@ -1331,17 +1296,25 @@ impl Uproxy {
                 p.rewrite_dst(self.cfg.storage_sites[site as usize]);
                 out.push(ProxyOut::Net(p));
             }
+            NfsProc::Write
         } else {
             let mut p = pkt;
             p.rewrite_dst(self.cfg.storage_sites[targets[0] as usize]);
             out.push(ProxyOut::Net(p));
-        }
+            NfsProc::Read
+        };
         self.clock.lap(&mut self.phases.rewrite_ns);
-        let mut rec = PendingReq::new(proc, Some(fh), offset, len, Class::Storage, client_src);
-        rec.remaining = targets.len() as u32 + u32::from(lo > offset);
+        let mut rec = PendingReq::new(
+            proc,
+            Some(fh),
+            offset,
+            call.len,
+            Class::Storage,
+            call.client_src,
+        );
+        rec.remaining = targets.len() as u32;
         rec.awaiting = targets;
-        rec.merge = merge;
-        self.pending.insert(xid, rec);
+        self.soft.pending.insert(xid, rec);
         self.clock.lap(&mut self.phases.soft_ns);
     }
 
@@ -1362,19 +1335,12 @@ impl Uproxy {
         xid: u32,
     ) -> u32 {
         let stripe = offset / self.cfg.stripe_unit;
-        let idx = if sites.len() > 1 {
-            self.mirror_rr += 1;
-            let rotation = stripe / self.cfg.storage_sites.len() as u64;
-            (rotation % sites.len() as u64) as usize
-        } else {
-            0
-        };
+        let rotation = stripe / self.cfg.storage_sites.len() as u64;
+        let idx = (rotation % sites.len() as u64) as usize;
         let preferred = sites[idx];
-        let warming = self.warming_cache.get(&(file, stripe));
+        let warming = self.soft.warming_cache.get(&(file, stripe));
         let usable = |s: u32| {
-            !self.health[s as usize].suspected
-                && !self.site_retired(s)
-                && !warming.is_some_and(|w| w.contains(&s))
+            !self.suspected(s) && !self.site_retired(s) && !warming.is_some_and(|w| w.contains(&s))
         };
         let mut in_rotation = (0..sites.len()).map(|k| sites[(idx + k) % sites.len()]);
         // Every mirror suspected: route to the rotation choice anyway so
@@ -1408,7 +1374,7 @@ impl Uproxy {
         pkt: Packet,
         xid: u32,
         fh: Fhandle,
-        intent: Option<(u32, u64)>,
+        kind: Pending,
     ) {
         let client_src = pkt.src;
         let mut n = 0;
@@ -1417,13 +1383,13 @@ impl Uproxy {
         // crashed node would never complete. Any unstable data a merely
         // slow (not crashed) site holds stays unstable until a later
         // commit — the register model treats it as optional.
-        let any_live = self
-            .health
+        let health = &self.soft.health;
+        let any_live = health
             .iter()
             .enumerate()
             .any(|(i, h)| !h.suspected && !self.retired[i]);
         for (i, site) in self.cfg.storage_sites.iter().enumerate() {
-            if self.retired[i] || (any_live && self.health[i].suspected) {
+            if self.retired[i] || (any_live && health[i].suspected) {
                 continue;
             }
             let mut p = pkt.clone();
@@ -1441,9 +1407,9 @@ impl Uproxy {
         }
         let mut rec = PendingReq::new(NfsProc::Commit, Some(fh), 0, 0, Class::Storage, client_src);
         rec.remaining = n;
-        rec.intent = intent;
         rec.awaiting = awaiting;
-        self.pending.insert(xid, rec);
+        rec.kind = kind;
+        self.soft.pending.insert(xid, rec);
     }
 
     /// Destination for non-bulk requests per the name-space policy.
@@ -1513,43 +1479,35 @@ impl Uproxy {
         let mut out = Vec::new();
         self.clock.start(self.cfg.measure_phases);
         self.phases.packets += 1;
-        let Some((pkt, xid, reply, src_site)) = self.pair(now, &mut out, pkt) else {
+        let Some(rx) = self.pair(now, &mut out, pkt) else {
             return out;
         };
-        let Some((rec, attr_file)) = self.account(now, &mut out, &pkt, xid, &reply, src_site)
-        else {
+        let Some((rec, attr_file)) = self.account(now, &mut out, &rx) else {
             return out;
         };
-        self.finalize(&mut out, pkt, xid, &rec, &reply, attr_file);
+        self.finalize(&mut out, rx, &rec, attr_file);
         out
     }
 
     /// Phases 1 and 2 of a reply: find its pending record (a reply that
     /// has none goes straight up to the client), decode it, credit its
-    /// source site's health, and hand an erasure-coded op's internal leg
-    /// to that op. Returns the packet, its xid, the decoded reply and the
-    /// storage site it came from.
-    fn pair(
-        &mut self,
-        now: SimTime,
-        out: &mut Vec<ProxyOut>,
-        pkt: Packet,
-    ) -> Option<(Packet, u32, Option<ReplyView>, Option<u32>)> {
+    /// source site's health, and hand a leg's reply to its op.
+    fn pair(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, pkt: Packet) -> Option<Inbound> {
         // Phase 1: interception — pair the reply with its pending record.
         let xid = slice_nfsproto::peek_xid_type(&pkt.payload)
             .map(|(x, _)| x)
             .ok();
-        // Only `proc` and `coded` are needed before the record is
-        // re-fetched in `account`; cloning the whole record here would
-        // deep-copy its awaiting list and any stashed split-read data per
-        // reply.
-        let pending = xid.and_then(|x| self.pending.get(&x).map(|r| (r.proc, r.coded)));
+        // Only these are needed before the record is re-fetched in
+        // `account`; cloning the whole record here would deep-copy its
+        // awaiting list per reply.
+        let pending =
+            xid.and_then(|x| self.soft.pending.get(&x).map(|r| (r.proc, r.class, r.kind)));
         self.clock.lap(&mut self.phases.intercept_ns);
         let Some(xid) = xid else {
             out.push(ProxyOut::Client(pkt));
             return None;
         };
-        let Some((rec_proc, rec_coded)) = pending else {
+        let Some((proc, class, kind)) = pending else {
             // Lost soft state: restore the virtual source so the client's
             // RPC layer can still match (it will usually have timed out
             // and retransmitted already).
@@ -1561,41 +1519,46 @@ impl Uproxy {
         };
         // Phase 2: decode the reply — status, attributes and results;
         // READ data is located, not read.
-        let reply = view_reply(&pkt.payload, rec_proc).ok().map(|(_, r)| r);
+        let reply = view_reply(&pkt.payload, proc).ok().map(|(_, r)| r);
         self.clock.lap(&mut self.phases.decode_ns);
         // Failure-suspicion bookkeeping: any reply from a storage site
         // resets its strike count — but suspicion itself clears only via
         // a coordinator-verified probe, because an alive-looking site may
         // still hold regions that diverged during a degraded window. A
         // JUKEBOX bounce from a storage node counts as a strike instead.
-        let src_site = self
-            .cfg
-            .storage_sites
-            .iter()
-            .position(|a| *a == pkt.src)
-            .map(|i| i as u32);
+        // Only a request routed to the storage class can be answered by a
+        // storage site; nothing else pays for the address scan.
+        let src_site = match class {
+            Class::Storage => self.cfg.storage_sites.iter().position(|a| *a == pkt.src),
+            Class::Dir | Class::SmallFile => None,
+        };
+        let src_site = src_site.map(|i| i as u32);
         if let Some(s) = src_site {
             let juke = reply
                 .as_ref()
                 .is_some_and(|r| r.status == NfsStatus::JukeBox);
             if juke {
                 self.strike(now, out, s);
-            } else if !self.health[s as usize].suspected {
-                self.health[s as usize].strikes = 0;
+            } else if !self.soft.health[s as usize].suspected {
+                self.soft.health[s as usize].strikes = 0;
             }
         }
-        // Internal legs of an erasure-coded op are absorbed here and
-        // drive the parent op's state machine instead of the generic
-        // bookkeeping in `account`.
-        if let Some((parent, role)) = rec_coded {
-            self.pending.remove(&xid);
+        let rx = Inbound {
+            pkt,
+            xid,
+            reply,
+            src_site,
+        };
+        // A leg's reply is absorbed here and drives its op's state machine
+        // instead of the generic bookkeeping in `account`.
+        if let Pending::Leg { parent, role } = kind {
+            let leg = self.soft.pending.remove(&xid).expect("checked pending");
             self.stats.absorbed += 1;
-            let reply = reply.map(|r| (r, &pkt.payload));
-            self.coded_leg_reply(now, out, parent, role, src_site, reply);
+            self.leg_reply(now, out, parent, role, leg.offset, rx);
             self.clock.lap(&mut self.phases.soft_ns);
             return None;
         }
-        Some((pkt, xid, reply, src_site))
+        Some(rx)
     }
 
     /// Phase 4 of a reply — multi-reply bookkeeping and the attribute
@@ -1607,44 +1570,29 @@ impl Uproxy {
         &mut self,
         now: SimTime,
         out: &mut Vec<ProxyOut>,
-        pkt: &Packet,
-        xid: u32,
-        reply: &Option<ReplyView>,
-        src_site: Option<u32>,
+        rx: &Inbound,
     ) -> Option<(PendingReq, Option<Fhandle>)> {
         let remaining = {
-            let r = self.pending.get_mut(&xid).expect("checked pending");
+            let r = self.soft.pending.get_mut(&rx.xid).expect("checked pending");
             r.remaining = r.remaining.saturating_sub(1);
-            if let Some(s) = src_site {
+            if let Some(s) = rx.src_site {
                 r.awaiting.retain(|&x| x != s);
-            }
-            // Split reads: stash this half's data for reassembly. The
-            // source address says which half answered.
-            if let Some(MergeState::Read { low, high, .. }) = &mut r.merge {
-                if let Some(BodyView::Read { data, .. }) = reply.as_ref().map(|rp| &rp.body) {
-                    let half = if self.cfg.sf_sites.contains(&pkt.src) {
-                        low
-                    } else {
-                        high
-                    };
-                    half.get_or_insert_with(|| pkt.payload.slice(data.start, data.len()));
-                }
             }
             r.remaining
         };
         if remaining > 0 {
             self.stats.absorbed += 1;
             self.clock.lap(&mut self.phases.soft_ns);
-            return None; // merge: forward only the final reply
+            return None; // fan-out: forward only the final reply
         }
-        let rec = self.pending.remove(&xid).expect("checked pending");
-        self.degrade_ok.remove(&xid);
+        let rec = self.soft.pending.remove(&rx.xid).expect("checked pending");
+        self.soft.degrade_ok.remove(&rx.xid);
         // A JUKEBOX bounce from a directory server marks this µproxy's
         // routing table stale: ask the host to refresh it and absorb the
         // reply — the client's RPC retransmission will re-route the
         // request through the fresh table.
-        if rec.class == Class::Dir && !rec.absorb {
-            if let Some(r) = reply {
+        if rec.class == Class::Dir && !matches!(rec.kind, Pending::Push { .. }) {
+            if let Some(r) = &rx.reply {
                 if r.status == slice_nfsproto::NfsStatus::JukeBox {
                     self.stats.stale_table_bounces += 1;
                     out.push(ProxyOut::NeedDirTable);
@@ -1657,7 +1605,7 @@ impl Uproxy {
         // The file whose attribute block rides in this reply (for lookup
         // and create replies that is the *child*, not the request target).
         let mut attr_file = rec.fh;
-        if let Some(reply) = reply {
+        if let Some(reply) = &rx.reply {
             if reply.status.is_ok() {
                 match rec.class {
                     Class::Dir => {
@@ -1705,9 +1653,9 @@ impl Uproxy {
             }
         }
         // Completion of an intent-guarded fan-out clears the intention.
-        if let Some((site, intent)) = rec.intent {
+        if let Pending::Commit { coord, intent } = rec.kind {
             out.push(ProxyOut::Coord {
-                site,
+                site: coord,
                 msg: CoordMsg::CompleteIntent { intent },
             });
         }
@@ -1715,7 +1663,7 @@ impl Uproxy {
         for e in evicted {
             self.push_attrs(out, &e);
         }
-        if rec.absorb {
+        if let Pending::Push { file, version } = rec.kind {
             self.stats.absorbed += 1;
             // A confirmed attribute write-back cleans the cache entry
             // (unless a newer local modification raced with the push). A
@@ -1724,14 +1672,12 @@ impl Uproxy {
             // leaving it dirty would retry it every interval forever.
             // Transient failures (JUKEBOX, server fault) keep the entry
             // dirty so the next interval retries.
-            if let Some((file, version)) = rec.push {
-                match reply.as_ref().map(|r| r.status) {
-                    Some(NfsStatus::Ok) => self.attrs.mark_clean(file, version),
-                    Some(NfsStatus::NoEnt | NfsStatus::Stale | NfsStatus::BadHandle) => {
-                        self.attrs.discard(file, version)
-                    }
-                    _ => {}
+            match rx.reply.as_ref().map(|r| r.status) {
+                Some(NfsStatus::Ok) => self.attrs.mark_clean(file, version),
+                Some(NfsStatus::NoEnt | NfsStatus::Stale | NfsStatus::BadHandle) => {
+                    self.attrs.discard(file, version)
                 }
+                _ => {}
             }
             return None;
         }
@@ -1739,93 +1685,35 @@ impl Uproxy {
     }
 
     /// Phase 3 of a reply: what the client receives for its completed
-    /// request — a reply the µproxy re-initiates (the merge of a split
-    /// request, a READ corrected to the global file size) or the server's
-    /// own packet rewritten in place.
+    /// request — the server's own packet rewritten in place, or, for a
+    /// READ that disagrees with the global file size, a reply the µproxy
+    /// re-initiates.
     fn finalize(
         &mut self,
         out: &mut Vec<ProxyOut>,
-        pkt: Packet,
-        xid: u32,
+        rx: Inbound,
         rec: &PendingReq,
-        reply: &Option<ReplyView>,
         attr_file: Option<Fhandle>,
     ) {
-        // Finalize split requests by re-initiating a merged reply.
-        if let Some(merge) = &rec.merge {
-            if let (Some(reply), Some(fh)) = (reply, rec.fh) {
-                let attr = self.attrs.get(fh.file_id()).or(reply.attr);
-                let body = match merge {
-                    MergeState::Write { total } => match &reply.body {
-                        BodyView::Other(ReplyBody::Write {
-                            committed, verf, ..
-                        }) => ReplyBody::Write {
-                            count: *total,
-                            committed: *committed,
-                            verf: *verf,
-                        },
-                        // An error reply carries no results to merge.
-                        _ => ReplyBody::None,
-                    },
-                    MergeState::Read { split, low, high } => {
-                        let size = attr
-                            .map(|a| a.size)
-                            .unwrap_or(rec.offset + u64::from(rec.len));
-                        let expected =
-                            size.saturating_sub(rec.offset).min(u64::from(rec.len)) as usize;
-                        let mut data = vec![0u8; expected];
-                        if let Some(lo) = low {
-                            let n = lo.len().min(expected);
-                            data[..n].copy_from_slice(&lo[..n]);
-                        }
-                        if let Some(hi) = high {
-                            let start = (*split - rec.offset) as usize;
-                            if start < expected {
-                                let n = hi.len().min(expected - start);
-                                data[start..start + n].copy_from_slice(&hi[..n]);
-                            }
-                        }
-                        let eof = rec.offset + expected as u64 >= size;
-                        ReplyBody::Read { data, eof }
-                    }
-                };
-                let merged = NfsReply {
-                    proc: reply.proc,
-                    status: reply.status,
-                    attr,
-                    body,
-                };
-                self.reply_to_client(out, xid, rec.client_src, &merged);
-                self.clock.lap(&mut self.phases.rewrite_ns);
-                return;
-            }
-        }
         // Reads must reflect the *global* file size the µproxy tracks:
         // storage and small-file servers only know their local extent, so
         // a read in a hole (or past local data) comes back short and is
-        // zero-extended here, and a read past EOF is truncated. This is a
-        // reply the µproxy re-initiates rather than rewrites in place.
+        // zero-extended, and a read past EOF is truncated.
         if rec.proc == NfsProc::Read {
-            if let (Some(reply), Some(fh)) = (reply, rec.fh) {
+            if let (Some(reply), Some(fh)) = (&rx.reply, rec.fh) {
                 if reply.status.is_ok() {
                     if let (Some(attr), BodyView::Read { data, .. }) =
                         (self.attrs.get(fh.file_id()), &reply.body)
                     {
-                        let expected =
-                            attr.size.saturating_sub(rec.offset).min(u64::from(rec.len)) as usize;
-                        if data.len() != expected {
-                            let mut data = pkt.payload[data.clone()].to_vec();
-                            data.resize(expected, 0);
+                        if data.len() != read_len(rec.offset, rec.len, attr.size) {
+                            let window = (rec.offset, &rx.pkt.payload[data.clone()]);
                             let fixed = NfsReply {
                                 proc: NfsProc::Read,
                                 status: reply.status,
                                 attr: Some(attr),
-                                body: ReplyBody::Read {
-                                    data,
-                                    eof: rec.offset + expected as u64 >= attr.size,
-                                },
+                                body: read_body(rec.offset, rec.len, attr.size, [window]),
                             };
-                            self.reply_to_client(out, xid, rec.client_src, &fixed);
+                            self.reply_to_client(out, rx.xid, rec.client_src, &fixed);
                             self.clock.lap(&mut self.phases.rewrite_ns);
                             return;
                         }
@@ -1835,26 +1723,21 @@ impl Uproxy {
         }
         // Rewrite in place — restore the virtual source and patch the
         // attribute block with the authoritative cached attributes.
-        let mut p = pkt;
+        let mut p = rx.pkt;
         p.rewrite_src(self.cfg.virtual_addr);
-        {
-            // Return a complete, current set of attributes in every
-            // response (paper §4.1): overwrite the reply's attribute block
-            // with the merged cached attributes.
-            if let Some(fh) = attr_file {
-                if let Some(attr) = self.attrs.get(fh.file_id()) {
-                    // Patch in place when the reply carries an attr block.
-                    let flag_off = REPLY_ATTR_OFFSET;
-                    if p.payload.len() >= flag_off + 4 + 84 {
-                        let flag = u32::from_be_bytes(
-                            p.payload[flag_off..flag_off + 4].try_into().expect("fixed"),
-                        );
-                        if flag == 1 {
-                            let mut enc = XdrEncoder::with_capacity(84);
-                            attr.encode(&mut enc);
-                            p.rewrite_payload(flag_off + 4, enc.as_bytes());
-                        }
-                    }
+        // Return a complete, current set of attributes in every response
+        // (paper §4.1): overwrite the reply's attribute block, when it
+        // carries one, with the merged cached attributes.
+        if let Some(attr) = attr_file.and_then(|fh| self.attrs.get(fh.file_id())) {
+            let flag_off = REPLY_ATTR_OFFSET;
+            if p.payload.len() >= flag_off + 4 + 84 {
+                let flag = u32::from_be_bytes(
+                    p.payload[flag_off..flag_off + 4].try_into().expect("fixed"),
+                );
+                if flag == 1 {
+                    let mut enc = XdrEncoder::with_capacity(84);
+                    attr.encode(&mut enc);
+                    p.rewrite_payload(flag_off + 4, enc.as_bytes());
                 }
             }
         }
@@ -1870,15 +1753,16 @@ impl Uproxy {
         let mut out = Vec::new();
         match reply {
             CoordReply::IntentAck { op_id, intent } => {
-                if let Some(pkt) = self.intent_waiters.remove(&op_id) {
+                if let Some(pkt) = self.soft.intent_waiters.remove(&op_id) {
                     let xid = op_id as u32;
                     let fh = match view_call(&pkt.payload) {
                         Ok((_, CallView::Other(req))) => req.primary_fh().copied(),
                         _ => None,
                     };
                     if let Some(fh) = fh {
-                        let site = self.coord_site(fh.file_id());
-                        self.fanout_commit(&mut out, pkt, xid, fh, Some((site, intent)));
+                        let coord = self.coord_site(fh.file_id());
+                        let kind = Pending::Commit { coord, intent };
+                        self.fanout_commit(&mut out, pkt, xid, fh, kind);
                     }
                 }
             }
@@ -1889,19 +1773,20 @@ impl Uproxy {
                 warming,
             } => {
                 for (i, s) in sites.iter().enumerate() {
-                    self.map_cache
-                        .insert((file, first_block + i as u64), s.clone());
+                    let key = (file, first_block + i as u64);
+                    self.soft.map_cache.insert(key, s.clone());
                 }
                 for (i, w) in warming.iter().enumerate() {
                     let key = (file, first_block + i as u64);
                     if w.is_empty() {
-                        self.warming_cache.remove(&key);
+                        self.soft.warming_cache.remove(&key);
                     } else {
-                        self.warming_cache.insert(key, w.clone());
+                        self.soft.warming_cache.insert(key, w.clone());
                     }
                 }
                 // Release parked requests covered by the fragment.
                 let keys: Vec<(u64, u64)> = self
+                    .soft
                     .map_waiters
                     .keys()
                     .filter(|(f, b)| {
@@ -1910,7 +1795,7 @@ impl Uproxy {
                     .copied()
                     .collect();
                 for k in keys {
-                    for pkt in self.map_waiters.remove(&k).unwrap_or_default() {
+                    for pkt in self.soft.map_waiters.remove(&k).unwrap_or_default() {
                         self.admit(now, &mut out, pkt, false);
                     }
                 }
@@ -1920,9 +1805,9 @@ impl Uproxy {
                 // skipped mirror: release the parked write at reduced
                 // redundancy.
                 if let Some((pkt, live, missed, bytes)) =
-                    self.degrade_pending.remove(&(op_id as u32))
+                    self.soft.degrade_pending.remove(&(op_id as u32))
                 {
-                    self.degrade_ok.insert(op_id as u32, live);
+                    self.soft.degrade_ok.insert(op_id as u32, live);
                     for site in missed {
                         self.stats.degraded_writes += 1;
                         self.stats.degraded_bytes += bytes;
@@ -1935,7 +1820,7 @@ impl Uproxy {
                 }
             }
             CoordReply::SiteProbe { site, clean } => {
-                if let Some(h) = self.health.get_mut(site as usize) {
+                if let Some(h) = self.soft.health.get_mut(site as usize) {
                     if h.awaiting_votes > 0 {
                         h.awaiting_votes -= 1;
                         if clean {
@@ -1967,21 +1852,18 @@ impl Uproxy {
     /// write-back interval (bounds timestamp drift, §4.1).
     pub fn tick(&mut self, now: SimTime) -> Vec<ProxyOut> {
         let mut out = Vec::new();
-        let stale = self
-            .attrs
-            .take_stale_dirty(now, self.cfg.writeback_interval);
-        for e in stale {
+        for e in self.attrs.take_stale_dirty(now, ATTR_WRITEBACK) {
             self.push_attrs(&mut out, &e);
         }
         // Probe suspected sites through the coordinators. A probe with
         // no answer (dead coordinator, dead site) simply re-arms at the
         // next interval — probe_at doubles as the retry deadline.
         if self.cfg.coord_sites > 0 {
-            for site in 0..self.health.len() as u32 {
+            for site in 0..self.soft.health.len() as u32 {
                 if self.retired[site as usize] {
                     continue;
                 }
-                let h = &mut self.health[site as usize];
+                let h = &mut self.soft.health[site as usize];
                 if h.suspected && now >= h.probe_at {
                     h.probe_at = now + self.cfg.probe_interval;
                     h.awaiting_votes = self.cfg.coord_sites;

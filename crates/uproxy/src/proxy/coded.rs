@@ -1,4 +1,20 @@
-//! Erasure-coded striping at the µproxy (slice-ec).
+//! Leg ops: the requests the µproxy cannot forward.
+//!
+//! A request that one placement entry serves whole leaves the µproxy as the
+//! client's own packet (`route_bulk`). Two kinds cannot: a request that
+//! straddles the threshold offset, whose low bytes belong to the small-file
+//! server and the rest to the storage array, and a request to an
+//! erasure-coded file. Both are served as one *leg op* filed under the
+//! client's xid: the µproxy encodes *legs* — RPCs of its own, under xids of
+//! its own — absorbs their replies, and assembles the one reply the client
+//! gets. The threshold split and the coded planner are two producers of leg
+//! plans for one `start_op`, which adds the head leg for the small-file
+//! server when the request begins below the threshold; `leg_reply`,
+//! `finish_op` and the restart rule are shared. The client's RPC
+//! retransmission of the *parent* xid aborts and re-plans the whole op, so a
+//! leg lost to a dead site can never wedge the machine.
+//!
+//! # Erasure-coded striping (slice-ec)
 //!
 //! When the ensemble runs an (n,k) coded layout, the bulk region of every
 //! mapped file is striped as Reed-Solomon groups: one stripe unit U per
@@ -10,8 +26,7 @@
 //! awareness at all; parity shard p lives at object offsets
 //! `[s·U + p·S, s·U + (p+1)·S)` on site `sites[k+p]`.
 //!
-//! The µproxy drives every coded request as a small state machine of
-//! internal "legs" (µproxy-initiated RPCs with their own xids):
+//! The µproxy drives every coded request as a small state machine of legs:
 //!
 //! * clean reads — one READ leg per touched data shard;
 //! * degraded reads — when a needed shard's site is suspected, the hull
@@ -31,30 +46,26 @@
 //! read-modify-write cycles and tear the parity. Ops that touch a stripe's
 //! parity therefore hold per-(file, stripe) locks for their lifetime;
 //! later ops on a locked stripe park and re-enter when the lock drops.
-//! The client's RPC retransmission of the *parent* xid aborts and restarts
-//! the whole op, so a leg lost to a dead site can never wedge the machine.
 
 use super::*;
 use slice_ec::{Codec, CodedLayout};
-use slice_nfsproto::ReplyView;
 
-/// What a coded leg's reply means to its parent op.
+/// What a leg's reply means to its op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CodedLegRole {
+pub(super) enum LegRole {
     /// A survivor-window read feeding a stripe decode: (stripe index
     /// within the op, shard index within the stripe).
     Gather { stripe: u32, shard: u32 },
-    /// A clean data-shard read whose bytes go straight to the client.
-    Data { stripe: u32, shard: u32 },
-    /// A shard write acknowledgement.
+    /// A read whose bytes go straight to the client, at the file offset
+    /// the leg read from (a data shard's object offsets are the file's).
+    Read,
+    /// A write acknowledgement.
     WriteAck,
-    /// The below-threshold half of a straddling request.
-    SmallFile,
 }
 
 /// One stripe touched by a coded op.
 #[derive(Debug, Clone)]
-struct CodedStripe {
+pub(super) struct CodedStripe {
     /// Stripe (block) index.
     s: u64,
     /// The n placement sites, data shards first.
@@ -70,52 +81,112 @@ struct CodedStripe {
     got: Vec<Option<ByteBuf>>,
 }
 
-/// A client request in flight as coded shard legs.
+/// A client request in flight as legs.
 #[derive(Debug, Clone)]
-pub(crate) struct CodedOp {
-    fh: Fhandle,
-    /// Original request range (including any below-threshold head).
-    offset: u64,
-    len: u32,
-    /// Bulk sub-range served by the coded layout.
-    blo: u64,
-    bhi: u64,
+pub(super) struct LegOp {
+    /// The client's request; the storage array serves its bulk sub-range
+    /// `[call.lo, call.end())`.
+    call: BulkCall,
     write: bool,
     stable: StableHow,
-    /// Client write payload, indexed from `offset` (empty for reads): a
-    /// window of the client's packet.
+    /// Client write payload, indexed from `call.offset` (empty for reads):
+    /// a window of the client's packet.
     data: ByteBuf,
-    client_src: SockAddr,
+    /// The coded stripes touched; none for a threshold split.
     stripes: Vec<CodedStripe>,
     /// Sites this op routes to: the DirtyAck-approved live set when
     /// degraded, every placement site otherwise.
     live: Vec<u32>,
-    /// Storage legs still outstanding in the current phase.
+    /// Legs still outstanding in the current phase.
     outstanding: u32,
     /// Storage site per outstanding leg; a client retransmission of the
     /// parent xid strikes exactly these.
-    pub(crate) awaiting: Vec<u32>,
+    pub(super) awaiting: Vec<u32>,
     /// Every leg xid issued (removed from `pending` on abort).
     leg_xids: Vec<u32>,
-    /// Below-threshold read data from the straddle low half.
-    sf_data: Option<ByteBuf>,
-    sf_outstanding: bool,
     /// First WRITE-leg reply: template for the merged client reply (its
     /// verifier stands in for the fan-out, as with mirrored writes).
     template: Option<NfsReply>,
-    /// Clean read windows collected: (stripe, shard, bytes).
-    reads: Vec<(u32, u32, ByteBuf)>,
-    /// 0 = gathering survivor windows, 1 = final shard writes.
-    phase: u8,
+    /// Read windows collected: (file offset, bytes).
+    reads: Vec<(u64, ByteBuf)>,
+    /// A coded write whose shard writes are still to be computed (the
+    /// survivor windows they need may be on their way).
+    shards_due: bool,
 }
 
 /// A planned leg, computed before any state is mutated.
-struct LegPlan {
+pub(super) struct LegPlan {
     /// Storage site, or `None` for the file's small-file server (the
     /// below-threshold head of a straddling request).
     site: Option<u32>,
     req: NfsRequest,
-    role: CodedLegRole,
+    role: LegRole,
+}
+
+impl LegOp {
+    /// An op for `call` with no leg out yet. Write legs are cut from a
+    /// window of the client's packet `pkt`.
+    pub(super) fn new(
+        pkt: &Packet,
+        call: BulkCall,
+        write: Option<(Range<usize>, StableHow)>,
+        stripes: Vec<CodedStripe>,
+        live: Vec<u32>,
+    ) -> Self {
+        let is_write = write.is_some();
+        let (data, stable) = match write {
+            Some((data, stable)) => (pkt.payload.slice(data.start, data.len()), stable),
+            None => (ByteBuf::new(), StableHow::Unstable),
+        };
+        LegOp {
+            call,
+            write: is_write,
+            stable,
+            data,
+            shards_due: is_write && !stripes.is_empty(),
+            stripes,
+            live,
+            outstanding: 0,
+            awaiting: Vec::new(),
+            leg_xids: Vec::new(),
+            template: None,
+            reads: Vec::new(),
+        }
+    }
+
+    /// A leg carrying the client's own request, restricted to file range
+    /// `[from, to)`, to `site`.
+    fn part_leg(&self, site: Option<u32>, from: u64, to: u64) -> LegPlan {
+        let (req, role) = if self.write {
+            let base = self.call.offset;
+            let window = (from - base) as usize..(to - base) as usize;
+            let req = NfsRequest::Write {
+                fh: self.call.fh,
+                offset: from,
+                stable: self.stable,
+                data: self.data[window].to_vec(),
+            };
+            (req, LegRole::WriteAck)
+        } else {
+            let req = NfsRequest::Read {
+                fh: self.call.fh,
+                offset: from,
+                count: (to - from) as u32,
+            };
+            (req, LegRole::Read)
+        };
+        LegPlan { site, req, role }
+    }
+
+    /// The threshold split's plan: the whole bulk part, to every site the
+    /// op routes to.
+    pub(super) fn bulk_legs(&self) -> Vec<LegPlan> {
+        let (lo, end) = (self.call.lo, self.call.end());
+        self.live
+            .iter()
+            .map(|&site| self.part_leg(Some(site), lo, end))
+            .collect()
+    }
 }
 
 impl Uproxy {
@@ -133,15 +204,15 @@ impl Uproxy {
     /// locks it already owns passes.
     fn lock_stripes(&mut self, file: u64, stripes: &[u64], xid: u32, pkt: &Packet) -> bool {
         for &s in stripes {
-            if let Some(&owner) = self.stripe_locks.get(&(file, s)) {
+            if let Some(&owner) = self.soft.stripe_locks.get(&(file, s)) {
                 if owner != xid {
-                    self.coded_waiters.push(((file, s), pkt.clone()));
+                    self.soft.coded_waiters.push(((file, s), pkt.clone()));
                     return false;
                 }
             }
         }
         for &s in stripes {
-            self.stripe_locks.insert((file, s), xid);
+            self.soft.stripe_locks.insert((file, s), xid);
         }
         true
     }
@@ -149,6 +220,7 @@ impl Uproxy {
     /// Releases every stripe lock `xid` owns and re-admits parked ops.
     fn unlock_stripes(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, xid: u32) {
         let mut keys: Vec<(u64, u64)> = self
+            .soft
             .stripe_locks
             .iter()
             .filter(|&(_, &o)| o == xid)
@@ -156,21 +228,21 @@ impl Uproxy {
             .collect();
         keys.sort_unstable();
         for k in &keys {
-            self.stripe_locks.remove(k);
+            self.soft.stripe_locks.remove(k);
         }
         if keys.is_empty() {
             return;
         }
         let mut rest = Vec::new();
         let mut release = Vec::new();
-        for (k, p) in std::mem::take(&mut self.coded_waiters) {
+        for (k, p) in std::mem::take(&mut self.soft.coded_waiters) {
             if keys.contains(&k) {
                 release.push(p);
             } else {
                 rest.push((k, p));
             }
         }
-        self.coded_waiters = rest;
+        self.soft.coded_waiters = rest;
         // Each released request restarts the phase clock as a packet of its
         // own; what the releasing packet has spent so far is lock upkeep.
         self.clock.lap(&mut self.phases.soft_ns);
@@ -179,18 +251,18 @@ impl Uproxy {
         }
     }
 
-    /// Discards a coded op and its legs (client restart or fatal leg
-    /// error) and releases its stripe locks.
-    pub(crate) fn abort_coded(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, xid: u32) {
-        if let Some(op) = self.coded_ops.remove(&xid) {
+    /// Discards a leg op and its legs (client restart or fatal leg error)
+    /// and releases its stripe locks.
+    pub(super) fn abort_op(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, xid: u32) {
+        if let Some(op) = self.soft.ops.remove(&xid) {
             for leg in op.leg_xids {
-                self.pending.remove(&leg);
+                self.soft.pending.remove(&leg);
             }
         }
         self.unlock_stripes(now, out, xid);
     }
 
-    /// Issues one leg of a coded op under a µproxy-owned xid.
+    /// Issues one leg of op `parent` under a µproxy-owned xid.
     fn send_leg(&mut self, out: &mut Vec<ProxyOut>, parent: u32, fh: Fhandle, plan: &LegPlan) {
         let xid = self.next_own_xid;
         self.next_own_xid = self.next_own_xid.wrapping_add(1);
@@ -203,64 +275,88 @@ impl Uproxy {
         let (proc, offset, len) = match &plan.req {
             NfsRequest::Read { offset, count, .. } => (NfsProc::Read, *offset, *count),
             NfsRequest::Write { offset, data, .. } => (NfsProc::Write, *offset, data.len() as u32),
-            _ => unreachable!("coded legs are reads and writes"),
+            _ => unreachable!("legs are reads and writes"),
         };
         let mut rec = PendingReq::new(proc, Some(fh), offset, len, class, own);
-        rec.awaiting = plan.site.into_iter().collect();
-        rec.coded = Some((parent, plan.role));
-        self.pending.insert(xid, rec);
+        rec.kind = Pending::Leg {
+            parent,
+            role: plan.role,
+        };
+        self.soft.pending.insert(xid, rec);
         self.stats.initiated += 1;
-        if let Some(op) = self.coded_ops.get_mut(&parent) {
-            match plan.site {
-                Some(site) => {
-                    op.outstanding += 1;
-                    op.awaiting.push(site);
-                }
-                None => op.sf_outstanding = true,
-            }
+        if let Some(op) = self.soft.ops.get_mut(&parent) {
+            op.outstanding += 1;
+            op.awaiting.extend(plan.site);
             op.leg_xids.push(xid);
         }
         out.push(ProxyOut::Net(pkt));
     }
 
-    /// Routes the coded part `[blo, offset+len)` of a READ (`write ==
-    /// None`) or WRITE over the stripes whose placements `site_lists`
-    /// names, as µproxy-owned shard legs:
+    /// Files `op` under the client's xid and issues its first legs: the
+    /// head leg for the small-file server when the request begins below
+    /// the threshold, then `plans`.
+    pub(super) fn start_op(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<ProxyOut>,
+        op: LegOp,
+        plans: Vec<LegPlan>,
+    ) {
+        let BulkCall {
+            xid,
+            fh,
+            offset,
+            lo,
+            ..
+        } = op.call;
+        let head = (lo > offset).then(|| op.part_leg(None, offset, lo));
+        // A coded write with nothing to gather computes its shard writes
+        // at once.
+        let direct = op.shards_due && !op.stripes.iter().any(|st| st.gather);
+        self.soft.ops.insert(xid, op);
+        for plan in head.iter().chain(&plans) {
+            self.send_leg(out, xid, fh, plan);
+        }
+        if direct {
+            self.coded_write_phase1(now, out, xid);
+        }
+    }
+
+    /// Plans the coded part `[call.lo, call.end())` of a READ or WRITE
+    /// over the stripes whose placements `site_lists` names, as shard
+    /// legs:
     ///
     /// * a read takes per-shard legs at natural offsets, or — when a
     ///   needed shard's site is suspected and k others are not — gathers
     ///   k survivor windows and reconstructs through parity;
-    /// * a write stripes the payload into (n,k) shard legs, first
-    ///   gathering and decoding the old contents of partial stripes
-    ///   (read-modify-write).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn coded_route(
+    /// * a write stripes the payload into (n,k) shard legs
+    ///   (`coded_write_phase1`), first gathering and decoding the old
+    ///   contents of partial stripes (read-modify-write).
+    ///
+    /// Returns the stripes, the sites the op may route to and its first
+    /// legs — or `None` when the packet was parked on a stripe lock or a
+    /// dirty-region ack.
+    pub(super) fn coded_plan(
         &mut self,
-        now: SimTime,
         out: &mut Vec<ProxyOut>,
-        pkt: Packet,
-        xid: u32,
-        fh: Fhandle,
-        offset: u64,
-        len: u32,
-        blo: u64,
-        write: Option<(ByteBuf, StableHow)>,
+        pkt: &Packet,
+        call: &BulkCall,
+        is_write: bool,
         site_lists: Vec<Vec<u32>>,
         geom: CodedLayout,
-    ) {
+    ) -> Option<(Vec<CodedStripe>, Vec<u32>, Vec<LegPlan>)> {
         let k = geom.k as usize;
-        let file = fh.file_id();
-        let bhi = offset + u64::from(len);
+        let (xid, fh, file) = (call.xid, call.fh, call.fh.file_id());
+        let (blo, bhi) = (call.lo, call.end());
         let blen = bhi - blo;
         let first = geom.stripe_of(blo);
-        let is_write = write.is_some();
         // The sites the op may route to. A write takes every stripe lock
         // first (its parity update reads shards it does not overwrite)
         // and degrades to the DirtyAck-approved live set.
         let live: Vec<u32> = if is_write {
             let ids: Vec<u64> = (first..first + site_lists.len() as u64).collect();
-            if !self.lock_stripes(file, &ids, xid, &pkt) {
-                return;
+            if !self.lock_stripes(file, &ids, xid, pkt) {
+                return None;
             }
             let mut union: Vec<u32> = Vec::new();
             for &s in site_lists.iter().flatten() {
@@ -271,21 +367,15 @@ impl Uproxy {
             // With fewer than k live shards in some stripe there is
             // nothing to degrade to: route everywhere so retransmissions
             // keep probing.
-            let fallback = site_lists.iter().any(|sl| {
-                sl.iter()
-                    .filter(|&&s| !self.health[s as usize].suspected)
-                    .count()
-                    < k
-            });
+            let fallback = site_lists
+                .iter()
+                .any(|sl| sl.iter().filter(|&&s| !self.suspected(s)).count() < k);
             if fallback {
                 union
             } else {
-                match self.degrade_gate(out, &pkt, xid, file, blo, blen, union) {
-                    Some(live) => live,
-                    // Parked awaiting DirtyAck; locks stay held so no
-                    // other write can slip in ahead of the logged ranges.
-                    None => return,
-                }
+                // When parked awaiting DirtyAck, the locks stay held so no
+                // other write can slip in ahead of the logged ranges.
+                self.degrade_gate(out, pkt, call, union)?
             }
         } else {
             site_lists.iter().flatten().copied().collect()
@@ -296,7 +386,7 @@ impl Uproxy {
             if is_write {
                 live.contains(&site)
             } else {
-                !self.health[site as usize].suspected
+                !self.suspected(site)
             }
         };
         let mut stripes = Vec::new();
@@ -333,7 +423,7 @@ impl Uproxy {
                         offset: geom.shard_obj_offset(s, idx as u32, lo),
                         count: (hi - lo) as u32,
                     },
-                    role: CodedLegRole::Gather {
+                    role: LegRole::Gather {
                         stripe: i as u32,
                         shard: idx as u32,
                     },
@@ -348,10 +438,7 @@ impl Uproxy {
                         offset: geom.shard_obj_offset(s, j, a),
                         count: (b - a) as u32,
                     },
-                    role: CodedLegRole::Data {
-                        stripe: i as u32,
-                        shard: j,
-                    },
+                    role: LegRole::Read,
                 }));
             }
             stripes.push(CodedStripe {
@@ -374,8 +461,8 @@ impl Uproxy {
             // Decoding mixes windows of several shards: hold the stripe
             // locks so a concurrent read-modify-write cannot tear the
             // reconstruction.
-            if !gathering.is_empty() && !self.lock_stripes(file, &gathering, xid, &pkt) {
-                return;
+            if !gathering.is_empty() && !self.lock_stripes(file, &gathering, xid, pkt) {
+                return None;
             }
             self.stats.coded_reads += 1;
             self.stats.ec_degraded_reads += failovers.len() as u64;
@@ -387,73 +474,21 @@ impl Uproxy {
                 }));
             }
         }
-        let (data, stable) = write.unwrap_or((ByteBuf::new(), StableHow::Unstable));
-        if blo > offset {
-            let cut = (blo - offset) as usize;
-            let head = if is_write {
-                NfsRequest::Write {
-                    fh,
-                    offset,
-                    stable,
-                    data: data[..cut].to_vec(),
-                }
-            } else {
-                NfsRequest::Read {
-                    fh,
-                    offset,
-                    count: cut as u32,
-                }
-            };
-            plans.insert(
-                0,
-                LegPlan {
-                    site: None,
-                    req: head,
-                    role: CodedLegRole::SmallFile,
-                },
-            );
-        }
-        let op = CodedOp {
-            fh,
-            offset,
-            len,
-            blo,
-            bhi,
-            write: is_write,
-            stable,
-            data,
-            client_src: pkt.src,
-            stripes,
-            live,
-            outstanding: 0,
-            awaiting: Vec::new(),
-            leg_xids: Vec::new(),
-            sf_data: None,
-            sf_outstanding: false,
-            template: None,
-            reads: Vec::new(),
-            phase: u8::from(!is_write),
-        };
-        self.coded_ops.insert(xid, op);
-        for plan in &plans {
-            self.send_leg(out, xid, fh, plan);
-        }
-        if is_write && gathering.is_empty() {
-            self.coded_write_phase1(now, out, xid);
-        }
+        Some((stripes, live, plans))
     }
 
     /// Computes and issues the final shard writes of a coded write op:
     /// overlays the client bytes on the (decoded or direct) old data,
     /// re-encodes parity, and writes every touched live shard window.
     fn coded_write_phase1(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, xid: u32) {
-        let Some(op) = self.coded_ops.get_mut(&xid) else {
+        let Some(op) = self.soft.ops.get_mut(&xid) else {
             return;
         };
-        op.phase = 1;
+        op.shards_due = false;
         let data = std::mem::take(&mut op.data);
-        let op = &self.coded_ops[&xid];
-        let (fh, offset, blo, bhi, stable) = (op.fh, op.offset, op.blo, op.bhi, op.stable);
+        let op = &self.soft.ops[&xid];
+        let (fh, offset, stable) = (op.call.fh, op.call.offset, op.stable);
+        let (blo, bhi) = (op.call.lo, op.call.end());
         let geom = self.coded_geom(&fh).expect("op exists only when coded");
         let (n, k) = (geom.n as usize, geom.k as usize);
         let codec = Codec::new(n, k);
@@ -508,7 +543,7 @@ impl Uproxy {
                         stable,
                         data,
                     },
-                    role: CodedLegRole::WriteAck,
+                    role: LegRole::WriteAck,
                 })
             };
             for p in (0..n - k).filter(|&p| live(k + p)) {
@@ -524,44 +559,40 @@ impl Uproxy {
         if torn {
             // Unreachable with k gathered windows; drop the op and let the
             // client's retransmission restart it.
-            self.abort_coded(now, out, xid);
+            self.abort_op(now, out, xid);
             return;
         }
         for plan in &plans {
             self.send_leg(out, xid, fh, plan);
         }
-        let op = &self.coded_ops[&xid];
-        if op.outstanding == 0 && !op.sf_outstanding {
-            self.coded_finish(now, out, xid);
+        if self.soft.ops[&xid].outstanding == 0 {
+            self.finish_op(now, out, xid);
         }
     }
 
-    /// Absorbs one coded leg's reply (with the packet payload it was
-    /// parsed from) and advances the parent op.
-    pub(crate) fn coded_leg_reply(
+    /// Absorbs the reply `rx` to one leg of op `parent` — `pos` is the
+    /// offset the leg read or wrote at — and advances the op.
+    pub(super) fn leg_reply(
         &mut self,
         now: SimTime,
         out: &mut Vec<ProxyOut>,
         parent: u32,
-        role: CodedLegRole,
-        src_site: Option<u32>,
-        reply: Option<(ReplyView, &ByteBuf)>,
+        role: LegRole,
+        pos: u64,
+        rx: Inbound,
     ) {
-        let Some(op) = self.coded_ops.get_mut(&parent) else {
+        let Some(op) = self.soft.ops.get_mut(&parent) else {
             return;
         };
-        if let Some(s) = src_site {
-            if let Some(pos) = op.awaiting.iter().position(|&x| x == s) {
-                op.awaiting.remove(pos);
+        if let Some(s) = rx.src_site {
+            if let Some(i) = op.awaiting.iter().position(|&x| x == s) {
+                op.awaiting.remove(i);
             }
         }
-        match role {
-            CodedLegRole::SmallFile => op.sf_outstanding = false,
-            _ => op.outstanding = op.outstanding.saturating_sub(1),
-        }
-        let Some((reply, payload)) = reply else {
+        op.outstanding = op.outstanding.saturating_sub(1);
+        let Some(reply) = rx.reply else {
             // Undecodable leg reply: drop the op; retransmission restarts.
-            self.abort_coded(now, out, parent);
+            self.abort_op(now, out, parent);
             return;
         };
         if !reply.status.is_ok() {
@@ -572,23 +603,19 @@ impl Uproxy {
             } else {
                 NfsProc::Read
             };
-            let client = op.client_src;
-            self.abort_coded(now, out, parent);
+            let client = op.call.client_src;
+            self.abort_op(now, out, parent);
             self.reply_to_client(out, parent, client, &NfsReply::error(proc, reply.status));
             return;
         }
         // READ data stays in the leg's reply packet; the op keeps windows.
+        let payload = &rx.pkt.payload;
         let read_window = match &reply.body {
             BodyView::Read { data, .. } => Some(payload.slice(data.start, data.len())),
             BodyView::Other(_) => None,
         };
         match role {
-            CodedLegRole::SmallFile => {
-                if read_window.is_some() {
-                    op.sf_data = read_window;
-                }
-            }
-            CodedLegRole::Gather { stripe, shard } => {
+            LegRole::Gather { stripe, shard } => {
                 let st = &mut op.stripes[stripe as usize];
                 let wlen = (st.hi - st.lo) as usize;
                 let window = read_window.unwrap_or_default();
@@ -602,42 +629,34 @@ impl Uproxy {
                     bytes.into()
                 });
             }
-            CodedLegRole::Data { stripe, shard } => {
-                if let Some(window) = read_window {
-                    op.reads.push((stripe, shard, window));
-                }
-            }
-            CodedLegRole::WriteAck => {
+            LegRole::Read => op.reads.extend(read_window.map(|w| (pos, w))),
+            LegRole::WriteAck => {
                 if op.template.is_none() {
                     op.template = Some(reply.into_reply(payload));
                 }
             }
         }
-        let op = self.coded_ops.get_mut(&parent).expect("still present");
-        if op.outstanding == 0 && !op.sf_outstanding {
-            if op.write && op.phase == 0 {
+        if op.outstanding == 0 {
+            if op.shards_due {
                 self.coded_write_phase1(now, out, parent);
             } else {
-                self.coded_finish(now, out, parent);
+                self.finish_op(now, out, parent);
             }
         }
     }
 
-    /// Completes a coded op: synthesizes the merged client reply, updates
+    /// Completes a leg op: synthesizes the merged client reply, updates
     /// the attribute cache, and releases stripe locks.
-    fn coded_finish(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, xid: u32) {
-        let Some(mut op) = self.coded_ops.remove(&xid) else {
+    fn finish_op(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, xid: u32) {
+        let Some(mut op) = self.soft.ops.remove(&xid) else {
             return;
         };
-        self.degrade_ok.remove(&xid);
-        let geom = self.coded_geom(&op.fh).expect("op exists only when coded");
+        self.soft.degrade_ok.remove(&xid);
+        let call = op.call;
         let t = Self::nfs_time(now);
         let mut evicted = Vec::new();
         let mut reply = if op.write {
-            evicted.extend(
-                self.attrs
-                    .apply_write(now, &op.fh, op.offset + u64::from(op.len), t),
-            );
+            evicted.extend(self.attrs.apply_write(now, &call.fh, call.end(), t));
             let mut r = op.template.take().unwrap_or(NfsReply {
                 proc: NfsProc::Write,
                 status: slice_nfsproto::NfsStatus::Ok,
@@ -649,78 +668,48 @@ impl Uproxy {
                 },
             });
             if let ReplyBody::Write { count, .. } = &mut r.body {
-                *count = op.len;
+                *count = call.len;
             }
             r
         } else {
-            evicted.extend(self.attrs.apply_read(now, &op.fh, t));
+            evicted.extend(self.attrs.apply_read(now, &call.fh, t));
             // Decode the gathered stripes into served read windows.
-            let codec = Codec::new(geom.n as usize, geom.k as usize);
-            let blen = op.bhi - op.blo;
-            let mut rebuilt = Vec::new();
-            for (i, st) in op.stripes.iter().enumerate() {
-                if !st.gather {
-                    continue;
-                }
+            let blen = call.end() - call.lo;
+            for st in op.stripes.iter().filter(|st| st.gather) {
+                let geom = self.coded_geom(&call.fh).expect("stripes only when coded");
+                let codec = Codec::new(geom.n as usize, geom.k as usize);
                 let slots: Vec<Option<&[u8]>> = st.got.iter().map(|g| g.as_deref()).collect();
                 let Some(datw) = codec.decode(&slots) else {
                     // Unreachable with k gathered windows; drop the op.
-                    self.abort_coded(now, out, xid);
+                    self.abort_op(now, out, xid);
                     return;
                 };
                 self.stats.ec_reconstructions += 1;
                 for (j, w) in datw.iter().enumerate() {
-                    let (a, b) = geom.data_window(st.s, j as u32, op.blo, blen);
+                    let (a, b) = geom.data_window(st.s, j as u32, call.lo, blen);
                     if a < b {
                         self.stats.ec_reconstructed_bytes += b - a;
-                        rebuilt.push((
-                            i as u32,
-                            j as u32,
-                            w[(a - st.lo) as usize..(b - st.lo) as usize].into(),
-                        ));
+                        let pos = geom.shard_obj_offset(st.s, j as u32, a);
+                        let window = &w[(a - st.lo) as usize..(b - st.lo) as usize];
+                        op.reads.push((pos, window.into()));
                     }
                 }
             }
-            op.reads.append(&mut rebuilt);
             // Assemble the client buffer against the global size.
-            let size = self
-                .attrs
-                .get(op.fh.file_id())
-                .map(|a| a.size)
-                .unwrap_or(op.offset + u64::from(op.len));
-            let expected = size.saturating_sub(op.offset).min(u64::from(op.len)) as usize;
-            let mut data = vec![0u8; expected];
-            if let Some(sf) = &op.sf_data {
-                let nb = sf.len().min(expected);
-                data[..nb].copy_from_slice(&sf[..nb]);
-            }
-            for (i, j, bytes) in &op.reads {
-                let st = &op.stripes[*i as usize];
-                let (a, b) = geom.data_window(st.s, *j, op.blo, blen);
-                if a >= b {
-                    continue;
-                }
-                let file_pos = st.s * geom.stripe_unit + u64::from(*j) * geom.shard_size() + a;
-                let start = (file_pos - op.offset) as usize;
-                if start >= expected {
-                    continue;
-                }
-                let want = ((b - a) as usize).min(expected - start);
-                let nb = bytes.len().min(want);
-                data[start..start + nb].copy_from_slice(&bytes[..nb]);
-            }
-            let eof = op.offset + expected as u64 >= size;
+            let size = self.attrs.get(call.fh.file_id()).map(|a| a.size);
+            let size = size.unwrap_or(call.end());
+            let windows = op.reads.iter().map(|(pos, bytes)| (*pos, &bytes[..]));
             NfsReply {
                 proc: NfsProc::Read,
                 status: slice_nfsproto::NfsStatus::Ok,
                 attr: None,
-                body: ReplyBody::Read { data, eof },
+                body: read_body(call.offset, call.len, size, windows),
             }
         };
-        if let Some(attr) = self.attrs.get(op.fh.file_id()) {
+        if let Some(attr) = self.attrs.get(call.fh.file_id()) {
             reply.attr = Some(attr);
         }
-        self.reply_to_client(out, xid, op.client_src, &reply);
+        self.reply_to_client(out, xid, call.client_src, &reply);
         for e in evicted {
             self.push_attrs(out, &e);
         }

@@ -9,7 +9,7 @@ use slice_nfsproto::{
 use slice_sim::{FxHashMap, FxHashSet, SimDuration, SimTime};
 use slice_storage::{CoordMsg, CoordReply};
 
-use crate::proxy::{ProxyConfig, ProxyNamePolicy, ProxyOut, Uproxy};
+use crate::proxy::{ProxyConfig, ProxyNamePolicy, ProxyOut, Uproxy, ATTR_CACHE_ENTRIES};
 
 fn t(ms: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(ms)
@@ -787,11 +787,11 @@ fn lose_state_empties_every_waiting_table() {
     c.use_block_maps = true;
     c.coded = Some((4, 2));
     let mut u = Uproxy::new(c.clone());
-    let mut held = 0;
-    let mut grew = |u: &Uproxy, what: &str| {
+    let held = std::cell::Cell::new(0);
+    let grew = |u: &Uproxy, what: &str| {
         let now = u.soft_state_entries();
-        assert!(now > held, "{what} holds no soft state");
-        held = now;
+        assert!(now > held.get(), "{what} holds no soft state");
+        held.set(now);
     };
     let mapped = |id| Fhandle::new(id, 0, slice_nfsproto::FH_FLAG_MAPPED, 0, 0);
     let write = |fh, offset, len: usize| NfsRequest::Write {
@@ -822,7 +822,7 @@ fn lose_state_empties_every_waiting_table() {
     let out = u.outbound(t(3), call_pkt(&c, 3, &write(mapped(91), 129 * 1024, 512)));
     assert!(net_pkts(&out).is_empty(), "the stripe is locked");
     grew(&u, "a coded request parked on a stripe lock");
-    // A straddling read with one half answered (MergeState::Read).
+    // A straddling read with one leg answered.
     let plain = fh(92, 0);
     let req = NfsRequest::Read {
         fh: plain,
@@ -851,6 +851,8 @@ fn lose_state_empties_every_waiting_table() {
         reply_pkt(head.dst, c.client_addr, xid_of(&head), &half),
     );
     assert!(back.is_empty(), "half a merge is absorbed");
+    held.set(held.get() - 1); // the answered leg's record is gone
+    assert_eq!(u.soft_state_entries(), held.get());
     // intent_waiters: a commit of a file the attribute cache knows to be
     // large waits for the coordinator's intent ack.
     let out = u.outbound(t(6), call_pkt(&c, 5, &write(plain, 256 * 1024, 8192)));
@@ -938,7 +940,7 @@ fn soft_state_is_bounded_by_the_attribute_cache() {
     }
     assert!(u.soft_state_entries() > 0, "attributes are cached");
     assert!(
-        u.soft_state_entries() <= c.attr_cache_entries,
+        u.soft_state_entries() <= ATTR_CACHE_ENTRIES,
         "{} entries left behind by 10,000 answered requests",
         u.soft_state_entries()
     );
@@ -1263,7 +1265,8 @@ fn retire_site_purges_suspicion_and_leaves_probe_loop() {
 fn hot_trackers_count_and_age_out() {
     let c = cfg();
     let mut u = Uproxy::new(c.clone());
-    // Three data ops on file 7, one on file 8, plus name traffic on dir 3.
+    // Three data ops on file 7, one on file 8, plus name traffic on dir 3,
+    // which the hot set does not count.
     for i in 0..3u64 {
         u.outbound(
             t(i),
@@ -1303,7 +1306,6 @@ fn hot_trackers_count_and_age_out() {
     );
     assert_eq!(u.hot_files(1), vec![(7, 3), (8, 1)]);
     assert_eq!(u.hot_files(2), vec![(7, 3)]);
-    assert_eq!(u.hot_dirs(1), vec![(3, 1)]);
     // A quiet gap of two half-windows ages everything out; fresh traffic
     // starts a new window.
     u.outbound(
@@ -1357,13 +1359,14 @@ fn answer_legs(c: &ProxyConfig, u: &mut Uproxy, pkts: &[Packet], xid: u32, reply
 }
 
 /// Pins the bulk planner's legs byte for byte (destination, checksum,
-/// payload digest — reference values from commit 6f849b5). A
-/// non-straddling request (xids 12, 14) is the client's own packet
-/// re-addressed in place. A straddling one (11, 13) is re-encoded as a
-/// head and a tail (one tail per replica for a write); for those, `bodies`
-/// pins everything but the xid word as well (reference values from commit
-/// 901b509), so a change of the xid the legs travel under shows up in the
-/// full digests and nowhere else.
+/// payload digest). A non-straddling request (xids 12, 14) is the client's
+/// own packet re-addressed in place (reference values from commit
+/// 6f849b5). A straddling one (11, 13) is re-encoded as a head and a tail
+/// (one tail per replica for a write) under µproxy-owned xids; for those,
+/// `bodies` pins everything but the xid word to what commit 901b509
+/// emitted, when the legs still travelled under the client's xid — the
+/// move to leg ops changed that word, the checksum over it, and nothing
+/// else.
 #[test]
 fn bulk_planner_emits_golden_mirrored_legs() {
     let c = cfg();
@@ -1406,9 +1409,9 @@ fn bulk_planner_emits_golden_mirrored_legs() {
     assert_eq!(
         digests(&pkts),
         vec![
-            (sf, 28603, 0x8a2c_b102_cd4f_2787),
-            (node(2), 18150, 0xe5bd_25f3_8347_2e55),
-            (node(3), 18149, 0xe5bd_25f3_8347_2e55),
+            (sf, 61381, 0x6c60_4cbc_aae7_40da),
+            (node(2), 50927, 0xe6e1_1c41_5b6b_73ff),
+            (node(3), 50925, 0x14ad_adf9_2f1f_10b6),
         ]
     );
     assert_eq!(
@@ -1433,8 +1436,8 @@ fn bulk_planner_emits_golden_mirrored_legs() {
     assert_eq!(
         digests(&pkts),
         vec![
-            (sf, 31991, 0x8288_fe13_ea28_69a5),
-            (node(2), 11509, 0x2fb4_a8bc_0f1a_d60a),
+            (sf, 64771, 0xb46b_f1af_e9af_9ea2),
+            (node(2), 44288, 0xe486_6665_a007_2ebe),
         ]
     );
     assert_eq!(

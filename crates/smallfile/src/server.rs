@@ -356,6 +356,23 @@ impl SmallFileServer {
     pub fn handle_nfs(&mut self, now: SimTime, token: u64, req: NfsRequest) -> Vec<SfAction> {
         let mut actions = Vec::new();
         let mut waits = FxHashSet::default();
+        // A request comes straight off the wire: everything below trusts
+        // that it lies under the threshold (block indices fit a map
+        // record), so one that does not is refused before it touches state.
+        let span = match &req {
+            NfsRequest::Read { offset, count, .. } => Some((*offset, u64::from(*count))),
+            NfsRequest::Write { offset, data, .. } => Some((*offset, data.len() as u64)),
+            _ => None,
+        };
+        if let Some((offset, len)) = span {
+            if offset.checked_add(len).is_none_or(|end| end > SF_THRESHOLD) {
+                actions.push(SfAction::Reply {
+                    token,
+                    reply: NfsReply::error(req.proc(), NfsStatus::Inval),
+                });
+                return actions;
+            }
+        }
         match &req {
             NfsRequest::Read { fh, offset, count } => {
                 let file = fh.file_id();

@@ -423,3 +423,82 @@ fn create_heavy_layout_is_sequential() {
         assert_eq!(*off, i as u64 * 2048);
     }
 }
+
+/// A request that reaches past the threshold is refused whole: nothing is
+/// allocated, mapped or logged for it.
+fn assert_refused(h: &mut Harness, token: u64, req: NfsRequest) {
+    let reply = h.run(t(token), token, req);
+    assert_eq!(reply.status, NfsStatus::Inval);
+    assert!(
+        h.server.map_of(80).is_none(),
+        "a refused request left a map"
+    );
+    assert_eq!(h.server.alloc_stats(), (0, 0));
+    assert_eq!(h.server.served(), 0);
+}
+
+#[test]
+fn write_far_past_threshold_is_refused() {
+    // Block index 259 used to be cast to `u8` before it was clamped: it
+    // aliased block 3 and the copy into the block's content panicked.
+    let mut h = Harness::new(1);
+    assert_refused(
+        &mut h,
+        1,
+        NfsRequest::Write {
+            fh: fh(80),
+            offset: 2 * 1024 * 1024 + 24 * 1024,
+            stable: StableHow::FileSync,
+            data: vec![5u8; 100],
+        },
+    );
+    assert_refused(
+        &mut h,
+        2,
+        NfsRequest::Read {
+            fh: fh(80),
+            offset: u64::MAX - 10,
+            count: 100,
+        },
+    );
+}
+
+#[test]
+fn write_just_past_threshold_is_refused() {
+    // Used to answer `Ok`, store nothing, and leave the local size at
+    // 102,500 with no extent under it.
+    let mut h = Harness::new(1);
+    assert_refused(
+        &mut h,
+        1,
+        NfsRequest::Write {
+            fh: fh(80),
+            offset: 100 * 1024,
+            stable: StableHow::FileSync,
+            data: vec![5u8; 100],
+        },
+    );
+    // The last byte below the threshold is still served; one more is not.
+    assert_refused(
+        &mut h,
+        2,
+        NfsRequest::Write {
+            fh: fh(80),
+            offset: SF_THRESHOLD - 99,
+            stable: StableHow::FileSync,
+            data: vec![5u8; 100],
+        },
+    );
+    let reply = h.run(
+        t(3),
+        3,
+        NfsRequest::Write {
+            fh: fh(80),
+            offset: SF_THRESHOLD - 100,
+            stable: StableHow::FileSync,
+            data: vec![5u8; 100],
+        },
+    );
+    assert_eq!(reply.status, NfsStatus::Ok);
+    assert_eq!(h.server.map_of(80).unwrap().size, SF_THRESHOLD);
+}

@@ -293,8 +293,6 @@ pub struct DirActor {
     charge_cpu: bool,
     /// Routing-table generation this site's slot map corresponds to.
     pub table_generation: u64,
-    /// Last activity instant (used as the crash point for recovery).
-    last_seen: SimTime,
     /// WAL preserved across a crash (it lives in shared network storage).
     crashed_wal: Option<(slice_storage::Wal<slice_dirsvc::DirLog>, SimTime)>,
     drc: ReplyCache,
@@ -327,7 +325,6 @@ impl DirActor {
             next_req_id: 1,
             charge_cpu,
             table_generation: 1,
-            last_seen: SimTime::ZERO,
             crashed_wal: None,
             drc: ReplyCache::default(),
         }
@@ -406,7 +403,6 @@ impl DirActor {
 
 impl Actor<Wire> for DirActor {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire>, _from: NodeId, msg: Wire) {
-        self.last_seen = ctx.now();
         match msg {
             Wire::Udp(pkt) => {
                 let Ok((hdr, req)) = decode_call(&pkt.payload) else {
@@ -498,7 +494,6 @@ pub struct SmallFileActor {
     next_token: u64,
     next_xid: u32,
     charge_cpu: bool,
-    last_seen: SimTime,
     crashed_wal: Option<(slice_storage::Wal<slice_smallfile::SfLog>, SimTime)>,
 }
 
@@ -522,7 +517,6 @@ impl SmallFileActor {
             next_token: 1,
             next_xid: 1,
             charge_cpu,
-            last_seen: SimTime::ZERO,
             crashed_wal: None,
         }
     }
@@ -546,24 +540,12 @@ impl SmallFileActor {
                     offset,
                     len,
                 } => {
-                    let xid = self.next_xid;
-                    self.next_xid = self.next_xid.wrapping_add(1);
-                    self.backing.insert(xid, (tag, true));
                     let req = NfsRequest::Read {
                         fh: Fhandle::new(obj, 0, 0, 0, 0),
                         offset,
                         count: len,
                     };
-                    let payload = slice_nfsproto::encode_call(
-                        xid,
-                        &slice_nfsproto::AuthUnix::default(),
-                        &req,
-                    );
-                    let addr = self.storage_addrs[site as usize % self.storage_addrs.len()];
-                    let pkt = Packet::new(self.addr, addr, payload);
-                    if let Some(node) = self.router.try_node_of(addr) {
-                        ctx.send(node, Wire::Udp(pkt));
-                    }
+                    self.backing_call(ctx, tag, true, site, &req);
                 }
                 SfAction::BackingWrite {
                     tag,
@@ -573,11 +555,6 @@ impl SmallFileActor {
                     data,
                     stable,
                 } => {
-                    let xid = self.next_xid;
-                    self.next_xid = self.next_xid.wrapping_add(1);
-                    if tag != 0 {
-                        self.backing.insert(xid, (tag, false));
-                    }
                     let req = NfsRequest::Write {
                         fh: Fhandle::new(obj, 0, 0, 0, 0),
                         offset,
@@ -588,28 +565,41 @@ impl SmallFileActor {
                         },
                         data,
                     };
-                    let payload = slice_nfsproto::encode_call(
-                        xid,
-                        &slice_nfsproto::AuthUnix::default(),
-                        &req,
-                    );
-                    let addr = self.storage_addrs[site as usize % self.storage_addrs.len()];
-                    let pkt = Packet::new(self.addr, addr, payload);
-                    if let Some(node) = self.router.try_node_of(addr) {
-                        ctx.send(node, Wire::Udp(pkt));
-                    }
+                    self.backing_call(ctx, tag, false, site, &req);
                 }
             }
+        }
+    }
+
+    /// Sends `req` to storage `site` under the next backing xid; a
+    /// completion is expected back unless `tag` is 0 (fire and forget).
+    fn backing_call(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        tag: u64,
+        is_read: bool,
+        site: u32,
+        req: &NfsRequest,
+    ) {
+        let xid = self.next_xid;
+        self.next_xid = self.next_xid.wrapping_add(1);
+        if tag != 0 {
+            self.backing.insert(xid, (tag, is_read));
+        }
+        let payload = slice_nfsproto::encode_call(xid, &slice_nfsproto::AuthUnix::default(), req);
+        let addr = self.storage_addrs[site as usize % self.storage_addrs.len()];
+        let pkt = Packet::new(self.addr, addr, payload);
+        if let Some(node) = self.router.try_node_of(addr) {
+            ctx.send(node, Wire::Udp(pkt));
         }
     }
 }
 
 impl Actor<Wire> for SmallFileActor {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire>, _from: NodeId, msg: Wire) {
-        self.last_seen = ctx.now();
         match msg {
             Wire::Udp(pkt) => {
-                let Ok((_, msg_type)) = slice_nfsproto::peek_xid_type(&pkt.payload) else {
+                let Ok((xid, msg_type)) = slice_nfsproto::peek_xid_type(&pkt.payload) else {
                     return;
                 };
                 if msg_type == slice_nfsproto::MSG_CALL {
@@ -633,9 +623,6 @@ impl Actor<Wire> for SmallFileActor {
                     self.dispatch(ctx, actions);
                 } else {
                     // A backing-I/O completion from a storage node.
-                    let Ok((xid, _)) = slice_nfsproto::peek_xid_type(&pkt.payload) else {
-                        return;
-                    };
                     let Some((tag, is_read)) = self.backing.remove(&xid) else {
                         return;
                     };
@@ -655,10 +642,8 @@ impl Actor<Wire> for SmallFileActor {
                     } else {
                         None
                     };
-                    if tag != 0 {
-                        let actions = self.server.handle_backing_done(ctx.now(), tag, data);
-                        self.dispatch(ctx, actions);
-                    }
+                    let actions = self.server.handle_backing_done(ctx.now(), tag, data);
+                    self.dispatch(ctx, actions);
                 }
             }
             Wire::SfCtl(ctl) => {
@@ -704,7 +689,6 @@ pub struct CoordActor {
     storage_nodes: Vec<NodeId>,
     deferred: DeferredSender,
     charge_cpu: bool,
-    last_seen: SimTime,
     crashed_wal: Option<(slice_storage::Wal<slice_storage::IntentRecord>, SimTime)>,
     /// True while the timeout sweep timer is pending. The sweep only runs
     /// while intentions are open — an idle coordinator must not keep the
@@ -724,7 +708,6 @@ impl CoordActor {
             storage_nodes,
             deferred: DeferredSender::default(),
             charge_cpu,
-            last_seen: SimTime::ZERO,
             crashed_wal: None,
             sweep_armed: false,
             pending_reconf: Vec::new(),
@@ -784,7 +767,6 @@ impl CoordActor {
 
 impl Actor<Wire> for CoordActor {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire>, from: NodeId, msg: Wire) {
-        self.last_seen = ctx.now();
         match msg {
             Wire::Coord(m) => {
                 if self.charge_cpu {

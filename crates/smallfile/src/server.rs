@@ -16,6 +16,8 @@
 //! reply is deferred until those complete. The host actor dispatches
 //! [`SfAction`]s and feeds completions back in.
 
+use std::collections::hash_map::Entry;
+
 use slice_sim::{FxHashMap, FxHashSet};
 
 use slice_nfsproto::{
@@ -182,11 +184,33 @@ enum CacheKey {
     Map { map_block: u64 },
 }
 
+/// An op waiting on backing I/O; `left` counts its tags still out.
 #[derive(Debug)]
-struct PendingOp {
-    token: u64,
-    req: NfsRequest,
-    waits: FxHashSet<u64>,
+enum Parked {
+    /// Waits for blocks to become resident, then executes.
+    Fetch {
+        token: u64,
+        req: NfsRequest,
+        left: usize,
+    },
+    /// Has executed; sends `reply` once its stable flushes have landed.
+    Flush {
+        token: u64,
+        reply: NfsReply,
+        left: usize,
+    },
+}
+
+/// The logical blocks `len` bytes at `offset` touch (one block for an
+/// empty span; none at the threshold itself).
+fn blocks_of(offset: u64, len: u64) -> std::ops::RangeInclusive<u8> {
+    let last = (offset + len.max(1) - 1) / u64::from(SF_BLOCK);
+    (offset / u64::from(SF_BLOCK)) as u8..=last.min(MAP_EXTENTS as u64 - 1) as u8
+}
+
+/// The blocks that lie wholly at or past `size`.
+fn blocks_past(size: u64) -> std::ops::Range<u8> {
+    size.div_ceil(u64::from(SF_BLOCK)).min(MAP_EXTENTS as u64) as u8..MAP_EXTENTS as u8
 }
 
 /// The small-file server state machine.
@@ -198,15 +222,15 @@ pub struct SmallFileServer {
     cache: LruCache<CacheKey>,
     /// Resident block contents (retain mode only).
     contents: FxHashMap<(u64, u8), Vec<u8>>,
-    /// Resident blocks with unflushed data.
+    /// Resident blocks with unflushed data. COMMIT flushes in this set's
+    /// iteration order, which the host turns into backing xids: another
+    /// container is another send order (DESIGN.md §17).
     dirty: FxHashSet<(u64, u8)>,
     wal: Wal<SfLog>,
-    ops: FxHashMap<u64, PendingOp>,
-    by_tag: FxHashMap<u64, u64>,
-    /// What each outstanding backing read will make resident.
-    tag_targets: FxHashMap<u64, CacheKey>,
-    /// Replies computed at execute time but gated on backing completions.
-    deferred_replies: FxHashMap<u64, NfsReply>,
+    parked: FxHashMap<u64, Parked>,
+    /// Outstanding backing tag -> the op that waits for it, and the block
+    /// a read will make resident.
+    by_tag: FxHashMap<u64, (u64, Option<CacheKey>)>,
     next_tag: u64,
     next_op: u64,
     verf: u64,
@@ -224,10 +248,8 @@ impl SmallFileServer {
             contents: FxHashMap::default(),
             dirty: FxHashSet::default(),
             wal: Wal::new(WalParams::default()),
-            ops: FxHashMap::default(),
+            parked: FxHashMap::default(),
             by_tag: FxHashMap::default(),
-            tag_targets: FxHashMap::default(),
-            deferred_replies: FxHashMap::default(),
             next_tag: 1,
             next_op: 1,
             verf: 1,
@@ -266,164 +288,168 @@ impl SmallFileServer {
         (self.alloc.allocated_bytes(), self.alloc.free_bytes())
     }
 
-    fn fresh_tag(&mut self) -> u64 {
-        let t = self.next_tag;
-        self.next_tag += 1;
-        t
+    fn extent(&self, file: u64, block: u8) -> Option<MapExtent> {
+        self.maps.get(&file).and_then(|m| m.extents[block as usize])
     }
 
-    fn attr_for(&self, file: u64) -> Fattr3 {
-        let map = self.maps.get(&file);
-        let (size, mtime) = map
+    /// A success reply carrying `file`'s current attributes.
+    fn ok(&self, proc: NfsProc, file: u64, body: ReplyBody) -> NfsReply {
+        let (size, mtime) = self
+            .maps
+            .get(&file)
             .map(|m| (m.size, m.mtime))
             .unwrap_or((0, NfsTime::default()));
-        let mut a = Fattr3::new(FileType::Regular, file, 0o644, mtime);
-        a.size = size;
-        a.used = size;
-        a
+        let mut attr = Fattr3::new(FileType::Regular, file, 0o644, mtime);
+        attr.size = size;
+        attr.used = size;
+        NfsReply {
+            proc,
+            status: NfsStatus::Ok,
+            attr: Some(attr),
+            body,
+        }
     }
 
-    /// Ensures the map block for `file` is resident; returns a fetch
-    /// action if not.
-    fn need_map(&mut self, actions: &mut Vec<SfAction>, waits: &mut FxHashSet<u64>, file: u64) {
-        let map_block = file / MAP_RECORDS_PER_BLOCK;
-        if self.cache.get(&CacheKey::Map { map_block }) {
-            return;
+    /// Makes `op` wait for `key` unless it is resident (or a hole, which
+    /// reads as zeros and is not a miss); true if a backing read went out.
+    fn fetch(&mut self, actions: &mut Vec<SfAction>, op: u64, key: CacheKey) -> bool {
+        let (site, obj, offset, len) = match key {
+            CacheKey::Map { map_block } => (
+                (map_block % u64::from(self.config.storage_sites.max(1))) as u32,
+                map_object(self.config.server_id),
+                map_block * u64::from(SF_BLOCK),
+                SF_BLOCK,
+            ),
+            CacheKey::Data { file, block } => {
+                let Some(MapExtent { region, .. }) = self.extent(file, block) else {
+                    return false;
+                };
+                let obj = zone_object(self.config.server_id, region.zone);
+                (region.zone, obj, region.offset, region.frag)
+            }
+        };
+        if self.cache.get(&key) {
+            return false;
         }
-        let tag = self.fresh_tag();
-        waits.insert(tag);
-        self.tag_targets.insert(tag, CacheKey::Map { map_block });
-        let site = (map_block % u64::from(self.config.storage_sites.max(1))) as u32;
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        self.by_tag.insert(tag, (op, Some(key)));
         actions.push(SfAction::BackingRead {
             tag,
             site,
-            obj: map_object(self.config.server_id),
-            offset: map_block * u64::from(SF_BLOCK),
-            len: SF_BLOCK,
+            obj,
+            offset,
+            len,
         });
+        true
     }
 
-    /// Ensures a data block is resident; returns a fetch action if not.
-    fn need_block(
-        &mut self,
-        actions: &mut Vec<SfAction>,
-        waits: &mut FxHashSet<u64>,
-        file: u64,
-        block: u8,
-    ) {
-        let Some(ext) = self.maps.get(&file).and_then(|m| m.extents[block as usize]) else {
-            return; // hole: reads as zeros, no backing data
-        };
-        if self.cache.get(&CacheKey::Data { file, block }) {
-            return;
-        }
-        let tag = self.fresh_tag();
-        waits.insert(tag);
-        self.tag_targets.insert(tag, CacheKey::Data { file, block });
-        actions.push(SfAction::BackingRead {
+    /// Writes a block to its extent (`tag` 0 = fire and forget).
+    fn backing_write(&self, tag: u64, ext: MapExtent, content: Option<Vec<u8>>) -> SfAction {
+        SfAction::BackingWrite {
             tag,
             site: ext.region.zone,
             obj: zone_object(self.config.server_id, ext.region.zone),
             offset: ext.region.offset,
-            len: ext.region.frag,
-        });
+            data: content.unwrap_or_else(|| vec![0u8; ext.bytes as usize]),
+            stable: true,
+        }
     }
 
-    fn insert_resident(&mut self, actions: &mut Vec<SfAction>, key: CacheKey, size: u64) {
-        for victim in self.cache.insert(key, size) {
+    /// Flushes `blocks` of `file` to backing and sends `reply` when the
+    /// last has landed — at once if there is nothing to flush.
+    fn flush_then_reply(
+        &mut self,
+        actions: &mut Vec<SfAction>,
+        file: u64,
+        blocks: Vec<u8>,
+        token: u64,
+        reply: NfsReply,
+    ) {
+        let op = self.next_op;
+        let mut left = 0;
+        for b in blocks {
+            let Some(ext) = self.extent(file, b) else {
+                continue;
+            };
+            let tag = self.next_tag;
+            self.next_tag += 1;
+            self.by_tag.insert(tag, (op, None));
+            left += 1;
+            actions.push(self.backing_write(tag, ext, self.contents.get(&(file, b)).cloned()));
+        }
+        if left == 0 {
+            actions.push(SfAction::Reply { token, reply });
+        } else {
+            self.next_op += 1;
+            self.parked.insert(op, Parked::Flush { token, reply, left });
+        }
+    }
+
+    fn insert_resident(&mut self, actions: &mut Vec<SfAction>, key: CacheKey) {
+        for victim in self.cache.insert(key, u64::from(SF_BLOCK)) {
             if let CacheKey::Data { file, block } = victim {
                 let content = self.contents.remove(&(file, block));
+                // Evicting dirty data forces a flush to backing.
                 if self.dirty.remove(&(file, block)) {
-                    // Evicting dirty data forces a flush to backing.
-                    if let Some(ext) = self.maps.get(&file).and_then(|m| m.extents[block as usize])
-                    {
-                        actions.push(SfAction::BackingWrite {
-                            tag: 0,
-                            site: ext.region.zone,
-                            obj: zone_object(self.config.server_id, ext.region.zone),
-                            offset: ext.region.offset,
-                            data: content.unwrap_or_else(|| vec![0u8; ext.bytes as usize]),
-                            stable: true,
-                        });
+                    if let Some(ext) = self.extent(file, block) {
+                        actions.push(self.backing_write(0, ext, content));
                     }
                 }
             }
         }
+    }
+
+    fn drop_block(&mut self, file: u64, block: u8) {
+        self.cache.remove(&CacheKey::Data { file, block });
+        self.contents.remove(&(file, block));
+        self.dirty.remove(&(file, block));
     }
 
     /// Serves an NFS request (READ/WRITE/COMMIT below the threshold);
     /// `token` identifies the requester for the eventual reply.
     pub fn handle_nfs(&mut self, now: SimTime, token: u64, req: NfsRequest) -> Vec<SfAction> {
         let mut actions = Vec::new();
-        let mut waits = FxHashSet::default();
-        // A request comes straight off the wire: everything below trusts
-        // that it lies under the threshold (block indices fit a map
-        // record), so one that does not is refused before it touches state.
-        let span = match &req {
-            NfsRequest::Read { offset, count, .. } => Some((*offset, u64::from(*count))),
-            NfsRequest::Write { offset, data, .. } => Some((*offset, data.len() as u64)),
-            _ => None,
-        };
-        if let Some((offset, len)) = span {
-            if offset.checked_add(len).is_none_or(|end| end > SF_THRESHOLD) {
-                actions.push(SfAction::Reply {
-                    token,
-                    reply: NfsReply::error(req.proc(), NfsStatus::Inval),
-                });
-                return actions;
-            }
-        }
-        match &req {
+        let (file, offset, len, is_write) = match &req {
             NfsRequest::Read { fh, offset, count } => {
-                let file = fh.file_id();
-                self.need_map(&mut actions, &mut waits, file);
-                let first = (offset / u64::from(SF_BLOCK)) as u8;
-                let last_byte = offset + u64::from(*count).max(1) - 1;
-                let last = ((last_byte / u64::from(SF_BLOCK)) as u8).min(MAP_EXTENTS as u8 - 1);
-                for b in first..=last.min(MAP_EXTENTS as u8 - 1) {
-                    self.need_block(&mut actions, &mut waits, file, b);
-                }
+                (fh.file_id(), *offset, u64::from(*count), false)
             }
             NfsRequest::Write {
                 fh, offset, data, ..
-            } => {
-                let file = fh.file_id();
-                self.need_map(&mut actions, &mut waits, file);
-                // Read-modify-write: partially overwritten existing blocks
-                // must be resident first.
-                let first = (offset / u64::from(SF_BLOCK)) as u8;
-                let last_byte = offset + data.len().max(1) as u64 - 1;
-                let last = ((last_byte / u64::from(SF_BLOCK)) as u8).min(MAP_EXTENTS as u8 - 1);
-                for b in first..=last {
-                    let b_start = u64::from(b) * u64::from(SF_BLOCK);
-                    let b_end = b_start + u64::from(SF_BLOCK);
-                    let covers = *offset <= b_start && offset + data.len() as u64 >= b_end;
-                    if !covers {
-                        self.need_block(&mut actions, &mut waits, file, b);
-                    }
-                }
-            }
-            NfsRequest::Commit { .. } => {
-                // Commit needs no fetches; flushes happen at execute.
-            }
-            other => {
-                actions.push(SfAction::Reply {
-                    token,
-                    reply: NfsReply::error(other.proc(), NfsStatus::NotSupp),
-                });
+            } => (fh.file_id(), *offset, data.len() as u64, true),
+            // COMMIT needs no fetches; anything else is refused there.
+            _ => {
+                self.execute(now, token, req, &mut actions);
                 return actions;
             }
+        };
+        // A request comes straight off the wire: everything below trusts
+        // that it lies under the threshold (block indices fit a map
+        // record), so one that does not is refused before it touches state.
+        if offset.checked_add(len).is_none_or(|end| end > SF_THRESHOLD) {
+            actions.push(SfAction::Reply {
+                token,
+                reply: NfsReply::error(req.proc(), NfsStatus::Inval),
+            });
+            return actions;
         }
-        if waits.is_empty() {
-            let mut more = self.execute(now, token, &req);
-            actions.append(&mut more);
-        } else {
-            let op = self.next_op;
-            self.next_op += 1;
-            for &t in &waits {
-                self.by_tag.insert(t, op);
+        let op = self.next_op;
+        let map_block = file / MAP_RECORDS_PER_BLOCK;
+        let mut left = usize::from(self.fetch(&mut actions, op, CacheKey::Map { map_block }));
+        for block in blocks_of(offset, len) {
+            // Read-modify-write: a WRITE needs only the blocks it
+            // overwrites in part.
+            let b_start = u64::from(block) * u64::from(SF_BLOCK);
+            let covers = offset <= b_start && offset + len >= b_start + u64::from(SF_BLOCK);
+            if !(is_write && covers) {
+                left += usize::from(self.fetch(&mut actions, op, CacheKey::Data { file, block }));
             }
-            self.ops.insert(op, PendingOp { token, req, waits });
+        }
+        if left == 0 {
+            self.execute(now, token, req, &mut actions);
+        } else {
+            self.next_op += 1;
+            self.parked.insert(op, Parked::Fetch { token, req, left });
         }
         actions
     }
@@ -437,88 +463,65 @@ impl SmallFileServer {
         data: Option<Vec<u8>>,
     ) -> Vec<SfAction> {
         let mut actions = Vec::new();
-        let Some(op_id) = self.by_tag.remove(&tag) else {
+        let Some((op, fetched)) = self.by_tag.remove(&tag) else {
             return actions; // fire-and-forget flush completion
         };
-        let (req, token, done) = {
-            let Some(op) = self.ops.get_mut(&op_id) else {
-                return actions;
-            };
-            op.waits.remove(&tag);
-            (op.req.clone(), op.token, op.waits.is_empty())
-        };
-        // Mark what this tag fetched as resident; stash data contents in
-        // retain mode.
-        if let Some(target) = self.tag_targets.remove(&tag) {
-            match target {
-                CacheKey::Map { .. } => {
-                    self.insert_resident(&mut actions, target, u64::from(SF_BLOCK));
-                }
-                CacheKey::Data { file, block } => {
-                    self.insert_resident(&mut actions, target, u64::from(SF_BLOCK));
-                    if self.config.retain_data {
-                        if let (Some(bytes), Some(ext)) = (
-                            data,
-                            self.maps.get(&file).and_then(|m| m.extents[block as usize]),
-                        ) {
-                            let mut content = bytes;
-                            content.truncate(ext.bytes as usize);
-                            self.contents.insert((file, block), content);
-                        }
-                    }
+        // What a read fetched is resident now; keep its bytes in retain
+        // mode.
+        if let Some(key) = fetched {
+            self.insert_resident(&mut actions, key);
+            if let (CacheKey::Data { file, block }, true, Some(mut bytes)) =
+                (key, self.config.retain_data, data)
+            {
+                if let Some(ext) = self.extent(file, block) {
+                    bytes.truncate(ext.bytes as usize);
+                    self.contents.insert((file, block), bytes);
                 }
             }
         }
-        if done {
-            self.ops.remove(&op_id);
-            if let Some(reply) = self.deferred_replies.remove(&op_id) {
-                // A stable write or commit whose backing flushes finished.
-                actions.push(SfAction::Reply { token, reply });
-            } else {
-                // A read/write whose fetches finished: execute it now.
-                let mut more = self.execute(now, token, &req);
-                actions.append(&mut more);
+        let Entry::Occupied(mut parked) = self.parked.entry(op) else {
+            return actions;
+        };
+        let (Parked::Fetch { left, .. } | Parked::Flush { left, .. }) = parked.get_mut();
+        *left -= 1;
+        if *left == 0 {
+            match parked.remove() {
+                Parked::Fetch { token, req, .. } => self.execute(now, token, req, &mut actions),
+                Parked::Flush { token, reply, .. } => {
+                    actions.push(SfAction::Reply { token, reply })
+                }
             }
         }
         actions
     }
 
     /// Executes a request whose dependencies are all resident.
-    fn execute(&mut self, now: SimTime, token: u64, req: &NfsRequest) -> Vec<SfAction> {
-        let mut actions = Vec::new();
+    fn execute(&mut self, now: SimTime, token: u64, req: NfsRequest, actions: &mut Vec<SfAction>) {
         match req {
             NfsRequest::Read { fh, offset, count } => {
                 self.served += 1;
                 let file = fh.file_id();
                 let size = self.maps.get(&file).map(|m| m.size).unwrap_or(0);
-                let avail = size.saturating_sub(*offset).min(u64::from(*count)) as usize;
-                let mut data = vec![0u8; avail];
-                if self.config.retain_data && avail > 0 {
-                    let first = (*offset / u64::from(SF_BLOCK)) as u8;
-                    let last = ((offset + avail as u64 - 1) / u64::from(SF_BLOCK)) as u8;
-                    for b in first..=last.min(MAP_EXTENTS as u8 - 1) {
+                let avail = size.saturating_sub(offset).min(u64::from(count));
+                let mut data = vec![0u8; avail as usize];
+                if self.config.retain_data {
+                    for b in blocks_of(offset, avail) {
                         if let Some(content) = self.contents.get(&(file, b)) {
                             let b_start = u64::from(b) * u64::from(SF_BLOCK);
-                            for (i, &byte) in content.iter().enumerate() {
-                                let pos = b_start + i as u64;
-                                if pos >= *offset && pos < offset + avail as u64 {
-                                    data[(pos - offset) as usize] = byte;
-                                }
+                            let lo = offset.max(b_start);
+                            let hi = (offset + avail).min(b_start + content.len() as u64);
+                            if lo < hi {
+                                data[(lo - offset) as usize..(hi - offset) as usize]
+                                    .copy_from_slice(
+                                        &content[(lo - b_start) as usize..(hi - b_start) as usize],
+                                    );
                             }
                         }
                     }
                 }
-                let eof = offset + u64::from(*count) >= size;
-                let attr = self.attr_for(file);
-                actions.push(SfAction::Reply {
-                    token,
-                    reply: NfsReply {
-                        proc: NfsProc::Read,
-                        status: NfsStatus::Ok,
-                        attr: Some(attr),
-                        body: ReplyBody::Read { data, eof },
-                    },
-                });
+                let eof = offset + u64::from(count) >= size;
+                let reply = self.ok(NfsProc::Read, file, ReplyBody::Read { data, eof });
+                actions.push(SfAction::Reply { token, reply });
             }
             NfsRequest::Write {
                 fh,
@@ -528,273 +531,160 @@ impl SmallFileServer {
             } => {
                 self.served += 1;
                 let file = fh.file_id();
-                let now_t = NfsTime::from_nanos(now.as_nanos());
-                let mut flushes: Vec<(u8, MapExtent)> = Vec::new();
-                {
-                    let map = self.maps.entry(file).or_default();
-                    map.size = map.size.max(offset + data.len() as u64);
-                    map.mtime = now_t;
-                }
-                let first = (*offset / u64::from(SF_BLOCK)) as u8;
-                let last_byte = offset + data.len().max(1) as u64 - 1;
-                let last = ((last_byte / u64::from(SF_BLOCK)) as u8).min(MAP_EXTENTS as u8 - 1);
-                for b in first..=last {
+                let end = offset + data.len() as u64;
+                let map = self.maps.entry(file).or_default();
+                map.size = map.size.max(end);
+                map.mtime = NfsTime::from_nanos(now.as_nanos());
+                let size = map.size;
+                let mut flushes = Vec::new();
+                for b in blocks_of(offset, data.len() as u64) {
                     let b_start = u64::from(b) * u64::from(SF_BLOCK);
                     let b_end = b_start + u64::from(SF_BLOCK);
-                    let w_start = (*offset).max(b_start);
-                    let w_end = (offset + data.len() as u64).min(b_end);
                     // New logical extent size for this block.
-                    let size_now = self.maps.get(&file).map(|m| m.size).unwrap_or(0);
-                    let logical_in_block = (size_now.min(b_end).saturating_sub(b_start)) as u32;
-                    let old_ext = self.maps.get(&file).and_then(|m| m.extents[b as usize]);
-                    let needed = frag_size(logical_in_block.max(1));
-                    let region = match old_ext {
-                        Some(e) if e.region.frag >= needed => e.region,
+                    let bytes = (size.min(b_end).saturating_sub(b_start)) as u32;
+                    let region = match self.extent(file, b) {
+                        Some(e) if e.region.frag >= frag_size(bytes.max(1)) => e.region,
                         Some(e) => {
                             self.alloc.free(e.region);
-                            self.alloc.alloc(logical_in_block)
+                            self.alloc.alloc(bytes)
                         }
-                        None => self.alloc.alloc(logical_in_block),
+                        None => self.alloc.alloc(bytes),
                     };
-                    let ext = MapExtent {
+                    let record = SfLog::SetExtent {
+                        file,
+                        block: b,
                         region,
-                        bytes: logical_in_block,
+                        bytes,
+                        size,
                     };
-                    let size_total = self.maps.get(&file).map(|m| m.size).unwrap_or(0);
-                    self.wal.append(
-                        now,
-                        SfLog::SetExtent {
-                            file,
-                            block: b,
-                            region,
-                            bytes: logical_in_block,
-                            size: size_total,
-                        },
-                        48,
-                    );
+                    self.wal.append(now, record, 48);
                     self.maps.get_mut(&file).expect("map created above").extents[b as usize] =
-                        Some(ext);
-                    // Update resident content.
-                    self.insert_resident(
-                        &mut actions,
-                        CacheKey::Data { file, block: b },
-                        u64::from(SF_BLOCK),
-                    );
+                        Some(MapExtent { region, bytes });
+                    self.insert_resident(actions, CacheKey::Data { file, block: b });
                     if self.config.retain_data {
                         let content = self.contents.entry((file, b)).or_default();
-                        if content.len() < logical_in_block as usize {
-                            content.resize(logical_in_block as usize, 0);
+                        if content.len() < bytes as usize {
+                            content.resize(bytes as usize, 0);
                         }
-                        let src_start = (w_start - offset) as usize;
-                        let dst_start = (w_start - b_start) as usize;
-                        let n = (w_end - w_start) as usize;
-                        content[dst_start..dst_start + n]
-                            .copy_from_slice(&data[src_start..src_start + n]);
+                        let (lo, hi) = (offset.max(b_start), end.min(b_end));
+                        content[(lo - b_start) as usize..(hi - b_start) as usize]
+                            .copy_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
                     }
                     if matches!(stable, StableHow::Unstable) {
                         self.dirty.insert((file, b));
                     } else {
-                        flushes.push((b, ext));
+                        flushes.push(b);
                         self.dirty.remove(&(file, b));
                     }
                 }
-                let attr = self.attr_for(file);
-                let reply = NfsReply {
-                    proc: NfsProc::Write,
-                    status: NfsStatus::Ok,
-                    attr: Some(attr),
-                    body: ReplyBody::Write {
-                        count: data.len() as u32,
-                        committed: *stable,
-                        verf: self.verf,
-                    },
+                let body = ReplyBody::Write {
+                    count: data.len() as u32,
+                    committed: stable,
+                    verf: self.verf,
                 };
-                if flushes.is_empty() {
-                    actions.push(SfAction::Reply { token, reply });
-                } else {
-                    // Stable write: reply only after backing writes land.
-                    let mut waits = FxHashSet::default();
-                    for (b, ext) in flushes {
-                        let tag = self.fresh_tag();
-                        waits.insert(tag);
-                        actions.push(SfAction::BackingWrite {
-                            tag,
-                            site: ext.region.zone,
-                            obj: zone_object(self.config.server_id, ext.region.zone),
-                            offset: ext.region.offset,
-                            data: self
-                                .contents
-                                .get(&(file, b))
-                                .cloned()
-                                .unwrap_or_else(|| vec![0u8; ext.bytes as usize]),
-                            stable: true,
-                        });
-                    }
-                    let op = self.next_op;
-                    self.next_op += 1;
-                    for &t in &waits {
-                        self.by_tag.insert(t, op);
-                    }
-                    // Store a synthetic "reply pending" op: re-execution on
-                    // completion must not redo the write, so stash a Commit
-                    // that produces the stored reply instead. Model this
-                    // with a dedicated pending slot.
-                    self.ops.insert(
-                        op,
-                        PendingOp {
-                            token,
-                            req: NfsRequest::Null, // sentinel, see execute(Null)
-                            waits,
-                        },
-                    );
-                    self.deferred_replies.insert(op, reply);
-                }
+                let reply = self.ok(NfsProc::Write, file, body);
+                // A stable write replies only after its backing writes land.
+                self.flush_then_reply(actions, file, flushes, token, reply);
             }
             NfsRequest::Commit { fh, .. } => {
                 self.served += 1;
                 let file = fh.file_id();
-                let dirty: Vec<u8> = self
+                let blocks: Vec<u8> = self
                     .dirty
                     .iter()
                     .filter(|(f, _)| *f == file)
                     .map(|(_, b)| *b)
                     .collect();
-                let attr = self.attr_for(file);
-                let reply = NfsReply {
-                    proc: NfsProc::Commit,
-                    status: NfsStatus::Ok,
-                    attr: Some(attr),
-                    body: ReplyBody::Commit { verf: self.verf },
-                };
-                if dirty.is_empty() {
-                    actions.push(SfAction::Reply { token, reply });
-                } else {
-                    let mut waits = FxHashSet::default();
-                    for b in dirty {
-                        self.dirty.remove(&(file, b));
-                        let Some(ext) = self.maps.get(&file).and_then(|m| m.extents[b as usize])
-                        else {
-                            continue;
-                        };
-                        let tag = self.fresh_tag();
-                        waits.insert(tag);
-                        actions.push(SfAction::BackingWrite {
-                            tag,
-                            site: ext.region.zone,
-                            obj: zone_object(self.config.server_id, ext.region.zone),
-                            offset: ext.region.offset,
-                            data: self
-                                .contents
-                                .get(&(file, b))
-                                .cloned()
-                                .unwrap_or_else(|| vec![0u8; ext.bytes as usize]),
-                            stable: true,
-                        });
-                    }
-                    if waits.is_empty() {
-                        actions.push(SfAction::Reply { token, reply });
-                    } else {
-                        let op = self.next_op;
-                        self.next_op += 1;
-                        for &t in &waits {
-                            self.by_tag.insert(t, op);
-                        }
-                        self.ops.insert(
-                            op,
-                            PendingOp {
-                                token,
-                                req: NfsRequest::Null,
-                                waits,
-                            },
-                        );
-                        self.deferred_replies.insert(op, reply);
-                    }
+                for b in &blocks {
+                    self.dirty.remove(&(file, *b));
                 }
+                let body = ReplyBody::Commit { verf: self.verf };
+                let reply = self.ok(NfsProc::Commit, file, body);
+                self.flush_then_reply(actions, file, blocks, token, reply);
             }
-            NfsRequest::Null => {
-                // Sentinel: a deferred reply op completed.
-            }
-            other => {
-                actions.push(SfAction::Reply {
-                    token,
-                    reply: NfsReply::error(other.proc(), NfsStatus::NotSupp),
-                });
-            }
+            other => actions.push(SfAction::Reply {
+                token,
+                reply: NfsReply::error(other.proc(), NfsStatus::NotSupp),
+            }),
         }
-        actions
     }
 
     /// Serves a directory-service control operation.
     pub fn handle_ctl(&mut self, now: SimTime, ctl: &SfCtl) -> Vec<SfAction> {
-        match ctl {
+        match *ctl {
             SfCtl::Remove { file } => {
-                if let Some(map) = self.maps.remove(file) {
+                if let Some(map) = self.maps.remove(&file) {
                     for ext in map.extents.into_iter().flatten() {
                         self.alloc.free(ext.region);
                     }
-                    self.wal.append(now, SfLog::Remove { file: *file }, 16);
+                    self.wal.append(now, SfLog::Remove { file }, 16);
                 }
                 for b in 0..MAP_EXTENTS as u8 {
-                    self.cache.remove(&CacheKey::Data {
-                        file: *file,
-                        block: b,
-                    });
-                    self.contents.remove(&(*file, b));
-                    self.dirty.remove(&(*file, b));
+                    self.drop_block(file, b);
                 }
-                vec![]
             }
             SfCtl::Truncate { file, size } => {
-                if let Some(map) = self.maps.get_mut(file) {
-                    let new_size = *size;
-                    for b in 0..MAP_EXTENTS as u8 {
+                let Some(map) = self.maps.get_mut(&file) else {
+                    return vec![];
+                };
+                for b in blocks_past(size) {
+                    if let Some(ext) = map.extents[b as usize].take() {
+                        self.alloc.free(ext.region);
+                    }
+                }
+                // The block the new end falls in keeps its extent, shorter.
+                for b in 0..blocks_past(size).start {
+                    if let Some(ext) = &mut map.extents[b as usize] {
                         let b_start = u64::from(b) * u64::from(SF_BLOCK);
-                        if b_start >= new_size {
-                            if let Some(ext) = map.extents[b as usize].take() {
-                                self.alloc.free(ext.region);
-                            }
-                            self.cache.remove(&CacheKey::Data {
-                                file: *file,
-                                block: b,
-                            });
-                            self.contents.remove(&(*file, b));
-                            self.dirty.remove(&(*file, b));
-                        } else if let Some(ext) = &mut map.extents[b as usize] {
-                            ext.bytes = ext.bytes.min((new_size - b_start) as u32);
-                            if let Some(c) = self.contents.get_mut(&(*file, b)) {
-                                c.truncate(ext.bytes as usize);
-                            }
+                        ext.bytes = ext.bytes.min((size - b_start) as u32);
+                        if let Some(c) = self.contents.get_mut(&(file, b)) {
+                            c.truncate(ext.bytes as usize);
                         }
                     }
-                    map.size = map.size.min(new_size);
-                    self.wal.append(
-                        now,
-                        SfLog::Truncate {
-                            file: *file,
-                            size: new_size,
-                        },
-                        24,
-                    );
                 }
-                vec![]
+                map.size = map.size.min(size);
+                self.wal.append(now, SfLog::Truncate { file, size }, 24);
+                for b in blocks_past(size) {
+                    self.drop_block(file, b);
+                }
             }
         }
+        vec![]
     }
 
     /// Simulates a crash: volatile state is lost, the WAL survives (it is
     /// in shared network storage). Returns the WAL for handing to a
-    /// recovering instance.
+    /// recovering instance. Every field gets its verdict here, so a new
+    /// one cannot be forgotten.
     pub fn crash(&mut self) -> Wal<SfLog> {
-        self.maps.clear();
-        self.contents.clear();
-        self.dirty.clear();
-        self.ops.clear();
-        self.by_tag.clear();
-        self.tag_targets.clear();
-        self.deferred_replies.clear();
-        self.cache = LruCache::new(self.cache.capacity());
-        self.verf += 1;
-        std::mem::replace(&mut self.wal, Wal::new(WalParams::default()))
+        let Self {
+            config: _,
+            // Rebuilt by `recover`.
+            maps,
+            alloc: _,
+            // Volatile.
+            cache,
+            contents,
+            dirty,
+            parked,
+            by_tag,
+            // Durable.
+            wal,
+            // Monotone ids: a late completion must not match a new op.
+            next_tag: _,
+            next_op: _,
+            verf,
+            // Lifetime statistic.
+            served: _,
+        } = self;
+        maps.clear();
+        contents.clear();
+        dirty.clear();
+        parked.clear();
+        by_tag.clear();
+        *cache = LruCache::new(cache.capacity());
+        *verf += 1;
+        std::mem::replace(wal, Wal::new(WalParams::default()))
     }
 
     /// Recovers map records and allocator tails from a WAL (records
@@ -826,11 +716,8 @@ impl SmallFileServer {
                 SfLog::Truncate { file, size } => {
                     if let Some(map) = self.maps.get_mut(&file) {
                         map.size = map.size.min(size);
-                        for b in 0..MAP_EXTENTS as u8 {
-                            let b_start = u64::from(b) * u64::from(SF_BLOCK);
-                            if b_start >= size {
-                                map.extents[b as usize] = None;
-                            }
+                        for b in blocks_past(size) {
+                            map.extents[b as usize] = None;
                         }
                     }
                 }

@@ -279,14 +279,33 @@ impl StorageNode {
         // this model writes through on flush, so approximate by truncating
         // nothing but invalidating the cache and bumping the verifier; the
         // NFS V3 contract only requires that the verifier change so clients
-        // re-send uncommitted data.
-        self.cache = LruCache::new(self.cache.capacity());
-        self.dirty.clear();
-        self.last_flush_done.clear();
-        self.streams.clear();
-        self.ready_at.clear();
-        self.completed_intents.clear();
-        self.verf += 1;
+        // re-send uncommitted data. Every field gets its verdict here, so
+        // a new one cannot be forgotten.
+        let Self {
+            // Durable: stable storage and where its blocks lie.
+            store: _,
+            phys: _,
+            // Hardware: what the arms have queued outlives the software.
+            disks: _,
+            // Volatile.
+            cache,
+            dirty,
+            last_flush_done,
+            streams,
+            ready_at,
+            completed_intents,
+            verf,
+            // Lifetime statistics.
+            reads: _,
+            writes: _,
+        } = self;
+        *cache = LruCache::new(cache.capacity());
+        dirty.clear();
+        last_flush_done.clear();
+        streams.clear();
+        ready_at.clear();
+        completed_intents.clear();
+        *verf += 1;
     }
 
     fn block_of(offset: u64) -> u64 {

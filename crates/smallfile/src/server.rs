@@ -636,7 +636,7 @@ impl SmallFileServer {
                 for b in 0..blocks_past(size).start {
                     if let Some(ext) = &mut map.extents[b as usize] {
                         let b_start = u64::from(b) * u64::from(SF_BLOCK);
-                        ext.bytes = ext.bytes.min((size - b_start) as u32);
+                        ext.bytes = (size - b_start).min(u64::from(ext.bytes)) as u32;
                         if let Some(c) = self.contents.get_mut(&(file, b)) {
                             c.truncate(ext.bytes as usize);
                         }

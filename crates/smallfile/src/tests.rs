@@ -502,3 +502,41 @@ fn write_just_past_threshold_is_refused() {
     assert_eq!(reply.status, NfsStatus::Ok);
     assert_eq!(h.server.map_of(80).unwrap().size, SF_THRESHOLD);
 }
+
+#[test]
+fn truncate_above_4gib_keeps_small_file_bytes() {
+    // The bytes a block keeps were computed through `as u32`: growing a
+    // file to 4 GiB + 5 cut its first block to 5 bytes.
+    let mut h = Harness::new(1);
+    h.run(
+        t(1),
+        1,
+        NfsRequest::Write {
+            fh: fh(90),
+            offset: 0,
+            stable: StableHow::FileSync,
+            data: vec![6u8; 100],
+        },
+    );
+    h.server.handle_ctl(
+        t(2),
+        &SfCtl::Truncate {
+            file: 90,
+            size: (1 << 32) + 5,
+        },
+    );
+    assert_eq!(h.server.map_of(90).unwrap().extents[0].unwrap().bytes, 100);
+    let reply = h.run(
+        t(3),
+        2,
+        NfsRequest::Read {
+            fh: fh(90),
+            offset: 0,
+            count: 100,
+        },
+    );
+    match reply.body {
+        ReplyBody::Read { data, .. } => assert_eq!(data, vec![6u8; 100]),
+        other => panic!("unexpected {other:?}"),
+    }
+}

@@ -310,6 +310,15 @@ impl SmallFileServer {
         }
     }
 
+    /// Draws a backing tag `op` waits for; a read's tag names the block it
+    /// makes resident.
+    fn tag_for(&mut self, op: u64, fetched: Option<CacheKey>) -> u64 {
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        self.by_tag.insert(tag, (op, fetched));
+        tag
+    }
+
     /// Makes `op` wait for `key` unless it is resident (or a hole, which
     /// reads as zeros and is not a miss); true if a backing read went out.
     fn fetch(&mut self, actions: &mut Vec<SfAction>, op: u64, key: CacheKey) -> bool {
@@ -331,11 +340,8 @@ impl SmallFileServer {
         if self.cache.get(&key) {
             return false;
         }
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.by_tag.insert(tag, (op, Some(key)));
         actions.push(SfAction::BackingRead {
-            tag,
+            tag: self.tag_for(op, Some(key)),
             site,
             obj,
             offset,
@@ -372,9 +378,7 @@ impl SmallFileServer {
             let Some(ext) = self.extent(file, b) else {
                 continue;
             };
-            let tag = self.next_tag;
-            self.next_tag += 1;
-            self.by_tag.insert(tag, (op, None));
+            let tag = self.tag_for(op, None);
             left += 1;
             actions.push(self.backing_write(tag, ext, self.contents.get(&(file, b)).cloned()));
         }
@@ -627,13 +631,14 @@ impl SmallFileServer {
                 let Some(map) = self.maps.get_mut(&file) else {
                     return vec![];
                 };
-                for b in blocks_past(size) {
+                let cut = blocks_past(size);
+                for b in cut.clone() {
                     if let Some(ext) = map.extents[b as usize].take() {
                         self.alloc.free(ext.region);
                     }
                 }
                 // The block the new end falls in keeps its extent, shorter.
-                for b in 0..blocks_past(size).start {
+                for b in 0..cut.start {
                     if let Some(ext) = &mut map.extents[b as usize] {
                         let b_start = u64::from(b) * u64::from(SF_BLOCK);
                         ext.bytes = (size - b_start).min(u64::from(ext.bytes)) as u32;
@@ -644,7 +649,7 @@ impl SmallFileServer {
                 }
                 map.size = map.size.min(size);
                 self.wal.append(now, SfLog::Truncate { file, size }, 24);
-                for b in blocks_past(size) {
+                for b in cut {
                     self.drop_block(file, b);
                 }
             }

@@ -55,7 +55,7 @@ const CRASH_ROUND: u64 = 1000;
 /// At most this many ops wait on backing I/O at once.
 const MAX_IN_FLIGHT: usize = 6;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Read {
         file: usize,

@@ -165,14 +165,19 @@ impl MonoFs {
                             reply_out = Some((at, reply));
                         }
                         DirAction::DataRemove { file } => {
-                            self.data
-                                .handle_ctl(now, &slice_storage::StorageCtl::Remove { obj: file });
+                            let remove = slice_storage::StorageCtl::Remove {
+                                obj: file,
+                                intent: 0,
+                            };
+                            self.data.handle_ctl(now, &remove);
                         }
                         DirAction::DataTruncate { file, size } => {
-                            self.data.handle_ctl(
-                                now,
-                                &slice_storage::StorageCtl::Truncate { obj: file, size },
-                            );
+                            let truncate = slice_storage::StorageCtl::Truncate {
+                                obj: file,
+                                size,
+                                intent: 0,
+                            };
+                            self.data.handle_ctl(now, &truncate);
                         }
                         DirAction::Peer { .. } => unreachable!("single-site baseline"),
                     }

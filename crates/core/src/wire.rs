@@ -181,6 +181,6 @@ mod tests {
         let plan = AddrPlan::new(1, 1, 1, 1);
         let pkt = Packet::new(plan.clients[0], plan.virtual_addr, vec![0u8; 100]);
         assert_eq!(Wire::Udp(pkt).wire_size(), 128);
-        assert!(Wire::Ctl(StorageCtl::Remove { obj: 1 }).wire_size() > 0);
+        assert!(Wire::Ctl(StorageCtl::Remove { obj: 1, intent: 0 }).wire_size() > 0);
     }
 }

@@ -1472,7 +1472,9 @@ impl Coordinator {
             .iter()
             .map(|&obj| CoordAction::SendCtl {
                 site,
-                ctl: StorageCtl::Remove { obj },
+                // Nobody waits for a retirement remove: it names no
+                // intention.
+                ctl: StorageCtl::Remove { obj, intent: 0 },
             })
             .collect()
     }
@@ -1507,12 +1509,12 @@ impl Coordinator {
         }
     }
 
-    /// The control legs that carry out (or re-issue) a remove or truncate
-    /// intention on `sites`.
-    fn ctl_legs(kind: &IntentKind, sites: &[u32]) -> Vec<CoordAction> {
+    /// The control legs that carry out (or re-issue) remove or truncate
+    /// intention `intent` on `sites`.
+    fn ctl_legs(kind: &IntentKind, intent: u64, sites: &[u32]) -> Vec<CoordAction> {
         let ctl = match *kind {
-            IntentKind::Remove { obj } => StorageCtl::Remove { obj },
-            IntentKind::Truncate { obj, size } => StorageCtl::Truncate { obj, size },
+            IntentKind::Remove { obj } => StorageCtl::Remove { obj, intent },
+            IntentKind::Truncate { obj, size } => StorageCtl::Truncate { obj, size, intent },
             _ => return vec![],
         };
         let leg = |&site| CoordAction::SendCtl {
@@ -1568,7 +1570,20 @@ impl Coordinator {
         };
         self.fanouts.insert(id, fanout);
         self.maps.remove(&file);
-        Self::ctl_legs(&kind, &participants)
+        Self::ctl_legs(&kind, id, &participants)
+    }
+
+    /// Tells whoever asked for fan-out `intent` that it is done.
+    fn answer_fanout(&mut self, now: SimTime, intent: u64) -> Vec<CoordAction> {
+        let Some(f) = self.fanouts.remove(&intent) else {
+            return vec![];
+        };
+        let done = if f.is_remove {
+            CoordReply::RemoveDone { req_id: f.req_id }
+        } else {
+            CoordReply::TruncateDone { req_id: f.req_id }
+        };
+        Self::reply(f.requester, done, now)
     }
 
     /// Handles a control reply from storage site `site`.
@@ -1579,41 +1594,24 @@ impl Coordinator {
         reply: StorageCtlReply,
     ) -> Vec<CoordAction> {
         match reply {
-            StorageCtlReply::Done => {
-                // Match against fan-out operations awaiting this site, in
-                // intent order (oldest first) for determinism.
-                let mut ids: Vec<u64> = self.fanouts.keys().copied().collect();
-                ids.sort_unstable();
-                let mut finished = None;
-                for id in ids {
-                    let f = self.fanouts.get_mut(&id).expect("listed fanout");
-                    if let Some(pos) = f.waiting.iter().position(|&s| s == site) {
-                        f.waiting.swap_remove(pos);
-                        if f.waiting.is_empty() {
-                            finished = Some(id);
-                        }
-                        break;
-                    }
-                }
-                let Some(id) = finished else {
+            StorageCtlReply::Done { intent } => {
+                let Some(f) = self.fanouts.get_mut(&intent) else {
                     return vec![];
                 };
-                let f = self.fanouts.remove(&id).expect("finished fanout");
+                f.waiting.retain(|&s| s != site);
+                if !f.waiting.is_empty() {
+                    return vec![];
+                }
                 // A completed truncate of a coded file leaves stale
                 // parity in the boundary stripe; queue its rebuild
                 // now that every site holds the clipped data.
                 if let Some(&IntentKind::Truncate { obj, size }) =
-                    self.pending.get(&id).map(|p| &p.kind)
+                    self.pending.get(&intent).map(|p| &p.kind)
                 {
                     self.queue_truncate_parity_rebuild(now, obj, size);
                 }
-                let mut actions = self.handle(now, 0, CoordMsg::CompleteIntent { intent: id });
-                let done = if f.is_remove {
-                    CoordReply::RemoveDone { req_id: f.req_id }
-                } else {
-                    CoordReply::TruncateDone { req_id: f.req_id }
-                };
-                actions.extend(Self::reply(f.requester, done, now));
+                let mut actions = self.handle(now, 0, CoordMsg::CompleteIntent { intent });
+                actions.extend(self.answer_fanout(now, intent));
                 actions
             }
             StorageCtlReply::ProbeResult { intent, .. } if intent >= SITE_PROBE_BASE => {
@@ -1637,10 +1635,23 @@ impl Coordinator {
                     return vec![];
                 }
                 let p = self.pending.remove(&intent).expect("probed intent");
-                let done = p.probe_results.values().filter(|&&c| c).count();
-                let outcome = if done == p.participants.len() {
+                let missing: Vec<u32> = p
+                    .participants
+                    .iter()
+                    .copied()
+                    .filter(|s| p.probe_results.get(s) != Some(&true))
+                    .collect();
+                // A remove or truncate is the coordinator's own operation
+                // and nobody retries it: it is carried through, never
+                // aborted. What a client began and finished nowhere never
+                // happened.
+                let own = matches!(
+                    p.kind,
+                    IntentKind::Remove { .. } | IntentKind::Truncate { .. }
+                );
+                let outcome = if missing.is_empty() {
                     IntentOutcome::ProbedComplete
-                } else if done == 0 {
+                } else if missing.len() == p.participants.len() && !own {
                     IntentOutcome::Aborted
                 } else {
                     IntentOutcome::Repaired
@@ -1655,14 +1666,14 @@ impl Coordinator {
                         self.queue_truncate_parity_rebuild(now, obj, size);
                     }
                 }
-                // Repair for remove/truncate: re-issue to every site
-                // (idempotent); writes are resolved by NFS V3
-                // uncommitted-write semantics.
+                let mut actions = self.answer_fanout(now, intent);
+                // Repair for remove/truncate: re-issue the (idempotent)
+                // legs where they did not run; writes are resolved by NFS
+                // V3 uncommitted-write semantics.
                 if outcome == IntentOutcome::Repaired {
-                    Self::ctl_legs(&p.kind, &p.participants)
-                } else {
-                    vec![]
+                    actions.extend(Self::ctl_legs(&p.kind, intent, &missing));
                 }
+                actions
             }
             StorageCtlReply::ResyncData { obj, offset, data } => {
                 // `site` is a source; find the job gathering this window
@@ -2164,6 +2175,23 @@ mod tests {
         assert_eq!(c.resolutions(), &[(id, IntentOutcome::Aborted)]);
     }
 
+    /// Answers every remove or truncate leg in `actions` as a storage
+    /// node does; returns what the coordinator emitted in turn.
+    fn answer_legs(c: &mut Coordinator, now: SimTime, actions: &[CoordAction]) -> Vec<CoordAction> {
+        let mut out = Vec::new();
+        for a in actions {
+            if let CoordAction::SendCtl {
+                site,
+                ctl: StorageCtl::Remove { intent, .. } | StorageCtl::Truncate { intent, .. },
+            } = a
+            {
+                let done = StorageCtlReply::Done { intent: *intent };
+                out.extend(c.handle_ctl_reply(now, *site, done));
+            }
+        }
+        out
+    }
+
     #[test]
     fn remove_fanout_completes_when_all_sites_ack() {
         let mut c = Coordinator::new(3);
@@ -2176,13 +2204,7 @@ mod tests {
             },
         );
         assert_eq!(actions.len(), 3);
-        assert!(c
-            .handle_ctl_reply(t(1), 0, StorageCtlReply::Done)
-            .is_empty());
-        assert!(c
-            .handle_ctl_reply(t(2), 1, StorageCtlReply::Done)
-            .is_empty());
-        let done = c.handle_ctl_reply(t(3), 2, StorageCtlReply::Done);
+        let done = answer_legs(&mut c, t(1), &actions);
         assert!(done.iter().any(|a| matches!(
             a,
             CoordAction::Reply {
@@ -2192,6 +2214,109 @@ mod tests {
             }
         )));
         assert_eq!(c.open_intents(), 0);
+    }
+
+    fn remove(
+        c: &mut Coordinator,
+        now: SimTime,
+        req_id: u64,
+        file: u64,
+    ) -> (u64, Vec<CoordAction>) {
+        let legs = c.handle(now, 42, CoordMsg::RemoveFile { req_id, file });
+        match &legs[0] {
+            CoordAction::SendCtl {
+                ctl: StorageCtl::Remove { intent, .. },
+                ..
+            } => (*intent, legs),
+            other => panic!("unexpected action {other:?}"),
+        }
+    }
+
+    fn remove_done(req_id: u64, at: SimTime) -> CoordAction {
+        CoordAction::Reply {
+            to: 42,
+            reply: CoordReply::RemoveDone { req_id },
+            at,
+        }
+    }
+
+    /// Two removes in flight over two sites, the first one's leg lost at
+    /// site 1. A `Done` counts for the fan-out it names: the second remove
+    /// is answered when its own two legs ran, the first stays open until a
+    /// probe finds it done at site 0 only, re-issues the leg at site 1 and
+    /// answers. (Credited to the oldest fan-out waiting on the site, the
+    /// third `Done` answered the first remove for a file site 1 still
+    /// held, and the second was logged `Aborted` though it ran everywhere.)
+    #[test]
+    fn done_counts_for_the_fanout_it_names() {
+        let mut c = Coordinator::new(2);
+        let (a, _) = remove(&mut c, t(0), 1, 70);
+        let (b, _) = remove(&mut c, t(1), 2, 71);
+        let done = |intent| StorageCtlReply::Done { intent };
+        assert!(c.handle_ctl_reply(t(2), 0, done(a)).is_empty());
+        assert!(c.handle_ctl_reply(t(3), 0, done(b)).is_empty());
+        assert_eq!(
+            c.handle_ctl_reply(t(4), 1, done(b)),
+            vec![remove_done(2, t(4))]
+        );
+        assert_eq!(c.open_intents(), 1);
+
+        let probes = c.check_timeouts(t(6000));
+        assert_eq!(probes.len(), 2, "only the first remove is still open");
+        let answer = |completed| StorageCtlReply::ProbeResult {
+            intent: a,
+            completed,
+        };
+        assert!(c.handle_ctl_reply(t(6001), 0, answer(true)).is_empty());
+        assert_eq!(
+            c.handle_ctl_reply(t(6002), 1, answer(false)),
+            vec![
+                remove_done(1, t(6002)),
+                CoordAction::SendCtl {
+                    site: 1,
+                    ctl: StorageCtl::Remove { obj: 70, intent: a }
+                }
+            ]
+        );
+        assert_eq!(
+            c.resolutions(),
+            &[(b, IntentOutcome::Completed), (a, IntentOutcome::Repaired)]
+        );
+        assert_eq!(c.open_intents(), 0);
+        // The re-issued leg's answer finds nothing open, and nothing to steal.
+        assert!(c.handle_ctl_reply(t(6003), 1, done(a)).is_empty());
+    }
+
+    /// Nobody retries the coordinator's own remove: found done nowhere, it
+    /// is re-issued everywhere, not aborted.
+    #[test]
+    fn remove_found_done_nowhere_is_reissued() {
+        let mut c = Coordinator::new(2);
+        let (id, legs) = remove(&mut c, t(0), 1, 70);
+        c.check_timeouts(t(6000));
+        let nowhere = StorageCtlReply::ProbeResult {
+            intent: id,
+            completed: false,
+        };
+        assert!(c.handle_ctl_reply(t(6001), 0, nowhere.clone()).is_empty());
+        let mut want = vec![remove_done(1, t(6002))];
+        want.extend(legs);
+        assert_eq!(c.handle_ctl_reply(t(6002), 1, nowhere), want);
+        assert_eq!(c.resolutions(), &[(id, IntentOutcome::Repaired)]);
+    }
+
+    /// The removes that retire a drained site name no intention; their
+    /// answers count for no fan-out.
+    #[test]
+    fn retirement_remove_counts_for_no_fanout() {
+        let mut c = Coordinator::new(3);
+        let (_, legs) = remove(&mut c, t(0), 1, 70);
+        for site in 0..3 {
+            let done = StorageCtlReply::Done { intent: 0 };
+            assert!(c.handle_ctl_reply(t(1), site, done).is_empty());
+        }
+        assert_eq!(c.open_intents(), 1);
+        assert_eq!(answer_legs(&mut c, t(2), &legs), vec![remove_done(1, t(2))]);
     }
 
     #[test]
@@ -2631,7 +2756,7 @@ mod tests {
     #[test]
     fn mid_stripe_truncate_queues_parity_rebuild() {
         let (mut c, sites) = coded_coord(10);
-        c.handle(
+        let legs = c.handle(
             t(0),
             7,
             CoordMsg::TruncateFile {
@@ -2641,9 +2766,7 @@ mod tests {
             },
         );
         assert_eq!(c.dirty_ranges(), 0, "rebuild waits for the truncate");
-        for site in 0..4 {
-            c.handle_ctl_reply(t(1), site, StorageCtlReply::Done);
-        }
+        answer_legs(&mut c, t(1), &legs);
         // Both parity shards of the boundary stripe are queued, sourced
         // from the data sites only (the other parity is equally stale).
         let dump = c.dirty_log_dump();
@@ -2805,11 +2928,8 @@ mod tests {
                         file: 10,
                         size: 3,
                     };
-                    for act in c.handle(t(1), 7, truncate) {
-                        if let CoordAction::SendCtl { site, .. } = act {
-                            c.handle_ctl_reply(t(2), site, StorageCtlReply::Done);
-                        }
-                    }
+                    let legs = c.handle(t(1), 7, truncate);
+                    answer_legs(&mut c, t(2), &legs);
                 }
                 Source::Drain => assert_eq!(c.drain_site(t(1), sites[0]).0, 1, "{case}"),
             }
@@ -2879,7 +2999,7 @@ mod tests {
                 a,
                 CoordAction::SendCtl {
                     site,
-                    ctl: StorageCtl::Remove { obj: 3 }
+                    ctl: StorageCtl::Remove { obj: 3, intent: 0 }
                 } if *site == victim
             )),
             "retirement removes the site's objects"
@@ -2992,7 +3112,7 @@ mod tests {
             a,
             CoordAction::SendCtl {
                 site,
-                ctl: StorageCtl::Remove { obj: 3 }
+                ctl: StorageCtl::Remove { obj: 3, intent: 0 }
             } if *site == victim
         )));
     }

@@ -14,7 +14,7 @@
 //! disk. The write verifier changes on restart so clients re-send
 //! uncommitted writes lost in a crash.
 
-use slice_sim::FxHashMap;
+use slice_sim::{FxHashMap, FxHashSet};
 
 use slice_nfsproto::{
     encode_read_reply, ByteBuf, Fattr3, Fhandle, FileType, NfsProc, NfsReply, NfsRequest,
@@ -41,6 +41,8 @@ pub enum StorageCtl {
     Remove {
         /// Object id.
         obj: u64,
+        /// The coordinator intention this leg runs (0: none).
+        intent: u64,
     },
     /// Truncate an object.
     Truncate {
@@ -48,8 +50,10 @@ pub enum StorageCtl {
         obj: u64,
         /// New size.
         size: u64,
+        /// The coordinator intention this leg runs (0: none).
+        intent: u64,
     },
-    /// Probe: does the node hold a completed write for this intention?
+    /// Probe: has a leg of this intention run here?
     Probe {
         /// Intention id being probed.
         intent: u64,
@@ -81,7 +85,10 @@ pub enum StorageCtl {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageCtlReply {
     /// Operation done.
-    Done,
+    Done {
+        /// Echo of the leg's intention id.
+        intent: u64,
+    },
     /// Probe result.
     ProbeResult {
         /// Intention id.
@@ -183,8 +190,8 @@ pub struct StorageNode {
     ready_at: FxHashMap<(u64, u64), SimTime>,
     /// Write verifier; changes on every restart.
     verf: u64,
-    /// Intentions observed as completed (for coordinator probes).
-    completed_intents: FxHashMap<u64, bool>,
+    /// Intentions whose leg ran here (what a coordinator probe asks).
+    completed_intents: FxHashSet<u64>,
     reads: u64,
     writes: u64,
 }
@@ -206,7 +213,7 @@ impl StorageNode {
             streams: FxHashMap::default(),
             ready_at: FxHashMap::default(),
             verf: 1,
-            completed_intents: FxHashMap::default(),
+            completed_intents: FxHashSet::default(),
             reads: 0,
             writes: 0,
         }
@@ -561,21 +568,23 @@ impl StorageNode {
     /// Serves a coordinator control operation.
     pub fn handle_ctl(&mut self, now: SimTime, ctl: &StorageCtl) -> (SimTime, StorageCtlReply) {
         match ctl {
-            StorageCtl::Remove { obj } => {
+            StorageCtl::Remove { obj, intent } => {
                 self.store.remove(*obj);
                 self.dirty.remove(obj);
                 self.streams.remove(obj);
+                self.completed_intents.insert(*intent);
                 // One metadata disk write to free the object's extents.
                 let done = self.disks.submit(now, *obj, 0, 512, true);
-                (done, StorageCtlReply::Done)
+                (done, StorageCtlReply::Done { intent: *intent })
             }
-            StorageCtl::Truncate { obj, size } => {
+            StorageCtl::Truncate { obj, size, intent } => {
                 self.store.truncate(*obj, *size);
+                self.completed_intents.insert(*intent);
                 let done = self.disks.submit(now, *obj, *size, 512, true);
-                (done, StorageCtlReply::Done)
+                (done, StorageCtlReply::Done { intent: *intent })
             }
             StorageCtl::Probe { intent } => {
-                let completed = self.completed_intents.get(intent).copied().unwrap_or(false);
+                let completed = self.completed_intents.contains(intent);
                 (
                     now,
                     StorageCtlReply::ProbeResult {
@@ -612,12 +621,6 @@ impl StorageNode {
                 )
             }
         }
-    }
-
-    /// Records that the operation under intention `intent` completed here
-    /// (piggybacked on write traffic in the real protocol).
-    pub fn note_intent_complete(&mut self, intent: u64) {
-        self.completed_intents.insert(intent, true);
     }
 }
 
@@ -825,34 +828,40 @@ mod tests {
             data: vec![1u8; 100],
         };
         n.handle_nfs(t0(), &w);
-        let (_, reply) = n.handle_ctl(t0(), &StorageCtl::Truncate { obj: 4, size: 10 });
-        assert_eq!(reply, StorageCtlReply::Done);
+        let truncate = StorageCtl::Truncate {
+            obj: 4,
+            size: 10,
+            intent: 7,
+        };
+        let (_, reply) = n.handle_ctl(t0(), &truncate);
+        assert_eq!(reply, StorageCtlReply::Done { intent: 7 });
         assert_eq!(n.store().size(4), 10);
-        let (_, reply) = n.handle_ctl(t0(), &StorageCtl::Remove { obj: 4 });
-        assert_eq!(reply, StorageCtlReply::Done);
+        let (_, reply) = n.handle_ctl(t0(), &StorageCtl::Remove { obj: 4, intent: 0 });
+        assert_eq!(reply, StorageCtlReply::Done { intent: 0 });
         assert_eq!(n.store().size(4), 0);
     }
 
+    /// A probe says whether a leg of the intention ran here — until a
+    /// restart, which forgets (the leg is idempotent and is re-issued).
     #[test]
-    fn probe_reports_completion() {
+    fn probe_reports_the_legs_that_ran() {
         let mut n = node();
-        let (_, r) = n.handle_ctl(t0(), &StorageCtl::Probe { intent: 9 });
-        assert_eq!(
-            r,
-            StorageCtlReply::ProbeResult {
-                intent: 9,
-                completed: false
-            }
-        );
-        n.note_intent_complete(9);
-        let (_, r) = n.handle_ctl(t0(), &StorageCtl::Probe { intent: 9 });
-        assert_eq!(
-            r,
-            StorageCtlReply::ProbeResult {
-                intent: 9,
-                completed: true
-            }
-        );
+        let probe = |n: &mut StorageNode| match n.handle_ctl(t0(), &StorageCtl::Probe { intent: 9 })
+        {
+            (
+                _,
+                StorageCtlReply::ProbeResult {
+                    intent: 9,
+                    completed,
+                },
+            ) => completed,
+            other => panic!("unexpected reply {other:?}"),
+        };
+        assert!(!probe(&mut n));
+        n.handle_ctl(t0(), &StorageCtl::Remove { obj: 4, intent: 9 });
+        assert!(probe(&mut n));
+        n.crash_restart();
+        assert!(!probe(&mut n));
     }
 
     #[test]

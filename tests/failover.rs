@@ -354,6 +354,93 @@ fn coordinator_recovers_open_intents() {
     );
 }
 
+/// A truncate whose leg is lost at a crashed replica is carried through
+/// when the replica returns: the coordinator's probe finds the truncate
+/// done everywhere else, re-issues the leg, and logs the intention
+/// `Repaired`. (With no intention id on the leg every probe answered "not
+/// done", the intention was logged `Aborted`, and the recovered replica
+/// kept the bytes past the new size.)
+#[test]
+fn truncate_lost_at_a_crashed_replica_is_reissued() {
+    use slice::core::actors::{CoordActor, StorageActor};
+    use slice::nfsproto::Sattr3;
+    use slice::storage::IntentOutcome;
+    use slice::workloads::MODE_MIRRORED;
+
+    let cfg = SliceConfig::default();
+    let (obj, end, cut) = (2, 192 * 1024, 128 * 1024 + 1000);
+    let phase1 = vec![
+        Step::Create {
+            parent: 0,
+            name: "t".into(),
+            save: 1,
+            mode_extra: MODE_MIRRORED,
+        },
+        Step::Write {
+            fh: 1,
+            offset: 128 * 1024,
+            len: 65536,
+            pattern: 0x31,
+            stable: StableHow::FileSync,
+        },
+    ];
+    let mut ens = SliceEnsemble::build(&cfg, vec![Box::new(ScriptWorkload::new(phase1, 2))]);
+    ens.start();
+    ens.run_to_completion(deadline());
+    assert_errors(&ens, 0);
+    let size_at = |ens: &SliceEnsemble, i: usize| {
+        let node = &ens.engine.actor::<StorageActor>(ens.storage[i]).node;
+        node.store().size(obj)
+    };
+    let holders: Vec<usize> = (0..ens.storage.len())
+        .filter(|&i| size_at(&ens, i) == end)
+        .collect();
+    assert_eq!(holders.len(), 2, "two replicas hold the stripe");
+    let (victim, survivor) = (holders[0], holders[1]);
+
+    ens.engine.fail_node(ens.storage[victim]);
+    let phase2 = vec![
+        Step::Lookup {
+            parent: 0,
+            name: "t".into(),
+            save: 1,
+            expect_ok: true,
+        },
+        Step::Setattr {
+            fh: 1,
+            attr: Sattr3 {
+                size: Some(cut),
+                ..Default::default()
+            },
+        },
+    ];
+    ens.client_mut(0)
+        .set_workload(Box::new(ScriptWorkload::new(phase2, 2)));
+    let c0 = ens.clients[0];
+    ens.engine.kick(c0);
+    ens.run_to_completion(deadline());
+    assert_errors(&ens, 0);
+    ens.engine
+        .run_until(ens.engine.now() + SimDuration::from_secs(1));
+    assert_eq!(size_at(&ens, survivor), cut);
+    assert_eq!(size_at(&ens, victim), end, "the leg was lost with the node");
+
+    ens.recover_storage_node(victim);
+    ens.engine
+        .run_until(ens.engine.now() + SimDuration::from_secs(12));
+    assert_eq!(size_at(&ens, victim), cut, "the lost leg was re-issued");
+    let coord = &ens.engine.actor::<CoordActor>(ens.coords[0]).coord;
+    assert_eq!(coord.open_intents(), 0);
+    assert!(
+        coord
+            .resolutions()
+            .iter()
+            .any(|&(_, outcome)| outcome == IntentOutcome::Repaired),
+        "{:?}",
+        coord.resolutions()
+    );
+}
+
 #[test]
 fn sustained_packet_loss_with_bulk_transfer() {
     // 2% loss under a multi-block transfer: the end-to-end retransmission

@@ -699,7 +699,7 @@ impl SliceEnsemble {
             let coord = &self.engine.actor::<crate::actors::CoordActor>(c).coord;
             let p = format!("coord.{i}");
             counters.push((format!("{p}.open_intents"), coord.open_intents() as u64));
-            counters.push((format!("{p}.resolutions"), coord.resolutions().len() as u64));
+            counters.push((format!("{p}.resolutions"), coord.resolutions().iter().sum()));
             counters.push((format!("{p}.dirty_ranges"), coord.dirty_ranges() as u64));
             counters.push((format!("{p}.resyncs"), coord.resync_history().len() as u64));
             counters.push((format!("{p}.resync_bytes"), coord.resync_bytes()));

@@ -45,26 +45,6 @@ pub enum SiteState {
     Retired,
 }
 
-impl SiteState {
-    fn to_u8(self) -> u8 {
-        match self {
-            SiteState::Active => 0,
-            SiteState::Standby => 1,
-            SiteState::Draining => 2,
-            SiteState::Retired => 3,
-        }
-    }
-
-    fn from_u8(v: u8) -> Self {
-        match v {
-            1 => SiteState::Standby,
-            2 => SiteState::Draining,
-            3 => SiteState::Retired,
-            _ => SiteState::Active,
-        }
-    }
-}
-
 /// `origin` of a range queued by a degraded write or a truncate: a
 /// repair, not a migration.
 const NO_ORIGIN: u32 = u32::MAX;
@@ -73,7 +53,8 @@ const NO_ORIGIN: u32 = u32::MAX;
 /// rebalance).
 const NO_DRAIN: u32 = u32::MAX - 1;
 
-/// Placement policy recorded per file in the coordinator's maps.
+/// Placement policy of the files in the coordinator's maps (one per
+/// coordinator: configuration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Stripe blocks round-robin over all storage sites, starting at a
@@ -101,15 +82,6 @@ pub type BlockMapDump = Vec<(u64, Placement, Vec<(u64, Vec<u32>)>)>;
 /// The kind of multisite operation an intention covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IntentKind {
-    /// A mirrored write to several replicas.
-    MirroredWrite {
-        /// Object id.
-        obj: u64,
-        /// Byte offset.
-        offset: u64,
-        /// Byte length.
-        len: u32,
-    },
     /// A commit spanning several storage sites.
     Commit {
         /// Object id.
@@ -156,20 +128,21 @@ pub enum IntentKind {
         /// The pinned replica site list.
         sites: Vec<u32>,
     },
-    /// A site lifecycle transition ([`SiteState`] as `u8`). `Draining`
-    /// records carry the mapped objects the site held, so retirement can
-    /// remove them even across a coordinator crash.
+    /// A site lifecycle transition. `Draining` records carry the mapped
+    /// objects the site held, so retirement can remove them even across a
+    /// coordinator crash.
     SiteChange {
         /// Logical storage site.
         site: u32,
-        /// New [`SiteState`], encoded with [`SiteState::to_u8`].
-        state: u8,
+        /// The state it entered.
+        state: SiteState,
         /// Mapped objects held at drain initiation (empty otherwise).
         objs: Vec<u64>,
     },
 }
 
-/// How an intention was resolved.
+/// How an intention was resolved. [`Coordinator::resolutions`] counts by
+/// `outcome as usize`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntentOutcome {
     /// Completion message arrived (common case).
@@ -178,9 +151,10 @@ pub enum IntentOutcome {
     ProbedComplete,
     /// Probe found no participant finished; the operation never happened.
     Aborted,
-    /// Probe found partial completion; the coordinator re-issued the
-    /// operation (remove/truncate) or discarded the uncommitted data
-    /// (writes, permitted by NFS V3 for uncommitted writes).
+    /// Probe found partial completion — or, for the coordinator's own
+    /// remove or truncate, anything short of complete: the legs that did
+    /// not run were re-issued. (What a client left half done is
+    /// uncommitted data, which NFS V3 lets a server discard.)
     Repaired,
 }
 
@@ -197,26 +171,23 @@ pub struct IntentRecord {
     pub is_completion: bool,
 }
 
+/// An intention that is logged and not yet resolved.
 #[derive(Debug, Clone)]
-struct PendingIntent {
+struct OpenIntent {
     kind: IntentKind,
     participants: Vec<u32>,
-    logged_at: SimTime,
-    /// Probes outstanding, with completion flags gathered so far.
+    /// When it was logged or last probed; it is probed one
+    /// `intent_timeout` later. Probes repeat until every participant
+    /// answers: a probe sent at a crashed node is simply lost, and only a
+    /// fresh round after the node recovers can resolve the intention.
+    since: SimTime,
+    /// Completion flags gathered by probes so far.
     probe_results: FxHashMap<u32, bool>,
-    /// When the last probe round went out. Probes repeat every
-    /// `intent_timeout` until every participant answers: a probe sent at
-    /// a crashed node is simply lost, and only a fresh round after the
-    /// node recovers can resolve the intention.
-    last_probe: Option<SimTime>,
-}
-
-#[derive(Debug, Clone)]
-struct PendingFanout {
-    requester: u64,
-    req_id: u64,
-    waiting: Vec<u32>,
-    is_remove: bool,
+    /// For a remove or truncate the coordinator runs itself: who asked
+    /// `(requester, req_id)` and the sites whose leg has not answered.
+    /// `None` for a µproxy's intention, and for a fan-out recovered from
+    /// the log (who asked went with the crash).
+    fanout: Option<(u64, u64, Vec<u32>)>,
 }
 
 /// Site-liveness probes carry this bit so they never collide with
@@ -248,6 +219,9 @@ pub struct DirtyRange {
     pub sources: Vec<u32>,
     /// See [`IntentKind::DirtyRange`].
     origin: u32,
+    /// The `MarkDirty` that logged it, if one did and the coordinator has
+    /// not crashed since (see `marks_acked`).
+    mark: Option<(u64, u64)>,
 }
 
 impl DirtyRange {
@@ -324,12 +298,51 @@ struct ResyncJob {
 /// `(site, done, at, bytes)` — `done == false` marks the start.
 pub type ResyncEvent = (u32, bool, SimTime, u64);
 
+/// Everything the coordinator keeps about one storage site. All of it is
+/// rebuilt from the log or lost in a crash, except `initial`.
+#[derive(Debug)]
+struct Site {
+    /// Lifecycle; replayed from `SiteChange` records on recovery.
+    state: SiteState,
+    /// The configured (pre-reconfiguration) state a crash resets to
+    /// before the log replays the transitions.
+    initial: SiteState,
+    /// Ranges the site is owed, WAL-durable.
+    dirty: Vec<DirtyRange>,
+    /// The resynchronization copying them back, if one runs.
+    job: Option<ResyncJob>,
+    /// Its resync exhausted its retries (still dirty; a kick or a newly
+    /// owed range restarts it).
+    gave_up: bool,
+    /// Requesters parked on a liveness probe of the site.
+    probers: Vec<u64>,
+    /// The planned drain in progress, if any.
+    drain: Option<DrainInfo>,
+}
+
+impl Site {
+    fn new(initial: SiteState) -> Self {
+        Site {
+            state: initial,
+            initial,
+            dirty: Vec::new(),
+            job: None,
+            gave_up: false,
+            probers: Vec::new(),
+            drain: None,
+        }
+    }
+
+    /// Owed a range, or being copied to: not safe to read from.
+    fn is_dirty(&self) -> bool {
+        !self.dirty.is_empty() || self.job.is_some()
+    }
+}
+
 /// Bookkeeping for one in-progress planned drain.
 #[derive(Debug, Clone)]
 struct DrainInfo {
     started: SimTime,
-    /// Migration ranges still outstanding before retirement.
-    pending: usize,
     /// Mapped objects the site held at drain initiation (removed from the
     /// site at retirement).
     objs: std::collections::BTreeSet<u64>,
@@ -362,13 +375,6 @@ pub enum CoordMsg {
         first_block: u64,
         /// Number of blocks requested.
         count: u32,
-    },
-    /// Set a file's placement policy (at create time).
-    SetPlacement {
-        /// File / object id.
-        file: u64,
-        /// Policy to apply.
-        placement: Placement,
     },
     /// Remove a file's data from all storage sites atomically.
     RemoveFile {
@@ -437,11 +443,6 @@ pub enum CoordReply {
         /// migration target holds no bytes yet.
         warming: Vec<Vec<u32>>,
     },
-    /// Placement recorded.
-    PlacementSet {
-        /// File id.
-        file: u64,
-    },
     /// Remove finished on all sites.
     RemoveDone {
         /// Echo of the caller's request id.
@@ -490,54 +491,40 @@ pub enum CoordAction {
     },
 }
 
-/// The coordinator state machine.
+/// The coordinator state machine. [`Coordinator::crash`] names every field
+/// with what a crash does to it.
 #[derive(Debug)]
 pub struct Coordinator {
     wal: Wal<IntentRecord>,
     next_intent: u64,
-    pending: FxHashMap<u64, PendingIntent>,
-    fanouts: FxHashMap<u64, PendingFanout>,
-    maps: FxHashMap<u64, (Placement, FxHashMap<u64, Vec<u32>>)>,
-    storage_sites: u32,
-    /// Placement applied to files that never received a `SetPlacement`
-    /// (configuration, survives crashes like `storage_sites`).
-    default_placement: Placement,
+    /// Every intention logged and not yet resolved; [`Self::resolve`] is
+    /// the one way out.
+    open: FxHashMap<u64, OpenIntent>,
+    /// Materialized block maps, `file -> block -> sites`.
+    maps: FxHashMap<u64, FxHashMap<u64, Vec<u32>>>,
+    /// Placement of every file.
+    placement: Placement,
     /// Stripe (block) size in bytes; coded geometry derives from it.
     stripe_unit: u64,
     /// Probe intentions older than this.
     pub intent_timeout: SimDuration,
-    resolved: Vec<(u64, IntentOutcome)>,
-    /// Per-site ranges missed by degraded writes, WAL-durable.
-    dirty_log: FxHashMap<u32, Vec<DirtyRange>>,
-    /// Active resynchronizations, one per recovering site.
-    resync: FxHashMap<u32, ResyncJob>,
-    /// Sites whose resync exhausted its retries (still dirty; a kick
-    /// restarts them).
-    gave_up: std::collections::BTreeSet<u32>,
-    /// Requesters parked on a site probe, per site.
-    site_probes: FxHashMap<u32, Vec<u64>>,
+    /// Intentions resolved, by [`IntentOutcome`].
+    resolved: [u64; 4],
+    /// One record per storage site, indexed by site.
+    sites: Vec<Site>,
     /// Acknowledged MarkDirty ops by `(requester, op_id)` — every client
     /// numbers its xids from 1, so the op id alone is ambiguous — with
     /// their durable time (for idempotent re-acks of retransmissions) and
-    /// the ranges they logged that are still open.
+    /// the ranges they logged that are still open; the mark is forgotten
+    /// when its last range completes, which bounds the table.
     marks_acked: FxHashMap<(u64, u64), (SimTime, usize)>,
-    /// Open range id -> the mark that logged it; the mark is forgotten
-    /// when its last range completes, which bounds `marks_acked`.
-    range_mark: FxHashMap<u64, (u64, u64)>,
     /// Resync start/done events awaiting pickup by the hosting actor.
     resync_events: Vec<ResyncEvent>,
     /// Completed resyncs: `(site, started, finished, bytes)`.
     resync_history: Vec<(u32, SimTime, SimTime, u64)>,
-    /// Per-site lifecycle; rebuilt from `SiteChange` records on recovery.
-    site_state: Vec<SiteState>,
-    /// The configured (pre-reconfiguration) states `crash` resets to
-    /// before the WAL replays the logged transitions.
-    initial_state: Vec<SiteState>,
     /// Pinned block-map entries `(file -> block -> (record id, sites))`,
     /// WAL-durable; they override the deterministic assignment.
     pins: FxHashMap<u64, std::collections::BTreeMap<u64, (u64, Vec<u32>)>>,
-    /// In-flight planned drains, keyed by draining site.
-    drains: FxHashMap<u32, DrainInfo>,
     /// Bytes copied by completed migration ranges.
     migrated_bytes: u64,
     /// Completed drains: `(site, started, retired, bytes migrated)`.
@@ -550,26 +537,19 @@ impl Coordinator {
         Coordinator {
             wal: Wal::new(WalParams::default()),
             next_intent: 1,
-            pending: FxHashMap::default(),
-            fanouts: FxHashMap::default(),
+            open: FxHashMap::default(),
             maps: FxHashMap::default(),
-            storage_sites,
-            default_placement: Placement::Striped,
+            placement: Placement::Striped,
             stripe_unit: 64 * 1024,
             intent_timeout: SimDuration::from_secs(5),
-            resolved: Vec::new(),
-            dirty_log: FxHashMap::default(),
-            resync: FxHashMap::default(),
-            gave_up: std::collections::BTreeSet::new(),
-            site_probes: FxHashMap::default(),
+            resolved: [0; 4],
+            sites: (0..storage_sites)
+                .map(|_| Site::new(SiteState::Active))
+                .collect(),
             marks_acked: FxHashMap::default(),
-            range_mark: FxHashMap::default(),
             resync_events: Vec::new(),
             resync_history: Vec::new(),
-            site_state: vec![SiteState::Active; storage_sites as usize],
-            initial_state: vec![SiteState::Active; storage_sites as usize],
             pins: FxHashMap::default(),
-            drains: FxHashMap::default(),
             migrated_bytes: 0,
             reconf_history: Vec::new(),
         }
@@ -579,47 +559,53 @@ impl Coordinator {
     /// `Standby` (awaiting a join). Configuration, not a logged
     /// transition: it is the state `crash` resets to before WAL replay.
     pub fn set_active_sites(&mut self, active: u32) {
-        let active = (active.max(1)).min(self.storage_sites) as usize;
-        for (i, s) in self.site_state.iter_mut().enumerate() {
-            *s = if i < active {
+        let active = active.clamp(1, self.sites.len() as u32) as usize;
+        for (i, s) in self.sites.iter_mut().enumerate() {
+            s.initial = if i < active {
                 SiteState::Active
             } else {
                 SiteState::Standby
             };
+            s.state = s.initial;
         }
-        self.initial_state = self.site_state.clone();
     }
 
     /// Per-site lifecycle states.
-    pub fn site_states(&self) -> &[SiteState] {
-        &self.site_state
+    pub fn site_states(&self) -> Vec<SiteState> {
+        self.sites.iter().map(|s| s.state).collect()
+    }
+
+    /// The sites in one of `states`, sorted.
+    fn sites_in(&self, states: &[SiteState]) -> Vec<u32> {
+        let all = (0..).zip(&self.sites);
+        let chosen = all.filter(|(_, s)| states.contains(&s.state));
+        chosen.map(|(i, _)| i).collect()
     }
 
     /// True once `site` finished a planned drain.
     pub fn is_retired(&self, site: u32) -> bool {
-        self.site_state
-            .get(site as usize)
-            .is_some_and(|&s| s == SiteState::Retired)
+        let site = self.sites.get(site as usize);
+        site.is_some_and(|s| s.state == SiteState::Retired)
     }
 
     /// Sites that finished a planned drain, sorted.
     pub fn retired_sites(&self) -> Vec<u32> {
-        (0..self.storage_sites)
-            .filter(|&s| self.is_retired(s))
-            .collect()
+        self.sites_in(&[SiteState::Retired])
     }
 
     /// Sites new block assignments may land on, sorted.
     fn assignable_sites(&self) -> Vec<u32> {
-        (0..self.storage_sites)
-            .filter(|&s| self.site_state[s as usize] == SiteState::Active)
-            .collect()
+        self.sites_in(&[SiteState::Active])
+    }
+
+    /// Every range any site is owed, in site order.
+    fn owed(&self) -> impl Iterator<Item = &DirtyRange> {
+        self.sites.iter().flat_map(|s| &s.dirty)
     }
 
     /// Outstanding migration ranges (widen + rebalance + drain copies).
     pub fn migrations_pending(&self) -> usize {
-        let open = self.dirty_log.values().flatten();
-        open.filter(|r| r.origin != NO_ORIGIN).count()
+        self.owed().filter(|r| r.origin != NO_ORIGIN).count()
     }
 
     /// Bytes copied by completed migration ranges.
@@ -649,16 +635,24 @@ impl Coordinator {
         out
     }
 
-    /// Sets the placement applied to files without an explicit
-    /// `SetPlacement` (configuration; survives coordinator crashes).
+    /// Sets the placement of every file (configuration; survives
+    /// coordinator crashes).
     pub fn set_default_placement(&mut self, placement: Placement) {
         if let Placement::Coded { n, k } = placement {
             assert!(
-                k > 0 && k < n && n <= self.storage_sites,
+                k > 0 && k < n && n as usize <= self.sites.len(),
                 "coded (n,k) needs n sites"
             );
         }
-        self.default_placement = placement;
+        self.placement = placement;
+    }
+
+    /// `(n, k, geometry)` when files are erasure-coded.
+    fn coded(&self) -> Option<(u32, u32, CodedLayout)> {
+        match self.placement {
+            Placement::Coded { n, k } => Some((n, k, CodedLayout::new(n, k, self.stripe_unit))),
+            _ => None,
+        }
     }
 
     /// Sets the stripe (block) size coded geometry derives from.
@@ -674,17 +668,17 @@ impl Coordinator {
 
     /// Intentions currently open (logged, not completed).
     pub fn open_intents(&self) -> usize {
-        self.pending.len()
+        self.open.len()
     }
 
     /// Block-map entries held across all files (live soft state).
     pub fn map_entries(&self) -> usize {
-        self.maps.values().map(|(_, m)| m.len()).sum()
+        self.maps.values().map(|m| m.len()).sum()
     }
 
-    /// The resolution history `(intent, outcome)`.
-    pub fn resolutions(&self) -> &[(u64, IntentOutcome)] {
-        &self.resolved
+    /// Intentions resolved so far, counted by `IntentOutcome as usize`.
+    pub fn resolutions(&self) -> [u64; 4] {
+        self.resolved
     }
 
     /// WAL statistics (appends, batches, bytes).
@@ -695,27 +689,22 @@ impl Coordinator {
     /// True while the periodic sweep must keep running: open intentions,
     /// an active resync, or dirty ranges not yet shelved as hopeless.
     pub fn needs_sweep(&self) -> bool {
-        !self.pending.is_empty()
-            || !self.resync.is_empty()
-            || self
-                .dirty_log
-                .keys()
-                .any(|s| !self.gave_up.contains(s) && !self.resync.contains_key(s))
+        let busy = |s: &Site| s.job.is_some() || !s.dirty.is_empty() && !s.gave_up;
+        !self.open.is_empty() || self.sites.iter().any(busy)
     }
 
     /// Dirty ranges outstanding across all sites.
     pub fn dirty_ranges(&self) -> usize {
-        self.dirty_log.values().map(Vec::len).sum()
+        self.owed().count()
     }
 
     /// A sorted dump of the dirty-region log for structural checking:
     /// `(site, obj, offset, len)`.
     pub fn dirty_log_dump(&self) -> Vec<(u32, u64, u64, u64)> {
-        let mut out: Vec<_> = self
-            .dirty_log
-            .iter()
-            .flat_map(|(&site, ranges)| ranges.iter().map(move |r| (site, r.obj, r.offset, r.len)))
-            .collect();
+        let mut out = Vec::new();
+        for (i, site) in (0..).zip(&self.sites) {
+            out.extend(site.dirty.iter().map(|r| (i, r.obj, r.offset, r.len)));
+        }
         out.sort_unstable();
         out
     }
@@ -727,11 +716,9 @@ impl Coordinator {
 
     /// Total bytes copied by finished and in-flight resyncs.
     pub fn resync_bytes(&self) -> u64 {
-        self.resync_history
-            .iter()
-            .map(|&(_, _, _, b)| b)
-            .sum::<u64>()
-            + self.resync.values().map(|j| j.bytes).sum::<u64>()
+        let finished = self.resync_history.iter().map(|&(_, _, _, b)| b);
+        let running = self.sites.iter().flat_map(|s| &s.job).map(|j| j.bytes);
+        finished.chain(running).sum()
     }
 
     /// Drains resync start/done events for the hosting actor's trace.
@@ -741,10 +728,13 @@ impl Coordinator {
 
     /// Restarts resynchronization of `site` (called when the node is
     /// known to have recovered): un-shelves it and forces the next sweep
-    /// to retry immediately.
+    /// to retry immediately. A site that does not exist is ignored.
     pub fn kick_resync(&mut self, site: u32) {
-        self.gave_up.remove(&site);
-        if let Some(job) = self.resync.get_mut(&site) {
+        let Some(s) = self.sites.get_mut(site as usize) else {
+            return;
+        };
+        s.gave_up = false;
+        if let Some(job) = &mut s.job {
             job.attempts = 0;
             job.last_attempt = SimTime::ZERO;
         }
@@ -754,7 +744,7 @@ impl Coordinator {
     pub fn block_map_dump(&self) -> BlockMapDump {
         self.mapped_files()
             .into_iter()
-            .map(|file| (file, self.maps[&file].0, self.entries(file)))
+            .map(|file| (file, self.placement, self.entries(file)))
             .collect()
     }
 
@@ -767,7 +757,7 @@ impl Coordinator {
 
     /// `file`'s materialized map entries `(block, sites)`, sorted by block.
     fn entries(&self, file: u64) -> Vec<(u64, Vec<u32>)> {
-        let map = self.maps.get(&file).map(|(_, m)| m);
+        let map = self.maps.get(&file);
         let mut blocks: Vec<_> = map
             .into_iter()
             .flatten()
@@ -794,39 +784,28 @@ impl Coordinator {
         }
     }
 
-    fn assign_blocks(
-        placement: Placement,
-        active: &[u32],
-        file: u64,
-        blocks: std::ops::Range<u64>,
-        map: &mut FxHashMap<u64, Vec<u32>>,
-    ) -> Vec<Vec<u32>> {
-        blocks
-            .map(|b| {
-                map.entry(b)
-                    .or_insert_with(|| Self::compute_sites(placement, active, file, b))
-                    .clone()
-            })
-            .collect()
-    }
-
-    /// The file's map slot, created on first use with its pinned entries
-    /// seeded (pins override the deterministic assignment, and a lazily
-    /// rebuilt map — e.g. after a coordinator crash — must honor them).
-    fn file_map(&mut self, file: u64) -> &mut (Placement, FxHashMap<u64, Vec<u32>>) {
-        let default = self.default_placement;
-        let entry = self
-            .maps
-            .entry(file)
-            .or_insert_with(|| (default, FxHashMap::default()));
-        if entry.1.is_empty() {
+    /// The (assigned-if-absent) site lists of `blocks` of `file`. The
+    /// file's map is created on first use with its pinned entries seeded
+    /// (pins override the deterministic assignment, and a lazily rebuilt
+    /// map — e.g. after a coordinator crash — must honor them).
+    fn assign_blocks(&mut self, file: u64, blocks: std::ops::Range<u64>) -> Vec<Vec<u32>> {
+        let active = self.assignable_sites();
+        let placement = self.placement;
+        let map = self.maps.entry(file).or_default();
+        if map.is_empty() {
             if let Some(pinned) = self.pins.get(&file) {
                 for (&b, (_, sites)) in pinned {
-                    entry.1.insert(b, sites.clone());
+                    map.insert(b, sites.clone());
                 }
             }
         }
-        entry
+        blocks
+            .map(|b| {
+                map.entry(b)
+                    .or_insert_with(|| Self::compute_sites(placement, &active, file, b))
+                    .clone()
+            })
+            .collect()
     }
 
     fn next_id(&mut self) -> u64 {
@@ -855,37 +834,69 @@ impl Coordinator {
             .append(now, record, if completion { 32 } else { 64 })
     }
 
-    /// Tracks an open intention until its completion or a probe resolves
-    /// it.
-    fn pend(
-        &mut self,
-        now: SimTime,
-        id: u64,
-        kind: IntentKind,
-        participants: Vec<u32>,
-        last_probe: Option<SimTime>,
-    ) {
-        let intent = PendingIntent {
-            kind,
-            participants,
-            logged_at: now,
-            probe_results: FxHashMap::default(),
-            last_probe,
-        };
-        self.pending.insert(id, intent);
-    }
-
-    /// Logs and tracks a new intention; returns its id and durable time.
+    /// Logs a new intention and holds it open until [`Self::resolve`];
+    /// returns its id and durable time.
     fn open_intent(
         &mut self,
         now: SimTime,
         kind: IntentKind,
         participants: Vec<u32>,
+        fanout: Option<(u64, u64, Vec<u32>)>,
     ) -> (u64, SimTime) {
         let id = self.next_id();
         let durable = self.log(now, id, kind.clone(), participants.clone(), false);
-        self.pend(now, id, kind, participants, None);
+        let intent = OpenIntent {
+            kind,
+            participants,
+            since: now,
+            probe_results: FxHashMap::default(),
+            fanout,
+        };
+        self.open.insert(id, intent);
         (id, durable)
+    }
+
+    /// The one way an intention leaves `open`, whoever settled it — the
+    /// requester's completion message, the last `Done` of a fan-out, or a
+    /// probe round's verdict: queues the parity rebuild a truncate that
+    /// happened leaves behind, logs the completion record, counts the
+    /// outcome, tells whoever asked for a fan-out that it is done, and
+    /// re-issues a repaired remove or truncate where its leg did not run.
+    fn resolve(&mut self, now: SimTime, id: u64, outcome: IntentOutcome) -> Vec<CoordAction> {
+        let Some(p) = self.open.remove(&id) else {
+            return vec![];
+        };
+        let mut actions = Vec::new();
+        if let Some((to, req_id, _)) = p.fanout {
+            let reply = match p.kind {
+                IntentKind::Remove { .. } => CoordReply::RemoveDone { req_id },
+                _ => CoordReply::TruncateDone { req_id },
+            };
+            actions.push(CoordAction::Reply { to, reply, at: now });
+        }
+        if outcome == IntentOutcome::Repaired {
+            // Idempotent legs; what a client left half done needs none
+            // (NFS V3 lets a server discard uncommitted writes).
+            let done = |s: &u32| p.probe_results.get(s) == Some(&true);
+            let missing: Vec<u32> = p
+                .participants
+                .iter()
+                .copied()
+                .filter(|s| !done(s))
+                .collect();
+            actions.extend(Self::ctl_legs(&p.kind, id, &missing));
+        }
+        // A truncate (never aborted: it ran, or was just re-issued) clips
+        // the data shards of a coded file and leaves stale parity in the
+        // boundary stripe.
+        if let IntentKind::Truncate { obj, size } = p.kind {
+            self.queue_truncate_parity_rebuild(now, obj, size);
+        }
+        // Completion records are logged asynchronously; their durability
+        // does not gate anything.
+        self.log(now, id, p.kind, p.participants, true);
+        self.resolved[outcome as usize] += 1;
+        actions
     }
 
     fn reply(to: u64, reply: CoordReply, at: SimTime) -> Vec<CoordAction> {
@@ -901,57 +912,34 @@ impl Coordinator {
                 kind,
                 participants,
             } => {
-                let (intent, durable) = self.open_intent(now, kind, participants);
+                let (intent, durable) = self.open_intent(now, kind, participants, None);
                 Self::reply(requester, CoordReply::IntentAck { op_id, intent }, durable)
             }
             CoordMsg::CompleteIntent { intent } => {
-                if let Some(p) = self.pending.remove(&intent) {
-                    // Completion records are logged asynchronously; their
-                    // durability does not gate anything.
-                    self.log(now, intent, p.kind, p.participants, true);
-                    self.resolved.push((intent, IntentOutcome::Completed));
-                }
-                vec![]
+                self.resolve(now, intent, IntentOutcome::Completed)
             }
             CoordMsg::MapGet {
                 file,
                 first_block,
                 count,
             } => {
-                let active = self.assignable_sites();
-                let (placement, map) = self.file_map(file);
-                let placement = *placement;
-                let sites = Self::assign_blocks(
-                    placement,
-                    &active,
-                    file,
-                    first_block..first_block + u64::from(count),
-                    map,
-                );
+                let sites = self.assign_blocks(file, first_block..first_block + u64::from(count));
                 // Mirrored replicas with an open range over the block are
                 // "warming": a pinned migration target has no bytes until
                 // the repair copies them, so reads must not rotate onto
                 // it yet. Coded placements repair per shard through
                 // degraded reads instead.
-                let warming: Vec<Vec<u32>> = if matches!(placement, Placement::Coded { .. }) {
+                let unit = self.stripe_unit;
+                let warming = |i: u64| -> Vec<u32> {
+                    let lo = (first_block + i) * unit;
+                    let owed = |s: &Site| s.dirty.iter().any(|r| r.overlaps(file, lo, lo + unit));
+                    let all = (0..).zip(&self.sites);
+                    all.filter(|(_, s)| owed(s)).map(|(i, _)| i).collect()
+                };
+                let warming = if self.coded().is_some() {
                     vec![Vec::new(); sites.len()]
                 } else {
-                    (0..sites.len() as u64)
-                        .map(|i| {
-                            let lo = (first_block + i) * self.stripe_unit;
-                            let hi = lo + self.stripe_unit;
-                            let mut w: Vec<u32> = self
-                                .dirty_log
-                                .iter()
-                                .filter(|(_, ranges)| {
-                                    ranges.iter().any(|r| r.overlaps(file, lo, hi))
-                                })
-                                .map(|(&site, _)| site)
-                                .collect();
-                            w.sort_unstable();
-                            w
-                        })
-                        .collect()
+                    (0..sites.len() as u64).map(warming).collect()
                 };
                 let fragment = CoordReply::MapFragment {
                     file,
@@ -960,10 +948,6 @@ impl Coordinator {
                     warming,
                 };
                 Self::reply(requester, fragment, now)
-            }
-            CoordMsg::SetPlacement { file, placement } => {
-                self.file_map(file).0 = placement;
-                Self::reply(requester, CoordReply::PlacementSet { file }, now)
             }
             CoordMsg::RemoveFile { req_id, file } => {
                 self.fanout(now, requester, req_id, IntentKind::Remove { obj: file })
@@ -988,13 +972,15 @@ impl Coordinator {
                 if let Some(&(at, _)) = self.marks_acked.get(&mark) {
                     return Self::reply(requester, CoordReply::DirtyAck { op_id }, at.max(now));
                 }
-                let coded = matches!(self.placement_of(obj), Placement::Coded { .. });
+                let coded = self.coded().is_some();
                 let mut durable = now;
                 let mut logged = 0;
                 for &site in &missed {
                     // A retired site never returns: queuing copy-back for
-                    // it would leak soft state forever.
-                    if self.is_retired(site) {
+                    // it would leak soft state forever. A site that does
+                    // not exist is owed nothing.
+                    let state = self.sites.get(site as usize).map(|s| s.state);
+                    if matches!(state, None | Some(SiteState::Retired)) {
                         continue;
                     }
                     // Mirrored ranges are file ranges; coded ranges are
@@ -1007,10 +993,9 @@ impl Coordinator {
                         vec![(offset, len, sources.clone())]
                     };
                     for (w_off, w_len, srcs) in windows {
-                        let (id, at) =
-                            self.queue_range(now, site, obj, w_off, w_len, srcs, NO_ORIGIN);
-                        durable = at;
-                        self.range_mark.insert(id, mark);
+                        let mark = Some(mark);
+                        durable =
+                            self.queue_range(now, site, obj, w_off, w_len, srcs, NO_ORIGIN, mark);
                         logged += 1;
                     }
                 }
@@ -1020,16 +1005,20 @@ impl Coordinator {
                 Self::reply(requester, CoordReply::DirtyAck { op_id }, durable)
             }
             CoordMsg::ProbeSite { site } => {
-                if self.site_is_dirty(site) {
+                // Nothing is known, and nobody can be asked, about a site
+                // that does not exist.
+                let Some(s) = self.sites.get_mut(site as usize) else {
+                    return vec![];
+                };
+                if s.is_dirty() {
                     let unclean = CoordReply::SiteProbe { site, clean: false };
                     return Self::reply(requester, unclean, now);
                 }
                 // Clean on the books — but only the node itself can prove
                 // it is alive. Park the requester; the probe reply (if
                 // any) releases every parked requester.
-                let waiters = self.site_probes.entry(site).or_default();
-                if !waiters.contains(&requester) {
-                    waiters.push(requester);
+                if !s.probers.contains(&requester) {
+                    s.probers.push(requester);
                 }
                 vec![CoordAction::SendCtl {
                     site,
@@ -1041,23 +1030,10 @@ impl Coordinator {
         }
     }
 
-    fn site_is_dirty(&self, site: u32) -> bool {
-        self.dirty_log.get(&site).is_some_and(|v| !v.is_empty()) || self.resync.contains_key(&site)
-    }
-
-    fn placement_of(&self, obj: u64) -> Placement {
-        self.maps
-            .get(&obj)
-            .map_or(self.default_placement, |(p, _)| *p)
-    }
-
     /// The (assigned-if-absent) site list of one stripe of `file` — the
     /// same deterministic assignment `MapGet` hands the µproxy.
     fn stripe_sites(&mut self, file: u64, stripe: u64) -> Vec<u32> {
-        let active = self.assignable_sites();
-        let (placement, map) = self.file_map(file);
-        let placement = *placement;
-        Self::assign_blocks(placement, &active, file, stripe..stripe + 1, map)
+        self.assign_blocks(file, stripe..stripe + 1)
             .pop()
             .unwrap_or_default()
     }
@@ -1075,13 +1051,9 @@ impl Coordinator {
         site: u32,
         sources: &[u32],
     ) -> Vec<(u64, u64, Vec<u32>)> {
-        let Placement::Coded { n, k } = self.placement_of(obj) else {
+        let Some((_, k, layout)) = self.coded().filter(|_| len > 0) else {
             return vec![];
         };
-        if len == 0 {
-            return vec![];
-        }
-        let layout = CodedLayout::new(n, k, self.stripe_unit);
         let mut out = Vec::new();
         for s in offset / self.stripe_unit..=(offset + len - 1) / self.stripe_unit {
             let sites = self.stripe_sites(obj, s);
@@ -1112,13 +1084,12 @@ impl Coordinator {
     /// the clipped data, so re-encode from the k data shards (the other
     /// parity shards are equally stale and must not serve as sources).
     fn queue_truncate_parity_rebuild(&mut self, now: SimTime, file: u64, size: u64) {
-        let Placement::Coded { n, k } = self.placement_of(file) else {
+        let Some((n, k, layout)) = self.coded() else {
             return;
         };
         if size.is_multiple_of(self.stripe_unit) {
             return;
         }
-        let layout = CodedLayout::new(n, k, self.stripe_unit);
         let stripe = size / self.stripe_unit;
         let sites = self.stripe_sites(file, stripe);
         if sites.len() < n as usize {
@@ -1129,15 +1100,8 @@ impl Coordinator {
             let offset = layout.shard_obj_offset(stripe, p, 0);
             let len = layout.shard_size();
             let sources = data_sites.clone();
-            self.queue_range(
-                now,
-                sites[p as usize],
-                file,
-                offset,
-                len,
-                sources,
-                NO_ORIGIN,
-            );
+            let target = sites[p as usize];
+            self.queue_range(now, target, file, offset, len, sources, NO_ORIGIN, None);
         }
     }
 
@@ -1158,12 +1122,11 @@ impl Coordinator {
             got: FxHashMap::default(),
             code: None,
         };
-        let Placement::Coded { n, k } = self.placement_of(range.obj) else {
+        let Some((n, k, layout)) = self.coded() else {
             let source = range.sources[rotation as usize % range.sources.len()];
             gather.legs.push((source, 0, range.offset));
             return Some(gather);
         };
-        let layout = CodedLayout::new(n, k, self.stripe_unit);
         let stripe = range.offset / self.stripe_unit;
         let sites = self.stripe_sites(range.obj, stripe);
         let target_idx = sites.iter().position(|&s| s == target)? as u32;
@@ -1194,8 +1157,8 @@ impl Coordinator {
 
     /// Logs that `target` is owed `[offset, offset+len)` of `obj` and
     /// queues the range on its dirty log: every repair and every
-    /// migration copy enters the engine here. Returns the record id and
-    /// its durable time.
+    /// migration copy enters the engine here. Returns the record's
+    /// durable time.
     #[allow(clippy::too_many_arguments)]
     fn queue_range(
         &mut self,
@@ -1206,7 +1169,8 @@ impl Coordinator {
         len: u64,
         sources: Vec<u32>,
         origin: u32,
-    ) -> (u64, SimTime) {
+        mark: Option<(u64, u64)>,
+    ) -> SimTime {
         let range = DirtyRange {
             id: self.next_id(),
             obj,
@@ -1214,14 +1178,15 @@ impl Coordinator {
             len,
             sources,
             origin,
+            mark,
         };
         let durable = self.log(now, range.id, range.kind(), vec![target], false);
-        let id = range.id;
-        self.dirty_log.entry(target).or_default().push(range);
+        let site = &mut self.sites[target as usize];
+        site.dirty.push(range);
         // The site is dirty again: any shelved resync must restart once
         // the node is back.
-        self.gave_up.remove(&target);
-        (id, durable)
+        site.gave_up = false;
+        durable
     }
 
     /// Durably pins `file`'s `block` entry to `sites`, completing any
@@ -1248,13 +1213,9 @@ impl Coordinator {
 
     fn log_site_change(&mut self, now: SimTime, site: u32, state: SiteState, objs: Vec<u64>) {
         let id = self.next_id();
-        let kind = IntentKind::SiteChange {
-            site,
-            state: state.to_u8(),
-            objs,
-        };
+        let kind = IntentKind::SiteChange { site, state, objs };
         self.log(now, id, kind, vec![], false);
-        self.site_state[site as usize] = state;
+        self.sites[site as usize].state = state;
     }
 
     /// Pins every materialized block-map entry. Membership changes alter
@@ -1289,11 +1250,20 @@ impl Coordinator {
         origin: u32,
     ) {
         self.pin_entry(now, file, block, new_sites.clone());
-        if let Some((_, map)) = self.maps.get_mut(&file) {
+        if let Some(map) = self.maps.get_mut(&file) {
             map.insert(block, new_sites);
         }
         let unit = self.stripe_unit;
-        self.queue_range(now, copy_to, file, block * unit, unit, sources, origin);
+        self.queue_range(
+            now,
+            copy_to,
+            file,
+            block * unit,
+            unit,
+            sources,
+            origin,
+            None,
+        );
     }
 
     /// An active site not yet holding `block`, rotated across the
@@ -1312,7 +1282,7 @@ impl Coordinator {
     /// active site (demand-driven replication of a hot file). Returns
     /// ranges queued.
     pub fn widen_file(&mut self, now: SimTime, file: u64) -> usize {
-        if !matches!(self.placement_of(file), Placement::Mirrored { .. }) {
+        if !matches!(self.placement, Placement::Mirrored { .. }) {
             return 0;
         }
         let active = self.assignable_sites();
@@ -1334,7 +1304,7 @@ impl Coordinator {
     /// move one replica onto it (the surviving old replica keeps serving
     /// reads until the log drains). Returns ranges queued.
     pub fn join_site(&mut self, now: SimTime, site: u32) -> usize {
-        if self.site_state.get(site as usize) != Some(&SiteState::Standby) {
+        if self.sites.get(site as usize).map(|s| s.state) != Some(SiteState::Standby) {
             return 0;
         }
         // Entries pinned before the join (widen/drain placements) are
@@ -1347,13 +1317,13 @@ impl Coordinator {
             .collect();
         self.pin_all_entries(now);
         self.log_site_change(now, site, SiteState::Active, vec![]);
+        let placement = self.placement;
+        if !matches!(placement, Placement::Mirrored { .. }) {
+            return 0;
+        }
         let active = self.assignable_sites();
         let mut queued = 0;
         for file in self.mapped_files() {
-            let placement = self.maps[&file].0;
-            if !matches!(placement, Placement::Mirrored { .. }) {
-                continue;
-            }
             for (block, old) in self.entries(file) {
                 if old.len() < 2
                     || old.contains(&site)
@@ -1382,13 +1352,13 @@ impl Coordinator {
     /// the actions are non-empty only when nothing referenced the site
     /// and it retires on the spot.
     pub fn drain_site(&mut self, now: SimTime, site: u32) -> (usize, Vec<CoordAction>) {
-        if self.site_state.get(site as usize) != Some(&SiteState::Active) {
+        if self.sites.get(site as usize).map(|s| s.state) != Some(SiteState::Active) {
             return (0, vec![]);
         }
         self.pin_all_entries(now);
         let mut moves: Vec<(u64, u64, Vec<u32>)> = Vec::new();
-        for file in self.mapped_files() {
-            if !matches!(self.maps[&file].0, Placement::Coded { .. }) {
+        if self.coded().is_none() {
+            for file in self.mapped_files() {
                 let held = self.entries(file).into_iter();
                 moves.extend(
                     held.filter(|(_, s)| s.contains(&site))
@@ -1403,13 +1373,13 @@ impl Coordinator {
             SiteState::Draining,
             objs.iter().copied().collect(),
         );
-        let mut info = DrainInfo {
+        self.sites[site as usize].drain = Some(DrainInfo {
             started: now,
-            pending: 0,
             objs,
             bytes: 0,
-        };
+        });
         let active = self.assignable_sites();
+        let mut queued = 0;
         for (file, block, old) in moves {
             // No replacement capacity: the entry keeps referencing the
             // site and the drain stays open (visible via gauges).
@@ -1424,28 +1394,26 @@ impl Coordinator {
                 .chain(old.iter().copied().filter(|&s| s != site))
                 .collect();
             self.repoint(now, file, block, fresh, replacement, sources, site);
-            info.pending += 1;
+            queued += 1;
         }
-        let queued = info.pending;
-        self.drains.insert(site, info);
-        if queued == 0 {
-            (0, self.finish_drain(now, site))
-        } else {
-            (queued, vec![])
-        }
+        (queued, self.finish_drain(now, site))
     }
 
-    /// Retires a fully drained site: logs the transition, purges its
-    /// per-site soft state (the dirty log, resync job, shelf, and probe
-    /// waiters a never-returning node would otherwise leak), and removes
-    /// its mapped objects.
+    /// Retires `site` if it is draining and fully drained: logs the
+    /// transition, resets its record (the dirty log, resync job, shelf,
+    /// and probe waiters a never-returning node would otherwise leak),
+    /// and removes its mapped objects.
     fn finish_drain(&mut self, now: SimTime, site: u32) -> Vec<CoordAction> {
-        // Only retire once nothing references the site (a move that found
-        // no replacement capacity leaves the drain open).
+        // Only retire once its last migration has landed and nothing
+        // references the site (a move that found no replacement capacity
+        // leaves the drain open).
+        if self.sites[site as usize].drain.is_none() || self.owed().any(|r| r.origin == site) {
+            return vec![];
+        }
         let referenced = self
             .maps
             .values()
-            .any(|(_, m)| m.values().any(|s| s.contains(&site)))
+            .any(|m| m.values().any(|s| s.contains(&site)))
             || self
                 .pins
                 .values()
@@ -1453,19 +1421,16 @@ impl Coordinator {
         if referenced {
             return vec![];
         }
-        let Some(info) = self.drains.remove(&site) else {
-            return vec![];
-        };
+        let record = &mut self.sites[site as usize];
+        let gone = std::mem::replace(record, Site::new(record.initial));
+        let info = gone.drain.expect("draining, checked above");
         self.log_site_change(now, site, SiteState::Retired, vec![]);
-        for r in self.dirty_log.remove(&site).unwrap_or_default() {
+        for r in gone.dirty {
             // Ranges still queued *for* the retired site are moot; complete
             // them durably so they cannot replay.
-            self.forget_mark(r.id);
+            self.forget_mark(&r);
             self.log(now, r.id, r.kind(), vec![site], true);
         }
-        self.resync.remove(&site);
-        self.gave_up.remove(&site);
-        self.site_probes.remove(&site);
         self.reconf_history
             .push((site, info.started, now, info.bytes));
         info.objs
@@ -1487,18 +1452,18 @@ impl Coordinator {
     /// old replica may still physically hold the bytes).
     fn map_sources(&self, target: u32, range: &DirtyRange) -> Vec<u32> {
         let block = range.offset / self.stripe_unit;
-        let Some(sites) = self.maps.get(&range.obj).and_then(|(_, m)| m.get(&block)) else {
+        let Some(sites) = self.maps.get(&range.obj).and_then(|m| m.get(&block)) else {
             return range.sources.clone();
         };
         let derived: Vec<u32> = sites
             .iter()
             .copied()
             .filter(|&s| {
+                let (lo, hi) = (range.offset, range.offset + range.len);
                 s != target
-                    && !self.is_retired(s)
-                    && !self.dirty_log.get(&s).is_some_and(|rs| {
-                        let (lo, hi) = (range.offset, range.offset + range.len);
-                        rs.iter().any(|r| r.overlaps(range.obj, lo, hi))
+                    && self.sites.get(s as usize).is_some_and(|site| {
+                        site.state != SiteState::Retired
+                            && !site.dirty.iter().any(|r| r.overlaps(range.obj, lo, hi))
                     })
             })
             .collect();
@@ -1535,20 +1500,12 @@ impl Coordinator {
     ) -> Vec<CoordAction> {
         // Standby sites never held data and retired sites are gone; a
         // fan-out waiting on either would wedge for nothing.
-        let participants: Vec<u32> = (0..self.storage_sites)
-            .filter(|&s| {
-                matches!(
-                    self.site_state[s as usize],
-                    SiteState::Active | SiteState::Draining
-                )
-            })
-            .collect();
-        let (file, is_remove) = match kind {
-            IntentKind::Remove { obj } => (obj, true),
-            IntentKind::Truncate { obj, .. } => (obj, false),
-            _ => unreachable!("fan-outs are removes and truncates"),
+        let participants = self.sites_in(&[SiteState::Active, SiteState::Draining]);
+        let (IntentKind::Remove { obj: file } | IntentKind::Truncate { obj: file, .. }) = kind
+        else {
+            unreachable!("fan-outs are removes and truncates");
         };
-        if is_remove {
+        if matches!(kind, IntentKind::Remove { .. }) {
             // The file's pinned entries die with it (durably: a recovered
             // coordinator must not resurrect the map of a removed file).
             for (block, (pin_id, sites)) in self.pins.remove(&file).unwrap_or_default() {
@@ -1561,29 +1518,10 @@ impl Coordinator {
                 );
             }
         }
-        let (id, _) = self.open_intent(now, kind.clone(), participants.clone());
-        let fanout = PendingFanout {
-            requester,
-            req_id,
-            waiting: participants.clone(),
-            is_remove,
-        };
-        self.fanouts.insert(id, fanout);
+        let waiting = Some((requester, req_id, participants.clone()));
+        let (id, _) = self.open_intent(now, kind.clone(), participants.clone(), waiting);
         self.maps.remove(&file);
         Self::ctl_legs(&kind, id, &participants)
-    }
-
-    /// Tells whoever asked for fan-out `intent` that it is done.
-    fn answer_fanout(&mut self, now: SimTime, intent: u64) -> Vec<CoordAction> {
-        let Some(f) = self.fanouts.remove(&intent) else {
-            return vec![];
-        };
-        let done = if f.is_remove {
-            CoordReply::RemoveDone { req_id: f.req_id }
-        } else {
-            CoordReply::TruncateDone { req_id: f.req_id }
-        };
-        Self::reply(f.requester, done, now)
     }
 
     /// Handles a control reply from storage site `site`.
@@ -1595,52 +1533,43 @@ impl Coordinator {
     ) -> Vec<CoordAction> {
         match reply {
             StorageCtlReply::Done { intent } => {
-                let Some(f) = self.fanouts.get_mut(&intent) else {
+                // A leg of fan-out `intent` ran at `site`. (0 names none: a
+                // retirement remove. A closed or recovered intention waits
+                // for nobody.)
+                let open = self.open.get_mut(&intent);
+                let Some((_, _, waiting)) = open.and_then(|p| p.fanout.as_mut()) else {
                     return vec![];
                 };
-                f.waiting.retain(|&s| s != site);
-                if !f.waiting.is_empty() {
-                    return vec![];
+                waiting.retain(|&s| s != site);
+                if waiting.is_empty() {
+                    self.resolve(now, intent, IntentOutcome::Completed)
+                } else {
+                    vec![]
                 }
-                // A completed truncate of a coded file leaves stale
-                // parity in the boundary stripe; queue its rebuild
-                // now that every site holds the clipped data.
-                if let Some(&IntentKind::Truncate { obj, size }) =
-                    self.pending.get(&intent).map(|p| &p.kind)
-                {
-                    self.queue_truncate_parity_rebuild(now, obj, size);
-                }
-                let mut actions = self.handle(now, 0, CoordMsg::CompleteIntent { intent });
-                actions.extend(self.answer_fanout(now, intent));
-                actions
             }
             StorageCtlReply::ProbeResult { intent, .. } if intent >= SITE_PROBE_BASE => {
                 // A site-liveness probe answered: the node is up. Report
                 // whether it is also clean (no dirty ranges, no resync).
                 let s = (intent & !SITE_PROBE_BASE) as u32;
-                let clean = !self.site_is_dirty(s);
-                self.site_probes
-                    .remove(&s)
-                    .unwrap_or_default()
+                let Some(probed) = self.sites.get_mut(s as usize) else {
+                    return vec![];
+                };
+                let clean = !probed.is_dirty();
+                std::mem::take(&mut probed.probers)
                     .into_iter()
                     .flat_map(|to| Self::reply(to, CoordReply::SiteProbe { site: s, clean }, now))
                     .collect()
             }
             StorageCtlReply::ProbeResult { intent, completed } => {
-                let Some(p) = self.pending.get_mut(&intent) else {
+                let Some(p) = self.open.get_mut(&intent) else {
                     return vec![];
                 };
                 p.probe_results.insert(site, completed);
                 if p.probe_results.len() < p.participants.len() {
                     return vec![];
                 }
-                let p = self.pending.remove(&intent).expect("probed intent");
-                let missing: Vec<u32> = p
-                    .participants
-                    .iter()
-                    .copied()
-                    .filter(|s| p.probe_results.get(s) != Some(&true))
-                    .collect();
+                let ran = |s: &&u32| p.probe_results.get(*s) == Some(&true);
+                let done = p.participants.iter().filter(ran).count();
                 // A remove or truncate is the coordinator's own operation
                 // and nobody retries it: it is carried through, never
                 // aborted. What a client began and finished nowhere never
@@ -1649,48 +1578,29 @@ impl Coordinator {
                     p.kind,
                     IntentKind::Remove { .. } | IntentKind::Truncate { .. }
                 );
-                let outcome = if missing.is_empty() {
+                let outcome = if done == p.participants.len() {
                     IntentOutcome::ProbedComplete
-                } else if missing.len() == p.participants.len() && !own {
+                } else if done == 0 && !own {
                     IntentOutcome::Aborted
                 } else {
                     IntentOutcome::Repaired
                 };
-                self.resolved.push((intent, outcome));
-                self.log(now, intent, p.kind.clone(), p.participants.clone(), true);
-                // A probed truncate that (partially) happened clips
-                // coded data shards: rebuild the boundary stripe's
-                // parity unless no site truncated at all.
-                if let IntentKind::Truncate { obj, size } = p.kind {
-                    if outcome != IntentOutcome::Aborted {
-                        self.queue_truncate_parity_rebuild(now, obj, size);
-                    }
-                }
-                let mut actions = self.answer_fanout(now, intent);
-                // Repair for remove/truncate: re-issue the (idempotent)
-                // legs where they did not run; writes are resolved by NFS
-                // V3 uncommitted-write semantics.
-                if outcome == IntentOutcome::Repaired {
-                    actions.extend(Self::ctl_legs(&p.kind, intent, &missing));
-                }
-                actions
+                self.resolve(now, intent, outcome)
             }
             StorageCtlReply::ResyncData { obj, offset, data } => {
-                // `site` is a source; find the job gathering this window
-                // (sorted for determinism).
-                let mut targets: Vec<u32> = self.resync.keys().copied().collect();
-                targets.sort_unstable();
-                let gathering = |t: &u32| {
-                    matches!(&self.resync[t].stage,
-                        Some(ResyncStage::Gather(g)) if g.expects(site, obj, offset))
-                };
-                let Some(target) = targets.into_iter().find(gathering) else {
+                // `site` is a source; the first job, in site order, that
+                // gathers this window takes it.
+                let gathering = |st: &mut ResyncStage| matches!(st, ResyncStage::Gather(g) if g.expects(site, obj, offset));
+                let jobs = self.sites.iter_mut().enumerate();
+                let mut jobs = jobs.filter_map(|(t, s)| Some((t as u32, s.job.as_mut()?)));
+                let taken = jobs.find_map(|(t, job)| Some((t, job.stage.take_if(gathering)?)));
+                let Some((target, ResyncStage::Gather(mut g))) = taken else {
                     return vec![];
                 };
-                let job = self.resync.get_mut(&target).expect("listed job");
-                let Some(ResyncStage::Gather(mut g)) = job.stage.take() else {
-                    unreachable!("matched above");
-                };
+                let job = self.sites[target as usize]
+                    .job
+                    .as_mut()
+                    .expect("taken from");
                 let bytes = match g.code {
                     // Identity transform: the source's window goes to the
                     // target as it came, short reads included.
@@ -1747,16 +1657,13 @@ impl Coordinator {
             }
             StorageCtlReply::ResyncApplied { obj, offset } => {
                 // `site` is the recovering target.
-                let hit = matches!(
-                    self.resync.get(&site).and_then(|j| j.stage.as_ref()),
-                    Some(ResyncStage::Apply(r, _)) if r.obj == obj && r.offset == offset
-                );
-                if !hit {
+                let applying = |st: &mut ResyncStage| matches!(st, ResyncStage::Apply(r, _) if r.obj == obj && r.offset == offset);
+                let target = self.sites.get_mut(site as usize);
+                let Some(job) = target.and_then(|s| s.job.as_mut()) else {
                     return vec![];
-                }
-                let job = self.resync.get_mut(&site).expect("checked");
-                let Some(ResyncStage::Apply(range, _)) = job.stage.take() else {
-                    unreachable!("matched above");
+                };
+                let Some(ResyncStage::Apply(range, _)) = job.stage.take_if(applying) else {
+                    return vec![];
                 };
                 job.bytes += range.len;
                 let mut acts = self.complete_range(now, site, &range);
@@ -1766,14 +1673,11 @@ impl Coordinator {
         }
     }
 
-    /// Drops range `id` from the mark that logged it, and the mark with
-    /// its last open range.
-    fn forget_mark(&mut self, id: u64) {
-        if let Some(mark) = self.range_mark.remove(&id) {
-            let open = self
-                .marks_acked
-                .get_mut(&mark)
-                .expect("mark of an open range");
+    /// Drops `range` from the mark that logged it, and the mark with its
+    /// last open range.
+    fn forget_mark(&mut self, range: &DirtyRange) {
+        let Some(mark) = range.mark else { return };
+        if let Some(open) = self.marks_acked.get_mut(&mark) {
             open.1 -= 1;
             if open.1 == 0 {
                 self.marks_acked.remove(&mark);
@@ -1786,30 +1690,24 @@ impl Coordinator {
     /// it (retiring the origin site when its last migration lands).
     fn complete_range(&mut self, now: SimTime, site: u32, range: &DirtyRange) -> Vec<CoordAction> {
         self.log(now, range.id, range.kind(), vec![site], true);
-        if let Some(v) = self.dirty_log.get_mut(&site) {
-            v.retain(|r| r.id != range.id);
-            if v.is_empty() {
-                self.dirty_log.remove(&site);
-            }
-        }
-        self.forget_mark(range.id);
+        self.sites[site as usize].dirty.retain(|r| r.id != range.id);
+        self.forget_mark(range);
         if range.origin == NO_ORIGIN {
             return vec![];
         }
         self.migrated_bytes += range.len;
-        if let Some(info) = self.drains.get_mut(&range.origin) {
-            info.bytes += range.len;
-            info.pending = info.pending.saturating_sub(1);
-            if info.pending == 0 {
-                return self.finish_drain(now, range.origin);
-            }
-        }
-        vec![]
+        let origin = self.sites.get_mut(range.origin as usize);
+        let Some(info) = origin.and_then(|s| s.drain.as_mut()) else {
+            return vec![];
+        };
+        info.bytes += range.len;
+        self.finish_drain(now, range.origin)
     }
 
     /// The current in-flight legs of `site`'s resync, for (re)sending.
     fn resync_leg(&self, site: u32) -> Vec<CoordAction> {
-        match self.resync.get(&site).and_then(|job| job.stage.as_ref()) {
+        let job = self.sites[site as usize].job.as_ref();
+        match job.and_then(|job| job.stage.as_ref()) {
             None => vec![],
             // Read only the source windows still missing.
             Some(ResyncStage::Gather(g)) => g
@@ -1841,21 +1739,21 @@ impl Coordinator {
     fn advance_resync(&mut self, now: SimTime, site: u32) -> Vec<CoordAction> {
         let mut actions = Vec::new();
         loop {
-            let Some(job) = self.resync.get_mut(&site) else {
+            let record = &mut self.sites[site as usize];
+            let Some(job) = &mut record.job else {
                 return actions;
             };
             let Some(mut range) = job.queue.pop_front() else {
-                let job = self.resync.remove(&site).expect("present");
-                self.resync_history
-                    .push((site, job.started, now, job.bytes));
-                self.resync_events.push((site, true, now, job.bytes));
+                let (started, bytes) = (job.started, job.bytes);
+                record.job = None;
+                self.resync_history.push((site, started, now, bytes));
+                self.resync_events.push((site, true, now, bytes));
                 return actions;
             };
             // A mirror re-derives its sources from the current block map
             // (a rebalance between the mark and this copy can move the
             // live replicas); a code plans from its stripe's site list.
-            let coded = matches!(self.placement_of(range.obj), Placement::Coded { .. });
-            if !coded && !range.sources.is_empty() {
+            if self.coded().is_none() && !range.sources.is_empty() {
                 range.sources = self.map_sources(site, &range);
             }
             let Some(gather) = self.plan_gather(site, &range, 0) else {
@@ -1865,7 +1763,7 @@ impl Coordinator {
                 actions.extend(self.complete_range(now, site, &range));
                 continue;
             };
-            let job = self.resync.get_mut(&site).expect("present");
+            let job = self.sites[site as usize].job.as_mut().expect("present");
             job.stage = Some(ResyncStage::Gather(gather));
             job.last_attempt = now;
             job.attempts = 0;
@@ -1874,34 +1772,32 @@ impl Coordinator {
         }
     }
 
-    /// Starts copy-backs for dirty sites and retries stalled legs. Runs
-    /// from the same periodic sweep as intention timeouts.
+    /// Starts copy-backs for dirty sites and retries stalled legs, both in
+    /// site order. Runs from the same periodic sweep as intention
+    /// timeouts.
     fn pump_resync(&mut self, now: SimTime) -> Vec<CoordAction> {
         let mut actions = Vec::new();
-        let mut dirty_sites: Vec<u32> = self
-            .dirty_log
-            .keys()
-            .copied()
-            .filter(|s| !self.resync.contains_key(s) && !self.gave_up.contains(s))
-            .collect();
-        dirty_sites.sort_unstable();
-        for site in dirty_sites {
-            let job = ResyncJob {
-                queue: self.dirty_log[&site].clone().into(),
+        for site in 0..self.sites.len() as u32 {
+            let s = &mut self.sites[site as usize];
+            if s.dirty.is_empty() || s.job.is_some() || s.gave_up {
+                continue;
+            }
+            // The job works off the ranges owed now; what is queued while
+            // it runs waits for the next job.
+            s.job = Some(ResyncJob {
+                queue: s.dirty.clone().into(),
                 stage: None,
                 bytes: 0,
                 started: now,
                 last_attempt: now,
                 attempts: 0,
-            };
-            self.resync.insert(site, job);
+            });
             self.resync_events.push((site, false, now, 0));
             actions.extend(self.advance_resync(now, site));
         }
-        let mut active: Vec<u32> = self.resync.keys().copied().collect();
-        active.sort_unstable();
-        for site in active {
-            let job = self.resync.get_mut(&site).expect("listed job");
+        for site in 0..self.sites.len() as u32 {
+            let s = &mut self.sites[site as usize];
+            let Some(job) = &mut s.job else { continue };
             if job.stage.is_none() || now - job.last_attempt < RESYNC_RETRY {
                 continue;
             }
@@ -1909,8 +1805,8 @@ impl Coordinator {
             if job.attempts > RESYNC_MAX_ATTEMPTS {
                 // The dirty log is the ground truth; drop only the job.
                 // A recovery kick starts a fresh one.
-                self.resync.remove(&site);
-                self.gave_up.insert(site);
+                s.job = None;
+                s.gave_up = true;
                 continue;
             }
             job.last_attempt = now;
@@ -1919,7 +1815,7 @@ impl Coordinator {
             if let Some(ResyncStage::Gather(g)) = &job.stage {
                 let (range, attempts) = (g.range.clone(), job.attempts);
                 if let Some(fresh) = self.plan_gather(site, &range, attempts) {
-                    let job = self.resync.get_mut(&site).expect("listed job");
+                    let job = self.sites[site as usize].job.as_mut().expect("present");
                     job.stage = Some(ResyncStage::Gather(fresh));
                 }
             }
@@ -1933,10 +1829,11 @@ impl Coordinator {
     /// from a periodic timer.
     pub fn check_timeouts(&mut self, now: SimTime) -> Vec<CoordAction> {
         let mut actions = Vec::new();
-        for (&id, p) in self.pending.iter_mut() {
-            let due = now - p.last_probe.unwrap_or(p.logged_at) >= self.intent_timeout;
-            if due {
-                p.last_probe = Some(now);
+        // In `open`'s iteration order, which the probes' send order (and
+        // so every simulated number downstream) depends on.
+        for (&id, p) in self.open.iter_mut() {
+            if now - p.since >= self.intent_timeout {
+                p.since = now;
                 for &site in &p.participants {
                     actions.push(CoordAction::SendCtl {
                         site,
@@ -1950,22 +1847,44 @@ impl Coordinator {
     }
 
     /// Simulates a coordinator crash: volatile state is lost; the WAL (in
-    /// shared network storage) survives.
+    /// shared network storage) survives. Every field gets its verdict
+    /// here, so a new one cannot be forgotten.
     pub fn crash(&mut self) -> Wal<IntentRecord> {
-        self.pending.clear();
-        self.fanouts.clear();
-        self.maps.clear();
-        self.dirty_log.clear();
-        self.resync.clear();
-        self.gave_up.clear();
-        self.site_probes.clear();
-        self.marks_acked.clear();
-        self.range_mark.clear();
-        self.resync_events.clear();
-        self.pins.clear();
-        self.drains.clear();
-        self.site_state = self.initial_state.clone();
-        std::mem::replace(&mut self.wal, Wal::new(WalParams::default()))
+        let Self {
+            // Durable: handed to whoever restarts the coordinator.
+            wal,
+            // Configuration.
+            placement: _,
+            stripe_unit: _,
+            intent_timeout: _,
+            // Volatile: rebuilt by `recover` from the log, or lost (who
+            // asked for a fan-out, who waits on a site probe, which marks
+            // were acknowledged, resync progress).
+            open,
+            maps,
+            sites,
+            marks_acked,
+            resync_events,
+            pins,
+            // Raised by `recover` past every id in the log.
+            next_intent: _,
+            // Lifetime statistics.
+            resolved: _,
+            resync_history: _,
+            migrated_bytes: _,
+            reconf_history: _,
+        } = self;
+        // Emptied in place: `open` keeps its capacity, and with it the
+        // iteration order `check_timeouts` sends probes in.
+        open.clear();
+        maps.clear();
+        for site in sites {
+            *site = Site::new(site.initial);
+        }
+        marks_acked.clear();
+        resync_events.clear();
+        pins.clear();
+        std::mem::replace(wal, Wal::new(WalParams::default()))
     }
 
     /// Recovers from a WAL: open intentions (logged, never completed by
@@ -2001,15 +1920,18 @@ impl Coordinator {
                     sources,
                     origin,
                 } => {
-                    let site = r.participants.first().copied().unwrap_or(0);
-                    self.dirty_log.entry(site).or_default().push(DirtyRange {
-                        id,
-                        obj,
-                        offset,
-                        len,
-                        sources,
-                        origin,
-                    });
+                    let target = r.participants.first().map(|&s| s as usize);
+                    if let Some(site) = target.and_then(|s| self.sites.get_mut(s)) {
+                        site.dirty.push(DirtyRange {
+                            id,
+                            obj,
+                            offset,
+                            len,
+                            sources,
+                            origin,
+                            mark: None,
+                        });
+                    }
                 }
                 // Reconfiguration records replay into soft state directly;
                 // none of them involve a storage-side intention to probe.
@@ -2020,28 +1942,25 @@ impl Coordinator {
                         .insert(block, (id, sites));
                 }
                 IntentKind::SiteChange { site, state, objs } => {
-                    let state = SiteState::from_u8(state);
-                    if let Some(slot) = self.site_state.get_mut(site as usize) {
-                        *slot = state;
-                    }
-                    match state {
-                        SiteState::Draining => {
-                            let info = DrainInfo {
-                                started: now,
-                                pending: 0,
-                                objs: objs.into_iter().collect(),
-                                bytes: 0,
-                            };
-                            self.drains.insert(site, info);
-                        }
-                        SiteState::Retired => {
-                            self.drains.remove(&site);
-                        }
-                        _ => {}
-                    }
+                    let Some(site) = self.sites.get_mut(site as usize) else {
+                        continue;
+                    };
+                    site.state = state;
+                    site.drain = (state == SiteState::Draining).then(|| DrainInfo {
+                        started: now,
+                        objs: objs.into_iter().collect(),
+                        bytes: 0,
+                    });
                 }
                 kind => {
-                    self.pend(now, id, kind, r.participants.clone(), Some(now));
+                    let intent = OpenIntent {
+                        kind,
+                        participants: r.participants.clone(),
+                        since: now,
+                        probe_results: FxHashMap::default(),
+                        fanout: None,
+                    };
+                    self.open.insert(id, intent);
                     for site in r.participants {
                         actions.push(CoordAction::SendCtl {
                             site,
@@ -2051,17 +1970,10 @@ impl Coordinator {
                 }
             }
         }
-        // Recount each replayed drain's pending migrations; a drain whose
-        // last migration completed just before the crash retires now.
-        let mut draining: Vec<u32> = self.drains.keys().copied().collect();
-        draining.sort_unstable();
-        for site in draining {
-            let open = self.dirty_log.values().flatten();
-            let pending = open.filter(|r| r.origin == site).count();
-            self.drains.get_mut(&site).expect("listed drain").pending = pending;
-            if pending == 0 {
-                actions.extend(self.finish_drain(now, site));
-            }
+        // A drain whose last migration completed just before the crash
+        // retires now.
+        for site in 0..self.sites.len() as u32 {
+            actions.extend(self.finish_drain(now, site));
         }
         actions
     }
@@ -2081,11 +1993,7 @@ mod tests {
             7,
             CoordMsg::BeginIntent {
                 op_id: 1,
-                kind: IntentKind::MirroredWrite {
-                    obj: 5,
-                    offset: 0,
-                    len: 8192,
-                },
+                kind: IntentKind::Commit { obj: 5 },
                 participants: vec![0, 1],
             },
         );
@@ -2109,7 +2017,7 @@ mod tests {
         assert_eq!(c.open_intents(), 1);
         c.handle(t(1), 7, CoordMsg::CompleteIntent { intent: id });
         assert_eq!(c.open_intents(), 0);
-        assert_eq!(c.resolutions(), &[(id, IntentOutcome::Completed)]);
+        assert_eq!(c.resolutions(), [1, 0, 0, 0]);
     }
 
     #[test]
@@ -2148,7 +2056,7 @@ mod tests {
                 completed: true,
             },
         );
-        assert_eq!(c.resolutions(), &[(id, IntentOutcome::ProbedComplete)]);
+        assert_eq!(c.resolutions(), [0, 1, 0, 0]);
     }
 
     #[test]
@@ -2172,7 +2080,7 @@ mod tests {
                 completed: false,
             },
         );
-        assert_eq!(c.resolutions(), &[(id, IntentOutcome::Aborted)]);
+        assert_eq!(c.resolutions(), [0, 0, 1, 0]);
     }
 
     /// Answers every remove or truncate leg in `actions` as a storage
@@ -2278,10 +2186,7 @@ mod tests {
                 }
             ]
         );
-        assert_eq!(
-            c.resolutions(),
-            &[(b, IntentOutcome::Completed), (a, IntentOutcome::Repaired)]
-        );
+        assert_eq!(c.resolutions(), [1, 0, 0, 1], "one completed, one repaired");
         assert_eq!(c.open_intents(), 0);
         // The re-issued leg's answer finds nothing open, and nothing to steal.
         assert!(c.handle_ctl_reply(t(6003), 1, done(a)).is_empty());
@@ -2302,7 +2207,7 @@ mod tests {
         let mut want = vec![remove_done(1, t(6002))];
         want.extend(legs);
         assert_eq!(c.handle_ctl_reply(t(6002), 1, nowhere), want);
-        assert_eq!(c.resolutions(), &[(id, IntentOutcome::Repaired)]);
+        assert_eq!(c.resolutions(), [0, 0, 0, 1]);
     }
 
     /// The removes that retire a drained site name no intention; their
@@ -2361,14 +2266,7 @@ mod tests {
     #[test]
     fn mirrored_placement_yields_replicas() {
         let mut c = Coordinator::new(4);
-        c.handle(
-            t(0),
-            1,
-            CoordMsg::SetPlacement {
-                file: 3,
-                placement: Placement::Mirrored { copies: 2 },
-            },
-        );
+        c.set_default_placement(Placement::Mirrored { copies: 2 });
         let a = c.handle(
             t(1),
             1,
@@ -2465,7 +2363,7 @@ mod tests {
         assert_eq!(c.marks_acked.len(), 2);
         pump_to_quiescence(&mut c, 1000);
         assert_eq!(c.dirty_ranges(), 0);
-        assert!(c.marks_acked.is_empty() && c.range_mark.is_empty());
+        assert!(c.marks_acked.is_empty());
     }
 
     #[test]
@@ -2581,6 +2479,81 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// A site number comes off the wire or out of the log, and indexes a
+    /// `Vec`: one that names no site is dropped, never stored.
+    #[test]
+    fn probe_of_a_site_that_does_not_exist_is_dropped() {
+        let mut c = Coordinator::new(4);
+        assert!(c
+            .handle(t(0), 7, CoordMsg::ProbeSite { site: 4 })
+            .is_empty());
+        let answer = StorageCtlReply::ProbeResult {
+            intent: SITE_PROBE_BASE | 4,
+            completed: false,
+        };
+        assert!(c.handle_ctl_reply(t(1), 0, answer).is_empty());
+    }
+
+    #[test]
+    fn mark_against_a_site_that_does_not_exist_logs_nothing() {
+        let mut c = Coordinator::new(4);
+        let mark = CoordMsg::MarkDirty {
+            op_id: 1,
+            obj: 9,
+            offset: 0,
+            len: 100,
+            missed: vec![4, u32::MAX],
+            sources: vec![1],
+        };
+        let ack = CoordAction::Reply {
+            to: 7,
+            reply: CoordReply::DirtyAck { op_id: 1 },
+            at: t(0),
+        };
+        assert_eq!(
+            c.handle(t(0), 7, mark),
+            vec![ack],
+            "acked: nothing to wait for"
+        );
+        assert_eq!((c.dirty_ranges(), c.wal_stats().0), (0, 0));
+        assert!(!c.needs_sweep());
+    }
+
+    #[test]
+    fn kick_and_replay_of_a_site_that_does_not_exist_are_ignored() {
+        let mut c = Coordinator::new(4);
+        c.kick_resync(4);
+        let applied = StorageCtlReply::ResyncApplied { obj: 9, offset: 0 };
+        assert!(c.handle_ctl_reply(t(0), 4, applied).is_empty());
+        let mut wal = Wal::new(WalParams::default());
+        let kinds = [
+            IntentKind::SiteChange {
+                site: 4,
+                state: SiteState::Retired,
+                objs: vec![],
+            },
+            IntentKind::DirtyRange {
+                obj: 9,
+                offset: 0,
+                len: 100,
+                sources: vec![1],
+                origin: NO_ORIGIN,
+            },
+        ];
+        for (id, kind) in (1..).zip(kinds) {
+            let record = IntentRecord {
+                id,
+                kind,
+                participants: vec![4],
+                is_completion: false,
+            };
+            wal.append(t(0), record, 64);
+        }
+        assert!(c.recover(t(10), wal, t(5)).is_empty());
+        assert_eq!(c.dirty_ranges(), 0);
+        assert_eq!(c.site_states(), vec![SiteState::Active; 4]);
     }
 
     #[test]
@@ -2794,14 +2767,7 @@ mod tests {
 
     /// Materializes `blocks` mirrored map entries for `file`.
     fn mirrored_file(c: &mut Coordinator, file: u64, blocks: u32) {
-        c.handle(
-            t(0),
-            1,
-            CoordMsg::SetPlacement {
-                file,
-                placement: Placement::Mirrored { copies: 2 },
-            },
-        );
+        c.set_default_placement(Placement::Mirrored { copies: 2 });
         c.handle(
             t(1),
             1,

@@ -431,11 +431,9 @@ fn truncate_lost_at_a_crashed_replica_is_reissued() {
     assert_eq!(size_at(&ens, victim), cut, "the lost leg was re-issued");
     let coord = &ens.engine.actor::<CoordActor>(ens.coords[0]).coord;
     assert_eq!(coord.open_intents(), 0);
-    assert!(
-        coord
-            .resolutions()
-            .iter()
-            .any(|&(_, outcome)| outcome == IntentOutcome::Repaired),
+    assert_eq!(
+        coord.resolutions()[IntentOutcome::Repaired as usize],
+        1,
         "{:?}",
         coord.resolutions()
     );

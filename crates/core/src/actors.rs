@@ -284,7 +284,7 @@ pub struct DirActor {
     addr: SockAddr,
     router: Router,
     dir_nodes: Vec<NodeId>,
-    coord_node: Option<NodeId>,
+    coord_node: NodeId,
     sf_nodes: Vec<NodeId>,
     deferred: DeferredSender,
     tokens: FxHashMap<u64, (SockAddr, u32)>,
@@ -307,7 +307,7 @@ impl DirActor {
         addr: SockAddr,
         router: Router,
         dir_nodes: Vec<NodeId>,
-        coord_node: Option<NodeId>,
+        coord_node: NodeId,
         sf_nodes: Vec<NodeId>,
         charge_cpu: bool,
     ) -> Self {
@@ -350,9 +350,7 @@ impl DirActor {
     ) {
         let req_id = self.next_req_id;
         self.next_req_id += 1;
-        if let Some(node) = self.coord_node {
-            ctx.send(node, Wire::Coord(coord(req_id)));
-        }
+        ctx.send(self.coord_node, Wire::Coord(coord(req_id)));
         if !self.sf_nodes.is_empty() {
             ctx.send(self.sf_nodes[self.sf_index(file)], Wire::SfCtl(sf));
         }

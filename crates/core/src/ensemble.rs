@@ -66,8 +66,6 @@ pub struct SliceConfig {
     pub sf_servers: usize,
     /// Number of network storage nodes.
     pub storage_nodes: usize,
-    /// Number of block-service coordinators.
-    pub coordinators: usize,
     /// Disk arms per storage node.
     pub disks_per_node: usize,
     /// Name-space policy.
@@ -123,7 +121,6 @@ impl Default for SliceConfig {
             dir_servers: 1,
             sf_servers: 2,
             storage_nodes: 4,
-            coordinators: 1,
             disks_per_node: calib::DISKS_PER_NODE,
             policy: EnsemblePolicy::MkdirSwitching {
                 redirect_millis: 250,
@@ -196,9 +193,6 @@ impl SliceConfig {
                     self.stripe_unit
                 ));
             }
-            if self.coordinators == 0 {
-                return Err("coded layouts need a coordinator".into());
-            }
         }
         if self.mapped_mirror && self.coded.is_none() && active < 2 {
             return Err(format!(
@@ -270,7 +264,10 @@ impl SliceEnsemble {
         let dir_ids = take(cfg.dir_servers);
         let sf_ids = take(cfg.sf_servers);
         let storage_ids = take(cfg.storage_nodes);
-        let coord_ids = take(cfg.coordinators);
+        // One block-service coordinator: every µproxy hashes a file onto
+        // `coord_sites` of them and every directory server sends its data
+        // effects to the first, so a second would see half the picture.
+        let coord_ids = take(1);
 
         let mut router = Router::new();
         for (i, &id) in client_ids.iter().enumerate() {
@@ -305,7 +302,7 @@ impl SliceEnsemble {
                 dir_sites: plan.dirs.clone(),
                 sf_sites: plan.sfs.clone(),
                 storage_sites: plan.storage.clone(),
-                coord_sites: cfg.coordinators as u32,
+                coord_sites: coord_ids.len() as u32,
                 name_policy,
                 threshold: slice_smallfile::SF_THRESHOLD,
                 stripe_unit: cfg.stripe_unit,
@@ -358,7 +355,7 @@ impl SliceEnsemble {
                 plan.dirs[i],
                 router.clone(),
                 dir_ids.clone(),
-                coord_ids.first().copied(),
+                coord_ids[0],
                 sf_ids.clone(),
                 cfg.charge_cpu,
             );
@@ -396,26 +393,22 @@ impl SliceEnsemble {
             let id = engine.add_node(&format!("storage{i}"), Box::new(actor));
             assert_eq!(id, expect);
         }
-        // Coordinators.
-        for (i, &expect) in coord_ids.iter().enumerate() {
-            let mut coordinator = Coordinator::new(cfg.storage_nodes as u32);
-            if let Some(a) = cfg.active_storage {
-                coordinator.set_active_sites(a as u32);
-            }
-            if let Some((n, k)) = cfg.coded {
-                coordinator.set_default_placement(Placement::Coded { n, k });
-                coordinator.set_stripe_unit(cfg.stripe_unit);
-            } else if cfg.mapped_mirror {
-                coordinator.set_default_placement(Placement::Mirrored { copies: 2 });
-                coordinator.set_stripe_unit(cfg.stripe_unit);
-            }
-            let actor = CoordActor::new(coordinator, storage_ids.clone(), cfg.charge_cpu);
-            let id = engine.add_node(&format!("coord{i}"), Box::new(actor));
-            assert_eq!(id, expect);
+        // The coordinator.
+        let mut coordinator = Coordinator::new(cfg.storage_nodes as u32);
+        if let Some(a) = cfg.active_storage {
+            coordinator.set_active_sites(a as u32);
         }
-        for &c in &coord_ids {
-            engine.kick(c);
+        if let Some((n, k)) = cfg.coded {
+            coordinator.set_default_placement(Placement::Coded { n, k });
+            coordinator.set_stripe_unit(cfg.stripe_unit);
+        } else if cfg.mapped_mirror {
+            coordinator.set_default_placement(Placement::Mirrored { copies: 2 });
+            coordinator.set_stripe_unit(cfg.stripe_unit);
         }
+        let actor = CoordActor::new(coordinator, storage_ids.clone(), cfg.charge_cpu);
+        let id = engine.add_node("coord0", Box::new(actor));
+        assert_eq!(id, coord_ids[0]);
+        engine.kick(id);
         for &c in &client_ids {
             engine
                 .actor_mut::<ClientActor>(c)

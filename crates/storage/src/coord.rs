@@ -1455,11 +1455,11 @@ impl Coordinator {
         let Some(sites) = self.maps.get(&range.obj).and_then(|m| m.get(&block)) else {
             return range.sources.clone();
         };
+        let (lo, hi) = (range.offset, range.offset + range.len);
         let derived: Vec<u32> = sites
             .iter()
             .copied()
             .filter(|&s| {
-                let (lo, hi) = (range.offset, range.offset + range.len);
                 s != target
                     && self.sites.get(s as usize).is_some_and(|site| {
                         site.state != SiteState::Retired
@@ -1590,17 +1590,16 @@ impl Coordinator {
             StorageCtlReply::ResyncData { obj, offset, data } => {
                 // `site` is a source; the first job, in site order, that
                 // gathers this window takes it.
-                let gathering = |st: &mut ResyncStage| matches!(st, ResyncStage::Gather(g) if g.expects(site, obj, offset));
-                let jobs = self.sites.iter_mut().enumerate();
-                let mut jobs = jobs.filter_map(|(t, s)| Some((t as u32, s.job.as_mut()?)));
-                let taken = jobs.find_map(|(t, job)| Some((t, job.stage.take_if(gathering)?)));
-                let Some((target, ResyncStage::Gather(mut g))) = taken else {
+                let gathering = |st: &mut ResyncStage| match st {
+                    ResyncStage::Gather(g) => g.expects(site, obj, offset),
+                    ResyncStage::Apply(..) => false,
+                };
+                let jobs = (0..).zip(&mut self.sites);
+                let mut jobs = jobs.filter_map(|(t, s)| Some((t, s.job.as_mut()?)));
+                let taken = jobs.find_map(|(t, job)| Some((t, job.stage.take_if(gathering)?, job)));
+                let Some((target, ResyncStage::Gather(mut g), job)) = taken else {
                     return vec![];
                 };
-                let job = self.sites[target as usize]
-                    .job
-                    .as_mut()
-                    .expect("taken from");
                 let bytes = match g.code {
                     // Identity transform: the source's window goes to the
                     // target as it came, short reads included.
@@ -1657,7 +1656,10 @@ impl Coordinator {
             }
             StorageCtlReply::ResyncApplied { obj, offset } => {
                 // `site` is the recovering target.
-                let applying = |st: &mut ResyncStage| matches!(st, ResyncStage::Apply(r, _) if r.obj == obj && r.offset == offset);
+                let applying = |st: &mut ResyncStage| match st {
+                    ResyncStage::Apply(r, _) => r.obj == obj && r.offset == offset,
+                    ResyncStage::Gather(_) => false,
+                };
                 let target = self.sites.get_mut(site as usize);
                 let Some(job) = target.and_then(|s| s.job.as_mut()) else {
                     return vec![];

@@ -266,6 +266,11 @@ impl DirServer {
         self.wal.stats()
     }
 
+    /// The log, to look at.
+    pub fn wal(&self) -> &Wal<DirLog> {
+        &self.wal
+    }
+
     /// Attribute lookup (tests / host attr seeding).
     pub fn attr_of(&self, file: u64) -> Option<&Fattr3> {
         self.attrs.get(&file).map(|c| &c.attr)
@@ -284,6 +289,24 @@ impl DirServer {
     pub fn dump_attr_cells(&self) -> Vec<(u64, AttrCell)> {
         let mut out: Vec<_> = self.attrs.iter().map(|(&f, c)| (f, c.clone())).collect();
         out.sort_unstable_by_key(|&(f, _)| f);
+        out
+    }
+
+    /// A sorted snapshot of the readdir index: each directory that has
+    /// local entries, with their keys in cookie order.
+    pub fn dump_dir_index(&self) -> Vec<(u64, Vec<u64>)> {
+        let dirs = self.dir_index.iter().filter(|(_, keys)| !keys.is_empty());
+        let mut out: Vec<_> = dirs
+            .map(|(&d, keys)| (d, keys.iter().copied().collect()))
+            .collect();
+        out.sort_unstable_by_key(|&(d, _)| d);
+        out
+    }
+
+    /// The ids of the peer ops this site has applied, sorted.
+    pub fn dump_applied_peer(&self) -> Vec<u64> {
+        let mut out: Vec<u64> = self.applied_peer.keys().copied().collect();
+        out.sort_unstable();
         out
     }
 

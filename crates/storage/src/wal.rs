@@ -107,6 +107,11 @@ impl<T: Clone> Wal<T> {
         self.records.is_empty()
     }
 
+    /// Every record held, oldest first, with the instant it is durable.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (SimTime, &T)> {
+        self.records.iter().map(|(d, r)| (*d, r))
+    }
+
     /// Records that were durable by `crash_time` — what a recovery scan
     /// reads back after a failure at that instant.
     pub fn recover(&self, crash_time: SimTime) -> Vec<T> {

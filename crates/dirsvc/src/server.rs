@@ -1381,7 +1381,7 @@ impl DirServer {
     /// Rebuilds cells by replaying the durable WAL prefix, without logging
     /// again. In-flight multisite operations at crash time are dropped
     /// (clients retransmit; peers deduplicate by op id).
-    pub fn recover(&mut self, wal: Wal<DirLog>, crash_time: SimTime) {
+    pub fn recover(&mut self, mut wal: Wal<DirLog>, crash_time: SimTime) {
         let records = wal.recover(crash_time);
         self.wal = wal;
         self.plant_root();

@@ -563,8 +563,10 @@ fn check_model(policy: NamePolicy, sites: u32, ops: Vec<ModelOp>) -> u64 {
 }
 
 /// Random ops, no model, a crash of some site after every third of them.
-/// Replies are not judged here; every recovery is (`crash_site`).
-fn check_recovery(policy: NamePolicy, sites: u32, nops: usize, rng: &mut Rng) {
+/// Replies are not judged here (a crash inside a batch window takes back
+/// updates the harness has already seen answered); every recovery is
+/// (`crash_site`). Returns how many records the crashes lost.
+fn check_recovery(policy: NamePolicy, sites: u32, nops: usize, rng: &mut Rng) -> usize {
     let names: Vec<String> = (0..NAMES).map(|i| format!("n{i}")).collect();
     let mut cluster = Cluster::new(sites, policy);
     let mut dirs = vec![Fhandle::root()];
@@ -577,6 +579,7 @@ fn check_recovery(policy: NamePolicy, sites: u32, nops: usize, rng: &mut Rng) {
     let dir_of = |name_ix: usize| dirs[name_ix % dirs.len()];
     // Name -> the handle its last create returned (stale or not).
     let mut made: FxHashMap<usize, Fhandle> = FxHashMap::default();
+    let mut lost = 0;
     for i in 0..nops {
         let req = match random_op(rng, NAMES) {
             ModelOp::Create { name_ix } => NfsRequest::Create {
@@ -615,21 +618,39 @@ fn check_recovery(policy: NamePolicy, sites: u32, nops: usize, rng: &mut Rng) {
             made.insert(ix, fh);
         }
         if (i + 1) % (nops / 3) == 0 {
-            let site = rng.gen_range(0..sites) as usize;
-            cluster.crash_site(site, cluster.now + SimDuration::from_millis(20));
+            // Inside a group-commit window the last op opened, at the
+            // instant one of its records reaches the disk and the rest
+            // have not; or between two steps, when every record has.
+            let now = cluster.now;
+            let logs = cluster.shadow.iter().enumerate();
+            let open = logs.flat_map(|(site, log)| log.iter().map(move |&(d, _)| (site, d)));
+            let open: Vec<(usize, SimTime)> = open.filter(|&(_, d)| d > now).collect();
+            let (site, at) = if !open.is_empty() && rng.gen_range(0u32..2) == 0 {
+                open[rng.gen_range(0..open.len())]
+            } else {
+                let site = rng.gen_range(0..sites) as usize;
+                (site, now + SimDuration::from_millis(20))
+            };
+            lost += cluster.crash_site(site, at);
         }
     }
+    lost
 }
 
 #[test]
 fn recovery_equals_replay_of_the_durable_prefix() {
     for policy in [NamePolicy::NameHashing, NamePolicy::MkdirSwitching] {
         let mut rng = Rng::seed_from_u64(0x4449_5204);
+        let mut lost = 0;
         for _ in 0..CASES {
             let sites = rng.gen_range(1u32..5);
             let nops = rng.gen_range(9usize..120);
-            check_recovery(policy, sites, nops, &mut rng);
+            lost += check_recovery(policy, sites, nops, &mut rng);
         }
+        assert!(
+            lost >= 16,
+            "{policy:?}: crashes inside a window lost {lost}"
+        );
     }
 }
 

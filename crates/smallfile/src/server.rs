@@ -696,7 +696,7 @@ impl SmallFileServer {
     /// durable by `crash_time`). Free-list fragments from before the crash
     /// are conservatively leaked, as a real FFS-style fsck would reclaim
     /// them offline.
-    pub fn recover(&mut self, wal: Wal<SfLog>, crash_time: SimTime) {
+    pub fn recover(&mut self, mut wal: Wal<SfLog>, crash_time: SimTime) {
         let records = wal.recover(crash_time);
         self.wal = wal;
         let mut tails: FxHashMap<u32, u64> = FxHashMap::default();

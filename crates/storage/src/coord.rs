@@ -1894,7 +1894,7 @@ impl Coordinator {
     pub fn recover(
         &mut self,
         now: SimTime,
-        wal: Wal<IntentRecord>,
+        mut wal: Wal<IntentRecord>,
         crash_time: SimTime,
     ) -> Vec<CoordAction> {
         let records = wal.recover(crash_time);
@@ -2308,6 +2308,24 @@ mod tests {
             CoordAction::SendCtl { ctl: StorageCtl::Probe { intent }, .. } if *intent == id_open
         )));
         assert_eq!(actions.len(), 2);
+    }
+
+    /// Defect 1(viii): what a crash lost must not come back at the next.
+    #[test]
+    fn an_intent_lost_at_one_crash_stays_lost_at_the_next() {
+        let mut c = Coordinator::new(2);
+        begin(&mut c, t(0));
+        // Two more whose batch is still on its way to the disk ...
+        begin(&mut c, t(100));
+        begin(&mut c, t(100));
+        // ... when the coordinator dies.
+        let wal = c.crash();
+        c.recover(t(200), wal, t(100));
+        assert_eq!(c.open_intents(), 1);
+        begin(&mut c, t(300));
+        let wal = c.crash();
+        c.recover(t(2000), wal, t(1000));
+        assert_eq!(c.open_intents(), 2, "the two lost intentions stay lost");
     }
 
     #[test]

@@ -113,13 +113,12 @@ impl<T: Clone> Wal<T> {
     }
 
     /// Records that were durable by `crash_time` — what a recovery scan
-    /// reads back after a failure at that instant.
-    pub fn recover(&self, crash_time: SimTime) -> Vec<T> {
-        self.records
-            .iter()
-            .filter(|(d, _)| *d <= crash_time)
-            .map(|(_, r)| r.clone())
-            .collect()
+    /// reads back after a failure at that instant. The rest never reached
+    /// the disk: they are dropped, and no later scan sees them.
+    pub fn recover(&mut self, crash_time: SimTime) -> Vec<T> {
+        let durable = self.records.partition_point(|(d, _)| *d <= crash_time);
+        self.records.truncate(durable);
+        self.records.iter().map(|(_, r)| r.clone()).collect()
     }
 
     /// Discards records before index `upto` (checkpoint truncation).
@@ -179,13 +178,26 @@ mod tests {
         let d1 = wal.append(t(0), "first", 64);
         let _d2 = wal.append(t(20), "second", 64);
         // Crash right after the first record becomes durable.
-        let seen = wal.recover(d1);
+        let seen = wal.clone().recover(d1);
         assert_eq!(seen, vec!["first"]);
         // Much later, both are durable.
-        let seen = wal.recover(t(1000));
+        let seen = wal.clone().recover(t(1000));
         assert_eq!(seen, vec!["first", "second"]);
         // Crash before anything is durable loses everything.
         assert!(wal.recover(SimTime::ZERO).is_empty());
+    }
+
+    /// Defect 1(viii): a record that was not durable at a crash is gone,
+    /// whatever instant the next crash strikes at.
+    #[test]
+    fn a_record_lost_at_one_crash_stays_lost_at_the_next() {
+        let mut wal: Wal<u32> = Wal::new(WalParams::default());
+        wal.append(t(0), 1, 64);
+        wal.append(t(20), 2, 64);
+        wal.append(t(20), 3, 64);
+        assert_eq!(wal.recover(t(20)), vec![1]);
+        wal.append(t(40), 4, 64);
+        assert_eq!(wal.recover(t(1000)), vec![1, 4]);
     }
 
     #[test]
@@ -222,7 +234,7 @@ mod tests {
         wal.checkpoint(2);
         // Records 2 and 3 remain; 3 lands at ~t(30) and is not durable if
         // the crash strikes just after record 2's batch committed.
-        let seen = wal.recover(t(25));
+        let seen = wal.clone().recover(t(25));
         assert_eq!(seen, vec![2]);
         // A checkpoint never resurrects or reorders what it spared.
         assert_eq!(wal.recover(t(10_000)), vec![2, 3]);

@@ -67,6 +67,24 @@ pub struct MapRecord {
     pub mtime: NfsTime,
 }
 
+impl MapRecord {
+    /// Cuts the record at `size`, live and in replay alike: the extents
+    /// wholly past the new end go (their regions are returned, for the
+    /// allocator), the one the end falls in keeps its region, shorter.
+    fn cut(&mut self, size: u64) -> Vec<Region> {
+        let past = blocks_past(size);
+        if let Some(b) = past.start.checked_sub(1) {
+            if let Some(ext) = &mut self.extents[b as usize] {
+                let b_start = u64::from(b) * u64::from(SF_BLOCK);
+                ext.bytes = (size - b_start).min(u64::from(ext.bytes)) as u32;
+            }
+        }
+        self.size = self.size.min(size);
+        let gone = past.filter_map(|b| self.extents[b as usize].take());
+        gone.map(|ext| ext.region).collect()
+    }
+}
+
 /// WAL records for small-file metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SfLog {
@@ -631,23 +649,17 @@ impl SmallFileServer {
                 let Some(map) = self.maps.get_mut(&file) else {
                     return vec![];
                 };
-                let cut = blocks_past(size);
-                for b in cut.clone() {
-                    if let Some(ext) = map.extents[b as usize].take() {
-                        self.alloc.free(ext.region);
-                    }
+                for region in map.cut(size) {
+                    self.alloc.free(region);
                 }
-                // The block the new end falls in keeps its extent, shorter.
+                let cut = blocks_past(size);
                 for b in 0..cut.start {
-                    if let Some(ext) = &mut map.extents[b as usize] {
-                        let b_start = u64::from(b) * u64::from(SF_BLOCK);
-                        ext.bytes = (size - b_start).min(u64::from(ext.bytes)) as u32;
+                    if let Some(ext) = map.extents[b as usize] {
                         if let Some(c) = self.contents.get_mut(&(file, b)) {
                             c.truncate(ext.bytes as usize);
                         }
                     }
                 }
-                map.size = map.size.min(size);
                 self.wal.append(now, SfLog::Truncate { file, size }, 24);
                 for b in cut {
                     self.drop_block(file, b);
@@ -720,10 +732,7 @@ impl SmallFileServer {
                 }
                 SfLog::Truncate { file, size } => {
                     if let Some(map) = self.maps.get_mut(&file) {
-                        map.size = map.size.min(size);
-                        for b in blocks_past(size) {
-                            map.extents[b as usize] = None;
-                        }
+                        map.cut(size);
                     }
                 }
             }

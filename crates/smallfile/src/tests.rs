@@ -352,6 +352,48 @@ fn truncate_trims_extents() {
     assert!(map.extents[2].is_none());
 }
 
+/// Defect 1(ii): replaying a truncate shortens the extent the new end
+/// falls in, as the live truncate did — or a write that extends the file
+/// after a crash fetches the cut bytes back in.
+#[test]
+fn truncate_then_crash_then_extending_write_reads_zeros() {
+    let mut h = Harness::new(1);
+    let write = |offset, data| NfsRequest::Write {
+        fh: fh(61),
+        offset,
+        stable: StableHow::FileSync,
+        data,
+    };
+    h.run(t(1), 1, write(0, vec![b'a'; 1000]));
+    h.server.handle_ctl(
+        t(2),
+        &SfCtl::Truncate {
+            file: 61,
+            size: 100,
+        },
+    );
+    let wal = h.server.crash();
+    h.server.recover(wal, t(500));
+    assert_eq!(h.server.map_of(61).unwrap().extents[0].unwrap().bytes, 100);
+    h.run(t(600), 2, write(500, vec![b'B'; 100]));
+    let read = NfsRequest::Read {
+        fh: fh(61),
+        offset: 0,
+        count: 600,
+    };
+    match h.run(t(700), 3, read).body {
+        ReplyBody::Read { data, .. } => {
+            assert_eq!(&data[..100], &[b'a'; 100][..]);
+            assert!(
+                data[100..500].iter().all(|&b| b == 0),
+                "cut bytes came back"
+            );
+            assert_eq!(&data[500..], &[b'B'; 100][..]);
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
 #[test]
 fn verifier_changes_on_crash() {
     let mut h = Harness::new(1);

@@ -136,11 +136,17 @@ impl ZoneAllocator {
         self.zones[zone as usize].tail
     }
 
-    /// Forces a zone's append tail forward (crash recovery: everything
-    /// below the recovered high-water mark is treated as allocated).
+    /// Forces a zone's append tail forward (crash recovery: nothing below
+    /// the recovered high-water mark is handed out again).
     pub fn set_tail(&mut self, zone: u32, tail: u64) {
         let z = &mut self.zones[zone as usize];
         z.tail = z.tail.max(tail);
+    }
+
+    /// Counts `region` as allocated (crash recovery: a recovered map still
+    /// names it, and will free it).
+    pub fn claim(&mut self, region: Region) {
+        self.allocated_bytes += u64::from(region.frag);
     }
 }
 

@@ -711,7 +711,10 @@ impl SmallFileServer {
     pub fn recover(&mut self, mut wal: Wal<SfLog>, crash_time: SimTime) {
         let records = wal.recover(crash_time);
         self.wal = wal;
-        let mut tails: FxHashMap<u32, u64> = FxHashMap::default();
+        // The allocator comes back with its tails past everything ever
+        // allocated and the extents the maps still name counted as
+        // allocated; pre-crash free fragments are conservatively leaked.
+        let mut alloc = ZoneAllocator::new(self.alloc.zones());
         for rec in records {
             match rec {
                 SfLog::SetExtent {
@@ -724,8 +727,7 @@ impl SmallFileServer {
                     let map = self.maps.entry(file).or_default();
                     map.extents[block as usize] = Some(MapExtent { region, bytes });
                     map.size = size;
-                    let t = tails.entry(region.zone).or_insert(0);
-                    *t = (*t).max(region.offset + u64::from(region.frag));
+                    alloc.set_tail(region.zone, region.offset + u64::from(region.frag));
                 }
                 SfLog::Remove { file } => {
                     self.maps.remove(&file);
@@ -737,12 +739,8 @@ impl SmallFileServer {
                 }
             }
         }
-        // Rebuild the allocator with tails past everything ever allocated;
-        // pre-crash free fragments are conservatively leaked.
-        let zones = self.alloc.zones();
-        let mut alloc = ZoneAllocator::new(zones);
-        for (z, tail) in tails {
-            alloc.set_tail(z, tail);
+        for ext in self.maps.values().flat_map(|m| m.extents.iter().flatten()) {
+            alloc.claim(ext.region);
         }
         self.alloc = alloc;
     }

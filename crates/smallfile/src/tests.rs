@@ -394,6 +394,33 @@ fn truncate_then_crash_then_extending_write_reads_zeros() {
     }
 }
 
+/// Defect 1(iii): the extents a recovery replays are allocated bytes
+/// again, so freeing one afterwards has something to subtract from.
+#[test]
+fn recovery_restores_the_allocators_byte_count() {
+    let mut h = Harness::new(2);
+    let write = |file, len| NfsRequest::Write {
+        fh: fh(file),
+        offset: 0,
+        stable: StableHow::FileSync,
+        data: vec![7u8; len],
+    };
+    h.run(t(1), 1, write(80, 9000));
+    h.run(t(2), 2, write(81, 100));
+    h.server.handle_ctl(t(3), &SfCtl::Remove { file: 81 });
+    let live = h.server.alloc_stats().0;
+    assert_eq!(live, 8192 + 1024);
+    let wal = h.server.crash();
+    h.server.recover(wal, t(1000));
+    assert_eq!(
+        h.server.alloc_stats().0,
+        live,
+        "what the maps name is allocated"
+    );
+    h.server.handle_ctl(t(2000), &SfCtl::Remove { file: 80 });
+    assert_eq!(h.server.alloc_stats().0, 0);
+}
+
 #[test]
 fn verifier_changes_on_crash() {
     let mut h = Harness::new(1);

@@ -293,8 +293,9 @@ pub struct DirActor {
     charge_cpu: bool,
     /// Routing-table generation this site's slot map corresponds to.
     pub table_generation: u64,
-    /// WAL preserved across a crash (it lives in shared network storage).
-    crashed_wal: Option<(slice_storage::Wal<slice_dirsvc::DirLog>, SimTime)>,
+    /// Image and log preserved across a crash (they live in shared
+    /// network storage).
+    crashed: Option<(slice_dirsvc::DirDurable, SimTime)>,
     drc: ReplyCache,
 }
 
@@ -325,7 +326,7 @@ impl DirActor {
             next_req_id: 1,
             charge_cpu,
             table_generation: 1,
-            crashed_wal: None,
+            crashed: None,
             drc: ReplyCache::default(),
         }
     }
@@ -454,20 +455,19 @@ impl Actor<Wire> for DirActor {
     }
 
     fn on_fail(&mut self, now: SimTime) {
-        // Volatile state is lost; the WAL survives in shared storage and
-        // is replayed up to the crash instant.
-        let wal = self.server.crash();
-        self.crashed_wal = Some((wal, now));
+        // Volatile state is lost; the image and the log survive in shared
+        // storage, the log up to the crash instant.
+        self.crashed = Some((self.server.crash(), now));
         self.tokens.clear();
         self.deferred.stash.clear();
         self.drc.clear();
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_, Wire>) {
-        if let Some((wal, crash_time)) = self.crashed_wal.take() {
-            // Fast failover: replay backing objects + log (paper §2.3).
+        if let Some((durable, crash_time)) = self.crashed.take() {
+            // Fast failover: read backing objects + log (paper §2.3).
             ctx.use_cpu(SimDuration::from_millis(50));
-            self.server.recover(wal, crash_time);
+            self.server.recover(durable, crash_time);
         }
     }
 

@@ -12,7 +12,7 @@
 pub mod server;
 pub mod types;
 
-pub use server::{DirAction, DirServer, DirServerConfig};
+pub use server::{DirAction, DirDurable, DirServer, DirServerConfig};
 pub use types::{AttrCell, ChildRef, DirLog, NameCell, NamePolicy, PeerInfo, PeerMsg};
 
 #[cfg(test)]

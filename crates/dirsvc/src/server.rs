@@ -183,6 +183,59 @@ fn ok_reply(proc: NfsProc, attr: Option<Fattr3>) -> NfsReply {
     }
 }
 
+/// What a site keeps in shared network storage, and so what outlives its
+/// process: the image — the cells and ids its backing objects hold — and
+/// the log of the records not folded into the image yet. `crash` hands it
+/// out, `recover` takes it back.
+#[derive(Debug)]
+pub struct DirDurable {
+    names: FxHashMap<u64, NameCell>,
+    attrs: FxHashMap<u64, AttrCell>,
+    applied_peer: FxHashSet<u64>,
+    /// Past every attribute cell the image has ever held.
+    next_file: u64,
+    wal: Wal<DirLog>,
+}
+
+impl DirDurable {
+    fn new(params: WalParams) -> Self {
+        DirDurable {
+            names: FxHashMap::default(),
+            attrs: FxHashMap::default(),
+            applied_peer: FxHashSet::default(),
+            next_file: 0,
+            wal: Wal::new(params),
+        }
+    }
+
+    /// Folds the records that are durable by `now` into the image, oldest
+    /// first. Only a record may reach the image, never a live cell: the
+    /// live tables run ahead of the disk by the batch in flight.
+    fn fold(&mut self, now: SimTime) {
+        while let Some(rec) = self.wal.pop_durable(now) {
+            match rec {
+                DirLog::PutName { key, cell } => drop(self.names.insert(key, cell)),
+                DirLog::DelName { key } => drop(self.names.remove(&key)),
+                DirLog::PutAttr { file, cell } => {
+                    self.next_file = self.next_file.max(file + 1);
+                    self.attrs.insert(file, cell);
+                }
+                DirLog::DelAttr { file } => drop(self.attrs.remove(&file)),
+                DirLog::AppliedPeer { op } => drop(self.applied_peer.insert(op)),
+                DirLog::Intent { .. } | DirLog::IntentDone { .. } => {}
+            }
+        }
+    }
+
+    /// Appends `rec`; returns the instant it is durable. Whatever became
+    /// durable since the last append is folded on the way, at no simulated
+    /// cost: a manager writes its backing objects in the background.
+    fn append(&mut self, now: SimTime, rec: DirLog, size: usize) -> SimTime {
+        self.fold(now);
+        self.wal.append(now, rec, size)
+    }
+}
+
 /// The directory server state machine for one site.
 #[derive(Debug)]
 pub struct DirServer {
@@ -191,7 +244,7 @@ pub struct DirServer {
     attrs: FxHashMap<u64, AttrCell>,
     /// Local entries per directory, ordered for readdir cookies.
     dir_index: FxHashMap<u64, BTreeSet<u64>>,
-    wal: Wal<DirLog>,
+    durable: DirDurable,
     /// Peer ops already applied (idempotence) with their ack payloads.
     applied_peer: FxHashMap<u64, (NfsStatus, PeerInfo)>,
     pending: FxHashMap<u64, Pending>,
@@ -216,7 +269,7 @@ impl DirServer {
             names: FxHashMap::default(),
             attrs: FxHashMap::default(),
             dir_index: FxHashMap::default(),
-            wal: Wal::new(config.wal.clone()),
+            durable: DirDurable::new(config.wal.clone()),
             applied_peer: FxHashMap::default(),
             pending: FxHashMap::default(),
             wait_to_pending: FxHashMap::default(),
@@ -261,14 +314,14 @@ impl DirServer {
         self.attrs.len()
     }
 
-    /// WAL statistics (appends, batches, bytes).
+    /// WAL statistics (appends, batches, bytes) over the site's lifetime.
     pub fn wal_stats(&self) -> (u64, u64, u64) {
-        self.wal.stats()
+        self.durable.wal.stats()
     }
 
-    /// The log, to look at.
+    /// The log, to look at: the records not yet folded into the image.
     pub fn wal(&self) -> &Wal<DirLog> {
-        &self.wal
+        &self.durable.wal
     }
 
     /// Attribute lookup (tests / host attr seeding).
@@ -422,7 +475,7 @@ impl DirServer {
     }
 
     // Cells in memory. `bind`/`unbind`/`plant_root` are the only writers of
-    // `names` and `dir_index`; the live path logs around them, replay and
+    // `names` and `dir_index`; the live path logs around them, recovery and
     // fault injection call them bare.
 
     fn bind(&mut self, key: u64, cell: NameCell) {
@@ -455,22 +508,23 @@ impl DirServer {
 
     fn log_put_name(&mut self, now: SimTime, key: u64, cell: NameCell) -> SimTime {
         self.bind(key, cell.clone());
-        self.wal.append(now, DirLog::PutName { key, cell }, 96)
+        self.durable.append(now, DirLog::PutName { key, cell }, 96)
     }
 
     fn log_del_name(&mut self, now: SimTime, key: u64) -> SimTime {
         self.unbind(key);
-        self.wal.append(now, DirLog::DelName { key }, 16)
+        self.durable.append(now, DirLog::DelName { key }, 16)
     }
 
     fn log_put_attr(&mut self, now: SimTime, file: u64) -> SimTime {
         let cell = self.attrs.get(&file).expect("attr cell present").clone();
-        self.wal.append(now, DirLog::PutAttr { file, cell }, 112)
+        self.durable
+            .append(now, DirLog::PutAttr { file, cell }, 112)
     }
 
     fn log_del_attr(&mut self, now: SimTime, file: u64) -> SimTime {
         self.attrs.remove(&file);
-        self.wal.append(now, DirLog::DelAttr { file }, 16)
+        self.durable.append(now, DirLog::DelAttr { file }, 16)
     }
 
     fn apply_sattr(attr: &mut Fattr3, s: &Sattr3, now: NfsTime) {
@@ -555,7 +609,7 @@ impl DirServer {
         self.multisite_ops += 1;
         let txid = self.next_tx;
         self.next_tx += 1;
-        self.wal.append(rq.now, DirLog::Intent { txid }, 24);
+        self.durable.append(rq.now, DirLog::Intent { txid }, 24);
         let id = self.fresh_op();
         for &w in &rq.waits {
             self.wait_to_pending.insert(w, id);
@@ -1189,7 +1243,7 @@ impl DirServer {
                 let done = self.apply_peer(&mut rq, msg);
                 if mutates {
                     self.applied_peer.insert(op, done.clone());
-                    self.wal.append(now, DirLog::AppliedPeer { op }, 16);
+                    self.durable.append(now, DirLog::AppliedPeer { op }, 16);
                 }
                 done
             }
@@ -1330,28 +1384,29 @@ impl DirServer {
             return;
         }
         let done = DirLog::IntentDone { txid: p.txid };
-        let durable = self.wal.append(rq.now, done, 16);
+        let durable = self.durable.append(rq.now, done, 16);
         rq.token = p.token;
         self.reply(rq, p.reply, p.not_before.max(durable));
     }
 
-    /// Simulates a crash: volatile state is lost; the WAL (in shared
-    /// network storage) survives and is returned for the recovering
-    /// instance. Every field is named, so one added to `DirServer` has to
-    /// be given a fate here before the crate compiles.
-    pub fn crash(&mut self) -> Wal<DirLog> {
+    /// Simulates a crash: volatile state is lost; the image and the log
+    /// (in shared network storage) survive and are returned for the
+    /// recovering instance. Every field is named, so one added to
+    /// `DirServer` has to be given a fate here before the crate compiles.
+    pub fn crash(&mut self) -> DirDurable {
         let DirServer {
-            // Cells: memory only, rebuilt by replaying the log.
+            // Cells: memory only, read back from the image.
             names,
             attrs,
             dir_index,
-            // Rebuilt from the log's `AppliedPeer` records.
+            // Read back from the image's op ids.
             applied_peer,
             // Parked requests die with the process: clients retransmit,
             // and an ack that finds nothing parked is dropped.
             pending,
             wait_to_pending,
-            wal,
+            // Shared network storage: handed to whoever restarts the site.
+            durable,
             // Set by whoever built or reconfigured the server, who still
             // holds it.
             config: _,
@@ -1359,7 +1414,7 @@ impl DirServer {
             // Ids that must never repeat — a peer's `applied_peer` would
             // swallow a new op as an old one, a handle would name two
             // files: modelled as surviving (`recover` also raises
-            // `next_file` past every replayed cell).
+            // `next_file` past every cell the image has held).
             next_file: _,
             next_op: _,
             next_tx: _,
@@ -1375,36 +1430,28 @@ impl DirServer {
         applied_peer.clear();
         pending.clear();
         wait_to_pending.clear();
-        std::mem::replace(wal, Wal::new(WalParams::default()))
+        std::mem::replace(durable, DirDurable::new(WalParams::default()))
     }
 
-    /// Rebuilds cells by replaying the durable WAL prefix, without logging
-    /// again. In-flight multisite operations at crash time are dropped
-    /// (clients retransmit; peers deduplicate by op id).
-    pub fn recover(&mut self, mut wal: Wal<DirLog>, crash_time: SimTime) {
-        let records = wal.recover(crash_time);
-        self.wal = wal;
-        self.plant_root();
-        for rec in records {
-            match rec {
-                DirLog::PutName { key, cell } => self.bind(key, cell),
-                DirLog::DelName { key } => {
-                    self.unbind(key);
-                }
-                DirLog::PutAttr { file, cell } => {
-                    self.next_file = self.next_file.max(file + 1);
-                    self.attrs.insert(file, cell);
-                }
-                DirLog::DelAttr { file } => {
-                    self.attrs.remove(&file);
-                }
-                DirLog::AppliedPeer { op } => {
-                    self.applied_peer
-                        .insert(op, (NfsStatus::Ok, PeerInfo::None));
-                }
-                DirLog::Intent { .. } | DirLog::IntentDone { .. } => {}
-            }
+    /// Reads the cells back: the records the log still holds that were
+    /// durable by `crash_time` are folded, the rest are gone for good, and
+    /// the image is copied into memory — work in the size of the live
+    /// state, however long the site has run. In-flight multisite
+    /// operations at crash time are dropped (clients retransmit; peers
+    /// deduplicate by op id).
+    pub fn recover(&mut self, mut durable: DirDurable, crash_time: SimTime) {
+        durable.wal.recover(crash_time);
+        durable.fold(crash_time);
+        for (&key, cell) in &durable.names {
+            self.bind(key, cell.clone());
         }
+        self.attrs = durable.attrs.clone();
+        self.plant_root();
+        let answered = |&op| (op, (NfsStatus::Ok, PeerInfo::None));
+        self.applied_peer
+            .extend(durable.applied_peer.iter().map(answered));
+        self.next_file = self.next_file.max(durable.next_file);
+        self.durable = durable;
     }
 }
 

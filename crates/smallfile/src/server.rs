@@ -709,14 +709,13 @@ impl SmallFileServer {
     /// are conservatively leaked, as a real FFS-style fsck would reclaim
     /// them offline.
     pub fn recover(&mut self, mut wal: Wal<SfLog>, crash_time: SimTime) {
-        let records = wal.recover(crash_time);
-        self.wal = wal;
+        wal.recover(crash_time);
         // The allocator comes back with its tails past everything ever
         // allocated and the extents the maps still name counted as
         // allocated; pre-crash free fragments are conservatively leaked.
         let mut alloc = ZoneAllocator::new(self.alloc.zones());
-        for rec in records {
-            match rec {
+        for (_, rec) in wal.iter() {
+            match *rec {
                 SfLog::SetExtent {
                     file,
                     block,
@@ -742,6 +741,7 @@ impl SmallFileServer {
         for ext in self.maps.values().flat_map(|m| m.extents.iter().flatten()) {
             alloc.claim(ext.region);
         }
+        self.wal = wal;
         self.alloc = alloc;
     }
 }

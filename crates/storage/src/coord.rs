@@ -1897,17 +1897,17 @@ impl Coordinator {
         mut wal: Wal<IntentRecord>,
         crash_time: SimTime,
     ) -> Vec<CoordAction> {
-        let records = wal.recover(crash_time);
-        self.wal = wal;
+        wal.recover(crash_time);
         let mut open: FxHashMap<u64, IntentRecord> = FxHashMap::default();
-        for r in records {
+        for (_, r) in wal.iter() {
             if r.is_completion {
                 open.remove(&r.id);
             } else {
                 self.next_intent = self.next_intent.max(r.id + 1);
-                open.insert(r.id, r);
+                open.insert(r.id, r.clone());
             }
         }
+        self.wal = wal;
         let mut actions = Vec::new();
         let mut records: Vec<(u64, IntentRecord)> = open.into_iter().collect();
         records.sort_unstable_by_key(|&(id, _)| id);
@@ -2936,7 +2936,7 @@ mod tests {
             // Each range record opens once and completes once, in order.
             let mut open = std::collections::BTreeSet::new();
             let mut completed = 0;
-            for r in c.wal.recover(t(1_000_000)) {
+            for (_, r) in c.wal.iter() {
                 if !matches!(r.kind, IntentKind::DirtyRange { .. }) {
                     continue;
                 }

@@ -13,6 +13,14 @@
 //! The WAL survives node crashes (it lives in shared network storage);
 //! records whose batch had not reached the disk by crash time are lost,
 //! which is exactly the window the recovery protocols must tolerate.
+//!
+//! A log holds the records *not yet folded* into its owner's backing
+//! objects. An owner that keeps a durable image takes each record out
+//! once it is durable ([`Wal::pop_durable`]) and its log stays as short as
+//! the batch in flight; an owner that keeps none leaves every record in
+//! and replays them all ([`Wal::iter`]).
+
+use std::collections::VecDeque;
 
 use slice_sim::time::{SimDuration, SimTime};
 
@@ -41,26 +49,27 @@ impl Default for WalParams {
     }
 }
 
-/// An append-only, crash-surviving log of typed records.
+/// A crash-surviving log of typed records: appended at the back, folded
+/// away from the front.
 #[derive(Debug, Clone)]
 pub struct Wal<T> {
     params: WalParams,
-    /// (instant the record is durable, record).
-    records: Vec<(SimTime, T)>,
+    /// (instant the record is durable, record), oldest first. Durable
+    /// instants never decrease, so the durable records are a prefix.
+    records: VecDeque<(SimTime, T)>,
     /// Log device busy until this instant.
     device_free: SimTime,
-    /// Durable high-water mark index, maintained lazily.
     appended_bytes: u64,
     appends: u64,
     batches: u64,
 }
 
-impl<T: Clone> Wal<T> {
+impl<T> Wal<T> {
     /// Creates an empty log.
     pub fn new(params: WalParams) -> Self {
         Wal {
             params,
-            records: Vec::new(),
+            records: VecDeque::new(),
             device_free: SimTime::ZERO,
             appended_bytes: 0,
             appends: 0,
@@ -93,18 +102,13 @@ impl<T: Clone> Wal<T> {
             self.device_free = d;
             d
         };
-        self.records.push((durable, record));
+        self.records.push_back((durable, record));
         durable
     }
 
-    /// Number of records appended (durable or not).
-    pub fn len(&self) -> usize {
+    /// Records held: appended, neither lost to a crash nor popped.
+    pub fn held(&self) -> usize {
         self.records.len()
-    }
-
-    /// True when no records have been appended.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 
     /// Every record held, oldest first, with the instant it is durable.
@@ -112,22 +116,25 @@ impl<T: Clone> Wal<T> {
         self.records.iter().map(|(d, r)| (*d, r))
     }
 
-    /// Records that were durable by `crash_time` — what a recovery scan
-    /// reads back after a failure at that instant. The rest never reached
-    /// the disk: they are dropped, and no later scan sees them.
-    pub fn recover(&mut self, crash_time: SimTime) -> Vec<T> {
+    /// Takes the oldest record out if its batch has reached the disk by
+    /// `now`, for the owner to fold into its backing objects.
+    pub fn pop_durable(&mut self, now: SimTime) -> Option<T> {
+        if self.records.front()?.0 > now {
+            return None;
+        }
+        self.records.pop_front().map(|(_, r)| r)
+    }
+
+    /// A crash at `crash_time`: the records whose batch had not reached
+    /// the disk by then are discarded, and no later recovery sees them.
+    /// What stays held is what a recovery scan reads back.
+    pub fn recover(&mut self, crash_time: SimTime) {
         let durable = self.records.partition_point(|(d, _)| *d <= crash_time);
         self.records.truncate(durable);
-        self.records.iter().map(|(_, r)| r.clone()).collect()
     }
 
-    /// Discards records before index `upto` (checkpoint truncation).
-    pub fn checkpoint(&mut self, upto: usize) {
-        let upto = upto.min(self.records.len());
-        self.records.drain(..upto);
-    }
-
-    /// (appends, physical batches, bytes) — batching effectiveness.
+    /// (appends, physical batches, bytes) over the log's lifetime —
+    /// batching effectiveness.
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.appends, self.batches, self.appended_bytes)
     }
@@ -172,19 +179,24 @@ mod tests {
         assert_eq!(batches, 2);
     }
 
+    /// What a recovery scan after a crash at `crash_time` reads back.
+    fn scan<T: Clone>(wal: &Wal<T>, crash_time: SimTime) -> Vec<T> {
+        let mut wal = wal.clone();
+        wal.recover(crash_time);
+        wal.iter().map(|(_, r)| r.clone()).collect()
+    }
+
     #[test]
     fn recovery_sees_only_durable_records() {
         let mut wal: Wal<&'static str> = Wal::new(WalParams::default());
         let d1 = wal.append(t(0), "first", 64);
         let _d2 = wal.append(t(20), "second", 64);
         // Crash right after the first record becomes durable.
-        let seen = wal.clone().recover(d1);
-        assert_eq!(seen, vec!["first"]);
+        assert_eq!(scan(&wal, d1), vec!["first"]);
         // Much later, both are durable.
-        let seen = wal.clone().recover(t(1000));
-        assert_eq!(seen, vec!["first", "second"]);
+        assert_eq!(scan(&wal, t(1000)), vec!["first", "second"]);
         // Crash before anything is durable loses everything.
-        assert!(wal.recover(SimTime::ZERO).is_empty());
+        assert!(scan(&wal, SimTime::ZERO).is_empty());
     }
 
     /// Defect 1(viii): a record that was not durable at a crash is gone,
@@ -195,21 +207,10 @@ mod tests {
         wal.append(t(0), 1, 64);
         wal.append(t(20), 2, 64);
         wal.append(t(20), 3, 64);
-        assert_eq!(wal.recover(t(20)), vec![1]);
+        wal.recover(t(20));
+        assert_eq!(wal.held(), 1);
         wal.append(t(40), 4, 64);
-        assert_eq!(wal.recover(t(1000)), vec![1, 4]);
-    }
-
-    #[test]
-    fn checkpoint_truncates_prefix() {
-        let mut wal: Wal<u32> = Wal::new(WalParams::default());
-        for i in 0..10 {
-            wal.append(t(i * 10), i as u32, 32);
-        }
-        wal.checkpoint(7);
-        assert_eq!(wal.len(), 3);
-        let rest = wal.recover(t(10_000));
-        assert_eq!(rest, vec![7, 8, 9]);
+        assert_eq!(scan(&wal, t(1000)), vec![1, 4]);
     }
 
     #[test]
@@ -217,59 +218,42 @@ mod tests {
         let mut wal: Wal<u32> = Wal::new(WalParams::default());
         let d = wal.append(t(5), 9, 256);
         // A crash exactly at the durable instant sees the record; any
-        // instant before it does not.
-        assert_eq!(wal.recover(d), vec![9]);
-        assert!(wal.recover(d - SimDuration::from_nanos(1)).is_empty());
+        // instant before it does not. The same instant decides a pop.
+        assert_eq!(scan(&wal, d), vec![9]);
+        assert!(scan(&wal, d - SimDuration::from_nanos(1)).is_empty());
+        assert_eq!(wal.pop_durable(d - SimDuration::from_nanos(1)), None);
+        assert_eq!(wal.pop_durable(d), Some(9));
     }
 
     #[test]
-    fn checkpoint_and_crash_window_compose() {
-        // Recovery replays exactly the records that are past the last
-        // checkpoint AND durable by crash time — the two truncations are
-        // independent and must compose.
+    fn pop_durable_takes_the_durable_prefix_and_nothing_else() {
         let mut wal: Wal<u32> = Wal::new(WalParams::default());
-        for i in 0..4 {
-            wal.append(t(i * 10), i as u32, 64);
+        for i in 0..10 {
+            wal.append(t(i * 10), i as u32, 32);
         }
-        wal.checkpoint(2);
-        // Records 2 and 3 remain; 3 lands at ~t(30) and is not durable if
-        // the crash strikes just after record 2's batch committed.
-        let seen = wal.clone().recover(t(25));
-        assert_eq!(seen, vec![2]);
-        // A checkpoint never resurrects or reorders what it spared.
-        assert_eq!(wal.recover(t(10_000)), vec![2, 3]);
-        // Checkpointed records stay gone even at an arbitrarily late
-        // crash time.
-        assert!(!wal.recover(t(10_000)).contains(&0));
+        // At t = 65 ms the records of t = 0 .. 60 have reached the disk.
+        let folded: Vec<u32> = std::iter::from_fn(|| wal.pop_durable(t(65))).collect();
+        assert_eq!(folded, vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(wal.held(), 3);
+        // What was popped is the owner's now: no crash brings it back, and
+        // a crash still loses what was not durable among the rest.
+        assert_eq!(scan(&wal, t(85)), vec![7, 8]);
+        assert_eq!(scan(&wal, t(10_000)), vec![7, 8, 9]);
+        // The statistics are of the log's lifetime, not of what it holds.
+        assert_eq!(wal.stats().0, 10);
     }
 
     #[test]
-    fn checkpoint_past_end_empties_log() {
-        let mut wal: Wal<u32> = Wal::new(WalParams::default());
-        for i in 0..3 {
-            wal.append(t(i), i as u32, 32);
-        }
-        wal.checkpoint(usize::MAX);
-        assert!(wal.is_empty());
-        assert!(wal.recover(t(10_000)).is_empty());
-        // The log keeps working after a full truncation, and stats still
-        // count the checkpointed appends.
-        wal.append(t(100), 42, 32);
-        assert_eq!(wal.recover(t(10_000)), vec![42]);
-        let (appends, _, _) = wal.stats();
-        assert_eq!(appends, 4);
-    }
-
-    #[test]
-    fn checkpoint_interacts_with_group_commit_batches() {
+    fn pop_durable_splits_a_batch_at_the_instant() {
         // Two records sharing one batch become durable at distinct
-        // instants (media time separates them); checkpointing the first
-        // must not disturb the second's durability point.
+        // instants (media time separates them).
         let mut wal: Wal<u32> = Wal::new(WalParams::default());
-        let _d1 = wal.append(t(0), 1, 100_000);
+        let d1 = wal.append(t(0), 1, 100_000);
         let d2 = wal.append(t(0), 2, 100_000);
-        wal.checkpoint(1);
-        assert_eq!(wal.recover(d2), vec![2]);
-        assert!(wal.recover(d2 - SimDuration::from_nanos(1)).is_empty());
+        assert_eq!(wal.stats().1, 1);
+        assert_eq!(wal.pop_durable(d1), Some(1));
+        assert_eq!(wal.pop_durable(d2 - SimDuration::from_nanos(1)), None);
+        assert_eq!(wal.pop_durable(d2), Some(2));
+        assert_eq!(wal.held(), 0);
     }
 }

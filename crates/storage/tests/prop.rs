@@ -93,7 +93,8 @@ fn wal_recovery_is_a_prefix() {
             durable_times.push(wal.append(now, i, 64));
         }
         let crash = SimTime::ZERO + SimDuration::from_millis(crash_ms);
-        let recovered = wal.recover(crash);
+        wal.recover(crash);
+        let recovered: Vec<usize> = wal.iter().map(|(_, &i)| i).collect();
         // Durable times are monotone, so recovery yields 0..k.
         let expect: Vec<usize> = durable_times
             .iter()

@@ -39,7 +39,9 @@ fn main() {
     let mut ens = SliceEnsemble::build(&cfg, vec![Box::new(phase1)]);
     ens.start();
     ens.run_to_completion(SimTime::ZERO + SimDuration::from_secs(30));
-    {
+    // The ensemble is idle: every record is durable, so these are the
+    // counts the site must come back with.
+    let durable_cells = {
         let dir = ens.engine.actor::<DirActor>(ens.dirs[0]);
         println!(
             "before crash: directory server holds {} name cells, {} attr cells",
@@ -48,7 +50,8 @@ fn main() {
         );
         let (appends, batches, bytes) = dir.server.wal_stats();
         println!("  WAL: {appends} records in {batches} batched log writes ({bytes} bytes)");
-    }
+        (dir.server.name_cells(), dir.server.attr_cells())
+    };
 
     println!("\n!! crashing the directory server (volatile state lost)");
     let dir_node = ens.dirs[0];
@@ -65,6 +68,13 @@ fn main() {
         .run_until(ens.engine.now() + SimDuration::from_secs(2));
     println!("recovering: failover replays backing objects + write-ahead log");
     ens.engine.recover_node(dir_node);
+    ens.engine
+        .run_until(ens.engine.now() + SimDuration::from_millis(100));
+    {
+        let dir = ens.engine.actor::<DirActor>(dir_node);
+        let recovered = (dir.server.name_cells(), dir.server.attr_cells());
+        assert_eq!(recovered, durable_cells, "image + log give the cells back");
+    }
 
     // Phase two: everything is still there, and the volume is writable.
     let phase2 = ScriptWorkload::new(

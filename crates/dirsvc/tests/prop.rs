@@ -121,14 +121,12 @@ impl Cluster {
     /// record appended now is durable later, so the newest are all held.
     fn observe(&mut self, site: u32) {
         let server = &self.sites[site as usize];
-        let shadow = &mut self.shadow[site as usize];
         let (appends, _, _) = server.wal_stats();
         let new = (appends - self.seen[site as usize]) as usize;
         self.seen[site as usize] = appends;
-        let newest = server.wal().iter().rev().take(new);
-        let at = shadow.len();
-        shadow.extend(newest.map(|(durable, rec)| (durable, rec.clone())));
-        shadow[at..].reverse();
+        let wal = server.wal();
+        let newest = wal.iter().skip(wal.held() - new);
+        self.shadow[site as usize].extend(newest.map(|(durable, rec)| (durable, rec.clone())));
     }
 
     fn serve_peer(&mut self, to: u32, from: u32, msg: PeerMsg) -> Vec<DirAction> {
@@ -581,12 +579,16 @@ fn check_recovery(policy: NamePolicy, sites: u32, nops: usize, rng: &mut Rng) ->
     let mut made: FxHashMap<usize, Fhandle> = FxHashMap::default();
     let mut lost = 0;
     for i in 0..nops {
+        let mut created = None;
         let req = match random_op(rng, NAMES) {
-            ModelOp::Create { name_ix } => NfsRequest::Create {
-                dir: dir_of(name_ix),
-                name: names[name_ix].clone(),
-                attr: Sattr3::default(),
-            },
+            ModelOp::Create { name_ix } => {
+                created = Some(name_ix);
+                NfsRequest::Create {
+                    dir: dir_of(name_ix),
+                    name: names[name_ix].clone(),
+                    attr: Sattr3::default(),
+                }
+            }
             ModelOp::Remove { name_ix } => NfsRequest::Remove {
                 dir: dir_of(name_ix),
                 name: names[name_ix].clone(),
@@ -609,10 +611,6 @@ fn check_recovery(policy: NamePolicy, sites: u32, nops: usize, rng: &mut Rng) ->
                 },
                 None => continue,
             },
-        };
-        let created = match &req {
-            NfsRequest::Create { name, .. } => names.iter().position(|n| n == name),
-            _ => None,
         };
         if let (Some(ix), ReplyBody::Create { fh: Some(fh) }) = (created, cluster.run(req).body) {
             made.insert(ix, fh);

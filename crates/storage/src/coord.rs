@@ -1898,19 +1898,20 @@ impl Coordinator {
         crash_time: SimTime,
     ) -> Vec<CoordAction> {
         wal.recover(crash_time);
-        let mut open: FxHashMap<u64, IntentRecord> = FxHashMap::default();
+        let mut open: FxHashMap<u64, &IntentRecord> = FxHashMap::default();
         for (_, r) in wal.iter() {
             if r.is_completion {
                 open.remove(&r.id);
             } else {
                 self.next_intent = self.next_intent.max(r.id + 1);
-                open.insert(r.id, r.clone());
+                open.insert(r.id, r);
             }
         }
+        let still_open = open.into_iter().map(|(id, r)| (id, r.clone()));
+        let mut records: Vec<(u64, IntentRecord)> = still_open.collect();
+        records.sort_unstable_by_key(|&(id, _)| id);
         self.wal = wal;
         let mut actions = Vec::new();
-        let mut records: Vec<(u64, IntentRecord)> = open.into_iter().collect();
-        records.sort_unstable_by_key(|&(id, _)| id);
         for (id, r) in records {
             match r.kind {
                 // Queued ranges rebuild the dirty log; they are repaired

@@ -112,7 +112,7 @@ impl<T> Wal<T> {
     }
 
     /// Every record held, oldest first, with the instant it is durable.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (SimTime, &T)> {
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &T)> {
         self.records.iter().map(|(d, r)| (*d, r))
     }
 

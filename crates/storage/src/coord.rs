@@ -726,17 +726,21 @@ impl Coordinator {
         std::mem::take(&mut self.resync_events)
     }
 
-    /// Restarts resynchronization of `site` (called when the node is
-    /// known to have recovered): un-shelves it and forces the next sweep
-    /// to retry immediately. A site that does not exist is ignored.
+    /// Restarts resynchronization once `site` is known to have recovered:
+    /// un-shelves every site — a copy-back is shelved for want of its
+    /// target *or* of its only source, and the coordinator does not keep
+    /// which — and forces `site`'s own job to retry at the next sweep. A
+    /// site that does not exist is ignored.
     pub fn kick_resync(&mut self, site: u32) {
         let Some(s) = self.sites.get_mut(site as usize) else {
             return;
         };
-        s.gave_up = false;
         if let Some(job) = &mut s.job {
             job.attempts = 0;
             job.last_attempt = SimTime::ZERO;
+        }
+        for s in &mut self.sites {
+            s.gave_up = false;
         }
     }
 

@@ -638,6 +638,60 @@ fn degraded_write_resyncs_and_recovered_mirror_serves_reads() {
     assert!(after > before, "the recovered mirror must serve reads");
 }
 
+/// Defect 1(ix): a resync shelved because its only *source* was down must
+/// start again when that source returns. Site 0 misses writes whose other
+/// copy is on site 1 or 3; site 0 comes back while site 1 is down, so its
+/// copy-back stalls on the first range only site 1 can supply and is
+/// shelved after `RESYNC_MAX_ATTEMPTS`; then site 1 returns.
+#[test]
+fn resync_shelved_for_a_dead_source_restarts_when_the_source_returns() {
+    use slice::core::actors::CoordActor;
+    use slice::workloads::BulkIo;
+
+    let cfg = SliceConfig {
+        clients: 1,
+        ..Default::default()
+    };
+    let total = 4 * 1024 * 1024u64;
+    let mut ens = SliceEnsemble::build(&cfg, vec![Box::new(BulkIo::writer("ha1", total, true))]);
+    ens.start();
+    ens.engine
+        .run_until(ens.engine.now() + SimDuration::from_millis(20));
+    ens.engine.fail_node(ens.storage[0]);
+    ens.run_to_completion(deadline());
+    assert!(ens.client(0).finished(), "degraded writer must finish");
+    fn coord(ens: &SliceEnsemble) -> &slice::storage::Coordinator {
+        &ens.engine.actor::<CoordActor>(ens.coords[0]).coord
+    }
+    let owed = coord(&ens).dirty_log_dump();
+    assert!(owed.iter().all(|r| r.0 == 0) && !owed.is_empty());
+
+    // The target returns, one of its two sources is gone.
+    ens.engine.fail_node(ens.storage[1]);
+    ens.recover_storage_node(0);
+    ens.engine
+        .run_until(ens.engine.now() + SimDuration::from_secs(90));
+    let left = coord(&ens).dirty_log_dump().len();
+    assert!(
+        left > 0 && left < owed.len(),
+        "ranges site 3 can supply are copied, the rest wait: {left} of {}",
+        owed.len()
+    );
+    assert!(!coord(&ens).needs_sweep(), "the stalled resync is shelved");
+
+    // The source returns: nothing is owed to *it*, the shelved site is 0.
+    ens.recover_storage_node(1);
+    ens.engine
+        .run_until(ens.engine.now() + SimDuration::from_secs(30));
+    assert_eq!(
+        coord(&ens).dirty_log_dump(),
+        vec![],
+        "the shelved resync must restart when its source returns"
+    );
+    let violations = slice::check::check_structural(&ens);
+    assert!(violations.is_empty(), "mirrors converge: {violations:?}");
+}
+
 /// Two mirrored writers in lockstep issue degraded writes with equal RPC
 /// xids (every client numbers from 1). Both clients' missed ranges must
 /// reach the dirty log, or the recovered mirror keeps stale bytes forever.

@@ -19,7 +19,6 @@ fn deadline_secs(s: u64) -> SimTime {
 pub fn bench_config() -> SliceConfig {
     SliceConfig {
         retain_data: false,
-        charge_cpu: true,
         storage_nodes: 8,
         ..Default::default()
     }
@@ -295,7 +294,7 @@ pub fn run_untar_mfs(processes: usize, files_per_process: u64) -> (f64, EngineTo
     let workloads: Vec<Box<dyn slice_core::Workload>> = (0..processes)
         .map(|i| Box::new(Untar::new(i as u64, files_per_process)) as Box<dyn slice_core::Workload>)
         .collect();
-    let mut ens = BaselineEnsemble::build(BaselineKind::Mfs, 8, false, true, 42, workloads);
+    let mut ens = BaselineEnsemble::build(BaselineKind::Mfs, 8, false, 42, workloads);
     ens.start();
     ens.run_to_completion(deadline_secs(36_000));
     let mean = mean_untar_secs(processes, |i| ens.client(i));
@@ -361,7 +360,7 @@ pub fn run_sfs_baseline(processes: usize, offered: f64) -> SfsResult {
                 as Box<dyn slice_core::Workload>
         })
         .collect();
-    let mut ens = BaselineEnsemble::build(BaselineKind::NfsFfs, 8, false, true, 42, workloads);
+    let mut ens = BaselineEnsemble::build(BaselineKind::NfsFfs, 8, false, 42, workloads);
     ens.start();
     ens.run_to_completion(deadline_secs(36_000));
     let now = ens.engine.now();

@@ -12,7 +12,7 @@ use std::any::Any;
 use slice_dirsvc::{DirAction, DirServer};
 use slice_nfsproto::{
     decode_call, encode_reply, view_call, view_reply, BodyView, CallView, Fhandle, NfsProc,
-    NfsRequest, Packet, ReplyView, SockAddr, StableHow,
+    NfsReply, NfsRequest, Packet, ReplyView, SockAddr, StableHow,
 };
 use slice_sim::{Actor, Ctx, EventKind, NodeId, SimDuration, SimTime, Subsystem, START_TAG};
 use slice_smallfile::{SfAction, SfCtl, SmallFileServer};
@@ -23,13 +23,13 @@ use crate::wire::{Router, Wire};
 
 /// Schedules messages for future instants via timers.
 #[derive(Debug, Default)]
-pub(crate) struct DeferredSender {
+struct DeferredSender {
     stash: FxHashMap<u64, (NodeId, Wire)>,
     next_tag: u64,
 }
 
 impl DeferredSender {
-    pub(crate) fn send_at(&mut self, ctx: &mut Ctx<'_, Wire>, at: SimTime, to: NodeId, msg: Wire) {
+    fn send_at(&mut self, ctx: &mut Ctx<'_, Wire>, at: SimTime, to: NodeId, msg: Wire) {
         if at <= ctx.now() {
             ctx.send(to, msg);
         } else {
@@ -41,7 +41,7 @@ impl DeferredSender {
     }
 
     /// Fires a deferred send; returns true if the tag belonged to us.
-    pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64) -> bool {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64) -> bool {
         if let Some((to, msg)) = self.stash.remove(&tag) {
             ctx.send(to, msg);
             true
@@ -83,7 +83,7 @@ pub struct ReplyCache {
     /// is [`IN_PROGRESS`] or the entry's index in `ring`.
     index: FxHashMap<DrcKey, u32>,
     /// Completed replies, oldest at `oldest` once the ring is full.
-    ring: Vec<(DrcKey, slice_nfsproto::NfsReply)>,
+    ring: Vec<(DrcKey, NfsReply)>,
     oldest: usize,
 }
 
@@ -118,7 +118,7 @@ pub enum DrcCheck {
     InProgress,
     /// Retransmission of a completed request: re-encode and replay this
     /// reply (byte-identical to the original — same xid, same encoder).
-    Replay(slice_nfsproto::NfsReply),
+    Replay(NfsReply),
 }
 
 impl ReplyCache {
@@ -144,7 +144,7 @@ impl ReplyCache {
     /// completed entry once [`DRC_CAPACITY`] are held. Completing a key
     /// that is already complete overwrites its reply in place and keeps
     /// its age.
-    pub fn complete(&mut self, dst: SockAddr, xid: u32, reply: slice_nfsproto::NfsReply) {
+    pub fn complete(&mut self, dst: SockAddr, xid: u32, reply: NfsReply) {
         let key = Self::key(dst, xid);
         match self.index.get(&key) {
             Some(&at) if at != IN_PROGRESS => self.ring[at as usize].1 = reply,
@@ -170,25 +170,116 @@ impl ReplyCache {
     }
 }
 
+/// A server actor's place on the network: its address, the map from
+/// addresses to nodes, the calls it is serving, and the timers that hold
+/// a reply back until the instant its state machine computed for it.
+pub(crate) struct Port {
+    addr: SockAddr,
+    router: Router,
+    deferred: DeferredSender,
+    /// Calls in service: token -> (caller, xid).
+    calls: FxHashMap<u64, (SockAddr, u32)>,
+    next_token: u64,
+    /// Held by the servers whose operations must not run twice.
+    drc: Option<ReplyCache>,
+}
+
+impl Port {
+    pub(crate) fn new(addr: SockAddr, router: Router, drc: Option<ReplyCache>) -> Self {
+        Port {
+            addr,
+            router,
+            deferred: DeferredSender::default(),
+            calls: FxHashMap::default(),
+            next_token: 1,
+            drc,
+        }
+    }
+
+    /// Sends `payload` from this server to `dst`, now or at `at`.
+    pub(crate) fn send(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        dst: SockAddr,
+        payload: Vec<u8>,
+        at: SimTime,
+    ) {
+        let pkt = Packet::new(self.addr, dst, payload);
+        if let Some(node) = self.router.try_node_of(dst) {
+            self.deferred.send_at(ctx, at, node, Wire::Udp(pkt));
+        }
+    }
+
+    /// Takes a call in: a new one gets the token its reply will name. A
+    /// retransmission of a call the DRC has answered is answered again
+    /// from it, one of a call still in service is dropped.
+    pub(crate) fn admit(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        src: SockAddr,
+        xid: u32,
+    ) -> Option<u64> {
+        match self.drc.as_mut().map(|drc| drc.admit(src, xid)) {
+            None | Some(DrcCheck::Fresh) => {}
+            Some(DrcCheck::InProgress) => return None,
+            Some(DrcCheck::Replay(reply)) => {
+                self.send(ctx, src, encode_reply(xid, &reply), ctx.now());
+                return None;
+            }
+        }
+        let token = self.next_token;
+        self.next_token += 1;
+        self.calls.insert(token, (src, xid));
+        Some(token)
+    }
+
+    /// Answers the call behind `token`, now or at `at`. The DRC keeps the
+    /// decoded reply, not the packet: the packet sent stays the sole owner
+    /// of its payload, so the µproxy patches attributes into it in place.
+    pub(crate) fn reply(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        token: u64,
+        reply: NfsReply,
+        at: SimTime,
+    ) {
+        let Some((dst, xid)) = self.calls.remove(&token) else {
+            return;
+        };
+        let payload = encode_reply(xid, &reply);
+        if let Some(drc) = &mut self.drc {
+            drc.complete(dst, xid, reply);
+        }
+        self.send(ctx, dst, payload, at);
+    }
+
+    pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64) {
+        self.deferred.on_timer(ctx, tag);
+    }
+
+    /// A crash: calls in service, replies held back and the DRC go.
+    pub(crate) fn crash(&mut self) {
+        self.calls.clear();
+        self.deferred.stash.clear();
+        if let Some(drc) = &mut self.drc {
+            drc.clear();
+        }
+    }
+}
+
 /// A network storage node actor.
 pub struct StorageActor {
     /// The storage node state machine.
     pub node: StorageNode,
-    addr: SockAddr,
-    router: Router,
-    deferred: DeferredSender,
-    charge_cpu: bool,
+    port: Port,
 }
 
 impl StorageActor {
     /// Creates a storage actor serving at `addr`.
-    pub fn new(node: StorageNode, addr: SockAddr, router: Router, charge_cpu: bool) -> Self {
+    pub fn new(node: StorageNode, addr: SockAddr, router: Router) -> Self {
         StorageActor {
             node,
-            addr,
-            router,
-            deferred: DeferredSender::default(),
-            charge_cpu,
+            port: Port::new(addr, router, None),
         }
     }
 }
@@ -202,16 +293,12 @@ impl Actor<Wire> for StorageActor {
                 let Ok((hdr, call)) = view_call(&pkt.payload) else {
                     return;
                 };
-                if self.charge_cpu {
-                    let bytes = match &call {
-                        CallView::Write { data, .. } => data.len(),
-                        CallView::Other(NfsRequest::Read { count, .. }) => *count as usize,
-                        CallView::Other(_) => 0,
-                    };
-                    ctx.use_cpu(
-                        calib::STORAGE_REQ_CPU + payload_cpu(bytes, calib::STORAGE_CPU_PER_4K),
-                    );
-                }
+                let bytes = match &call {
+                    CallView::Write { data, .. } => data.len(),
+                    CallView::Other(NfsRequest::Read { count, .. }) => *count as usize,
+                    CallView::Other(_) => 0,
+                };
+                ctx.use_cpu(calib::STORAGE_REQ_CPU + payload_cpu(bytes, calib::STORAGE_CPU_PER_4K));
                 let seeks_before = self.node.disk_seeks();
                 let (done, reply) = match call {
                     CallView::Write {
@@ -242,30 +329,25 @@ impl Actor<Wire> for StorageActor {
                         },
                     );
                 }
-                let out = Packet::new(self.addr, pkt.src, reply);
-                if let Some(node) = self.router.try_node_of(pkt.src) {
-                    self.deferred.send_at(ctx, done, node, Wire::Udp(out));
-                }
+                self.port.send(ctx, pkt.src, reply, done);
             }
             Wire::Ctl(ctl) => {
-                if self.charge_cpu {
-                    ctx.use_cpu(calib::STORAGE_REQ_CPU);
-                }
+                ctx.use_cpu(calib::STORAGE_REQ_CPU);
                 let (done, reply) = self.node.handle_ctl(ctx.now(), &ctl);
-                self.deferred
-                    .send_at(ctx, done, from, Wire::CtlReply(reply));
+                let reply = Wire::CtlReply(reply);
+                self.port.deferred.send_at(ctx, done, from, reply);
             }
             _ => {}
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64) {
-        self.deferred.on_timer(ctx, tag);
+        self.port.on_timer(ctx, tag);
     }
 
     fn on_fail(&mut self, _now: SimTime) {
         self.node.crash_restart();
-        self.deferred.stash.clear();
+        self.port.crash();
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -281,27 +363,20 @@ pub struct DirActor {
     /// The directory server state machine.
     pub server: DirServer,
     site: u32,
-    addr: SockAddr,
-    router: Router,
+    port: Port,
     dir_nodes: Vec<NodeId>,
     coord_node: NodeId,
     sf_nodes: Vec<NodeId>,
-    deferred: DeferredSender,
-    tokens: FxHashMap<u64, (SockAddr, u32)>,
-    next_token: u64,
     next_req_id: u64,
-    charge_cpu: bool,
     /// Routing-table generation this site's slot map corresponds to.
     pub table_generation: u64,
     /// Image and log preserved across a crash (they live in shared
     /// network storage).
     crashed: Option<(slice_dirsvc::DirDurable, SimTime)>,
-    drc: ReplyCache,
 }
 
 impl DirActor {
     /// Creates a directory actor for `site` at `addr`.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         server: DirServer,
         site: u32,
@@ -310,24 +385,17 @@ impl DirActor {
         dir_nodes: Vec<NodeId>,
         coord_node: NodeId,
         sf_nodes: Vec<NodeId>,
-        charge_cpu: bool,
     ) -> Self {
         DirActor {
             server,
             site,
-            addr,
-            router,
+            port: Port::new(addr, router, Some(ReplyCache::default())),
             dir_nodes,
             coord_node,
             sf_nodes,
-            deferred: DeferredSender::default(),
-            tokens: FxHashMap::default(),
-            next_token: 1,
             next_req_id: 1,
-            charge_cpu,
             table_generation: 1,
             crashed: None,
-            drc: ReplyCache::default(),
         }
     }
 
@@ -360,19 +428,7 @@ impl DirActor {
     fn dispatch(&mut self, ctx: &mut Ctx<'_, Wire>, actions: Vec<DirAction>) {
         for action in actions {
             match action {
-                DirAction::Reply { token, reply, at } => {
-                    let Some((dst, xid)) = self.tokens.remove(&token) else {
-                        continue;
-                    };
-                    // Stash the decoded reply, not the packet: the sent
-                    // packet keeps sole ownership of its payload, so the
-                    // µproxy's attribute patch mutates it in place.
-                    let pkt = Packet::new(self.addr, dst, encode_reply(xid, &reply));
-                    self.drc.complete(dst, xid, reply);
-                    if let Some(node) = self.router.try_node_of(dst) {
-                        self.deferred.send_at(ctx, at, node, Wire::Udp(pkt));
-                    }
-                }
+                DirAction::Reply { token, reply, at } => self.port.reply(ctx, token, reply, at),
                 DirAction::Peer { site, msg } => {
                     let node = self.dir_nodes[site as usize % self.dir_nodes.len()];
                     ctx.send(
@@ -407,30 +463,15 @@ impl Actor<Wire> for DirActor {
                 let Ok((hdr, req)) = decode_call(&pkt.payload) else {
                     return;
                 };
-                if self.charge_cpu {
-                    ctx.use_cpu(calib::DIR_OP_CPU);
-                }
-                match self.drc.admit(pkt.src, hdr.xid) {
-                    DrcCheck::Replay(reply) => {
-                        let out = Packet::new(self.addr, pkt.src, encode_reply(hdr.xid, &reply));
-                        if let Some(node) = self.router.try_node_of(pkt.src) {
-                            ctx.send(node, Wire::Udp(out));
-                        }
-                        return;
-                    }
-                    DrcCheck::InProgress => return,
-                    DrcCheck::Fresh => {}
-                }
-                let token = self.next_token;
-                self.next_token += 1;
-                self.tokens.insert(token, (pkt.src, hdr.xid));
+                ctx.use_cpu(calib::DIR_OP_CPU);
+                let Some(token) = self.port.admit(ctx, pkt.src, hdr.xid) else {
+                    return;
+                };
                 let actions = self.server.handle_nfs(ctx.now(), token, &req);
                 self.dispatch(ctx, actions);
             }
             Wire::Peer { from_site, msg } => {
-                if self.charge_cpu {
-                    ctx.use_cpu(calib::DIR_PEER_CPU);
-                }
+                ctx.use_cpu(calib::DIR_PEER_CPU);
                 let actions = self.server.handle_peer(ctx.now(), from_site, msg);
                 self.dispatch(ctx, actions);
             }
@@ -451,16 +492,14 @@ impl Actor<Wire> for DirActor {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64) {
-        self.deferred.on_timer(ctx, tag);
+        self.port.on_timer(ctx, tag);
     }
 
     fn on_fail(&mut self, now: SimTime) {
         // Volatile state is lost; the image and the log survive in shared
         // storage, the log up to the crash instant.
         self.crashed = Some((self.server.crash(), now));
-        self.tokens.clear();
-        self.deferred.stash.clear();
-        self.drc.clear();
+        self.port.crash();
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_, Wire>) {
@@ -483,15 +522,11 @@ impl Actor<Wire> for DirActor {
 pub struct SmallFileActor {
     /// The small-file server state machine.
     pub server: SmallFileServer,
-    addr: SockAddr,
-    router: Router,
+    port: Port,
     storage_addrs: Vec<SockAddr>,
-    tokens: FxHashMap<u64, (SockAddr, u32)>,
     /// Backing RPC xid -> (sf tag, read?).
     backing: FxHashMap<u32, (u64, bool)>,
-    next_token: u64,
     next_xid: u32,
-    charge_cpu: bool,
     crashed_wal: Option<(slice_storage::Wal<slice_smallfile::SfLog>, SimTime)>,
 }
 
@@ -503,18 +538,13 @@ impl SmallFileActor {
         addr: SockAddr,
         router: Router,
         storage_addrs: Vec<SockAddr>,
-        charge_cpu: bool,
     ) -> Self {
         SmallFileActor {
             server,
-            addr,
-            router,
+            port: Port::new(addr, router, None),
             storage_addrs,
-            tokens: FxHashMap::default(),
             backing: FxHashMap::default(),
-            next_token: 1,
             next_xid: 1,
-            charge_cpu,
             crashed_wal: None,
         }
     }
@@ -522,15 +552,7 @@ impl SmallFileActor {
     fn dispatch(&mut self, ctx: &mut Ctx<'_, Wire>, actions: Vec<SfAction>) {
         for action in actions {
             match action {
-                SfAction::Reply { token, reply } => {
-                    let Some((dst, xid)) = self.tokens.remove(&token) else {
-                        continue;
-                    };
-                    let pkt = Packet::new(self.addr, dst, encode_reply(xid, &reply));
-                    if let Some(node) = self.router.try_node_of(dst) {
-                        ctx.send(node, Wire::Udp(pkt));
-                    }
-                }
+                SfAction::Reply { token, reply } => self.port.reply(ctx, token, reply, ctx.now()),
                 SfAction::BackingRead {
                     tag,
                     site,
@@ -586,10 +608,7 @@ impl SmallFileActor {
         }
         let payload = slice_nfsproto::encode_call(xid, &slice_nfsproto::AuthUnix::default(), req);
         let addr = self.storage_addrs[site as usize % self.storage_addrs.len()];
-        let pkt = Packet::new(self.addr, addr, payload);
-        if let Some(node) = self.router.try_node_of(addr) {
-            ctx.send(node, Wire::Udp(pkt));
-        }
+        self.port.send(ctx, addr, payload, ctx.now());
     }
 }
 
@@ -604,19 +623,15 @@ impl Actor<Wire> for SmallFileActor {
                     let Ok((hdr, req)) = decode_call(&pkt.payload) else {
                         return;
                     };
-                    if self.charge_cpu {
-                        let bytes = match &req {
-                            NfsRequest::Write { data, .. } => data.len(),
-                            NfsRequest::Read { count, .. } => *count as usize,
-                            _ => 0,
-                        };
-                        ctx.use_cpu(
-                            calib::SF_OP_CPU + payload_cpu(bytes, calib::STORAGE_CPU_PER_4K),
-                        );
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.tokens.insert(token, (pkt.src, hdr.xid));
+                    let bytes = match &req {
+                        NfsRequest::Write { data, .. } => data.len(),
+                        NfsRequest::Read { count, .. } => *count as usize,
+                        _ => 0,
+                    };
+                    ctx.use_cpu(calib::SF_OP_CPU + payload_cpu(bytes, calib::STORAGE_CPU_PER_4K));
+                    let Some(token) = self.port.admit(ctx, pkt.src, hdr.xid) else {
+                        return;
+                    };
                     let actions = self.server.handle_nfs(ctx.now(), token, req);
                     self.dispatch(ctx, actions);
                 } else {
@@ -645,9 +660,7 @@ impl Actor<Wire> for SmallFileActor {
                 }
             }
             Wire::SfCtl(ctl) => {
-                if self.charge_cpu {
-                    ctx.use_cpu(calib::SF_OP_CPU);
-                }
+                ctx.use_cpu(calib::SF_OP_CPU);
                 let actions = self.server.handle_ctl(ctx.now(), &ctl);
                 self.dispatch(ctx, actions);
             }
@@ -658,7 +671,7 @@ impl Actor<Wire> for SmallFileActor {
     fn on_fail(&mut self, now: SimTime) {
         let wal = self.server.crash();
         self.crashed_wal = Some((wal, now));
-        self.tokens.clear();
+        self.port.crash();
         self.backing.clear();
     }
 
@@ -686,7 +699,6 @@ pub struct CoordActor {
     pub coord: Coordinator,
     storage_nodes: Vec<NodeId>,
     deferred: DeferredSender,
-    charge_cpu: bool,
     crashed_wal: Option<(slice_storage::Wal<slice_storage::IntentRecord>, SimTime)>,
     /// True while the timeout sweep timer is pending. The sweep only runs
     /// while intentions are open — an idle coordinator must not keep the
@@ -700,12 +712,11 @@ pub struct CoordActor {
 
 impl CoordActor {
     /// Creates a coordinator actor over the given storage nodes.
-    pub fn new(coord: Coordinator, storage_nodes: Vec<NodeId>, charge_cpu: bool) -> Self {
+    pub fn new(coord: Coordinator, storage_nodes: Vec<NodeId>) -> Self {
         CoordActor {
             coord,
             storage_nodes,
             deferred: DeferredSender::default(),
-            charge_cpu,
             crashed_wal: None,
             sweep_armed: false,
             pending_reconf: Vec::new(),
@@ -767,17 +778,13 @@ impl Actor<Wire> for CoordActor {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire>, from: NodeId, msg: Wire) {
         match msg {
             Wire::Coord(m) => {
-                if self.charge_cpu {
-                    ctx.use_cpu(calib::COORD_MSG_CPU);
-                }
+                ctx.use_cpu(calib::COORD_MSG_CPU);
                 let actions = self.coord.handle(ctx.now(), u64::from(from.0), m);
                 self.dispatch(ctx, actions);
                 self.arm_sweep_if_busy(ctx);
             }
             Wire::CtlReply(reply) => {
-                if self.charge_cpu {
-                    ctx.use_cpu(calib::COORD_MSG_CPU);
-                }
+                ctx.use_cpu(calib::COORD_MSG_CPU);
                 let site = self
                     .storage_nodes
                     .iter()

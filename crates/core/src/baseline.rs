@@ -11,13 +11,11 @@
 use std::any::Any;
 
 use slice_dirsvc::{DirAction, DirServer, DirServerConfig, NamePolicy};
-use slice_nfsproto::{
-    decode_call, encode_reply, NfsReply, NfsRequest, Packet, ReplyBody, SockAddr,
-};
+use slice_nfsproto::{decode_call, NfsReply, NfsRequest, ReplyBody, SockAddr};
 use slice_sim::{Actor, Ctx, DiskArray, LruCache, NodeId, SimTime};
 use slice_storage::{StorageNode, StorageNodeConfig};
 
-use crate::actors::{DeferredSender, DrcCheck, ReplyCache};
+use crate::actors::{Port, ReplyCache};
 use crate::calib;
 use crate::wire::{Router, Wire};
 
@@ -223,25 +221,15 @@ impl MonoFs {
 pub struct BaselineActor {
     /// The server.
     pub fs: MonoFs,
-    addr: SockAddr,
-    router: Router,
-    deferred: DeferredSender,
-    next_token: u64,
-    charge_cpu: bool,
-    drc: ReplyCache,
+    port: Port,
 }
 
 impl BaselineActor {
     /// Creates a baseline actor at `addr`.
-    pub fn new(fs: MonoFs, addr: SockAddr, router: Router, charge_cpu: bool) -> Self {
+    pub fn new(fs: MonoFs, addr: SockAddr, router: Router) -> Self {
         BaselineActor {
             fs,
-            addr,
-            router,
-            deferred: DeferredSender::default(),
-            next_token: 1,
-            charge_cpu,
-            drc: ReplyCache::default(),
+            port: Port::new(addr, router, Some(ReplyCache::default())),
         }
     }
 }
@@ -254,41 +242,25 @@ impl Actor<Wire> for BaselineActor {
         let Ok((hdr, req)) = decode_call(&pkt.payload) else {
             return;
         };
-        if self.charge_cpu {
-            let base = match self.fs.kind {
-                BaselineKind::NfsFfs => calib::MONO_OP_CPU,
-                BaselineKind::Mfs => calib::MFS_OP_CPU,
-            };
-            let bytes = match &req {
-                NfsRequest::Write { data, .. } => data.len(),
-                NfsRequest::Read { count, .. } => *count as usize,
-                _ => 0,
-            };
-            ctx.use_cpu(base + calib::STORAGE_CPU_PER_4K.mul_f64(bytes as f64 / 4096.0));
-        }
-        match self.drc.admit(pkt.src, hdr.xid) {
-            DrcCheck::Replay(reply) => {
-                let out = Packet::new(self.addr, pkt.src, encode_reply(hdr.xid, &reply));
-                if let Some(node) = self.router.try_node_of(pkt.src) {
-                    ctx.send(node, Wire::Udp(out));
-                }
-                return;
-            }
-            DrcCheck::InProgress => return,
-            DrcCheck::Fresh => {}
-        }
-        let token = self.next_token;
-        self.next_token += 1;
+        let base = match self.fs.kind {
+            BaselineKind::NfsFfs => calib::MONO_OP_CPU,
+            BaselineKind::Mfs => calib::MFS_OP_CPU,
+        };
+        let bytes = match &req {
+            NfsRequest::Write { data, .. } => data.len(),
+            NfsRequest::Read { count, .. } => *count as usize,
+            _ => 0,
+        };
+        ctx.use_cpu(base + calib::STORAGE_CPU_PER_4K.mul_f64(bytes as f64 / 4096.0));
+        let Some(token) = self.port.admit(ctx, pkt.src, hdr.xid) else {
+            return;
+        };
         let (done, reply) = self.fs.handle(ctx.now(), token, &req);
-        let out = Packet::new(self.addr, pkt.src, encode_reply(hdr.xid, &reply));
-        self.drc.complete(pkt.src, hdr.xid, reply);
-        if let Some(node) = self.router.try_node_of(pkt.src) {
-            self.deferred.send_at(ctx, done, node, Wire::Udp(out));
-        }
+        self.port.reply(ctx, token, reply, done);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64) {
-        self.deferred.on_timer(ctx, tag);
+        self.port.on_timer(ctx, tag);
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -99,6 +99,10 @@ pub const MONO_META_CACHE_BYTES: u64 = 1024 * 1024;
 /// Disks per storage node.
 pub const DISKS_PER_NODE: usize = 8;
 
+/// Stripe unit of bulk placement (bytes): static striping, block maps
+/// and coded stripes all cut a file's bulk region at this grain.
+pub const STRIPE_UNIT: u64 = 64 * 1024;
+
 /// The per-arm disk model.
 pub fn disk_params() -> DiskParams {
     DiskParams::cheetah()

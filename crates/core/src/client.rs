@@ -68,8 +68,6 @@ pub struct ClientConfig {
     pub server_addr: SockAddr,
     /// RPC credential.
     pub cred: AuthUnix,
-    /// Charge calibrated CPU costs (off for pure protocol tests).
-    pub charge_cpu: bool,
     /// Record an [`OpHistory`] of every call for the consistency oracles
     /// (off by default: the big benchmarks should not pay for it).
     pub record_history: bool,
@@ -116,7 +114,8 @@ pub struct ClientInner {
     cfg: ClientConfig,
     proxy: Option<Uproxy>,
     router: Router,
-    coord_nodes: Vec<NodeId>,
+    /// The block-service coordinator the µproxy talks to.
+    coord: Option<NodeId>,
     /// Where to fetch fresh routing tables (directory site 0).
     dir_table_source: Option<NodeId>,
     pending: FxHashMap<u32, PendingRpc>,
@@ -153,8 +152,8 @@ impl ClientInner {
                     }
                 }
                 ProxyOut::Client(p) => to_client.push(p),
-                ProxyOut::Coord { site, msg } => {
-                    if let Some(&node) = self.coord_nodes.get(site as usize) {
+                ProxyOut::Coord(msg) => {
+                    if let Some(node) = self.coord {
                         ctx.send(node, Wire::Coord(msg));
                     }
                 }
@@ -178,13 +177,11 @@ impl ClientInner {
             NfsRequest::Write { data, .. } => data.len() as u64,
             _ => 0,
         };
-        if self.cfg.charge_cpu {
-            let mut cpu = calib::CLIENT_SEND_CPU;
-            if write_bytes > 0 {
-                cpu += calib::CLIENT_WRITE_CPU_PER_4K.mul_f64(write_bytes as f64 / 4096.0);
-            }
-            ctx.use_cpu(cpu);
+        let mut cpu = calib::CLIENT_SEND_CPU;
+        if write_bytes > 0 {
+            cpu += calib::CLIENT_WRITE_CPU_PER_4K.mul_f64(write_bytes as f64 / 4096.0);
         }
+        ctx.use_cpu(cpu);
         let xid = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
         let payload = encode_call(xid, &self.cfg.cred, &req);
@@ -216,47 +213,51 @@ impl ClientInner {
         self.transmit(ctx, pkt);
     }
 
+    /// Runs one µproxy entry point, sends what it emits, folds its
+    /// counters into the stats and the trace, and returns the packets it
+    /// addressed to the local client stack (none without a µproxy).
+    fn through_proxy(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        entry: impl FnOnce(&mut Uproxy, &mut Ctx<'_, Wire>) -> Vec<ProxyOut>,
+    ) -> Vec<Packet> {
+        let Some(proxy) = &mut self.proxy else {
+            return Vec::new();
+        };
+        let outs = entry(proxy, ctx);
+        let to_client = self.dispatch_proxy_out(ctx, outs);
+        self.sync_proxy_obs(ctx);
+        to_client
+    }
+
     fn transmit(&mut self, ctx: &mut Ctx<'_, Wire>, pkt: Packet) {
-        match &mut self.proxy {
-            Some(_) => {
-                if self.cfg.charge_cpu {
-                    ctx.use_cpu(calib::UPROXY_PACKET_CPU);
-                }
-                let outs = self
-                    .proxy
-                    .as_mut()
-                    .expect("checked")
-                    .outbound(ctx.now(), pkt);
-                if self.cfg.charge_cpu {
-                    // Duplicates the µproxy initiates (mirrored writes)
-                    // cost the client host extra driver/DMA work.
-                    let nets: Vec<usize> = outs
-                        .iter()
-                        .filter_map(|o| match o {
-                            ProxyOut::Net(p) => Some(p.payload.len()),
-                            _ => None,
-                        })
-                        .collect();
-                    for &bytes in nets.iter().skip(1) {
-                        ctx.use_cpu(
-                            calib::UPROXY_DUP_CPU
-                                + calib::UPROXY_DUP_CPU_PER_4K.mul_f64(bytes as f64 / 4096.0),
-                        );
-                    }
-                }
-                let leftover = self.dispatch_proxy_out(ctx, outs);
-                debug_assert!(
-                    leftover.is_empty(),
-                    "outbound packets cannot target the client"
-                );
-                self.sync_proxy_obs(ctx);
+        if self.proxy.is_none() {
+            if let Some(node) = self.router.try_node_of(pkt.dst) {
+                ctx.send(node, Wire::Udp(pkt));
             }
-            None => {
-                if let Some(node) = self.router.try_node_of(pkt.dst) {
-                    ctx.send(node, Wire::Udp(pkt));
-                }
-            }
+            return;
         }
+        let to_client = self.through_proxy(ctx, |proxy, ctx| {
+            ctx.use_cpu(calib::UPROXY_PACKET_CPU);
+            let outs = proxy.outbound(ctx.now(), pkt);
+            // Duplicates the µproxy initiates (mirrored writes) cost the
+            // client host extra driver/DMA work.
+            let nets = outs.iter().filter_map(|o| match o {
+                ProxyOut::Net(p) => Some(p.payload.len()),
+                _ => None,
+            });
+            for bytes in nets.skip(1) {
+                ctx.use_cpu(
+                    calib::UPROXY_DUP_CPU
+                        + calib::UPROXY_DUP_CPU_PER_4K.mul_f64(bytes as f64 / 4096.0),
+                );
+            }
+            outs
+        });
+        debug_assert!(
+            to_client.is_empty(),
+            "outbound packets cannot target the client"
+        );
     }
 
     /// Folds µproxy-side observability into the client's stats and the
@@ -333,22 +334,22 @@ pub struct ClientActor {
 }
 
 impl ClientActor {
-    /// Creates a client. `proxy` is `Some` for Slice configurations and
-    /// `None` for direct-to-server baselines. `coord_nodes` maps
-    /// coordinator site indices to engine nodes.
+    /// Creates a client. `proxy` is the embedded µproxy and the node of
+    /// the coordinator it talks to for Slice configurations, `None` for
+    /// direct-to-server baselines.
     pub fn new(
         cfg: ClientConfig,
-        proxy: Option<Uproxy>,
+        proxy: Option<(Uproxy, NodeId)>,
         router: Router,
-        coord_nodes: Vec<NodeId>,
         workload: Box<dyn Workload>,
     ) -> Self {
+        let (proxy, coord) = proxy.unzip();
         ClientActor {
             inner: ClientInner {
                 cfg,
                 proxy,
                 router,
-                coord_nodes,
+                coord,
                 dir_table_source: None,
                 pending: FxHashMap::default(),
                 next_xid: 1,
@@ -430,44 +431,46 @@ impl ClientActor {
         let Ok((_, reply)) = decode_reply(&pkt.payload, rec.proc) else {
             return;
         };
-        if self.inner.cfg.charge_cpu {
-            let mut cpu = calib::CLIENT_RECV_CPU;
-            if let slice_nfsproto::ReplyBody::Read { data, .. } = &reply.body {
-                cpu += calib::CLIENT_READ_CPU_PER_4K.mul_f64(data.len() as f64 / 4096.0);
-            }
-            ctx.use_cpu(cpu);
+        let mut cpu = calib::CLIENT_RECV_CPU;
+        if let slice_nfsproto::ReplyBody::Read { data, .. } = &reply.body {
+            cpu += calib::CLIENT_READ_CPU_PER_4K.mul_f64(data.len() as f64 / 4096.0);
+            self.inner.stats.bytes_read += data.len() as u64;
         }
+        ctx.use_cpu(cpu);
         self.inner.stats.ops += 1;
+        self.inner.stats.bytes_written += rec.write_bytes;
         let latency = ctx.now() - rec.first_sent_at;
         self.inner.stats.latency.record(latency);
+        ctx.obs()
+            .registry
+            .observe("client.op_latency_ns", latency.as_nanos());
+        self.complete(ctx, xid, rec, reply);
+    }
+
+    /// The one exit of an RPC, taken by a reply and by the error that
+    /// stands in for one when the retries run out: the trace, the
+    /// history and the workload all see the op end here.
+    fn complete(&mut self, ctx: &mut Ctx<'_, Wire>, xid: u32, rec: PendingRpc, reply: NfsReply) {
         ctx.trace(
             Subsystem::Client,
             EventKind::OpComplete {
                 op: rec.proc.name(),
                 xid: u64::from(xid),
-                latency_ns: latency.as_nanos(),
+                latency_ns: (ctx.now() - rec.first_sent_at).as_nanos(),
             },
         );
-        ctx.obs()
-            .registry
-            .observe("client.op_latency_ns", latency.as_nanos());
-        self.inner.stats.bytes_written += rec.write_bytes;
-        if let slice_nfsproto::ReplyBody::Read { data, .. } = &reply.body {
-            self.inner.stats.bytes_read += data.len() as u64;
-        }
         if self.inner.cfg.record_history {
             self.inner
                 .history
                 .complete(ctx.now(), xid, rec.retries, &reply);
         }
-        let tag = rec.tag;
-        // The completed RPC's stashed WRITE data and the reply's READ
-        // payload are both dead now; hand them back to the recycler
-        // instead of dropping them on the allocator.
+        // The stashed WRITE data and the reply's READ payload are dead
+        // once the workload has seen the reply; hand them back to the
+        // recycler instead of dropping them on the allocator.
         if let NfsRequest::Write { data, .. } = rec.request {
             slice_sim::pool::give(data);
         }
-        self.with_workload(ctx, |w, io| w.on_reply(io, tag, &reply));
+        self.with_workload(ctx, |w, io| w.on_reply(io, rec.tag, &reply));
         if let slice_nfsproto::ReplyBody::Read { data, .. } = reply.body {
             slice_sim::pool::give(data);
         }
@@ -479,18 +482,10 @@ impl Actor<Wire> for ClientActor {
         match msg {
             Wire::Udp(pkt) => {
                 let replies = if self.inner.proxy.is_some() {
-                    if self.inner.cfg.charge_cpu {
+                    self.inner.through_proxy(ctx, |proxy, ctx| {
                         ctx.use_cpu(calib::UPROXY_PACKET_CPU);
-                    }
-                    let outs = self
-                        .inner
-                        .proxy
-                        .as_mut()
-                        .expect("checked")
-                        .inbound(ctx.now(), pkt);
-                    let replies = self.inner.dispatch_proxy_out(ctx, outs);
-                    self.inner.sync_proxy_obs(ctx);
-                    replies
+                        proxy.inbound(ctx.now(), pkt)
+                    })
                 } else {
                     vec![pkt]
                 };
@@ -498,15 +493,11 @@ impl Actor<Wire> for ClientActor {
                     self.deliver_reply(ctx, p);
                 }
             }
-            Wire::CoordReply(reply) if self.inner.proxy.is_some() => {
-                let outs = self
+            Wire::CoordReply(reply) => {
+                let replies = self
                     .inner
-                    .proxy
-                    .as_mut()
-                    .expect("checked")
-                    .coord_reply(ctx.now(), reply);
-                let leftover = self.inner.dispatch_proxy_out(ctx, outs);
-                for p in leftover {
+                    .through_proxy(ctx, |proxy, ctx| proxy.coord_reply(ctx.now(), reply));
+                for p in replies {
                     self.deliver_reply(ctx, p);
                 }
             }
@@ -536,12 +527,10 @@ impl Actor<Wire> for ClientActor {
             return;
         }
         if tag == TAG_TICK {
-            if self.inner.proxy.is_some() {
-                let outs = self.inner.proxy.as_mut().expect("checked").tick(ctx.now());
-                let leftover = self.inner.dispatch_proxy_out(ctx, outs);
-                debug_assert!(leftover.is_empty());
-                self.inner.sync_proxy_obs(ctx);
-            }
+            let to_client = self
+                .inner
+                .through_proxy(ctx, |proxy, ctx| proxy.tick(ctx.now()));
+            debug_assert!(to_client.is_empty());
             // The tick keeps running while anything is outstanding: an
             // unfinished workload, an unanswered RPC, or a dirty attribute
             // awaiting write-back acknowledgement. Once fully quiescent it
@@ -578,24 +567,9 @@ impl Actor<Wire> for ClientActor {
                 // records the outcome, and the stats count it.
                 let rec = self.inner.pending.remove(&xid).expect("checked");
                 self.inner.stats.timeouts += 1;
-                let reply = NfsReply::error(rec.proc, slice_nfsproto::NfsStatus::Io);
-                let latency = ctx.now() - rec.first_sent_at;
-                ctx.trace(
-                    Subsystem::Client,
-                    EventKind::OpComplete {
-                        op: rec.proc.name(),
-                        xid: u64::from(xid),
-                        latency_ns: latency.as_nanos(),
-                    },
-                );
                 ctx.obs().registry.add("client.rpc_timeouts", 1);
-                if self.inner.cfg.record_history {
-                    self.inner
-                        .history
-                        .complete(ctx.now(), xid, rec.retries, &reply);
-                }
-                let wtag = rec.tag;
-                self.with_workload(ctx, |w, io| w.on_reply(io, wtag, &reply));
+                let reply = NfsReply::error(rec.proc, slice_nfsproto::NfsStatus::Io);
+                self.complete(ctx, xid, rec, reply);
                 return;
             }
             rec.retries += 1;
@@ -625,11 +599,10 @@ impl Actor<Wire> for ClientActor {
             // Observed retransmissions feed the µproxy's failure-suspicion
             // table: the interposed layer learns a routed-to site is not
             // answering and steers the retry (and later traffic) away.
-            if let Some(p) = self.inner.proxy.as_mut() {
-                let outs = p.note_retransmit(ctx.now(), xid);
-                let leftover = self.inner.dispatch_proxy_out(ctx, outs);
-                debug_assert!(leftover.is_empty());
-            }
+            let to_client = self
+                .inner
+                .through_proxy(ctx, |proxy, ctx| proxy.note_retransmit(ctx.now(), xid));
+            debug_assert!(to_client.is_empty());
             self.inner.transmit(ctx, pkt);
         }
     }

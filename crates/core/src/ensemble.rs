@@ -66,13 +66,13 @@ pub struct SliceConfig {
     pub sf_servers: usize,
     /// Number of network storage nodes.
     pub storage_nodes: usize,
-    /// Disk arms per storage node.
-    pub disks_per_node: usize,
     /// Name-space policy.
     pub policy: EnsemblePolicy,
     /// Retain file contents (tests) or metadata only (big benchmarks).
     pub retain_data: bool,
-    /// Charge calibrated CPU costs (off for pure protocol tests).
+    /// Accepted and ignored: calibrated CPU is always charged. The field
+    /// remains only because `benchmark/`'s `bench_config` names it and a
+    /// judged PR may not edit the benchmark.
     pub charge_cpu: bool,
     /// Record per-client op histories for the `slice-check` oracles.
     pub record_history: bool,
@@ -84,8 +84,6 @@ pub struct SliceConfig {
     pub use_intents: bool,
     /// Route bulk I/O through coordinator block maps.
     pub use_block_maps: bool,
-    /// Stripe unit for static placement (bytes).
-    pub stripe_unit: u64,
     /// Erasure-coded layout `(n, k)` for mapped files' bulk regions:
     /// every stripe is split into k data + n−k parity shards across n
     /// disjoint sites. Implies block maps. `None` keeps mirroring.
@@ -121,7 +119,6 @@ impl Default for SliceConfig {
             dir_servers: 1,
             sf_servers: 2,
             storage_nodes: 4,
-            disks_per_node: calib::DISKS_PER_NODE,
             policy: EnsemblePolicy::MkdirSwitching {
                 redirect_millis: 250,
             },
@@ -132,7 +129,6 @@ impl Default for SliceConfig {
             storage_cache_bytes: calib::STORAGE_CACHE_BYTES,
             use_intents: true,
             use_block_maps: false,
-            stripe_unit: 64 * 1024,
             coded: None,
             mapped_mirror: false,
             wal_group_commit: true,
@@ -187,10 +183,10 @@ impl SliceConfig {
                      have {active}"
                 ));
             }
-            if !self.stripe_unit.is_multiple_of(u64::from(k)) {
+            if !calib::STRIPE_UNIT.is_multiple_of(u64::from(k)) {
                 return Err(format!(
                     "stripe unit {} must divide into k={k} equal shards",
-                    self.stripe_unit
+                    calib::STRIPE_UNIT
                 ));
             }
         }
@@ -264,9 +260,8 @@ impl SliceEnsemble {
         let dir_ids = take(cfg.dir_servers);
         let sf_ids = take(cfg.sf_servers);
         let storage_ids = take(cfg.storage_nodes);
-        // One block-service coordinator: every µproxy hashes a file onto
-        // `coord_sites` of them and every directory server sends its data
-        // effects to the first, so a second would see half the picture.
+        // One block-service coordinator: it sees every µproxy's marks and
+        // every directory server's data effects, or it sees half of them.
         let coord_ids = take(1);
 
         let mut router = Router::new();
@@ -302,10 +297,9 @@ impl SliceEnsemble {
                 dir_sites: plan.dirs.clone(),
                 sf_sites: plan.sfs.clone(),
                 storage_sites: plan.storage.clone(),
-                coord_sites: coord_ids.len() as u32,
                 name_policy,
                 threshold: slice_smallfile::SF_THRESHOLD,
-                stripe_unit: cfg.stripe_unit,
+                stripe_unit: calib::STRIPE_UNIT,
                 coded: cfg.coded,
                 use_block_maps,
                 use_intents: cfg.use_intents,
@@ -323,16 +317,10 @@ impl SliceEnsemble {
                     machine: format!("client{i}"),
                     ..Default::default()
                 },
-                charge_cpu: cfg.charge_cpu,
                 record_history: cfg.record_history,
             };
-            let actor = ClientActor::new(
-                client_cfg,
-                Some(Uproxy::new(proxy_cfg)),
-                router.clone(),
-                coord_ids.clone(),
-                workload,
-            );
+            let proxy = Some((Uproxy::new(proxy_cfg), coord_ids[0]));
+            let actor = ClientActor::new(client_cfg, proxy, router.clone(), workload);
             let id = engine.add_node(&format!("client{i}"), Box::new(actor));
             assert_eq!(id, client_ids[i]);
         }
@@ -357,7 +345,6 @@ impl SliceEnsemble {
                 dir_ids.clone(),
                 coord_ids[0],
                 sf_ids.clone(),
-                cfg.charge_cpu,
             );
             let id = engine.add_node(&format!("dir{i}"), Box::new(actor));
             assert_eq!(id, expect);
@@ -370,26 +357,20 @@ impl SliceEnsemble {
                 cache_bytes: cfg.sf_cache_bytes,
                 retain_data: cfg.retain_data,
             });
-            let actor = SmallFileActor::new(
-                sf,
-                plan.sfs[i],
-                router.clone(),
-                plan.storage.clone(),
-                cfg.charge_cpu,
-            );
+            let actor = SmallFileActor::new(sf, plan.sfs[i], router.clone(), plan.storage.clone());
             let id = engine.add_node(&format!("sf{i}"), Box::new(actor));
             assert_eq!(id, expect);
         }
         // Storage nodes.
         for (i, &expect) in storage_ids.iter().enumerate() {
             let node = StorageNode::new(&StorageNodeConfig {
-                disks: cfg.disks_per_node,
+                disks: calib::DISKS_PER_NODE,
                 disk_params: calib::disk_params(),
                 channel_bps: calib::STORAGE_CHANNEL_BPS,
                 cache_bytes: cfg.storage_cache_bytes,
                 retain_data: cfg.retain_data,
             });
-            let actor = StorageActor::new(node, plan.storage[i], router.clone(), cfg.charge_cpu);
+            let actor = StorageActor::new(node, plan.storage[i], router.clone());
             let id = engine.add_node(&format!("storage{i}"), Box::new(actor));
             assert_eq!(id, expect);
         }
@@ -400,12 +381,12 @@ impl SliceEnsemble {
         }
         if let Some((n, k)) = cfg.coded {
             coordinator.set_default_placement(Placement::Coded { n, k });
-            coordinator.set_stripe_unit(cfg.stripe_unit);
+            coordinator.set_stripe_unit(calib::STRIPE_UNIT);
         } else if cfg.mapped_mirror {
             coordinator.set_default_placement(Placement::Mirrored { copies: 2 });
-            coordinator.set_stripe_unit(cfg.stripe_unit);
+            coordinator.set_stripe_unit(calib::STRIPE_UNIT);
         }
-        let actor = CoordActor::new(coordinator, storage_ids.clone(), cfg.charge_cpu);
+        let actor = CoordActor::new(coordinator, storage_ids.clone());
         let id = engine.add_node("coord0", Box::new(actor));
         assert_eq!(id, coord_ids[0]);
         engine.kick(id);
@@ -465,22 +446,35 @@ impl SliceEnsemble {
         self.engine.actor_mut::<ClientActor>(self.clients[i])
     }
 
+    /// The coordinator's state machine.
+    fn coord(&self) -> &Coordinator {
+        &self.engine.actor::<CoordActor>(self.coords[0]).coord
+    }
+
+    /// Runs `f` on the coordinator between engine steps, then flushes the
+    /// µproxies' block-map caches and kicks the coordinator: START_TAG
+    /// dispatches stashed reconfiguration actions and re-arms the sweep
+    /// timer that drives resyncs and migrations forward.
+    fn reconfigure<T>(&mut self, f: impl FnOnce(&mut CoordActor, SimTime) -> T) -> T {
+        let now = self.engine.now();
+        let out = f(self.engine.actor_mut::<CoordActor>(self.coords[0]), now);
+        self.flush_map_caches();
+        self.engine.kick(self.coords[0]);
+        out
+    }
+
     /// Brings a crashed storage node back online and triggers the
     /// coordinator-driven resynchronization of any regions that diverged
-    /// during its outage. The node rejoins the mirrored-read rotation
-    /// once resync drains and the µproxies' probes come back clean.
+    /// during its outage — its own, and those of sites whose copy-back
+    /// was shelved for want of it as a source. The node rejoins the
+    /// mirrored-read rotation once resync drains and the µproxies' probes
+    /// come back clean.
     pub fn recover_storage_node(&mut self, i: usize) {
-        let node = self.storage[i];
-        self.engine.recover_node(node);
-        for &c in &self.coords.clone() {
-            self.engine
-                .actor_mut::<crate::actors::CoordActor>(c)
-                .coord
-                .kick_resync(i as u32);
-            // START_TAG re-arms the coordinator's sweep timer, which
-            // drives the resync state machine forward.
-            self.engine.kick(c);
-        }
+        self.engine.recover_node(self.storage[i]);
+        let coord = self.coords[0];
+        let actor = self.engine.actor_mut::<CoordActor>(coord);
+        actor.coord.kick_resync(i as u32);
+        self.engine.kick(coord);
     }
 
     /// Flushes every client µproxy's block-map cache (the routing-table
@@ -494,50 +488,20 @@ impl SliceEnsemble {
         }
     }
 
-    /// Re-arms every coordinator's sweep timer; stashed reconfiguration
-    /// actions flush on the kick and open migrations drive to completion.
-    fn kick_coords(&mut self) {
-        for &c in &self.coords.clone() {
-            self.engine.kick(c);
-        }
-    }
-
-    /// Widens the named file's mirror set by one replica per coordinator
-    /// holding it: the new copy is pinned into the block map and filled
-    /// through the dirty-region resync path, and µproxy read rotation
-    /// picks it up once the migration log drains. Returns the number of
-    /// block migrations queued.
+    /// Widens the named file's mirror set by one replica: the new copy is
+    /// pinned into the block map and filled through the dirty-region
+    /// resync path, and µproxy read rotation picks it up once the
+    /// migration log drains. Returns the number of block migrations
+    /// queued.
     pub fn widen_file(&mut self, file: u64) -> usize {
-        let now = self.engine.now();
-        let mut queued = 0;
-        for &c in &self.coords.clone() {
-            queued += self
-                .engine
-                .actor_mut::<CoordActor>(c)
-                .coord
-                .widen_file(now, file);
-        }
-        self.flush_map_caches();
-        self.kick_coords();
-        queued
+        self.reconfigure(|c, now| c.coord.widen_file(now, file))
     }
 
     /// Brings a standby storage site into the placement rotation and
     /// queues the background rebalance that moves a share of existing
     /// block-map entries onto it. Returns the migrations queued.
     pub fn join_storage_node(&mut self, i: usize) -> usize {
-        let now = self.engine.now();
-        let mut queued = 0;
-        for &c in &self.coords.clone() {
-            queued += self
-                .engine
-                .actor_mut::<CoordActor>(c)
-                .coord
-                .join_site(now, i as u32);
-        }
-        self.flush_map_caches();
-        self.kick_coords();
-        queued
+        self.reconfigure(|c, now| c.coord.join_site(now, i as u32))
     }
 
     /// Starts a planned drain of a storage site: every block-map entry
@@ -547,32 +511,20 @@ impl SliceEnsemble {
     /// queued; poll [`SliceEnsemble::migrations_pending`] and then call
     /// [`SliceEnsemble::retire_storage_node`] to finish the client side.
     pub fn drain_storage_node(&mut self, i: usize) -> usize {
-        let now = self.engine.now();
-        let mut queued = 0;
-        for &c in &self.coords.clone() {
-            let actor = self.engine.actor_mut::<CoordActor>(c);
-            let (q, actions) = actor.coord.drain_site(now, i as u32);
-            actor.stash_reconf(actions);
-            queued += q;
-        }
-        self.flush_map_caches();
-        self.kick_coords();
-        queued
+        self.reconfigure(|c, now| {
+            let (queued, actions) = c.coord.drain_site(now, i as u32);
+            c.stash_reconf(actions);
+            queued
+        })
     }
 
-    /// Completes the client-visible half of a drain once every
-    /// coordinator reports the site retired: µproxies drop it from the
-    /// read rotation and fan-outs and purge its suspicion soft state.
-    /// Returns false (and does nothing) while any coordinator still holds
-    /// the site un-retired.
+    /// Completes the client-visible half of a drain once the coordinator
+    /// reports the site retired: µproxies drop it from the read rotation
+    /// and fan-outs and purge its suspicion soft state. Returns false
+    /// (and does nothing) while the coordinator still holds the site
+    /// un-retired.
     pub fn retire_storage_node(&mut self, i: usize) -> bool {
-        let all_retired = self.coords.iter().all(|&c| {
-            self.engine
-                .actor::<CoordActor>(c)
-                .coord
-                .is_retired(i as u32)
-        });
-        if !all_retired {
+        if !self.coord().is_retired(i as u32) {
             return false;
         }
         let now = self.engine.now();
@@ -585,25 +537,14 @@ impl SliceEnsemble {
         true
     }
 
-    /// Outstanding migration ranges across every coordinator.
+    /// Outstanding migration ranges at the coordinator.
     pub fn migrations_pending(&self) -> usize {
-        self.coords
-            .iter()
-            .map(|&c| {
-                self.engine
-                    .actor::<CoordActor>(c)
-                    .coord
-                    .migrations_pending()
-            })
-            .sum()
+        self.coord().migrations_pending()
     }
 
-    /// Bytes copied by completed migrations across every coordinator.
+    /// Bytes copied by completed migrations.
     pub fn migrated_bytes(&self) -> u64 {
-        self.coords
-            .iter()
-            .map(|&c| self.engine.actor::<CoordActor>(c).coord.migrated_bytes())
-            .sum()
+        self.coord().migrated_bytes()
     }
 
     /// Files whose data-op count over the sliding hot window reaches
@@ -817,7 +758,6 @@ impl BaselineEnsemble {
         kind: BaselineKind,
         disks: usize,
         retain_data: bool,
-        charge_cpu: bool,
         seed: u64,
         workloads: Vec<Box<dyn Workload>>,
     ) -> Self {
@@ -840,15 +780,14 @@ impl BaselineEnsemble {
                     machine: format!("client{i}"),
                     ..Default::default()
                 },
-                charge_cpu,
                 record_history: false,
             };
-            let actor = ClientActor::new(cfg, None, router.clone(), vec![], workload);
+            let actor = ClientActor::new(cfg, None, router.clone(), workload);
             let id = engine.add_node(&format!("client{i}"), Box::new(actor));
             assert_eq!(id, client_ids[i]);
         }
         let fs = MonoFs::new(kind, disks, retain_data);
-        let actor = BaselineActor::new(fs, server_addr, router, charge_cpu);
+        let actor = BaselineActor::new(fs, server_addr, router);
         let id = engine.add_node("baseline", Box::new(actor));
         assert_eq!(id, server_id);
         BaselineEnsemble {

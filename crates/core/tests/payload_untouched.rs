@@ -188,7 +188,7 @@ fn metadata_only_storage_actor_applies_a_write_without_reading_it() {
     });
     let storage = engine.add_node(
         "storage",
-        Box::new(StorageActor::new(node, storage_addr, router, true)),
+        Box::new(StorageActor::new(node, storage_addr, router)),
     );
 
     let fh = Fhandle::new(9, 0, 0, 0, 0);

@@ -75,8 +75,6 @@ pub struct ProxyConfig {
     pub sf_sites: Vec<SockAddr>,
     /// Storage node addresses by physical index.
     pub storage_sites: Vec<SockAddr>,
-    /// Number of block-service coordinators (typed channel, not packets).
-    pub coord_sites: u32,
     /// Name-space policy.
     pub name_policy: ProxyNamePolicy,
     /// The threshold offset (64 KB in the prototype).
@@ -119,7 +117,6 @@ impl ProxyConfig {
                 SockAddr::new(0x0a00_3000, 2049),
                 SockAddr::new(0x0a00_3001, 2049),
             ],
-            coord_sites: 1,
             name_policy: ProxyNamePolicy::MkdirSwitching { redirect_millis: 0 },
             threshold: 64 * 1024,
             stripe_unit: 64 * 1024,
@@ -140,13 +137,8 @@ pub enum ProxyOut {
     Net(Packet),
     /// Deliver a (rewritten) packet up to the local client stack.
     Client(Packet),
-    /// Send a typed message to a block-service coordinator.
-    Coord {
-        /// Coordinator index.
-        site: u32,
-        /// The message.
-        msg: CoordMsg,
-    },
+    /// Send a typed message to the block-service coordinator.
+    Coord(CoordMsg),
     /// A directory server bounced a request as misdirected: the routing
     /// table is stale and must be refreshed from an external source
     /// (paper §3.3.1 — tables are hints loaded lazily).
@@ -168,10 +160,8 @@ struct SiteHealth {
     suspected: bool,
     /// Next time a liveness probe may be issued for this site.
     probe_at: SimTime,
-    /// Coordinator probe votes still outstanding.
-    awaiting_votes: u32,
-    /// Coordinator probe votes that answered "clean".
-    clean_votes: u32,
+    /// A coordinator probe is out and unanswered.
+    probing: bool,
 }
 
 impl SiteHealth {
@@ -180,8 +170,7 @@ impl SiteHealth {
             strikes: 0,
             suspected: false,
             probe_at: SimTime::ZERO,
-            awaiting_votes: 0,
-            clean_votes: 0,
+            probing: false,
         }
     }
 }
@@ -266,7 +255,7 @@ enum Pending {
     Forward,
     /// A commit fan-out guarded by a coordinator intention, which the last
     /// reply completes before it is sent up like any forward.
-    Commit { coord: u32, intent: u64 },
+    Commit { intent: u64 },
     /// A µproxy-initiated attribute write-back, absorbed on reply: the
     /// cache entry is cleaned only when this push of `version` is
     /// acknowledged.
@@ -834,7 +823,7 @@ impl Uproxy {
         if !h.suspected && h.strikes >= SUSPECT_AFTER {
             h.suspected = true;
             h.probe_at = now + self.cfg.probe_interval;
-            h.awaiting_votes = 0;
+            h.probing = false;
             self.suspicion_log.push((now, site, true));
             out.push(ProxyOut::Trace(slice_obs::EventKind::SiteSuspected {
                 site: site as usize,
@@ -901,24 +890,21 @@ impl Uproxy {
             return Some(live.clone());
         }
         let (live, missed) = self.partition_live(&sites);
-        if missed.is_empty() || self.cfg.coord_sites == 0 {
+        if missed.is_empty() {
             return Some(sites);
         }
         let (file, len) = (call.fh.file_id(), call.end() - call.lo);
         self.soft
             .degrade_pending
             .insert(call.xid, (pkt.clone(), live.clone(), missed.clone(), len));
-        out.push(ProxyOut::Coord {
-            site: self.coord_site(file),
-            msg: CoordMsg::MarkDirty {
-                op_id: u64::from(call.xid),
-                obj: file,
-                offset: call.lo,
-                len,
-                missed,
-                sources: live,
-            },
-        });
+        out.push(ProxyOut::Coord(CoordMsg::MarkDirty {
+            op_id: u64::from(call.xid),
+            obj: file,
+            offset: call.lo,
+            len,
+            missed,
+            sources: live,
+        }));
         None
     }
 
@@ -975,20 +961,13 @@ impl Uproxy {
             .map(|b| self.soft.map_cache.get(&(file, b)).cloned().ok_or(b))
             .collect();
         if let Err(block) = cached {
-            out.push(ProxyOut::Coord {
-                site: self.coord_site(file),
-                msg: CoordMsg::MapGet {
-                    file,
-                    first_block: block - block % 16,
-                    count: 16,
-                },
-            });
+            out.push(ProxyOut::Coord(CoordMsg::MapGet {
+                file,
+                first_block: block - block % 16,
+                count: 16,
+            }));
         }
         cached
-    }
-
-    fn coord_site(&self, file: u64) -> u32 {
-        (fnv1a(&file.to_le_bytes()) % u64::from(self.cfg.coord_sites.max(1))) as u32
     }
 
     fn nfs_time(now: SimTime) -> NfsTime {
@@ -1124,18 +1103,14 @@ impl Uproxy {
                 if let Some(e) = dirty {
                     self.push_attrs(out, &e);
                 }
-                if self.cfg.use_intents && self.cfg.coord_sites > 0 {
+                if self.cfg.use_intents {
                     // Intention first; the commit fans out on the ack.
-                    let site = self.coord_site(fh.file_id());
                     self.soft.intent_waiters.insert(u64::from(xid), pkt);
-                    out.push(ProxyOut::Coord {
-                        site,
-                        msg: CoordMsg::BeginIntent {
-                            op_id: u64::from(xid),
-                            kind: IntentKind::Commit { obj: fh.file_id() },
-                            participants: (0..self.cfg.storage_sites.len() as u32).collect(),
-                        },
-                    });
+                    out.push(ProxyOut::Coord(CoordMsg::BeginIntent {
+                        op_id: u64::from(xid),
+                        kind: IntentKind::Commit { obj: fh.file_id() },
+                        participants: (0..self.cfg.storage_sites.len() as u32).collect(),
+                    }));
                 } else {
                     self.fanout_commit(out, pkt, xid, fh, Pending::Forward);
                 }
@@ -1653,11 +1628,8 @@ impl Uproxy {
             }
         }
         // Completion of an intent-guarded fan-out clears the intention.
-        if let Pending::Commit { coord, intent } = rec.kind {
-            out.push(ProxyOut::Coord {
-                site: coord,
-                msg: CoordMsg::CompleteIntent { intent },
-            });
+        if let Pending::Commit { intent } = rec.kind {
+            out.push(ProxyOut::Coord(CoordMsg::CompleteIntent { intent }));
         }
         self.clock.lap(&mut self.phases.soft_ns);
         for e in evicted {
@@ -1760,9 +1732,7 @@ impl Uproxy {
                         _ => None,
                     };
                     if let Some(fh) = fh {
-                        let coord = self.coord_site(fh.file_id());
-                        let kind = Pending::Commit { coord, intent };
-                        self.fanout_commit(&mut out, pkt, xid, fh, kind);
+                        self.fanout_commit(&mut out, pkt, xid, fh, Pending::Commit { intent });
                     }
                 }
             }
@@ -1821,25 +1791,16 @@ impl Uproxy {
             }
             CoordReply::SiteProbe { site, clean } => {
                 if let Some(h) = self.soft.health.get_mut(site as usize) {
-                    if h.awaiting_votes > 0 {
-                        h.awaiting_votes -= 1;
-                        if clean {
-                            h.clean_votes += 1;
-                        }
-                        // Suspicion clears only on a unanimous clean
-                        // verdict: the site answered a probe *and* no
-                        // coordinator holds dirty regions for it.
-                        if h.awaiting_votes == 0
-                            && h.clean_votes == self.cfg.coord_sites
-                            && h.suspected
-                        {
-                            h.suspected = false;
-                            h.strikes = 0;
-                            self.suspicion_log.push((now, site, false));
-                            out.push(ProxyOut::Trace(slice_obs::EventKind::SiteCleared {
-                                site: site as usize,
-                            }));
-                        }
+                    // Suspicion clears only on a clean verdict: the site
+                    // answered the probe *and* the coordinator holds no
+                    // dirty regions for it.
+                    if std::mem::take(&mut h.probing) && clean && h.suspected {
+                        h.suspected = false;
+                        h.strikes = 0;
+                        self.suspicion_log.push((now, site, false));
+                        out.push(ProxyOut::Trace(slice_obs::EventKind::SiteCleared {
+                            site: site as usize,
+                        }));
                     }
                 }
             }
@@ -1855,27 +1816,19 @@ impl Uproxy {
         for e in self.attrs.take_stale_dirty(now, ATTR_WRITEBACK) {
             self.push_attrs(&mut out, &e);
         }
-        // Probe suspected sites through the coordinators. A probe with
+        // Probe suspected sites through the coordinator. A probe with
         // no answer (dead coordinator, dead site) simply re-arms at the
         // next interval — probe_at doubles as the retry deadline.
-        if self.cfg.coord_sites > 0 {
-            for site in 0..self.soft.health.len() as u32 {
-                if self.retired[site as usize] {
-                    continue;
-                }
-                let h = &mut self.soft.health[site as usize];
-                if h.suspected && now >= h.probe_at {
-                    h.probe_at = now + self.cfg.probe_interval;
-                    h.awaiting_votes = self.cfg.coord_sites;
-                    h.clean_votes = 0;
-                    self.stats.probes_sent += 1;
-                    for c in 0..self.cfg.coord_sites {
-                        out.push(ProxyOut::Coord {
-                            site: c,
-                            msg: CoordMsg::ProbeSite { site },
-                        });
-                    }
-                }
+        for site in 0..self.soft.health.len() as u32 {
+            if self.retired[site as usize] {
+                continue;
+            }
+            let h = &mut self.soft.health[site as usize];
+            if h.suspected && now >= h.probe_at {
+                h.probe_at = now + self.cfg.probe_interval;
+                h.probing = true;
+                self.stats.probes_sent += 1;
+                out.push(ProxyOut::Coord(CoordMsg::ProbeSite { site }));
             }
         }
         out

@@ -375,13 +375,9 @@ fn commit_pushes_dirty_attrs_to_dir_server() {
         other => panic!("unexpected {other:?}"),
     }
     // Commit itself goes through the intent path (coordinator first).
-    assert!(out.iter().any(|o| matches!(
-        o,
-        ProxyOut::Coord {
-            msg: CoordMsg::BeginIntent { .. },
-            ..
-        }
-    )));
+    assert!(out
+        .iter()
+        .any(|o| matches!(o, ProxyOut::Coord(CoordMsg::BeginIntent { .. }))));
 }
 
 #[test]
@@ -467,10 +463,7 @@ fn intent_ack_releases_commit_fanout() {
         for o in back {
             match o {
                 ProxyOut::Client(_) => client_replies += 1,
-                ProxyOut::Coord {
-                    msg: CoordMsg::CompleteIntent { intent },
-                    ..
-                } => {
+                ProxyOut::Coord(CoordMsg::CompleteIntent { intent }) => {
                     assert_eq!(intent, 99);
                     completes += 1;
                 }
@@ -592,15 +585,11 @@ fn block_map_routing_parks_and_releases() {
     let out = u.outbound(t(0), call_pkt(&c, 3, &req));
     assert!(net_pkts(&out).is_empty(), "request parks on the map fetch");
     let mapget = out.iter().find_map(|o| match o {
-        ProxyOut::Coord {
-            msg:
-                CoordMsg::MapGet {
-                    file,
-                    first_block,
-                    count,
-                },
-            ..
-        } => Some((*file, *first_block, *count)),
+        ProxyOut::Coord(CoordMsg::MapGet {
+            file,
+            first_block,
+            count,
+        }) => Some((*file, *first_block, *count)),
         _ => None,
     });
     let (file, first, count) = mapget.expect("MapGet emitted");
@@ -875,13 +864,9 @@ fn lose_state_empties_every_waiting_table() {
         count: 0,
     };
     let out = u.outbound(t(8), call_pkt(&c, 6, &commit));
-    assert!(out.iter().any(|o| matches!(
-        o,
-        ProxyOut::Coord {
-            msg: CoordMsg::BeginIntent { .. },
-            ..
-        }
-    )));
+    assert!(out
+        .iter()
+        .any(|o| matches!(o, ProxyOut::Coord(CoordMsg::BeginIntent { .. }))));
     grew(&u, "a commit parked on its intent");
     // degrade_pending: a mirrored write whose replica set includes a
     // suspected site waits for the coordinator's dirty-region ack.
@@ -897,13 +882,9 @@ fn lose_state_empties_every_waiting_table() {
     assert_eq!(u.suspected_sites().len(), 1);
     grew(&u, "a pending read");
     let out = u.outbound(t(300), call_pkt(&c, 8, &write(mirrored, 128 * 1024, 512)));
-    assert!(out.iter().any(|o| matches!(
-        o,
-        ProxyOut::Coord {
-            msg: CoordMsg::MarkDirty { .. },
-            ..
-        }
-    )));
+    assert!(out
+        .iter()
+        .any(|o| matches!(o, ProxyOut::Coord(CoordMsg::MarkDirty { .. }))));
     grew(&u, "a write parked on a dirty-region ack");
     // A second commit pushes the same attribute version again: a retry.
     u.outbound(t(301), call_pkt(&c, 9, &commit));
@@ -1151,15 +1132,11 @@ fn warming_replica_stays_out_of_read_rotation_until_epoch_flush() {
     let (file, first, count) = out
         .iter()
         .find_map(|o| match o {
-            ProxyOut::Coord {
-                msg:
-                    CoordMsg::MapGet {
-                        file,
-                        first_block,
-                        count,
-                    },
-                ..
-            } => Some((*file, *first_block, *count)),
+            ProxyOut::Coord(CoordMsg::MapGet {
+                file,
+                first_block,
+                count,
+            }) => Some((*file, *first_block, *count)),
             _ => None,
         })
         .expect("MapGet emitted");

@@ -342,7 +342,7 @@ impl Stream {
                     }
                 }
                 ProxyOut::Client(p) => self.client_receive(p),
-                ProxyOut::Coord { msg, .. } => self.serve_coord(msg),
+                ProxyOut::Coord(msg) => self.serve_coord(msg),
                 ProxyOut::NeedDirTable | ProxyOut::Trace(_) => {}
             }
         }

@@ -71,7 +71,7 @@ pub fn check_mirror_convergence(ens: &SliceEnsemble) -> Vec<Violation> {
     if any_timeouts {
         return v;
     }
-    let n = ens.storage.len() as u64;
+    let n = ens.storage.len() as u32;
     let Some(proxy) = ens
         .clients
         .first()
@@ -80,7 +80,6 @@ pub fn check_mirror_convergence(ens: &SliceEnsemble) -> Vec<Violation> {
         return v;
     };
     let stripe_unit = proxy.config().stripe_unit.max(1);
-    let copies = u64::from(slice_core::MIRROR_COPIES).clamp(1, n);
     let start = if ens.sfs.is_empty() {
         0
     } else {
@@ -139,9 +138,7 @@ pub fn check_mirror_convergence(ens: &SliceEnsemble) -> Vec<Violation> {
             let len = stripe_unit.min(size - offset) as usize;
             let block = offset / stripe_unit;
             let sites = mapped.get(&(file, block)).cloned().unwrap_or_else(|| {
-                let base = slice_hashes::fnv1a(&file.to_le_bytes()) % n;
-                let first = (base + block % n) % n;
-                (0..copies).map(|c| ((first + c) % n) as u32).collect()
+                slice_hashes::stripe_slots(file, block, slice_core::MIRROR_COPIES, n).collect()
             });
             let reference = read_at(sites[0], file, offset, len);
             for &s in &sites[1..] {

@@ -399,15 +399,6 @@ impl DirActor {
         }
     }
 
-    /// Small-file server index for a file (must agree with the µproxy's
-    /// default table: FNV over the fileID).
-    fn sf_index(&self, file: u64) -> usize {
-        if self.sf_nodes.is_empty() {
-            return 0;
-        }
-        slice_hashes::bucket_of(slice_hashes::fnv1a(&file.to_le_bytes()), 64) % self.sf_nodes.len()
-    }
-
     /// Fans a name-space operation's effect on `file`'s data out to the
     /// block-service coordinator and the file's small-file server.
     fn data_effect(
@@ -421,7 +412,8 @@ impl DirActor {
         self.next_req_id += 1;
         ctx.send(self.coord_node, Wire::Coord(coord(req_id)));
         if !self.sf_nodes.is_empty() {
-            ctx.send(self.sf_nodes[self.sf_index(file)], Wire::SfCtl(sf));
+            let server = slice_hashes::sf_server_of(file, self.sf_nodes.len());
+            ctx.send(self.sf_nodes[server], Wire::SfCtl(sf));
         }
     }
 

@@ -61,9 +61,52 @@ pub fn bucket_of(fingerprint: u64, buckets: usize) -> usize {
     ((u128::from(fingerprint) * buckets as u128) >> 64) as usize
 }
 
+/// The small-file server, of `servers`, that holds the data of `file`
+/// below the threshold offset.
+///
+/// # Panics
+///
+/// Panics if `servers` is zero.
+pub fn sf_server_of(file: u64, servers: usize) -> usize {
+    default_site_of(fnv1a(&file.to_le_bytes()), servers)
+}
+
+/// Static bulk placement: the slots, of `sites`, that hold stripe
+/// `stripe` of `file`. `copies` consecutive slots (at most `sites`) of a
+/// rotation that starts at a per-file base and advances one slot a
+/// stripe: the copies of a stripe are disjoint, and a file's stripes
+/// spread over every site. A slot is a site under static placement and
+/// an index into the coordinator's list of assignable sites under block
+/// maps.
+///
+/// # Panics
+///
+/// Panics if `sites` is zero.
+pub fn stripe_slots(file: u64, stripe: u64, copies: u32, sites: u32) -> impl Iterator<Item = u32> {
+    assert!(sites > 0, "stripe_slots requires at least one site");
+    let n = u64::from(sites);
+    let first = (fnv1a(&file.to_le_bytes()) % n + stripe % n) % n;
+    (0..u64::from(copies.min(sites))).map(move |c| ((first + c) % n) as u32)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stripe_slots_are_disjoint_and_rotate() {
+        for file in 0..50u64 {
+            let at = |stripe| stripe_slots(file, stripe, 2, 5).collect::<Vec<_>>();
+            let first = at(0);
+            assert_eq!(first[1], (first[0] + 1) % 5, "copies are consecutive");
+            assert_eq!(at(1)[0], first[1], "one slot a stripe");
+            assert_eq!(at(5), first, "period = sites");
+        }
+        // More copies than sites: every site once.
+        let mut all: Vec<u32> = stripe_slots(9, 3, 8, 4).collect();
+        all.sort_unstable();
+        assert_eq!(all, [0, 1, 2, 3]);
+    }
 
     #[test]
     fn fingerprint_sensitive_to_both_fields() {

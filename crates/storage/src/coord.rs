@@ -775,17 +775,14 @@ impl Coordinator {
     /// (logical slots rotate over the active list, so with every site
     /// active this is the historical all-sites assignment).
     fn compute_sites(placement: Placement, active: &[u32], file: u64, b: u64) -> Vec<u32> {
-        let n = active.len() as u32;
-        let base = (slice_hashes::fnv1a(&file.to_le_bytes()) % u64::from(n)) as u32;
-        let slot = |c: u32| active[((base + (b % u64::from(n)) as u32 + c) % n) as usize];
-        match placement {
-            Placement::Striped => vec![slot(0)],
-            Placement::Mirrored { copies } => (0..copies.min(n)).map(slot).collect(),
-            // n consecutive sites starting at a per-stripe rotation:
-            // disjoint within the stripe, and load spreads over all
-            // sites across stripes.
-            Placement::Coded { n: cn, .. } => (0..cn.min(n)).map(slot).collect(),
-        }
+        let copies = match placement {
+            Placement::Striped => 1,
+            Placement::Mirrored { copies } => copies,
+            Placement::Coded { n, .. } => n,
+        };
+        slice_hashes::stripe_slots(file, b, copies, active.len() as u32)
+            .map(|slot| active[slot as usize])
+            .collect()
     }
 
     /// The (assigned-if-absent) site lists of `blocks` of `file`. The

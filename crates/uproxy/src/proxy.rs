@@ -20,7 +20,7 @@
 use slice_sim::FxHashMap;
 use std::time::Instant;
 
-use slice_hashes::{bucket_of, fnv1a, name_fingerprint};
+use slice_hashes::name_fingerprint;
 use slice_nfsproto::{
     encode_call, view_call, view_reply, AuthUnix, BodyView, ByteBuf, CallView, Fhandle, NfsProc,
     NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, ReplyView, Sattr3, SetTime,
@@ -917,26 +917,15 @@ impl Uproxy {
         self.cfg.dir_sites[self.dir_table.route(key) as usize % self.cfg.dir_sites.len()]
     }
 
-    /// A file's small-file server: 64 logical slots spread round-robin,
-    /// the fixed table `DirActor::sf_index` assumes as well.
     fn sf_dest(&self, file: u64) -> SockAddr {
-        let slot = bucket_of(fnv1a(&file.to_le_bytes()), 64);
-        self.cfg.sf_sites[slot % self.cfg.sf_sites.len()]
+        self.cfg.sf_sites[slice_hashes::sf_server_of(file, self.cfg.sf_sites.len())]
     }
 
-    /// Static striping/placement function: replica site list for one
-    /// stripe of a file (must agree with the coordinator's map policy).
+    /// Replica site list for one stripe of a file under static placement.
     fn static_sites(&self, file: u64, stripe: u64, mirrored: bool) -> Vec<u32> {
-        let n = self.cfg.storage_sites.len() as u64;
-        let base = fnv1a(&file.to_le_bytes()) % n;
-        let first = ((base + stripe % n) % n) as u32;
-        if mirrored {
-            (0..MIRROR_COPIES.min(n as u32))
-                .map(|c| (first + c) % n as u32)
-                .collect()
-        } else {
-            vec![first]
-        }
+        let copies = if mirrored { MIRROR_COPIES } else { 1 };
+        let sites = self.cfg.storage_sites.len() as u32;
+        slice_hashes::stripe_slots(file, stripe, copies, sites).collect()
     }
 
     /// The placement of `blocks` of `fh`'s bulk region: one replica-site

@@ -570,8 +570,13 @@ impl StorageNode {
         match ctl {
             StorageCtl::Remove { obj, intent } => {
                 self.store.remove(*obj);
+                // Everything keyed by the object goes with it, or it stays
+                // for ever. Its cached blocks age out of the LRU as any
+                // others do.
                 self.dirty.remove(obj);
                 self.streams.remove(obj);
+                self.phys.remove(obj);
+                self.last_flush_done.remove(obj);
                 self.completed_intents.insert(*intent);
                 // One metadata disk write to free the object's extents.
                 let done = self.disks.submit(now, *obj, 0, 512, true);
@@ -639,6 +644,23 @@ mod tests {
 
     fn t0() -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(1)
+    }
+
+    #[test]
+    fn remove_forgets_every_table_keyed_by_the_object() {
+        let mut n = node();
+        for obj in 0..100u64 {
+            let w = NfsRequest::Write {
+                fh: fh(obj),
+                offset: 0,
+                stable: StableHow::FileSync,
+                data: vec![7; 100],
+            };
+            n.handle_nfs(t0(), &w);
+            n.handle_ctl(t0(), &StorageCtl::Remove { obj, intent: 0 });
+        }
+        let keyed = n.dirty.len() + n.streams.len() + n.phys.len() + n.last_flush_done.len();
+        assert_eq!(keyed, 0, "a removed object leaves an entry behind");
     }
 
     #[test]

@@ -198,6 +198,9 @@ const SITE_PROBE_BASE: u64 = 1 << 62;
 /// down; the control messages are idempotent).
 const RESYNC_RETRY: SimDuration = SimDuration::from_secs(2);
 
+/// Most blocks one `MapGet` answers for (the µproxy asks for 16).
+const MAP_FRAGMENT_MAX: u32 = 256;
+
 /// Shelve a resync after this many consecutive unanswered legs; a
 /// [`Coordinator::kick_resync`] (node recovery) starts it again. Without
 /// a cap, a never-recovered site would keep the timer wheel alive
@@ -924,7 +927,10 @@ impl Coordinator {
                 first_block,
                 count,
             } => {
-                let sites = self.assign_blocks(file, first_block..first_block + u64::from(count));
+                // `count` is off the wire and sizes the answer.
+                let count = u64::from(count.min(MAP_FRAGMENT_MAX));
+                let sites =
+                    self.assign_blocks(file, first_block..first_block.saturating_add(count));
                 // Mirrored replicas with an open range over the block are
                 // "warming": a pinned migration target has no bytes until
                 // the repair copies them, so reads must not rotate onto
@@ -932,8 +938,9 @@ impl Coordinator {
                 // degraded reads instead.
                 let unit = self.stripe_unit;
                 let warming = |i: u64| -> Vec<u32> {
-                    let lo = (first_block + i) * unit;
-                    let owed = |s: &Site| s.dirty.iter().any(|r| r.overlaps(file, lo, lo + unit));
+                    let lo = (first_block + i).saturating_mul(unit);
+                    let hi = lo.saturating_add(unit);
+                    let owed = |s: &Site| s.dirty.iter().any(|r| r.overlaps(file, lo, hi));
                     let all = (0..).zip(&self.sites);
                     all.filter(|(_, s)| owed(s)).map(|(i, _)| i).collect()
                 };
@@ -2226,6 +2233,29 @@ mod tests {
         }
         assert_eq!(c.open_intents(), 1);
         assert_eq!(answer_legs(&mut c, t(2), &legs), vec![remove_done(1, t(2))]);
+    }
+
+    #[test]
+    fn map_get_is_clamped_before_it_sizes_the_answer() {
+        let mut c = Coordinator::new(4);
+        let mut asked = |first_block, count| {
+            let get = CoordMsg::MapGet {
+                file: 10,
+                first_block,
+                count,
+            };
+            match c.handle(t(0), 1, get).remove(0) {
+                CoordAction::Reply {
+                    reply: CoordReply::MapFragment { sites, warming, .. },
+                    ..
+                } => (sites.len(), warming.len()),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        let max = MAP_FRAGMENT_MAX as usize;
+        assert_eq!(asked(0, 100_000), (max, max));
+        assert_eq!(asked(u64::MAX - 2, 16), (2, 2), "the last blocks there are");
+        assert_eq!(asked(0, 16), (16, 16));
     }
 
     #[test]

@@ -777,13 +777,11 @@ impl Actor<Wire> for CoordActor {
             }
             Wire::CtlReply(reply) => {
                 ctx.use_cpu(calib::COORD_MSG_CPU);
-                let site = self
-                    .storage_nodes
-                    .iter()
-                    .position(|&n| n == from)
-                    .map(|p| p as u32)
-                    .unwrap_or(0);
-                let actions = self.coord.handle_ctl_reply(ctx.now(), site, reply);
+                // Only a storage site's answer counts, for that site.
+                let Some(site) = self.storage_nodes.iter().position(|&n| n == from) else {
+                    return;
+                };
+                let actions = self.coord.handle_ctl_reply(ctx.now(), site as u32, reply);
                 self.dispatch(ctx, actions);
                 self.arm_sweep_if_busy(ctx);
             }
@@ -897,6 +895,58 @@ mod tests {
             attr: None,
             body: ReplyBody::Access { mask },
         }
+    }
+
+    /// Keeps what it is sent.
+    #[derive(Default)]
+    struct Sink(Vec<Wire>);
+
+    impl Actor<Wire> for Sink {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Wire>, _from: NodeId, msg: Wire) {
+            self.0.push(msg);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn control_reply_from_a_node_that_is_no_storage_site_is_dropped() {
+        use slice_storage::{CoordMsg, StorageCtl, StorageCtlReply};
+        let mut engine: slice_sim::Engine<Wire> =
+            slice_sim::Engine::new(slice_sim::NetConfig::gigabit(), 1);
+        let dir = engine.add_node("dir", Box::new(Sink::default()));
+        let site0 = engine.add_node("storage0", Box::new(Sink::default()));
+        let stranger = engine.add_node("stranger", Box::new(Sink::default()));
+        let actor = CoordActor::new(Coordinator::new(1), vec![site0]);
+        let coord = engine.add_node("coord", Box::new(actor));
+
+        // A remove fans out to site 0, which (a sink) never answers.
+        let mut step = |engine: &mut slice_sim::Engine<Wire>, from, msg| {
+            engine.inject(from, coord, msg);
+            engine.run_until(engine.now() + SimDuration::from_millis(1));
+        };
+        let remove = CoordMsg::RemoveFile { req_id: 1, file: 5 };
+        step(&mut engine, dir, Wire::Coord(remove));
+        let [Wire::Ctl(StorageCtl::Remove { obj: 5, intent })] = engine.actor::<Sink>(site0).0[..]
+        else {
+            panic!("one remove leg at site 0");
+        };
+        // Someone else's `Done` for that leg is not site 0's.
+        let done = StorageCtlReply::Done { intent };
+        step(&mut engine, stranger, Wire::CtlReply(done.clone()));
+        assert_eq!(engine.actor::<CoordActor>(coord).coord.open_intents(), 1);
+        assert!(
+            engine.actor::<Sink>(dir).0.is_empty(),
+            "nothing is done yet"
+        );
+        // Site 0's own is.
+        step(&mut engine, site0, Wire::CtlReply(done));
+        assert_eq!(engine.actor::<CoordActor>(coord).coord.open_intents(), 0);
+        assert_eq!(engine.actor::<Sink>(dir).0.len(), 1, "RemoveDone");
     }
 
     #[test]

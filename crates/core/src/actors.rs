@@ -51,8 +51,18 @@ impl DeferredSender {
     }
 }
 
-fn payload_cpu(bytes: usize, per_4k: SimDuration) -> SimDuration {
-    per_4k.mul_f64(bytes as f64 / 4096.0)
+/// Server CPU for moving `bytes` of payload.
+fn payload_cpu(bytes: usize) -> SimDuration {
+    calib::STORAGE_CPU_PER_4K.mul_f64(bytes as f64 / 4096.0)
+}
+
+/// Server CPU for the payload a decoded READ or WRITE moves.
+pub(crate) fn io_cpu(req: &NfsRequest) -> SimDuration {
+    payload_cpu(match req {
+        NfsRequest::Write { data, .. } => data.len(),
+        NfsRequest::Read { count, .. } => *count as usize,
+        _ => 0,
+    })
 }
 
 /// A duplicate request cache (DRC), the standard NFS server defence
@@ -298,7 +308,7 @@ impl Actor<Wire> for StorageActor {
                     CallView::Other(NfsRequest::Read { count, .. }) => *count as usize,
                     CallView::Other(_) => 0,
                 };
-                ctx.use_cpu(calib::STORAGE_REQ_CPU + payload_cpu(bytes, calib::STORAGE_CPU_PER_4K));
+                ctx.use_cpu(calib::STORAGE_REQ_CPU + payload_cpu(bytes));
                 let seeks_before = self.node.disk_seeks();
                 let (done, reply) = match call {
                     CallView::Write {
@@ -615,12 +625,7 @@ impl Actor<Wire> for SmallFileActor {
                     let Ok((hdr, req)) = decode_call(&pkt.payload) else {
                         return;
                     };
-                    let bytes = match &req {
-                        NfsRequest::Write { data, .. } => data.len(),
-                        NfsRequest::Read { count, .. } => *count as usize,
-                        _ => 0,
-                    };
-                    ctx.use_cpu(calib::SF_OP_CPU + payload_cpu(bytes, calib::STORAGE_CPU_PER_4K));
+                    ctx.use_cpu(calib::SF_OP_CPU + io_cpu(&req));
                     let Some(token) = self.port.admit(ctx, pkt.src, hdr.xid) else {
                         return;
                     };
@@ -925,7 +930,7 @@ mod tests {
         let coord = engine.add_node("coord", Box::new(actor));
 
         // A remove fans out to site 0, which (a sink) never answers.
-        let mut step = |engine: &mut slice_sim::Engine<Wire>, from, msg| {
+        let step = |engine: &mut slice_sim::Engine<Wire>, from, msg| {
             engine.inject(from, coord, msg);
             engine.run_until(engine.now() + SimDuration::from_millis(1));
         };

@@ -15,7 +15,7 @@ use slice_nfsproto::{decode_call, NfsReply, NfsRequest, ReplyBody, SockAddr};
 use slice_sim::{Actor, Ctx, DiskArray, LruCache, NodeId, SimTime};
 use slice_storage::{StorageNode, StorageNodeConfig};
 
-use crate::actors::{Port, ReplyCache};
+use crate::actors::{io_cpu, Port, ReplyCache};
 use crate::calib;
 use crate::wire::{Router, Wire};
 
@@ -246,12 +246,7 @@ impl Actor<Wire> for BaselineActor {
             BaselineKind::NfsFfs => calib::MONO_OP_CPU,
             BaselineKind::Mfs => calib::MFS_OP_CPU,
         };
-        let bytes = match &req {
-            NfsRequest::Write { data, .. } => data.len(),
-            NfsRequest::Read { count, .. } => *count as usize,
-            _ => 0,
-        };
-        ctx.use_cpu(base + calib::STORAGE_CPU_PER_4K.mul_f64(bytes as f64 / 4096.0));
+        ctx.use_cpu(base + io_cpu(&req));
         let Some(token) = self.port.admit(ctx, pkt.src, hdr.xid) else {
             return;
         };

@@ -489,7 +489,8 @@ impl SmallFileServer {
             return actions; // fire-and-forget flush completion
         };
         // What a read fetched is resident now; keep its bytes in retain
-        // mode.
+        // mode — unless a WRITE that executed while the fetch was out has
+        // made the block resident with newer ones.
         if let Some(key) = fetched {
             self.insert_resident(&mut actions, key);
             if let (CacheKey::Data { file, block }, true, Some(mut bytes)) =
@@ -497,7 +498,7 @@ impl SmallFileServer {
             {
                 if let Some(ext) = self.extent(file, block) {
                     bytes.truncate(ext.bytes as usize);
-                    self.contents.insert((file, block), bytes);
+                    self.contents.entry((file, block)).or_insert(bytes);
                 }
             }
         }

@@ -298,8 +298,8 @@ impl Actor<Wire> for StorageActor {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire>, from: NodeId, msg: Wire) {
         match msg {
             Wire::Udp(pkt) => {
-                // WRITE data stays in the packet: the node borrows it, and
-                // a metadata-only store never reads it.
+                // WRITE data stays in the packet: a retaining store keeps a
+                // window of it, a metadata-only one never reads it.
                 let Ok((hdr, call)) = view_call(&pkt.payload) else {
                     return;
                 };
@@ -317,8 +317,9 @@ impl Actor<Wire> for StorageActor {
                         stable,
                         data,
                     } => {
-                        let data = &pkt.payload[data];
-                        let (done, reply) = self.node.write(ctx.now(), &fh, offset, stable, data);
+                        let (done, reply) =
+                            self.node
+                                .write(ctx.now(), &fh, offset, stable, &pkt.payload, data);
                         (done, encode_reply(hdr.xid, &reply))
                     }
                     CallView::Other(NfsRequest::Read { fh, offset, count }) => self

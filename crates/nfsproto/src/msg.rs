@@ -537,8 +537,11 @@ impl CallView {
 
     /// Materializes the request, copying WRITE data out of `payload` (the
     /// buffer this view was parsed from). The copy is exact-size and off
-    /// the allocator, not the pool: a server that takes the request keeps
-    /// or drops the data, and never hands the buffer back.
+    /// the allocator, not the pool: the servers that take a decoded
+    /// request (the small-file server, the baseline) keep or drop the
+    /// data and never hand the buffer back. A storage node takes no copy:
+    /// it is handed the packet's buffer and this view's range, and a
+    /// retaining store keeps a window of the buffer.
     #[inline]
     pub fn into_request(self, payload: &[u8]) -> NfsRequest {
         match self {
@@ -667,8 +670,9 @@ fn pooled_copy(s: &[u8]) -> Vec<u8> {
 /// attributes and padding, so a 32 KiB WRITE or READ reply or a full
 /// READDIR page is built in the one pooled buffer it was given. A buffer
 /// that regrows leaves its size class, and the class it was taken from
-/// never gets it back.
-const ENCODE_HEADROOM: usize = 256;
+/// never gets it back. The pool owns the number: its top class is one
+/// block plus this.
+const ENCODE_HEADROOM: usize = slice_sim::pool::ENCODE_HEADROOM;
 /// Encoded bytes of a READDIR entry besides its name: follow flag,
 /// fileid, name length and padding, cookie.
 const DIRENT_BOUND: usize = 4 + 8 + 4 + 3 + 8;
@@ -1409,6 +1413,55 @@ mod tests {
                 .unwrap(),
         );
         assert_eq!(status, 0);
+    }
+
+    /// The pool's top class is one 32 KiB block plus the encoders'
+    /// headroom, and the two must agree: a 32 KiB WRITE call under the
+    /// largest credential the decoder accepts (a long machine name, 16
+    /// groups) and a 32 KiB READ reply, each with a full handle, are
+    /// built in the buffer the encoder took — whose capacity is still the
+    /// class size afterwards, so none regrew out of its class.
+    #[test]
+    fn block_messages_fit_the_pools_top_class() {
+        use slice_sim::pool::MAX_CLASS;
+        const BLOCK: usize = 32 * 1024;
+        let cred = AuthUnix {
+            stamp: u32::MAX,
+            machine: format!("client{}", u32::MAX),
+            uid: u32::MAX,
+            gid: u32::MAX,
+            gids: vec![u32::MAX; 16],
+        };
+        let fh = Fhandle::new(u64::MAX, u32::MAX, u8::MAX, u64::MAX, u16::MAX);
+        let write = NfsRequest::Write {
+            fh,
+            offset: u64::MAX,
+            stable: StableHow::FileSync,
+            data: vec![0x5a; BLOCK],
+        };
+        let mut a = attr(u64::MAX);
+        a.size = u64::MAX;
+        let read = NfsReply {
+            proc: NfsProc::Read,
+            status: NfsStatus::Ok,
+            attr: Some(a),
+            body: ReplyBody::Read {
+                data: vec![0xa5; BLOCK],
+                eof: true,
+            },
+        };
+        let call = encode_call(u32::MAX, &cred, &write);
+        let reply = encode_reply(u32::MAX, &read);
+        let in_place = encode_read_reply(u32::MAX, &a, true, BLOCK, |buf| buf.fill(0xa5));
+        assert_eq!(in_place, reply);
+        for (what, payload) in [("call", call), ("reply", reply), ("in place", in_place)] {
+            assert!(
+                payload.len() <= MAX_CLASS,
+                "{what}: {} bytes",
+                payload.len()
+            );
+            assert_eq!(payload.capacity(), MAX_CLASS, "{what} left its class");
+        }
     }
 
     #[test]

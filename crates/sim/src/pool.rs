@@ -5,9 +5,13 @@
 //! opaque field (READ data, WRITE data). At untar scale that is tens of
 //! millions of short-lived heap allocations whose sizes repeat from a
 //! tiny set. This module recycles them: a freed buffer parks on a
-//! per-thread free list keyed by power-of-two capacity class and the
-//! next `take` of that class reuses it, so the steady state performs no
-//! heap traffic at all.
+//! per-thread free list keyed by capacity class and the next `take` of
+//! that class reuses it, so the steady state performs no heap traffic at
+//! all. The classes are the powers of two from 64 B to 32 KiB and, on
+//! top, one 32 KiB NFS block plus [`ENCODE_HEADROOM`]: the buffer a
+//! block-sized WRITE call or READ reply is encoded into, and — because a
+//! retaining storage node keeps a window of the packet its WRITE arrived
+//! in — the buffer a stored block lives in.
 //!
 //! Design constraints, in order:
 //!
@@ -39,10 +43,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Smallest recycled class: 2^6 = 64 bytes (below that, malloc wins).
 const MIN_SHIFT: u32 = 6;
-/// Largest recycled class: 2^16 = 64 KiB — covers a 32 KiB NFS block
-/// plus headers. Larger buffers go straight to the allocator.
-const MAX_SHIFT: u32 = 16;
-const CLASSES: usize = (MAX_SHIFT - MIN_SHIFT + 1) as usize;
+/// Largest power-of-two class: 2^15 = 32 KiB, one NFS block.
+const BLOCK_SHIFT: u32 = 15;
+/// Bytes an encoder asks for beyond a message's bulk part (file data,
+/// directory entries): the RPC and NFS headers, attributes and padding of
+/// the largest call or reply the stack encodes fit in it, so a 32 KiB
+/// WRITE call or READ reply is built in the one buffer it took.
+pub const ENCODE_HEADROOM: usize = 256;
+/// The largest class: one NFS block plus the encoder's headroom. A block
+/// message fills all but a few dozen bytes of it; a power of two (64 KiB)
+/// would leave half of every such buffer idle, and a retaining store
+/// holds one per stored block. Larger buffers go straight to the
+/// allocator.
+pub const MAX_CLASS: usize = (1 << BLOCK_SHIFT) + ENCODE_HEADROOM;
+/// The power-of-two classes, then [`MAX_CLASS`].
+const CLASSES: usize = (BLOCK_SHIFT - MIN_SHIFT + 2) as usize;
 /// Fewest buffers a class parks per thread before dropping overflow.
 const MIN_CLASS_CAP: usize = 64;
 /// Bytes a small class may park beyond that floor: header-sized buffers
@@ -50,9 +65,18 @@ const MIN_CLASS_CAP: usize = 64;
 /// reply), and a cap of 64 would drop and re-allocate them on each burst.
 const SMALL_CLASS_BYTES: usize = 256 << 10;
 
+/// Bytes of each buffer in class `class`.
+fn class_size(class: usize) -> usize {
+    if class + 1 == CLASSES {
+        MAX_CLASS
+    } else {
+        1 << (class as u32 + MIN_SHIFT)
+    }
+}
+
 /// Per-thread buffer cap of class `class`; overflow is dropped.
 pub fn class_cap(class: usize) -> usize {
-    (SMALL_CLASS_BYTES >> (class as u32 + MIN_SHIFT)).max(MIN_CLASS_CAP)
+    (SMALL_CLASS_BYTES / class_size(class)).max(MIN_CLASS_CAP)
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
@@ -71,15 +95,14 @@ thread_local! {
 /// `cap` exceeds the largest class.
 fn class_up(cap: usize) -> Option<usize> {
     let bits = usize::BITS - cap.saturating_sub(1).leading_zeros();
-    let shift = bits.max(MIN_SHIFT);
-    (shift <= MAX_SHIFT).then_some((shift - MIN_SHIFT) as usize)
+    // Everything past one block rounds to the top class.
+    let shift = bits.clamp(MIN_SHIFT, BLOCK_SHIFT + 1);
+    (cap <= MAX_CLASS).then_some((shift - MIN_SHIFT) as usize)
 }
 
 /// The class whose buffers are exactly `cap` bytes, if there is one.
 fn class_of(cap: usize) -> Option<usize> {
-    let shift = cap.trailing_zeros();
-    (cap.is_power_of_two() && (MIN_SHIFT..=MAX_SHIFT).contains(&shift))
-        .then(|| (shift - MIN_SHIFT) as usize)
+    class_up(cap).filter(|&class| class_size(class) == cap)
 }
 
 /// Returns an empty `Vec<u8>` with at least `min_capacity` capacity,
@@ -108,7 +131,7 @@ pub fn take(min_capacity: usize) -> Vec<u8> {
             POOL_MISSES.fetch_add(1, Ordering::Relaxed);
             // Round up to the class size so the buffer re-enters the
             // same class on release.
-            Vec::with_capacity(1 << (class as u32 + MIN_SHIFT))
+            Vec::with_capacity(class_size(class))
         }
     }
 }
@@ -204,12 +227,20 @@ mod tests {
         assert_eq!(class_up(64), Some(0));
         assert_eq!(class_up(65), Some(1));
         assert_eq!(class_up(256), Some(2));
-        assert_eq!(class_up(1 << 16), Some(CLASSES - 1));
-        assert_eq!(class_up((1 << 16) + 1), None);
+        assert_eq!(class_up(1 << 15), Some(CLASSES - 2));
+        // One block plus the encoder's headroom is the top class.
+        assert_eq!(MAX_CLASS, 33_024);
+        assert_eq!(class_up((1 << 15) + 1), Some(CLASSES - 1));
+        assert_eq!(class_up(MAX_CLASS), Some(CLASSES - 1));
+        assert_eq!(class_up(MAX_CLASS + 1), None);
+        assert_eq!(class_up(1 << 16), None);
         assert_eq!(class_of(63), None);
         assert_eq!(class_of(64), Some(0));
         assert_eq!(class_of(127), None);
-        assert_eq!(class_of(1 << 16), Some(CLASSES - 1));
+        assert_eq!(class_of(1 << 15), Some(CLASSES - 2));
+        assert_eq!(class_of((1 << 15) + 1), None);
+        assert_eq!(class_of(MAX_CLASS), Some(CLASSES - 1));
+        assert_eq!(class_of(1 << 16), None);
         assert_eq!(class_of(1 << 20), None);
     }
 
@@ -281,8 +312,8 @@ mod tests {
         }
         let (hits, misses, _) = alloc_stats();
         // Worst-case bound: every class full on this thread.
-        let max_held: u64 = (0..CLASSES as u32)
-            .map(|c| (class_cap(c as usize) as u64) << (c + MIN_SHIFT))
+        let max_held: u64 = (0..CLASSES)
+            .map(|c| (class_cap(c) * class_size(c)) as u64)
             .sum();
         let held = held_bytes().saturating_sub(before);
         assert!(

@@ -21,7 +21,7 @@ use slice_nfsproto::{
     NfsStatus, NfsTime, ReplyBody, StableHow,
 };
 use slice_sim::{DiskArray, DiskParams, LruCache, SimTime};
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 
 use crate::object::ObjectStore;
 
@@ -422,13 +422,13 @@ impl StorageNode {
         done
     }
 
-    /// Stores `data` at `offset` of `obj` and makes its blocks resident;
-    /// returns the block range written. A write supersedes any prefetch
-    /// of those blocks still in flight.
-    fn store_blocks(&mut self, obj: u64, offset: u64, data: &[u8]) -> RangeInclusive<u64> {
+    /// Counts a write of `len` bytes at `offset` of `obj`, already in the
+    /// store, and makes its blocks resident; returns the block range
+    /// written. A write supersedes any prefetch of those blocks still in
+    /// flight.
+    fn written(&mut self, obj: u64, offset: u64, len: usize) -> RangeInclusive<u64> {
         self.writes += 1;
-        self.store.write(obj, offset, data);
-        let blocks = Self::block_of(offset)..=Self::block_of(offset + data.len().max(1) as u64 - 1);
+        let blocks = Self::block_of(offset)..=Self::block_of(offset + len.max(1) as u64 - 1);
         for b in blocks.clone() {
             if !self.ready_at.is_empty() {
                 self.ready_at.remove(&(obj, b));
@@ -480,20 +480,37 @@ impl StorageNode {
         (done, payload)
     }
 
-    /// Serves a WRITE of `data` at `offset`. The bytes are borrowed: a
-    /// metadata-only store never copies them, a retaining store keeps its
-    /// own exact-size copy, so the caller may pass a window of the packet
-    /// the request arrived in.
+    /// Serves a WRITE of the `data` range of `payload`, the packet the
+    /// call arrived in, at `offset`. Nothing is copied: a retaining store
+    /// keeps a window of `payload`, so the two replicas of a mirrored
+    /// write hold one allocation between them, and a metadata-only store
+    /// takes the length and leaves the buffer alone.
     pub fn write(
         &mut self,
         now: SimTime,
         fh: &Fhandle,
         offset: u64,
         stable: StableHow,
-        data: &[u8],
+        payload: &ByteBuf,
+        data: Range<usize>,
     ) -> (SimTime, NfsReply) {
         let obj = Self::object_of(fh);
-        let blocks = self.store_blocks(obj, offset, data);
+        let len = data.len();
+        self.store.write_window(obj, offset, payload, data);
+        self.write_done(now, obj, offset, len, stable)
+    }
+
+    /// The disk model and the reply of a WRITE of `len` bytes at `offset`
+    /// of `obj`, once the store holds them.
+    fn write_done(
+        &mut self,
+        now: SimTime,
+        obj: u64,
+        offset: u64,
+        len: usize,
+        stable: StableHow,
+    ) -> (SimTime, NfsReply) {
+        let blocks = self.written(obj, offset, len);
         let done = match stable {
             StableHow::Unstable => {
                 let dirty = self.dirty.entry(obj).or_default();
@@ -515,7 +532,7 @@ impl StorageNode {
                 status: NfsStatus::Ok,
                 attr: Some(self.attr_for(obj, now)),
                 body: ReplyBody::Write {
-                    count: data.len() as u32,
+                    count: len as u32,
                     committed: stable,
                     verf: self.verf,
                 },
@@ -546,7 +563,12 @@ impl StorageNode {
                 offset,
                 stable,
                 data,
-            } => self.write(now, fh, *offset, *stable, data),
+            } => {
+                // A decoded request owns its bytes: the store copies them.
+                let obj = Self::object_of(fh);
+                self.store.write(obj, *offset, data);
+                self.write_done(now, obj, *offset, data.len(), *stable)
+            }
             NfsRequest::Commit { fh, .. } => {
                 let obj = Self::object_of(fh);
                 let dirty = self.dirty.remove(&obj).unwrap_or_default();
@@ -602,20 +624,22 @@ impl StorageNode {
                 self.reads += 1;
                 let avail = self.store.size(*obj).saturating_sub(*offset).min(*len) as usize;
                 let done = self.timed_read(now, *obj, *offset, avail.max(1));
-                let (data, _) = self.store.read(*obj, *offset, avail);
                 (
                     done,
                     StorageCtlReply::ResyncData {
                         obj: *obj,
                         offset: *offset,
-                        // One materialization off the disk model; every
-                        // hop after this shares the allocation.
-                        data: data.into(),
+                        // A window of the stored bytes when one extent
+                        // holds them all, else one copy; every hop after
+                        // this shares the allocation.
+                        data: self.store.read_buf(*obj, *offset, avail),
                     },
                 )
             }
             StorageCtl::ResyncWrite { obj, offset, data } => {
-                let blocks = self.store_blocks(*obj, *offset, data);
+                // The target keeps the buffer the bytes came in.
+                self.store.write_window(*obj, *offset, data, 0..data.len());
+                let blocks = self.written(*obj, *offset, data.len());
                 let done = self.flush_blocks(now, *obj, blocks);
                 (
                     done,

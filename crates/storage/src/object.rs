@@ -11,16 +11,39 @@
 //! store supports a metadata-only mode ([`ObjectStore::new_metadata_only`])
 //! that tracks extents and sizes but discards contents; reads then return
 //! zero-filled data. Integrity tests run with content retention on.
+//!
+//! A retaining store keeps the wire's bytes: an extent is a window of the
+//! buffer its data arrived in ([`ObjectStore::write_window`]), so the two
+//! replicas of a mirrored WRITE — one packet, cloned — hold one
+//! allocation between them, and a partial overwrite leaves its remainders
+//! as sub-windows of the same buffer. The buffer is immutable while shared
+//! (a holder that patches it copies first), so no holder can change what
+//! the store reads back.
 
+use slice_nfsproto::ByteBuf;
 use slice_sim::FxHashMap;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One stored extent.
 #[derive(Debug, Clone)]
 struct Extent {
     len: u64,
-    /// `None` in metadata-only mode.
-    data: Option<Vec<u8>>,
+    /// `len` bytes of a shared buffer; `None` in metadata-only mode.
+    data: Option<ByteBuf>,
+}
+
+impl Extent {
+    /// The `len` bytes from `skip` on: a sub-window of the same buffer.
+    fn part(&self, skip: u64, len: u64) -> Extent {
+        Extent {
+            len,
+            data: self
+                .data
+                .as_ref()
+                .map(|d| d.slice(skip as usize, len as usize)),
+        }
+    }
 }
 
 /// A single storage object: an ordered sequence of bytes with an id.
@@ -44,7 +67,7 @@ impl StorageObject {
         self.extents.values().map(|e| e.len).sum()
     }
 
-    fn punch(&mut self, offset: u64, len: u64, retain: bool) {
+    fn punch(&mut self, offset: u64, len: u64) {
         if len == 0 {
             return;
         }
@@ -60,49 +83,37 @@ impl StorageObject {
         for s in overlapping {
             let ext = self.extents.remove(&s).expect("listed extent");
             let e_end = s + ext.len;
-            // Left remainder.
+            // The remainders left and right of the hole keep their bytes
+            // where they lie.
             if s < offset {
-                let keep = offset - s;
-                let data = if retain {
-                    ext.data.as_ref().map(|d| d[..keep as usize].to_vec())
-                } else {
-                    None
-                };
-                self.extents.insert(s, Extent { len: keep, data });
+                self.extents.insert(s, ext.part(0, offset - s));
             }
-            // Right remainder.
             if e_end > end {
-                let skip = end - s;
-                let data = if retain {
-                    ext.data.as_ref().map(|d| d[skip as usize..].to_vec())
-                } else {
-                    None
-                };
-                self.extents.insert(
-                    end,
-                    Extent {
-                        len: e_end - end,
-                        data,
-                    },
-                );
+                self.extents.insert(end, ext.part(end - s, e_end - end));
             }
         }
     }
 
-    fn write(&mut self, offset: u64, data: &[u8], retain: bool) {
-        let len = data.len() as u64;
+    /// Stores `len` bytes at `offset`: `data` is them, or `None` when the
+    /// store keeps no contents.
+    fn write(&mut self, offset: u64, len: u64, data: Option<ByteBuf>) {
         if len == 0 {
             return;
         }
-        self.punch(offset, len, retain);
-        self.extents.insert(
-            offset,
-            Extent {
-                len,
-                data: if retain { Some(data.to_vec()) } else { None },
-            },
-        );
+        self.punch(offset, len);
+        self.extents.insert(offset, Extent { len, data });
         self.size = self.size.max(offset + len);
+    }
+
+    /// The stored bytes of `[offset, offset + len)` as a window, when one
+    /// retained extent covers the range.
+    fn window(&self, offset: u64, len: usize) -> Option<ByteBuf> {
+        let (&s, ext) = self.extents.range(..=offset).next_back()?;
+        let skip = offset - s;
+        if skip + len as u64 > ext.len {
+            return None;
+        }
+        Some(ext.data.as_ref()?.slice(skip as usize, len))
     }
 
     /// The extents overlapping `[offset, end)`, in offset order. Seeks to
@@ -141,9 +152,9 @@ impl StorageObject {
         }
     }
 
-    fn truncate(&mut self, size: u64, retain: bool) {
+    fn truncate(&mut self, size: u64) {
         if size < self.size {
-            self.punch(size, self.size - size, retain);
+            self.punch(size, self.size - size);
         }
         self.size = size;
     }
@@ -208,14 +219,30 @@ impl ObjectStore {
         v
     }
 
-    /// Writes `data` at `offset` within object `id`, creating it if absent.
+    /// Writes `data` at `offset` within object `id`, creating it if
+    /// absent. A retaining store copies the bytes once, into a buffer of
+    /// the payload pool that goes back to it with the last extent that
+    /// holds it; a metadata-only one keeps the length.
     pub fn write(&mut self, id: u64, offset: u64, data: &[u8]) {
-        self.bytes_written += data.len() as u64;
-        let retain = self.retain_data;
-        self.objects
-            .entry(id)
-            .or_default()
-            .write(offset, data, retain);
+        let kept = self.retain_data.then(|| ByteBuf::from(data));
+        self.put(id, offset, data.len() as u64, kept);
+    }
+
+    /// Writes the `range` of `payload` at `offset` within object `id`,
+    /// creating it if absent, without copying: a retaining store keeps a
+    /// window of `payload` (the packet a WRITE arrived in, or a resync's
+    /// buffer), which every other holder of it shares; a metadata-only
+    /// store keeps the length and leaves `payload` alone.
+    pub fn write_window(&mut self, id: u64, offset: u64, payload: &ByteBuf, range: Range<usize>) {
+        let kept = self
+            .retain_data
+            .then(|| payload.slice(range.start, range.len()));
+        self.put(id, offset, range.len() as u64, kept);
+    }
+
+    fn put(&mut self, id: u64, offset: u64, len: u64, data: Option<ByteBuf>) {
+        self.bytes_written += len;
+        self.objects.entry(id).or_default().write(offset, len, data);
     }
 
     /// Reads `len` bytes at `offset`; holes and absent objects read as
@@ -225,6 +252,19 @@ impl ObjectStore {
         let mut out = vec![0u8; len];
         self.read_into(id, offset, &mut out);
         (out, offset + len as u64 >= self.size(id))
+    }
+
+    /// [`read`](Self::read) as a shared buffer: a window of the stored
+    /// bytes when one retained extent covers the range, else one copy.
+    pub fn read_buf(&mut self, id: u64, offset: u64, len: usize) -> ByteBuf {
+        let window = self.objects.get(&id).and_then(|o| o.window(offset, len));
+        match window {
+            Some(window) => {
+                self.bytes_read += len as u64;
+                window
+            }
+            None => self.read(id, offset, len).0.into(),
+        }
     }
 
     /// [`read`](Self::read) into a caller-supplied, already zeroed buffer
@@ -239,8 +279,7 @@ impl ObjectStore {
     /// Truncates object `id` to `size` (creating it if absent, per NFS
     /// setattr-size semantics).
     pub fn truncate(&mut self, id: u64, size: u64) {
-        let retain = self.retain_data;
-        self.objects.entry(id).or_default().truncate(size, retain);
+        self.objects.entry(id).or_default().truncate(size);
     }
 
     /// Removes object `id`; returns true if it existed.
@@ -387,14 +426,15 @@ mod tests {
         for step in 0..2_000 {
             if rng.gen_range(0..10u32) == 0 {
                 let size = rng.gen_range(0..6_000u64);
-                obj.truncate(size, retain);
+                obj.truncate(size);
                 model.resize(size as usize, 0);
                 covered.resize(size as usize, false);
             } else {
                 let off = rng.gen_range(0..5_000usize);
                 let len = rng.gen_range(0..300usize);
                 let chunk: Vec<u8> = (0..len).map(|i| (step + i) as u8 | 1).collect();
-                obj.write(off as u64, &chunk, retain);
+                let kept = retain.then(|| ByteBuf::from(&chunk[..]));
+                obj.write(off as u64, len as u64, kept);
                 if len > 0 {
                     let size = model.len().max(off + len);
                     model.resize(size, 0);
@@ -437,13 +477,49 @@ mod tests {
         const EXT: u64 = 32 * 1024;
         let mut obj = StorageObject::default();
         for i in 0..10_000u64 {
-            obj.write(i * EXT, &[0u8; EXT as usize], false);
+            obj.write(i * EXT, EXT, None);
         }
         let tail = 9_999 * EXT;
         assert_eq!(obj.overlapping(tail, tail + EXT).count(), 1);
         assert_eq!(obj.overlapping(tail - EXT / 2, tail + EXT / 2).count(), 2);
         assert_eq!(obj.overlapping(tail + 100, tail + 200).count(), 1);
         assert_eq!(obj.overlapping(tail + EXT, tail + 2 * EXT).count(), 0);
+    }
+
+    /// A retaining store keeps a window of the payload — one refcount, no
+    /// copy — and a metadata-only one takes neither; an overwrite leaves
+    /// sub-windows either side, and a read inside one extent is a window
+    /// of it while a read across two is one copy.
+    #[test]
+    fn windows_are_kept_without_copies() {
+        use slice_nfsproto::bytes::local_clone_stats;
+        let payload = ByteBuf::from_vec((0..1_000u32).map(|i| i as u8).collect());
+        let (shallow, deep, _) = local_clone_stats();
+        let mut meta = ObjectStore::new_metadata_only();
+        meta.write_window(1, 0, &payload, 100..600);
+        assert_eq!(
+            local_clone_stats().0,
+            shallow,
+            "metadata-only took a refcount"
+        );
+        let (mut a, mut b) = (ObjectStore::new(), ObjectStore::new());
+        a.write_window(1, 0, &payload, 100..600);
+        b.write_window(1, 0, &payload, 100..600);
+        assert_eq!(local_clone_stats().0, shallow + 2, "one refcount per store");
+        a.write(1, 200, b"xy");
+        let mut want = payload[100..600].to_vec();
+        want[200..202].copy_from_slice(b"xy");
+        assert_eq!(a.read(1, 0, 500).0, want);
+        assert_eq!(b.read(1, 0, 500).0, &payload[100..600]);
+        assert_eq!(meta.read(1, 0, 500).0, vec![0; 500]);
+        assert_eq!(local_clone_stats().1, deep, "nothing was copied on write");
+        // Inside the right remainder: a window; across the patch: a copy.
+        let before = local_clone_stats().0;
+        assert_eq!(a.read_buf(1, 300, 100)[..], want[300..400]);
+        assert_eq!(local_clone_stats().0, before + 1);
+        assert_eq!(a.read_buf(1, 150, 100)[..], want[150..250]);
+        assert_eq!(local_clone_stats().0, before + 1);
+        assert_eq!(a.io_stats(), (502, 700));
     }
 
     #[test]

@@ -85,10 +85,15 @@ fn unknown_options_are_refused_with_usage_and_status_2() {
 }
 
 fn run_reconfigure(extra: &[&str]) -> String {
+    run_reconfigure_env(extra, &[])
+}
+
+fn run_reconfigure_env(extra: &[&str], envs: &[(&str, &str)]) -> String {
     let mut args = vec!["--mb", "4", "--reads", "1"];
     args.extend_from_slice(extra);
     let out = Command::new(env!("CARGO_BIN_EXE_reconfigure"))
         .args(&args)
+        .envs(envs.iter().copied())
         .output()
         .expect("spawn reconfigure");
     assert!(
@@ -116,6 +121,22 @@ fn reconfigure_is_byte_identical_across_thread_counts() {
     assert!(
         one.lines().rev().any(|l| l.starts_with('{')),
         "reconfigure stdout lost its obs JSON line"
+    );
+}
+
+/// The pool contract again, on the path where buffers are shared the
+/// longest: the reconfiguration bench runs retaining storage nodes
+/// through resync, join and drain, so a stored extent is a window of the
+/// packet or resync buffer it arrived in and a buffer goes back to the
+/// pool only when its last extent does. Pooling on and off must print
+/// the same bytes.
+#[test]
+fn reconfigure_is_byte_identical_with_pooling_off() {
+    let pooled = run_reconfigure(&["--threads", "1"]);
+    let unpooled = run_reconfigure_env(&["--threads", "1"], &[("SLICE_POOL", "off")]);
+    assert!(
+        pooled == unpooled,
+        "reconfigure stdout differs between pooling on and SLICE_POOL=off:\n--- pooled\n{pooled}\n--- unpooled\n{unpooled}"
     );
 }
 

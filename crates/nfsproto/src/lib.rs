@@ -29,7 +29,7 @@ pub use attr::{
     Fattr3, FileType, NfsStatus, NfsTime, Sattr3, SetTime, ATTR_OFF_ATIME, ATTR_OFF_MTIME,
     ATTR_OFF_SIZE, ATTR_WIRE_SIZE,
 };
-pub use bytes::ByteBuf;
+pub use bytes::{ByteBuf, Windows};
 pub use fh::{Fhandle, FH_FLAG_DIR, FH_FLAG_MAPPED, FH_FLAG_MIRRORED, FH_FLAG_SYMLINK, FH_SIZE};
 pub use msg::{
     decode_call, decode_reply, encode_call, encode_read_reply, encode_reply, view_call, view_reply,

@@ -18,7 +18,7 @@ use slice_sim::{FxHashMap, FxHashSet};
 
 use slice_nfsproto::{
     encode_read_reply, ByteBuf, Fattr3, Fhandle, FileType, NfsProc, NfsReply, NfsRequest,
-    NfsStatus, NfsTime, ReplyBody, StableHow,
+    NfsStatus, NfsTime, ReplyBody, StableHow, Windows,
 };
 use slice_sim::{DiskArray, DiskParams, LruCache, SimTime};
 use std::ops::{Range, RangeInclusive};
@@ -74,10 +74,10 @@ pub enum StorageCtl {
         obj: u64,
         /// Byte offset.
         offset: u64,
-        /// The bytes copied from the surviving mirror (shared: the
-        /// coordinator's in-flight stash and its retransmissions clone
-        /// the window, never the bytes).
-        data: ByteBuf,
+        /// The bytes owed: the windows the source answered with, or one
+        /// decoded shard. The coordinator's stash and its retransmissions
+        /// clone the windows, never the bytes.
+        data: Windows,
     },
 }
 
@@ -102,8 +102,9 @@ pub enum StorageCtlReply {
         obj: u64,
         /// Byte offset.
         offset: u64,
-        /// The bytes (short when the object is shorter than asked).
-        data: ByteBuf,
+        /// The bytes, as windows of the stored extents (short when the
+        /// object is shorter than asked).
+        data: Windows,
     },
     /// A resynchronized range is durable on the recovering replica.
     ResyncApplied {
@@ -629,16 +630,15 @@ impl StorageNode {
                     StorageCtlReply::ResyncData {
                         obj: *obj,
                         offset: *offset,
-                        // A window of the stored bytes when one extent
-                        // holds them all, else one copy; every hop after
-                        // this shares the allocation.
-                        data: self.store.read_buf(*obj, *offset, avail),
+                        // Windows of the stored extents: every hop after
+                        // this shares their allocations.
+                        data: self.store.read_windows(*obj, *offset, avail),
                     },
                 )
             }
             StorageCtl::ResyncWrite { obj, offset, data } => {
-                // The target keeps the buffer the bytes came in.
-                self.store.write_window(*obj, *offset, data, 0..data.len());
+                // The target keeps the windows the bytes came in.
+                self.store.write_windows(*obj, *offset, data);
                 let blocks = self.written(*obj, *offset, data.len());
                 let done = self.flush_blocks(now, *obj, blocks);
                 (

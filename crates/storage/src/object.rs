@@ -18,9 +18,11 @@
 //! allocation between them, and a partial overwrite leaves its remainders
 //! as sub-windows of the same buffer. The buffer is immutable while shared
 //! (a holder that patches it copies first), so no holder can change what
-//! the store reads back.
+//! the store reads back. A resync moves windows too: the source answers
+//! with the windows of its extents ([`ObjectStore::read_windows`]) and the
+//! target keeps them ([`ObjectStore::write_windows`]).
 
-use slice_nfsproto::ByteBuf;
+use slice_nfsproto::{ByteBuf, Windows};
 use slice_sim::FxHashMap;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -105,15 +107,21 @@ impl StorageObject {
         self.size = self.size.max(offset + len);
     }
 
-    /// The stored bytes of `[offset, offset + len)` as a window, when one
-    /// retained extent covers the range.
-    fn window(&self, offset: u64, len: usize) -> Option<ByteBuf> {
-        let (&s, ext) = self.extents.range(..=offset).next_back()?;
-        let skip = offset - s;
-        if skip + len as u64 > ext.len {
-            return None;
+    /// The stored bytes of `[offset, offset + len)`: a window of each
+    /// retained extent the range overlaps, and zeros for the holes and
+    /// for extents whose bytes are not kept.
+    fn windows(&self, offset: u64, len: usize) -> Windows {
+        let end = offset + len as u64;
+        let (mut out, mut at) = (Windows::default(), offset);
+        for (s, ext) in self.overlapping(offset, end) {
+            let Some(data) = &ext.data else { continue };
+            let (lo, hi) = (s.max(offset), (s + ext.len).min(end));
+            out.push_zeros((lo - at) as usize);
+            out.push(data.slice((lo - s) as usize, (hi - lo) as usize));
+            at = hi;
         }
-        Some(ext.data.as_ref()?.slice(skip as usize, len))
+        out.push_zeros((end - at) as usize);
+        out
     }
 
     /// The extents overlapping `[offset, end)`, in offset order. Seeks to
@@ -240,6 +248,17 @@ impl ObjectStore {
         self.put(id, offset, range.len() as u64, kept);
     }
 
+    /// Writes `windows` back to back from `offset` within object `id`,
+    /// creating it (even with no bytes) if absent; each window is kept as
+    /// [`write_window`](Self::write_window) keeps one.
+    pub fn write_windows(&mut self, id: u64, mut offset: u64, windows: &Windows) {
+        self.objects.entry(id).or_default();
+        for w in windows.iter() {
+            self.write_window(id, offset, w, 0..w.len());
+            offset += w.len() as u64;
+        }
+    }
+
     fn put(&mut self, id: u64, offset: u64, len: u64, data: Option<ByteBuf>) {
         self.bytes_written += len;
         self.objects.entry(id).or_default().write(offset, len, data);
@@ -254,16 +273,13 @@ impl ObjectStore {
         (out, offset + len as u64 >= self.size(id))
     }
 
-    /// [`read`](Self::read) as a shared buffer: a window of the stored
-    /// bytes when one retained extent covers the range, else one copy.
-    pub fn read_buf(&mut self, id: u64, offset: u64, len: usize) -> ByteBuf {
-        let window = self.objects.get(&id).and_then(|o| o.window(offset, len));
-        match window {
-            Some(window) => {
-                self.bytes_read += len as u64;
-                window
-            }
-            None => self.read(id, offset, len).0.into(),
+    /// [`read`](Self::read) as the windows the bytes lie in: nothing is
+    /// copied, and holes are windows of one shared zero buffer.
+    pub fn read_windows(&mut self, id: u64, offset: u64, len: usize) -> Windows {
+        self.bytes_read += len as u64;
+        match self.objects.get(&id) {
+            Some(obj) => obj.windows(offset, len),
+            None => StorageObject::default().windows(offset, len),
         }
     }
 
@@ -489,7 +505,7 @@ mod tests {
     /// A retaining store keeps a window of the payload — one refcount, no
     /// copy — and a metadata-only one takes neither; an overwrite leaves
     /// sub-windows either side, and a read inside one extent is a window
-    /// of it while a read across two is one copy.
+    /// of it while a read across two is two windows.
     #[test]
     fn windows_are_kept_without_copies() {
         use slice_nfsproto::bytes::local_clone_stats;
@@ -513,13 +529,18 @@ mod tests {
         assert_eq!(b.read(1, 0, 500).0, &payload[100..600]);
         assert_eq!(meta.read(1, 0, 500).0, vec![0; 500]);
         assert_eq!(local_clone_stats().1, deep, "nothing was copied on write");
-        // Inside the right remainder: a window; across the patch: a copy.
+        // Inside the right remainder: a window; into the patch: two.
         let before = local_clone_stats().0;
-        assert_eq!(a.read_buf(1, 300, 100)[..], want[300..400]);
+        let inside = a.read_windows(1, 300, 100);
+        assert_eq!(inside.iter().count(), 1);
+        assert_eq!(inside, ByteBuf::from(&want[300..400]).into());
         assert_eq!(local_clone_stats().0, before + 1);
-        assert_eq!(a.read_buf(1, 150, 100)[..], want[150..250]);
-        assert_eq!(local_clone_stats().0, before + 1);
-        assert_eq!(a.io_stats(), (502, 700));
+        let across = a.read_windows(1, 150, 52);
+        assert_eq!(across.iter().count(), 2);
+        assert_eq!(across, ByteBuf::from(&want[150..202]).into());
+        assert_eq!(local_clone_stats().0, before + 3);
+        assert_eq!(local_clone_stats().1, deep, "nothing was copied on read");
+        assert_eq!(a.io_stats(), (502, 652));
     }
 
     #[test]

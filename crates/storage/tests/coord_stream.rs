@@ -57,7 +57,7 @@
 use std::collections::BTreeMap;
 
 use slice_hashes::fnv::FNV_OFFSET;
-use slice_hashes::{fnv1a, fnv1a_continue};
+use slice_hashes::fnv1a_continue;
 use slice_nfsproto::{Fhandle, NfsRequest, StableHow};
 use slice_sim::{Rng, SimDuration, SimTime};
 use slice_storage::coord::SiteState;
@@ -296,11 +296,12 @@ impl Harness {
             CoordAction::SendCtl { site, ctl } => {
                 assert!(*site < SITES, "a leg for a site that does not exist");
                 match ctl {
-                    StorageCtl::ResyncWrite { obj, offset, data } => self.fold(format!(
-                        "C {site} W {obj} {offset} {} {:x}",
-                        data.len(),
-                        fnv1a(data)
-                    )),
+                    StorageCtl::ResyncWrite { obj, offset, data } => {
+                        // The windows in order hash as their bytes would.
+                        let bytes = data.iter().fold(FNV_OFFSET, |h, w| fnv1a_continue(h, w));
+                        let len = data.len();
+                        self.fold(format!("C {site} W {obj} {offset} {len} {bytes:x}"))
+                    }
                     other => self.fold(format!("C {site} {other:?}")),
                 }
                 match ctl {

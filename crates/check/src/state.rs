@@ -92,8 +92,9 @@ pub fn check_mirror_convergence(ens: &SliceEnsemble) -> Vec<Violation> {
     let mut coded_files: FxHashSet<u64> = FxHashSet::default();
     for &c in &ens.coords {
         let coord = &ens.engine.actor::<CoordActor>(c).coord;
-        for (file, placement, blocks) in coord.block_map_dump() {
-            if matches!(placement, Placement::Coded { .. }) {
+        let coded = matches!(coord.placement(), Placement::Coded { .. });
+        for (file, blocks) in coord.block_map_dump() {
+            if coded {
                 coded_files.insert(file);
                 continue;
             }
@@ -360,7 +361,8 @@ pub fn check_block_maps(ens: &SliceEnsemble, strict: bool) -> Vec<Violation> {
     for (ci, &c) in ens.coords.iter().enumerate() {
         let coord = &ens.engine.actor::<CoordActor>(c).coord;
         let unit = coord.stripe_unit();
-        for (file, placement, blocks) in coord.block_map_dump() {
+        let placement = coord.placement();
+        for (file, blocks) in coord.block_map_dump() {
             let expect_backing = authoritative_size
                 .get(&file)
                 .is_some_and(|&sz| sz > slice_smallfile::SF_THRESHOLD);
@@ -488,13 +490,13 @@ pub fn check_coded_reconstruction(ens: &SliceEnsemble) -> Vec<Violation> {
     };
     for (ci, &c) in ens.coords.iter().enumerate() {
         let coord = &ens.engine.actor::<CoordActor>(c).coord;
-        for (file, placement, blocks) in coord.block_map_dump() {
-            let Placement::Coded { n, k } = placement else {
-                continue;
-            };
-            let layout = CodedLayout::new(n, k, stripe_unit);
-            let codec = Codec::new(n as usize, k as usize);
-            let ssize = layout.shard_size() as usize;
+        let Placement::Coded { n, k } = coord.placement() else {
+            continue;
+        };
+        let layout = CodedLayout::new(n, k, stripe_unit);
+        let codec = Codec::new(n as usize, k as usize);
+        let ssize = layout.shard_size() as usize;
+        for (file, blocks) in coord.block_map_dump() {
             for (s, sites) in blocks {
                 if sites.len() != n as usize {
                     continue; // reported by check_block_maps
@@ -571,7 +573,7 @@ pub fn check_drained(ens: &SliceEnsemble, sites: &[usize]) -> Vec<Violation> {
     let mut mapped_objs: FxHashSet<u64> = FxHashSet::default();
     for &c in &ens.coords {
         let coord = &ens.engine.actor::<CoordActor>(c).coord;
-        for (file, _, _) in coord.block_map_dump() {
+        for (file, _) in coord.block_map_dump() {
             mapped_objs.insert(file);
         }
     }
@@ -585,7 +587,7 @@ pub fn check_drained(ens: &SliceEnsemble, sites: &[usize]) -> Vec<Violation> {
                     format!("coord {ci}: site {site} not retired at quiescence"),
                 ));
             }
-            for (file, _, blocks) in coord.block_map_dump() {
+            for (file, blocks) in coord.block_map_dump() {
                 for (block, replica_sites) in blocks {
                     if replica_sites.contains(&s32) {
                         v.push(Violation::new(

@@ -45,7 +45,10 @@ impl BenchArgs {
         args
     }
 
-    fn bad_usage(&self) -> ! {
+    /// Prints the usage line and exits with status 2: what every bad
+    /// command line ends in, including options that contradict each
+    /// other.
+    pub fn bad_usage(&self) -> ! {
         eprintln!("{}", self.usage);
         std::process::exit(2)
     }

@@ -63,24 +63,49 @@ fn fig3_is_byte_identical_with_pooling_off() {
     );
 }
 
+/// Runs the bench binary `name` at `path` on `args` and requires what a
+/// refused command line ends in: the usage line on stderr, status 2 and
+/// nothing on stdout.
+fn assert_refused(path: &str, name: &str, args: &[&str]) {
+    let out = Command::new(path).args(args).output().expect("spawn");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{name} {args:?} was not refused"
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).starts_with(&format!("usage: {name}")),
+        "{name} {args:?} did not print its usage line"
+    );
+    assert!(out.stdout.is_empty(), "{name} {args:?} ran anyway");
+}
+
 /// A command line is input from outside the program: an option the
 /// binary does not read — a typo, or the `--shards` of a script written
 /// before the sharded engine was deleted — must stop the run with the
 /// usage line and status 2, not run on defaults and say nothing.
 #[test]
 fn unknown_options_are_refused_with_usage_and_status_2() {
-    for bad in [&["--shards", "4"][..], &["--thread", "4"][..]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_fig3"))
-            .args(["--files", "100"])
-            .args(bad)
-            .output()
-            .expect("spawn fig3");
-        assert_eq!(out.status.code(), Some(2), "fig3 {bad:?} was not refused");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).starts_with("usage: fig3"),
-            "fig3 {bad:?} did not print its usage line"
+    for bad in ["--shards", "--thread"] {
+        assert_refused(
+            env!("CARGO_BIN_EXE_fig3"),
+            "fig3",
+            &["--files", "100", bad, "4"],
         );
-        assert!(out.stdout.is_empty(), "fig3 {bad:?} ran anyway");
+    }
+}
+
+/// `checker --reconf` builds its own ensemble and draws its own pool, so
+/// `--chaos` or `--coded` beside it cannot both be honoured: the command
+/// line is refused, not silently narrowed to one of them.
+#[test]
+fn contradictory_checker_modes_are_refused_with_usage_and_status_2() {
+    for bad in ["--chaos", "--coded"] {
+        assert_refused(
+            env!("CARGO_BIN_EXE_checker"),
+            "checker",
+            &["--seeds", "1", "--schedules", "1", "--reconf", bad],
+        );
     }
 }
 

@@ -8,35 +8,34 @@
 use slice_sim::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
 
-use slice_core::actors::{CoordActor, DirActor, StorageActor};
+use slice_core::actors::{DirActor, StorageActor};
 use slice_core::ensemble::SliceEnsemble;
 use slice_core::ClientActor;
 use slice_dirsvc::{AttrCell, ChildRef, NameCell};
 use slice_ec::{k_subsets, Codec, CodedLayout};
 use slice_hashes::name_fingerprint;
 use slice_nfsproto::{Fhandle, FileType};
-use slice_storage::Placement;
+use slice_storage::{ObjectStore, Placement};
 
 use crate::Violation;
 
 /// Runs every structural oracle: directory-service integrity, coordinator
 /// block maps (site validity), attr-cache audit, and mirror convergence.
 pub fn check_structural(ens: &SliceEnsemble) -> Vec<Violation> {
-    let mut v = check_dirsvc(ens);
-    v.extend(check_block_maps(ens, false));
-    v.extend(check_attr_cache(ens));
-    v.extend(check_mirror_convergence(ens));
-    v.extend(check_coded_reconstruction(ens));
-    v
+    structural(ens, false)
 }
 
-/// Like [`check_structural`] but additionally requires every coordinator
-/// block map to be backed by storage objects. Only sound on crash-free
-/// runs: a crash between map assignment and the first write legitimately
-/// leaves a map without an object.
+/// Like [`check_structural`] but additionally requires every block map to
+/// be backed by storage objects. Only sound on crash-free runs: a crash
+/// between map assignment and the first write legitimately leaves a map
+/// without an object.
 pub fn check_structural_strict(ens: &SliceEnsemble) -> Vec<Violation> {
+    structural(ens, true)
+}
+
+fn structural(ens: &SliceEnsemble, strict: bool) -> Vec<Violation> {
     let mut v = check_dirsvc(ens);
-    v.extend(check_block_maps(ens, true));
+    v.extend(check_block_maps(ens, strict));
     v.extend(check_attr_cache(ens));
     v.extend(check_mirror_convergence(ens));
     v.extend(check_coded_reconstruction(ens));
@@ -45,41 +44,27 @@ pub fn check_structural_strict(ens: &SliceEnsemble) -> Vec<Violation> {
 
 /// Mirror-convergence oracle (slice-ha): at quiescence every mirrored
 /// (file, chunk) must hold byte-identical data on all of its replica
-/// sites, and the coordinators' dirty-region logs must have drained.
+/// sites, and the coordinator's dirty-region log must have drained.
 /// Degraded writes are acceptable only while resynchronization is still
 /// owed — never at a quiet fixpoint once every node has recovered.
 pub fn check_mirror_convergence(ens: &SliceEnsemble) -> Vec<Violation> {
-    let mut v = Vec::new();
-    for (ci, &c) in ens.coords.iter().enumerate() {
-        let coord = &ens.engine.actor::<CoordActor>(c).coord;
-        for (site, obj, offset, len) in coord.dirty_log_dump() {
-            v.push(Violation::new(
+    let coord = ens.coord();
+    let mut v: Vec<Violation> = coord
+        .dirty_log_dump()
+        .into_iter()
+        .map(|(site, obj, offset, len)| {
+            Violation::new(
                 "mirror_dirty_log",
                 format!(
-                    "coord {ci}: site {site} still owes resync of file {obj} [{offset}, +{len}) at quiescence"
+                    "site {site} still owes resync of file {obj} [{offset}, +{len}) at quiescence"
                 ),
-            ));
-        }
-    }
-    // A client-visible op failure (RPC timeout) leaves a mirrored write
-    // partially applied with no promise about either copy; byte-compare
-    // is only sound on runs where every op eventually completed.
-    let any_timeouts = ens
-        .clients
-        .iter()
-        .any(|&c| ens.engine.actor::<ClientActor>(c).stats().timeouts > 0);
-    if any_timeouts {
-        return v;
-    }
-    let n = ens.storage.len() as u32;
-    let Some(proxy) = ens
-        .clients
-        .first()
-        .and_then(|&c| ens.engine.actor::<ClientActor>(c).proxy())
-    else {
+            )
+        })
+        .collect();
+    let Some(stripe_unit) = settled_stripe_unit(ens) else {
         return v;
     };
-    let stripe_unit = proxy.config().stripe_unit.max(1);
+    let n = ens.storage.len() as u32;
     let start = if ens.sfs.is_empty() {
         0
     } else {
@@ -88,26 +73,20 @@ pub fn check_mirror_convergence(ens: &SliceEnsemble) -> Vec<Violation> {
     // Dynamic placements override the static striping function. Coded
     // files hold parity, not replicas — byte-compare does not apply to
     // them (the coded-reconstruction oracle covers them instead).
+    let coded = matches!(coord.placement(), Placement::Coded { .. });
     let mut mapped: FxHashMap<(u64, u64), Vec<u32>> = FxHashMap::default();
     let mut coded_files: FxHashSet<u64> = FxHashSet::default();
-    for &c in &ens.coords {
-        let coord = &ens.engine.actor::<CoordActor>(c).coord;
-        let coded = matches!(coord.placement(), Placement::Coded { .. });
-        for (file, blocks) in coord.block_map_dump() {
-            if coded {
-                coded_files.insert(file);
-                continue;
-            }
-            for (block, sites) in blocks {
-                mapped.insert((file, block), sites);
-            }
+    for (file, blocks) in coord.block_map_dump() {
+        if coded {
+            coded_files.insert(file);
+            continue;
+        }
+        for (block, sites) in blocks {
+            mapped.insert((file, block), sites);
         }
     }
     let (names, attrs) = dir_dumps(ens);
-    let mut size_of: FxHashMap<u64, u64> = FxHashMap::default();
-    for (_, file, cell) in attrs {
-        size_of.insert(file, cell.attr.size);
-    }
+    let size_of = sizes(attrs);
     let mut mirrored: Vec<u64> = Vec::new();
     let mut seen = FxHashSet::default();
     for (_, _, cell) in &names {
@@ -122,16 +101,6 @@ pub fn check_mirror_convergence(ens: &SliceEnsemble) -> Vec<Violation> {
         }
     }
     mirrored.sort_unstable();
-    let read_at = |site: u32, file: u64, offset: u64, len: usize| -> Vec<u8> {
-        let node = &ens
-            .engine
-            .actor::<StorageActor>(ens.storage[site as usize])
-            .node;
-        match node.store().get(file) {
-            Some(obj) => obj.read(offset, len),
-            None => vec![0u8; len],
-        }
-    };
     for file in mirrored {
         let size = size_of.get(&file).copied().unwrap_or(0);
         let mut offset = start;
@@ -141,9 +110,9 @@ pub fn check_mirror_convergence(ens: &SliceEnsemble) -> Vec<Violation> {
             let sites = mapped.get(&(file, block)).cloned().unwrap_or_else(|| {
                 slice_hashes::stripe_slots(file, block, slice_core::MIRROR_COPIES, n).collect()
             });
-            let reference = read_at(sites[0], file, offset, len);
+            let reference = object_bytes(ens, sites[0], file, offset, len);
             for &s in &sites[1..] {
-                let other = read_at(s, file, offset, len);
+                let other = object_bytes(ens, s, file, offset, len);
                 if other != reference {
                     let diverge = reference
                         .iter()
@@ -167,6 +136,38 @@ pub fn check_mirror_convergence(ens: &SliceEnsemble) -> Vec<Violation> {
     v
 }
 
+fn store(ens: &SliceEnsemble, site: u32) -> &ObjectStore {
+    ens.engine
+        .actor::<StorageActor>(ens.storage[site as usize])
+        .node
+        .store()
+}
+
+/// The bytes `[offset, offset + len)` of `file`'s object on storage site
+/// `site`: a missing object, a hole and a metadata-only store read as
+/// zeros.
+fn object_bytes(ens: &SliceEnsemble, site: u32, file: u64, offset: u64, len: usize) -> Vec<u8> {
+    match store(ens, site).get(file) {
+        Some(obj) => obj.read(offset, len),
+        None => vec![0u8; len],
+    }
+}
+
+/// The stripe unit the µproxies route by, when byte-comparing stored
+/// blocks is sound: no client op timed out (a timed-out write is left
+/// partially applied, with no promise about either copy) and the first
+/// client has a µproxy.
+fn settled_stripe_unit(ens: &SliceEnsemble) -> Option<u64> {
+    let mut clients = ens
+        .clients
+        .iter()
+        .map(|&c| ens.engine.actor::<ClientActor>(c));
+    if clients.clone().any(|c| c.stats().timeouts > 0) {
+        return None;
+    }
+    Some(clients.next()?.proxy()?.config().stripe_unit.max(1))
+}
+
 /// `(site, key, cell)` rows collected from every directory server.
 type SitedCells<C> = Vec<(usize, u64, C)>;
 
@@ -183,6 +184,15 @@ fn dir_dumps(ens: &SliceEnsemble) -> (SitedCells<NameCell>, SitedCells<AttrCell>
         }
     }
     (names, attrs)
+}
+
+/// Each file's size per its attribute cell (the last site's, should two
+/// hold one: [`check_dirsvc`] reports that).
+fn sizes(attrs: SitedCells<AttrCell>) -> FxHashMap<u64, u64> {
+    attrs
+        .into_iter()
+        .map(|(_, file, cell)| (file, cell.attr.size))
+        .collect()
 }
 
 /// Directory-service invariants: unique attribute cells, hash-chain
@@ -332,112 +342,80 @@ pub fn check_dirsvc(ens: &SliceEnsemble) -> Vec<Violation> {
 pub fn check_block_maps(ens: &SliceEnsemble, strict: bool) -> Vec<Violation> {
     let mut v = Vec::new();
     let sites = ens.storage.len() as u32;
-    let holds = |site: u32, file: u64| -> bool {
-        let node = &ens
-            .engine
-            .actor::<StorageActor>(ens.storage[site as usize])
-            .node;
-        node.store().get(file).is_some()
-    };
-    let read_block = |site: u32, file: u64, offset: u64, len: u64| -> Option<Vec<u8>> {
-        let node = &ens
-            .engine
-            .actor::<StorageActor>(ens.storage[site as usize])
-            .node;
-        if !node.store().retains_data() {
-            return None;
-        }
-        Some(
-            node.store()
-                .get(file)
-                .map(|o| o.read(offset, len as usize))
-                .unwrap_or_else(|| vec![0u8; len as usize]),
-        )
-    };
-    let mut authoritative_size: FxHashMap<u64, u64> = FxHashMap::default();
-    for (_, file, cell) in dir_dumps(ens).1 {
-        authoritative_size.insert(file, cell.attr.size);
-    }
-    for (ci, &c) in ens.coords.iter().enumerate() {
-        let coord = &ens.engine.actor::<CoordActor>(c).coord;
-        let unit = coord.stripe_unit();
-        let placement = coord.placement();
-        for (file, blocks) in coord.block_map_dump() {
-            let expect_backing = authoritative_size
-                .get(&file)
-                .is_some_and(|&sz| sz > slice_smallfile::SF_THRESHOLD);
-            let mut any_backed = false;
-            for (block, replica_sites) in &blocks {
-                if replica_sites.is_empty() {
+    let size_of = sizes(dir_dumps(ens).1);
+    let coord = ens.coord();
+    let unit = coord.stripe_unit();
+    let placement = coord.placement();
+    for (file, blocks) in coord.block_map_dump() {
+        let expect_backing = size_of
+            .get(&file)
+            .is_some_and(|&sz| sz > slice_smallfile::SF_THRESHOLD);
+        let mut any_backed = false;
+        for (block, replica_sites) in &blocks {
+            if replica_sites.is_empty() {
+                v.push(Violation::new(
+                    "block_map_sites",
+                    format!("file {file} block {block} has no replica sites"),
+                ));
+                continue;
+            }
+            if let Placement::Coded { n, .. } = placement {
+                if replica_sites.len() != n as usize {
                     v.push(Violation::new(
                         "block_map_sites",
-                        format!("coord {ci}: file {file} block {block} has no replica sites"),
+                        format!(
+                            "file {file} block {block} coded n={n} but lists {} sites",
+                            replica_sites.len()
+                        ),
                     ));
-                    continue;
                 }
-                if let Placement::Coded { n, .. } = placement {
-                    if replica_sites.len() != n as usize {
-                        v.push(Violation::new(
-                            "block_map_sites",
-                            format!(
-                                "coord {ci}: file {file} block {block} coded n={n} but lists {} sites",
-                                replica_sites.len()
-                            ),
-                        ));
-                    }
+            }
+            let mut seen = FxHashSet::default();
+            for &s in replica_sites {
+                if s >= sites {
+                    v.push(Violation::new(
+                        "block_map_sites",
+                        format!("file {file} block {block} lists site {s} of {sites}"),
+                    ));
+                } else if !seen.insert(s) {
+                    v.push(Violation::new(
+                        "block_map_sites",
+                        format!("file {file} block {block} lists site {s} twice"),
+                    ));
+                } else if store(ens, s).get(file).is_some() {
+                    any_backed = true;
                 }
-                let mut seen = FxHashSet::default();
-                for &s in replica_sites {
-                    if s >= sites {
-                        v.push(Violation::new(
-                            "block_map_sites",
-                            format!(
-                                "coord {ci}: file {file} block {block} lists site {s} of {sites}"
-                            ),
-                        ));
-                    } else if !seen.insert(s) {
-                        v.push(Violation::new(
-                            "block_map_sites",
-                            format!("coord {ci}: file {file} block {block} lists site {s} twice"),
-                        ));
-                    } else if holds(s, file) {
-                        any_backed = true;
-                    }
-                }
-                // Mirror byte-compare: at quiescence every listed
-                // replica of this block must read back identically (a
-                // missing object or a hole reads as zeros, so eagerly
-                // assigned never-written blocks pass trivially).
-                if strict && expect_backing && matches!(placement, Placement::Mirrored { .. }) {
-                    let mut replicas = replica_sites.iter().filter(|&&s| s < sites);
-                    if let Some(&first) = replicas.next() {
-                        let want = read_block(first, file, block * unit, unit);
-                        for &s in replicas {
-                            let got = read_block(s, file, block * unit, unit);
-                            if let (Some(want), Some(got)) = (&want, &got) {
-                                if want != got {
-                                    v.push(Violation::new(
-                                        "block_map_object",
-                                        format!(
-                                            "coord {ci}: file {file} block {block} mirrored on \
-                                             sites {first} and {s}, but the copies diverge"
-                                        ),
-                                    ));
-                                }
-                            }
+            }
+            // Mirror byte-compare: at quiescence every listed replica of
+            // this block must read back identically (a missing object or
+            // a hole reads as zeros, so eagerly assigned never-written
+            // blocks pass trivially).
+            if strict && expect_backing && matches!(placement, Placement::Mirrored { .. }) {
+                let mut replicas = replica_sites.iter().filter(|&&s| s < sites);
+                if let Some(&first) = replicas.next() {
+                    let want = object_bytes(ens, first, file, block * unit, unit as usize);
+                    for &s in replicas {
+                        if object_bytes(ens, s, file, block * unit, unit as usize) != want {
+                            v.push(Violation::new(
+                                "block_map_object",
+                                format!(
+                                    "file {file} block {block} mirrored on sites {first} and \
+                                     {s}, but the copies diverge"
+                                ),
+                            ));
                         }
                     }
                 }
             }
-            if strict && expect_backing && !blocks.is_empty() && !any_backed {
-                v.push(Violation::new(
-                    "block_map_object",
-                    format!(
-                        "coord {ci}: file {file} has a {}-block map but no storage object on any listed site",
-                        blocks.len()
-                    ),
-                ));
-            }
+        }
+        if strict && expect_backing && !blocks.is_empty() && !any_backed {
+            v.push(Violation::new(
+                "block_map_object",
+                format!(
+                    "file {file} has a {}-block map but no storage object on any listed site",
+                    blocks.len()
+                ),
+            ));
         }
     }
     v
@@ -454,103 +432,71 @@ pub fn check_block_maps(ens: &SliceEnsemble, strict: bool) -> Vec<Violation> {
 /// client op eventually completed.
 pub fn check_coded_reconstruction(ens: &SliceEnsemble) -> Vec<Violation> {
     let mut v = Vec::new();
-    let any_timeouts = ens
-        .clients
-        .iter()
-        .any(|&c| ens.engine.actor::<ClientActor>(c).stats().timeouts > 0);
-    if any_timeouts {
-        return v;
-    }
-    let Some(proxy) = ens
-        .clients
-        .first()
-        .and_then(|&c| ens.engine.actor::<ClientActor>(c).proxy())
+    let coord = ens.coord();
+    let (Some(stripe_unit), Placement::Coded { n, k }) =
+        (settled_stripe_unit(ens), coord.placement())
     else {
         return v;
     };
-    let stripe_unit = proxy.config().stripe_unit.max(1);
     // Open dirty ranges excuse a stripe: a leg parked there has not been
     // resynced yet, so its shards are legitimately stale.
     let mut dirty: FxHashMap<u64, Vec<(u64, u64)>> = FxHashMap::default();
-    for &c in &ens.coords {
-        let coord = &ens.engine.actor::<CoordActor>(c).coord;
-        for (_site, obj, offset, len) in coord.dirty_log_dump() {
-            dirty.entry(obj).or_default().push((offset, len));
-        }
+    for (_site, obj, offset, len) in coord.dirty_log_dump() {
+        dirty.entry(obj).or_default().push((offset, len));
     }
-    let read_at = |site: u32, file: u64, offset: u64, len: usize| -> Vec<u8> {
-        let node = &ens
-            .engine
-            .actor::<StorageActor>(ens.storage[site as usize])
-            .node;
-        match node.store().get(file) {
-            Some(obj) => obj.read(offset, len),
-            None => vec![0u8; len],
-        }
-    };
-    for (ci, &c) in ens.coords.iter().enumerate() {
-        let coord = &ens.engine.actor::<CoordActor>(c).coord;
-        let Placement::Coded { n, k } = coord.placement() else {
-            continue;
-        };
-        let layout = CodedLayout::new(n, k, stripe_unit);
-        let codec = Codec::new(n as usize, k as usize);
-        let ssize = layout.shard_size() as usize;
-        for (file, blocks) in coord.block_map_dump() {
-            for (s, sites) in blocks {
-                if sites.len() != n as usize {
-                    continue; // reported by check_block_maps
+    let layout = CodedLayout::new(n, k, stripe_unit);
+    let codec = Codec::new(n as usize, k as usize);
+    let ssize = layout.shard_size() as usize;
+    for (file, blocks) in coord.block_map_dump() {
+        for (s, sites) in blocks {
+            if sites.len() != n as usize {
+                continue; // reported by check_block_maps
+            }
+            let excused = dirty.get(&file).is_some_and(|ranges| {
+                ranges
+                    .iter()
+                    .any(|&(o, l)| o < (s + 1) * stripe_unit && o + l > s * stripe_unit)
+            });
+            if excused {
+                continue;
+            }
+            let shards: Vec<Vec<u8>> = (0..n)
+                .map(|idx| {
+                    let offset = layout.shard_obj_offset(s, idx, 0);
+                    object_bytes(ens, sites[idx as usize], file, offset, ssize)
+                })
+                .collect();
+            let data: Vec<&[u8]> = shards[..k as usize].iter().map(Vec::as_slice).collect();
+            let mut stripe_ok = true;
+            for p in 0..(n - k) as usize {
+                if codec.parity_row(p, &data) != shards[k as usize + p] {
+                    v.push(Violation::new(
+                        "coded_parity",
+                        format!(
+                            "file {file} stripe {s}: parity shard {p} on site {} inconsistent with data",
+                            sites[k as usize + p]
+                        ),
+                    ));
+                    stripe_ok = false;
                 }
-                let excused = dirty.get(&file).is_some_and(|ranges| {
-                    ranges
-                        .iter()
-                        .any(|&(o, l)| o < (s + 1) * stripe_unit && o + l > s * stripe_unit)
-                });
-                if excused {
-                    continue;
+            }
+            if !stripe_ok {
+                continue; // k-subset decodes would all re-report the same corruption
+            }
+            for subset in k_subsets(n as usize, k as usize) {
+                let mut present: Vec<Option<&[u8]>> = vec![None; n as usize];
+                for &i in &subset {
+                    present[i] = Some(&shards[i]);
                 }
-                let shards: Vec<Vec<u8>> = (0..n)
-                    .map(|idx| {
-                        read_at(
-                            sites[idx as usize],
-                            file,
-                            layout.shard_obj_offset(s, idx, 0),
-                            ssize,
-                        )
-                    })
-                    .collect();
-                let data: Vec<&[u8]> = shards[..k as usize].iter().map(Vec::as_slice).collect();
-                let mut stripe_ok = true;
-                for p in 0..(n - k) as usize {
-                    if codec.parity_row(p, &data) != shards[k as usize + p] {
-                        v.push(Violation::new(
-                            "coded_parity",
-                            format!(
-                                "coord {ci}: file {file} stripe {s}: parity shard {p} on site {} inconsistent with data",
-                                sites[k as usize + p]
-                            ),
-                        ));
-                        stripe_ok = false;
-                    }
-                }
-                if !stripe_ok {
-                    continue; // k-subset decodes would all re-report the same corruption
-                }
-                for subset in k_subsets(n as usize, k as usize) {
-                    let mut present: Vec<Option<&[u8]>> = vec![None; n as usize];
-                    for &i in &subset {
-                        present[i] = Some(&shards[i]);
-                    }
-                    let decoded = codec.decode(&present);
-                    if decoded.as_deref() != Some(&shards[..k as usize]) {
-                        v.push(Violation::new(
-                            "coded_decode",
-                            format!(
-                                "coord {ci}: file {file} stripe {s}: k-subset {subset:?} fails to reconstruct the data shards"
-                            ),
-                        ));
-                        break; // one violation per stripe is plenty
-                    }
+                let decoded = codec.decode(&present);
+                if decoded.as_deref() != Some(&shards[..k as usize]) {
+                    v.push(Violation::new(
+                        "coded_decode",
+                        format!(
+                            "file {file} stripe {s}: k-subset {subset:?} fails to reconstruct the data shards"
+                        ),
+                    ));
+                    break; // one violation per stripe is plenty
                 }
             }
         }
@@ -561,7 +507,7 @@ pub fn check_coded_reconstruction(ens: &SliceEnsemble) -> Vec<Violation> {
 /// Drain oracle (online reconfiguration): after a planned removal, the
 /// drained sites must be fully evacuated — no chunk stranded, no map
 /// entry orphaned. Concretely, for every site in `sites`:
-/// every coordinator reports it retired; no block-map entry or durable
+/// the coordinator reports it retired; no block-map entry or durable
 /// pin references it; its storage node holds no object that any block
 /// map still names (bytes were migrated, then removed); the
 /// coordinator's dirty-region/migration soft state for it has been
@@ -569,60 +515,48 @@ pub fn check_coded_reconstruction(ens: &SliceEnsemble) -> Vec<Violation> {
 /// suspicion table, closing the O(ever-seen) soft-state leak).
 pub fn check_drained(ens: &SliceEnsemble, sites: &[usize]) -> Vec<Violation> {
     let mut v = Vec::new();
-    // Which objects does any coordinator still map (to any site)?
-    let mut mapped_objs: FxHashSet<u64> = FxHashSet::default();
-    for &c in &ens.coords {
-        let coord = &ens.engine.actor::<CoordActor>(c).coord;
-        for (file, _) in coord.block_map_dump() {
-            mapped_objs.insert(file);
-        }
-    }
+    let coord = ens.coord();
+    let map = coord.block_map_dump();
+    // Which objects does the coordinator still map (to any site)?
+    let mapped_objs: FxHashSet<u64> = map.iter().map(|&(file, _)| file).collect();
     for &site in sites {
         let s32 = site as u32;
-        for (ci, &c) in ens.coords.iter().enumerate() {
-            let coord = &ens.engine.actor::<CoordActor>(c).coord;
-            if !coord.is_retired(s32) {
-                v.push(Violation::new(
-                    "drain_incomplete",
-                    format!("coord {ci}: site {site} not retired at quiescence"),
-                ));
-            }
-            for (file, blocks) in coord.block_map_dump() {
-                for (block, replica_sites) in blocks {
-                    if replica_sites.contains(&s32) {
-                        v.push(Violation::new(
-                            "drain_orphan_map",
-                            format!(
-                                "coord {ci}: file {file} block {block} still maps retired site {site}"
-                            ),
-                        ));
-                    }
-                }
-            }
-            for (file, block, pinned) in coord.pinned_entries_dump() {
-                if pinned.contains(&s32) {
+        if !coord.is_retired(s32) {
+            v.push(Violation::new(
+                "drain_incomplete",
+                format!("site {site} not retired at quiescence"),
+            ));
+        }
+        for (file, blocks) in &map {
+            for (block, replica_sites) in blocks {
+                if replica_sites.contains(&s32) {
                     v.push(Violation::new(
-                        "drain_orphan_pin",
-                        format!(
-                            "coord {ci}: file {file} block {block} pin still names retired site {site}"
-                        ),
-                    ));
-                }
-            }
-            for (d_site, obj, offset, len) in coord.dirty_log_dump() {
-                if d_site == s32 {
-                    v.push(Violation::new(
-                        "drain_soft_state",
-                        format!(
-                            "coord {ci}: dirty-region entry for retired site {site} \
-                             (file {obj} [{offset}, +{len})) survived the purge"
-                        ),
+                        "drain_orphan_map",
+                        format!("file {file} block {block} still maps retired site {site}"),
                     ));
                 }
             }
         }
-        let node = &ens.engine.actor::<StorageActor>(ens.storage[site]).node;
-        for obj in node.store().ids() {
+        for (file, block, pinned) in coord.pinned_entries_dump() {
+            if pinned.contains(&s32) {
+                v.push(Violation::new(
+                    "drain_orphan_pin",
+                    format!("file {file} block {block} pin still names retired site {site}"),
+                ));
+            }
+        }
+        for (d_site, obj, offset, len) in coord.dirty_log_dump() {
+            if d_site == s32 {
+                v.push(Violation::new(
+                    "drain_soft_state",
+                    format!(
+                        "dirty-region entry for retired site {site} \
+                         (file {obj} [{offset}, +{len})) survived the purge"
+                    ),
+                ));
+            }
+        }
+        for obj in store(ens, s32).ids() {
             if mapped_objs.contains(&obj) {
                 v.push(Violation::new(
                     "drain_stranded_chunk",
@@ -658,11 +592,7 @@ pub fn check_drained(ens: &SliceEnsemble, sites: &[usize]) -> Vec<Violation> {
 /// authoritative attributes.
 pub fn check_attr_cache(ens: &SliceEnsemble) -> Vec<Violation> {
     let mut v = Vec::new();
-    let (_, attrs) = dir_dumps(ens);
-    let mut server_size: FxHashMap<u64, u64> = FxHashMap::default();
-    for (_, file, cell) in attrs {
-        server_size.insert(file, cell.attr.size);
-    }
+    let server_size = sizes(dir_dumps(ens).1);
     let single_client = ens.clients.len() == 1;
     for (i, &c) in ens.clients.iter().enumerate() {
         let client = ens.engine.actor::<ClientActor>(c);

@@ -447,7 +447,7 @@ impl SliceEnsemble {
     }
 
     /// The coordinator's state machine.
-    fn coord(&self) -> &Coordinator {
+    pub fn coord(&self) -> &Coordinator {
         &self.engine.actor::<CoordActor>(self.coords[0]).coord
     }
 

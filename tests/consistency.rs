@@ -8,7 +8,8 @@ mod common;
 use common::deadline;
 use slice::check::{
     check_histories, check_structural, check_structural_strict, generate_scenario, run_schedule,
-    standard_schedules, sweep, DriverWorkload, ExploreOpts, Injection, Schedule, ScheduleEvent,
+    standard_schedules, sweep, DriverWorkload, Injection, Mode, NetFault, Role, Schedule,
+    ScheduleEvent,
 };
 use slice::core::actors::{DirActor, StorageActor};
 use slice::core::{OpHistory, SliceConfig, SliceEnsemble};
@@ -20,19 +21,18 @@ use slice::workloads::{ScriptWorkload, Step};
 
 #[test]
 fn clean_sweep_passes_and_is_deterministic() {
-    let a = sweep(&[5], 1, &ExploreOpts::default());
+    let a = sweep(&[5], 1, Mode::Standard, 1);
     assert!(a.passed(), "clean sweep failed: {:?}", a.failures);
     assert!(a.ops_checked > 0, "sweep checked nothing");
-    let b = sweep(&[5], 1, &ExploreOpts::default());
+    let b = sweep(&[5], 1, Mode::Standard, 1);
     assert_eq!(a.json, b.json, "identical sweeps must be byte-identical");
 }
 
 #[test]
 fn crash_schedule_converges_to_crash_free_reference() {
     let seed = 12;
-    let plain = ExploreOpts::default();
     let scenario = generate_scenario(seed, 64);
-    let reference = run_schedule(seed, &scenario, &Schedule::default(), None, &plain);
+    let reference = run_schedule(seed, &scenario, &Schedule::default(), None, Mode::Standard);
     assert!(
         reference.violations.is_empty(),
         "reference run: {:?}",
@@ -40,7 +40,13 @@ fn crash_schedule_converges_to_crash_free_reference() {
     );
     let horizon = reference.finish.as_nanos() / 1_000_000;
     for (i, schedule) in standard_schedules(seed, 2, horizon).iter().enumerate() {
-        let out = run_schedule(seed, &scenario, schedule, Some(&reference.snapshot), &plain);
+        let out = run_schedule(
+            seed,
+            &scenario,
+            schedule,
+            Some(&reference.snapshot),
+            Mode::Standard,
+        );
         assert!(
             out.violations.is_empty(),
             "schedule {i} ({}): {:?}",
@@ -61,21 +67,23 @@ fn explorer_exercises_crash_machinery() {
         events: vec![
             ScheduleEvent {
                 at_ms: 40,
-                inject: Injection::CrashDir {
+                inject: Injection::Crash {
+                    role: Role::Dir,
                     site: 0,
                     down_ms: 1500,
                 },
             },
             ScheduleEvent {
                 at_ms: 60,
-                inject: Injection::LossWindow {
-                    permille: 20,
+                inject: Injection::Net {
+                    fault: NetFault::Loss,
+                    level: 20,
                     dur_ms: 1000,
                 },
             },
         ],
     };
-    let out = run_schedule(seed, &scenario, &schedule, None, &ExploreOpts::default());
+    let out = run_schedule(seed, &scenario, &schedule, None, Mode::Standard);
     assert!(!out.stalled, "run stalled under injected faults");
     assert!(out.violations.is_empty(), "{:?}", out.violations);
     assert!(out.completed_ops > 0);

@@ -736,11 +736,11 @@ fn lockstep_writers_with_equal_xids_both_resync() {
 /// processes produce identical outcomes.
 #[test]
 fn chaos_schedules_pass_oracles_deterministically() {
-    use slice::check::{chaos_schedules, generate_scenario, run_schedule, ExploreOpts, Schedule};
-    let plain = ExploreOpts::default();
+    use slice::check::{chaos_schedules, generate_scenario, run_schedule, Mode, Schedule};
+    let plain = Mode::Standard;
     let run = || {
         let scenario = generate_scenario(21, 48);
-        let reference = run_schedule(21, &scenario, &Schedule::default(), None, &plain);
+        let reference = run_schedule(21, &scenario, &Schedule::default(), None, plain);
         assert!(
             reference.violations.is_empty(),
             "reference run violated: {:?}",
@@ -749,7 +749,7 @@ fn chaos_schedules_pass_oracles_deterministically() {
         let horizon_ms = reference.finish.as_nanos() / 1_000_000;
         let mut outcomes = Vec::new();
         for sched in chaos_schedules(21, 5, horizon_ms) {
-            let out = run_schedule(21, &scenario, &sched, Some(&reference.snapshot), &plain);
+            let out = run_schedule(21, &scenario, &sched, Some(&reference.snapshot), plain);
             assert!(
                 out.violations.is_empty(),
                 "{}: {:?}",
@@ -797,11 +797,16 @@ fn run_is_deterministic() {
 #[test]
 fn mid_flight_crash_windows_pass_oracles() {
     use slice::check::{
-        generate_scenario, run_schedule, ExploreOpts, Injection, Schedule, ScheduleEvent,
+        generate_scenario, run_schedule, Injection, Mode, Role, Schedule, ScheduleEvent,
     };
-    let plain = ExploreOpts::default();
+    let plain = Mode::Standard;
+    let crash = |role, down_ms| Injection::Crash {
+        role,
+        site: 0,
+        down_ms,
+    };
     let scenario = generate_scenario(33, 48);
-    let reference = run_schedule(33, &scenario, &Schedule::default(), None, &plain);
+    let reference = run_schedule(33, &scenario, &Schedule::default(), None, plain);
     assert!(
         reference.violations.is_empty(),
         "reference run violated: {:?}",
@@ -813,28 +818,19 @@ fn mid_flight_crash_windows_pass_oracles() {
         events: vec![
             ScheduleEvent {
                 at_ms: t0,
-                inject: Injection::CrashDir {
-                    site: 0,
-                    down_ms: 400,
-                },
+                inject: crash(Role::Dir, 400),
             },
             ScheduleEvent {
                 at_ms: t0 + 1,
-                inject: Injection::CrashStorage {
-                    site: 0,
-                    down_ms: 400,
-                },
+                inject: crash(Role::Storage, 400),
             },
             ScheduleEvent {
                 at_ms: t0 + 3,
-                inject: Injection::CrashCoord {
-                    site: 0,
-                    down_ms: 300,
-                },
+                inject: crash(Role::Coord, 300),
             },
         ],
     };
-    let crashed = run_schedule(33, &scenario, &schedule, Some(&reference.snapshot), &plain);
+    let crashed = run_schedule(33, &scenario, &schedule, Some(&reference.snapshot), plain);
     assert!(
         crashed.violations.is_empty(),
         "crash-window run violated: {:?}",

@@ -26,7 +26,9 @@
 //! oracle); registers with genuine concurrency get a bounded Wing & Gong
 //! search. Registers exceeding the search bounds are *skipped and
 //! counted*, never silently dropped: [`OracleStats::registers_skipped`]
-//! reports them so a sweep can't claim coverage it didn't have.
+//! reports them, and a sweep's report carries the count per seed
+//! (`checker.seed.N.registers_skipped`, when non-zero), so a sweep can't
+//! claim coverage it didn't have.
 
 use slice_sim::{FxHashMap, FxHashSet};
 

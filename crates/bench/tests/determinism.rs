@@ -63,6 +63,58 @@ fn fig3_is_byte_identical_with_pooling_off() {
     );
 }
 
+/// Runs the bench binary at `path` on `args` and returns its stdout,
+/// requiring a clean exit.
+fn stdout_of(path: &str, args: &[&str]) -> Vec<u8> {
+    let out = Command::new(path).args(args).output().expect("spawn");
+    assert!(
+        out.status.success(),
+        "{path} {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+/// What the cheap bench binaries print is pinned byte for byte: an
+/// FNV-1a of each one's whole stdout, human table and obs JSON line
+/// alike, the same in debug and optimised builds. The tests above compare
+/// two runs of one build, so a refactor that changed a grid, a phase
+/// boundary or a printed figure in both would pass them; this one does
+/// not. A change that means to move an output re-pins it and says why
+/// (the failure message prints the new value).
+#[test]
+fn cheap_binaries_print_pinned_stdout() {
+    let pinned: [(&str, &[&str], u64); 4] = [
+        (
+            env!("CARGO_BIN_EXE_fig3"),
+            &["--files", "100", "--threads", "1"],
+            17_033_032_725_043_553_932,
+        ),
+        (
+            env!("CARGO_BIN_EXE_reconfigure"),
+            &["--mb", "4", "--reads", "1", "--threads", "1"],
+            3_010_912_012_969_661_977,
+        ),
+        (
+            env!("CARGO_BIN_EXE_ec"),
+            &["--mb", "4", "--threads", "1"],
+            2_969_504_244_731_658_442,
+        ),
+        (
+            env!("CARGO_BIN_EXE_availability"),
+            &["--mb", "4", "--grid-ms", "50", "--threads", "1"],
+            6_960_620_224_592_836_570,
+        ),
+    ];
+    for (path, args, want) in pinned {
+        let got = slice_hashes::fnv1a(&stdout_of(path, args));
+        assert_eq!(
+            got, want,
+            "{path} {args:?}: stdout hash {got} is not the pinned {want}"
+        );
+    }
+}
+
 /// Runs the bench binary `name` at `path` on `args` and requires what a
 /// refused command line ends in: the usage line on stderr, status 2 and
 /// nothing on stdout.

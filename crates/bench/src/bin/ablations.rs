@@ -8,6 +8,8 @@
 //! 3. **Stripe unit** — bulk-write bandwidth across stripe granularities.
 //! 4. **Coordinator intents** — commit latency with and without
 //!    intention logging on multisite commits (§3.3.2).
+//!
+//! Usage: `ablations` (no options; any option is refused).
 
 use slice_core::{EnsemblePolicy, SliceConfig, SliceEnsemble, Workload};
 use slice_sim::{SimDuration, SimTime};
@@ -175,6 +177,7 @@ fn commit_latency(use_intents: bool) -> f64 {
 }
 
 fn main() {
+    slice_bench::BenchArgs::from_env("usage: ablations");
     println!("=== Ablation 1: one big shared directory, 4 dir servers ===");
     println!(
         "{:>6} {:>18} {:>14}",

@@ -145,6 +145,13 @@ fn unknown_options_are_refused_with_usage_and_status_2() {
             &["--files", "100", bad, "4"],
         );
     }
+    // `ablations` takes no option at all: it once skipped the command
+    // line and ran the whole ablation on defaults.
+    assert_refused(
+        env!("CARGO_BIN_EXE_ablations"),
+        "ablations",
+        &["--threads", "4"],
+    );
 }
 
 /// `checker --reconf` builds its own ensemble and draws its own pool, so

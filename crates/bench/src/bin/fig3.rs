@@ -10,7 +10,8 @@
 //! default creates 3,600 files/dirs per process (a documented 1/10 scale
 //! of the paper's 36,000); `--full` runs the paper's size, and
 //! `--files N` sets an explicit per-process count (used by the
-//! cross-process determinism test to keep runs short). The 20 grid cells
+//! cross-process determinism test to keep runs short); the two together
+//! are refused. The 20 grid cells
 //! are independent simulations and fan out over the slice-par worker pool
 //! (`--threads`, default available parallelism); series are rebuilt in
 //! grid order, so the printed table and JSON are byte-identical at any
@@ -23,8 +24,12 @@ fn main() {
     let args = slice_bench::BenchArgs::from_env(
         "usage: fig3 [--full | --files N] [--threads T] [--fine] [--json-out]",
     );
-    let default_files = if args.flag("--full") { 36_000 } else { 3_600 };
-    let files = args.num("--files", default_files);
+    let files = match (args.flag("--full"), args.opt("--files")) {
+        (false, None) => 3_600,
+        (true, None) => 36_000,
+        (false, Some(n)) => n,
+        (true, Some(_)) => args.bad_usage(),
+    };
     let threads = args.threads();
     // `--fine` doubles the sweep resolution (intermediate process counts
     // and a Slice-3 series) for smoother published curves; the default

@@ -154,6 +154,18 @@ fn unknown_options_are_refused_with_usage_and_status_2() {
     );
 }
 
+/// `fig3 --full --files N` names two scales; the usage line says
+/// `[--full | --files N]`, so the pair is refused, not settled by
+/// `--files` silently winning.
+#[test]
+fn fig3_refuses_full_beside_files() {
+    assert_refused(
+        env!("CARGO_BIN_EXE_fig3"),
+        "fig3",
+        &["--full", "--files", "100"],
+    );
+}
+
 /// `checker --reconf` builds its own ensemble and draws its own pool, so
 /// `--chaos` or `--coded` beside it cannot both be honoured: the command
 /// line is refused, not silently narrowed to one of them.

@@ -14,8 +14,8 @@ fn deadline_secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
 }
 
-/// A benchmark-friendly Slice configuration: metadata-only stores, full
-/// CPU accounting.
+/// A benchmark-friendly Slice configuration: eight storage nodes whose
+/// stores keep metadata only, not data bytes.
 pub fn bench_config() -> SliceConfig {
     SliceConfig {
         retain_data: false,

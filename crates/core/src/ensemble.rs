@@ -219,9 +219,8 @@ pub struct SliceEnsemble {
     /// This thread's payload copy counters sampled at build time; the
     /// delta at `collect_obs` attributes copy traffic to this ensemble.
     /// Valid because an ensemble is built, run, and harvested on one
-    /// thread (the slice-par runtime keeps each scenario on one worker);
-    /// the process-wide atomics in `slice-nfsproto` stay available as a
-    /// cross-check that no traffic escaped attribution.
+    /// thread (the slice-par runtime keeps each scenario on one worker),
+    /// and the counters are thread-local.
     payload_base: (u64, u64, u64),
 }
 

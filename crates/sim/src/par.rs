@@ -28,11 +28,10 @@
 //! never even constructed, which makes "threads=1 equals the old serial
 //! path" true by inspection, not just by test.
 //!
-//! The process-wide payload copy counters in `slice-nfsproto` are relaxed
-//! atomics, so their *totals* stay exact under any interleaving; per-run
-//! attribution under parallelism uses the thread-local counters (see
-//! `ByteBuf` docs), which work because each scenario runs entirely on one
-//! worker thread.
+//! The payload copy counters in `slice-nfsproto` are thread-local (see
+//! `ByteBuf` docs), and a scenario runs entirely on one worker thread, so
+//! a before/after delta around a run is that run's own copy traffic at
+//! any thread count.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

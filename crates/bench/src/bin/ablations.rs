@@ -5,7 +5,8 @@
 //!    workload class the paper introduces name hashing for (§3.2).
 //! 2. **The threshold split** — small-file servers present vs all I/O on
 //!    the storage nodes, under the SPECsfs-like mix (§3.1).
-//! 3. **Stripe unit** — bulk-write bandwidth across stripe granularities.
+//! 3. **WAL group commit** — untar on one directory server with and
+//!    without log batching (§3.3.2).
 //! 4. **Coordinator intents** — commit latency with and without
 //!    intention logging on multisite commits (§3.3.2).
 //!
@@ -13,10 +14,26 @@
 
 use slice_core::{EnsemblePolicy, SliceConfig, SliceEnsemble, Workload};
 use slice_sim::{SimDuration, SimTime};
-use slice_workloads::{BigDir, BulkIo, SpecSfs, SpecSfsConfig};
+use slice_workloads::{BigDir, BulkIo, ScriptWorkload, SpecSfs, SpecSfsConfig, Step, Untar};
 
 fn deadline() -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(36_000)
+}
+
+/// Runs `cfg` with one `make(i)` workload per client and returns their
+/// mean elapsed seconds.
+fn mean_run<W: Workload>(
+    cfg: SliceConfig,
+    make: impl Fn(u64) -> W,
+    elapsed: impl Fn(&W) -> Option<SimDuration>,
+) -> f64 {
+    let workloads: Vec<Box<dyn Workload>> = (0..cfg.clients as u64)
+        .map(|i| Box::new(make(i)) as Box<dyn Workload>)
+        .collect();
+    let mut ens = SliceEnsemble::build(&cfg, workloads);
+    ens.start();
+    ens.run_to_completion(deadline());
+    slice_bench::mean_elapsed_secs(cfg.clients, |i| ens.client(i), elapsed)
 }
 
 fn bigdir_latency(policy: EnsemblePolicy, procs: usize, files: u64) -> f64 {
@@ -27,24 +44,7 @@ fn bigdir_latency(policy: EnsemblePolicy, procs: usize, files: u64) -> f64 {
         retain_data: false,
         ..Default::default()
     };
-    let workloads: Vec<Box<dyn Workload>> = (0..procs)
-        .map(|i| Box::new(BigDir::new(i as u64, files)) as Box<dyn Workload>)
-        .collect();
-    let mut ens = SliceEnsemble::build(&cfg, workloads);
-    ens.start();
-    ens.run_to_completion(deadline());
-    let mut total = 0.0;
-    for i in 0..procs {
-        let b = ens
-            .client(i)
-            .workload()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<BigDir>()
-            .unwrap();
-        total += b.elapsed().expect("finished").as_secs_f64();
-    }
-    total / procs as f64
+    mean_run(cfg, |i| BigDir::new(i, files), BigDir::elapsed)
 }
 
 /// Interference experiment: a disk-bound bulk *read* stream shares the
@@ -75,35 +75,13 @@ fn interference(sf_servers: usize) -> (f64, f64) {
     ens.start();
     ens.run_to_completion(deadline());
     // Phase two: read the stream back while the small traffic continues.
-    ens.client_mut(0)
-        .set_workload(Box::new(BulkIo::reader("stream", 256 << 20)));
-    let c0 = ens.clients[0];
-    ens.engine.kick(c0);
+    ens.start_workload(0, Box::new(BulkIo::reader("stream", 256 << 20)));
     ens.run_to_completion(deadline());
-    let bulk = ens
-        .client(0)
-        .workload()
-        .unwrap()
-        .as_any()
-        .downcast_ref::<BulkIo>()
-        .unwrap();
+    let bulk = ens.client(0).workload_as::<BulkIo>();
     let bw = bulk.bandwidth().expect("finished") / 1e6;
-    let now = ens.engine.now();
-    let mut lat = 0.0;
-    let mut n = 0usize;
-    for i in 1..=small_clients {
-        let s = ens
-            .client(i)
-            .workload()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<SpecSfs>()
-            .unwrap();
-        let (_, l, c) = s.summary(now);
-        lat += l * c as f64;
-        n += c;
-    }
-    (bw, if n == 0 { 0.0 } else { lat / n as f64 })
+    let small = (1..=small_clients).map(|i| ens.client(i));
+    let sfs = slice_bench::collect_sfs(0.0, ens.engine.now(), small);
+    (bw, sfs.latency_ms)
 }
 
 /// Group-commit experiment: untar against one directory server with and
@@ -116,31 +94,13 @@ fn untar_group_commit(procs: usize, batched: bool) -> f64 {
         retain_data: false,
         ..Default::default()
     };
-    let workloads: Vec<Box<dyn Workload>> = (0..procs)
-        .map(|i| Box::new(slice_workloads::Untar::new(i as u64, 1800)) as Box<dyn Workload>)
-        .collect();
-    let mut ens = SliceEnsemble::build(&cfg, workloads);
-    ens.start();
-    ens.run_to_completion(deadline());
-    let mut total = 0.0;
-    for i in 0..procs {
-        let u = ens
-            .client(i)
-            .workload()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<slice_workloads::Untar>()
-            .unwrap();
-        total += u.elapsed().expect("finished").as_secs_f64();
-    }
-    total / procs as f64
+    mean_run(cfg, |i| Untar::new(i, 1800), Untar::elapsed)
 }
 
 /// Commit-latency experiment: a commit with no dirty data isolates the
 /// pure protocol cost of the coordinator intention (round trip + logged
 /// intent before the fan-out).
 fn commit_latency(use_intents: bool) -> f64 {
-    use slice_workloads::{ScriptWorkload, Step};
     let cfg = SliceConfig {
         use_intents,
         retain_data: false,
@@ -165,13 +125,7 @@ fn commit_latency(use_intents: bool) -> f64 {
     let mut ens = SliceEnsemble::build(&cfg, vec![Box::new(ScriptWorkload::new(steps, 2))]);
     ens.start();
     ens.run_to_completion(deadline());
-    let s = ens
-        .client(0)
-        .workload()
-        .unwrap()
-        .as_any()
-        .downcast_ref::<ScriptWorkload>()
-        .unwrap();
+    let s = ens.client(0).workload_as::<ScriptWorkload>();
     assert!(s.errors.is_empty(), "{:?}", s.errors);
     s.step_latencies[2].as_secs_f64() * 1e3
 }

@@ -17,9 +17,10 @@
 //! Deterministic: identical arguments yield a byte-identical report.
 //!
 //! The four crash-timeline phases share one ensemble and are strictly
-//! ordered, so they cannot fan out; what does run in parallel (slice-par)
-//! is the independent clean-baseline ensemble — an uncrashed run of the
-//! same write workload, used for the undegraded write-latency and
+//! ordered, so they cannot fan out; what does run in parallel is the
+//! independent ensembles: the timeline at every crash instant (on
+//! slice-par) and, beside them, the clean baseline — an uncrashed run of
+//! the same write workload, used for the undegraded write-latency and
 //! completion-time comparison gauges.
 //!
 //! Usage: `availability [--mb N] [--crash-ms T] [--grid-ms A,B,...]
@@ -33,11 +34,12 @@
 //! the grid).
 
 use slice_bench::obs_doc;
-use slice_core::actors::{CoordActor, StorageActor};
+use slice_bench::timeline::{
+    bulk_writers, join, ms_of, ops, resync_of, run_phase, start_bulk_readers,
+};
+use slice_core::actors::StorageActor;
 use slice_core::ensemble::{SliceConfig, SliceEnsemble};
-use slice_core::Workload;
 use slice_sim::{SimDuration, SimTime};
-use slice_workloads::BulkIo;
 
 const CLIENTS: usize = 2;
 /// The storage site the bench crashes.
@@ -47,12 +49,8 @@ fn at_ms(ms: u64) -> SimTime {
     SimTime::from_nanos(ms * 1_000_000)
 }
 
-fn ms_of(t: SimTime) -> f64 {
-    t.as_nanos() as f64 / 1e6
-}
-
-fn ha_config() -> SliceConfig {
-    SliceConfig {
+fn ha_ensemble(bytes_per_client: u64) -> SliceEnsemble {
+    let cfg = SliceConfig {
         clients: CLIENTS,
         retain_data: true,
         record_history: true,
@@ -60,54 +58,10 @@ fn ha_config() -> SliceConfig {
         // final read pass.
         probe_interval_ms: 500,
         ..SliceConfig::default()
-    }
-}
-
-fn build_writers(bytes_per_client: u64) -> Vec<Box<dyn Workload>> {
-    (0..CLIENTS)
-        .map(|i| {
-            Box::new(BulkIo::writer(&format!("ha{i}"), bytes_per_client, true)) as Box<dyn Workload>
-        })
-        .collect()
-}
-
-/// Runs until every client's workload finishes, checking every few events
-/// so the stuck-intent probe churn does not drag simulated time far past
-/// the finish.
-fn run_phase(ens: &mut SliceEnsemble, deadline: SimTime) {
-    loop {
-        let before = ens.engine.now();
-        ens.engine.run_until_idle(64);
-        let done = (0..CLIENTS).all(|i| ens.client(i).finished());
-        if done || ens.engine.now() >= deadline || ens.engine.now() == before {
-            return;
-        }
-    }
-}
-
-/// Latest completion time among history records `[from..]` per client.
-fn last_end(ens: &SliceEnsemble, from: &[usize]) -> SimTime {
-    let mut t = SimTime::ZERO;
-    for (i, hist) in ens.histories().iter().enumerate() {
-        for rec in &hist.records()[from[i]..] {
-            if let Some(end) = rec.end {
-                t = t.max(end);
-            }
-        }
-    }
-    t
-}
-
-fn record_marks(ens: &SliceEnsemble) -> Vec<usize> {
-    ens.histories().iter().map(|h| h.records().len()).collect()
-}
-
-fn mean_us((n, total): (u64, u64)) -> f64 {
-    if n == 0 {
-        0.0
-    } else {
-        total as f64 / n as f64 / 1e3
-    }
+    };
+    let mut ens = SliceEnsemble::build(&cfg, bulk_writers("ha", CLIENTS, bytes_per_client, true));
+    ens.start();
+    ens
 }
 
 /// Everything harvested from the crash timeline, so the run can execute
@@ -129,83 +83,50 @@ struct CrashOut {
     probes_sent: u64,
     timeouts: u64,
     victim_read_bytes: u64,
-    normal: (u64, u64),
-    degraded: (u64, u64),
+    /// Mean latency of the writes begun before the crash, µs.
+    normal_us: f64,
+    /// Mean latency of the writes begun between the crash and the end of
+    /// the write phase, µs.
+    degraded_us: f64,
 }
 
 /// The clean-baseline comparison run: same write workload, no crash.
 struct BaselineOut {
     write_done: SimTime,
-    writes: (u64, u64),
+    write_us: f64,
 }
 
 /// Uncrashed run of the same mirrored write workload.
 fn run_clean_baseline(bytes_per_client: u64, deadline: SimTime) -> BaselineOut {
-    let mut ens = SliceEnsemble::build(&ha_config(), build_writers(bytes_per_client));
-    ens.start();
-    run_phase(&mut ens, deadline);
-    for i in 0..CLIENTS {
-        assert!(
-            ens.client(i).finished(),
-            "baseline writer {i} did not finish"
-        );
-    }
-    let mut writes = (0u64, 0u64);
-    for hist in ens.histories() {
-        for rec in hist.records() {
-            if let (Some(end), "write") = (rec.end, rec.op) {
-                writes = (writes.0 + 1, writes.1 + (end - rec.begin).as_nanos());
-            }
-        }
-    }
+    let mut ens = ha_ensemble(bytes_per_client);
+    assert!(
+        run_phase(&mut ens, deadline),
+        "baseline writers did not finish"
+    );
     BaselineOut {
-        write_done: last_end(&ens, &[0; CLIENTS]),
-        writes,
+        write_done: ops(&ens, None, SimTime::ZERO, SimTime::MAX).last_end,
+        write_us: ops(&ens, Some("write"), SimTime::ZERO, SimTime::MAX).mean_us,
     }
 }
 
 /// The full four-phase crash/degrade/resync/rejoin timeline.
 fn run_crash_timeline(bytes_per_client: u64, crash_ms: u64, deadline: SimTime) -> CrashOut {
-    let mut ens = SliceEnsemble::build(&ha_config(), build_writers(bytes_per_client));
-    ens.start();
+    let mut ens = ha_ensemble(bytes_per_client);
+    let since = |ens: &SliceEnsemble, t| ops(ens, None, t, SimTime::MAX).last_end;
 
     // Phase 1: crash the victim mid-write; writers finish degraded.
-    ens.engine.run_until(at_ms(crash_ms));
     let crash_at = at_ms(crash_ms);
+    ens.engine.run_until(crash_at);
     ens.engine.fail_node(ens.storage[VICTIM]);
-    run_phase(&mut ens, deadline);
-    for i in 0..CLIENTS {
-        assert!(ens.client(i).finished(), "writer {i} did not finish");
-    }
-    let write_done = last_end(&ens, &[0; CLIENTS]);
-    let dirty_after_write: u64 = ens
-        .coords
-        .iter()
-        .map(|&c| {
-            ens.engine
-                .actor::<CoordActor>(c)
-                .coord
-                .dirty_log_dump()
-                .len() as u64
-        })
-        .sum();
+    assert!(run_phase(&mut ens, deadline), "writers did not finish");
+    let write_done = since(&ens, SimTime::ZERO);
+    let dirty_after_write = ens.coord().dirty_log_dump().len() as u64;
 
     // Phase 2: read it all back with the victim still down.
-    let marks = record_marks(&ens);
-    for i in 0..CLIENTS {
-        ens.client_mut(i).set_workload(Box::new(BulkIo::reader(
-            &format!("ha{i}"),
-            bytes_per_client,
-        )));
-    }
-    for &c in &ens.clients.clone() {
-        ens.engine.kick(c);
-    }
-    run_phase(&mut ens, deadline);
-    for i in 0..CLIENTS {
-        assert!(ens.client(i).finished(), "down-reader {i} did not finish");
-    }
-    let read_down_done = last_end(&ens, &marks);
+    let read_down_start = ens.engine.now();
+    start_bulk_readers(&mut ens, "ha", bytes_per_client);
+    assert!(run_phase(&mut ens, deadline), "down-readers did not finish");
+    let read_down_done = since(&ens, read_down_start);
 
     // Phase 3: recover the victim; the coordinator sweep drives resync
     // with no client traffic in flight.
@@ -213,28 +134,18 @@ fn run_crash_timeline(bytes_per_client: u64, crash_ms: u64, deadline: SimTime) -
     ens.recover_storage_node(VICTIM);
     ens.engine
         .run_until(recover_at + SimDuration::from_secs(30));
-    let victim_reads_before = {
+    let victim_reads = |ens: &SliceEnsemble| {
         let node = &ens.engine.actor::<StorageActor>(ens.storage[VICTIM]).node;
         node.store().io_stats().1
     };
+    let victim_reads_before = victim_reads(&ens);
 
     // Phase 4: read again; ticks probe the suspected site, the clean
     // verdict readmits it, and the tail of the pass reads from it.
-    let marks = record_marks(&ens);
-    for i in 0..CLIENTS {
-        ens.client_mut(i).set_workload(Box::new(BulkIo::reader(
-            &format!("ha{i}"),
-            bytes_per_client,
-        )));
-    }
-    for &c in &ens.clients.clone() {
-        ens.engine.kick(c);
-    }
-    run_phase(&mut ens, deadline);
-    for i in 0..CLIENTS {
-        assert!(ens.client(i).finished(), "back-reader {i} did not finish");
-    }
-    let read_back_done = last_end(&ens, &marks);
+    let read_back_start = ens.engine.now();
+    start_bulk_readers(&mut ens, "ha", bytes_per_client);
+    assert!(run_phase(&mut ens, deadline), "back-readers did not finish");
+    let read_back_done = since(&ens, read_back_start);
 
     // Harvest the timeline.
     let mut suspected_at: Option<SimTime> = None;
@@ -264,40 +175,7 @@ fn run_crash_timeline(bytes_per_client: u64, crash_ms: u64, deadline: SimTime) -
         degraded_bytes += db;
         probes_sent += pr;
     }
-    let mut resync_bytes = 0u64;
-    let mut resync_done: Option<SimTime> = None;
-    let mut dirty_left = 0u64;
-    for &c in &ens.coords {
-        let coord = &ens.engine.actor::<CoordActor>(c).coord;
-        for &(site, _start, done, bytes) in coord.resync_history() {
-            if site as usize == VICTIM {
-                resync_bytes += bytes;
-                resync_done = Some(resync_done.map_or(done, |d| d.max(done)));
-            }
-        }
-        dirty_left += coord.dirty_log_dump().len() as u64;
-    }
-    let victim_reads_after = {
-        let node = &ens.engine.actor::<StorageActor>(ens.storage[VICTIM]).node;
-        node.store().io_stats().1
-    };
-
-    // Degraded-window write latency vs the pre-crash baseline.
-    let mut normal = (0u64, 0u64); // (count, total latency ns)
-    let mut degraded = (0u64, 0u64);
-    for hist in ens.histories() {
-        for rec in hist.records() {
-            let (Some(end), "write") = (rec.end, rec.op) else {
-                continue;
-            };
-            let lat = (end - rec.begin).as_nanos();
-            if rec.begin < crash_at {
-                normal = (normal.0 + 1, normal.1 + lat);
-            } else if rec.begin < write_done {
-                degraded = (degraded.0 + 1, degraded.1 + lat);
-            }
-        }
-    }
+    let (resync_bytes, resync_done) = resync_of(&ens, VICTIM);
 
     CrashOut {
         write_done,
@@ -309,30 +187,17 @@ fn run_crash_timeline(bytes_per_client: u64, crash_ms: u64, deadline: SimTime) -
         resync_done,
         resync_bytes,
         dirty_after_write,
-        dirty_left,
+        dirty_left: ens.coord().dirty_log_dump().len() as u64,
         read_failovers,
         degraded_writes,
         degraded_bytes,
         probes_sent,
         timeouts,
-        victim_read_bytes: victim_reads_after - victim_reads_before,
-        normal,
-        degraded,
+        victim_read_bytes: victim_reads(&ens) - victim_reads_before,
+        // Degraded-window write latency vs the pre-crash baseline.
+        normal_us: ops(&ens, Some("write"), SimTime::ZERO, crash_at).mean_us,
+        degraded_us: ops(&ens, Some("write"), crash_at, write_done).mean_us,
     }
-}
-
-/// The independent runs, as slice-par work items.
-enum HaTask {
-    Crash,
-    Baseline,
-    /// A grid replay of the crash timeline at a different crash instant.
-    Grid(u64),
-}
-
-enum HaOut {
-    Crash(Box<CrashOut>),
-    Baseline(BaselineOut),
-    Grid(u64, Box<CrashOut>),
 }
 
 fn main() {
@@ -347,30 +212,22 @@ fn main() {
     let bytes_per_client = mb * 1024 * 1024;
     let deadline = at_ms(600_000);
 
-    let mut tasks = vec![HaTask::Crash, HaTask::Baseline];
-    tasks.extend(grid_ms.iter().map(|&ms| HaTask::Grid(ms)));
-    let outs = slice_sim::run_indexed(threads, tasks, |_, task| match task {
-        HaTask::Crash => HaOut::Crash(Box::new(run_crash_timeline(
-            bytes_per_client,
-            crash_ms,
-            deadline,
-        ))),
-        HaTask::Baseline => HaOut::Baseline(run_clean_baseline(bytes_per_client, deadline)),
-        HaTask::Grid(ms) => HaOut::Grid(
-            ms,
-            Box::new(run_crash_timeline(bytes_per_client, ms, deadline)),
-        ),
-    });
-    let mut outs = outs.into_iter();
-    let (Some(HaOut::Crash(t)), Some(HaOut::Baseline(base))) = (outs.next(), outs.next()) else {
-        unreachable!("run_indexed merges by input index");
-    };
-    let grid: Vec<(u64, Box<CrashOut>)> = outs
-        .map(|o| match o {
-            HaOut::Grid(ms, g) => (ms, g),
-            _ => unreachable!("grid tasks follow the first two"),
-        })
+    // The primary crash, then one replay per grid instant, beside the
+    // clean baseline.
+    let crashes: Vec<u64> = std::iter::once(crash_ms)
+        .chain(grid_ms.iter().copied())
         .collect();
+    let (mut runs, base) = join(
+        threads,
+        || {
+            slice_sim::run_indexed(threads, crashes, |_, ms| {
+                run_crash_timeline(bytes_per_client, ms, deadline)
+            })
+        },
+        || run_clean_baseline(bytes_per_client, deadline),
+    );
+    let t = runs.remove(0);
+    let grid: Vec<(u64, CrashOut)> = grid_ms.into_iter().zip(runs).collect();
 
     let failover_ms = t.suspected_at.map(|s| ms_of(s) - crash_ms as f64);
     let resync_ms = t.resync_done.map(|d| ms_of(d) - ms_of(t.recover_at));
@@ -387,11 +244,7 @@ fn main() {
     println!(
         "  degraded: {} writes / {} bytes at reduced redundancy, {} dirty ranges logged, \
          write latency {:.0} us vs {:.0} us baseline",
-        t.degraded_writes,
-        t.degraded_bytes,
-        t.dirty_after_write,
-        mean_us(t.degraded),
-        mean_us(t.normal)
+        t.degraded_writes, t.degraded_bytes, t.dirty_after_write, t.degraded_us, t.normal_us
     );
     println!(
         "  resync: {} bytes copied, done +{:.2} ms after recovery, {} dirty ranges left",
@@ -413,7 +266,7 @@ fn main() {
          write latency {:.0} us",
         ms_of(base.write_done),
         ms_of(t.write_done),
-        mean_us(base.writes)
+        base.write_us
     );
     if !grid.is_empty() {
         println!("  degraded-window curve (crash instant sweep):");
@@ -425,8 +278,8 @@ fn main() {
                     .map(|s| ms_of(s) - *ms as f64)
                     .unwrap_or(f64::NAN),
                 g.degraded_writes,
-                mean_us(g.degraded),
-                mean_us(g.normal),
+                g.degraded_us,
+                g.normal_us,
                 ms_of(g.write_done) - *ms as f64,
                 g.resync_bytes
             );
@@ -467,11 +320,8 @@ fn main() {
         reg.set_gauge("availability.degraded_bytes", t.degraded_bytes as f64);
         reg.set_gauge("availability.probes_sent", t.probes_sent as f64);
         reg.set_gauge("availability.client_timeouts", t.timeouts as f64);
-        reg.set_gauge("availability.write_latency_normal_us", mean_us(t.normal));
-        reg.set_gauge(
-            "availability.write_latency_degraded_us",
-            mean_us(t.degraded),
-        );
+        reg.set_gauge("availability.write_latency_normal_us", t.normal_us);
+        reg.set_gauge("availability.write_latency_degraded_us", t.degraded_us);
         reg.set_gauge(
             "availability.recovered_read_bytes",
             t.victim_read_bytes as f64,
@@ -480,7 +330,7 @@ fn main() {
             "availability.baseline_write_done_ms",
             ms_of(base.write_done),
         );
-        reg.set_gauge("availability.write_latency_clean_us", mean_us(base.writes));
+        reg.set_gauge("availability.write_latency_clean_us", base.write_us);
         // The degraded-window curve: one gauge family per crash instant.
         for (ms, g) in &grid {
             let tag = format!("availability.grid.{ms}");
@@ -496,11 +346,8 @@ fn main() {
             );
             reg.set_gauge(&format!("{tag}.degraded_writes"), g.degraded_writes as f64);
             reg.set_gauge(&format!("{tag}.degraded_bytes"), g.degraded_bytes as f64);
-            reg.set_gauge(
-                &format!("{tag}.write_latency_degraded_us"),
-                mean_us(g.degraded),
-            );
-            reg.set_gauge(&format!("{tag}.write_latency_normal_us"), mean_us(g.normal));
+            reg.set_gauge(&format!("{tag}.write_latency_degraded_us"), g.degraded_us);
+            reg.set_gauge(&format!("{tag}.write_latency_normal_us"), g.normal_us);
             reg.set_gauge(&format!("{tag}.resync_bytes"), g.resync_bytes as f64);
             reg.set_gauge(&format!("{tag}.client_timeouts"), g.timeouts as f64);
         }

@@ -25,7 +25,8 @@
 //! (defaults: 24 MiB, T = available parallelism).
 
 use slice_bench::obs_doc;
-use slice_core::actors::{CoordActor, StorageActor};
+use slice_bench::timeline::{ms_of, ops, resync_of};
+use slice_core::actors::StorageActor;
 use slice_core::ensemble::{SliceConfig, SliceEnsemble};
 use slice_sim::{SimDuration, SimTime};
 use slice_workloads::BulkIo;
@@ -34,10 +35,6 @@ use slice_workloads::BulkIo;
 const NODES: usize = 6;
 /// The storage site crashed for the degraded pass.
 const VICTIM: usize = 0;
-
-fn ms_of(t: SimTime) -> f64 {
-    t.as_nanos() as f64 / 1e6
-}
 
 #[derive(Clone, Copy)]
 enum Layout {
@@ -77,22 +74,6 @@ struct CellOut {
     timeouts: u64,
 }
 
-fn mean_read_us(ens: &SliceEnsemble, from: usize) -> f64 {
-    let hist = ens.histories()[0];
-    let (mut n, mut total) = (0u64, 0u64);
-    for rec in &hist.records()[from..] {
-        if let (Some(end), "read") = (rec.end, rec.op) {
-            n += 1;
-            total += (end - rec.begin).as_nanos();
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        total as f64 / n as f64 / 1e3
-    }
-}
-
 /// Clean write → clean read pass → crash → degraded read pass →
 /// recover → resync, all on one ensemble.
 fn run_cell(layout: Layout, bytes: u64) -> CellOut {
@@ -113,8 +94,17 @@ fn run_cell(layout: Layout, bytes: u64) -> CellOut {
     let deadline = SimTime::ZERO + SimDuration::from_secs(600);
     let mut ens = SliceEnsemble::build(&cfg, vec![Box::new(BulkIo::writer("ec0", bytes, true))]);
     ens.start();
-    ens.run_to_completion(deadline);
-    assert!(ens.client(0).finished(), "{}: writer stalled", layout.tag());
+    // Runs one pass of client 0 to completion; returns when it began.
+    let pass = |ens: &mut SliceEnsemble, w: Option<BulkIo>, what: &str| {
+        let start = ens.engine.now();
+        if let Some(w) = w {
+            ens.start_workload(0, Box::new(w));
+        }
+        ens.run_to_completion(deadline);
+        assert!(ens.client(0).finished(), "{}: {what} stalled", layout.tag());
+        start
+    };
+    pass(&mut ens, None, "writer");
     let write_done_ms = ms_of(ens.engine.now());
 
     let stored_bytes: u64 = ens
@@ -130,76 +120,41 @@ fn run_cell(layout: Layout, bytes: u64) -> CellOut {
         .sum();
     // The first SF_THRESHOLD bytes live on the small-file servers.
     let logical_bytes = bytes.saturating_sub(slice_smallfile::SF_THRESHOLD);
+    let read_us = |ens: &SliceEnsemble, from| ops(ens, Some("read"), from, SimTime::MAX).mean_us;
 
     // Clean read pass.
-    let mark = ens.histories()[0].records().len();
-    ens.client_mut(0)
-        .set_workload(Box::new(BulkIo::reader("ec0", bytes)));
-    let c0 = ens.clients[0];
-    ens.engine.kick(c0);
-    ens.run_to_completion(deadline);
-    assert!(
-        ens.client(0).finished(),
-        "{}: clean reader stalled",
-        layout.tag()
-    );
-    let clean_read_us = mean_read_us(&ens, mark);
+    let from = pass(&mut ens, Some(BulkIo::reader("ec0", bytes)), "clean reader");
+    let clean_read_us = read_us(&ens, from);
 
     // Degraded write pass with one site down: a fresh file of the same
     // size, so resync has real redundancy to restore after recovery.
     ens.engine.fail_node(ens.storage[VICTIM]);
-    ens.client_mut(0)
-        .set_workload(Box::new(BulkIo::writer("ec1", bytes, true)));
-    let c0 = ens.clients[0];
-    ens.engine.kick(c0);
-    ens.run_to_completion(deadline);
-    assert!(
-        ens.client(0).finished(),
-        "{}: degraded writer stalled",
-        layout.tag()
-    );
+    let degraded_writer = BulkIo::writer("ec1", bytes, true);
+    pass(&mut ens, Some(degraded_writer), "degraded writer");
 
     // Degraded read pass over the pre-crash file.
-    let mark = ens.histories()[0].records().len();
-    let recon_before = ens
-        .client(0)
-        .proxy()
-        .map(|p| p.ec_stats())
-        .unwrap_or_default();
-    ens.client_mut(0)
-        .set_workload(Box::new(BulkIo::reader("ec0", bytes)));
-    ens.engine.kick(c0);
-    ens.run_to_completion(deadline);
-    assert!(
-        ens.client(0).finished(),
-        "{}: degraded reader stalled",
-        layout.tag()
+    let ec_stats = |ens: &SliceEnsemble| {
+        ens.client(0)
+            .proxy()
+            .map(|p| p.ec_stats())
+            .unwrap_or_default()
+    };
+    let recon_before = ec_stats(&ens);
+    let from = pass(
+        &mut ens,
+        Some(BulkIo::reader("ec0", bytes)),
+        "degraded reader",
     );
-    let degraded_read_us = mean_read_us(&ens, mark);
-    let recon_after = ens
-        .client(0)
-        .proxy()
-        .map(|p| p.ec_stats())
-        .unwrap_or_default();
+    let degraded_read_us = read_us(&ens, from);
+    let recon_after = ec_stats(&ens);
 
     // Recover and let the coordinator sweep restore redundancy.
     let recover_at = ens.engine.now();
     ens.recover_storage_node(VICTIM);
     ens.engine
         .run_until(recover_at + SimDuration::from_secs(30));
-    let mut resync_bytes = 0u64;
-    let mut resync_done: Option<SimTime> = None;
-    let mut dirty_left = 0u64;
-    for &c in &ens.coords {
-        let coord = &ens.engine.actor::<CoordActor>(c).coord;
-        for &(site, _start, done, b) in coord.resync_history() {
-            if site as usize == VICTIM {
-                resync_bytes += b;
-                resync_done = Some(resync_done.map_or(done, |d| d.max(done)));
-            }
-        }
-        dirty_left += coord.dirty_log_dump().len() as u64;
-    }
+    let (resync_bytes, resync_done) = resync_of(&ens, VICTIM);
+    let dirty_left = ens.coord().dirty_log_dump().len();
     assert_eq!(dirty_left, 0, "{}: resync left dirty ranges", layout.tag());
 
     CellOut {

@@ -11,39 +11,17 @@
 //! (800–1000 ‰) where the curve bends hardest; the default grid stays
 //! the paper's so existing baselines remain comparable.
 
-use slice_core::EnsemblePolicy;
-use slice_sim::Series;
-
 fn main() {
     let args = slice_bench::BenchArgs::from_env("usage: fig4 [--full] [--fine]");
-    let (full, fine) = (args.flag("--full"), args.flag("--fine"));
-    let files: u64 = if full { 36_000 } else { 2_400 };
-    let affinities: &[u32] = if fine {
+    let files: u64 = if args.flag("--full") { 36_000 } else { 2_400 };
+    let affinities: &[u32] = if args.flag("--fine") {
         &[
             0, 100, 200, 300, 400, 500, 600, 700, 800, 850, 900, 925, 950, 975, 1000,
         ]
     } else {
         &[0, 200, 400, 600, 800, 900, 950, 1000]
     };
-    let mut series: Vec<Series> = [1usize, 4, 8, 16]
-        .iter()
-        .map(|p| Series::new(format!("{p} procs")))
-        .collect();
-    for &aff in affinities {
-        let p_millis = 1000 - aff;
-        for (i, &procs) in [1usize, 4, 8, 16].iter().enumerate() {
-            let lat = slice_bench::run_untar_slice(
-                procs,
-                4,
-                files,
-                EnsemblePolicy::MkdirSwitching {
-                    redirect_millis: p_millis,
-                },
-            )
-            .0;
-            series[i].push(aff as f64 / 10.0, lat);
-        }
-    }
+    let series = slice_bench::affinity_grid(files, &[1, 4, 8, 16], affinities);
     println!("Figure 4: mkdir switching affinity — mean untar latency (s)");
     println!("(4 directory servers, {files} files/dirs per process)");
     slice_bench::print_series("affinity %", "latency s", &series);

@@ -29,7 +29,6 @@
 //!   comment; a `wall_s` entry is informational only.
 
 use slice_bench::EngineTotals;
-use slice_core::EnsemblePolicy;
 use std::time::Instant;
 
 /// Relative headroom for `--check`: fail above `reference * (1 + 0.25)`.
@@ -43,79 +42,14 @@ struct PhaseReport {
     totals: EngineTotals,
 }
 
-/// Runs `f` and returns its result with the `ByteBuf` copy counters
-/// (shallow clones, deep copies, deep-copied bytes) it moved. The
-/// counters are thread-local and a simulation run stays on the thread
-/// that starts it, so the before/after delta is that run's own.
-fn with_payload_delta<T>(f: impl FnOnce() -> T) -> (T, [u64; 3]) {
-    let (s0, d0, b0) = slice_nfsproto::bytes::local_clone_stats();
-    let out = f();
-    let (s1, d1, b1) = slice_nfsproto::bytes::local_clone_stats();
-    (out, [s1 - s0, d1 - d0, b1 - b0])
-}
-
-/// One cell of the fig3 grid: `dirs == None` is the N-MFS baseline.
-#[derive(Clone, Copy)]
-struct Cell {
-    procs: usize,
-    dirs: Option<usize>,
-}
-
-/// The fig3 grid: N-MFS plus Slice-{1,2,4} across the process sweep,
-/// fanned out over the slice-par pool. Cells are independent runs;
-/// totals are folded in cell order (they are sums and maxes, so the
-/// result is thread-count-invariant).
-fn untar_phase(files: u64, threads: usize) -> (PhaseReport, [u64; 3]) {
+/// Runs one phase and times it on the host.
+fn timed(phase: impl FnOnce() -> EngineTotals) -> PhaseReport {
     let start = Instant::now();
-    let mut cells = Vec::new();
-    for &procs in &[1usize, 2, 4, 8, 16] {
-        cells.push(Cell { procs, dirs: None });
-        for &dirs in &[1usize, 2, 4] {
-            cells.push(Cell {
-                procs,
-                dirs: Some(dirs),
-            });
-        }
-    }
-    let per_cell = slice_sim::run_indexed(threads, cells, |_, cell| {
-        with_payload_delta(|| match cell.dirs {
-            None => slice_bench::run_untar_mfs(cell.procs, files).1,
-            Some(dirs) => {
-                let p_millis = (1000 / dirs as u32).max(1);
-                let policy = EnsemblePolicy::MkdirSwitching {
-                    redirect_millis: p_millis,
-                };
-                slice_bench::run_untar_slice(cell.procs, dirs, files, policy).1
-            }
-        })
-    });
-    let mut totals = EngineTotals::default();
-    let mut payload = [0; 3];
-    for (t, p) in per_cell {
-        totals.absorb(t);
-        for (sum, n) in payload.iter_mut().zip(p) {
-            *sum += n;
-        }
-    }
-    let report = PhaseReport {
+    let totals = phase();
+    PhaseReport {
         wall_s: start.elapsed().as_secs_f64(),
         totals,
-    };
-    (report, payload)
-}
-
-/// Saturating mirrored bulk I/O: 16 writers then 16 readers, so the run
-/// exercises mirrored-write duplication (the payload-sharing fast path)
-/// at full load.
-fn bulk_phase(bytes_per_client: u64) -> (PhaseReport, [u64; 3]) {
-    let start = Instant::now();
-    let ((_w, _r, totals), payload) =
-        with_payload_delta(|| slice_bench::run_bulk(16, bytes_per_client, true));
-    let report = PhaseReport {
-        wall_s: start.elapsed().as_secs_f64(),
-        totals,
-    };
-    (report, payload)
+    }
 }
 
 /// Live-state sizes at the end of a mapped mirrored bulk run: coordinator
@@ -126,54 +60,26 @@ fn bulk_phase(bytes_per_client: u64) -> (PhaseReport, [u64; 3]) {
 /// leak canaries for the per-site soft state that planned removal must
 /// purge. All are deterministic.
 fn live_state_phase(bytes_per_client: u64) -> (u64, u64, u64, u64, u64) {
-    use slice_core::actors::CoordActor;
     use slice_core::ensemble::{SliceConfig, SliceEnsemble};
-    use slice_core::Workload;
-    use slice_workloads::BulkIo;
     const CLIENTS: usize = 4;
     let cfg = SliceConfig {
         clients: CLIENTS,
         use_block_maps: true,
         ..SliceConfig::default()
     };
-    let writers: Vec<Box<dyn Workload>> = (0..CLIENTS)
-        .map(|i| {
-            Box::new(BulkIo::writer(&format!("ls{i}"), bytes_per_client, true)) as Box<dyn Workload>
-        })
-        .collect();
+    let writers = slice_bench::timeline::bulk_writers("ls", CLIENTS, bytes_per_client, true);
     let mut ens = SliceEnsemble::build(&cfg, writers);
     ens.start();
     ens.run_to_completion(slice_sim::SimTime::ZERO + slice_sim::SimDuration::from_secs(600));
     for i in 0..CLIENTS {
         assert!(ens.client(i).finished(), "live-state writer {i} stalled");
     }
-    let maps: usize = ens
-        .coords
-        .iter()
-        .map(|&c| ens.engine.actor::<CoordActor>(c).coord.map_entries())
-        .sum();
-    let dirty: usize = ens
-        .coords
-        .iter()
-        .map(|&c| {
-            ens.engine
-                .actor::<CoordActor>(c)
-                .coord
-                .dirty_log_dump()
-                .len()
-        })
-        .sum();
-    let soft: usize = (0..CLIENTS)
-        .filter_map(|i| ens.client(i).proxy())
-        .map(|p| p.soft_state_entries())
-        .sum();
-    let suspected: usize = (0..CLIENTS)
-        .filter_map(|i| ens.client(i).proxy())
-        .map(|p| p.suspected_sites().len())
-        .sum();
+    let proxies = || (0..CLIENTS).filter_map(|i| ens.client(i).proxy());
+    let soft: usize = proxies().map(|p| p.soft_state_entries()).sum();
+    let suspected: usize = proxies().map(|p| p.suspected_sites().len()).sum();
     (
-        maps as u64,
-        dirty as u64,
+        ens.coord().map_entries() as u64,
+        ens.coord().dirty_log_dump().len() as u64,
         soft as u64,
         suspected as u64,
         ens.engine.peak_live_events() as u64,
@@ -289,9 +195,16 @@ fn main() {
     let bulk_bytes: u64 = if full { 256 << 20 } else { 32 << 20 };
 
     slice_sim::pool::reset_alloc_stats();
-    let (untar, untar_payload) = untar_phase(files, threads);
-    let (bulk, bulk_payload) = bulk_phase(bulk_bytes);
-    let [shallow, deep, deep_bytes] = [0, 1, 2].map(|i| untar_payload[i] + bulk_payload[i]);
+    let untar = timed(|| {
+        let procs = slice_bench::UNTAR_PROCS;
+        slice_bench::untar_grid(files, procs, slice_bench::UNTAR_DIRS, threads).1
+    });
+    // Saturating mirrored bulk I/O: 16 writers then 16 readers, so the run
+    // exercises mirrored-write duplication (the payload-sharing fast path)
+    // at full load.
+    let bulk = timed(|| slice_bench::run_bulk(16, bulk_bytes, true).2);
+    let [shallow, deep, deep_bytes] =
+        [0, 1, 2].map(|i| untar.totals.payload[i] + bulk.totals.payload[i]);
     let (pool_hits, pool_misses, recycled_bytes) = slice_sim::pool::alloc_stats();
     let (map_entries, dirty_ranges, soft_entries, suspected_sites, live_peak) =
         live_state_phase(bulk_bytes / 4);

@@ -22,7 +22,7 @@
 //! Reports time-to-rebalance for join and drain, migrated bytes, the
 //! hot file's read p99 before / during / after widening, and the
 //! live-soft-state counts after retirement. A clean baseline run (no
-//! reconfiguration, same workload) executes in parallel on slice-par
+//! reconfiguration, same workload) executes beside it on a second thread
 //! for the comparison gauges. Deterministic: identical arguments yield
 //! a byte-identical report at any `--threads`.
 //!
@@ -31,11 +31,11 @@
 //! parallelism).
 
 use slice_bench::obs_doc;
-use slice_core::actors::CoordActor;
+use slice_bench::timeline::{
+    bulk_writers, join, ms_of, ops, run_phase, run_until, start_bulk_readers,
+};
 use slice_core::ensemble::{SliceConfig, SliceEnsemble};
-use slice_core::Workload;
 use slice_sim::{SimDuration, SimTime};
-use slice_workloads::BulkIo;
 
 const CLIENTS: usize = 2;
 /// Total storage sites; the last starts in standby, outside the rotation.
@@ -47,12 +47,8 @@ const JOINER: usize = 4;
 /// The founding site that is drained and retired.
 const RETIREE: usize = 1;
 
-fn ms_of(t: SimTime) -> f64 {
-    t.as_nanos() as f64 / 1e6
-}
-
-fn reconf_config() -> SliceConfig {
-    SliceConfig {
+fn reconf_ensemble(bytes_per_client: u64) -> SliceEnsemble {
+    let cfg = SliceConfig {
         clients: CLIENTS,
         storage_nodes: STORAGE,
         active_storage: Some(ACTIVE),
@@ -68,75 +64,24 @@ fn reconf_config() -> SliceConfig {
         // passes land in the same sliding window.
         hot_window_ms: 600_000,
         ..SliceConfig::default()
-    }
-}
-
-fn build_writers(bytes_per_client: u64) -> Vec<Box<dyn Workload>> {
-    (0..CLIENTS)
-        .map(|i| {
-            Box::new(BulkIo::writer(&format!("rc{i}"), bytes_per_client, true)) as Box<dyn Workload>
-        })
-        .collect()
-}
-
-/// Runs until every client's workload finishes (or `deadline`), checking
-/// every few events so sweep churn does not drag simulated time out.
-fn run_phase(ens: &mut SliceEnsemble, deadline: SimTime) {
-    loop {
-        let before = ens.engine.now();
-        ens.engine.run_until_idle(64);
-        let done = (0..CLIENTS).all(|i| ens.client(i).finished());
-        if done || ens.engine.now() >= deadline || ens.engine.now() == before {
-            return;
-        }
-    }
+    };
+    let mut ens = SliceEnsemble::build(&cfg, bulk_writers("rc", CLIENTS, bytes_per_client, true));
+    ens.start();
+    ens
 }
 
 /// Advances the engine until no migration intent is pending on any
 /// coordinator, returning the time the last one completed.
 fn run_until_rebalanced(ens: &mut SliceEnsemble, deadline: SimTime) -> SimTime {
-    loop {
-        if ens.migrations_pending() == 0 {
-            return ens.engine.now();
-        }
-        let before = ens.engine.now();
-        ens.engine.run_until_idle(64);
-        if ens.engine.now() >= deadline || ens.engine.now() == before {
-            return ens.engine.now();
-        }
+    if ens.migrations_pending() > 0 {
+        run_until(ens, deadline, |e| e.migrations_pending() == 0);
     }
-}
-
-/// Starts a fresh read pass of every client's file on all clients.
-fn start_read_pass(ens: &mut SliceEnsemble, bytes_per_client: u64) {
-    for i in 0..CLIENTS {
-        ens.client_mut(i).set_workload(Box::new(BulkIo::reader(
-            &format!("rc{i}"),
-            bytes_per_client,
-        )));
-    }
-    for &c in &ens.clients.clone() {
-        ens.engine.kick(c);
-    }
+    ens.engine.now()
 }
 
 /// p99 latency in microseconds of completed reads begun in `[from, to)`.
 fn read_p99_us(ens: &SliceEnsemble, from: SimTime, to: SimTime) -> f64 {
-    let mut lats: Vec<u64> = Vec::new();
-    for hist in ens.histories() {
-        for rec in hist.records() {
-            if let (Some(end), "read") = (rec.end, rec.op) {
-                if rec.begin >= from && rec.begin < to {
-                    lats.push((end - rec.begin).as_nanos());
-                }
-            }
-        }
-    }
-    if lats.is_empty() {
-        return 0.0;
-    }
-    lats.sort_unstable();
-    lats[(lats.len() - 1) * 99 / 100] as f64 / 1e3
+    ops(ens, Some("read"), from, to).p99_us
 }
 
 /// Everything harvested from the reconfiguration timeline.
@@ -172,15 +117,11 @@ struct BaselineOut {
 }
 
 fn run_baseline(bytes_per_client: u64, deadline: SimTime) -> BaselineOut {
-    let mut ens = SliceEnsemble::build(&reconf_config(), build_writers(bytes_per_client));
-    ens.start();
+    let mut ens = reconf_ensemble(bytes_per_client);
     run_phase(&mut ens, deadline);
     let write_done = ens.engine.now();
-    start_read_pass(&mut ens, bytes_per_client);
-    run_phase(&mut ens, deadline);
-    for i in 0..CLIENTS {
-        assert!(ens.client(i).finished(), "baseline client {i} stalled");
-    }
+    start_bulk_readers(&mut ens, "rc", bytes_per_client);
+    assert!(run_phase(&mut ens, deadline), "baseline clients stalled");
     BaselineOut {
         write_done,
         p99_us: read_p99_us(&ens, write_done, ens.engine.now()),
@@ -188,22 +129,21 @@ fn run_baseline(bytes_per_client: u64, deadline: SimTime) -> BaselineOut {
 }
 
 fn run_reconf_timeline(bytes_per_client: u64, reads: u64, deadline: SimTime) -> ReconfOut {
-    let mut ens = SliceEnsemble::build(&reconf_config(), build_writers(bytes_per_client));
-    ens.start();
+    let mut ens = reconf_ensemble(bytes_per_client);
+    let read_pass = |ens: &mut SliceEnsemble| {
+        start_bulk_readers(ens, "rc", bytes_per_client);
+        run_phase(ens, deadline)
+    };
 
     // Phase 0: write the data set mirrored across the four active sites.
-    run_phase(&mut ens, deadline);
-    for i in 0..CLIENTS {
-        assert!(ens.client(i).finished(), "writer {i} did not finish");
-    }
+    assert!(run_phase(&mut ens, deadline), "writers did not finish");
     let write_done = ens.engine.now();
 
     // Phase 1: heat the working set — `reads` full passes — and measure
     // the pre-widening p99.
     let before_start = ens.engine.now();
     for _ in 0..reads {
-        start_read_pass(&mut ens, bytes_per_client);
-        run_phase(&mut ens, deadline);
+        read_pass(&mut ens);
     }
     let before_end = ens.engine.now();
     let p99_before_us = read_p99_us(&ens, before_start, before_end);
@@ -218,8 +158,7 @@ fn run_reconf_timeline(bytes_per_client: u64, reads: u64, deadline: SimTime) -> 
     let widen_start = ens.engine.now();
     let bytes_mark = ens.migrated_bytes();
     let widen_queued = ens.widen_file(hot_file);
-    start_read_pass(&mut ens, bytes_per_client);
-    run_phase(&mut ens, deadline);
+    read_pass(&mut ens);
     let during_end = ens.engine.now();
     let p99_during_us = read_p99_us(&ens, widen_start, during_end);
     let widen_done = run_until_rebalanced(&mut ens, deadline);
@@ -233,8 +172,7 @@ fn run_reconf_timeline(bytes_per_client: u64, reads: u64, deadline: SimTime) -> 
     let join_start = ens.engine.now();
     let bytes_mark = ens.migrated_bytes();
     let join_queued = ens.join_storage_node(JOINER);
-    start_read_pass(&mut ens, bytes_per_client);
-    run_phase(&mut ens, deadline);
+    read_pass(&mut ens);
     let join_done = run_until_rebalanced(&mut ens, deadline);
     let join_bytes = ens.migrated_bytes() - bytes_mark;
     ens.flush_map_caches();
@@ -252,11 +190,7 @@ fn run_reconf_timeline(bytes_per_client: u64, reads: u64, deadline: SimTime) -> 
     // Phase 5: the post-reconfiguration read pass — the widened replica
     // set now serves, the retiree does not.
     let after_start = ens.engine.now();
-    start_read_pass(&mut ens, bytes_per_client);
-    run_phase(&mut ens, deadline);
-    for i in 0..CLIENTS {
-        assert!(ens.client(i).finished(), "post-reconf reader {i} stalled");
-    }
+    assert!(read_pass(&mut ens), "post-reconf readers stalled");
     let p99_after_us = read_p99_us(&ens, after_start, ens.engine.now());
 
     // Harvest soft-state and client-failure evidence.
@@ -267,13 +201,6 @@ fn run_reconf_timeline(bytes_per_client: u64, reads: u64, deadline: SimTime) -> 
         timeouts += client.stats().timeouts;
         let proxy = client.proxy().expect("embedded proxy");
         suspected_left += proxy.suspected_sites().len() as u64;
-    }
-    let mut dirty_left = 0u64;
-    let mut pinned_entries = 0u64;
-    for &c in &ens.coords {
-        let coord = &ens.engine.actor::<CoordActor>(c).coord;
-        dirty_left += coord.dirty_log_dump().len() as u64;
-        pinned_entries += coord.pinned_entries() as u64;
     }
 
     ReconfOut {
@@ -295,21 +222,11 @@ fn run_reconf_timeline(bytes_per_client: u64, reads: u64, deadline: SimTime) -> 
         migrated_bytes: ens.migrated_bytes(),
         widen_bytes,
         join_bytes,
-        pinned_entries,
-        dirty_left,
+        pinned_entries: ens.coord().pinned_entries() as u64,
+        dirty_left: ens.coord().dirty_log_dump().len() as u64,
         suspected_left,
         timeouts,
     }
-}
-
-enum Task {
-    Reconf,
-    Baseline,
-}
-
-enum Out {
-    Reconf(Box<ReconfOut>),
-    Baseline(BaselineOut),
 }
 
 fn main() {
@@ -322,23 +239,11 @@ fn main() {
     let bytes_per_client = mb * 1024 * 1024;
     let deadline = SimTime::ZERO + SimDuration::from_secs(600);
 
-    let outs =
-        slice_sim::run_indexed(
-            threads,
-            vec![Task::Reconf, Task::Baseline],
-            |_, task| match task {
-                Task::Reconf => Out::Reconf(Box::new(run_reconf_timeline(
-                    bytes_per_client,
-                    reads,
-                    deadline,
-                ))),
-                Task::Baseline => Out::Baseline(run_baseline(bytes_per_client, deadline)),
-            },
-        );
-    let mut outs = outs.into_iter();
-    let (Some(Out::Reconf(t)), Some(Out::Baseline(base))) = (outs.next(), outs.next()) else {
-        unreachable!("run_indexed merges by input index");
-    };
+    let (t, base) = join(
+        threads,
+        || run_reconf_timeline(bytes_per_client, reads, deadline),
+        || run_baseline(bytes_per_client, deadline),
+    );
 
     let widen_ms = ms_of(t.widen_done) - ms_of(t.widen_start);
     let join_ms = ms_of(t.join_done) - ms_of(t.join_start);

@@ -26,14 +26,12 @@ fn main() {
     let per_packet = |ns: u64| ns as f64 / ph.packets as f64;
     let cpu_pct = |ns: u64| per_packet(ns) * 6250.0 / 1e9 * 100.0;
     let share = |ns: u64| ns as f64 / total_ns as f64 * 100.0;
-    let paper = [
-        ("Packet interception", 0.7),
-        ("Packet decode", 4.1),
-        ("Redirection/rewriting", 0.5),
-        ("Soft state logic", 0.8),
+    let names = [
+        "Packet interception",
+        "Packet decode",
+        "Redirection/rewriting",
+        "Soft state logic",
     ];
-    let paper_total: f64 = paper.iter().map(|(_, p)| p).sum();
-    let ours = [ph.intercept_ns, ph.decode_ns, ph.rewrite_ns, ph.soft_ns];
     println!(
         "Table 3: µproxy CPU cost at 6250 packets/s ({} packets measured)",
         ph.packets
@@ -42,14 +40,14 @@ fn main() {
         "{:>24} {:>10} {:>10} {:>12} {:>12}",
         "phase", "ns/pkt", "CPU %", "share %", "paper share %"
     );
-    for ((name, paper_pct), ns) in paper.iter().zip(ours) {
+    for (name, (ns, paper_share)) in names.iter().zip(slice_bench::table3_rows(&ph)) {
         println!(
             "{:>24} {:>10.1} {:>10.3} {:>12.1} {:>12.1}",
             name,
             per_packet(ns),
             cpu_pct(ns),
             share(ns),
-            paper_pct / paper_total * 100.0
+            paper_share
         );
     }
     println!(

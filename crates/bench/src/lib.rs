@@ -5,11 +5,13 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod timeline;
 
 pub use experiments::{
-    bench_config, obs_doc, phases_obs_json, print_series, repo_root, run_bulk, run_sfs_baseline,
-    run_sfs_slice, run_untar_mfs, run_untar_slice, run_uproxy_phases, series_obs_json, write_json,
-    BulkResult, EngineTotals, SfsResult,
+    affinity_grid, bench_config, bulk_table, collect_sfs, mean_elapsed_secs, obs_doc,
+    phases_obs_json, print_series, repo_root, run_bulk, run_uproxy_phases, series_obs_json,
+    sfs_grid, table3_rows, untar_grid, write_json, BulkResult, BulkRow, EngineTotals, SfsResult,
+    SFS_LOADS, SFS_NODES, SFS_QUICK_LOADS, UNTAR_DIRS, UNTAR_PROCS,
 };
 
 /// A bench binary's command line: `--switch` flags and `--name VALUE`

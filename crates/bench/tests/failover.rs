@@ -11,11 +11,9 @@
 //! is down, then recovery — and requires the dirty log to drain and a
 //! final read pass to complete with no client-visible failures.
 
-use slice_core::actors::CoordActor;
+use slice_bench::timeline::{bulk_writers, run_phase, start_bulk_readers};
 use slice_core::ensemble::{SliceConfig, SliceEnsemble};
-use slice_core::Workload;
 use slice_sim::{SimDuration, SimTime};
-use slice_workloads::BulkIo;
 
 const CLIENTS: usize = 2;
 const VICTIM: usize = 0;
@@ -36,50 +34,14 @@ fn config() -> SliceConfig {
     }
 }
 
-fn run_phase(ens: &mut SliceEnsemble, deadline: SimTime) {
-    loop {
-        let before = ens.engine.now();
-        ens.engine.run_until_idle(64);
-        let done = (0..CLIENTS).all(|i| ens.client(i).finished());
-        if done || ens.engine.now() >= deadline || ens.engine.now() == before {
-            return;
-        }
-    }
-}
-
 fn dirty_ranges(ens: &SliceEnsemble) -> usize {
-    ens.coords
-        .iter()
-        .map(|&c| {
-            ens.engine
-                .actor::<CoordActor>(c)
-                .coord
-                .dirty_log_dump()
-                .len()
-        })
-        .sum()
-}
-
-fn set_readers(ens: &mut SliceEnsemble) {
-    for i in 0..CLIENTS {
-        ens.client_mut(i).set_workload(Box::new(BulkIo::reader(
-            &format!("fo{i}"),
-            MB * 1024 * 1024,
-        )));
-    }
-    for &c in &ens.clients.clone() {
-        ens.engine.kick(c);
-    }
+    ens.coord().dirty_log_dump().len()
 }
 
 #[test]
 fn recovery_resyncs_from_rebalanced_map() {
     let deadline = SimTime::ZERO + SimDuration::from_secs(600);
-    let writers: Vec<Box<dyn Workload>> = (0..CLIENTS)
-        .map(|i| {
-            Box::new(BulkIo::writer(&format!("fo{i}"), MB * 1024 * 1024, true)) as Box<dyn Workload>
-        })
-        .collect();
+    let writers = bulk_writers("fo", CLIENTS, MB * 1024 * 1024, true);
     let mut ens = SliceEnsemble::build(&config(), writers);
     ens.start();
 
@@ -88,10 +50,7 @@ fn recovery_resyncs_from_rebalanced_map() {
     // pre-rebalance replica sets.
     ens.engine.run_until(SimTime::from_nanos(100 * 1_000_000));
     ens.engine.fail_node(ens.storage[VICTIM]);
-    run_phase(&mut ens, deadline);
-    for i in 0..CLIENTS {
-        assert!(ens.client(i).finished(), "writer {i} did not finish");
-    }
+    assert!(run_phase(&mut ens, deadline), "writers did not finish");
     assert!(
         dirty_ranges(&ens) > 0,
         "crash mid-write logged no dirty ranges; the test is not exercising resync"
@@ -127,7 +86,7 @@ fn recovery_resyncs_from_rebalanced_map() {
     );
 
     // A full read pass completes with no client-visible failures.
-    set_readers(&mut ens);
+    start_bulk_readers(&mut ens, "fo", MB * 1024 * 1024);
     run_phase(&mut ens, deadline);
     for i in 0..CLIENTS {
         assert!(

@@ -743,11 +743,7 @@ pub fn run_schedule(
     }
 
     let histories = ens.histories();
-    let driver = ens
-        .client(0)
-        .workload()
-        .and_then(|w| w.as_any().downcast_ref::<DriverWorkload>())
-        .expect("run_schedule drives a DriverWorkload");
+    let driver = ens.client(0).workload_as::<DriverWorkload>();
     violations.extend(check_expectations(scenario, driver, histories[0]));
     let (hist_violations, oracle_stats) = check_histories(&histories);
     violations.extend(hist_violations);

@@ -388,6 +388,16 @@ impl ClientActor {
         self.workload.as_deref()
     }
 
+    /// The driving workload as a `W`.
+    ///
+    /// # Panics
+    ///
+    /// If the client has no workload, or its workload is not a `W`.
+    pub fn workload_as<W: Workload>(&self) -> &W {
+        let w = self.workload().and_then(|w| w.as_any().downcast_ref());
+        w.unwrap_or_else(|| panic!("client workload is not a {}", std::any::type_name::<W>()))
+    }
+
     /// Replaces the workload (e.g. to start a second phase on this client
     /// after an earlier one completed); kick the client to start it.
     pub fn set_workload(&mut self, w: Box<dyn Workload>) {

@@ -435,6 +435,13 @@ impl SliceEnsemble {
         run_to_completion(&mut self.engine, &self.clients, deadline)
     }
 
+    /// Starts a new pass on client `i`: `w` replaces its workload and
+    /// the client is kicked.
+    pub fn start_workload(&mut self, i: usize, w: Box<dyn Workload>) {
+        self.client_mut(i).set_workload(w);
+        self.engine.kick(self.clients[i]);
+    }
+
     /// Client actor access.
     pub fn client(&self, i: usize) -> &ClientActor {
         self.engine.actor::<ClientActor>(self.clients[i])

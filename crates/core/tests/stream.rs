@@ -431,10 +431,7 @@ fn run(coded: Option<(u32, u32)>, policy: EnsemblePolicy) -> Pinned {
         assert!(client.finished(), "client {i} did not finish");
         timeouts += client.stats().timeouts;
         retransmits += client.stats().retransmits;
-        let mix = client
-            .workload()
-            .and_then(|w| w.as_any().downcast_ref::<Mix>())
-            .expect("the mix");
+        let mix = client.workload_as::<Mix>();
         assert!(mix.ok > 2_000, "client {i}: {} ok", mix.ok);
         assert!(
             mix.failed >= u64::from(WINDOW),

@@ -23,33 +23,17 @@ fn run(clients: usize, bytes: u64, mirrored: bool) -> (f64, f64) {
     ens.run_to_completion(SimTime::ZERO + SimDuration::from_secs(3600));
     let mut slowest_write = f64::MAX;
     for i in 0..clients {
-        let w = ens
-            .client(i)
-            .workload()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<BulkIo>()
-            .unwrap();
+        let w = ens.client(i).workload_as::<BulkIo>();
         slowest_write = slowest_write.min(w.bandwidth().expect("finished"));
     }
     // Read the files back.
     for i in 0..clients {
-        ens.client_mut(i)
-            .set_workload(Box::new(BulkIo::reader(&format!("dd{i}"), bytes)));
-    }
-    for &c in &ens.clients.clone() {
-        ens.engine.kick(c);
+        ens.start_workload(i, Box::new(BulkIo::reader(&format!("dd{i}"), bytes)));
     }
     ens.run_to_completion(SimTime::ZERO + SimDuration::from_secs(7200));
     let mut slowest_read = f64::MAX;
     for i in 0..clients {
-        let r = ens
-            .client(i)
-            .workload()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<BulkIo>()
-            .unwrap();
+        let r = ens.client(i).workload_as::<BulkIo>();
         slowest_read = slowest_read.min(r.bandwidth().expect("finished"));
     }
     (

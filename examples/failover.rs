@@ -106,18 +106,10 @@ fn main() {
         ],
         4,
     );
-    ens.client_mut(0).set_workload(Box::new(phase2));
-    let c0 = ens.clients[0];
-    ens.engine.kick(c0);
+    ens.start_workload(0, Box::new(phase2));
     ens.run_to_completion(SimTime::ZERO + SimDuration::from_secs(60));
 
-    let script = ens
-        .client(0)
-        .workload()
-        .unwrap()
-        .as_any()
-        .downcast_ref::<ScriptWorkload>()
-        .unwrap();
+    let script = ens.client(0).workload_as::<ScriptWorkload>();
     assert!(
         script.errors.is_empty(),
         "post-recovery errors: {:?}",

@@ -25,13 +25,7 @@ fn run(procs: usize, dirs: usize, policy: EnsemblePolicy, files: u64) -> (f64, V
     ens.run_to_completion(SimTime::ZERO + SimDuration::from_secs(3600));
     let mut total = 0.0;
     for i in 0..procs {
-        let u = ens
-            .client(i)
-            .workload()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<Untar>()
-            .unwrap();
+        let u = ens.client(i).workload_as::<Untar>();
         total += u.elapsed().expect("finished").as_secs_f64();
     }
     let cells: Vec<usize> = ens

@@ -79,12 +79,7 @@ fn main() {
     ens.run_to_completion(SimTime::ZERO + SimDuration::from_secs(60));
 
     let client = ens.client(0);
-    let script = client
-        .workload()
-        .unwrap()
-        .as_any()
-        .downcast_ref::<ScriptWorkload>()
-        .unwrap();
+    let script = client.workload_as::<ScriptWorkload>();
     assert!(
         script.errors.is_empty(),
         "script errors: {:?}",

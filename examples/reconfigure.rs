@@ -74,19 +74,10 @@ fn main() {
         save: 2,
         mode_extra: 0,
     });
-    ens.client_mut(0)
-        .set_workload(Box::new(ScriptWorkload::new(steps, 3)));
-    let c0 = ens.clients[0];
-    ens.engine.kick(c0);
+    ens.start_workload(0, Box::new(ScriptWorkload::new(steps, 3)));
     ens.run_to_completion(SimTime::ZERO + SimDuration::from_secs(120));
 
-    let script = ens
-        .client(0)
-        .workload()
-        .unwrap()
-        .as_any()
-        .downcast_ref::<ScriptWorkload>()
-        .unwrap();
+    let script = ens.client(0).workload_as::<ScriptWorkload>();
     assert!(script.errors.is_empty(), "errors: {:?}", script.errors);
     let proxy = ens.client(0).proxy().unwrap();
     println!(

@@ -1,6 +1,6 @@
 //! Shared helpers for the integration suite.
 
-use slice::core::{SliceConfig, SliceEnsemble, Workload};
+use slice::core::{SliceConfig, SliceEnsemble};
 use slice::sim::{SimDuration, SimTime};
 use slice::workloads::ScriptWorkload;
 
@@ -23,25 +23,10 @@ pub fn run_script(cfg: &SliceConfig, script: ScriptWorkload) -> SliceEnsemble {
 pub fn assert_errors(ens: &SliceEnsemble, i: usize) {
     let client = ens.client(i);
     assert!(client.finished(), "client {i} did not finish");
-    let wl = client.workload().expect("workload");
-    let script = wl
-        .as_any()
-        .downcast_ref::<ScriptWorkload>()
-        .expect("script workload");
+    let script = client.workload_as::<ScriptWorkload>();
     assert!(
         script.errors.is_empty(),
         "client {i} errors: {:?}",
         script.errors
     );
-}
-
-/// Convenience: downcast a finished workload.
-#[allow(dead_code)]
-pub fn workload_of<W: Workload>(ens: &SliceEnsemble, i: usize) -> &W {
-    ens.client(i)
-        .workload()
-        .expect("workload")
-        .as_any()
-        .downcast_ref::<W>()
-        .expect("workload type")
 }

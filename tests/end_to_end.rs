@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{assert_errors, deadline, run_script, workload_of};
+use common::{assert_errors, deadline, run_script};
 use slice::core::{EnsemblePolicy, SliceConfig, SliceEnsemble};
 use slice::nfsproto::{Sattr3, StableHow};
 use slice::workloads::{ScriptWorkload, Step, MODE_MIRRORED};
@@ -452,8 +452,7 @@ fn two_clients_share_the_volume() {
         ],
         3,
     );
-    ens.client_mut(1).set_workload(Box::new(w1));
-    ens.engine.kick(ens.clients[1]);
+    ens.start_workload(1, Box::new(w1));
     ens.run_to_completion(deadline());
     assert_errors(&ens, 1);
 }
@@ -523,7 +522,7 @@ fn untar_runs_clean() {
     ens.start();
     ens.run_to_completion(deadline());
     assert!(ens.client(0).finished(), "untar did not finish");
-    let u: &slice::workloads::Untar = workload_of(&ens, 0);
+    let u = ens.client(0).workload_as::<slice::workloads::Untar>();
     assert!(u.elapsed().is_some());
     assert!(u.nfs_ops() > 3000, "ops {}", u.nfs_ops());
 }
@@ -589,10 +588,7 @@ fn reconfiguration_with_lazy_table_refresh() {
         save: 2,
         mode_extra: 0,
     });
-    ens.client_mut(0)
-        .set_workload(Box::new(ScriptWorkload::new(steps, 3)));
-    let c0 = ens.clients[0];
-    ens.engine.kick(c0);
+    ens.start_workload(0, Box::new(ScriptWorkload::new(steps, 3)));
     ens.run_to_completion(deadline());
     assert_errors(&ens, 0);
     // The µproxy observed at least one bounce and refreshed its table.

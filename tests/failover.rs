@@ -32,10 +32,7 @@ fn two_phase(
     ens.run_to_completion(deadline());
     assert_errors(&ens, 0);
     fault(&mut ens);
-    ens.client_mut(0)
-        .set_workload(Box::new(ScriptWorkload::new(phase2, slots2)));
-    let c0 = ens.clients[0];
-    ens.engine.kick(c0);
+    ens.start_workload(0, Box::new(ScriptWorkload::new(phase2, slots2)));
     ens.run_to_completion(deadline());
     assert_errors(&ens, 0);
     let mut violations = slice::check::check_structural(&ens);
@@ -414,10 +411,7 @@ fn truncate_lost_at_a_crashed_replica_is_reissued() {
             },
         },
     ];
-    ens.client_mut(0)
-        .set_workload(Box::new(ScriptWorkload::new(phase2, 2)));
-    let c0 = ens.clients[0];
-    ens.engine.kick(c0);
+    ens.start_workload(0, Box::new(ScriptWorkload::new(phase2, 2)));
     ens.run_to_completion(deadline());
     assert_errors(&ens, 0);
     ens.engine
@@ -606,10 +600,7 @@ fn degraded_write_resyncs_and_recovered_mirror_serves_reads() {
     // First read pass: still suspected, every read lands on the
     // survivors; the pass's trailing tick probes the recovered site and
     // the clean verdict readmits it.
-    ens.client_mut(0)
-        .set_workload(Box::new(BulkIo::reader("ha0", total)));
-    let c0 = ens.clients[0];
-    ens.engine.kick(c0);
+    ens.start_workload(0, Box::new(BulkIo::reader("ha0", total)));
     ens.run_to_completion(deadline());
     assert!(ens.client(0).finished(), "reader must finish");
     ens.engine
@@ -625,9 +616,7 @@ fn degraded_write_resyncs_and_recovered_mirror_serves_reads() {
         let node = &ens.engine.actor::<StorageActor>(ens.storage[0]).node;
         node.store().io_stats().1
     };
-    ens.client_mut(0)
-        .set_workload(Box::new(BulkIo::reader("ha0", total)));
-    ens.engine.kick(c0);
+    ens.start_workload(0, Box::new(BulkIo::reader("ha0", total)));
     ens.run_to_completion(deadline());
     assert!(ens.client(0).finished(), "second reader must finish");
     assert_eq!(ens.client(0).stats().timeouts, 0);
@@ -776,11 +765,7 @@ fn run_is_deterministic() {
         ens.run_to_completion(deadline());
         let u = ens
             .client(0)
-            .workload()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<slice::workloads::Untar>()
-            .unwrap()
+            .workload_as::<slice::workloads::Untar>()
             .elapsed()
             .expect("finished");
         (u, ens.engine.packets_sent())
@@ -865,7 +850,7 @@ fn rapid_double_crash_recover_discards_stale_incarnation_work() {
         ens.recover_storage_node(0);
     }
     ens.run_to_completion(deadline());
-    let w = common::workload_of::<BulkIo>(&ens, 0);
+    let w = ens.client(0).workload_as::<BulkIo>();
     assert!(w.finished(), "writer did not finish after double crash");
     let mut violations = slice::check::check_structural(&ens);
     violations.extend(slice::check::check_histories(&ens.histories()).0);

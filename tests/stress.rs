@@ -400,12 +400,7 @@ fn run_stress(cfg: SliceConfig, seed: u64, ops: u32) {
     ens.run_to_completion(deadline());
     let client = ens.client(0);
     assert!(client.finished(), "stress did not finish");
-    let s = client
-        .workload()
-        .unwrap()
-        .as_any()
-        .downcast_ref::<Stress>()
-        .unwrap();
+    let s = client.workload_as::<Stress>();
     assert!(
         s.errors.is_empty(),
         "model divergence: {:?}",
@@ -459,12 +454,7 @@ fn randomized_ops_match_model_under_packet_loss() {
     ens.run_to_completion(deadline());
     let client = ens.client(0);
     assert!(client.finished(), "stress did not finish under loss");
-    let s = client
-        .workload()
-        .unwrap()
-        .as_any()
-        .downcast_ref::<Stress>()
-        .unwrap();
+    let s = client.workload_as::<Stress>();
     assert!(
         s.errors.is_empty(),
         "model divergence: {:?}",

@@ -94,17 +94,16 @@ fn run_cell(layout: Layout, bytes: u64) -> CellOut {
     let deadline = SimTime::ZERO + SimDuration::from_secs(600);
     let mut ens = SliceEnsemble::build(&cfg, vec![Box::new(BulkIo::writer("ec0", bytes, true))]);
     ens.start();
-    // Runs one pass of client 0 to completion; returns when it began.
-    let pass = |ens: &mut SliceEnsemble, w: Option<BulkIo>, what: &str| {
+    ens.run_to_completion(deadline);
+    assert!(ens.client(0).finished(), "{}: writer stalled", layout.tag());
+    // Runs one more pass on client 0 to completion; returns when it began.
+    let pass = |ens: &mut SliceEnsemble, w: BulkIo, what: &str| {
         let start = ens.engine.now();
-        if let Some(w) = w {
-            ens.start_workload(0, Box::new(w));
-        }
+        ens.start_workload(0, Box::new(w));
         ens.run_to_completion(deadline);
         assert!(ens.client(0).finished(), "{}: {what} stalled", layout.tag());
         start
     };
-    pass(&mut ens, None, "writer");
     let write_done_ms = ms_of(ens.engine.now());
 
     let stored_bytes: u64 = ens
@@ -123,14 +122,17 @@ fn run_cell(layout: Layout, bytes: u64) -> CellOut {
     let read_us = |ens: &SliceEnsemble, from| ops(ens, Some("read"), from, SimTime::MAX).mean_us;
 
     // Clean read pass.
-    let from = pass(&mut ens, Some(BulkIo::reader("ec0", bytes)), "clean reader");
+    let from = pass(&mut ens, BulkIo::reader("ec0", bytes), "clean reader");
     let clean_read_us = read_us(&ens, from);
 
     // Degraded write pass with one site down: a fresh file of the same
     // size, so resync has real redundancy to restore after recovery.
     ens.engine.fail_node(ens.storage[VICTIM]);
-    let degraded_writer = BulkIo::writer("ec1", bytes, true);
-    pass(&mut ens, Some(degraded_writer), "degraded writer");
+    pass(
+        &mut ens,
+        BulkIo::writer("ec1", bytes, true),
+        "degraded writer",
+    );
 
     // Degraded read pass over the pre-crash file.
     let ec_stats = |ens: &SliceEnsemble| {
@@ -140,11 +142,7 @@ fn run_cell(layout: Layout, bytes: u64) -> CellOut {
             .unwrap_or_default()
     };
     let recon_before = ec_stats(&ens);
-    let from = pass(
-        &mut ens,
-        Some(BulkIo::reader("ec0", bytes)),
-        "degraded reader",
-    );
+    let from = pass(&mut ens, BulkIo::reader("ec0", bytes), "degraded reader");
     let degraded_read_us = read_us(&ens, from);
     let recon_after = ec_stats(&ens);
 

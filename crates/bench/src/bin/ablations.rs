@@ -80,8 +80,10 @@ fn interference(sf_servers: usize) -> (f64, f64) {
     let bulk = ens.client(0).workload_as::<BulkIo>();
     let bw = bulk.bandwidth().expect("finished") / 1e6;
     let small = (1..=small_clients).map(|i| ens.client(i));
-    let sfs = slice_bench::collect_sfs(0.0, ens.engine.now(), small);
-    (bw, sfs.latency_ms)
+    (
+        bw,
+        slice_bench::collect_sfs(ens.engine.now(), small).latency_ms,
+    )
 }
 
 /// Group-commit experiment: untar against one directory server with and

@@ -469,8 +469,6 @@ pub fn mean_elapsed_secs<'a, W: Workload>(
 /// Result of one SPECsfs-like run.
 #[derive(Debug, Clone, Copy)]
 pub struct SfsResult {
-    /// Offered load, IOPS (aggregate).
-    pub offered: f64,
     /// Delivered throughput, IOPS (aggregate).
     pub delivered: f64,
     /// Mean latency, milliseconds.
@@ -502,11 +500,7 @@ fn run_sfs_slice(storage_nodes: usize, processes: usize, offered: f64) -> SfsRes
     let mut ens = SliceEnsemble::build(&cfg, sfs_generators(processes, offered));
     ens.start();
     ens.run_to_completion(deadline_secs(36_000));
-    collect_sfs(
-        offered,
-        ens.engine.now(),
-        (0..processes).map(|i| ens.client(i)),
-    )
+    collect_sfs(ens.engine.now(), (0..processes).map(|i| ens.client(i)))
 }
 
 /// Runs a SPECsfs-like point against the monolithic NFS baseline.
@@ -515,20 +509,12 @@ fn run_sfs_baseline(processes: usize, offered: f64) -> SfsResult {
     let mut ens = BaselineEnsemble::build(BaselineKind::NfsFfs, 8, false, 42, workloads);
     ens.start();
     ens.run_to_completion(deadline_secs(36_000));
-    collect_sfs(
-        offered,
-        ens.engine.now(),
-        (0..processes).map(|i| ens.client(i)),
-    )
+    collect_sfs(ens.engine.now(), (0..processes).map(|i| ens.client(i)))
 }
 
 /// Aggregate IOPS and mean latency (weighted by each generator's samples)
 /// of the SPECsfs generators on `clients` at `now`.
-pub fn collect_sfs<'a>(
-    offered: f64,
-    now: SimTime,
-    clients: impl Iterator<Item = &'a ClientActor>,
-) -> SfsResult {
+pub fn collect_sfs<'a>(now: SimTime, clients: impl Iterator<Item = &'a ClientActor>) -> SfsResult {
     let mut delivered = 0.0;
     let mut lat_weighted = 0.0;
     let mut samples = 0usize;
@@ -539,7 +525,6 @@ pub fn collect_sfs<'a>(
         samples += n;
     }
     SfsResult {
-        offered,
         delivered,
         latency_ms: if samples == 0 {
             0.0

@@ -379,8 +379,6 @@ pub struct DirActor {
     coord_node: NodeId,
     sf_nodes: Vec<NodeId>,
     next_req_id: u64,
-    /// Routing-table generation this site's slot map corresponds to.
-    pub table_generation: u64,
     /// Image and log preserved across a crash (they live in shared
     /// network storage).
     crashed: Option<(slice_dirsvc::DirDurable, SimTime)>,
@@ -405,7 +403,6 @@ impl DirActor {
             coord_node,
             sf_nodes,
             next_req_id: 1,
-            table_generation: 1,
             crashed: None,
         }
     }
@@ -482,13 +479,7 @@ impl Actor<Wire> for DirActor {
                 // Data-removal completions need no action here.
             }
             Wire::TableFetch => {
-                ctx.send(
-                    _from,
-                    Wire::TableData {
-                        slots: self.server.slot_map().to_vec(),
-                        generation: self.table_generation,
-                    },
-                );
+                ctx.send(_from, Wire::TableData(self.server.table().clone()));
             }
             _ => {}
         }

@@ -10,7 +10,8 @@
 
 use std::any::Any;
 
-use slice_dirsvc::{DirAction, DirServer, DirServerConfig, NamePolicy};
+use slice_dirsvc::{DirAction, DirServer, DirServerConfig};
+use slice_hashes::NamePolicy;
 use slice_nfsproto::{decode_call, NfsReply, NfsRequest, ReplyBody, SockAddr};
 use slice_sim::{Actor, Ctx, DiskArray, LruCache, NodeId, SimTime};
 use slice_storage::{StorageNode, StorageNodeConfig};
@@ -59,7 +60,7 @@ impl MonoFs {
             dir: DirServer::new(DirServerConfig {
                 site: 0,
                 sites: 1,
-                policy: NamePolicy::MkdirSwitching,
+                policy: NamePolicy::MkdirSwitching { redirect_millis: 0 },
                 clock_skew: slice_sim::SimDuration::ZERO,
                 wal: Default::default(),
                 default_mapped: false,

@@ -511,14 +511,12 @@ impl Actor<Wire> for ClientActor {
                     self.deliver_reply(ctx, p);
                 }
             }
-            Wire::TableData { slots, generation } => {
+            Wire::TableData(table) => {
                 // A refreshed routing table from the ensemble's table
                 // authority; load it if newer than what we hold.
                 if let Some(proxy) = self.inner.proxy.as_mut() {
-                    if generation > proxy.dir_table_generation() {
-                        proxy.load_dir_table(slice_uproxy::RoutingTable::from_slots(
-                            slots, generation,
-                        ));
+                    if table.generation() > proxy.dir_table_generation() {
+                        proxy.load_dir_table(table);
                     }
                 }
             }

@@ -24,8 +24,10 @@ pub mod wire;
 
 pub use baseline::{BaselineActor, BaselineKind, MonoFs};
 pub use client::{ClientActor, ClientConfig, ClientIo, ClientStats, Workload};
-pub use ensemble::{BaselineEnsemble, EnsemblePolicy, SliceConfig, SliceEnsemble};
+pub use ensemble::{BaselineEnsemble, SliceConfig, SliceEnsemble};
 pub use history::{OpHistory, OpRecord, CHUNK_BYTES};
+/// The name-space policy under the ensemble's older name.
+pub use slice_hashes::NamePolicy as EnsemblePolicy;
 /// The static placement's replication degree, for auditors that recompute
 /// it (`slice-check` reaches the µproxy through this crate).
 pub use slice_uproxy::MIRROR_COPIES;

@@ -8,6 +8,7 @@
 //! their estimated wire sizes.
 
 use slice_dirsvc::PeerMsg;
+use slice_hashes::RoutingTable;
 use slice_nfsproto::{Packet, SockAddr};
 use slice_sim::{MessageSize, NodeId};
 use slice_smallfile::SfCtl;
@@ -37,13 +38,8 @@ pub enum Wire {
     SfCtl(SfCtl),
     /// A µproxy asking a directory server for the current routing table.
     TableFetch,
-    /// The table contents (logical-slot to physical-site map, generation).
-    TableData {
-        /// The slot map.
-        slots: Vec<u32>,
-        /// Table generation.
-        generation: u64,
-    },
+    /// The directory servers' current slot table.
+    TableData(RoutingTable),
 }
 
 impl MessageSize for Wire {
@@ -62,7 +58,7 @@ impl MessageSize for Wire {
             },
             Wire::SfCtl(_) => 64,
             Wire::TableFetch => 32,
-            Wire::TableData { slots, .. } => 16 + slots.len() * 4,
+            Wire::TableData(table) => 16 + table.slots().len() * 4,
         }
     }
 

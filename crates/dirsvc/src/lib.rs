@@ -13,7 +13,7 @@ pub mod server;
 pub mod types;
 
 pub use server::{DirAction, DirDurable, DirServer, DirServerConfig};
-pub use types::{AttrCell, ChildRef, DirLog, NameCell, NamePolicy, PeerInfo, PeerMsg};
+pub use types::{AttrCell, ChildRef, DirLog, NameCell, PeerInfo, PeerMsg};
 
 #[cfg(test)]
 mod tests;

@@ -6,7 +6,9 @@ use slice_nfsproto::{Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3
 use slice_sim::time::{SimDuration, SimTime};
 
 use crate::server::{DirAction, DirServer, DirServerConfig};
-use crate::types::NamePolicy;
+use slice_hashes::NamePolicy;
+
+const MKDIR_SWITCHING: NamePolicy = NamePolicy::MkdirSwitching { redirect_millis: 0 };
 
 fn t(ms: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(ms)
@@ -72,7 +74,7 @@ impl Cluster {
     fn route_site(&self, req: &NfsRequest) -> u32 {
         let n = self.sites.len();
         let by_name = |dir: &Fhandle, name: &str| match self.policy {
-            NamePolicy::MkdirSwitching => dir.home_site(),
+            NamePolicy::MkdirSwitching { .. } => dir.home_site(),
             NamePolicy::NameHashing => slice_hashes::default_site_of(
                 slice_hashes::name_fingerprint(&dir.0, name.as_bytes()),
                 n,
@@ -97,8 +99,8 @@ impl Cluster {
             | NfsRequest::Readlink { fh } => fh.home_site(),
             NfsRequest::Readdir { dir, cookie, .. }
             | NfsRequest::Readdirplus { dir, cookie, .. } => match self.policy {
-                NamePolicy::MkdirSwitching => dir.home_site(),
-                NamePolicy::NameHashing => (cookie >> 56) as u32,
+                NamePolicy::MkdirSwitching { .. } => dir.home_site(),
+                NamePolicy::NameHashing => slice_hashes::routing::split_cookie(*cookie).0,
             },
             _ => 0,
         }
@@ -165,7 +167,7 @@ impl Cluster {
 
 #[test]
 fn single_site_create_lookup_remove() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let root = Fhandle::root();
     let fh = c.create(t(1), &root, "hello.txt");
     assert!(!fh.is_dir());
@@ -197,7 +199,7 @@ fn single_site_create_lookup_remove() {
 
 #[test]
 fn duplicate_create_is_exist() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let root = Fhandle::root();
     c.create(t(1), &root, "x");
     let reply = c.auto(
@@ -214,7 +216,7 @@ fn duplicate_create_is_exist() {
 
 #[test]
 fn mkdir_rmdir_with_nlink() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let root = Fhandle::root();
     let d = c.mkdir(t(1), &root, "sub");
     assert!(d.is_dir());
@@ -255,7 +257,7 @@ fn mkdir_rmdir_with_nlink() {
 
 #[test]
 fn rename_within_and_across_dirs() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let root = Fhandle::root();
     let d1 = c.mkdir(t(1), &root, "a");
     let d2 = c.mkdir(t(2), &root, "b");
@@ -282,7 +284,7 @@ fn rename_within_and_across_dirs() {
 
 #[test]
 fn rename_replaces_and_unlinks_target() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let root = Fhandle::root();
     let victim = c.create(t(1), &root, "target");
     c.create(t(2), &root, "source");
@@ -305,7 +307,7 @@ fn rename_replaces_and_unlinks_target() {
 
 #[test]
 fn rename_onto_itself_is_a_noop() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let root = Fhandle::root();
     let f = c.create(t(1), &root, "same");
     let reply = c.auto(
@@ -333,7 +335,7 @@ fn rename_onto_itself_is_a_noop() {
 
 #[test]
 fn hard_links_share_attrs() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let root = Fhandle::root();
     let f = c.create(t(1), &root, "orig");
     let reply = c.auto(
@@ -370,7 +372,7 @@ fn hard_links_share_attrs() {
 
 #[test]
 fn symlink_and_readlink() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let root = Fhandle::root();
     let reply = c.auto(
         t(1),
@@ -397,7 +399,7 @@ fn symlink_and_readlink() {
 
 #[test]
 fn setattr_truncate_triggers_data_truncate() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let root = Fhandle::root();
     let f = c.create(t(1), &root, "grow");
     // Grow via a µproxy attribute write-back — these always carry explicit
@@ -437,7 +439,7 @@ fn setattr_truncate_triggers_data_truncate() {
 
 #[test]
 fn readdir_lists_local_entries() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let root = Fhandle::root();
     for i in 0..10 {
         c.create(t(i), &root, &format!("f{i}"));
@@ -465,7 +467,7 @@ fn readdir_lists_local_entries() {
 
 #[test]
 fn readdir_paginates_with_cookies() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let root = Fhandle::root();
     for i in 0..30 {
         c.create(t(i), &root, &format!("f{i:02}"));
@@ -510,7 +512,7 @@ fn readdir_paginates_with_cookies() {
 fn orphan_mkdir_crosses_sites() {
     // Site 1 receives a redirected mkdir whose parent (root) lives on
     // site 0: entry goes to site 0, attr cell stays on site 1.
-    let mut c = Cluster::new(2, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(2, MKDIR_SWITCHING);
     let root = Fhandle::root();
     let actions = c.sites[1].handle_nfs(
         t(1),
@@ -596,7 +598,7 @@ fn name_hashing_readdir_chains_sites() {
     let mut cookie = 0u64;
     let mut names = Vec::new();
     for _ in 0..200 {
-        let site = (cookie >> 56) as u32;
+        let site = slice_hashes::routing::split_cookie(cookie).0;
         let reply = c.run(
             t(500),
             site,
@@ -705,7 +707,8 @@ fn remote_rmdir_of_nonempty_dir_leaves_parent_alone() {
     let from = d.home_site();
     let to = (1..4).find(|&s| s != from).unwrap();
     let map: Vec<u32> = c.sites[0]
-        .slot_map()
+        .table()
+        .slots()
         .iter()
         .map(|&s| if s == from { to } else { s })
         .collect();
@@ -743,7 +746,7 @@ fn rmdir_heals_a_name_whose_remote_cell_is_gone() {
     // the record was durable) while the name entry at the parent's site
     // survives: rmdir must still unbind the name, as it does when name
     // and cell share a site.
-    let mut c = Cluster::new(2, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(2, MKDIR_SWITCHING);
     let root = Fhandle::root();
     let mkdir = NfsRequest::Mkdir {
         dir: root,
@@ -769,7 +772,7 @@ fn rmdir_heals_a_name_whose_remote_cell_is_gone() {
 
 #[test]
 fn recovery_replays_durable_state() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let root = Fhandle::root();
     let d = c.mkdir(t(1), &root, "kept");
     c.create(t(2), &d, "kid");
@@ -786,7 +789,7 @@ fn recovery_replays_durable_state() {
 
 #[test]
 fn recovery_drops_nondurable_tail() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let root = Fhandle::root();
     c.create(t(1), &root, "early");
     // A create an instant before the crash point cannot be durable.
@@ -800,7 +803,7 @@ fn recovery_drops_nondurable_tail() {
 #[test]
 fn peer_ops_are_idempotent() {
     use crate::types::{PeerInfo, PeerMsg};
-    let mut c = Cluster::new(2, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(2, MKDIR_SWITCHING);
     let root = Fhandle::root();
     let f = c.create(t(1), &root, "file");
     let msg = PeerMsg::LinkDelta {
@@ -828,7 +831,7 @@ fn peer_ops_are_idempotent() {
 
 #[test]
 fn getattr_unknown_handle_is_stale() {
-    let mut c = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut c = Cluster::new(1, MKDIR_SWITCHING);
     let bogus = Fhandle::new(999_999, 0, 0, 0, 0);
     let reply = c.auto(t(1), 1, NfsRequest::Getattr { fh: bogus });
     assert_eq!(reply.status, NfsStatus::Stale);

@@ -209,14 +209,3 @@ pub enum DirLog {
         txid: u64,
     },
 }
-
-/// The name-space distribution policy a directory server cooperates with
-/// (must match the µproxy's routing policy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NamePolicy {
-    /// Route by parent-directory home site; redirect a fraction of mkdirs.
-    MkdirSwitching,
-    /// Route every name op by hash of (parent, name); directory entries
-    /// spread across all sites, readdir chains across sites.
-    NameHashing,
-}

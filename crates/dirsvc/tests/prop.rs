@@ -28,16 +28,18 @@
 //! proptest so the workspace tests offline; each property runs a fixed
 //! number of cases from a pinned seed, so failures replay exactly.
 
-use slice_dirsvc::{
-    AttrCell, DirAction, DirLog, DirServer, DirServerConfig, NameCell, NamePolicy, PeerMsg,
-};
+use slice_dirsvc::{AttrCell, DirAction, DirLog, DirServer, DirServerConfig, NameCell, PeerMsg};
 use slice_hashes::fnv::FNV_OFFSET;
-use slice_hashes::{default_site_of, fnv1a_continue, name_fingerprint};
+use slice_hashes::{default_site_of, fnv1a_continue, name_fingerprint, NamePolicy};
 use slice_nfsproto::{Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3};
 use slice_sim::time::{SimDuration, SimTime};
 use slice_sim::FxHashMap;
 use slice_sim::Rng;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Directory servers ignore the redirect probability; the model's mkdirs
+/// pick their site themselves.
+const MKDIR_SWITCHING: NamePolicy = NamePolicy::MkdirSwitching { redirect_millis: 0 };
 
 const CASES: usize = 64;
 const NAMES: usize = 12;
@@ -155,7 +157,7 @@ impl Cluster {
 
     fn site_for(&self, dir: &Fhandle, name: &str) -> u32 {
         match self.policy {
-            NamePolicy::MkdirSwitching => dir.home_site(),
+            NamePolicy::MkdirSwitching { .. } => dir.home_site(),
             NamePolicy::NameHashing => {
                 default_site_of(name_fingerprint(&dir.0, name.as_bytes()), self.sites.len()) as u32
             }
@@ -205,7 +207,9 @@ impl Cluster {
             attr: Sattr3::default(),
         };
         match self.policy {
-            NamePolicy::MkdirSwitching => self.run_at(site, SimDuration::from_millis(20), req),
+            NamePolicy::MkdirSwitching { .. } => {
+                self.run_at(site, SimDuration::from_millis(20), req)
+            }
             NamePolicy::NameHashing => self.run(req),
         }
     }
@@ -217,8 +221,8 @@ impl Cluster {
         let mut cookie = 0u64;
         loop {
             let site = match self.policy {
-                NamePolicy::MkdirSwitching => dir.home_site(),
-                NamePolicy::NameHashing => (cookie >> 56) as u32,
+                NamePolicy::MkdirSwitching { .. } => dir.home_site(),
+                NamePolicy::NameHashing => slice_hashes::routing::split_cookie(cookie).0,
             };
             let req = if plus {
                 NfsRequest::Readdirplus {
@@ -637,7 +641,7 @@ fn check_recovery(policy: NamePolicy, sites: u32, nops: usize, rng: &mut Rng) ->
 
 #[test]
 fn recovery_equals_replay_of_the_durable_prefix() {
-    for policy in [NamePolicy::NameHashing, NamePolicy::MkdirSwitching] {
+    for policy in [NamePolicy::NameHashing, MKDIR_SWITCHING] {
         let mut rng = Rng::seed_from_u64(0x4449_5204);
         let mut lost = 0;
         for _ in 0..CASES {
@@ -657,7 +661,7 @@ fn recovery_equals_replay_of_the_durable_prefix() {
 /// built with, append 150,000 records and leave a handful held.
 #[test]
 fn held_records_stay_bounded() {
-    let mut cluster = Cluster::new(1, NamePolicy::MkdirSwitching);
+    let mut cluster = Cluster::new(1, MKDIR_SWITCHING);
     let mut most = 0;
     for i in 0..50_000 {
         let req = NfsRequest::Create {
@@ -692,7 +696,7 @@ fn name_hashing_matches_model() {
 
 #[test]
 fn mkdir_switching_matches_model() {
-    run_policy(NamePolicy::MkdirSwitching, 0x4449_5202);
+    run_policy(MKDIR_SWITCHING, 0x4449_5202);
 }
 
 /// One 400-op sequence over four sites per policy, held to the value it
@@ -705,7 +709,7 @@ fn mkdir_switching_matches_model() {
 fn action_stream_is_pinned() {
     for (policy, pinned) in [
         (NamePolicy::NameHashing, 0x7163_2b0c_3523_a1cf_u64),
-        (NamePolicy::MkdirSwitching, 0xe932_7fe0_cd03_0c98),
+        (MKDIR_SWITCHING, 0xe932_7fe0_cd03_0c98),
     ] {
         let mut rng = Rng::seed_from_u64(0x4449_5203);
         let ops: Vec<ModelOp> = (0..400).map(|_| random_op(&mut rng, NAMES)).collect();

@@ -7,18 +7,23 @@
 //! * [`fnv`] — a cheap comparison hash and internal-table hash.
 //! * [`checksum`] — the Internet checksum with RFC 1624 incremental update,
 //!   used by the µproxy's differential packet rewriting.
+//!
+//! Beside them, [`routing`] says once where a name operation goes, for
+//! the µproxy and the directory servers alike.
 
 #![forbid(unsafe_code)]
 
 pub mod checksum;
 pub mod fnv;
 pub mod md5;
+pub mod routing;
 
 pub use checksum::{
     incremental_update16, incremental_update32, incremental_update_bytes, inet_checksum,
 };
 pub use fnv::{fnv1a, fnv1a_continue};
 pub use md5::{md5, md5_u64, Md5};
+pub use routing::{NamePolicy, RoutingTable};
 
 /// Fingerprints a `(parent fhandle, name)` pair the way the paper's µproxy
 /// and directory servers do: MD5 over the handle bytes followed by the name

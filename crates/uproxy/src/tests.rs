@@ -9,7 +9,8 @@ use slice_nfsproto::{
 use slice_sim::{FxHashMap, FxHashSet, SimDuration, SimTime};
 use slice_storage::{CoordMsg, CoordReply};
 
-use crate::proxy::{ProxyConfig, ProxyNamePolicy, ProxyOut, Uproxy, ATTR_CACHE_ENTRIES};
+use crate::proxy::{ProxyConfig, ProxyOut, Uproxy, ATTR_CACHE_ENTRIES};
+use slice_hashes::NamePolicy;
 
 fn t(ms: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(ms)
@@ -478,7 +479,7 @@ fn intent_ack_releases_commit_fanout() {
 #[test]
 fn name_hashing_spreads_creates_across_dir_sites() {
     let mut c = cfg();
-    c.name_policy = ProxyNamePolicy::NameHashing;
+    c.name_policy = NamePolicy::NameHashing;
     let mut u = Uproxy::new(c.clone());
     let root = Fhandle::root();
     let mut seen = FxHashSet::default();
@@ -501,7 +502,7 @@ fn name_hashing_spreads_creates_across_dir_sites() {
 #[test]
 fn mkdir_switching_routes_by_home_and_redirects() {
     let mut c = cfg();
-    c.name_policy = ProxyNamePolicy::MkdirSwitching { redirect_millis: 0 };
+    c.name_policy = NamePolicy::MkdirSwitching { redirect_millis: 0 };
     let mut u = Uproxy::new(c.clone());
     let root = Fhandle::root();
     // p = 0: every mkdir goes to the parent home site.
@@ -515,7 +516,7 @@ fn mkdir_switching_routes_by_home_and_redirects() {
         assert_eq!(net_pkts(&out)[0].dst, c.dir_sites[0]);
     }
     // p = 1: every mkdir is redirected by hash — both sites appear.
-    c.name_policy = ProxyNamePolicy::MkdirSwitching {
+    c.name_policy = NamePolicy::MkdirSwitching {
         redirect_millis: 1000,
     };
     let mut u = Uproxy::new(c.clone());
@@ -536,7 +537,7 @@ fn mkdir_switching_routes_by_home_and_redirects() {
 fn lookup_routes_by_policy() {
     // Mkdir switching: lookups follow the parent's home site.
     let mut c = cfg();
-    c.name_policy = ProxyNamePolicy::MkdirSwitching { redirect_millis: 0 };
+    c.name_policy = NamePolicy::MkdirSwitching { redirect_millis: 0 };
     let mut u = Uproxy::new(c.clone());
     let dir_on_1 = Fhandle::new(77, 1, slice_nfsproto::FH_FLAG_DIR, 0, 0);
     let req = NfsRequest::Lookup {

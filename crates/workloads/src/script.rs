@@ -386,7 +386,7 @@ impl ScriptWorkload {
             },
             Step::ReaddirCount { expect, .. } => {
                 if let ReplyBody::Readdir { entries, eof, .. } = &reply.body {
-                    self.readdir_seen += entries.iter().filter(|e| !e.name.is_empty()).count();
+                    self.readdir_seen += entries.len();
                     if !eof {
                         // Continue paging: stay on this step.
                         self.readdir_cookie = entries

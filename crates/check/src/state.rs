@@ -155,17 +155,10 @@ fn object_bytes(ens: &SliceEnsemble, site: u32, file: u64, offset: u64, len: usi
 
 /// The stripe unit the µproxies route by, when byte-comparing stored
 /// blocks is sound: no client op timed out (a timed-out write is left
-/// partially applied, with no promise about either copy) and the first
-/// client has a µproxy.
+/// partially applied, with no promise about either copy).
 fn settled_stripe_unit(ens: &SliceEnsemble) -> Option<u64> {
-    let mut clients = ens
-        .clients
-        .iter()
-        .map(|&c| ens.engine.actor::<ClientActor>(c));
-    if clients.clone().any(|c| c.stats().timeouts > 0) {
-        return None;
-    }
-    Some(clients.next()?.proxy()?.config().stripe_unit.max(1))
+    let timed_out = |&c| ens.engine.actor::<ClientActor>(c).stats().timeouts > 0;
+    (!ens.clients.iter().any(timed_out)).then_some(slice_core::calib::STRIPE_UNIT)
 }
 
 /// `(site, key, cell)` rows collected from every directory server.

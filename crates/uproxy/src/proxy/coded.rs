@@ -196,7 +196,7 @@ impl Uproxy {
         if !self.cfg.use_block_maps || !fh.is_mapped() || fh.is_dir() || fh.is_symlink() {
             return None;
         }
-        Some(CodedLayout::new(n, k, self.cfg.stripe_unit))
+        Some(CodedLayout::new(n, k, super::STRIPE_UNIT))
     }
 
     /// Takes the per-(file, stripe) locks for `xid`, or parks the packet

@@ -101,11 +101,6 @@ impl BulkIo {
         Some(self.total as f64 / secs)
     }
 
-    /// Bytes completed so far.
-    pub fn completed_bytes(&self) -> u64 {
-        self.completed
-    }
-
     fn pump(&mut self, io: &mut ClientIo<'_, '_>) {
         let fh = self.fh.expect("pump before setup");
         while self.outstanding < self.window && self.next_offset < self.total {

@@ -166,11 +166,6 @@ impl SpecSfs {
         }
     }
 
-    /// Mean measured latency.
-    pub fn mean_latency(&self) -> SimDuration {
-        self.latency.mean()
-    }
-
     /// (delivered IOPS, mean latency ms, measured samples) — the scoring
     /// triple a harness aggregates across processes.
     pub fn summary(&self, now: SimTime) -> (f64, f64, usize) {
@@ -462,10 +457,4 @@ impl SpecSfs {
         }
         self.setup_issue(io);
     }
-}
-
-/// Helper: a deterministic exponential sample (used in tests).
-pub fn exp_sample(rng: &mut slice_sim::Rng, rate: f64) -> f64 {
-    let u: f64 = rng.gen_range(1e-9..1.0);
-    -u.ln() / rate
 }

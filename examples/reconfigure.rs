@@ -46,8 +46,9 @@ fn main() {
     ens.run_to_completion(SimTime::ZERO + SimDuration::from_secs(60));
     println!("name cells per site before rebalance: {:?}", cells(&ens));
 
-    // Rebalance: retire site 2, spreading its slots over sites 0 and 1
-    // (an ensemble shrinking from three directory servers to two).
+    // Rebalance: spread site 2's slots over sites 0 and 1. Its name cells
+    // move away, but site 2 stays in service: it keeps every attribute
+    // cell it minted, since the handles name it as their home site.
     let new_map: Vec<u32> = (0..LOGICAL_SLOTS).map(|i| (i % 2) as u32).collect();
     ens.reconfigure_dir_servers(new_map);
     println!("name cells per site after  rebalance: {:?}", cells(&ens));

@@ -442,4 +442,350 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
     }
+
+    /// Everything a caller can see of an entry, `fh` included.
+    type Seen = (Fhandle, Fattr3, bool, SimTime, u64, Option<u64>);
+
+    fn seen(e: &CachedAttr) -> Seen {
+        (
+            e.fh,
+            e.attr,
+            e.dirty,
+            e.dirty_since,
+            e.version,
+            e.last_pushed_version,
+        )
+    }
+
+    fn seen_all(es: &[CachedAttr]) -> Vec<Seen> {
+        es.iter().map(seen).collect()
+    }
+
+    /// The obvious attribute cache: one `Vec` of entries ordered coldest
+    /// first, with each installer written out on its own.
+    struct NaiveAttrs {
+        capacity: usize,
+        order: Vec<CachedAttr>,
+        hits: u64,
+        misses: u64,
+        push_retries: u64,
+    }
+
+    impl NaiveAttrs {
+        fn pos(&self, file: u64) -> Option<usize> {
+            self.order.iter().position(|e| e.fh.file_id() == file)
+        }
+
+        /// Moves the entry at `p` to the hot end.
+        fn touch(&mut self, p: usize) -> &mut CachedAttr {
+            let e = self.order.remove(p);
+            self.order.push(e);
+            self.order.last_mut().expect("just pushed")
+        }
+
+        /// Admits a new entry; returns the dirty ones pushed out, coldest
+        /// first.
+        fn admit(&mut self, e: CachedAttr) -> Vec<CachedAttr> {
+            self.order.push(e);
+            let mut out = Vec::new();
+            while self.order.len() > self.capacity && self.order.len() > 1 {
+                let victim = self.order.remove(0);
+                if victim.dirty {
+                    out.push(victim);
+                }
+            }
+            out
+        }
+
+        fn get(&mut self, file: u64) -> Option<Fattr3> {
+            match self.pos(file) {
+                Some(p) => {
+                    self.hits += 1;
+                    Some(self.touch(p).attr)
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn store_authoritative(
+            &mut self,
+            now: SimTime,
+            fh: &Fhandle,
+            a: Fattr3,
+        ) -> Vec<CachedAttr> {
+            let Some(p) = self.pos(fh.file_id()) else {
+                return self.admit(CachedAttr {
+                    fh: *fh,
+                    attr: a,
+                    dirty: false,
+                    dirty_since: now,
+                    version: 0,
+                    last_pushed_version: None,
+                });
+            };
+            let e = self.touch(p);
+            let mut merged = a;
+            if e.dirty {
+                merged.size = merged.size.max(e.attr.size);
+                merged.used = merged.used.max(e.attr.used);
+                merged.mtime = merged.mtime.max(e.attr.mtime);
+                merged.atime = merged.atime.max(e.attr.atime);
+            }
+            e.fh = *fh;
+            e.attr = merged;
+            Vec::new()
+        }
+
+        fn store_replacing(&mut self, now: SimTime, fh: &Fhandle, a: Fattr3) -> Vec<CachedAttr> {
+            let Some(p) = self.pos(fh.file_id()) else {
+                return self.admit(CachedAttr {
+                    fh: *fh,
+                    attr: a,
+                    dirty: false,
+                    dirty_since: now,
+                    version: 0,
+                    last_pushed_version: None,
+                });
+            };
+            let e = self.touch(p);
+            e.fh = *fh;
+            e.attr = a;
+            e.dirty = false;
+            e.dirty_since = now;
+            Vec::new()
+        }
+
+        /// `apply_read` (`end == None`) and `apply_write`.
+        fn apply(
+            &mut self,
+            now: SimTime,
+            fh: &Fhandle,
+            end: Option<u64>,
+            at: NfsTime,
+        ) -> Vec<CachedAttr> {
+            let file = fh.file_id();
+            let Some(p) = self.pos(file) else {
+                let mut a = Fattr3::new(FileType::Regular, file, 0o644, at);
+                if let Some(end) = end {
+                    a.size = end;
+                    a.used = end;
+                }
+                return self.admit(CachedAttr {
+                    fh: *fh,
+                    attr: a,
+                    dirty: true,
+                    dirty_since: now,
+                    version: 1,
+                    last_pushed_version: None,
+                });
+            };
+            let e = self.touch(p);
+            match end {
+                Some(end) => {
+                    e.attr.size = e.attr.size.max(end);
+                    e.attr.used = e.attr.used.max(end);
+                    e.attr.mtime = e.attr.mtime.max(at);
+                }
+                None => e.attr.atime = e.attr.atime.max(at),
+            }
+            e.version += 1;
+            if !e.dirty {
+                e.dirty = true;
+                e.dirty_since = now;
+            }
+            Vec::new()
+        }
+
+        fn take_dirty(&mut self, file: u64) -> Option<CachedAttr> {
+            let p = self.pos(file)?;
+            let e = &mut self.order[p];
+            if !e.dirty {
+                return None;
+            }
+            if e.last_pushed_version == Some(e.version) {
+                self.push_retries += 1;
+            }
+            e.last_pushed_version = Some(e.version);
+            Some(e.clone())
+        }
+
+        fn take_stale_dirty(&mut self, now: SimTime, interval: SimDuration) -> Vec<CachedAttr> {
+            let mut out = Vec::new();
+            for e in &mut self.order {
+                if e.dirty && now - e.dirty_since >= interval {
+                    e.dirty_since = now;
+                    if e.last_pushed_version == Some(e.version) {
+                        self.push_retries += 1;
+                    }
+                    e.last_pushed_version = Some(e.version);
+                    out.push(e.clone());
+                }
+            }
+            out.sort_by_key(|e| e.fh.file_id());
+            out
+        }
+
+        fn mark_clean(&mut self, file: u64, version: u64) {
+            if let Some(p) = self.pos(file) {
+                if self.order[p].version == version {
+                    self.order[p].dirty = false;
+                }
+            }
+        }
+
+        fn discard(&mut self, file: u64, version: u64) {
+            if let Some(p) = self.pos(file) {
+                if self.order[p].version == version {
+                    self.order.remove(p);
+                }
+            }
+        }
+
+        fn audit(&self) -> Vec<(u64, bool, u64)> {
+            let mut out: Vec<_> = self
+                .order
+                .iter()
+                .map(|e| (e.fh.file_id(), e.dirty, e.attr.size))
+                .collect();
+            out.sort_unstable_by_key(|&(f, _, _)| f);
+            out
+        }
+    }
+
+    /// A seeded mix of every way in and out of the cache against the
+    /// naive reference, compared after every step: what each call
+    /// returns (evictions and taken entries in full, handles included),
+    /// `audit()`, `stats()` and `push_retries()`. A file is addressed
+    /// through two handles that differ only in their flags, so which
+    /// calls refresh a resident entry's handle is pinned too.
+    #[test]
+    fn matches_naive_reference_step_by_step() {
+        const CAPACITY: usize = 8;
+        let mut rng = slice_sim::Rng::seed_from_u64(0xa77c);
+        let mut cache = AttrCache::new(CAPACITY);
+        let mut naive = NaiveAttrs {
+            capacity: CAPACITY,
+            order: Vec::new(),
+            hits: 0,
+            misses: 0,
+            push_retries: 0,
+        };
+        let interval = SimDuration::from_millis(40);
+        let mut now = SimTime::ZERO;
+        // (file, version) of entries handed out for a push, acknowledged
+        // or discarded later — sometimes after a newer modification.
+        let mut taken: Vec<(u64, u64)> = Vec::new();
+        let (mut evicted, mut refreshed) = (0u64, 0u64);
+        for step in 0..50_000 {
+            now += SimDuration::from_millis(rng.gen_range(0..4u64));
+            // 20 files over an 8-entry budget: constant eviction pressure.
+            let file = rng.gen_range(0..20u64);
+            let flags = if rng.gen_bool(0.5) {
+                0
+            } else {
+                slice_nfsproto::FH_FLAG_MIRRORED | slice_nfsproto::FH_FLAG_MAPPED
+            };
+            let h = Fhandle::new(file, 0, flags, 0, 0);
+            let at = NfsTime {
+                secs: rng.gen_range(0..50u32),
+                nsecs: 0,
+            };
+            let mut a = attr(file, rng.gen_range(0..200_000u64));
+            a.used = rng.gen_range(0..200_000u64);
+            a.mtime = NfsTime {
+                secs: rng.gen_range(0..50u32),
+                nsecs: 0,
+            };
+            a.atime = at;
+            let before = cache.entries.get(&file).map(|e| e.fh);
+            let op = rng.gen_range(0..11u32);
+            let out = match op {
+                0 | 1 => Some((
+                    cache.store_authoritative(now, &h, a),
+                    naive.store_authoritative(now, &h, a),
+                )),
+                2 => Some((
+                    cache.store_replacing(now, &h, a),
+                    naive.store_replacing(now, &h, a),
+                )),
+                3 => Some((
+                    cache.apply_read(now, &h, at),
+                    naive.apply(now, &h, None, at),
+                )),
+                4 | 5 => {
+                    let end = rng.gen_range(0..300_000u64);
+                    Some((
+                        cache.apply_write(now, &h, end, at),
+                        naive.apply(now, &h, Some(end), at),
+                    ))
+                }
+                6 => {
+                    assert_eq!(cache.get(file), naive.get(file), "get at {step}");
+                    None
+                }
+                7 => {
+                    let got = cache.take_dirty(file);
+                    let want = naive.take_dirty(file);
+                    assert_eq!(
+                        got.as_ref().map(seen),
+                        want.as_ref().map(seen),
+                        "take at {step}"
+                    );
+                    taken.extend(got.map(|e| (file, e.version)));
+                    None
+                }
+                8 => Some((
+                    cache.take_stale_dirty(now, interval),
+                    naive.take_stale_dirty(now, interval),
+                )),
+                9 | 10 if !taken.is_empty() => {
+                    let (f, v) = taken.swap_remove(rng.gen_range(0..taken.len()));
+                    if rng.gen_range(0..4u32) == 0 {
+                        cache.discard(f, v);
+                        naive.discard(f, v);
+                    } else {
+                        cache.mark_clean(f, v);
+                        naive.mark_clean(f, v);
+                    }
+                    None
+                }
+                _ => None,
+            };
+            if let Some((got, want)) = out {
+                assert_eq!(seen_all(&got), seen_all(&want), "returned at {step}");
+                taken.extend(got.iter().map(|e| (e.fh.file_id(), e.version)));
+                if op <= 5 {
+                    evicted += got.len() as u64;
+                }
+            }
+            if op <= 2 {
+                let after = cache.entries.get(&file).map(|e| e.fh);
+                refreshed += u64::from(before.is_some_and(|b| Some(b) != after));
+            }
+            if taken.len() > 32 {
+                taken.drain(..taken.len() - 32);
+            }
+            assert_eq!(cache.audit(), naive.audit(), "audit at {step}");
+            assert_eq!(cache.stats(), (naive.hits, naive.misses), "stats at {step}");
+            assert_eq!(
+                cache.push_retries(),
+                naive.push_retries,
+                "retries at {step}"
+            );
+        }
+        let (hits, misses) = cache.stats();
+        assert!(
+            hits > 1_000
+                && misses > 1_000
+                && evicted > 1_000
+                && refreshed > 1_000
+                && cache.push_retries() > 100,
+            "weak coverage: {hits} hits, {misses} misses, {evicted} dirty \
+             evictions, {refreshed} handle refreshes, {} push retries",
+            cache.push_retries()
+        );
+    }
 }

@@ -26,6 +26,7 @@ use slice_nfsproto::{
     NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, ReplyView, Sattr3, SetTime,
     SockAddr, StableHow, REPLY_ATTR_OFFSET,
 };
+use slice_obs::EventKind;
 use slice_sim::{SimDuration, SimTime};
 use slice_storage::{CoordMsg, CoordReply, IntentKind};
 use slice_xdr::XdrEncoder;
@@ -130,7 +131,7 @@ pub enum ProxyOut {
     NeedDirTable,
     /// An availability event for the host's trace stream (suspicion,
     /// failover, degraded writes).
-    Trace(slice_obs::EventKind),
+    Trace(EventKind),
 }
 
 /// Per-storage-site failure-suspicion state (slice-ha). Suspicion is
@@ -525,6 +526,10 @@ pub struct Uproxy {
     /// not match a reply still in flight to a forgotten one.
     next_own_xid: u32,
     cred: AuthUnix,
+    /// The running step's instant (see [`Uproxy::step`]).
+    now: SimTime,
+    /// What the running step has emitted so far.
+    out: Vec<ProxyOut>,
     clock: PhaseClock,
     phases: PhaseStats,
     stats: Counters,
@@ -546,6 +551,8 @@ impl Uproxy {
                 machine: "uproxy".into(),
                 ..Default::default()
             },
+            now: SimTime::ZERO,
+            out: Vec::new(),
             clock: PhaseClock::default(),
             phases: PhaseStats::default(),
             stats: Counters::default(),
@@ -799,26 +806,36 @@ impl Uproxy {
         )
     }
 
+    /// Runs one entry point's `body` at `now`. The helpers it reaches read
+    /// the instant from `self.now` and push what they emit onto
+    /// `self.out`, which is handed back, emptied, when the body returns.
+    fn step(&mut self, now: SimTime, body: impl FnOnce(&mut Self)) -> Vec<ProxyOut> {
+        debug_assert!(self.out.is_empty(), "a step began with outputs pending");
+        self.now = now;
+        body(self);
+        std::mem::take(&mut self.out)
+    }
+
     /// Notes a client RPC retransmission of `xid`: every storage site
     /// still owed a reply takes a suspicion strike (the paper's client
     /// retransmissions are the µproxy's only failure signal — it sees
     /// all of them, being interposed on the packet path).
     pub fn note_retransmit(&mut self, now: SimTime, xid: u32) -> Vec<ProxyOut> {
-        let mut out = Vec::new();
-        // A leg op's storage legs carry µproxy-owned xids; the client only
-        // retransmits the parent, so strike the legs' sites here.
-        let awaiting = match (self.soft.ops.get(&xid), self.soft.pending.get(&xid)) {
-            (Some(op), _) => op.awaiting.clone(),
-            (None, Some(r)) if r.class == Class::Storage => r.awaiting.clone(),
-            _ => return out,
-        };
-        for site in awaiting {
-            self.strike(now, &mut out, site);
-        }
-        out
+        self.step(now, |up| {
+            // A leg op's storage legs carry µproxy-owned xids; the client
+            // only retransmits the parent, so strike the legs' sites here.
+            let awaiting = match (up.soft.ops.get(&xid), up.soft.pending.get(&xid)) {
+                (Some(op), _) => op.awaiting.clone(),
+                (None, Some(r)) if r.class == Class::Storage => r.awaiting.clone(),
+                _ => return,
+            };
+            for site in awaiting {
+                up.strike(site);
+            }
+        })
     }
 
-    fn strike(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, site: u32) {
+    fn strike(&mut self, site: u32) {
         if self.site_retired(site) {
             return;
         }
@@ -828,10 +845,10 @@ impl Uproxy {
         h.strikes += 1;
         if !h.suspected && h.strikes >= SUSPECT_AFTER {
             h.suspected = true;
-            h.probe_at = now + self.cfg.probe_interval;
+            h.probe_at = self.now + self.cfg.probe_interval;
             h.probing = false;
-            self.suspicion_log.push((now, site, true));
-            out.push(ProxyOut::Trace(slice_obs::EventKind::SiteSuspected {
+            self.suspicion_log.push((self.now, site, true));
+            self.out.push(ProxyOut::Trace(EventKind::SiteSuspected {
                 site: site as usize,
             }));
         }
@@ -885,13 +902,7 @@ impl Uproxy {
     /// which regions diverged and resync cannot restore redundancy.
     /// Returns the replica set to fan out to, or `None` when the packet
     /// was parked awaiting the coordinator's `DirtyAck`.
-    fn degrade_gate(
-        &mut self,
-        out: &mut Vec<ProxyOut>,
-        pkt: &Packet,
-        call: &BulkCall,
-        sites: Vec<u32>,
-    ) -> Option<Vec<u32>> {
+    fn degrade_gate(&mut self, pkt: &Packet, call: &BulkCall, sites: Vec<u32>) -> Option<Vec<u32>> {
         if let Some(live) = self.soft.degrade_ok.get(&call.xid) {
             return Some(live.clone());
         }
@@ -903,7 +914,7 @@ impl Uproxy {
         self.soft
             .degrade_pending
             .insert(call.xid, (pkt.clone(), live.clone(), missed.clone(), len));
-        out.push(ProxyOut::Coord(CoordMsg::MarkDirty {
+        self.out.push(ProxyOut::Coord(CoordMsg::MarkDirty {
             op_id: u64::from(call.xid),
             obj: file,
             offset: call.lo,
@@ -939,7 +950,6 @@ impl Uproxy {
     /// around it went out; the request must wait for that fragment.
     fn block_sites(
         &mut self,
-        out: &mut Vec<ProxyOut>,
         fh: &Fhandle,
         blocks: std::ops::RangeInclusive<u64>,
     ) -> Result<Vec<Vec<u32>>, u64> {
@@ -954,7 +964,7 @@ impl Uproxy {
             .map(|b| self.soft.map_cache.get(&(file, b)).cloned().ok_or(b))
             .collect();
         if let Err(block) = cached {
-            out.push(ProxyOut::Coord(CoordMsg::MapGet {
+            self.out.push(ProxyOut::Coord(CoordMsg::MapGet {
                 file,
                 first_block: block - block % 16,
                 count: 16,
@@ -970,25 +980,19 @@ impl Uproxy {
     /// Sends the client a reply the µproxy assembled itself (a leg op's,
     /// or a READ corrected to the global size) instead of rewriting one in
     /// place.
-    fn reply_to_client(
-        &mut self,
-        out: &mut Vec<ProxyOut>,
-        xid: u32,
-        client: SockAddr,
-        reply: &NfsReply,
-    ) {
+    fn reply_to_client(&mut self, xid: u32, client: SockAddr, reply: &NfsReply) {
         let p = Packet::new(
             self.cfg.virtual_addr,
             client,
             slice_nfsproto::encode_reply(xid, reply),
         );
         self.stats.replies_routed += 1;
-        out.push(ProxyOut::Client(p));
+        self.out.push(ProxyOut::Client(p));
     }
 
     /// Generates an attribute write-back: a µproxy-initiated SETATTR to
     /// the directory server (absorbed on reply).
-    fn push_attrs(&mut self, out: &mut Vec<ProxyOut>, entry: &crate::attrcache::CachedAttr) {
+    fn push_attrs(&mut self, entry: &crate::attrcache::CachedAttr) {
         let req = NfsRequest::Setattr {
             fh: entry.fh,
             attr: Sattr3 {
@@ -1011,34 +1015,28 @@ impl Uproxy {
         };
         self.soft.pending.insert(xid, rec);
         self.stats.initiated += 1;
-        out.push(ProxyOut::Net(pkt));
+        self.out.push(ProxyOut::Net(pkt));
     }
 
     /// Processes a client-to-server packet.
     pub fn outbound(&mut self, now: SimTime, pkt: Packet) -> Vec<ProxyOut> {
-        let mut out = Vec::new();
-        self.phases.packets += 1;
-        self.admit(now, &mut out, pkt, true);
-        out
+        self.step(now, |up| {
+            up.phases.packets += 1;
+            up.admit(pkt, true);
+        })
     }
 
     /// Intercepts, decodes and routes one request packet. `fresh` is false
     /// when a parked packet is re-admitted (its map fragment, dirty-region
     /// ack or stripe lock arrived): it was counted — as a packet, as a
     /// routed request and in the hot-set window — when the client sent it.
-    pub(crate) fn admit(
-        &mut self,
-        now: SimTime,
-        out: &mut Vec<ProxyOut>,
-        pkt: Packet,
-        fresh: bool,
-    ) {
+    pub(crate) fn admit(&mut self, pkt: Packet, fresh: bool) {
         // Phase 1: interception.
         self.clock.start(self.cfg.measure_phases);
         let ours = pkt.dst == self.cfg.virtual_addr;
         self.clock.lap(&mut self.phases.intercept_ns);
         if !ours {
-            out.push(ProxyOut::Net(pkt));
+            self.out.push(ProxyOut::Net(pkt));
             return;
         }
         // Phase 2: decode — headers and arguments only; WRITE data is
@@ -1055,21 +1053,14 @@ impl Uproxy {
             // count against the file.
             if let CallView::Write { fh, .. } | CallView::Other(NfsRequest::Read { fh, .. }) = &call
             {
-                self.soft.hot_data.note(now, fh.file_id());
+                self.soft.hot_data.note(self.now, fh.file_id());
             }
         }
         self.clock.lap(&mut self.phases.soft_ns);
-        self.route_call(now, out, pkt, hdr.xid, call);
+        self.route_call(pkt, hdr.xid, call);
     }
 
-    fn route_call(
-        &mut self,
-        now: SimTime,
-        out: &mut Vec<ProxyOut>,
-        pkt: Packet,
-        xid: u32,
-        call: CallView,
-    ) {
+    fn route_call(&mut self, pkt: Packet, xid: u32, call: CallView) {
         let client_src = pkt.src;
         // From here the routing decision and the rewrite are phase 3, the
         // tables consulted and filed on the way phase 4.
@@ -1078,7 +1069,7 @@ impl Uproxy {
                 if self.reaches_bulk(&fh, offset, u64::from(count)) =>
             {
                 let call = self.bulk_call(xid, &pkt, fh, offset, count);
-                self.route_bulk(now, out, pkt, call, None);
+                self.route_bulk(pkt, call, None);
             }
             CallView::Write {
                 fh,
@@ -1087,25 +1078,25 @@ impl Uproxy {
                 stable,
             } if self.reaches_bulk(&fh, offset, data.len() as u64) => {
                 let call = self.bulk_call(xid, &pkt, fh, offset, data.len() as u32);
-                self.route_bulk(now, out, pkt, call, Some((data, stable)));
+                self.route_bulk(pkt, call, Some((data, stable)));
             }
             CallView::Other(NfsRequest::Commit { fh, .. }) if self.commit_is_multisite(&fh) => {
                 // Push modified attributes back on commit (paper §4.1).
                 let dirty = self.attrs.take_dirty(fh.file_id());
                 self.clock.lap(&mut self.phases.soft_ns);
                 if let Some(e) = dirty {
-                    self.push_attrs(out, &e);
+                    self.push_attrs(&e);
                 }
                 if self.cfg.use_intents {
                     // Intention first; the commit fans out on the ack.
                     self.soft.intent_waiters.insert(u64::from(xid), pkt);
-                    out.push(ProxyOut::Coord(CoordMsg::BeginIntent {
+                    self.out.push(ProxyOut::Coord(CoordMsg::BeginIntent {
                         op_id: u64::from(xid),
                         kind: IntentKind::Commit { obj: fh.file_id() },
                         participants: (0..self.cfg.storage_sites.len() as u32).collect(),
                     }));
                 } else {
-                    self.fanout_commit(out, pkt, xid, fh, Pending::Forward);
+                    self.fanout_commit(pkt, xid, fh, Pending::Forward);
                 }
             }
             other => {
@@ -1139,7 +1130,7 @@ impl Uproxy {
                     let dirty = fh.and_then(|f| self.attrs.take_dirty(f.file_id()));
                     self.clock.lap(&mut self.phases.soft_ns);
                     if let Some(e) = dirty {
-                        self.push_attrs(out, &e);
+                        self.push_attrs(&e);
                     }
                 }
                 let listing = matches!(other.proc(), NfsProc::Readdir | NfsProc::Readdirplus);
@@ -1152,7 +1143,7 @@ impl Uproxy {
                 let rec = PendingReq::new(other.proc(), fh, offset, len, class, client_src);
                 self.soft.pending.insert(xid, rec);
                 self.clock.lap(&mut self.phases.soft_ns);
-                out.push(ProxyOut::Net(p));
+                self.out.push(ProxyOut::Net(p));
             }
         }
     }
@@ -1198,8 +1189,6 @@ impl Uproxy {
     /// xids of its own, and one reply assembled from theirs.
     fn route_bulk(
         &mut self,
-        now: SimTime,
-        out: &mut Vec<ProxyOut>,
         pkt: Packet,
         call: BulkCall,
         write: Option<(Range<usize>, StableHow)>,
@@ -1215,13 +1204,13 @@ impl Uproxy {
         let geom = self.coded_geom(&fh).filter(|_| call.len > 0);
         if geom.is_some() || lo > offset {
             // A client retransmission of the parent xid restarts the op.
-            self.abort_op(now, out, xid);
+            self.abort_op(xid);
         }
         let blocks = match &geom {
             Some(g) => g.stripe_of(lo)..=g.stripe_of(call.end() - 1),
             None => lo / STRIPE_UNIT..=lo / STRIPE_UNIT,
         };
-        let mut site_lists = match self.block_sites(out, &fh, blocks) {
+        let mut site_lists = match self.block_sites(&fh, blocks) {
             Ok(lists) => lists,
             Err(block) => {
                 self.soft
@@ -1233,10 +1222,10 @@ impl Uproxy {
             }
         };
         if let Some(geom) = geom {
-            let planned = self.coded_plan(out, &pkt, &call, write.is_some(), site_lists, geom);
+            let planned = self.coded_plan(&pkt, &call, write.is_some(), site_lists, geom);
             if let Some((stripes, live, plans)) = planned {
                 let op = LegOp::new(&pkt, call, write, stripes, live);
-                self.start_op(now, out, op, plans);
+                self.start_op(op, plans);
             }
             self.clock.lap(&mut self.phases.soft_ns);
             return;
@@ -1244,8 +1233,8 @@ impl Uproxy {
         self.clock.lap(&mut self.phases.soft_ns);
         let sites = site_lists.pop().expect("one block");
         let targets = match &write {
-            None => vec![self.pick_read_site(out, file, &sites, lo, xid)],
-            Some(_) => match self.degrade_gate(out, &pkt, &call, sites) {
+            None => vec![self.pick_read_site(file, &sites, lo, xid)],
+            Some(_) => match self.degrade_gate(&pkt, &call, sites) {
                 Some(live) => live,
                 None => return,
             },
@@ -1255,7 +1244,7 @@ impl Uproxy {
             // bytes below to the small-file server (`start_op`'s head leg).
             let op = LegOp::new(&pkt, call, write, Vec::new(), targets);
             let plans = op.bulk_legs();
-            self.start_op(now, out, op, plans);
+            self.start_op(op, plans);
             self.clock.lap(&mut self.phases.soft_ns);
             return;
         }
@@ -1265,13 +1254,13 @@ impl Uproxy {
             for &site in &targets {
                 let mut p = pkt.clone();
                 p.rewrite_dst(self.cfg.storage_sites[site as usize]);
-                out.push(ProxyOut::Net(p));
+                self.out.push(ProxyOut::Net(p));
             }
             NfsProc::Write
         } else {
             let mut p = pkt;
             p.rewrite_dst(self.cfg.storage_sites[targets[0] as usize]);
-            out.push(ProxyOut::Net(p));
+            self.out.push(ProxyOut::Net(p));
             NfsProc::Read
         };
         self.clock.lap(&mut self.phases.rewrite_ns);
@@ -1297,14 +1286,7 @@ impl Uproxy {
     /// copy still owed per the coordinator's fragment) are skipped too:
     /// a freshly pinned replica joins the rotation only after the log
     /// drains and an epoch flush refetches the fragment.
-    fn pick_read_site(
-        &mut self,
-        out: &mut Vec<ProxyOut>,
-        file: u64,
-        sites: &[u32],
-        offset: u64,
-        xid: u32,
-    ) -> u32 {
+    fn pick_read_site(&mut self, file: u64, sites: &[u32], offset: u64, xid: u32) -> u32 {
         let stripe = offset / STRIPE_UNIT;
         let rotation = stripe / self.cfg.storage_sites.len() as u64;
         let idx = (rotation % sites.len() as u64) as usize;
@@ -1319,7 +1301,7 @@ impl Uproxy {
         let chosen = in_rotation.find(|&s| usable(s)).unwrap_or(preferred);
         if chosen != preferred {
             self.stats.read_failovers += 1;
-            out.push(ProxyOut::Trace(slice_obs::EventKind::ReadFailover {
+            self.out.push(ProxyOut::Trace(EventKind::ReadFailover {
                 site: preferred as usize,
                 xid: u64::from(xid),
             }));
@@ -1339,14 +1321,7 @@ impl Uproxy {
         }
     }
 
-    fn fanout_commit(
-        &mut self,
-        out: &mut Vec<ProxyOut>,
-        pkt: Packet,
-        xid: u32,
-        fh: Fhandle,
-        kind: Pending,
-    ) {
+    fn fanout_commit(&mut self, pkt: Packet, xid: u32, fh: Fhandle, kind: Pending) {
         let client_src = pkt.src;
         let mut n = 0;
         let mut awaiting = Vec::new();
@@ -1365,7 +1340,7 @@ impl Uproxy {
             }
             let mut p = pkt.clone();
             p.rewrite_dst(*site);
-            out.push(ProxyOut::Net(p));
+            self.out.push(ProxyOut::Net(p));
             awaiting.push(i as u32);
             n += 1;
         }
@@ -1373,7 +1348,7 @@ impl Uproxy {
         if !self.cfg.sf_sites.is_empty() {
             let mut p = pkt.clone();
             p.rewrite_dst(self.sf_dest(fh.file_id()));
-            out.push(ProxyOut::Net(p));
+            self.out.push(ProxyOut::Net(p));
             n += 1;
         }
         let mut rec = PendingReq::new(NfsProc::Commit, Some(fh), 0, 0, Class::Storage, client_src);
@@ -1434,23 +1409,22 @@ impl Uproxy {
     /// the client receives. A stage that consumes the reply (forwarded
     /// unmatched, absorbed, bounced) ends the packet there.
     pub fn inbound(&mut self, now: SimTime, pkt: Packet) -> Vec<ProxyOut> {
-        let mut out = Vec::new();
-        self.clock.start(self.cfg.measure_phases);
-        self.phases.packets += 1;
-        let Some(rx) = self.pair(now, &mut out, pkt) else {
-            return out;
-        };
-        let Some((rec, attr_file)) = self.account(now, &mut out, &rx) else {
-            return out;
-        };
-        self.finalize(&mut out, rx, &rec, attr_file);
-        out
+        self.step(now, |up| {
+            up.clock.start(up.cfg.measure_phases);
+            up.phases.packets += 1;
+            let Some(rx) = up.pair(pkt) else {
+                return;
+            };
+            if let Some((rec, attr_file)) = up.account(&rx) {
+                up.finalize(rx, &rec, attr_file);
+            }
+        })
     }
 
     /// Phases 1 and 2 of a reply: find its pending record (a reply that
     /// has none goes straight up to the client), decode it, credit its
     /// source site's health, and hand a leg's reply to its op.
-    fn pair(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, pkt: Packet) -> Option<Inbound> {
+    fn pair(&mut self, pkt: Packet) -> Option<Inbound> {
         // Phase 1: interception — pair the reply with its pending record.
         let xid = slice_nfsproto::peek_xid_type(&pkt.payload)
             .map(|(x, _)| x)
@@ -1462,7 +1436,7 @@ impl Uproxy {
             xid.and_then(|x| self.soft.pending.get(&x).map(|r| (r.proc, r.class, r.kind)));
         self.clock.lap(&mut self.phases.intercept_ns);
         let Some(xid) = xid else {
-            out.push(ProxyOut::Client(pkt));
+            self.out.push(ProxyOut::Client(pkt));
             return None;
         };
         let Some((proc, class, kind)) = pending else {
@@ -1472,7 +1446,7 @@ impl Uproxy {
             let mut p = pkt;
             p.rewrite_src(self.cfg.virtual_addr);
             self.clock.lap(&mut self.phases.rewrite_ns);
-            out.push(ProxyOut::Client(p));
+            self.out.push(ProxyOut::Client(p));
             return None;
         };
         // Phase 2: decode the reply — status, attributes and results;
@@ -1496,7 +1470,7 @@ impl Uproxy {
                 .as_ref()
                 .is_some_and(|r| r.status == NfsStatus::JukeBox);
             if juke {
-                self.strike(now, out, s);
+                self.strike(s);
             } else if !self.soft.health[s as usize].suspected {
                 self.soft.health[s as usize].strikes = 0;
             }
@@ -1512,7 +1486,7 @@ impl Uproxy {
         if let Pending::Leg { parent, role } = kind {
             let leg = self.soft.pending.remove(&xid).expect("checked pending");
             self.stats.absorbed += 1;
-            self.leg_reply(now, out, parent, role, leg.offset, rx);
+            self.leg_reply(parent, role, leg.offset, rx);
             self.clock.lap(&mut self.phases.soft_ns);
             return None;
         }
@@ -1524,12 +1498,7 @@ impl Uproxy {
     /// attribute block rides in the reply, or `None` when the reply is
     /// absorbed: not the last of a fan-out, a stale-table bounce, or the
     /// answer to a µproxy-initiated write-back.
-    fn account(
-        &mut self,
-        now: SimTime,
-        out: &mut Vec<ProxyOut>,
-        rx: &Inbound,
-    ) -> Option<(PendingReq, Option<Fhandle>)> {
+    fn account(&mut self, rx: &Inbound) -> Option<(PendingReq, Option<Fhandle>)> {
         let remaining = {
             let r = self.soft.pending.get_mut(&rx.xid).expect("checked pending");
             r.remaining = r.remaining.saturating_sub(1);
@@ -1553,7 +1522,7 @@ impl Uproxy {
             if let Some(r) = &rx.reply {
                 if r.status == slice_nfsproto::NfsStatus::JukeBox {
                     self.stats.stale_table_bounces += 1;
-                    out.push(ProxyOut::NeedDirTable);
+                    self.out.push(ProxyOut::NeedDirTable);
                     self.clock.lap(&mut self.phases.soft_ns);
                     return None;
                 }
@@ -1573,7 +1542,7 @@ impl Uproxy {
                 }
                 let payload = encode_call(rx.xid, &hdr.cred, &req);
                 self.stats.absorbed += 1;
-                self.admit(now, out, Packet::new(call.src, call.dst, payload), false);
+                self.admit(Packet::new(call.src, call.dst, payload), false);
                 return None;
             }
         }
@@ -1599,23 +1568,25 @@ impl Uproxy {
                                     // SETATTR replies replace local deltas:
                                     // an explicit truncate must not be
                                     // re-grown by the merge rule.
-                                    evicted.extend(self.attrs.store_replacing(now, &fh, attr));
+                                    evicted.extend(self.attrs.store_replacing(self.now, &fh, attr));
                                 } else {
-                                    evicted.extend(self.attrs.store_authoritative(now, &fh, attr));
+                                    evicted.extend(
+                                        self.attrs.store_authoritative(self.now, &fh, attr),
+                                    );
                                 }
                             }
                         }
                     }
                     Class::Storage | Class::SmallFile => {
                         if let Some(fh) = rec.fh {
-                            let t = Self::nfs_time(now);
+                            let t = Self::nfs_time(self.now);
                             match rec.proc {
                                 NfsProc::Read => {
-                                    evicted.extend(self.attrs.apply_read(now, &fh, t));
+                                    evicted.extend(self.attrs.apply_read(self.now, &fh, t));
                                 }
                                 NfsProc::Write => {
                                     evicted.extend(self.attrs.apply_write(
-                                        now,
+                                        self.now,
                                         &fh,
                                         rec.offset + u64::from(rec.len),
                                         t,
@@ -1630,11 +1601,12 @@ impl Uproxy {
         }
         // Completion of an intent-guarded fan-out clears the intention.
         if let Pending::Commit { intent } = rec.kind {
-            out.push(ProxyOut::Coord(CoordMsg::CompleteIntent { intent }));
+            self.out
+                .push(ProxyOut::Coord(CoordMsg::CompleteIntent { intent }));
         }
         self.clock.lap(&mut self.phases.soft_ns);
         for e in evicted {
-            self.push_attrs(out, &e);
+            self.push_attrs(&e);
         }
         if let Pending::Push { file, version } = rec.kind {
             self.stats.absorbed += 1;
@@ -1661,13 +1633,7 @@ impl Uproxy {
     /// request — the server's own packet rewritten in place, or, for a
     /// READ that disagrees with the global file size, a reply the µproxy
     /// re-initiates.
-    fn finalize(
-        &mut self,
-        out: &mut Vec<ProxyOut>,
-        rx: Inbound,
-        rec: &PendingReq,
-        attr_file: Option<Fhandle>,
-    ) {
+    fn finalize(&mut self, rx: Inbound, rec: &PendingReq, attr_file: Option<Fhandle>) {
         // Reads must reflect the *global* file size the µproxy tracks:
         // storage and small-file servers only know their local extent, so
         // a read in a hole (or past local data) comes back short and is
@@ -1686,7 +1652,7 @@ impl Uproxy {
                                 attr: Some(attr),
                                 body: read_body(rec.offset, rec.len, attr.size, [window]),
                             };
-                            self.reply_to_client(out, rx.xid, rec.client_src, &fixed);
+                            self.reply_to_client(rx.xid, rec.client_src, &fixed);
                             self.clock.lap(&mut self.phases.rewrite_ns);
                             return;
                         }
@@ -1718,22 +1684,21 @@ impl Uproxy {
         // Restore the original client destination.
         p.rewrite_dst(rec.client_src);
         self.clock.lap(&mut self.phases.rewrite_ns);
-        out.push(ProxyOut::Client(p));
+        self.out.push(ProxyOut::Client(p));
     }
 
     /// Handles a coordinator reply (intent acks and map fragments).
     pub fn coord_reply(&mut self, now: SimTime, reply: CoordReply) -> Vec<ProxyOut> {
-        let mut out = Vec::new();
-        match reply {
+        self.step(now, |up| match reply {
             CoordReply::IntentAck { op_id, intent } => {
-                if let Some(pkt) = self.soft.intent_waiters.remove(&op_id) {
+                if let Some(pkt) = up.soft.intent_waiters.remove(&op_id) {
                     let xid = op_id as u32;
                     let fh = match view_call(&pkt.payload) {
                         Ok((_, CallView::Other(req))) => req.primary_fh().copied(),
                         _ => None,
                     };
                     if let Some(fh) = fh {
-                        self.fanout_commit(&mut out, pkt, xid, fh, Pending::Commit { intent });
+                        up.fanout_commit(pkt, xid, fh, Pending::Commit { intent });
                     }
                 }
             }
@@ -1745,18 +1710,18 @@ impl Uproxy {
             } => {
                 for (i, s) in sites.iter().enumerate() {
                     let key = (file, first_block + i as u64);
-                    self.soft.map_cache.insert(key, s.clone());
+                    up.soft.map_cache.insert(key, s.clone());
                 }
                 for (i, w) in warming.iter().enumerate() {
                     let key = (file, first_block + i as u64);
                     if w.is_empty() {
-                        self.soft.warming_cache.remove(&key);
+                        up.soft.warming_cache.remove(&key);
                     } else {
-                        self.soft.warming_cache.insert(key, w.clone());
+                        up.soft.warming_cache.insert(key, w.clone());
                     }
                 }
                 // Release parked requests covered by the fragment.
-                let keys: Vec<(u64, u64)> = self
+                let keys: Vec<(u64, u64)> = up
                     .soft
                     .map_waiters
                     .keys()
@@ -1766,8 +1731,8 @@ impl Uproxy {
                     .copied()
                     .collect();
                 for k in keys {
-                    for pkt in self.soft.map_waiters.remove(&k).unwrap_or_default() {
-                        self.admit(now, &mut out, pkt, false);
+                    for pkt in up.soft.map_waiters.remove(&k).unwrap_or_default() {
+                        up.admit(pkt, false);
                     }
                 }
             }
@@ -1776,62 +1741,61 @@ impl Uproxy {
                 // skipped mirror: release the parked write at reduced
                 // redundancy.
                 if let Some((pkt, live, missed, bytes)) =
-                    self.soft.degrade_pending.remove(&(op_id as u32))
+                    up.soft.degrade_pending.remove(&(op_id as u32))
                 {
-                    self.soft.degrade_ok.insert(op_id as u32, live);
+                    up.soft.degrade_ok.insert(op_id as u32, live);
                     for site in missed {
-                        self.stats.degraded_writes += 1;
-                        self.stats.degraded_bytes += bytes;
-                        out.push(ProxyOut::Trace(slice_obs::EventKind::DegradedWrite {
+                        up.stats.degraded_writes += 1;
+                        up.stats.degraded_bytes += bytes;
+                        up.out.push(ProxyOut::Trace(EventKind::DegradedWrite {
                             site: site as usize,
                             bytes,
                         }));
                     }
-                    self.admit(now, &mut out, pkt, false);
+                    up.admit(pkt, false);
                 }
             }
             CoordReply::SiteProbe { site, clean } => {
-                if let Some(h) = self.soft.health.get_mut(site as usize) {
+                if let Some(h) = up.soft.health.get_mut(site as usize) {
                     // Suspicion clears only on a clean verdict: the site
                     // answered the probe *and* the coordinator holds no
                     // dirty regions for it.
                     if std::mem::take(&mut h.probing) && clean && h.suspected {
                         h.suspected = false;
                         h.strikes = 0;
-                        self.suspicion_log.push((now, site, false));
-                        out.push(ProxyOut::Trace(slice_obs::EventKind::SiteCleared {
+                        up.suspicion_log.push((now, site, false));
+                        up.out.push(ProxyOut::Trace(EventKind::SiteCleared {
                             site: site as usize,
                         }));
                     }
                 }
             }
             _ => {}
-        }
-        out
+        })
     }
 
     /// Periodic maintenance: pushes back dirty attributes older than the
     /// write-back interval (bounds timestamp drift, §4.1).
     pub fn tick(&mut self, now: SimTime) -> Vec<ProxyOut> {
-        let mut out = Vec::new();
-        for e in self.attrs.take_stale_dirty(now, ATTR_WRITEBACK) {
-            self.push_attrs(&mut out, &e);
-        }
-        // Probe suspected sites through the coordinator. A probe with
-        // no answer (dead coordinator, dead site) simply re-arms at the
-        // next interval — probe_at doubles as the retry deadline.
-        for site in 0..self.soft.health.len() as u32 {
-            if self.retired[site as usize] {
-                continue;
+        self.step(now, |up| {
+            for e in up.attrs.take_stale_dirty(now, ATTR_WRITEBACK) {
+                up.push_attrs(&e);
             }
-            let h = &mut self.soft.health[site as usize];
-            if h.suspected && now >= h.probe_at {
-                h.probe_at = now + self.cfg.probe_interval;
-                h.probing = true;
-                self.stats.probes_sent += 1;
-                out.push(ProxyOut::Coord(CoordMsg::ProbeSite { site }));
+            // Probe suspected sites through the coordinator. A probe with
+            // no answer (dead coordinator, dead site) simply re-arms at the
+            // next interval — probe_at doubles as the retry deadline.
+            for site in 0..up.soft.health.len() as u32 {
+                if up.retired[site as usize] {
+                    continue;
+                }
+                let h = &mut up.soft.health[site as usize];
+                if h.suspected && now >= h.probe_at {
+                    h.probe_at = now + up.cfg.probe_interval;
+                    h.probing = true;
+                    up.stats.probes_sent += 1;
+                    up.out.push(ProxyOut::Coord(CoordMsg::ProbeSite { site }));
+                }
             }
-        }
-        out
+        })
     }
 }

@@ -218,7 +218,7 @@ impl Uproxy {
     }
 
     /// Releases every stripe lock `xid` owns and re-admits parked ops.
-    fn unlock_stripes(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, xid: u32) {
+    fn unlock_stripes(&mut self, xid: u32) {
         let mut keys: Vec<(u64, u64)> = self
             .soft
             .stripe_locks
@@ -247,23 +247,23 @@ impl Uproxy {
         // own; what the releasing packet has spent so far is lock upkeep.
         self.clock.lap(&mut self.phases.soft_ns);
         for p in release {
-            self.admit(now, out, p, false);
+            self.admit(p, false);
         }
     }
 
     /// Discards a leg op and its legs (client restart or fatal leg error)
     /// and releases its stripe locks.
-    pub(super) fn abort_op(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, xid: u32) {
+    pub(super) fn abort_op(&mut self, xid: u32) {
         if let Some(op) = self.soft.ops.remove(&xid) {
             for leg in op.leg_xids {
                 self.soft.pending.remove(&leg);
             }
         }
-        self.unlock_stripes(now, out, xid);
+        self.unlock_stripes(xid);
     }
 
     /// Issues one leg of op `parent` under a µproxy-owned xid.
-    fn send_leg(&mut self, out: &mut Vec<ProxyOut>, parent: u32, fh: Fhandle, plan: &LegPlan) {
+    fn send_leg(&mut self, parent: u32, fh: Fhandle, plan: &LegPlan) {
         let xid = self.next_own_xid;
         self.next_own_xid = self.next_own_xid.wrapping_add(1);
         let (dst, class) = match plan.site {
@@ -289,19 +289,13 @@ impl Uproxy {
             op.awaiting.extend(plan.site);
             op.leg_xids.push(xid);
         }
-        out.push(ProxyOut::Net(pkt));
+        self.out.push(ProxyOut::Net(pkt));
     }
 
     /// Files `op` under the client's xid and issues its first legs: the
     /// head leg for the small-file server when the request begins below
     /// the threshold, then `plans`.
-    pub(super) fn start_op(
-        &mut self,
-        now: SimTime,
-        out: &mut Vec<ProxyOut>,
-        op: LegOp,
-        plans: Vec<LegPlan>,
-    ) {
+    pub(super) fn start_op(&mut self, op: LegOp, plans: Vec<LegPlan>) {
         let BulkCall {
             xid,
             fh,
@@ -315,10 +309,10 @@ impl Uproxy {
         let direct = op.shards_due && !op.stripes.iter().any(|st| st.gather);
         self.soft.ops.insert(xid, op);
         for plan in head.iter().chain(&plans) {
-            self.send_leg(out, xid, fh, plan);
+            self.send_leg(xid, fh, plan);
         }
         if direct {
-            self.coded_write_phase1(now, out, xid);
+            self.coded_write_phase1(xid);
         }
     }
 
@@ -338,7 +332,6 @@ impl Uproxy {
     /// dirty-region ack.
     pub(super) fn coded_plan(
         &mut self,
-        out: &mut Vec<ProxyOut>,
         pkt: &Packet,
         call: &BulkCall,
         is_write: bool,
@@ -375,7 +368,7 @@ impl Uproxy {
             } else {
                 // When parked awaiting DirtyAck, the locks stay held so no
                 // other write can slip in ahead of the logged ranges.
-                self.degrade_gate(out, pkt, call, union)?
+                self.degrade_gate(pkt, call, union)?
             }
         } else {
             site_lists.iter().flatten().copied().collect()
@@ -468,7 +461,7 @@ impl Uproxy {
             self.stats.ec_degraded_reads += failovers.len() as u64;
             for site in failovers {
                 self.stats.read_failovers += 1;
-                out.push(ProxyOut::Trace(slice_obs::EventKind::ReadFailover {
+                self.out.push(ProxyOut::Trace(EventKind::ReadFailover {
                     site: site as usize,
                     xid: u64::from(xid),
                 }));
@@ -480,7 +473,7 @@ impl Uproxy {
     /// Computes and issues the final shard writes of a coded write op:
     /// overlays the client bytes on the (decoded or direct) old data,
     /// re-encodes parity, and writes every touched live shard window.
-    fn coded_write_phase1(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, xid: u32) {
+    fn coded_write_phase1(&mut self, xid: u32) {
         let Some(op) = self.soft.ops.get_mut(&xid) else {
             return;
         };
@@ -559,28 +552,20 @@ impl Uproxy {
         if torn {
             // Unreachable with k gathered windows; drop the op and let the
             // client's retransmission restart it.
-            self.abort_op(now, out, xid);
+            self.abort_op(xid);
             return;
         }
         for plan in &plans {
-            self.send_leg(out, xid, fh, plan);
+            self.send_leg(xid, fh, plan);
         }
         if self.soft.ops[&xid].outstanding == 0 {
-            self.finish_op(now, out, xid);
+            self.finish_op(xid);
         }
     }
 
     /// Absorbs the reply `rx` to one leg of op `parent` — `pos` is the
     /// offset the leg read or wrote at — and advances the op.
-    pub(super) fn leg_reply(
-        &mut self,
-        now: SimTime,
-        out: &mut Vec<ProxyOut>,
-        parent: u32,
-        role: LegRole,
-        pos: u64,
-        rx: Inbound,
-    ) {
+    pub(super) fn leg_reply(&mut self, parent: u32, role: LegRole, pos: u64, rx: Inbound) {
         let Some(op) = self.soft.ops.get_mut(&parent) else {
             return;
         };
@@ -592,7 +577,7 @@ impl Uproxy {
         op.outstanding = op.outstanding.saturating_sub(1);
         let Some(reply) = rx.reply else {
             // Undecodable leg reply: drop the op; retransmission restarts.
-            self.abort_op(now, out, parent);
+            self.abort_op(parent);
             return;
         };
         if !reply.status.is_ok() {
@@ -604,8 +589,8 @@ impl Uproxy {
                 NfsProc::Read
             };
             let client = op.call.client_src;
-            self.abort_op(now, out, parent);
-            self.reply_to_client(out, parent, client, &NfsReply::error(proc, reply.status));
+            self.abort_op(parent);
+            self.reply_to_client(parent, client, &NfsReply::error(proc, reply.status));
             return;
         }
         // READ data stays in the leg's reply packet; the op keeps windows.
@@ -638,25 +623,25 @@ impl Uproxy {
         }
         if op.outstanding == 0 {
             if op.shards_due {
-                self.coded_write_phase1(now, out, parent);
+                self.coded_write_phase1(parent);
             } else {
-                self.finish_op(now, out, parent);
+                self.finish_op(parent);
             }
         }
     }
 
     /// Completes a leg op: synthesizes the merged client reply, updates
     /// the attribute cache, and releases stripe locks.
-    fn finish_op(&mut self, now: SimTime, out: &mut Vec<ProxyOut>, xid: u32) {
+    fn finish_op(&mut self, xid: u32) {
         let Some(mut op) = self.soft.ops.remove(&xid) else {
             return;
         };
         self.soft.degrade_ok.remove(&xid);
         let call = op.call;
-        let t = Self::nfs_time(now);
+        let t = Self::nfs_time(self.now);
         let mut evicted = Vec::new();
         let mut reply = if op.write {
-            evicted.extend(self.attrs.apply_write(now, &call.fh, call.end(), t));
+            evicted.extend(self.attrs.apply_write(self.now, &call.fh, call.end(), t));
             let mut r = op.template.take().unwrap_or(NfsReply {
                 proc: NfsProc::Write,
                 status: slice_nfsproto::NfsStatus::Ok,
@@ -672,7 +657,7 @@ impl Uproxy {
             }
             r
         } else {
-            evicted.extend(self.attrs.apply_read(now, &call.fh, t));
+            evicted.extend(self.attrs.apply_read(self.now, &call.fh, t));
             // Decode the gathered stripes into served read windows.
             let blen = call.end() - call.lo;
             for st in op.stripes.iter().filter(|st| st.gather) {
@@ -681,7 +666,7 @@ impl Uproxy {
                 let slots: Vec<Option<&[u8]>> = st.got.iter().map(|g| g.as_deref()).collect();
                 let Some(datw) = codec.decode(&slots) else {
                     // Unreachable with k gathered windows; drop the op.
-                    self.abort_op(now, out, xid);
+                    self.abort_op(xid);
                     return;
                 };
                 self.stats.ec_reconstructions += 1;
@@ -709,10 +694,10 @@ impl Uproxy {
         if let Some(attr) = self.attrs.get(call.fh.file_id()) {
             reply.attr = Some(attr);
         }
-        self.reply_to_client(out, xid, call.client_src, &reply);
+        self.reply_to_client(xid, call.client_src, &reply);
         for e in evicted {
-            self.push_attrs(out, &e);
+            self.push_attrs(&e);
         }
-        self.unlock_stripes(now, out, xid);
+        self.unlock_stripes(xid);
     }
 }

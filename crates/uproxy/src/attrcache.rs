@@ -14,7 +14,7 @@
 
 use slice_sim::FxHashMap;
 
-use slice_nfsproto::{Fattr3, Fhandle, NfsTime};
+use slice_nfsproto::{Fattr3, Fhandle, FileType, NfsTime};
 use slice_sim::{LruCache, SimDuration, SimTime};
 
 /// One cached attribute block.
@@ -36,6 +36,18 @@ pub struct CachedAttr {
     /// version again means the earlier push went unacknowledged — a
     /// retransmission, counted in [`AttrCache::push_retries`].
     last_pushed_version: Option<u64>,
+}
+
+impl CachedAttr {
+    /// Records a local modification: a new version, dirty since `now`
+    /// unless it already was.
+    fn modified(&mut self, now: SimTime) {
+        self.version += 1;
+        if !self.dirty {
+            self.dirty = true;
+            self.dirty_since = now;
+        }
+    }
 }
 
 /// The attribute cache with dirty tracking and write-back extraction.
@@ -109,6 +121,37 @@ impl AttrCache {
         }
     }
 
+    /// The one way in. A resident entry for `fh`'s file is touched and
+    /// handed to `edit`; an absent one is installed clean from `attr`,
+    /// handed to `edit`, and admitted, and the dirty entries its admission
+    /// evicted are returned for pushing back. (Re-inserting a resident key
+    /// at the same size is an LRU touch: it evicts nothing.) The `store_*`
+    /// edits refresh a resident entry's handle; the `apply_*` edits keep
+    /// the one it was installed with.
+    fn upsert(
+        &mut self,
+        now: SimTime,
+        fh: &Fhandle,
+        attr: Fattr3,
+        edit: impl FnOnce(&mut CachedAttr),
+    ) -> Vec<CachedAttr> {
+        let file = fh.file_id();
+        let victims = self.lru.insert(file, 1);
+        edit(self.entries.entry(file).or_insert(CachedAttr {
+            fh: *fh,
+            attr,
+            dirty: false,
+            dirty_since: now,
+            version: 0,
+            last_pushed_version: None,
+        }));
+        victims
+            .into_iter()
+            .filter_map(|v| self.entries.remove(&v))
+            .filter(|e| e.dirty)
+            .collect()
+    }
+
     /// Installs authoritative attributes from a directory-server response.
     /// Local dirty deltas (size growth from direct storage writes) are
     /// preserved by taking the maximum size and latest times. Returns any
@@ -119,71 +162,40 @@ impl AttrCache {
         fh: &Fhandle,
         attr: Fattr3,
     ) -> Vec<CachedAttr> {
-        let file = fh.file_id();
-        let merged = match self.entries.get(&file) {
-            Some(old) if old.dirty => {
-                let mut a = attr;
-                a.size = a.size.max(old.attr.size);
-                a.used = a.used.max(old.attr.used);
-                a.mtime = a.mtime.max(old.attr.mtime);
-                a.atime = a.atime.max(old.attr.atime);
-                a
+        self.upsert(now, fh, attr, |e| {
+            let old = std::mem::replace(&mut e.attr, attr);
+            if e.dirty {
+                e.attr.size = e.attr.size.max(old.size);
+                e.attr.used = e.attr.used.max(old.used);
+                e.attr.mtime = e.attr.mtime.max(old.mtime);
+                e.attr.atime = e.attr.atime.max(old.atime);
             }
-            _ => attr,
-        };
-        let dirty = self.entries.get(&file).map(|e| e.dirty).unwrap_or(false);
-        let dirty_since = self
-            .entries
-            .get(&file)
-            .map(|e| e.dirty_since)
-            .unwrap_or(now);
-        let version = self.entries.get(&file).map(|e| e.version).unwrap_or(0);
-        let last_pushed_version = self.entries.get(&file).and_then(|e| e.last_pushed_version);
-        self.entries.insert(
-            file,
-            CachedAttr {
-                fh: *fh,
-                attr: merged,
-                dirty,
-                dirty_since,
-                version,
-                last_pushed_version,
-            },
-        );
-        let victims = self.lru.insert(file, 1);
-        self.evict_from(victims)
+            e.fh = *fh;
+        })
+    }
+
+    /// Installs authoritative attributes *replacing* any local dirty
+    /// deltas — used for SETATTR replies, where the server's state already
+    /// reflects everything the client (or the µproxy write-back) asked
+    /// for, including explicit truncations that must not be re-grown by
+    /// the max-merge rule.
+    pub fn store_replacing(&mut self, now: SimTime, fh: &Fhandle, attr: Fattr3) -> Vec<CachedAttr> {
+        self.upsert(now, fh, attr, |e| {
+            e.attr = attr;
+            e.dirty = false;
+            e.dirty_since = now;
+            e.fh = *fh;
+        })
     }
 
     /// Applies a completed read: bumps the access time. Returns evictions.
+    /// A file first seen through an I/O path is synthesized from its handle.
     pub fn apply_read(&mut self, now: SimTime, fh: &Fhandle, t: NfsTime) -> Vec<CachedAttr> {
-        let file = fh.file_id();
-        if let Some(e) = self.entries.get_mut(&file) {
+        let fresh = Fattr3::new(FileType::Regular, fh.file_id(), 0o644, t);
+        self.upsert(now, fh, fresh, |e| {
             e.attr.atime = e.attr.atime.max(t);
-            e.version += 1;
-            if !e.dirty {
-                e.dirty = true;
-                e.dirty_since = now;
-            }
-            self.lru.get(&file);
-            Vec::new()
-        } else {
-            // First sighting through an I/O path: synthesize from the fh.
-            let mut attr = Fattr3::new(slice_nfsproto::FileType::Regular, file, 0o644, t);
-            attr.atime = t;
-            self.entries.insert(
-                file,
-                CachedAttr {
-                    fh: *fh,
-                    attr,
-                    dirty: true,
-                    dirty_since: now,
-                    version: 1,
-                    last_pushed_version: None,
-                },
-            );
-            let victims = self.lru.insert(file, 1);
-            self.evict_from(victims)
-        }
+            e.modified(now);
+        })
     }
 
     /// Applies a completed write: grows the size to `end` and stamps the
@@ -195,69 +207,13 @@ impl AttrCache {
         end: u64,
         t: NfsTime,
     ) -> Vec<CachedAttr> {
-        let file = fh.file_id();
-        if let Some(e) = self.entries.get_mut(&file) {
+        let fresh = Fattr3::new(FileType::Regular, fh.file_id(), 0o644, t);
+        self.upsert(now, fh, fresh, |e| {
             e.attr.size = e.attr.size.max(end);
             e.attr.used = e.attr.used.max(end);
             e.attr.mtime = e.attr.mtime.max(t);
-            e.version += 1;
-            if !e.dirty {
-                e.dirty = true;
-                e.dirty_since = now;
-            }
-            self.lru.get(&file);
-            Vec::new()
-        } else {
-            let mut attr = Fattr3::new(slice_nfsproto::FileType::Regular, file, 0o644, t);
-            attr.size = end;
-            attr.used = end;
-            attr.mtime = t;
-            self.entries.insert(
-                file,
-                CachedAttr {
-                    fh: *fh,
-                    attr,
-                    dirty: true,
-                    dirty_since: now,
-                    version: 1,
-                    last_pushed_version: None,
-                },
-            );
-            let victims = self.lru.insert(file, 1);
-            self.evict_from(victims)
-        }
-    }
-
-    /// Installs authoritative attributes *replacing* any local dirty
-    /// deltas — used for SETATTR replies, where the server's state already
-    /// reflects everything the client (or the µproxy write-back) asked
-    /// for, including explicit truncations that must not be re-grown by
-    /// the max-merge rule.
-    pub fn store_replacing(&mut self, now: SimTime, fh: &Fhandle, attr: Fattr3) -> Vec<CachedAttr> {
-        let file = fh.file_id();
-        let version = self.entries.get(&file).map(|e| e.version).unwrap_or(0);
-        let last_pushed_version = self.entries.get(&file).and_then(|e| e.last_pushed_version);
-        self.entries.insert(
-            file,
-            CachedAttr {
-                fh: *fh,
-                attr,
-                dirty: false,
-                dirty_since: now,
-                version,
-                last_pushed_version,
-            },
-        );
-        let victims = self.lru.insert(file, 1);
-        self.evict_from(victims)
-    }
-
-    fn evict_from(&mut self, victims: Vec<u64>) -> Vec<CachedAttr> {
-        victims
-            .into_iter()
-            .filter_map(|v| self.entries.remove(&v))
-            .filter(|e| e.dirty)
-            .collect()
+            e.modified(now);
+        })
     }
 
     /// Takes the dirty entry for `file` (commit-triggered push-back).
@@ -339,7 +295,6 @@ impl AttrCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slice_nfsproto::FileType;
 
     fn fh(id: u64) -> Fhandle {
         Fhandle::new(id, 0, 0, 0, 0)

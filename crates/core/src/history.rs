@@ -46,14 +46,6 @@ pub struct OpRecord {
     pub retries: u32,
     /// Target file id (read/write/commit/getattr/setattr/link source).
     pub file: u64,
-    /// Parent directory file id for namespace ops.
-    pub dir: u64,
-    /// Destination directory file id (rename).
-    pub dir2: u64,
-    /// Name operand (lookup/create/mkdir/remove/rename source/...).
-    pub name: Option<String>,
-    /// Second name operand (rename destination).
-    pub to_name: Option<String>,
     /// Byte offset (read/write/commit).
     pub offset: u64,
     /// Byte length (read request count / write data length).
@@ -68,10 +60,6 @@ pub struct OpRecord {
     pub wrote: Vec<Option<u8>>,
     /// Per-chunk uniform byte values a read observed (filled at end).
     pub read: Vec<Option<u8>>,
-    /// Bytes actually returned by a read (short at end of file).
-    pub read_len: Option<u32>,
-    /// File id minted by create/mkdir/symlink (from the reply handle).
-    pub new_file: Option<u64>,
 }
 
 /// Uniform byte values of the chunks fully covered by `[offset,
@@ -114,10 +102,6 @@ impl OpHistory {
             status: None,
             retries: 0,
             file: 0,
-            dir: 0,
-            dir2: 0,
-            name: None,
-            to_name: None,
             offset: 0,
             len: 0,
             stable: None,
@@ -125,14 +109,8 @@ impl OpHistory {
             chunk0: 0,
             wrote: Vec::new(),
             read: Vec::new(),
-            read_len: None,
-            new_file: None,
         };
         match req {
-            NfsRequest::Lookup { dir, name } => {
-                rec.dir = dir.file_id();
-                rec.name = Some(name.clone());
-            }
             NfsRequest::Read { fh, offset, count } => {
                 rec.file = fh.file_id();
                 rec.offset = *offset;
@@ -152,35 +130,12 @@ impl OpHistory {
                 rec.chunk0 = c0;
                 rec.wrote = vals;
             }
-            NfsRequest::Create { dir, name, .. }
-            | NfsRequest::Mkdir { dir, name, .. }
-            | NfsRequest::Symlink { dir, name, .. }
-            | NfsRequest::Remove { dir, name }
-            | NfsRequest::Rmdir { dir, name } => {
-                rec.dir = dir.file_id();
-                rec.name = Some(name.clone());
-            }
-            NfsRequest::Rename {
-                from_dir,
-                from_name,
-                to_dir,
-                to_name,
-            } => {
-                rec.dir = from_dir.file_id();
-                rec.name = Some(from_name.clone());
-                rec.dir2 = to_dir.file_id();
-                rec.to_name = Some(to_name.clone());
-            }
-            NfsRequest::Link { fh, dir, name } => {
-                rec.file = fh.file_id();
-                rec.dir = dir.file_id();
-                rec.name = Some(name.clone());
-            }
             NfsRequest::Setattr { fh, attr } => {
                 rec.file = fh.file_id();
                 rec.truncate_to = attr.size;
             }
             NfsRequest::Getattr { fh }
+            | NfsRequest::Link { fh, .. }
             | NfsRequest::Access { fh, .. }
             | NfsRequest::Readlink { fh }
             | NfsRequest::Fsstat { fh } => {
@@ -191,10 +146,7 @@ impl OpHistory {
                 rec.offset = *offset;
                 rec.len = *count;
             }
-            NfsRequest::Readdir { dir, .. } | NfsRequest::Readdirplus { dir, .. } => {
-                rec.dir = dir.file_id();
-            }
-            NfsRequest::Null => {}
+            _ => {}
         }
         self.open.insert(xid, self.records.len());
         self.records.push(rec);
@@ -209,20 +161,10 @@ impl OpHistory {
         rec.end = Some(now);
         rec.status = Some(reply.status);
         rec.retries = retries;
-        match &reply.body {
-            ReplyBody::Read { data, .. } => {
-                rec.read_len = Some(data.len() as u32);
-                let (c0, vals) = chunk_values(rec.offset, data);
-                rec.chunk0 = c0;
-                rec.read = vals;
-            }
-            ReplyBody::Create { fh: Some(fh) } => {
-                rec.new_file = Some(fh.file_id());
-            }
-            ReplyBody::Lookup { fh, .. } => {
-                rec.new_file = Some(fh.file_id());
-            }
-            _ => {}
+        if let ReplyBody::Read { data, .. } = &reply.body {
+            let (c0, vals) = chunk_values(rec.offset, data);
+            rec.chunk0 = c0;
+            rec.read = vals;
         }
     }
 

@@ -201,11 +201,6 @@ impl Codec {
         self.k
     }
 
-    /// The parity coefficient applied to data shard `j` in parity row `p`.
-    pub fn coef(&self, p: usize, j: usize) -> u8 {
-        self.rows[p][j]
-    }
-
     /// Encodes parity shard `p` over `data` (k equal-length slices).
     pub fn parity_row(&self, p: usize, data: &[&[u8]]) -> Vec<u8> {
         assert_eq!(data.len(), self.k);

@@ -38,9 +38,6 @@ pub struct BulkIo {
     started: Option<SimTime>,
     finished_at: Option<SimTime>,
     committing: bool,
-    commit_issued_at: Option<SimTime>,
-    /// Latency of the final COMMIT (write mode only).
-    pub commit_latency: Option<slice_sim::SimDuration>,
     done: bool,
 }
 
@@ -62,8 +59,6 @@ impl BulkIo {
             started: None,
             finished_at: None,
             committing: false,
-            commit_issued_at: None,
-            commit_latency: None,
             done: false,
         }
     }
@@ -85,8 +80,6 @@ impl BulkIo {
             started: None,
             finished_at: None,
             committing: false,
-            commit_issued_at: None,
-            commit_latency: None,
             done: false,
         }
     }
@@ -126,7 +119,6 @@ impl BulkIo {
             match self.mode {
                 BulkMode::Write if !self.committing => {
                     self.committing = true;
-                    self.commit_issued_at = Some(io.now());
                     io.call(
                         2,
                         NfsRequest::Commit {
@@ -195,7 +187,6 @@ impl Workload for BulkIo {
             }
             2 => {
                 // Commit done: the write stream is stable.
-                self.commit_latency = self.commit_issued_at.map(|t| io.now() - t);
                 self.finished_at = Some(io.now());
                 self.done = true;
             }

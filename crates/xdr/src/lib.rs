@@ -67,7 +67,7 @@ impl std::error::Error for XdrError {}
 /// Result alias for XDR operations.
 pub type Result<T> = std::result::Result<T, XdrError>;
 
-/// Largest variable-length item the decoder will accept by default (1 MB):
+/// Largest variable-length item the decoder accepts (1 MB):
 /// far above any NFS message component, far below anything that could be
 /// used to make a µproxy allocate unboundedly from a hostile packet.
 pub const DEFAULT_MAX_LEN: usize = 1 << 20;
@@ -192,26 +192,12 @@ impl XdrEncoder {
 pub struct XdrDecoder<'a> {
     data: &'a [u8],
     pos: usize,
-    max_len: usize,
 }
 
 impl<'a> XdrDecoder<'a> {
-    /// Wraps `data` with the default length bound.
+    /// Wraps `data`; a variable-length item is bounded by [`DEFAULT_MAX_LEN`].
     pub fn new(data: &'a [u8]) -> Self {
-        XdrDecoder {
-            data,
-            pos: 0,
-            max_len: DEFAULT_MAX_LEN,
-        }
-    }
-
-    /// Wraps `data` with a custom bound on variable-length items.
-    pub fn with_max_len(data: &'a [u8], max_len: usize) -> Self {
-        XdrDecoder {
-            data,
-            pos: 0,
-            max_len,
-        }
+        XdrDecoder { data, pos: 0 }
     }
 
     /// Current decode offset from the start of the buffer.
@@ -291,10 +277,10 @@ impl<'a> XdrDecoder<'a> {
     /// Reads variable-length opaque data, borrowing from the buffer.
     pub fn get_opaque(&mut self) -> Result<&'a [u8]> {
         let n = self.get_u32()? as usize;
-        if n > self.max_len {
+        if n > DEFAULT_MAX_LEN {
             return Err(XdrError::LengthOverflow {
                 declared: n,
-                max: self.max_len,
+                max: DEFAULT_MAX_LEN,
             });
         }
         self.get_opaque_fixed(n)
@@ -319,10 +305,10 @@ impl<'a> XdrDecoder<'a> {
     /// Skips a variable-length opaque item without touching its contents.
     pub fn skip_opaque(&mut self) -> Result<()> {
         let n = self.get_u32()? as usize;
-        if n > self.max_len {
+        if n > DEFAULT_MAX_LEN {
             return Err(XdrError::LengthOverflow {
                 declared: n,
-                max: self.max_len,
+                max: DEFAULT_MAX_LEN,
             });
         }
         self.skip_opaque_fixed(n)

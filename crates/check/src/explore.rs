@@ -415,10 +415,6 @@ impl Workload for DriverWorkload {
     fn finished(&self) -> bool {
         self.done
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// A server class the explorer can crash.

@@ -7,7 +7,6 @@
 //! underlying state machines.
 
 use slice_sim::FxHashMap;
-use std::any::Any;
 
 use slice_dirsvc::{DirAction, DirServer};
 use slice_nfsproto::{
@@ -360,13 +359,6 @@ impl Actor<Wire> for StorageActor {
         self.node.crash_restart();
         self.port.crash();
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A directory server actor.
@@ -502,13 +494,6 @@ impl Actor<Wire> for DirActor {
             ctx.use_cpu(SimDuration::from_millis(50));
             self.server.recover(durable, crash_time);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -670,13 +655,6 @@ impl Actor<Wire> for SmallFileActor {
             self.server.recover(wal, crash_time);
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 const COORD_SWEEP_TAG: u64 = 1 << 41;
@@ -825,13 +803,6 @@ impl Actor<Wire> for CoordActor {
         self.sweep_armed = false;
         self.arm_sweep_if_busy(ctx);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -901,12 +872,6 @@ mod tests {
     impl Actor<Wire> for Sink {
         fn on_message(&mut self, _ctx: &mut Ctx<'_, Wire>, _from: NodeId, msg: Wire) {
             self.0.push(msg);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -8,8 +8,6 @@
 //! and pays only CPU — which is why it is fast until its single CPU
 //! saturates, exactly the crossover Figure 3 shows.
 
-use std::any::Any;
-
 use slice_dirsvc::{DirAction, DirServer, DirServerConfig};
 use slice_hashes::NamePolicy;
 use slice_nfsproto::{decode_call, NfsReply, NfsRequest, ReplyBody, SockAddr};
@@ -257,12 +255,5 @@ impl Actor<Wire> for BaselineActor {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64) {
         self.port.on_timer(ctx, tag);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

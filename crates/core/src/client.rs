@@ -16,6 +16,7 @@
 //! statelessness relies on).
 
 use slice_sim::FxHashMap;
+use std::any::Any;
 
 use slice_nfsproto::{
     decode_reply, encode_call, AuthUnix, NfsProc, NfsReply, NfsRequest, Packet, SockAddr,
@@ -37,7 +38,7 @@ const TICK_INTERVAL: SimDuration = SimDuration::from_millis(500);
 const MAX_RETRIES: u32 = 30;
 
 /// A workload driving one client.
-pub trait Workload: 'static {
+pub trait Workload: Any {
     /// Called once at simulation start; issue initial operations here.
     fn start(&mut self, io: &mut ClientIo<'_, '_>);
 
@@ -53,9 +54,15 @@ pub trait Workload: 'static {
     fn finished(&self) -> bool {
         false
     }
+}
 
-    /// `Any` access so harnesses can downcast workloads for results.
-    fn as_any(&self) -> &dyn std::any::Any;
+impl dyn Workload {
+    /// `Any` access. Nothing in the workspace calls it —
+    /// [`ClientActor::workload_as`] upcasts instead — but
+    /// `benchmark/src/scenario.rs` does, so it stays until ROADMAP item 8.
+    pub fn as_any(&self) -> &dyn Any {
+        self
+    }
 }
 
 /// Client configuration.
@@ -394,7 +401,10 @@ impl ClientActor {
     ///
     /// If the client has no workload, or its workload is not a `W`.
     pub fn workload_as<W: Workload>(&self) -> &W {
-        let w = self.workload().and_then(|w| w.as_any().downcast_ref());
+        let w = self
+            .workload
+            .as_deref()
+            .and_then(|w| (w as &dyn Any).downcast_ref());
         w.unwrap_or_else(|| panic!("client workload is not a {}", std::any::type_name::<W>()))
     }
 
@@ -604,13 +614,5 @@ impl Actor<Wire> for ClientActor {
             debug_assert!(to_client.is_empty());
             self.inner.transmit(ctx, pkt);
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }

@@ -9,8 +9,6 @@
 //! fresh allocation made elsewhere on the hop and then discarded leaves
 //! neither trace.
 
-use std::any::Any;
-
 use slice_core::actors::StorageActor;
 use slice_core::{Router, Wire};
 use slice_nfsproto::{
@@ -142,12 +140,6 @@ impl Actor<Wire> for Sink {
         if let Wire::Udp(p) = msg {
             self.got.push(p);
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

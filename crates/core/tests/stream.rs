@@ -40,8 +40,6 @@
 //! chosen for that: the probes below see a log append, not the reply it
 //! defers.
 
-use std::any::Any;
-
 use slice_core::actors::{CoordActor, DirActor, SmallFileActor, StorageActor};
 use slice_core::{ClientIo, EnsemblePolicy, SliceConfig, SliceEnsemble, Workload};
 use slice_nfsproto::{Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3, StableHow};
@@ -315,10 +313,6 @@ impl Workload for Mix {
 
     fn finished(&self) -> bool {
         self.created == FILES && self.left == 0 && self.outstanding == 0
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

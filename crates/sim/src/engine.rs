@@ -159,9 +159,9 @@ impl MessageSize for Vec<u8> {
 ///
 /// Handlers run to completion at a single instant; the CPU time they declare
 /// with [`Ctx::use_cpu`] delays their *outputs* and any queued work behind
-/// them. Implementors must also provide `Any` access so test and experiment
-/// harnesses can inspect actor state after a run.
-pub trait Actor<M>: 'static {
+/// them. Every actor is `Any`, so test and experiment harnesses can inspect
+/// its state after a run ([`Engine::actor`]).
+pub trait Actor<M>: Any {
     /// Handles a message delivered from `from`.
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: M);
 
@@ -182,11 +182,24 @@ pub trait Actor<M>: 'static {
         let _ = ctx;
     }
 
-    /// `Any` access for post-run inspection.
-    fn as_any(&self) -> &dyn Any;
+    /// `Any` access. Nothing in the workspace calls it — the engine
+    /// upcasts instead — but `benchmark/`'s probe actors implement it, so
+    /// it stays until ROADMAP item 8.
+    fn as_any(&self) -> &dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 
-    /// Mutable `Any` access for post-run inspection.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Mutable `Any` access; kept for `benchmark/` like
+    /// [`Actor::as_any`], and goes with ROADMAP item 8.
+    fn as_any_mut(&mut self) -> &mut dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 }
 
 /// Timer tag delivered by [`Engine::kick`]; actors treat it as "start".
@@ -1269,10 +1282,8 @@ impl<M: MessageSize + Clone + 'static> Engine<M> {
     ///
     /// Panics if the node id is out of range or the type does not match.
     pub fn actor<T: Actor<M>>(&self, node: NodeId) -> &T {
-        self.actors[node.idx()]
-            .as_any()
-            .downcast_ref::<T>()
-            .expect("actor type mismatch")
+        let actor: &dyn Any = &*self.actors[node.idx()];
+        actor.downcast_ref().expect("actor type mismatch")
     }
 
     /// Mutable access to an actor's concrete type.
@@ -1281,10 +1292,8 @@ impl<M: MessageSize + Clone + 'static> Engine<M> {
     ///
     /// Panics if the node id is out of range or the type does not match.
     pub fn actor_mut<T: Actor<M>>(&mut self, node: NodeId) -> &mut T {
-        self.actors[node.idx()]
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("actor type mismatch")
+        let actor: &mut dyn Any = &mut *self.actors[node.idx()];
+        actor.downcast_mut().expect("actor type mismatch")
     }
 
     /// Per-node statistics.
@@ -1417,7 +1426,6 @@ impl<M: MessageSize + Clone + 'static> Engine<M> {
 mod tests {
     use super::*;
     use crate::net::NetConfig;
-    use std::any::Any;
 
     /// Echoes every message back to its sender after `service` CPU time.
     struct Echo {
@@ -1430,12 +1438,6 @@ mod tests {
             ctx.use_cpu(self.service);
             self.seen.push((ctx.now(), msg.clone()));
             ctx.send(from, msg);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1455,12 +1457,6 @@ mod tests {
             for i in 0..self.count {
                 ctx.send(self.peer, vec![i as u8; 100]);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1712,12 +1708,6 @@ mod tests {
                 self.cancelled_fires += 1;
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[test]
@@ -1734,12 +1724,6 @@ mod tests {
                 for i in 0..10u8 {
                     ctx.send_local(self.peer, vec![i]);
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut eng = Engine::new(net(), 1);
@@ -1805,12 +1789,6 @@ mod tests {
                     }
                     other => self.fired.push(other),
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut eng = Engine::new(net(), 1);
@@ -1882,12 +1860,6 @@ mod tests {
                 self.last = ctx.now();
                 self.n += 1;
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut eng = Engine::new(net(), 1);
         let sink = eng.add_node(
@@ -1933,12 +1905,6 @@ mod tests {
             } else {
                 self.fired.push(tag);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

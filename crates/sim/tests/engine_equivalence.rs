@@ -8,7 +8,6 @@
 //! heap entry per logical event and no inline dispatch).
 
 use slice_sim::{Actor, Ctx, Engine, NetConfig, NodeId, SimDuration, SimTime, TimerId, START_TAG};
-use std::any::Any;
 
 const NODES: u32 = 8;
 /// Trace marker for timer fires (message entries carry the sender id).
@@ -144,13 +143,6 @@ impl Actor<Vec<u8>> for Mixer {
     fn on_restart(&mut self, ctx: &mut Ctx<'_, Vec<u8>>) {
         self.trace.push((ctx.now().as_nanos(), self.me, RESTART));
         self.forward(ctx, 6, false);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -330,12 +322,6 @@ impl Actor<Vec<u8>> for Fallback {
             self.ran.push((ctx.now().as_nanos(), "timer"));
         }
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// The one case where a handler may *not* run the moment its packet
@@ -405,12 +391,6 @@ impl Actor<Vec<u8>> for Bouncer {
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Vec<u8>>, _tag: u64) {
         ctx.send(self.peer, vec![0; 150]);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -7,7 +7,6 @@
 //! number of cases from a pinned seed, so failures replay exactly.
 
 use slice_sim::{Actor, Ctx, Engine, NetConfig, NodeId, Rng, SimDuration, SimTime, START_TAG};
-use std::any::Any;
 
 const CASES: usize = 64;
 
@@ -30,12 +29,6 @@ impl Actor<Vec<u8>> for Hop {
         }
     }
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, Vec<u8>>, _tag: u64) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Injects a batch of routed messages at start.
@@ -51,12 +44,6 @@ impl Actor<Vec<u8>> for Source {
                 ctx.send(to, msg);
             }
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -134,10 +134,6 @@ impl Workload for BigDir {
         self.issue(io);
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     fn finished(&self) -> bool {
         self.done
     }

@@ -194,10 +194,6 @@ impl Workload for BulkIo {
         }
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     fn finished(&self) -> bool {
         self.done
     }

@@ -428,10 +428,6 @@ impl Workload for ScriptWorkload {
         }
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     fn finished(&self) -> bool {
         self.done
     }

@@ -431,10 +431,6 @@ impl Workload for SpecSfs {
         self.run_issue(io);
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     fn finished(&self) -> bool {
         self.stage == Stage::Done
     }

@@ -180,10 +180,6 @@ impl Workload for Untar {
         self.issue(io);
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     fn finished(&self) -> bool {
         self.done
     }

@@ -677,10 +677,6 @@ impl Workload for FirstPage {
     fn finished(&self) -> bool {
         self.page.is_some()
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[test]

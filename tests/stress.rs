@@ -381,10 +381,6 @@ impl Workload for Stress {
         self.issue(io);
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     fn finished(&self) -> bool {
         self.done
     }

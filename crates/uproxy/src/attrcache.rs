@@ -136,7 +136,6 @@ impl AttrCache {
         edit: impl FnOnce(&mut CachedAttr),
     ) -> Vec<CachedAttr> {
         let file = fh.file_id();
-        let victims = self.lru.insert(file, 1);
         edit(self.entries.entry(file).or_insert(CachedAttr {
             fh: *fh,
             attr,
@@ -145,7 +144,8 @@ impl AttrCache {
             version: 0,
             last_pushed_version: None,
         }));
-        victims
+        self.lru
+            .insert(file, 1)
             .into_iter()
             .filter_map(|v| self.entries.remove(&v))
             .filter(|e| e.dirty)

@@ -13,6 +13,7 @@
 //! timestamp drift.
 
 use slice_sim::FxHashMap;
+use std::collections::hash_map::Entry;
 
 use slice_nfsproto::{Fattr3, Fhandle, FileType, NfsTime};
 use slice_sim::{LruCache, SimDuration, SimTime};
@@ -121,13 +122,12 @@ impl AttrCache {
         }
     }
 
-    /// The one way in. A resident entry for `fh`'s file is touched and
-    /// handed to `edit`; an absent one is installed clean from `attr`,
-    /// handed to `edit`, and admitted, and the dirty entries its admission
-    /// evicted are returned for pushing back. (Re-inserting a resident key
-    /// at the same size is an LRU touch: it evicts nothing.) The `store_*`
-    /// edits refresh a resident entry's handle; the `apply_*` edits keep
-    /// the one it was installed with.
+    /// The one way in. A resident entry for `fh`'s file gets one lookup,
+    /// `edit` and an LRU touch; an absent one is installed clean from
+    /// `attr`, handed to `edit` and admitted to the LRU, and the dirty
+    /// entries its admission evicted are returned for pushing back. The
+    /// `store_*` edits refresh a resident entry's handle; the `apply_*`
+    /// edits keep the one it was installed with.
     fn upsert(
         &mut self,
         now: SimTime,
@@ -136,20 +136,29 @@ impl AttrCache {
         edit: impl FnOnce(&mut CachedAttr),
     ) -> Vec<CachedAttr> {
         let file = fh.file_id();
-        edit(self.entries.entry(file).or_insert(CachedAttr {
-            fh: *fh,
-            attr,
-            dirty: false,
-            dirty_since: now,
-            version: 0,
-            last_pushed_version: None,
-        }));
-        self.lru
-            .insert(file, 1)
-            .into_iter()
-            .filter_map(|v| self.entries.remove(&v))
-            .filter(|e| e.dirty)
-            .collect()
+        match self.entries.entry(file) {
+            Entry::Occupied(e) => {
+                edit(e.into_mut());
+                self.lru.get(&file);
+                Vec::new()
+            }
+            Entry::Vacant(e) => {
+                edit(e.insert(CachedAttr {
+                    fh: *fh,
+                    attr,
+                    dirty: false,
+                    dirty_since: now,
+                    version: 0,
+                    last_pushed_version: None,
+                }));
+                self.lru
+                    .insert(file, 1)
+                    .into_iter()
+                    .filter_map(|v| self.entries.remove(&v))
+                    .filter(|e| e.dirty)
+                    .collect()
+            }
+        }
     }
 
     /// Installs authoritative attributes from a directory-server response.

@@ -155,6 +155,8 @@ pub struct ScriptWorkload {
     slots: Vec<Option<Fhandle>>,
     /// Accumulated validation failures (empty on success).
     pub errors: Vec<String>,
+    /// Steps skipped because a slot they name never bound.
+    pub skipped: Vec<usize>,
     /// Per-step client-observed latency, indexed like `steps`.
     pub step_latencies: Vec<slice_sim::SimDuration>,
     issued_at: Option<slice_sim::SimTime>,
@@ -174,6 +176,7 @@ impl ScriptWorkload {
             pc: 0,
             slots: s,
             errors: Vec::new(),
+            skipped: Vec::new(),
             step_latencies: Vec::new(),
             issued_at: None,
             done: false,
@@ -187,116 +190,125 @@ impl ScriptWorkload {
         self.done && self.errors.is_empty()
     }
 
-    fn fh(&self, slot: Slot) -> Fhandle {
-        self.slots[slot].expect("script referenced an unset slot")
+    /// The handle in `slot`, if it ever bound.
+    fn fh(&self, slot: Slot) -> Option<Fhandle> {
+        self.slots.get(slot).copied().flatten()
     }
 
+    /// The call `step` makes, or `None` when a slot it names never bound.
+    fn request(&self, step: &Step) -> Option<NfsRequest> {
+        Some(match step.clone() {
+            Step::Mkdir { parent, name, .. } => NfsRequest::Mkdir {
+                dir: self.fh(parent)?,
+                name,
+                attr: Sattr3::default(),
+            },
+            Step::Create {
+                parent,
+                name,
+                mode_extra,
+                ..
+            } => NfsRequest::Create {
+                dir: self.fh(parent)?,
+                name,
+                attr: Sattr3 {
+                    mode: Some(0o644 | mode_extra),
+                    ..Default::default()
+                },
+            },
+            Step::Lookup { parent, name, .. } => NfsRequest::Lookup {
+                dir: self.fh(parent)?,
+                name,
+            },
+            Step::Write {
+                fh,
+                offset,
+                len,
+                pattern,
+                stable,
+            } => NfsRequest::Write {
+                fh: self.fh(fh)?,
+                offset,
+                stable,
+                data: vec![pattern; len as usize],
+            },
+            Step::Read {
+                fh, offset, len, ..
+            } => NfsRequest::Read {
+                fh: self.fh(fh)?,
+                offset,
+                count: len,
+            },
+            Step::Commit { fh } => NfsRequest::Commit {
+                fh: self.fh(fh)?,
+                offset: 0,
+                count: 0,
+            },
+            Step::Remove { parent, name } => NfsRequest::Remove {
+                dir: self.fh(parent)?,
+                name,
+            },
+            Step::Rmdir { parent, name } => NfsRequest::Rmdir {
+                dir: self.fh(parent)?,
+                name,
+            },
+            Step::Rename {
+                from,
+                from_name,
+                to,
+                to_name,
+            } => NfsRequest::Rename {
+                from_dir: self.fh(from)?,
+                from_name,
+                to_dir: self.fh(to)?,
+                to_name,
+            },
+            Step::Getattr { fh, .. } => NfsRequest::Getattr { fh: self.fh(fh)? },
+            Step::Setattr { fh, attr } => NfsRequest::Setattr {
+                fh: self.fh(fh)?,
+                attr,
+            },
+            Step::Link { fh, parent, name } => NfsRequest::Link {
+                fh: self.fh(fh)?,
+                dir: self.fh(parent)?,
+                name,
+            },
+            Step::Symlink {
+                parent,
+                name,
+                target,
+                ..
+            } => NfsRequest::Symlink {
+                dir: self.fh(parent)?,
+                name,
+                target,
+                attr: Sattr3::default(),
+            },
+            Step::Readlink { fh, .. } => NfsRequest::Readlink { fh: self.fh(fh)? },
+            Step::ReaddirCount { fh, .. } => NfsRequest::Readdir {
+                dir: self.fh(fh)?,
+                cookie: self.readdir_cookie,
+                cookieverf: 0,
+                count: 8192,
+            },
+        })
+    }
+
+    /// Issues the next step that can be issued. A step naming a slot that
+    /// never bound is skipped and fails the script.
     fn issue(&mut self, io: &mut ClientIo<'_, '_>) {
-        {
-            if self.pc >= self.steps.len() {
-                self.done = true;
+        while self.pc < self.steps.len() {
+            if let Some(req) = self.request(&self.steps[self.pc]) {
+                self.issued_at = Some(io.now());
+                io.call(self.pc as u64, req);
                 return;
             }
-            let step = self.steps[self.pc].clone();
-            let tag = self.pc as u64;
-            let req = match step {
-                Step::Mkdir { parent, name, .. } => NfsRequest::Mkdir {
-                    dir: self.fh(parent),
-                    name,
-                    attr: Sattr3::default(),
-                },
-                Step::Create {
-                    parent,
-                    name,
-                    mode_extra,
-                    ..
-                } => NfsRequest::Create {
-                    dir: self.fh(parent),
-                    name,
-                    attr: Sattr3 {
-                        mode: Some(0o644 | mode_extra),
-                        ..Default::default()
-                    },
-                },
-                Step::Lookup { parent, name, .. } => NfsRequest::Lookup {
-                    dir: self.fh(parent),
-                    name,
-                },
-                Step::Write {
-                    fh,
-                    offset,
-                    len,
-                    pattern,
-                    stable,
-                } => NfsRequest::Write {
-                    fh: self.fh(fh),
-                    offset,
-                    stable,
-                    data: vec![pattern; len as usize],
-                },
-                Step::Read {
-                    fh, offset, len, ..
-                } => NfsRequest::Read {
-                    fh: self.fh(fh),
-                    offset,
-                    count: len,
-                },
-                Step::Commit { fh } => NfsRequest::Commit {
-                    fh: self.fh(fh),
-                    offset: 0,
-                    count: 0,
-                },
-                Step::Remove { parent, name } => NfsRequest::Remove {
-                    dir: self.fh(parent),
-                    name,
-                },
-                Step::Rmdir { parent, name } => NfsRequest::Rmdir {
-                    dir: self.fh(parent),
-                    name,
-                },
-                Step::Rename {
-                    from,
-                    from_name,
-                    to,
-                    to_name,
-                } => NfsRequest::Rename {
-                    from_dir: self.fh(from),
-                    from_name,
-                    to_dir: self.fh(to),
-                    to_name,
-                },
-                Step::Getattr { fh, .. } => NfsRequest::Getattr { fh: self.fh(fh) },
-                Step::Setattr { fh, attr } => NfsRequest::Setattr {
-                    fh: self.fh(fh),
-                    attr,
-                },
-                Step::Link { fh, parent, name } => NfsRequest::Link {
-                    fh: self.fh(fh),
-                    dir: self.fh(parent),
-                    name,
-                },
-                Step::Symlink {
-                    parent,
-                    name,
-                    target,
-                    ..
-                } => NfsRequest::Symlink {
-                    dir: self.fh(parent),
-                    name,
-                    target,
-                    attr: Sattr3::default(),
-                },
-                Step::Readlink { fh, .. } => NfsRequest::Readlink { fh: self.fh(fh) },
-                Step::ReaddirCount { fh, .. } => NfsRequest::Readdir {
-                    dir: self.fh(fh),
-                    cookie: self.readdir_cookie,
-                    cookieverf: 0,
-                    count: 8192,
-                },
-            };
-            self.issued_at = Some(io.now());
-            io.call(tag, req);
+            self.skipped.push(self.pc);
+            self.errors
+                .push(format!("step {}: names a slot that never bound", self.pc));
+            self.pc += 1;
         }
+        self.done = true;
     }
 
     fn check(&mut self, reply: &NfsReply) {

@@ -280,3 +280,30 @@ fn four_scripts_reach_the_pinned_histories() {
     h = mirrored_crash(h);
     assert_eq!(h, 14957849568911799248, "script fold moved: {h}");
 }
+
+/// A step naming a slot whose lookup failed is skipped and fails the
+/// script; the steps after it still run.
+#[test]
+fn a_step_on_an_unbound_slot_fails_the_script() {
+    let steps = vec![
+        lookup(0, "absent", 1, false),
+        Step::Getattr {
+            fh: 1,
+            expect_size: None,
+        },
+        mkdir(0, "after", 2),
+    ];
+    let mut ens = SliceEnsemble::build(
+        &SliceConfig::default(),
+        vec![Box::new(ScriptWorkload::new(steps, 3))],
+    );
+    ens.start();
+    ens.run_to_completion(deadline());
+    let client = ens.client(0);
+    let script = client.workload_as::<ScriptWorkload>();
+    assert!(client.finished(), "the script must finish");
+    assert_eq!(script.skipped, vec![1]);
+    assert_eq!(script.errors.len(), 1, "{:?}", script.errors);
+    assert!(!script.passed());
+    assert_eq!(client.stats().ops, 2, "the lookup and the mkdir ran");
+}

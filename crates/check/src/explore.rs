@@ -1,11 +1,12 @@
 //! Deterministic workload generation, crash-schedule exploration, and
 //! failing-schedule minimization.
 //!
-//! A [`Scenario`] is a seed-derived NFS operation sequence; a [`Schedule`]
-//! is a list of fault injections (node crashes with recovery, packet-loss
-//! windows) pinned to simulated times. [`run_schedule`] executes one
-//! (scenario, schedule) pair in a fresh ensemble and runs every oracle over
-//! the outcome; [`sweep`] fans that out over N seeds × M schedules and
+//! A scenario is a seed-derived [`Step`] script ([`generate_scenario`])
+//! that the one [`ScriptWorkload`] runs; a [`Schedule`] is a list of
+//! fault injections (node crashes with recovery, packet-loss windows)
+//! pinned to simulated times. [`run_schedule`] executes one (scenario,
+//! schedule) pair in a fresh ensemble and runs every oracle over the
+//! outcome; [`sweep`] fans that out over N seeds × M schedules and
 //! exports a deterministic slice-obs JSON report; [`minimize`] shrinks a
 //! failing schedule by bisection.
 //!
@@ -13,8 +14,9 @@
 //! same packets, crashes, and oracle verdicts, byte for byte.
 
 use slice_core::ensemble::{SliceConfig, SliceEnsemble};
-use slice_core::{ClientIo, OpHistory, Workload, CHUNK_BYTES};
-use slice_nfsproto::{Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3, StableHow};
+use slice_core::script::{ScriptWorkload, Slot, Step};
+use slice_core::{OpHistory, CHUNK_BYTES};
+use slice_nfsproto::{NfsStatus, Sattr3, StableHow};
 use slice_obs::Obs;
 use slice_sim::{NodeId, Rng, SimDuration, SimTime};
 
@@ -28,85 +30,40 @@ use crate::Violation;
 const MAX_IO_BYTES: u64 = 256 * 1024;
 /// Simulated-time budget for one schedule run.
 const RUN_DEADLINE_SECS: u64 = 600;
-
-/// One generated operation. `slot` values index the driver's handle table
-/// (slot 0 is the volume root); `LookupBind` is what binds a slot, so every
-/// `Create`/`Mkdir` is followed by one — a create acknowledged only on a
-/// retransmission answers `Exist` without a handle, and the bind must
-/// still succeed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GenOp {
-    /// Make a directory `name` under the directory at `parent`.
-    Mkdir { parent: usize, name: String },
-    /// Create a regular file `name` under the directory at `parent`.
-    Create { parent: usize, name: String },
-    /// Look up `name` under `parent` and bind the resulting handle to
-    /// `slot`.
-    LookupBind {
-        slot: usize,
-        parent: usize,
-        name: String,
-    },
-    /// FileSync write of `len` bytes of `val` at `offset`.
-    Write {
-        slot: usize,
-        offset: u64,
-        len: u32,
-        val: u8,
-    },
-    /// Read `len` bytes at `offset`.
-    Read { slot: usize, offset: u64, len: u32 },
-    /// Truncate (or zero-extend) to `size` bytes via SETATTR.
-    Truncate { slot: usize, size: u64 },
-    /// Remove the file `name` under `parent`.
-    Remove { parent: usize, name: String },
-    /// Rename `from_name` under `from` to `to_name` under `to`.
-    Rename {
-        from: usize,
-        from_name: String,
-        to: usize,
-        to_name: String,
-    },
-    /// List the directory at `slot`.
-    Readdir { slot: usize },
-    /// Fetch attributes of the file at `slot`.
-    Getattr { slot: usize },
-    /// Commit unstable data of the file at `slot`.
-    Commit { slot: usize },
-}
-
-/// A seed-derived operation sequence plus the slot-table size it needs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Scenario {
-    /// The seed this scenario was generated from.
-    pub seed: u64,
-    /// Operations in program order.
-    pub ops: Vec<GenOp>,
-    /// Handle slots referenced (slot 0 = root).
-    pub slots: usize,
-}
+/// The slot every generated create and mkdir saves its handle in, and
+/// that no step reads: a name's own slot binds only from the lookup that
+/// follows it, because a create acknowledged only on a retransmission
+/// answers `Exist` without a handle and the bind must still succeed.
+const RECEIPT: Slot = 1;
 
 struct FileModel {
-    slot: usize,
-    parent: usize,
+    slot: Slot,
+    parent: Slot,
     name: String,
     big: bool,
     size: u64,
 }
 
-/// Generates a deterministic scenario of roughly `n_ops` operations:
-/// a mixed namespace/data workload over ≤ 8 directories and ≤ 24 files
-/// (one in five striped "big" files crossing the small-file threshold),
-/// all writes FileSync with 1 KiB-aligned uniform-byte payloads so the
+/// Generates a deterministic scenario of roughly `n_ops` steps: a mixed
+/// namespace/data workload over ≤ 8 directories and ≤ 24 files (one in
+/// five striped "big" files crossing the small-file threshold), all
+/// writes FileSync with 1 KiB-aligned uniform-byte payloads so the
 /// per-chunk register model sees every transfer, followed by an epilogue
-/// that re-looks-up, stats, and fully reads every surviving file.
-pub fn generate_scenario(seed: u64, n_ops: usize) -> Scenario {
+/// that re-looks-up, stats, and fully reads every surviving file. Every
+/// create and mkdir is followed by the lookup that binds its slot.
+pub fn generate_scenario(seed: u64, n_ops: usize) -> Vec<Step> {
     let mut rng = Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut ops = Vec::new();
-    let mut next_slot = 1usize;
+    let mut next_slot = RECEIPT + 1;
     let mut next_name = 0u64;
-    let mut dirs: Vec<usize> = vec![0];
+    let mut dirs: Vec<Slot> = vec![0];
     let mut files: Vec<FileModel> = Vec::new();
+    let bind = |slot, parent, name: &str| Step::Lookup {
+        parent,
+        name: name.to_string(),
+        save: slot,
+        expect_ok: true,
+    };
 
     while ops.len() < n_ops {
         let roll = rng.gen_range(0..100u32);
@@ -118,15 +75,13 @@ pub fn generate_scenario(seed: u64, n_ops: usize) -> Scenario {
                 next_name += 1;
                 let slot = next_slot;
                 next_slot += 1;
-                ops.push(GenOp::Create {
+                ops.push(Step::Create {
                     parent,
                     name: name.clone(),
+                    save: RECEIPT,
+                    mode_extra: 0,
                 });
-                ops.push(GenOp::LookupBind {
-                    slot,
-                    parent,
-                    name: name.clone(),
-                });
+                ops.push(bind(slot, parent, &name));
                 files.push(FileModel {
                     slot,
                     parent,
@@ -141,11 +96,12 @@ pub fn generate_scenario(seed: u64, n_ops: usize) -> Scenario {
                 next_name += 1;
                 let slot = next_slot;
                 next_slot += 1;
-                ops.push(GenOp::Mkdir {
+                ops.push(Step::Mkdir {
                     parent,
                     name: name.clone(),
+                    save: RECEIPT,
                 });
-                ops.push(GenOp::LookupBind { slot, parent, name });
+                ops.push(bind(slot, parent, &name));
                 dirs.push(slot);
             }
             _ if files.is_empty() => {
@@ -169,12 +125,13 @@ pub fn generate_scenario(seed: u64, n_ops: usize) -> Scenario {
                                 CHUNK_BYTES * rng.gen_range(1..=4u64),
                             )
                         };
-                        let val = rng.gen_range(1..=255u64) as u8;
-                        ops.push(GenOp::Write {
-                            slot: f.slot,
+                        let pattern = rng.gen_range(1..=255u64) as u8;
+                        ops.push(Step::Write {
+                            fh: f.slot,
                             offset,
                             len: len as u32,
-                            val,
+                            pattern,
+                            stable: StableHow::FileSync,
                         });
                         f.size = f.size.max(offset + len);
                     }
@@ -183,21 +140,28 @@ pub fn generate_scenario(seed: u64, n_ops: usize) -> Scenario {
                         let span = if f.big { 16 * 1024 } else { CHUNK_BYTES };
                         let offset = span * rng.gen_range(0..8u64);
                         let len = span * rng.gen_range(1..=4u64);
-                        ops.push(GenOp::Read {
-                            slot: f.slot,
+                        ops.push(Step::Read {
+                            fh: f.slot,
                             offset,
                             len: len as u32,
+                            verify: None,
                         });
                     }
                     74..=79 => {
                         let f = &mut files[fi];
                         let size = CHUNK_BYTES * rng.gen_range(0..=(f.size / CHUNK_BYTES) + 2);
-                        ops.push(GenOp::Truncate { slot: f.slot, size });
+                        ops.push(Step::Setattr {
+                            fh: f.slot,
+                            attr: Sattr3 {
+                                size: Some(size),
+                                ..Default::default()
+                            },
+                        });
                         f.size = size;
                     }
                     80..=84 if files.len() > 1 => {
                         let f = files.remove(fi);
-                        ops.push(GenOp::Remove {
+                        ops.push(Step::Remove {
                             parent: f.parent,
                             name: f.name,
                         });
@@ -207,7 +171,7 @@ pub fn generate_scenario(seed: u64, n_ops: usize) -> Scenario {
                         let to_name = format!("f{next_name}");
                         next_name += 1;
                         let f = &mut files[fi];
-                        ops.push(GenOp::Rename {
+                        ops.push(Step::Rename {
                             from: f.parent,
                             from_name: f.name.clone(),
                             to,
@@ -218,14 +182,16 @@ pub fn generate_scenario(seed: u64, n_ops: usize) -> Scenario {
                     }
                     90..=93 => {
                         let d = dirs[rng.gen_range(0..dirs.len() as u64) as usize];
-                        ops.push(GenOp::Readdir { slot: d });
+                        ops.push(Step::Readdir {
+                            fh: d,
+                            expect: None,
+                        });
                     }
-                    94..=97 => ops.push(GenOp::Getattr {
-                        slot: files[fi].slot,
+                    94..=97 => ops.push(Step::Getattr {
+                        fh: files[fi].slot,
+                        expect_size: None,
                     }),
-                    _ => ops.push(GenOp::Commit {
-                        slot: files[fi].slot,
-                    }),
+                    _ => ops.push(Step::Commit { fh: files[fi].slot }),
                 }
             }
         }
@@ -233,188 +199,27 @@ pub fn generate_scenario(seed: u64, n_ops: usize) -> Scenario {
 
     // Epilogue: verify every surviving file end-to-end.
     for f in &files {
-        ops.push(GenOp::LookupBind {
-            slot: f.slot,
-            parent: f.parent,
-            name: f.name.clone(),
+        ops.push(bind(f.slot, f.parent, &f.name));
+        ops.push(Step::Getattr {
+            fh: f.slot,
+            expect_size: None,
         });
-        ops.push(GenOp::Getattr { slot: f.slot });
         if f.size > 0 {
-            ops.push(GenOp::Read {
-                slot: f.slot,
+            ops.push(Step::Read {
+                fh: f.slot,
                 offset: 0,
                 len: f.size.min(MAX_IO_BYTES) as u32,
+                verify: None,
             });
         }
     }
     for &d in &dirs[1..] {
-        ops.push(GenOp::Readdir { slot: d });
+        ops.push(Step::Readdir {
+            fh: d,
+            expect: None,
+        });
     }
-
-    Scenario {
-        seed,
-        ops,
-        slots: next_slot,
-    }
-}
-
-/// Drives a [`Scenario`] one operation at a time: each op is issued only
-/// after the previous one completed, so program order equals real-time
-/// order and the recorded history is sequential per client. Ops whose
-/// handle slot never bound (the binding lookup failed) are skipped and
-/// counted. A JukeBox answer — a µproxy whose directory table was stale
-/// beyond its own bounce handling — re-issues the op with a fresh xid.
-pub struct DriverWorkload {
-    scenario: Scenario,
-    pc: usize,
-    slots: Vec<Option<Fhandle>>,
-    /// Scenario op index of each history record, in record order.
-    pub issued: Vec<usize>,
-    /// Scenario op indices skipped because a slot never bound.
-    pub skipped: Vec<usize>,
-    done: bool,
-}
-
-impl DriverWorkload {
-    /// Builds a driver for `scenario`.
-    pub fn new(scenario: Scenario) -> Self {
-        let mut slots = vec![None; scenario.slots.max(1)];
-        slots[0] = Some(Fhandle::root());
-        DriverWorkload {
-            scenario,
-            pc: 0,
-            slots,
-            issued: Vec::new(),
-            skipped: Vec::new(),
-            done: false,
-        }
-    }
-
-    /// The scenario being driven.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    fn request_for(&self, idx: usize) -> Option<NfsRequest> {
-        let fh = |slot: usize| self.slots[slot];
-        Some(match &self.scenario.ops[idx] {
-            GenOp::Mkdir { parent, name } => NfsRequest::Mkdir {
-                dir: fh(*parent)?,
-                name: name.clone(),
-                attr: Sattr3::default(),
-            },
-            GenOp::Create { parent, name } => NfsRequest::Create {
-                dir: fh(*parent)?,
-                name: name.clone(),
-                attr: Sattr3 {
-                    mode: Some(0o644),
-                    ..Default::default()
-                },
-            },
-            GenOp::LookupBind { parent, name, .. } => NfsRequest::Lookup {
-                dir: fh(*parent)?,
-                name: name.clone(),
-            },
-            GenOp::Write {
-                slot,
-                offset,
-                len,
-                val,
-            } => NfsRequest::Write {
-                fh: fh(*slot)?,
-                offset: *offset,
-                stable: StableHow::FileSync,
-                data: vec![*val; *len as usize],
-            },
-            GenOp::Read { slot, offset, len } => NfsRequest::Read {
-                fh: fh(*slot)?,
-                offset: *offset,
-                count: *len,
-            },
-            GenOp::Truncate { slot, size } => NfsRequest::Setattr {
-                fh: fh(*slot)?,
-                attr: Sattr3 {
-                    size: Some(*size),
-                    ..Default::default()
-                },
-            },
-            GenOp::Remove { parent, name } => NfsRequest::Remove {
-                dir: fh(*parent)?,
-                name: name.clone(),
-            },
-            GenOp::Rename {
-                from,
-                from_name,
-                to,
-                to_name,
-            } => NfsRequest::Rename {
-                from_dir: fh(*from)?,
-                from_name: from_name.clone(),
-                to_dir: fh(*to)?,
-                to_name: to_name.clone(),
-            },
-            GenOp::Readdir { slot } => NfsRequest::Readdir {
-                dir: fh(*slot)?,
-                cookie: 0,
-                cookieverf: 0,
-                count: 64 * 1024,
-            },
-            GenOp::Getattr { slot } => NfsRequest::Getattr { fh: fh(*slot)? },
-            GenOp::Commit { slot } => NfsRequest::Commit {
-                fh: fh(*slot)?,
-                offset: 0,
-                count: 0,
-            },
-        })
-    }
-
-    fn issue(&mut self, io: &mut ClientIo<'_, '_>) {
-        while self.pc < self.scenario.ops.len() {
-            match self.request_for(self.pc) {
-                Some(req) => {
-                    self.issued.push(self.pc);
-                    io.call(self.pc as u64, req);
-                    return;
-                }
-                None => {
-                    self.skipped.push(self.pc);
-                    self.pc += 1;
-                }
-            }
-        }
-        self.done = true;
-    }
-}
-
-impl Workload for DriverWorkload {
-    fn start(&mut self, io: &mut ClientIo<'_, '_>) {
-        self.issue(io);
-    }
-
-    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply) {
-        let idx = tag as usize;
-        if reply.status == NfsStatus::JukeBox {
-            // Not executed; retry the same op under a fresh xid.
-            if let Some(req) = self.request_for(idx) {
-                self.issued.push(idx);
-                io.call(tag, req);
-                return;
-            }
-        }
-        if let (GenOp::LookupBind { slot, .. }, ReplyBody::Lookup { fh, .. }) =
-            (&self.scenario.ops[idx], &reply.body)
-        {
-            if reply.status == NfsStatus::Ok {
-                self.slots[*slot] = Some(*fh);
-            }
-        }
-        self.pc = idx + 1;
-        self.issue(io);
-    }
-
-    fn finished(&self) -> bool {
-        self.done
-    }
+    ops
 }
 
 /// A server class the explorer can crash.
@@ -576,7 +381,7 @@ pub struct RunOutcome {
     pub stalled: bool,
     /// History records that completed (reply reached the workload).
     pub completed_ops: usize,
-    /// Scenario ops skipped because a handle slot never bound.
+    /// Scenario steps skipped because a handle slot never bound.
     pub skipped_ops: usize,
     /// Everything every oracle found (empty = run passed).
     pub violations: Vec<Violation>,
@@ -662,15 +467,13 @@ impl Mode {
 /// `reference` snapshot is supplied — WAL-replay namespace equivalence.
 pub fn run_schedule(
     seed: u64,
-    scenario: &Scenario,
+    scenario: &[Step],
     schedule: &Schedule,
     reference: Option<&VolumeSnapshot>,
     mode: Mode,
 ) -> RunOutcome {
-    let mut ens = SliceEnsemble::build(
-        &mode.config(seed),
-        vec![Box::new(DriverWorkload::new(scenario.clone()))],
-    );
+    let script = ScriptWorkload::new(scenario.to_vec(), RECEIPT + 1);
+    let mut ens = SliceEnsemble::build(&mode.config(seed), vec![Box::new(script)]);
     ens.start();
 
     // Expand events into a sorted `(ms, event, is_end)` timeline: each
@@ -739,8 +542,8 @@ pub fn run_schedule(
     }
 
     let histories = ens.histories();
-    let driver = ens.client(0).workload_as::<DriverWorkload>();
-    violations.extend(check_expectations(scenario, driver, histories[0]));
+    let script = ens.client(0).workload_as::<ScriptWorkload>();
+    violations.extend(check_expectations(scenario, script, histories[0]));
     let (hist_violations, oracle_stats) = check_histories(&histories);
     violations.extend(hist_violations);
     violations.extend(if schedule.events.is_empty() {
@@ -769,57 +572,43 @@ pub fn run_schedule(
             .iter()
             .filter(|r| r.end.is_some())
             .count(),
-        skipped_ops: driver.skipped.len(),
+        skipped_ops: script.skipped.len(),
         violations,
         oracle_stats,
         snapshot: snap,
     }
 }
 
-/// Checks every completed op's status against the scenario's expectation.
-/// All generated ops expect `Ok`; per NFS retransmission semantics a
-/// re-executed non-idempotent op may legally answer `Exist`
+/// Checks every completed call's status against the scenario's
+/// expectation. Every generated step expects `Ok`; per NFS retransmission
+/// semantics a re-executed non-idempotent op may legally answer `Exist`
 /// (create/mkdir) or `NoEnt` (remove/rename), but only when the RPC layer
-/// actually retransmitted or the op was re-issued after a JukeBox bounce.
+/// actually retransmitted it. (The script's own `errors` are not
+/// consulted: they hold exactly these tolerated answers.)
 fn check_expectations(
-    scenario: &Scenario,
-    driver: &DriverWorkload,
+    scenario: &[Step],
+    script: &ScriptWorkload,
     hist: &OpHistory,
 ) -> Vec<Violation> {
-    let mut v = Vec::new();
     let records = hist.records();
-    if records.len() != driver.issued.len() {
-        v.push(Violation::new(
-            "recorder",
-            format!(
-                "driver issued {} calls, history holds {} records",
-                driver.issued.len(),
-                records.len()
-            ),
-        ));
-        return v;
+    if records.len() != script.issued.len() {
+        let detail = format!(
+            "script issued {} calls, history holds {} records",
+            script.issued.len(),
+            records.len()
+        );
+        return vec![Violation::new("recorder", detail)];
     }
-    // Multiple records per op index are possible (JukeBox re-issue); the
-    // last one is the authoritative outcome.
-    let mut last: Vec<Option<usize>> = vec![None; scenario.ops.len()];
-    let mut reissued = vec![false; scenario.ops.len()];
-    for (ri, &oi) in driver.issued.iter().enumerate() {
-        if last[oi].is_some() {
-            reissued[oi] = true;
-        }
-        last[oi] = Some(ri);
-    }
-    for (oi, ri) in last.iter().enumerate() {
-        let Some(ri) = ri else { continue };
-        let rec = &records[*ri];
+    let mut v = Vec::new();
+    for (rec, &oi) in records.iter().zip(&script.issued) {
         let Some(status) = rec.status else {
             continue; // incomplete: the stalled check reports it
         };
-        let retried = rec.retries > 0 || reissued[oi];
-        let tolerated = match (&scenario.ops[oi], status) {
+        let retried = rec.retries > 0;
+        let tolerated = match (&scenario[oi], status) {
             (_, NfsStatus::Ok) => true,
-            (GenOp::Create { .. } | GenOp::Mkdir { .. }, NfsStatus::Exist) => retried,
-            (GenOp::Remove { .. } | GenOp::Rename { .. }, NfsStatus::NoEnt) => retried,
+            (Step::Create { .. } | Step::Mkdir { .. }, NfsStatus::Exist) => retried,
+            (Step::Remove { .. } | Step::Rename { .. }, NfsStatus::NoEnt) => retried,
             _ => false,
         };
         if !tolerated {
@@ -827,7 +616,7 @@ fn check_expectations(
                 "expected_status",
                 format!(
                     "op {oi} {:?} answered {status:?} (retries {})",
-                    scenario.ops[oi], rec.retries
+                    scenario[oi], rec.retries
                 ),
             ));
         }
@@ -1152,7 +941,7 @@ pub fn sweep(seeds: &[u64], schedules_per_seed: usize, mode: Mode, threads: usiz
 /// never have reached are computed speculatively but never consulted.
 pub fn minimize(
     seed: u64,
-    scenario: &Scenario,
+    scenario: &[Step],
     schedule: &Schedule,
     reference: &VolumeSnapshot,
     mode: Mode,
@@ -1223,7 +1012,7 @@ mod tests {
         let a = generate_scenario(7, 64);
         let b = generate_scenario(7, 64);
         assert_eq!(a, b);
-        assert!(a.ops.len() >= 64);
+        assert!(a.len() >= 64);
         let c = generate_scenario(8, 64);
         assert_ne!(a, c);
     }

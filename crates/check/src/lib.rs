@@ -33,8 +33,8 @@ pub mod state;
 
 pub use explore::{
     chaos_schedules, coded_chaos_schedules, generate_scenario, minimize, reconf_schedules,
-    run_schedule, standard_schedules, sweep, DriverWorkload, GenOp, Injection, Mode, NetFault,
-    Role, RunOutcome, Scenario, Schedule, ScheduleEvent, SweepFailure, SweepReport,
+    run_schedule, standard_schedules, sweep, Injection, Mode, NetFault, Role, RunOutcome, Schedule,
+    ScheduleEvent, SweepFailure, SweepReport,
 };
 pub use oracle::{check_histories, OracleStats};
 pub use state::{

@@ -10,7 +10,9 @@
 //!   [`client::Workload`] trait that drives it;
 //! * [`actors`] — storage, directory, small-file, and coordinator actors;
 //! * [`baseline`] — the monolithic NFS and MFS comparison servers;
-//! * [`ensemble`] — builders for Slice and baseline deployments.
+//! * [`ensemble`] — builders for Slice and baseline deployments;
+//! * [`script`] — the scripted workload tests, examples and the
+//!   explorer drive ensembles with.
 
 #![forbid(unsafe_code)]
 
@@ -20,6 +22,7 @@ pub mod calib;
 pub mod client;
 pub mod ensemble;
 pub mod history;
+pub mod script;
 pub mod wire;
 
 pub use baseline::{BaselineActor, BaselineKind, MonoFs};

@@ -1,14 +1,16 @@
-//! Scripted workloads: a deterministic sequence of file-system steps with
-//! built-in verification, used by integration tests and examples.
+//! Scripted workloads: a deterministic sequence of file-system steps,
+//! each issued once the previous one answered and checked against its
+//! reply. Integration tests, examples and the `slice-check` explorer's
+//! generated scenarios all run through [`ScriptWorkload`].
 
-use slice_core::{ClientIo, Workload};
+use crate::client::{ClientIo, Workload};
 use slice_nfsproto::{Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3, StableHow};
 
 /// A handle slot; slot 0 always holds the volume root.
 pub type Slot = usize;
 
 /// One scripted step.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Step {
     /// Create a directory under `parent`, saving the handle in `save`.
     Mkdir {
@@ -139,27 +141,30 @@ pub enum Step {
         /// Expected target.
         expect: String,
     },
-    /// Read the whole directory, expecting exactly `expect` entries.
-    ReaddirCount {
+    /// Read the whole directory, page by page; with `expect`, it must
+    /// hold exactly that many entries.
+    Readdir {
         /// Directory slot.
         fh: Slot,
-        /// Expected entry count.
-        expect: usize,
+        /// Expected entry count, if asserted.
+        expect: Option<usize>,
     },
 }
 
-/// Executes steps sequentially, validating each reply.
+/// Executes steps sequentially, validating each reply. One call is in
+/// flight at a time, so program order is real-time order and a recorded
+/// history is sequential.
 pub struct ScriptWorkload {
     steps: Vec<Step>,
     pc: usize,
     slots: Vec<Option<Fhandle>>,
     /// Accumulated validation failures (empty on success).
     pub errors: Vec<String>,
+    /// The step index of each call, in call order (a paged listing makes
+    /// several calls for one step).
+    pub issued: Vec<usize>,
     /// Steps skipped because a slot they name never bound.
     pub skipped: Vec<usize>,
-    /// Per-step client-observed latency, indexed like `steps`.
-    pub step_latencies: Vec<slice_sim::SimDuration>,
-    issued_at: Option<slice_sim::SimTime>,
     done: bool,
     /// Readdir pagination state.
     readdir_seen: usize,
@@ -167,7 +172,8 @@ pub struct ScriptWorkload {
 }
 
 impl ScriptWorkload {
-    /// Builds a script with `slots` handle slots (slot 0 = root).
+    /// Builds a script with `slots` handle slots (slot 0 = root); a save
+    /// past the last one grows the table.
     pub fn new(steps: Vec<Step>, slots: usize) -> Self {
         let mut s = vec![None; slots.max(1)];
         s[0] = Some(Fhandle::root());
@@ -176,9 +182,8 @@ impl ScriptWorkload {
             pc: 0,
             slots: s,
             errors: Vec::new(),
+            issued: Vec::new(),
             skipped: Vec::new(),
-            step_latencies: Vec::new(),
-            issued_at: None,
             done: false,
             readdir_seen: 0,
             readdir_cookie: 0,
@@ -193,6 +198,13 @@ impl ScriptWorkload {
     /// The handle in `slot`, if it ever bound.
     fn fh(&self, slot: Slot) -> Option<Fhandle> {
         self.slots.get(slot).copied().flatten()
+    }
+
+    fn bind(&mut self, slot: Slot, fh: Fhandle) {
+        if slot >= self.slots.len() {
+            self.slots.resize(slot + 1, None);
+        }
+        self.slots[slot] = Some(fh);
     }
 
     /// The call `step` makes, or `None` when a slot it names never bound.
@@ -285,11 +297,11 @@ impl ScriptWorkload {
                 attr: Sattr3::default(),
             },
             Step::Readlink { fh, .. } => NfsRequest::Readlink { fh: self.fh(fh)? },
-            Step::ReaddirCount { fh, .. } => NfsRequest::Readdir {
+            Step::Readdir { fh, .. } => NfsRequest::Readdir {
                 dir: self.fh(fh)?,
                 cookie: self.readdir_cookie,
                 cookieverf: 0,
-                count: 8192,
+                count: 64 * 1024,
             },
         })
     }
@@ -299,7 +311,7 @@ impl ScriptWorkload {
     fn issue(&mut self, io: &mut ClientIo<'_, '_>) {
         while self.pc < self.steps.len() {
             if let Some(req) = self.request(&self.steps[self.pc]) {
-                self.issued_at = Some(io.now());
+                self.issued.push(self.pc);
                 io.call(self.pc as u64, req);
                 return;
             }
@@ -321,7 +333,7 @@ impl ScriptWorkload {
                 if reply.status != NfsStatus::Ok {
                     fail(self, format!("create/mkdir {name}: {:?}", reply.status));
                 } else if let ReplyBody::Create { fh: Some(fh) } = &reply.body {
-                    self.slots[save] = Some(*fh);
+                    self.bind(save, *fh);
                 } else {
                     fail(self, format!("create/mkdir {name}: no handle"));
                 }
@@ -337,7 +349,7 @@ impl ScriptWorkload {
                     fail(self, format!("lookup {name}: status {:?}", reply.status));
                 } else if ok {
                     if let ReplyBody::Lookup { fh, .. } = &reply.body {
-                        self.slots[save] = Some(*fh);
+                        self.bind(save, *fh);
                     }
                 }
             }
@@ -389,35 +401,34 @@ impl ScriptWorkload {
                 if reply.status != NfsStatus::Ok {
                     fail(self, format!("symlink: {:?}", reply.status));
                 } else if let ReplyBody::Create { fh: Some(fh) } = &reply.body {
-                    self.slots[save] = Some(*fh);
+                    self.bind(save, *fh);
                 }
             }
             Step::Readlink { expect, .. } => match &reply.body {
                 ReplyBody::Readlink { target } if *target == expect => {}
                 other => fail(self, format!("readlink: {other:?}")),
             },
-            Step::ReaddirCount { expect, .. } => {
+            Step::Readdir { expect, .. } => {
                 if let ReplyBody::Readdir { entries, eof, .. } = &reply.body {
                     self.readdir_seen += entries.len();
                     if !eof {
-                        // Continue paging: stay on this step.
+                        // Page on: stay on this step, re-issued from the
+                        // last cookie.
                         self.readdir_cookie = entries
                             .last()
                             .map(|e| e.cookie)
                             .unwrap_or(self.readdir_cookie);
-                        return; // pc unchanged; re-issue below
+                        return;
                     }
-                    if self.readdir_seen != expect {
-                        fail(
-                            self,
-                            format!("readdir: {} entries, wanted {expect}", self.readdir_seen),
-                        );
+                    let seen = self.readdir_seen;
+                    if let Some(want) = expect.filter(|&want| want != seen) {
+                        fail(self, format!("readdir: {seen} entries, wanted {want}"));
                     }
-                    self.readdir_seen = 0;
-                    self.readdir_cookie = 0;
                 } else {
                     fail(self, format!("readdir: {:?}", reply.status));
                 }
+                self.readdir_seen = 0;
+                self.readdir_cookie = 0;
             }
         }
         self.pc += 1;
@@ -431,13 +442,8 @@ impl Workload for ScriptWorkload {
 
     fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply) {
         debug_assert_eq!(tag as usize, self.pc, "replies arrive in order");
-        if let Some(t0) = self.issued_at.take() {
-            self.step_latencies.push(io.now() - t0);
-        }
         self.check(reply);
-        if !self.done {
-            self.issue(io);
-        }
+        self.issue(io);
     }
 
     fn finished(&self) -> bool {

@@ -69,7 +69,10 @@ fn main() {
                 fh: 3,
                 expect_size: Some(128 * 1024 + 32768),
             },
-            Step::ReaddirCount { fh: 2, expect: 1 },
+            Step::Readdir {
+                fh: 2,
+                expect: Some(1),
+            },
         ],
         4,
     );

@@ -276,7 +276,10 @@ fn symlink_readdir_and_truncate() {
             fh: 4,
             expect: "f1".into(),
         },
-        Step::ReaddirCount { fh: 1, expect: 3 },
+        Step::Readdir {
+            fh: 1,
+            expect: Some(3),
+        },
         // Truncate shrinks data.
         Step::Write {
             fh: 2,
@@ -329,7 +332,10 @@ fn name_hashing_ensemble_end_to_end() {
         });
     }
     // Readdir chains across all four sites.
-    steps.push(Step::ReaddirCount { fh: 1, expect: 24 });
+    steps.push(Step::Readdir {
+        fh: 1,
+        expect: Some(24),
+    });
     let ens = run_script(&cfg, ScriptWorkload::new(steps, 3));
     // Entries really are spread over the sites.
     let counts: Vec<usize> = ens

@@ -133,8 +133,14 @@ fn quickstart(h: u64) -> u64 {
             fh: 3,
             expect_size: Some(128 * 1024 + 32768),
         },
-        Step::ReaddirCount { fh: 2, expect: 1 },
-        Step::ReaddirCount { fh: 0, expect: 1 },
+        Step::Readdir {
+            fh: 2,
+            expect: Some(1),
+        },
+        Step::Readdir {
+            fh: 0,
+            expect: Some(1),
+        },
     ];
     fold_run(h, cfg, steps, 4, |_| {}).0
 }
@@ -154,7 +160,10 @@ fn name_hashing_listing(h: u64) -> u64 {
     for i in 0..24 {
         steps.push(lookup(1, &format!("f{i}"), 2, true));
     }
-    steps.push(Step::ReaddirCount { fh: 1, expect: 24 });
+    steps.push(Step::Readdir {
+        fh: 1,
+        expect: Some(24),
+    });
     let (h, ens) = fold_run(h, cfg, steps, 3, |_| {});
     assert!(readdirs(&ens) > 1, "the listing must page across sites");
     h
@@ -204,8 +213,14 @@ fn namespace_ops(h: u64) -> u64 {
             expect_size: Some(100),
         },
         read(5, 0, 100, 5),
-        Step::ReaddirCount { fh: 2, expect: 3 },
-        Step::ReaddirCount { fh: 1, expect: 0 },
+        Step::Readdir {
+            fh: 2,
+            expect: Some(3),
+        },
+        Step::Readdir {
+            fh: 1,
+            expect: Some(0),
+        },
         Step::Rmdir {
             parent: 0,
             name: "a".into(),
@@ -217,7 +232,10 @@ fn namespace_ops(h: u64) -> u64 {
         },
         lookup(2, "hard", 6, true),
         read(6, 0, 100, 5),
-        Step::ReaddirCount { fh: 0, expect: 1 },
+        Step::Readdir {
+            fh: 0,
+            expect: Some(1),
+        },
     ];
     fold_run(h, SliceConfig::default(), steps, 7, |_| {}).0
 }

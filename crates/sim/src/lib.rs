@@ -42,5 +42,5 @@ pub use net::NetConfig;
 pub use par::{default_threads, run_indexed};
 pub use rng::Rng;
 pub use slice_obs::{EventKind, Obs, Subsystem};
-pub use stats::{render_table, LatencyStats, RateCounter, Series};
+pub use stats::{render_table, LatencyStats, Series};
 pub use time::{SimDuration, SimTime};

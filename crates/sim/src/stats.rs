@@ -1,7 +1,7 @@
-//! Measurement helpers: latency distributions and rate counters used by the
-//! workload generators and the experiment harness.
+//! Measurement helpers: latency distributions and labelled series used by
+//! the workload generators and the experiment harness.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Accumulates latency samples and reports summary statistics.
 #[derive(Debug, Clone, Default)]
@@ -53,52 +53,10 @@ impl LatencyStats {
         SimDuration::from_nanos(self.samples[idx])
     }
 
-    /// Largest sample; zero if empty.
-    pub fn max(&self) -> SimDuration {
-        SimDuration::from_nanos(self.samples.iter().copied().max().unwrap_or(0))
-    }
-
     /// Merges another recorder's samples into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
         self.samples.extend_from_slice(&other.samples);
         self.sorted = false;
-    }
-}
-
-/// Counts events over a window to produce a rate.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RateCounter {
-    count: u64,
-    started: SimTime,
-}
-
-impl RateCounter {
-    /// Creates a counter whose window opens at `start`.
-    pub fn new(start: SimTime) -> Self {
-        RateCounter {
-            count: 0,
-            started: start,
-        }
-    }
-
-    /// Adds `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-
-    /// Total events counted.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Events per second as of `now`; zero for an empty window.
-    pub fn rate(&self, now: SimTime) -> f64 {
-        let secs = (now - self.started).as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.count as f64 / secs
-        }
     }
 }
 
@@ -176,7 +134,6 @@ mod tests {
         assert_eq!(l.mean(), SimDuration::from_micros(5500));
         assert_eq!(l.quantile(0.5), SimDuration::from_millis(6));
         assert_eq!(l.quantile(1.0), SimDuration::from_millis(10));
-        assert_eq!(l.max(), SimDuration::from_millis(10));
     }
 
     #[test]
@@ -195,15 +152,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn rates() {
-        let mut r = RateCounter::new(SimTime::ZERO);
-        r.add(500);
-        let now = SimTime::ZERO + SimDuration::from_secs(2);
-        assert!((r.rate(now) - 250.0).abs() < 1e-9);
-        assert_eq!(r.rate(SimTime::ZERO), 0.0);
     }
 
     #[test]

@@ -716,11 +716,10 @@ impl CoordActor {
                 }
             }
         }
-        // Surface resynchronization progress in the trace stream and the
-        // metrics registry (slice-ha availability timeline).
+        // Surface resynchronization progress in the trace stream
+        // (slice-ha availability timeline).
         for (site, done, _at, bytes) in self.coord.take_resync_events() {
             if done {
-                ctx.obs().registry.add("coord.resyncs_completed", 1);
                 ctx.trace(
                     Subsystem::Coord,
                     EventKind::ResyncDone {
@@ -729,7 +728,6 @@ impl CoordActor {
                     },
                 );
             } else {
-                ctx.obs().registry.add("coord.resyncs_started", 1);
                 ctx.trace(
                     Subsystem::Coord,
                     EventKind::ResyncStart {

@@ -576,7 +576,6 @@ impl Actor<Wire> for ClientActor {
                 // records the outcome, and the stats count it.
                 let rec = self.inner.pending.remove(&xid).expect("checked");
                 self.inner.stats.timeouts += 1;
-                ctx.obs().registry.add("client.rpc_timeouts", 1);
                 let reply = NfsReply::error(rec.proc, slice_nfsproto::NfsStatus::Io);
                 self.complete(ctx, xid, rec, reply);
                 return;

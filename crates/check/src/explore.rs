@@ -583,8 +583,9 @@ pub fn run_schedule(
 /// expectation. Every generated step expects `Ok`; per NFS retransmission
 /// semantics a re-executed non-idempotent op may legally answer `Exist`
 /// (create/mkdir) or `NoEnt` (remove/rename), but only when the RPC layer
-/// actually retransmitted it. (The script's own `errors` are not
-/// consulted: they hold exactly these tolerated answers.)
+/// actually retransmitted it. The script's own `errors` are not the
+/// verdict: they also hold these tolerated answers and short reads past
+/// a file's end.
 fn check_expectations(
     scenario: &[Step],
     script: &ScriptWorkload,

@@ -687,6 +687,43 @@ mod tests {
         assert_eq!(keyed, 0, "a removed object leaves an entry behind");
     }
 
+    /// Offsets far apart, up to the last block below 2^62, read back on
+    /// a retaining and a metadata-only node.
+    #[test]
+    fn hostile_offsets_read_back() {
+        for retain_data in [true, false] {
+            let mut n = StorageNode::new(&StorageNodeConfig {
+                retain_data,
+                ..StorageNodeConfig::default()
+            });
+            let offsets = [0, 1 << 40, (1 << 62) - STORAGE_BLOCK];
+            for (i, &offset) in offsets.iter().enumerate() {
+                for stable in [StableHow::Unstable, StableHow::FileSync] {
+                    let w = NfsRequest::Write {
+                        fh: fh(3),
+                        offset,
+                        stable,
+                        data: vec![i as u8 + 1; STORAGE_BLOCK as usize],
+                    };
+                    n.handle_nfs(t0(), &w);
+                }
+            }
+            for (i, &offset) in offsets.iter().enumerate() {
+                let r = NfsRequest::Read {
+                    fh: fh(3),
+                    offset,
+                    count: STORAGE_BLOCK as u32,
+                };
+                let (_, reply) = n.handle_nfs(t0(), &r);
+                let ReplyBody::Read { data, .. } = reply.body else {
+                    panic!("unexpected body {:?}", reply.body);
+                };
+                let byte = if retain_data { i as u8 + 1 } else { 0 };
+                assert_eq!(data, vec![byte; STORAGE_BLOCK as usize], "at {offset}");
+            }
+        }
+    }
+
     #[test]
     fn write_then_read_roundtrip() {
         let mut n = node();

@@ -6,6 +6,7 @@
 //! of cache. This LRU tracks *which* items are resident and charges evictions
 //! to the caller; the cached payloads themselves live with the owning actor.
 
+use crate::block_table::{BlockKey, BlockTable};
 use crate::fxmap::FxHashMap;
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
@@ -13,11 +14,63 @@ use std::hash::Hash;
 /// Slab index meaning "no neighbour".
 const NIL: u32 = u32::MAX;
 
-/// One resident entry: a node of the recency list, stored in the slab.
+/// Where an [`LruCache`] finds a resident key's slot in its slab.
+///
+/// The default is a hash map per key; a cache of blocks that arrive in
+/// runs uses a [`BlockTable`], which hashes pages of neighbouring blocks
+/// instead. Either way there is one recency list, in the slab.
+pub trait SlotIndex<K>: Default {
+    /// The slot of `key`, if resident.
+    fn slot(&self, key: &K) -> Option<u32>;
+
+    /// The slot of `key` if resident; otherwise records `slot` for it and
+    /// returns `None`.
+    fn slot_or_insert(&mut self, key: &K, slot: u32) -> Option<u32>;
+
+    /// Forgets `key`, returning its slot.
+    fn remove(&mut self, key: &K) -> Option<u32>;
+}
+
+impl<K: Eq + Hash + Clone> SlotIndex<K> for FxHashMap<K, u32> {
+    fn slot(&self, key: &K) -> Option<u32> {
+        self.get(key).copied()
+    }
+
+    fn slot_or_insert(&mut self, key: &K, slot: u32) -> Option<u32> {
+        match self.entry(key.clone()) {
+            Entry::Occupied(e) => Some(*e.get()),
+            Entry::Vacant(e) => {
+                e.insert(slot);
+                None
+            }
+        }
+    }
+
+    fn remove(&mut self, key: &K) -> Option<u32> {
+        FxHashMap::remove(self, key)
+    }
+}
+
+impl<K: BlockKey> SlotIndex<K> for BlockTable<K> {
+    fn slot(&self, key: &K) -> Option<u32> {
+        self.get(*key)
+    }
+
+    fn slot_or_insert(&mut self, key: &K, slot: u32) -> Option<u32> {
+        self.get_or_insert(*key, slot)
+    }
+
+    fn remove(&mut self, key: &K) -> Option<u32> {
+        BlockTable::remove(self, *key)
+    }
+}
+
+/// One entry of the recency list, stored in the slab. A slot on the free
+/// list keeps its last key and a default value until it is reused.
 #[derive(Debug, Clone)]
-struct Node<K> {
-    /// `None` while the slot sits on the free list.
-    key: Option<K>,
+struct Node<K, V> {
+    key: K,
+    value: V,
     size: u64,
     /// Neighbour towards the cold end.
     prev: u32,
@@ -25,20 +78,20 @@ struct Node<K> {
     next: u32,
 }
 
-/// An LRU set with a byte capacity.
+/// An LRU set with a byte capacity and a value of type `V` per entry.
 ///
-/// One hash map from key to slab slot, and a doubly linked recency list
+/// An index `I` from key to slab slot, and a doubly linked recency list
 /// threaded through the slab (`head` coldest, `tail` hottest): a hit is
-/// one hash lookup and an O(1) relink. Eviction is strict LRU — victims
+/// one index lookup and an O(1) relink. Eviction is strict LRU — victims
 /// leave in exactly the order they were last touched — because the
 /// simulated disk traffic, and so every latency figure, depends on which
-/// block is evicted when.
+/// block is evicted when. An entry's value leaves with it.
 #[derive(Debug, Clone)]
-pub struct LruCache<K: Eq + Hash + Clone> {
+pub struct LruCache<K, V = (), I = FxHashMap<K, u32>> {
     capacity: u64,
     used: u64,
-    map: FxHashMap<K, u32>,
-    slab: Vec<Node<K>>,
+    index: I,
+    slab: Vec<Node<K, V>>,
     free: Vec<u32>,
     head: u32,
     tail: u32,
@@ -48,12 +101,19 @@ pub struct LruCache<K: Eq + Hash + Clone> {
 }
 
 impl<K: Eq + Hash + Clone> LruCache<K> {
-    /// Creates a cache holding at most `capacity` bytes.
+    /// Creates a cache of bare keys holding at most `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
+        Self::with_capacity(capacity)
+    }
+}
+
+impl<K: Clone, V: Default, I: SlotIndex<K>> LruCache<K, V, I> {
+    /// Creates a cache holding at most `capacity` bytes.
+    pub fn with_capacity(capacity: u64) -> Self {
         LruCache {
             capacity,
             used: 0,
-            map: FxHashMap::default(),
+            index: I::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -76,12 +136,17 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slab.len() - self.free.len()
     }
 
     /// True when no entries are resident.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
+    }
+
+    /// The key-to-slot index.
+    pub fn index(&self) -> &I {
+        &self.index
     }
 
     /// Unlinks slot `i` from the recency list.
@@ -115,97 +180,107 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
         self.tail = i;
     }
 
+    /// Moves slot `i` to the hot end.
+    fn touch(&mut self, i: u32) {
+        if self.tail != i {
+            self.unlink(i);
+            self.push_hot(i);
+        }
+    }
+
     /// Looks up `key`, refreshing recency; records a hit or miss.
     pub fn get(&mut self, key: &K) -> bool {
-        match self.map.get(key) {
-            Some(&i) => {
+        self.get_mut(key).is_some()
+    }
+
+    /// [`get`](Self::get), returning the entry's value on a hit.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        match self.index.slot(key) {
+            Some(i) => {
                 self.hits += 1;
-                if self.tail != i {
-                    self.unlink(i);
-                    self.push_hot(i);
-                }
-                true
+                self.touch(i);
+                Some(&mut self.slab[i as usize].value)
             }
             None => {
                 self.misses += 1;
-                false
+                None
             }
         }
     }
 
     /// Checks residency without recency or statistics side effects.
     pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
+        self.index.slot(key).is_some()
     }
 
-    /// Inserts (or resizes) `key` at `size` bytes, returning the keys
-    /// evicted to make room. An entry larger than the whole capacity is
-    /// admitted alone (matching a buffer cache that must stage the block).
+    /// Inserts (or resizes) `key` at `size` bytes with the default value,
+    /// returning the keys evicted to make room. An entry larger than the
+    /// whole capacity is admitted alone (matching a buffer cache that
+    /// must stage the block).
     pub fn insert(&mut self, key: K, size: u64) -> Vec<K> {
         let mut evicted = Vec::new();
-        self.insert_with(key, size, |victim| evicted.push(victim));
+        self.insert_with(key, size, V::default(), |victim| evicted.push(victim));
         evicted
     }
 
-    /// [`insert`](Self::insert), handing each evicted key to `on_evict`
-    /// (coldest first) instead of collecting them: the per-block path of
-    /// a buffer cache evicts on nearly every insert and has no use for a
-    /// fresh `Vec` each time.
-    pub fn insert_with(&mut self, key: K, size: u64, mut on_evict: impl FnMut(K)) {
-        match self.map.entry(key) {
-            Entry::Occupied(e) => {
-                let i = *e.get();
+    /// [`insert`](Self::insert) with `value`, forgetting the victims and
+    /// their values: the per-block path of a buffer cache evicts on
+    /// nearly every insert and has no use for a fresh `Vec` each time.
+    pub fn admit(&mut self, key: K, size: u64, value: V) {
+        self.insert_with(key, size, value, drop);
+    }
+
+    fn insert_with(&mut self, key: K, size: u64, value: V, mut on_evict: impl FnMut(K)) {
+        let fresh = match self.free.last() {
+            Some(&i) => i,
+            None => u32::try_from(self.slab.len()).expect("fewer than 2^32 entries"),
+        };
+        match self.index.slot_or_insert(&key, fresh) {
+            Some(i) => {
                 let node = &mut self.slab[i as usize];
                 self.used = self.used - node.size + size;
                 node.size = size;
-                if self.tail != i {
-                    self.unlink(i);
-                    self.push_hot(i);
-                }
+                node.value = value;
+                self.touch(i);
             }
-            Entry::Vacant(e) => {
+            None => {
                 let node = Node {
-                    key: Some(e.key().clone()),
+                    key,
+                    value,
                     size,
                     prev: NIL,
                     next: NIL,
                 };
-                let i = match self.free.pop() {
-                    Some(i) => {
-                        self.slab[i as usize] = node;
-                        i
-                    }
-                    None => {
-                        self.slab.push(node);
-                        (self.slab.len() - 1) as u32
-                    }
-                };
-                e.insert(i);
-                self.push_hot(i);
+                match self.free.pop() {
+                    Some(i) => self.slab[i as usize] = node,
+                    None => self.slab.push(node),
+                }
+                self.push_hot(fresh);
                 self.used += size;
             }
         }
-        while self.used > self.capacity && self.map.len() > 1 {
+        while self.used > self.capacity && self.len() > 1 {
             let victim = self.release(self.head);
-            self.map.remove(&victim);
+            self.index.remove(&victim);
             self.evictions += 1;
             on_evict(victim);
         }
     }
 
-    /// Unlinks and frees slot `i`, returning its key; the caller drops
-    /// the key's map entry.
+    /// Unlinks and frees slot `i`, dropping its value and returning its
+    /// key; the caller drops the key's index entry.
     fn release(&mut self, i: u32) -> K {
         self.unlink(i);
         let node = &mut self.slab[i as usize];
         self.used -= node.size;
+        node.value = V::default();
         self.free.push(i);
-        node.key.take().expect("resident slot has a key")
+        node.key.clone()
     }
 
     /// Removes `key` if resident; returns its size.
     pub fn remove(&mut self, key: &K) -> Option<u64> {
-        let i = self.map.remove(key)?;
+        let i = self.index.remove(key)?;
         let size = self.slab[i as usize].size;
         self.release(i);
         Some(size)
@@ -281,42 +356,45 @@ mod tests {
         assert!(c.insert(2, 20).is_empty());
     }
 
-    /// The obvious LRU: a `Vec` of `(key, size)` ordered coldest first.
+    /// The obvious LRU: a `Vec` of `(key, size, value)` ordered coldest
+    /// first.
     struct NaiveLru {
         capacity: u64,
-        order: Vec<(u32, u64)>,
+        order: Vec<(Key, u64, u64)>,
         stats: (u64, u64, u64),
     }
 
+    type Key = (u64, u64);
+
     impl NaiveLru {
-        fn pos(&self, key: u32) -> Option<usize> {
-            self.order.iter().position(|&(k, _)| k == key)
+        fn pos(&self, key: Key) -> Option<usize> {
+            self.order.iter().position(|&(k, _, _)| k == key)
         }
 
         fn used(&self) -> u64 {
-            self.order.iter().map(|&(_, s)| s).sum()
+            self.order.iter().map(|&(_, s, _)| s).sum()
         }
 
-        fn get(&mut self, key: u32) -> bool {
+        fn get(&mut self, key: Key) -> Option<u64> {
             match self.pos(key) {
                 Some(p) => {
                     let e = self.order.remove(p);
                     self.order.push(e);
                     self.stats.0 += 1;
-                    true
+                    Some(e.2)
                 }
                 None => {
                     self.stats.1 += 1;
-                    false
+                    None
                 }
             }
         }
 
-        fn insert(&mut self, key: u32, size: u64) -> Vec<u32> {
+        fn insert(&mut self, key: Key, size: u64, value: u64) -> Vec<Key> {
             if let Some(p) = self.pos(key) {
                 self.order.remove(p);
             }
-            self.order.push((key, size));
+            self.order.push((key, size, value));
             let mut evicted = Vec::new();
             while self.used() > self.capacity && self.order.len() > 1 {
                 evicted.push(self.order.remove(0).0);
@@ -325,25 +403,36 @@ mod tests {
             evicted
         }
 
-        fn remove(&mut self, key: u32) -> Option<u64> {
+        fn remove(&mut self, key: Key) -> Option<u64> {
             self.pos(key).map(|p| self.order.remove(p).1)
         }
     }
 
-    #[test]
-    fn matches_naive_reference_step_by_step() {
+    /// Drives `lru` and the naive reference through one seeded mix of
+    /// gets (with their values), inserts (victim by victim), value-setting
+    /// admits, removes and residency checks; `check` holds `lru`'s index
+    /// to the resident keys after every step.
+    fn matches_naive<I: SlotIndex<Key>>(
+        mut lru: LruCache<Key, u64, I>,
+        check: impl Fn(&I, &[Key], usize),
+    ) {
         let mut rng = crate::Rng::seed_from_u64(0x1c4);
-        let mut lru = LruCache::new(400);
         let mut naive = NaiveLru {
-            capacity: 400,
+            capacity: lru.capacity(),
             order: Vec::new(),
             stats: (0, 0, 0),
         };
         for step in 0..100_000 {
             // 96 keys over a ~50-entry budget: constant eviction pressure.
-            let key = rng.gen_range(0..96u32);
+            // They lie in three objects, in runs that share a page and
+            // runs that straddle one.
+            let k = rng.gen_range(0..96u64);
+            let key = (k % 3, (k / 3) * 5 + (k / 24) * 100);
             match rng.gen_range(0..10u32) {
-                0..=3 => assert_eq!(lru.get(&key), naive.get(key), "get at {step}"),
+                0..=3 => {
+                    let got = lru.get_mut(&key).map(|v| *v);
+                    assert_eq!(got, naive.get(key), "get at {step}");
+                }
                 4..=7 => {
                     // Mostly block-sized; sometimes a resize or an
                     // entry larger than the whole budget.
@@ -352,11 +441,17 @@ mod tests {
                         1..=30 => rng.gen_range(1..=30u64),
                         _ => 8,
                     };
-                    assert_eq!(
-                        lru.insert(key, size),
-                        naive.insert(key, size),
-                        "victims at {step}"
-                    );
+                    if rng.gen_bool(0.5) {
+                        assert_eq!(
+                            lru.insert(key, size),
+                            naive.insert(key, size, 0),
+                            "victims at {step}"
+                        );
+                    } else {
+                        let value = rng.gen_range(1..1_000u64);
+                        lru.admit(key, size, value);
+                        naive.insert(key, size, value);
+                    }
                 }
                 8 => assert_eq!(lru.remove(&key), naive.remove(key), "remove at {step}"),
                 _ => assert_eq!(
@@ -368,12 +463,35 @@ mod tests {
             assert_eq!(lru.stats(), naive.stats, "stats at {step}");
             assert_eq!(lru.used(), naive.used(), "used at {step}");
             assert_eq!(lru.len(), naive.order.len(), "len at {step}");
+            let keys: Vec<Key> = naive.order.iter().map(|&(k, _, _)| k).collect();
+            check(lru.index(), &keys, step);
         }
         let (hits, misses, evictions) = lru.stats();
         assert!(
             hits > 10_000 && misses > 1_000 && evictions > 1_000,
             "weak coverage: {hits} hits, {misses} misses, {evictions} evictions"
         );
+    }
+
+    #[test]
+    fn matches_naive_reference_step_by_step() {
+        matches_naive(
+            LruCache::<Key, u64>::with_capacity(400),
+            |index, keys, step| {
+                assert_eq!(index.len(), keys.len(), "index at {step}");
+            },
+        );
+    }
+
+    #[test]
+    fn paged_index_matches_naive_reference_step_by_step() {
+        let lru = LruCache::<Key, u64, BlockTable<Key>>::with_capacity(400);
+        matches_naive(lru, |index, keys, step| {
+            // A page per run of resident keys: an emptied page is freed.
+            let pages: std::collections::BTreeSet<_> =
+                keys.iter().map(|&k| crate::BlockKey::split(k).0).collect();
+            assert_eq!(index.pages(), pages.len(), "pages at {step}");
+        });
     }
 
     #[test]

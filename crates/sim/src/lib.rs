@@ -14,13 +14,15 @@
 //!   serialization at 1 Gb/s and jumbo frames ([`net`]).
 //! * **Disks** — per-arm seek/rotation/transfer with sequential-access
 //!   detection behind a shared channel cap ([`disk`]).
-//! * **Memory** — byte-budget LRU residency tracking ([`cache`]).
+//! * **Memory** — byte-budget LRU residency tracking ([`cache`]), indexed
+//!   by key or by pages of blocks ([`block_table`]).
 //!
 //! Everything is deterministic under a fixed seed: the event queue breaks
 //! ties by insertion order and all randomness flows from one seeded RNG.
 
 #![forbid(unsafe_code)]
 
+pub mod block_table;
 pub mod cache;
 pub mod disk;
 pub mod engine;
@@ -32,7 +34,8 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use cache::LruCache;
+pub use block_table::{BlockKey, BlockTable};
+pub use cache::{LruCache, SlotIndex};
 // Observability vocabulary, re-exported so actor crates can emit trace
 // events without naming slice-obs directly.
 pub use disk::{DiskArray, DiskParams};

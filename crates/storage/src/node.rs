@@ -20,7 +20,7 @@ use slice_nfsproto::{
     encode_read_reply, ByteBuf, Fattr3, Fhandle, FileType, NfsProc, NfsReply, NfsRequest,
     NfsStatus, NfsTime, ReplyBody, StableHow, Windows,
 };
-use slice_sim::{DiskArray, DiskParams, LruCache, SimTime};
+use slice_sim::{BlockTable, DiskArray, DiskParams, LruCache, SimTime};
 use std::ops::{Range, RangeInclusive};
 
 use crate::object::ObjectStore;
@@ -144,39 +144,50 @@ impl Default for StorageNodeConfig {
     }
 }
 
-/// FFS-style physical allocation: logical blocks of an object are laid
-/// out compactly on disk in first-write order. This is what makes a
-/// mirrored file's blocks (every other stripe of the client stream)
-/// physically adjacent on their node, so that alternating-mirror reads
-/// skip over stored-but-unread data — the "prefetched data unused" effect
-/// of Table 2.
 /// Per-object streaming state for prefetch detection.
 #[derive(Debug, Clone, Default)]
 struct StreamState {
     next_expected: u64,
 }
 
+/// FFS-style physical allocation: logical blocks of an object are laid
+/// out compactly on disk in first-write order. This is what makes a
+/// mirrored file's blocks (every other stripe of the client stream)
+/// physically adjacent on their node, so that alternating-mirror reads
+/// skip over stored-but-unread data — the "prefetched data unused" effect
+/// of Table 2.
 #[derive(Debug, Clone, Default)]
 struct PhysMap {
-    by_logical: FxHashMap<u64, u64>,
+    /// Logical block to its position in `order`.
+    by_logical: BlockTable<u64>,
+    /// Logical blocks in allocation order.
     order: Vec<u64>,
 }
 
 impl PhysMap {
     fn phys_of(&mut self, logical: u64) -> u64 {
-        *self.by_logical.entry(logical).or_insert_with(|| {
-            self.order.push(logical);
-            self.order.len() as u64 - 1
-        })
+        let next = u32::try_from(self.order.len()).expect("fewer than 2^32 blocks per object");
+        match self.by_logical.get_or_insert(logical, next) {
+            Some(phys) => u64::from(phys),
+            None => {
+                self.order.push(logical);
+                u64::from(next)
+            }
+        }
     }
 }
+
+/// The buffer cache: `(object, block)` keys, each with the completion
+/// time of its prefetch (zero once none is pending), indexed by pages of
+/// neighbouring blocks.
+type BlockCache = LruCache<(u64, u64), SimTime, BlockTable<(u64, u64)>>;
 
 /// A network storage node.
 #[derive(Debug)]
 pub struct StorageNode {
     store: ObjectStore,
     disks: DiskArray,
-    cache: LruCache<(u64, u64)>,
+    cache: BlockCache,
     /// Dirty (unstable) logical blocks per object, awaiting cluster flush
     /// or commit.
     dirty: FxHashMap<u64, Vec<u64>>,
@@ -186,9 +197,6 @@ pub struct StorageNode {
     /// wait for it.
     last_flush_done: FxHashMap<u64, SimTime>,
     streams: FxHashMap<u64, StreamState>,
-    /// Completion times of in-flight disk reads (prefetch backpressure):
-    /// a cached block may not be consumed before its disk read finishes.
-    ready_at: FxHashMap<(u64, u64), SimTime>,
     /// Write verifier; changes on every restart.
     verf: u64,
     /// Intentions whose leg ran here (what a coordinator probe asks).
@@ -207,12 +215,11 @@ impl StorageNode {
                 ObjectStore::new_metadata_only()
             },
             disks: DiskArray::new(config.disks, config.disk_params.clone(), config.channel_bps),
-            cache: LruCache::new(config.cache_bytes),
+            cache: BlockCache::with_capacity(config.cache_bytes),
             dirty: FxHashMap::default(),
             phys: FxHashMap::default(),
             last_flush_done: FxHashMap::default(),
             streams: FxHashMap::default(),
-            ready_at: FxHashMap::default(),
             verf: 1,
             completed_intents: FxHashSet::default(),
             reads: 0,
@@ -295,43 +302,27 @@ impl StorageNode {
             phys: _,
             // Hardware: what the arms have queued outlives the software.
             disks: _,
-            // Volatile.
+            // Volatile, prefetch completion times in the cache included.
             cache,
             dirty,
             last_flush_done,
             streams,
-            ready_at,
             completed_intents,
             verf,
             // Lifetime statistics.
             reads: _,
             writes: _,
         } = self;
-        *cache = LruCache::new(cache.capacity());
+        *cache = BlockCache::with_capacity(cache.capacity());
         dirty.clear();
         last_flush_done.clear();
         streams.clear();
-        ready_at.clear();
         completed_intents.clear();
         *verf += 1;
     }
 
     fn block_of(offset: u64) -> u64 {
         offset / STORAGE_BLOCK
-    }
-
-    /// Marks `key` resident. A block evicted to make room takes any
-    /// prefetch completion time it had with it.
-    fn admit(
-        cache: &mut LruCache<(u64, u64)>,
-        ready_at: &mut FxHashMap<(u64, u64), SimTime>,
-        key: (u64, u64),
-    ) {
-        cache.insert_with(key, STORAGE_BLOCK, |victim| {
-            if !ready_at.is_empty() {
-                ready_at.remove(&victim);
-            }
-        });
     }
 
     /// Reads blocks through the cache; returns the completion time.
@@ -347,14 +338,12 @@ impl StorageNode {
         for b in first..=last {
             let phys = phys_map.phys_of(b);
             last_phys = phys;
-            if self.cache.get(&(obj, b)) {
+            if let Some(ready) = self.cache.get_mut(&(obj, b)) {
                 // Resident, but a prefetch in flight must finish first.
-                if let Some(&ready) = self.ready_at.get(&(obj, b)) {
-                    if ready > now {
-                        done = done.max(ready);
-                    } else {
-                        self.ready_at.remove(&(obj, b));
-                    }
+                if *ready > now {
+                    done = done.max(*ready);
+                } else {
+                    *ready = SimTime::ZERO;
                 }
                 continue;
             }
@@ -366,7 +355,7 @@ impl StorageNode {
                 false,
             );
             done = done.max(t);
-            Self::admit(&mut self.cache, &mut self.ready_at, (obj, b));
+            self.cache.admit((obj, b), STORAGE_BLOCK, SimTime::ZERO);
         }
         // Sequential prefetch up to PREFETCH_BYTES beyond the access, in
         // physical order.
@@ -389,8 +378,7 @@ impl StorageNode {
                     STORAGE_BLOCK as usize,
                     false,
                 );
-                self.ready_at.insert((obj, logical), t);
-                Self::admit(&mut self.cache, &mut self.ready_at, (obj, logical));
+                self.cache.admit((obj, logical), STORAGE_BLOCK, t);
             }
         }
         done
@@ -431,10 +419,7 @@ impl StorageNode {
         self.writes += 1;
         let blocks = Self::block_of(offset)..=Self::block_of(offset + len.max(1) as u64 - 1);
         for b in blocks.clone() {
-            if !self.ready_at.is_empty() {
-                self.ready_at.remove(&(obj, b));
-            }
-            Self::admit(&mut self.cache, &mut self.ready_at, (obj, b));
+            self.cache.admit((obj, b), STORAGE_BLOCK, SimTime::ZERO);
         }
         blocks
     }
@@ -685,10 +670,35 @@ mod tests {
         }
         let keyed = n.dirty.len() + n.streams.len() + n.phys.len() + n.last_flush_done.len();
         assert_eq!(keyed, 0, "a removed object leaves an entry behind");
+        let phys_pages: usize = n.phys.values().map(|p| p.by_logical.pages()).sum();
+        assert_eq!(phys_pages, 0, "a removed object leaves a PhysMap page");
+
+        // A cache of eight blocks: object 1's three blocks are evicted by
+        // sixteen of object 2's, whose resident eight share one page.
+        let mut n = StorageNode::new(&StorageNodeConfig {
+            cache_bytes: 8 * STORAGE_BLOCK,
+            ..StorageNodeConfig::default()
+        });
+        for (obj, blocks) in [(1u64, 3u64), (2, 16)] {
+            let w = NfsRequest::Write {
+                fh: fh(obj),
+                offset: 0,
+                stable: StableHow::Unstable,
+                data: vec![1; (blocks * STORAGE_BLOCK) as usize],
+            };
+            n.handle_nfs(t0(), &w);
+        }
+        assert!((0..3).all(|b| !n.cache.contains(&(1, b))));
+        assert_eq!(n.cache.len(), 8);
+        assert_eq!(
+            n.cache.index().pages(),
+            1,
+            "an evicted object leaves a cache-index page"
+        );
     }
 
     /// Offsets far apart, up to the last block below 2^62, read back on
-    /// a retaining and a metadata-only node.
+    /// a retaining and a metadata-only node, with a table page per block.
     #[test]
     fn hostile_offsets_read_back() {
         for retain_data in [true, false] {
@@ -721,6 +731,9 @@ mod tests {
                 let byte = if retain_data { i as u8 + 1 } else { 0 };
                 assert_eq!(data, vec![byte; STORAGE_BLOCK as usize], "at {offset}");
             }
+            // Memory follows the pages touched, not the largest offset.
+            assert_eq!(n.phys[&3].by_logical.pages(), offsets.len());
+            assert_eq!(n.cache.index().pages(), offsets.len());
         }
     }
 

@@ -14,6 +14,7 @@
 
 use slice_sim::FxHashMap;
 use std::collections::hash_map::Entry;
+use std::collections::BTreeSet;
 
 use slice_nfsproto::{Fattr3, Fhandle, FileType, NfsTime};
 use slice_sim::{LruCache, SimDuration, SimTime};
@@ -55,6 +56,9 @@ impl CachedAttr {
 #[derive(Debug)]
 pub struct AttrCache {
     entries: FxHashMap<u64, CachedAttr>,
+    /// The files whose entry is dirty, in file order: the periodic
+    /// write-back visits these, not every resident entry.
+    dirty: BTreeSet<u64>,
     lru: LruCache<u64>,
     hits: u64,
     misses: u64,
@@ -69,6 +73,7 @@ impl AttrCache {
     pub fn new(capacity: usize) -> Self {
         AttrCache {
             entries: FxHashMap::default(),
+            dirty: BTreeSet::new(),
             lru: LruCache::new(capacity as u64),
             hits: 0,
             misses: 0,
@@ -136,29 +141,47 @@ impl AttrCache {
         edit: impl FnOnce(&mut CachedAttr),
     ) -> Vec<CachedAttr> {
         let file = fh.file_id();
-        match self.entries.entry(file) {
-            Entry::Occupied(e) => {
-                edit(e.into_mut());
-                self.lru.get(&file);
-                Vec::new()
-            }
-            Entry::Vacant(e) => {
-                edit(e.insert(CachedAttr {
+        let (e, resident) = match self.entries.entry(file) {
+            Entry::Occupied(e) => (e.into_mut(), true),
+            Entry::Vacant(e) => (
+                e.insert(CachedAttr {
                     fh: *fh,
                     attr,
                     dirty: false,
                     dirty_since: now,
                     version: 0,
                     last_pushed_version: None,
-                }));
-                self.lru
-                    .insert(file, 1)
-                    .into_iter()
-                    .filter_map(|v| self.entries.remove(&v))
-                    .filter(|e| e.dirty)
-                    .collect()
+                }),
+                false,
+            ),
+        };
+        let was_dirty = e.dirty;
+        edit(e);
+        match (was_dirty, e.dirty) {
+            (false, true) => {
+                self.dirty.insert(file);
+            }
+            (true, false) => {
+                self.dirty.remove(&file);
+            }
+            _ => {}
+        }
+        if resident {
+            self.lru.get(&file);
+            return Vec::new();
+        }
+        let mut evicted = Vec::new();
+        for victim in self.lru.insert(file, 1) {
+            let e = self
+                .entries
+                .remove(&victim)
+                .expect("an LRU key has an entry");
+            if e.dirty {
+                self.dirty.remove(&victim);
+                evicted.push(e);
             }
         }
+        evicted
     }
 
     /// Installs authoritative attributes from a directory-server response.
@@ -249,19 +272,20 @@ impl AttrCache {
     /// per interval.
     pub fn take_stale_dirty(&mut self, now: SimTime, interval: SimDuration) -> Vec<CachedAttr> {
         let mut out = Vec::new();
-        let mut retries = 0;
-        for e in self.entries.values_mut() {
-            if e.dirty && now - e.dirty_since >= interval {
+        for file in &self.dirty {
+            let e = self
+                .entries
+                .get_mut(file)
+                .expect("a dirty file has an entry");
+            if now - e.dirty_since >= interval {
                 e.dirty_since = now;
                 if e.last_pushed_version == Some(e.version) {
-                    retries += 1;
+                    self.push_retries += 1;
                 }
                 e.last_pushed_version = Some(e.version);
                 out.push(e.clone());
             }
         }
-        self.push_retries += retries;
-        out.sort_by_key(|e| e.fh.file_id());
         out
     }
 
@@ -269,8 +293,9 @@ impl AttrCache {
     /// modification raced with the push.
     pub fn mark_clean(&mut self, file: u64, version: u64) {
         if let Some(e) = self.entries.get_mut(&file) {
-            if e.version == version {
+            if e.version == version && e.dirty {
                 e.dirty = false;
+                self.dirty.remove(&file);
             }
         }
     }
@@ -284,19 +309,21 @@ impl AttrCache {
     pub fn discard(&mut self, file: u64, version: u64) {
         if self.entries.get(&file).map(|e| e.version) == Some(version) {
             self.entries.remove(&file);
+            self.dirty.remove(&file);
             self.lru.remove(&file);
         }
     }
 
     /// True while any entry awaits a write-back acknowledgement.
     pub fn has_dirty(&self) -> bool {
-        self.entries.values().any(|e| e.dirty)
+        !self.dirty.is_empty()
     }
 
     /// Drops everything (µproxy state loss: permitted, end-to-end
     /// protocols recover).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.dirty.clear();
         self.lru = LruCache::new(self.lru.capacity());
     }
 }

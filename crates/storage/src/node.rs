@@ -158,16 +158,41 @@ struct StreamState {
 /// of Table 2.
 #[derive(Debug, Clone, Default)]
 struct PhysMap {
-    /// Logical block to its position in `order`.
-    by_logical: BlockTable<u64>,
-    /// Logical blocks in allocation order.
-    order: Vec<u64>,
+    /// `(object, logical block)` to the block's place in its object's
+    /// `order`: one table for the node, so an object of a few blocks
+    /// costs a page slot each, not a table of its own.
+    by_logical: BlockTable<(u64, u64)>,
+    /// Each object's logical blocks in allocation order.
+    order: FxHashMap<u64, Vec<u64>>,
+}
+
+/// One object's view of the [`PhysMap`], resolved once per request.
+struct ObjectPhys<'a> {
+    obj: u64,
+    by_logical: &'a mut BlockTable<(u64, u64)>,
+    order: &'a mut Vec<u64>,
 }
 
 impl PhysMap {
+    fn object(&mut self, obj: u64) -> ObjectPhys<'_> {
+        ObjectPhys {
+            obj,
+            by_logical: &mut self.by_logical,
+            order: self.order.entry(obj).or_default(),
+        }
+    }
+
+    fn remove(&mut self, obj: u64) {
+        for b in self.order.remove(&obj).unwrap_or_default() {
+            self.by_logical.remove((obj, b));
+        }
+    }
+}
+
+impl ObjectPhys<'_> {
     fn phys_of(&mut self, logical: u64) -> u64 {
         let next = u32::try_from(self.order.len()).expect("fewer than 2^32 blocks per object");
-        match self.by_logical.get_or_insert(logical, next) {
+        match self.by_logical.get_or_insert((self.obj, logical), next) {
             Some(phys) => u64::from(phys),
             None => {
                 self.order.push(logical);
@@ -191,8 +216,8 @@ pub struct StorageNode {
     /// Dirty (unstable) logical blocks per object, awaiting cluster flush
     /// or commit.
     dirty: FxHashMap<u64, Vec<u64>>,
-    /// Physical layout per object.
-    phys: FxHashMap<u64, PhysMap>,
+    /// Physical layout of every object.
+    phys: PhysMap,
     /// Completion time of the most recent flush per object; COMMIT must
     /// wait for it.
     last_flush_done: FxHashMap<u64, SimTime>,
@@ -217,7 +242,7 @@ impl StorageNode {
             disks: DiskArray::new(config.disks, config.disk_params.clone(), config.channel_bps),
             cache: BlockCache::with_capacity(config.cache_bytes),
             dirty: FxHashMap::default(),
-            phys: FxHashMap::default(),
+            phys: PhysMap::default(),
             last_flush_done: FxHashMap::default(),
             streams: FxHashMap::default(),
             verf: 1,
@@ -333,7 +358,7 @@ impl StorageNode {
         let mut done = now;
         let first = Self::block_of(offset);
         let last = Self::block_of(offset + len.max(1) as u64 - 1);
-        let phys_map = self.phys.entry(obj).or_default();
+        let mut phys_map = self.phys.object(obj);
         let mut last_phys = 0;
         for b in first..=last {
             let phys = phys_map.phys_of(b);
@@ -397,7 +422,7 @@ impl StorageNode {
         if blocks.peek().is_none() {
             return *self.last_flush_done.get(&obj).unwrap_or(&now);
         }
-        let phys_map = self.phys.entry(obj).or_default();
+        let mut phys_map = self.phys.object(obj);
         let mut done = now;
         for b in blocks {
             let phys = phys_map.phys_of(b);
@@ -583,7 +608,7 @@ impl StorageNode {
                 // others do.
                 self.dirty.remove(obj);
                 self.streams.remove(obj);
-                self.phys.remove(obj);
+                self.phys.remove(*obj);
                 self.last_flush_done.remove(obj);
                 self.completed_intents.insert(*intent);
                 // One metadata disk write to free the object's extents.
@@ -668,10 +693,13 @@ mod tests {
             n.handle_nfs(t0(), &w);
             n.handle_ctl(t0(), &StorageCtl::Remove { obj, intent: 0 });
         }
-        let keyed = n.dirty.len() + n.streams.len() + n.phys.len() + n.last_flush_done.len();
+        let keyed = n.dirty.len() + n.streams.len() + n.phys.order.len() + n.last_flush_done.len();
         assert_eq!(keyed, 0, "a removed object leaves an entry behind");
-        let phys_pages: usize = n.phys.values().map(|p| p.by_logical.pages()).sum();
-        assert_eq!(phys_pages, 0, "a removed object leaves a PhysMap page");
+        assert_eq!(
+            n.phys.by_logical.pages(),
+            0,
+            "a removed object leaves a PhysMap page"
+        );
 
         // A cache of eight blocks: object 1's three blocks are evicted by
         // sixteen of object 2's, whose resident eight share one page.
@@ -732,7 +760,7 @@ mod tests {
                 assert_eq!(data, vec![byte; STORAGE_BLOCK as usize], "at {offset}");
             }
             // Memory follows the pages touched, not the largest offset.
-            assert_eq!(n.phys[&3].by_logical.pages(), offsets.len());
+            assert_eq!(n.phys.by_logical.pages(), offsets.len());
             assert_eq!(n.cache.index().pages(), offsets.len());
         }
     }

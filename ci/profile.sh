@@ -60,8 +60,10 @@ if [ "$callsites" = 1 ]; then
         --target-dir "$out/fp-build" >&2
     bin="$out/fp-build/release/slice-benchmark"
     samples="$out/samples-$workload.txt"
-    SAMPLER_OUT="$samples" LD_PRELOAD="$out/sampler.so" \
-        "$bin" --workload "$workload" --trace 0 "${args[@]}" >"$out/run-$workload.log"
+    # The sampler writes sampler.out to the working directory at exit.
+    (cd "$out" && LD_PRELOAD="$out/sampler.so" \
+        "$bin" --workload "$workload" --trace 0 "${args[@]}" >"$out/run-$workload.log")
+    mv "$out/sampler.out" "$samples"
     python3 "$root/ci/callsites.py" "$samples" --top "$top" | tee "$out/callsites-$workload.txt"
     echo "samples: $samples" >&2
     exit 0

@@ -3,16 +3,17 @@
  * built with frame pointers (x86-64 Linux, glibc).
  *
  *   cc -O2 -shared -fPIC -o sampler.so ci/sampler.c
- *   SAMPLER_OUT=samples.txt LD_PRELOAD=./sampler.so ./program ...
+ *   LD_PRELOAD=./sampler.so ./program ...
  *
- * Every ITIMER_PROF tick of process CPU time, the handler records the
+ * Every ITIMER_PROF tick of process CPU time (1 ms asked for; the
+ * kernel's tick sets what is granted), the handler records the
  * interrupted program counter and the return addresses of the frame
  * pointer chain. A sample whose program counter lies outside the
  * executable (libc's memcpy, malloc, ...) is not built with frame
  * pointers, so its caller is taken to be the first word on the stack that
  * points into the executable's code: a heuristic, reported as such.
  *
- * At exit the file named by SAMPLER_OUT gets the process's memory map,
+ * At exit `sampler.out` in the working directory gets the memory map,
  * the dynamic symbol (or, for a local one, the library) of every program
  * counter outside the executable, and one line of hex addresses per
  * sample, innermost first.
@@ -23,7 +24,6 @@
 #include <signal.h>
 #include <stdint.h>
 #include <stdio.h>
-#include <stdlib.h>
 #include <string.h>
 #include <sys/time.h>
 #include <ucontext.h>
@@ -142,9 +142,6 @@ static void copy_maps(FILE *out) {
 }
 
 __attribute__((constructor)) static void sampler_start(void) {
-    if (!getenv("SAMPLER_OUT")) {
-        return;
-    }
     read_maps();
     struct sigaction sa;
     memset(&sa, 0, sizeof sa);
@@ -152,24 +149,18 @@ __attribute__((constructor)) static void sampler_start(void) {
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigemptyset(&sa.sa_mask);
     sigaction(SIGPROF, &sa, NULL);
-    const char *hz = getenv("SAMPLER_HZ");
-    long rate = hz ? atol(hz) : 1000;
-    struct itimerval every = {{0, 1000000 / rate}, {0, 1000000 / rate}};
+    struct itimerval every = {{0, 1000}, {0, 1000}};
     setitimer(ITIMER_PROF, &every, NULL);
 }
 
 __attribute__((destructor)) static void sampler_stop(void) {
-    const char *path = getenv("SAMPLER_OUT");
-    if (!path) {
-        return;
-    }
     struct itimerval off;
     memset(&off, 0, sizeof off);
     setitimer(ITIMER_PROF, &off, NULL);
     signal(SIGPROF, SIG_IGN);
-    FILE *out = fopen(path, "w");
+    FILE *out = fopen("sampler.out", "w");
     if (!out) {
-        perror(path);
+        perror("sampler.out");
         return;
     }
     copy_maps(out);

@@ -19,7 +19,8 @@
 # system cc) and resolves every sampled address with `addr2line -i`
 # (ci/callsites.py): self and inclusive shares per *inlined* function, and
 # the executable function that called each libc sample. The kernel's tick
-# sets the rate (250 Hz here), so read shares to the nearest percent.
+# sets the rate (CONFIG_HZ, often 250 Hz), so read shares to the nearest
+# percent.
 #
 # Run it from the repository root. Build output, samples and gmon.out go
 # under $PROFILE_DIR (default target/profile), never into the source tree.

@@ -16,6 +16,8 @@
 //! hosting actor dispatches. Requesters are identified by opaque tokens the
 //! host supplies.
 
+use std::collections::BTreeMap;
+
 use slice_ec::{Codec, CodedLayout};
 use slice_nfsproto::{ByteBuf, Windows};
 use slice_sim::FxHashMap;
@@ -79,6 +81,17 @@ pub enum Placement {
 /// `(file, [(block, replica sites)])` with blocks sorted. Every file has
 /// the coordinator's [`Placement`](Coordinator::placement).
 pub type BlockMapDump = Vec<(u64, Vec<(u64, Vec<u32>)>)>;
+
+/// One block-map entry: where a block's replicas (or shards) live.
+#[derive(Debug, Clone)]
+struct MapEntry {
+    /// Replica sites, in shard order for a coded file.
+    sites: Vec<u32>,
+    /// The id of the open `MapPin` record that makes the entry durable,
+    /// if a membership change or a migration pinned it. An unpinned entry
+    /// is `compute_sites` over the current active set.
+    pin: Option<u64>,
+}
 
 /// The kind of multisite operation an intention covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -530,8 +543,10 @@ pub struct Coordinator {
     /// Every intention logged and not yet resolved; [`Self::resolve`] is
     /// the one way out.
     open: FxHashMap<u64, OpenIntent>,
-    /// Materialized block maps, `file -> block -> sites`.
-    maps: FxHashMap<u64, FxHashMap<u64, Vec<u32>>>,
+    /// The block maps, `file -> block -> entry`: every entry assigned or
+    /// pinned so far. Pinned entries replay from the log; an unpinned one
+    /// is recomputed on demand, since every membership change pins first.
+    maps: BTreeMap<u64, BTreeMap<u64, MapEntry>>,
     /// Placement of every file.
     placement: Placement,
     /// Stripe (block) size in bytes; coded geometry derives from it.
@@ -552,9 +567,6 @@ pub struct Coordinator {
     resync_events: Vec<ResyncEvent>,
     /// Completed resyncs: `(site, started, finished, bytes)`.
     resync_history: Vec<(u32, SimTime, SimTime, u64)>,
-    /// Pinned block-map entries `(file -> block -> (record id, sites))`,
-    /// WAL-durable; they override the deterministic assignment.
-    pins: FxHashMap<u64, std::collections::BTreeMap<u64, (u64, Vec<u32>)>>,
     /// Bytes copied by completed migration ranges.
     migrated_bytes: u64,
     /// Completed drains: `(site, started, retired, bytes migrated)`.
@@ -568,7 +580,7 @@ impl Coordinator {
             wal: Wal::new(WalParams::default()),
             next_intent: 1,
             open: FxHashMap::default(),
-            maps: FxHashMap::default(),
+            maps: BTreeMap::new(),
             placement: Placement::Striped,
             stripe_unit: 64 * 1024,
             intent_timeout: SimDuration::from_secs(5),
@@ -579,7 +591,6 @@ impl Coordinator {
             marks_acked: FxHashMap::default(),
             resync_events: Vec::new(),
             resync_history: Vec::new(),
-            pins: FxHashMap::default(),
             migrated_bytes: 0,
             reconf_history: Vec::new(),
         }
@@ -648,21 +659,18 @@ impl Coordinator {
         &self.reconf_history
     }
 
-    /// Pinned block-map entries held (live soft state).
+    /// Pinned block-map entries held.
     pub fn pinned_entries(&self) -> usize {
-        self.pins.values().map(|m| m.len()).sum()
+        self.all_entries()
+            .filter(|(_, _, e)| e.pin.is_some())
+            .count()
     }
 
     /// Every durable pin: `(file, block, sites)`, sorted by file then
     /// block (for the drain oracle and deterministic audits).
     pub fn pinned_entries_dump(&self) -> Vec<(u64, u64, Vec<u32>)> {
-        let mut out: Vec<_> = self
-            .pins
-            .iter()
-            .flat_map(|(&f, p)| p.iter().map(move |(&b, (_, sites))| (f, b, sites.clone())))
-            .collect();
-        out.sort_unstable_by_key(|&(f, b, _)| (f, b));
-        out
+        let pinned = self.all_entries().filter(|(_, _, e)| e.pin.is_some());
+        pinned.map(|(f, b, e)| (f, b, e.sites.clone())).collect()
     }
 
     /// Sets the placement of every file (configuration; survives
@@ -706,7 +714,7 @@ impl Coordinator {
         self.open.len()
     }
 
-    /// Block-map entries held across all files (live soft state).
+    /// Block-map entries held across all files.
     pub fn map_entries(&self) -> usize {
         self.maps.values().map(|m| m.len()).sum()
     }
@@ -781,29 +789,20 @@ impl Coordinator {
 
     /// A sorted snapshot of the block maps for structural checking.
     pub fn block_map_dump(&self) -> BlockMapDump {
-        self.mapped_files()
-            .into_iter()
-            .map(|file| (file, self.entries(file)))
-            .collect()
+        let files = self.maps.keys();
+        files.map(|&file| (file, self.entries(file))).collect()
     }
 
-    /// Files with a materialized block map, sorted.
-    fn mapped_files(&self) -> Vec<u64> {
-        let mut files: Vec<u64> = self.maps.keys().copied().collect();
-        files.sort_unstable();
-        files
-    }
-
-    /// `file`'s materialized map entries `(block, sites)`, sorted by block.
+    /// `file`'s map entries `(block, sites)`, sorted by block.
     fn entries(&self, file: u64) -> Vec<(u64, Vec<u32>)> {
-        let map = self.maps.get(&file);
-        let mut blocks: Vec<_> = map
-            .into_iter()
-            .flatten()
-            .map(|(&b, s)| (b, s.clone()))
-            .collect();
-        blocks.sort_unstable_by_key(|&(b, _)| b);
-        blocks
+        let map = self.maps.get(&file).into_iter().flatten();
+        map.map(|(&b, e)| (b, e.sites.clone())).collect()
+    }
+
+    /// Every map entry `(file, block, entry)`, sorted by file then block.
+    fn all_entries(&self) -> impl Iterator<Item = (u64, u64, &MapEntry)> {
+        let files = self.maps.iter();
+        files.flat_map(|(&f, m)| m.iter().map(move |(&b, e)| (f, b, e)))
     }
 
     /// The deterministic assignment of one block over `active` sites
@@ -820,27 +819,17 @@ impl Coordinator {
             .collect()
     }
 
-    /// The (assigned-if-absent) site lists of `blocks` of `file`. The
-    /// file's map is created on first use with its pinned entries seeded
-    /// (pins override the deterministic assignment, and a lazily rebuilt
-    /// map — e.g. after a coordinator crash — must honor them).
+    /// The (assigned-if-absent) site lists of `blocks` of `file`.
     fn assign_blocks(&mut self, file: u64, blocks: std::ops::Range<u64>) -> Vec<Vec<u32>> {
         let active = self.assignable_sites();
         let placement = self.placement;
         let map = self.maps.entry(file).or_default();
-        if map.is_empty() {
-            if let Some(pinned) = self.pins.get(&file) {
-                for (&b, (_, sites)) in pinned {
-                    map.insert(b, sites.clone());
-                }
-            }
-        }
+        let assign = |b| MapEntry {
+            sites: Self::compute_sites(placement, &active, file, b),
+            pin: None,
+        };
         blocks
-            .map(|b| {
-                map.entry(b)
-                    .or_insert_with(|| Self::compute_sites(placement, &active, file, b))
-                    .clone()
-            })
+            .map(|b| map.entry(b).or_insert_with(|| assign(b)).sites.clone())
             .collect()
     }
 
@@ -1233,8 +1222,16 @@ impl Coordinator {
     /// previous pin of the same block so replay keeps only the newest.
     fn pin_entry(&mut self, now: SimTime, file: u64, block: u64, sites: Vec<u32>) {
         let id = self.next_id();
-        let pins = self.pins.entry(file).or_default();
-        if let Some((old_id, old_sites)) = pins.insert(block, (id, sites.clone())) {
+        let entry = MapEntry {
+            sites: sites.clone(),
+            pin: Some(id),
+        };
+        let old = self.maps.entry(file).or_default().insert(block, entry);
+        if let Some(MapEntry {
+            sites: old_sites,
+            pin: Some(old_id),
+        }) = old
+        {
             let old = IntentKind::MapPin {
                 file,
                 block,
@@ -1258,19 +1255,19 @@ impl Coordinator {
         self.sites[site as usize].state = state;
     }
 
-    /// Pins every materialized block-map entry. Membership changes alter
-    /// the deterministic assignment function, so entries materialized
-    /// under the old site set must be made durable before the set
-    /// changes — otherwise a coordinator crash would rebuild them
-    /// differently and strand the bytes.
-    fn pin_all_entries(&mut self, now: SimTime) {
-        for file in self.mapped_files() {
-            for (block, sites) in self.entries(file) {
-                if !self.pins.get(&file).is_some_and(|p| p.contains_key(&block)) {
-                    self.pin_entry(now, file, block, sites);
-                }
-            }
+    /// Pins every unpinned block-map entry and returns them `(file,
+    /// block, sites)`, sorted by file then block. Membership changes alter
+    /// the deterministic assignment function, so entries assigned under
+    /// the old site set must be made durable before the set changes —
+    /// otherwise a coordinator crash would rebuild them differently and
+    /// strand the bytes.
+    fn pin_all_entries(&mut self, now: SimTime) -> Vec<(u64, u64, Vec<u32>)> {
+        let unpinned = self.all_entries().filter(|(_, _, e)| e.pin.is_none());
+        let unpinned: Vec<_> = unpinned.map(|(f, b, e)| (f, b, e.sites.clone())).collect();
+        for (file, block, sites) in &unpinned {
+            self.pin_entry(now, *file, *block, sites.clone());
         }
+        unpinned
     }
 
     /// Re-points `file`'s `block` entry at `new_sites` (pinned, so a
@@ -1289,10 +1286,7 @@ impl Coordinator {
         sources: Vec<u32>,
         origin: u32,
     ) {
-        self.pin_entry(now, file, block, new_sites.clone());
-        if let Some(map) = self.maps.get_mut(&file) {
-            map.insert(block, new_sites);
-        }
+        self.pin_entry(now, file, block, new_sites);
         let unit = self.stripe_unit;
         self.queue_range(
             now,
@@ -1348,14 +1342,9 @@ impl Coordinator {
             return 0;
         }
         // Entries pinned before the join (widen/drain placements) are
-        // deliberate and stay put; `pin_all_entries` below pins the rest
-        // only for crash durability of the old assignment.
-        let pre_pinned: std::collections::BTreeSet<(u64, u64)> = self
-            .pinned_entries_dump()
-            .into_iter()
-            .map(|(f, b, _)| (f, b))
-            .collect();
-        self.pin_all_entries(now);
+        // deliberate and stay put; only those pinned here, for crash
+        // durability of the old assignment, may move.
+        let unpinned = self.pin_all_entries(now);
         self.log_site_change(now, site, SiteState::Active, vec![]);
         let placement = self.placement;
         if !matches!(placement, Placement::Mirrored { .. }) {
@@ -1363,22 +1352,19 @@ impl Coordinator {
         }
         let active = self.assignable_sites();
         let mut queued = 0;
-        for file in self.mapped_files() {
-            for (block, old) in self.entries(file) {
-                if old.len() < 2
-                    || old.contains(&site)
-                    || pre_pinned.contains(&(file, block))
-                    || !Self::compute_sites(placement, &active, file, block).contains(&site)
-                {
-                    continue;
-                }
-                // Move the last replica; the first keeps serving reads
-                // while the new one syncs.
-                let mut sites = old.clone();
-                *sites.last_mut().expect("non-empty entry") = site;
-                self.repoint(now, file, block, sites, site, old, NO_DRAIN);
-                queued += 1;
+        for (file, block, old) in unpinned {
+            if old.len() < 2
+                || old.contains(&site)
+                || !Self::compute_sites(placement, &active, file, block).contains(&site)
+            {
+                continue;
             }
+            // Move the last replica; the first keeps serving reads while
+            // the new one syncs.
+            let mut sites = old.clone();
+            *sites.last_mut().expect("non-empty entry") = site;
+            self.repoint(now, file, block, sites, site, old, NO_DRAIN);
+            queued += 1;
         }
         queued
     }
@@ -1398,13 +1384,10 @@ impl Coordinator {
         self.pin_all_entries(now);
         let mut moves: Vec<(u64, u64, Vec<u32>)> = Vec::new();
         if self.coded().is_none() {
-            for file in self.mapped_files() {
-                let held = self.entries(file).into_iter();
-                moves.extend(
-                    held.filter(|(_, s)| s.contains(&site))
-                        .map(|(b, s)| (file, b, s)),
-                );
-            }
+            let held = self
+                .all_entries()
+                .filter(|(_, _, e)| e.sites.contains(&site));
+            moves.extend(held.map(|(f, b, e)| (f, b, e.sites.clone())));
         }
         let objs: std::collections::BTreeSet<u64> = moves.iter().map(|&(f, _, _)| f).collect();
         self.log_site_change(
@@ -1450,15 +1433,7 @@ impl Coordinator {
         if self.sites[site as usize].drain.is_none() || self.owed().any(|r| r.origin == site) {
             return vec![];
         }
-        let referenced = self
-            .maps
-            .values()
-            .any(|m| m.values().any(|s| s.contains(&site)))
-            || self
-                .pins
-                .values()
-                .any(|p| p.values().any(|(_, s)| s.contains(&site)));
-        if referenced {
+        if self.all_entries().any(|(_, _, e)| e.sites.contains(&site)) {
             return vec![];
         }
         let record = &mut self.sites[site as usize];
@@ -1492,11 +1467,12 @@ impl Coordinator {
     /// old replica may still physically hold the bytes).
     fn map_sources(&self, target: u32, range: &DirtyRange) -> Vec<u32> {
         let block = range.offset / self.stripe_unit;
-        let Some(sites) = self.maps.get(&range.obj).and_then(|m| m.get(&block)) else {
+        let Some(entry) = self.maps.get(&range.obj).and_then(|m| m.get(&block)) else {
             return range.sources.clone();
         };
         let (lo, hi) = (range.offset, range.offset + range.len);
-        let derived: Vec<u32> = sites
+        let derived: Vec<u32> = entry
+            .sites
             .iter()
             .copied()
             .filter(|&s| {
@@ -1546,21 +1522,29 @@ impl Coordinator {
             unreachable!("fan-outs are removes and truncates");
         };
         if matches!(kind, IntentKind::Remove { .. }) {
-            // The file's pinned entries die with it (durably: a recovered
-            // coordinator must not resurrect the map of a removed file).
-            for (block, (pin_id, sites)) in self.pins.remove(&file).unwrap_or_default() {
-                self.log(
-                    now,
-                    pin_id,
-                    IntentKind::MapPin { file, block, sites },
-                    vec![],
-                    true,
-                );
+            // The file's entries die with it, its pins durably: a
+            // recovered coordinator must not resurrect the map of a
+            // removed file.
+            for (block, e) in self.maps.remove(&file).unwrap_or_default() {
+                if let Some(pin) = e.pin {
+                    let kind = IntentKind::MapPin {
+                        file,
+                        block,
+                        sites: e.sites,
+                    };
+                    self.log(now, pin, kind, vec![], true);
+                }
+            }
+        } else if let Some(map) = self.maps.get_mut(&file) {
+            // A truncated file's pins still say where its surviving
+            // blocks live; the rest is reassigned on demand.
+            map.retain(|_, e| e.pin.is_some());
+            if map.is_empty() {
+                self.maps.remove(&file);
             }
         }
         let waiting = Some((requester, req_id, participants.clone()));
         let (id, _) = self.open_intent(now, kind.clone(), participants.clone(), waiting);
-        self.maps.remove(&file);
         Self::ctl_legs(&kind, id, &participants)
     }
 
@@ -1888,7 +1872,6 @@ impl Coordinator {
             sites,
             marks_acked,
             resync_events,
-            pins,
             // Raised by `recover` past every id in the log.
             next_intent: _,
             // Lifetime statistics.
@@ -1906,7 +1889,6 @@ impl Coordinator {
         }
         marks_acked.clear();
         resync_events.clear();
-        pins.clear();
         std::mem::replace(wal, Wal::new(WalParams::default()))
     }
 
@@ -1960,10 +1942,11 @@ impl Coordinator {
                 // Reconfiguration records replay into soft state directly;
                 // none of them involve a storage-side intention to probe.
                 IntentKind::MapPin { file, block, sites } => {
-                    self.pins
-                        .entry(file)
-                        .or_default()
-                        .insert(block, (id, sites));
+                    let entry = MapEntry {
+                        sites,
+                        pin: Some(id),
+                    };
+                    self.maps.entry(file).or_default().insert(block, entry);
                 }
                 IntentKind::SiteChange { site, state, objs } => {
                     let Some(site) = self.sites.get_mut(site as usize) else {
@@ -3146,6 +3129,77 @@ mod tests {
                 ctl: StorageCtl::Remove { obj: 3, intent: 0 }
             } if *site == victim
         )));
+    }
+
+    /// Defect 1c(vii): a truncate keeps a file's pinned entries, and a
+    /// drain moves them like any other. The site retires, and no entry
+    /// names it, before a coordinator recovery or after.
+    #[test]
+    fn a_drain_after_a_truncate_moves_the_pinned_entries() {
+        let mut c = Coordinator::new(5);
+        c.set_active_sites(4);
+        mirrored_file(&mut c, 3, 4);
+        c.join_site(t(5), 4);
+        pump_to_quiescence(&mut c, 5);
+        assert_eq!(c.pinned_entries(), 4, "the join pinned every entry");
+        let legs = c.handle(
+            t(10_000),
+            42,
+            CoordMsg::TruncateFile {
+                req_id: 1,
+                file: 3,
+                size: 0,
+            },
+        );
+        answer_legs(&mut c, t(10_001), &legs);
+        let victim = c.pinned_entries_dump()[0].2[0];
+        let (queued, _) = c.drain_site(t(10_002), victim);
+        assert!(queued > 0, "the pinned entries naming the site move");
+        pump_to_quiescence(&mut c, 10_002);
+        assert!(c.is_retired(victim), "the drain retires the site");
+        let names_victim = |c: &Coordinator| {
+            let pinned = c.pinned_entries_dump().into_iter().map(|(_, _, s)| s);
+            let mapped = c.block_map_dump().into_iter().flat_map(|(_, b)| b);
+            pinned
+                .chain(mapped.map(|(_, s)| s))
+                .any(|s| s.contains(&victim))
+        };
+        assert!(!names_victim(&c));
+        let wal = c.crash();
+        c.recover(t(900_000), wal, t(800_000));
+        assert!(c.is_retired(victim));
+        assert!(!names_victim(&c), "no replayed pin names the retired site");
+    }
+
+    /// A drain copy reads from the same source whether or not the
+    /// coordinator crashed and recovered between the drain and the copy:
+    /// the recovered pin, like the live one, says where the bytes are.
+    #[test]
+    fn a_drain_copy_reads_from_the_same_source_across_a_recovery() {
+        let first_reads = |crash: bool| {
+            let mut c = Coordinator::new(5);
+            mirrored_file(&mut c, 3, 4);
+            let victim = c.block_map_dump()[0].1[0].1[0];
+            assert!(c.drain_site(t(10), victim).0 > 0);
+            if crash {
+                let wal = c.crash();
+                c.recover(t(5000), wal, t(4000));
+            }
+            let acts = c.check_timeouts(t(6000));
+            let reads: Vec<(u32, u64)> = acts
+                .iter()
+                .filter_map(|a| match a {
+                    CoordAction::SendCtl {
+                        site,
+                        ctl: StorageCtl::ResyncRead { offset, .. },
+                    } => Some((*site, *offset)),
+                    _ => None,
+                })
+                .collect();
+            assert!(!reads.is_empty());
+            reads
+        };
+        assert_eq!(first_reads(true), first_reads(false));
     }
 
     #[test]

@@ -444,6 +444,17 @@ impl PhaseClock {
     }
 }
 
+/// One cached block-map entry, as the coordinator's last fragment gave it.
+#[derive(Debug)]
+struct MapEntry {
+    /// Replica sites.
+    sites: Vec<u32>,
+    /// Those still owed a resync or migration copy: writes fan out to
+    /// them, reads skip them until the log drains (and the next epoch
+    /// flush refetches the fragment).
+    warming: Vec<u32>,
+}
+
 /// Everything the µproxy learned from traffic and is "free to discard"
 /// (paper §3). A table is soft state if and only if it is a field here:
 /// [`Uproxy::lose_state`] replaces the whole value and
@@ -454,12 +465,8 @@ impl PhaseClock {
 #[derive(Debug)]
 struct Soft {
     pending: FxHashMap<u32, PendingReq>,
-    /// Cached block-map fragments: (file, block) -> replica sites.
-    map_cache: FxHashMap<(u64, u64), Vec<u32>>,
-    /// Replicas still owed a resync/migration copy per the coordinator's
-    /// last fragment: writes fan out to them, reads skip them until the
-    /// log drains (and the next epoch flush refetches the fragment).
-    warming_cache: FxHashMap<(u64, u64), Vec<u32>>,
+    /// Cached block-map fragments, one entry per (file, block).
+    map_cache: FxHashMap<(u64, u64), MapEntry>,
     /// Requests parked on a block-map fetch, keyed by (file, block).
     map_waiters: FxHashMap<(u64, u64), Vec<Packet>>,
     /// Commit packets parked on an intent ack, keyed by xid.
@@ -490,7 +497,6 @@ impl Soft {
         Soft {
             pending: FxHashMap::default(),
             map_cache: FxHashMap::default(),
-            warming_cache: FxHashMap::default(),
             map_waiters: FxHashMap::default(),
             intent_waiters: FxHashMap::default(),
             health: vec![SiteHealth::new(); cfg.storage_sites.len()],
@@ -718,7 +724,6 @@ impl Uproxy {
     /// at any time.
     pub fn flush_map_cache(&mut self) {
         self.soft.map_cache.clear();
-        self.soft.warming_cache.clear();
         self.map_epoch += 1;
     }
 
@@ -770,7 +775,6 @@ impl Uproxy {
         let Soft {
             pending,
             map_cache,
-            warming_cache,
             map_waiters,
             intent_waiters,
             health: _,
@@ -784,7 +788,6 @@ impl Uproxy {
         } = &self.soft;
         pending.len()
             + map_cache.len()
-            + warming_cache.len()
             + self.attrs.len()
             + map_waiters.values().map(Vec::len).sum::<usize>()
             + intent_waiters.len()
@@ -961,7 +964,13 @@ impl Uproxy {
                 .collect());
         }
         let cached: Result<_, u64> = blocks
-            .map(|b| self.soft.map_cache.get(&(file, b)).cloned().ok_or(b))
+            .map(|b| {
+                self.soft
+                    .map_cache
+                    .get(&(file, b))
+                    .map(|e| e.sites.clone())
+                    .ok_or(b)
+            })
             .collect();
         if let Err(block) = cached {
             self.out.push(ProxyOut::Coord(CoordMsg::MapGet {
@@ -1291,7 +1300,7 @@ impl Uproxy {
         let rotation = stripe / self.cfg.storage_sites.len() as u64;
         let idx = (rotation % sites.len() as u64) as usize;
         let preferred = sites[idx];
-        let warming = self.soft.warming_cache.get(&(file, stripe));
+        let warming = self.soft.map_cache.get(&(file, stripe)).map(|e| &e.warming);
         let usable = |s: u32| {
             !self.suspected(s) && !self.site_retired(s) && !warming.is_some_and(|w| w.contains(&s))
         };
@@ -1709,16 +1718,13 @@ impl Uproxy {
                 warming,
             } => {
                 for (i, s) in sites.iter().enumerate() {
-                    let key = (file, first_block + i as u64);
-                    up.soft.map_cache.insert(key, s.clone());
-                }
-                for (i, w) in warming.iter().enumerate() {
-                    let key = (file, first_block + i as u64);
-                    if w.is_empty() {
-                        up.soft.warming_cache.remove(&key);
-                    } else {
-                        up.soft.warming_cache.insert(key, w.clone());
-                    }
+                    let entry = MapEntry {
+                        sites: s.clone(),
+                        warming: warming.get(i).cloned().unwrap_or_default(),
+                    };
+                    up.soft
+                        .map_cache
+                        .insert((file, first_block + i as u64), entry);
                 }
                 // Release parked requests covered by the fragment.
                 let keys: Vec<(u64, u64)> = up

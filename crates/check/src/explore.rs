@@ -1118,6 +1118,26 @@ mod tests {
         );
     }
 
+    /// Defect 1c(xi): draining the standby fifth site before it ever
+    /// joined retires it at once, so the drain oracle finds nothing left
+    /// (it used to report `drain_incomplete` at these seeds).
+    #[test]
+    fn draining_the_standby_before_it_joins_passes_drain_oracle() {
+        for seed in [3, 7] {
+            let scenario = generate_scenario(seed, 40);
+            let schedule = Schedule {
+                events: vec![event(100, Injection::DrainStorage { site: 4 })],
+            };
+            let out = run_schedule(seed, &scenario, &schedule, None, Mode::Reconf);
+            assert!(!out.stalled, "seed {seed}: the drain stalled");
+            assert!(
+                out.violations.is_empty(),
+                "seed {seed}: {:?}",
+                out.violations
+            );
+        }
+    }
+
     /// A drain in the coded ensemble has no spare site to move shards to,
     /// so the drain oracle fails it, while the standard ensemble drains
     /// the same site cleanly: only a minimisation in the coded mode can

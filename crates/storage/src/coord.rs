@@ -1374,12 +1374,22 @@ impl Coordinator {
     /// re-pointed at a replacement site (the draining site stays live and
     /// serves as first source), and when the last migration completes the
     /// site retires — its mapped objects are removed and its per-site
-    /// soft state purged. Returns `(ranges queued, immediate actions)`;
-    /// the actions are non-empty only when nothing referenced the site
-    /// and it retires on the spot.
+    /// soft state purged. A standby never joined and holds nothing, so it
+    /// retires at once. Returns `(ranges queued, immediate actions)`; the
+    /// actions are non-empty only when nothing referenced the site and it
+    /// retires on the spot.
     pub fn drain_site(&mut self, now: SimTime, site: u32) -> (usize, Vec<CoordAction>) {
-        if self.sites.get(site as usize).map(|s| s.state) != Some(SiteState::Active) {
-            return (0, vec![]);
+        match self.sites.get(site as usize).map(|s| s.state) {
+            Some(SiteState::Active) => {}
+            Some(SiteState::Standby) => {
+                self.sites[site as usize].drain = Some(DrainInfo {
+                    started: now,
+                    objs: Default::default(),
+                    bytes: 0,
+                });
+                return (0, self.finish_drain(now, site));
+            }
+            _ => return (0, vec![]),
         }
         self.pin_all_entries(now);
         let mut moves: Vec<(u64, u64, Vec<u32>)> = Vec::new();
@@ -3200,6 +3210,22 @@ mod tests {
             reads
         };
         assert_eq!(first_reads(true), first_reads(false));
+    }
+
+    /// Defect 1c(xi): a standby never joined and holds nothing, so a drain
+    /// of it retires it at once, durably.
+    #[test]
+    fn draining_a_standby_retires_it_at_once() {
+        let mut c = Coordinator::new(5);
+        c.set_active_sites(4);
+        mirrored_file(&mut c, 3, 4);
+        assert_eq!(c.drain_site(t(10), 4), (0, vec![]));
+        assert!(c.is_retired(4));
+        assert_eq!(c.reconf_history(), &[(4, t(10), t(10), 0)]);
+        let wal = c.crash();
+        c.recover(t(5000), wal, t(4000));
+        assert!(c.is_retired(4), "the retirement replays");
+        assert_eq!(c.join_site(t(5001), 4), 0, "a retired site never joins");
     }
 
     #[test]

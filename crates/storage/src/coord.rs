@@ -1371,8 +1371,8 @@ impl Coordinator {
 
     /// Starts a planned drain of `site` (migrate-then-retire, distinct
     /// from a crash): every non-coded map entry referencing it is
-    /// re-pointed at a replacement site (the draining site stays live and
-    /// serves as first source), and when the last migration completes the
+    /// re-pointed at a replacement site (the draining site keeps serving
+    /// until it retires), and when the last migration completes the
     /// site retires — its mapped objects are removed and its per-site
     /// soft state purged. A standby never joined and holds nothing, so it
     /// retires at once. Returns `(ranges queued, immediate actions)`; the
@@ -1421,8 +1421,12 @@ impl Coordinator {
             };
             let swap = |&s: &u32| if s == site { replacement } else { s };
             let fresh: Vec<u32> = old.iter().map(swap).collect();
-            // The draining site is alive and authoritative: it leads the
-            // source list.
+            // The copy reads from what `map_sources` derives from the
+            // re-pointed entry: its other replicas, which no longer
+            // include the draining site. This list is only the fallback
+            // for an entry with no other usable replica (a striped
+            // block), and the draining site, which still holds the
+            // bytes, leads it.
             let sources: Vec<u32> = std::iter::once(site)
                 .chain(old.iter().copied().filter(|&s| s != site))
                 .collect();

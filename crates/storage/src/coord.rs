@@ -3156,6 +3156,7 @@ mod tests {
         c.join_site(t(5), 4);
         pump_to_quiescence(&mut c, 5);
         assert_eq!(c.pinned_entries(), 4, "the join pinned every entry");
+        let victim = c.pinned_entries_dump()[0].2[0];
         let legs = c.handle(
             t(10_000),
             42,
@@ -3166,7 +3167,6 @@ mod tests {
             },
         );
         answer_legs(&mut c, t(10_001), &legs);
-        let victim = c.pinned_entries_dump()[0].2[0];
         let (queued, _) = c.drain_site(t(10_002), victim);
         assert!(queued > 0, "the pinned entries naming the site move");
         pump_to_quiescence(&mut c, 10_002);

@@ -83,7 +83,7 @@ pub enum Placement {
 pub type BlockMapDump = Vec<(u64, Vec<(u64, Vec<u32>)>)>;
 
 /// One block-map entry: where a block's replicas (or shards) live.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MapEntry {
     /// Replica sites, in shard order for a coded file.
     sites: Vec<u32>,

@@ -12,7 +12,7 @@
 #   Must-find: yes|no
 #   Detector: <name>: <cargo test arguments>      (one line per detector)
 #
-# The driver extracts `git archive HEAD` into DIR (default: a fresh
+# The script extracts `git archive HEAD` into DIR (default: a fresh
 # temporary directory; never the source tree) and builds there with its
 # own target directory. For each mutant it applies the patch, and for
 # each detector builds the tests the arguments select, runs them, and

@@ -2027,4 +2027,75 @@ mod tests {
         assert_eq!(seen[1].1, vec![9]);
         assert_drained(&eng);
     }
+
+    #[test]
+    fn event_heap_pops_in_key_order_through_cancels_and_compactions() {
+        // The heap alone against a sorted-set reference. Seeded pushes,
+        // pops, lazy cancels and compactions interleave; times collide
+        // often, so order rests on `(src, seq)` as much as on time. A
+        // cancelled key stays in the heap until a compaction drops it or a
+        // pop surfaces it, as the engine's cancelled timers do.
+        use std::collections::BTreeSet;
+        type Id = (u64, u32, u64);
+        fn id(k: &HeapKey) -> Id {
+            (k.time.as_nanos(), k.src, k.seq)
+        }
+        let mut rng = Rng::seed_from_u64(37);
+        let mut heap = EventHeap::new();
+        let mut live: BTreeSet<Id> = BTreeSet::new();
+        let mut cancelled: BTreeSet<Id> = BTreeSet::new();
+        let mut seqs = [0u64; 5];
+        let mut pushes = 0;
+        for step in 0..200_000u32 {
+            match rng.gen_range(0..20u32) {
+                0..=8 => {
+                    let src = rng.gen_range(0..5u32);
+                    let seq = seqs[src as usize];
+                    seqs[src as usize] += 1;
+                    let time = SimTime::from_nanos(rng.gen_range(0..400u64));
+                    heap.push(HeapKey {
+                        time,
+                        src,
+                        seq,
+                        slot: step,
+                    });
+                    pushes += 1;
+                    live.insert((time.as_nanos(), src, seq));
+                }
+                9..=15 => loop {
+                    let Some(k) = heap.pop() else {
+                        assert!(live.is_empty() && cancelled.is_empty());
+                        break;
+                    };
+                    if cancelled.remove(&id(&k)) {
+                        continue;
+                    }
+                    assert_eq!(Some(id(&k)), live.pop_first(), "step {step}");
+                    break;
+                },
+                16..=18 => {
+                    let from = (rng.gen_range(0..400u64), 0, 0);
+                    let victim = live.range(from..).next().or(live.first()).copied();
+                    if let Some(v) = victim {
+                        live.remove(&v);
+                        cancelled.insert(v);
+                    }
+                }
+                _ => {
+                    heap.compact(|k| !cancelled.contains(&id(k)));
+                    cancelled.clear();
+                    assert_eq!(heap.keys.len(), live.len());
+                }
+            }
+            let top = live.first().into_iter().chain(cancelled.first()).min();
+            assert_eq!(heap.peek().map(id).as_ref(), top, "step {step}");
+        }
+        assert_eq!(heap.pushes, pushes);
+        while let Some(k) = heap.pop() {
+            if !cancelled.remove(&id(&k)) {
+                assert_eq!(Some(id(&k)), live.pop_first());
+            }
+        }
+        assert!(live.is_empty() && cancelled.is_empty());
+    }
 }

@@ -13,7 +13,7 @@
 //!
 //! # One core, one thread
 //!
-//! An engine is one event core — a slab of pending events and a 4-ary
+//! An engine is one event core — a slab of pending events and a binary
 //! heap of their keys — driven by the calling thread. An ensemble is
 //! never split across threads: the paper's testbed is one switch, so
 //! every node pair is the same [`NetConfig::min_hop_latency`] apart, and
@@ -103,7 +103,8 @@
 //! whatever crashed along the way.
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use slice_obs::{EventKind, Obs, Subsystem};
 
@@ -284,16 +285,10 @@ impl Ord for HeapKey {
     }
 }
 
-/// 4-ary arity: each sift-down level touches one 64-byte-ish run of keys
-/// instead of two scattered children, and the tree is half as deep as a
-/// binary heap's — the event loop is pop-dominated, so depth is what
-/// costs.
-const HEAP_ARITY: usize = 4;
-
-/// In-tree 4-ary min-heap of [`HeapKey`]s (the event payloads live in the
-/// slab, so this only shuffles small keys).
+/// Min-heap of [`HeapKey`]s (the event payloads live in the slab, so
+/// this only shuffles small keys), counting what it is paid for.
 struct EventHeap {
-    keys: Vec<HeapKey>,
+    keys: BinaryHeap<Reverse<HeapKey>>,
     /// Lifetime pushes — the *physical* heap entries paid for (a logical
     /// event dispatched inline never becomes one).
     pushes: u64,
@@ -302,81 +297,32 @@ struct EventHeap {
 impl EventHeap {
     fn new() -> Self {
         EventHeap {
-            keys: Vec::new(),
+            keys: BinaryHeap::new(),
             pushes: 0,
         }
     }
 
     fn peek(&self) -> Option<&HeapKey> {
-        self.keys.first()
+        self.keys.peek().map(|Reverse(k)| k)
     }
 
     fn push(&mut self, key: HeapKey) {
         self.pushes += 1;
-        self.keys.push(key);
-        self.sift_up(self.keys.len() - 1);
+        self.keys.push(Reverse(key));
     }
 
     fn pop(&mut self) -> Option<HeapKey> {
-        let n = self.keys.len();
-        if n == 0 {
-            return None;
-        }
-        self.keys.swap(0, n - 1);
-        let top = self.keys.pop();
-        if !self.keys.is_empty() {
-            self.sift_down(0);
-        }
-        top
+        self.keys.pop().map(|Reverse(k)| k)
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / HEAP_ARITY;
-            if self.keys[i] < self.keys[parent] {
-                self.keys.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.keys.len();
-        loop {
-            let first = i * HEAP_ARITY + 1;
-            if first >= n {
-                break;
-            }
-            let mut min = first;
-            for c in first + 1..(first + HEAP_ARITY).min(n) {
-                if self.keys[c] < self.keys[min] {
-                    min = c;
-                }
-            }
-            if self.keys[min] < self.keys[i] {
-                self.keys.swap(i, min);
-                i = min;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Drops keys failing `keep` and restores the heap property — O(n).
+    /// Drops keys failing `keep` — O(n).
     ///
     /// Lazy deletion alone lets cancelled timers dominate the heap (every
     /// RPC arms a timeout that is cancelled milliseconds later but would
     /// sit in the queue until its fire time); periodic compaction keeps
     /// the heap sized to *live* work.
     fn compact(&mut self, mut keep: impl FnMut(&HeapKey) -> bool) {
-        self.keys.retain(|k| keep(k));
-        if self.keys.len() > 1 {
-            for i in (0..=(self.keys.len() - 2) / HEAP_ARITY).rev() {
-                self.sift_down(i);
-            }
-        }
+        self.keys.retain(|Reverse(k)| keep(k));
     }
 }
 

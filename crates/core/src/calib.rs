@@ -101,7 +101,7 @@ pub const DISKS_PER_NODE: usize = 8;
 
 /// Stripe unit of bulk placement (bytes): static striping, block maps
 /// and coded stripes all cut a file's bulk region at this grain.
-pub const STRIPE_UNIT: u64 = slice_uproxy::STRIPE_UNIT;
+pub const STRIPE_UNIT: u64 = slice_storage::STRIPE_UNIT;
 
 /// The per-arm disk model.
 pub fn disk_params() -> DiskParams {

@@ -279,7 +279,6 @@ impl SliceEnsemble {
                 storage_sites: plan.storage.clone(),
                 name_policy: cfg.policy,
                 coded: cfg.coded,
-                use_block_maps,
                 use_intents: cfg.use_intents,
                 probe_interval: SimDuration::from_millis(cfg.probe_interval_ms.max(1)),
                 hot_window: SimDuration::from_millis(cfg.hot_window_ms.max(1)),
@@ -359,10 +358,8 @@ impl SliceEnsemble {
         }
         if let Some((n, k)) = cfg.coded {
             coordinator.set_default_placement(Placement::Coded { n, k });
-            coordinator.set_stripe_unit(calib::STRIPE_UNIT);
         } else if cfg.mapped_mirror {
             coordinator.set_default_placement(Placement::Mirrored { copies: 2 });
-            coordinator.set_stripe_unit(calib::STRIPE_UNIT);
         }
         let actor = CoordActor::new(coordinator, storage_ids.clone());
         let id = engine.add_node("coord0", Box::new(actor));

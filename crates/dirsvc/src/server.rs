@@ -934,11 +934,9 @@ impl DirServer {
         if sattr.mode.unwrap_or(0) & (1 << 16) != 0 && ftype == FileType::Regular {
             flags |= slice_nfsproto::FH_FLAG_MIRRORED;
         }
-        // Bit 17 requests dynamic block-map placement; ensembles running
-        // with block maps enabled mint every regular file mapped.
-        if (self.config.default_mapped || sattr.mode.unwrap_or(0) & (1 << 17) != 0)
-            && ftype == FileType::Regular
-        {
+        // Ensembles running with block maps mint every regular file
+        // mapped.
+        if self.config.default_mapped && ftype == FileType::Regular {
             flags |= slice_nfsproto::FH_FLAG_MAPPED;
         }
         attr.mode &= 0o7777;

@@ -47,6 +47,11 @@ pub enum SiteState {
     Retired,
 }
 
+/// The stripe unit of bulk placement: static striping, block maps and
+/// coded stripes all cut a file's bulk region at this grain. The µproxy
+/// routes by it and the coordinator maps by it.
+pub const STRIPE_UNIT: u64 = 64 * 1024;
+
 /// `origin` of a range queued by a degraded write or a truncate: a
 /// repair, not a migration.
 const NO_ORIGIN: u32 = u32::MAX;
@@ -582,7 +587,7 @@ impl Coordinator {
             open: FxHashMap::default(),
             maps: BTreeMap::new(),
             placement: Placement::Striped,
-            stripe_unit: 64 * 1024,
+            stripe_unit: STRIPE_UNIT,
             intent_timeout: SimDuration::from_secs(5),
             resolved: [0; 4],
             sites: (0..storage_sites)

@@ -23,7 +23,7 @@ pub mod wal;
 
 pub use coord::{
     CoordAction, CoordMsg, CoordReply, Coordinator, IntentKind, IntentOutcome, IntentRecord,
-    Placement,
+    Placement, STRIPE_UNIT,
 };
 pub use node::{
     StorageCtl, StorageCtlReply, StorageNode, StorageNodeConfig, CLUSTER_BYTES, PREFETCH_BYTES,

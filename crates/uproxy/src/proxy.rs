@@ -28,7 +28,7 @@ use slice_nfsproto::{
 };
 use slice_obs::EventKind;
 use slice_sim::{SimDuration, SimTime};
-use slice_storage::{CoordMsg, CoordReply, IntentKind};
+use slice_storage::{CoordMsg, CoordReply, IntentKind, STRIPE_UNIT};
 use slice_xdr::XdrEncoder;
 use std::ops::Range;
 
@@ -50,9 +50,6 @@ pub const SUSPECT_AFTER: u32 = 2;
 /// The threshold offset (64 KiB in the prototype): a file's bytes below
 /// it live on its small-file server, the rest on the storage array.
 pub const THRESHOLD: u64 = 64 * 1024;
-/// The stripe unit of bulk placement: static striping, block maps and
-/// coded stripes all cut a file's bulk region at this grain.
-pub const STRIPE_UNIT: u64 = 64 * 1024;
 
 /// µproxy configuration: the ensemble map and the routing policies.
 #[derive(Debug, Clone)]
@@ -70,13 +67,9 @@ pub struct ProxyConfig {
     /// Name-space policy.
     pub name_policy: NamePolicy,
     /// Erasure-coded layout `(n, k)` for mapped files' bulk regions.
-    /// `None` keeps the mirrored/striped layouts. Requires
-    /// [`ProxyConfig::use_block_maps`] and a coordinator running the same
-    /// coded default placement.
+    /// `None` keeps the mirrored/striped layouts. Requires a coordinator
+    /// running the same coded default placement.
     pub coded: Option<(u32, u32)>,
-    /// Route bulk I/O through coordinator block maps instead of the
-    /// static placement function.
-    pub use_block_maps: bool,
     /// Wrap multisite commits in coordinator intentions.
     pub use_intents: bool,
     /// Interval between liveness probes of a suspected site (also the
@@ -107,7 +100,6 @@ impl ProxyConfig {
             ],
             name_policy: NamePolicy::MkdirSwitching { redirect_millis: 0 },
             coded: None,
-            use_block_maps: false,
             use_intents: true,
             probe_interval: SimDuration::from_secs(2),
             hot_window: SimDuration::from_secs(10),
@@ -957,7 +949,7 @@ impl Uproxy {
         blocks: std::ops::RangeInclusive<u64>,
     ) -> Result<Vec<Vec<u32>>, u64> {
         let file = fh.file_id();
-        if !(self.cfg.use_block_maps && fh.is_mapped()) {
+        if !fh.is_mapped() {
             let mirrored = fh.is_mirrored();
             return Ok(blocks
                 .map(|b| self.static_sites(file, b, mirrored))

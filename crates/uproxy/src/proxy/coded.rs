@@ -193,10 +193,10 @@ impl Uproxy {
     /// The coded layout geometry, when `fh`'s bulk region is coded.
     pub(crate) fn coded_geom(&self, fh: &Fhandle) -> Option<CodedLayout> {
         let (n, k) = self.cfg.coded?;
-        if !self.cfg.use_block_maps || !fh.is_mapped() || fh.is_dir() || fh.is_symlink() {
+        if !fh.is_mapped() || fh.is_dir() || fh.is_symlink() {
             return None;
         }
-        Some(CodedLayout::new(n, k, super::STRIPE_UNIT))
+        Some(CodedLayout::new(n, k, STRIPE_UNIT))
     }
 
     /// Takes the per-(file, stripe) locks for `xid`, or parks the packet

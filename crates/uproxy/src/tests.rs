@@ -574,8 +574,7 @@ fn state_loss_is_tolerated() {
 
 #[test]
 fn block_map_routing_parks_and_releases() {
-    let mut c = cfg();
-    c.use_block_maps = true;
+    let c = cfg();
     let mut u = Uproxy::new(c.clone());
     let mapped = Fhandle::new(90, 0, slice_nfsproto::FH_FLAG_MAPPED, 0, 0);
     let req = NfsRequest::Read {
@@ -774,7 +773,6 @@ fn phase_stats_accumulate() {
 #[test]
 fn lose_state_empties_every_waiting_table() {
     let mut c = cfg();
-    c.use_block_maps = true;
     c.coded = Some((4, 2));
     let mut u = Uproxy::new(c.clone());
     let held = std::cell::Cell::new(0);
@@ -1117,8 +1115,7 @@ fn straddling_read_splits_and_reassembles() {
 
 #[test]
 fn warming_replica_stays_out_of_read_rotation_until_epoch_flush() {
-    let mut c = cfg();
-    c.use_block_maps = true;
+    let c = cfg();
     let mut u = Uproxy::new(c.clone());
     let mapped = Fhandle::new(91, 0, slice_nfsproto::FH_FLAG_MAPPED, 0, 0);
     let read_at = |off: u64| NfsRequest::Read {

@@ -132,7 +132,6 @@ impl Stream {
         cfg.storage_sites = (0..STORAGE_SITES)
             .map(|i| SockAddr::new(0x0a00_3000 + i, 2049))
             .collect();
-        cfg.use_block_maps = true;
         cfg.coded = coded;
         let files = (0..12u64)
             .map(|i| {

@@ -6,6 +6,7 @@ use slice_nfsproto::{Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Stable
 use slice_sim::{SimDuration, SimTime};
 use slice_storage::ObjectStore;
 
+use crate::alloc::SF_BLOCK;
 use crate::server::*;
 
 fn fh(id: u64) -> Fhandle {
@@ -575,37 +576,44 @@ fn write_just_past_threshold_is_refused() {
 #[test]
 fn truncate_above_4gib_keeps_small_file_bytes() {
     // The bytes a block keeps were computed through `as u32`: growing a
-    // file to 4 GiB + 5 cut its first block to 5 bytes.
-    let mut h = Harness::new(1);
-    h.run(
-        t(1),
-        1,
-        NfsRequest::Write {
-            fh: fh(90),
-            offset: 0,
-            stable: StableHow::FileSync,
-            data: vec![6u8; 100],
-        },
-    );
-    h.server.handle_ctl(
-        t(2),
-        &SfCtl::Truncate {
-            file: 90,
-            size: (1 << 32) + 5,
-        },
-    );
-    assert_eq!(h.server.map_of(90).unwrap().extents[0].unwrap().bytes, 100);
-    let reply = h.run(
-        t(3),
-        2,
-        NfsRequest::Read {
-            fh: fh(90),
-            offset: 0,
-            count: 100,
-        },
-    );
-    match reply.body {
-        ReplyBody::Read { data, .. } => assert_eq!(data, vec![6u8; 100]),
-        other => panic!("unexpected {other:?}"),
+    // file to 4 GiB + 5 cut its first block to 5 bytes. The second input
+    // puts the bytes in the last block, the one a truncate past the
+    // small-file region shortens, at a size 5 bytes past 4 GiB from it.
+    let last = u64::from(SF_BLOCK) * (MAP_EXTENTS as u64 - 1);
+    for (file, offset) in [(90, 0), (91, last)] {
+        let mut h = Harness::new(1);
+        h.run(
+            t(1),
+            1,
+            NfsRequest::Write {
+                fh: fh(file),
+                offset,
+                stable: StableHow::FileSync,
+                data: vec![6u8; 100],
+            },
+        );
+        h.server.handle_ctl(
+            t(2),
+            &SfCtl::Truncate {
+                file,
+                size: offset + (1 << 32) + 5,
+            },
+        );
+        let block = (offset / u64::from(SF_BLOCK)) as usize;
+        let ext = h.server.map_of(file).unwrap().extents[block].unwrap();
+        assert_eq!(ext.bytes, 100, "offset {offset}");
+        let reply = h.run(
+            t(3),
+            2,
+            NfsRequest::Read {
+                fh: fh(file),
+                offset,
+                count: 100,
+            },
+        );
+        match reply.body {
+            ReplyBody::Read { data, .. } => assert_eq!(data, vec![6u8; 100], "offset {offset}"),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 }

@@ -9,15 +9,19 @@
 //! fresh allocation made elsewhere on the hop and then discarded leaves
 //! neither trace.
 
-use slice_core::actors::StorageActor;
-use slice_core::{Router, Wire};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use slice_core::actors::{CoordActor, SmallFileActor, StorageActor};
+use slice_core::{AddrPlan, ClientActor, ClientConfig, ClientIo, Router, Wire, Workload};
 use slice_nfsproto::{
     encode_call, encode_reply, view_reply, AuthUnix, BodyView, ByteBuf, Fattr3, Fhandle, FileType,
     NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, SockAddr, StableHow,
-    Windows, FH_FLAG_MIRRORED,
+    Windows, FH_FLAG_MAPPED, FH_FLAG_MIRRORED,
 };
-use slice_sim::{Actor, Ctx, Engine, NetConfig, NodeId, SimDuration, SimTime};
-use slice_storage::{StorageNode, StorageNodeConfig};
+use slice_sim::{Actor, Ctx, Engine, NetConfig, NodeId, Rng, SimDuration, SimTime};
+use slice_smallfile::{SmallFileConfig, SmallFileServer};
+use slice_storage::{Coordinator, Placement, StorageNode, StorageNodeConfig};
 use slice_uproxy::{ProxyConfig, ProxyOut, Uproxy};
 
 const BLOCK: usize = 32 * 1024;
@@ -190,5 +194,237 @@ fn metadata_only_storage_actor_applies_a_write_without_reading_it() {
             committed: StableHow::Unstable,
             verf: 1,
         })
+    );
+}
+
+/// Wraps a server or client actor and folds every datagram it is handed
+/// — endpoints, checksum and every logical byte — into a shared FNV-1a,
+/// in delivery order.
+struct Tap<A> {
+    inner: A,
+    fold: Rc<Cell<u64>>,
+}
+
+impl<A> Tap<A> {
+    fn new(inner: A, fold: &Rc<Cell<u64>>) -> Self {
+        Tap {
+            inner,
+            fold: Rc::clone(fold),
+        }
+    }
+}
+
+fn fold_bytes(fold: &Cell<u64>, bytes: &[u8]) {
+    let mut h = fold.get();
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    fold.set(h);
+}
+
+/// The bytes a datagram carries after its UDP header, in wire order.
+fn logical_bytes(p: &Packet) -> Vec<u8> {
+    p.payload.to_vec()
+}
+
+fn fold_packet(fold: &Cell<u64>, p: &Packet) {
+    assert!(p.verify(), "a datagram arrived with a stale checksum");
+    let mut head = Vec::with_capacity(14);
+    for a in [p.src, p.dst] {
+        head.extend_from_slice(&a.ip.to_be_bytes());
+        head.extend_from_slice(&a.port.to_be_bytes());
+    }
+    head.extend_from_slice(&p.checksum.to_be_bytes());
+    fold_bytes(fold, &head);
+    fold_bytes(fold, &logical_bytes(p));
+}
+
+impl<A: Actor<Wire>> Actor<Wire> for Tap<A> {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Wire>, from: NodeId, msg: Wire) {
+        if let Wire::Udp(p) = &msg {
+            fold_packet(&self.fold, p);
+        }
+        self.inner.on_message(ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64) {
+        self.inner.on_timer(ctx, tag);
+    }
+}
+
+/// Files of every placement the µproxy serves without a directory
+/// server: striped, statically mirrored, and coded (4,2) through the
+/// coordinator's block maps.
+fn stream_files() -> [Fhandle; 5] {
+    [
+        Fhandle::new(101, 0, 0, 0, 0),
+        Fhandle::new(102, 0, FH_FLAG_MIRRORED, 0, 0),
+        Fhandle::new(103, 0, FH_FLAG_MAPPED, 0, 0),
+        Fhandle::new(104, 0, FH_FLAG_MAPPED, 0, 0),
+        Fhandle::new(105, 0, 0, 0, 0),
+    ]
+}
+
+/// A seeded, windowed READ / WRITE / COMMIT mix: odd and even lengths,
+/// writes of all-zero and of random bytes, reads over holes, across the
+/// small-file threshold and past the end. Every reply's status and data
+/// is folded as the client stack receives it.
+struct ByteMix {
+    rng: Rng,
+    left: u32,
+    outstanding: u32,
+    fold: Rc<Cell<u64>>,
+}
+
+impl ByteMix {
+    fn issue(&mut self, io: &mut ClientIo<'_, '_>) {
+        self.left -= 1;
+        self.outstanding += 1;
+        let files = stream_files();
+        let fh = files[self.rng.gen_range(0..files.len())];
+        let offset = match self.rng.gen_range(0..4u32) {
+            0 => self.rng.gen_range(0..256 * 1024u64),
+            1 => 64 * 1024 - self.rng.gen_range(1..4_096u64),
+            _ => 32 * 1024 * self.rng.gen_range(0..8u64),
+        };
+        let len = match self.rng.gen_range(0..3u32) {
+            0 => self.rng.gen_range(1..=40_000u32),
+            _ => 32 * 1024,
+        };
+        let req = match self.rng.gen_range(0..100u32) {
+            0..=54 => {
+                let data = if self.rng.gen_range(0..4u32) == 0 {
+                    vec![0; len as usize]
+                } else {
+                    (0..len).map(|_| self.rng.gen::<u8>()).collect()
+                };
+                NfsRequest::Write {
+                    fh,
+                    offset,
+                    stable: if self.rng.gen_bool(0.3) {
+                        StableHow::FileSync
+                    } else {
+                        StableHow::Unstable
+                    },
+                    data,
+                }
+            }
+            55..=94 => NfsRequest::Read {
+                fh,
+                offset,
+                count: len,
+            },
+            _ => NfsRequest::Commit {
+                fh,
+                offset: 0,
+                count: 0,
+            },
+        };
+        io.call(u64::from(self.left), req);
+    }
+}
+
+impl Workload for ByteMix {
+    fn start(&mut self, io: &mut ClientIo<'_, '_>) {
+        while self.outstanding < 4 && self.left > 0 {
+            self.issue(io);
+        }
+    }
+
+    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply) {
+        self.outstanding -= 1;
+        fold_bytes(&self.fold, &tag.to_be_bytes());
+        fold_bytes(&self.fold, &(reply.status as u32).to_be_bytes());
+        if let ReplyBody::Read { data, eof } = &reply.body {
+            fold_bytes(&self.fold, &[u8::from(*eof)]);
+            fold_bytes(&self.fold, data);
+        }
+        if self.left > 0 {
+            self.issue(io);
+        }
+    }
+
+    fn finished(&self) -> bool {
+        self.left == 0 && self.outstanding == 0
+    }
+}
+
+/// A seeded mix through a client with its µproxy, a small-file server,
+/// four storage nodes (two retaining, two metadata-only) and the
+/// coordinator: every datagram delivered and every reply the client stack
+/// takes, folded into one FNV-1a. How packets are assembled may change;
+/// their bytes and checksums may not.
+#[test]
+fn mixed_stream_wire_bytes_and_checksums_are_pinned() {
+    let plan = AddrPlan::new(1, 1, 1, 4);
+    let mut engine: Engine<Wire> = Engine::new(NetConfig::gigabit(), 7);
+    let (client_id, sf_id, coord_id) = (NodeId(0), NodeId(1), NodeId(6));
+    let storage_ids: Vec<NodeId> = (2..6).map(NodeId).collect();
+    let mut router = Router::new();
+    router.register(plan.clients[0], client_id);
+    router.register(plan.sfs[0], sf_id);
+    for (i, &id) in storage_ids.iter().enumerate() {
+        router.register(plan.storage[i], id);
+    }
+    let fold = Rc::new(Cell::new(0xcbf2_9ce4_8422_2325u64));
+    let proxy = Uproxy::new(ProxyConfig {
+        virtual_addr: plan.virtual_addr,
+        client_addr: plan.clients[0],
+        dir_sites: plan.dirs.clone(),
+        sf_sites: plan.sfs.clone(),
+        storage_sites: plan.storage.clone(),
+        coded: Some((4, 2)),
+        ..ProxyConfig::test_default()
+    });
+    let mix = ByteMix {
+        rng: Rng::stream(42, 1),
+        left: 600,
+        outstanding: 0,
+        fold: fold.clone(),
+    };
+    let client = ClientActor::new(
+        ClientConfig {
+            addr: plan.clients[0],
+            server_addr: plan.virtual_addr,
+            cred: AuthUnix::default(),
+            record_history: false,
+        },
+        Some((proxy, coord_id)),
+        router.clone(),
+        Box::new(mix),
+    );
+    assert_eq!(engine.add_node("client", Box::new(Tap::new(client, &fold))), client_id);
+    let sf = SmallFileServer::new(SmallFileConfig {
+        server_id: 0,
+        storage_sites: 4,
+        cache_bytes: 64 * 1024,
+        retain_data: true,
+    });
+    let sf = SmallFileActor::new(sf, plan.sfs[0], router.clone(), plan.storage.clone());
+    assert_eq!(engine.add_node("sf", Box::new(Tap::new(sf, &fold))), sf_id);
+    for (i, &id) in storage_ids.iter().enumerate() {
+        let node = StorageNode::new(&StorageNodeConfig {
+            retain_data: i % 2 == 0,
+            ..Default::default()
+        });
+        let actor = StorageActor::new(node, plan.storage[i], router.clone());
+        assert_eq!(engine.add_node("storage", Box::new(Tap::new(actor, &fold))), id);
+    }
+    let mut coord = Coordinator::new(4);
+    coord.set_default_placement(Placement::Coded { n: 4, k: 2 });
+    let coord = CoordActor::new(coord, storage_ids);
+    assert_eq!(engine.add_node("coord", Box::new(coord)), coord_id);
+    engine.kick(coord_id);
+    engine.kick(client_id);
+    engine.run_until(SimTime::ZERO + SimDuration::from_secs(60));
+    assert!(
+        engine.actor::<Tap<ClientActor>>(client_id).inner.finished(),
+        "the mix ran to the end"
+    );
+    let got = fold.get();
+    assert_eq!(
+        got, 0xd2aa_2e96_090c_a7a9,
+        "wire bytes or checksums of the mixed stream changed: now {got:#018x}"
     );
 }

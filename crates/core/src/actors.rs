@@ -10,8 +10,8 @@ use slice_sim::FxHashMap;
 
 use slice_dirsvc::{DirAction, DirServer};
 use slice_nfsproto::{
-    decode_call, encode_reply, view_call, view_reply, BodyView, CallView, Fhandle, NfsProc,
-    NfsReply, NfsRequest, Packet, ReplyView, SockAddr, StableHow,
+    encode_call_owned, encode_reply, AuthUnix, BodyView, CallView, Fhandle, NfsProc, NfsReply,
+    NfsRequest, Packet, ReplyView, SockAddr, StableHow, Windows,
 };
 use slice_sim::{Actor, Ctx, EventKind, NodeId, SimDuration, SimTime, Subsystem, START_TAG};
 use slice_smallfile::{SfAction, SfCtl, SmallFileServer};
@@ -205,15 +205,17 @@ impl Port {
         }
     }
 
-    /// Sends `payload` from this server to `dst`, now or at `at`.
+    /// Sends the payload `header` followed by `windows` from this server
+    /// to `dst`, now or at `at`.
     pub(crate) fn send(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
         dst: SockAddr,
-        payload: Vec<u8>,
+        header: Vec<u8>,
+        windows: Windows,
         at: SimTime,
     ) {
-        let pkt = Packet::new(self.addr, dst, payload);
+        let pkt = Packet::with_windows(self.addr, dst, header, windows);
         if let Some(node) = self.router.try_node_of(dst) {
             self.deferred.send_at(ctx, at, node, Wire::Udp(pkt));
         }
@@ -232,7 +234,13 @@ impl Port {
             None | Some(DrcCheck::Fresh) => {}
             Some(DrcCheck::InProgress) => return None,
             Some(DrcCheck::Replay(reply)) => {
-                self.send(ctx, src, encode_reply(xid, &reply), ctx.now());
+                self.send(
+                    ctx,
+                    src,
+                    encode_reply(xid, &reply),
+                    Windows::default(),
+                    ctx.now(),
+                );
                 return None;
             }
         }
@@ -259,7 +267,7 @@ impl Port {
         if let Some(drc) = &mut self.drc {
             drc.complete(dst, xid, reply);
         }
-        self.send(ctx, dst, payload, at);
+        self.send(ctx, dst, payload, Windows::default(), at);
     }
 
     pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64) {
@@ -297,9 +305,10 @@ impl Actor<Wire> for StorageActor {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire>, from: NodeId, msg: Wire) {
         match msg {
             Wire::Udp(pkt) => {
-                // WRITE data stays in the packet: a retaining store keeps a
-                // window of it, a metadata-only one never reads it.
-                let Ok((hdr, call)) = view_call(&pkt.payload) else {
+                debug_assert!(pkt.verify(), "a call arrived with a stale checksum");
+                // WRITE data stays in the packet: a retaining store keeps
+                // its windows, a metadata-only one never reads them.
+                let Ok((hdr, call)) = pkt.view_call() else {
                     return;
                 };
                 let bytes = match &call {
@@ -309,24 +318,23 @@ impl Actor<Wire> for StorageActor {
                 };
                 ctx.use_cpu(calib::STORAGE_REQ_CPU + payload_cpu(bytes));
                 let seeks_before = self.node.disk_seeks();
-                let (done, reply) = match call {
+                let (done, reply, windows) = match call {
                     CallView::Write {
                         fh,
                         offset,
                         stable,
                         data,
                     } => {
-                        let (done, reply) =
-                            self.node
-                                .write(ctx.now(), &fh, offset, stable, &pkt.payload, data);
-                        (done, encode_reply(hdr.xid, &reply))
+                        let data = pkt.range(data);
+                        let (done, reply) = self.node.write(ctx.now(), &fh, offset, stable, &data);
+                        (done, encode_reply(hdr.xid, &reply), Windows::default())
                     }
                     CallView::Other(NfsRequest::Read { fh, offset, count }) => self
                         .node
                         .read_encoded(ctx.now(), hdr.xid, &fh, offset, count),
                     CallView::Other(req) => {
                         let (done, reply) = self.node.handle_nfs(ctx.now(), &req);
-                        (done, encode_reply(hdr.xid, &reply))
+                        (done, encode_reply(hdr.xid, &reply), Windows::default())
                     }
                 };
                 let (seeks, seek_ns) = self.node.disk_seeks();
@@ -339,7 +347,7 @@ impl Actor<Wire> for StorageActor {
                         },
                     );
                 }
-                self.port.send(ctx, pkt.src, reply, done);
+                self.port.send(ctx, pkt.src, reply, windows, done);
             }
             Wire::Ctl(ctl) => {
                 ctx.use_cpu(calib::STORAGE_REQ_CPU);
@@ -452,7 +460,8 @@ impl Actor<Wire> for DirActor {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire>, _from: NodeId, msg: Wire) {
         match msg {
             Wire::Udp(pkt) => {
-                let Ok((hdr, req)) = decode_call(&pkt.payload) else {
+                debug_assert!(pkt.verify(), "a call arrived with a stale checksum");
+                let Ok((hdr, req)) = pkt.decode_call() else {
                     return;
                 };
                 ctx.use_cpu(calib::DIR_OP_CPU);
@@ -544,7 +553,7 @@ impl SmallFileActor {
                         offset,
                         count: len,
                     };
-                    self.backing_call(ctx, tag, true, site, &req);
+                    self.backing_call(ctx, tag, true, site, req);
                 }
                 SfAction::BackingWrite {
                     tag,
@@ -564,30 +573,31 @@ impl SmallFileActor {
                         },
                         data,
                     };
-                    self.backing_call(ctx, tag, false, site, &req);
+                    self.backing_call(ctx, tag, false, site, req);
                 }
             }
         }
     }
 
-    /// Sends `req` to storage `site` under the next backing xid; a
-    /// completion is expected back unless `tag` is 0 (fire and forget).
+    /// Sends `req` to storage `site` under the next backing xid, a
+    /// WRITE's data moved into the packet; a completion is expected back
+    /// unless `tag` is 0 (fire and forget).
     fn backing_call(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
         tag: u64,
         is_read: bool,
         site: u32,
-        req: &NfsRequest,
+        req: NfsRequest,
     ) {
         let xid = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
         if tag != 0 {
             self.backing.insert(xid, (tag, is_read));
         }
-        let payload = slice_nfsproto::encode_call(xid, &slice_nfsproto::AuthUnix::default(), req);
+        let (header, windows) = encode_call_owned(xid, &AuthUnix::default(), req);
         let addr = self.storage_addrs[site as usize % self.storage_addrs.len()];
-        self.port.send(ctx, addr, payload, ctx.now());
+        self.port.send(ctx, addr, header, windows, ctx.now());
     }
 }
 
@@ -595,11 +605,12 @@ impl Actor<Wire> for SmallFileActor {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire>, _from: NodeId, msg: Wire) {
         match msg {
             Wire::Udp(pkt) => {
+                debug_assert!(pkt.verify(), "a datagram arrived with a stale checksum");
                 let Ok((xid, msg_type)) = slice_nfsproto::peek_xid_type(&pkt.payload) else {
                     return;
                 };
                 if msg_type == slice_nfsproto::MSG_CALL {
-                    let Ok((hdr, req)) = decode_call(&pkt.payload) else {
+                    let Ok((hdr, req)) = pkt.decode_call() else {
                         return;
                     };
                     ctx.use_cpu(calib::SF_OP_CPU + io_cpu(&req));
@@ -616,14 +627,14 @@ impl Actor<Wire> for SmallFileActor {
                     // Only a retaining server keeps the bytes a backing
                     // read fetched; otherwise they stay in the packet.
                     let data = if is_read && self.server.retains_data() {
-                        match view_reply(&pkt.payload, NfsProc::Read) {
+                        match pkt.view_reply(NfsProc::Read) {
                             Ok((
                                 _,
                                 ReplyView {
                                     body: BodyView::Read { data, .. },
                                     ..
                                 },
-                            )) => Some(pkt.payload[data].to_vec()),
+                            )) => Some(pkt.range(data).to_vec()),
                             _ => None,
                         }
                     } else {

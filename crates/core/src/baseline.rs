@@ -10,7 +10,7 @@
 
 use slice_dirsvc::{DirAction, DirServer, DirServerConfig};
 use slice_hashes::NamePolicy;
-use slice_nfsproto::{decode_call, NfsReply, NfsRequest, ReplyBody, SockAddr};
+use slice_nfsproto::{NfsReply, NfsRequest, ReplyBody, SockAddr};
 use slice_sim::{Actor, Ctx, DiskArray, LruCache, NodeId, SimTime};
 use slice_storage::{StorageNode, StorageNodeConfig};
 
@@ -238,7 +238,8 @@ impl Actor<Wire> for BaselineActor {
         let Wire::Udp(pkt) = msg else {
             return;
         };
-        let Ok((hdr, req)) = decode_call(&pkt.payload) else {
+        debug_assert!(pkt.verify(), "a call arrived with a stale checksum");
+        let Ok((hdr, req)) = pkt.decode_call() else {
             return;
         };
         let base = match self.fs.kind {

@@ -19,7 +19,7 @@ use slice_sim::FxHashMap;
 use std::any::Any;
 
 use slice_nfsproto::{
-    decode_reply, encode_call, AuthUnix, NfsProc, NfsReply, NfsRequest, Packet, SockAddr,
+    encode_call_owned, AuthUnix, NfsProc, NfsReply, NfsRequest, Packet, SockAddr,
 };
 use slice_sim::{
     Actor, Ctx, EventKind, LatencyStats, NodeId, SimDuration, SimTime, Subsystem, TimerId,
@@ -103,12 +103,11 @@ pub struct ClientStats {
 struct PendingRpc {
     tag: u64,
     proc: NfsProc,
-    /// The decoded request, kept for timeout retransmission. Re-encoding
-    /// under the original xid reproduces the first transmission byte for
-    /// byte, so stashing the request (moved in, no payload copy) replaces
-    /// the per-RPC packet clone that used to dominate the shallow-clone
-    /// counter — retransmissions are rare; sends are not.
-    request: NfsRequest,
+    /// The packet as first sent, kept for timeout retransmission: its
+    /// buffers are shared with the one in flight (a WRITE's data is the
+    /// workload's own `Vec`, moved into the packet), so the stash holds
+    /// references, not a copy.
+    packet: Packet,
     sent_at: SimTime,
     first_sent_at: SimTime,
     retries: u32,
@@ -152,7 +151,7 @@ impl ClientInner {
                             EventKind::PacketRouted {
                                 from: ctx.node().0 as usize,
                                 to: node.0 as usize,
-                                bytes: p.payload.len(),
+                                bytes: p.payload_len(),
                             },
                         );
                         ctx.send(node, Wire::Udp(p));
@@ -191,25 +190,26 @@ impl ClientInner {
         ctx.use_cpu(cpu);
         let xid = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
-        let payload = encode_call(xid, &self.cfg.cred, &req);
-        let pkt = Packet::new(self.cfg.addr, self.cfg.server_addr, payload);
+        let proc = req.proc();
         ctx.trace(
             Subsystem::Client,
             EventKind::OpStart {
-                op: req.proc().name(),
+                op: proc.name(),
                 xid: u64::from(xid),
             },
         );
         if self.cfg.record_history {
             self.history.begin(ctx.now(), xid, &req);
         }
+        let (header, windows) = encode_call_owned(xid, &self.cfg.cred, req);
+        let pkt = Packet::with_windows(self.cfg.addr, self.cfg.server_addr, header, windows);
         let timer = ctx.set_timer(calib::RPC_TIMEOUT, TAG_RPC | u64::from(xid));
         self.pending.insert(
             xid,
             PendingRpc {
                 tag,
-                proc: req.proc(),
-                request: req,
+                proc,
+                packet: pkt.clone(),
                 sent_at: ctx.now(),
                 first_sent_at: ctx.now(),
                 retries: 0,
@@ -250,7 +250,7 @@ impl ClientInner {
             // Duplicates the µproxy initiates (mirrored writes) cost the
             // client host extra driver/DMA work.
             let nets = outs.iter().filter_map(|o| match o {
-                ProxyOut::Net(p) => Some(p.payload.len()),
+                ProxyOut::Net(p) => Some(p.payload_len()),
                 _ => None,
             });
             for bytes in nets.skip(1) {
@@ -441,6 +441,10 @@ impl ClientActor {
     }
 
     fn deliver_reply(&mut self, ctx: &mut Ctx<'_, Wire>, pkt: Packet) {
+        debug_assert!(
+            pkt.verify(),
+            "a reply reached the client with a stale checksum"
+        );
         let Ok((xid, _)) = slice_nfsproto::peek_xid_type(&pkt.payload) else {
             return;
         };
@@ -448,7 +452,7 @@ impl ClientActor {
             return; // duplicate reply after retransmission
         };
         ctx.cancel_timer(rec.timer);
-        let Ok((_, reply)) = decode_reply(&pkt.payload, rec.proc) else {
+        let Ok((_, reply)) = pkt.decode_reply(rec.proc) else {
             return;
         };
         let mut cpu = calib::CLIENT_RECV_CPU;
@@ -492,6 +496,7 @@ impl Actor<Wire> for ClientActor {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire>, _from: NodeId, msg: Wire) {
         match msg {
             Wire::Udp(pkt) => {
+                debug_assert!(pkt.verify(), "a datagram arrived with a stale checksum");
                 let replies = if self.inner.proxy.is_some() {
                     self.inner.through_proxy(ctx, |proxy, ctx| {
                         ctx.use_cpu(calib::UPROXY_PACKET_CPU);
@@ -590,11 +595,8 @@ impl Actor<Wire> for ClientActor {
             let base = calib::RPC_TIMEOUT.mul_f64((1u64 << shift) as f64);
             let backoff = base + base.mul_f64(0.25 * ctx.rng().gen::<f64>());
             rec.timer = ctx.set_timer(backoff, TAG_RPC | u64::from(xid));
-            // Re-encode the stashed request under its original xid —
-            // byte-identical to the first transmission, without keeping a
-            // packet clone alive for every in-flight RPC.
-            let payload = encode_call(xid, &self.inner.cfg.cred, &rec.request);
-            let pkt = Packet::new(self.inner.cfg.addr, self.inner.cfg.server_addr, payload);
+            // The first transmission again, sharing its buffers.
+            let pkt = rec.packet.clone();
             let retries = rec.retries;
             self.inner.stats.retransmits += 1;
             ctx.trace(

@@ -1,6 +1,9 @@
 //! The forwarding hops never touch file data: a 32 KiB WRITE or READ
 //! reply crosses the µproxy, and a WRITE lands on a metadata-only storage
-//! node, without its payload being copied, re-allocated or re-encoded.
+//! node, without its payload being copied, re-allocated or re-encoded. A
+//! packet is a header and data windows, and the windows are the buffers
+//! the bytes already lay in: a client WRITE's is the workload's own `Vec`,
+//! a READ reply's the extent its store kept or the shared zero buffer.
 //!
 //! "Did not touch" is pinned two ways: by pointer identity (the packet
 //! that leaves holds the very allocation that arrived; the storage node
@@ -15,9 +18,9 @@ use std::rc::Rc;
 use slice_core::actors::{CoordActor, SmallFileActor, StorageActor};
 use slice_core::{AddrPlan, ClientActor, ClientConfig, ClientIo, Router, Wire, Workload};
 use slice_nfsproto::{
-    encode_call, encode_reply, view_reply, AuthUnix, BodyView, ByteBuf, Fattr3, Fhandle, FileType,
-    NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, SockAddr, StableHow,
-    Windows, FH_FLAG_MAPPED, FH_FLAG_MIRRORED,
+    encode_call, encode_reply, view_reply, AuthUnix, BodyView, ByteBuf, CallView, Fattr3, Fhandle,
+    FileType, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, SockAddr,
+    StableHow, Windows, FH_FLAG_MAPPED, FH_FLAG_MIRRORED,
 };
 use slice_sim::{Actor, Ctx, Engine, NetConfig, NodeId, Rng, SimDuration, SimTime};
 use slice_smallfile::{SmallFileConfig, SmallFileServer};
@@ -197,6 +200,150 @@ fn metadata_only_storage_actor_applies_a_write_without_reading_it() {
     );
 }
 
+/// A storage node with one 32 KiB WRITE applied, and the READ reply it
+/// sends back for the same range: `(the WRITE's packet, the reply)`.
+fn write_then_read(retain_data: bool) -> (Packet, Packet) {
+    let client_addr = SockAddr::new(0x0a00_0001, 700);
+    let storage_addr = SockAddr::new(0x0a00_3000, 2049);
+    let mut engine: Engine<Wire> = Engine::new(NetConfig::gigabit(), 1);
+    let client = engine.add_node("client", Box::new(Sink::default()));
+    let mut router = Router::new();
+    router.register(client_addr, client);
+    let node = StorageNode::new(&StorageNodeConfig {
+        retain_data,
+        ..Default::default()
+    });
+    let storage = engine.add_node(
+        "storage",
+        Box::new(StorageActor::new(node, storage_addr, router)),
+    );
+    let fh = Fhandle::new(9, 0, 0, 0, 0);
+    let write = Packet::new(client_addr, storage_addr, write_call(77, fh, 0));
+    engine.inject(client, storage, Wire::Udp(write.clone()));
+    engine.run_until_idle(1_000);
+    let read = NfsRequest::Read {
+        fh,
+        offset: 0,
+        count: BLOCK as u32,
+    };
+    let read = encode_call(78, &AuthUnix::default(), &read);
+    engine.inject(
+        client,
+        storage,
+        Wire::Udp(Packet::new(client_addr, storage_addr, read)),
+    );
+    engine.run_until_idle(1_000);
+    let got = &engine.actor::<Sink>(client).got;
+    assert_eq!(got.len(), 2, "a WRITE reply and a READ reply");
+    (write, got[1].clone())
+}
+
+/// The data windows of a READ reply, checked to carry `want`.
+fn read_windows(reply: &Packet, want: &[u8]) -> Windows {
+    assert!(reply.verify());
+    let (_, view) = reply.view_reply(NfsProc::Read).expect("READ reply");
+    let BodyView::Read { data, .. } = view.body else {
+        panic!("not a READ body");
+    };
+    let windows = reply.range(data);
+    assert_eq!(windows.to_vec(), want);
+    windows
+}
+
+#[test]
+fn a_retaining_read_reply_is_the_extent_the_write_left() {
+    let (write, reply) = write_then_read(true);
+    let (_, CallView::Write { data, .. }) = write.view_call().expect("WRITE") else {
+        panic!("not a WRITE view");
+    };
+    let windows = read_windows(&reply, &write.range(data).to_vec());
+    // The store kept a window of the WRITE's packet and the reply carries
+    // that window: one allocation from the wire in to the wire out.
+    assert_eq!(windows.iter().count(), 1);
+    assert!(windows.iter().all(|w| ByteBuf::ptr_eq(w, &write.payload)));
+    assert!(
+        reply.payload.len() < 256,
+        "the reply's header holds no data"
+    );
+}
+
+#[test]
+fn a_metadata_only_read_reply_is_the_shared_zero_buffer() {
+    let (_, reply) = write_then_read(false);
+    let windows = read_windows(&reply, &[0; BLOCK]);
+    assert!(reply.windows.iter().all(ByteBuf::is_zeros));
+    assert!(windows.iter().all(ByteBuf::is_zeros));
+}
+
+/// Issues one WRITE whose data is a `Vec` it remembers the address of.
+struct OneWrite {
+    data_at: Rc<Cell<usize>>,
+}
+
+impl Workload for OneWrite {
+    fn start(&mut self, io: &mut ClientIo<'_, '_>) {
+        let data: Vec<u8> = (0..BLOCK).map(|i| (i % 239) as u8).collect();
+        self.data_at.set(data.as_ptr() as usize);
+        let req = NfsRequest::Write {
+            fh: Fhandle::new(21, 0, 0, 0, 0),
+            offset: 128 * 1024,
+            stable: StableHow::Unstable,
+            data,
+        };
+        io.call(1, req);
+    }
+
+    fn on_reply(&mut self, _io: &mut ClientIo<'_, '_>, _tag: u64, _reply: &NfsReply) {}
+}
+
+#[test]
+fn a_client_write_carries_the_workloads_vec_through_the_uproxy() {
+    let cfg = ProxyConfig::test_default();
+    let mut engine: Engine<Wire> = Engine::new(NetConfig::gigabit(), 1);
+    let mut router = Router::new();
+    router.register(cfg.client_addr, NodeId(0));
+    for &site in &cfg.storage_sites {
+        router.register(site, NodeId(1));
+    }
+    let data_at = Rc::new(Cell::new(0));
+    let workload = OneWrite {
+        data_at: Rc::clone(&data_at),
+    };
+    let client_cfg = ClientConfig {
+        addr: cfg.client_addr,
+        server_addr: cfg.virtual_addr,
+        cred: AuthUnix::default(),
+        record_history: false,
+    };
+    let proxy = Some((Uproxy::new(cfg.clone()), NodeId(1)));
+    let client = ClientActor::new(client_cfg, proxy, router, Box::new(workload));
+    assert_eq!(engine.add_node("client", Box::new(client)), NodeId(0));
+    assert_eq!(
+        engine.add_node("storage", Box::new(Sink::default())),
+        NodeId(1)
+    );
+    let deep = deep_copies();
+    engine.kick(NodeId(0));
+    engine.run_until(SimTime::ZERO + SimDuration::from_millis(10));
+    assert_eq!(deep_copies() - deep, 0, "the WRITE was copied on its way");
+    let got = &engine.actor::<Sink>(NodeId(1)).got;
+    assert_eq!(got.len(), 1, "one WRITE reached the storage site");
+    let pkt = &got[0];
+    assert!(pkt.verify());
+    let (_, CallView::Write { data, .. }) = pkt.view_call().expect("WRITE") else {
+        panic!("not a WRITE view");
+    };
+    let windows = pkt.range(data);
+    assert_eq!(windows.iter().count(), 1, "the data is one window");
+    let window = windows.iter().next().expect("a window");
+    assert_eq!(
+        window.as_ptr() as usize,
+        data_at.get(),
+        "not the workload's Vec"
+    );
+    assert!(pkt.payload.len() < 256, "the call's header holds no data");
+}
+
 /// Wraps a server or client actor and folds every datagram it is handed
 /// — endpoints, checksum and every logical byte — into a shared FNV-1a,
 /// in delivery order.
@@ -225,7 +372,7 @@ fn fold_bytes(fold: &Cell<u64>, bytes: &[u8]) {
 
 /// The bytes a datagram carries after its UDP header, in wire order.
 fn logical_bytes(p: &Packet) -> Vec<u8> {
-    p.payload.to_vec()
+    p.bytes()
 }
 
 fn fold_packet(fold: &Cell<u64>, p: &Packet) {
@@ -394,7 +541,10 @@ fn mixed_stream_wire_bytes_and_checksums_are_pinned() {
         router.clone(),
         Box::new(mix),
     );
-    assert_eq!(engine.add_node("client", Box::new(Tap::new(client, &fold))), client_id);
+    assert_eq!(
+        engine.add_node("client", Box::new(Tap::new(client, &fold))),
+        client_id
+    );
     let sf = SmallFileServer::new(SmallFileConfig {
         server_id: 0,
         storage_sites: 4,
@@ -409,7 +559,10 @@ fn mixed_stream_wire_bytes_and_checksums_are_pinned() {
             ..Default::default()
         });
         let actor = StorageActor::new(node, plan.storage[i], router.clone());
-        assert_eq!(engine.add_node("storage", Box::new(Tap::new(actor, &fold))), id);
+        assert_eq!(
+            engine.add_node("storage", Box::new(Tap::new(actor, &fold))),
+            id
+        );
     }
     let mut coord = Coordinator::new(4);
     coord.set_default_placement(Placement::Coded { n: 4, k: 2 });

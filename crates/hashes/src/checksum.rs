@@ -18,23 +18,48 @@ pub fn inet_checksum(data: &[u8]) -> u16 {
 }
 
 /// Checksum over the logical concatenation of `parts` without
-/// materializing it: the ones-complement sum is associative over 16-bit
-/// words, so parts can be summed independently and folded together —
-/// provided every part except the last has even length (so the 16-bit
-/// word grid stays aligned across the seam).
+/// materializing it (see [`PartSum`]); parts may have any length.
 pub fn inet_checksum_parts(parts: &[&[u8]]) -> u16 {
-    let mut sum: u64 = 0;
-    for (i, p) in parts.iter().enumerate() {
-        debug_assert!(
-            i == parts.len() - 1 || p.len().is_multiple_of(2),
-            "only the last part may have odd length"
-        );
-        sum += u64::from(raw_sum(p));
+    let mut sum = PartSum::default();
+    parts.iter().for_each(|p| sum.add(p));
+    sum.checksum()
+}
+
+/// A ones-complement sum taken part by part over the parts' logical
+/// concatenation. Each part is summed on its own and the sums are added:
+/// the sum is associative over 16-bit words. A part that begins at an odd
+/// offset of the whole has every byte in the other half of its word, so
+/// its sum, taken as if it began at an even one, is byte-swapped before it
+/// is added (RFC 1071 §2(B)).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PartSum {
+    sum: u64,
+    /// The bytes so far are odd in number: the next part begins mid-word.
+    odd: bool,
+}
+
+impl PartSum {
+    /// Adds `part`'s bytes.
+    pub fn add(&mut self, part: &[u8]) {
+        let s = fold(raw_sum(part));
+        self.sum += u64::from(if self.odd { s.swap_bytes() } else { s });
+        self.odd ^= part.len() % 2 == 1;
     }
-    while sum > 0xffff_ffff {
-        sum = (sum & 0xffff_ffff) + (sum >> 32);
+
+    /// Adds `len` zero bytes: they sum to nothing, so no byte is read;
+    /// only where the next part begins moves.
+    pub fn add_zeros(&mut self, len: usize) {
+        self.odd ^= len % 2 == 1;
     }
-    !fold(sum as u32)
+
+    /// The checksum field value of the bytes added.
+    pub fn checksum(self) -> u16 {
+        let mut sum = self.sum;
+        while sum > 0xffff_ffff {
+            sum = (sum & 0xffff_ffff) + (sum >> 32);
+        }
+        !fold(sum as u32)
+    }
 }
 
 /// Bytes summed per iteration of the wide kernel: eight 32-bit lanes.
@@ -182,7 +207,7 @@ mod tests {
     #[test]
     fn parts_match_the_concatenation() {
         let buf = seeded_bytes(2_048);
-        for head in (0..=96).step_by(2) {
+        for head in 0..=97 {
             for tail in [0, 1, 2, 31, 32, 33, 64, 1_001] {
                 let (a, b) = (&buf[..head], &buf[head..head + tail]);
                 let joined = [a, b].concat();
@@ -191,6 +216,41 @@ mod tests {
                     reference_checksum(&joined),
                     "head {head} tail {tail}"
                 );
+            }
+        }
+    }
+
+    /// Three parts cut at every pair of split points, so each seam falls
+    /// at both parities, over random bytes, all-zero bytes, and bytes
+    /// whose sum is 0xffff (the ones-complement zero that is not 0). A
+    /// zero part is added as [`PartSum::add_zeros`] adds it.
+    #[test]
+    fn parts_at_every_split_and_parity_match_the_reference() {
+        let random = seeded_bytes(67);
+        let zeros = vec![0u8; 67];
+        // Random words, one more that brings their sum to 0xffff, and an
+        // odd zero byte.
+        let mut minus_zero = random[..64].to_vec();
+        let sum = !reference_checksum(&minus_zero);
+        minus_zero.extend_from_slice(&(0xffff - sum).to_be_bytes());
+        minus_zero.push(0);
+        assert_eq!(reference_checksum(&minus_zero), !0xffff, "sums to -0");
+        for data in [&random, &zeros, &minus_zero] {
+            for i in 0..=data.len() {
+                for j in i..=data.len() {
+                    let parts = [&data[..i], &data[i..j], &data[j..]];
+                    let want = reference_checksum(data);
+                    assert_eq!(inet_checksum_parts(&parts), want, "split {i} {j}");
+                    let mut sum = PartSum::default();
+                    for p in parts {
+                        if p.iter().all(|&b| b == 0) {
+                            sum.add_zeros(p.len());
+                        } else {
+                            sum.add(p);
+                        }
+                    }
+                    assert_eq!(sum.checksum(), want, "zeros skipped, split {i} {j}");
+                }
             }
         }
     }

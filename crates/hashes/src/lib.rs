@@ -19,7 +19,7 @@ pub mod md5;
 pub mod routing;
 
 pub use checksum::{
-    incremental_update16, incremental_update32, incremental_update_bytes, inet_checksum,
+    incremental_update16, incremental_update32, incremental_update_bytes, inet_checksum, PartSum,
 };
 pub use fnv::{fnv1a, fnv1a_continue};
 pub use md5::{md5, md5_u64, Md5};

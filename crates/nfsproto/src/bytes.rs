@@ -21,7 +21,7 @@
 //! worker thread, so concurrent scenarios never see each other's copies.
 
 use std::cell::Cell;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
 
 thread_local! {
@@ -147,6 +147,12 @@ impl ByteBuf {
     pub fn ptr_eq(a: &ByteBuf, b: &ByteBuf) -> bool {
         Arc::ptr_eq(&a.data, &b.data)
     }
+
+    /// Whether this is a window of the one shared zero buffer, whose
+    /// bytes are known without reading them.
+    pub fn is_zeros(&self) -> bool {
+        Arc::ptr_eq(&self.data, &zeros().data)
+    }
 }
 
 impl Default for ByteBuf {
@@ -211,6 +217,12 @@ impl std::fmt::Debug for ByteBuf {
 /// Bytes of the one zero buffer every zero window is cut from.
 const ZEROS_LEN: usize = 64 * 1024;
 
+/// The one zero buffer, never freed.
+fn zeros() -> &'static ByteBuf {
+    static ZEROS: OnceLock<ByteBuf> = OnceLock::new();
+    ZEROS.get_or_init(|| ByteBuf::from_vec(vec![0; ZEROS_LEN]))
+}
+
 /// A payload held in the buffers it already lies in: windows, in order,
 /// whose concatenation is the bytes. Zeros — a hole, or what a store that
 /// keeps no contents answers — are windows of one shared zero buffer,
@@ -225,12 +237,15 @@ impl Windows {
         self.0.push(window);
     }
 
+    /// Appends `other`'s bytes.
+    pub fn append(&mut self, other: Windows) {
+        self.0.extend(other.0);
+    }
+
     /// Appends `len` zero bytes.
     pub fn push_zeros(&mut self, len: usize) {
-        static ZEROS: OnceLock<ByteBuf> = OnceLock::new();
-        let zeros = ZEROS.get_or_init(|| ByteBuf::from_vec(vec![0; ZEROS_LEN]));
         for at in (0..len).step_by(ZEROS_LEN) {
-            self.0.push(zeros.slice(0, (len - at).min(ZEROS_LEN)));
+            self.0.push(zeros().slice(0, (len - at).min(ZEROS_LEN)));
         }
     }
 
@@ -249,6 +264,32 @@ impl Windows {
         self.0.iter()
     }
 
+    /// The bytes of `range`, as windows of the same buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the end.
+    pub fn slice(&self, range: Range<usize>) -> Windows {
+        let mut out = Windows::default();
+        let mut at = 0;
+        for w in &self.0 {
+            let (lo, hi) = (range.start.max(at), range.end.min(at + w.len()));
+            if lo < hi {
+                out.push(w.slice(lo - at, hi - lo));
+            }
+            at += w.len();
+        }
+        assert!(range.end <= at, "windows slice out of bounds");
+        out
+    }
+
+    /// Copies the bytes out into one owned `Vec`.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(self.len());
+        self.0.iter().for_each(|w| bytes.extend_from_slice(w));
+        bytes
+    }
+
     /// The bytes as one buffer of at least `pad_to` bytes, zeros after
     /// the last window: a single window that long is returned as it is;
     /// anything else is assembled by one copy.
@@ -256,8 +297,7 @@ impl Windows {
         if self.0.len() == 1 && self.0[0].len() >= pad_to {
             return self.0.swap_remove(0);
         }
-        let mut bytes = Vec::with_capacity(self.len().max(pad_to));
-        self.0.iter().for_each(|w| bytes.extend_from_slice(w));
+        let mut bytes = self.to_vec();
         bytes.resize(bytes.len().max(pad_to), 0);
         ByteBuf::from_vec(bytes)
     }
@@ -371,6 +411,25 @@ mod tests {
         assert!(ByteBuf::ptr_eq(&one, &a) && one[..] == a[4..]);
         let padded = Windows::from(a.slice(4, 6)).contiguous(8);
         assert_eq!(&padded[..], &[5, 6, 7, 8, 9, 10, 0, 0]);
+    }
+
+    #[test]
+    fn a_slice_of_windows_shares_their_buffers() {
+        let a = ByteBuf::from_vec((1..=10u8).collect());
+        let mut w = Windows::from(a.slice(0, 5));
+        w.push_zeros(3);
+        w.push(a.slice(5, 5));
+        let flat = w.to_vec();
+        for lo in 0..=flat.len() {
+            for hi in lo..=flat.len() {
+                let part = w.slice(lo..hi);
+                assert_eq!(part.to_vec(), &flat[lo..hi], "{lo}..{hi}");
+                assert!(part.iter().all(|p| !p.is_empty()), "no empty window");
+                assert!(part.iter().all(|p| ByteBuf::ptr_eq(p, &a) || p.is_zeros()));
+            }
+        }
+        assert!(w.iter().nth(1).is_some_and(ByteBuf::is_zeros));
+        assert!(!a.is_zeros());
     }
 
     #[test]

@@ -7,10 +7,18 @@
 //! [`Packet::rewrite_src`]/[`Packet::rewrite_dst`], which repair the
 //! checksum *incrementally* (RFC 1624), exactly as the paper's µproxy does
 //! with code derived from FreeBSD NAT (§4.1).
+//!
+//! The payload is an RPC header followed by data windows: the header holds
+//! every field, and a WRITE call's or READ reply's data stays in the
+//! buffers it already lies in — the workload's own `Vec`, a store's
+//! extents, the one shared zero buffer — so no hop copies file data into
+//! a datagram. The checksum is summed over the parts, and a window of the
+//! zero buffer adds nothing without being read.
 
-use crate::bytes::ByteBuf;
-use slice_hashes::checksum::{incremental_update16, incremental_update32};
+use crate::bytes::{ByteBuf, Windows};
+use slice_hashes::checksum::{incremental_update16, incremental_update32, PartSum};
 use slice_sim::MessageSize;
+use std::ops::Range;
 
 /// Simulated IPv4 + UDP header bytes added to every datagram on the wire.
 pub const UDP_IP_HEADER_BYTES: usize = 28;
@@ -40,8 +48,8 @@ impl std::fmt::Display for SockAddr {
 
 /// A simulated UDP datagram with a live checksum.
 ///
-/// The payload is a shared [`ByteBuf`]: cloning a packet (mirrored-write
-/// duplication, the retransmission stash) bumps a refcount instead of
+/// The payload is shared [`ByteBuf`]s: cloning a packet (mirrored-write
+/// duplication, the retransmission stash) bumps refcounts instead of
 /// deep-copying the payload, and address rewrites never touch payload
 /// bytes at all — the checksum is patched incrementally.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,22 +58,48 @@ pub struct Packet {
     pub src: SockAddr,
     /// Destination endpoint.
     pub dst: SockAddr,
-    /// RPC payload bytes (shared; see [`ByteBuf`]).
+    /// The RPC header: every field up to a WRITE call's or READ reply's
+    /// data, or every byte of a packet built from one buffer.
     pub payload: ByteBuf,
+    /// The payload's bytes after the header: file data and its XDR
+    /// padding, in the buffers they lie in.
+    pub windows: Windows,
     /// Ones-complement checksum over the pseudo-header and payload.
     pub checksum: u16,
 }
 
 impl Packet {
-    /// Builds a packet, computing the checksum in full.
+    /// Builds a packet of one buffer, computing the checksum in full.
     pub fn new(src: SockAddr, dst: SockAddr, payload: impl Into<ByteBuf>) -> Self {
-        let payload = payload.into();
-        let checksum = Self::full_checksum(src, dst, &payload);
+        Self::with_windows(src, dst, payload, Windows::default())
+    }
+
+    /// Builds a packet of a header and the data `windows` after it,
+    /// summing the parts: a window of the shared zero buffer is not read.
+    pub fn with_windows(
+        src: SockAddr,
+        dst: SockAddr,
+        header: impl Into<ByteBuf>,
+        windows: Windows,
+    ) -> Self {
+        let payload = header.into();
+        let len = payload.len() + windows.len();
+        let mut sum = PartSum::default();
+        sum.add(&Self::pseudo_header(src, dst, len));
+        sum.add(&payload);
+        for w in windows.iter() {
+            if w.is_zeros() {
+                sum.add_zeros(w.len());
+            } else {
+                sum.add(w);
+            }
+        }
         Packet {
             src,
             dst,
             payload,
-            checksum,
+            windows,
+            checksum: sum.checksum(),
         }
     }
 
@@ -79,17 +113,48 @@ impl Packet {
         h
     }
 
-    /// Computes the checksum from scratch (used on build and in tests; the
-    /// µproxy never does this on its fast path). The pseudo-header and
-    /// payload are summed in place — no concatenation copy.
-    pub fn full_checksum(src: SockAddr, dst: SockAddr, payload: &[u8]) -> u16 {
-        let ph = Self::pseudo_header(src, dst, payload.len());
-        slice_hashes::checksum::inet_checksum_parts(&[&ph, payload])
+    /// Payload bytes: the header and every window.
+    pub fn payload_len(&self) -> usize {
+        self.payload.len() + self.windows.len()
     }
 
-    /// True when the stored checksum matches the contents.
+    /// The payload's bytes in one buffer (one copy; tests and digests).
+    pub fn bytes(&self) -> Vec<u8> {
+        let mut bytes = self.payload.to_vec();
+        bytes.extend_from_slice(&self.windows.to_vec());
+        bytes
+    }
+
+    /// The payload bytes of `range` — an offset range over the header
+    /// followed by the windows, as a parser hands it out — as windows of
+    /// the buffers they lie in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the payload.
+    pub fn range(&self, range: Range<usize>) -> Windows {
+        let head = self.payload.len();
+        let mut out = Windows::default();
+        if range.start < head {
+            let end = range.end.min(head);
+            out.push(self.payload.slice(range.start, end - range.start));
+        }
+        if range.end > head {
+            let tail = self
+                .windows
+                .slice(range.start.max(head) - head..range.end - head);
+            tail.iter().for_each(|w| out.push(w.clone()));
+        }
+        out
+    }
+
+    /// True when the stored checksum matches the contents. The payload is
+    /// summed in one piece, not part by part as it was built, so a sum
+    /// that composed its parts wrongly shows here.
     pub fn verify(&self) -> bool {
-        self.checksum == Self::full_checksum(self.src, self.dst, &self.payload)
+        let bytes = self.bytes();
+        let ph = Self::pseudo_header(self.src, self.dst, bytes.len());
+        self.checksum == slice_hashes::checksum::inet_checksum_parts(&[&ph, &bytes])
     }
 
     /// Rewrites the destination endpoint, patching the checksum
@@ -107,7 +172,7 @@ impl Packet {
         self.src = new;
     }
 
-    /// Rewrites an even-aligned region of the payload in place, patching
+    /// Rewrites an even-aligned region of the header in place, patching
     /// the checksum incrementally. `offset` must be even and the
     /// replacement must fit and have even length.
     ///
@@ -145,7 +210,7 @@ impl Packet {
 
     /// Total bytes on the wire including simulated headers.
     pub fn wire_size(&self) -> usize {
-        self.payload.len() + UDP_IP_HEADER_BYTES
+        self.payload_len() + UDP_IP_HEADER_BYTES
     }
 }
 
@@ -233,5 +298,36 @@ mod tests {
     fn wire_size_includes_headers() {
         let p = Packet::new(addr(1, 1), addr(2, 2), vec![0u8; 100]);
         assert_eq!(MessageSize::wire_size(&p), 128);
+        let mut w = Windows::from(ByteBuf::from_vec(vec![5; 33]));
+        w.push_zeros(3);
+        let p = Packet::with_windows(addr(1, 1), addr(2, 2), vec![0u8; 100], w);
+        assert_eq!(MessageSize::wire_size(&p), 164);
+    }
+
+    /// A header and windows — odd lengths, zero windows between data —
+    /// carry the checksum of the same bytes in one buffer, and a range
+    /// over them resolves to the buffers the bytes lie in.
+    #[test]
+    fn windows_sum_and_resolve_as_the_flat_bytes() {
+        let data = ByteBuf::from_vec((0..255u8).collect());
+        let mut w = Windows::from(data.slice(0, 7));
+        w.push_zeros(5);
+        w.push(data.slice(7, 100));
+        w.push_zeros(1);
+        w.push(data.slice(107, 13));
+        let head: Vec<u8> = (0..36u8).map(|b| b.wrapping_mul(37)).collect();
+        let p = Packet::with_windows(addr(3, 4), addr(5, 6), head.clone(), w);
+        let flat = Packet::new(addr(3, 4), addr(5, 6), p.bytes());
+        assert_eq!(p.checksum, flat.checksum);
+        assert_eq!(p.payload_len(), 36 + 126);
+        assert!(p.verify());
+        for (lo, hi) in [(0, 36), (30, 40), (36, 48), (40, 162), (0, 162), (161, 162)] {
+            let r = p.range(lo..hi);
+            assert_eq!(r.to_vec(), &flat.payload[lo..hi], "{lo}..{hi}");
+        }
+        assert!(p
+            .range(36..162)
+            .iter()
+            .all(|w| ByteBuf::ptr_eq(w, &data) || w.is_zeros()));
     }
 }

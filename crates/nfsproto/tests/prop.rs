@@ -215,7 +215,7 @@ fn lazy_write_parse_agrees_with_decode_call() {
                         assert_eq!((fh, offset, stable), (dfh, doffset, dstable));
                         assert_eq!(&m[data.clone()], &ddata[..]);
                     }
-                    assert_eq!(view.into_request(&m), decoded);
+                    assert_eq!(view.into_request(|r| m[r].to_vec()), decoded);
                 }
                 (Err(v), Err(d)) => assert_eq!(v, d),
                 (v, d) => panic!("parsers disagree: view {v:?}, decode {d:?}"),
@@ -261,7 +261,7 @@ fn lazy_read_parse_agrees_with_decode_reply() {
                         assert_eq!(eof, deof);
                         assert_eq!(&m[data.clone()], &ddata[..]);
                     }
-                    assert_eq!(view.into_reply(&m), decoded);
+                    assert_eq!(view.into_reply(|r| m[r].to_vec()), decoded);
                 }
                 (Err(v), Err(d)) => assert_eq!(v, d),
                 (v, d) => panic!("parsers disagree: view {v:?}, decode {d:?}"),

@@ -17,11 +17,11 @@
 use slice_sim::{FxHashMap, FxHashSet};
 
 use slice_nfsproto::{
-    encode_read_reply, ByteBuf, Fattr3, Fhandle, FileType, NfsProc, NfsReply, NfsRequest,
-    NfsStatus, NfsTime, ReplyBody, StableHow, Windows,
+    encode_read_reply, Fattr3, Fhandle, FileType, NfsProc, NfsReply, NfsRequest, NfsStatus,
+    NfsTime, ReplyBody, StableHow, Windows,
 };
 use slice_sim::{BlockTable, DiskArray, DiskParams, LruCache, SimTime};
-use std::ops::{Range, RangeInclusive};
+use std::ops::RangeInclusive;
 
 use crate::object::ObjectStore;
 
@@ -470,9 +470,9 @@ impl StorageNode {
         (done, obj, avail)
     }
 
-    /// Serves a READ as the encoded payload of its reply to `xid`: the
-    /// data is read straight into the packet being built, so the sender
-    /// touches each byte once.
+    /// Serves a READ as the header and windows of its reply to `xid`: the
+    /// windows are the store's extents and the shared zero buffer, so no
+    /// data byte is copied or filled.
     pub fn read_encoded(
         &mut self,
         now: SimTime,
@@ -480,35 +480,31 @@ impl StorageNode {
         fh: &Fhandle,
         offset: u64,
         count: u32,
-    ) -> (SimTime, Vec<u8>) {
+    ) -> (SimTime, Vec<u8>, Windows) {
         let (done, obj, avail) = self.timed_object_read(now, fh, offset, count);
         let attr = self.attr_for(obj, now);
         let eof = offset + avail as u64 >= attr.size;
-        let store = &mut self.store;
-        let payload = encode_read_reply(xid, &attr, eof, avail, |buf| {
-            store.read_into(obj, offset, buf)
-        });
-        (done, payload)
+        let data = self.store.read_windows(obj, offset, avail);
+        let (header, windows) = encode_read_reply(xid, Some(attr), eof, data);
+        (done, header, windows)
     }
 
-    /// Serves a WRITE of the `data` range of `payload`, the packet the
-    /// call arrived in, at `offset`. Nothing is copied: a retaining store
-    /// keeps a window of `payload`, so the two replicas of a mirrored
-    /// write hold one allocation between them, and a metadata-only store
-    /// takes the length and leaves the buffer alone.
+    /// Serves a WRITE of `data`, the windows of the packet the call
+    /// arrived in, at `offset`. Nothing is copied: a retaining store keeps
+    /// the windows, so the two replicas of a mirrored write hold one
+    /// allocation between them, and a metadata-only store takes the length
+    /// and leaves the buffers alone.
     pub fn write(
         &mut self,
         now: SimTime,
         fh: &Fhandle,
         offset: u64,
         stable: StableHow,
-        payload: &ByteBuf,
-        data: Range<usize>,
+        data: &Windows,
     ) -> (SimTime, NfsReply) {
         let obj = Self::object_of(fh);
-        let len = data.len();
-        self.store.write_window(obj, offset, payload, data);
-        self.write_done(now, obj, offset, len, stable)
+        self.store.write_windows(obj, offset, data);
+        self.write_done(now, obj, offset, data.len(), stable)
     }
 
     /// The disk model and the reply of a WRITE of `len` bytes at `offset`
@@ -898,7 +894,7 @@ mod tests {
     #[test]
     fn encoded_read_matches_the_decoded_path() {
         // Two nodes fed the same history; one answers through
-        // `handle_nfs` + `encode_reply`, the other encodes in place.
+        // `handle_nfs` + `encode_reply`, the other in windows.
         let (mut a, mut b) = (node(), node());
         for n in [&mut a, &mut b] {
             for (offset, byte) in [(0u64, 1u8), (40_000, 2), (100_000, 3)] {
@@ -922,8 +918,10 @@ mod tests {
                 count,
             };
             let (done_a, reply) = a.handle_nfs(t0(), &req);
-            let (done_b, payload) = b.read_encoded(t0(), xid as u32, &fh(6), offset, count);
+            let (done_b, header, windows) = b.read_encoded(t0(), xid as u32, &fh(6), offset, count);
             assert_eq!(done_a, done_b, "read at {offset}");
+            let mut payload = header;
+            payload.extend_from_slice(&windows.to_vec());
             assert_eq!(
                 payload,
                 slice_nfsproto::encode_reply(xid as u32, &reply),

@@ -13,19 +13,19 @@
 //! zero-filled data. Integrity tests run with content retention on.
 //!
 //! A retaining store keeps the wire's bytes: an extent is a window of the
-//! buffer its data arrived in ([`ObjectStore::write_window`]), so the two
+//! buffer its data arrived in ([`ObjectStore::write_windows`]), so the two
 //! replicas of a mirrored WRITE — one packet, cloned — hold one
 //! allocation between them, and a partial overwrite leaves its remainders
 //! as sub-windows of the same buffer. The buffer is immutable while shared
 //! (a holder that patches it copies first), so no holder can change what
 //! the store reads back. A resync moves windows too: the source answers
 //! with the windows of its extents ([`ObjectStore::read_windows`]) and the
-//! target keeps them ([`ObjectStore::write_windows`]).
+//! target keeps them. A READ reply is those windows too: the reply's
+//! packet holds the extents it reads, and the zero buffer for holes.
 
 use slice_nfsproto::{ByteBuf, Windows};
 use slice_sim::FxHashMap;
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// One stored extent.
 #[derive(Debug, Clone)]
@@ -139,25 +139,7 @@ impl StorageObject {
     /// Reads `len` bytes at `offset`; holes read as zeros. Does not
     /// touch the store's I/O accounting (audit/oracle use).
     pub fn read(&self, offset: u64, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        self.read_into(offset, &mut out);
-        out
-    }
-
-    /// Copies the stored bytes of `[offset, offset + out.len())` over
-    /// `out`; bytes in holes (and everything in metadata-only mode) are
-    /// left as the caller set them.
-    pub fn read_into(&self, offset: u64, out: &mut [u8]) {
-        let end = offset + out.len() as u64;
-        for (s, ext) in self.overlapping(offset, end) {
-            let copy_start = s.max(offset);
-            let copy_end = (s + ext.len).min(end);
-            if let Some(data) = &ext.data {
-                let src = &data[(copy_start - s) as usize..(copy_end - s) as usize];
-                out[(copy_start - offset) as usize..(copy_end - offset) as usize]
-                    .copy_from_slice(src);
-            }
-        }
+        self.windows(offset, len).to_vec()
     }
 
     fn truncate(&mut self, size: u64) {
@@ -236,26 +218,20 @@ impl ObjectStore {
         self.put(id, offset, data.len() as u64, kept);
     }
 
-    /// Writes the `range` of `payload` at `offset` within object `id`,
-    /// creating it if absent, without copying: a retaining store keeps a
-    /// window of `payload` (the packet a WRITE arrived in, or a resync's
-    /// buffer), which every other holder of it shares; a metadata-only
-    /// store keeps the length and leaves `payload` alone.
-    pub fn write_window(&mut self, id: u64, offset: u64, payload: &ByteBuf, range: Range<usize>) {
-        let kept = self
-            .retain_data
-            .then(|| payload.slice(range.start, range.len()));
-        self.put(id, offset, range.len() as u64, kept);
-    }
-
     /// Writes `windows` back to back from `offset` within object `id`,
-    /// creating it (even with no bytes) if absent; each window is kept as
-    /// [`write_window`](Self::write_window) keeps one.
-    pub fn write_windows(&mut self, id: u64, mut offset: u64, windows: &Windows) {
+    /// creating it (even with no bytes) if absent, without copying: a
+    /// retaining store keeps each window (of the packet a WRITE arrived
+    /// in, or a resync's buffers), which every other holder of it shares;
+    /// a metadata-only store keeps the length and leaves them alone.
+    pub fn write_windows(&mut self, id: u64, offset: u64, windows: &Windows) {
         self.objects.entry(id).or_default();
+        if !self.retain_data {
+            return self.put(id, offset, windows.len() as u64, None);
+        }
+        let mut at = offset;
         for w in windows.iter() {
-            self.write_window(id, offset, w, 0..w.len());
-            offset += w.len() as u64;
+            self.put(id, at, w.len() as u64, Some(w.clone()));
+            at += w.len() as u64;
         }
     }
 
@@ -268,9 +244,8 @@ impl ObjectStore {
     /// zeros. Returns `(data, local_eof)` where `local_eof` is true when
     /// the range reaches or passes the object's local size.
     pub fn read(&mut self, id: u64, offset: u64, len: usize) -> (Vec<u8>, bool) {
-        let mut out = vec![0u8; len];
-        self.read_into(id, offset, &mut out);
-        (out, offset + len as u64 >= self.size(id))
+        let data = self.read_windows(id, offset, len).to_vec();
+        (data, offset + len as u64 >= self.size(id))
     }
 
     /// [`read`](Self::read) as the windows the bytes lie in: nothing is
@@ -280,15 +255,6 @@ impl ObjectStore {
         match self.objects.get(&id) {
             Some(obj) => obj.windows(offset, len),
             None => StorageObject::default().windows(offset, len),
-        }
-    }
-
-    /// [`read`](Self::read) into a caller-supplied, already zeroed buffer
-    /// (a reply being encoded).
-    pub fn read_into(&mut self, id: u64, offset: u64, out: &mut [u8]) {
-        self.bytes_read += out.len() as u64;
-        if let Some(obj) = self.objects.get(&id) {
-            obj.read_into(offset, out);
         }
     }
 
@@ -510,17 +476,18 @@ mod tests {
     fn windows_are_kept_without_copies() {
         use slice_nfsproto::bytes::local_clone_stats;
         let payload = ByteBuf::from_vec((0..1_000u32).map(|i| i as u8).collect());
+        let window = Windows::from(payload.slice(100, 500));
         let (shallow, deep, _) = local_clone_stats();
         let mut meta = ObjectStore::new_metadata_only();
-        meta.write_window(1, 0, &payload, 100..600);
+        meta.write_windows(1, 0, &window);
         assert_eq!(
             local_clone_stats().0,
             shallow,
             "metadata-only took a refcount"
         );
         let (mut a, mut b) = (ObjectStore::new(), ObjectStore::new());
-        a.write_window(1, 0, &payload, 100..600);
-        b.write_window(1, 0, &payload, 100..600);
+        a.write_windows(1, 0, &window);
+        b.write_windows(1, 0, &window);
         assert_eq!(local_clone_stats().0, shallow + 2, "one refcount per store");
         a.write(1, 200, b"xy");
         let mut want = payload[100..600].to_vec();

@@ -159,9 +159,10 @@ impl Harness {
 
     fn read_encoded(&mut self, now: SimTime, obj: u64, offset: u64, count: u32) -> SimTime {
         self.xid += 1;
-        let (done, payload) = self
-            .node
-            .read_encoded(now, self.xid, &fh(obj), offset, count);
+        let (done, mut payload, windows) =
+            self.node
+                .read_encoded(now, self.xid, &fh(obj), offset, count);
+        payload.extend_from_slice(&windows.to_vec());
         self.fold_bytes(&payload);
         self.note_read(now, done);
         done
@@ -187,8 +188,8 @@ impl Harness {
             let mut packet = vec![0xa5; 40];
             packet.extend_from_slice(&data);
             let payload = ByteBuf::from_vec(packet);
-            self.node
-                .write(now, &fh(obj), offset, stable, &payload, 40..40 + len)
+            let window = Windows::from(payload.slice(40, len));
+            self.node.write(now, &fh(obj), offset, stable, &window)
         } else {
             let req = NfsRequest::Write {
                 fh: fh(obj),

@@ -14,8 +14,8 @@
 
 use slice_nfsproto::bytes::local_clone_stats;
 use slice_nfsproto::{
-    decode_reply, encode_call, view_call, AuthUnix, ByteBuf, CallView, Fhandle, NfsProc,
-    NfsRequest, Packet, ReplyBody, SockAddr, StableHow, Windows,
+    decode_reply, encode_call, AuthUnix, ByteBuf, CallView, Fhandle, NfsProc, NfsRequest, Packet,
+    ReplyBody, SockAddr, StableHow, Windows,
 };
 use slice_sim::time::{SimDuration, SimTime};
 use slice_sim::Rng;
@@ -109,18 +109,19 @@ fn serve_write(node: &mut StorageNode, now: SimTime, pkt: &Packet) {
             stable,
             data,
         },
-    )) = view_call(&pkt.payload)
+    )) = pkt.view_call()
     else {
         panic!("not a WRITE call");
     };
-    node.write(now, &fh, offset, stable, &pkt.payload, data);
+    node.write(now, &fh, offset, stable, &pkt.range(data));
 }
 
 /// The data a node's encoded READ reply for `count` bytes at `offset`
 /// carries: the bytes of the range that exist locally.
 fn serve_read(node: &mut StorageNode, now: SimTime, obj: u64, offset: u64, count: u32) -> Vec<u8> {
     let fh = Fhandle::new(obj, 0, 0, 0, 0);
-    let (_, payload) = node.read_encoded(now, 1, &fh, offset, count);
+    let (_, mut payload, windows) = node.read_encoded(now, 1, &fh, offset, count);
+    payload.extend_from_slice(&windows.to_vec());
     match decode_reply(&payload, NfsProc::Read) {
         Ok((_, reply)) => match reply.body {
             ReplyBody::Read { data, .. } => data,
@@ -292,7 +293,7 @@ fn mirrored_write_packets_read_back_and_a_later_patch_is_unseen() {
         }
         m[offset as usize..(offset + 8_192) as usize].fill(0x11);
     }
-    let Ok((_, CallView::Write { data, .. })) = view_call(&pkt.payload) else {
+    let Ok((_, CallView::Write { data, .. })) = pkt.view_call() else {
         panic!("not a WRITE call");
     };
     pkt.rewrite_payload(data.start + 512, &[0xee; 1_024]);

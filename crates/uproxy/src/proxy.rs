@@ -22,9 +22,9 @@ use std::time::Instant;
 
 use slice_hashes::{name_fingerprint, NamePolicy, RoutingTable};
 use slice_nfsproto::{
-    encode_call, view_call, view_reply, AuthUnix, BodyView, ByteBuf, CallView, Fhandle, NfsProc,
-    NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, ReplyView, Sattr3, SetTime,
-    SockAddr, StableHow, REPLY_ATTR_OFFSET,
+    encode_call, encode_read_reply, encode_write_call, AuthUnix, BodyView, ByteBuf, CallView,
+    Fattr3, Fhandle, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody,
+    ReplyView, Sattr3, SetTime, SockAddr, StableHow, Windows, REPLY_ATTR_OFFSET,
 };
 use slice_obs::EventKind;
 use slice_sim::{SimDuration, SimTime};
@@ -322,29 +322,28 @@ fn read_len(offset: u64, len: u32, size: u64) -> usize {
     size.saturating_sub(offset).min(u64::from(len)) as usize
 }
 
-/// The body of a READ of `[offset, offset + len)` the µproxy assembles
-/// itself: every window `(file offset, bytes)` laid over zeros, against
-/// the global file `size`. Servers know only their local extent, so a hole
-/// or a short tail reads as zeros and whatever lies past EOF is clipped.
-fn read_body<'a>(
-    offset: u64,
-    len: u32,
-    size: u64,
-    windows: impl IntoIterator<Item = (u64, &'a [u8])>,
-) -> ReplyBody {
+/// The data of a READ of `[offset, offset + len)` the µproxy answers
+/// itself, and whether it reaches EOF: the windows `(file offset, bytes)`
+/// laid in file order over zeros, against the global file `size`. Servers
+/// know only their local extent, so a hole or a short tail reads as zeros
+/// and whatever lies past EOF is clipped. No byte is copied: the reply
+/// carries the legs' windows and the shared zero buffer.
+fn read_data(offset: u64, len: u32, size: u64, mut parts: Vec<(u64, Windows)>) -> (Windows, bool) {
     let expected = read_len(offset, len, size);
-    let mut data = vec![0u8; expected];
-    for (pos, bytes) in windows {
+    parts.sort_by_key(|&(pos, _)| pos);
+    let (mut data, mut at) = (Windows::default(), 0);
+    for (pos, bytes) in parts {
         let start = (pos - offset) as usize;
-        if start < expected {
-            let n = bytes.len().min(expected - start);
-            data[start..start + n].copy_from_slice(&bytes[..n]);
+        let end = (start + bytes.len()).min(expected);
+        let from = start.max(at);
+        if from < end {
+            data.push_zeros(from - at);
+            data.append(bytes.slice(from - start..end - start));
+            at = end;
         }
     }
-    ReplyBody::Read {
-        data,
-        eof: offset + expected as u64 >= size,
-    }
+    data.push_zeros(expected - at);
+    (data, offset + expected as u64 >= size)
 }
 
 /// The cookie a page of nothing but a listing's chain marker (the one
@@ -978,15 +977,29 @@ impl Uproxy {
         NfsTime::from_nanos(now.as_nanos())
     }
 
-    /// Sends the client a reply the µproxy assembled itself (a leg op's,
-    /// or a READ corrected to the global size) instead of rewriting one in
-    /// place.
+    /// Sends the client a reply the µproxy assembled itself (a leg op's)
+    /// instead of rewriting one in place.
     fn reply_to_client(&mut self, xid: u32, client: SockAddr, reply: &NfsReply) {
-        let p = Packet::new(
-            self.cfg.virtual_addr,
-            client,
-            slice_nfsproto::encode_reply(xid, reply),
-        );
+        let header = slice_nfsproto::encode_reply(xid, reply);
+        self.send_up(client, header, Windows::default());
+    }
+
+    /// Sends the client the READ reply the µproxy assembled itself — a leg
+    /// op's, or a reply corrected to the global size — of the windows
+    /// [`read_data`] laid out.
+    fn read_reply_to_client(
+        &mut self,
+        xid: u32,
+        client: SockAddr,
+        attr: Option<Fattr3>,
+        (data, eof): (Windows, bool),
+    ) {
+        let (header, windows) = encode_read_reply(xid, attr, eof, data);
+        self.send_up(client, header, windows);
+    }
+
+    fn send_up(&mut self, client: SockAddr, header: Vec<u8>, windows: Windows) {
+        let p = Packet::with_windows(self.cfg.virtual_addr, client, header, windows);
         self.stats.replies_routed += 1;
         self.out.push(ProxyOut::Client(p));
     }
@@ -1042,7 +1055,7 @@ impl Uproxy {
         }
         // Phase 2: decode — headers and arguments only; WRITE data is
         // located, not read.
-        let decoded = view_call(&pkt.payload);
+        let decoded = pkt.view_call();
         self.clock.lap(&mut self.phases.decode_ns);
         let Ok((hdr, call)) = decoded else {
             // Undecodable packet: drop; RPC retransmission recovers.
@@ -1176,7 +1189,8 @@ impl Uproxy {
     }
 
     /// Routes a READ (`write == None`) or WRITE (its data's range within
-    /// `pkt.payload`, and its stability) that reaches the bulk region.
+    /// the packet's payload, and its stability) that reaches the bulk
+    /// region.
     /// The placement decides everything: the block map names the storage
     /// sites — one replica of a mirror for a read, every live replica for
     /// a write, shard sites for a coded stripe.
@@ -1452,7 +1466,7 @@ impl Uproxy {
         };
         // Phase 2: decode the reply — status, attributes and results;
         // READ data is located, not read.
-        let reply = view_reply(&pkt.payload, proc).ok().map(|(_, r)| r);
+        let reply = pkt.view_reply(proc).ok().map(|(_, r)| r);
         self.clock.lap(&mut self.phases.decode_ns);
         // Failure-suspicion bookkeeping: any reply from a storage site
         // resets its strike count — but suspicion itself clears only via
@@ -1535,7 +1549,7 @@ impl Uproxy {
         let listing = matches!(rec.proc, NfsProc::Readdir | NfsProc::Readdirplus);
         let call = listing.then(|| self.soft.listings.remove(&rx.xid));
         if let (Some(Some(call)), Some(next)) = (call, rx.reply.as_ref().and_then(chain_marker)) {
-            if let Ok((hdr, CallView::Other(mut req))) = view_call(&call.payload) {
+            if let Ok((hdr, CallView::Other(mut req))) = call.view_call() {
                 if let NfsRequest::Readdir { cookie, .. } | NfsRequest::Readdirplus { cookie, .. } =
                     &mut req
                 {
@@ -1646,14 +1660,9 @@ impl Uproxy {
                         (self.attrs.get(fh.file_id()), &reply.body)
                     {
                         if data.len() != read_len(rec.offset, rec.len, attr.size) {
-                            let window = (rec.offset, &rx.pkt.payload[data.clone()]);
-                            let fixed = NfsReply {
-                                proc: NfsProc::Read,
-                                status: reply.status,
-                                attr: Some(attr),
-                                body: read_body(rec.offset, rec.len, attr.size, [window]),
-                            };
-                            self.reply_to_client(rx.xid, rec.client_src, &fixed);
+                            let window = vec![(rec.offset, rx.pkt.range(data.clone()))];
+                            let fixed = read_data(rec.offset, rec.len, attr.size, window);
+                            self.read_reply_to_client(rx.xid, rec.client_src, Some(attr), fixed);
                             self.clock.lap(&mut self.phases.rewrite_ns);
                             return;
                         }
@@ -1694,7 +1703,7 @@ impl Uproxy {
             CoordReply::IntentAck { op_id, intent } => {
                 if let Some(pkt) = up.soft.intent_waiters.remove(&op_id) {
                     let xid = op_id as u32;
-                    let fh = match view_call(&pkt.payload) {
+                    let fh = match pkt.view_call() {
                         Ok((_, CallView::Other(req))) => req.primary_fh().copied(),
                         _ => None,
                     };

@@ -77,7 +77,7 @@ pub(super) struct CodedStripe {
     /// write, or degraded read of this stripe).
     gather: bool,
     /// Gathered survivor windows by shard index, zero-padded to hull len
-    /// (a full-length window stays a view of the packet it arrived in).
+    /// (a full-length window stays a window of the packet it arrived in).
     got: Vec<Option<ByteBuf>>,
 }
 
@@ -90,8 +90,8 @@ pub(super) struct LegOp {
     write: bool,
     stable: StableHow,
     /// Client write payload, indexed from `call.offset` (empty for reads):
-    /// a window of the client's packet.
-    data: ByteBuf,
+    /// the windows of the client's packet.
+    data: Windows,
     /// The coded stripes touched; none for a threshold split.
     stripes: Vec<CodedStripe>,
     /// Sites this op routes to: the DirtyAck-approved live set when
@@ -108,7 +108,7 @@ pub(super) struct LegOp {
     /// verifier stands in for the fan-out, as with mirrored writes).
     template: Option<NfsReply>,
     /// Read windows collected: (file offset, bytes).
-    reads: Vec<(u64, ByteBuf)>,
+    reads: Vec<(u64, Windows)>,
     /// A coded write whose shard writes are still to be computed (the
     /// survivor windows they need may be on their way).
     shards_due: bool,
@@ -119,8 +119,18 @@ pub(super) struct LegPlan {
     /// Storage site, or `None` for the file's small-file server (the
     /// below-threshold head of a straddling request).
     site: Option<u32>,
-    req: NfsRequest,
+    /// Where in the object the leg reads or writes.
+    offset: u64,
+    io: LegIo,
     role: LegRole,
+}
+
+/// What a leg asks of its site.
+pub(super) enum LegIo {
+    /// A READ of this many bytes.
+    Read(u32),
+    /// A WRITE of these bytes, sent as the windows they lie in.
+    Write(StableHow, Windows),
 }
 
 impl LegOp {
@@ -135,8 +145,8 @@ impl LegOp {
     ) -> Self {
         let is_write = write.is_some();
         let (data, stable) = match write {
-            Some((data, stable)) => (pkt.payload.slice(data.start, data.len()), stable),
-            None => (ByteBuf::new(), StableHow::Unstable),
+            Some((data, stable)) => (pkt.range(data), stable),
+            None => (Windows::default(), StableHow::Unstable),
         };
         LegOp {
             call,
@@ -157,25 +167,20 @@ impl LegOp {
     /// A leg carrying the client's own request, restricted to file range
     /// `[from, to)`, to `site`.
     fn part_leg(&self, site: Option<u32>, from: u64, to: u64) -> LegPlan {
-        let (req, role) = if self.write {
+        let (io, role) = if self.write {
             let base = self.call.offset;
             let window = (from - base) as usize..(to - base) as usize;
-            let req = NfsRequest::Write {
-                fh: self.call.fh,
-                offset: from,
-                stable: self.stable,
-                data: self.data[window].to_vec(),
-            };
-            (req, LegRole::WriteAck)
+            let io = LegIo::Write(self.stable, self.data.slice(window));
+            (io, LegRole::WriteAck)
         } else {
-            let req = NfsRequest::Read {
-                fh: self.call.fh,
-                offset: from,
-                count: (to - from) as u32,
-            };
-            (req, LegRole::Read)
+            (LegIo::Read((to - from) as u32), LegRole::Read)
         };
-        LegPlan { site, req, role }
+        LegPlan {
+            site,
+            offset: from,
+            io,
+            role,
+        }
     }
 
     /// The threshold split's plan: the whole bulk part, to every site the
@@ -262,8 +267,9 @@ impl Uproxy {
         self.unlock_stripes(xid);
     }
 
-    /// Issues one leg of op `parent` under a µproxy-owned xid.
-    fn send_leg(&mut self, parent: u32, fh: Fhandle, plan: &LegPlan) {
+    /// Issues one leg of op `parent` under a µproxy-owned xid: a WRITE's
+    /// windows go out as they are.
+    fn send_leg(&mut self, parent: u32, fh: Fhandle, plan: LegPlan) {
         let xid = self.next_own_xid;
         self.next_own_xid = self.next_own_xid.wrapping_add(1);
         let (dst, class) = match plan.site {
@@ -271,12 +277,20 @@ impl Uproxy {
             None => (self.sf_dest(fh.file_id()), Class::SmallFile),
         };
         let own = self.cfg.client_addr;
-        let pkt = Packet::new(own, dst, encode_call(xid, &self.cred, &plan.req));
-        let (proc, offset, len) = match &plan.req {
-            NfsRequest::Read { offset, count, .. } => (NfsProc::Read, *offset, *count),
-            NfsRequest::Write { offset, data, .. } => (NfsProc::Write, *offset, data.len() as u32),
-            _ => unreachable!("legs are reads and writes"),
+        let offset = plan.offset;
+        let (proc, len, (header, windows)) = match plan.io {
+            LegIo::Read(count) => {
+                let req = NfsRequest::Read { fh, offset, count };
+                let header = encode_call(xid, &self.cred, &req);
+                (NfsProc::Read, count, (header, Windows::default()))
+            }
+            LegIo::Write(stable, data) => {
+                let len = data.len() as u32;
+                let call = encode_write_call(xid, &self.cred, &fh, offset, stable, data);
+                (NfsProc::Write, len, call)
+            }
         };
+        let pkt = Packet::with_windows(own, dst, header, windows);
         let mut rec = PendingReq::new(proc, Some(fh), offset, len, class, own);
         rec.kind = Pending::Leg {
             parent,
@@ -308,7 +322,7 @@ impl Uproxy {
         // at once.
         let direct = op.shards_due && !op.stripes.iter().any(|st| st.gather);
         self.soft.ops.insert(xid, op);
-        for plan in head.iter().chain(&plans) {
+        for plan in head.into_iter().chain(plans) {
             self.send_leg(xid, fh, plan);
         }
         if direct {
@@ -339,7 +353,7 @@ impl Uproxy {
         geom: CodedLayout,
     ) -> Option<(Vec<CodedStripe>, Vec<u32>, Vec<LegPlan>)> {
         let k = geom.k as usize;
-        let (xid, fh, file) = (call.xid, call.fh, call.fh.file_id());
+        let (xid, file) = (call.xid, call.fh.file_id());
         let (blo, bhi) = (call.lo, call.end());
         let blen = bhi - blo;
         let first = geom.stripe_of(blo);
@@ -411,11 +425,8 @@ impl Uproxy {
                 let picked = sites.iter().enumerate().filter(|&(_, &x)| usable(x));
                 plans.extend(picked.take(k).map(|(idx, &site)| LegPlan {
                     site: Some(site),
-                    req: NfsRequest::Read {
-                        fh,
-                        offset: geom.shard_obj_offset(s, idx as u32, lo),
-                        count: (hi - lo) as u32,
-                    },
+                    offset: geom.shard_obj_offset(s, idx as u32, lo),
+                    io: LegIo::Read((hi - lo) as u32),
                     role: LegRole::Gather {
                         stripe: i as u32,
                         shard: idx as u32,
@@ -426,11 +437,8 @@ impl Uproxy {
                 // anyway so retransmissions keep probing it).
                 plans.extend(needed.iter().map(|&(j, a, b)| LegPlan {
                     site: Some(sites[j as usize]),
-                    req: NfsRequest::Read {
-                        fh,
-                        offset: geom.shard_obj_offset(s, j, a),
-                        count: (b - a) as u32,
-                    },
+                    offset: geom.shard_obj_offset(s, j, a),
+                    io: LegIo::Read((b - a) as u32),
                     role: LegRole::Read,
                 }));
             }
@@ -472,13 +480,16 @@ impl Uproxy {
 
     /// Computes and issues the final shard writes of a coded write op:
     /// overlays the client bytes on the (decoded or direct) old data,
-    /// re-encodes parity, and writes every touched live shard window.
+    /// re-encodes parity, and writes every touched live shard window. A
+    /// full stripe's data shards are windows of the client's payload, and
+    /// each leg carries a window of its shard.
     fn coded_write_phase1(&mut self, xid: u32) {
         let Some(op) = self.soft.ops.get_mut(&xid) else {
             return;
         };
         op.shards_due = false;
-        let data = std::mem::take(&mut op.data);
+        // One buffer: the client's own when its data is one window.
+        let data = std::mem::take(&mut op.data).contiguous(0);
         let op = &self.soft.ops[&xid];
         let (fh, offset, stable) = (op.call.fh, op.call.offset, op.stable);
         let (blo, bhi) = (op.call.lo, op.call.end());
@@ -486,10 +497,12 @@ impl Uproxy {
         let (n, k) = (geom.n as usize, geom.k as usize);
         let codec = Codec::new(n, k);
         let blen = bhi - blo;
+        let shard = geom.shard_size();
         let mut plans = Vec::new();
         let mut torn = false;
         for st in &op.stripes {
             let wlen = (st.hi - st.lo) as usize;
+            let full = blo <= st.s * geom.stripe_unit && bhi >= (st.s + 1) * geom.stripe_unit;
             // Old data windows over the hull, one per data shard.
             let mut datw: Vec<Vec<u8>> = if st.gather {
                 let slots: Vec<Option<&[u8]>> = st.got.iter().map(|g| g.as_deref()).collect();
@@ -500,15 +513,9 @@ impl Uproxy {
                         break;
                     }
                 }
-            } else if blo <= st.s * geom.stripe_unit && bhi >= (st.s + 1) * geom.stripe_unit {
-                // Full stripe: every byte comes from the client payload.
-                (0..k)
-                    .map(|j| {
-                        let base = (st.s * geom.stripe_unit + j as u64 * geom.shard_size() - offset)
-                            as usize;
-                        data[base..base + geom.shard_size() as usize].to_vec()
-                    })
-                    .collect()
+            } else if full {
+                // Every byte comes from the client payload.
+                Vec::new()
             } else {
                 // k == 1 partial write: the hull is exactly the written
                 // window, fully known from the payload after the overlay.
@@ -518,34 +525,39 @@ impl Uproxy {
             for (j, w) in datw.iter_mut().enumerate() {
                 let (a, b) = geom.data_window(st.s, j as u32, blo, blen);
                 if a < b {
-                    let src = (st.s * geom.stripe_unit + j as u64 * geom.shard_size() + a - offset)
-                        as usize;
+                    let src = (st.s * geom.stripe_unit + j as u64 * shard + a - offset) as usize;
                     w[(a - st.lo) as usize..(b - st.lo) as usize]
                         .copy_from_slice(&data[src..src + (b - a) as usize]);
                 }
             }
-            let refs: Vec<&[u8]> = datw.iter().map(|w| w.as_slice()).collect();
+            let shards: Vec<ByteBuf> = if full {
+                (0..k as u64)
+                    .map(|j| {
+                        let base = (st.s * geom.stripe_unit + j * shard - offset) as usize;
+                        data.slice(base, shard as usize)
+                    })
+                    .collect()
+            } else {
+                datw.into_iter().map(ByteBuf::from).collect()
+            };
+            let refs: Vec<&[u8]> = shards.iter().map(|w| &w[..]).collect();
             // One write leg per touched window of a live shard.
             let live = |idx: usize| op.live.contains(&st.sites[idx]);
-            let mut leg = |idx: usize, pos: u64, data: Vec<u8>| {
+            let mut leg = |idx: usize, pos: u64, data: ByteBuf| {
                 plans.push(LegPlan {
                     site: Some(st.sites[idx]),
-                    req: NfsRequest::Write {
-                        fh,
-                        offset: geom.shard_obj_offset(st.s, idx as u32, pos),
-                        stable,
-                        data,
-                    },
+                    offset: geom.shard_obj_offset(st.s, idx as u32, pos),
+                    io: LegIo::Write(stable, data.into()),
                     role: LegRole::WriteAck,
                 })
             };
             for p in (0..n - k).filter(|&p| live(k + p)) {
-                leg(k + p, st.lo, codec.parity_row(p, &refs));
+                leg(k + p, st.lo, codec.parity_row(p, &refs).into());
             }
-            for (j, w) in datw.iter().enumerate().filter(|&(j, _)| live(j)) {
+            for (j, w) in shards.iter().enumerate().filter(|&(j, _)| live(j)) {
                 let (a, b) = geom.data_window(st.s, j as u32, blo, blen);
                 if a < b {
-                    leg(j, a, w[(a - st.lo) as usize..(b - st.lo) as usize].to_vec());
+                    leg(j, a, w.slice((a - st.lo) as usize, (b - a) as usize));
                 }
             }
         }
@@ -555,7 +567,7 @@ impl Uproxy {
             self.abort_op(xid);
             return;
         }
-        for plan in &plans {
+        for plan in plans {
             self.send_leg(xid, fh, plan);
         }
         if self.soft.ops[&xid].outstanding == 0 {
@@ -594,30 +606,23 @@ impl Uproxy {
             return;
         }
         // READ data stays in the leg's reply packet; the op keeps windows.
-        let payload = &rx.pkt.payload;
         let read_window = match &reply.body {
-            BodyView::Read { data, .. } => Some(payload.slice(data.start, data.len())),
+            BodyView::Read { data, .. } => Some(rx.pkt.range(data.clone())),
             BodyView::Other(_) => None,
         };
         match role {
             LegRole::Gather { stripe, shard } => {
                 let st = &mut op.stripes[stripe as usize];
                 let wlen = (st.hi - st.lo) as usize;
-                let window = read_window.unwrap_or_default();
                 // Short reads are holes or truncated tails: zeros under
                 // the linear code.
-                st.got[shard as usize] = Some(if window.len() == wlen {
-                    window
-                } else {
-                    let mut bytes = window.to_vec();
-                    bytes.resize(wlen, 0);
-                    bytes.into()
-                });
+                let window = read_window.unwrap_or_default().contiguous(wlen);
+                st.got[shard as usize] = Some(window);
             }
             LegRole::Read => op.reads.extend(read_window.map(|w| (pos, w))),
             LegRole::WriteAck => {
                 if op.template.is_none() {
-                    op.template = Some(reply.into_reply(payload));
+                    op.template = Some(reply.into_reply(|r| rx.pkt.range(r).to_vec()));
                 }
             }
         }
@@ -640,7 +645,7 @@ impl Uproxy {
         let call = op.call;
         let t = Self::nfs_time(self.now);
         let mut evicted = Vec::new();
-        let mut reply = if op.write {
+        if op.write {
             evicted.extend(self.attrs.apply_write(self.now, &call.fh, call.end(), t));
             let mut r = op.template.take().unwrap_or(NfsReply {
                 proc: NfsProc::Write,
@@ -655,7 +660,10 @@ impl Uproxy {
             if let ReplyBody::Write { count, .. } = &mut r.body {
                 *count = call.len;
             }
-            r
+            if let Some(attr) = self.attrs.get(call.fh.file_id()) {
+                r.attr = Some(attr);
+            }
+            self.reply_to_client(xid, call.client_src, &r);
         } else {
             evicted.extend(self.attrs.apply_read(self.now, &call.fh, t));
             // Decode the gathered stripes into served read windows.
@@ -670,31 +678,23 @@ impl Uproxy {
                     return;
                 };
                 self.stats.ec_reconstructions += 1;
-                for (j, w) in datw.iter().enumerate() {
+                for (j, w) in datw.into_iter().enumerate() {
                     let (a, b) = geom.data_window(st.s, j as u32, call.lo, blen);
                     if a < b {
                         self.stats.ec_reconstructed_bytes += b - a;
                         let pos = geom.shard_obj_offset(st.s, j as u32, a);
-                        let window = &w[(a - st.lo) as usize..(b - st.lo) as usize];
+                        let w = ByteBuf::from(w);
+                        let window = w.slice((a - st.lo) as usize, (b - a) as usize);
                         op.reads.push((pos, window.into()));
                     }
                 }
             }
-            // Assemble the client buffer against the global size.
+            // Lay the windows out against the global size.
             let size = self.attrs.get(call.fh.file_id()).map(|a| a.size);
-            let size = size.unwrap_or(call.end());
-            let windows = op.reads.iter().map(|(pos, bytes)| (*pos, &bytes[..]));
-            NfsReply {
-                proc: NfsProc::Read,
-                status: slice_nfsproto::NfsStatus::Ok,
-                attr: None,
-                body: read_body(call.offset, call.len, size, windows),
-            }
-        };
-        if let Some(attr) = self.attrs.get(call.fh.file_id()) {
-            reply.attr = Some(attr);
+            let data = read_data(call.offset, call.len, size.unwrap_or(call.end()), op.reads);
+            let attr = self.attrs.get(call.fh.file_id());
+            self.read_reply_to_client(xid, call.client_src, attr, data);
         }
-        self.reply_to_client(xid, call.client_src, &reply);
         for e in evicted {
             self.push_attrs(&e);
         }

@@ -2,9 +2,8 @@
 //! rewritten outputs.
 
 use slice_nfsproto::{
-    decode_reply, encode_call, encode_reply, AuthUnix, Fattr3, Fhandle, FileType, NfsProc,
-    NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, Sattr3, SockAddr, StableHow,
-    FH_FLAG_MIRRORED,
+    encode_call, encode_reply, AuthUnix, Fattr3, Fhandle, FileType, NfsProc, NfsReply, NfsRequest,
+    NfsStatus, NfsTime, Packet, ReplyBody, Sattr3, SockAddr, StableHow, FH_FLAG_MIRRORED,
 };
 use slice_sim::{FxHashMap, FxHashSet, SimDuration, SimTime};
 use slice_storage::{CoordMsg, CoordReply};
@@ -305,7 +304,7 @@ fn attr_cache_patches_storage_replies() {
         client_pkt.verify(),
         "in-place attr patch must fix the checksum"
     );
-    let (_, patched) = decode_reply(&client_pkt.payload, NfsProc::Write).unwrap();
+    let (_, patched) = client_pkt.decode_reply(NfsProc::Write).unwrap();
     let a = patched.attr.expect("attrs present");
     assert_eq!(a.uid, 42, "authoritative uid patched in");
     assert_eq!(a.nlink, 3);
@@ -366,7 +365,7 @@ fn commit_pushes_dirty_attrs_to_dir_server() {
         .filter(|p| c.dir_sites.contains(&p.dst))
         .collect();
     assert_eq!(setattrs.len(), 1, "one attribute push-back expected");
-    let (hdr, req) = slice_nfsproto::decode_call(&setattrs[0].payload).unwrap();
+    let (hdr, req) = setattrs[0].decode_call().unwrap();
     assert!(hdr.xid >= 0x8000_0000, "µproxy-initiated xid namespace");
     match req {
         NfsRequest::Setattr { fh: got, attr } => {
@@ -948,8 +947,8 @@ fn straddling_write_splits_and_merges() {
         .iter()
         .find(|p| c.storage_sites.contains(&p.dst))
         .expect("storage half");
-    let (_, low_req) = slice_nfsproto::decode_call(&low.payload).unwrap();
-    let (_, high_req) = slice_nfsproto::decode_call(&high.payload).unwrap();
+    let (_, low_req) = low.decode_call().unwrap();
+    let (_, high_req) = high.decode_call().unwrap();
     match (low_req, high_req) {
         (
             NfsRequest::Write {
@@ -1010,7 +1009,7 @@ fn straddling_write_splits_and_merges() {
         })
         .expect("merged reply");
     assert!(merged.verify());
-    let (_, reply) = decode_reply(&merged.payload, NfsProc::Write).unwrap();
+    let (_, reply) = merged.decode_reply(NfsProc::Write).unwrap();
     match reply.body {
         ReplyBody::Write { count, .. } => assert_eq!(count, 32 * 1024, "full count reported"),
         other => panic!("unexpected {other:?}"),
@@ -1096,7 +1095,7 @@ fn straddling_read_splits_and_reassembles() {
         })
         .expect("merged read");
     assert!(merged.verify());
-    let (_, reply) = decode_reply(&merged.payload, NfsProc::Read).unwrap();
+    let (_, reply) = merged.decode_reply(NfsProc::Read).unwrap();
     match reply.body {
         ReplyBody::Read { data, .. } => {
             assert_eq!(data.len(), 32 * 1024);
@@ -1310,7 +1309,7 @@ fn emitted(c: &ProxyConfig, xid: u32, req: &NfsRequest) -> (Uproxy, Vec<Packet>)
 /// `(dst, checksum, FNV-1a of the payload)` per packet: every byte.
 fn digests(pkts: &[Packet]) -> Vec<(SockAddr, u16, u64)> {
     pkts.iter()
-        .map(|p| (p.dst, p.checksum, slice_hashes::fnv1a(&p.payload)))
+        .map(|p| (p.dst, p.checksum, slice_hashes::fnv1a(&p.bytes())))
         .collect()
 }
 
@@ -1318,7 +1317,7 @@ fn digests(pkts: &[Packet]) -> Vec<(SockAddr, u16, u64)> {
 /// everything but the xid (and the checksum that covers it).
 fn bodies(pkts: &[Packet]) -> Vec<(SockAddr, usize, u64)> {
     pkts.iter()
-        .map(|p| (p.dst, p.payload.len(), slice_hashes::fnv1a(&p.payload[4..])))
+        .map(|p| (p.dst, p.payload_len(), slice_hashes::fnv1a(&p.bytes()[4..])))
         .collect()
 }
 

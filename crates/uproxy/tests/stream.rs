@@ -31,9 +31,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use slice_hashes::{fnv1a, NamePolicy, RoutingTable};
 use slice_nfsproto::{
-    decode_call, decode_reply, encode_call, encode_reply, peek_xid_type, AuthUnix, Fattr3, Fhandle,
-    FileType, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, Sattr3,
-    SockAddr, StableHow, FH_FLAG_DIR, FH_FLAG_MAPPED, FH_FLAG_MIRRORED,
+    encode_call, encode_reply, peek_xid_type, AuthUnix, Fattr3, Fhandle, FileType, NfsProc,
+    NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, Sattr3, SockAddr, StableHow,
+    FH_FLAG_DIR, FH_FLAG_MAPPED, FH_FLAG_MIRRORED,
 };
 use slice_sim::{Rng, SimDuration, SimTime};
 use slice_storage::{CoordMsg, CoordReply};
@@ -187,7 +187,7 @@ impl Stream {
     /// A storage or small-file server executes `call` on its own object
     /// and answers from its own address.
     fn serve_data(&mut self, call: &Packet) -> Packet {
-        let (hdr, req) = decode_call(&call.payload).expect("µproxy emits decodable calls");
+        let (hdr, req) = call.decode_call().expect("µproxy emits decodable calls");
         let local_attr = |file: u64, size: usize| {
             let mut a = Fattr3::new(FileType::Regular, file, 0o644, NfsTime::default());
             a.size = size as u64;
@@ -244,7 +244,7 @@ impl Stream {
 
     /// A directory server answers `call` from the attributes current now.
     fn serve_dir(&mut self, call: &Packet) -> Packet {
-        let (hdr, req) = decode_call(&call.payload).expect("µproxy emits decodable calls");
+        let (hdr, req) = call.decode_call().expect("µproxy emits decodable calls");
         let proc = req.proc();
         let target = |s: &Self, fh: &Fhandle| s.file_by_id(fh.file_id()).map(|i| s.attr_of(i));
         let reply = match &req {
@@ -333,7 +333,7 @@ impl Stream {
                     bytes.extend_from_slice(&p.dst.ip.to_be_bytes());
                     bytes.extend_from_slice(&p.dst.port.to_be_bytes());
                     bytes.extend_from_slice(&p.checksum.to_be_bytes());
-                    bytes.extend_from_slice(&p.payload);
+                    bytes.extend_from_slice(&p.bytes());
                     self.hash = fnv1a(&bytes);
                     if Some(p.dst) == self.down {
                         continue;
@@ -370,7 +370,7 @@ impl Stream {
             return;
         };
         self.answered += 1;
-        let (_, reply) = decode_reply(&p.payload, req.proc).expect("decodable reply");
+        let (_, reply) = p.decode_reply(req.proc).expect("decodable reply");
         let Some(io) = req.io else {
             return;
         };
@@ -773,7 +773,7 @@ fn routing_hash(dirs: u32, policy: NamePolicy, skewed: bool) -> u64 {
         let mut emitted = Vec::new();
         for o in u.outbound(SimTime::ZERO, pkt) {
             if let ProxyOut::Net(p) = o {
-                let (_, call) = decode_call(&p.payload).expect("µproxy emits decodable calls");
+                let (_, call) = p.decode_call().expect("µproxy emits decodable calls");
                 let mut bytes = hash.to_le_bytes().to_vec();
                 bytes.extend_from_slice(&(call.proc() as u32).to_be_bytes());
                 bytes.extend_from_slice(&p.dst.ip.to_be_bytes());

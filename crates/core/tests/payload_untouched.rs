@@ -18,9 +18,9 @@ use std::rc::Rc;
 use slice_core::actors::{CoordActor, SmallFileActor, StorageActor};
 use slice_core::{AddrPlan, ClientActor, ClientConfig, ClientIo, Router, Wire, Workload};
 use slice_nfsproto::{
-    encode_call, encode_reply, view_reply, AuthUnix, BodyView, ByteBuf, CallView, Fattr3, Fhandle,
-    FileType, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, SockAddr,
-    StableHow, Windows, FH_FLAG_MAPPED, FH_FLAG_MIRRORED,
+    encode_call, encode_reply, AuthUnix, BodyView, ByteBuf, CallView, Fattr3, Fhandle, FileType,
+    NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, SockAddr, StableHow,
+    Windows, FH_FLAG_MAPPED, FH_FLAG_MIRRORED,
 };
 use slice_sim::{Actor, Ctx, Engine, NetConfig, NodeId, Rng, SimDuration, SimTime};
 use slice_smallfile::{SmallFileConfig, SmallFileServer};
@@ -129,7 +129,9 @@ fn uproxy_forwards_a_mirrored_write_and_its_read_reply_in_place() {
     assert_eq!(delivered.payload.as_ptr(), backing, "reply was re-encoded");
     assert_eq!(delivered.src, cfg.virtual_addr);
     assert!(delivered.verify());
-    let (_, view) = view_reply(&delivered.payload, NfsProc::Read).expect("forwarded reply");
+    let (_, view) = delivered
+        .view_reply(NfsProc::Read)
+        .expect("forwarded reply");
     let BodyView::Read { data: range, .. } = view.body else {
         panic!("not a READ body");
     };
@@ -188,7 +190,7 @@ fn metadata_only_storage_actor_applies_a_write_without_reading_it() {
     assert!(held.iter().all(|w| ByteBuf::ptr_eq(w, zeros)));
     let got = &engine.actor::<Sink>(client).got;
     assert_eq!(got.len(), 1, "one WRITE reply");
-    let (xid, view) = view_reply(&got[0].payload, NfsProc::Write).expect("reply decodes");
+    let (xid, view) = got[0].view_reply(NfsProc::Write).expect("reply decodes");
     assert_eq!(xid, 77);
     assert_eq!(
         view.body,
@@ -271,7 +273,7 @@ fn a_retaining_read_reply_is_the_extent_the_write_left() {
 fn a_metadata_only_read_reply_is_the_shared_zero_buffer() {
     let (_, reply) = write_then_read(false);
     let windows = read_windows(&reply, &[0; BLOCK]);
-    assert!(reply.windows.iter().all(ByteBuf::is_zeros));
+    assert!(reply.windows().iter().all(ByteBuf::is_zeros));
     assert!(windows.iter().all(ByteBuf::is_zeros));
 }
 

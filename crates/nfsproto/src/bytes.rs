@@ -68,8 +68,10 @@ pub struct ByteBuf {
     // millions of packets per run is the difference between sharing and
     // re-copying the whole wire volume.
     data: Arc<Vec<u8>>,
-    off: usize,
-    len: usize,
+    // 32-bit bounds keep a buffer at 16 bytes, so a packet holding one
+    // stays the size it was before it held windows too.
+    off: u32,
+    len: u32,
 }
 
 impl Clone for ByteBuf {
@@ -95,8 +97,12 @@ impl ByteBuf {
 
     /// Wraps owned bytes without copying them: the encoder's Vec is moved
     /// into the shared allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a buffer of 4 GiB or more.
     pub fn from_vec(v: Vec<u8>) -> Self {
-        let len = v.len();
+        let len = u32::try_from(v.len()).expect("a buffer under 4 GiB");
         ByteBuf {
             data: Arc::new(v),
             off: 0,
@@ -110,12 +116,13 @@ impl ByteBuf {
     ///
     /// Panics if the range exceeds this buffer's window.
     pub fn slice(&self, start: usize, len: usize) -> Self {
-        assert!(start + len <= self.len, "slice out of bounds");
+        assert!(start + len <= self.len(), "slice out of bounds");
         count_shallow();
         ByteBuf {
             data: Arc::clone(&self.data),
-            off: self.off + start,
-            len,
+            // In bounds of a window of under 4 GiB, so both fit.
+            off: self.off + start as u32,
+            len: len as u32,
         }
     }
 
@@ -125,12 +132,12 @@ impl ByteBuf {
     /// buffer another holder can still observe pays the copy.
     pub fn make_mut(&mut self) -> &mut [u8] {
         if Arc::get_mut(&mut self.data).is_none() {
-            count_deep(self.len as u64);
+            count_deep(u64::from(self.len));
             self.data = Arc::new(self.to_vec());
             self.off = 0;
         }
         // The arc is unique; mutate the window in place.
-        let (off, len) = (self.off, self.len);
+        let (off, len) = (self.off as usize, self.len as usize);
         &mut Arc::get_mut(&mut self.data)
             .expect("unique after COW")
             .as_mut_slice()[off..off + len]
@@ -166,7 +173,7 @@ impl Deref for ByteBuf {
 
     #[inline]
     fn deref(&self) -> &[u8] {
-        &self.data[self.off..self.off + self.len]
+        &self.data[self.off as usize..(self.off + self.len) as usize]
     }
 }
 
@@ -232,6 +239,12 @@ fn zeros() -> &'static ByteBuf {
 pub struct Windows(Vec<ByteBuf>);
 
 impl Windows {
+    /// No bytes, shared.
+    pub fn empty() -> &'static Windows {
+        static EMPTY: Windows = Windows(Vec::new());
+        &EMPTY
+    }
+
     /// Appends `window`'s bytes.
     pub fn push(&mut self, window: ByteBuf) {
         self.0.push(window);

@@ -633,11 +633,14 @@ fn get_counted_opaque(
             });
         }
         let padded = len.div_ceil(4) * 4;
+        let at = d.position();
         if tail.len() < padded {
-            return Err(XdrError::Truncated {
-                offset: d.position(),
-                needed: padded - tail.len(),
-            });
+            let (offset, needed) = if tail.len() < len {
+                (at, len - tail.len())
+            } else {
+                (at + len, padded - tail.len())
+            };
+            return Err(XdrError::Truncated { offset, needed });
         }
         if tail
             .slice(len..padded)
@@ -646,7 +649,7 @@ fn get_counted_opaque(
         {
             return Err(XdrError::BadPadding);
         }
-        (d.position(), len)
+        (at, len)
     } else {
         let len = d.get_opaque()?.len();
         // The cursor sits past the padding; the data began one length
@@ -862,20 +865,15 @@ fn put_call_header(e: &mut XdrEncoder, xid: u32, cred: &AuthUnix, req: &NfsReque
 
 /// Decodes a complete RPC call packet payload.
 pub fn decode_call(payload: &[u8]) -> Result<(CallHeader, NfsRequest), XdrError> {
-    let (hdr, call) = view_call(payload)?;
+    let (hdr, call) = view_call_parts(payload, &Windows::default())?;
     Ok((hdr, call.into_request(|r| payload[r].to_vec())))
 }
 
-/// Decodes a complete RPC call packet payload, leaving WRITE data in
-/// place (see [`CallView`]). Accepts and rejects exactly what
-/// [`decode_call`] does.
-#[inline]
-pub fn view_call(payload: &[u8]) -> Result<(CallHeader, CallView), XdrError> {
-    view_call_parts(payload, &Windows::default())
-}
-
-/// [`view_call`] over a header followed by `tail`, the header holding
-/// every field but a WRITE's data.
+/// Decodes a call whose payload is `head` followed by `tail`, leaving
+/// WRITE data in place (see [`CallView`]). The head holds every field
+/// before a WRITE's data; one that does not is refused as truncated.
+/// Over one buffer it accepts and rejects exactly what [`decode_call`]
+/// does.
 #[inline]
 fn view_call_parts(head: &[u8], tail: &Windows) -> Result<(CallHeader, CallView), XdrError> {
     let mut d = XdrDecoder::new(head);
@@ -886,11 +884,11 @@ fn view_call_parts(head: &[u8], tail: &Windows) -> Result<(CallHeader, CallView)
 }
 
 impl Packet {
-    /// Parses this call, leaving WRITE data in the windows it lies in
-    /// ([`view_call`]; the range resolves with [`Packet::range`]).
+    /// Parses this call, leaving WRITE data in the windows it lies in:
+    /// the data's range resolves with [`Packet::range`].
     #[inline]
     pub fn view_call(&self) -> Result<(CallHeader, CallView), XdrError> {
-        view_call_parts(&self.payload, &self.windows)
+        view_call_parts(&self.payload, self.windows())
     }
 
     /// Parses this call, copying WRITE data out ([`decode_call`]).
@@ -900,10 +898,10 @@ impl Packet {
     }
 
     /// Parses this reply to `proc`, leaving READ data in the windows it
-    /// lies in ([`view_reply`]).
+    /// lies in (see [`ReplyView`]).
     #[inline]
     pub fn view_reply(&self, proc: NfsProc) -> Result<(u32, ReplyView), XdrError> {
-        view_reply_parts(&self.payload, &self.windows, proc)
+        view_reply_parts(&self.payload, self.windows(), proc)
     }
 
     /// Parses this reply to `proc`, copying READ data out
@@ -1169,20 +1167,13 @@ pub fn encode_read_reply(
 /// procedure it is expecting (from its pending-request record, exactly as
 /// the µproxy and client do).
 pub fn decode_reply(payload: &[u8], proc: NfsProc) -> Result<(u32, NfsReply), XdrError> {
-    let (xid, reply) = view_reply(payload, proc)?;
+    let (xid, reply) = view_reply_parts(payload, &Windows::default(), proc)?;
     Ok((xid, reply.into_reply(|r| payload[r].to_vec())))
 }
 
-/// Decodes a complete RPC reply packet payload, leaving READ data in
-/// place (see [`ReplyView`]). Accepts and rejects exactly what
-/// [`decode_reply`] does.
-#[inline]
-pub fn view_reply(payload: &[u8], proc: NfsProc) -> Result<(u32, ReplyView), XdrError> {
-    view_reply_parts(payload, &Windows::default(), proc)
-}
-
-/// [`view_reply`] over a header followed by `tail`, the header holding
-/// every field but a READ's data.
+/// Decodes a reply to `proc` whose payload is `head` followed by `tail`,
+/// leaving READ data in place (see [`ReplyView`]); the counterpart of
+/// [`view_call_parts`].
 #[inline]
 fn view_reply_parts(
     head: &[u8],
@@ -1648,18 +1639,25 @@ mod tests {
         }
     }
 
-    /// A windowed READ reply whose padding is not zero, or whose windows
-    /// stop short of the declared data, is refused as the flat bytes are.
+    /// A windowed READ reply whose windows stop short of the declared data
+    /// or its padding, or whose padding is not zero, is refused with the
+    /// error the flat bytes give.
     #[test]
     fn windowed_reply_checks_padding_and_length() {
         let (head, _) = encode_read_reply(8, None, true, ByteBuf::from(vec![1u8; 5]).into());
         let addr = crate::SockAddr::new(1, 2);
-        let short = Windows::from(ByteBuf::from(vec![1u8; 7]));
-        let pkt = Packet::with_windows(addr, addr, head.clone(), short);
-        assert!(matches!(
-            pkt.view_reply(NfsProc::Read),
-            Err(XdrError::Truncated { .. })
-        ));
+        let mut flat = head.clone();
+        flat.extend_from_slice(&[1, 1, 1, 1, 1, 0, 0, 0]);
+        for cut in head.len() + 1..flat.len() {
+            let short = Windows::from(ByteBuf::from(&flat[head.len()..cut]));
+            let pkt = Packet::with_windows(addr, addr, head.clone(), short);
+            assert_eq!(
+                pkt.view_reply(NfsProc::Read).err(),
+                decode_reply(&flat[..cut], NfsProc::Read).err(),
+                "cut at {cut}"
+            );
+            assert!(pkt.view_reply(NfsProc::Read).is_err());
+        }
         let mut bad_pad = Windows::from(ByteBuf::from(vec![1u8; 5]));
         bad_pad.push(ByteBuf::from(vec![0u8, 0, 9]));
         let pkt = Packet::with_windows(addr, addr, head, bad_pad);

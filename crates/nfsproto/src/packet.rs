@@ -61,9 +61,9 @@ pub struct Packet {
     /// The RPC header: every field up to a WRITE call's or READ reply's
     /// data, or every byte of a packet built from one buffer.
     pub payload: ByteBuf,
-    /// The payload's bytes after the header: file data and its XDR
-    /// padding, in the buffers they lie in.
-    pub windows: Windows,
+    /// The payload's bytes after the header ([`Packet::windows`]), boxed
+    /// so a packet without them is no larger than one buffer made it.
+    windows: Option<Box<Windows>>,
     /// Ones-complement checksum over the pseudo-header and payload.
     pub checksum: u16,
 }
@@ -98,9 +98,16 @@ impl Packet {
             src,
             dst,
             payload,
-            windows,
+            windows: (!windows.is_empty()).then(|| Box::new(windows)),
             checksum: sum.checksum(),
         }
+    }
+
+    /// The payload's bytes after the header: file data and its XDR
+    /// padding, in the buffers they lie in; none for a packet built from
+    /// one buffer.
+    pub fn windows(&self) -> &Windows {
+        self.windows.as_deref().unwrap_or(Windows::empty())
     }
 
     fn pseudo_header(src: SockAddr, dst: SockAddr, len: usize) -> [u8; 16] {
@@ -115,13 +122,13 @@ impl Packet {
 
     /// Payload bytes: the header and every window.
     pub fn payload_len(&self) -> usize {
-        self.payload.len() + self.windows.len()
+        self.payload.len() + self.windows().len()
     }
 
     /// The payload's bytes in one buffer (one copy; tests and digests).
     pub fn bytes(&self) -> Vec<u8> {
         let mut bytes = self.payload.to_vec();
-        bytes.extend_from_slice(&self.windows.to_vec());
+        bytes.extend_from_slice(&self.windows().to_vec());
         bytes
     }
 
@@ -141,7 +148,7 @@ impl Packet {
         }
         if range.end > head {
             let tail = self
-                .windows
+                .windows()
                 .slice(range.start.max(head) - head..range.end - head);
             tail.iter().for_each(|w| out.push(w.clone()));
         }
@@ -292,6 +299,18 @@ mod tests {
         let mut p = Packet::new(addr(1, 1), addr(2, 2), vec![9u8; 40]);
         p.payload.make_mut()[17] ^= 0x40;
         assert!(!p.verify());
+    }
+
+    /// Windows cost a packet nothing until it has some: a packet is the
+    /// size a packet of one buffer was, so the engine's event slots do not
+    /// grow.
+    #[test]
+    fn a_packet_is_no_larger_than_one_buffer_made_it() {
+        assert_eq!(std::mem::size_of::<ByteBuf>(), 16);
+        assert_eq!(std::mem::size_of::<Packet>(), 48);
+        assert!(Packet::new(addr(1, 1), addr(2, 2), vec![1u8; 8])
+            .windows()
+            .is_empty());
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! number of cases from a pinned seed, so failures replay exactly.
 
 use slice_nfsproto::{
-    decode_call, decode_reply, encode_call, encode_reply, view_call, view_reply, AuthUnix,
-    BodyView, CallView, Fattr3, Fhandle, FileType, NfsProc, NfsReply, NfsRequest, NfsStatus,
-    NfsTime, Packet, ReplyBody, Sattr3, SockAddr, StableHow,
+    decode_call, decode_reply, encode_call, encode_reply, AuthUnix, BodyView, ByteBuf, CallView,
+    Fattr3, Fhandle, FileType, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet,
+    ReplyBody, Sattr3, SockAddr, StableHow, Windows,
 };
 use slice_sim::Rng;
 
@@ -177,9 +177,77 @@ fn mangled(wire: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
     cuts.chain(flips)
 }
 
+/// `m` as a packet of one buffer.
+fn packet(m: &[u8]) -> Packet {
+    Packet::new(SockAddr::new(1, 1), SockAddr::new(2, 2), m.to_vec())
+}
+
+/// `m` as a packet whose header is its first `head` bytes and whose one
+/// window is the rest, as an encoder splits a message at its data.
+fn split(m: &[u8], head: usize) -> Packet {
+    let window = Windows::from(ByteBuf::from(&m[head..]));
+    Packet::with_windows(SockAddr::new(1, 1), SockAddr::new(2, 2), &m[..head], window)
+}
+
+/// A call split at `head` parses as its flat bytes do: the same request,
+/// or a refusal. It is refused where the flat bytes are accepted only
+/// when a mangled header no longer ends where the WRITE data begins.
+fn split_call_agrees(m: &[u8], head: usize) {
+    if m.len() <= head {
+        return;
+    }
+    let (s, f) = (split(m, head), packet(m));
+    match (s.view_call(), f.view_call()) {
+        (Ok((sh, sv)), Ok((fh, fv))) => {
+            assert_eq!(sh, fh);
+            let (sr, fr) = (
+                sv.into_request(|r| s.range(r).to_vec()),
+                fv.into_request(|r| f.range(r).to_vec()),
+            );
+            assert_eq!(sr, fr);
+        }
+        (Ok(v), Err(e)) => panic!("split accepts {v:?}, flat refuses: {e:?}"),
+        (Err(e), Ok((_, CallView::Write { data, .. }))) => {
+            assert_ne!(data.start, head, "split refuses {e:?}")
+        }
+        _ => {}
+    }
+}
+
+/// The same for a READ reply.
+fn split_reply_agrees(m: &[u8], head: usize) {
+    if m.len() <= head {
+        return;
+    }
+    let (s, f) = (split(m, head), packet(m));
+    match (s.view_reply(NfsProc::Read), f.view_reply(NfsProc::Read)) {
+        (Ok((sx, sv)), Ok((fx, fv))) => {
+            assert_eq!(sx, fx);
+            let (sr, fr) = (
+                sv.into_reply(|r| s.range(r).to_vec()),
+                fv.into_reply(|r| f.range(r).to_vec()),
+            );
+            assert_eq!(sr, fr);
+        }
+        (Ok(v), Err(e)) => panic!("split accepts {v:?}, flat refuses: {e:?}"),
+        (
+            Err(e),
+            Ok((
+                _,
+                slice_nfsproto::ReplyView {
+                    body: BodyView::Read { data, .. },
+                    ..
+                },
+            )),
+        ) => assert_ne!(data.start, head, "split refuses {e:?}"),
+        _ => {}
+    }
+}
+
 /// The range-returning WRITE parser accepts and rejects exactly what
 /// `decode_call` does, with equal fields, and never hands out a range
 /// outside the payload — a malformed WRITE can be dropped, not forwarded.
+/// Split at its data, as a packet's header and window, it agrees too.
 #[test]
 fn lazy_write_parse_agrees_with_decode_call() {
     let mut rng = Rng::seed_from_u64(0x4e46_5307);
@@ -191,9 +259,11 @@ fn lazy_write_parse_agrees_with_decode_call() {
             data: (0..len).map(|_| rng.gen::<u8>()).collect(),
         };
         let wire = encode_call(rng.gen(), &AuthUnix::default(), &req);
+        let head = wire.len() - len.next_multiple_of(4);
         let mut accepted = 0;
         for m in mangled(&wire) {
-            match (view_call(&m), decode_call(&m)) {
+            split_call_agrees(&m, head);
+            match (packet(&m).view_call(), decode_call(&m)) {
                 (Ok((vh, view)), Ok((dh, decoded))) => {
                     accepted += 1;
                     assert_eq!(vh, dh);
@@ -240,10 +310,12 @@ fn lazy_read_parse_agrees_with_decode_reply() {
             },
         };
         let wire = encode_reply(rng.gen(), &reply);
+        let head = wire.len() - len.next_multiple_of(4);
         let mut accepted = 0;
         for m in mangled(&wire) {
+            split_reply_agrees(&m, head);
             match (
-                view_reply(&m, NfsProc::Read),
+                packet(&m).view_reply(NfsProc::Read),
                 decode_reply(&m, NfsProc::Read),
             ) {
                 (Ok((vx, view)), Ok((dx, decoded))) => {

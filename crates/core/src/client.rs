@@ -19,7 +19,8 @@ use slice_sim::FxHashMap;
 use std::any::Any;
 
 use slice_nfsproto::{
-    encode_call_owned, AuthUnix, NfsProc, NfsReply, NfsRequest, Packet, SockAddr,
+    encode_call_windows, AuthUnix, ByteBuf, NfsProc, NfsReply, NfsRequest, Packet, SockAddr,
+    Windows,
 };
 use slice_sim::{
     Actor, Ctx, EventKind, LatencyStats, NodeId, SimDuration, SimTime, Subsystem, TimerId,
@@ -103,16 +104,26 @@ pub struct ClientStats {
 struct PendingRpc {
     tag: u64,
     proc: NfsProc,
-    /// The packet as first sent, kept for timeout retransmission: its
-    /// buffers are shared with the one in flight (a WRITE's data is the
-    /// workload's own `Vec`, moved into the packet), so the stash holds
-    /// references, not a copy.
-    packet: Packet,
+    /// The request, kept for timeout retransmission, a WRITE's data moved
+    /// out of it into `data`. Re-encoding under the original xid
+    /// reproduces the first transmission byte for byte; keeping the
+    /// request rather than the packet frees a name op's header buffer as
+    /// soon as its server has read it.
+    request: NfsRequest,
+    /// A WRITE's data: the window of the workload's own `Vec`, shared with
+    /// every transmission, never copied.
+    data: Windows,
     sent_at: SimTime,
     first_sent_at: SimTime,
     retries: u32,
     timer: TimerId,
     write_bytes: u64,
+}
+
+/// The packet of the call `req` under `xid`, a WRITE's data being `data`.
+fn call_packet(cfg: &ClientConfig, xid: u32, req: &NfsRequest, data: &Windows) -> Packet {
+    let (header, windows) = encode_call_windows(xid, &cfg.cred, req, data.clone());
+    Packet::with_windows(cfg.addr, cfg.server_addr, header, windows)
 }
 
 /// Internal client state shared with [`ClientIo`].
@@ -178,7 +189,7 @@ impl ClientInner {
         to_client
     }
 
-    fn send_call(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64, req: NfsRequest) {
+    fn send_call(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64, mut req: NfsRequest) {
         let write_bytes = match &req {
             NfsRequest::Write { data, .. } => data.len() as u64,
             _ => 0,
@@ -201,15 +212,19 @@ impl ClientInner {
         if self.cfg.record_history {
             self.history.begin(ctx.now(), xid, &req);
         }
-        let (header, windows) = encode_call_owned(xid, &self.cfg.cred, req);
-        let pkt = Packet::with_windows(self.cfg.addr, self.cfg.server_addr, header, windows);
+        let data = match &mut req {
+            NfsRequest::Write { data, .. } => ByteBuf::from(std::mem::take(data)).into(),
+            _ => Windows::default(),
+        };
+        let pkt = call_packet(&self.cfg, xid, &req, &data);
         let timer = ctx.set_timer(calib::RPC_TIMEOUT, TAG_RPC | u64::from(xid));
         self.pending.insert(
             xid,
             PendingRpc {
                 tag,
                 proc,
-                packet: pkt.clone(),
+                request: req,
+                data,
                 sent_at: ctx.now(),
                 first_sent_at: ctx.now(),
                 retries: 0,
@@ -595,8 +610,9 @@ impl Actor<Wire> for ClientActor {
             let base = calib::RPC_TIMEOUT.mul_f64((1u64 << shift) as f64);
             let backoff = base + base.mul_f64(0.25 * ctx.rng().gen::<f64>());
             rec.timer = ctx.set_timer(backoff, TAG_RPC | u64::from(xid));
-            // The first transmission again, sharing its buffers.
-            let pkt = rec.packet.clone();
+            // Re-encode the stashed request under its original xid —
+            // byte-identical to the first transmission, sharing its data.
+            let pkt = call_packet(&self.inner.cfg, xid, &rec.request, &rec.data);
             let retries = rec.retries;
             self.inner.stats.retransmits += 1;
             ctx.trace(

@@ -718,15 +718,28 @@ pub fn encode_call(xid: u32, cred: &AuthUnix, req: &NfsRequest) -> Vec<u8> {
 /// Encodes `req` as a packet's header and windows: a WRITE's data `Vec`
 /// is moved into the one window (beside its padding), not copied; any
 /// other call is all header.
-pub fn encode_call_owned(xid: u32, cred: &AuthUnix, req: NfsRequest) -> (Vec<u8>, Windows) {
+pub fn encode_call_owned(xid: u32, cred: &AuthUnix, mut req: NfsRequest) -> (Vec<u8>, Windows) {
+    let data = match &mut req {
+        NfsRequest::Write { data, .. } => ByteBuf::from(std::mem::take(data)).into(),
+        _ => Windows::default(),
+    };
+    encode_call_windows(xid, cred, &req, data)
+}
+
+/// Encodes `req` as a packet's header and windows, a WRITE's data being
+/// `data` (the request's own `data` is not read); any other call is all
+/// header.
+pub fn encode_call_windows(
+    xid: u32,
+    cred: &AuthUnix,
+    req: &NfsRequest,
+    data: Windows,
+) -> (Vec<u8>, Windows) {
     match req {
         NfsRequest::Write {
-            fh,
-            offset,
-            stable,
-            data,
-        } => encode_write_call(xid, cred, &fh, offset, stable, ByteBuf::from(data).into()),
-        req => (encode_call(xid, cred, &req), Windows::default()),
+            fh, offset, stable, ..
+        } => encode_write_call(xid, cred, fh, *offset, *stable, data),
+        req => (encode_call(xid, cred, req), Windows::default()),
     }
 }
 

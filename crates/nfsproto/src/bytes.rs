@@ -283,7 +283,7 @@ impl Windows {
     ///
     /// Panics if the range runs past the end.
     pub fn slice(&self, range: Range<usize>) -> Windows {
-        let mut out = Windows::default();
+        let mut out = Windows(Vec::with_capacity(self.0.len()));
         let mut at = 0;
         for w in &self.0 {
             let (lo, hi) = (range.start.max(at), range.end.min(at + w.len()));
@@ -296,10 +296,17 @@ impl Windows {
         out
     }
 
-    /// Copies the bytes out into one owned `Vec`.
+    /// Copies the bytes out into one owned `Vec`; a window of the zero
+    /// buffer is written as zeros, not read.
     pub fn to_vec(&self) -> Vec<u8> {
         let mut bytes = Vec::with_capacity(self.len());
-        self.0.iter().for_each(|w| bytes.extend_from_slice(w));
+        for w in &self.0 {
+            if w.is_zeros() {
+                bytes.resize(bytes.len() + w.len(), 0);
+            } else {
+                bytes.extend_from_slice(w);
+            }
+        }
         bytes
     }
 

@@ -49,9 +49,9 @@ impl std::fmt::Display for SockAddr {
 /// A simulated UDP datagram with a live checksum.
 ///
 /// The payload is shared [`ByteBuf`]s: cloning a packet (mirrored-write
-/// duplication, the retransmission stash) bumps refcounts instead of
-/// deep-copying the payload, and address rewrites never touch payload
-/// bytes at all — the checksum is patched incrementally.
+/// duplication) bumps refcounts instead of deep-copying the payload, and
+/// address rewrites never touch payload bytes at all — the checksum is
+/// patched incrementally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Source endpoint.

@@ -137,9 +137,18 @@ impl StorageObject {
     }
 
     /// Reads `len` bytes at `offset`; holes read as zeros. Does not
-    /// touch the store's I/O accounting (audit/oracle use).
+    /// touch the store's I/O accounting (audit/oracle use), and takes no
+    /// window of an extent, so an audit leaves the copy counters alone.
     pub fn read(&self, offset: u64, len: usize) -> Vec<u8> {
-        self.windows(offset, len).to_vec()
+        let (mut out, end) = (vec![0u8; len], offset + len as u64);
+        for (s, ext) in self.overlapping(offset, end) {
+            if let Some(data) = &ext.data {
+                let (lo, hi) = (s.max(offset), (s + ext.len).min(end));
+                out[(lo - offset) as usize..(hi - offset) as usize]
+                    .copy_from_slice(&data[(lo - s) as usize..(hi - s) as usize]);
+            }
+        }
+        out
     }
 
     fn truncate(&mut self, size: u64) {
@@ -244,7 +253,11 @@ impl ObjectStore {
     /// zeros. Returns `(data, local_eof)` where `local_eof` is true when
     /// the range reaches or passes the object's local size.
     pub fn read(&mut self, id: u64, offset: u64, len: usize) -> (Vec<u8>, bool) {
-        let data = self.read_windows(id, offset, len).to_vec();
+        self.bytes_read += len as u64;
+        let data = match self.objects.get(&id) {
+            Some(obj) => obj.read(offset, len),
+            None => vec![0; len],
+        };
         (data, offset + len as u64 >= self.size(id))
     }
 

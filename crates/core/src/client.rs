@@ -19,8 +19,7 @@ use slice_sim::FxHashMap;
 use std::any::Any;
 
 use slice_nfsproto::{
-    encode_call_windows, AuthUnix, ByteBuf, NfsProc, NfsReply, NfsRequest, Packet, SockAddr,
-    Windows,
+    encode_call_windows, AuthUnix, NfsProc, NfsReply, NfsRequest, Packet, SockAddr, Windows,
 };
 use slice_sim::{
     Actor, Ctx, EventKind, LatencyStats, NodeId, SimDuration, SimTime, Subsystem, TimerId,
@@ -212,10 +211,7 @@ impl ClientInner {
         if self.cfg.record_history {
             self.history.begin(ctx.now(), xid, &req);
         }
-        let data = match &mut req {
-            NfsRequest::Write { data, .. } => ByteBuf::from(std::mem::take(data)).into(),
-            _ => Windows::default(),
-        };
+        let data = req.take_data();
         let pkt = call_packet(&self.cfg, xid, &req, &data);
         let timer = ctx.set_timer(calib::RPC_TIMEOUT, TAG_RPC | u64::from(xid));
         self.pending.insert(

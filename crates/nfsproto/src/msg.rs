@@ -340,6 +340,15 @@ impl NfsRequest {
         }
     }
 
+    /// Moves a WRITE's data out as one window, without copying it,
+    /// leaving the request's `data` empty; no bytes for any other call.
+    pub fn take_data(&mut self) -> Windows {
+        match self {
+            NfsRequest::Write { data, .. } => ByteBuf::from(std::mem::take(data)).into(),
+            _ => Windows::default(),
+        }
+    }
+
     /// The primary handle the request operates on (the routing key for
     /// non-name operations; the *parent directory* for name operations).
     pub fn primary_fh(&self) -> Option<&Fhandle> {
@@ -719,10 +728,7 @@ pub fn encode_call(xid: u32, cred: &AuthUnix, req: &NfsRequest) -> Vec<u8> {
 /// is moved into the one window (beside its padding), not copied; any
 /// other call is all header.
 pub fn encode_call_owned(xid: u32, cred: &AuthUnix, mut req: NfsRequest) -> (Vec<u8>, Windows) {
-    let data = match &mut req {
-        NfsRequest::Write { data, .. } => ByteBuf::from(std::mem::take(data)).into(),
-        _ => Windows::default(),
-    };
+    let data = req.take_data();
     encode_call_windows(xid, cred, &req, data)
 }
 

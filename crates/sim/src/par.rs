@@ -182,6 +182,38 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_item_stops_further_claims() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let panicked = AtomicBool::new(false);
+        let started = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            run_indexed(2, (0..64u32).collect(), |_, x| {
+                started.fetch_add(1, Ordering::SeqCst);
+                if x == 0 {
+                    panicked.store(true, Ordering::SeqCst);
+                    panic!("boom");
+                }
+                // Slow: still running when item 0 panics, and finishing
+                // long after the worker that ran it has raised the stop.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !panicked.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                std::thread::sleep(Duration::from_millis(50));
+                x
+            })
+        }));
+        std::panic::set_hook(prev);
+        assert!(caught.is_err(), "panic must propagate to the caller");
+        // Item 0 plus at most the one item the other worker held.
+        let started = started.load(Ordering::SeqCst);
+        assert!(started <= 2, "{started} items started after a panic");
+    }
+
+    #[test]
     fn single_item_runs_inline() {
         let out = run_indexed(8, vec![41u32], |_, x| x + 1);
         assert_eq!(out, vec![42]);

@@ -5,7 +5,9 @@
 //! seq draws and RNG draws is unchanged. These tests hold it to that
 //! through the public API alone, so they compile against any commit: the
 //! expected values were captured at `bb5ec86` (the last engine with one
-//! heap entry per logical event and no inline dispatch).
+//! heap entry per logical event and no inline dispatch), and the mixed
+//! scenario's re-captured at `45275de`, an engine that still matched
+//! them, when its neighbour sends stopped bypassing the network.
 
 use slice_sim::{Actor, Ctx, Engine, NetConfig, NodeId, SimDuration, SimTime, TimerId, START_TAG};
 
@@ -17,7 +19,7 @@ const RESTART: u64 = 1 << 41;
 const KILLER: u64 = 1 << 20;
 
 /// An actor that exercises every engine path from seeded choices: network
-/// sends, zero-CPU `send_local`, timers with zero and non-zero delays,
+/// sends to seeded peers and to a fixed neighbour, timers with zero and non-zero delays,
 /// cancels (of pending timers, of timers firing in the same nanosecond,
 /// of timers long gone), and handlers with and without CPU cost.
 struct Mixer {
@@ -49,7 +51,7 @@ impl Mixer {
         NodeId((self.me + step) % NODES)
     }
 
-    fn forward(&mut self, ctx: &mut Ctx<'_, Vec<u8>>, ttl: u8, local: bool) {
+    fn forward(&mut self, ctx: &mut Ctx<'_, Vec<u8>>, ttl: u8, neighbour: bool) {
         if self.budget == 0 {
             return;
         }
@@ -57,12 +59,12 @@ impl Mixer {
         let len = ctx.rng().gen_range(1..300usize);
         let mut msg = vec![0u8; len];
         msg[0] = ttl;
-        if local {
-            ctx.send_local(NodeId(self.me ^ 1), msg);
+        let to = if neighbour {
+            NodeId(self.me ^ 1)
         } else {
-            let to = self.peer(ctx);
-            ctx.send(to, msg);
-        }
+            self.peer(ctx)
+        };
+        ctx.send(to, msg);
     }
 
     fn arm(&mut self, ctx: &mut Ctx<'_, Vec<u8>>, delay_ns: u64, killer: bool) -> TimerId {
@@ -230,44 +232,44 @@ fn run_mixed() -> (u64, u64, u64, Vec<Checkpoint>, Engine<Vec<u8>>) {
     (hash, events, now, steps, eng)
 }
 
-/// Captured at `bb5ec86`: `(trace hash, events_executed, now)`.
-const MIXED_AT_PARENT: (u64, u64, u64) = (0xb881_30ab_0eec_96bd, 18_019, 3_865_308);
+/// Captured at `45275de`: `(trace hash, events_executed, now)`.
+const MIXED_AT_PARENT: (u64, u64, u64) = (0xbacd_1c27_b0e8_9118, 19_451, 3_746_661);
 
-/// What the driver saw at `ecc66a5` (the last engine with a multi-shard
-/// window loop, which returned these same values at 1, 2 and 4 shards):
-/// the first 25 checkpoints — the two `run_until` calls, the eight
+/// What the driver saw at `45275de` (whose pins before the re-capture
+/// were those of `ecc66a5`, the last engine with a multi-shard window
+/// loop, at 1, 2 and 4 shards): the first 25 checkpoints — the two `run_until` calls, the eight
 /// budgeted steps after node 3 recovers, the first fifteen of the final
 /// probe loop — then the length and FNV hash of all of them, and the
 /// lifetime window count.
 const STEPS_AT_PARENT: [Checkpoint; 25] = [
-    (0, 150_000, 703),
-    (0, 220_000, 1_011),
-    (110, 231_188, 1_121),
-    (73, 243_136, 1_194),
-    (64, 254_864, 1_258),
-    (80, 266_864, 1_338),
-    (92, 284_448, 1_430),
-    (97, 302_216, 1_527),
-    (96, 314_066, 1_623),
-    (87, 331_308, 1_710),
-    (68, 342_528, 1_778),
-    (90, 359_930, 1_868),
-    (96, 377_296, 1_964),
-    (66, 388_930, 2_030),
-    (82, 406_431, 2_112),
-    (74, 418_802, 2_186),
-    (85, 429_546, 2_271),
-    (87, 442_050, 2_358),
-    (79, 459_528, 2_437),
-    (90, 476_930, 2_527),
-    (71, 494_528, 2_598),
-    (85, 505_946, 2_683),
-    (76, 517_584, 2_759),
-    (83, 535_308, 2_842),
-    (67, 546_479, 2_909),
+    (0, 150_000, 859),
+    (0, 220_000, 1_198),
+    (71, 231_819, 1_269),
+    (70, 243_559, 1_339),
+    (68, 254_976, 1_407),
+    (84, 272_560, 1_491),
+    (71, 289_576, 1_562),
+    (64, 306_640, 1_626),
+    (77, 318_945, 1_703),
+    (90, 336_066, 1_793),
+    (65, 347_232, 1_858),
+    (85, 364_678, 1_943),
+    (68, 376_064, 2_011),
+    (81, 387_507, 2_092),
+    (78, 399_064, 2_170),
+    (101, 410_496, 2_271),
+    (76, 421_949, 2_347),
+    (84, 433_473, 2_431),
+    (67, 451_324, 2_498),
+    (81, 468_884, 2_579),
+    (80, 480_404, 2_659),
+    (100, 497_288, 2_759),
+    (76, 508_760, 2_835),
+    (67, 525_553, 2_902),
+    (68, 543_832, 2_970),
 ];
-const ALL_STEPS_AT_PARENT: (usize, u64) = (219, 0x6f80_bc96_73ac_fe37);
-const WINDOWS_AT_PARENT: u64 = 611;
+const ALL_STEPS_AT_PARENT: (usize, u64) = (231, 0x9997_d205_fac7_e7d1);
+const WINDOWS_AT_PARENT: u64 = 597;
 
 #[test]
 fn mixed_scenario_matches_the_parent_engine() {

@@ -118,21 +118,7 @@ impl Router {
         self.entries.push((addr.ip, node));
     }
 
-    /// Resolves the node owning `addr`'s IP.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unregistered address — that is a harness bug, not a
-    /// runtime condition.
-    pub fn node_of(&self, addr: SockAddr) -> NodeId {
-        self.entries
-            .iter()
-            .find(|(ip, _)| *ip == addr.ip)
-            .map(|(_, n)| *n)
-            .unwrap_or_else(|| panic!("no node registered for {addr}"))
-    }
-
-    /// Resolves if registered.
+    /// The node owning `addr`'s IP, if registered.
     pub fn try_node_of(&self, addr: SockAddr) -> Option<NodeId> {
         self.entries
             .iter()
@@ -168,7 +154,7 @@ mod tests {
         let mut r = Router::new();
         let a = SockAddr::new(7, 2049);
         r.register(a, NodeId(3));
-        assert_eq!(r.node_of(a), NodeId(3));
+        assert_eq!(r.try_node_of(a), Some(NodeId(3)));
         assert_eq!(r.try_node_of(SockAddr::new(8, 1)), None);
     }
 

@@ -58,11 +58,6 @@ impl Fhandle {
         Fhandle::new(1, 0, FH_FLAG_DIR, 0, 0)
     }
 
-    /// True if the handle carries the Slice magic byte.
-    pub fn is_valid(&self) -> bool {
-        self.0[0] == FH_MAGIC
-    }
-
     /// The file's unique id.
     pub fn file_id(&self) -> u64 {
         u64::from_be_bytes(self.0[4..12].try_into().expect("fixed slice"))
@@ -152,7 +147,7 @@ mod tests {
             0x1234_5678,
             3,
         );
-        assert!(fh.is_valid());
+        assert_eq!(fh.0[0], FH_MAGIC);
         assert_eq!(fh.file_id(), 0xdead_beef_cafe);
         assert_eq!(fh.home_site(), 7);
         assert_eq!(fh.cell_key(), 0x1234_5678);
@@ -184,7 +179,8 @@ mod tests {
     #[test]
     fn root_is_directory() {
         let r = Fhandle::root();
-        assert!(r.is_dir() && r.is_valid());
+        assert!(r.is_dir());
+        assert_eq!(r.0[0], FH_MAGIC);
         assert_eq!(r.file_id(), 1);
     }
 }

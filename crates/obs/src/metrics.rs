@@ -146,11 +146,6 @@ impl Registry {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    /// Increments counter `name` by one.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
     /// Sets counter `name` to an absolute value (idempotent fold of a
     /// component-local statistic).
     pub fn set(&mut self, name: &str, value: u64) {
@@ -180,7 +175,7 @@ impl Registry {
 
     /// Records `v` into histogram `name`, creating it with `bounds` if
     /// absent (existing histograms keep their original bounds).
-    pub fn observe_with(&mut self, name: &str, bounds: &[u64], v: u64) {
+    fn observe_with(&mut self, name: &str, bounds: &[u64], v: u64) {
         self.histograms
             .entry(name.to_string())
             .or_insert_with(|| Histogram::new(bounds))
@@ -221,7 +216,7 @@ mod tests {
     fn counters_add_and_set() {
         let mut r = Registry::new();
         r.add("a", 2);
-        r.inc("a");
+        r.add("a", 1);
         assert_eq!(r.counter("a"), 3);
         r.set("a", 10);
         r.set("a", 10);

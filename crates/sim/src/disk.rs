@@ -188,16 +188,6 @@ impl DiskArray {
     pub fn seek_ns(&self) -> u64 {
         self.seek_ns
     }
-
-    /// Earliest instant at which every arm and the channel are idle.
-    pub fn idle_at(&self) -> SimTime {
-        self.arms
-            .iter()
-            .map(|a| a.free_at)
-            .chain(std::iter::once(self.channel_free))
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -246,10 +236,10 @@ mod tests {
     #[test]
     fn forward_skip_charged_at_media_rate() {
         let mut d = array(1);
-        d.submit(SimTime::ZERO, 1, 0, 65536, false);
+        // One arm: the array is idle once this completes.
+        let t0 = d.submit(SimTime::ZERO, 1, 0, 65536, false);
         // Skipping 64 KB ahead costs ~2 ms of rotation-past, far below a
         // seek + rotational delay but above zero.
-        let t0 = d.idle_at();
         let t1 = d.submit(SimTime::ZERO, 1, 131_072, 65536, false);
         let extra = (t1 - t0).as_secs_f64() - 65536.0 / 33_000_000.0;
         assert!(extra > 0.0015 && extra < 0.0035, "skip cost {extra}");

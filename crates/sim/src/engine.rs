@@ -709,10 +709,6 @@ enum Output<M> {
         to: NodeId,
         msg: M,
     },
-    SendLocal {
-        to: NodeId,
-        msg: M,
-    },
     Timer {
         delay: SimDuration,
         tag: u64,
@@ -748,12 +744,6 @@ impl<'a, M: MessageSize + Clone + 'static> Ctx<'a, M> {
     /// Sends `msg` to `to` through the network model.
     pub fn send(&mut self, to: NodeId, msg: M) {
         self.outputs.push(Output::Send { to, msg });
-    }
-
-    /// Delivers `msg` to `to` bypassing the network (host-internal path,
-    /// e.g. a coordinator co-located with a storage node).
-    pub fn send_local(&mut self, to: NodeId, msg: M) {
-        self.outputs.push(Output::SendLocal { to, msg });
     }
 
     /// Schedules `on_timer(tag)` on this node after `delay`.
@@ -978,11 +968,6 @@ impl<M: MessageSize + Clone + 'static> Engine<M> {
         );
     }
 
-    /// True if the node is currently up.
-    pub fn is_up(&self, node: NodeId) -> bool {
-        self.core.node(node).up
-    }
-
     /// Runs every event strictly before `bound`; returns how many
     /// dispatched. The clock advances only on dispatched events, so it is
     /// independent of when cancelled entries happen to surface.
@@ -1134,15 +1119,6 @@ impl<M: MessageSize + Clone + 'static> Engine<M> {
         for out in outputs.drain(..) {
             match out {
                 Output::Send { to, msg } => self.core.transmit(node, to, msg, done),
-                Output::SendLocal { to, msg } => {
-                    let packet = Packet {
-                        to,
-                        from: node,
-                        stage: Stage::Landing,
-                        msg,
-                    };
-                    self.core.schedule(done, node, SlotState::Packet(packet));
-                }
                 Output::Timer { delay, tag, slot } => {
                     // The slot was allocated in set_timer; a cancel issued
                     // in the same handler frees it without scheduling.
@@ -1607,12 +1583,12 @@ mod tests {
             }),
         );
         eng.fail_node(echo);
-        assert!(!eng.is_up(echo));
+        assert!(!eng.core.node(echo).up);
         eng.kick(pinger);
         eng.run_until_idle(10_000);
         assert_eq!(eng.actor::<Pinger>(pinger).replies.len(), 0);
         eng.recover_node(echo);
-        assert!(eng.is_up(echo));
+        assert!(eng.core.node(echo).up);
         eng.inject(pinger, echo, vec![9]);
         eng.run_until_idle(10_000);
         assert_eq!(eng.actor::<Echo>(echo).seen.len(), 1);
@@ -1658,37 +1634,33 @@ mod tests {
 
     #[test]
     fn event_ties_break_fifo_by_seq() {
-        // Ten local sends flushed from one handler all arrive at the same
-        // instant (no network serialization): identical heap time, ties
-        // broken only by insertion seq — delivery must stay in send order.
+        // Ten timers armed from one handler with one delay all fire at the
+        // same instant: identical heap time, ties broken only by insertion
+        // seq — they must fire in the order they were armed.
         struct Burst {
-            peer: NodeId,
+            fired: Vec<(SimTime, u64)>,
         }
         impl Actor<Vec<u8>> for Burst {
             fn on_message(&mut self, _c: &mut Ctx<'_, Vec<u8>>, _f: NodeId, _m: Vec<u8>) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Vec<u8>>, _tag: u64) {
-                for i in 0..10u8 {
-                    ctx.send_local(self.peer, vec![i]);
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Vec<u8>>, tag: u64) {
+                if tag != START_TAG {
+                    self.fired.push((ctx.now(), tag));
+                    return;
+                }
+                for i in 0..10 {
+                    ctx.set_timer(SimDuration::from_micros(5), i);
                 }
             }
         }
         let mut eng = Engine::new(net(), 1);
-        let src = eng.add_node("burst", Box::new(Burst { peer: NodeId(0) }));
-        let echo = eng.add_node(
-            "echo",
-            Box::new(Echo {
-                service: SimDuration::ZERO,
-                seen: vec![],
-            }),
-        );
-        eng.actor_mut::<Burst>(src).peer = echo;
+        let src = eng.add_node("burst", Box::new(Burst { fired: vec![] }));
         eng.kick(src);
         eng.run_until_idle(100);
-        let e: &Echo = eng.actor(echo);
-        let order: Vec<u8> = e.seen.iter().map(|(_, m)| m[0]).collect();
-        assert_eq!(order, (0..10).collect::<Vec<u8>>(), "FIFO tie-break");
-        // All ten arrivals shared one instant; order came from seq alone.
-        assert!(e.seen.windows(2).all(|w| w[0].0 == w[1].0));
+        let fired = &eng.actor::<Burst>(src).fired;
+        let order: Vec<u64> = fired.iter().map(|f| f.1).collect();
+        assert_eq!(order, (0..10).collect::<Vec<u64>>(), "FIFO tie-break");
+        // All ten fires shared one instant; order came from seq alone.
+        assert!(fired.windows(2).all(|w| w[0].0 == w[1].0));
     }
 
     #[test]

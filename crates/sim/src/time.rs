@@ -86,11 +86,6 @@ impl SimDuration {
         self.0 / 1_000
     }
 
-    /// Milliseconds, truncating.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Value in seconds as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -177,7 +172,7 @@ mod tests {
     fn arithmetic() {
         let t = SimTime::ZERO + SimDuration::from_millis(5);
         assert_eq!(t.as_nanos(), 5_000_000);
-        assert_eq!((t - SimTime::ZERO).as_millis(), 5);
+        assert_eq!((t - SimTime::ZERO).as_micros(), 5_000);
         assert_eq!(
             SimDuration::from_secs(1) - SimDuration::from_millis(250),
             SimDuration::from_millis(750)

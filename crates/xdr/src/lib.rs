@@ -139,12 +139,6 @@ impl XdrEncoder {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Appends a signed 32-bit integer.
-    #[inline]
-    pub fn put_i32(&mut self, v: i32) {
-        self.put_u32(v as u32);
-    }
-
     /// Appends an unsigned 64-bit integer (XDR "unsigned hyper").
     #[inline]
     pub fn put_u64(&mut self, v: u64) {
@@ -226,12 +220,6 @@ impl<'a> XdrDecoder<'a> {
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    /// Reads a signed 32-bit integer.
-    #[inline]
-    pub fn get_i32(&mut self) -> Result<i32> {
-        Ok(self.get_u32()? as i32)
-    }
-
     /// Reads an unsigned 64-bit integer.
     #[inline]
     pub fn get_u64(&mut self) -> Result<u64> {
@@ -284,13 +272,6 @@ impl<'a> XdrDecoder<'a> {
         })
     }
 
-    /// Skips `n` raw bytes plus padding, as the µproxy does for fields it
-    /// does not need to inspect.
-    pub fn skip_opaque_fixed(&mut self, n: usize) -> Result<()> {
-        self.take(n + pad_len(n))?;
-        Ok(())
-    }
-
     /// Skips a variable-length opaque item without touching its contents.
     pub fn skip_opaque(&mut self) -> Result<()> {
         let n = self.get_u32()? as usize;
@@ -300,7 +281,8 @@ impl<'a> XdrDecoder<'a> {
                 max: DEFAULT_MAX_LEN,
             });
         }
-        self.skip_opaque_fixed(n)
+        self.take(n + pad_len(n))?;
+        Ok(())
     }
 }
 
@@ -312,15 +294,13 @@ mod tests {
     fn roundtrip_scalars() {
         let mut e = XdrEncoder::new();
         e.put_u32(0xdead_beef);
-        e.put_i32(-17);
         e.put_u64(0x0123_4567_89ab_cdef);
         e.put_bool(true);
         e.put_bool(false);
         let b = e.into_bytes();
-        assert_eq!(b.len(), 4 + 4 + 8 + 4 + 4);
+        assert_eq!(b.len(), 4 + 8 + 4 + 4);
         let mut d = XdrDecoder::new(&b);
         assert_eq!(d.get_u32().unwrap(), 0xdead_beef);
-        assert_eq!(d.get_i32().unwrap(), -17);
         assert_eq!(d.get_u64().unwrap(), 0x0123_4567_89ab_cdef);
         assert!(d.get_bool().unwrap());
         assert!(!d.get_bool().unwrap());

@@ -50,7 +50,7 @@ pub struct BulkResult {
 
 impl BulkResult {
     /// MB/s (decimal, as the paper reports).
-    pub fn mbs(&self) -> f64 {
+    fn mbs(&self) -> f64 {
         self.bandwidth_bps / 1e6
     }
 }

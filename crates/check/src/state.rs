@@ -192,7 +192,7 @@ fn sizes(attrs: SitedCells<AttrCell>) -> FxHashMap<u64, u64> {
 /// integrity of name-cell keys, no orphans, link counts, and per-directory
 /// entry counts (paper §4.3: sites cooperate "to update link counts ...
 /// and to follow cross-site links").
-pub fn check_dirsvc(ens: &SliceEnsemble) -> Vec<Violation> {
+fn check_dirsvc(ens: &SliceEnsemble) -> Vec<Violation> {
     let mut v = Vec::new();
     let (names, attrs) = dir_dumps(ens);
     let root_file = Fhandle::root().file_id();
@@ -332,7 +332,7 @@ pub fn check_dirsvc(ens: &SliceEnsemble) -> Vec<Violation> {
 /// live entirely on the small-file servers, so a map assigned for them
 /// (e.g. by a truncate routed through the bulk path) legitimately has no
 /// object.
-pub fn check_block_maps(ens: &SliceEnsemble, strict: bool) -> Vec<Violation> {
+fn check_block_maps(ens: &SliceEnsemble, strict: bool) -> Vec<Violation> {
     let mut v = Vec::new();
     let sites = ens.storage.len() as u32;
     let size_of = sizes(dir_dumps(ens).1);
@@ -583,7 +583,7 @@ pub fn check_drained(ens: &SliceEnsemble, sites: &[usize]) -> Vec<Violation> {
 /// single-client runs, where no other writer can legitimately outdate the
 /// cache — clean cached sizes must be subsumed by the directory service's
 /// authoritative attributes.
-pub fn check_attr_cache(ens: &SliceEnsemble) -> Vec<Violation> {
+fn check_attr_cache(ens: &SliceEnsemble) -> Vec<Violation> {
     let mut v = Vec::new();
     let server_size = sizes(dir_dumps(ens).1);
     let single_client = ens.clients.len() == 1;

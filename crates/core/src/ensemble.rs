@@ -135,12 +135,10 @@ impl Default for SliceConfig {
 
 impl SliceConfig {
     /// Checks the configuration for geometric consistency before any
-    /// ensemble state is built. [`SliceEnsemble::build`] calls this and
-    /// panics with the returned message; callers that accept untrusted
-    /// shapes (CLI flags, sweep generators) should call it themselves and
-    /// surface the `Err` instead of hitting an assert deep inside the
+    /// ensemble state is built: [`SliceEnsemble::build`] panics with the
+    /// returned message rather than hitting an assert deep inside the
     /// erasure-coding layout.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.dir_servers == 0 {
             return Err("need at least one directory server".into());
         }

@@ -47,7 +47,7 @@ static TABLES: ([u8; 256], [u8; 512]) = build_tables();
 
 /// Multiplies two field elements.
 #[inline]
-pub fn gf_mul(a: u8, b: u8) -> u8 {
+fn gf_mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
         return 0;
     }
@@ -57,7 +57,7 @@ pub fn gf_mul(a: u8, b: u8) -> u8 {
 
 /// Multiplicative inverse; panics on zero (no inverse exists).
 #[inline]
-pub fn gf_inv(a: u8) -> u8 {
+fn gf_inv(a: u8) -> u8 {
     assert_ne!(a, 0, "zero has no inverse in GF(2^8)");
     let (log, exp) = (&TABLES.0, &TABLES.1);
     exp[255 - log[a as usize] as usize]
@@ -72,7 +72,7 @@ pub fn gf_inv(a: u8) -> u8 {
 /// products: the bytes written do not depend on the host.
 #[inline]
 #[allow(unsafe_code)]
-pub fn xor_scaled(dst: &mut [u8], c: u8, src: &[u8]) {
+fn xor_scaled(dst: &mut [u8], c: u8, src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "xor_scaled operands differ in length");
     #[cfg(target_arch = "x86_64")]
     if c != 0 && std::arch::is_x86_feature_detected!("avx2") {

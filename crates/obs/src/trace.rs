@@ -219,7 +219,7 @@ impl Trace {
     }
 
     /// True if events from `sub` are currently recorded.
-    pub fn is_enabled(&self, sub: Subsystem) -> bool {
+    fn is_enabled(&self, sub: Subsystem) -> bool {
         self.enabled & sub.bit() != 0
     }
 

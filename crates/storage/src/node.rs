@@ -254,7 +254,7 @@ impl StorageNode {
 
     /// The object id a file handle maps to ("an external hash maps file
     /// handles to storage objects").
-    pub fn object_of(fh: &Fhandle) -> u64 {
+    fn object_of(fh: &Fhandle) -> u64 {
         fh.file_id()
     }
 

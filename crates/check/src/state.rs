@@ -108,7 +108,7 @@ pub fn check_mirror_convergence(ens: &SliceEnsemble) -> Vec<Violation> {
             let len = stripe_unit.min(size - offset) as usize;
             let block = offset / stripe_unit;
             let sites = mapped.get(&(file, block)).cloned().unwrap_or_else(|| {
-                slice_hashes::stripe_slots(file, block, slice_core::MIRROR_COPIES, n).collect()
+                slice_hashes::stripe_slots(file, block, slice_storage::MIRROR_COPIES, n).collect()
             });
             let reference = object_bytes(ens, sites[0], file, offset, len);
             for &s in &sites[1..] {
@@ -383,7 +383,7 @@ fn check_block_maps(ens: &SliceEnsemble, strict: bool) -> Vec<Violation> {
             // this block must read back identically (a missing object or
             // a hole reads as zeros, so eagerly assigned never-written
             // blocks pass trivially).
-            if strict && expect_backing && matches!(placement, Placement::Mirrored { .. }) {
+            if strict && expect_backing && matches!(placement, Placement::Mirrored) {
                 let mut replicas = replica_sites.iter().filter(|&&s| s < sites);
                 if let Some(&first) = replicas.next() {
                     let want = object_bytes(ens, first, file, block * unit, unit as usize);

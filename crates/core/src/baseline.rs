@@ -60,7 +60,7 @@ impl MonoFs {
                 sites: 1,
                 policy: NamePolicy::MkdirSwitching { redirect_millis: 0 },
                 clock_skew: slice_sim::SimDuration::ZERO,
-                wal: Default::default(),
+                wal_group_commit: true,
                 default_mapped: false,
             }),
             data: StorageNode::new(&storage_cfg),

@@ -306,10 +306,7 @@ impl SliceEnsemble {
                 sites: cfg.dir_servers as u32,
                 policy: cfg.policy,
                 clock_skew: SimDuration::from_micros(i as u64 * 3),
-                wal: slice_storage::WalParams {
-                    batched: cfg.wal_group_commit,
-                    ..Default::default()
-                },
+                wal_group_commit: cfg.wal_group_commit,
                 default_mapped: use_block_maps,
             });
             let actor = DirActor::new(
@@ -340,7 +337,6 @@ impl SliceEnsemble {
         for (i, &expect) in storage_ids.iter().enumerate() {
             let node = StorageNode::new(&StorageNodeConfig {
                 disks: calib::DISKS_PER_NODE,
-                disk_params: calib::disk_params(),
                 channel_bps: calib::STORAGE_CHANNEL_BPS,
                 cache_bytes: cfg.storage_cache_bytes,
                 retain_data: cfg.retain_data,
@@ -357,7 +353,7 @@ impl SliceEnsemble {
         if let Some((n, k)) = cfg.coded {
             coordinator.set_default_placement(Placement::Coded { n, k });
         } else if cfg.mapped_mirror {
-            coordinator.set_default_placement(Placement::Mirrored { copies: 2 });
+            coordinator.set_default_placement(Placement::Mirrored);
         }
         let actor = CoordActor::new(coordinator, storage_ids.clone());
         let id = engine.add_node("coord0", Box::new(actor));

@@ -31,7 +31,7 @@ pub use ensemble::{BaselineEnsemble, SliceConfig, SliceEnsemble};
 pub use history::{OpHistory, OpRecord, CHUNK_BYTES};
 /// The name-space policy under the ensemble's older name.
 pub use slice_hashes::NamePolicy as EnsemblePolicy;
-/// The static placement's replication degree, for auditors that recompute
-/// it (`slice-check` reaches the µproxy through this crate).
-pub use slice_uproxy::MIRROR_COPIES;
+/// The small-file threshold offset: a file's bytes below it live on its
+/// small-file server (workloads size their populating writes by it).
+pub use slice_uproxy::THRESHOLD;
 pub use wire::{AddrPlan, Router, Wire};

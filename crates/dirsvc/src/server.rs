@@ -27,7 +27,7 @@ use slice_nfsproto::{
     NfsTime, ReplyBody, Sattr3, SetTime, FH_FLAG_DIR, FH_FLAG_SYMLINK,
 };
 use slice_sim::time::{SimDuration, SimTime};
-use slice_storage::{Wal, WalParams};
+use slice_storage::Wal;
 
 use crate::types::{AttrCell, ChildRef, DirLog, NameCell, PeerInfo, PeerMsg};
 
@@ -42,8 +42,8 @@ pub struct DirServerConfig {
     pub policy: NamePolicy,
     /// Clock skew relative to true simulated time (NTP residual).
     pub clock_skew: SimDuration,
-    /// Write-ahead-log device parameters.
-    pub wal: WalParams,
+    /// Group commit in the write-ahead log (off only in an ablation).
+    pub wal_group_commit: bool,
     /// Mint regular files with dynamically mapped placement (handles carry
     /// `FH_FLAG_MAPPED`, so the µproxy routes bulk I/O through the
     /// coordinator's block maps instead of static striping).
@@ -57,7 +57,7 @@ impl Default for DirServerConfig {
             sites: 1,
             policy: NamePolicy::MkdirSwitching { redirect_millis: 0 },
             clock_skew: SimDuration::ZERO,
-            wal: WalParams::default(),
+            wal_group_commit: true,
             default_mapped: false,
         }
     }
@@ -198,13 +198,13 @@ pub struct DirDurable {
 }
 
 impl DirDurable {
-    fn new(params: WalParams) -> Self {
+    fn new(wal_group_commit: bool) -> Self {
         DirDurable {
             names: FxHashMap::default(),
             attrs: FxHashMap::default(),
             applied_peer: FxHashSet::default(),
             next_file: 0,
-            wal: Wal::new(params),
+            wal: Wal::new(wal_group_commit),
         }
     }
 
@@ -269,7 +269,7 @@ impl DirServer {
             names: FxHashMap::default(),
             attrs: FxHashMap::default(),
             dir_index: FxHashMap::default(),
-            durable: DirDurable::new(config.wal.clone()),
+            durable: DirDurable::new(config.wal_group_commit),
             applied_peer: FxHashMap::default(),
             pending: FxHashMap::default(),
             wait_to_pending: FxHashMap::default(),
@@ -1433,7 +1433,7 @@ impl DirServer {
         applied_peer.clear();
         pending.clear();
         wait_to_pending.clear();
-        std::mem::replace(durable, DirDurable::new(WalParams::default()))
+        std::mem::replace(durable, DirDurable::new(true))
     }
 
     /// Reads the cells back: the records the log still holds that were

@@ -32,7 +32,7 @@ impl Cluster {
                         sites: n,
                         policy,
                         clock_skew: SimDuration::ZERO,
-                        wal: Default::default(),
+                        wal_group_commit: true,
                         default_mapped: false,
                     })
                 })

@@ -96,7 +96,7 @@ fn site_config(site: u32, sites: u32, policy: NamePolicy) -> DirServerConfig {
         sites,
         policy,
         clock_skew: SimDuration::ZERO,
-        wal: Default::default(),
+        wal_group_commit: true,
         default_mapped: false,
     }
 }

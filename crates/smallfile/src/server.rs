@@ -24,7 +24,7 @@ use slice_nfsproto::{
     Fattr3, FileType, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, ReplyBody, StableHow,
 };
 use slice_sim::{LruCache, SimTime};
-use slice_storage::{Wal, WalParams};
+use slice_storage::Wal;
 
 use crate::alloc::{frag_size, Region, ZoneAllocator, SF_BLOCK};
 
@@ -265,7 +265,7 @@ impl SmallFileServer {
             maps: FxHashMap::default(),
             contents: FxHashMap::default(),
             dirty: FxHashSet::default(),
-            wal: Wal::new(WalParams::default()),
+            wal: Wal::new(true),
             parked: FxHashMap::default(),
             by_tag: FxHashMap::default(),
             next_tag: 1,
@@ -702,7 +702,7 @@ impl SmallFileServer {
         by_tag.clear();
         *cache = LruCache::new(cache.capacity());
         *verf += 1;
-        std::mem::replace(wal, Wal::new(WalParams::default()))
+        std::mem::replace(wal, Wal::new(true))
     }
 
     /// Recovers map records and allocator tails from a WAL (records

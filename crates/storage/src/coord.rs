@@ -25,7 +25,7 @@ use slice_sim::FxHashMap;
 use slice_sim::time::{SimDuration, SimTime};
 
 use crate::node::{StorageCtl, StorageCtlReply};
-use crate::wal::{Wal, WalParams};
+use crate::wal::Wal;
 
 /// Lifecycle of a logical storage site under online reconfiguration.
 ///
@@ -52,6 +52,10 @@ pub enum SiteState {
 /// routes by it and the coordinator maps by it.
 pub const STRIPE_UNIT: u64 = 64 * 1024;
 
+/// The replicas of a mirrored block: static placement in the µproxy and
+/// [`Placement::Mirrored`] in the coordinator both keep this many.
+pub const MIRROR_COPIES: u32 = 2;
+
 /// `origin` of a range queued by a degraded write or a truncate: a
 /// repair, not a migration.
 const NO_ORIGIN: u32 = u32::MAX;
@@ -67,11 +71,8 @@ pub enum Placement {
     /// Stripe blocks round-robin over all storage sites, starting at a
     /// file-derived site.
     Striped,
-    /// Replicate every block on `copies` sites.
-    Mirrored {
-        /// Replication degree.
-        copies: u32,
-    },
+    /// Replicate every block on [`MIRROR_COPIES`] sites.
+    Mirrored,
     /// Erasure-code every block (stripe) into k data + n−k parity shards
     /// across n disjoint sites (geometry in [`slice_ec::CodedLayout`]).
     Coded {
@@ -582,7 +583,7 @@ impl Coordinator {
     /// Creates a coordinator over `storage_sites` logical storage sites.
     pub fn new(storage_sites: u32) -> Self {
         Coordinator {
-            wal: Wal::new(WalParams::default()),
+            wal: Wal::new(true),
             next_intent: 1,
             open: FxHashMap::default(),
             maps: BTreeMap::new(),
@@ -816,7 +817,7 @@ impl Coordinator {
     fn compute_sites(placement: Placement, active: &[u32], file: u64, b: u64) -> Vec<u32> {
         let copies = match placement {
             Placement::Striped => 1,
-            Placement::Mirrored { copies } => copies,
+            Placement::Mirrored => MIRROR_COPIES,
             Placement::Coded { n, .. } => n,
         };
         slice_hashes::stripe_slots(file, b, copies, active.len() as u32)
@@ -1321,7 +1322,7 @@ impl Coordinator {
     /// active site (demand-driven replication of a hot file). Returns
     /// ranges queued.
     pub fn widen_file(&mut self, now: SimTime, file: u64) -> usize {
-        if !matches!(self.placement, Placement::Mirrored { .. }) {
+        if !matches!(self.placement, Placement::Mirrored) {
             return 0;
         }
         let active = self.assignable_sites();
@@ -1352,7 +1353,7 @@ impl Coordinator {
         let unpinned = self.pin_all_entries(now);
         self.log_site_change(now, site, SiteState::Active, vec![]);
         let placement = self.placement;
-        if !matches!(placement, Placement::Mirrored { .. }) {
+        if !matches!(placement, Placement::Mirrored) {
             return 0;
         }
         let active = self.assignable_sites();
@@ -1908,7 +1909,7 @@ impl Coordinator {
         }
         marks_acked.clear();
         resync_events.clear();
-        std::mem::replace(wal, Wal::new(WalParams::default()))
+        std::mem::replace(wal, Wal::new(true))
     }
 
     /// Recovers from a WAL: open intentions (logged, never completed by
@@ -2315,7 +2316,7 @@ mod tests {
     #[test]
     fn mirrored_placement_yields_replicas() {
         let mut c = Coordinator::new(4);
-        c.set_default_placement(Placement::Mirrored { copies: 2 });
+        c.set_default_placement(Placement::Mirrored);
         let a = c.handle(
             t(1),
             1,
@@ -2594,7 +2595,7 @@ mod tests {
         c.kick_resync(4);
         let applied = StorageCtlReply::ResyncApplied { obj: 9, offset: 0 };
         assert!(c.handle_ctl_reply(t(0), 4, applied).is_empty());
-        let mut wal = Wal::new(WalParams::default());
+        let mut wal = Wal::new(true);
         let kinds = [
             IntentKind::SiteChange {
                 site: 4,
@@ -2834,7 +2835,7 @@ mod tests {
 
     /// Materializes `blocks` mirrored map entries for `file`.
     fn mirrored_file(c: &mut Coordinator, file: u64, blocks: u32) {
-        c.set_default_placement(Placement::Mirrored { copies: 2 });
+        c.set_default_placement(Placement::Mirrored);
         c.handle(
             t(1),
             1,
@@ -2908,7 +2909,7 @@ mod tests {
             TruncateParity,
             Drain,
         }
-        let mirror = Placement::Mirrored { copies: 2 };
+        let mirror = Placement::Mirrored;
         let cases = [
             (mirror, Source::DegradedWrite, 1, 8),
             (mirror, Source::Drain, 1, 8),
@@ -3091,7 +3092,7 @@ mod tests {
         let mut c = Coordinator::new(4);
         // Placement via the durable default (as the ha ensemble runs):
         // per-file placement records are volatile, pins are not.
-        c.set_default_placement(Placement::Mirrored { copies: 2 });
+        c.set_default_placement(Placement::Mirrored);
         c.handle(
             t(1),
             1,

@@ -23,11 +23,11 @@ pub mod wal;
 
 pub use coord::{
     CoordAction, CoordMsg, CoordReply, Coordinator, IntentKind, IntentOutcome, IntentRecord,
-    Placement, STRIPE_UNIT,
+    Placement, MIRROR_COPIES, STRIPE_UNIT,
 };
 pub use node::{
     StorageCtl, StorageCtlReply, StorageNode, StorageNodeConfig, CLUSTER_BYTES, PREFETCH_BYTES,
     STORAGE_BLOCK,
 };
 pub use object::{ObjectStore, StorageObject};
-pub use wal::{Wal, WalParams};
+pub use wal::Wal;

@@ -118,10 +118,8 @@ pub enum StorageCtlReply {
 /// Configuration for one storage node.
 #[derive(Debug, Clone)]
 pub struct StorageNodeConfig {
-    /// Number of disk arms.
+    /// Number of disk arms (each a Seagate Cheetah).
     pub disks: usize,
-    /// Per-arm parameters.
-    pub disk_params: DiskParams,
     /// Shared channel bandwidth cap, bytes/second.
     pub channel_bps: f64,
     /// Buffer cache capacity in bytes.
@@ -136,7 +134,6 @@ impl Default for StorageNodeConfig {
         // channel, 256 MB of RAM mostly given to the buffer cache.
         StorageNodeConfig {
             disks: 8,
-            disk_params: DiskParams::cheetah(),
             channel_bps: 70_000_000.0,
             cache_bytes: 224 * 1024 * 1024,
             retain_data: true,
@@ -239,7 +236,7 @@ impl StorageNode {
             } else {
                 ObjectStore::new_metadata_only()
             },
-            disks: DiskArray::new(config.disks, config.disk_params.clone(), config.channel_bps),
+            disks: DiskArray::new(config.disks, DiskParams::cheetah(), config.channel_bps),
             cache: BlockCache::with_capacity(config.cache_bytes),
             dirty: FxHashMap::default(),
             phys: PhysMap::default(),

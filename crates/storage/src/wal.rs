@@ -24,36 +24,21 @@ use std::collections::VecDeque;
 
 use slice_sim::time::{SimDuration, SimTime};
 
-/// Timing parameters for the modelled log device.
-#[derive(Debug, Clone)]
-pub struct WalParams {
-    /// Latency of one physical log write (position + commit a batch).
-    pub write_latency: SimDuration,
-    /// Sequential bandwidth of the log device, bytes/second.
-    pub bandwidth_bps: f64,
-    /// Group commit: appends that arrive while a log write is in flight
-    /// join its batch. Disabling this (an ablation knob) serializes one
-    /// full-latency write per record.
-    pub batched: bool,
-}
+// The log device is a dedicated log region on a Cheetah-class disk:
+// sub-millisecond positioning (sequential) plus media rate.
 
-impl Default for WalParams {
-    fn default() -> Self {
-        // A dedicated log region on a Cheetah-class disk: sub-millisecond
-        // positioning (sequential) plus media rate.
-        WalParams {
-            write_latency: SimDuration::from_micros(500),
-            bandwidth_bps: 30_000_000.0,
-            batched: true,
-        }
-    }
-}
+/// Latency of one physical log write (position + commit a batch).
+const WRITE_LATENCY: SimDuration = SimDuration::from_micros(500);
+/// Sequential bandwidth of the log device, bytes/second.
+const BANDWIDTH_BPS: f64 = 30_000_000.0;
 
 /// A crash-surviving log of typed records: appended at the back, folded
 /// away from the front.
 #[derive(Debug, Clone)]
 pub struct Wal<T> {
-    params: WalParams,
+    /// Group commit: appends that arrive while a log write is in flight
+    /// join its batch.
+    batched: bool,
     /// (instant the record is durable, record), oldest first. Durable
     /// instants never decrease, so the durable records are a prefix.
     records: VecDeque<(SimTime, T)>,
@@ -65,10 +50,11 @@ pub struct Wal<T> {
 }
 
 impl<T> Wal<T> {
-    /// Creates an empty log.
-    pub fn new(params: WalParams) -> Self {
+    /// Creates an empty log. `batched` turns group commit on; without it
+    /// (an ablation) every record pays one full-latency write.
+    pub fn new(batched: bool) -> Self {
         Wal {
-            params,
+            batched,
             records: VecDeque::new(),
             device_free: SimTime::ZERO,
             appended_bytes: 0,
@@ -83,14 +69,14 @@ impl<T> Wal<T> {
     pub fn append(&mut self, now: SimTime, record: T, size: usize) -> SimTime {
         self.appends += 1;
         self.appended_bytes += size as u64;
-        let media = SimDuration::from_secs_f64(size as f64 / self.params.bandwidth_bps);
+        let media = SimDuration::from_secs_f64(size as f64 / BANDWIDTH_BPS);
         let durable = if now >= self.device_free {
             // Device idle: start a new batch.
             self.batches += 1;
-            let d = now + self.params.write_latency + media;
+            let d = now + WRITE_LATENCY + media;
             self.device_free = d;
             d
-        } else if self.params.batched {
+        } else if self.batched {
             // Join the batch in flight; only marginal media time is added.
             let d = self.device_free + media;
             self.device_free = d;
@@ -98,7 +84,7 @@ impl<T> Wal<T> {
         } else {
             // No group commit: queue a full write behind the device.
             self.batches += 1;
-            let d = self.device_free + self.params.write_latency + media;
+            let d = self.device_free + WRITE_LATENCY + media;
             self.device_free = d;
             d
         };
@@ -150,7 +136,7 @@ mod tests {
 
     #[test]
     fn append_is_durable_after_latency() {
-        let mut wal: Wal<u32> = Wal::new(WalParams::default());
+        let mut wal: Wal<u32> = Wal::new(true);
         let d = wal.append(t(10), 1, 128);
         assert!(d > t(10));
         assert!(d < t(11));
@@ -158,7 +144,7 @@ mod tests {
 
     #[test]
     fn group_commit_amortizes() {
-        let mut wal: Wal<u32> = Wal::new(WalParams::default());
+        let mut wal: Wal<u32> = Wal::new(true);
         let d1 = wal.append(t(0), 1, 100);
         // Second append lands while the first batch is in flight: its extra
         // cost is media time only, far below the write latency.
@@ -172,7 +158,7 @@ mod tests {
 
     #[test]
     fn idle_gap_starts_new_batch() {
-        let mut wal: Wal<u32> = Wal::new(WalParams::default());
+        let mut wal: Wal<u32> = Wal::new(true);
         wal.append(t(0), 1, 100);
         wal.append(t(50), 2, 100);
         let (_, batches, _) = wal.stats();
@@ -188,7 +174,7 @@ mod tests {
 
     #[test]
     fn recovery_sees_only_durable_records() {
-        let mut wal: Wal<&'static str> = Wal::new(WalParams::default());
+        let mut wal: Wal<&'static str> = Wal::new(true);
         let d1 = wal.append(t(0), "first", 64);
         let _d2 = wal.append(t(20), "second", 64);
         // Crash right after the first record becomes durable.
@@ -203,7 +189,7 @@ mod tests {
     /// whatever instant the next crash strikes at.
     #[test]
     fn a_record_lost_at_one_crash_stays_lost_at_the_next() {
-        let mut wal: Wal<u32> = Wal::new(WalParams::default());
+        let mut wal: Wal<u32> = Wal::new(true);
         wal.append(t(0), 1, 64);
         wal.append(t(20), 2, 64);
         wal.append(t(20), 3, 64);
@@ -215,7 +201,7 @@ mod tests {
 
     #[test]
     fn durability_boundary_is_inclusive() {
-        let mut wal: Wal<u32> = Wal::new(WalParams::default());
+        let mut wal: Wal<u32> = Wal::new(true);
         let d = wal.append(t(5), 9, 256);
         // A crash exactly at the durable instant sees the record; any
         // instant before it does not. The same instant decides a pop.
@@ -227,7 +213,7 @@ mod tests {
 
     #[test]
     fn pop_durable_takes_the_durable_prefix_and_nothing_else() {
-        let mut wal: Wal<u32> = Wal::new(WalParams::default());
+        let mut wal: Wal<u32> = Wal::new(true);
         for i in 0..10 {
             wal.append(t(i * 10), i as u32, 32);
         }
@@ -247,7 +233,7 @@ mod tests {
     fn pop_durable_splits_a_batch_at_the_instant() {
         // Two records sharing one batch become durable at distinct
         // instants (media time separates them).
-        let mut wal: Wal<u32> = Wal::new(WalParams::default());
+        let mut wal: Wal<u32> = Wal::new(true);
         let d1 = wal.append(t(0), 1, 100_000);
         let d2 = wal.append(t(0), 2, 100_000);
         assert_eq!(wal.stats().1, 1);

@@ -710,7 +710,7 @@ fn stream(placement: Placement) -> u64 {
     match placement {
         // Only mirrored entries widen or rebalance; a drain moves what is
         // not coded, and a coded stripe keeps naming the draining site.
-        Placement::Mirrored { .. } => {
+        Placement::Mirrored => {
             assert!(seen.widened > 0 && seen.joined > 0 && seen.drained > 0 && seen.retired)
         }
         Placement::Striped => assert!(seen.drained > 0 && seen.retired),
@@ -722,7 +722,7 @@ fn stream(placement: Placement) -> u64 {
 #[test]
 fn action_stream_is_pinned_mirrored() {
     assert_eq!(
-        stream(Placement::Mirrored { copies: 2 }),
+        stream(Placement::Mirrored),
         8650273790295325748,
         "mirrored action stream changed"
     );

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use slice_hashes::fnv::FNV_OFFSET;
 use slice_hashes::fnv1a_continue;
 use slice_nfsproto::{encode_reply, ByteBuf, Fhandle, NfsRequest, ReplyBody, StableHow, Windows};
-use slice_sim::{DiskParams, Rng, SimDuration, SimTime};
+use slice_sim::{Rng, SimDuration, SimTime};
 use slice_storage::{
     StorageCtl, StorageCtlReply, StorageNode, StorageNodeConfig, PREFETCH_BYTES, STORAGE_BLOCK,
 };
@@ -72,7 +72,6 @@ impl Harness {
     fn new(cache_blocks: u64, retain_data: bool) -> Self {
         let config = StorageNodeConfig {
             disks: 2,
-            disk_params: DiskParams::cheetah(),
             channel_bps: 70_000_000.0,
             cache_bytes: cache_blocks * STORAGE_BLOCK,
             retain_data,

@@ -20,7 +20,7 @@ use slice_nfsproto::{
 use slice_sim::time::{SimDuration, SimTime};
 use slice_sim::Rng;
 use slice_storage::{
-    ObjectStore, StorageCtl, StorageCtlReply, StorageNode, StorageNodeConfig, Wal, WalParams,
+    ObjectStore, StorageCtl, StorageCtlReply, StorageNode, StorageNodeConfig, Wal,
 };
 
 const CASES: usize = 128;
@@ -497,7 +497,7 @@ fn wal_recovery_is_a_prefix() {
         let ngaps = rng.gen_range(1usize..40);
         let gaps: Vec<u64> = (0..ngaps).map(|_| rng.gen_range(0u64..2000)).collect();
         let crash_ms = rng.gen_range(0u64..20_000);
-        let mut wal: Wal<usize> = Wal::new(WalParams::default());
+        let mut wal: Wal<usize> = Wal::new(true);
         let mut now = SimTime::ZERO;
         let mut durable_times = Vec::new();
         for (i, gap) in gaps.iter().enumerate() {

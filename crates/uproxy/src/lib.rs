@@ -20,8 +20,8 @@ pub mod proxy;
 
 pub use attrcache::{AttrCache, CachedAttr};
 pub use proxy::{
-    PhaseStats, ProxyConfig, ProxyOut, Uproxy, ATTR_CACHE_ENTRIES, ATTR_WRITEBACK, MIRROR_COPIES,
-    SUSPECT_AFTER, THRESHOLD,
+    PhaseStats, ProxyConfig, ProxyOut, Uproxy, ATTR_CACHE_ENTRIES, ATTR_WRITEBACK, SUSPECT_AFTER,
+    THRESHOLD,
 };
 /// The name-space policy under the µproxy's older name.
 pub use slice_hashes::NamePolicy as ProxyNamePolicy;

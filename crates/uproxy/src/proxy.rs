@@ -28,7 +28,7 @@ use slice_nfsproto::{
 };
 use slice_obs::EventKind;
 use slice_sim::{SimDuration, SimTime};
-use slice_storage::{CoordMsg, CoordReply, IntentKind, STRIPE_UNIT};
+use slice_storage::{CoordMsg, CoordReply, IntentKind, MIRROR_COPIES, STRIPE_UNIT};
 use slice_xdr::XdrEncoder;
 use std::ops::Range;
 
@@ -37,8 +37,6 @@ use crate::attrcache::AttrCache;
 mod coded;
 use coded::{LegOp, LegRole};
 
-/// Replication degree of a mirrored file under static placement.
-pub const MIRROR_COPIES: u32 = 2;
 /// Attribute cache capacity (entries).
 pub const ATTR_CACHE_ENTRIES: usize = 4096;
 /// Dirty attributes older than this are pushed back on [`Uproxy::tick`]

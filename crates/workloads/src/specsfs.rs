@@ -16,12 +16,9 @@
 //! cache-overflow behaviour that shapes Figure 6 at a simulation-friendly
 //! scale.
 
-use slice_core::{ClientIo, Workload};
+use slice_core::{ClientIo, Workload, THRESHOLD};
 use slice_nfsproto::{Fhandle, NfsProc, NfsReply, NfsRequest, ReplyBody, Sattr3, StableHow};
 use slice_sim::{FxHashMap, LatencyStats, SimDuration, SimTime};
-
-/// The small-file threshold offset (matches the ensemble default).
-const THRESHOLD: u32 = 64 * 1024;
 
 /// The SFS97 NFS V3 operation mix (percent).
 pub const SFS97_MIX: &[(NfsProc, u32)] = &[
@@ -364,7 +361,7 @@ impl Workload for SpecSfs {
                             self.files.push((*fh, size));
                             // Populate: one write covering the below-
                             // threshold region (contents don't matter).
-                            let len = size.min(THRESHOLD);
+                            let len = u64::from(size).min(THRESHOLD);
                             io.call(
                                 3,
                                 NfsRequest::Write {

@@ -10,18 +10,19 @@
 //!
 //! [`run_indexed`] delivers both properties:
 //!
-//! * **Work distribution** — a chunked index-ordered work queue: workers
-//!   claim contiguous index ranges from a shared atomic cursor, so cheap
-//!   items amortize the claim and expensive tails still balance.
-//! * **Determinism** — results land in a slot table indexed by input
-//!   position and are handed back strictly in input order. As long as the
-//!   job function is a pure function of `(index, item)` — true for every
-//!   scenario runner here, which builds a fresh engine per call — the
-//!   merged output cannot depend on scheduling.
-//! * **Panic propagation** — a worker panic aborts the queue (other
-//!   workers stop claiming), the scope joins everyone, and the original
-//!   panic payload is re-raised on the caller's thread. No deadlock, no
-//!   swallowed failures.
+//! * **Work distribution** — workers pull `(index, item)` pairs one at a
+//!   time from one shared iterator, so a slow item holds up only the
+//!   worker running it.
+//! * **Determinism** — each worker keeps its `(index, result)` pairs and
+//!   the merge sorts them by index, so results come back strictly in
+//!   input order. As long as the job function is a pure function of
+//!   `(index, item)` — true for every scenario runner here, which builds
+//!   a fresh engine per call — the merged output cannot depend on
+//!   scheduling.
+//! * **Panic propagation** — a panicking job raises a stop flag (the other
+//!   workers finish the item they hold and claim no more), the scope
+//!   joins everyone, and the panic payload is re-raised on the caller's
+//!   thread. No deadlock, no swallowed failures.
 //!
 //! `threads <= 1` (or fewer than two items) short-circuits to a plain
 //! sequential loop on the caller's thread — the parallel machinery is
@@ -33,8 +34,9 @@
 //! a before/after delta around a run is that run's own copy traffic at
 //! any thread count.
 
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// The default worker count for `--threads`: the host's available
@@ -54,8 +56,9 @@ pub fn default_threads() -> usize {
 ///
 /// # Panics
 ///
-/// Re-raises the first worker panic on the calling thread after all
-/// workers have stopped (remaining queued items are abandoned).
+/// Re-raises a job's panic on the calling thread after all workers have
+/// stopped (the first worker's, should several panic; items not yet
+/// claimed are abandoned).
 pub fn run_indexed<T, R, F>(threads: usize, items: Vec<T>, job: F) -> Vec<R>
 where
     T: Send,
@@ -70,66 +73,40 @@ where
             .map(|(i, item)| job(i, item))
             .collect();
     }
-    let workers = threads.min(n);
-    // Chunked claims: big enough to amortize the atomic, small enough
-    // that a slow tail item cannot strand a whole quarter of the grid
-    // behind one worker.
-    let chunk = (n / (workers * 4)).max(1);
-
-    let cursor = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if abort.load(Ordering::Relaxed) {
-                    return;
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let stop = AtomicBool::new(false);
+    let worker = || -> Result<Vec<(usize, R)>, Box<dyn Any + Send>> {
+        let mut done = Vec::new();
+        while !stop.load(Ordering::Relaxed) {
+            let Some((i, item)) = queue.lock().expect("queue lock").next() else {
+                break;
+            };
+            match catch_unwind(AssertUnwindSafe(|| job(i, item))) {
+                Ok(r) => done.push((i, r)),
+                Err(p) => {
+                    stop.store(true, Ordering::Relaxed);
+                    return Err(p);
                 }
-                let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if lo >= n {
-                    return;
-                }
-                for i in lo..(lo + chunk).min(n) {
-                    if abort.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let item = slots[i]
-                        .lock()
-                        .expect("slot lock")
-                        .take()
-                        .expect("item claimed once");
-                    match catch_unwind(AssertUnwindSafe(|| job(i, item))) {
-                        Ok(r) => *results[i].lock().expect("result lock") = Some(r),
-                        Err(p) => {
-                            // First panic wins; stop the queue and let the
-                            // scope join everyone before re-raising.
-                            abort.store(true, Ordering::Relaxed);
-                            let mut slot = panic_payload.lock().expect("panic slot");
-                            if slot.is_none() {
-                                *slot = Some(p);
-                            }
-                            return;
-                        }
-                    }
-                }
-            });
+            }
         }
+        Ok(done)
+    };
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.min(n)).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a worker catches its jobs' panics"))
+            .collect()
     });
-
-    if let Some(p) = panic_payload.into_inner().expect("panic slot") {
-        resume_unwind(p);
+    let mut results = Vec::with_capacity(n);
+    for outcome in outcomes {
+        match outcome {
+            Ok(done) => results.extend(done),
+            Err(p) => resume_unwind(p),
+        }
     }
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result lock")
-                .expect("every index completed")
-        })
-        .collect()
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]

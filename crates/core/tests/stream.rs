@@ -28,7 +28,10 @@
 //! suspicion — is folded into one FNV-1a, and pinned with the engine's
 //! event, packet and byte counts as the parent of the PR that rewrote the
 //! glue emitted them. A refactor leaves the constants alone; a behaviour
-//! change re-pins them on purpose and says why.
+//! change re-pins them on purpose and says why. Re-pinned once since:
+//! the µproxy came to look a READ reply's attributes up once, not twice,
+//! so the ring holds fewer attribute `CacheHit` events (mirrored-mapped
+//! 8,956 → 7,320, coded 9,062 → 7,310) and nothing else moved.
 //!
 //! Reach, counted once on a copy of that parent with a print at each
 //! path (mirrored-mapped / coded): DRC replays at a directory actor
@@ -470,7 +473,7 @@ fn mirrored_mapped_stream_is_pinned() {
         },
     );
     let want = Pinned {
-        trace_fnv: 11570029098804289536,
+        trace_fnv: 17451544400178422771,
         events: 128_001,
         packets: 33_225,
         bytes: 114_085_328,
@@ -482,7 +485,7 @@ fn mirrored_mapped_stream_is_pinned() {
 fn coded_stream_is_pinned() {
     let got = run(Some((4, 2)), EnsemblePolicy::NameHashing);
     let want = Pinned {
-        trace_fnv: 4368398247467040587,
+        trace_fnv: 2364415460370317645,
         events: 162_341,
         packets: 42_229,
         bytes: 207_214_252,

@@ -1647,24 +1647,21 @@ impl Uproxy {
     /// READ that disagrees with the global file size, a reply the µproxy
     /// re-initiates.
     fn finalize(&mut self, rx: Inbound, rec: &PendingReq, attr_file: Option<Fhandle>) {
+        // One lookup serves the size check and the patch below (a READ's
+        // attribute file is the one it reads).
+        let attr = attr_file.and_then(|fh| self.attrs.get(fh.file_id()));
         // Reads must reflect the *global* file size the µproxy tracks:
         // storage and small-file servers only know their local extent, so
         // a read in a hole (or past local data) comes back short and is
         // zero-extended, and a read past EOF is truncated.
-        if rec.proc == NfsProc::Read {
-            if let (Some(reply), Some(fh)) = (&rx.reply, rec.fh) {
-                if reply.status.is_ok() {
-                    if let (Some(attr), BodyView::Read { data, .. }) =
-                        (self.attrs.get(fh.file_id()), &reply.body)
-                    {
-                        if data.len() != read_len(rec.offset, rec.len, attr.size) {
-                            let window = vec![(rec.offset, rx.pkt.range(data.clone()))];
-                            let fixed = read_data(rec.offset, rec.len, attr.size, window);
-                            self.read_reply_to_client(rx.xid, rec.client_src, Some(attr), fixed);
-                            self.clock.lap(&mut self.phases.rewrite_ns);
-                            return;
-                        }
-                    }
+        if let (NfsProc::Read, Some(reply), Some(attr)) = (rec.proc, &rx.reply, attr) {
+            if let BodyView::Read { data, .. } = &reply.body {
+                if reply.status.is_ok() && data.len() != read_len(rec.offset, rec.len, attr.size) {
+                    let window = vec![(rec.offset, rx.pkt.range(data.clone()))];
+                    let fixed = read_data(rec.offset, rec.len, attr.size, window);
+                    self.read_reply_to_client(rx.xid, rec.client_src, Some(attr), fixed);
+                    self.clock.lap(&mut self.phases.rewrite_ns);
+                    return;
                 }
             }
         }
@@ -1675,7 +1672,7 @@ impl Uproxy {
         // Return a complete, current set of attributes in every response
         // (paper §4.1): overwrite the reply's attribute block, when it
         // carries one, with the merged cached attributes.
-        if let Some(attr) = attr_file.and_then(|fh| self.attrs.get(fh.file_id())) {
+        if let Some(attr) = attr {
             let flag_off = REPLY_ATTR_OFFSET;
             if p.payload.len() >= flag_off + 4 + 84 {
                 let flag = u32::from_be_bytes(

@@ -690,9 +690,9 @@ impl Uproxy {
                 }
             }
             // Lay the windows out against the global size.
-            let size = self.attrs.get(call.fh.file_id()).map(|a| a.size);
-            let data = read_data(call.offset, call.len, size.unwrap_or(call.end()), op.reads);
             let attr = self.attrs.get(call.fh.file_id());
+            let size = attr.map_or(call.end(), |a| a.size);
+            let data = read_data(call.offset, call.len, size, op.reads);
             self.read_reply_to_client(xid, call.client_src, attr, data);
         }
         for e in evicted {

@@ -6,8 +6,8 @@
 #   ci/layers.sh <workload> [--seed N] [--seconds S]
 #   ci/layers.sh --samples FILE        (layers of samples already taken)
 #
-# Builds and samples as `ci/profile.sh <workload> --callsites` does (its
-# output goes under $PROFILE_DIR, default target/profile), then prints
+# Builds and samples as `ci/profile.sh <workload>` does (its output goes
+# under $PROFILE_DIR, default target/profile), then prints
 # one row per layer: its share of the samples, the share's binomial
 # standard error, and the sample count. A libc sample (memcpy, malloc)
 # goes to the layer of the function that called it; a sample with no
@@ -22,6 +22,6 @@ shift
 if [ "$workload" = --samples ]; then
     exec python3 "$root/ci/callsites.py" "${1:?$usage}" --layers
 fi
-"$root/ci/profile.sh" "$workload" --callsites "$@" >/dev/null
+"$root/ci/profile.sh" "$workload" "$@" >/dev/null
 out="${PROFILE_DIR:-$root/target/profile}"
 python3 "$root/ci/callsites.py" "$out/samples-$workload.txt" --layers

@@ -19,9 +19,10 @@ const RESTART: u64 = 1 << 41;
 const KILLER: u64 = 1 << 20;
 
 /// An actor that exercises every engine path from seeded choices: network
-/// sends to seeded peers and to a fixed neighbour, timers with zero and non-zero delays,
-/// cancels (of pending timers, of timers firing in the same nanosecond,
-/// of timers long gone), and handlers with and without CPU cost.
+/// sends to seeded peers and to a fixed neighbour, timers with zero and
+/// non-zero delays, cancels (of pending timers, of timers firing in the
+/// same nanosecond, of timers long gone), and handlers with and without
+/// CPU cost.
 struct Mixer {
     me: u32,
     /// `(now, node, from | TIMER + tag | RESTART)` per handler invocation.
@@ -237,10 +238,10 @@ const MIXED_AT_PARENT: (u64, u64, u64) = (0xbacd_1c27_b0e8_9118, 19_451, 3_746_6
 
 /// What the driver saw at `45275de` (whose pins before the re-capture
 /// were those of `ecc66a5`, the last engine with a multi-shard window
-/// loop, at 1, 2 and 4 shards): the first 25 checkpoints — the two `run_until` calls, the eight
-/// budgeted steps after node 3 recovers, the first fifteen of the final
-/// probe loop — then the length and FNV hash of all of them, and the
-/// lifetime window count.
+/// loop, at 1, 2 and 4 shards): the first 25 checkpoints — the two
+/// `run_until` calls, the eight budgeted steps after node 3 recovers,
+/// the first fifteen of the final probe loop — then the length and FNV
+/// hash of all of them, and the lifetime window count.
 const STEPS_AT_PARENT: [Checkpoint; 25] = [
     (0, 150_000, 859),
     (0, 220_000, 1_198),

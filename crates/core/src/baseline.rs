@@ -51,7 +51,6 @@ impl MonoFs {
             channel_bps: calib::STORAGE_CHANNEL_BPS,
             cache_bytes: calib::STORAGE_CACHE_BYTES,
             retain_data,
-            ..Default::default()
         };
         MonoFs {
             kind,

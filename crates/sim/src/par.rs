@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn a_panicking_item_stops_further_claims() {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::atomic::AtomicUsize;
         use std::time::{Duration, Instant};
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));

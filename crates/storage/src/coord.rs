@@ -17,6 +17,7 @@
 //! host supplies.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use slice_ec::{Codec, CodedLayout};
 use slice_nfsproto::{ByteBuf, Windows};
@@ -51,6 +52,22 @@ pub enum SiteState {
 /// coded stripes all cut a file's bulk region at this grain. The µproxy
 /// routes by it and the coordinator maps by it.
 pub const STRIPE_UNIT: u64 = 64 * 1024;
+
+/// Which block owns which bytes: `range` cut at every multiple of `unit`,
+/// one `(block, sub-range)` piece per block it touches, in order. Every
+/// split of a byte range by block goes through here — the µproxy's bulk
+/// planner, the coordinator's dirty marks, the mirror oracle — so a
+/// request, the ranges it leaves dirty and the check of its copies cannot
+/// disagree about a boundary. An empty range is one empty piece, in its
+/// start's block: a zero-length request is still owed to that block.
+pub fn cut(range: Range<u64>, unit: u64) -> impl Iterator<Item = (u64, Range<u64>)> {
+    let Range { start, end } = range;
+    let last = end.saturating_sub(1).max(start);
+    (start / unit..=last / unit).map(move |b| {
+        let piece = (b * unit).max(start)..(b + 1).saturating_mul(unit).min(end);
+        (b, piece)
+    })
+}
 
 /// The replicas of a mirrored block: static placement in the µproxy and
 /// [`Placement::Mirrored`] in the coordinator both keep this many.
@@ -441,23 +458,17 @@ pub enum CoordMsg {
         /// New size.
         size: u64,
     },
-    /// Record that a mirrored write is about to complete at reduced
-    /// redundancy: `missed` sites are down and will not receive
-    /// `[offset, offset+len)` of `obj`. The write may proceed only after
-    /// the dirty ranges are durable (the ack gates the degraded fan-out).
+    /// Record that a write is about to complete at reduced redundancy:
+    /// each piece's `missed` sites are down and will not receive its bytes
+    /// of `obj`. The write may proceed only after the dirty ranges are
+    /// durable (the ack gates the degraded fan-out).
     MarkDirty {
         /// Caller-chosen correlation id (the write's xid).
         op_id: u64,
         /// Object id.
         obj: u64,
-        /// Byte offset.
-        offset: u64,
-        /// Byte length.
-        len: u64,
-        /// Suspected/crashed sites that will miss the write.
-        missed: Vec<u32>,
-        /// Live replica sites that will hold the bytes.
-        sources: Vec<u32>,
+        /// The write's pieces that miss a site, one per block ([`cut`]).
+        pieces: Vec<DirtyPiece>,
     },
     /// Ask whether `site` is safe to serve mirrored reads: alive, with no
     /// dirty ranges outstanding and no resynchronization in progress.
@@ -465,6 +476,19 @@ pub enum CoordMsg {
         /// Logical storage site.
         site: u32,
     },
+}
+
+/// One block's share of a degraded write ([`CoordMsg::MarkDirty`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DirtyPiece {
+    /// Byte offset.
+    pub offset: u64,
+    /// Byte length.
+    pub len: u64,
+    /// Suspected/crashed sites of the block that will miss the write.
+    pub missed: Vec<u32>,
+    /// Live sites of the block that will hold the bytes.
+    pub sources: Vec<u32>,
 }
 
 /// Replies the coordinator sends to requesters.
@@ -993,24 +1017,22 @@ impl Coordinator {
                 req_id,
                 IntentKind::Truncate { obj: file, size },
             ),
-            CoordMsg::MarkDirty {
-                op_id,
-                obj,
-                offset,
-                len,
-                missed,
-                sources,
-            } => {
+            CoordMsg::MarkDirty { op_id, obj, pieces } => {
                 let mark = (requester, op_id);
                 // Retransmission of an already-durable mark: re-ack
                 // without duplicating the ranges.
                 if let Some(&(at, _)) = self.marks_acked.get(&mark) {
                     return Self::reply(requester, CoordReply::DirtyAck { op_id }, at.max(now));
                 }
-                let coded = self.coded().is_some();
+                let mut missed: Vec<u32> = Vec::new();
+                for &site in pieces.iter().flat_map(|p| &p.missed) {
+                    if !missed.contains(&site) {
+                        missed.push(site);
+                    }
+                }
                 let mut durable = now;
                 let mut logged = 0;
-                for &site in &missed {
+                for site in missed {
                     // A retired site never returns: queuing copy-back for
                     // it would leak soft state forever. A site that does
                     // not exist is owed nothing.
@@ -1018,20 +1040,13 @@ impl Coordinator {
                     if matches!(state, None | Some(SiteState::Retired)) {
                         continue;
                     }
-                    // Mirrored ranges are file ranges; coded ranges are
-                    // split per stripe into the site's own shard windows
-                    // (object offsets), so each queued range rebuilds
-                    // exactly one shard.
-                    let windows = if coded {
-                        self.coded_missed_windows(obj, offset, len, site, &sources)
-                    } else {
-                        vec![(offset, len, sources.clone())]
-                    };
-                    for (w_off, w_len, srcs) in windows {
-                        let mark = Some(mark);
-                        durable =
-                            self.queue_range(now, site, obj, w_off, w_len, srcs, NO_ORIGIN, mark);
-                        logged += 1;
+                    for piece in pieces.iter().filter(|p| p.missed.contains(&site)) {
+                        for (w_off, w_len, srcs) in self.missed_windows(obj, piece, site) {
+                            let mark = Some(mark);
+                            durable = self
+                                .queue_range(now, site, obj, w_off, w_len, srcs, NO_ORIGIN, mark);
+                            logged += 1;
+                        }
                     }
                 }
                 if logged > 0 {
@@ -1073,33 +1088,36 @@ impl Coordinator {
             .unwrap_or_default()
     }
 
-    /// The object windows `site` missed from a coded write of
-    /// `[offset, offset+len)`: one `(object offset, len, stripe sources)`
-    /// per overlapped stripe the site participates in — its own data
+    /// The ranges `site` missed from `piece` of a degraded write, one per
+    /// block (a dirty range never spans two): `(offset, len, sources)`.
+    /// A mirror's window is the block's share of the piece itself; a
+    /// code's is the site's own shard window in object offsets — its data
     /// window when it holds a data shard, the parity hull when it holds
-    /// parity.
-    fn coded_missed_windows(
+    /// parity — so each queued range rebuilds exactly one shard. The
+    /// sources are the block's sites the piece names as live.
+    fn missed_windows(
         &mut self,
         obj: u64,
-        offset: u64,
-        len: u64,
+        piece: &DirtyPiece,
         site: u32,
-        sources: &[u32],
     ) -> Vec<(u64, u64, Vec<u32>)> {
-        let Some((_, k, layout)) = self.coded().filter(|_| len > 0) else {
-            return vec![];
+        let blocks = cut(piece.offset..piece.offset + piece.len, self.stripe_unit);
+        let Some((_, k, layout)) = self.coded() else {
+            let window =
+                |(_, r): (u64, Range<u64>)| (r.start, r.end - r.start, piece.sources.clone());
+            return blocks.map(window).collect();
         };
         let mut out = Vec::new();
-        for s in offset / self.stripe_unit..=(offset + len - 1) / self.stripe_unit {
+        for (s, r) in blocks.filter(|(_, r)| !r.is_empty()) {
             let sites = self.stripe_sites(obj, s);
             let Some(idx) = sites.iter().position(|&x| x == site) else {
                 continue;
             };
             let idx = idx as u32;
             let (lo, hi) = if idx < k {
-                layout.data_window(s, idx, offset, len)
+                layout.data_window(s, idx, r.start, r.end - r.start)
             } else {
-                layout.parity_window(s, offset, len)
+                layout.parity_window(s, r.start, r.end - r.start)
             };
             if lo >= hi {
                 continue;
@@ -1107,7 +1125,7 @@ impl Coordinator {
             let srcs: Vec<u32> = sites
                 .iter()
                 .copied()
-                .filter(|&x| x != site && sources.contains(&x))
+                .filter(|&x| x != site && piece.sources.contains(&x))
                 .collect();
             out.push((layout.shard_obj_offset(s, idx, lo), hi - lo, srcs));
         }
@@ -2382,10 +2400,12 @@ mod tests {
         let mark = CoordMsg::MarkDirty {
             op_id: 99,
             obj: 5,
-            offset: 0,
-            len: 65536,
-            missed: vec![2],
-            sources: vec![1],
+            pieces: vec![DirtyPiece {
+                offset: 0,
+                len: 65536,
+                missed: vec![2],
+                sources: vec![1],
+            }],
         };
         let a = c.handle(t(0), 7, mark.clone());
         match &a[0] {
@@ -2419,10 +2439,12 @@ mod tests {
             let mark = CoordMsg::MarkDirty {
                 op_id: 99,
                 obj,
-                offset: 0,
-                len: 100,
-                missed: vec![2],
-                sources: vec![1],
+                pieces: vec![DirtyPiece {
+                    offset: 0,
+                    len: 100,
+                    missed: vec![2],
+                    sources: vec![1],
+                }],
             };
             c.handle(t(0), requester, mark.clone());
             c.handle(t(1), requester, mark);
@@ -2443,10 +2465,12 @@ mod tests {
             CoordMsg::MarkDirty {
                 op_id: 1,
                 obj: 9,
-                offset: 0,
-                len: 100,
-                missed: vec![2],
-                sources: vec![1],
+                pieces: vec![DirtyPiece {
+                    offset: 0,
+                    len: 100,
+                    missed: vec![2],
+                    sources: vec![1],
+                }],
             },
         );
         assert!(c.needs_sweep());
@@ -2503,10 +2527,12 @@ mod tests {
             CoordMsg::MarkDirty {
                 op_id: 1,
                 obj: 9,
-                offset: 0,
-                len: 100,
-                missed: vec![3],
-                sources: vec![0],
+                pieces: vec![DirtyPiece {
+                    offset: 0,
+                    len: 100,
+                    missed: vec![3],
+                    sources: vec![0],
+                }],
             },
         );
         let wal = c.crash();
@@ -2570,10 +2596,12 @@ mod tests {
         let mark = CoordMsg::MarkDirty {
             op_id: 1,
             obj: 9,
-            offset: 0,
-            len: 100,
-            missed: vec![4, u32::MAX],
-            sources: vec![1],
+            pieces: vec![DirtyPiece {
+                offset: 0,
+                len: 100,
+                missed: vec![4, u32::MAX],
+                sources: vec![1],
+            }],
         };
         let ack = CoordAction::Reply {
             to: 7,
@@ -2633,10 +2661,12 @@ mod tests {
             CoordMsg::MarkDirty {
                 op_id: 1,
                 obj: 9,
-                offset: 0,
-                len: 100,
-                missed: vec![2],
-                sources: vec![1],
+                pieces: vec![DirtyPiece {
+                    offset: 0,
+                    len: 100,
+                    missed: vec![2],
+                    sources: vec![1],
+                }],
             },
         );
         let acts = c.handle(t(1), 8, CoordMsg::ProbeSite { site: 2 });
@@ -2699,10 +2729,12 @@ mod tests {
             CoordMsg::MarkDirty {
                 op_id: 1,
                 obj: 10,
-                offset: 0,
-                len: 8,
-                missed: vec![sites[3]],
-                sources: vec![sites[0], sites[1], sites[2]],
+                pieces: vec![DirtyPiece {
+                    offset: 0,
+                    len: 8,
+                    missed: vec![sites[3]],
+                    sources: vec![sites[0], sites[1], sites[2]],
+                }],
             },
         );
         assert_eq!(
@@ -2726,10 +2758,12 @@ mod tests {
             CoordMsg::MarkDirty {
                 op_id: 1,
                 obj: 10,
-                offset: 0,
-                len: 8,
-                missed: vec![sites[0]],
-                sources: vec![sites[1], sites[2], sites[3]],
+                pieces: vec![DirtyPiece {
+                    offset: 0,
+                    len: 8,
+                    missed: vec![sites[0]],
+                    sources: vec![sites[1], sites[2], sites[3]],
+                }],
             },
         );
         assert_eq!(c.dirty_log_dump(), vec![(sites[0], 10, 0, 4)]);
@@ -2949,10 +2983,12 @@ mod tests {
                     let mark = CoordMsg::MarkDirty {
                         op_id: 1,
                         obj: 10,
-                        offset: 0,
-                        len: 8,
-                        missed: vec![sites[0]],
-                        sources: sites[1..].to_vec(),
+                        pieces: vec![DirtyPiece {
+                            offset: 0,
+                            len: 8,
+                            missed: vec![sites[0]],
+                            sources: sites[1..].to_vec(),
+                        }],
                     };
                     c.handle(t(1), 7, mark);
                 }
@@ -3052,13 +3088,12 @@ mod tests {
             CoordMsg::MarkDirty {
                 op_id: 50,
                 obj: 3,
-                offset: 0,
-                len: 100,
-                missed: vec![victim],
-                sources: vec![0, 1, 2, 3]
-                    .into_iter()
-                    .filter(|&s| s != victim)
-                    .collect(),
+                pieces: vec![DirtyPiece {
+                    offset: 0,
+                    len: 100,
+                    missed: vec![victim],
+                    sources: (0..4).filter(|&s| s != victim).collect(),
+                }],
             },
         );
         assert_eq!(c.dirty_ranges(), 0, "retired sites take no dirty ranges");
@@ -3264,10 +3299,12 @@ mod tests {
             CoordMsg::MarkDirty {
                 op_id: 51,
                 obj: 3,
-                offset: 0,
-                len: 100,
-                missed: vec![keeper],
-                sources: vec![old_src],
+                pieces: vec![DirtyPiece {
+                    offset: 0,
+                    len: 100,
+                    missed: vec![keeper],
+                    sources: vec![old_src],
+                }],
             },
         );
         let acts = c.check_timeouts(t(610_000));

@@ -22,8 +22,8 @@ pub mod object;
 pub mod wal;
 
 pub use coord::{
-    CoordAction, CoordMsg, CoordReply, Coordinator, IntentKind, IntentOutcome, IntentRecord,
-    Placement, MIRROR_COPIES, STRIPE_UNIT,
+    cut, CoordAction, CoordMsg, CoordReply, Coordinator, DirtyPiece, IntentKind, IntentOutcome,
+    IntentRecord, Placement, MIRROR_COPIES, STRIPE_UNIT,
 };
 pub use node::{
     StorageCtl, StorageCtlReply, StorageNode, StorageNodeConfig, CLUSTER_BYTES, PREFETCH_BYTES,

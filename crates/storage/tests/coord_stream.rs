@@ -61,7 +61,7 @@ use slice_nfsproto::{Fhandle, NfsRequest, StableHow};
 use slice_sim::{Rng, SimDuration, SimTime};
 use slice_storage::coord::SiteState;
 use slice_storage::{
-    CoordAction, CoordMsg, CoordReply, Coordinator, IntentKind, Placement, StorageCtl,
+    CoordAction, CoordMsg, CoordReply, Coordinator, DirtyPiece, IntentKind, Placement, StorageCtl,
     StorageCtlReply, StorageNode, StorageNodeConfig,
 };
 
@@ -501,10 +501,12 @@ impl Harness {
         let msg = CoordMsg::MarkDirty {
             op_id: self.op_id(),
             obj: file,
-            offset,
-            len,
-            missed,
-            sources,
+            pieces: vec![DirtyPiece {
+                offset,
+                len,
+                missed,
+                sources,
+            }],
         };
         let from = 100 + self.rng.gen_range(0u64..5);
         self.seen.marks += 1;

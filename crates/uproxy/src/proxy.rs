@@ -28,7 +28,9 @@ use slice_nfsproto::{
 };
 use slice_obs::EventKind;
 use slice_sim::{SimDuration, SimTime};
-use slice_storage::{CoordMsg, CoordReply, IntentKind, MIRROR_COPIES, STRIPE_UNIT};
+use slice_storage::{
+    cut, CoordMsg, CoordReply, DirtyPiece, IntentKind, MIRROR_COPIES, STRIPE_UNIT,
+};
 use slice_xdr::XdrEncoder;
 use std::ops::Range;
 
@@ -48,6 +50,10 @@ pub const SUSPECT_AFTER: u32 = 2;
 /// The threshold offset (64 KiB in the prototype): a file's bytes below
 /// it live on its small-file server, the rest on the storage array.
 pub const THRESHOLD: u64 = 64 * 1024;
+
+// The threshold is a block boundary, so cutting a request at every block
+// boundary cuts it at the threshold too.
+const _: () = assert!(THRESHOLD.is_multiple_of(STRIPE_UNIT));
 
 /// µproxy configuration: the ensemble map and the routing policies.
 #[derive(Debug, Clone)]
@@ -210,9 +216,10 @@ impl HotTracker {
     }
 }
 
-/// A mirrored write parked while the coordinator logs its missed mirror
-/// ranges: (original packet, live sites, missed sites, byte count).
-type ParkedWrite = (Packet, Vec<u32>, Vec<u32>, u64);
+/// A degraded write parked while the coordinator logs the ranges its
+/// missed sites are owed: (original packet, live sites per piece, missed
+/// sites, byte count).
+type ParkedWrite = (Packet, Vec<Vec<u32>>, Vec<u32>, u64);
 
 /// Which server class a pending request was routed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -465,11 +472,11 @@ struct Soft {
     health: Vec<SiteHealth>,
     /// Per-file data-op counts over a sliding window (hot-set detection).
     hot_data: HotTracker,
-    /// Mirrored writes parked on a coordinator dirty-region ack.
+    /// Degraded writes parked on a coordinator dirty-region ack.
     degrade_pending: FxHashMap<u32, ParkedWrite>,
     /// Writes cleared to proceed at reduced redundancy: xid -> live
-    /// replica set approved by the coordinator's DirtyAck.
-    degrade_ok: FxHashMap<u32, Vec<u32>>,
+    /// sites per piece, as the coordinator's DirtyAck approved them.
+    degrade_ok: FxHashMap<u32, Vec<Vec<u32>>>,
     /// Requests in flight as leg ops, keyed by the client's (parent) xid.
     ops: FxHashMap<u32, LegOp>,
     /// Per-(file, stripe) exclusive locks held by coded ops that gather
@@ -888,31 +895,58 @@ impl Uproxy {
             .is_some_and(|h| h.suspected)
     }
 
-    /// Degraded-write gate. A write whose replica set includes suspected
+    /// Degraded-write gate. A write whose placement includes suspected
     /// sites must not complete before the coordinator has durably logged
-    /// the skipped sites' (file, bulk range): otherwise a crash forgets
-    /// which regions diverged and resync cannot restore redundancy.
-    /// Returns the replica set to fan out to, or `None` when the packet
-    /// was parked awaiting the coordinator's `DirtyAck`.
-    fn degrade_gate(&mut self, pkt: &Packet, call: &BulkCall, sites: Vec<u32>) -> Option<Vec<u32>> {
+    /// what each skipped site is owed: otherwise a crash forgets which
+    /// regions diverged and resync cannot restore redundancy.
+    /// `site_lists` is the placement of each piece of the bulk range
+    /// `[call.lo, call.end())` ([`cut`]); a piece's skipped sites are owed
+    /// its bytes, from its live sites. Returns the sites to fan each piece
+    /// out to, or `None` when the packet was parked awaiting the
+    /// coordinator's `DirtyAck`.
+    fn degrade_gate(
+        &mut self,
+        pkt: &Packet,
+        call: &BulkCall,
+        site_lists: Vec<Vec<u32>>,
+    ) -> Option<Vec<Vec<u32>>> {
         if let Some(live) = self.soft.degrade_ok.get(&call.xid) {
             return Some(live.clone());
         }
-        let (live, missed) = self.partition_live(&sites);
-        if missed.is_empty() {
-            return Some(sites);
+        let mut marks = Vec::new();
+        let mut skipped: Vec<u32> = Vec::new();
+        let pieces = cut(call.lo..call.end(), STRIPE_UNIT);
+        let lives: Vec<Vec<u32>> = (site_lists.into_iter().zip(pieces))
+            .map(|(sites, (_, piece))| {
+                let (live, missed) = self.partition_live(&sites);
+                if missed.is_empty() {
+                    return sites;
+                }
+                for &s in &missed {
+                    if !skipped.contains(&s) {
+                        skipped.push(s);
+                    }
+                }
+                marks.push(DirtyPiece {
+                    offset: piece.start,
+                    len: piece.end - piece.start,
+                    missed,
+                    sources: live.clone(),
+                });
+                live
+            })
+            .collect();
+        if marks.is_empty() {
+            return Some(lives);
         }
-        let (file, len) = (call.fh.file_id(), call.end() - call.lo);
+        let len = call.end() - call.lo;
         self.soft
             .degrade_pending
-            .insert(call.xid, (pkt.clone(), live.clone(), missed.clone(), len));
+            .insert(call.xid, (pkt.clone(), lives, skipped, len));
         self.out.push(ProxyOut::Coord(CoordMsg::MarkDirty {
             op_id: u64::from(call.xid),
-            obj: file,
-            offset: call.lo,
-            len,
-            missed,
-            sources: live,
+            obj: call.fh.file_id(),
+            pieces: marks,
         }));
         None
     }
@@ -1189,41 +1223,39 @@ impl Uproxy {
     /// Routes a READ (`write == None`) or WRITE (its data's range within
     /// the packet's payload, and its stability) that reaches the bulk
     /// region.
-    /// The placement decides everything: the block map names the storage
-    /// sites — one replica of a mirror for a read, every live replica for
-    /// a write, shard sites for a coded stripe.
+    /// The request is owed to every block it touches: [`cut`] splits
+    /// `[offset, end)` at every block boundary, and so at the threshold,
+    /// which is one. The placement decides the rest: the block map names
+    /// each block's storage sites — one replica of a mirror for a read,
+    /// every live replica for a write, shard sites for a coded stripe.
     ///
-    /// A request one placement entry serves whole is *forwarded*: the
-    /// client's own packet re-addressed in place under the client's xid
-    /// (one copy per replica for a mirrored write), its payload neither
-    /// copied nor re-encoded, the last reply rewritten in place. A request
-    /// that must be cut — at the threshold, or into coded shards — is
-    /// served as a leg op (`proxy/coded.rs`): legs the µproxy encodes under
-    /// xids of its own, and one reply assembled from theirs.
+    /// A request that is one piece above the threshold is *forwarded*:
+    /// the client's own packet re-addressed in place under the client's
+    /// xid (one copy per replica for a mirrored write), its payload
+    /// neither copied nor re-encoded, the last reply rewritten in place.
+    /// Any other — below and above the threshold, across a block boundary,
+    /// or coded — is served as a leg op (`proxy/coded.rs`): legs the
+    /// µproxy encodes under xids of its own, and one reply assembled from
+    /// theirs.
     fn route_bulk(
         &mut self,
         pkt: Packet,
         call: BulkCall,
         write: Option<(Range<usize>, StableHow)>,
     ) {
-        let BulkCall {
-            xid,
-            fh,
-            offset,
-            lo,
-            ..
-        } = call;
+        let BulkCall { xid, fh, lo, .. } = call;
         let file = fh.file_id();
         let geom = self.coded_geom(&fh).filter(|_| call.len > 0);
-        if geom.is_some() || lo > offset {
+        let (block, first) = cut(call.offset..call.end(), STRIPE_UNIT)
+            .next()
+            .expect("a range has a piece");
+        if geom.is_some() || first.end < call.end() {
             // A client retransmission of the parent xid restarts the op.
             self.abort_op(xid);
+            self.route_legs(pkt, call, write, geom);
+            return;
         }
-        let blocks = match &geom {
-            Some(g) => g.stripe_of(lo)..=g.stripe_of(call.end() - 1),
-            None => lo / STRIPE_UNIT..=lo / STRIPE_UNIT,
-        };
-        let mut site_lists = match self.block_sites(&fh, blocks) {
+        let site_lists = match self.block_sites(&fh, block..=block) {
             Ok(lists) => lists,
             Err(block) => {
                 self.soft
@@ -1234,33 +1266,14 @@ impl Uproxy {
                 return;
             }
         };
-        if let Some(geom) = geom {
-            let planned = self.coded_plan(&pkt, &call, write.is_some(), site_lists, geom);
-            if let Some((stripes, live, plans)) = planned {
-                let op = LegOp::new(&pkt, call, write, stripes, live);
-                self.start_op(op, plans);
-            }
-            self.clock.lap(&mut self.phases.soft_ns);
-            return;
-        }
         self.clock.lap(&mut self.phases.soft_ns);
-        let sites = site_lists.pop().expect("one block");
         let targets = match &write {
-            None => vec![self.pick_read_site(file, &sites, lo, xid)],
-            Some(_) => match self.degrade_gate(&pkt, &call, sites) {
-                Some(live) => live,
+            None => vec![self.pick_read_site(file, &site_lists[0], lo, xid)],
+            Some(_) => match self.degrade_gate(&pkt, &call, site_lists) {
+                Some(mut live) => live.pop().expect("one piece"),
                 None => return,
             },
         };
-        if lo > offset {
-            // The threshold split: the bytes above go to every target, the
-            // bytes below to the small-file server (`start_op`'s head leg).
-            let op = LegOp::new(&pkt, call, write, Vec::new(), targets);
-            let plans = op.bulk_legs();
-            self.start_op(op, plans);
-            self.clock.lap(&mut self.phases.soft_ns);
-            return;
-        }
         let proc = if write.is_some() {
             // Mirrored writes go to every replica (µproxy duplicates the
             // packet).
@@ -1280,7 +1293,7 @@ impl Uproxy {
         let mut rec = PendingReq::new(
             proc,
             Some(fh),
-            offset,
+            call.offset,
             call.len,
             Class::Storage,
             call.client_src,

@@ -1,18 +1,20 @@
 //! Leg ops: the requests the µproxy cannot forward.
 //!
-//! A request that one placement entry serves whole leaves the µproxy as the
-//! client's own packet (`route_bulk`). Two kinds cannot: a request that
-//! straddles the threshold offset, whose low bytes belong to the small-file
-//! server and the rest to the storage array, and a request to an
-//! erasure-coded file. Both are served as one *leg op* filed under the
-//! client's xid: the µproxy encodes *legs* — RPCs of its own, under xids of
-//! its own — absorbs their replies, and assembles the one reply the client
-//! gets. The threshold split and the coded planner are two producers of leg
-//! plans for one `start_op`, which adds the head leg for the small-file
-//! server when the request begins below the threshold; `leg_reply`,
-//! `finish_op` and the restart rule are shared. The client's RPC
-//! retransmission of the *parent* xid aborts and re-plans the whole op, so a
-//! leg lost to a dead site can never wedge the machine.
+//! A request that is one piece above the threshold — one block's, by
+//! [`cut`] — leaves the µproxy as the client's own packet (`route_bulk`).
+//! Any other cannot: a request that straddles the threshold offset, whose
+//! low bytes belong to the small-file server and the rest to the storage
+//! array, a request across a block boundary, whose blocks each have their
+//! own sites, and a request to an erasure-coded file. Each is served as one
+//! *leg op* filed under the client's xid: the µproxy encodes *legs* — RPCs
+//! of its own, under xids of its own — absorbs their replies, and assembles
+//! the one reply the client gets. `route_legs` walks the request's pieces
+//! once: the piece below the threshold is a leg to the small-file server,
+//! and the plain planner (one leg per piece per target) or the coded one
+//! (shard legs per stripe) plans the rest, for one `start_op`;
+//! `leg_reply`, `finish_op` and the restart rule are shared. The client's
+//! RPC retransmission of the *parent* xid aborts and re-plans the whole op,
+//! so a leg lost to a dead site can never wedge the machine.
 //!
 //! # Erasure-coded striping (slice-ec)
 //!
@@ -68,6 +70,8 @@ pub(super) enum LegRole {
 pub(super) struct CodedStripe {
     /// Stripe (block) index.
     s: u64,
+    /// The op's file range within the stripe: its piece.
+    piece: Range<u64>,
     /// The n placement sites, data shards first.
     sites: Vec<u32>,
     /// Hull window `[lo, hi)` of shard-local positions this op touches.
@@ -92,10 +96,10 @@ pub(super) struct LegOp {
     /// Client write payload, indexed from `call.offset` (empty for reads):
     /// the windows of the client's packet.
     data: Windows,
-    /// The coded stripes touched; none for a threshold split.
+    /// The coded stripes touched; none for a plain op.
     stripes: Vec<CodedStripe>,
-    /// Sites this op routes to: the DirtyAck-approved live set when
-    /// degraded, every placement site otherwise.
+    /// Sites a coded op routes to: the DirtyAck-approved live set when
+    /// degraded, every placement site otherwise (none for a plain op).
     live: Vec<u32>,
     /// Legs still outstanding in the current phase.
     outstanding: u32,
@@ -136,13 +140,7 @@ pub(super) enum LegIo {
 impl LegOp {
     /// An op for `call` with no leg out yet. Write legs are cut from a
     /// window of the client's packet `pkt`.
-    pub(super) fn new(
-        pkt: &Packet,
-        call: BulkCall,
-        write: Option<(Range<usize>, StableHow)>,
-        stripes: Vec<CodedStripe>,
-        live: Vec<u32>,
-    ) -> Self {
+    fn new(pkt: &Packet, call: BulkCall, write: Option<(Range<usize>, StableHow)>) -> Self {
         let is_write = write.is_some();
         let (data, stable) = match write {
             Some((data, stable)) => (pkt.range(data), stable),
@@ -153,9 +151,9 @@ impl LegOp {
             write: is_write,
             stable,
             data,
-            shards_due: is_write && !stripes.is_empty(),
-            stripes,
-            live,
+            shards_due: false,
+            stripes: Vec::new(),
+            live: Vec::new(),
             outstanding: 0,
             awaiting: Vec::new(),
             leg_xids: Vec::new(),
@@ -165,32 +163,22 @@ impl LegOp {
     }
 
     /// A leg carrying the client's own request, restricted to file range
-    /// `[from, to)`, to `site`.
-    fn part_leg(&self, site: Option<u32>, from: u64, to: u64) -> LegPlan {
+    /// `piece`, to `site`.
+    fn part_leg(&self, site: Option<u32>, piece: &Range<u64>) -> LegPlan {
         let (io, role) = if self.write {
             let base = self.call.offset;
-            let window = (from - base) as usize..(to - base) as usize;
+            let window = (piece.start - base) as usize..(piece.end - base) as usize;
             let io = LegIo::Write(self.stable, self.data.slice(window));
             (io, LegRole::WriteAck)
         } else {
-            (LegIo::Read((to - from) as u32), LegRole::Read)
+            (LegIo::Read((piece.end - piece.start) as u32), LegRole::Read)
         };
         LegPlan {
             site,
-            offset: from,
+            offset: piece.start,
             io,
             role,
         }
-    }
-
-    /// The threshold split's plan: the whole bulk part, to every site the
-    /// op routes to.
-    pub(super) fn bulk_legs(&self) -> Vec<LegPlan> {
-        let (lo, end) = (self.call.lo, self.call.end());
-        self.live
-            .iter()
-            .map(|&site| self.part_leg(Some(site), lo, end))
-            .collect()
     }
 }
 
@@ -306,23 +294,82 @@ impl Uproxy {
         self.out.push(ProxyOut::Net(pkt));
     }
 
-    /// Files `op` under the client's xid and issues its first legs: the
-    /// head leg for the small-file server when the request begins below
-    /// the threshold, then `plans`.
-    pub(super) fn start_op(&mut self, op: LegOp, plans: Vec<LegPlan>) {
-        let BulkCall {
-            xid,
-            fh,
-            offset,
-            lo,
-            ..
-        } = op.call;
-        let head = (lo > offset).then(|| op.part_leg(None, offset, lo));
+    /// Serves `call` as a leg op over its pieces ([`cut`]): the piece
+    /// below the threshold is a leg to the small-file server; the pieces
+    /// above it are planned by the placement of their blocks — one leg
+    /// per piece per target for a plain file (`plain_plan`), shard legs
+    /// per stripe for a coded one (`coded_plan`). The request waits for a
+    /// block-map fragment or, planned, for a stripe lock or a dirty-region
+    /// ack, and re-enters here.
+    pub(super) fn route_legs(
+        &mut self,
+        pkt: Packet,
+        call: BulkCall,
+        write: Option<(Range<usize>, StableHow)>,
+        geom: Option<CodedLayout>,
+    ) {
+        let pieces: Vec<(u64, Range<u64>)> = cut(call.offset..call.end(), STRIPE_UNIT).collect();
+        let head = pieces.iter().take_while(|(_, r)| r.end <= call.lo).count();
+        let (below, above) = pieces.split_at(head);
+        let blocks = above[0].0..=above[above.len() - 1].0;
+        let site_lists = match self.block_sites(&call.fh, blocks) {
+            Ok(lists) => lists,
+            Err(block) => {
+                let waiters = self.soft.map_waiters.entry((call.fh.file_id(), block));
+                waiters.or_default().push(pkt);
+                return;
+            }
+        };
+        let mut op = LegOp::new(&pkt, call, write);
+        let mut plans: Vec<LegPlan> = below.iter().map(|(_, r)| op.part_leg(None, r)).collect();
+        let planned = match geom {
+            Some(geom) => self.coded_plan(&pkt, &mut op, above, site_lists, geom),
+            None => self.plain_plan(&pkt, &op, above, site_lists),
+        };
+        self.clock.lap(&mut self.phases.soft_ns);
+        if let Some(legs) = planned {
+            plans.extend(legs);
+            self.start_op(op, plans);
+        }
+    }
+
+    /// Plans the bulk `pieces` of a plain (single-copy or mirrored) op,
+    /// whose placements `site_lists` names, one leg per piece per target:
+    /// the block's `pick_read_site` replica for a read, its live replicas
+    /// for a write. `None` when the write was parked awaiting a
+    /// dirty-region ack.
+    fn plain_plan(
+        &mut self,
+        pkt: &Packet,
+        op: &LegOp,
+        pieces: &[(u64, Range<u64>)],
+        site_lists: Vec<Vec<u32>>,
+    ) -> Option<Vec<LegPlan>> {
+        let (xid, file) = (op.call.xid, op.call.fh.file_id());
+        let targets = if op.write {
+            self.degrade_gate(pkt, &op.call, site_lists)?
+        } else {
+            let picked = pieces.iter().zip(&site_lists);
+            picked
+                .map(|((_, r), sites)| vec![self.pick_read_site(file, sites, r.start, xid)])
+                .collect()
+        };
+        let legs = pieces.iter().zip(targets).flat_map(|((_, r), sites)| {
+            sites
+                .into_iter()
+                .map(move |site| op.part_leg(Some(site), r))
+        });
+        Some(legs.collect())
+    }
+
+    /// Files `op` under the client's xid and issues its first legs.
+    fn start_op(&mut self, op: LegOp, plans: Vec<LegPlan>) {
+        let (xid, fh) = (op.call.xid, op.call.fh);
         // A coded write with nothing to gather computes its shard writes
         // at once.
         let direct = op.shards_due && !op.stripes.iter().any(|st| st.gather);
         self.soft.ops.insert(xid, op);
-        for plan in head.into_iter().chain(plans) {
+        for plan in plans {
             self.send_leg(xid, fh, plan);
         }
         if direct {
@@ -330,9 +377,8 @@ impl Uproxy {
         }
     }
 
-    /// Plans the coded part `[call.lo, call.end())` of a READ or WRITE
-    /// over the stripes whose placements `site_lists` names, as shard
-    /// legs:
+    /// Plans the coded `pieces` of `op`, one per stripe, whose placements
+    /// `site_lists` names, as shard legs:
     ///
     /// * a read takes per-shard legs at natural offsets, or — when a
     ///   needed shard's site is suspected and k others are not — gathers
@@ -341,35 +387,27 @@ impl Uproxy {
     ///   (`coded_write_phase1`), first gathering and decoding the old
     ///   contents of partial stripes (read-modify-write).
     ///
-    /// Returns the stripes, the sites the op may route to and its first
-    /// legs — or `None` when the packet was parked on a stripe lock or a
-    /// dirty-region ack.
-    pub(super) fn coded_plan(
+    /// Fills in the op's stripes and the sites it may route to and returns
+    /// its first legs — or `None` when the packet was parked on a stripe
+    /// lock or a dirty-region ack.
+    fn coded_plan(
         &mut self,
         pkt: &Packet,
-        call: &BulkCall,
-        is_write: bool,
+        op: &mut LegOp,
+        pieces: &[(u64, Range<u64>)],
         site_lists: Vec<Vec<u32>>,
         geom: CodedLayout,
-    ) -> Option<(Vec<CodedStripe>, Vec<u32>, Vec<LegPlan>)> {
+    ) -> Option<Vec<LegPlan>> {
         let k = geom.k as usize;
-        let (xid, file) = (call.xid, call.fh.file_id());
-        let (blo, bhi) = (call.lo, call.end());
-        let blen = bhi - blo;
-        let first = geom.stripe_of(blo);
+        let is_write = op.write;
+        let (xid, file) = (op.call.xid, op.call.fh.file_id());
         // The sites the op may route to. A write takes every stripe lock
         // first (its parity update reads shards it does not overwrite)
         // and degrades to the DirtyAck-approved live set.
         let live: Vec<u32> = if is_write {
-            let ids: Vec<u64> = (first..first + site_lists.len() as u64).collect();
+            let ids: Vec<u64> = pieces.iter().map(|&(s, _)| s).collect();
             if !self.lock_stripes(file, &ids, xid, pkt) {
                 return None;
-            }
-            let mut union: Vec<u32> = Vec::new();
-            for &s in site_lists.iter().flatten() {
-                if !union.contains(&s) {
-                    union.push(s);
-                }
             }
             // With fewer than k live shards in some stripe there is
             // nothing to degrade to: route everywhere so retransmissions
@@ -377,13 +415,20 @@ impl Uproxy {
             let fallback = site_lists
                 .iter()
                 .any(|sl| sl.iter().filter(|&&s| !self.suspected(s)).count() < k);
-            if fallback {
-                union
+            // When parked awaiting DirtyAck, the locks stay held so no
+            // other write can slip in ahead of the logged ranges.
+            let lives = if fallback {
+                site_lists.clone()
             } else {
-                // When parked awaiting DirtyAck, the locks stay held so no
-                // other write can slip in ahead of the logged ranges.
-                self.degrade_gate(pkt, call, union)?
+                self.degrade_gate(pkt, &op.call, site_lists.clone())?
+            };
+            let mut union: Vec<u32> = Vec::new();
+            for &s in lives.iter().flatten() {
+                if !union.contains(&s) {
+                    union.push(s);
+                }
             }
+            union
         } else {
             site_lists.iter().flatten().copied().collect()
         };
@@ -399,17 +444,17 @@ impl Uproxy {
         let mut stripes = Vec::new();
         let mut plans = Vec::new();
         let mut failovers = Vec::new();
-        for (i, sites) in site_lists.into_iter().enumerate() {
-            let s = first + i as u64;
-            let (lo, hi) = geom.parity_window(s, blo, blen);
+        for (i, ((s, piece), sites)) in pieces.iter().zip(site_lists).enumerate() {
+            let (s, plen) = (*s, piece.end - piece.start);
+            let (lo, hi) = geom.parity_window(s, piece.start, plen);
             let needed: Vec<(u32, u64, u64)> = (0..geom.k)
                 .filter_map(|j| {
-                    let (a, b) = geom.data_window(s, j, blo, blen);
+                    let (a, b) = geom.data_window(s, j, piece.start, plen);
                     (a < b).then_some((j, a, b))
                 })
                 .collect();
+            let full = plen == geom.stripe_unit;
             let gather = if is_write {
-                let full = blo <= s * geom.stripe_unit && bhi >= (s + 1) * geom.stripe_unit;
                 !full && k > 1
             } else {
                 let lost = needed
@@ -444,6 +489,7 @@ impl Uproxy {
             }
             stripes.push(CodedStripe {
                 s,
+                piece: piece.clone(),
                 sites,
                 lo,
                 hi,
@@ -475,7 +521,10 @@ impl Uproxy {
                 }));
             }
         }
-        Some((stripes, live, plans))
+        op.shards_due = is_write;
+        op.stripes = stripes;
+        op.live = live;
+        Some(plans)
     }
 
     /// Computes and issues the final shard writes of a coded write op:
@@ -492,17 +541,16 @@ impl Uproxy {
         let data = std::mem::take(&mut op.data).contiguous(0);
         let op = &self.soft.ops[&xid];
         let (fh, offset, stable) = (op.call.fh, op.call.offset, op.stable);
-        let (blo, bhi) = (op.call.lo, op.call.end());
         let geom = self.coded_geom(&fh).expect("op exists only when coded");
         let (n, k) = (geom.n as usize, geom.k as usize);
         let codec = Codec::new(n, k);
-        let blen = bhi - blo;
         let shard = geom.shard_size();
         let mut plans = Vec::new();
         let mut torn = false;
         for st in &op.stripes {
             let wlen = (st.hi - st.lo) as usize;
-            let full = blo <= st.s * geom.stripe_unit && bhi >= (st.s + 1) * geom.stripe_unit;
+            let (plo, plen) = (st.piece.start, st.piece.end - st.piece.start);
+            let full = plen == geom.stripe_unit;
             // Old data windows over the hull, one per data shard.
             let mut datw: Vec<Vec<u8>> = if st.gather {
                 let slots: Vec<Option<&[u8]>> = st.got.iter().map(|g| g.as_deref()).collect();
@@ -523,7 +571,7 @@ impl Uproxy {
             };
             // Overlay the new client bytes.
             for (j, w) in datw.iter_mut().enumerate() {
-                let (a, b) = geom.data_window(st.s, j as u32, blo, blen);
+                let (a, b) = geom.data_window(st.s, j as u32, plo, plen);
                 if a < b {
                     let src = (st.s * geom.stripe_unit + j as u64 * shard + a - offset) as usize;
                     w[(a - st.lo) as usize..(b - st.lo) as usize]
@@ -555,7 +603,7 @@ impl Uproxy {
                 leg(k + p, st.lo, codec.parity_row(p, &refs).into());
             }
             for (j, w) in shards.iter().enumerate().filter(|&(j, _)| live(j)) {
-                let (a, b) = geom.data_window(st.s, j as u32, blo, blen);
+                let (a, b) = geom.data_window(st.s, j as u32, plo, plen);
                 if a < b {
                     leg(j, a, w.slice((a - st.lo) as usize, (b - a) as usize));
                 }
@@ -667,7 +715,6 @@ impl Uproxy {
         } else {
             evicted.extend(self.attrs.apply_read(self.now, &call.fh, t));
             // Decode the gathered stripes into served read windows.
-            let blen = call.end() - call.lo;
             for st in op.stripes.iter().filter(|st| st.gather) {
                 let geom = self.coded_geom(&call.fh).expect("stripes only when coded");
                 let codec = Codec::new(geom.n as usize, geom.k as usize);
@@ -679,7 +726,8 @@ impl Uproxy {
                 };
                 self.stats.ec_reconstructions += 1;
                 for (j, w) in datw.into_iter().enumerate() {
-                    let (a, b) = geom.data_window(st.s, j as u32, call.lo, blen);
+                    let (plo, plen) = (st.piece.start, st.piece.end - st.piece.start);
+                    let (a, b) = geom.data_window(st.s, j as u32, plo, plen);
                     if a < b {
                         self.stats.ec_reconstructed_bytes += b - a;
                         let pos = geom.shard_obj_offset(st.s, j as u32, a);

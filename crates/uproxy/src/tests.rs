@@ -271,11 +271,12 @@ fn attr_cache_patches_storage_replies() {
             &NfsReply::ok(NfsProc::Getattr, auth),
         ),
     );
-    // Bulk write: reply from the storage node carries placeholder attrs;
-    // the µproxy must patch in the authoritative ones, with size grown.
+    // Bulk write inside one block, so it is forwarded: the reply from the
+    // storage node carries placeholder attrs; the µproxy must patch in the
+    // authoritative ones, with size grown.
     let req = NfsRequest::Write {
         fh: f,
-        offset: 100 * 1024,
+        offset: 96 * 1024,
         stable: StableHow::Unstable,
         data: vec![1u8; 32768],
     };
@@ -308,7 +309,7 @@ fn attr_cache_patches_storage_replies() {
     let a = patched.attr.expect("attrs present");
     assert_eq!(a.uid, 42, "authoritative uid patched in");
     assert_eq!(a.nlink, 3);
-    assert_eq!(a.size, 100 * 1024 + 32768, "size reflects the write");
+    assert_eq!(a.size, 96 * 1024 + 32768, "size reflects the write");
 }
 
 #[test]
@@ -1427,4 +1428,167 @@ fn bulk_planner_emits_golden_mirrored_legs() {
         digests(&emitted(&c, 14, &read(128 * 1024)).1),
         vec![(node(3), 4613, 0xdedf_da2c_ff6a_d3b8)]
     );
+}
+
+/// `(destination site, offset, length, FNV-1a of the data)` of every
+/// storage leg in `pkts`: a READ's length is its count, its data none.
+fn storage_legs(c: &ProxyConfig, pkts: &[Packet]) -> Vec<(usize, u64, usize, u64)> {
+    let site = |p: &Packet| c.storage_sites.iter().position(|&s| s == p.dst);
+    pkts.iter()
+        .map(|p| match p.decode_call().expect("a call").1 {
+            NfsRequest::Write { offset, data, .. } => {
+                let digest = slice_hashes::fnv1a(&data);
+                (site(p).unwrap(), offset, data.len(), digest)
+            }
+            NfsRequest::Read { offset, count, .. } => {
+                let digest = slice_hashes::fnv1a(&[]);
+                (site(p).unwrap(), offset, count as usize, digest)
+            }
+            other => panic!("unexpected leg {other:?}"),
+        })
+        .collect()
+}
+
+/// Defect 1c(xii): a request is owed to every block it touches. A 64 KiB
+/// WRITE at 96 KiB covers the end of block 1 and the start of block 2,
+/// whose replica pairs differ; each block's replicas get that block's
+/// bytes and no others, and a READ across 128 KiB reads each block from
+/// a replica of its own. `sites(b)` is the placement of block `b`.
+fn cut_at_the_block_boundary(
+    c: &ProxyConfig,
+    u: &mut Uproxy,
+    f: Fhandle,
+    sites: impl Fn(u64) -> Vec<usize>,
+    release: impl Fn(&mut Uproxy, Vec<ProxyOut>) -> Vec<ProxyOut>,
+) {
+    let data: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
+    let write = NfsRequest::Write {
+        fh: f,
+        offset: 96 * 1024,
+        stable: StableHow::FileSync,
+        data: data.clone(),
+    };
+    let out = u.outbound(t(0), call_pkt(c, 60, &write));
+    let out = release(u, out);
+    let pkts: Vec<Packet> = net_pkts(&out).into_iter().cloned().collect();
+    let mut want = Vec::new();
+    for (b, lo) in [(1, 0), (2, 32 * 1024)] {
+        let digest = slice_hashes::fnv1a(&data[lo..lo + 32 * 1024]);
+        for s in sites(b) {
+            want.push((s, 96 * 1024 + lo as u64, 32 * 1024, digest));
+        }
+    }
+    assert_eq!(
+        storage_legs(c, &pkts),
+        want,
+        "one leg per block per replica"
+    );
+    let wrote = NfsReply {
+        proc: NfsProc::Write,
+        status: NfsStatus::Ok,
+        attr: Some(Fattr3::new(
+            FileType::Regular,
+            f.file_id(),
+            0o644,
+            NfsTime::default(),
+        )),
+        body: ReplyBody::Write {
+            count: 32 * 1024,
+            committed: StableHow::FileSync,
+            verf: 1,
+        },
+    };
+    answer_legs(c, u, &pkts, 60, &wrote);
+
+    let read = NfsRequest::Read {
+        fh: f,
+        offset: 96 * 1024,
+        count: 64 * 1024,
+    };
+    let out = u.outbound(t(2), call_pkt(c, 61, &read));
+    let pkts: Vec<Packet> = net_pkts(&out).into_iter().cloned().collect();
+    let none = slice_hashes::fnv1a(&[]);
+    assert_eq!(
+        storage_legs(c, &pkts),
+        vec![
+            (sites(1)[0], 96 * 1024, 32 * 1024, none),
+            (sites(2)[0], 128 * 1024, 32 * 1024, none),
+        ],
+        "each block read from a replica of its own"
+    );
+    let mut delivered = None;
+    for (p, fill) in pkts.iter().zip([0xB1u8, 0xB2]) {
+        let reply = NfsReply {
+            proc: NfsProc::Read,
+            status: NfsStatus::Ok,
+            attr: None,
+            body: ReplyBody::Read {
+                data: vec![fill; 32 * 1024],
+                eof: false,
+            },
+        };
+        let back = u.inbound(t(3), reply_pkt(p.dst, c.client_addr, xid_of(p), &reply));
+        delivered = delivered.or(back.into_iter().find_map(|o| match o {
+            ProxyOut::Client(p) => Some(p),
+            _ => None,
+        }));
+    }
+    let (_, reply) = delivered
+        .expect("one reply")
+        .decode_reply(NfsProc::Read)
+        .unwrap();
+    let ReplyBody::Read { data, .. } = reply.body else {
+        panic!("a read reply");
+    };
+    assert_eq!(data.len(), 64 * 1024);
+    assert!(
+        data[..32 * 1024].iter().all(|&b| b == 0xB1),
+        "block 1 first"
+    );
+    assert!(
+        data[32 * 1024..].iter().all(|&b| b == 0xB2),
+        "block 2 second"
+    );
+}
+
+#[test]
+fn a_request_across_a_block_boundary_goes_to_each_blocks_sites() {
+    let c = cfg();
+    // A mapped mirror: block b on sites {b + 1, b + 2} (mod 4), so blocks
+    // 1 and 2 share site 3 only.
+    let mut u = Uproxy::new(c.clone());
+    let mapped = fh(93, slice_nfsproto::FH_FLAG_MAPPED);
+    let pair = |b: u64| vec![(b as usize + 1) % 4, (b as usize + 2) % 4];
+    cut_at_the_block_boundary(&c, &mut u, mapped, pair, |u, out| {
+        let (file, first_block, count) = out
+            .iter()
+            .find_map(|o| match o {
+                ProxyOut::Coord(CoordMsg::MapGet {
+                    file,
+                    first_block,
+                    count,
+                }) => Some((*file, *first_block, *count)),
+                _ => None,
+            })
+            .expect("the write parks on a map fetch");
+        let blocks = first_block..first_block + u64::from(count);
+        let fragment = CoordReply::MapFragment {
+            file,
+            first_block,
+            sites: blocks
+                .map(|b| pair(b).iter().map(|&s| s as u32).collect())
+                .collect(),
+            warming: vec![Vec::new(); count as usize],
+        };
+        u.coord_reply(t(1), fragment)
+    });
+    // A static striped file: block b on its one striping site.
+    let mut u = Uproxy::new(c.clone());
+    let striped = fh(94, 0);
+    let slot = |b: u64| {
+        slice_hashes::stripe_slots(94, b, 1, 4)
+            .map(|s| s as usize)
+            .collect()
+    };
+    cut_at_the_block_boundary(&c, &mut u, striped, slot, |_, out| out);
 }

@@ -1028,3 +1028,99 @@ fn coded_degraded_write_resyncs_and_restores_redundancy() {
         "stripes must re-satisfy the code after rebuild: {violations:?}"
     );
 }
+
+/// Defect 1c(xii), degraded: a mirrored write across a block boundary
+/// while a replica is down. Each block's missed site is owed that block's
+/// bytes only, copied from that block's live replica, so after recovery
+/// every block's copies agree and no site holds bytes of a block it is
+/// not listed on. Run twice: the down site holds both blocks (the one
+/// they share), and one.
+#[test]
+fn degraded_write_across_a_block_boundary_converges_after_recovery() {
+    use slice::core::actors::StorageActor;
+
+    const UNIT: u64 = 64 * 1024;
+    for shared in [true, false] {
+        let cfg = SliceConfig {
+            clients: 1,
+            record_history: true,
+            retain_data: true,
+            use_block_maps: true,
+            mapped_mirror: true,
+            probe_interval_ms: 300,
+            ..Default::default()
+        };
+        let write = |offset, len, pattern| Step::Write {
+            fh: 1,
+            offset,
+            len,
+            pattern,
+            stable: StableHow::FileSync,
+        };
+        let phase1 = vec![
+            Step::Create {
+                parent: 0,
+                name: "across".into(),
+                save: 1,
+                mode_extra: 0,
+            },
+            write(UNIT, 2 * UNIT as u32, 0x11),
+        ];
+        let mut ens = SliceEnsemble::build(&cfg, vec![Box::new(ScriptWorkload::new(phase1, 2))]);
+        ens.start();
+        ens.run_to_completion(deadline());
+        assert_errors(&ens, 0);
+        let maps = ens.coord().block_map_dump();
+        let (file, blocks) = maps
+            .iter()
+            .find(|(_, blocks)| blocks.len() > 2)
+            .expect("the file's blocks are mapped");
+        let sites_of = |b: u64| blocks.iter().find(|&&(x, _)| x == b).unwrap().1.clone();
+        let (one, two) = (sites_of(1), sites_of(2));
+        let victim = *one
+            .iter()
+            .find(|s| two.contains(s) == shared)
+            .expect("blocks 1 and 2 share one site of two");
+        ens.engine.fail_node(ens.storage[victim as usize]);
+        let phase2 = vec![
+            Step::Lookup {
+                parent: 0,
+                name: "across".into(),
+                save: 1,
+                expect_ok: true,
+            },
+            write(UNIT + UNIT / 2, UNIT as u32, 0x22),
+        ];
+        ens.start_workload(0, Box::new(ScriptWorkload::new(phase2, 2)));
+        ens.run_to_completion(deadline());
+        assert_errors(&ens, 0);
+        assert!(
+            !ens.coord().dirty_log_dump().is_empty(),
+            "the missed site's ranges are logged"
+        );
+        ens.recover_storage_node(victim as usize);
+        ens.engine
+            .run_until(ens.engine.now() + SimDuration::from_secs(20));
+        assert!(ens.coord().dirty_log_dump().is_empty(), "resync drains");
+        let block = |site: u32, b: u64| -> Vec<u8> {
+            let store = ens.engine.actor::<StorageActor>(ens.storage[site as usize]);
+            match store.node.store().get(*file) {
+                Some(obj) => obj.read(b * UNIT, UNIT as usize),
+                None => vec![0; UNIT as usize],
+            }
+        };
+        for (b, holders) in [(1, &one), (2, &two)] {
+            let mut want = vec![0x11u8; UNIT as usize];
+            let lo = if b == 1 { UNIT / 2 } else { 0 };
+            want[lo as usize..(lo + UNIT / 2) as usize].fill(0x22);
+            for site in 0..ens.storage.len() as u32 {
+                if holders.contains(&site) {
+                    assert!(block(site, b) == want, "site {site}'s copy of block {b}");
+                } else {
+                    let stray = block(site, b).iter().any(|&x| x != 0);
+                    assert!(!stray, "site {site} holds bytes of block {b}");
+                }
+            }
+        }
+    }
+}

@@ -15,7 +15,7 @@ use slice_dirsvc::{AttrCell, ChildRef, NameCell};
 use slice_ec::{k_subsets, Codec, CodedLayout};
 use slice_hashes::name_fingerprint;
 use slice_nfsproto::{Fhandle, FileType};
-use slice_storage::{ObjectStore, Placement};
+use slice_storage::{cut, ObjectStore, Placement};
 
 use crate::Violation;
 
@@ -42,11 +42,14 @@ fn structural(ens: &SliceEnsemble, strict: bool) -> Vec<Violation> {
     v
 }
 
-/// Mirror-convergence oracle (slice-ha): at quiescence every mirrored
-/// (file, chunk) must hold byte-identical data on all of its replica
-/// sites, and the coordinator's dirty-region log must have drained.
-/// Degraded writes are acceptable only while resynchronization is still
-/// owed — never at a quiet fixpoint once every node has recovered.
+/// Mirror-convergence oracle (slice-ha): at quiescence every block listed
+/// on more than one site must hold byte-identical data on all of them, and
+/// the coordinator's dirty-region log must have drained. A block's sites
+/// are its map entry for a mapped file and the static striping function
+/// for a file its handle mirrors; the compare covers the whole block, so
+/// bytes past EOF count too. Degraded writes are acceptable only while
+/// resynchronization is still owed — never at a quiet fixpoint once every
+/// node has recovered.
 pub fn check_mirror_convergence(ens: &SliceEnsemble) -> Vec<Violation> {
     let coord = ens.coord();
     let mut v: Vec<Violation> = coord
@@ -61,76 +64,59 @@ pub fn check_mirror_convergence(ens: &SliceEnsemble) -> Vec<Violation> {
             )
         })
         .collect();
-    let Some(stripe_unit) = settled_stripe_unit(ens) else {
+    let Some(unit) = settled_stripe_unit(ens) else {
         return v;
     };
-    let n = ens.storage.len() as u32;
+    // Coded files hold parity, not replicas — byte-compare does not apply
+    // to them (the coded-reconstruction oracle covers them instead).
+    let mut blocks: Vec<(u64, u64, Vec<u32>)> = Vec::new();
+    if !matches!(coord.placement(), Placement::Coded { .. }) {
+        for (file, entries) in coord.block_map_dump() {
+            blocks.extend(entries.into_iter().map(|(b, sites)| (file, b, sites)));
+        }
+    }
     let start = if ens.sfs.is_empty() {
         0
     } else {
         slice_smallfile::SF_THRESHOLD
     };
-    // Dynamic placements override the static striping function. Coded
-    // files hold parity, not replicas — byte-compare does not apply to
-    // them (the coded-reconstruction oracle covers them instead).
-    let coded = matches!(coord.placement(), Placement::Coded { .. });
-    let mut mapped: FxHashMap<(u64, u64), Vec<u32>> = FxHashMap::default();
-    let mut coded_files: FxHashSet<u64> = FxHashSet::default();
-    for (file, blocks) in coord.block_map_dump() {
-        if coded {
-            coded_files.insert(file);
-            continue;
-        }
-        for (block, sites) in blocks {
-            mapped.insert((file, block), sites);
-        }
-    }
     let (names, attrs) = dir_dumps(ens);
     let size_of = sizes(attrs);
-    let mut mirrored: Vec<u64> = Vec::new();
-    let mut seen = FxHashSet::default();
-    for (_, _, cell) in &names {
-        let fh = cell.child.fhandle();
-        if fh.is_mirrored()
-            && !fh.is_dir()
-            && !fh.is_symlink()
-            && !coded_files.contains(&cell.child.file)
-            && seen.insert(cell.child.file)
-        {
-            mirrored.push(cell.child.file);
+    let mut statics: Vec<u64> = names
+        .iter()
+        .filter(|(_, _, cell)| {
+            let fh = cell.child.fhandle();
+            fh.is_mirrored() && !fh.is_mapped() && !fh.is_dir() && !fh.is_symlink()
+        })
+        .map(|(_, _, cell)| cell.child.file)
+        .collect();
+    statics.sort_unstable();
+    statics.dedup();
+    let n = ens.storage.len() as u32;
+    for file in statics {
+        let size = size_of.get(&file).copied().unwrap_or(0).max(start);
+        for (b, _) in cut(start..size, unit).filter(|(_, r)| !r.is_empty()) {
+            let sites = slice_hashes::stripe_slots(file, b, slice_storage::MIRROR_COPIES, n);
+            blocks.push((file, b, sites.collect()));
         }
     }
-    mirrored.sort_unstable();
-    for file in mirrored {
-        let size = size_of.get(&file).copied().unwrap_or(0);
-        let mut offset = start;
-        while offset < size {
-            let len = stripe_unit.min(size - offset) as usize;
-            let block = offset / stripe_unit;
-            let sites = mapped.get(&(file, block)).cloned().unwrap_or_else(|| {
-                slice_hashes::stripe_slots(file, block, slice_storage::MIRROR_COPIES, n).collect()
-            });
-            let reference = object_bytes(ens, sites[0], file, offset, len);
-            for &s in &sites[1..] {
-                let other = object_bytes(ens, s, file, offset, len);
-                if other != reference {
-                    let diverge = reference
-                        .iter()
-                        .zip(&other)
-                        .position(|(a, b)| a != b)
-                        .unwrap_or(reference.len().min(other.len()));
-                    v.push(Violation::new(
-                        "mirror_convergence",
-                        format!(
-                            "file {file} chunk [{offset}, +{len}): sites {} and {s} diverge at byte {}",
-                            sites[0],
-                            offset + diverge as u64
-                        ),
-                    ));
-                    break; // one violation per chunk is plenty
-                }
+    for (file, b, sites) in blocks {
+        let Some((&first, rest)) = sites.split_first() else {
+            continue; // reported by check_block_maps
+        };
+        let reference = object_bytes(ens, first, file, b * unit, unit as usize);
+        for &s in rest {
+            let other = object_bytes(ens, s, file, b * unit, unit as usize);
+            if let Some(at) = reference.iter().zip(&other).position(|(x, y)| x != y) {
+                v.push(Violation::new(
+                    "mirror_convergence",
+                    format!(
+                        "file {file} block {b}: sites {first} and {s} diverge at byte {}",
+                        b * unit + at as u64
+                    ),
+                ));
+                break; // one violation per block is plenty
             }
-            offset += len as u64;
         }
     }
     v
@@ -324,20 +310,16 @@ fn check_dirsvc(ens: &SliceEnsemble) -> Vec<Violation> {
 /// Coordinator block maps: replica site lists must be valid (in range,
 /// non-empty, distinct). With `strict`, every map for a file whose
 /// authoritative size reaches into the striped region must be backed by a
-/// storage object, and every block of a mirrored placement must hold
-/// byte-identical data on every listed site — compared block by block,
-/// because `MapGet` assigns whole 16-block fragments eagerly, so a
-/// sparsely written file legitimately maps never-written blocks (which
-/// read as zeros everywhere). Files at or below the small-file threshold
-/// live entirely on the small-file servers, so a map assigned for them
-/// (e.g. by a truncate routed through the bulk path) legitimately has no
-/// object.
+/// storage object. Files at or below the small-file threshold live
+/// entirely on the small-file servers, so a map assigned for them (e.g. by
+/// a truncate routed through the bulk path) legitimately has no object.
+/// Whether a mirrored block's copies agree is the mirror-convergence
+/// oracle's question.
 fn check_block_maps(ens: &SliceEnsemble, strict: bool) -> Vec<Violation> {
     let mut v = Vec::new();
     let sites = ens.storage.len() as u32;
     let size_of = sizes(dir_dumps(ens).1);
     let coord = ens.coord();
-    let unit = coord.stripe_unit();
     let placement = coord.placement();
     for (file, blocks) in coord.block_map_dump() {
         let expect_backing = size_of
@@ -377,27 +359,6 @@ fn check_block_maps(ens: &SliceEnsemble, strict: bool) -> Vec<Violation> {
                     ));
                 } else if store(ens, s).get(file).is_some() {
                     any_backed = true;
-                }
-            }
-            // Mirror byte-compare: at quiescence every listed replica of
-            // this block must read back identically (a missing object or
-            // a hole reads as zeros, so eagerly assigned never-written
-            // blocks pass trivially).
-            if strict && expect_backing && matches!(placement, Placement::Mirrored) {
-                let mut replicas = replica_sites.iter().filter(|&&s| s < sites);
-                if let Some(&first) = replicas.next() {
-                    let want = object_bytes(ens, first, file, block * unit, unit as usize);
-                    for &s in replicas {
-                        if object_bytes(ens, s, file, block * unit, unit as usize) != want {
-                            v.push(Violation::new(
-                                "block_map_object",
-                                format!(
-                                    "file {file} block {block} mirrored on sites {first} and \
-                                     {s}, but the copies diverge"
-                                ),
-                            ));
-                        }
-                    }
                 }
             }
         }

@@ -391,11 +391,6 @@ impl CodedLayout {
         self.stripe_unit / u64::from(self.k)
     }
 
-    /// The stripe (block) index containing file offset `off`.
-    pub fn stripe_of(&self, off: u64) -> u64 {
-        off / self.stripe_unit
-    }
-
     /// The object offset of position `pos` of shard `idx` in stripe `s`
     /// (identical formula for data and parity shards: both live at
     /// `s·U + role·S + pos` where role is j for data, p for parity).
@@ -634,7 +629,6 @@ mod tests {
     fn layout_geometry() {
         let l = CodedLayout::new(6, 4, 64 * 1024);
         assert_eq!(l.shard_size(), 16 * 1024);
-        assert_eq!(l.stripe_of(70_000), 1);
         // Data shard 1 of stripe 0 covers file bytes [16K, 32K) at the
         // same object offsets; parity shard index 4 (p=0) of stripe 1
         // lives at object offset 64K + 0.

@@ -1024,15 +1024,12 @@ impl Coordinator {
                 if let Some(&(at, _)) = self.marks_acked.get(&mark) {
                     return Self::reply(requester, CoordReply::DirtyAck { op_id }, at.max(now));
                 }
-                let mut missed: Vec<u32> = Vec::new();
-                for &site in pieces.iter().flat_map(|p| &p.missed) {
-                    if !missed.contains(&site) {
-                        missed.push(site);
-                    }
-                }
                 let mut durable = now;
                 let mut logged = 0;
-                for site in missed {
+                for (piece, &site) in pieces
+                    .iter()
+                    .flat_map(|p| p.missed.iter().map(move |s| (p, s)))
+                {
                     // A retired site never returns: queuing copy-back for
                     // it would leak soft state forever. A site that does
                     // not exist is owed nothing.
@@ -1040,13 +1037,11 @@ impl Coordinator {
                     if matches!(state, None | Some(SiteState::Retired)) {
                         continue;
                     }
-                    for piece in pieces.iter().filter(|p| p.missed.contains(&site)) {
-                        for (w_off, w_len, srcs) in self.missed_windows(obj, piece, site) {
-                            let mark = Some(mark);
-                            durable = self
-                                .queue_range(now, site, obj, w_off, w_len, srcs, NO_ORIGIN, mark);
-                            logged += 1;
-                        }
+                    for (w_off, w_len, srcs) in self.missed_windows(obj, piece, site) {
+                        let mark = Some(mark);
+                        durable =
+                            self.queue_range(now, site, obj, w_off, w_len, srcs, NO_ORIGIN, mark);
+                        logged += 1;
                     }
                 }
                 if logged > 0 {

@@ -972,19 +972,23 @@ impl Uproxy {
     /// The placement of `blocks` of `fh`'s bulk region: one replica-site
     /// list per block, from the block-map cache under dynamic placement
     /// and the static function otherwise. A block missing from the cache
-    /// yields `Err(block)` after a `MapGet` for the 16-block fragment
-    /// around it went out; the request must wait for that fragment.
+    /// yields `None` after a `MapGet` for the 16-block fragment around it
+    /// went out and `pkt` was parked to wait for that fragment — the one
+    /// place requests wait for a map.
     fn block_sites(
         &mut self,
+        pkt: &Packet,
         fh: &Fhandle,
         blocks: std::ops::RangeInclusive<u64>,
-    ) -> Result<Vec<Vec<u32>>, u64> {
+    ) -> Option<Vec<Vec<u32>>> {
         let file = fh.file_id();
         if !fh.is_mapped() {
             let mirrored = fh.is_mirrored();
-            return Ok(blocks
-                .map(|b| self.static_sites(file, b, mirrored))
-                .collect());
+            return Some(
+                blocks
+                    .map(|b| self.static_sites(file, b, mirrored))
+                    .collect(),
+            );
         }
         let cached: Result<_, u64> = blocks
             .map(|b| {
@@ -1001,8 +1005,10 @@ impl Uproxy {
                 first_block: block - block % 16,
                 count: 16,
             }));
+            let waiters = self.soft.map_waiters.entry((file, block));
+            waiters.or_default().push(pkt.clone());
         }
-        cached
+        cached.ok()
     }
 
     fn nfs_time(now: SimTime) -> NfsTime {
@@ -1255,16 +1261,8 @@ impl Uproxy {
             self.route_legs(pkt, call, write, geom);
             return;
         }
-        let site_lists = match self.block_sites(&fh, block..=block) {
-            Ok(lists) => lists,
-            Err(block) => {
-                self.soft
-                    .map_waiters
-                    .entry((file, block))
-                    .or_default()
-                    .push(pkt);
-                return;
-            }
+        let Some(site_lists) = self.block_sites(&pkt, &fh, block..=block) else {
+            return;
         };
         self.clock.lap(&mut self.phases.soft_ns);
         let targets = match &write {

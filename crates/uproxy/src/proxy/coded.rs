@@ -309,16 +309,10 @@ impl Uproxy {
         geom: Option<CodedLayout>,
     ) {
         let pieces: Vec<(u64, Range<u64>)> = cut(call.offset..call.end(), STRIPE_UNIT).collect();
-        let head = pieces.iter().take_while(|(_, r)| r.end <= call.lo).count();
-        let (below, above) = pieces.split_at(head);
+        let (below, above) = pieces.split_at(pieces.partition_point(|(_, r)| r.end <= call.lo));
         let blocks = above[0].0..=above[above.len() - 1].0;
-        let site_lists = match self.block_sites(&call.fh, blocks) {
-            Ok(lists) => lists,
-            Err(block) => {
-                let waiters = self.soft.map_waiters.entry((call.fh.file_id(), block));
-                waiters.or_default().push(pkt);
-                return;
-            }
+        let Some(site_lists) = self.block_sites(&pkt, &call.fh, blocks) else {
+            return;
         };
         let mut op = LegOp::new(&pkt, call, write);
         let mut plans: Vec<LegPlan> = below.iter().map(|(_, r)| op.part_leg(None, r)).collect();
@@ -354,12 +348,11 @@ impl Uproxy {
                 .map(|((_, r), sites)| vec![self.pick_read_site(file, sites, r.start, xid)])
                 .collect()
         };
-        let legs = pieces.iter().zip(targets).flat_map(|((_, r), sites)| {
-            sites
-                .into_iter()
-                .map(move |site| op.part_leg(Some(site), r))
-        });
-        Some(legs.collect())
+        let mut legs = Vec::new();
+        for ((_, r), sites) in pieces.iter().zip(targets) {
+            legs.extend(sites.into_iter().map(|site| op.part_leg(Some(site), r)));
+        }
+        Some(legs)
     }
 
     /// Files `op` under the client's xid and issues its first legs.

@@ -395,14 +395,17 @@ pub struct RunOutcome {
 /// schedule pool a sweep draws from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Mode {
-    /// Mirrored placement; [`standard_schedules`].
+    /// Single-copy striped placement (block maps with the coordinator's
+    /// default `Striped`: every map entry is one site wide, so no run
+    /// writes, degrades or resyncs a mirror); [`standard_schedules`].
     #[default]
     Standard,
-    /// Every mapped file erasure-coded as (4,2) instead of mirrored, so
+    /// Every mapped file erasure-coded as (4,2) instead of striped, so
     /// the standard schedules exercise striped writes, degraded reads and
     /// shard rebuilds — vetted by the coded-reconstruction oracle.
     Coded,
-    /// Mirrored placement; [`chaos_schedules`].
+    /// Single-copy striped placement, as [`Mode::Standard`];
+    /// [`chaos_schedules`].
     Chaos,
     /// (4,2) coding; [`coded_chaos_schedules`].
     ChaosCoded,

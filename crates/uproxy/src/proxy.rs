@@ -974,21 +974,19 @@ impl Uproxy {
     /// and the static function otherwise. A block missing from the cache
     /// yields `None` after a `MapGet` for the 16-block fragment around it
     /// went out and `pkt` was parked to wait for that fragment — the one
-    /// place requests wait for a map.
+    /// place requests wait for a map. The packet comes back with the
+    /// placement.
     fn block_sites(
         &mut self,
-        pkt: &Packet,
+        pkt: Packet,
         fh: &Fhandle,
         blocks: std::ops::RangeInclusive<u64>,
-    ) -> Option<Vec<Vec<u32>>> {
+    ) -> Option<(Packet, Vec<Vec<u32>>)> {
         let file = fh.file_id();
         if !fh.is_mapped() {
             let mirrored = fh.is_mirrored();
-            return Some(
-                blocks
-                    .map(|b| self.static_sites(file, b, mirrored))
-                    .collect(),
-            );
+            let sites = blocks.map(|b| self.static_sites(file, b, mirrored));
+            return Some((pkt, sites.collect()));
         }
         let cached: Result<_, u64> = blocks
             .map(|b| {
@@ -1006,9 +1004,10 @@ impl Uproxy {
                 count: 16,
             }));
             let waiters = self.soft.map_waiters.entry((file, block));
-            waiters.or_default().push(pkt.clone());
+            waiters.or_default().push(pkt);
+            return None;
         }
-        cached.ok()
+        cached.ok().map(|sites| (pkt, sites))
     }
 
     fn nfs_time(now: SimTime) -> NfsTime {
@@ -1261,7 +1260,7 @@ impl Uproxy {
             self.route_legs(pkt, call, write, geom);
             return;
         }
-        let Some(site_lists) = self.block_sites(&pkt, &fh, block..=block) else {
+        let Some((pkt, site_lists)) = self.block_sites(pkt, &fh, block..=block) else {
             return;
         };
         self.clock.lap(&mut self.phases.soft_ns);

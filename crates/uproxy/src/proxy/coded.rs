@@ -140,7 +140,13 @@ pub(super) enum LegIo {
 impl LegOp {
     /// An op for `call` with no leg out yet. Write legs are cut from a
     /// window of the client's packet `pkt`.
-    fn new(pkt: &Packet, call: BulkCall, write: Option<(Range<usize>, StableHow)>) -> Self {
+    fn new(
+        pkt: &Packet,
+        call: BulkCall,
+        write: Option<(Range<usize>, StableHow)>,
+        stripes: Vec<CodedStripe>,
+        live: Vec<u32>,
+    ) -> Self {
         let is_write = write.is_some();
         let (data, stable) = match write {
             Some((data, stable)) => (pkt.range(data), stable),
@@ -151,9 +157,9 @@ impl LegOp {
             write: is_write,
             stable,
             data,
-            shards_due: false,
-            stripes: Vec::new(),
-            live: Vec::new(),
+            shards_due: is_write && !stripes.is_empty(),
+            stripes,
+            live,
             outstanding: 0,
             awaiting: Vec::new(),
             leg_xids: Vec::new(),
@@ -297,10 +303,11 @@ impl Uproxy {
     /// Serves `call` as a leg op over its pieces ([`cut`]): the piece
     /// below the threshold is a leg to the small-file server; the pieces
     /// above it are planned by the placement of their blocks — one leg
-    /// per piece per target for a plain file (`plain_plan`), shard legs
-    /// per stripe for a coded one (`coded_plan`). The request waits for a
-    /// block-map fragment or, planned, for a stripe lock or a dirty-region
-    /// ack, and re-enters here.
+    /// per piece per target for a plain file (`plain_targets`), shard
+    /// legs per stripe for a coded one (`coded_plan`). The request waits
+    /// for a block-map fragment or, planned, for a stripe lock or a
+    /// dirty-region ack, and re-enters here; the op is made only once it
+    /// is planned, so a parked request takes no window of its packet.
     pub(super) fn route_legs(
         &mut self,
         pkt: Packet,
@@ -311,48 +318,54 @@ impl Uproxy {
         let pieces: Vec<(u64, Range<u64>)> = cut(call.offset..call.end(), STRIPE_UNIT).collect();
         let (below, above) = pieces.split_at(pieces.partition_point(|(_, r)| r.end <= call.lo));
         let blocks = above[0].0..=above[above.len() - 1].0;
-        let Some(site_lists) = self.block_sites(&pkt, &call.fh, blocks) else {
+        let Some((pkt, site_lists)) = self.block_sites(pkt, &call.fh, blocks) else {
             return;
         };
-        let mut op = LegOp::new(&pkt, call, write);
-        let mut plans: Vec<LegPlan> = below.iter().map(|(_, r)| op.part_leg(None, r)).collect();
-        let planned = match geom {
-            Some(geom) => self.coded_plan(&pkt, &mut op, above, site_lists, geom),
-            None => self.plain_plan(&pkt, &op, above, site_lists),
+        let is_write = write.is_some();
+        let (stripes, live, mut legs, targets) = if let Some(geom) = geom {
+            let planned = self.coded_plan(&pkt, &call, is_write, above, site_lists, geom);
+            let Some((stripes, live, legs)) = planned else {
+                return;
+            };
+            (stripes, live, legs, Vec::new())
+        } else {
+            let planned = self.plain_targets(&pkt, &call, is_write, above, site_lists);
+            let Some(targets) = planned else {
+                return;
+            };
+            (Vec::new(), Vec::new(), Vec::new(), targets)
         };
         self.clock.lap(&mut self.phases.soft_ns);
-        if let Some(legs) = planned {
-            plans.extend(legs);
-            self.start_op(op, plans);
+        let op = LegOp::new(&pkt, call, write, stripes, live);
+        let mut plans: Vec<LegPlan> = below.iter().map(|(_, r)| op.part_leg(None, r)).collect();
+        for ((_, r), sites) in above.iter().zip(targets) {
+            plans.extend(sites.into_iter().map(|site| op.part_leg(Some(site), r)));
         }
+        plans.append(&mut legs);
+        self.start_op(op, plans);
     }
 
-    /// Plans the bulk `pieces` of a plain (single-copy or mirrored) op,
-    /// whose placements `site_lists` names, one leg per piece per target:
-    /// the block's `pick_read_site` replica for a read, its live replicas
-    /// for a write. `None` when the write was parked awaiting a
-    /// dirty-region ack.
-    fn plain_plan(
+    /// The targets of each bulk piece of a plain (single-copy or
+    /// mirrored) op, whose placements `site_lists` names: the block's
+    /// `pick_read_site` replica for a read, its live replicas for a
+    /// write. `None` when the write was parked awaiting a dirty-region
+    /// ack.
+    fn plain_targets(
         &mut self,
         pkt: &Packet,
-        op: &LegOp,
+        call: &BulkCall,
+        is_write: bool,
         pieces: &[(u64, Range<u64>)],
         site_lists: Vec<Vec<u32>>,
-    ) -> Option<Vec<LegPlan>> {
-        let (xid, file) = (op.call.xid, op.call.fh.file_id());
-        let targets = if op.write {
-            self.degrade_gate(pkt, &op.call, site_lists)?
-        } else {
-            let picked = pieces.iter().zip(&site_lists);
-            picked
-                .map(|((_, r), sites)| vec![self.pick_read_site(file, sites, r.start, xid)])
-                .collect()
-        };
-        let mut legs = Vec::new();
-        for ((_, r), sites) in pieces.iter().zip(targets) {
-            legs.extend(sites.into_iter().map(|site| op.part_leg(Some(site), r)));
+    ) -> Option<Vec<Vec<u32>>> {
+        if is_write {
+            return self.degrade_gate(pkt, call, site_lists);
         }
-        Some(legs)
+        let (xid, file) = (call.xid, call.fh.file_id());
+        let picked = pieces.iter().zip(&site_lists);
+        let pick =
+            picked.map(|((_, r), sites)| vec![self.pick_read_site(file, sites, r.start, xid)]);
+        Some(pick.collect())
     }
 
     /// Files `op` under the client's xid and issues its first legs.
@@ -380,20 +393,20 @@ impl Uproxy {
     ///   (`coded_write_phase1`), first gathering and decoding the old
     ///   contents of partial stripes (read-modify-write).
     ///
-    /// Fills in the op's stripes and the sites it may route to and returns
-    /// its first legs — or `None` when the packet was parked on a stripe
-    /// lock or a dirty-region ack.
+    /// Returns the stripes, the sites the op may route to and its first
+    /// legs — or `None` when the packet was parked on a stripe lock or a
+    /// dirty-region ack.
     fn coded_plan(
         &mut self,
         pkt: &Packet,
-        op: &mut LegOp,
+        call: &BulkCall,
+        is_write: bool,
         pieces: &[(u64, Range<u64>)],
         site_lists: Vec<Vec<u32>>,
         geom: CodedLayout,
-    ) -> Option<Vec<LegPlan>> {
+    ) -> Option<(Vec<CodedStripe>, Vec<u32>, Vec<LegPlan>)> {
         let k = geom.k as usize;
-        let is_write = op.write;
-        let (xid, file) = (op.call.xid, op.call.fh.file_id());
+        let (xid, file) = (call.xid, call.fh.file_id());
         // The sites the op may route to. A write takes every stripe lock
         // first (its parity update reads shards it does not overwrite)
         // and degrades to the DirtyAck-approved live set.
@@ -413,7 +426,7 @@ impl Uproxy {
             let lives = if fallback {
                 site_lists.clone()
             } else {
-                self.degrade_gate(pkt, &op.call, site_lists.clone())?
+                self.degrade_gate(pkt, call, site_lists.clone())?
             };
             let mut union: Vec<u32> = Vec::new();
             for &s in lives.iter().flatten() {
@@ -514,10 +527,7 @@ impl Uproxy {
                 }));
             }
         }
-        op.shards_due = is_write;
-        op.stripes = stripes;
-        op.live = live;
-        Some(plans)
+        Some((stripes, live, plans))
     }
 
     /// Computes and issues the final shard writes of a coded write op:

@@ -1026,22 +1026,21 @@ impl Coordinator {
                 }
                 let mut durable = now;
                 let mut logged = 0;
-                for (piece, &site) in pieces
-                    .iter()
-                    .flat_map(|p| p.missed.iter().map(move |s| (p, s)))
-                {
-                    // A retired site never returns: queuing copy-back for
-                    // it would leak soft state forever. A site that does
-                    // not exist is owed nothing.
-                    let state = self.sites.get(site as usize).map(|s| s.state);
-                    if matches!(state, None | Some(SiteState::Retired)) {
-                        continue;
-                    }
-                    for (w_off, w_len, srcs) in self.missed_windows(obj, piece, site) {
-                        let mark = Some(mark);
-                        durable =
-                            self.queue_range(now, site, obj, w_off, w_len, srcs, NO_ORIGIN, mark);
-                        logged += 1;
+                for piece in &pieces {
+                    for &site in &piece.missed {
+                        // A retired site never returns: queuing copy-back
+                        // for it would leak soft state forever. A site
+                        // that does not exist is owed nothing.
+                        let state = self.sites.get(site as usize).map(|s| s.state);
+                        if matches!(state, None | Some(SiteState::Retired)) {
+                            continue;
+                        }
+                        for (w_off, w_len, srcs) in self.missed_windows(obj, piece, site) {
+                            let mark = Some(mark);
+                            durable = self
+                                .queue_range(now, site, obj, w_off, w_len, srcs, NO_ORIGIN, mark);
+                            logged += 1;
+                        }
                     }
                 }
                 if logged > 0 {

@@ -355,9 +355,11 @@ fn linearize(
             continue;
         }
         // Real-time order: `i` can only go next if no other remaining op
-        // finished strictly before `i` began.
+        // finished at or before `i` began.
         let precluded = (0..ops.len()).any(|j| {
-            j != i && remaining & (1 << j) != 0 && matches!(ops[j].end, Some(e) if e < ops[i].begin)
+            j != i
+                && remaining & (1 << j) != 0
+                && matches!(ops[j].end, Some(e) if e <= ops[i].begin)
         });
         if precluded {
             continue;
@@ -477,6 +479,23 @@ mod tests {
         for seen in [0u8, 9u8] {
             let ops = vec![dangling, r(100, 110, seen)];
             assert!(matches!(check_register(1, 0, &ops), RegisterVerdict::Ok));
+        }
+    }
+
+    #[test]
+    fn a_read_that_begins_as_a_write_ends_is_ordered_after_it() {
+        // W6 ends in the nanosecond the last read begins, so the read
+        // follows it and must see 6. The same must hold when an unrelated
+        // read overlaps the first write and the register is no longer
+        // totally ordered.
+        let touching = vec![w(0, 10, 5, true), w(11, 20, 6, true), r(20, 30, 5)];
+        let mut overlapped = touching.clone();
+        overlapped.push(r(2, 8, 5));
+        for ops in [touching, overlapped] {
+            assert!(
+                matches!(check_register(1, 0, &ops), RegisterVerdict::Violation(_)),
+                "{ops:?}"
+            );
         }
     }
 

@@ -386,6 +386,7 @@ fn linearize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slice_sim::Rng;
 
     fn w(begin: u64, end: u64, v: u8, required: bool) -> RegOp {
         RegOp {
@@ -508,5 +509,104 @@ mod tests {
             check_register(1, 0, &ops),
             RegisterVerdict::Violation(_)
         ));
+    }
+
+    /// A register of one to six ops of positive duration over the values
+    /// 0..3: reads, required and optional writes, writes of mixed bytes
+    /// and writes that never completed.
+    fn random_register(rng: &mut Rng) -> Vec<RegOp> {
+        (0..rng.gen_range(1..=6usize))
+            .map(|_| {
+                let begin = rng.gen_range(0..40u64);
+                let end = Some(begin + rng.gen_range(1..20u64));
+                let v = rng.gen_range(0..3u8);
+                let (end, kind, required) = match rng.gen_range(0..6u32) {
+                    0 | 1 => (end, RegKind::Read(v), true),
+                    2 => (end, RegKind::Write(Some(v)), true),
+                    3 => (end, RegKind::Write(Some(v)), false),
+                    4 => (end, RegKind::Write(None), rng.gen_bool(0.5)),
+                    _ => (None, RegKind::Write(rng.gen_bool(0.8).then_some(v)), false),
+                };
+                RegOp {
+                    begin,
+                    end,
+                    kind,
+                    required,
+                }
+            })
+            .collect()
+    }
+
+    /// Whether some permutation of `ops[k..]` after `ops[..k]` passes `ok`.
+    fn some_order(ops: &mut [RegOp], k: usize, ok: &dyn Fn(&[RegOp]) -> bool) -> bool {
+        if k == ops.len() {
+            return ok(ops);
+        }
+        (k..ops.len()).any(|i| {
+            ops.swap(k, i);
+            let found = some_order(ops, k + 1, ok);
+            ops.swap(k, i);
+            found
+        })
+    }
+
+    /// No op ends at or before an op placed ahead of it begins.
+    fn respects_real_time(order: &[RegOp]) -> bool {
+        order.iter().enumerate().all(|(a, first)| {
+            order[a + 1..]
+                .iter()
+                .all(|later| later.end.is_none_or(|e| e > first.begin))
+        })
+    }
+
+    /// Every read sees the value the ops before it left: 0 at first, any
+    /// value after a write of mixed bytes until a read pins it.
+    fn reads_see_writes(order: &[RegOp]) -> bool {
+        let mut value = Some(0u8);
+        order.iter().all(|op| match op.kind {
+            RegKind::Write(v) => {
+                value = v;
+                true
+            }
+            RegKind::Read(v) => {
+                let seen = value.is_none_or(|cur| cur == v);
+                value = Some(v);
+                seen
+            }
+        })
+    }
+
+    /// The reference: every subset of the optional ops, kept in every
+    /// order that respects real time.
+    fn brute_force(ops: &[RegOp]) -> bool {
+        let optional: Vec<usize> = (0..ops.len()).filter(|&i| !ops[i].required).collect();
+        (0..1u32 << optional.len()).any(|dropped| {
+            let mut kept: Vec<RegOp> = (0..ops.len())
+                .filter(|i| {
+                    optional
+                        .iter()
+                        .position(|o| o == i)
+                        .is_none_or(|k| dropped & (1 << k) == 0)
+                })
+                .map(|i| ops[i])
+                .collect();
+            some_order(&mut kept, 0, &|order| {
+                respects_real_time(order) && reads_see_writes(order)
+            })
+        })
+    }
+
+    #[test]
+    fn the_register_checker_agrees_with_brute_force_enumeration() {
+        let mut rng = Rng::seed_from_u64(7);
+        for _ in 0..50_000 {
+            let ops = random_register(&mut rng);
+            let linearizable = match check_register(1, 0, &ops) {
+                RegisterVerdict::Ok => true,
+                RegisterVerdict::Violation(_) => false,
+                RegisterVerdict::Skipped => continue,
+            };
+            assert_eq!(linearizable, brute_force(&ops), "{ops:?}");
+        }
     }
 }

@@ -875,7 +875,7 @@ pub fn sweep(seeds: &[u64], schedules_per_seed: usize, mode: Mode, threads: usiz
             let out = run_schedule(seed, &scenario, sched, Some(&reference.snapshot), mode);
             // On this worker: the sweep's threads already run one seed each.
             o.record(seed, Some(j), sched, &out, || {
-                minimize(seed, &scenario, sched, &reference.snapshot, mode, 1)
+                minimize(seed, &scenario, sched, &reference.snapshot, mode)
             });
         }
         o
@@ -934,22 +934,13 @@ pub fn sweep(seeds: &[u64], schedules_per_seed: usize, mode: Mode, threads: usiz
 /// Shrinks a schedule that fails in `mode`: first by halving (delta
 /// debugging's outer loop), then by dropping single events, re-running
 /// the oracles on `mode`'s ensemble after each candidate. Returns the smallest schedule that still fails (or the
-/// input unchanged if it does not fail at all). Bounded at ~32 runs.
-///
-/// Each shrinking step's candidate schedules are independent runs, so
-/// they probe concurrently over `run_indexed` on `threads` workers
-/// ([`slice_sim::default_threads`] is the host's parallelism); the serial
-/// scan order decides which failing candidate is adopted and how much of
-/// the budget each step charges, so the result is identical to the
-/// sequential algorithm at any `threads` — probes the serial loop would
-/// never have reached are computed speculatively but never consulted.
+/// input unchanged if it does not fail at all). Bounded at 32 probes.
 pub fn minimize(
     seed: u64,
     scenario: &[Step],
     schedule: &Schedule,
     reference: &VolumeSnapshot,
     mode: Mode,
-    threads: usize,
 ) -> Schedule {
     let fails = |s: &Schedule| {
         !run_schedule(seed, scenario, s, Some(reference), mode)
@@ -959,49 +950,35 @@ pub fn minimize(
     if schedule.events.len() <= 1 || !fails(schedule) {
         return schedule.clone();
     }
-    // A shrinking step's candidates are probed as one batch. The serial
-    // scan would have stopped at the first that fails: adopt that one and
-    // charge the probes up to it, or all of them when none fails.
-    let first_failing = |candidates: &[Schedule], budget: &mut usize| {
-        let verdicts = slice_sim::run_indexed(threads, candidates.to_vec(), |_, s| fails(&s));
-        let first = verdicts.iter().position(|&f| f);
-        *budget -= first.map_or(candidates.len(), |k| k + 1);
-        first
-    };
     let mut cur = schedule.clone();
+    // Every probe below costs one unit.
     let mut budget = 32usize;
-    // Halving; the second half only when the budget has room for it.
-    while cur.events.len() > 1 && budget > 0 {
-        let (a, b) = cur.events.split_at(cur.events.len() / 2);
-        let halves: Vec<Schedule> = [a, b]
-            .into_iter()
-            .take(budget)
-            .map(|half| Schedule {
-                events: half.to_vec(),
-            })
-            .collect();
-        match first_failing(&halves, &mut budget) {
-            Some(k) => cur = halves[k].clone(),
-            None => break,
+    // Halving: keep the first half that still fails.
+    'halving: while cur.events.len() > 1 {
+        let mid = cur.events.len() / 2;
+        for events in [cur.events[..mid].to_vec(), cur.events[mid..].to_vec()] {
+            if budget == 0 {
+                break 'halving;
+            }
+            budget -= 1;
+            let half = Schedule { events };
+            if fails(&half) {
+                cur = half;
+                continue 'halving;
+            }
         }
+        break;
     }
     // Single-event drops, rescanning from the position just dropped.
     let mut i = 0;
     while i < cur.events.len() && cur.events.len() > 1 && budget > 0 {
-        let drops: Vec<Schedule> = (i..cur.events.len())
-            .take(budget)
-            .map(|j| {
-                let mut t = cur.clone();
-                t.events.remove(j);
-                t
-            })
-            .collect();
-        match first_failing(&drops, &mut budget) {
-            Some(k) => {
-                i += k;
-                cur = drops[k].clone();
-            }
-            None => break,
+        budget -= 1;
+        let mut dropped = cur.clone();
+        dropped.events.remove(i);
+        if fails(&dropped) {
+            cur = dropped;
+        } else {
+            i += 1;
         }
     }
     cur
@@ -1169,7 +1146,7 @@ mod tests {
         };
         assert!(fails(&schedule, Mode::Coded, Some(&reference.snapshot)));
         assert!(!fails(&schedule, Mode::Standard, None));
-        let minimal = minimize(3, &scenario, &schedule, &reference.snapshot, Mode::Coded, 2);
+        let minimal = minimize(3, &scenario, &schedule, &reference.snapshot, Mode::Coded);
         assert_eq!(minimal.events, vec![drain]);
         assert!(fails(&minimal, Mode::Coded, Some(&reference.snapshot)));
     }

@@ -144,7 +144,7 @@ fn object_bytes(ens: &SliceEnsemble, site: u32, file: u64, offset: u64, len: usi
 /// partially applied, with no promise about either copy).
 fn settled_stripe_unit(ens: &SliceEnsemble) -> Option<u64> {
     let timed_out = |&c| ens.engine.actor::<ClientActor>(c).stats().timeouts > 0;
-    (!ens.clients.iter().any(timed_out)).then_some(slice_core::calib::STRIPE_UNIT)
+    (!ens.clients.iter().any(timed_out)).then_some(slice_storage::STRIPE_UNIT)
 }
 
 /// `(site, key, cell)` rows collected from every directory server.

@@ -6,7 +6,7 @@ use slice_hashes::NamePolicy;
 use slice_nfsproto::AuthUnix;
 use slice_sim::{Engine, NetConfig, NodeId, SimDuration, SimTime};
 use slice_smallfile::{SmallFileConfig, SmallFileServer};
-use slice_storage::{Coordinator, Placement, StorageNode, StorageNodeConfig};
+use slice_storage::{Coordinator, Placement, StorageNode, StorageNodeConfig, STRIPE_UNIT};
 use slice_uproxy::{ProxyConfig, Uproxy};
 
 use crate::actors::{CoordActor, DirActor, SmallFileActor, StorageActor};
@@ -21,9 +21,6 @@ use crate::wire::{AddrPlan, Router, Wire};
 /// one maintenance tick so every dirty attribute flushes before the
 /// quiescence oracles run.
 const DRAIN_HORIZON: SimDuration = SimDuration::from_secs(10);
-
-// The µproxy splits a file where the small-file servers stop holding it.
-const _: () = assert!(slice_uproxy::THRESHOLD == slice_smallfile::SF_THRESHOLD);
 
 /// The one stepping loop behind [`SliceEnsemble::run_to_completion`]
 /// (which documents it) and [`BaselineEnsemble::run_to_completion`].
@@ -173,10 +170,10 @@ impl SliceConfig {
                      have {active}"
                 ));
             }
-            if !calib::STRIPE_UNIT.is_multiple_of(u64::from(k)) {
+            if !STRIPE_UNIT.is_multiple_of(u64::from(k)) {
                 return Err(format!(
                     "stripe unit {} must divide into k={k} equal shards",
-                    calib::STRIPE_UNIT
+                    STRIPE_UNIT
                 ));
             }
         }

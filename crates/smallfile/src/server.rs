@@ -30,7 +30,7 @@ use crate::alloc::{frag_size, Region, ZoneAllocator, SF_BLOCK};
 
 /// The threshold offset: I/O below this goes to small-file servers
 /// (paper §3.1; 64 KB).
-pub const SF_THRESHOLD: u64 = 64 * 1024;
+pub use slice_storage::THRESHOLD as SF_THRESHOLD;
 /// Extent slots per map record (64 KB / 8 KB).
 pub const MAP_EXTENTS: usize = (SF_THRESHOLD / SF_BLOCK as u64) as usize;
 /// Map records per 8 KB map block (64-byte records).

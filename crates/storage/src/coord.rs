@@ -53,6 +53,15 @@ pub enum SiteState {
 /// routes by it and the coordinator maps by it.
 pub const STRIPE_UNIT: u64 = 64 * 1024;
 
+/// The threshold offset (64 KiB in the prototype, paper §3.1): a file's
+/// bytes below it live on its small-file server, the rest on the storage
+/// array.
+pub const THRESHOLD: u64 = 64 * 1024;
+
+// The threshold is a block boundary, so cutting a request at every block
+// boundary cuts it at the threshold too.
+const _: () = assert!(THRESHOLD.is_multiple_of(STRIPE_UNIT));
+
 /// Which block owns which bytes: `range` cut at every multiple of `unit`,
 /// one `(block, sub-range)` piece per block it touches, in order. Every
 /// split of a byte range by block goes through here — the µproxy's bulk

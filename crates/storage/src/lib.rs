@@ -23,7 +23,7 @@ pub mod wal;
 
 pub use coord::{
     cut, CoordAction, CoordMsg, CoordReply, Coordinator, DirtyPiece, IntentKind, IntentOutcome,
-    IntentRecord, Placement, MIRROR_COPIES, STRIPE_UNIT,
+    IntentRecord, Placement, MIRROR_COPIES, STRIPE_UNIT, THRESHOLD,
 };
 pub use node::{
     StorageCtl, StorageCtlReply, StorageNode, StorageNodeConfig, CLUSTER_BYTES, PREFETCH_BYTES,

@@ -21,10 +21,12 @@ pub mod proxy;
 pub use attrcache::{AttrCache, CachedAttr};
 pub use proxy::{
     PhaseStats, ProxyConfig, ProxyOut, Uproxy, ATTR_CACHE_ENTRIES, ATTR_WRITEBACK, SUSPECT_AFTER,
-    THRESHOLD,
 };
 /// The name-space policy under the µproxy's older name.
 pub use slice_hashes::NamePolicy as ProxyNamePolicy;
+/// The threshold offset where the µproxy splits a file between its
+/// small-file server and the storage array.
+pub use slice_storage::THRESHOLD;
 
 #[cfg(test)]
 mod tests;

@@ -29,7 +29,7 @@ use slice_nfsproto::{
 use slice_obs::EventKind;
 use slice_sim::{SimDuration, SimTime};
 use slice_storage::{
-    cut, CoordMsg, CoordReply, DirtyPiece, IntentKind, MIRROR_COPIES, STRIPE_UNIT,
+    cut, CoordMsg, CoordReply, DirtyPiece, IntentKind, MIRROR_COPIES, STRIPE_UNIT, THRESHOLD,
 };
 use slice_xdr::XdrEncoder;
 use std::ops::Range;
@@ -47,13 +47,6 @@ pub const ATTR_WRITEBACK: SimDuration = SimDuration::from_secs(3);
 /// Retransmission strikes before a storage site is suspected down and
 /// removed from the mirrored-read rotation.
 pub const SUSPECT_AFTER: u32 = 2;
-/// The threshold offset (64 KiB in the prototype): a file's bytes below
-/// it live on its small-file server, the rest on the storage array.
-pub const THRESHOLD: u64 = 64 * 1024;
-
-// The threshold is a block boundary, so cutting a request at every block
-// boundary cuts it at the threshold too.
-const _: () = assert!(THRESHOLD.is_multiple_of(STRIPE_UNIT));
 
 /// µproxy configuration: the ensemble map and the routing policies.
 #[derive(Debug, Clone)]

@@ -6,9 +6,11 @@
 # Prints `file: name` for every `pub fn` in crates/*/src, above its file's
 # first `#[cfg(test)]`, whose name appears as a word in no other `.rs` file
 # under crates/, tests/, examples/ or benchmark/src, and exits 1 if it
-# prints any. Such a function is used, if at all, only by its own file
-# (its unit tests included): make it private, or delete it if the
-# compiler then calls it unused. A name is matched as a word, not as a
+# prints any. A crate's own `src/tests.rs` is that crate's unit tests, so
+# it counts as no caller either. Such a function is used, if at all, only
+# by its own crate's tests: make it private (`pub(crate)` when the crate's
+# `src/tests.rs` calls it), or delete it if the compiler then calls it
+# unused. A name is matched as a word, not as a
 # path, so a function that shares its name with another file's item
 # passes; the guard errs towards silence.
 set -euo pipefail
@@ -24,7 +26,7 @@ for file in $(find crates/*/src -name '*.rs' | sort); do
             s = substr($0, RSTART, RLENGTH); sub(/.*fn /, "", s); print s
         }' "$file" | sort -u); do
         # shellcheck disable=SC2086
-        if ! grep -lw -- "$name" $sources | grep -qvxF -- "$file"; then
+        if ! grep -lw -- "$name" $sources | grep -qvxF -e "$file" -e "${file%%/src/*}/src/tests.rs"; then
             echo "$file: $name"
             found=1
         fi

@@ -235,7 +235,7 @@ fn blocks_past(size: u64) -> std::ops::Range<u8> {
 #[derive(Debug)]
 pub struct SmallFileServer {
     config: SmallFileConfig,
-    maps: FxHashMap<u64, MapRecord>,
+    pub(crate) maps: FxHashMap<u64, MapRecord>,
     alloc: ZoneAllocator,
     cache: LruCache<CacheKey>,
     /// Resident block contents (retain mode only).
@@ -294,11 +294,6 @@ impl SmallFileServer {
     /// Whether block contents are retained (else only residency is).
     pub fn retains_data(&self) -> bool {
         self.config.retain_data
-    }
-
-    /// The map record for `file`, if any (tests/inspection).
-    pub fn map_of(&self, file: u64) -> Option<&MapRecord> {
-        self.maps.get(&file)
     }
 
     /// Allocator statistics: (allocated bytes, free-list bytes).

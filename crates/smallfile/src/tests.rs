@@ -133,7 +133,7 @@ fn paper_example_physical_layout() {
     );
     let (allocated, _) = h.server.alloc_stats();
     assert_eq!(allocated, 8320);
-    let map = h.server.map_of(5).unwrap();
+    let map = h.server.maps.get(&5).unwrap();
     assert_eq!(map.size, 8300);
     assert_eq!(map.extents[0].unwrap().bytes, 8192);
     assert_eq!(map.extents[1].unwrap().bytes, 108);
@@ -268,7 +268,10 @@ fn growth_reallocates_larger_fragment() {
             data: vec![1u8; 100], // 128-byte fragment
         },
     );
-    let frag_before = h.server.map_of(40).unwrap().extents[0].unwrap().region.frag;
+    let frag_before = h.server.maps.get(&40).unwrap().extents[0]
+        .unwrap()
+        .region
+        .frag;
     assert_eq!(frag_before, 128);
     h.run(
         t(2),
@@ -280,7 +283,7 @@ fn growth_reallocates_larger_fragment() {
             data: vec![2u8; 400], // grows block to 500 bytes -> 512 fragment
         },
     );
-    let ext = h.server.map_of(40).unwrap().extents[0].unwrap();
+    let ext = h.server.maps.get(&40).unwrap().extents[0].unwrap();
     assert_eq!(ext.region.frag, 512);
     assert_eq!(ext.bytes, 500);
     // The freed 128-byte fragment is reusable.
@@ -307,7 +310,7 @@ fn remove_frees_storage() {
     let (allocated, free) = h.server.alloc_stats();
     assert_eq!(allocated, 0);
     assert!(free >= 10_000);
-    assert!(h.server.map_of(50).is_none());
+    assert!(!h.server.maps.contains_key(&50));
     let reply = h.run(
         t(3),
         2,
@@ -346,7 +349,7 @@ fn truncate_trims_extents() {
             size: 9000,
         },
     );
-    let map = h.server.map_of(60).unwrap();
+    let map = h.server.maps.get(&60).unwrap();
     assert_eq!(map.size, 9000);
     assert!(map.extents[0].is_some());
     assert_eq!(map.extents[1].unwrap().bytes, 9000 - 8192);
@@ -375,7 +378,10 @@ fn truncate_then_crash_then_extending_write_reads_zeros() {
     );
     let wal = h.server.crash();
     h.server.recover(wal, t(500));
-    assert_eq!(h.server.map_of(61).unwrap().extents[0].unwrap().bytes, 100);
+    assert_eq!(
+        h.server.maps.get(&61).unwrap().extents[0].unwrap().bytes,
+        100
+    );
     h.run(t(600), 2, write(500, vec![b'B'; 100]));
     let read = NfsRequest::Read {
         fh: fh(61),
@@ -448,7 +454,7 @@ fn recovery_drops_nondurable_updates() {
     let wal = h.server.crash();
     h.server.recover(wal, SimTime::ZERO);
     assert!(
-        h.server.map_of(70).is_none(),
+        !h.server.maps.contains_key(&70),
         "non-durable map update must vanish"
     );
 }
@@ -482,7 +488,7 @@ fn create_heavy_layout_is_sequential() {
     // Offsets are consecutive within the zone.
     let mut offsets: Vec<u64> = (0..50)
         .map(|i| {
-            h.server.map_of(1000 + i).unwrap().extents[0]
+            h.server.maps.get(&(1000 + i)).unwrap().extents[0]
                 .unwrap()
                 .region
                 .offset
@@ -500,7 +506,7 @@ fn assert_refused(h: &mut Harness, token: u64, req: NfsRequest) {
     let reply = h.run(t(token), token, req);
     assert_eq!(reply.status, NfsStatus::Inval);
     assert!(
-        h.server.map_of(80).is_none(),
+        !h.server.maps.contains_key(&80),
         "a refused request left a map"
     );
     assert_eq!(h.server.alloc_stats(), (0, 0));
@@ -570,7 +576,7 @@ fn write_just_past_threshold_is_refused() {
         },
     );
     assert_eq!(reply.status, NfsStatus::Ok);
-    assert_eq!(h.server.map_of(80).unwrap().size, SF_THRESHOLD);
+    assert_eq!(h.server.maps.get(&80).unwrap().size, SF_THRESHOLD);
 }
 
 #[test]
@@ -600,7 +606,7 @@ fn truncate_above_4gib_keeps_small_file_bytes() {
             },
         );
         let block = (offset / u64::from(SF_BLOCK)) as usize;
-        let ext = h.server.map_of(file).unwrap().extents[block].unwrap();
+        let ext = h.server.maps.get(&file).unwrap().extents[block].unwrap();
         assert_eq!(ext.bytes, 100, "offset {offset}");
         let reply = h.run(
             t(3),

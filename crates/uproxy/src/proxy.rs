@@ -514,7 +514,7 @@ pub struct Uproxy {
     retired: Vec<bool>,
     /// Routing-table epoch: bumped on every reconfiguration flush so
     /// observers can tell when new block-map entries took effect.
-    map_epoch: u64,
+    pub(crate) map_epoch: u64,
     /// Suspicion transitions `(when, site, suspected)` for benchmarks.
     suspicion_log: Vec<(SimTime, u32, bool)>,
     /// Keeps counting across a state loss: a fresh µproxy-owned xid must
@@ -714,11 +714,6 @@ impl Uproxy {
     pub fn flush_map_cache(&mut self) {
         self.soft.map_cache.clear();
         self.map_epoch += 1;
-    }
-
-    /// Routing-table epoch (count of reconfiguration flushes).
-    pub fn map_epoch(&self) -> u64 {
-        self.map_epoch
     }
 
     /// Files with at least `min` data operations over the sliding hot

@@ -1164,7 +1164,7 @@ fn warming_replica_stays_out_of_read_rotation_until_epoch_flush() {
     // The log drains; the epoch flush refetches a clean fragment and the
     // rotation picks the new replica back up.
     u.flush_map_cache();
-    assert_eq!(u.map_epoch(), 1);
+    assert_eq!(u.map_epoch, 1);
     let out = u.outbound(t(100), call_pkt(&c, 40, &read_at(128 * 1024)));
     assert!(net_pkts(&out).is_empty(), "flush forces a refetch");
     u.coord_reply(t(101), fragment(false));

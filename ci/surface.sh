@@ -6,13 +6,13 @@
 # Prints `file: name` for every `pub fn` in crates/*/src, above its file's
 # first `#[cfg(test)]`, whose name appears as a word in no other `.rs` file
 # under crates/, tests/, examples/ or benchmark/src, and exits 1 if it
-# prints any. A crate's own `src/tests.rs` is that crate's unit tests, so
-# it counts as no caller either. Such a function is used, if at all, only
-# by its own crate's tests: make it private (`pub(crate)` when the crate's
-# `src/tests.rs` calls it), or delete it if the compiler then calls it
-# unused. A name is matched as a word, not as a
-# path, so a function that shares its name with another file's item
-# passes; the guard errs towards silence.
+# prints any. A crate's own `src/tests.rs` holds that crate's unit tests,
+# so it counts as no caller either. Such a function is used, if at all,
+# only by its own crate: make it private, or delete it if the compiler
+# then calls it unused (its tests can read what it returned through a
+# `pub(crate)` field). A name is matched as a word, not as a path, so a
+# function that shares its name with another file's item passes; the
+# guard errs towards silence.
 set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."

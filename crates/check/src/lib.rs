@@ -12,8 +12,9 @@
 //!   for every client-visible NFS call (`slice_core::history`, enabled by
 //!   `SliceConfig::record_history`);
 //! * **oracles** — [`oracle`] replays recorded histories against a
-//!   per-chunk register model (bounded Wing & Gong linearizability plus a
-//!   close-to-open fast path), and [`state`] checks structural invariants
+//!   per-chunk register model (one memoised Wing & Gong search per
+//!   register, whose failures are labelled close-to-open or
+//!   linearizability), and [`state`] checks structural invariants
 //!   of the final ensemble state: directory hash-chain integrity and link
 //!   counts, coordinator block maps vs. storage objects, attr-cache
 //!   subsumption, and namespace equivalence against a crash-free

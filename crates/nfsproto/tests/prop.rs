@@ -8,9 +8,10 @@
 use slice_nfsproto::{
     decode_call, decode_reply, encode_call, encode_reply, AuthUnix, BodyView, ByteBuf, CallView,
     Fattr3, Fhandle, FileType, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet,
-    ReplyBody, Sattr3, SockAddr, StableHow, Windows,
+    ReplyBody, Sattr3, SockAddr, StableHow, Windows, MSG_CALL, NFS_PROGRAM, NFS_V3,
 };
 use slice_sim::Rng;
+use slice_xdr::{XdrDecoder, XdrEncoder, XdrError};
 
 const CASES: usize = 256;
 
@@ -383,4 +384,291 @@ fn payload_patch_keeps_checksum_valid() {
         assert!(pkt.verify());
         assert_eq!(&pkt.payload[off..off + patch.len()], &patch[..]);
     }
+}
+
+/// One call of each procedure, its fields drawn from `rng`; a WRITE's
+/// data is short, so that every prefix of every call stays cheap to try.
+fn call_of_every_proc(rng: &mut Rng) -> Vec<NfsRequest> {
+    let attr = Sattr3 {
+        mode: Some(rng.gen_range(0u32..0o7777)),
+        size: rng.gen::<bool>().then(|| rng.gen()),
+        ..Sattr3::default()
+    };
+    vec![
+        NfsRequest::Null,
+        NfsRequest::Getattr { fh: random_fh(rng) },
+        NfsRequest::Setattr {
+            fh: random_fh(rng),
+            attr,
+        },
+        NfsRequest::Lookup {
+            dir: random_fh(rng),
+            name: random_name(rng),
+        },
+        NfsRequest::Access {
+            fh: random_fh(rng),
+            mask: rng.gen(),
+        },
+        NfsRequest::Readlink { fh: random_fh(rng) },
+        NfsRequest::Read {
+            fh: random_fh(rng),
+            offset: rng.gen(),
+            count: rng.gen(),
+        },
+        NfsRequest::Write {
+            fh: random_fh(rng),
+            offset: rng.gen(),
+            stable: StableHow::DataSync,
+            data: random_bytes(rng, 0, 40),
+        },
+        NfsRequest::Create {
+            dir: random_fh(rng),
+            name: random_name(rng),
+            attr,
+        },
+        NfsRequest::Mkdir {
+            dir: random_fh(rng),
+            name: random_name(rng),
+            attr,
+        },
+        NfsRequest::Symlink {
+            dir: random_fh(rng),
+            name: random_name(rng),
+            target: random_name(rng),
+            attr,
+        },
+        NfsRequest::Remove {
+            dir: random_fh(rng),
+            name: random_name(rng),
+        },
+        NfsRequest::Rmdir {
+            dir: random_fh(rng),
+            name: random_name(rng),
+        },
+        NfsRequest::Rename {
+            from_dir: random_fh(rng),
+            from_name: random_name(rng),
+            to_dir: random_fh(rng),
+            to_name: random_name(rng),
+        },
+        NfsRequest::Link {
+            fh: random_fh(rng),
+            dir: random_fh(rng),
+            name: random_name(rng),
+        },
+        NfsRequest::Readdir {
+            dir: random_fh(rng),
+            cookie: rng.gen(),
+            cookieverf: rng.gen(),
+            count: rng.gen(),
+        },
+        NfsRequest::Readdirplus {
+            dir: random_fh(rng),
+            cookie: rng.gen(),
+            cookieverf: rng.gen(),
+            dircount: rng.gen(),
+            maxcount: rng.gen(),
+        },
+        NfsRequest::Fsstat { fh: random_fh(rng) },
+        NfsRequest::Commit {
+            fh: random_fh(rng),
+            offset: rng.gen(),
+            count: rng.gen(),
+        },
+    ]
+}
+
+/// An `AUTH_UNIX` credential's fields, its machine name as raw bytes so
+/// that a name which is not UTF-8 can be laid out too.
+struct UnixCred {
+    stamp: u32,
+    machine: Vec<u8>,
+    uid: u32,
+    gid: u32,
+    gids: Vec<u32>,
+}
+
+impl UnixCred {
+    fn random(rng: &mut Rng, machine_len: usize, n_gids: usize) -> Self {
+        UnixCred {
+            stamp: rng.gen(),
+            machine: (0..machine_len)
+                .map(|_| NAME_CHARS[rng.gen_range(0..NAME_CHARS.len())])
+                .collect(),
+            uid: rng.gen(),
+            gid: rng.gen(),
+            gids: (0..n_gids).map(|_| rng.gen()).collect(),
+        }
+    }
+
+    fn auth_unix(&self) -> AuthUnix {
+        AuthUnix {
+            stamp: self.stamp,
+            machine: String::from_utf8(self.machine.clone()).expect("a UTF-8 name"),
+            uid: self.uid,
+            gid: self.gid,
+            gids: self.gids.clone(),
+        }
+    }
+
+    /// The credential body as an encoder of its own laid it out, which
+    /// the call header then carried as one opaque.
+    fn body(&self) -> Vec<u8> {
+        let mut e = XdrEncoder::new();
+        e.put_u32(self.stamp);
+        e.put_opaque(&self.machine);
+        e.put_u32(self.uid);
+        e.put_u32(self.gid);
+        e.put_u32(self.gids.len() as u32);
+        for g in &self.gids {
+            e.put_u32(*g);
+        }
+        e.into_bytes()
+    }
+}
+
+/// An RPC call header carrying a credential of `flavor` whose body is
+/// `cred`, laid out field by field.
+fn reference_header(xid: u32, proc: NfsProc, flavor: u32, cred: &[u8]) -> Vec<u8> {
+    let mut e = XdrEncoder::new();
+    for word in [xid, MSG_CALL, 2, NFS_PROGRAM, NFS_V3, proc as u32, flavor] {
+        e.put_u32(word);
+    }
+    e.put_opaque(cred);
+    e.put_u32(0); // verifier flavor: AUTH_NONE
+    e.put_u32(0); // verifier length
+    e.into_bytes()
+}
+
+/// What a call decoder makes of the RPC header of `m`, field by field
+/// as RFC 1831 and an `AUTH_UNIX` body of at most 16 gids allow: where
+/// the procedure arguments begin, or the error that refuses the call.
+fn reference_decode_header(m: &[u8]) -> Result<usize, XdrError> {
+    let mut d = XdrDecoder::new(m);
+    let _xid = d.get_u32()?;
+    for (what, want) in [
+        ("rpc msg_type (call)", MSG_CALL),
+        ("rpc version", 2),
+        ("rpc program", NFS_PROGRAM),
+        ("nfs version", NFS_V3),
+    ] {
+        let value = d.get_u32()?;
+        if value != want {
+            return Err(XdrError::InvalidValue { what, value });
+        }
+    }
+    let _proc = d.get_u32()?;
+    match d.get_u32()? {
+        1 => {
+            let mut body = XdrDecoder::new(d.get_opaque()?);
+            body.get_u32()?;
+            body.get_string()?;
+            body.get_u32()?;
+            body.get_u32()?;
+            let n = body.get_u32()?;
+            if n > 16 {
+                return Err(XdrError::InvalidValue {
+                    what: "auth_unix gid count",
+                    value: n,
+                });
+            }
+            for _ in 0..n {
+                body.get_u32()?;
+            }
+        }
+        0 => d.skip_opaque()?,
+        value => {
+            return Err(XdrError::InvalidValue {
+                what: "cred flavor",
+                value,
+            })
+        }
+    }
+    d.get_u32()?;
+    d.skip_opaque()?;
+    Ok(d.position())
+}
+
+/// `decode_call` judges `m` as the reference header decoder does: the
+/// same error where the header is refused, and where it is accepted,
+/// the same verdict on the arguments as under the default credential.
+fn decode_agrees_with_reference(m: &[u8], default_header: &[u8]) {
+    match reference_decode_header(m) {
+        Err(want) => match decode_call(m) {
+            Err(got) => assert_eq!(got, want),
+            Ok((hdr, req)) => panic!("accepted {} {req:?}, wanted {want:?}", hdr.xid),
+        },
+        Ok(args) => {
+            let plain = [default_header, &m[args..]].concat();
+            match (decode_call(m), decode_call(&plain)) {
+                (Ok((hdr, req)), Ok((plain_hdr, plain_req))) => {
+                    assert_eq!((hdr.xid, hdr.proc), (plain_hdr.xid, plain_hdr.proc));
+                    assert_eq!(req, plain_req);
+                }
+                (Err(_), Err(_)) => {}
+                (got, plain) => panic!("decoded {got:?}, under the default credential {plain:?}"),
+            }
+        }
+    }
+}
+
+/// Credentials of every machine-name length from 0 to 64 bytes (every
+/// length mod 4) and 0 to 16 gids, over a call of every procedure:
+/// `encode_call` lays each out as the reference header does, and
+/// `decode_call` accepts and refuses what the reference decoder does —
+/// the call, every prefix of it, 17 gids, a name that is not UTF-8, an
+/// `AUTH_NONE` credential and an unknown flavor.
+#[test]
+fn credentials_encode_and_decode_as_the_reference_lays_them_out() {
+    let mut rng = Rng::seed_from_u64(0x4e46_5308);
+    let default_body = UnixCred {
+        stamp: 0,
+        machine: b"client".to_vec(),
+        uid: 0,
+        gid: 0,
+        gids: vec![0, 1, 2, 3],
+    };
+    assert_eq!(default_body.auth_unix(), AuthUnix::default());
+    let mut checked = 0;
+    for machine_len in 0..=64 {
+        let reqs = call_of_every_proc(&mut rng);
+        let at = rng.gen_range(0..reqs.len());
+        for (i, req) in reqs.into_iter().enumerate() {
+            let xid: u32 = rng.gen();
+            let proc = req.proc();
+            let default_header = reference_header(xid, proc, 1, &default_body.body());
+            let args =
+                encode_call(xid, &AuthUnix::default(), &req)[default_header.len()..].to_vec();
+            let n_gids = rng.gen_range(0..=16);
+            let cred = UnixCred::random(&mut rng, machine_len, n_gids);
+            let wire = [reference_header(xid, proc, 1, &cred.body()), args.clone()].concat();
+            assert_eq!(encode_call(xid, &cred.auth_unix(), &req), wire);
+            decode_agrees_with_reference(&wire, &default_header);
+            checked += 1;
+            if i != at {
+                continue;
+            }
+            // One procedure per name length: every prefix, and the
+            // credentials a decoder must refuse or pass over.
+            for cut in 0..wire.len() {
+                decode_agrees_with_reference(&wire[..cut], &default_header);
+            }
+            let mut many = UnixCred::random(&mut rng, machine_len, 17);
+            let seventeen = [reference_header(xid, proc, 1, &many.body()), args.clone()].concat();
+            assert_eq!(encode_call(xid, &many.auth_unix(), &req), seventeen);
+            decode_agrees_with_reference(&seventeen, &default_header);
+            many.gids.truncate(16);
+            if machine_len > 0 {
+                many.machine[rng.gen_range(0..machine_len)] = 0xff;
+            }
+            let not_utf8 = [reference_header(xid, proc, 1, &many.body()), args.clone()].concat();
+            decode_agrees_with_reference(&not_utf8, &default_header);
+            let opaque = random_bytes(&mut rng, 0, 24);
+            for flavor in [0, 2] {
+                let other = [reference_header(xid, proc, flavor, &opaque), args.clone()].concat();
+                decode_agrees_with_reference(&other, &default_header);
+            }
+        }
+    }
+    assert_eq!(checked, 65 * 19);
 }

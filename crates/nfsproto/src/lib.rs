@@ -38,4 +38,7 @@ pub use msg::{
     REPLY_STATUS_OFFSET,
 };
 pub use packet::{Packet, SockAddr, UDP_IP_HEADER_BYTES};
-pub use rpc::{peek_xid_type, AuthUnix, CallHeader, MSG_CALL, MSG_REPLY, NFS_PROGRAM, NFS_V3};
+pub use rpc::{
+    peek_xid_type, AuthUnix, CallHeader, Credential, OpaqueCred, MSG_CALL, MSG_REPLY, NFS_PROGRAM,
+    NFS_V3,
+};

@@ -19,8 +19,8 @@ use crate::bytes::{ByteBuf, Windows};
 use crate::fh::Fhandle;
 use crate::packet::Packet;
 use crate::rpc::{
-    decode_call_header, decode_reply_header, encode_call_header, encode_reply_header, AuthUnix,
-    CallHeader,
+    decode_call_header, decode_reply_header, encode_call_header, encode_reply_header, CallHeader,
+    Credential,
 };
 use slice_xdr::{XdrDecoder, XdrEncoder, XdrError, DEFAULT_MAX_LEN};
 use std::ops::Range;
@@ -711,7 +711,7 @@ const DIRENT_PLUS_BOUND: usize = DIRENT_BOUND + 4 + 84 + 4 + 4 + crate::fh::FH_S
 
 /// Encodes a complete RPC call packet payload for `req`, into one
 /// allocation sized for the whole message up front.
-pub fn encode_call(xid: u32, cred: &AuthUnix, req: &NfsRequest) -> Vec<u8> {
+pub fn encode_call(xid: u32, cred: &impl Credential, req: &NfsRequest) -> Vec<u8> {
     let bulk = match req {
         NfsRequest::Write { data, .. } => data.len(),
         _ => 0,
@@ -727,7 +727,11 @@ pub fn encode_call(xid: u32, cred: &AuthUnix, req: &NfsRequest) -> Vec<u8> {
 /// Encodes `req` as a packet's header and windows: a WRITE's data `Vec`
 /// is moved into the one window (beside its padding), not copied; any
 /// other call is all header.
-pub fn encode_call_owned(xid: u32, cred: &AuthUnix, mut req: NfsRequest) -> (Vec<u8>, Windows) {
+pub fn encode_call_owned(
+    xid: u32,
+    cred: &impl Credential,
+    mut req: NfsRequest,
+) -> (Vec<u8>, Windows) {
     let data = req.take_data();
     encode_call_windows(xid, cred, &req, data)
 }
@@ -737,7 +741,7 @@ pub fn encode_call_owned(xid: u32, cred: &AuthUnix, mut req: NfsRequest) -> (Vec
 /// header.
 pub fn encode_call_windows(
     xid: u32,
-    cred: &AuthUnix,
+    cred: &impl Credential,
     req: &NfsRequest,
     data: Windows,
 ) -> (Vec<u8>, Windows) {
@@ -754,7 +758,7 @@ pub fn encode_call_windows(
 /// followed by its padding, a window of the shared zero buffer.
 pub fn encode_write_call(
     xid: u32,
-    cred: &AuthUnix,
+    cred: &impl Credential,
     fh: &Fhandle,
     offset: u64,
     stable: StableHow,
@@ -782,7 +786,7 @@ fn put_write_args(e: &mut XdrEncoder, fh: &Fhandle, offset: u64, stable: StableH
 }
 
 /// Encodes every field of the call `req`: a WRITE's up to its data.
-fn put_call_header(e: &mut XdrEncoder, xid: u32, cred: &AuthUnix, req: &NfsRequest) {
+fn put_call_header(e: &mut XdrEncoder, xid: u32, cred: &impl Credential, req: &NfsRequest) {
     encode_call_header(e, xid, req.proc() as u32, cred);
     use NfsRequest::*;
     match req {
@@ -883,7 +887,7 @@ fn put_call_header(e: &mut XdrEncoder, xid: u32, cred: &AuthUnix, req: &NfsReque
 }
 
 /// Decodes a complete RPC call packet payload.
-pub fn decode_call(payload: &[u8]) -> Result<(CallHeader, NfsRequest), XdrError> {
+pub fn decode_call(payload: &[u8]) -> Result<(CallHeader<'_>, NfsRequest), XdrError> {
     let (hdr, call) = view_call_parts(payload, &Windows::default())?;
     Ok((hdr, call.into_request(|r| payload[r].to_vec())))
 }
@@ -894,7 +898,10 @@ pub fn decode_call(payload: &[u8]) -> Result<(CallHeader, NfsRequest), XdrError>
 /// Over one buffer it accepts and rejects exactly what [`decode_call`]
 /// does.
 #[inline]
-fn view_call_parts(head: &[u8], tail: &Windows) -> Result<(CallHeader, CallView), XdrError> {
+fn view_call_parts<'a>(
+    head: &'a [u8],
+    tail: &Windows,
+) -> Result<(CallHeader<'a>, CallView), XdrError> {
     let mut d = XdrDecoder::new(head);
     let hdr = decode_call_header(&mut d)?;
     let proc = NfsProc::from_u32(hdr.proc)?;
@@ -906,12 +913,12 @@ impl Packet {
     /// Parses this call, leaving WRITE data in the windows it lies in:
     /// the data's range resolves with [`Packet::range`].
     #[inline]
-    pub fn view_call(&self) -> Result<(CallHeader, CallView), XdrError> {
+    pub fn view_call(&self) -> Result<(CallHeader<'_>, CallView), XdrError> {
         view_call_parts(&self.payload, self.windows())
     }
 
     /// Parses this call, copying WRITE data out ([`decode_call`]).
-    pub fn decode_call(&self) -> Result<(CallHeader, NfsRequest), XdrError> {
+    pub fn decode_call(&self) -> Result<(CallHeader<'_>, NfsRequest), XdrError> {
         let (hdr, call) = self.view_call()?;
         Ok((hdr, call.into_request(|r| self.range(r).to_vec())))
     }
@@ -1305,6 +1312,7 @@ fn view_reply_parts(
 mod tests {
     use super::*;
     use crate::attr::{FileType, NfsTime};
+    use crate::rpc::AuthUnix;
 
     fn fh(id: u64) -> Fhandle {
         Fhandle::new(id, 0, 0, id * 31, 0)

@@ -93,34 +93,65 @@ impl AuthUnix {
     }
 }
 
+/// What a call header can carry as its credential.
+pub trait Credential {
+    /// Writes the credential's flavor and its body as one opaque.
+    fn put(&self, enc: &mut XdrEncoder);
+}
+
+impl Credential for AuthUnix {
+    fn put(&self, enc: &mut XdrEncoder) {
+        enc.put_u32(AUTH_UNIX);
+        enc.put_opaque(&self.encode_body());
+    }
+}
+
+/// A credential as it arrived: its flavor and its body's bytes, borrowed
+/// from the call they lie in. Encoded again, it is the same bytes, so a
+/// forwarder re-issuing a call speaks for the same caller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpaqueCred<'a> {
+    /// `AUTH_UNIX` or `AUTH_NONE`.
+    pub flavor: u32,
+    /// The body, without its length word and padding.
+    pub body: &'a [u8],
+}
+
+impl Credential for OpaqueCred<'_> {
+    fn put(&self, enc: &mut XdrEncoder) {
+        enc.put_u32(self.flavor);
+        enc.put_opaque(self.body);
+    }
+}
+
 /// A decoded RPC call header (the part before the NFS arguments).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallHeader {
+pub struct CallHeader<'a> {
     /// Transaction id; pairs replies with calls.
     pub xid: u32,
     /// NFS procedure number.
     pub proc: u32,
-    /// The credential.
-    pub cred: AuthUnix,
+    /// The credential, as the call carries it.
+    pub cred: OpaqueCred<'a>,
 }
 
 /// Encodes an RPC call header; the caller appends the procedure arguments.
-pub fn encode_call_header(enc: &mut XdrEncoder, xid: u32, proc: u32, cred: &AuthUnix) {
+pub fn encode_call_header(enc: &mut XdrEncoder, xid: u32, proc: u32, cred: &impl Credential) {
     enc.put_u32(xid);
     enc.put_u32(MSG_CALL);
     enc.put_u32(RPC_VERS);
     enc.put_u32(NFS_PROGRAM);
     enc.put_u32(NFS_V3);
     enc.put_u32(proc);
-    enc.put_u32(AUTH_UNIX);
-    enc.put_opaque(&cred.encode_body());
+    cred.put(enc);
     enc.put_u32(AUTH_NONE); // verifier flavor
     enc.put_u32(0); // verifier length
 }
 
 /// Decodes an RPC call header, leaving the decoder positioned at the
-/// procedure arguments.
-pub fn decode_call_header(dec: &mut XdrDecoder<'_>) -> Result<CallHeader, XdrError> {
+/// procedure arguments. An `AUTH_UNIX` body is checked field by field;
+/// an `AUTH_NONE` body is passed over.
+pub fn decode_call_header<'a>(dec: &mut XdrDecoder<'a>) -> Result<CallHeader<'a>, XdrError> {
     let xid = dec.get_u32()?;
     let msg_type = dec.get_u32()?;
     if msg_type != MSG_CALL {
@@ -151,19 +182,14 @@ pub fn decode_call_header(dec: &mut XdrDecoder<'_>) -> Result<CallHeader, XdrErr
         });
     }
     let proc = dec.get_u32()?;
-    let cred_flavor = dec.get_u32()?;
-    let cred = match cred_flavor {
-        AUTH_UNIX => AuthUnix::decode_body(dec.get_opaque()?)?,
-        AUTH_NONE => {
-            dec.skip_opaque()?;
-            AuthUnix {
-                stamp: 0,
-                machine: String::new(),
-                uid: 0,
-                gid: 0,
-                gids: vec![],
-            }
+    let flavor = dec.get_u32()?;
+    let body = match flavor {
+        AUTH_UNIX => {
+            let body = dec.get_opaque()?;
+            AuthUnix::decode_body(body)?;
+            body
         }
+        AUTH_NONE => dec.skip_opaque()?,
         other => {
             return Err(XdrError::InvalidValue {
                 what: "cred flavor",
@@ -173,7 +199,11 @@ pub fn decode_call_header(dec: &mut XdrDecoder<'_>) -> Result<CallHeader, XdrErr
     };
     let _verf_flavor = dec.get_u32()?;
     dec.skip_opaque()?;
-    Ok(CallHeader { xid, proc, cred })
+    Ok(CallHeader {
+        xid,
+        proc,
+        cred: OpaqueCred { flavor, body },
+    })
 }
 
 /// Encodes an accepted-success RPC reply header; the caller appends the
@@ -245,7 +275,10 @@ mod tests {
         let h = decode_call_header(&mut d).unwrap();
         assert_eq!(h.xid, 0xabcd);
         assert_eq!(h.proc, 6);
-        assert_eq!(h.cred, cred);
+        let mut body = XdrEncoder::new();
+        cred.put(&mut body);
+        assert_eq!(h.cred.flavor, AUTH_UNIX);
+        assert_eq!(h.cred.body, &body.as_bytes()[8..]);
         assert_eq!(d.get_u32().unwrap(), 0x5a5a);
     }
 

@@ -576,7 +576,9 @@ fn reference_decode_header(m: &[u8]) -> Result<usize, XdrError> {
                 body.get_u32()?;
             }
         }
-        0 => d.skip_opaque()?,
+        0 => {
+            d.skip_opaque()?;
+        }
         value => {
             return Err(XdrError::InvalidValue {
                 what: "cred flavor",

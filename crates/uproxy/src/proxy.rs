@@ -22,9 +22,9 @@ use std::time::Instant;
 
 use slice_hashes::{name_fingerprint, NamePolicy, RoutingTable};
 use slice_nfsproto::{
-    encode_call, encode_read_reply, encode_write_call, AuthUnix, BodyView, ByteBuf, CallView,
-    Fattr3, Fhandle, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody,
-    ReplyView, Sattr3, SetTime, SockAddr, StableHow, Windows, REPLY_ATTR_OFFSET,
+    encode_call, encode_read_reply, encode_write_call, AuthUnix, BodyView, ByteBuf, CallHeader,
+    CallView, Fattr3, Fhandle, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet,
+    ReplyBody, ReplyView, Sattr3, SetTime, SockAddr, StableHow, Windows, REPLY_ATTR_OFFSET,
 };
 use slice_obs::EventKind;
 use slice_sim::{SimDuration, SimTime};
@@ -1082,7 +1082,7 @@ impl Uproxy {
         // located, not read.
         let decoded = pkt.view_call();
         self.clock.lap(&mut self.phases.decode_ns);
-        let Ok((hdr, call)) = decoded else {
+        let Ok((CallHeader { xid, .. }, call)) = decoded else {
             // Undecodable packet: drop; RPC retransmission recovers.
             return;
         };
@@ -1096,7 +1096,7 @@ impl Uproxy {
             }
         }
         self.clock.lap(&mut self.phases.soft_ns);
-        self.route_call(pkt, hdr.xid, call);
+        self.route_call(pkt, xid, call);
     }
 
     fn route_call(&mut self, pkt: Packet, xid: u32, call: CallView) {

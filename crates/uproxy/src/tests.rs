@@ -1592,3 +1592,53 @@ fn a_request_across_a_block_boundary_goes_to_each_blocks_sites() {
     };
     cut_at_the_block_boundary(&c, &mut u, striped, slot, |_, out| out);
 }
+
+/// A name-hashing READDIR whose site answers with only the chain marker
+/// is re-issued to the next site under the caller's own RPC header: an
+/// `AUTH_NONE` caller is not forwarded as `AUTH_UNIX` uid 0.
+#[test]
+fn a_readdir_chain_reissues_the_callers_credential() {
+    let mut c = cfg();
+    c.name_policy = NamePolicy::NameHashing;
+    let mut u = Uproxy::new(c.clone());
+    let call = |cookie: u64| {
+        let mut e = slice_xdr::XdrEncoder::new();
+        let words = [7, slice_nfsproto::MSG_CALL, 2, slice_nfsproto::NFS_PROGRAM];
+        for word in words.into_iter().chain([slice_nfsproto::NFS_V3, 16]) {
+            e.put_u32(word);
+        }
+        e.put_u32(0); // credential flavor: AUTH_NONE
+        e.put_opaque(&[]);
+        e.put_u32(0); // verifier flavor: AUTH_NONE
+        e.put_opaque(&[]);
+        Fhandle::root().encode(&mut e);
+        e.put_u64(cookie);
+        e.put_u64(0); // cookie verifier
+        e.put_u32(4096);
+        e.into_bytes()
+    };
+    let out = u.outbound(t(0), Packet::new(c.client_addr, c.virtual_addr, call(0)));
+    let first = net_pkts(&out)[0].clone();
+    assert_eq!(first.payload[..], call(0)[..]);
+    let next = slice_hashes::routing::cookie(1, 0);
+    let marker = NfsReply {
+        proc: NfsProc::Readdir,
+        status: NfsStatus::Ok,
+        attr: None,
+        body: ReplyBody::Readdir {
+            entries: vec![slice_nfsproto::DirEntry {
+                fileid: 0,
+                name: String::new(),
+                cookie: next,
+            }],
+            cookieverf: 0,
+            eof: false,
+        },
+    };
+    let out = u.inbound(t(1), reply_pkt(first.dst, first.src, 7, &marker));
+    assert_eq!(client_xid(&out), None, "the marker is not handed up");
+    let reissued = net_pkts(&out);
+    assert_eq!(reissued.len(), 1);
+    assert_eq!(reissued[0].dst, c.dir_sites[1]);
+    assert_eq!(reissued[0].payload[..], call(next)[..]);
+}

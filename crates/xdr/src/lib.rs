@@ -272,8 +272,9 @@ impl<'a> XdrDecoder<'a> {
         })
     }
 
-    /// Skips a variable-length opaque item without touching its contents.
-    pub fn skip_opaque(&mut self) -> Result<()> {
+    /// Skips a variable-length opaque item without checking its padding,
+    /// returning its bytes.
+    pub fn skip_opaque(&mut self) -> Result<&'a [u8]> {
         let n = self.get_u32()? as usize;
         if n > DEFAULT_MAX_LEN {
             return Err(XdrError::LengthOverflow {
@@ -281,8 +282,7 @@ impl<'a> XdrDecoder<'a> {
                 max: DEFAULT_MAX_LEN,
             });
         }
-        self.take(n + pad_len(n))?;
-        Ok(())
+        Ok(&self.take(n + pad_len(n))?[..n])
     }
 }
 

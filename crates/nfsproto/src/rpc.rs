@@ -52,45 +52,25 @@ impl Default for AuthUnix {
     }
 }
 
-impl AuthUnix {
-    fn encode_body(&self) -> Vec<u8> {
-        let mut e = XdrEncoder::new();
-        e.put_u32(self.stamp);
-        e.put_string(&self.machine);
-        e.put_u32(self.uid);
-        e.put_u32(self.gid);
-        e.put_u32(self.gids.len() as u32);
-        for g in &self.gids {
-            e.put_u32(*g);
-        }
-        e.into_bytes()
+/// Checks an `AUTH_UNIX` body field by field — a UTF-8 machine name, at
+/// most 16 gids — without building the credential.
+fn check_auth_unix(body: &[u8]) -> Result<(), XdrError> {
+    let mut d = XdrDecoder::new(body);
+    d.get_u32()?; // stamp
+    d.get_string()?; // machine name
+    d.get_u32()?; // uid
+    d.get_u32()?; // gid
+    let n = d.get_u32()?;
+    if n > 16 {
+        return Err(XdrError::InvalidValue {
+            what: "auth_unix gid count",
+            value: n,
+        });
     }
-
-    fn decode_body(raw: &[u8]) -> Result<Self, XdrError> {
-        let mut d = XdrDecoder::new(raw);
-        let stamp = d.get_u32()?;
-        let machine = d.get_string()?.to_string();
-        let uid = d.get_u32()?;
-        let gid = d.get_u32()?;
-        let n = d.get_u32()? as usize;
-        if n > 16 {
-            return Err(XdrError::InvalidValue {
-                what: "auth_unix gid count",
-                value: n as u32,
-            });
-        }
-        let mut gids = Vec::with_capacity(n);
-        for _ in 0..n {
-            gids.push(d.get_u32()?);
-        }
-        Ok(AuthUnix {
-            stamp,
-            machine,
-            uid,
-            gid,
-            gids,
-        })
+    for _ in 0..n {
+        d.get_u32()?;
     }
+    Ok(())
 }
 
 /// What a call header can carry as its credential.
@@ -100,9 +80,20 @@ pub trait Credential {
 }
 
 impl Credential for AuthUnix {
+    /// Writes the body straight into `enc`: its length is known from the
+    /// fields, and every field is whole words, so it needs no padding.
     fn put(&self, enc: &mut XdrEncoder) {
+        let machine = self.machine.len().next_multiple_of(4);
         enc.put_u32(AUTH_UNIX);
-        enc.put_opaque(&self.encode_body());
+        enc.put_u32((4 + 4 + machine + 4 + 4 + 4 + 4 * self.gids.len()) as u32);
+        enc.put_u32(self.stamp);
+        enc.put_string(&self.machine);
+        enc.put_u32(self.uid);
+        enc.put_u32(self.gid);
+        enc.put_u32(self.gids.len() as u32);
+        for g in &self.gids {
+            enc.put_u32(*g);
+        }
     }
 }
 
@@ -186,7 +177,7 @@ pub fn decode_call_header<'a>(dec: &mut XdrDecoder<'a>) -> Result<CallHeader<'a>
     let body = match flavor {
         AUTH_UNIX => {
             let body = dec.get_opaque()?;
-            AuthUnix::decode_body(body)?;
+            check_auth_unix(body)?;
             body
         }
         AUTH_NONE => dec.skip_opaque()?,
@@ -280,6 +271,22 @@ mod tests {
         assert_eq!(h.cred.flavor, AUTH_UNIX);
         assert_eq!(h.cred.body, &body.as_bytes()[8..]);
         assert_eq!(d.get_u32().unwrap(), 0x5a5a);
+    }
+
+    #[test]
+    fn an_opaque_credential_encodes_again_as_it_arrived() {
+        let cred = OpaqueCred {
+            flavor: AUTH_NONE,
+            body: &[1, 2, 3],
+        };
+        let mut e = XdrEncoder::new();
+        encode_call_header(&mut e, 5, 16, &cred);
+        let b = e.into_bytes();
+        let h = decode_call_header(&mut XdrDecoder::new(&b)).unwrap();
+        assert_eq!(h.cred, cred);
+        let mut again = XdrEncoder::new();
+        encode_call_header(&mut again, 5, 16, &h.cred);
+        assert_eq!(again.as_bytes(), &b[..]);
     }
 
     #[test]

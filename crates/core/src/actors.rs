@@ -515,6 +515,8 @@ pub struct SmallFileActor {
     /// Backing RPC xid -> (sf tag, read?).
     backing: FxHashMap<u32, (u64, bool)>,
     next_xid: u32,
+    /// The credential every backing call carries.
+    cred: AuthUnix,
     crashed_wal: Option<(slice_storage::Wal<slice_smallfile::SfLog>, SimTime)>,
 }
 
@@ -533,6 +535,7 @@ impl SmallFileActor {
             storage_addrs,
             backing: FxHashMap::default(),
             next_xid: 1,
+            cred: AuthUnix::default(),
             crashed_wal: None,
         }
     }
@@ -595,7 +598,7 @@ impl SmallFileActor {
         if tag != 0 {
             self.backing.insert(xid, (tag, is_read));
         }
-        let (header, windows) = encode_call_owned(xid, &AuthUnix::default(), req);
+        let (header, windows) = encode_call_owned(xid, &self.cred, req);
         let addr = self.storage_addrs[site as usize % self.storage_addrs.len()];
         self.port.send(ctx, addr, header, windows, ctx.now());
     }

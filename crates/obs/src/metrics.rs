@@ -168,9 +168,13 @@ impl Registry {
     }
 
     /// Records `v` into histogram `name`, creating it with the default
-    /// latency bounds if absent.
+    /// latency bounds if absent. The name is looked up first: its key and
+    /// bounds are built only when the histogram is new.
     pub fn observe(&mut self, name: &str, v: u64) {
-        self.observe_with(name, &default_latency_bounds(), v);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.record(v),
+            None => self.observe_with(name, &default_latency_bounds(), v),
+        }
     }
 
     /// Records `v` into histogram `name`, creating it with `bounds` if
@@ -285,6 +289,17 @@ mod tests {
         assert_eq!(b[0], 1_000);
         assert!(*b.last().unwrap() > 30_000_000_000);
         assert!(b.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn observe_creates_once_with_default_bounds() {
+        let mut r = Registry::new();
+        r.observe("lat", 500);
+        r.observe("lat", 2_000);
+        let h = r.histogram("lat").unwrap();
+        assert_eq!(h.bounds(), &default_latency_bounds()[..]);
+        assert_eq!(&h.counts()[..3], &[1, 0, 1]);
+        assert_eq!(r.histograms().count(), 1);
     }
 
     #[test]

@@ -10,8 +10,8 @@ use slice_sim::FxHashMap;
 
 use slice_dirsvc::{DirAction, DirServer};
 use slice_nfsproto::{
-    encode_call_owned, encode_reply, AuthUnix, BodyView, CallView, Fhandle, NfsProc, NfsReply,
-    NfsRequest, Packet, ReplyView, SockAddr, StableHow, Windows,
+    encode_call_windows, encode_reply, AuthUnix, ByteBuf, CallView, Fhandle, NfsProc, NfsReply,
+    NfsRequest, Packet, ReplyBody, SockAddr, StableHow, Windows,
 };
 use slice_sim::{Actor, Ctx, EventKind, NodeId, SimDuration, SimTime, Subsystem, START_TAG};
 use slice_smallfile::{SfAction, SfCtl, SmallFileServer};
@@ -556,7 +556,7 @@ impl SmallFileActor {
                         offset,
                         count: len,
                     };
-                    self.backing_call(ctx, tag, true, site, req);
+                    self.backing_call(ctx, tag, true, site, CallView::Other(req));
                 }
                 SfAction::BackingWrite {
                     tag,
@@ -566,7 +566,7 @@ impl SmallFileActor {
                     data,
                     stable,
                 } => {
-                    let req = NfsRequest::Write {
+                    let call = CallView::Write {
                         fh: Fhandle::new(obj, 0, 0, 0, 0),
                         offset,
                         stable: if stable {
@@ -574,31 +574,31 @@ impl SmallFileActor {
                         } else {
                             StableHow::Unstable
                         },
-                        data,
+                        data: ByteBuf::from(data).into(),
                     };
-                    self.backing_call(ctx, tag, false, site, req);
+                    self.backing_call(ctx, tag, false, site, call);
                 }
             }
         }
     }
 
-    /// Sends `req` to storage `site` under the next backing xid, a
-    /// WRITE's data moved into the packet; a completion is expected back
-    /// unless `tag` is 0 (fire and forget).
+    /// Sends `call` to storage `site` under the next backing xid, a
+    /// WRITE's data in the packet's windows; a completion is expected
+    /// back unless `tag` is 0 (fire and forget).
     fn backing_call(
         &mut self,
         ctx: &mut Ctx<'_, Wire>,
         tag: u64,
         is_read: bool,
         site: u32,
-        req: NfsRequest,
+        call: CallView<Windows>,
     ) {
         let xid = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
         if tag != 0 {
             self.backing.insert(xid, (tag, is_read));
         }
-        let (header, windows) = encode_call_owned(xid, &self.cred, req);
+        let (header, windows) = encode_call_windows(xid, &self.cred, &call);
         let addr = self.storage_addrs[site as usize % self.storage_addrs.len()];
         self.port.send(ctx, addr, header, windows, ctx.now());
     }
@@ -633,8 +633,8 @@ impl Actor<Wire> for SmallFileActor {
                         match pkt.view_reply(NfsProc::Read) {
                             Ok((
                                 _,
-                                ReplyView {
-                                    body: BodyView::Read { data, .. },
+                                NfsReply {
+                                    body: ReplyBody::Read { data, .. },
                                     ..
                                 },
                             )) => Some(pkt.range(data).to_vec()),

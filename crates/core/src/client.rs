@@ -19,7 +19,8 @@ use slice_sim::FxHashMap;
 use std::any::Any;
 
 use slice_nfsproto::{
-    encode_call_windows, AuthUnix, NfsProc, NfsReply, NfsRequest, Packet, SockAddr, Windows,
+    encode_call_windows, AuthUnix, CallView, NfsProc, NfsReply, NfsRequest, NfsStatus, Packet,
+    ReplyBody, SockAddr, Windows,
 };
 use slice_sim::{
     Actor, Ctx, EventKind, LatencyStats, NodeId, SimDuration, SimTime, Subsystem, TimerId,
@@ -42,8 +43,9 @@ pub trait Workload: Any {
     /// Called once at simulation start; issue initial operations here.
     fn start(&mut self, io: &mut ClientIo<'_, '_>);
 
-    /// Called for every completed operation (tag matches the `call`).
-    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply);
+    /// Called for every completed operation (tag matches the `call`). A
+    /// READ's data is the windows of the reply packet it arrived in.
+    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply<Windows>);
 
     /// Called when a wake-up requested via [`ClientIo::wake_in`] fires.
     fn on_wake(&mut self, io: &mut ClientIo<'_, '_>) {
@@ -103,15 +105,13 @@ pub struct ClientStats {
 struct PendingRpc {
     tag: u64,
     proc: NfsProc,
-    /// The request, kept for timeout retransmission, a WRITE's data moved
-    /// out of it into `data`. Re-encoding under the original xid
-    /// reproduces the first transmission byte for byte; keeping the
-    /// request rather than the packet frees a name op's header buffer as
-    /// soon as its server has read it.
-    request: NfsRequest,
-    /// A WRITE's data: the window of the workload's own `Vec`, shared with
-    /// every transmission, never copied.
-    data: Windows,
+    /// The call, kept for timeout retransmission. Re-encoding under the
+    /// original xid reproduces the first transmission byte for byte;
+    /// keeping the call rather than the packet frees a name op's header
+    /// buffer as soon as its server has read it. A WRITE's data is
+    /// windows of the workload's own buffers, shared with every
+    /// transmission, never copied.
+    call: CallView<Windows>,
     sent_at: SimTime,
     first_sent_at: SimTime,
     retries: u32,
@@ -119,9 +119,9 @@ struct PendingRpc {
     write_bytes: u64,
 }
 
-/// The packet of the call `req` under `xid`, a WRITE's data being `data`.
-fn call_packet(cfg: &ClientConfig, xid: u32, req: &NfsRequest, data: &Windows) -> Packet {
-    let (header, windows) = encode_call_windows(xid, &cfg.cred, req, data.clone());
+/// The packet of `call` under `xid`.
+fn call_packet(cfg: &ClientConfig, xid: u32, call: &CallView<Windows>) -> Packet {
+    let (header, windows) = encode_call_windows(xid, &cfg.cred, call);
     Packet::with_windows(cfg.addr, cfg.server_addr, header, windows)
 }
 
@@ -188,10 +188,10 @@ impl ClientInner {
         to_client
     }
 
-    fn send_call(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64, mut req: NfsRequest) {
-        let write_bytes = match &req {
-            NfsRequest::Write { data, .. } => data.len() as u64,
-            _ => 0,
+    fn send_call(&mut self, ctx: &mut Ctx<'_, Wire>, tag: u64, call: CallView<Windows>) {
+        let write_bytes = match &call {
+            CallView::Write { data, .. } => data.len() as u64,
+            CallView::Other(_) => 0,
         };
         let mut cpu = calib::CLIENT_SEND_CPU;
         if write_bytes > 0 {
@@ -200,7 +200,7 @@ impl ClientInner {
         ctx.use_cpu(cpu);
         let xid = self.next_xid;
         self.next_xid = self.next_xid.wrapping_add(1);
-        let proc = req.proc();
+        let proc = call.proc();
         ctx.trace(
             Subsystem::Client,
             EventKind::OpStart {
@@ -209,18 +209,16 @@ impl ClientInner {
             },
         );
         if self.cfg.record_history {
-            self.history.begin(ctx.now(), xid, &req);
+            self.history.begin(ctx.now(), xid, &call);
         }
-        let data = req.take_data();
-        let pkt = call_packet(&self.cfg, xid, &req, &data);
+        let pkt = call_packet(&self.cfg, xid, &call);
         let timer = ctx.set_timer(calib::RPC_TIMEOUT, TAG_RPC | u64::from(xid));
         self.pending.insert(
             xid,
             PendingRpc {
                 tag,
                 proc,
-                request: req,
-                data,
+                call,
                 sent_at: ctx.now(),
                 first_sent_at: ctx.now(),
                 retries: 0,
@@ -318,10 +316,18 @@ pub struct ClientIo<'a, 'b> {
 
 impl ClientIo<'_, '_> {
     /// Issues an NFS call; the reply arrives at `on_reply` with `tag`.
-    /// Takes the request by value: it is stashed for retransmission (and
-    /// a WRITE's data moves with it rather than being copied).
+    /// Takes the request by value: it is stashed for retransmission, and
+    /// a WRITE's data `Vec` is moved into the packet's one window rather
+    /// than copied.
     pub fn call(&mut self, tag: u64, req: NfsRequest) {
-        self.inner.send_call(self.ctx, tag, req);
+        self.send(tag, req.into());
+    }
+
+    /// Issues `call`, whose WRITE data is windows of the workload's own
+    /// buffers — a source buffer it sends again and again — shared by
+    /// every transmission, never filled or copied per call.
+    pub fn send(&mut self, tag: u64, call: CallView<Windows>) {
+        self.inner.send_call(self.ctx, tag, call);
     }
 
     /// Current simulated time.
@@ -463,11 +469,12 @@ impl ClientActor {
             return; // duplicate reply after retransmission
         };
         ctx.cancel_timer(rec.timer);
-        let Ok((_, reply)) = pkt.decode_reply(rec.proc) else {
+        let Ok((_, view)) = pkt.view_reply(rec.proc) else {
             return;
         };
+        let reply = view.map_data(|r| pkt.range(r));
         let mut cpu = calib::CLIENT_RECV_CPU;
-        if let slice_nfsproto::ReplyBody::Read { data, .. } = &reply.body {
+        if let ReplyBody::Read { data, .. } = &reply.body {
             cpu += calib::CLIENT_READ_CPU_PER_4K.mul_f64(data.len() as f64 / 4096.0);
             self.inner.stats.bytes_read += data.len() as u64;
         }
@@ -485,7 +492,13 @@ impl ClientActor {
     /// The one exit of an RPC, taken by a reply and by the error that
     /// stands in for one when the retries run out: the trace, the
     /// history and the workload all see the op end here.
-    fn complete(&mut self, ctx: &mut Ctx<'_, Wire>, xid: u32, rec: PendingRpc, reply: NfsReply) {
+    fn complete(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire>,
+        xid: u32,
+        rec: PendingRpc,
+        reply: NfsReply<Windows>,
+    ) {
         ctx.trace(
             Subsystem::Client,
             EventKind::OpComplete {
@@ -592,7 +605,7 @@ impl Actor<Wire> for ClientActor {
                 // records the outcome, and the stats count it.
                 let rec = self.inner.pending.remove(&xid).expect("checked");
                 self.inner.stats.timeouts += 1;
-                let reply = NfsReply::error(rec.proc, slice_nfsproto::NfsStatus::Io);
+                let reply = NfsReply::error(rec.proc, NfsStatus::Io);
                 self.complete(ctx, xid, rec, reply);
                 return;
             }
@@ -606,9 +619,9 @@ impl Actor<Wire> for ClientActor {
             let base = calib::RPC_TIMEOUT.mul_f64((1u64 << shift) as f64);
             let backoff = base + base.mul_f64(0.25 * ctx.rng().gen::<f64>());
             rec.timer = ctx.set_timer(backoff, TAG_RPC | u64::from(xid));
-            // Re-encode the stashed request under its original xid —
+            // Re-encode the stashed call under its original xid —
             // byte-identical to the first transmission, sharing its data.
-            let pkt = call_packet(&self.inner.cfg, xid, &rec.request, &rec.data);
+            let pkt = call_packet(&self.inner.cfg, xid, &rec.call);
             let retries = rec.retries;
             self.inner.stats.retransmits += 1;
             ctx.trace(

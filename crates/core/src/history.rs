@@ -15,7 +15,7 @@
 
 use slice_sim::FxHashMap;
 
-use slice_nfsproto::{NfsReply, NfsRequest, NfsStatus, ReplyBody, StableHow};
+use slice_nfsproto::{CallView, NfsReply, NfsRequest, NfsStatus, ReplyBody, StableHow, Windows};
 use slice_sim::SimTime;
 
 /// Register granularity of the data-consistency model: file contents are
@@ -63,19 +63,25 @@ pub struct OpRecord {
 }
 
 /// Uniform byte values of the chunks fully covered by `[offset,
-/// offset+data.len())`, together with the first covered chunk index.
-fn chunk_values(offset: u64, data: &[u8]) -> (u64, Vec<Option<u8>>) {
+/// offset+data.len())`, together with the first covered chunk index. The
+/// bytes are read where they lie, window by window.
+fn chunk_values(offset: u64, data: &Windows) -> (u64, Vec<Option<u8>>) {
     let end = offset + data.len() as u64;
     let first = offset.div_ceil(CHUNK_BYTES);
     let last = end / CHUNK_BYTES; // exclusive
-    let mut vals = Vec::new();
-    for c in first..last {
-        let lo = (c * CHUNK_BYTES - offset) as usize;
-        let hi = lo + CHUNK_BYTES as usize;
-        let b = data[lo];
-        let uniform = data[lo..hi].iter().all(|&x| x == b);
-        vals.push(if uniform { Some(b) } else { None });
-    }
+    let mut bytes = data
+        .iter()
+        .flat_map(|w| w.iter().copied())
+        .skip((first * CHUNK_BYTES - offset) as usize);
+    let vals = (first..last)
+        .map(|_| {
+            let mut chunk = bytes.by_ref().take(CHUNK_BYTES as usize);
+            let b = chunk.next().expect("a covered chunk has bytes");
+            // Counting reads every byte, so the next chunk starts where
+            // it should.
+            (chunk.filter(|&x| x != b).count() == 0).then_some(b)
+        })
+        .collect();
     (first, vals)
 }
 
@@ -93,10 +99,10 @@ impl OpHistory {
     }
 
     /// Records the begin event of a call as it is first transmitted.
-    pub fn begin(&mut self, now: SimTime, xid: u32, req: &NfsRequest) {
+    pub fn begin(&mut self, now: SimTime, xid: u32, call: &CallView<Windows>) {
         let mut rec = OpRecord {
             xid,
-            op: req.proc().name(),
+            op: call.proc().name(),
             begin: now,
             end: None,
             status: None,
@@ -110,13 +116,9 @@ impl OpHistory {
             wrote: Vec::new(),
             read: Vec::new(),
         };
-        match req {
-            NfsRequest::Read { fh, offset, count } => {
-                rec.file = fh.file_id();
-                rec.offset = *offset;
-                rec.len = *count;
-            }
-            NfsRequest::Write {
+        use NfsRequest::*;
+        match call {
+            CallView::Write {
                 fh,
                 offset,
                 stable,
@@ -130,30 +132,32 @@ impl OpHistory {
                 rec.chunk0 = c0;
                 rec.wrote = vals;
             }
-            NfsRequest::Setattr { fh, attr } => {
-                rec.file = fh.file_id();
-                rec.truncate_to = attr.size;
-            }
-            NfsRequest::Getattr { fh }
-            | NfsRequest::Link { fh, .. }
-            | NfsRequest::Access { fh, .. }
-            | NfsRequest::Readlink { fh }
-            | NfsRequest::Fsstat { fh } => {
-                rec.file = fh.file_id();
-            }
-            NfsRequest::Commit { fh, offset, count } => {
+            CallView::Other(Read { fh, offset, count } | Commit { fh, offset, count }) => {
                 rec.file = fh.file_id();
                 rec.offset = *offset;
                 rec.len = *count;
             }
-            _ => {}
+            CallView::Other(Setattr { fh, attr }) => {
+                rec.file = fh.file_id();
+                rec.truncate_to = attr.size;
+            }
+            CallView::Other(
+                Getattr { fh }
+                | Link { fh, .. }
+                | Access { fh, .. }
+                | Readlink { fh }
+                | Fsstat { fh },
+            ) => {
+                rec.file = fh.file_id();
+            }
+            CallView::Other(_) => {}
         }
         self.open.insert(xid, self.records.len());
         self.records.push(rec);
     }
 
     /// Records the end event when the reply reaches the workload.
-    pub fn complete(&mut self, now: SimTime, xid: u32, retries: u32, reply: &NfsReply) {
+    pub fn complete(&mut self, now: SimTime, xid: u32, retries: u32, reply: &NfsReply<Windows>) {
         let Some(idx) = self.open.remove(&xid) else {
             return;
         };
@@ -188,10 +192,14 @@ impl OpHistory {
 mod tests {
     use super::*;
 
+    fn windows(data: Vec<u8>) -> Windows {
+        slice_nfsproto::ByteBuf::from(data).into()
+    }
+
     #[test]
     fn chunk_values_cover_full_chunks_only() {
         // [100, 2148): chunk 1 fully covered, chunks 0 and 2 partially.
-        let data = vec![7u8; 2048];
+        let data = windows(vec![7u8; 2048]);
         let (c0, vals) = chunk_values(100, &data);
         assert_eq!(c0, 1);
         assert_eq!(vals, vec![Some(7)]);
@@ -205,7 +213,7 @@ mod tests {
     fn mixed_chunks_are_excluded() {
         let mut data = vec![1u8; 1024];
         data[512] = 2;
-        let (_, vals) = chunk_values(0, &data);
+        let (_, vals) = chunk_values(0, &windows(data));
         assert_eq!(vals, vec![None]);
     }
 }

@@ -4,7 +4,9 @@
 //! generated scenarios all run through [`ScriptWorkload`].
 
 use crate::client::{ClientIo, Workload};
-use slice_nfsproto::{Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3, StableHow};
+use slice_nfsproto::{
+    Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3, StableHow, Windows,
+};
 
 /// A handle slot; slot 0 always holds the volume root.
 pub type Slot = usize;
@@ -323,7 +325,7 @@ impl ScriptWorkload {
         self.done = true;
     }
 
-    fn check(&mut self, reply: &NfsReply) {
+    fn check(&mut self, reply: &NfsReply<Windows>) {
         let step = self.steps[self.pc].clone();
         let fail = |s: &mut Self, msg: String| {
             s.errors.push(format!("step {}: {msg}", s.pc));
@@ -369,11 +371,9 @@ impl ScriptWorkload {
                     if data.len() != len as usize {
                         fail(self, format!("read: got {} of {len}", data.len()));
                     } else if let Some(p) = verify {
-                        if let Some(pos) = data.iter().position(|&b| b != p) {
-                            fail(
-                                self,
-                                format!("read: byte {pos} is {:#x}, wanted {p:#x}", data[pos]),
-                            );
+                        let mut bytes = data.iter().flat_map(|w| w.iter().copied()).enumerate();
+                        if let Some((pos, b)) = bytes.find(|&(_, b)| b != p) {
+                            fail(self, format!("read: byte {pos} is {b:#x}, wanted {p:#x}"));
                         }
                     }
                 }
@@ -440,7 +440,7 @@ impl Workload for ScriptWorkload {
         self.issue(io);
     }
 
-    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply) {
+    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply<Windows>) {
         debug_assert_eq!(tag as usize, self.pc, "replies arrive in order");
         self.check(reply);
         self.issue(io);

@@ -18,9 +18,9 @@ use std::rc::Rc;
 use slice_core::actors::{CoordActor, SmallFileActor, StorageActor};
 use slice_core::{AddrPlan, ClientActor, ClientConfig, ClientIo, Router, Wire, Workload};
 use slice_nfsproto::{
-    encode_call, encode_reply, AuthUnix, BodyView, ByteBuf, CallView, Fattr3, Fhandle, FileType,
-    NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, SockAddr, StableHow,
-    Windows, FH_FLAG_MAPPED, FH_FLAG_MIRRORED,
+    encode_call, encode_reply, AuthUnix, ByteBuf, CallView, Fattr3, Fhandle, FileType, NfsProc,
+    NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody, SockAddr, StableHow, Windows,
+    FH_FLAG_MAPPED, FH_FLAG_MIRRORED,
 };
 use slice_sim::{Actor, Ctx, Engine, NetConfig, NodeId, Rng, SimDuration, SimTime};
 use slice_smallfile::{SmallFileConfig, SmallFileServer};
@@ -132,7 +132,7 @@ fn uproxy_forwards_a_mirrored_write_and_its_read_reply_in_place() {
     let (_, view) = delivered
         .view_reply(NfsProc::Read)
         .expect("forwarded reply");
-    let BodyView::Read { data: range, .. } = view.body else {
+    let ReplyBody::Read { data: range, .. } = view.body else {
         panic!("not a READ body");
     };
     assert_eq!(&delivered.payload[range], &data[..]);
@@ -194,11 +194,11 @@ fn metadata_only_storage_actor_applies_a_write_without_reading_it() {
     assert_eq!(xid, 77);
     assert_eq!(
         view.body,
-        BodyView::Other(ReplyBody::Write {
+        ReplyBody::Write {
             count: BLOCK as u32,
             committed: StableHow::Unstable,
             verf: 1,
-        })
+        }
     );
 }
 
@@ -244,7 +244,7 @@ fn write_then_read(retain_data: bool) -> (Packet, Packet) {
 fn read_windows(reply: &Packet, want: &[u8]) -> Windows {
     assert!(reply.verify());
     let (_, view) = reply.view_reply(NfsProc::Read).expect("READ reply");
-    let BodyView::Read { data, .. } = view.body else {
+    let ReplyBody::Read { data, .. } = view.body else {
         panic!("not a READ body");
     };
     let windows = reply.range(data);
@@ -295,7 +295,7 @@ impl Workload for OneWrite {
         io.call(1, req);
     }
 
-    fn on_reply(&mut self, _io: &mut ClientIo<'_, '_>, _tag: u64, _reply: &NfsReply) {}
+    fn on_reply(&mut self, _io: &mut ClientIo<'_, '_>, _tag: u64, _reply: &NfsReply<Windows>) {}
 }
 
 #[test]
@@ -481,13 +481,13 @@ impl Workload for ByteMix {
         }
     }
 
-    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply) {
+    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply<Windows>) {
         self.outstanding -= 1;
         fold_bytes(&self.fold, &tag.to_be_bytes());
         fold_bytes(&self.fold, &(reply.status as u32).to_be_bytes());
         if let ReplyBody::Read { data, eof } = &reply.body {
             fold_bytes(&self.fold, &[u8::from(*eof)]);
-            fold_bytes(&self.fold, data);
+            data.iter().for_each(|w| fold_bytes(&self.fold, w));
         }
         if self.left > 0 {
             self.issue(io);

@@ -45,7 +45,9 @@
 
 use slice_core::actors::{CoordActor, DirActor, SmallFileActor, StorageActor};
 use slice_core::{ClientIo, EnsemblePolicy, SliceConfig, SliceEnsemble, Workload};
-use slice_nfsproto::{Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3, StableHow};
+use slice_nfsproto::{
+    Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3, StableHow, Windows,
+};
 use slice_sim::{EventKind, Obs, Rng, SimDuration, SimTime};
 
 const FILES: usize = 10;
@@ -262,7 +264,7 @@ impl Workload for Mix {
         self.call(io, Kind::Mkdir, 0, req);
     }
 
-    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply) {
+    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply<Windows>) {
         self.outstanding -= 1;
         self.busy[(tag & 0xffff_ffff) as usize] -= 1;
         if reply.status == NfsStatus::Ok {

@@ -32,10 +32,9 @@ pub use attr::{
 pub use bytes::{ByteBuf, Windows};
 pub use fh::{Fhandle, FH_FLAG_DIR, FH_FLAG_MAPPED, FH_FLAG_MIRRORED, FH_FLAG_SYMLINK, FH_SIZE};
 pub use msg::{
-    decode_call, decode_reply, encode_call, encode_call_owned, encode_call_windows,
-    encode_read_reply, encode_reply, encode_write_call, BodyView, CallView, DirEntry, DirEntryPlus,
-    NfsProc, NfsReply, NfsRequest, ReplyBody, ReplyView, StableHow, REPLY_ATTR_OFFSET,
-    REPLY_STATUS_OFFSET,
+    decode_call, decode_reply, encode_call, encode_call_windows, encode_read_reply, encode_reply,
+    encode_write_call, CallView, DirEntry, DirEntryPlus, NfsProc, NfsReply, NfsRequest, ReplyBody,
+    ReplyView, StableHow, REPLY_ATTR_OFFSET, REPLY_STATUS_OFFSET,
 };
 pub use packet::{Packet, SockAddr, UDP_IP_HEADER_BYTES};
 pub use rpc::{

@@ -340,15 +340,6 @@ impl NfsRequest {
         }
     }
 
-    /// Moves a WRITE's data out as one window, without copying it,
-    /// leaving the request's `data` empty; no bytes for any other call.
-    pub fn take_data(&mut self) -> Windows {
-        match self {
-            NfsRequest::Write { data, .. } => ByteBuf::from(std::mem::take(data)).into(),
-            _ => Windows::default(),
-        }
-    }
-
     /// The primary handle the request operates on (the routing key for
     /// non-name operations; the *parent directory* for name operations).
     pub fn primary_fh(&self) -> Option<&Fhandle> {
@@ -400,8 +391,11 @@ pub struct DirEntryPlus {
 }
 
 /// Procedure-specific reply payload (after status and post-op attributes).
+/// A READ's data is `D`: owned bytes as the flat codec and the servers
+/// build it, the windows a client reads it from, or its range in a
+/// parsed payload ([`ReplyView`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplyBody {
+pub enum ReplyBody<D = Vec<u8>> {
     /// No extra payload (NULL, SETATTR, GETATTR, REMOVE, RMDIR, RENAME,
     /// LINK, and all error replies).
     None,
@@ -425,7 +419,7 @@ pub enum ReplyBody {
     /// READ result.
     Read {
         /// Bytes read.
-        data: Vec<u8>,
+        data: D,
         /// True if the read reached end of file.
         eof: bool,
     },
@@ -481,9 +475,9 @@ pub enum ReplyBody {
     },
 }
 
-/// A decoded NFS reply.
+/// A decoded NFS reply, a READ's data being `D` (see [`ReplyBody`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NfsReply {
+pub struct NfsReply<D = Vec<u8>> {
     /// The procedure this reply answers (needed to decode the body).
     pub proc: NfsProc,
     /// Status code.
@@ -491,10 +485,67 @@ pub struct NfsReply {
     /// Post-op attributes of the target object.
     pub attr: Option<Fattr3>,
     /// Procedure-specific payload.
-    pub body: ReplyBody,
+    pub body: ReplyBody<D>,
 }
 
-impl NfsReply {
+impl<D> ReplyBody<D> {
+    /// The same body, a READ's data replaced by `f` of it.
+    #[inline]
+    fn map_data<E>(self, f: impl FnOnce(D) -> E) -> ReplyBody<E> {
+        use ReplyBody::*;
+        match self {
+            None => None,
+            Lookup { fh, dir_attr } => Lookup { fh, dir_attr },
+            Access { mask } => Access { mask },
+            Readlink { target } => Readlink { target },
+            Read { data, eof } => Read { data: f(data), eof },
+            Write {
+                count,
+                committed,
+                verf,
+            } => Write {
+                count,
+                committed,
+                verf,
+            },
+            Create { fh } => Create { fh },
+            Readdir {
+                entries,
+                cookieverf,
+                eof,
+            } => Readdir {
+                entries,
+                cookieverf,
+                eof,
+            },
+            Readdirplus {
+                entries,
+                cookieverf,
+                eof,
+            } => Readdirplus {
+                entries,
+                cookieverf,
+                eof,
+            },
+            Fsstat {
+                tbytes,
+                fbytes,
+                abytes,
+                tfiles,
+                ffiles,
+            } => Fsstat {
+                tbytes,
+                fbytes,
+                abytes,
+                tfiles,
+                ffiles,
+            },
+            Commit { verf } => Commit { verf },
+        }
+    }
+}
+
+impl<D> NfsReply<D> {
     /// A minimal error reply for `proc`.
     pub fn error(proc: NfsProc, status: NfsStatus) -> Self {
         NfsReply {
@@ -514,17 +565,30 @@ impl NfsReply {
             body: ReplyBody::None,
         }
     }
+    /// The same reply, a READ's data replaced by `f` of it.
+    #[inline]
+    pub fn map_data<E>(self, f: impl FnOnce(D) -> E) -> NfsReply<E> {
+        NfsReply {
+            proc: self.proc,
+            status: self.status,
+            attr: self.attr,
+            body: self.body.map_data(f),
+        }
+    }
 }
 
-/// A call decoded with WRITE's file data left where it lies in the packet
-/// payload. A forwarder or a metadata-only server handles a 32 KiB WRITE
-/// from this without touching its data bytes; [`decode_call`] is this
-/// plus one copy. The data's range is over the payload's bytes — a
-/// packet's header followed by its windows — and [`Packet::range`]
-/// resolves it to the buffers it lies in.
+/// A call with WRITE's file data held apart from its arguments. Parsed
+/// from a packet (`D` = `Range<usize>`), the data is left where it lies
+/// in the payload: a forwarder or a metadata-only server handles a
+/// 32 KiB WRITE from this without touching its data bytes, and
+/// [`decode_call`] is this plus one copy. The range is over the
+/// payload's bytes — a packet's header followed by its windows — and
+/// [`Packet::range`] resolves it to the buffers it lies in. Sent by a
+/// client (`D` = [`Windows`]), the data is the windows the packet will
+/// carry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CallView {
-    /// WRITE: the arguments, and where in the payload the data is.
+pub enum CallView<D = Range<usize>> {
+    /// WRITE: the arguments and the data.
     Write {
         /// Target file.
         fh: Fhandle,
@@ -532,14 +596,34 @@ pub enum CallView {
         offset: u64,
         /// Stability requirement.
         stable: StableHow,
-        /// The data's byte range within the call payload.
-        data: Range<usize>,
+        /// The data, or its byte range within the call payload.
+        data: D,
     },
     /// Any other call, decoded in full.
     Other(NfsRequest),
 }
 
-impl CallView {
+impl From<NfsRequest> for CallView<Windows> {
+    /// A WRITE's data `Vec` is moved into the one window, not copied.
+    fn from(req: NfsRequest) -> Self {
+        match req {
+            NfsRequest::Write {
+                fh,
+                offset,
+                stable,
+                data,
+            } => CallView::Write {
+                fh,
+                offset,
+                stable,
+                data: ByteBuf::from(data).into(),
+            },
+            req => CallView::Other(req),
+        }
+    }
+}
+
+impl<D> CallView<D> {
     /// The procedure this call invokes.
     pub fn proc(&self) -> NfsProc {
         match self {
@@ -553,7 +637,7 @@ impl CallView {
     /// storage node takes no copy: it is handed the range's windows, and
     /// a retaining store keeps them.
     #[inline]
-    pub fn into_request(self, copy: impl FnOnce(Range<usize>) -> Vec<u8>) -> NfsRequest {
+    pub fn into_request(self, copy: impl FnOnce(D) -> Vec<u8>) -> NfsRequest {
         match self {
             CallView::Write {
                 fh,
@@ -571,54 +655,11 @@ impl CallView {
     }
 }
 
-/// A reply's procedure-specific results with READ's file data left where
-/// it lies in the packet payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BodyView {
-    /// READ: the flags, and where in the payload the data is.
-    Read {
-        /// The data's byte range within the reply payload.
-        data: Range<usize>,
-        /// True if the read reached end of file.
-        eof: bool,
-    },
-    /// Any other body, decoded in full.
-    Other(ReplyBody),
-}
-
-/// A reply decoded with READ's file data left in the packet payload: the
-/// counterpart of [`CallView`]. [`decode_reply`] is this plus one copy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplyView {
-    /// The procedure this reply answers.
-    pub proc: NfsProc,
-    /// Status code.
-    pub status: NfsStatus,
-    /// Post-op attributes of the target object.
-    pub attr: Option<Fattr3>,
-    /// Procedure-specific results.
-    pub body: BodyView,
-}
-
-impl ReplyView {
-    /// Materializes the reply, copying READ data out with `copy` (the
-    /// bytes of a range of what this view was parsed from).
-    #[inline]
-    pub fn into_reply(self, copy: impl FnOnce(Range<usize>) -> Vec<u8>) -> NfsReply {
-        NfsReply {
-            proc: self.proc,
-            status: self.status,
-            attr: self.attr,
-            body: match self.body {
-                BodyView::Read { data, eof } => ReplyBody::Read {
-                    data: copy(data),
-                    eof,
-                },
-                BodyView::Other(body) => body,
-            },
-        }
-    }
-}
+/// A reply parsed with READ's file data left where it lies in the packet
+/// payload, as its byte range: the counterpart of [`CallView`].
+/// [`decode_reply`] is this plus one copy; a client hands the range's
+/// windows on instead.
+pub type ReplyView = NfsReply<Range<usize>>;
 
 /// Reads a variable-length opaque whose length must equal the separately
 /// declared `count`, returning its byte range within the decoder's
@@ -724,32 +765,22 @@ pub fn encode_call(xid: u32, cred: &impl Credential, req: &NfsRequest) -> Vec<u8
     e.into_bytes()
 }
 
-/// Encodes `req` as a packet's header and windows: a WRITE's data `Vec`
-/// is moved into the one window (beside its padding), not copied; any
-/// other call is all header.
-pub fn encode_call_owned(
-    xid: u32,
-    cred: &impl Credential,
-    mut req: NfsRequest,
-) -> (Vec<u8>, Windows) {
-    let data = req.take_data();
-    encode_call_windows(xid, cred, &req, data)
-}
-
-/// Encodes `req` as a packet's header and windows, a WRITE's data being
-/// `data` (the request's own `data` is not read); any other call is all
+/// Encodes `call` as a packet's header and windows: a WRITE's windows
+/// are shared (beside their padding), not copied; any other call is all
 /// header.
 pub fn encode_call_windows(
     xid: u32,
     cred: &impl Credential,
-    req: &NfsRequest,
-    data: Windows,
+    call: &CallView<Windows>,
 ) -> (Vec<u8>, Windows) {
-    match req {
-        NfsRequest::Write {
-            fh, offset, stable, ..
-        } => encode_write_call(xid, cred, fh, *offset, *stable, data),
-        req => (encode_call(xid, cred, req), Windows::default()),
+    match call {
+        CallView::Write {
+            fh,
+            offset,
+            stable,
+            data,
+        } => encode_write_call(xid, cred, fh, *offset, *stable, data.clone()),
+        CallView::Other(req) => (encode_call(xid, cred, req), Windows::default()),
     }
 }
 
@@ -934,7 +965,7 @@ impl Packet {
     /// ([`decode_reply`]).
     pub fn decode_reply(&self, proc: NfsProc) -> Result<(u32, NfsReply), XdrError> {
         let (xid, reply) = self.view_reply(proc)?;
-        Ok((xid, reply.into_reply(|r| self.range(r).to_vec())))
+        Ok((xid, reply.map_data(|r| self.range(r).to_vec())))
     }
 }
 
@@ -1194,7 +1225,7 @@ pub fn encode_read_reply(
 /// the µproxy and client do).
 pub fn decode_reply(payload: &[u8], proc: NfsProc) -> Result<(u32, NfsReply), XdrError> {
     let (xid, reply) = view_reply_parts(payload, &Windows::default(), proc)?;
-    Ok((xid, reply.into_reply(|r| payload[r].to_vec())))
+    Ok((xid, reply.map_data(|r| payload[r].to_vec())))
 }
 
 /// Decodes a reply to `proc` whose payload is `head` followed by `tail`,
@@ -1210,7 +1241,7 @@ fn view_reply_parts(
     let xid = decode_reply_header(&mut d)?;
     let status = NfsStatus::from_u32(d.get_u32()?)?;
     let attr = get_opt_attr(&mut d)?;
-    let view = |body| ReplyView {
+    let view = |body| NfsReply {
         proc,
         status,
         attr,
@@ -1236,7 +1267,7 @@ fn view_reply_parts(
                 let count = d.get_u32()?;
                 let eof = d.get_bool()?;
                 let data = get_counted_opaque(&mut d, count, "read count", tail)?;
-                return Ok((xid, view(BodyView::Read { data, eof })));
+                return Ok((xid, view(ReplyBody::Read { data, eof })));
             }
             P::Write => ReplyBody::Write {
                 count: d.get_u32()?,
@@ -1305,7 +1336,7 @@ fn view_reply_parts(
             P::Commit => ReplyBody::Commit { verf: d.get_u64()? },
         }
     };
-    Ok((xid, view(BodyView::Other(body))))
+    Ok((xid, view(body)))
 }
 
 #[cfg(test)]
@@ -1625,7 +1656,7 @@ mod tests {
                 unreachable!()
             };
             let ptr = moved.as_ptr();
-            let (head, windows) = encode_call_owned(3, &AuthUnix::default(), owned);
+            let (head, windows) = encode_call_windows(3, &AuthUnix::default(), &owned.into());
             assert!(head.len() <= ENCODE_HEADROOM, "len {len}");
             let first = windows.iter().next().expect("the data window");
             assert!(len == 0 || first.as_ptr() == ptr, "len {len}: data copied");

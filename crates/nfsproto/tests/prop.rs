@@ -6,9 +6,9 @@
 //! number of cases from a pinned seed, so failures replay exactly.
 
 use slice_nfsproto::{
-    decode_call, decode_reply, encode_call, encode_reply, AuthUnix, BodyView, ByteBuf, CallView,
-    Fattr3, Fhandle, FileType, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet,
-    ReplyBody, Sattr3, SockAddr, StableHow, Windows, MSG_CALL, NFS_PROGRAM, NFS_V3,
+    decode_call, decode_reply, encode_call, encode_reply, AuthUnix, ByteBuf, CallView, Fattr3,
+    Fhandle, FileType, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody,
+    Sattr3, SockAddr, StableHow, Windows, MSG_CALL, NFS_PROGRAM, NFS_V3,
 };
 use slice_sim::Rng;
 use slice_xdr::{XdrDecoder, XdrEncoder, XdrError};
@@ -225,8 +225,8 @@ fn split_reply_agrees(m: &[u8], head: usize) {
         (Ok((sx, sv)), Ok((fx, fv))) => {
             assert_eq!(sx, fx);
             let (sr, fr) = (
-                sv.into_reply(|r| s.range(r).to_vec()),
-                fv.into_reply(|r| f.range(r).to_vec()),
+                sv.map_data(|r| s.range(r).to_vec()),
+                fv.map_data(|r| f.range(r).to_vec()),
             );
             assert_eq!(sr, fr);
         }
@@ -236,7 +236,7 @@ fn split_reply_agrees(m: &[u8], head: usize) {
             Ok((
                 _,
                 slice_nfsproto::ReplyView {
-                    body: BodyView::Read { data, .. },
+                    body: ReplyBody::Read { data, .. },
                     ..
                 },
             )),
@@ -324,7 +324,7 @@ fn lazy_read_parse_agrees_with_decode_reply() {
                     assert_eq!(vx, dx);
                     assert_eq!((view.status, view.attr), (decoded.status, decoded.attr));
                     if let (
-                        BodyView::Read { data, eof },
+                        ReplyBody::Read { data, eof },
                         ReplyBody::Read {
                             data: ddata,
                             eof: deof,
@@ -334,7 +334,7 @@ fn lazy_read_parse_agrees_with_decode_reply() {
                         assert_eq!(eof, deof);
                         assert_eq!(&m[data.clone()], &ddata[..]);
                     }
-                    assert_eq!(view.into_reply(|r| m[r].to_vec()), decoded);
+                    assert_eq!(view.map_data(|r| m[r].to_vec()), decoded);
                 }
                 (Err(v), Err(d)) => assert_eq!(v, d),
                 (v, d) => panic!("parsers disagree: view {v:?}, decode {d:?}"),

@@ -22,9 +22,9 @@ use std::time::Instant;
 
 use slice_hashes::{name_fingerprint, NamePolicy, RoutingTable};
 use slice_nfsproto::{
-    encode_call, encode_read_reply, encode_write_call, AuthUnix, BodyView, ByteBuf, CallHeader,
-    CallView, Fattr3, Fhandle, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet,
-    ReplyBody, ReplyView, Sattr3, SetTime, SockAddr, StableHow, Windows, REPLY_ATTR_OFFSET,
+    encode_call, encode_read_reply, encode_write_call, AuthUnix, ByteBuf, CallHeader, CallView,
+    Fattr3, Fhandle, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, Packet, ReplyBody,
+    ReplyView, Sattr3, SetTime, SockAddr, StableHow, Windows, REPLY_ATTR_OFFSET,
 };
 use slice_obs::EventKind;
 use slice_sim::{SimDuration, SimTime};
@@ -348,8 +348,8 @@ fn read_data(offset: u64, len: u32, size: u64, mut parts: Vec<(u64, Windows)>) -
 /// entry named "") points on with.
 fn chain_marker(reply: &ReplyView) -> Option<u64> {
     let entry = match &reply.body {
-        BodyView::Other(ReplyBody::Readdir { entries, eof, .. }) => (!eof).then(|| entries.first()),
-        BodyView::Other(ReplyBody::Readdirplus { entries, eof, .. }) => {
+        ReplyBody::Readdir { entries, eof, .. } => (!eof).then(|| entries.first()),
+        ReplyBody::Readdirplus { entries, eof, .. } => {
             (!eof).then(|| entries.first().map(|e| &e.entry))
         }
         _ => None,
@@ -1569,8 +1569,8 @@ impl Uproxy {
                         // from lookup/create bodies.
                         if let Some(attr) = reply.attr {
                             let fh = match &reply.body {
-                                BodyView::Other(ReplyBody::Lookup { fh, .. }) => Some(*fh),
-                                BodyView::Other(ReplyBody::Create { fh: Some(fh) }) => Some(*fh),
+                                ReplyBody::Lookup { fh, .. } => Some(*fh),
+                                ReplyBody::Create { fh: Some(fh) } => Some(*fh),
                                 _ => rec.fh,
                             };
                             if let Some(fh) = fh {
@@ -1653,7 +1653,7 @@ impl Uproxy {
         // a read in a hole (or past local data) comes back short and is
         // zero-extended, and a read past EOF is truncated.
         if let (NfsProc::Read, Some(reply), Some(attr)) = (rec.proc, &rx.reply, attr) {
-            if let BodyView::Read { data, .. } = &reply.body {
+            if let ReplyBody::Read { data, .. } = &reply.body {
                 if reply.status.is_ok() && data.len() != read_len(rec.offset, rec.len, attr.size) {
                     let window = vec![(rec.offset, rx.pkt.range(data.clone()))];
                     let fixed = read_data(rec.offset, rec.len, attr.size, window);

@@ -658,8 +658,8 @@ impl Uproxy {
         }
         // READ data stays in the leg's reply packet; the op keeps windows.
         let read_window = match &reply.body {
-            BodyView::Read { data, .. } => Some(rx.pkt.range(data.clone())),
-            BodyView::Other(_) => None,
+            ReplyBody::Read { data, .. } => Some(rx.pkt.range(data.clone())),
+            _ => None,
         };
         match role {
             LegRole::Gather { stripe, shard } => {
@@ -673,7 +673,7 @@ impl Uproxy {
             LegRole::Read => op.reads.extend(read_window.map(|w| (pos, w))),
             LegRole::WriteAck => {
                 if op.template.is_none() {
-                    op.template = Some(reply.into_reply(|r| rx.pkt.range(r).to_vec()));
+                    op.template = Some(reply.map_data(|r| rx.pkt.range(r).to_vec()));
                 }
             }
         }

@@ -10,7 +10,7 @@
 //! spread over all sites.
 
 use slice_core::{ClientIo, Workload};
-use slice_nfsproto::{Fhandle, NfsReply, NfsRequest, ReplyBody, Sattr3};
+use slice_nfsproto::{Fhandle, NfsReply, NfsRequest, ReplyBody, Sattr3, Windows};
 use slice_sim::SimTime;
 
 /// One client process hammering a single shared directory.
@@ -91,7 +91,7 @@ impl Workload for BigDir {
         self.issue(io);
     }
 
-    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply) {
+    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply<Windows>) {
         match tag {
             0 => {
                 // Mkdir result: either we created it or it already exists

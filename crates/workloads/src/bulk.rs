@@ -7,7 +7,9 @@
 //! mirrored-striping policy bit.
 
 use slice_core::{calib, ClientIo, Workload};
-use slice_nfsproto::{Fhandle, NfsReply, NfsRequest, ReplyBody, Sattr3, StableHow};
+use slice_nfsproto::{
+    ByteBuf, CallView, Fhandle, NfsReply, NfsRequest, ReplyBody, Sattr3, StableHow, Windows,
+};
 use slice_sim::SimTime;
 
 /// Per-file policy bit: OR-ed into the create mode to request mirrored
@@ -31,6 +33,9 @@ pub struct BulkIo {
     block: u32,
     window: usize,
     mirrored: bool,
+    /// A writer's data: one block of its fill byte, each WRITE a window
+    /// of it.
+    source: ByteBuf,
     fh: Option<Fhandle>,
     next_offset: u64,
     completed: u64,
@@ -52,6 +57,7 @@ impl BulkIo {
             block: calib::NFS_BLOCK,
             window: calib::CLIENT_WRITE_WINDOW,
             mirrored,
+            source: ByteBuf::from(vec![0x5a; calib::NFS_BLOCK as usize]),
             fh: None,
             next_offset: 0,
             completed: 0,
@@ -73,6 +79,7 @@ impl BulkIo {
             block: calib::NFS_BLOCK,
             window: calib::CLIENT_READAHEAD,
             mirrored: false,
+            source: ByteBuf::default(),
             fh: None,
             next_offset: 0,
             completed: 0,
@@ -98,20 +105,20 @@ impl BulkIo {
         let fh = self.fh.expect("pump before setup");
         while self.outstanding < self.window && self.next_offset < self.total {
             let len = self.block.min((self.total - self.next_offset) as u32);
-            let req = match self.mode {
-                BulkMode::Write => NfsRequest::Write {
+            let call = match self.mode {
+                BulkMode::Write => CallView::Write {
                     fh,
                     offset: self.next_offset,
                     stable: StableHow::Unstable,
-                    data: vec![0x5a; len as usize],
+                    data: self.source.slice(0, len as usize).into(),
                 },
-                BulkMode::Read => NfsRequest::Read {
+                BulkMode::Read => CallView::Other(NfsRequest::Read {
                     fh,
                     offset: self.next_offset,
                     count: len,
-                },
+                }),
             };
-            io.call(1, req);
+            io.send(1, call);
             self.next_offset += u64::from(len);
             self.outstanding += 1;
         }
@@ -167,7 +174,7 @@ impl Workload for BulkIo {
         }
     }
 
-    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply) {
+    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply<Windows>) {
         match tag {
             0 => {
                 // Setup finished: harvest the handle and start streaming.

@@ -17,7 +17,10 @@
 //! scale.
 
 use slice_core::{ClientIo, Workload, THRESHOLD};
-use slice_nfsproto::{Fhandle, NfsProc, NfsReply, NfsRequest, ReplyBody, Sattr3, StableHow};
+use slice_nfsproto::{
+    ByteBuf, CallView, Fhandle, NfsProc, NfsReply, NfsRequest, ReplyBody, Sattr3, StableHow,
+    Windows,
+};
 use slice_sim::{FxHashMap, LatencyStats, SimDuration, SimTime};
 
 /// The SFS97 NFS V3 operation mix (percent).
@@ -97,6 +100,8 @@ pub struct SpecSfs {
     dynamic_names: u64,
     removable: Vec<(Fhandle, String)>, // (parent dir, name)
     inflight: FxHashMap<u64, (SimTime, bool)>,
+    /// One block of the fill byte; every measured WRITE is a window of it.
+    source: ByteBuf,
 }
 
 impl SpecSfs {
@@ -144,6 +149,7 @@ impl SpecSfs {
             dynamic_names: 0,
             removable: Vec::new(),
             inflight: FxHashMap::default(),
+            source: ByteBuf::from(vec![0x5a; 8192]),
         }
     }
 
@@ -226,7 +232,7 @@ impl SpecSfs {
         io.wake_in(SimDuration::from_secs_f64(gap));
     }
 
-    fn pick_op(&mut self, io: &mut ClientIo<'_, '_>) -> NfsRequest {
+    fn pick_op(&mut self, io: &mut ClientIo<'_, '_>) -> CallView<Windows> {
         let total: u32 = SFS97_MIX.iter().map(|(_, w)| w).sum();
         let mut roll = io.rng().gen_range(0..total);
         let mut proc = NfsProc::Lookup;
@@ -241,7 +247,7 @@ impl SpecSfs {
         let (fh, size) = self.files[fi];
         let di = io.rng().gen_range(0..self.dirs.len());
         let dir = self.dirs[di];
-        match proc {
+        CallView::Other(match proc {
             NfsProc::Lookup => NfsRequest::Lookup {
                 dir,
                 name: format!("sfs{}probe{}", self.cfg.id, io.rng().gen_range(0..1000u32)),
@@ -258,12 +264,12 @@ impl SpecSfs {
             NfsProc::Write => {
                 let blocks = (size / 8192).max(1);
                 let block = io.rng().gen_range(0..blocks);
-                NfsRequest::Write {
+                return CallView::Write {
                     fh,
                     offset: u64::from(block) * 8192,
                     stable: StableHow::Unstable,
-                    data: vec![0x5a; 8192],
-                }
+                    data: self.source.clone().into(),
+                };
             }
             NfsProc::Getattr => NfsRequest::Getattr { fh },
             NfsProc::Setattr => NfsRequest::Setattr {
@@ -317,13 +323,13 @@ impl SpecSfs {
                 None => NfsRequest::Getattr { fh },
             },
             _ => NfsRequest::Getattr { fh },
-        }
+        })
     }
 
     fn run_issue(&mut self, io: &mut ClientIo<'_, '_>) {
         while self.queued_arrivals > 0 && self.outstanding < self.cfg.max_outstanding {
             self.queued_arrivals -= 1;
-            let req = self.pick_op(io);
+            let call = self.pick_op(io);
             self.outstanding += 1;
             self.issued_ops += 1;
             let measured = self
@@ -332,7 +338,7 @@ impl SpecSfs {
                 .unwrap_or(false);
             let tag = 1000 + self.issued_ops;
             self.inflight.insert(tag, (io.now(), measured));
-            io.call(tag, req);
+            io.send(tag, call);
         }
     }
 }
@@ -342,7 +348,7 @@ impl Workload for SpecSfs {
         self.setup_issue(io);
     }
 
-    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply) {
+    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply<Windows>) {
         match self.stage {
             Stage::SetupDirs => {
                 if let ReplyBody::Create { fh: Some(fh) } = &reply.body {
@@ -360,15 +366,17 @@ impl Workload for SpecSfs {
                             let size = self.file_sizes[self.setup_ix];
                             self.files.push((*fh, size));
                             // Populate: one write covering the below-
-                            // threshold region (contents don't matter).
-                            let len = u64::from(size).min(THRESHOLD);
-                            io.call(
+                            // threshold region (contents don't matter),
+                            // windows of the shared zero buffer.
+                            let mut data = Windows::default();
+                            data.push_zeros(u64::from(size).min(THRESHOLD) as usize);
+                            io.send(
                                 3,
-                                NfsRequest::Write {
+                                CallView::Write {
                                     fh: *fh,
                                     offset: 0,
                                     stable: StableHow::FileSync,
-                                    data: vec![0u8; len as usize],
+                                    data,
                                 },
                             );
                             return; // next create issued when the write lands

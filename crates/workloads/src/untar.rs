@@ -8,7 +8,9 @@
 //! the total latency perceived by the process (Figures 3 and 4).
 
 use slice_core::{ClientIo, Workload};
-use slice_nfsproto::{Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3, SetTime};
+use slice_nfsproto::{
+    Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3, SetTime, Windows,
+};
 use slice_sim::SimTime;
 
 /// The FreeBSD-src-like tree shape: directories hold ~11 files each, with
@@ -128,7 +130,7 @@ impl Untar {
         io.call(0, req);
     }
 
-    fn advance(&mut self, reply: &NfsReply) {
+    fn advance(&mut self, reply: &NfsReply<Windows>) {
         self.phase = match self.phase {
             Phase::Mkdir => {
                 if let ReplyBody::Create { fh: Some(fh) } = &reply.body {
@@ -170,7 +172,7 @@ impl Workload for Untar {
         self.issue(io);
     }
 
-    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, _tag: u64, reply: &NfsReply) {
+    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, _tag: u64, reply: &NfsReply<Windows>) {
         self.advance(reply);
         if self.created >= self.target {
             self.finished_at = Some(io.now());

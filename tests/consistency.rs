@@ -13,7 +13,7 @@ use slice::check::{
 use slice::core::actors::{DirActor, StorageActor};
 use slice::core::{OpHistory, SliceConfig, SliceEnsemble};
 use slice::nfsproto::{
-    Fhandle, NfsProc, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3, StableHow,
+    ByteBuf, Fhandle, NfsProc, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3, StableHow,
 };
 use slice::sim::SimTime;
 use slice::workloads::{ScriptWorkload, Step};
@@ -217,7 +217,8 @@ fn mutation_corrupted_history_is_caught() {
             offset: 0,
             stable: StableHow::FileSync,
             data: vec![0x55; 1024],
-        },
+        }
+        .into(),
     );
     h.complete(
         t(20),
@@ -241,7 +242,8 @@ fn mutation_corrupted_history_is_caught() {
             fh,
             offset: 0,
             count: 1024,
-        },
+        }
+        .into(),
     );
     h.complete(
         t(40),
@@ -252,7 +254,7 @@ fn mutation_corrupted_history_is_caught() {
             status: NfsStatus::Ok,
             attr: None,
             body: ReplyBody::Read {
-                data: vec![0x66; 1024],
+                data: ByteBuf::from(vec![0x66; 1024]).into(),
                 eof: true,
             },
         },
@@ -326,7 +328,8 @@ fn mutation_lost_truncate_is_caught() {
             offset: 0,
             stable: StableHow::FileSync,
             data: vec![0x42; 2048],
-        },
+        }
+        .into(),
     );
     h.complete(
         t(20),
@@ -352,7 +355,8 @@ fn mutation_lost_truncate_is_caught() {
                 size: Some(0),
                 ..Default::default()
             },
-        },
+        }
+        .into(),
     );
     h.complete(
         t(40),
@@ -372,7 +376,8 @@ fn mutation_lost_truncate_is_caught() {
             fh,
             offset: 1024,
             count: 1024,
-        },
+        }
+        .into(),
     );
     h.complete(
         t(60),
@@ -383,7 +388,7 @@ fn mutation_lost_truncate_is_caught() {
             status: NfsStatus::Ok,
             attr: None,
             body: ReplyBody::Read {
-                data: vec![0x42; 1024],
+                data: ByteBuf::from(vec![0x42; 1024]).into(),
                 eof: true,
             },
         },

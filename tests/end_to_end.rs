@@ -6,7 +6,7 @@ mod common;
 
 use common::{assert_errors, deadline, run_script};
 use slice::core::{ClientIo, EnsemblePolicy, SliceConfig, SliceEnsemble, Workload};
-use slice::nfsproto::{Fhandle, NfsReply, NfsRequest, ReplyBody, Sattr3, StableHow};
+use slice::nfsproto::{Fhandle, NfsReply, NfsRequest, ReplyBody, Sattr3, StableHow, Windows};
 use slice::workloads::{ScriptWorkload, Step, MODE_MIRRORED};
 
 #[test]
@@ -652,7 +652,7 @@ fn reconfiguration_with_lazy_table_refresh() {
 /// MKDIR one directory, then READDIR its first page, keeping the reply.
 #[derive(Default)]
 struct FirstPage {
-    page: Option<NfsReply>,
+    page: Option<NfsReply<Windows>>,
 }
 
 impl Workload for FirstPage {
@@ -665,7 +665,7 @@ impl Workload for FirstPage {
         io.call(0, mkdir);
     }
 
-    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply) {
+    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, tag: u64, reply: &NfsReply<Windows>) {
         match (tag, &reply.body) {
             (0, ReplyBody::Create { fh: Some(dir) }) => {
                 let readdir = NfsRequest::Readdir {

@@ -7,7 +7,9 @@ mod common;
 
 use common::deadline;
 use slice::core::{ClientIo, EnsemblePolicy, SliceConfig, SliceEnsemble, Workload};
-use slice::nfsproto::{Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3, StableHow};
+use slice::nfsproto::{
+    Fhandle, NfsReply, NfsRequest, NfsStatus, ReplyBody, Sattr3, StableHow, Windows,
+};
 use slice::sim::{FxHashMap, Rng};
 
 /// A model file: pattern byte per written 1 KB chunk (0 = hole).
@@ -231,7 +233,7 @@ impl Stress {
         io.call(0, req);
     }
 
-    fn check(&mut self, reply: &NfsReply) {
+    fn check(&mut self, reply: &NfsReply<Windows>) {
         let check = self.pending.take().expect("pending");
         let mut fail = |msg: String| self.errors.push(msg);
         match check {
@@ -308,7 +310,7 @@ impl Stress {
                     if data.len() != avail {
                         fail(format!("read: got {} bytes, wanted {avail}", data.len()));
                     }
-                    for (i, &b) in data.iter().enumerate() {
+                    for (i, &b) in data.iter().flat_map(|w| w.iter()).enumerate() {
                         let chunk = ((offset + i as u64) / 1024) as usize;
                         let want = f.chunks.get(chunk).copied().unwrap_or(0);
                         if b != want {
@@ -372,7 +374,7 @@ impl Workload for Stress {
         self.issue(io);
     }
 
-    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, _tag: u64, reply: &NfsReply) {
+    fn on_reply(&mut self, io: &mut ClientIo<'_, '_>, _tag: u64, reply: &NfsReply<Windows>) {
         self.check(reply);
         if !self.errors.is_empty() {
             self.done = true;

@@ -565,6 +565,7 @@ impl<D> NfsReply<D> {
             body: ReplyBody::None,
         }
     }
+
     /// The same reply, a READ's data replaced by `f` of it.
     #[inline]
     pub fn map_data<E>(self, f: impl FnOnce(D) -> E) -> NfsReply<E> {

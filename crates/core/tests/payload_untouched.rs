@@ -43,12 +43,15 @@ fn write_call(xid: u32, fh: Fhandle, offset: u64) -> Vec<u8> {
     encode_call(xid, &AuthUnix::default(), &req)
 }
 
+/// The datagrams the µproxy sends to servers, each checked to carry a
+/// checksum of its bytes.
 fn net_packets(out: Vec<ProxyOut>) -> Vec<Packet> {
     out.into_iter()
         .filter_map(|o| match o {
             ProxyOut::Net(p) => Some(p),
             _ => None,
         })
+        .inspect(|p| assert!(p.verify(), "a leg left with a stale checksum"))
         .collect()
 }
 
@@ -138,7 +141,8 @@ fn uproxy_forwards_a_mirrored_write_and_its_read_reply_in_place() {
     assert_eq!(&delivered.payload[range], &data[..]);
 }
 
-/// Collects the datagrams a server under test sends back.
+/// Collects the datagrams a server under test sends back, each checked
+/// to carry a checksum of its bytes.
 #[derive(Default)]
 struct Sink {
     got: Vec<Packet>,
@@ -147,6 +151,7 @@ struct Sink {
 impl Actor<Wire> for Sink {
     fn on_message(&mut self, _ctx: &mut Ctx<'_, Wire>, _from: NodeId, msg: Wire) {
         if let Wire::Udp(p) = msg {
+            assert!(p.verify(), "a datagram arrived with a stale checksum");
             self.got.push(p);
         }
     }

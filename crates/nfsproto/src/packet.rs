@@ -349,4 +349,110 @@ mod tests {
             .iter()
             .all(|w| ByteBuf::ptr_eq(w, &data) || w.is_zeros()));
     }
+
+    fn seeded_bytes(n: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// The checksum of `head` then `windows`, and of the same bytes in
+    /// one buffer, which is summed in full.
+    fn windowed_and_flat(head: &[u8], windows: Windows) -> (u16, u16) {
+        let p = Packet::with_windows(addr(9, 1), addr(8, 2), head.to_vec(), windows);
+        let flat = Packet::new(addr(9, 1), addr(8, 2), p.bytes());
+        (p.checksum, flat.checksum)
+    }
+
+    /// Windows cut at every offset parity and every length around 4 KiB
+    /// edges, from buffers summed before — overlapping slices, summed in
+    /// ascending order in one buffer and descending in its twin — carry
+    /// the checksum of the same bytes held flat, behind a header of either
+    /// parity. One buffer runs past 64 KiB, and one holds words that sum
+    /// to 0xffff.
+    #[test]
+    fn windows_of_summed_buffers_carry_the_flat_checksum() {
+        const EDGE: usize = 4096;
+        let mut ones = vec![0xffu8; 3 * EDGE + 11];
+        ones[EDGE + 5] = 0;
+        for bytes in [
+            seeded_bytes(3 * EDGE + 777, 17),
+            seeded_bytes(17 * EDGE + 5, 29),
+            ones,
+        ] {
+            let offsets: Vec<usize> = [0, 1, 2, 3, EDGE - 3, EDGE - 2, EDGE - 1]
+                .into_iter()
+                .flat_map(|o| [o, o + EDGE, o + 2 * EDGE])
+                .chain([EDGE, 16 * EDGE - 1, 16 * EDGE, 16 * EDGE + 1])
+                .filter(|&o| o < bytes.len())
+                .collect();
+            let lens: Vec<usize> = [0, 1, 2, 3]
+                .into_iter()
+                .chain((1..=3).flat_map(|k| [k * EDGE - 1, k * EDGE, k * EDGE + 1]))
+                .chain([EDGE + 2, 2 * EDGE - 2, 16 * EDGE + 3])
+                .collect();
+            let cuts: Vec<(usize, usize)> = offsets
+                .iter()
+                .flat_map(|&o| lens.iter().map(move |&l| (o, l)))
+                .filter(|&(o, l)| o + l <= bytes.len())
+                .collect();
+            let up = ByteBuf::from_vec(bytes.clone());
+            let down = ByteBuf::from_vec(bytes.clone());
+            for (buf, order) in [
+                (&up, cuts.clone()),
+                (&down, cuts.iter().rev().copied().collect()),
+            ] {
+                for (i, &(o, l)) in order.iter().enumerate() {
+                    let head = &bytes[..35 + i % 2];
+                    let (got, want) = windowed_and_flat(head, buf.slice(o, l).into());
+                    assert_eq!(got, want, "offset {o} len {l} head {}", head.len());
+                }
+                // Overlapping windows of one buffer in one packet, and a
+                // zero window between them.
+                let mut w = Windows::default();
+                for &(o, l) in order.iter().step_by(7) {
+                    w.push(buf.slice(o, l));
+                    w.push_zeros(o % 3);
+                }
+                let (got, want) = windowed_and_flat(&bytes[..3], w);
+                assert_eq!(got, want, "overlapping windows");
+            }
+            let whole = windowed_and_flat(&[], up.clone().into());
+            assert_eq!(whole.0, whole.1, "the whole buffer");
+        }
+    }
+
+    /// A buffer whose windows were summed sums to its new bytes once it
+    /// is mutated: in place when it has one owner, copied on write when a
+    /// packet still holds it.
+    #[test]
+    fn a_summed_buffer_mutated_sums_to_its_new_bytes() {
+        let bytes = seeded_bytes(5 * 4096 + 3, 41);
+        for (off, len) in [(0, bytes.len()), (4095, 3 * 4096 + 2)] {
+            // One owner: the window is patched where it lies.
+            let mut buf = ByteBuf::from_vec(bytes.clone()).slice(off, len);
+            let (got, want) = windowed_and_flat(&[1, 2], buf.clone().into());
+            assert_eq!(got, want);
+            let at = buf.as_ptr();
+            for i in [0, 1, 4096, 8191, 9000, len - 1] {
+                buf.make_mut()[i] ^= 0x5a;
+            }
+            assert_eq!(buf.as_ptr(), at, "a unique buffer is patched in place");
+            let (got, want) = windowed_and_flat(&[1, 2], buf.clone().into());
+            assert_eq!(got, want, "in place, window at {off}");
+            // Shared: the packet keeps the old bytes, the copy the new.
+            let held = Packet::with_windows(addr(9, 1), addr(8, 2), vec![1], buf.clone().into());
+            buf.make_mut()[4097] ^= 0xa5;
+            assert_ne!(buf.as_ptr(), at, "a shared buffer is copied");
+            assert!(held.verify());
+            let (got, want) = windowed_and_flat(&[1, 2], buf.clone().into());
+            assert_eq!(got, want, "copied on write, window at {off}");
+        }
+    }
 }

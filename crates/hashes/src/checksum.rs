@@ -41,15 +41,21 @@ pub struct PartSum {
 impl PartSum {
     /// Adds `part`'s bytes.
     pub fn add(&mut self, part: &[u8]) {
-        let s = fold(raw_sum(part));
-        self.sum += u64::from(if self.odd { s.swap_bytes() } else { s });
-        self.odd ^= part.len() % 2 == 1;
+        self.add_sum(fold(raw_sum(part)), part.len());
+    }
+
+    /// Adds a part of `len` bytes whose ones-complement sum, taken as if
+    /// it began at an even offset, is known to be `sum` (the complement
+    /// of its [`inet_checksum`]): no byte is read.
+    pub fn add_sum(&mut self, sum: u16, len: usize) {
+        self.sum += u64::from(if self.odd { sum.swap_bytes() } else { sum });
+        self.odd ^= len % 2 == 1;
     }
 
     /// Adds `len` zero bytes: they sum to nothing, so no byte is read;
     /// only where the next part begins moves.
     pub fn add_zeros(&mut self, len: usize) {
-        self.odd ^= len % 2 == 1;
+        self.add_sum(0, len);
     }
 
     /// The checksum field value of the bytes added.
@@ -223,7 +229,8 @@ mod tests {
     /// Three parts cut at every pair of split points, so each seam falls
     /// at both parities, over random bytes, all-zero bytes, and bytes
     /// whose sum is 0xffff (the ones-complement zero that is not 0). A
-    /// zero part is added as [`PartSum::add_zeros`] adds it.
+    /// zero part is added as [`PartSum::add_zeros`] adds it, and the
+    /// middle part also by its known sum, as [`PartSum::add_sum`] adds it.
     #[test]
     fn parts_at_every_split_and_parity_match_the_reference() {
         let random = seeded_bytes(67);
@@ -250,6 +257,11 @@ mod tests {
                         }
                     }
                     assert_eq!(sum.checksum(), want, "zeros skipped, split {i} {j}");
+                    let mut known = PartSum::default();
+                    known.add(parts[0]);
+                    known.add_sum(!inet_checksum(parts[1]), parts[1].len());
+                    known.add(parts[2]);
+                    assert_eq!(known.checksum(), want, "a known sum, split {i} {j}");
                 }
             }
         }

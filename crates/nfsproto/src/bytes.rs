@@ -14,14 +14,23 @@
 //! resync carries the windows of the source's stored extents to the
 //! target, which keeps them, so no byte is assembled on the way.
 //!
+//! A buffer remembers the Internet sum of each aligned 4 KiB chunk of its
+//! first 64 KiB once a packet has summed it ([`ByteBuf::sum_into`]), so
+//! bytes sent many times — a workload's one source buffer, a store's
+//! extents cut from it — are read once, not once per packet. The sums
+//! cache the bytes; they are no record of what the bytes should be, and
+//! [`ByteBuf::make_mut`] forgets them.
+//!
 //! Copy traffic is counted in thread-local counters (see
 //! [`local_clone_stats`]): no atomic on the clone path, and a run's own
 //! traffic is a before/after delta on the thread that runs it. Under
 //! `slice-par` each scenario builds, runs, and is harvested on a single
 //! worker thread, so concurrent scenarios never see each other's copies.
 
+use slice_hashes::checksum::{inet_checksum, PartSum};
 use std::cell::Cell;
 use std::ops::{Deref, Range};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
 thread_local! {
@@ -56,18 +65,47 @@ pub fn local_clone_stats() -> (u64, u64, u64) {
     )
 }
 
+/// Bytes of the allocation one remembered sum covers.
+const SUM_CHUNK: usize = 4096;
+
+/// Chunks with a remembered sum: those of an allocation's first 64 KiB.
+/// The rest of a larger buffer is summed each time.
+const SUM_CHUNKS: usize = 16;
+
+/// Marks a table entry whose chunk has been summed; 0 is "not yet".
+const SUMMED: u32 = 1 << 16;
+
+/// What a [`ByteBuf`]'s windows share: the bytes, and the sums of their
+/// chunks, made when a window first covers a chunk whole.
+struct Shared {
+    bytes: Vec<u8>,
+    // Boxed on first use, so a buffer never summed as a window pays one
+    // pointer-sized cell for it, and the shared allocation one 16-byte
+    // slot more than the `Vec` alone.
+    sums: OnceLock<Box<[AtomicU32; SUM_CHUNKS]>>,
+}
+
+impl Shared {
+    fn new(bytes: Vec<u8>) -> Arc<Self> {
+        Arc::new(Shared {
+            bytes,
+            sums: OnceLock::new(),
+        })
+    }
+}
+
 /// An immutable shared byte buffer with an `(offset, len)` window.
 ///
 /// Dereferences to `&[u8]`, so read paths (XDR decode, checksum, length
 /// checks) are untouched. Equality and hashing are over the visible
 /// window, not the backing allocation.
 pub struct ByteBuf {
-    // `Arc<Vec<u8>>` rather than `Arc<[u8]>`: wrapping the encoder's Vec
-    // moves it (one pointer-sized allocation for the arc header) instead
-    // of copying every payload byte into a fresh `ArcInner`, which at
-    // millions of packets per run is the difference between sharing and
-    // re-copying the whole wire volume.
-    data: Arc<Vec<u8>>,
+    // A `Vec` rather than `Arc<[u8]>`: wrapping the encoder's Vec moves
+    // it (one small allocation for the arc header) instead of copying
+    // every payload byte into a fresh `ArcInner`, which at millions of
+    // packets per run is the difference between sharing and re-copying
+    // the whole wire volume.
+    data: Arc<Shared>,
     // 32-bit bounds keep a buffer at 16 bytes, so a packet holding one
     // stays the size it was before it held windows too.
     off: u32,
@@ -89,7 +127,7 @@ impl ByteBuf {
     /// An empty buffer.
     pub fn new() -> Self {
         ByteBuf {
-            data: Arc::new(Vec::new()),
+            data: Shared::new(Vec::new()),
             off: 0,
             len: 0,
         }
@@ -104,7 +142,7 @@ impl ByteBuf {
     pub fn from_vec(v: Vec<u8>) -> Self {
         let len = u32::try_from(v.len()).expect("a buffer under 4 GiB");
         ByteBuf {
-            data: Arc::new(v),
+            data: Shared::new(v),
             off: 0,
             len,
         }
@@ -133,14 +171,40 @@ impl ByteBuf {
     pub fn make_mut(&mut self) -> &mut [u8] {
         if Arc::get_mut(&mut self.data).is_none() {
             count_deep(u64::from(self.len));
-            self.data = Arc::new(self.to_vec());
+            self.data = Shared::new(self.to_vec());
             self.off = 0;
         }
-        // The arc is unique; mutate the window in place.
+        // The arc is unique; mutate the window in place. The sums
+        // remembered of the bytes about to change go with them.
         let (off, len) = (self.off as usize, self.len as usize);
-        &mut Arc::get_mut(&mut self.data)
-            .expect("unique after COW")
-            .as_mut_slice()[off..off + len]
+        let shared = Arc::get_mut(&mut self.data).expect("unique after COW");
+        shared.sums.take();
+        &mut shared.bytes[off..off + len]
+    }
+
+    /// Adds the window's bytes to `sum`: the chunks it covers whole from
+    /// the sums the allocation remembers (summing each the first time),
+    /// the ragged edges and any bytes past the table byte by byte. A
+    /// window that covers no chunk whole allocates no table.
+    pub fn sum_into(&self, sum: &mut PartSum) {
+        let (off, end) = (self.off as usize, (self.off + self.len) as usize);
+        let (first, last) = (off.div_ceil(SUM_CHUNK), (end / SUM_CHUNK).min(SUM_CHUNKS));
+        if first >= last {
+            return sum.add(self);
+        }
+        let bytes = &self.data.bytes;
+        let table = self.data.sums.get_or_init(Box::default);
+        sum.add(&bytes[off..first * SUM_CHUNK]);
+        for (chunk, entry) in (first..last).zip(&table[first..last]) {
+            let mut s = entry.load(Relaxed);
+            if s == 0 {
+                let at = chunk * SUM_CHUNK;
+                s = SUMMED | u32::from(!inet_checksum(&bytes[at..at + SUM_CHUNK]));
+                entry.store(s, Relaxed);
+            }
+            sum.add_sum(s as u16, SUM_CHUNK);
+        }
+        sum.add(&bytes[last * SUM_CHUNK..end]);
     }
 
     /// Copies the window out into an owned `Vec`.
@@ -173,7 +237,7 @@ impl Deref for ByteBuf {
 
     #[inline]
     fn deref(&self) -> &[u8] {
-        &self.data[self.off as usize..(self.off + self.len) as usize]
+        &self.data.bytes[self.off as usize..(self.off + self.len) as usize]
     }
 }
 
@@ -355,10 +419,23 @@ mod tests {
     #[test]
     fn unique_mutation_is_in_place() {
         let mut a = ByteBuf::from_vec(vec![0u8; 64]);
-        let ptr = a.data.as_ptr();
+        let ptr = a.data.bytes.as_ptr();
         a.make_mut()[5] = 9;
-        assert_eq!(a.data.as_ptr(), ptr, "unique buffer must not reallocate");
+        assert_eq!(
+            a.data.bytes.as_ptr(),
+            ptr,
+            "unique buffer must not reallocate"
+        );
         assert_eq!(a[5], 9);
+    }
+
+    /// The chunk table costs the shared allocation at most one 16-byte
+    /// malloc slot over the `Vec` alone (40 bytes of arc header and `Vec`,
+    /// 56 with the table's cell), and a buffer stays 16 bytes.
+    #[test]
+    fn the_table_costs_one_pointer_sized_cell() {
+        assert!(std::mem::size_of::<Shared>() <= std::mem::size_of::<Vec<u8>>() + 16);
+        assert_eq!(std::mem::size_of::<ByteBuf>(), 16);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! every field, and a WRITE call's or READ reply's data stays in the
 //! buffers it already lies in — the workload's own `Vec`, a store's
 //! extents, the one shared zero buffer — so no hop copies file data into
-//! a datagram. The checksum is summed over the parts, and a window of the
-//! zero buffer adds nothing without being read.
+//! a datagram. The checksum is summed over the parts: a window of the
+//! zero buffer adds nothing without being read, and a window's whole
+//! 4 KiB chunks add the sums its buffer remembers, so bytes sent again
+//! are not read again.
 
 use crate::bytes::{ByteBuf, Windows};
 use slice_hashes::checksum::{incremental_update16, incremental_update32, PartSum};
@@ -75,7 +77,8 @@ impl Packet {
     }
 
     /// Builds a packet of a header and the data `windows` after it,
-    /// summing the parts: a window of the shared zero buffer is not read.
+    /// summing the parts: a window of the shared zero buffer is not read,
+    /// and a window's whole chunks are added from their remembered sums.
     pub fn with_windows(
         src: SockAddr,
         dst: SockAddr,
@@ -91,7 +94,7 @@ impl Packet {
             if w.is_zeros() {
                 sum.add_zeros(w.len());
             } else {
-                sum.add(w);
+                w.sum_into(&mut sum);
             }
         }
         Packet {

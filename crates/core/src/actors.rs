@@ -10,8 +10,8 @@ use slice_sim::FxHashMap;
 
 use slice_dirsvc::{DirAction, DirServer};
 use slice_nfsproto::{
-    encode_call_windows, encode_reply, AuthUnix, ByteBuf, CallView, Fhandle, NfsProc, NfsReply,
-    NfsRequest, Packet, ReplyBody, SockAddr, StableHow, Windows,
+    encode_call_windows, encode_reply, AuthUnix, CallView, Fhandle, NfsProc, NfsReply, NfsRequest,
+    Packet, ReplyBody, SockAddr, StableHow, Windows,
 };
 use slice_sim::{Actor, Ctx, EventKind, NodeId, SimDuration, SimTime, Subsystem, START_TAG};
 use slice_smallfile::{SfAction, SfCtl, SmallFileServer};
@@ -574,7 +574,7 @@ impl SmallFileActor {
                         } else {
                             StableHow::Unstable
                         },
-                        data: ByteBuf::from(data).into(),
+                        data,
                     };
                     self.backing_call(ctx, tag, false, site, call);
                 }

@@ -22,6 +22,7 @@ use slice_sim::{FxHashMap, FxHashSet};
 
 use slice_nfsproto::{
     Fattr3, FileType, NfsProc, NfsReply, NfsRequest, NfsStatus, NfsTime, ReplyBody, StableHow,
+    Windows,
 };
 use slice_sim::{LruCache, SimTime};
 use slice_storage::Wal;
@@ -165,8 +166,9 @@ pub enum SfAction {
         obj: u64,
         /// Byte offset.
         offset: u64,
-        /// The data.
-        data: Vec<u8>,
+        /// The data: the block's retained bytes, or windows of the shared
+        /// zero buffer when the server keeps none.
+        data: Windows,
         /// Whether the write must be stable before completion.
         stable: bool,
     },
@@ -365,12 +367,17 @@ impl SmallFileServer {
 
     /// Writes a block to its extent (`tag` 0 = fire and forget).
     fn backing_write(&self, tag: u64, ext: MapExtent, content: Option<Vec<u8>>) -> SfAction {
+        let mut data = Windows::default();
+        match content {
+            Some(bytes) => data.push(bytes.into()),
+            None => data.push_zeros(ext.bytes as usize),
+        }
         SfAction::BackingWrite {
             tag,
             site: ext.region.zone,
             obj: zone_object(self.config.server_id, ext.region.zone),
             offset: ext.region.offset,
-            data: content.unwrap_or_else(|| vec![0u8; ext.bytes as usize]),
+            data,
             stable: true,
         }
     }

@@ -63,7 +63,7 @@ impl Harness {
                     data,
                     ..
                 } => {
-                    self.backing.write(obj, offset, &data);
+                    self.backing.write(obj, offset, &data.to_vec());
                     if tag != 0 {
                         queue.extend(self.server.handle_backing_done(now, tag, None));
                     }

@@ -315,6 +315,7 @@ impl Harness {
                     data,
                     stable,
                 } => {
+                    let data = data.to_vec();
                     self.fold(format!(
                         "W {tag} {site} {obj} {offset} {} {:x} {stable}",
                         data.len(),
@@ -704,7 +705,7 @@ fn a_late_fetch_keeps_newer_resident_bytes() {
                 ..
             } = a
             {
-                backing.write(*obj, *offset, data);
+                backing.write(*obj, *offset, &data.to_vec());
                 server.handle_backing_done(tick(), *tag, None);
             }
         }

@@ -100,11 +100,11 @@ impl Shared {
 /// checks) are untouched. Equality and hashing are over the visible
 /// window, not the backing allocation.
 pub struct ByteBuf {
-    // A `Vec` rather than `Arc<[u8]>`: wrapping the encoder's Vec moves
-    // it (one small allocation for the arc header) instead of copying
-    // every payload byte into a fresh `ArcInner`, which at millions of
-    // packets per run is the difference between sharing and re-copying
-    // the whole wire volume.
+    // The bytes are a `Vec` rather than an `Arc<[u8]>`: wrapping the
+    // encoder's Vec moves it (one small allocation for the arc header)
+    // instead of copying every payload byte into a fresh `ArcInner`,
+    // which at millions of packets per run is the difference between
+    // sharing and re-copying the whole wire volume.
     data: Arc<Shared>,
     // 32-bit bounds keep a buffer at 16 bytes, so a packet holding one
     // stays the size it was before it held windows too.

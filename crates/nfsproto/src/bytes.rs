@@ -79,9 +79,8 @@ const SUMMED: u32 = 1 << 16;
 /// chunks, made when a window first covers a chunk whole.
 struct Shared {
     bytes: Vec<u8>,
-    // Boxed on first use, so a buffer never summed as a window pays one
-    // pointer-sized cell for it, and the shared allocation one 16-byte
-    // slot more than the `Vec` alone.
+    // Boxed on first use, so a buffer never summed as a window pays only
+    // the empty 16-byte cell: one malloc slot more than the `Vec` alone.
     sums: OnceLock<Box<[AtomicU32; SUM_CHUNKS]>>,
 }
 
@@ -433,7 +432,7 @@ mod tests {
     /// malloc slot over the `Vec` alone (40 bytes of arc header and `Vec`,
     /// 56 with the table's cell), and a buffer stays 16 bytes.
     #[test]
-    fn the_table_costs_one_pointer_sized_cell() {
+    fn the_table_costs_one_malloc_slot() {
         assert!(std::mem::size_of::<Shared>() <= std::mem::size_of::<Vec<u8>>() + 16);
         assert_eq!(std::mem::size_of::<ByteBuf>(), 16);
     }
